@@ -23,6 +23,16 @@ import (
 	"trimgrad/internal/xrand"
 )
 
+// newStack attaches a transport stack configured by cfg; transport.New
+// cannot fail today, so a failure is a bug worth stopping the benchmark.
+func newStack(h *netsim.Host, cfg transport.Config) *transport.Stack {
+	s, err := transport.New(h, transport.WithConfig(cfg))
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func benchRow(n int) []float32 {
 	r := xrand.New(1)
 	v := make([]float32, n)
@@ -104,10 +114,10 @@ func BenchmarkFig3TrainingRound(b *testing.B) {
 		sp := c.sp
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tr, err := ddp.New(ddp.Config{
+				tr, err := ddp.NewTrainer(train, test, ddp.WithConfig(ddp.Config{
 					Workers: 2, Epochs: 1, Seed: 1, Batch: 128,
 					Scheme: sp, TrimRate: 0.1, RowSize: 1 << 10,
-				}, train, test, 32)
+				}), ddp.WithHidden(32))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -125,7 +135,7 @@ func BenchmarkFig4Exchange(b *testing.B) {
 	grad := benchRow(1 << 16)
 	for _, rate := range []float64{0.01, 0.5} {
 		cfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13}
-		enc, err := core.NewEncoder(cfg)
+		enc, err := core.NewEncoderWith(core.WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +146,7 @@ func BenchmarkFig4Exchange(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				dec, err := core.NewDecoder(cfg, uint32(i+1))
+				dec, err := core.NewDecoderWith(uint32(i+1), core.WithConfig(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,13 +177,13 @@ func BenchmarkE4ReliableUnderLoss(b *testing.B) {
 		b.Run(fmt.Sprintf("loss%g", rate), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sim := netsim.NewSim()
-				star := netsim.BuildStar(sim, 2,
+				star := netsim.NewStar(sim, 2,
 					netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
 					netsim.QueueConfig{CapacityBytes: 1 << 20, LossRate: rate, LossSeed: uint64(i)})
-				a := transport.NewStack(star.Hosts[0], transport.Config{})
-				rx := transport.NewStack(star.Hosts[1], transport.Config{})
+				a := newStack(star.Hosts[0], transport.Config{})
+				rx := newStack(star.Hosts[1], transport.Config{})
 				rx.Receiver = transport.ReceiverFunc(func(netsim.NodeID, []byte) {})
-				enc, _ := core.NewEncoder(core.Config{Params: quant.Params{Scheme: quant.Sign}})
+				enc, _ := core.NewEncoderWith(core.WithConfig(core.Config{Params: quant.Params{Scheme: quant.Sign}}))
 				msg, _ := enc.Encode(1, 1, grad)
 				payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
 				done := false
@@ -247,17 +257,17 @@ func BenchmarkE8Incast(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sim := netsim.NewSim()
-				star := netsim.BuildStar(sim, 9,
+				star := netsim.NewStar(sim, 9,
 					netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
 					netsim.QueueConfig{CapacityBytes: 64 << 10, HighCapacityBytes: 512 << 10, Mode: mode})
-				rx := transport.NewStack(star.Hosts[8], transport.Config{})
+				rx := newStack(star.Hosts[8], transport.Config{})
 				rx.Receiver = transport.ReceiverFunc(func(netsim.NodeID, []byte) {})
 				completed := 0
 				for s := 0; s < 8; s++ {
-					st := transport.NewStack(star.Hosts[s], transport.Config{})
-					enc, _ := core.NewEncoder(core.Config{
+					st := newStack(star.Hosts[s], transport.Config{})
+					enc, _ := core.NewEncoderWith(core.WithConfig(core.Config{
 						Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12, Flow: uint32(s),
-					})
+					}))
 					msg, _ := enc.Encode(1, uint32(s+1), grad)
 					onDone := func(netsim.Time) { completed++ }
 					if mode == netsim.TrimOverflow {
@@ -295,15 +305,15 @@ func BenchmarkE10FSDPGather(b *testing.B) {
 	shards := [][]float32{shard, shard, shard, shard}
 	for i := 0; i < b.N; i++ {
 		sim := netsim.NewSim()
-		star := netsim.BuildStar(sim, 4,
+		star := netsim.NewStar(sim, 4,
 			netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 2 * netsim.Microsecond},
 			netsim.QueueConfig{CapacityBytes: 1 << 20, Mode: netsim.TrimOverflow})
 		workers := make([]*collective.Worker, 4)
 		for w := range workers {
-			stack := transport.NewStack(star.Hosts[w], transport.Config{})
-			wk, err := collective.NewWorker(w, stack, core.Config{
+			stack := newStack(star.Hosts[w], transport.Config{})
+			wk, err := collective.New(w, stack, collective.WithConfig(core.Config{
 				Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 11,
-			}, collective.Trimmable)
+			}), collective.WithMode(collective.Trimmable))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -327,7 +337,7 @@ func BenchmarkE10FSDPGather(b *testing.B) {
 func BenchmarkE11TranscriptReplay(b *testing.B) {
 	grad := benchRow(1 << 14)
 	cfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12}
-	enc, _ := core.NewEncoder(cfg)
+	enc, _ := core.NewEncoderWith(core.WithConfig(cfg))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		msg, _ := enc.Encode(1, 1, grad)

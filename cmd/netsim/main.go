@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -25,11 +27,6 @@ import (
 	"trimgrad/internal/transport"
 	"trimgrad/internal/wire"
 )
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "netsim:", err)
-	os.Exit(1)
-}
 
 // buildTopology constructs the -topo fabric. Star/dumbbell/ring size from
 // -senders (plus one receiver host); fattree sizes from -k; leafspine
@@ -58,36 +55,71 @@ func buildTopology(sim *netsim.Sim, kind string, senders, k, leaves, spines, per
 	return nil, fmt.Errorf("unknown topology %q", kind)
 }
 
-func main() {
-	var topo string
-	flag.StringVar(&topo, "topo", "star", "topology: star|dumbbell|ring|fattree|leafspine")
-	flag.StringVar(&topo, "topology", "star", "alias for -topo")
-	var (
-		workload = flag.String("workload", "incast", "gradient traffic pattern: incast[:fan]|alltoall|permutation")
-		senders  = flag.Int("senders", 8, "gradient senders (star/dumbbell/ring host count minus the receiver)")
-		k        = flag.Int("k", 4, "fat-tree arity (fattree topology; k³/4 hosts)")
-		leaves   = flag.Int("leaves", 4, "leaf switches (leafspine topology)")
-		spines   = flag.Int("spines", 2, "spine switches (leafspine topology)")
-		perLeaf  = flag.Int("hostsperleaf", 4, "hosts per leaf (leafspine topology)")
-		oversub  = flag.Float64("oversub", 1, "leaf oversubscription ratio (leafspine topology)")
-		mode     = flag.String("mode", "trim", "switch behaviour: trim|drop")
-		agg      = flag.Bool("agg", false, "aggregate trimmable packets in the switches (senders share one message ID); needs -mode trim")
-		dim      = flag.Int("dim", 1<<16, "gradient coordinates per sender")
-		buffer   = flag.Int("buffer", 64<<10, "switch buffer bytes per port")
-		gbps     = flag.Float64("gbps", 10, "link bandwidth in Gbit/s")
-		cross    = flag.Float64("cross", 0, "legacy cross-traffic rate (packets/s) per gradient sender toward its receiver")
-		mice     = flag.Float64("mice", 0, "background mouse-flow rate (packets/s per host; 200 B packets)")
-		elephant = flag.Float64("elephants", 0, "background elephant-flow rate (packets/s per fourth host; 1500 B packets)")
-		seed     = flag.Uint64("seed", 1, "seed")
-		arena    = flag.Bool("arena", false, "recycle payload buffers through a generation-stamped wire arena (zero-alloc fast path; composes with -shards and fault injection)")
-		shards   = flag.Int("shards", 0, "simulator shards (parallel partitions; 0 = min(GOMAXPROCS, rack switches)); results are bit-identical at every count")
-		verbose  = flag.Bool("v", false, "print the shard partition map (shard → switches/hosts)")
-		metrics  = flag.String("metrics", "", "export per-port/transport telemetry and flow spans as JSONL to this file")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if _, err := netsim.ParseTopology(topo); err != nil {
-		fail(err)
+// run is main without the process: it parses args, runs the simulation,
+// prints the report to stdout and returns the exit status — 2 for a
+// rejected invocation (one line on stderr), 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		topo     = fs.String("topo", "star", "topology: star|dumbbell|ring|fattree|leafspine")
+		workload = fs.String("workload", "incast", "gradient traffic pattern: incast[:fan]|alltoall|permutation")
+		senders  = fs.Int("senders", 8, "gradient senders (star/dumbbell/ring host count minus the receiver)")
+		k        = fs.Int("k", 4, "fat-tree arity (fattree topology; k³/4 hosts)")
+		leaves   = fs.Int("leaves", 4, "leaf switches (leafspine topology)")
+		spines   = fs.Int("spines", 2, "spine switches (leafspine topology)")
+		perLeaf  = fs.Int("hostsperleaf", 4, "hosts per leaf (leafspine topology)")
+		oversub  = fs.Float64("oversub", 1, "leaf oversubscription ratio (leafspine topology)")
+		mode     = fs.String("mode", "trim", "switch behaviour: trim|drop")
+		agg      = fs.Bool("agg", false, "aggregate trimmable packets in the switches (senders share one message ID); needs -mode trim")
+		dim      = fs.Int("dim", 1<<16, "gradient coordinates per sender")
+		buffer   = fs.Int("buffer", 64<<10, "switch buffer bytes per port")
+		gbps     = fs.Float64("gbps", 10, "link bandwidth in Gbit/s")
+		cross    = fs.Float64("cross", 0, "legacy cross-traffic rate (packets/s) per gradient sender toward its receiver")
+		mice     = fs.Float64("mice", 0, "background mouse-flow rate (packets/s per host; 200 B packets)")
+		elephant = fs.Float64("elephants", 0, "background elephant-flow rate (packets/s per fourth host; 1500 B packets)")
+		seed     = fs.Uint64("seed", 1, "seed")
+		arena    = fs.Bool("arena", false, "recycle payload buffers through a generation-stamped wire arena (zero-alloc fast path; composes with -shards and fault injection)")
+		shards   = fs.Int("shards", 0, "simulator shards (parallel partitions; 0 = min(GOMAXPROCS, rack switches)); results are bit-identical at every count")
+		verbose  = fs.Bool("v", false, "print the shard partition map (shard → switches/hosts)")
+		metrics  = fs.String("metrics", "", "export per-port/transport telemetry and flow spans as JSONL to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	reject := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "netsim: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "netsim:", err)
+		return 1
+	}
+
+	if _, err := netsim.ParseTopology(*topo); err != nil {
+		return reject("%v", err)
+	}
+	if *mode != "trim" && *mode != "drop" {
+		return reject("-mode must be trim or drop, got %q", *mode)
+	}
+	if *agg && *mode != "trim" {
+		return reject("-agg requires -mode trim")
+	}
+	if !(*gbps > 0) {
+		return reject("-gbps must be positive, got %v", *gbps)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"senders", *senders}, {"buffer", *buffer}, {"dim", *dim}, {"k", *k}, {"leaves", *leaves}, {"spines", *spines}, {"hostsperleaf", *perLeaf}} {
+		if f.v <= 0 {
+			return reject("-%s must be positive, got %d", f.name, f.v)
+		}
 	}
 	qcfg := netsim.QueueConfig{
 		CapacityBytes:     *buffer,
@@ -97,13 +129,7 @@ func main() {
 	if *mode == "trim" {
 		qcfg.Mode = netsim.TrimOverflow
 	}
-	if *agg {
-		if *mode != "trim" {
-			fmt.Fprintln(os.Stderr, "netsim: -agg requires -mode trim")
-			os.Exit(2)
-		}
-		qcfg.AggregateTrimmable = true
-	}
+	qcfg.AggregateTrimmable = *agg
 	link := netsim.LinkConfig{Bandwidth: netsim.Gbps(*gbps), Delay: 5 * netsim.Microsecond}
 
 	var reg *obs.Registry
@@ -111,10 +137,10 @@ func main() {
 		reg = obs.New()
 	}
 	sim := netsim.NewSim()
-	t, err := buildTopology(sim, topo, *senders, *k, *leaves, *spines, *perLeaf,
+	t, err := buildTopology(sim, *topo, *senders, *k, *leaves, *spines, *perLeaf,
 		*oversub, link, qcfg, *seed, reg)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	// Partition the fabric across shards. 0 sizes to the machine, capped at
 	// the rack count; an explicit oversized count is rejected by
@@ -128,20 +154,20 @@ func main() {
 	}
 	eng, err := netsim.ShardTopology(t, nShards)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	defer eng.Close()
 	if *verbose {
-		fmt.Printf("shards=%d lookahead=%v\n", eng.Shards(), eng.Window())
+		fmt.Fprintf(stdout, "shards=%d lookahead=%v\n", eng.Shards(), eng.Window())
 		for _, a := range eng.Partition() {
-			fmt.Printf("shard %d: switches=%v hosts=%v\n", a.Shard, a.Switches, a.Hosts)
+			fmt.Fprintf(stdout, "shard %d: switches=%v hosts=%v\n", a.Shard, a.Switches, a.Hosts)
 		}
 	}
 
 	nHosts := len(t.Hosts)
 	w, err := netsim.ParseWorkload(*workload, nHosts, *seed)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *mice > 0 || *elephant > 0 {
 		w = netsim.Merge(w.Name+"+bg", w,
@@ -156,22 +182,21 @@ func main() {
 	// per-tier stale counter below.
 	stacks := make(map[int]*transport.Stack)
 	arenas := make(map[int]*wire.Arena)
-	stackFor := func(h int) *transport.Stack {
+	stackFor := func(h int) (*transport.Stack, error) {
 		if s, ok := stacks[h]; ok {
-			return s
+			return s, nil
 		}
-		var opts []transport.Opt
+		opts := []transport.Opt{transport.WithReceiver(transport.ReceiverFunc(func(netsim.NodeID, []byte) {}))}
 		if *arena {
 			arenas[h] = wire.NewArena()
 			opts = append(opts, transport.WithArena(arenas[h]))
 		}
 		s, err := transport.New(t.Hosts[h], opts...)
 		if err != nil {
-			fail(err)
+			return nil, err
 		}
-		s.Receiver = transport.ReceiverFunc(func(netsim.NodeID, []byte) {})
 		stacks[h] = s
-		return s
+		return s, nil
 	}
 
 	fct := netsim.NewFCTRecorder()
@@ -179,8 +204,14 @@ func main() {
 	// Completions fire on shard goroutines; the counter must be atomic.
 	var completed atomic.Int64
 	for i, f := range flows {
-		src, dst := stackFor(f.Src), stackFor(f.Dst)
-		_ = dst // created so the destination can reassemble
+		src, err := stackFor(f.Src)
+		if err != nil {
+			return fail(err)
+		}
+		// The destination's stack is created so it can reassemble.
+		if _, err := stackFor(f.Dst); err != nil {
+			return fail(err)
+		}
 		encOpts := []core.Option{core.WithConfig(core.Config{
 			Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13, Flow: uint32(i),
 		})}
@@ -191,7 +222,7 @@ func main() {
 		}
 		enc, err := core.NewEncoderWith(encOpts...)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		grad := make([]float32, *dim)
 		for j := range grad {
@@ -207,7 +238,7 @@ func main() {
 		}
 		msg, err := enc.Encode(*seed, msgID, grad)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		id := uint64(i + 1)
 		fct.FlowStarted(id, 0)
@@ -245,13 +276,13 @@ func main() {
 		trimmedRx += s.Stats.TrimmedReceived
 	}
 
-	fmt.Printf("topology=%s workload=%s mode=%s agg=%v hosts=%d flows=%d dim=%d buffer=%dB\n",
+	fmt.Fprintf(stdout, "topology=%s workload=%s mode=%s agg=%v hosts=%d flows=%d dim=%d buffer=%dB\n",
 		t.Kind, w.Name, *mode, *agg, nHosts, len(flows), *dim, *buffer)
-	fmt.Printf("completed           %d/%d\n", completed.Load(), len(flows))
-	fmt.Printf("FCT p50 / p99 / max %v / %v / %v\n",
+	fmt.Fprintf(stdout, "completed           %d/%d\n", completed.Load(), len(flows))
+	fmt.Fprintf(stdout, "FCT p50 / p99 / max %v / %v / %v\n",
 		fct.Percentile(0.5), fct.Percentile(0.99), fct.Max())
-	fmt.Printf("retransmits         %d\n", retrans)
-	fmt.Printf("trimmed received    %d\n", trimmedRx)
+	fmt.Fprintf(stdout, "retransmits         %d\n", retrans)
+	fmt.Fprintf(stdout, "trimmed received    %d\n", trimmedRx)
 	for _, tier := range t.Tiers {
 		var st netsim.PortStats
 		maxQ := 0
@@ -268,21 +299,29 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("tier %-6s (%2d sw) enq=%d tx=%d trim=%d drop=%d agg=%d stale=%d maxQ=%dB\n",
+		fmt.Fprintf(stdout, "tier %-6s (%2d sw) enq=%d tx=%d trim=%d drop=%d agg=%d stale=%d maxQ=%dB\n",
 			tier.Name, len(tier.Switches), st.Enqueued, st.Transmitted,
 			st.Trimmed, st.Dropped, st.Aggregated, st.StaleDrops, maxQ)
 	}
 
 	if *metrics != "" {
-		f, err := os.Create(*metrics)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
 		// The engine merges the pre-partition registry with every shard's
 		// into one canonical snapshot — byte-identical at any -shards value.
-		if err := obs.WriteJSONL(f, eng.Snapshot()); err != nil {
-			fail(err)
+		if err := writeMetrics(*metrics, eng.Snapshot()); err != nil {
+			return fail(err)
 		}
 	}
+	return 0
+}
+
+func writeMetrics(path string, snap obs.Snapshot) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := obs.WriteJSONL(f, snap); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

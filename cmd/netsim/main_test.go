@@ -1,0 +1,73 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRejectsBadInvocations: every malformed flag value must be refused
+// with exit status 2 and exactly one diagnostic line, before any
+// simulation runs.
+func TestRejectsBadInvocations(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want string // substring of the diagnostic
+	}{
+		{"-mode bogus", "-mode must be trim or drop"},
+		{"-mode drop -agg", "-agg requires -mode trim"},
+		{"-gbps 0", "-gbps must be positive"},
+		{"-gbps -1", "-gbps must be positive"},
+		{"-gbps NaN", "-gbps must be positive"},
+		{"-buffer -5", "-buffer must be positive"},
+		{"-buffer 0", "-buffer must be positive"},
+		{"-dim 0", "-dim must be positive"},
+		{"-senders 0", "-senders must be positive"},
+		{"-topo fattree -k 0", "-k must be positive"},
+		{"-topo leafspine -leaves 0", "-leaves must be positive"},
+		{"-topo leafspine -spines -2", "-spines must be positive"},
+		{"-topo leafspine -hostsperleaf 0", "-hostsperleaf must be positive"},
+		{"-topo torus", "unknown topology"},
+	} {
+		t.Run(tc.args, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(strings.Fields(tc.args), &stdout, &stderr); code != 2 {
+				t.Errorf("exit status %d, want 2", code)
+			}
+			msg := stderr.String()
+			if !strings.Contains(msg, tc.want) || strings.Count(msg, "\n") != 1 {
+				t.Errorf("stderr = %q, want one line containing %q", msg, tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("a rejected invocation printed a report: %q", stdout.String())
+			}
+		})
+	}
+}
+
+// TestUnknownFlagIsUsageError: the -topology alias is gone, and like any
+// undefined flag it exits 2 with the usage text.
+func TestUnknownFlagIsUsageError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-topology", "star"}, &stdout, &stderr); code != 2 {
+		t.Errorf("exit status %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined") {
+		t.Errorf("stderr = %q", stderr.String())
+	}
+}
+
+// TestSmallRunReports drives one tiny incast per queue mode end to end.
+func TestSmallRunReports(t *testing.T) {
+	for _, mode := range []string{"trim", "drop"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-senders", "2", "-dim", "2048", "-shards", "1", "-mode", mode}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("-mode %s: exit status %d, stderr %q", mode, code, stderr.String())
+		}
+		out := stdout.String()
+		if !strings.Contains(out, "mode="+mode) || !strings.Contains(out, "completed           2/2") {
+			t.Errorf("-mode %s report:\n%s", mode, out)
+		}
+	}
+}

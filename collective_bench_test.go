@@ -37,7 +37,7 @@ func benchAllReduce(b *testing.B, alg collective.Algorithm, n int, agg bool) {
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		sim := netsim.NewSim()
-		star := netsim.BuildStar(sim, n,
+		star := netsim.NewStar(sim, n,
 			netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
 			netsim.QueueConfig{
 				CapacityBytes:      48 << 10,

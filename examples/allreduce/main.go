@@ -56,11 +56,14 @@ func run(algorithm string, grads [][]float32, exact []float32) {
 		})
 	workers := make([]*collective.Worker, nWorkers)
 	for i := range workers {
-		stack := transport.NewStack(ring.Hosts[i], transport.Config{})
-		w, err := collective.NewWorker(i, stack, core.Config{
+		stack, err := transport.New(ring.Hosts[i])
+		if err != nil {
+			log.Fatal(err)
+		}
+		w, err := collective.New(i, stack, collective.WithConfig(core.Config{
 			Params:  quant.Params{Scheme: quant.RHT},
 			RowSize: 1 << 12,
-		}, collective.Trimmable)
+		}), collective.WithMode(collective.Trimmable))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,8 +30,10 @@ func run(mode netsim.QueueMode, label string) {
 	receiver := star.Hosts[nSenders]
 	crossSrc := star.Hosts[nSenders+1]
 
-	rx := transport.NewStack(receiver, transport.Config{})
-	rx.Receiver = transport.ReceiverFunc(func(netsim.NodeID, []byte) {})
+	_, err := transport.New(receiver, transport.WithReceiver(transport.ReceiverFunc(func(netsim.NodeID, []byte) {})))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Bursty cross traffic at ~40% of the bottleneck link.
 	cross := netsim.NewCrossTraffic(crossSrc, receiver.ID(), 1500, 3.3e5, 9)
@@ -43,10 +45,13 @@ func run(mode netsim.QueueMode, label string) {
 	rng := xrand.New(1)
 	stacks := make([]*transport.Stack, nSenders)
 	for i := 0; i < nSenders; i++ {
-		stacks[i] = transport.NewStack(star.Hosts[i], transport.Config{})
-		enc, err := core.NewEncoder(core.Config{
+		stacks[i], err = transport.New(star.Hosts[i])
+		if err != nil {
+			log.Fatal(err)
+		}
+		enc, err := core.NewEncoderWith(core.WithConfig(core.Config{
 			Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13, Flow: uint32(i),
-		})
+		}))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,8 +25,7 @@ func main() {
 		Classes: 20, Dim: 32, Train: 3000, Test: 800,
 		Noise: 0.95, Spread: 1.0, Seed: 5,
 	})
-	tr, err := ddp.New(ddp.Config{Workers: 1, Epochs: 6, Seed: 3, LR: 0.05},
-		train, test, 64)
+	tr, err := ddp.NewTrainer(train, test, ddp.WithConfig(ddp.Config{Workers: 1, Epochs: 6, Seed: 3, LR: 0.05}), ddp.WithHidden(64))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,11 +63,14 @@ func main() {
 			})
 		workers := make([]*collective.Worker, nWorkers)
 		for i := range workers {
-			stack := transport.NewStack(star.Hosts[i], transport.Config{})
-			w, err := collective.NewWorker(i, stack, core.Config{
+			stack, err := transport.New(star.Hosts[i])
+			if err != nil {
+				log.Fatal(err)
+			}
+			w, err := collective.New(i, stack, collective.WithConfig(core.Config{
 				Params:  quant.Params{Scheme: quant.RHT},
 				RowSize: 1 << 11,
-			}, collective.Trimmable)
+			}), collective.WithMode(collective.Trimmable))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -33,7 +33,7 @@ func main() {
 	for _, p := range schemes {
 		for _, rate := range []float64{0, 0.5, 1.0} {
 			cfg := core.Config{Params: p, RowSize: 1 << 12}
-			enc, err := core.NewEncoder(cfg)
+			enc, err := core.NewEncoderWith(core.WithConfig(cfg))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func main() {
 			// The "network": each data packet is trimmed with probability
 			// rate, exactly as a congested switch would cut it. Metadata
 			// packets travel the reliable channel untouched.
-			dec, err := core.NewDecoder(cfg, 1)
+			dec, err := core.NewDecoderWith(1, core.WithConfig(cfg))
 			if err != nil {
 				log.Fatal(err)
 			}

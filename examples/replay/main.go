@@ -29,7 +29,7 @@ func main() {
 		Workers: 2, Epochs: 3, Seed: 7, LR: 0.05,
 		Scheme: scheme, Injector: recorder,
 	}
-	t1, err := ddp.New(cfg, train, test, 64)
+	t1, err := ddp.NewTrainer(train, test, ddp.WithConfig(cfg), ddp.WithHidden(64))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 	}
 	cfg2 := cfg
 	cfg2.Injector = core.NewPlayer(transcript)
-	t2, err := ddp.New(cfg2, train, test, 64)
+	t2, err := ddp.NewTrainer(train, test, ddp.WithConfig(cfg2), ddp.WithHidden(64))
 	if err != nil {
 		log.Fatal(err)
 	}

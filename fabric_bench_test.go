@@ -1,10 +1,9 @@
 // Fabric fast-path benchmarks (DESIGN.md §11): the timer-wheel
 // scheduler, the typed-event dispatch, and the pooled packet/buffer
 // arenas. These are trajectory benchmarks — BENCH_<date>.json records
-// them and `benchjson -diff` tracks the numbers across dates — and the
-// pooled-vs-legacy pairs are the acceptance evidence for the allocation
-// claims (TestFabricHopAllocations in internal/netsim pins the hard
-// per-hop budget).
+// them and `benchjson -diff` tracks the numbers across dates;
+// TestFabricHopAllocations in internal/netsim pins the hard per-hop
+// allocation budget.
 package trimgrad
 
 import (
@@ -20,9 +19,9 @@ import (
 
 // fabricStar builds the 4-host star every hop benchmark runs over, with
 // sink handlers so delivered packets are consumed and recycled.
-func fabricStar(sim *netsim.Sim) *netsim.Star {
+func fabricStar(sim *netsim.Sim) *netsim.Topology {
 	link := netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond}
-	star := netsim.BuildStar(sim, 4, link, netsim.QueueConfig{})
+	star := netsim.NewStar(sim, 4, link, netsim.QueueConfig{})
 	for _, h := range star.Hosts {
 		h.Handler = func(*netsim.Packet) {}
 	}
@@ -30,44 +29,33 @@ func fabricStar(sim *netsim.Sim) *netsim.Star {
 }
 
 // BenchmarkFabricHop measures the steady-state cost of one simulated
-// packet crossing the fabric (two hops: host→switch→host), per sending
-// style. "pooled" is the fast path: Sim.NewPacket records recycled on
-// delivery, typed events dispatched without closures. "legacy" replays
-// the pre-wheel idiom — literal packets and a scheduled closure per send
-// — and is the baseline for the ≥2× allocs/hop reduction claim.
+// packet crossing the fabric (two hops: host→switch→host) on the fast
+// path: Sim.NewPacket records recycled on delivery, typed events
+// dispatched without closures. The "pooled" sub-benchmark name is kept so
+// the BENCH_<date>.json trajectory stays comparable.
 func BenchmarkFabricHop(b *testing.B) {
 	const pkts = 256
 	const hops = pkts * 2
-	for _, style := range []string{"pooled", "legacy"} {
-		pooled := style == "pooled"
-		b.Run(style, func(b *testing.B) {
-			sim := netsim.NewSim()
-			star := fabricStar(sim)
-			send := func() {
-				for j := 0; j < pkts; j++ {
-					src := star.Hosts[j%4]
-					dst := star.Hosts[(j+1)%4].ID()
-					if pooled {
-						pkt := sim.NewPacket()
-						pkt.Dst = dst
-						pkt.Size = 1500
-						src.Send(pkt)
-					} else {
-						pkt := &netsim.Packet{Dst: dst, Size: 1500}
-						sim.At(sim.Now(), func() { src.Send(pkt) })
-					}
-				}
-				sim.Run()
+	b.Run("pooled", func(b *testing.B) {
+		sim := netsim.NewSim()
+		star := fabricStar(sim)
+		send := func() {
+			for j := 0; j < pkts; j++ {
+				pkt := sim.NewPacket()
+				pkt.Dst = star.Hosts[(j+1)%4].ID()
+				pkt.Size = 1500
+				star.Hosts[j%4].Send(pkt)
 			}
-			send() // warm the event, packet, and queue pools
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				send()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
-		})
-	}
+			sim.Run()
+		}
+		send() // warm the event, packet, and queue pools
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			send()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+	})
 }
 
 // BenchmarkFabricFatTree measures the pooled fast path on the multi-tier

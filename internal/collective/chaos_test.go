@@ -56,7 +56,7 @@ func runChaosAllReduce(t *testing.T, alg Algorithm, mode Mode, sc collChaosScena
 	t.Helper()
 	const n = 3
 	sim := netsim.NewSim()
-	star := netsim.BuildStar(sim, n, fast(),
+	star := netsim.NewStar(sim, n, fast(),
 		netsim.QueueConfig{CapacityBytes: 8 << 20, Mode: netsim.TrimOverflow})
 	// Small RTO and retry budget so a dead peer fails the round fast; the
 	// deadline is the backstop for ranks that merely wait in silence. The
@@ -65,7 +65,7 @@ func runChaosAllReduce(t *testing.T, alg Algorithm, mode Mode, sc collChaosScena
 	cfg := transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 16}
 	ws := make([]*Worker, n)
 	for i := 0; i < n; i++ {
-		w, err := NewWorker(i, transport.NewStack(star.Hosts[i], cfg), coreCfg(quant.RHT), mode)
+		w, err := New(i, newStack(star.Hosts[i], cfg), WithConfig(coreCfg(quant.RHT)), WithMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,12 +164,12 @@ func TestChaosAllReduceMatrix(t *testing.T) {
 func TestChaosRingAllReduceSurvivesFaults(t *testing.T) {
 	const n = 4
 	sim := netsim.NewSim()
-	star := netsim.BuildStar(sim, n, fast(),
+	star := netsim.NewStar(sim, n, fast(),
 		netsim.QueueConfig{CapacityBytes: 8 << 20, Mode: netsim.TrimOverflow})
 	cfg := transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 30}
 	ws := make([]*Worker, n)
 	for i := 0; i < n; i++ {
-		w, err := NewWorker(i, transport.NewStack(star.Hosts[i], cfg), coreCfg(quant.RHT), Trimmable)
+		w, err := New(i, newStack(star.Hosts[i], cfg), WithConfig(coreCfg(quant.RHT)), WithMode(Trimmable))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,12 +208,12 @@ func TestChaosRingAllReduceSurvivesFaults(t *testing.T) {
 func TestChaosCrashErrorIsExplicit(t *testing.T) {
 	const n = 3
 	sim := netsim.NewSim()
-	star := netsim.BuildStar(sim, n, fast(),
+	star := netsim.NewStar(sim, n, fast(),
 		netsim.QueueConfig{CapacityBytes: 8 << 20, Mode: netsim.TrimOverflow})
 	cfg := transport.Config{RTO: 50 * netsim.Microsecond, MaxRetries: 5}
 	ws := make([]*Worker, n)
 	for i := 0; i < n; i++ {
-		w, err := NewWorker(i, transport.NewStack(star.Hosts[i], cfg), coreCfg(quant.RHT), Reliable)
+		w, err := New(i, newStack(star.Hosts[i], cfg), WithConfig(coreCfg(quant.RHT)), WithMode(Reliable))
 		if err != nil {
 			t.Fatal(err)
 		}

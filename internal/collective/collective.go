@@ -142,14 +142,6 @@ func New(rank int, stack *transport.Stack, opts ...Option) (*Worker, error) {
 	return w, nil
 }
 
-// NewWorker binds a worker to a stack.
-//
-// Deprecated: use New with WithConfig/WithMode; this remains as a thin
-// wrapper for existing callers.
-func NewWorker(rank int, stack *transport.Stack, cfg core.Config, mode Mode) (*Worker, error) {
-	return New(rank, stack, WithConfig(cfg), WithMode(mode))
-}
-
 // span records one completed collective phase for this worker, stamped in
 // simulated time with the rank as an attribute.
 func (w *Worker) span(name string, start, end netsim.Time) {

@@ -12,6 +12,16 @@ import (
 	"trimgrad/internal/xrand"
 )
 
+// newStack attaches a transport stack configured by cfg; transport.New
+// cannot fail today, so a failure is a bug worth stopping the test binary.
+func newStack(h *netsim.Host, cfg transport.Config) *transport.Stack {
+	s, err := transport.New(h, transport.WithConfig(cfg))
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func gaussianGrad(seed uint64, n int) []float32 {
 	r := xrand.New(seed)
 	v := make([]float32, n)
@@ -39,11 +49,11 @@ func starWorkers(t *testing.T, n int, mode Mode, q netsim.QueueConfig,
 	link netsim.LinkConfig, s quant.Scheme) (*netsim.Sim, []*Worker) {
 	t.Helper()
 	sim := netsim.NewSim()
-	star := netsim.BuildStar(sim, n, link, q)
+	star := netsim.NewStar(sim, n, link, q)
 	ws := make([]*Worker, n)
 	for i := 0; i < n; i++ {
-		st := transport.NewStack(star.Hosts[i], transport.Config{})
-		w, err := NewWorker(i, st, coreCfg(s), mode)
+		st := newStack(star.Hosts[i], transport.Config{})
+		w, err := New(i, st, WithConfig(coreCfg(s)), WithMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,11 +66,11 @@ func ringWorkers(t *testing.T, n int, mode Mode, q netsim.QueueConfig,
 	edge, trunk netsim.LinkConfig, s quant.Scheme) (*netsim.Sim, []*Worker) {
 	t.Helper()
 	sim := netsim.NewSim()
-	ring := netsim.BuildRing(sim, n, edge, trunk, q)
+	ring := netsim.NewRing(sim, n, edge, trunk, q)
 	ws := make([]*Worker, n)
 	for i := 0; i < n; i++ {
-		st := transport.NewStack(ring.Hosts[i], transport.Config{})
-		w, err := NewWorker(i, st, coreCfg(s), mode)
+		st := newStack(ring.Hosts[i], transport.Config{})
+		w, err := New(i, st, WithConfig(coreCfg(s)), WithMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}

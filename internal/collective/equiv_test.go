@@ -159,11 +159,11 @@ func TestParamServerIncastAggregates(t *testing.T) {
 		q := deepQ()
 		q.AggregateTrimmable = true
 		sim := netsim.NewSim()
-		star := netsim.BuildStar(sim, n, fast(), q)
+		star := netsim.NewStar(sim, n, fast(), q)
 		ws := make([]*Worker, n)
 		for i := 0; i < n; i++ {
-			st := transport.NewStack(star.Hosts[i], transport.Config{})
-			w, err := NewWorker(i, st, coreCfg(quant.Sign), Trimmable)
+			st := newStack(star.Hosts[i], transport.Config{})
+			w, err := New(i, st, WithConfig(coreCfg(quant.Sign)), WithMode(Trimmable))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestParamServerIncastAggregates(t *testing.T) {
 		sim.Run()
 		aggregated := 0
 		for i := 0; i < n; i++ {
-			if p := star.Switch.Port(netsim.NodeID(i)); p != nil {
+			if p := star.Tier(netsim.TierEdge)[0].Port(netsim.NodeID(i)); p != nil {
 				aggregated += p.Stats.Aggregated
 			}
 		}

@@ -32,7 +32,7 @@ func fatTreeWorkers(t *testing.T, q netsim.QueueConfig, cfg transport.Config,
 	}
 	ws := make([]*Worker, len(topo.Hosts))
 	for i, h := range topo.Hosts {
-		w, err := NewWorker(i, transport.NewStack(h, cfg), coreCfg(s), Trimmable)
+		w, err := New(i, newStack(h, cfg), WithConfig(coreCfg(s)), WithMode(Trimmable))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,9 @@ import (
 // can tell "trimmed" from "corrupt".
 func TestWorkerCountsCorruptPayloads(t *testing.T) {
 	sim := netsim.NewSim()
-	star := netsim.BuildStar(sim, 2, fast(), netsim.QueueConfig{CapacityBytes: 1 << 20})
-	st := transport.NewStack(star.Hosts[0], transport.Config{})
-	w, err := NewWorker(0, st, coreCfg(quant.RHT), Trimmable)
+	star := netsim.NewStar(sim, 2, fast(), netsim.QueueConfig{CapacityBytes: 1 << 20})
+	st := newStack(star.Hosts[0], transport.Config{})
+	w, err := New(0, st, WithConfig(coreCfg(quant.RHT)), WithMode(Trimmable))
 	if err != nil {
 		t.Fatal(err)
 	}

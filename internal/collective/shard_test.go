@@ -36,7 +36,7 @@ func shardedFatTreeWorkers(t *testing.T, shards int, q netsim.QueueConfig,
 	}
 	ws := make([]*Worker, len(topo.Hosts))
 	for i, h := range topo.Hosts {
-		w, err := NewWorker(i, transport.NewStack(h, cfg), coreCfg(s), Trimmable)
+		w, err := New(i, newStack(h, cfg), WithConfig(coreCfg(s)), WithMode(Trimmable))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func TestAdaptiveQAIMD(t *testing.T) {
 
 func TestCapacityTrimmerBudget(t *testing.T) {
 	cfg := Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 10}
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(60, 1<<12)
 	msg, _ := enc.Encode(1, 1, grad)
 
@@ -48,7 +48,7 @@ func TestCapacityTrimmerBudget(t *testing.T) {
 	// Budget for roughly half the full bytes: the rest must be trimmed,
 	// not dropped (trimmed heads are tiny).
 	ct := &CapacityTrimmer{BudgetBytes: full / 2}
-	dec, _ := NewDecoder(cfg, 1)
+	dec, _ := NewDecoderWith(1, WithConfig(cfg))
 	for _, m := range msg.Meta {
 		if err := dec.Handle(m); err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestAdaptiveQClosedLoop(t *testing.T) {
 	ctrl := NewAdaptiveQ()
 	// Capacity: enough for about half of the full-precision message.
 	cfgFull := Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 11}
-	encFull, _ := NewEncoder(cfgFull)
+	encFull, _ := NewEncoderWith(WithConfig(cfgFull))
 	msgFull, _ := encFull.Encode(1, 1, grad)
 	budget := msgFull.DataBytes() / 2
 	ct := &CapacityTrimmer{BudgetBytes: budget}
@@ -115,7 +115,7 @@ func TestAdaptiveQClosedLoop(t *testing.T) {
 			Params:  quant.Params{Scheme: quant.RHT, TailBits: ctrl.Q()},
 			RowSize: 1 << 11,
 		}
-		enc, err := NewEncoder(cfg)
+		enc, err := NewEncoderWith(WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestAdaptiveQClosedLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, _ := NewDecoder(cfg, 1)
+		dec, _ := NewDecoderWith(1, WithConfig(cfg))
 		for _, m := range msg.Meta {
 			dec.Handle(m)
 		}

@@ -126,9 +126,10 @@ func WithRowSize(n int) Option { return func(o *options) { o.cfg.RowSize = n } }
 // WithFlow sets the sender id stamped into packet headers.
 func WithFlow(f uint32) Option { return func(o *options) { o.cfg.Flow = f } }
 
-// WithRegistry attaches a telemetry registry: encoders dual-write
-// "core.encode.*" counters, decoders "core.decode.*" counters plus the
-// packet-size histogram. Nil (the default) disables instrumentation.
+// WithRegistry attaches a telemetry registry: encoders report the
+// "core.encode.*" counters, decoders flush their Stats into the
+// "core.decode.*" counters and observe the packet-size histogram. Nil
+// (the default) disables instrumentation.
 func WithRegistry(r *obs.Registry) Option { return func(o *options) { o.reg = r } }
 
 // WithArena draws packet buffers from a wire.Arena instead of the
@@ -138,19 +139,16 @@ func WithRegistry(r *obs.Registry) Option { return func(o *options) { o.reg = r 
 // message is handed to it. Nil (the default) keeps plain allocation.
 func WithArena(a *wire.Arena) Option { return func(o *options) { o.arena = a } }
 
-// encObs mirrors encode-side accounting into a registry.
-type encObs struct {
-	rows    *obs.Counter
-	packets *obs.Counter
-	bytes   *obs.Counter
-}
-
-func newEncObs(r *obs.Registry) encObs {
-	return encObs{
-		rows:    r.Counter("core.encode.rows_total"),
-		packets: r.Counter("core.encode.packets_total"),
-		bytes:   r.Counter("core.encode.bytes_total"),
+// countEncoded adds one successfully encoded message to r's
+// "core.encode.*" counters. The encode side has no stats struct behind
+// it, so these are plain registry counters written once per message.
+func countEncoded(r *obs.Registry, msg *Message, rows int) {
+	if r == nil {
+		return
 	}
+	r.Counter("core.encode.rows_total").Add(int64(rows))
+	r.Counter("core.encode.packets_total").Add(int64(len(msg.Meta) + len(msg.Data)))
+	r.Counter("core.encode.bytes_total").Add(int64(msg.DataBytes()))
 }
 
 // Encoder turns gradient tensors into trimmable packet streams.
@@ -158,7 +156,7 @@ func newEncObs(r *obs.Registry) encObs {
 type Encoder struct {
 	cfg   Config
 	codec quant.Codec
-	obs   encObs
+	reg   *obs.Registry
 	arena *wire.Arena
 
 	// mu guards codecs, the lazily-grown per-worker codec cache used by
@@ -181,15 +179,8 @@ func NewEncoderWith(opts ...Option) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Encoder{cfg: cfg, codec: codec, obs: newEncObs(o.reg), arena: o.arena}, nil
-}
-
-// NewEncoder builds an encoder for cfg.
-//
-// Deprecated: use NewEncoderWith; this remains as a thin wrapper for
-// existing callers.
-func NewEncoder(cfg Config) (*Encoder, error) {
-	return NewEncoderWith(WithConfig(cfg))
+	countEncoded(o.reg, &Message{}, 0) // declare the family: an idle encoder exports zeros
+	return &Encoder{cfg: cfg, codec: codec, reg: o.reg, arena: o.arena}, nil
 }
 
 // Codec exposes the underlying quantizer (for benchmarks and diagnostics).
@@ -221,9 +212,7 @@ func (e *Encoder) Encode(epoch uint64, msgID uint32, grad []float32) (*Message, 
 		msg.Meta = append(msg.Meta, meta)
 		msg.Data = append(msg.Data, data...)
 	}
-	e.obs.rows.Add(int64(len(rows)))
-	e.obs.packets.Add(int64(len(msg.Meta) + len(msg.Data)))
-	e.obs.bytes.Add(int64(msg.DataBytes()))
+	countEncoded(e.reg, msg, len(rows))
 	return msg, nil
 }
 
@@ -274,34 +263,43 @@ func (s Stats) TrimFraction() float64 {
 	return float64(s.TrimmedCoords) / float64(s.TotalCoords)
 }
 
-// decObs mirrors decode-side accounting into a registry. Decoder names
-// are not per-instance: decoders are created per message, so per-instance
-// metrics would explode the namespace — all decoders of a registry share
-// one "core.decode.*" family.
+// decObs is a decoder's view of the registry. Decoders are created per
+// message, so they are too short-lived to register as sources and their
+// names are not per-instance: all decoders of a registry share one
+// "core.decode.*" family. Stats stays the only per-packet write; flush
+// pushes what it has gained into the shared counters.
 type decObs struct {
-	packets        *obs.Counter
-	trimmedPackets *obs.Counter
-	bytes          *obs.Counter
-	rejected       *obs.Counter
-	coords         *obs.Counter
-	coordsTrimmed  *obs.Counter
-	coordsDropped  *obs.Counter
-	expected       *obs.Counter
-	packetBytes    *obs.Histogram
+	reg         *obs.Registry
+	packetBytes *obs.Histogram
+	// emitted is what earlier flushes already pushed.
+	emitted Stats
 }
 
 func newDecObs(r *obs.Registry) decObs {
-	return decObs{
-		packets:        r.Counter("core.decode.packets_total"),
-		trimmedPackets: r.Counter("core.decode.trimmed_packets_total"),
-		bytes:          r.Counter("core.decode.bytes_total"),
-		rejected:       r.Counter("core.decode.rejected_total"),
-		coords:         r.Counter("core.decode.coords_total"),
-		coordsTrimmed:  r.Counter("core.decode.coords_trimmed_total"),
-		coordsDropped:  r.Counter("core.decode.coords_dropped_total"),
-		expected:       r.Counter("core.decode.expected_packets_total"),
-		packetBytes:    r.Histogram("core.decode.packet_bytes", obs.BucketsBytes()),
+	o := decObs{reg: r, packetBytes: r.Histogram("core.decode.packet_bytes", obs.BucketsBytes())}
+	o.flush(Stats{}) // declare the family: a decoder that never flushes exports zeros
+	return o
+}
+
+// flush adds cur − emitted to the registry, field by field. Reconstruct
+// recomputes the coordinate-level fields from scratch, so a repeated call
+// contributes only its delta. Every exit of Reconstruct/DecodeParallel and
+// every Stats call flushes; a decoder dropped without any of them leaves
+// its counts unexported.
+func (o *decObs) flush(cur Stats) {
+	r, prev := o.reg, o.emitted
+	if r == nil {
+		return
 	}
+	r.Counter("core.decode.packets_total").Add(int64(cur.Packets - prev.Packets))
+	r.Counter("core.decode.trimmed_packets_total").Add(int64(cur.TrimmedPackets - prev.TrimmedPackets))
+	r.Counter("core.decode.bytes_total").Add(int64(cur.BytesReceived - prev.BytesReceived))
+	r.Counter("core.decode.rejected_total").Add(int64(cur.RejectedPackets - prev.RejectedPackets))
+	r.Counter("core.decode.coords_total").Add(int64(cur.TotalCoords - prev.TotalCoords))
+	r.Counter("core.decode.coords_trimmed_total").Add(int64(cur.TrimmedCoords - prev.TrimmedCoords))
+	r.Counter("core.decode.coords_dropped_total").Add(int64(cur.DroppedCoords - prev.DroppedCoords))
+	r.Counter("core.decode.expected_packets_total").Add(int64(cur.ExpectedPackets - prev.ExpectedPackets))
+	o.emitted = cur
 }
 
 // Decoder reassembles and decodes one message's packet stream.
@@ -316,10 +314,6 @@ type Decoder struct {
 	pending map[uint32][][]byte
 	stats   Stats
 	obs     decObs
-	// emitted remembers the coordinate-level stats already pushed to the
-	// registry so repeated Reconstruct calls (which recompute those fields
-	// from scratch) emit only the delta.
-	emitted Stats
 }
 
 // maxPendingPerRow bounds how many early data packets one row buffers
@@ -350,22 +344,12 @@ func NewDecoderWith(msgID uint32, opts ...Option) (*Decoder, error) {
 	}, nil
 }
 
-// NewDecoder builds a decoder for message msgID under cfg. cfg must match
-// the sender's.
-//
-// Deprecated: use NewDecoderWith; this remains as a thin wrapper for
-// existing callers.
-func NewDecoder(cfg Config, msgID uint32) (*Decoder, error) {
-	return NewDecoderWith(msgID, WithConfig(cfg))
-}
-
 // Handle ingests one arrived packet (metadata or data, in any order).
 // Packets belonging to other messages are rejected; every rejection is
 // counted in Stats.RejectedPackets so silent corruption stays visible.
 func (d *Decoder) Handle(pkt []byte) error {
 	if err := d.handle(pkt); err != nil {
 		d.stats.RejectedPackets++
-		d.obs.rejected.Inc()
 		return err
 	}
 	return nil
@@ -416,12 +400,9 @@ func (d *Decoder) addData(asm *wire.RowAssembler, pkt []byte, dp *wire.DataPacke
 	}
 	d.stats.Packets++
 	d.stats.BytesReceived += len(pkt)
-	d.obs.packets.Inc()
-	d.obs.bytes.Add(int64(len(pkt)))
 	d.obs.packetBytes.Observe(int64(len(pkt)))
 	if dp.Trimmed() {
 		d.stats.TrimmedPackets++
-		d.obs.trimmedPackets.Inc()
 	}
 	return nil
 }
@@ -440,12 +421,10 @@ func (d *Decoder) replayPending(row uint32, asm *wire.RowAssembler) {
 		dp, err := wire.ParseDataPacket(pkt)
 		if err != nil {
 			d.stats.RejectedPackets++
-			d.obs.rejected.Inc()
 			continue
 		}
 		if err := d.addData(asm, pkt, dp); err != nil {
 			d.stats.RejectedPackets++
-			d.obs.rejected.Inc()
 		}
 	}
 }
@@ -459,6 +438,7 @@ func (d *Decoder) Reconstruct(n int) ([]float32, Stats, error) {
 	if n <= 0 {
 		return nil, d.stats, errors.New("core: non-positive gradient length")
 	}
+	defer func() { d.obs.flush(d.stats) }()
 	rowSize := d.cfg.RowSize
 	nRows := (n + rowSize - 1) / rowSize
 	out := make([]float32, 0, nRows*rowSize)
@@ -494,16 +474,13 @@ func (d *Decoder) Reconstruct(n int) ([]float32, Stats, error) {
 		}
 		out = append(out, dec...)
 	}
-	// Coordinate-level fields were recomputed from scratch above; push only
-	// what this call added beyond what earlier Reconstructs emitted.
-	d.obs.coords.Add(int64(d.stats.TotalCoords - d.emitted.TotalCoords))
-	d.obs.coordsTrimmed.Add(int64(d.stats.TrimmedCoords - d.emitted.TrimmedCoords))
-	d.obs.coordsDropped.Add(int64(d.stats.DroppedCoords - d.emitted.DroppedCoords))
-	d.obs.expected.Add(int64(d.stats.ExpectedPackets - d.emitted.ExpectedPackets))
-	d.emitted = d.stats
 	return out[:n], d.stats, nil
 }
 
-// Stats returns the decoder's packet statistics so far. Coordinate-level
-// fields are only populated after Reconstruct.
-func (d *Decoder) Stats() Stats { return d.stats }
+// Stats returns the decoder's packet statistics so far (and flushes them
+// to the registry). Coordinate-level fields are only populated after
+// Reconstruct.
+func (d *Decoder) Stats() Stats {
+	d.obs.flush(d.stats)
+	return d.stats
+}

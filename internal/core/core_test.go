@@ -30,7 +30,7 @@ func testConfig(s quant.Scheme, p int) Config {
 // reconstructs.
 func transfer(t *testing.T, cfg Config, msg *Message, inj Injector) ([]float32, Stats) {
 	t.Helper()
-	dec, err := NewDecoder(cfg, msg.ID)
+	dec, err := NewDecoderWith(msg.ID, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func transfer(t *testing.T, cfg Config, msg *Message, inj Injector) ([]float32, 
 func TestEncodeDecodeNoCongestion(t *testing.T) {
 	for _, s := range []quant.Scheme{quant.Sign, quant.SQ, quant.SD, quant.RHT} {
 		cfg := testConfig(s, 1)
-		enc, err := NewEncoder(cfg)
+		enc, err := NewEncoderWith(WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,20 +88,20 @@ func TestEncodeDecodeNoCongestion(t *testing.T) {
 }
 
 func TestEncoderValidation(t *testing.T) {
-	if _, err := NewEncoder(Config{Params: quant.Params{Scheme: quant.Sign}, RowSize: 100}); err == nil {
+	if _, err := NewEncoderWith(WithConfig(Config{Params: quant.Params{Scheme: quant.Sign}, RowSize: 100})); err == nil {
 		t.Error("non-pow2 RowSize should fail")
 	}
-	if _, err := NewEncoder(Config{Params: quant.Params{Scheme: quant.Scheme(99)}}); err == nil {
+	if _, err := NewEncoderWith(WithConfig(Config{Params: quant.Params{Scheme: quant.Scheme(99)}})); err == nil {
 		t.Error("bad scheme should fail")
 	}
-	enc, _ := NewEncoder(testConfig(quant.Sign, 1))
+	enc, _ := NewEncoderWith(WithConfig(testConfig(quant.Sign, 1)))
 	if _, err := enc.Encode(1, 1, nil); err == nil {
 		t.Error("empty gradient should fail")
 	}
 }
 
 func TestDefaultRowSize(t *testing.T) {
-	enc, err := NewEncoder(Config{Params: quant.Params{Scheme: quant.Sign}})
+	enc, err := NewEncoderWith(WithConfig(Config{Params: quant.Params{Scheme: quant.Sign}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDefaultRowSize(t *testing.T) {
 
 func TestTrimmedDelivery(t *testing.T) {
 	cfg := testConfig(quant.RHT, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(2, 1<<12)
 	msg, _ := enc.Encode(1, 1, grad)
 
@@ -136,7 +136,7 @@ func TestTrimmedDelivery(t *testing.T) {
 
 func TestPartialTrimRateMatches(t *testing.T) {
 	cfg := testConfig(quant.Sign, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(3, 1<<15) // many packets for a stable rate
 	msg, _ := enc.Encode(1, 1, grad)
 	const rate = 0.3
@@ -152,7 +152,7 @@ func TestPartialTrimRateMatches(t *testing.T) {
 
 func TestDroppedDelivery(t *testing.T) {
 	cfg := testConfig(quant.SQ, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(4, 1<<14)
 	msg, _ := enc.Encode(1, 1, grad)
 	out, stats := transfer(t, cfg, msg, NewDropper(0.5, 9))
@@ -169,10 +169,10 @@ func TestDroppedDelivery(t *testing.T) {
 
 func TestDecoderRejectsForeignMessage(t *testing.T) {
 	cfg := testConfig(quant.Sign, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(5, 100)
 	msg, _ := enc.Encode(1, 42, grad)
-	dec, _ := NewDecoder(cfg, 7)
+	dec, _ := NewDecoderWith(7, WithConfig(cfg))
 	if err := dec.Handle(msg.Meta[0]); err == nil {
 		t.Error("foreign message should be rejected")
 	}
@@ -180,7 +180,7 @@ func TestDecoderRejectsForeignMessage(t *testing.T) {
 
 func TestReconstructValidation(t *testing.T) {
 	cfg := testConfig(quant.Sign, 1)
-	dec, _ := NewDecoder(cfg, 1)
+	dec, _ := NewDecoderWith(1, WithConfig(cfg))
 	if _, _, err := dec.Reconstruct(0); err == nil {
 		t.Error("non-positive n should fail")
 	}
@@ -201,7 +201,7 @@ func TestReconstructValidation(t *testing.T) {
 
 func TestMessageByteAccounting(t *testing.T) {
 	cfg := testConfig(quant.Sign, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(6, 1<<12)
 	msg, _ := enc.Encode(1, 1, grad)
 	if msg.DataBytes() <= 0 {
@@ -234,7 +234,7 @@ func TestRowSeedDistinct(t *testing.T) {
 
 func TestChainInjector(t *testing.T) {
 	cfg := testConfig(quant.Sign, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(7, 1<<13)
 	msg, _ := enc.Encode(1, 1, grad)
 	chain := Chain{NewTrimmer(0.5, 1), NewDropper(0.5, 2)}

@@ -215,7 +215,7 @@ func TestDecodeParallelRepeatIdempotent(t *testing.T) {
 // scratch) slip back in.
 func TestEncodeSteadyStateAllocs(t *testing.T) {
 	cfg := matrixConfig(quant.Params{Scheme: quant.Sign})
-	enc, err := NewEncoder(cfg)
+	enc, err := NewEncoderWith(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 // allocations per row.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	cfg := matrixConfig(quant.Params{Scheme: quant.Sign})
-	enc, err := NewEncoder(cfg)
+	enc, err := NewEncoderWith(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewDecoder(cfg, 1)
+	dec, err := NewDecoderWith(1, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

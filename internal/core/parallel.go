@@ -74,11 +74,7 @@ func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, wor
 		msg.Meta = append(msg.Meta, outs[r].meta)
 		msg.Data = append(msg.Data, outs[r].data...)
 	}
-	// Same counters, same order, same totals as the serial Encode — and,
-	// like it, emitted only on success.
-	e.obs.rows.Add(int64(nRows))
-	e.obs.packets.Add(int64(len(msg.Meta) + len(msg.Data)))
-	e.obs.bytes.Add(int64(msg.DataBytes()))
+	countEncoded(e.reg, msg, nRows)
 	return msg, nil
 }
 
@@ -169,6 +165,7 @@ func (d *Decoder) DecodeParallel(n, workers int) ([]float32, Stats, error) {
 		copy(out[r*rowSize:(r+1)*rowSize], dec)
 	})
 
+	defer func() { d.obs.flush(d.stats) }()
 	d.stats.ExpectedPackets = 0
 	d.stats.TrimmedCoords = 0
 	d.stats.TotalCoords = 0
@@ -184,10 +181,5 @@ func (d *Decoder) DecodeParallel(n, workers int) ([]float32, Stats, error) {
 		d.stats.TrimmedCoords += res[r].trimmed
 		d.stats.DroppedCoords += res[r].dropped
 	}
-	d.obs.coords.Add(int64(d.stats.TotalCoords - d.emitted.TotalCoords))
-	d.obs.coordsTrimmed.Add(int64(d.stats.TrimmedCoords - d.emitted.TrimmedCoords))
-	d.obs.coordsDropped.Add(int64(d.stats.DroppedCoords - d.emitted.DroppedCoords))
-	d.obs.expected.Add(int64(d.stats.ExpectedPackets - d.emitted.ExpectedPackets))
-	d.emitted = d.stats
 	return out[:n], d.stats, nil
 }

@@ -12,7 +12,7 @@ func TestEncodeParallelBitIdentical(t *testing.T) {
 	grad := gaussianGrad(70, 10_000)
 	for _, s := range []quant.Scheme{quant.Sign, quant.SQ, quant.SD, quant.RHT} {
 		cfg := testConfig(s, 1)
-		enc, err := NewEncoder(cfg)
+		enc, err := NewEncoderWith(WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestEncodeParallelBitIdentical(t *testing.T) {
 }
 
 func TestEncodeParallelEmptyGradient(t *testing.T) {
-	enc, _ := NewEncoder(testConfig(quant.Sign, 1))
+	enc, _ := NewEncoderWith(WithConfig(testConfig(quant.Sign, 1)))
 	if _, err := enc.EncodeParallel(1, 1, nil, 4); err == nil {
 		t.Fatal("empty gradient should fail")
 	}
@@ -51,14 +51,14 @@ func TestEncodeParallelEmptyGradient(t *testing.T) {
 
 func TestEncodeParallelDecodes(t *testing.T) {
 	cfg := testConfig(quant.RHT, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(71, 1<<13)
 	msg, err := enc.EncodeParallel(1, 1, grad, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out, stats, errTransfer := func() ([]float32, Stats, error) {
-		dec, err := NewDecoder(cfg, 1)
+		dec, err := NewDecoderWith(1, WithConfig(cfg))
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -89,7 +89,7 @@ func TestEncodeParallelDecodes(t *testing.T) {
 
 func BenchmarkEncodeParallel(b *testing.B) {
 	cfg := Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13}
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(72, 1<<18)
 	for _, workers := range []int{1, 4} {
 		b.Run(map[int]string{1: "w1", 4: "w4"}[workers], func(b *testing.B) {

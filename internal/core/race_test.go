@@ -41,7 +41,7 @@ func messagesIdentical(a, b *Message) error {
 // catches both data races and any ordering leak into the output.
 func TestEncodeParallelSharedEncoderStress(t *testing.T) {
 	cfg := Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 8}
-	enc, err := NewEncoder(cfg)
+	enc, err := NewEncoderWith(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // and replayed, not rejected.
 func TestHandleCountsRejections(t *testing.T) {
 	cfg := testConfig(quant.RHT, 0)
-	enc, err := NewEncoder(cfg)
+	enc, err := NewEncoderWith(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestHandleCountsRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dec, err := NewDecoder(cfg, 7)
+	dec, err := NewDecoderWith(7, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestHandleCountsRejections(t *testing.T) {
 // reliable metadata finally lands.
 func TestDecoderReordersDataBeforeMeta(t *testing.T) {
 	cfg := testConfig(quant.RHT, 0)
-	enc, err := NewEncoder(cfg)
+	enc, err := NewEncoderWith(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDecoderReordersDataBeforeMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewDecoder(cfg, 9)
+	dec, err := NewDecoderWith(9, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,6 @@ type SumDecoder struct {
 	rows   map[uint32]*sumRow
 	stats  Stats
 	obs    decObs
-	// emitted mirrors Decoder.emitted: coordinate-level registry counters
-	// get only the delta beyond what earlier Reconstructs pushed.
-	emitted Stats
 	// contribution accounting across all rows (in original-packet units).
 	headContribs int // coordinates that arrived (any precision) × inputs
 	tailContribs int // coordinates that arrived at full precision × inputs
@@ -93,7 +90,6 @@ func NewSumDecoder(msgID uint32, nFlows int, opts ...Option) (*SumDecoder, error
 func (d *SumDecoder) Handle(pkt []byte) error {
 	if err := d.handle(pkt); err != nil {
 		d.stats.RejectedPackets++
-		d.obs.rejected.Inc()
 		return err
 	}
 	return nil
@@ -199,12 +195,10 @@ func (d *SumDecoder) addMeta(row *sumRow, m *wire.MetaPacket) error {
 		dp, err := wire.ParseDataPacket(pkt)
 		if err != nil {
 			d.stats.RejectedPackets++
-			d.obs.rejected.Inc()
 			continue
 		}
 		if err := d.addData(row, pkt, dp); err != nil {
 			d.stats.RejectedPackets++
-			d.obs.rejected.Inc()
 		}
 	}
 	return nil
@@ -237,12 +231,9 @@ func (d *SumDecoder) addData(row *sumRow, pkt []byte, dp *wire.DataPacket) error
 	d.tailContribs += dp.TailCount
 	d.stats.Packets++
 	d.stats.BytesReceived += len(pkt)
-	d.obs.packets.Inc()
-	d.obs.bytes.Add(int64(len(pkt)))
 	d.obs.packetBytes.Observe(int64(len(pkt)))
 	if dp.Trimmed() {
 		d.stats.TrimmedPackets++
-		d.obs.trimmedPackets.Inc()
 	}
 	return nil
 }
@@ -287,12 +278,9 @@ func (d *SumDecoder) addAgg(row *sumRow, pkt []byte, ap *wire.AggPacket) error {
 	d.tailContribs += k * ap.TailCount
 	d.stats.Packets += k
 	d.stats.BytesReceived += len(pkt)
-	d.obs.packets.Add(int64(k))
-	d.obs.bytes.Add(int64(len(pkt)))
 	d.obs.packetBytes.Observe(int64(len(pkt)))
 	if ap.Trimmed() {
 		d.stats.TrimmedPackets += k
-		d.obs.trimmedPackets.Add(int64(k))
 	}
 	return nil
 }
@@ -309,6 +297,7 @@ func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) {
 	if n <= 0 {
 		return nil, d.stats, errors.New("core: non-positive gradient length")
 	}
+	defer func() { d.obs.flush(d.stats) }()
 	rowSize := d.cfg.RowSize
 	nRows := (n + rowSize - 1) / rowSize
 	out := make([]float32, 0, nRows*rowSize)
@@ -336,14 +325,13 @@ func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) {
 			out = append(out, 0)
 		}
 	}
-	d.obs.coords.Add(int64(d.stats.TotalCoords - d.emitted.TotalCoords))
-	d.obs.coordsTrimmed.Add(int64(d.stats.TrimmedCoords - d.emitted.TrimmedCoords))
-	d.obs.coordsDropped.Add(int64(d.stats.DroppedCoords - d.emitted.DroppedCoords))
-	d.obs.expected.Add(int64(d.stats.ExpectedPackets - d.emitted.ExpectedPackets))
-	d.emitted = d.stats
 	return out[:n], d.stats, nil
 }
 
-// Stats returns the decoder's packet statistics so far. Coordinate-level
-// fields are only populated after Reconstruct.
-func (d *SumDecoder) Stats() Stats { return d.stats }
+// Stats returns the decoder's packet statistics so far (and flushes them
+// to the registry). Coordinate-level fields are only populated after
+// Reconstruct.
+func (d *SumDecoder) Stats() Stats {
+	d.obs.flush(d.stats)
+	return d.stats
+}

@@ -13,7 +13,7 @@ import (
 // reliable channel and verify the reconstructed gradient is bit-identical.
 func TestTranscriptRecordReplay(t *testing.T) {
 	cfg := testConfig(quant.RHT, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(10, 1<<13)
 	msg, _ := enc.Encode(5, 9, grad)
 
@@ -60,7 +60,7 @@ func TestTranscriptRecordReplay(t *testing.T) {
 // untouched.
 func TestPlayerUnknownPacketsPass(t *testing.T) {
 	cfg := testConfig(quant.Sign, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(11, 2048)
 	msg, _ := enc.Encode(1, 1, grad)
 	player := NewPlayer(&Transcript{})
@@ -94,7 +94,7 @@ func TestLoadTranscriptRejectsGarbage(t *testing.T) {
 // and replays to the same size.
 func TestRecorderPartialTrimKeptBytes(t *testing.T) {
 	cfg := testConfig(quant.Sign, 1)
-	enc, _ := NewEncoder(cfg)
+	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(12, 2048)
 	msg, _ := enc.Encode(1, 1, grad)
 

@@ -296,14 +296,6 @@ func NewTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 	return t, nil
 }
 
-// New builds a trainer.
-//
-// Deprecated: use NewTrainer with WithConfig/WithHidden; this remains as
-// a thin wrapper for existing callers.
-func New(cfg Config, train, test *ml.Dataset, hidden ...int) (*Trainer, error) {
-	return NewTrainer(train, test, WithConfig(cfg), WithHidden(hidden...))
-}
-
 // roundSpans records the per-round phase spans on r: compute, then
 // encode, then comm, laid end to end from wallStart. All arguments are
 // seconds on the trainer's modeled wall clock; spans are stamped in
@@ -445,9 +437,9 @@ func (t *Trainer) exchange(epoch uint64, msgID uint32, grad []float32) ([]float3
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	dec, err := core.NewDecoder(core.Config{
+	dec, err := core.NewDecoderWith(msgID, core.WithConfig(core.Config{
 		Params: *t.cfg.Scheme, RowSize: t.cfg.RowSize,
-	}, msgID)
+	}))
 	if err != nil {
 		return nil, core.Stats{}, err
 	}

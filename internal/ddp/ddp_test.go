@@ -22,7 +22,7 @@ func sp(s quant.Scheme, p int) *quant.Params { return &quant.Params{Scheme: s, P
 func runCfg(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	train, test := testData()
-	tr, err := New(cfg, train, test, 32)
+	tr, err := NewTrainer(train, test, WithConfig(cfg), WithHidden(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRHTMostRobustAtHeavyTrim(t *testing.T) {
 			Workers: 2, Epochs: 8, Seed: 1, LR: 0.07,
 			Scheme: sp(s, 1), TrimRate: 0.5, RowSize: 1 << 15,
 		}
-		tr, err := New(cfg, train, test, 128)
+		tr, err := NewTrainer(train, test, WithConfig(cfg), WithHidden(128))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestTranscriptReplayThroughTrainer(t *testing.T) {
 	train, test := testData()
 	rec := core.NewRecorder(core.NewTrimmer(0.3, 77))
 	cfgA := Config{Workers: 2, Epochs: 2, Seed: 5, Scheme: sp(quant.RHT, 1), Injector: rec}
-	trA, err := New(cfgA, train, test, 32)
+	trA, err := NewTrainer(train, test, WithConfig(cfgA), WithHidden(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestTranscriptReplayThroughTrainer(t *testing.T) {
 
 	cfgB := cfgA
 	cfgB.Injector = core.NewPlayer(&rec.Transcript)
-	trB, err := New(cfgB, train, test, 32)
+	trB, err := NewTrainer(train, test, WithConfig(cfgB), WithHidden(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestResultString(t *testing.T) {
 }
 
 func TestEmptyDatasetRejected(t *testing.T) {
-	if _, err := New(Config{}, &ml.Dataset{Classes: 2, Dim: 2}, &ml.Dataset{}, 8); err == nil {
+	if _, err := NewTrainer(&ml.Dataset{Classes: 2, Dim: 2}, &ml.Dataset{}, WithConfig(Config{}), WithHidden(8)); err == nil {
 		t.Fatal("empty training set should fail")
 	}
 }

@@ -29,7 +29,7 @@ func TestErrorFeedbackAtHeavyTrim(t *testing.T) {
 			Scheme: sp(s, 1), TrimRate: 0.5, RowSize: 1 << 15,
 			ErrorFeedback: ef,
 		}
-		tr, err := New(cfg, train, test, 128)
+		tr, err := NewTrainer(train, test, WithConfig(cfg), WithHidden(128))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestErrorFeedbackNeutralWhenUntrimmed(t *testing.T) {
 			Scheme: sp(quant.Sign, 1), TrimRate: 0,
 			ErrorFeedback: ef,
 		}
-		tr, err := New(cfg, train, test, 32)
+		tr, err := NewTrainer(train, test, WithConfig(cfg), WithHidden(32))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -190,15 +190,6 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*NetTrainer, error)
 	return nt, nil
 }
 
-// NewNetworked builds a closed-loop trainer.
-//
-// Deprecated: use NewNetTrainer with WithConfig/WithFabric/WithHidden;
-// this remains as a thin wrapper for existing callers.
-func NewNetworked(cfg Config, fabric FabricConfig, train, test *ml.Dataset, hidden ...int) (*NetTrainer, error) {
-	return NewNetTrainer(train, test,
-		WithConfig(cfg), WithFabric(fabric), WithHidden(hidden...))
-}
-
 // Model exposes the trained model.
 func (t *NetTrainer) Model() *ml.Model { return t.model }
 

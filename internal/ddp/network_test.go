@@ -12,14 +12,14 @@ import (
 // fabric should converge like the injector trainer at trim 0.
 func TestNetworkedTrainsCleanFabric(t *testing.T) {
 	train, test := testData()
-	nt, err := NewNetworked(
-		Config{Workers: 2, Epochs: 6, Seed: 1, RowSize: 1 << 11,
-			Scheme: sp(quant.RHT, 1)},
-		FabricConfig{
+	nt, err := NewNetTrainer(train, test,
+		WithConfig(Config{Workers: 2, Epochs: 6, Seed: 1, RowSize: 1 << 11,
+			Scheme: sp(quant.RHT, 1)}),
+		WithFabric(FabricConfig{
 			Queue: netsim.QueueConfig{CapacityBytes: 8 << 20, Mode: netsim.TrimOverflow},
 			Mode:  collective.Trimmable,
-		},
-		train, test, 32)
+		}),
+		WithHidden(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,18 +47,18 @@ func TestNetworkedTrainsCleanFabric(t *testing.T) {
 // and still learn.
 func TestNetworkedClosedLoopTrims(t *testing.T) {
 	train, test := testData()
-	nt, err := NewNetworked(
-		Config{Workers: 4, Epochs: 5, Seed: 1, RowSize: 1 << 11,
-			Scheme: sp(quant.RHT, 1)},
-		FabricConfig{
+	nt, err := NewNetTrainer(train, test,
+		WithConfig(Config{Workers: 4, Epochs: 5, Seed: 1, RowSize: 1 << 11,
+			Scheme: sp(quant.RHT, 1)}),
+		WithFabric(FabricConfig{
 			Link: netsim.LinkConfig{Bandwidth: netsim.Mbps(500), Delay: 5 * netsim.Microsecond},
 			Queue: netsim.QueueConfig{
 				CapacityBytes: 8 << 10, HighCapacityBytes: 1 << 20,
 				Mode: netsim.TrimOverflow,
 			},
 			Mode: collective.Trimmable,
-		},
-		train, test, 32)
+		}),
+		WithHidden(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +84,10 @@ func TestNetworkedClosedLoopTrims(t *testing.T) {
 func TestNetworkedBaselineSlowerUnderCongestion(t *testing.T) {
 	train, test := testData()
 	run := func(mode collective.Mode, qmode netsim.QueueMode) *Result {
-		nt, err := NewNetworked(
-			Config{Workers: 4, Epochs: 2, Seed: 1, RowSize: 1 << 11,
-				Scheme: sp(quant.RHT, 1)},
-			FabricConfig{
+		nt, err := NewNetTrainer(train, test,
+			WithConfig(Config{Workers: 4, Epochs: 2, Seed: 1, RowSize: 1 << 11,
+				Scheme: sp(quant.RHT, 1)}),
+			WithFabric(FabricConfig{
 				Link: netsim.LinkConfig{Bandwidth: netsim.Mbps(500), Delay: 5 * netsim.Microsecond},
 				Queue: netsim.QueueConfig{
 					CapacityBytes: 8 << 10, HighCapacityBytes: 1 << 20,
@@ -95,8 +95,8 @@ func TestNetworkedBaselineSlowerUnderCongestion(t *testing.T) {
 				},
 				Mode:         mode,
 				RoundTimeout: 30 * netsim.Second,
-			},
-			train, test, 32)
+			}),
+			WithHidden(32))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,8 @@ func TestNetworkedBaselineSlowerUnderCongestion(t *testing.T) {
 
 func TestNetworkedValidation(t *testing.T) {
 	train, test := testData()
-	if _, err := NewNetworked(Config{Workers: 2}, FabricConfig{}, train, test, 8); err == nil {
+	if _, err := NewNetTrainer(train, test,
+		WithConfig(Config{Workers: 2}), WithFabric(FabricConfig{}), WithHidden(8)); err == nil {
 		t.Error("baseline (nil scheme) should be rejected")
 	}
 }

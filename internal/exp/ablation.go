@@ -31,7 +31,7 @@ func runAdaptive(w io.Writer, o Options) error {
 
 	// Full-precision message size defines the phase capacities.
 	fullCfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: rowSize}
-	fullEnc, err := core.NewEncoder(fullCfg)
+	fullEnc, err := core.NewEncoderWith(core.WithConfig(fullCfg))
 	if err != nil {
 		return err
 	}
@@ -81,7 +81,7 @@ func runAdaptive(w io.Writer, o Options) error {
 					Params:  quant.Params{Scheme: quant.RHT, TailBits: s.q()},
 					RowSize: rowSize,
 				}
-				enc, err := core.NewEncoder(cfg)
+				enc, err := core.NewEncoderWith(core.WithConfig(cfg))
 				if err != nil {
 					return err
 				}
@@ -184,11 +184,11 @@ func runAblationScale(w io.Writer, o Options) error {
 		name string
 		m    quant.ScaleMode
 	}{{"unbiased f (paper)", quant.ScaleUnbiased}, {"mmse |R|1/n", quant.ScaleMMSE}} {
-		tr, err := ddp.New(ddp.Config{
+		tr, err := ddp.NewTrainer(train, test, ddp.WithConfig(ddp.Config{
 			Workers: 2, Epochs: epochs, Seed: 1, LR: 0.06,
 			Scheme:   &quant.Params{Scheme: quant.RHT, ScaleMode: mode.m},
 			TrimRate: 0.5, RowSize: 1 << 12,
-		}, train, test, 64)
+		}), ddp.WithHidden(64))
 		if err != nil {
 			return err
 		}
@@ -219,7 +219,7 @@ func runAblationRowSize(w io.Writer, o Options) error {
 		"row_size", "encode_ms", "meta_packets", "trimmed_nmse")
 	for _, rs := range sizes {
 		cfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: rs}
-		enc, err := core.NewEncoder(cfg)
+		enc, err := core.NewEncoderWith(core.WithConfig(cfg))
 		if err != nil {
 			return err
 		}
@@ -232,7 +232,7 @@ func runAblationRowSize(w io.Writer, o Options) error {
 		//trimlint:allow determinism reported as a perf column, not part of the seeded experiment output
 		encodeMs := float64(time.Since(start).Microseconds()) / 1000
 
-		dec, err := core.NewDecoder(cfg, 1)
+		dec, err := core.NewDecoderWith(1, core.WithConfig(cfg))
 		if err != nil {
 			return err
 		}
@@ -362,11 +362,11 @@ func runAblationEF(w io.Writer, o Options) error {
 		"scheme", "ef", "final_top1", "status")
 	for _, s := range []quant.Scheme{quant.Sign, quant.SQ, quant.SD, quant.RHT} {
 		for _, ef := range []bool{false, true} {
-			tr, err := ddp.New(ddp.Config{
+			tr, err := ddp.NewTrainer(train, test, ddp.WithConfig(ddp.Config{
 				Workers: 2, Epochs: epochs, Seed: 1 + o.Seed, LR: 0.07,
 				Scheme: &quant.Params{Scheme: s}, TrimRate: 0.5,
 				RowSize: 1 << 15, ErrorFeedback: ef,
-			}, train, test, 128)
+			}), ddp.WithHidden(128))
 			if err != nil {
 				return err
 			}

@@ -124,6 +124,9 @@ func runChaos(w io.Writer, o Options) error {
 				}
 				nmse = fmt.Sprintf("%.2g", vecmath.NMSE(grad, rec))
 			}
+			// A failed or hung transfer is never reconstructed; Stats is
+			// what flushes the abandoned decoder's counts into o.Obs.
+			dec.Stats()
 			t.Add(sc.name, mode, status, completion,
 				a.Stats.Retransmits, b.Stats.RejectedPackets, b.Stats.DupsReceived, nmse)
 		}

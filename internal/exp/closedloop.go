@@ -71,11 +71,11 @@ func runClosedLoop(w io.Writer, o Options) error {
 		cost := ddp.DefaultCostModel()
 		cost.Compute = 0.004
 		cost.Comm = 0.002
-		nt, err := ddp.NewNetworked(ddp.Config{
+		nt, err := ddp.NewNetTrainer(train, test, ddp.WithConfig(ddp.Config{
 			Workers: workers, Epochs: epochs, Seed: 1 + o.Seed,
 			RowSize: 1 << 11, LR: 0.05, Cost: cost,
 			Scheme: &quant.Params{Scheme: quant.RHT},
-		}, f.fc, train, test, 128)
+		}), ddp.WithFabric(f.fc), ddp.WithHidden(128))
 		if err != nil {
 			return err
 		}

@@ -120,7 +120,7 @@ func runFabricSweepCell(kind string, buffer int, trimming bool, dim, fan int, o 
 			return nil, err
 		}
 		stacks[i] = s
-		enc, err := core.NewEncoder(coreCfg)
+		enc, err := core.NewEncoderWith(core.WithConfig(coreCfg))
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func runFabricSweepCell(kind string, buffer int, trimming bool, dim, fan int, o 
 		if err != nil {
 			return nil, err
 		}
-		d, err := core.NewDecoder(coreCfg, uint32(i+1))
+		d, err := core.NewDecoderWith(uint32(i+1), core.WithConfig(coreCfg))
 		if err != nil {
 			return nil, err
 		}

@@ -113,7 +113,7 @@ func runCompose(w io.Writer, o Options) error {
 
 	// (a) Dense RHT trimmable encoding, untrimmed and 50% trimmed.
 	cfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12}
-	enc, err := core.NewEncoder(cfg)
+	enc, err := core.NewEncoderWith(core.WithConfig(cfg))
 	if err != nil {
 		return err
 	}
@@ -122,7 +122,7 @@ func runCompose(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		dec, err := core.NewDecoder(cfg, 1)
+		dec, err := core.NewDecoderWith(1, core.WithConfig(cfg))
 		if err != nil {
 			return err
 		}
@@ -252,8 +252,7 @@ func runFSDP(w io.Writer, o Options) error {
 		epochs = 3
 	}
 	train, test := ml.Synthetic(cfg)
-	tr, err := ddp.New(ddp.Config{Workers: 1, Epochs: epochs, Seed: 3, LR: 0.05},
-		train, test, 64)
+	tr, err := ddp.NewTrainer(train, test, ddp.WithConfig(ddp.Config{Workers: 1, Epochs: epochs, Seed: 3, LR: 0.05}), ddp.WithHidden(64))
 	if err != nil {
 		return err
 	}
@@ -270,7 +269,7 @@ func runFSDP(w io.Writer, o Options) error {
 	for _, rate := range []float64{0.1, 0.5, 1.0} {
 		for _, p := range []quant.Params{{Scheme: quant.RHT}, {Scheme: quant.Sign}} {
 			ccfg := core.Config{Params: p, RowSize: 1 << 12}
-			enc, err := core.NewEncoder(ccfg)
+			enc, err := core.NewEncoderWith(core.WithConfig(ccfg))
 			if err != nil {
 				return err
 			}
@@ -278,7 +277,7 @@ func runFSDP(w io.Writer, o Options) error {
 			if err != nil {
 				return err
 			}
-			dec, err := core.NewDecoder(ccfg, 1)
+			dec, err := core.NewDecoderWith(1, core.WithConfig(ccfg))
 			if err != nil {
 				return err
 			}

@@ -46,11 +46,16 @@ func runBaselineDrops(w io.Writer, o Options) error {
 				CapacityBytes: 1 << 20, Mode: netsim.DropTail,
 				LossRate: rate, LossSeed: 99 + o.Seed,
 			})
-		a := transport.NewStack(star.Hosts[0], transport.Config{})
-		b := transport.NewStack(star.Hosts[1], transport.Config{})
-		b.Receiver = transport.ReceiverFunc(func(netsim.NodeID, []byte) {})
+		a, err := transport.New(star.Hosts[0])
+		if err != nil {
+			return err
+		}
+		_, err = transport.New(star.Hosts[1], transport.WithReceiver(transport.ReceiverFunc(func(netsim.NodeID, []byte) {})))
+		if err != nil {
+			return err
+		}
 
-		enc, err := core.NewEncoder(core.Config{Params: quant.Params{Scheme: quant.Sign}})
+		enc, err := core.NewEncoderWith(core.WithConfig(core.Config{Params: quant.Params{Scheme: quant.Sign}}))
 		if err != nil {
 			return err
 		}
@@ -116,18 +121,23 @@ func runIncast(w io.Writer, o Options) error {
 			star := netsim.NewStar(sim, n+1,
 				netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
 				qcfg)
-			rx := transport.NewStack(star.Hosts[n], transport.Config{})
-			rx.Receiver = transport.ReceiverFunc(func(netsim.NodeID, []byte) {})
+			_, err := transport.New(star.Hosts[n], transport.WithReceiver(transport.ReceiverFunc(func(netsim.NodeID, []byte) {})))
+			if err != nil {
+				return err
+			}
 
 			fct := netsim.NewFCTRecorder()
 			completed := 0
 			retrans := 0
 			stacks := make([]*transport.Stack, n)
 			for i := 0; i < n; i++ {
-				stacks[i] = transport.NewStack(star.Hosts[i], transport.Config{})
-				enc, err := core.NewEncoder(core.Config{
+				stacks[i], err = transport.New(star.Hosts[i])
+				if err != nil {
+					return err
+				}
+				enc, err := core.NewEncoderWith(core.WithConfig(core.Config{
 					Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13, Flow: uint32(i),
-				})
+				}))
 				if err != nil {
 					return err
 				}
@@ -224,7 +234,10 @@ func runMultiLevel(w io.Writer, o Options) error {
 				CapacityBytes: 48 << 10, HighCapacityBytes: 1 << 20,
 				Mode: netsim.TrimOverflow, TrimTarget: target,
 			})
-		rxStack := transport.NewStack(star.Hosts[nSend], transport.Config{})
+		rxStack, err := transport.New(star.Hosts[nSend])
+		if err != nil {
+			return err
+		}
 		decs := map[netsim.NodeID]*core.Decoder{}
 		coreCfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12}
 		rxStack.Receiver = transport.ReceiverFunc(func(src netsim.NodeID, pl []byte) {
@@ -237,8 +250,11 @@ func runMultiLevel(w io.Writer, o Options) error {
 		grads := make([][]float32, nSend)
 		for i := 0; i < nSend; i++ {
 			grads[i] = randGrad(uint64(40+i)+o.Seed, dim)
-			s := transport.NewStack(star.Hosts[i], transport.Config{})
-			enc, err := core.NewEncoder(coreCfg)
+			s, err := transport.New(star.Hosts[i])
+			if err != nil {
+				return err
+			}
+			enc, err := core.NewEncoderWith(core.WithConfig(coreCfg))
 			if err != nil {
 				return err
 			}
@@ -246,7 +262,7 @@ func runMultiLevel(w io.Writer, o Options) error {
 			if err != nil {
 				return err
 			}
-			d, err := core.NewDecoder(coreCfg, uint32(i+1))
+			d, err := core.NewDecoderWith(uint32(i+1), core.WithConfig(coreCfg))
 			if err != nil {
 				return err
 			}

@@ -96,7 +96,7 @@ func runStrongScaleCell(kind, workload string, shards, dim int, o Options) (dige
 		}
 		cfg := coreCfg
 		cfg.Flow = uint32(i)
-		enc, err := core.NewEncoder(cfg)
+		enc, err := core.NewEncoderWith(core.WithConfig(cfg))
 		if err != nil {
 			return "", 0, 0, 0, err
 		}

@@ -62,7 +62,7 @@ func (s benchSetup) run(o Options, scheme *quant.Params, trimRate, dropRate floa
 		LR:       s.lr,
 		Seed:     1 + o.Seed,
 	}
-	tr, err := ddp.New(cfg, s.train, s.test, s.hidden...)
+	tr, err := ddp.NewTrainer(s.train, s.test, ddp.WithConfig(cfg), ddp.WithHidden(s.hidden...))
 	if err != nil {
 		return nil, err
 	}

@@ -170,7 +170,6 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet,
 	qpkt.ECE = qpkt.ECE || pkt.ECE
 	p.bytes[prio] += delta
 	p.Stats.Aggregated++
-	p.obs.aggregated.Inc()
 
 	// A jumbo merge can push the queue past capacity; under TrimOverflow
 	// the aggregate is trimmed back toward the target like any other
@@ -186,12 +185,11 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet,
 		if qpkt.TrimTo(p.cfg.TrimTarget) {
 			p.bytes[prio] -= before - qpkt.Size
 			p.Stats.Trimmed++
-			p.obs.trimmed.Inc()
 		}
 	}
 	if depth := p.QueuedBytes(); depth > p.Stats.MaxQueueBytes {
 		p.Stats.MaxQueueBytes = depth
 	}
-	p.obs.queueDepth.Observe(int64(p.QueuedBytes()))
+	p.queueDepth.Observe(int64(p.QueuedBytes()))
 	return true
 }

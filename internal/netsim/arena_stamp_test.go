@@ -30,7 +30,7 @@ func stampedPacket(sim *Sim, a *wire.Arena, dst NodeID, n int) (*Packet, []byte)
 // never deliver the torn buffer.
 func TestArenaStaleDropCounted(t *testing.T) {
 	sim := NewSim()
-	star := BuildStar(sim, 2,
+	star := NewStar(sim, 2,
 		LinkConfig{Bandwidth: Gbps(10), Delay: 5 * Microsecond},
 		QueueConfig{CapacityBytes: 1 << 20})
 	delivered := 0
@@ -55,7 +55,7 @@ func TestArenaStaleDropCounted(t *testing.T) {
 		t.Fatalf("sim.StaleDrops() = %d, want 1", n)
 	}
 	swDrops := 0
-	for _, p := range star.Switch.Ports() {
+	for _, p := range star.Tier(TierEdge)[0].Ports() {
 		swDrops += p.Stats.StaleDrops
 	}
 	if swDrops != 1 {
@@ -84,7 +84,7 @@ func TestArenaStaleDropCounted(t *testing.T) {
 func TestArenaFaultHopAllocations(t *testing.T) {
 	sim := NewSim()
 	link := LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond}
-	star := BuildStar(sim, 4, link, QueueConfig{})
+	star := NewStar(sim, 4, link, QueueConfig{})
 	for _, h := range star.Hosts {
 		h.Handler = func(*Packet) {}
 	}
@@ -136,9 +136,6 @@ func TestArenaShardHopAllocations(t *testing.T) {
 			defer eng.Close()
 			for _, h := range topo.Hosts {
 				h.Handler = func(*Packet) {}
-			}
-			if err := topo.Hosts[0].Sim().MarkPayloadRecycling(); err != nil {
-				t.Fatal(err)
 			}
 			a := wire.NewArena()
 			const pkts = 32

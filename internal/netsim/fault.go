@@ -58,21 +58,9 @@ func (c FaultConfig) enabled() bool {
 		c.GoodToBad > 0 || c.LossGood > 0
 }
 
-// aliasing reports whether the config can hold a payload reference beyond
-// its normal forwarding step: reordering parks a packet across
-// re-admission, and duplication extends the window in which a retransmit
-// and its original coexist. Both are safe alongside arena payload
-// recycling since generation-stamped buffers landed (DESIGN.md §16); the
-// predicate remains for telemetry (Sim.HasAliasingFaults) and the chaos
-// matrices' configuration summaries.
-func (c FaultConfig) aliasing() bool {
-	return c.DuplicateRate > 0 || c.ReorderRate > 0
-}
-
-// FaultStats counts what a FaultInjector actually did.
-//
-// Deprecated: read the "netsim.fault.<from>-><to>.*" counters from the
-// telemetry registry; this remains as a thin view for existing callers.
+// FaultStats counts what a FaultInjector actually did. It is the only
+// place fault events are recorded; with a registry attached the fields
+// export as the "netsim.fault.<from>-><to>.*" counters.
 type FaultStats struct {
 	Corrupted    int
 	Duplicated   int
@@ -80,23 +68,11 @@ type FaultStats struct {
 	BurstDropped int
 }
 
-// faultObs mirrors FaultStats into the registry, one counter family per
-// faulted link direction.
-type faultObs struct {
-	corrupted    *obs.Counter
-	duplicated   *obs.Counter
-	reordered    *obs.Counter
-	burstDropped *obs.Counter
-}
-
-func newFaultObs(r *obs.Registry, from, to NodeID) faultObs {
-	prefix := fmt.Sprintf("netsim.fault.%d->%d.", from, to)
-	return faultObs{
-		corrupted:    r.Counter(prefix + "corrupted_total"),
-		duplicated:   r.Counter(prefix + "duplicated_total"),
-		reordered:    r.Counter(prefix + "reordered_total"),
-		burstDropped: r.Counter(prefix + "burst_dropped_total"),
-	}
+func (s *FaultStats) emit(e obs.Emit, prefix string) {
+	e.Counter(prefix+"corrupted_total", s.Corrupted)
+	e.Counter(prefix+"duplicated_total", s.Duplicated)
+	e.Counter(prefix+"reordered_total", s.Reordered)
+	e.Counter(prefix+"burst_dropped_total", s.BurstDropped)
 }
 
 // FaultInjector applies a FaultConfig to packets entering one port. It is
@@ -110,7 +86,6 @@ type FaultInjector struct {
 	rng   *xrand.Rand
 	bad   bool // Gilbert-Elliott channel state
 	Stats FaultStats
-	obs   faultObs
 }
 
 func newFaultInjector(sim *Sim, cfg FaultConfig, streamID ...uint64) *FaultInjector {
@@ -126,13 +101,11 @@ func newFaultInjector(sim *Sim, cfg FaultConfig, streamID ...uint64) *FaultInjec
 func (f *FaultInjector) apply(pkt *Packet, p *Port) {
 	if f.dropBurst() {
 		f.Stats.BurstDropped++
-		f.obs.burstDropped.Inc()
 		f.sim.releasePacket(pkt)
 		return
 	}
 	if f.cfg.DuplicateRate > 0 && f.rng.Float64() < f.cfg.DuplicateRate {
 		f.Stats.Duplicated++
-		f.obs.duplicated.Inc()
 		p.admit(pkt.Clone())
 	}
 	if f.cfg.CorruptRate > 0 && len(pkt.Payload) > 0 && f.rng.Float64() < f.cfg.CorruptRate {
@@ -142,7 +115,6 @@ func (f *FaultInjector) apply(pkt *Packet, p *Port) {
 	}
 	if f.cfg.ReorderRate > 0 && f.rng.Float64() < f.cfg.ReorderRate {
 		f.Stats.Reordered++
-		f.obs.reordered.Inc()
 		delay := f.cfg.ReorderDelay
 		if delay <= 0 {
 			delay = 10 * Microsecond
@@ -186,34 +158,26 @@ func (f *FaultInjector) corrupt(pkt *Packet) *Packet {
 		c.Payload[pos/8] ^= 1 << uint(pos%8)
 	}
 	f.Stats.Corrupted++
-	f.obs.corrupted.Inc()
 	return c
 }
 
 // SetFaults attaches a fault process to this port, deriving its stream
-// from cfg.Seed and streamID. A zero-value cfg detaches.
-//
-// Aliasing configs (duplication, reordering) compose with arena payload
-// recycling since generation-stamped buffers landed (DESIGN.md §16): a
-// held-back or duplicated packet re-validates its payload's generation
-// stamp at re-admission, so a recycled buffer becomes a counted
-// stale-drop instead of a silent replay corruption. The old panic for
-// the WithArena combination is gone; the aliasing tally remains as the
-// telemetry behind Sim.HasAliasingFaults.
+// from cfg.Seed and streamID. A zero-value cfg detaches. Every knob
+// composes with arena payload recycling: a held-back or duplicated packet
+// re-validates its payload's generation stamp at re-admission, so a
+// recycled buffer becomes a counted stale-drop (DESIGN.md §16).
 func (p *Port) SetFaults(cfg FaultConfig, streamID ...uint64) *FaultInjector {
-	if p.faults != nil && p.faults.cfg.aliasing() {
-		p.sim.aliasFaultAdd(-1)
-	}
 	if !cfg.enabled() {
 		p.faults = nil
 		return nil
 	}
-	if cfg.aliasing() {
-		p.sim.aliasFaultAdd(1)
+	f := newFaultInjector(p.sim, cfg, streamID...)
+	p.faults = f
+	if r := p.sim.obs; r != nil {
+		prefix := fmt.Sprintf("netsim.fault.%d->%d.", p.owner, p.peer.ID())
+		r.AddSource(func(e obs.Emit) { f.Stats.emit(e, prefix) })
 	}
-	p.faults = newFaultInjector(p.sim, cfg, streamID...)
-	p.faults.obs = newFaultObs(p.sim.obs, p.owner, p.peer.ID())
-	return p.faults
+	return f
 }
 
 // Faults returns the port's fault injector, or nil.

@@ -10,7 +10,7 @@ import (
 // and returns the injector plus every payload host 1 received.
 type faultHarness struct {
 	sim      *Sim
-	star     *Star
+	star     *Topology
 	injector *FaultInjector
 	received [][]byte
 }
@@ -18,7 +18,7 @@ type faultHarness struct {
 func newFaultHarness(t *testing.T, cfg FaultConfig, nSent int) *faultHarness {
 	t.Helper()
 	sim := NewSim()
-	star := BuildStar(sim, 2,
+	star := NewStar(sim, 2,
 		LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond},
 		QueueConfig{CapacityBytes: 1 << 20})
 	h := &faultHarness{sim: sim, star: star}
@@ -49,7 +49,7 @@ func TestFaultDuplicationDeliversTwice(t *testing.T) {
 
 func TestFaultCorruptionClonesPayload(t *testing.T) {
 	sim := NewSim()
-	star := BuildStar(sim, 2,
+	star := NewStar(sim, 2,
 		LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond},
 		QueueConfig{CapacityBytes: 1 << 20})
 	star.Net.InjectFaults(0, SwitchIDBase, FaultConfig{Seed: 2, CorruptRate: 1, CorruptBits: 3})
@@ -150,7 +150,7 @@ func TestLinkFlapDropsThenRecovers(t *testing.T) {
 
 func TestHostPauseAndFail(t *testing.T) {
 	sim := NewSim()
-	star := BuildStar(sim, 2,
+	star := NewStar(sim, 2,
 		LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond},
 		QueueConfig{CapacityBytes: 1 << 20})
 	got := 0

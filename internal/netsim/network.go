@@ -104,7 +104,7 @@ type Network struct {
 type Option func(*Network)
 
 // WithRegistry attaches a telemetry registry to the network's simulator.
-// Every port created afterwards dual-writes its PortStats into the
+// Every port created afterwards exports its PortStats through the
 // registry (metric prefix "netsim.port.<owner>-><peer>."), and the
 // registry's clock is rebound to simulated time so spans recorded by any
 // layer above the fabric are stamped deterministically.
@@ -149,9 +149,8 @@ func (n *Network) NewHost(id NodeID) (*Host, error) {
 	return h, nil
 }
 
-// AddHost creates a host endpoint, panicking on a duplicate id. It is the
-// test-convenience wrapper over NewHost, following the transport.NewStack
-// precedent.
+// AddHost creates a host endpoint, panicking on a duplicate id (the
+// test-convenience wrapper over NewHost).
 func (n *Network) AddHost(id NodeID) *Host {
 	h, err := n.NewHost(id)
 	if err != nil {
@@ -240,37 +239,19 @@ type PortStats struct {
 	StaleDrops int
 }
 
-// portObs mirrors PortStats into the simulator's telemetry registry. The
-// instruments are nil (free no-ops) when no registry is attached, so the
-// fast path pays one nil check per event. PortStats stays authoritative;
-// these counters are the exported view of the same events.
-type portObs struct {
-	enqueued     *obs.Counter
-	transmitted  *obs.Counter
-	dropped      *obs.Counter
-	droppedBytes *obs.Counter
-	trimmed      *obs.Counter
-	ecnMarked    *obs.Counter
-	downDrops    *obs.Counter
-	aggregated   *obs.Counter
-	staleDrops   *obs.Counter
-	queueDepth   *obs.Histogram
-}
-
-func newPortObs(r *obs.Registry, owner, peer NodeID) portObs {
-	prefix := fmt.Sprintf("netsim.port.%d->%d.", owner, peer)
-	return portObs{
-		enqueued:     r.Counter(prefix + "enqueued_total"),
-		transmitted:  r.Counter(prefix + "transmitted_total"),
-		dropped:      r.Counter(prefix + "dropped_total"),
-		droppedBytes: r.Counter(prefix + "dropped_bytes_total"),
-		trimmed:      r.Counter(prefix + "trimmed_total"),
-		ecnMarked:    r.Counter(prefix + "ecn_marked_total"),
-		downDrops:    r.Counter(prefix + "down_drops_total"),
-		aggregated:   r.Counter(prefix + "aggregated_total"),
-		staleDrops:   r.Counter(prefix + "stale_drops_total"),
-		queueDepth:   r.Histogram(prefix+"queue_depth_bytes", obs.BucketsBytes()),
-	}
+// emit reports the counts under a port's metric prefix. PortStats is the
+// only place port events are recorded; the registry calls this when it is
+// snapshotted.
+func (s *PortStats) emit(e obs.Emit, prefix string) {
+	e.Counter(prefix+"enqueued_total", s.Enqueued)
+	e.Counter(prefix+"transmitted_total", s.Transmitted)
+	e.Counter(prefix+"dropped_total", s.Dropped)
+	e.Counter(prefix+"dropped_bytes_total", s.DroppedBytes)
+	e.Counter(prefix+"trimmed_total", s.Trimmed)
+	e.Counter(prefix+"ecn_marked_total", s.ECNMarked)
+	e.Counter(prefix+"down_drops_total", s.DownDrops)
+	e.Counter(prefix+"aggregated_total", s.Aggregated)
+	e.Counter(prefix+"stale_drops_total", s.StaleDrops)
 }
 
 // Port is one output port: a two-priority byte-bounded queue feeding a
@@ -297,7 +278,9 @@ type Port struct {
 	// switch aggregates, nil otherwise.
 	metaOf func(flow, msg, row uint32) (wire.MetaInfo, bool)
 	Stats  PortStats
-	obs    portObs
+	// queueDepth has no PortStats twin, so it is a registry instrument
+	// (nil, a free no-op, without a registry).
+	queueDepth *obs.Histogram
 }
 
 func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig) *Port {
@@ -308,7 +291,11 @@ func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig
 	if p.cfg.LossRate > 0 {
 		p.lossRNG = xrand.New(xrand.Seed(p.cfg.LossSeed, uint64(peer.ID())))
 	}
-	p.obs = newPortObs(sim.obs, owner, peer.ID())
+	if r := sim.obs; r != nil {
+		prefix := fmt.Sprintf("netsim.port.%d->%d.", owner, peer.ID())
+		p.queueDepth = r.Histogram(prefix+"queue_depth_bytes", obs.BucketsBytes())
+		r.AddSource(func(e obs.Emit) { p.Stats.emit(e, prefix) })
+	}
 	return p
 }
 
@@ -326,7 +313,6 @@ func (p *Port) Link() LinkConfig { return p.link }
 func (p *Port) Enqueue(pkt *Packet) {
 	if p.down {
 		p.Stats.DownDrops++
-		p.obs.downDrops.Inc()
 		p.sim.releasePacket(pkt)
 		return
 	}
@@ -341,7 +327,6 @@ func (p *Port) admit(pkt *Packet) {
 	if p.down {
 		// A reordered packet can surface after a flap began.
 		p.Stats.DownDrops++
-		p.obs.downDrops.Inc()
 		p.sim.releasePacket(pkt)
 		return
 	}
@@ -351,7 +336,6 @@ func (p *Port) admit(pkt *Packet) {
 	// (evAdmit funnels back through here), and duplicates.
 	if pkt.PayloadOwner != nil && !pkt.PayloadOwner.Valid(pkt.Payload, pkt.PayloadGen) {
 		p.Stats.StaleDrops++
-		p.obs.staleDrops.Inc()
 		p.sim.staleDrops++
 		p.sim.releasePacket(pkt)
 		return
@@ -359,8 +343,6 @@ func (p *Port) admit(pkt *Packet) {
 	if p.lossRNG != nil && p.lossRNG.Float64() < p.cfg.LossRate {
 		p.Stats.Dropped++
 		p.Stats.DroppedBytes += pkt.Size
-		p.obs.dropped.Inc()
-		p.obs.droppedBytes.Add(int64(pkt.Size))
 		p.sim.releasePacket(pkt)
 		return
 	}
@@ -376,7 +358,6 @@ func (p *Port) admit(pkt *Packet) {
 	if p.cfg.ECNThresholdBytes > 0 && p.bytes[PrioNormal] >= p.cfg.ECNThresholdBytes {
 		pkt.ECE = true
 		p.Stats.ECNMarked++
-		p.obs.ecnMarked.Inc()
 	}
 	cap := p.cfg.CapacityBytes
 	if pkt.Prio == PrioHigh {
@@ -387,7 +368,6 @@ func (p *Port) admit(pkt *Packet) {
 		if p.cfg.Mode == TrimOverflow && pkt.Prio == PrioNormal && pkt.Trimmable() {
 			if pkt.TrimTo(p.cfg.TrimTarget) {
 				p.Stats.Trimmed++
-				p.obs.trimmed.Inc()
 				if p.bytes[PrioHigh]+pkt.Size <= p.cfg.HighCapacityBytes {
 					p.push(pkt)
 					return
@@ -396,8 +376,6 @@ func (p *Port) admit(pkt *Packet) {
 		}
 		p.Stats.Dropped++
 		p.Stats.DroppedBytes += pkt.Size
-		p.obs.dropped.Inc()
-		p.obs.droppedBytes.Add(int64(pkt.Size))
 		p.sim.releasePacket(pkt)
 		return
 	}
@@ -409,12 +387,11 @@ func (p *Port) push(pkt *Packet) {
 	p.q[pkt.Prio] = append(p.q[pkt.Prio], pkt)
 	p.bytes[pkt.Prio] += pkt.Size
 	p.Stats.Enqueued++
-	p.obs.enqueued.Inc()
 	depth := p.QueuedBytes()
 	if depth > p.Stats.MaxQueueBytes {
 		p.Stats.MaxQueueBytes = depth
 	}
-	p.obs.queueDepth.Observe(int64(depth))
+	p.queueDepth.Observe(int64(depth))
 	if !p.busy {
 		p.transmitNext()
 	}
@@ -445,7 +422,6 @@ func (p *Port) transmitNext() {
 // so a packet hop costs no closure allocations.
 func (p *Port) onTxDone(pkt *Packet) {
 	p.Stats.Transmitted++
-	p.obs.transmitted.Inc()
 	if p.peerSim != p.sim {
 		p.sim.handOff(p, pkt)
 	} else {

@@ -40,7 +40,7 @@ func buildGradPacket(t *testing.T, dst NodeID, n int) *Packet {
 
 func TestPointToPointDelivery(t *testing.T) {
 	sim := NewSim()
-	star := BuildStar(sim, 2, fastLink(), QueueConfig{})
+	star := NewStar(sim, 2, fastLink(), QueueConfig{})
 	var got *Packet
 	var at Time
 	star.Hosts[1].Handler = func(p *Packet) { got, at = p, sim.Now() }
@@ -66,7 +66,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	// after ≈ 10·10µs (+ propagation, + second hop).
 	sim := NewSim()
 	link := LinkConfig{Bandwidth: Gbps(1), Delay: 0}
-	star := BuildStar(sim, 2, link, QueueConfig{CapacityBytes: 1 << 20})
+	star := NewStar(sim, 2, link, QueueConfig{CapacityBytes: 1 << 20})
 	var last Time
 	n := 0
 	star.Hosts[1].Handler = func(p *Packet) { last = sim.Now(); n++ }
@@ -89,7 +89,7 @@ func TestDropTailOverflow(t *testing.T) {
 	sim := NewSim()
 	// Tiny switch buffer: 3000 bytes ≈ 2 MTU packets.
 	q := QueueConfig{CapacityBytes: 3000, Mode: DropTail}
-	star := BuildStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
+	star := NewStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
 	delivered := 0
 	star.Hosts[2].Handler = func(p *Packet) { delivered++ }
 	// Two senders blast 20 packets each instantly into a 10 Mbps fabric.
@@ -98,7 +98,7 @@ func TestDropTailOverflow(t *testing.T) {
 		star.Hosts[1].Send(&Packet{Dst: 2, Size: 1500})
 	}
 	sim.Run()
-	drops := star.Switch.Port(2).Stats.Dropped
+	drops := star.Tier(TierEdge)[0].Port(2).Stats.Dropped
 	if drops == 0 {
 		t.Fatal("expected drops at the switch")
 	}
@@ -110,7 +110,7 @@ func TestDropTailOverflow(t *testing.T) {
 func TestTrimOverflowTrimsGradients(t *testing.T) {
 	sim := NewSim()
 	q := QueueConfig{CapacityBytes: 3000, Mode: TrimOverflow}
-	star := BuildStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
+	star := NewStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
 	var full, trimmed int
 	star.Hosts[2].Handler = func(p *Packet) {
 		if p.Trimmed {
@@ -130,7 +130,7 @@ func TestTrimOverflowTrimsGradients(t *testing.T) {
 		star.Hosts[1].Send(buildGradPacket(t, 2, 300))
 	}
 	sim.Run()
-	st := star.Switch.Port(2).Stats
+	st := star.Tier(TierEdge)[0].Port(2).Stats
 	if st.Trimmed == 0 {
 		t.Fatal("expected trimming at the switch")
 	}
@@ -150,13 +150,13 @@ func TestTrimOverflowTrimsGradients(t *testing.T) {
 func TestOpaqueTrafficCannotBeTrimmed(t *testing.T) {
 	sim := NewSim()
 	q := QueueConfig{CapacityBytes: 3000, Mode: TrimOverflow}
-	star := BuildStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
+	star := NewStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
 	for i := 0; i < 20; i++ {
 		star.Hosts[0].Send(&Packet{Dst: 2, Size: 1500, Kind: "cross"})
 		star.Hosts[1].Send(&Packet{Dst: 2, Size: 1500, Kind: "cross"})
 	}
 	sim.Run()
-	st := star.Switch.Port(2).Stats
+	st := star.Tier(TierEdge)[0].Port(2).Stats
 	if st.Trimmed != 0 {
 		t.Error("opaque packets must not be trimmed")
 	}
@@ -168,7 +168,7 @@ func TestOpaqueTrafficCannotBeTrimmed(t *testing.T) {
 func TestMetaPacketsNeverTrimmed(t *testing.T) {
 	sim := NewSim()
 	q := QueueConfig{CapacityBytes: 3000, HighCapacityBytes: 3000, Mode: TrimOverflow}
-	star := BuildStar(sim, 3, LinkConfig{Bandwidth: Mbps(1), Delay: 0}, q)
+	star := NewStar(sim, 3, LinkConfig{Bandwidth: Mbps(1), Delay: 0}, q)
 	meta := wire.BuildMetaPacket(wire.Header{Flow: 1}, 1, 100, 2.0)
 	deliveredMeta := 0
 	star.Hosts[2].Handler = func(p *Packet) {
@@ -199,7 +199,7 @@ func TestMetaPacketsNeverTrimmed(t *testing.T) {
 func TestECNMarking(t *testing.T) {
 	sim := NewSim()
 	q := QueueConfig{CapacityBytes: 1 << 20, ECNThresholdBytes: 3000}
-	star := BuildStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
+	star := NewStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
 	marked := 0
 	star.Hosts[2].Handler = func(p *Packet) {
 		if p.ECE {
@@ -214,14 +214,14 @@ func TestECNMarking(t *testing.T) {
 	if marked == 0 {
 		t.Fatal("expected ECN marks")
 	}
-	if star.Switch.Port(2).Stats.ECNMarked != marked {
+	if star.Tier(TierEdge)[0].Port(2).Stats.ECNMarked != marked {
 		t.Error("mark accounting mismatch")
 	}
 }
 
 func TestHighPriorityOvertakes(t *testing.T) {
 	sim := NewSim()
-	star := BuildStar(sim, 2, LinkConfig{Bandwidth: Mbps(10), Delay: 0},
+	star := NewStar(sim, 2, LinkConfig{Bandwidth: Mbps(10), Delay: 0},
 		QueueConfig{CapacityBytes: 1 << 20})
 	var order []string
 	star.Hosts[1].Handler = func(p *Packet) { order = append(order, p.Kind) }
@@ -249,27 +249,27 @@ func TestHighPriorityOvertakes(t *testing.T) {
 
 func TestDumbbellRouting(t *testing.T) {
 	sim := NewSim()
-	d := BuildDumbbell(sim, 2, 2, fastLink(), fastLink(), QueueConfig{})
+	d := NewDumbbell(sim, 2, 2, fastLink(), fastLink(), QueueConfig{})
 	got := map[NodeID]int{}
-	for _, h := range append(d.LeftHosts, d.RightHosts...) {
+	for _, h := range d.Hosts {
 		h := h
 		h.Handler = func(p *Packet) { got[h.ID()]++ }
 	}
 	// Left 0 → right 2 crosses the bottleneck; right 3 → left 1 too.
-	d.LeftHosts[0].Send(&Packet{Dst: 2, Size: 500})
-	d.RightHosts[1].Send(&Packet{Dst: 1, Size: 500})
+	d.Hosts[0].Send(&Packet{Dst: 2, Size: 500})
+	d.Hosts[3].Send(&Packet{Dst: 1, Size: 500})
 	sim.Run()
 	if got[2] != 1 || got[1] != 1 {
 		t.Fatalf("deliveries: %v", got)
 	}
-	if d.Left.RouteMisses+d.Right.RouteMisses != 0 {
+	if sw := d.Tier(TierEdge); sw[0].RouteMisses+sw[1].RouteMisses != 0 {
 		t.Fatal("route misses")
 	}
 }
 
 func TestRingRouting(t *testing.T) {
 	sim := NewSim()
-	r := BuildRing(sim, 5, fastLink(), fastLink(), QueueConfig{})
+	r := NewRing(sim, 5, fastLink(), fastLink(), QueueConfig{})
 	got := map[NodeID]int{}
 	for _, h := range r.Hosts {
 		h := h
@@ -289,7 +289,7 @@ func TestRingRouting(t *testing.T) {
 			t.Fatalf("host %d received %d, want 4", h.ID(), got[h.ID()])
 		}
 	}
-	for _, sw := range r.Switches {
+	for _, sw := range r.Switches() {
 		if sw.RouteMisses != 0 {
 			t.Fatal("route misses in ring")
 		}
@@ -298,17 +298,17 @@ func TestRingRouting(t *testing.T) {
 
 func TestRouteMissCounted(t *testing.T) {
 	sim := NewSim()
-	star := BuildStar(sim, 2, fastLink(), QueueConfig{})
+	star := NewStar(sim, 2, fastLink(), QueueConfig{})
 	star.Hosts[0].Send(&Packet{Dst: 99, Size: 100})
 	sim.Run()
-	if star.Switch.RouteMisses != 1 {
-		t.Fatalf("route misses = %d", star.Switch.RouteMisses)
+	if star.Tier(TierEdge)[0].RouteMisses != 1 {
+		t.Fatalf("route misses = %d", star.Tier(TierEdge)[0].RouteMisses)
 	}
 }
 
 func TestCrossTrafficPoisson(t *testing.T) {
 	sim := NewSim()
-	star := BuildStar(sim, 2, fastLink(), QueueConfig{CapacityBytes: 1 << 20})
+	star := NewStar(sim, 2, fastLink(), QueueConfig{CapacityBytes: 1 << 20})
 	n := 0
 	star.Hosts[1].Handler = func(p *Packet) { n++ }
 	ct := NewCrossTraffic(star.Hosts[0], 1, 1500, 1e6, 7) // 1M pkt/s
@@ -354,13 +354,13 @@ func TestFCTRecorder(t *testing.T) {
 
 func TestMaxQueueDepthTracked(t *testing.T) {
 	sim := NewSim()
-	star := BuildStar(sim, 2, LinkConfig{Bandwidth: Mbps(10), Delay: 0},
+	star := NewStar(sim, 2, LinkConfig{Bandwidth: Mbps(10), Delay: 0},
 		QueueConfig{CapacityBytes: 1 << 20})
 	for i := 0; i < 10; i++ {
 		star.Hosts[0].Send(&Packet{Dst: 1, Size: 1000})
 	}
 	sim.Run()
-	if star.Switch.Port(1).Stats.MaxQueueBytes == 0 {
+	if star.Tier(TierEdge)[0].Port(1).Stats.MaxQueueBytes == 0 {
 		t.Error("max queue depth not tracked")
 	}
 }

@@ -104,7 +104,7 @@ func TestTrimToUpdatesSize(t *testing.T) {
 func TestLossRateDeterministicAndProportional(t *testing.T) {
 	run := func() (delivered int) {
 		sim := NewSim()
-		star := BuildStar(sim, 2,
+		star := NewStar(sim, 2,
 			LinkConfig{Bandwidth: Gbps(10), Delay: 0},
 			QueueConfig{CapacityBytes: 1 << 20, LossRate: 0.3, LossSeed: 77})
 		star.Hosts[1].Handler = func(p *Packet) { delivered++ }
@@ -133,7 +133,7 @@ func TestSwitchTrimTargetKeepsTails(t *testing.T) {
 		CapacityBytes: 3000, HighCapacityBytes: 1 << 20,
 		Mode: TrimOverflow, TrimTarget: 800,
 	}
-	star := BuildStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
+	star := NewStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
 	sawPartial := false
 	star.Hosts[2].Handler = func(p *Packet) {
 		if !p.Trimmed {
@@ -169,19 +169,20 @@ func TestDumbbellBottleneckCongests(t *testing.T) {
 	sim := NewSim()
 	edge := LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond}
 	bottleneck := LinkConfig{Bandwidth: Gbps(1), Delay: 5 * Microsecond}
-	d := BuildDumbbell(sim, 4, 1, edge, bottleneck,
+	d := NewDumbbell(sim, 4, 1, edge, bottleneck,
 		QueueConfig{CapacityBytes: 10000, Mode: TrimOverflow})
 	got := 0
-	d.RightHosts[0].Handler = func(p *Packet) { got++ }
-	dst := d.RightHosts[0].ID()
+	d.Hosts[4].Handler = func(p *Packet) { got++ }
+	dst := d.Hosts[4].ID()
 	for i := 0; i < 25; i++ {
 		for s := 0; s < 4; s++ {
 			data := gradPayload(t, 512)
-			d.LeftHosts[s].Send(&Packet{Dst: dst, Size: len(data) + wire.NetOverhead, Payload: data})
+			d.Hosts[s].Send(&Packet{Dst: dst, Size: len(data) + wire.NetOverhead, Payload: data})
 		}
 	}
 	sim.Run()
-	st := d.Left.Port(d.Right.ID()).Stats
+	sw := d.Tier(TierEdge)
+	st := sw[0].Port(sw[1].ID()).Stats
 	if st.Trimmed == 0 {
 		t.Fatalf("no trimming at the bottleneck: %+v", st)
 	}

@@ -69,11 +69,6 @@ type Engine struct {
 	bound    Time        // inclusive bound of the current window phase
 	stop     atomic.Bool // Engine.Stop latch; may be set from shard goroutines
 
-	// Engine-scoped registration state (transports and fault injectors on
-	// different shards must still see each other — see Sim.aliasFaultAdd).
-	aliasFaults      int
-	payloadRecyclers int
-
 	execF, exchangeF func(int) // preallocated phase closures
 }
 
@@ -100,7 +95,7 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 	if base.npend != 0 || base.seq != 0 || base.now != 0 || base.keyed {
 		return nil, fmt.Errorf("netsim: shard: simulator is not pristine (events were scheduled or it is already sharded); partition right after building the topology")
 	}
-	if base.payloadRecyclers > 0 || base.controlMerger != nil {
+	if base.controlMerger != nil {
 		return nil, fmt.Errorf("netsim: shard: transports were built before partitioning; call ShardTopology first so stacks bind to their shard's simulator")
 	}
 
@@ -122,10 +117,6 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 		}
 		e.shards = append(e.shards, sh)
 	}
-	// Fault injectors attached before partitioning were counted on the
-	// base sim; the engine scope takes the tally over.
-	e.aliasFaults, base.aliasFaults = base.aliasFaults, 0
-
 	// Partition: rack r (and its hosts) → shard r·S/nRacks, in tier
 	// order, so contiguous racks — a fat tree's pods — stay together.
 	// Upper tiers spread the same way: pod-major aggregation switches land
@@ -139,23 +130,13 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 			sh.switches = append(sh.switches, n.ID())
 			n.sim = sh.sim
 			for _, p := range n.Ports() {
-				p.sim = sh.sim
-				p.obs = newPortObs(sh.sim.obs, p.owner, p.peer.ID())
-				if p.faults != nil {
-					p.faults.sim = sh.sim
-					p.faults.obs = newFaultObs(sh.sim.obs, p.owner, p.peer.ID())
-				}
+				p.rebind(sh.sim)
 			}
 		case *Host:
 			sh.hosts = append(sh.hosts, n.ID())
 			n.sim = sh.sim
 			if p := n.uplink; p != nil {
-				p.sim = sh.sim
-				p.obs = newPortObs(sh.sim.obs, p.owner, p.peer.ID())
-				if p.faults != nil {
-					p.faults.sim = sh.sim
-					p.faults.obs = newFaultObs(sh.sim.obs, p.owner, p.peer.ID())
-				}
+				p.rebind(sh.sim)
 			}
 		}
 	}
@@ -247,6 +228,16 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 		d.active = false
 	}
 	return e, nil
+}
+
+// rebind moves the port, and the fault injector attached to it, onto its
+// shard's simulator. Telemetry needs no re-binding: the port's source and
+// histogram live on the pre-partition registry, which Snapshot merges.
+func (p *Port) rebind(s *Sim) {
+	p.sim = s
+	if p.faults != nil {
+		p.faults.sim = s
+	}
 }
 
 // Shards returns the shard count.

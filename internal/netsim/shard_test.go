@@ -440,9 +440,8 @@ func TestShardTopologyValidation(t *testing.T) {
 	t.Run("transport-before-partition", func(t *testing.T) {
 		sim := NewSim()
 		topo := NewRing(sim, 4, link, link, QueueConfig{})
-		if err := sim.MarkPayloadRecycling(); err != nil {
-			t.Fatal(err)
-		}
+		// What transport.New always does to the host's simulator.
+		sim.SetControlMerger(func(into, from *Packet, merged []byte) (any, bool) { return nil, false })
 		if _, err := ShardTopology(topo, 2); err == nil {
 			t.Fatal("partitioning after a transport registered must be rejected")
 		}
@@ -457,21 +456,6 @@ func TestShardTopologyValidation(t *testing.T) {
 		}
 	})
 
-	t.Run("arena-on-sharded", func(t *testing.T) {
-		// Generation-stamped arena buffers (DESIGN.md §16) legalized
-		// payload recycling on sharded simulators: transports built after
-		// partitioning register without error at any shard count.
-		sim := NewSim()
-		topo := NewRing(sim, 4, link, link, QueueConfig{})
-		eng, err := ShardTopology(topo, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		if err := topo.Hosts[0].Sim().MarkPayloadRecycling(); err != nil {
-			t.Fatalf("arena payload recycling on a sharded simulator must register cleanly, got %v", err)
-		}
-	})
 }
 
 func TestShardPartitionMap(t *testing.T) {

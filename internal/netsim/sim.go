@@ -205,17 +205,6 @@ type Sim struct {
 	// SetControlMerger). Nil means only control-free packets may merge.
 	controlMerger func(into, from *Packet, merged []byte) (any, bool)
 
-	// aliasFaults counts attached fault injectors whose config can alias
-	// packet payloads (reordering holds a payload across re-admission).
-	// payloadRecyclers counts transports recycling payload buffers through
-	// a wire.Arena. The two compose freely since generation-stamped
-	// buffers landed (DESIGN.md §16): stamps plus flight counts turn any
-	// recycled-while-referenced touch into a counted stale-drop instead of
-	// silent corruption. The tallies remain for telemetry and the
-	// partition-ordering check in ShardTopology.
-	aliasFaults      int
-	payloadRecyclers int
-
 	// staleDrops counts stamped payloads dropped at a terminal touch point
 	// because their arena generation had moved on (see Sim.StaleDrops).
 	staleDrops uint64
@@ -227,48 +216,6 @@ type Sim struct {
 
 // NewSim returns an empty simulator at time zero.
 func NewSim() *Sim { return &Sim{} }
-
-// MarkPayloadRecycling registers a transport that recycles payload
-// buffers through a wire.Arena. Since generation-stamped buffers landed
-// (DESIGN.md §16) it always succeeds: every stamped payload carries an
-// (owner arena, generation) pair, late touchers — retransmits, reordered
-// re-admissions, switch-side trim and aggregate mutation — validate the
-// stamp before reading and count a mismatch as a stale-drop, and
-// Host.Send converts the stamp into an in-flight reference that parks the
-// buffer's recycling until the last reference drains. That protocol holds
-// across shard boundaries too (the arena's state is lock-protected and
-// the flight count is shard-agnostic), so aliasing faults and sharded
-// engines both compose with the zero-alloc path. The error return is kept
-// for callers written against the old blanket rejection; it is now
-// always nil.
-func (s *Sim) MarkPayloadRecycling() error {
-	if s.eng != nil {
-		s.eng.payloadRecyclers++
-		return nil
-	}
-	s.payloadRecyclers++
-	return nil
-}
-
-// HasAliasingFaults reports whether any attached fault injector can alias
-// payloads (duplication or reordering enabled).
-func (s *Sim) HasAliasingFaults() bool {
-	if s.eng != nil {
-		return s.eng.aliasFaults > 0
-	}
-	return s.aliasFaults > 0
-}
-
-// aliasFaultAdd adjusts the aliasing-fault count at the right scope: the
-// engine when sharded (a transport on shard A must still see an aliasing
-// injector attached on shard B), the sim otherwise.
-func (s *Sim) aliasFaultAdd(d int) {
-	if s.eng != nil {
-		s.eng.aliasFaults += d
-		return
-	}
-	s.aliasFaults += d
-}
 
 // StaleDrops returns how many stamped payloads the fabric refused to
 // touch because their generation had moved on — a deliver, re-admission,

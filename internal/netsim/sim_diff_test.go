@@ -205,7 +205,7 @@ func TestSimDrainedHoldsNoEventReferences(t *testing.T) {
 func TestFabricHopAllocations(t *testing.T) {
 	sim := NewSim()
 	link := LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond}
-	star := BuildStar(sim, 4, link, QueueConfig{})
+	star := NewStar(sim, 4, link, QueueConfig{})
 	for _, h := range star.Hosts {
 		h.Handler = func(*Packet) {}
 	}

@@ -231,69 +231,6 @@ func NewRing(sim *Sim, n int, edge, trunk LinkConfig, q QueueConfig, opts ...Opt
 	return t
 }
 
-// Star is a single-switch topology.
-//
-// Deprecated: use NewStar, which returns the unified *Topology.
-type Star struct {
-	Net    *Network
-	Switch *Switch
-	Hosts  []*Host
-}
-
-// BuildStar creates a star of n hosts around one switch.
-//
-// Deprecated: use NewStar; this thin wrapper remains so existing callers
-// and tests keep compiling.
-func BuildStar(sim *Sim, n int, link LinkConfig, q QueueConfig, opts ...Option) *Star {
-	t := NewStar(sim, n, link, q, opts...)
-	return &Star{Net: t.Net, Switch: t.Tier(TierEdge)[0], Hosts: t.Hosts}
-}
-
-// Dumbbell is the classic two-switch topology.
-//
-// Deprecated: use NewDumbbell, which returns the unified *Topology.
-type Dumbbell struct {
-	Net          *Network
-	Left, Right  *Switch
-	LeftHosts    []*Host
-	RightHosts   []*Host
-	BottleneckBW int64
-}
-
-// BuildDumbbell creates nLeft+nRight hosts around two switches joined by
-// a bottleneck link.
-//
-// Deprecated: use NewDumbbell; this thin wrapper remains so existing
-// callers and tests keep compiling.
-func BuildDumbbell(sim *Sim, nLeft, nRight int, edge, bottleneck LinkConfig, q QueueConfig, opts ...Option) *Dumbbell {
-	t := NewDumbbell(sim, nLeft, nRight, edge, bottleneck, q, opts...)
-	sw := t.Tier(TierEdge)
-	return &Dumbbell{
-		Net: t.Net, Left: sw[0], Right: sw[1],
-		LeftHosts: t.Hosts[:nLeft], RightHosts: t.Hosts[nLeft:],
-		BottleneckBW: bottleneck.Bandwidth,
-	}
-}
-
-// Ring connects n hosts and n switches in a ring.
-//
-// Deprecated: use NewRing, which returns the unified *Topology.
-type Ring struct {
-	Net      *Network
-	Hosts    []*Host
-	Switches []*Switch
-}
-
-// BuildRing creates the ring with edge links host↔switch and trunk links
-// between consecutive switches.
-//
-// Deprecated: use NewRing; this thin wrapper remains so existing callers
-// and tests keep compiling.
-func BuildRing(sim *Sim, n int, edge, trunk LinkConfig, q QueueConfig, opts ...Option) *Ring {
-	t := NewRing(sim, n, edge, trunk, q, opts...)
-	return &Ring{Net: t.Net, Hosts: t.Hosts, Switches: t.Tier(TierEdge)}
-}
-
 // ParseTopology resolves a CLI -topo flag value to a builder kind,
 // rejecting unknown names with the accepted set.
 func ParseTopology(s string) (string, error) {

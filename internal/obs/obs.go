@@ -24,8 +24,11 @@
 //
 // Instruments are get-or-create by name and safe for concurrent use
 // (counters, gauges, and histograms are atomic; the span log is
-// mutex-guarded). The naming schema shared by every instrumented package
-// is documented in DESIGN.md §9.
+// mutex-guarded). A component that already counts its events in a typed
+// stats struct does not mirror them into instruments: it registers a
+// source (AddSource) that reports the struct's fields when Snapshot runs,
+// so the struct stays the only hot-path write. The naming schema shared by
+// every instrumented package is documented in DESIGN.md §9.
 package obs
 
 import (
@@ -50,6 +53,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	sources  []func(Emit)
 	spans    []SpanPoint
 }
 
@@ -102,6 +106,39 @@ func (r *Registry) Now() int64 {
 		return c()
 	}
 	return r.logical.Add(1)
+}
+
+// Emit is handed to a source while Snapshot runs; each call reports one
+// point under the source's own metric names.
+type Emit struct{ s *Snapshot }
+
+// Counter reports a monotone count.
+func (e Emit) Counter(name string, v int) {
+	e.s.Counters = append(e.s.Counters, CounterPoint{Name: name, Value: int64(v)})
+}
+
+// Gauge reports an instantaneous or high-water value.
+func (e Emit) Gauge(name string, v int) {
+	e.s.Gauges = append(e.s.Gauges, GaugePoint{Name: name, Value: int64(v)})
+}
+
+// AddSource registers fn to report a component's counts on every
+// Snapshot. It is a construction-time call: the component keeps plain
+// fields as its only write site and fn reads them on demand. Points that
+// share a name — with each other or with an instrument — combine as under
+// Merge (counters sum, gauges keep the maximum), so successive components
+// reusing a name accumulate as they would on one get-or-create counter.
+//
+// fn reads the component's fields unsynchronized: Snapshot must not run
+// concurrently with the component's writer. fn must not call back into
+// the registry. The nil registry ignores the call.
+func (r *Registry) AddSource(fn func(Emit)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.sources = append(r.sources, fn)
+	r.mu.Unlock()
 }
 
 // Counter returns the named monotone counter, creating it on first use.

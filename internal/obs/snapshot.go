@@ -57,11 +57,10 @@ func (h HistogramPoint) Quantile(q float64) int64 {
 }
 
 // Snapshot is the point-in-time export of a registry: every slice sorted
-// into a canonical order (instruments by name, spans by start/end/name/
-// attrs) so identical registry contents produce identical snapshots.
-// Snapshot is the one schema the legacy per-package stats structs
-// (core.Stats, transport.Stats, netsim.PortStats, netsim.FaultStats)
-// unify behind; DESIGN.md §9 maps each legacy field to its metric name.
+// into a canonical order (points by name, spans by start/end/name/attrs)
+// so identical registry contents produce identical snapshots. It is the
+// one schema the per-package stats structs (core.Stats, transport.Stats,
+// netsim.PortStats, netsim.FaultStats) export through.
 type Snapshot struct {
 	Counters   []CounterPoint
 	Gauges     []GaugePoint
@@ -76,8 +75,9 @@ type Snapshotter interface {
 	Snapshot() Snapshot
 }
 
-// Snapshot captures the registry's current state in canonical order.
-// The nil registry yields the empty snapshot.
+// Snapshot captures the registry's current state — instruments plus
+// whatever the registered sources report — in canonical order. The nil
+// registry yields the empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -85,16 +85,23 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	//trimlint:allow determinism keys are sorted two lines down; map order never reaches the snapshot
+	//trimlint:allow determinism keys are sorted below; map order never reaches the snapshot
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterPoint{Name: name, Value: c.Value()})
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	//trimlint:allow determinism keys are sorted two lines down; map order never reaches the snapshot
+	//trimlint:allow determinism keys are sorted below; map order never reaches the snapshot
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugePoint{Name: name, Value: g.Value()})
 	}
+	for _, src := range r.sources {
+		src(Emit{&s})
+	}
+	// Sorting, then folding equal names as Merge would, is what makes the
+	// arrival order of instruments and sources irrelevant.
+	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
+	s.Counters = foldCounters(s.Counters)
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
+	s.Gauges = foldGauges(s.Gauges)
 	//trimlint:allow determinism keys are sorted two lines down; map order never reaches the snapshot
 	for _, h := range r.hists {
 		s.Histograms = append(s.Histograms, h.point())
@@ -103,6 +110,32 @@ func (r *Registry) Snapshot() Snapshot {
 	s.Spans = append(s.Spans, r.spans...)
 	sortSpans(s.Spans)
 	return s
+}
+
+// foldCounters sums adjacent points of the sorted slice that share a name.
+func foldCounters(pts []CounterPoint) []CounterPoint {
+	out := pts[:0]
+	for _, p := range pts {
+		if n := len(out); n > 0 && out[n-1].Name == p.Name {
+			out[n-1].Value += p.Value
+		} else {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// foldGauges keeps the maximum of adjacent points that share a name.
+func foldGauges(pts []GaugePoint) []GaugePoint {
+	out := pts[:0]
+	for _, p := range pts {
+		if n := len(out); n == 0 || out[n-1].Name != p.Name {
+			out = append(out, p)
+		} else if p.Value > out[n-1].Value {
+			out[n-1].Value = p.Value
+		}
+	}
+	return out
 }
 
 // spanLess is the canonical span order: start, end, name, then attributes.

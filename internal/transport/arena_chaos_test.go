@@ -28,7 +28,7 @@ type arenaDiffOutcome struct {
 func runArenaDiffTransfer(t *testing.T, useArena bool, faults netsim.FaultConfig) arenaDiffOutcome {
 	t.Helper()
 	sim := netsim.NewSim()
-	star := netsim.BuildStar(sim, 2,
+	star := netsim.NewStar(sim, 2,
 		netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
 		netsim.QueueConfig{CapacityBytes: 1 << 20, HighCapacityBytes: 1 << 20, Mode: netsim.TrimOverflow})
 	star.Net.InjectFaults(0, netsim.SwitchIDBase, faults)
@@ -46,7 +46,7 @@ func runArenaDiffTransfer(t *testing.T, useArena bool, faults netsim.FaultConfig
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewStack(star.Hosts[1], cfg)
+	b := newStack(star.Hosts[1], cfg)
 
 	var out arenaDiffOutcome
 	h := fnv.New64a()

@@ -54,7 +54,7 @@ func runChaosTransfer(t *testing.T, trimmable bool, sc chaosScenario, seed uint6
 	if trimmable {
 		qmode = netsim.TrimOverflow
 	}
-	star := netsim.BuildStar(sim, 2,
+	star := netsim.NewStar(sim, 2,
 		netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
 		netsim.QueueConfig{CapacityBytes: 1 << 20, HighCapacityBytes: 1 << 20, Mode: qmode})
 	faults := sc.faults
@@ -64,10 +64,10 @@ func runChaosTransfer(t *testing.T, trimmable bool, sc chaosScenario, seed uint6
 		star.Net.FlapLink(0, netsim.SwitchIDBase, 500*netsim.Microsecond, 2*netsim.Millisecond)
 	}
 	cfg := Config{RTO: 100 * netsim.Microsecond, MaxRetries: 30}
-	a := NewStack(star.Hosts[0], cfg)
-	b := NewStack(star.Hosts[1], cfg)
+	a := newStack(star.Hosts[0], cfg)
+	b := newStack(star.Hosts[1], cfg)
 
-	enc, err := core.NewEncoder(coreConfig())
+	enc, err := core.NewEncoderWith(core.WithConfig(coreConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func runChaosTransfer(t *testing.T, trimmable bool, sc chaosScenario, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := core.NewDecoder(coreConfig(), 1)
+	dec, err := core.NewDecoderWith(1, core.WithConfig(coreConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,18 +184,18 @@ func TestChaosCorruptionIsCountedAndRepaired(t *testing.T) {
 // acked (possibly twice) but delivered to the application exactly once.
 func TestReliableDuplicateAckedNotRedelivered(t *testing.T) {
 	sim := netsim.NewSim()
-	star := netsim.BuildStar(sim, 2, fastLink(), netsim.QueueConfig{CapacityBytes: 1 << 20})
+	star := netsim.NewStar(sim, 2, fastLink(), netsim.QueueConfig{CapacityBytes: 1 << 20})
 	// Duplicate only the sender's outbound direction so the ack path
 	// stays clean and the accounting below is exact.
 	star.Hosts[0].Uplink().SetFaults(netsim.FaultConfig{Seed: 5, DuplicateRate: 1})
-	a := NewStack(star.Hosts[0], Config{})
-	b := NewStack(star.Hosts[1], Config{})
+	a := newStack(star.Hosts[0], Config{})
+	b := newStack(star.Hosts[1], Config{})
 
-	enc, _ := core.NewEncoder(coreConfig())
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 	grad := gaussianGrad(11, 1<<12)
 	msg, _ := enc.Encode(1, 1, grad)
 	payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
-	dec, _ := core.NewDecoder(coreConfig(), 1)
+	dec, _ := core.NewDecoderWith(1, core.WithConfig(coreConfig()))
 	delivered := 0
 	b.Receiver = ReceiverFunc(func(_ netsim.NodeID, pl []byte) {
 		delivered++
@@ -234,16 +234,16 @@ func TestReliableDuplicateAckedNotRedelivered(t *testing.T) {
 // double delivery.
 func TestTrimmableDuplicateAckedNotRedelivered(t *testing.T) {
 	sim := netsim.NewSim()
-	star := netsim.BuildStar(sim, 2, fastLink(),
+	star := netsim.NewStar(sim, 2, fastLink(),
 		netsim.QueueConfig{CapacityBytes: 1 << 20, Mode: netsim.TrimOverflow})
 	star.Hosts[0].Uplink().SetFaults(netsim.FaultConfig{Seed: 6, DuplicateRate: 1})
-	a := NewStack(star.Hosts[0], Config{})
-	b := NewStack(star.Hosts[1], Config{})
+	a := newStack(star.Hosts[0], Config{})
+	b := newStack(star.Hosts[1], Config{})
 
-	enc, _ := core.NewEncoder(coreConfig())
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 	grad := gaussianGrad(12, 1<<12)
 	msg, _ := enc.Encode(1, 1, grad)
-	dec, _ := core.NewDecoder(coreConfig(), 1)
+	dec, _ := core.NewDecoderWith(1, core.WithConfig(coreConfig()))
 	delivered := 0
 	b.Receiver = ReceiverFunc(func(_ netsim.NodeID, pl []byte) {
 		delivered++
@@ -277,13 +277,13 @@ func TestTrimmableDuplicateAckedNotRedelivered(t *testing.T) {
 // sender's backoff must ride out the outage and complete after resume.
 func TestChaosNodePauseRecovers(t *testing.T) {
 	sim := netsim.NewSim()
-	star := netsim.BuildStar(sim, 2, fastLink(), netsim.QueueConfig{CapacityBytes: 1 << 20})
+	star := netsim.NewStar(sim, 2, fastLink(), netsim.QueueConfig{CapacityBytes: 1 << 20})
 	cfg := Config{RTO: 100 * netsim.Microsecond, MaxRetries: 30}
-	a := NewStack(star.Hosts[0], cfg)
-	b := NewStack(star.Hosts[1], cfg)
+	a := newStack(star.Hosts[0], cfg)
+	b := newStack(star.Hosts[1], cfg)
 	b.Receiver = ReceiverFunc(func(netsim.NodeID, []byte) {})
 
-	enc, _ := core.NewEncoder(coreConfig())
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 	msg, _ := enc.Encode(1, 1, gaussianGrad(13, 1<<13))
 	payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
 	// Receiver is down from the first packet; the sender's backoff must
@@ -311,13 +311,13 @@ func TestChaosNodeCrashFailsCleanly(t *testing.T) {
 		}
 		t.Run(mode, func(t *testing.T) {
 			sim := netsim.NewSim()
-			star := netsim.BuildStar(sim, 2, fastLink(), netsim.QueueConfig{CapacityBytes: 1 << 20})
+			star := netsim.NewStar(sim, 2, fastLink(), netsim.QueueConfig{CapacityBytes: 1 << 20})
 			cfg := Config{RTO: 50 * netsim.Microsecond, MaxRetries: 8}
-			a := NewStack(star.Hosts[0], cfg)
-			b := NewStack(star.Hosts[1], cfg)
+			a := newStack(star.Hosts[0], cfg)
+			b := newStack(star.Hosts[1], cfg)
 			b.Receiver = ReceiverFunc(func(netsim.NodeID, []byte) {})
 
-			enc, _ := core.NewEncoder(coreConfig())
+			enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 			msg, _ := enc.Encode(1, 1, gaussianGrad(14, 1<<11))
 			star.Hosts[1].Fail()
 			var failErr error

@@ -16,24 +16,25 @@ func TestReliableECNKeepsQueuesShallow(t *testing.T) {
 		sim := netsim.NewSim()
 		// Fast edge into a 10x slower bottleneck: the sender's window
 		// piles up at the left switch's bottleneck port.
-		d := netsim.BuildDumbbell(sim, 1, 1,
+		d := netsim.NewDumbbell(sim, 1, 1,
 			netsim.LinkConfig{Bandwidth: netsim.Gbps(1), Delay: 5 * netsim.Microsecond},
 			netsim.LinkConfig{Bandwidth: netsim.Mbps(100), Delay: 20 * netsim.Microsecond},
 			netsim.QueueConfig{CapacityBytes: 1 << 20, ECNThresholdBytes: ecnThreshold})
-		a := NewStack(d.LeftHosts[0], Config{MaxWindow: 512})
-		b := NewStack(d.RightHosts[0], Config{})
+		a := newStack(d.Hosts[0], Config{MaxWindow: 512})
+		b := newStack(d.Hosts[1], Config{})
 		b.Receiver = ReceiverFunc(func(netsim.NodeID, []byte) {})
-		enc, _ := core.NewEncoder(coreConfig())
+		enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 		msg, _ := enc.Encode(1, 1, gaussianGrad(9, 1<<15))
 		payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
 		done := false
-		a.SendReliable(d.RightHosts[0].ID(), 1, payloads,
+		a.SendReliable(d.Hosts[1].ID(), 1, payloads,
 			func(netsim.Time) { done = true }, nil)
 		sim.RunUntil(10 * netsim.Second)
 		if !done {
 			t.Fatal("did not complete")
 		}
-		return d.Left.Port(d.Right.ID()).Stats.MaxQueueBytes
+		sw := d.Tier(netsim.TierEdge)
+		return sw[0].Port(sw[1].ID()).Stats.MaxQueueBytes
 	}
 	withECN := run(10_000)
 	without := run(0)
@@ -46,13 +47,13 @@ func TestReliableECNKeepsQueuesShallow(t *testing.T) {
 // the same pair must demultiplex correctly.
 func TestReliableManyMessagesInterleaved(t *testing.T) {
 	sim, a, b := pair(netsim.QueueConfig{CapacityBytes: 1 << 20}, fastLink())
-	enc, _ := core.NewEncoder(coreConfig())
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 	const nMsgs = 5
 	grads := make([][]float32, nMsgs)
 	decs := make([]*core.Decoder, nMsgs)
 	for i := range grads {
 		grads[i] = gaussianGrad(uint64(i)+20, 3000)
-		decs[i], _ = core.NewDecoder(coreConfig(), uint32(i+1))
+		decs[i], _ = core.NewDecoderWith(uint32(i+1), core.WithConfig(coreConfig()))
 	}
 	b.Receiver = ReceiverFunc(func(_ netsim.NodeID, pl []byte) {
 		for _, d := range decs {
@@ -86,11 +87,11 @@ func TestReliableManyMessagesInterleaved(t *testing.T) {
 // over one stack pair.
 func TestTrimAwareBidirectional(t *testing.T) {
 	sim, a, b := pair(netsim.QueueConfig{CapacityBytes: 1 << 20, Mode: netsim.TrimOverflow}, fastLink())
-	enc, _ := core.NewEncoder(coreConfig())
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 	gradA := gaussianGrad(30, 4096)
 	gradB := gaussianGrad(31, 4096)
-	decAtB, _ := core.NewDecoder(coreConfig(), 1)
-	decAtA, _ := core.NewDecoder(coreConfig(), 2)
+	decAtB, _ := core.NewDecoderWith(1, core.WithConfig(coreConfig()))
+	decAtA, _ := core.NewDecoderWith(2, core.WithConfig(coreConfig()))
 	a.Receiver = ReceiverFunc(func(_ netsim.NodeID, pl []byte) { _ = decAtA.Handle(pl) })
 	b.Receiver = ReceiverFunc(func(_ netsim.NodeID, pl []byte) { _ = decAtB.Handle(pl) })
 	msgA, _ := enc.Encode(1, 1, gradA)
@@ -113,9 +114,9 @@ func TestTrimAwareBidirectional(t *testing.T) {
 // NACK path racing the original) must not corrupt state or double-count.
 func TestTrimAwareDuplicateDataIgnored(t *testing.T) {
 	sim, a, b := pair(netsim.QueueConfig{CapacityBytes: 1 << 20, Mode: netsim.TrimOverflow}, fastLink())
-	enc, _ := core.NewEncoder(coreConfig())
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 	grad := gaussianGrad(32, 2048)
-	dec, _ := core.NewDecoder(coreConfig(), 1)
+	dec, _ := core.NewDecoderWith(1, core.WithConfig(coreConfig()))
 	delivered := 0
 	b.Receiver = ReceiverFunc(func(_ netsim.NodeID, pl []byte) {
 		delivered++
@@ -156,7 +157,7 @@ func TestTrimAwareDuplicateDataIgnored(t *testing.T) {
 // TestStatsAccounting sanity-checks the transport counters.
 func TestStatsAccounting(t *testing.T) {
 	sim, a, b := pair(netsim.QueueConfig{CapacityBytes: 1 << 20}, fastLink())
-	enc, _ := core.NewEncoder(coreConfig())
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 	msg, _ := enc.Encode(1, 1, gaussianGrad(33, 4096))
 	b.Receiver = ReceiverFunc(func(netsim.NodeID, []byte) {})
 	payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)

@@ -29,7 +29,7 @@ func TestConcurrentStacksRace(t *testing.T) {
 			q = netsim.QueueConfig{CapacityBytes: 1 << 20}
 		}
 		sim, a, b := pair(q, fastLink())
-		enc, err := core.NewEncoder(coreConfig())
+		enc, err := core.NewEncoderWith(core.WithConfig(coreConfig()))
 		if err != nil {
 			return outcome{}, err
 		}
@@ -38,7 +38,7 @@ func TestConcurrentStacksRace(t *testing.T) {
 		if err != nil {
 			return outcome{}, err
 		}
-		dec, err := core.NewDecoder(coreConfig(), 1)
+		dec, err := core.NewDecoderWith(1, core.WithConfig(coreConfig()))
 		if err != nil {
 			return outcome{}, err
 		}

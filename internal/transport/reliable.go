@@ -86,7 +86,6 @@ func (tx *relSender) transmit(idx int) {
 	}
 	tx.inFlight[idx] = true
 	tx.stack.Stats.DataSent++
-	tx.stack.obs.dataSent.Inc()
 	pkt := tx.stack.sim.NewPacket()
 	pkt.Dst = tx.dst
 	pkt.Size = payloadSize(tx.payloads[idx])
@@ -115,12 +114,10 @@ func (tx *relSender) armTimer() {
 
 func (tx *relSender) onTimeout() {
 	tx.stack.Stats.Timeouts++
-	tx.stack.obs.timeouts.Inc()
 	tx.retries++
 	if tx.retries > tx.stack.cfg.MaxRetries {
 		tx.finished = true
 		tx.stack.Stats.Failures++
-		tx.stack.obs.failures.Inc()
 		delete(tx.stack.relTx, msgKey{tx.dst, tx.id})
 		tx.stack.releasePayloads(tx.payloads)
 		if tx.failed != nil {
@@ -136,7 +133,7 @@ func (tx *relSender) onTimeout() {
 	if tx.cwnd < 1 {
 		tx.cwnd = 1
 	}
-	tx.stack.obs.cwnd.Set(int64(tx.cwnd * 1000))
+	tx.stack.cwnd.Set(int64(tx.cwnd * 1000))
 	tx.inFlight = make(map[int]bool)
 	resent := 0
 	for idx, ok := range tx.acked {
@@ -148,7 +145,6 @@ func (tx *relSender) onTimeout() {
 		}
 		tx.transmit(idx)
 		tx.stack.Stats.Retransmits++
-		tx.stack.obs.retransmits.Inc()
 		resent++
 	}
 	tx.armTimer()
@@ -179,7 +175,7 @@ func (tx *relSender) onAck(a relAck) {
 				tx.cwnd = float64(tx.stack.cfg.MaxWindow)
 			}
 		}
-		tx.stack.obs.cwnd.Set(int64(tx.cwnd * 1000))
+		tx.stack.cwnd.Set(int64(tx.cwnd * 1000))
 	}
 	if tx.nAcked == len(tx.payloads) {
 		tx.finished = true
@@ -215,7 +211,6 @@ func (s *Stack) handleRelData(p *netsim.Packet, c relData) {
 	// Echo ECN into the ack so the sender reacts. Duplicates are re-acked
 	// too — the original ack may have been the casualty.
 	s.Stats.AcksSent++
-	s.obs.acksSent.Inc()
 	ack := s.sim.NewPacket()
 	ack.Dst = p.Src
 	ack.Size = ackSize
@@ -228,7 +223,6 @@ func (s *Stack) handleRelData(p *netsim.Packet, c relData) {
 	}
 	if rx.got[c.Idx] {
 		s.Stats.DupsReceived++
-		s.obs.dupsReceived.Inc()
 		return // acked above but never re-delivered
 	}
 	rx.got[c.Idx] = true

@@ -125,7 +125,9 @@ type Stack struct {
 	host *netsim.Host
 	sim  *netsim.Sim
 	cfg  Config
-	obs  stackObs
+	// cwnd has no Stats twin, so it is a registry instrument (scaled ×1000
+	// since gauges are integers; nil, a free no-op, without a registry).
+	cwnd *obs.Gauge
 
 	// Receiver consumes delivered payloads; may be nil.
 	Receiver Receiver
@@ -146,41 +148,21 @@ type Stack struct {
 	trimRx map[msgKey]*trimReceiver
 }
 
-// stackObs mirrors Stats into a telemetry registry under the
-// "transport.h<id>." prefix, plus the congestion window as a gauge
-// (scaled ×1000 since gauges are integers). All instruments are nil
-// no-ops when telemetry is off.
-type stackObs struct {
-	dataSent        *obs.Counter
-	dataDelivered   *obs.Counter
-	trimmedReceived *obs.Counter
-	retransmits     *obs.Counter
-	timeouts        *obs.Counter
-	acksSent        *obs.Counter
-	nacksSent       *obs.Counter
-	failures        *obs.Counter
-	rejectedPackets *obs.Counter
-	dupsReceived    *obs.Counter
-	staleDrops      *obs.Counter
-	cwnd            *obs.Gauge
-}
-
-func newStackObs(r *obs.Registry, id netsim.NodeID) stackObs {
-	prefix := fmt.Sprintf("transport.h%d.", id)
-	return stackObs{
-		dataSent:        r.Counter(prefix + "data_sent_total"),
-		dataDelivered:   r.Counter(prefix + "data_delivered_total"),
-		trimmedReceived: r.Counter(prefix + "trimmed_received_total"),
-		retransmits:     r.Counter(prefix + "retransmits_total"),
-		timeouts:        r.Counter(prefix + "timeouts_total"),
-		acksSent:        r.Counter(prefix + "acks_sent_total"),
-		nacksSent:       r.Counter(prefix + "nacks_sent_total"),
-		failures:        r.Counter(prefix + "failures_total"),
-		rejectedPackets: r.Counter(prefix + "rejected_packets_total"),
-		dupsReceived:    r.Counter(prefix + "dups_received_total"),
-		staleDrops:      r.Counter(prefix + "stale_drops_total"),
-		cwnd:            r.Gauge(prefix + "cwnd_x1000"),
-	}
+// emit reports the counts under the stack's "transport.h<id>." prefix.
+// Stats is the only place transport events are recorded; the registry
+// calls this when it is snapshotted.
+func (s *Stats) emit(e obs.Emit, prefix string) {
+	e.Counter(prefix+"data_sent_total", s.DataSent)
+	e.Counter(prefix+"data_delivered_total", s.DataDelivered)
+	e.Counter(prefix+"trimmed_received_total", s.TrimmedReceived)
+	e.Counter(prefix+"retransmits_total", s.Retransmits)
+	e.Counter(prefix+"timeouts_total", s.Timeouts)
+	e.Counter(prefix+"acks_sent_total", s.AcksSent)
+	e.Counter(prefix+"nacks_sent_total", s.NacksSent)
+	e.Counter(prefix+"failures_total", s.Failures)
+	e.Counter(prefix+"rejected_packets_total", s.RejectedPackets)
+	e.Counter(prefix+"dups_received_total", s.DupsReceived)
+	e.Counter(prefix+"stale_drops_total", s.StaleDrops)
 }
 
 type msgKey struct {
@@ -221,36 +203,32 @@ func WithReceiver(rcv Receiver) Opt { return func(o *stackOpts) { o.rcv = rcv } 
 // terminates, and any touch that slips past the protocol is refused by a
 // stamp check instead of reading recycled bytes. That is what makes the
 // arena legal under reorder/duplicate fault injection and on sharded
-// simulators, where the old ownership argument (DESIGN.md §11) did not
-// hold on its own.
+// simulators.
 func WithArena(a *wire.Arena) Opt { return func(o *stackOpts) { o.arena = a } }
 
-// New attaches a transport stack to h, configured by options. The error
-// return survives from the era when WithArena was rejected against
-// aliasing fault injection; since generation-stamped arena buffers landed
-// (DESIGN.md §16) no option combination fails, and the error is always
-// nil.
+// New attaches a transport stack to h, configured by options. No option
+// combination fails today; the error return is part of the constructor
+// contract every caller already handles.
 func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 	o := stackOpts{reg: h.Sim().Obs()}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.arena != nil {
-		if err := h.Sim().MarkPayloadRecycling(); err != nil {
-			return nil, fmt.Errorf("transport: WithArena rejected: %w", err)
-		}
-	}
 	s := &Stack{
 		host:     h,
 		sim:      h.Sim(),
 		cfg:      o.cfg.withDefaults(),
-		obs:      newStackObs(o.reg, h.ID()),
 		Receiver: o.rcv,
 		arena:    o.arena,
 		relTx:    make(map[msgKey]*relSender),
 		relRx:    make(map[msgKey]*relReceiver),
 		trimTx:   make(map[msgKey]*trimSender),
 		trimRx:   make(map[msgKey]*trimReceiver),
+	}
+	if o.reg != nil {
+		prefix := fmt.Sprintf("transport.h%d.", h.ID())
+		s.cwnd = o.reg.Gauge(prefix + "cwnd_x1000")
+		o.reg.AddSource(func(e obs.Emit) { s.Stats.emit(e, prefix) })
 	}
 	h.Handler = s.handle
 	// Let aggregating switches fold trim-aware data packets: the merger
@@ -259,20 +237,6 @@ func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 	// idempotent.
 	h.Sim().SetControlMerger(mergeControls)
 	return s, nil
-}
-
-// NewStack attaches a transport stack to h.
-//
-// Deprecated: use New with WithConfig; NewStack remains as a thin wrapper
-// for existing callers.
-func NewStack(h *netsim.Host, cfg Config) *Stack {
-	s, err := New(h, WithConfig(cfg))
-	if err != nil {
-		// Unreachable: New only fails for WithArena, which NewStack never
-		// passes. Panicking keeps the legacy signature honest.
-		panic(err)
-	}
-	return s
 }
 
 // Host returns the underlying simulated host.
@@ -343,7 +307,6 @@ func (s *Stack) staleSend(gens []uint64, payload []byte, idx int) bool {
 		return false
 	}
 	s.Stats.StaleDrops++
-	s.obs.staleDrops.Inc()
 	return true
 }
 
@@ -362,7 +325,6 @@ func (s *Stack) deliver(src netsim.NodeID, payload []byte) {
 		s.Receiver.HandlePayload(src, payload)
 	}
 	s.Stats.DataDelivered++
-	s.obs.dataDelivered.Inc()
 }
 
 // payloadSize is the wire size of a packet carrying payload.
@@ -388,7 +350,6 @@ func payloadSum(payload []byte) uint32 { return crc32.Checksum(payload, crcTable
 func (s *Stack) validPayload(p *netsim.Packet, sum uint32) bool {
 	if !p.Trimmed && payloadSum(p.Payload) != sum {
 		s.Stats.RejectedPackets++
-		s.obs.rejectedPackets.Inc()
 		return false
 	}
 	if !wire.IsTrimgrad(p.Payload) {
@@ -396,7 +357,6 @@ func (s *Stack) validPayload(p *netsim.Packet, sum uint32) bool {
 	}
 	if wire.Validate(p.Payload) != nil {
 		s.Stats.RejectedPackets++
-		s.obs.rejectedPackets.Inc()
 		return false
 	}
 	return true

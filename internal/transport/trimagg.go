@@ -84,13 +84,11 @@ func (s *Stack) handleTrimAgg(p *netsim.Packet, c trimAggData) {
 		}
 		if rxs[i].dataGot[e.Idx] {
 			s.Stats.DupsReceived++
-			s.obs.dupsReceived.Inc()
 			return
 		}
 	}
 	if p.Trimmed {
 		s.Stats.TrimmedReceived++
-		s.obs.trimmedReceived.Inc()
 	}
 	for i, e := range c.Entries {
 		rxs[i].dataGot[e.Idx] = true

@@ -114,7 +114,6 @@ func (tx *trimSender) sendData(idx int) {
 		return
 	}
 	tx.stack.Stats.DataSent++
-	tx.stack.obs.dataSent.Inc()
 	pkt := tx.stack.sim.NewPacket()
 	pkt.Dst = tx.dst
 	pkt.Size = payloadSize(tx.data[idx])
@@ -145,12 +144,10 @@ func (tx *trimSender) armTimer() {
 // retransmitted — the receiver NACKs exactly what is missing.
 func (tx *trimSender) onTimeout() {
 	tx.stack.Stats.Timeouts++
-	tx.stack.obs.timeouts.Inc()
 	tx.retries++
 	if tx.retries > tx.stack.cfg.MaxRetries {
 		tx.finished = true
 		tx.stack.Stats.Failures++
-		tx.stack.obs.failures.Inc()
 		delete(tx.stack.trimTx, msgKey{tx.dst, tx.id})
 		tx.stack.releasePayloads(tx.metas, tx.data)
 		if tx.failed != nil {
@@ -163,7 +160,6 @@ func (tx *trimSender) onTimeout() {
 		if !ok {
 			tx.sendMeta(i)
 			tx.stack.Stats.Retransmits++
-			tx.stack.obs.retransmits.Inc()
 		}
 	}
 	// Fallback for the pathological case where *every* data packet of the
@@ -173,7 +169,6 @@ func (tx *trimSender) onTimeout() {
 		for i := range tx.data {
 			tx.sendData(i)
 			tx.stack.Stats.Retransmits++
-			tx.stack.obs.retransmits.Inc()
 		}
 	}
 	tx.armTimer()
@@ -198,7 +193,6 @@ func (tx *trimSender) onNack(missing []int) {
 		if idx >= 0 && idx < len(tx.data) {
 			tx.sendData(idx)
 			tx.stack.Stats.Retransmits++
-			tx.stack.obs.retransmits.Inc()
 		}
 	}
 	tx.armTimer()
@@ -252,7 +246,6 @@ func (s *Stack) handleTrimMeta(p *netsim.Packet, c trimMeta) {
 	rx := s.trimReceiverFor(p.Src, c.MsgID, c.Total, 0)
 	// Always ack, even duplicates: the ack may have been lost.
 	s.Stats.AcksSent++
-	s.obs.acksSent.Inc()
 	ack := s.sim.NewPacket()
 	ack.Dst = p.Src
 	ack.Size = ackSize
@@ -265,7 +258,6 @@ func (s *Stack) handleTrimMeta(p *netsim.Packet, c trimMeta) {
 	}
 	if rx.metaGot[c.Idx] {
 		s.Stats.DupsReceived++
-		s.obs.dupsReceived.Inc()
 		// A duplicate meta implies the sender missed our done: repeat it.
 		if rx.complete {
 			rx.sendDone()
@@ -291,12 +283,10 @@ func (s *Stack) handleTrimData(p *netsim.Packet, c trimData) {
 	}
 	if rx.dataGot[c.Idx] {
 		s.Stats.DupsReceived++
-		s.obs.dupsReceived.Inc()
 		return // accounted for already; never re-delivered
 	}
 	if p.Trimmed {
 		s.Stats.TrimmedReceived++
-		s.obs.trimmedReceived.Inc()
 	}
 	rx.dataGot[c.Idx] = true
 	rx.nDataGot++
@@ -371,7 +361,6 @@ func (rx *trimReceiver) armNack() {
 			return
 		}
 		rx.stack.Stats.NacksSent++
-		rx.stack.obs.nacksSent.Inc()
 		pkt := rx.stack.sim.NewPacket()
 		pkt.Dst = rx.src
 		pkt.Size = ackSize + 4*len(missing)

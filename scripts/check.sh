@@ -18,7 +18,8 @@
 #                             still holds
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + trimlint
 #                             (trimlint replays from .trimlint-cache when
-#                             the tree is unchanged)
+#                             the tree is unchanged) + the no-Deprecated
+#                             guard
 #
 # Every step must pass; the script stops at the first failure.
 set -euo pipefail
@@ -72,8 +73,16 @@ go vet ./...
 step "trimlint ./..."
 go run ./cmd/trimlint ./...
 
+step "no Deprecated: twins (migration wrappers must not return)"
+deprecated=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=testdata 'Deprecated:' . || true)
+if [[ -n "$deprecated" ]]; then
+  echo "Deprecated: markers in non-test code — migrate the callers and delete the twin:" >&2
+  echo "$deprecated" >&2
+  exit 1
+fi
+
 if [[ $mode == lint ]]; then
-  echo "OK (lint mode: gofmt + vet + trimlint)"
+  echo "OK (lint mode: gofmt + vet + trimlint + no-Deprecated)"
   exit 0
 fi
 

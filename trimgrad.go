@@ -91,11 +91,13 @@ type (
 func NewCodec(p Params) (Codec, error) { return quant.New(p) }
 
 // NewEncoder constructs a gradient encoder.
-func NewEncoder(cfg Config) (*Encoder, error) { return core.NewEncoder(cfg) }
+func NewEncoder(cfg Config) (*Encoder, error) {
+	return core.NewEncoderWith(core.WithConfig(cfg))
+}
 
 // NewDecoder constructs a decoder for one message.
 func NewDecoder(cfg Config, msgID uint32) (*Decoder, error) {
-	return core.NewDecoder(cfg, msgID)
+	return core.NewDecoderWith(msgID, core.WithConfig(cfg))
 }
 
 // Trim performs the switch-side trim operation on a raw packet buffer.
