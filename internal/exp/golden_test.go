@@ -205,7 +205,7 @@ var (
 		"Enqueued": "enqueued_total", "Transmitted": "transmitted_total",
 		"Dropped": "dropped_total", "DroppedBytes": "dropped_bytes_total",
 		"Trimmed": "trimmed_total", "ECNMarked": "ecn_marked_total",
-		"MaxQueueBytes": "", "DownDrops": "down_drops_total",
+		"MaxQueueBytes": "max_queue_bytes", "DownDrops": "down_drops_total",
 		"Aggregated": "aggregated_total", "StaleDrops": "stale_drops_total",
 	}
 	faultStatNames = map[string]string{
@@ -257,9 +257,10 @@ func addStats(t *testing.T, want map[string]int64, prefix string, stats any, nam
 	}
 }
 
-// statsPrefixes are the metric families that have a stats struct behind
-// them; every exported point in one of them must be accounted for.
-var statsPrefixes = []string{"netsim.port.", "netsim.fault.", "transport.h", "core.decode."}
+// statsPrefixes are the metric families that have a stats struct (or, for
+// switches and hosts, a single count field) behind them; every exported
+// point in one of them must be accounted for.
+var statsPrefixes = []string{"netsim.port.", "netsim.fault.", "netsim.switch.", "netsim.host.", "transport.h", "core.decode."}
 
 // checkParity asserts that the stats structs and the export tell the same
 // story: each integer field equals the point of its documented name, and
@@ -302,8 +303,12 @@ func checkParity(t *testing.T, g *goldenRun) {
 	built := 0
 	for _, topo := range g.topos {
 		built += len(topo.Hosts)
+		for _, h := range topo.Hosts {
+			want[fmt.Sprintf("netsim.host.%d.down_drops_total", h.ID())] += int64(h.DownDrops)
+		}
 		for _, sw := range topo.Switches() {
 			built += len(sw.Ports())
+			want[fmt.Sprintf("netsim.switch.%d.route_misses_total", sw.ID())] += int64(sw.RouteMisses)
 		}
 	}
 	if ports != built {

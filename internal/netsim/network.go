@@ -146,6 +146,9 @@ func (n *Network) NewHost(id NodeID) (*Host, error) {
 	if err := n.register(h); err != nil {
 		return nil, err
 	}
+	n.Sim.obs.AddSource(func(e obs.Emit) {
+		e.Counter(fmt.Sprintf("netsim.host.%d.down_drops_total", id), h.DownDrops)
+	})
 	return h, nil
 }
 
@@ -172,6 +175,9 @@ func (n *Network) NewSwitch(id NodeID, cfg QueueConfig) (*Switch, error) {
 	if err := n.register(sw); err != nil {
 		return nil, err
 	}
+	n.Sim.obs.AddSource(func(e obs.Emit) {
+		e.Counter(fmt.Sprintf("netsim.switch.%d.route_misses_total", id), sw.RouteMisses)
+	})
 	return sw, nil
 }
 
@@ -252,6 +258,7 @@ func (s *PortStats) emit(e obs.Emit, prefix string) {
 	e.Counter(prefix+"down_drops_total", s.DownDrops)
 	e.Counter(prefix+"aggregated_total", s.Aggregated)
 	e.Counter(prefix+"stale_drops_total", s.StaleDrops)
+	e.Gauge(prefix+"max_queue_bytes", s.MaxQueueBytes)
 }
 
 // Port is one output port: a two-priority byte-bounded queue feeding a
