@@ -267,12 +267,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ct.Stop()
 	}
 
-	retrans := 0
+	retrans, trimmedRx := 0, 0
 	for _, s := range stacks {
 		retrans += s.Stats.Retransmits
-	}
-	trimmedRx := 0
-	for _, s := range stacks {
 		trimmedRx += s.Stats.TrimmedReceived
 	}
 

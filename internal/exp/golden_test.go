@@ -274,8 +274,9 @@ func checkParity(t *testing.T, g *goldenRun) {
 	// check below catches a port the export forgot.
 	ports := 0
 	for _, c := range g.snap.Counters {
-		link, ok := strings.CutSuffix(strings.TrimPrefix(c.Name, "netsim.port."), ".enqueued_total")
-		if !ok || link == c.Name {
+		rest, isPort := strings.CutPrefix(c.Name, "netsim.port.")
+		link, isEnqueued := strings.CutSuffix(rest, ".enqueued_total")
+		if !isPort || !isEnqueued {
 			continue
 		}
 		var a, b int

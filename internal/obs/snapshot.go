@@ -68,13 +68,6 @@ type Snapshot struct {
 	Spans      []SpanPoint
 }
 
-// Snapshotter is implemented by every component that exposes telemetry:
-// the registry itself, and (via their Obs accessors) the instrumented
-// stacks, workers, and trainers.
-type Snapshotter interface {
-	Snapshot() Snapshot
-}
-
 // Snapshot captures the registry's current state — instruments plus
 // whatever the registered sources report — in canonical order. The nil
 // registry yields the empty snapshot.
@@ -96,12 +89,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, src := range r.sources {
 		src(Emit{&s})
 	}
-	// Sorting, then folding equal names as Merge would, is what makes the
-	// arrival order of instruments and sources irrelevant.
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	s.Counters = foldCounters(s.Counters)
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	s.Gauges = foldGauges(s.Gauges)
+	s.Counters = canonCounters(s.Counters)
+	s.Gauges = canonGauges(s.Gauges)
 	//trimlint:allow determinism keys are sorted two lines down; map order never reaches the snapshot
 	for _, h := range r.hists {
 		s.Histograms = append(s.Histograms, h.point())
@@ -112,8 +101,11 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// foldCounters sums adjacent points of the sorted slice that share a name.
-func foldCounters(pts []CounterPoint) []CounterPoint {
+// canonCounters puts points in canonical order: sorted by name, those
+// sharing a name summed into one. It is both how a snapshot absorbs
+// sources in any registration order and how Merge combines two snapshots.
+func canonCounters(pts []CounterPoint) []CounterPoint {
+	sort.Slice(pts, func(i, j int) bool { return pts[i].Name < pts[j].Name })
 	out := pts[:0]
 	for _, p := range pts {
 		if n := len(out); n > 0 && out[n-1].Name == p.Name {
@@ -125,8 +117,10 @@ func foldCounters(pts []CounterPoint) []CounterPoint {
 	return out
 }
 
-// foldGauges keeps the maximum of adjacent points that share a name.
-func foldGauges(pts []GaugePoint) []GaugePoint {
+// canonGauges is canonCounters for gauges: a shared name keeps the
+// maximum, the order-independent choice for an instantaneous value.
+func canonGauges(pts []GaugePoint) []GaugePoint {
+	sort.Slice(pts, func(i, j int) bool { return pts[i].Name < pts[j].Name })
 	out := pts[:0]
 	for _, p := range pts {
 		if n := len(out); n == 0 || out[n-1].Name != p.Name {
@@ -234,55 +228,11 @@ func (s Snapshot) SpanSum(name string, filter ...KV) (total int64, count int) {
 //   - spans: multiset union in canonical order.
 func Merge(a, b Snapshot) Snapshot {
 	var out Snapshot
-	out.Counters = mergeCounters(a.Counters, b.Counters)
-	out.Gauges = mergeGauges(a.Gauges, b.Gauges)
+	out.Counters = canonCounters(append(append([]CounterPoint(nil), a.Counters...), b.Counters...))
+	out.Gauges = canonGauges(append(append([]GaugePoint(nil), a.Gauges...), b.Gauges...))
 	out.Histograms = mergeHistograms(a.Histograms, b.Histograms)
 	out.Spans = append(append([]SpanPoint(nil), a.Spans...), b.Spans...)
 	sortSpans(out.Spans)
-	return out
-}
-
-func mergeCounters(a, b []CounterPoint) []CounterPoint {
-	var out []CounterPoint
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i].Name < b[j].Name):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j].Name < a[i].Name:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, CounterPoint{Name: a[i].Name, Value: a[i].Value + b[j].Value})
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func mergeGauges(a, b []GaugePoint) []GaugePoint {
-	var out []GaugePoint
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i].Name < b[j].Name):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j].Name < a[i].Name:
-			out = append(out, b[j])
-			j++
-		default:
-			v := a[i].Value
-			if b[j].Value > v {
-				v = b[j].Value
-			}
-			out = append(out, GaugePoint{Name: a[i].Name, Value: v})
-			i++
-			j++
-		}
-	}
 	return out
 }
 
