@@ -218,6 +218,68 @@ func BenchmarkE5WirePack(b *testing.B) {
 	}
 }
 
+// BenchmarkE5WireParse measures the receive side of the same row, one
+// sub-benchmark per way a layer touches an arrived packet: validate is a
+// transport's admission (CRCs only), parse materializes a DataPacket, and
+// assemble is the decoder's ingestion (verify + unpack into the row).
+// Half the packets are head-trimmed, as under a congested hop.
+func BenchmarkE5WireParse(b *testing.B) {
+	row := benchRow(1 << 13)
+	c := quant.MustNew(quant.Params{Scheme: quant.Sign})
+	enc, err := c.Encode(row, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	meta, data, err := wire.PackRow(1, 1, 0, enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < len(data); i += 2 {
+		data[i] = wire.Trim(data[i], 0)
+	}
+	mp, err := wire.ParseMetaPacket(meta)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("validate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, pkt := range data {
+				if err := wire.Validate(pkt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, pkt := range data {
+				if _, err := wire.ParseDataPacket(pkt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("assemble", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			asm := wire.NewRowAssembler()
+			if err := asm.AddMeta(mp); err != nil {
+				b.Fatal(err)
+			}
+			for _, pkt := range data {
+				if _, err := asm.AddDataBytes(pkt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !asm.Complete() {
+				b.Fatal("row incomplete")
+			}
+		}
+	})
+}
+
 // BenchmarkE6LayoutAssign measures the magnitude-sorted packet assignment
 // of the Figure 2 layout study.
 func BenchmarkE6LayoutAssign(b *testing.B) {

@@ -379,29 +379,32 @@ func (d *Decoder) handle(pkt []byte) error {
 		d.replayPending(h.Row, asm)
 		return nil
 	}
-	dp, err := wire.ParseDataPacket(pkt)
-	if err != nil {
-		return err
-	}
 	if !asm.HaveMeta() {
-		// Reordered arrival: buffer the packet until its metadata lands.
+		// Reordered arrival: verify the packet now (a corrupt one is
+		// rejected on arrival, never parked) and buffer it until its
+		// metadata lands; it is unpacked once, at replay.
+		if _, _, err := wire.CheckDataPacket(pkt); err != nil {
+			return err
+		}
 		if len(d.pending[h.Row]) >= maxPendingPerRow {
 			return fmt.Errorf("core: row %d pending buffer full", h.Row)
 		}
 		d.pending[h.Row] = append(d.pending[h.Row], pkt)
 		return nil
 	}
-	return d.addData(asm, pkt, dp)
+	return d.addData(asm, pkt)
 }
 
-func (d *Decoder) addData(asm *wire.RowAssembler, pkt []byte, dp *wire.DataPacket) error {
-	if err := asm.AddData(dp); err != nil {
+// addData verifies pkt and unpacks it straight into the row's assembler.
+func (d *Decoder) addData(asm *wire.RowAssembler, pkt []byte) error {
+	h, err := asm.AddDataBytes(pkt)
+	if err != nil {
 		return err
 	}
 	d.stats.Packets++
 	d.stats.BytesReceived += len(pkt)
 	d.obs.packetBytes.Observe(int64(len(pkt)))
-	if dp.Trimmed() {
+	if h.Trimmed() {
 		d.stats.TrimmedPackets++
 	}
 	return nil
@@ -418,12 +421,7 @@ func (d *Decoder) replayPending(row uint32, asm *wire.RowAssembler) {
 	}
 	delete(d.pending, row)
 	for _, pkt := range pkts {
-		dp, err := wire.ParseDataPacket(pkt)
-		if err != nil {
-			d.stats.RejectedPackets++
-			continue
-		}
-		if err := d.addData(asm, pkt, dp); err != nil {
+		if err := d.addData(asm, pkt); err != nil {
 			d.stats.RejectedPackets++
 		}
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"trimgrad/internal/quant"
 	"trimgrad/internal/vecmath"
+	"trimgrad/internal/wire"
 )
 
 // TestHandleCountsRejections verifies the decoder records every refused
@@ -113,5 +115,93 @@ func TestDecoderReordersDataBeforeMeta(t *testing.T) {
 	}
 	if nm := vecmath.NMSE(grad, out); nm > 1e-8 {
 		t.Errorf("NMSE = %g after full reorder", nm)
+	}
+}
+
+// TestHandleDataAllocatesNothing pins the receive-path budget: once a
+// row's metadata is present, a data packet — full or trimmed — is verified
+// and unpacked straight into the row (Decoder) or into reused scratch
+// (SumDecoder) without a single allocation.
+func TestHandleDataAllocatesNothing(t *testing.T) {
+	cfg := testConfig(quant.RHT, 0)
+	enc, err := NewEncoderWith(WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := enc.Encode(1, 9, gaussianGrad(34, 1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoderWith(9, WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := NewSumDecoder(9, 1, WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := msg.Data[0]
+	trimmed := wire.Trim(append([]byte(nil), msg.Data[1]...), 0)
+	for name, handle := range map[string]func([]byte) error{
+		"Decoder": dec.Handle, "SumDecoder": sum.Handle,
+	} {
+		for _, m := range msg.Meta {
+			if err := handle(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, pkt := range [][]byte{full, trimmed} {
+			if err := handle(pkt); err != nil { // first arrival sizes the scratch
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(50, func() { _ = handle(pkt) }); n != 0 {
+				t.Errorf("%s.Handle allocates %v times per %d-byte data packet, want 0", name, n, len(pkt))
+			}
+		}
+	}
+}
+
+// TestEarlyCorruptDataRejectedOnArrival: a data packet that outruns its
+// metadata is verified before it is parked, so corruption is refused (and
+// counted) at once instead of occupying the pending buffer until replay.
+func TestEarlyCorruptDataRejectedOnArrival(t *testing.T) {
+	cfg := testConfig(quant.RHT, 0)
+	enc, err := NewEncoderWith(WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := enc.Encode(1, 9, gaussianGrad(35, 1<<11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), msg.Data[0]...)
+	bad[wire.HeaderSize+1] ^= 0x04
+	dec, err := NewDecoderWith(9, WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := NewSumDecoder(9, 1, WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type decoder interface {
+		Handle([]byte) error
+		Stats() Stats
+	}
+	for name, d := range map[string]decoder{"Decoder": dec, "SumDecoder": sum} {
+		if err := d.Handle(bad); !errors.Is(err, wire.ErrBadChecksum) {
+			t.Fatalf("%s: early corrupt packet: got %v, want ErrBadChecksum", name, err)
+		}
+		if err := d.Handle(msg.Data[0]); err != nil {
+			t.Fatalf("%s: early intact packet should be buffered, got %v", name, err)
+		}
+		for _, m := range msg.Meta {
+			if err := d.Handle(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s := d.Stats(); s.RejectedPackets != 1 || s.Packets != 1 {
+			t.Fatalf("%s: rejected/accepted = %d/%d, want 1/1", name, s.RejectedPackets, s.Packets)
+		}
 	}
 }

@@ -42,6 +42,10 @@ type SumDecoder struct {
 	// contribution accounting across all rows (in original-packet units).
 	headContribs int // coordinates that arrived (any precision) × inputs
 	tailContribs int // coordinates that arrived at full precision × inputs
+	// Per-packet scratch, reused so a plain data packet folds in without
+	// allocating: dp receives the unpacked heads/tails, vals their decode.
+	dp   wire.DataPacket
+	vals []float32
 }
 
 // sumRow is one row's native-domain accumulator.
@@ -52,6 +56,9 @@ type sumRow struct {
 	seed     uint64
 	n        int
 	scales   map[uint32]float64 // flow → reliable scale
+	// decoders caches each flow's native decoder, built from its scale on
+	// the flow's first data packet.
+	decoders map[uint32]*quant.NativeDecoder
 	native   []float32
 	// pending buffers each flow's early data packets until that flow's
 	// metadata lands (aggregates never wait: their values are pre-decoded).
@@ -109,8 +116,9 @@ func (d *SumDecoder) handle(pkt []byte) error {
 	row := d.rows[h.Row]
 	if row == nil {
 		row = &sumRow{
-			scales:  make(map[uint32]float64),
-			pending: make(map[uint32][][]byte),
+			scales:   make(map[uint32]float64),
+			decoders: make(map[uint32]*quant.NativeDecoder),
+			pending:  make(map[uint32][][]byte),
 		}
 		d.rows[h.Row] = row
 	}
@@ -128,19 +136,19 @@ func (d *SumDecoder) handle(pkt []byte) error {
 		}
 		return d.addAgg(row, pkt, ap)
 	default:
-		dp, err := wire.ParseDataPacket(pkt)
-		if err != nil {
-			return err
-		}
 		if _, ok := row.scales[h.Flow]; !ok {
-			// This flow's scale has not arrived yet: buffer and replay.
+			// This flow's scale has not arrived yet: verify the packet now,
+			// buffer it, and unpack it once at replay.
+			if _, _, err := wire.CheckDataPacket(pkt); err != nil {
+				return err
+			}
 			if len(row.pending[h.Flow]) >= maxPendingPerRow {
 				return fmt.Errorf("core: row %d flow %d pending buffer full", h.Row, h.Flow)
 			}
 			row.pending[h.Flow] = append(row.pending[h.Flow], pkt)
 			return nil
 		}
-		return d.addData(row, pkt, dp)
+		return d.addData(row, pkt)
 	}
 }
 
@@ -192,20 +200,20 @@ func (d *SumDecoder) addMeta(row *sumRow, m *wire.MetaPacket) error {
 	}
 	delete(row.pending, m.Flow)
 	for _, pkt := range pkts {
-		dp, err := wire.ParseDataPacket(pkt)
-		if err != nil {
-			d.stats.RejectedPackets++
-			continue
-		}
-		if err := d.addData(row, pkt, dp); err != nil {
+		if err := d.addData(row, pkt); err != nil {
 			d.stats.RejectedPackets++
 		}
 	}
 	return nil
 }
 
-// addData folds one plain data packet into the row's native accumulator.
-func (d *SumDecoder) addData(row *sumRow, pkt []byte, dp *wire.DataPacket) error {
+// addData verifies one plain data packet, unpacks it into the decoder's
+// scratch and folds it into the row's native accumulator.
+func (d *SumDecoder) addData(row *sumRow, pkt []byte) error {
+	dp := &d.dp
+	if err := dp.Unpack(pkt); err != nil {
+		return err
+	}
 	if !row.haveGeom {
 		return errors.New("core: data before metadata")
 	}
@@ -216,12 +224,20 @@ func (d *SumDecoder) addData(row *sumRow, pkt []byte, dp *wire.DataPacket) error
 	if start < 0 || start+count > row.n {
 		return fmt.Errorf("core: packet range [%d,%d) outside row of %d", start, start+count, row.n)
 	}
-	nd, err := quant.NewNativeDecoder(row.scheme, row.p, row.q, row.scales[dp.Flow], row.seed)
-	if err != nil {
-		return err
+	nd := row.decoders[dp.Flow]
+	if nd == nil {
+		var err error
+		nd, err = quant.NewNativeDecoder(row.scheme, row.p, row.q, row.scales[dp.Flow], row.seed)
+		if err != nil {
+			return err
+		}
+		row.decoders[dp.Flow] = nd
 	}
-	vals, err := nd.PacketValues(start, dp.Heads, dp.Tails, dp.TailCount)
-	if err != nil {
+	if cap(d.vals) < count {
+		d.vals = make([]float32, count)
+	}
+	vals := d.vals[:count]
+	if err := nd.PacketValues(vals, start, dp.Heads, dp.Tails, dp.TailCount); err != nil {
 		return err
 	}
 	for i, v := range vals {

@@ -57,22 +57,24 @@ func NewNativeDecoder(scheme Scheme, p, q int, scale float64, seed uint64) (*Nat
 	return d, nil
 }
 
-// PacketValues decodes one packet's coordinates into the native domain.
-// The packet carries heads[i]/tails[i] for row coordinates
-// start..start+len(heads)-1; tails are meaningful only for i < tailCount
-// (the packet's survivor prefix). The returned slice is freshly
-// allocated.
+// PacketValues decodes one packet's coordinates into the native domain,
+// writing them to out, which must have exactly len(heads) entries (callers
+// on a per-packet path keep one slice and reuse it). The packet carries
+// heads[i]/tails[i] for row coordinates start..start+len(heads)-1; tails
+// are meaningful only for i < tailCount (the packet's survivor prefix).
 //
 // The SD dither stream is consumed per row coordinate from index 0, so
 // start positions this packet inside the stream exactly as the full-row
 // decode would.
-func (d *NativeDecoder) PacketValues(start int, heads, tails []uint32, tailCount int) ([]float32, error) {
+func (d *NativeDecoder) PacketValues(out []float32, start int, heads, tails []uint32, tailCount int) error {
 	n := len(heads)
+	if len(out) != n {
+		return fmt.Errorf("quant: output length %d != heads %d", len(out), n)
+	}
 	if len(tails) < tailCount || tailCount > n || tailCount < 0 {
-		return nil, fmt.Errorf("quant: tailCount %d out of range (heads %d, tails %d)",
+		return fmt.Errorf("quant: tailCount %d out of range (heads %d, tails %d)",
 			tailCount, n, len(tails))
 	}
-	out := make([]float32, n)
 	var dither *xrand.Rand
 	if d.scheme == SD {
 		dither = xrand.New(d.seed)
@@ -105,7 +107,7 @@ func (d *NativeDecoder) PacketValues(start int, heads, tails []uint32, tailCount
 			out[i] = float32(edenValue(heads[i], d.centroids) * d.scale)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Rotated reports whether the scheme's native domain is the RHT-rotated

@@ -51,8 +51,8 @@ func TestNativeDecoderMatchesDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v tc=%d: %v", p.Scheme, tc, err)
 			}
-			got, err := nd.PacketValues(0, enc.Heads, enc.Tails, tc)
-			if err != nil {
+			got := make([]float32, n)
+			if err := nd.PacketValues(got, 0, enc.Heads, enc.Tails, tc); err != nil {
 				t.Fatalf("%v tc=%d: %v", p.Scheme, tc, err)
 			}
 			if err := FinalizeNative(enc.Scheme, seed, got); err != nil {
@@ -90,20 +90,24 @@ func TestNativeDecoderPacketSplit(t *testing.T) {
 			t.Fatalf("%v: %v", p.Scheme, err)
 		}
 		for _, tc := range []int{0, n} {
-			whole, err := nd.PacketValues(0, enc.Heads, enc.Tails, tc)
-			if err != nil {
+			// Dirty outputs: PacketValues must store every entry.
+			whole, got := make([]float32, n), make([]float32, n)
+			for i := range got {
+				whole[i], got[i] = 1e30, -1e30
+			}
+			if err := nd.PacketValues(whole, 0, enc.Heads, enc.Tails, tc); err != nil {
 				t.Fatalf("%v: %v", p.Scheme, err)
 			}
 			tc1 := min(tc, split)
-			a, err := nd.PacketValues(0, enc.Heads[:split], enc.Tails[:split], tc1)
-			if err != nil {
+			if err := nd.PacketValues(got[:split], 0, enc.Heads[:split], enc.Tails[:split], tc1); err != nil {
 				t.Fatalf("%v: %v", p.Scheme, err)
 			}
-			b, err := nd.PacketValues(split, enc.Heads[split:], enc.Tails[split:], tc-tc1)
-			if err != nil {
+			if err := nd.PacketValues(got[split:], split, enc.Heads[split:], enc.Tails[split:], tc-tc1); err != nil {
 				t.Fatalf("%v: %v", p.Scheme, err)
 			}
-			got := append(a, b...)
+			if nd.PacketValues(got[:split-1], 0, enc.Heads[:split], enc.Tails[:split], tc1) == nil {
+				t.Fatalf("%v: short output slice accepted", p.Scheme)
+			}
 			for i := range whole {
 				if whole[i] != got[i] {
 					t.Fatalf("%v tc=%d: coord %d: split %v != whole %v",

@@ -342,9 +342,10 @@ func payloadSum(payload []byte) uint32 { return crc32.Checksum(payload, crcTable
 // delivered. Untrimmed packets must match the sender's datagram checksum,
 // which covers opaque application bytes and trimgrad packets alike (and
 // catches flips in the magic itself). A payload claiming to be trimgrad
-// must additionally fully validate — header sanity plus every wire CRC its
-// trim state allows — which is what protects trimmed packets, whose
-// datagram sum the switch invalidated. Failures are counted in
+// must additionally pass wire.Validate — header sanity plus every wire CRC
+// its trim state allows, verified without unpacking a coordinate — which
+// is what protects trimmed packets, whose datagram sum the switch
+// invalidated. Failures are counted in
 // Stats.RejectedPackets and dropped unacked so a flipped bit becomes a
 // recoverable loss, never a delivered bad gradient.
 func (s *Stack) validPayload(p *netsim.Packet, sum uint32) bool {

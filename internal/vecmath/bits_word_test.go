@@ -130,26 +130,76 @@ func TestReadBitsMatchesBitAtATime(t *testing.T) {
 	}
 }
 
-// TestBitWriterOverStaleBuffer pins the arena-reuse contract: a writer laid
-// over a buffer full of stale bytes must produce the same output as one
-// over a fresh buffer, because every byte it touches is written, not OR-ed
-// into garbage.
-func TestBitWriterOverStaleBuffer(t *testing.T) {
-	dirty := make([]byte, 64)
-	for i := range dirty {
-		dirty[i] = 0xFF
+// TestPackUnpackBitsMatchBitWriterReader pins the bulk kernels to the
+// per-value writer/reader for every width 1–32 over counts that leave the
+// stream at every bit offset: PackBits must emit WriteBits' exact bytes
+// into a dirty destination (the arena hands back stale memory) without
+// touching a byte past its return value, and UnpackBits must return
+// ReadBits' values.
+func TestPackUnpackBitsMatchBitWriterReader(t *testing.T) {
+	rng := xrand.New(99)
+	for width := 1; width <= 32; width++ {
+		for _, n := range []int{0, 1, 2, 3, 5, 7, 8, 9, 31, 33, 64, 127, 354} {
+			vals := make([]uint32, n)
+			for i := range vals {
+				vals[i] = uint32(rng.Uint64()) // high bits beyond width must be masked off
+			}
+			var w BitWriter
+			for _, v := range vals {
+				w.WriteBits(uint64(v), width)
+			}
+			want := w.Bytes()
+
+			dst := make([]byte, len(want)+3)
+			for i := range dst {
+				dst[i] = 0xA5
+			}
+			if got := PackBits(dst, vals, width); got != len(want) {
+				t.Fatalf("width %d n %d: PackBits wrote %d bytes, want %d", width, n, got, len(want))
+			}
+			if !bytes.Equal(dst[:len(want)], want) {
+				t.Fatalf("width %d n %d: PackBits bytes differ\n got %x\nwant %x", width, n, dst[:len(want)], want)
+			}
+			for _, b := range dst[len(want):] {
+				if b != 0xA5 {
+					t.Fatalf("width %d n %d: PackBits wrote past its region", width, n)
+				}
+			}
+
+			got := make([]uint32, n)
+			for i := range got {
+				got[i] = 0xFFFFFFFF
+			}
+			UnpackBits(got, want, width)
+			r := NewBitReader(want, n*width)
+			for i := range got {
+				ref, ok := r.ReadBits(width)
+				if !ok || uint64(got[i]) != ref {
+					t.Fatalf("width %d n %d: UnpackBits[%d] = %x, ReadBits = %x (ok=%v)", width, n, i, got[i], ref, ok)
+				}
+			}
+		}
 	}
-	clean := make([]byte, 64)
-	wd := BitWriterOver(dirty)
-	wc := BitWriterOver(clean)
-	rng := xrand.New(3)
-	for i := 0; i < 30; i++ {
-		width := 1 + rng.Intn(13)
-		v := rng.Uint64()
-		wd.WriteBits(v, width)
-		wc.WriteBits(v, width)
+}
+
+// TestPackUnpackBitsRejectBadInput: widths outside [1, 32] and short
+// buffers are caller bugs and must panic rather than write or read out of
+// the region.
+func TestPackUnpackBitsRejectBadInput(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
 	}
-	if !bytes.Equal(wd.Bytes(), wc.Bytes()) {
-		t.Fatalf("stale backing leaked into output:\n got %x\nwant %x", wd.Bytes(), wc.Bytes())
-	}
+	vals := make([]uint32, 9)
+	mustPanic("PackBits width 0", func() { PackBits(make([]byte, 64), vals, 0) })
+	mustPanic("PackBits width 33", func() { PackBits(make([]byte, 64), vals, 33) })
+	mustPanic("PackBits short dst", func() { PackBits(make([]byte, 3), vals, 3) })
+	mustPanic("UnpackBits width 0", func() { UnpackBits(vals, make([]byte, 64), 0) })
+	mustPanic("UnpackBits width 33", func() { UnpackBits(vals, make([]byte, 64), 33) })
+	mustPanic("UnpackBits short src", func() { UnpackBits(vals, make([]byte, 3), 3) })
 }

@@ -119,47 +119,46 @@ func ParseAggPacket(buf []byte) (*AggPacket, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !h.IsAgg() || h.IsMeta() || h.IsNaive() {
-		return nil, ErrNotAgg
-	}
-	if h.P != 32 || h.Q != 32 {
-		return nil, fmt.Errorf("wire: implausible aggregate P=%d Q=%d", h.P, h.Q)
-	}
-	if h.Flow == 0 {
-		return nil, fmt.Errorf("wire: aggregate input count 0")
-	}
-	hr := headRegion(buf, &h)
-	if hr == nil {
-		return nil, fmt.Errorf("%w: aggregate S region incomplete", ErrTooShort)
-	}
-	if headerChecksum(buf, hr) != binary.BigEndian.Uint32(buf[offHeadCRC:]) {
-		return nil, fmt.Errorf("%w (aggregate S region)", ErrBadChecksum)
+	tailCount, err := checkAgg(buf, &h)
+	if err != nil {
+		return nil, err
 	}
 	p := &AggPacket{
-		Header: h,
-		Sums:   make([]float32, h.Count),
+		Header:    h,
+		Sums:      make([]float32, h.Count),
+		TailSums:  make([]float32, h.Count),
+		TailCount: tailCount,
 	}
-	for i := range p.Sums {
-		p.Sums[i] = math.Float32frombits(binary.BigEndian.Uint32(hr[4*i:]))
-	}
-
-	tailStart := HeaderSize + h.HeadBytes()
-	tailBuf := buf[tailStart:min(len(buf), tailStart+h.TailBytes())]
-	p.TailCount = len(tailBuf) / 4
-	if p.TailCount > int(h.Count) {
-		p.TailCount = int(h.Count)
-	}
-	tailCRC := binary.BigEndian.Uint32(buf[offTailCRC:])
-	if len(tailBuf) == h.TailBytes() && (!h.Trimmed() || tailCRC != 0) {
-		if checksum(tailBuf) != tailCRC {
-			return nil, fmt.Errorf("%w (aggregate T region)", ErrBadChecksum)
-		}
-	}
-	p.TailSums = make([]float32, int(h.Count))
-	for i := 0; i < p.TailCount; i++ {
-		p.TailSums[i] = math.Float32frombits(binary.BigEndian.Uint32(tailBuf[4*i:]))
-	}
+	unpackFloats(p.Sums, buf[HeaderSize:])
+	unpackFloats(p.TailSums[:tailCount], buf[HeaderSize+h.HeadBytes():])
 	return p, nil
+}
+
+// checkAgg makes every accept/reject decision about buf as an aggregate
+// packet whose header is h, without allocating, and returns the survivor
+// prefix length.
+func checkAgg(buf []byte, h *Header) (tailCount int, err error) {
+	if !h.IsAgg() || h.IsMeta() || h.IsNaive() {
+		return 0, ErrNotAgg
+	}
+	if h.P != 32 || h.Q != 32 {
+		return 0, fmt.Errorf("wire: implausible aggregate P=%d Q=%d", h.P, h.Q)
+	}
+	if h.Flow == 0 {
+		return 0, fmt.Errorf("wire: aggregate input count 0")
+	}
+	hr := headRegion(buf, h)
+	if hr == nil {
+		return 0, fmt.Errorf("%w: aggregate S region incomplete", ErrTooShort)
+	}
+	if headerChecksum(buf, hr) != binary.BigEndian.Uint32(buf[offHeadCRC:]) {
+		return 0, fmt.Errorf("%w (aggregate S region)", ErrBadChecksum)
+	}
+	tailBuf := tailRegion(buf, h)
+	if !tailCRCHolds(buf, h, tailBuf) {
+		return 0, fmt.Errorf("%w (aggregate T region)", ErrBadChecksum)
+	}
+	return wholeTails(h, tailBuf), nil
 }
 
 // MetaInfo is the per-(flow, message, row) side information a merging
@@ -180,8 +179,9 @@ type aggSide struct {
 }
 
 // decompose turns a queued payload (plain data packet or aggregate) into
-// native-domain S/T vectors.
-func decompose(buf []byte, h *Header, metaOf func(flow, msg, row uint32) (MetaInfo, bool)) (aggSide, error) {
+// native-domain S/T vectors. dp is the caller's unpack scratch for the
+// plain-packet case.
+func decompose(buf []byte, h *Header, metaOf func(flow, msg, row uint32) (MetaInfo, bool), dp *DataPacket) (aggSide, error) {
 	if h.IsAgg() {
 		ap, err := ParseAggPacket(buf)
 		if err != nil {
@@ -193,8 +193,7 @@ func decompose(buf []byte, h *Header, metaOf func(flow, msg, row uint32) (MetaIn
 			inputs: ap.Flow,
 		}, nil
 	}
-	dp, err := ParseDataPacket(buf)
-	if err != nil {
+	if err := dp.Unpack(buf); err != nil {
 		return aggSide{}, err
 	}
 	meta, ok := metaOf(h.Flow, h.Message, h.Row)
@@ -208,12 +207,11 @@ func decompose(buf []byte, h *Header, metaOf func(flow, msg, row uint32) (MetaIn
 	// S: every coordinate decoded as if trimmed; T: full decodes for the
 	// survivor prefix. Two passes keep the SD dither stream aligned in
 	// both.
-	sums, err := nd.PacketValues(int(h.Start), dp.Heads, dp.Tails, 0)
-	if err != nil {
+	sums, full := make([]float32, h.Count), make([]float32, h.Count)
+	if err := nd.PacketValues(sums, int(h.Start), dp.Heads, dp.Tails, 0); err != nil {
 		return aggSide{}, err
 	}
-	full, err := nd.PacketValues(int(h.Start), dp.Heads, dp.Tails, dp.TailCount)
-	if err != nil {
+	if err := nd.PacketValues(full, int(h.Start), dp.Heads, dp.Tails, dp.TailCount); err != nil {
 		return aggSide{}, err
 	}
 	return aggSide{sums: sums, tails: full[:dp.TailCount], inputs: 1}, nil
@@ -247,11 +245,12 @@ func MergeTrimmable(a, b []byte, metaOf func(flow, msg, row uint32) (MetaInfo, b
 		ha.Count != hb.Count || ha.Seed != hb.Seed {
 		return nil, ErrMergeKey
 	}
-	sa, err := decompose(a, &ha, metaOf)
+	var dp DataPacket // unpack scratch: a and b share Count, so b reuses a's slices
+	sa, err := decompose(a, &ha, metaOf, &dp)
 	if err != nil {
 		return nil, err
 	}
-	sb, err := decompose(b, &hb, metaOf)
+	sb, err := decompose(b, &hb, metaOf, &dp)
 	if err != nil {
 		return nil, err
 	}

@@ -240,8 +240,8 @@ func TestMergeTrimmablePlainMatchesNativeDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode := func(heads, tails []uint32, tc int) []float32 {
-		vals, err := nd.PacketValues(int(h.Start), heads, tails, tc)
-		if err != nil {
+		vals := make([]float32, len(heads))
+		if err := nd.PacketValues(vals, int(h.Start), heads, tails, tc); err != nil {
 			t.Fatal(err)
 		}
 		return vals

@@ -39,7 +39,9 @@ func BuildDataPacketTo(a *Arena, h Header, heads, tails []uint32) ([]byte, error
 		return nil, fmt.Errorf("wire: count %d != heads %d / tails %d",
 			h.Count, len(heads), len(tails))
 	}
-	if h.P == 0 || int(h.P)+int(h.Q) > 33 {
+	// P is held to the receiver's 1..16 (CheckDataPacket would refuse the
+	// packet otherwise); P+Q ≤ 33 is the quantizers' sign+float32 budget.
+	if h.P < 1 || h.P > 16 || int(h.P)+int(h.Q) > 33 {
 		return nil, fmt.Errorf("wire: invalid P=%d Q=%d", h.P, h.Q)
 	}
 	if h.FullSize() > MaxPayload {
@@ -48,26 +50,17 @@ func BuildDataPacketTo(a *Arena, h Header, heads, tails []uint32) ([]byte, error
 	}
 	h.Flags &^= FlagTrimmed | FlagMeta | FlagNaive
 
-	// Serialize both bit regions directly into buf's spare capacity:
-	// FullSize covers header + heads + tails, so neither writer can
-	// outgrow the backing array, and the packet costs at most one
-	// allocation (none on an arena hit). Recycled buffers arrive dirty;
-	// every byte below is written, never OR-ed into prior contents.
-	buf := a.Get(h.FullSize())[:HeaderSize]
+	// Both bit regions are packed straight into the packet buffer, so the
+	// packet costs at most one allocation (none on an arena hit). Recycled
+	// buffers arrive dirty; PackBits stores every byte of a region whole,
+	// never OR-ing into prior contents.
+	buf := a.Get(h.FullSize())
 	h.marshal(buf)
-
-	hw := vecmath.BitWriterOver(buf[HeaderSize:])
-	for _, v := range heads {
-		hw.WriteBits(uint64(v), int(h.P))
+	headEnd := HeaderSize + h.HeadBytes()
+	vecmath.PackBits(buf[HeaderSize:headEnd], heads, int(h.P))
+	if h.Q > 0 {
+		vecmath.PackBits(buf[headEnd:], tails, int(h.Q))
 	}
-	buf = buf[:HeaderSize+len(hw.Bytes())]
-	headEnd := len(buf)
-
-	tw := vecmath.BitWriterOver(buf[headEnd:])
-	for _, v := range tails {
-		tw.WriteBits(uint64(v), int(h.Q))
-	}
-	buf = buf[:headEnd+len(tw.Bytes())]
 
 	binary.BigEndian.PutUint32(buf[offHeadCRC:], headerChecksum(buf, buf[HeaderSize:headEnd]))
 	binary.BigEndian.PutUint32(buf[offTailCRC:], checksum(buf[headEnd:]))
@@ -77,74 +70,124 @@ func BuildDataPacketTo(a *Arena, h Header, heads, tails []uint32) ([]byte, error
 // ParseDataPacket decodes a (possibly trimmed) data packet. The head region
 // must be complete and pass its CRC; tails are recovered for as many
 // leading coordinates as the surviving bytes allow. The tail CRC is only
-// verified when the full untrimmed tail region is present.
+// verified when the full untrimmed tail region is present. It is
+// CheckDataPacket followed by an unpack into a fresh DataPacket.
 func ParseDataPacket(buf []byte) (*DataPacket, error) {
-	h, err := ParseHeader(buf)
-	if err != nil {
+	p := new(DataPacket)
+	if err := p.Unpack(buf); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// Unpack is ParseDataPacket into p, reusing the capacity of p.Heads and
+// p.Tails, so a receiver that keeps one DataPacket as scratch parses
+// without allocating. Entries of p.Tails at or beyond TailCount keep
+// whatever an earlier Unpack left there. On error p is unchanged.
+func (p *DataPacket) Unpack(buf []byte) error {
+	h, tailCount, err := CheckDataPacket(buf)
+	if err != nil {
+		return err
+	}
+	p.Header, p.TailCount = h, tailCount
+	p.Heads = resize(p.Heads, int(h.Count))
+	p.Tails = resize(p.Tails, int(h.Count))
+	unpackData(buf, &h, tailCount, p.Heads, p.Tails)
+	return nil
+}
+
+// resize returns s with length n, reallocating only when cap(s) < n.
+func resize(s []uint32, n int) []uint32 {
+	if cap(s) < n {
+		return make([]uint32, n)
+	}
+	return s[:n]
+}
+
+// CheckDataPacket makes every accept/reject decision about buf as a
+// (possibly trimmed) data packet — header sanity, kind, P/Q plausibility,
+// a complete head region, the head CRC, and the tail CRC whenever the trim
+// state leaves one to verify — without unpacking a single coordinate or
+// allocating. It returns the header and how many leading coordinates still
+// have their tails. ParseDataPacket, DataPacket.Unpack,
+// RowAssembler.AddDataBytes and Validate all decide through this function,
+// so a packet is accepted by one of them exactly when it is by all.
+func CheckDataPacket(buf []byte) (h Header, tailCount int, err error) {
+	h, err = ParseHeader(buf)
+	if err != nil {
+		return h, 0, err
+	}
+	tailCount, err = checkData(buf, &h)
+	return h, tailCount, err
+}
+
+// checkData is CheckDataPacket for a header already parsed from buf.
+func checkData(buf []byte, h *Header) (tailCount int, err error) {
 	if h.IsMeta() || h.IsNaive() || h.IsAgg() {
-		return nil, ErrNotData
+		return 0, ErrNotData
 	}
 	// Reject forged/corrupt geometry before any bit arithmetic: heads are
 	// 1..16 bits, tails 0..32 bits per coordinate.
 	if h.P < 1 || h.P > 16 || h.Q > 32 {
-		return nil, fmt.Errorf("wire: implausible P=%d Q=%d", h.P, h.Q)
+		return 0, fmt.Errorf("wire: implausible P=%d Q=%d", h.P, h.Q)
 	}
-	hr := headRegion(buf, &h)
+	hr := headRegion(buf, h)
 	if hr == nil {
-		return nil, fmt.Errorf("%w: head region incomplete", ErrTooShort)
+		return 0, fmt.Errorf("%w: head region incomplete", ErrTooShort)
 	}
 	if headerChecksum(buf, hr) != binary.BigEndian.Uint32(buf[offHeadCRC:]) {
-		return nil, fmt.Errorf("%w (head region)", ErrBadChecksum)
+		return 0, fmt.Errorf("%w (head region)", ErrBadChecksum)
 	}
+	tailBuf := tailRegion(buf, h)
+	if !tailCRCHolds(buf, h, tailBuf) {
+		return 0, fmt.Errorf("%w (tail region)", ErrBadChecksum)
+	}
+	return wholeTails(h, tailBuf), nil
+}
 
-	p := &DataPacket{
-		Header: h,
-		Heads:  make([]uint32, h.Count),
-		Tails:  make([]uint32, h.Count),
+// wholeTails returns how many leading coordinates have their whole Q-bit
+// tail inside tailBuf, the surviving tail region.
+func wholeTails(h *Header, tailBuf []byte) int {
+	if h.Q == 0 {
+		// With no tail bits there is nothing to trim away: every coordinate
+		// is complete as soon as its head arrives.
+		return int(h.Count)
 	}
-	br := vecmath.NewBitReader(hr, int(h.P)*int(h.Count))
-	for i := range p.Heads {
-		v, ok := br.ReadBits(int(h.P))
-		if !ok {
-			return nil, fmt.Errorf("%w: head bits exhausted", ErrTooShort)
-		}
-		p.Heads[i] = uint32(v)
-	}
+	return min(len(tailBuf)*8/int(h.Q), int(h.Count))
+}
 
-	tailStart := HeaderSize + h.HeadBytes()
-	tailBuf := buf[tailStart:min(len(buf), tailStart+h.TailBytes())]
-	if h.Q > 0 {
-		p.TailCount = len(tailBuf) * 8 / int(h.Q)
-		if p.TailCount > int(h.Count) {
-			p.TailCount = int(h.Count)
-		}
-	} else {
-		// With no tail bits there is nothing to trim away: every
-		// coordinate is complete as soon as its head arrives.
-		p.TailCount = int(h.Count)
-	}
-	// Verify the tail CRC whenever the full tail region survived. A
-	// genuinely trimmed packet has its tail CRC zeroed by the switch; a
-	// nonzero CRC on a "trimmed" full-length packet means the flag was
-	// corrupted in flight, and the stored CRC still convicts the tails.
+// tailRegion returns whatever survives of buf's tail region; buf must hold
+// a complete head region.
+func tailRegion(buf []byte, h *Header) []byte {
+	start := HeaderSize + h.HeadBytes()
+	return buf[start:min(len(buf), start+h.TailBytes())]
+}
+
+// tailCRCHolds reports whether the surviving tail region is consistent
+// with the stored tail CRC. The CRC is verified whenever the full region
+// survived: a genuinely trimmed packet has its tail CRC zeroed by the
+// switch, so a nonzero CRC on a "trimmed" full-length packet means the flag
+// was corrupted in flight, and the stored CRC still convicts the tails. A
+// shortened region carries no checksum and always holds.
+func tailCRCHolds(buf []byte, h *Header, tailBuf []byte) bool {
 	tailCRC := binary.BigEndian.Uint32(buf[offTailCRC:])
 	if len(tailBuf) == h.TailBytes() && (!h.Trimmed() || tailCRC != 0) {
-		if checksum(tailBuf) != tailCRC {
-			return nil, fmt.Errorf("%w (tail region)", ErrBadChecksum)
-		}
+		return checksum(tailBuf) == tailCRC
 	}
-	tr := vecmath.NewBitReader(tailBuf, -1)
-	for i := 0; i < p.TailCount; i++ {
-		v, ok := tr.ReadBits(int(h.Q))
-		if !ok {
-			p.TailCount = i
-			break
-		}
-		p.Tails[i] = uint32(v)
+	return true
+}
+
+// unpackData bit-unpacks a checked data packet: all h.Count heads into
+// heads and the first tailCount tails into tails, each slice indexed from
+// the packet's first coordinate. It cannot fail — checkData established
+// that buf holds those bits.
+func unpackData(buf []byte, h *Header, tailCount int, heads, tails []uint32) {
+	vecmath.UnpackBits(heads[:h.Count], buf[HeaderSize:], int(h.P))
+	if h.Q == 0 {
+		clear(tails[:tailCount])
+		return
 	}
-	return p, nil
+	vecmath.UnpackBits(tails[:tailCount], buf[HeaderSize+h.HeadBytes():], int(h.Q))
 }
 
 // checksum computes CRC-32C over b.
@@ -237,11 +280,4 @@ func Trim(buf []byte, targetSize int) []byte {
 	out[offFlags] |= FlagTrimmed
 	binary.BigEndian.PutUint32(out[offTailCRC:], 0)
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -54,20 +54,29 @@ func ParseMetaPacket(buf []byte) (*MetaPacket, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !h.IsMeta() {
-		return nil, ErrNotMeta
-	}
-	if len(buf) < MetaSize {
-		return nil, fmt.Errorf("%w: metadata payload incomplete", ErrTooShort)
+	if err := checkMeta(buf, &h); err != nil {
+		return nil, err
 	}
 	pl := buf[HeaderSize:MetaSize]
-	if headerChecksum(buf, pl) != binary.BigEndian.Uint32(buf[offHeadCRC:]) {
-		return nil, fmt.Errorf("%w (metadata)", ErrBadChecksum)
-	}
 	return &MetaPacket{
 		Header: h,
 		Scheme: pl[0],
 		N:      binary.BigEndian.Uint32(pl[4:]),
 		Scale:  math.Float64frombits(binary.BigEndian.Uint64(pl[8:])),
 	}, nil
+}
+
+// checkMeta makes every accept/reject decision about buf as a metadata
+// packet whose header is h, without allocating.
+func checkMeta(buf []byte, h *Header) error {
+	if !h.IsMeta() {
+		return ErrNotMeta
+	}
+	if len(buf) < MetaSize {
+		return fmt.Errorf("%w: metadata payload incomplete", ErrTooShort)
+	}
+	if headerChecksum(buf, buf[HeaderSize:MetaSize]) != binary.BigEndian.Uint32(buf[offHeadCRC:]) {
+		return fmt.Errorf("%w (metadata)", ErrBadChecksum)
+	}
+	return nil
 }

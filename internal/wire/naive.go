@@ -57,31 +57,43 @@ func ParseNaivePacket(buf []byte) (*NaivePacket, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !h.IsNaive() {
-		return nil, ErrNotNaive
+	n, err := checkNaive(buf, &h)
+	if err != nil {
+		return nil, err
 	}
-	n := (len(buf) - HeaderSize) / 4
-	if n > int(h.Count) {
-		n = int(h.Count)
+	p := &NaivePacket{Header: h, Values: make([]float32, n), ValueCount: n}
+	unpackFloats(p.Values, buf[HeaderSize:])
+	return p, nil
+}
+
+// unpackFloats reads len(dst) big-endian float32s from src.
+func unpackFloats(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.BigEndian.Uint32(src[4*i:]))
+	}
+}
+
+// checkNaive makes every accept/reject decision about buf as a naive
+// packet whose header is h, without allocating, and returns how many whole
+// floats survived.
+func checkNaive(buf []byte, h *Header) (valueCount int, err error) {
+	if !h.IsNaive() {
+		return 0, ErrNotNaive
+	}
+	n := min((len(buf)-HeaderSize)/4, int(h.Count))
+	if h.Trimmed() {
+		return n, nil // a trimmed naive payload carries no checksum
 	}
 	// An untrimmed packet claiming more floats than it carries is corrupt
 	// or forged — only a trimming switch legitimately shortens a packet.
-	if !h.Trimmed() && n < int(h.Count) {
-		return nil, fmt.Errorf("%w: untrimmed naive packet carries %d of %d floats",
+	if n < int(h.Count) {
+		return 0, fmt.Errorf("%w: untrimmed naive packet carries %d of %d floats",
 			ErrTooShort, n, h.Count)
 	}
-	if !h.Trimmed() && n == int(h.Count) {
-		full := buf[HeaderSize : HeaderSize+4*int(h.Count)]
-		if headerChecksum(buf, full) != binary.BigEndian.Uint32(buf[offHeadCRC:]) {
-			return nil, fmt.Errorf("%w (naive payload)", ErrBadChecksum)
-		}
+	if headerChecksum(buf, buf[HeaderSize:HeaderSize+4*n]) != binary.BigEndian.Uint32(buf[offHeadCRC:]) {
+		return 0, fmt.Errorf("%w (naive payload)", ErrBadChecksum)
 	}
-	p := &NaivePacket{Header: h, Values: make([]float32, n), ValueCount: n}
-	for i := 0; i < n; i++ {
-		p.Values[i] = math.Float32frombits(
-			binary.BigEndian.Uint32(buf[HeaderSize+4*i:]))
-	}
-	return p, nil
+	return n, nil
 }
 
 // NaiveFloatsPerPacket is how many whole floats fit in one MTU frame.

@@ -9,12 +9,16 @@ func IsTrimgrad(buf []byte) bool {
 	return len(buf) >= offVersion && binary.BigEndian.Uint16(buf[offMagic:]) == Magic
 }
 
-// Validate fully parses buf as whichever packet kind its flags claim,
-// verifying every checksum the packet's trim state allows. A nil return
-// means the surviving bytes are intact; note that the tail bytes of a
-// trimmed packet carry no checksum (Trim zeroes the tail CRC), so
-// corruption confined to a trimmed tail is undetectable by design — the
-// decode path treats those coordinates as lossy anyway.
+// Validate verifies buf as whichever packet kind its flags claim: header
+// sanity, geometry, and every checksum the packet's trim state allows. It
+// runs exactly the checks the kind's Parse*Packet runs (both call the same
+// function), so Validate(buf) == nil precisely when that parse succeeds —
+// but it unpacks nothing and allocates nothing, which is what lets a
+// transport admit a packet for the price of its CRCs. A nil return means
+// the surviving bytes are intact; note that the tail bytes of a trimmed
+// packet carry no checksum (Trim zeroes the tail CRC), so corruption
+// confined to a trimmed tail is undetectable by design — the decode path
+// treats those coordinates as lossy anyway.
 func Validate(buf []byte) error {
 	h, err := ParseHeader(buf)
 	if err != nil {
@@ -22,13 +26,13 @@ func Validate(buf []byte) error {
 	}
 	switch {
 	case h.IsMeta():
-		_, err = ParseMetaPacket(buf)
+		err = checkMeta(buf, &h)
 	case h.IsNaive():
-		_, err = ParseNaivePacket(buf)
+		_, err = checkNaive(buf, &h)
 	case h.IsAgg():
-		_, err = ParseAggPacket(buf)
+		_, err = checkAgg(buf, &h)
 	default:
-		_, err = ParseDataPacket(buf)
+		_, err = checkData(buf, &h)
 	}
 	return err
 }

@@ -120,8 +120,8 @@ go run ./tools/metricsval "$metrics_tmp"
 step "obs overhead guard (encode hot path, Nop vs live registry)"
 go test -run 'TestObsOverheadGuard' -count=1 .
 
-step "fuzz smoke (wire parsers + Trim + aggregate merge, 2s each)"
-for target in FuzzParseDataPacket FuzzParseMetaPacket FuzzParseNaivePacket FuzzTrim FuzzTrimPreservesHeads FuzzAggregateMerge FuzzParseAggPacket; do
+step "fuzz smoke (wire parsers + Trim + aggregate merge + validate/parse parity, 2s each)"
+for target in FuzzParseDataPacket FuzzParseMetaPacket FuzzParseNaivePacket FuzzTrim FuzzTrimPreservesHeads FuzzAggregateMerge FuzzParseAggPacket FuzzValidateMatchesParse; do
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 2s ./internal/wire
 done
 

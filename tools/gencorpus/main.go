@@ -81,6 +81,7 @@ func main() {
 
 	for _, target := range []string{
 		"FuzzParseDataPacket", "FuzzParseMetaPacket", "FuzzParseNaivePacket", "FuzzTrim",
+		"FuzzValidateMatchesParse",
 	} {
 		writeEntry(target, "valid-data", data)
 		writeEntry(target, "trimmed-data", trimmed)
@@ -131,5 +132,20 @@ func main() {
 	writeEntry("FuzzParseAggPacket", "corrupt-sums", corrupt(aggFull, wire.HeaderSize+3))
 	writeEntry("FuzzParseAggPacket", "truncated", aggFull[:wire.HeaderSize+9])
 	writeEntry("FuzzParseAggPacket", "valid-data", data)
+
+	// Validate-vs-parse corpus: every kind above (the loop already wrote
+	// the data, meta and naive shapes) plus the aggregates, and the two
+	// trim states whose tail-CRC rule differs — a trimmed flag on a
+	// full-length packet with its CRC kept, and with it zeroed.
+	writeEntry("FuzzValidateMatchesParse", "valid-agg", aggFull)
+	writeEntry("FuzzValidateMatchesParse", "trimmed-agg", aggTrimmed)
+	writeEntry("FuzzValidateMatchesParse", "corrupt-agg-sums", corrupt(aggFull, wire.HeaderSize+3))
+	writeEntry("FuzzValidateMatchesParse", "corrupt-tail", corrupt(data, len(data)-2))
+	flagged := append([]byte(nil), data...)
+	flagged[3] |= wire.FlagTrimmed // byte 3 is flags; the head CRC normalises this bit out
+	writeEntry("FuzzValidateMatchesParse", "trimmed-flag-full-length", flagged)
+	zeroed := append([]byte(nil), flagged...)
+	copy(zeroed[36:40], []byte{0, 0, 0, 0})
+	writeEntry("FuzzValidateMatchesParse", "trimmed-flag-zero-tailcrc", zeroed)
 	fmt.Println("wrote corpora under", corpusRoot)
 }
