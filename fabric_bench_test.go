@@ -32,7 +32,8 @@ func fabricStar(sim *netsim.Sim) *netsim.Topology {
 // packet crossing the fabric (two hops: host→switch→host) on the fast
 // path: Sim.NewPacket records recycled on delivery, typed events
 // dispatched without closures. The "pooled" sub-benchmark name is kept so
-// the BENCH_<date>.json trajectory stays comparable.
+// the BENCH_<date>.json trajectory stays comparable; "borrowed-sharded"
+// records the same hop with a payload on board.
 func BenchmarkFabricHop(b *testing.B) {
 	const pkts = 256
 	const hops = pkts * 2
@@ -54,6 +55,42 @@ func BenchmarkFabricHop(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			send()
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+	})
+	// The path the repository benchmark's fabric workloads take: a sharded
+	// engine (keyed event order) carrying unstamped payloads that the sender
+	// keeps and resends. Host.Send borrows them, so allocs/hop must match
+	// the payload-free arm above.
+	b.Run("borrowed-sharded", func(b *testing.B) {
+		sim := netsim.NewSim()
+		star := fabricStar(sim)
+		eng, err := netsim.ShardTopology(star, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		payload := make([]byte, 1500-wire.NetOverhead)
+		send := func() {
+			for j := 0; j < pkts; j++ {
+				pkt := sim.NewPacket()
+				pkt.Dst = star.Hosts[(j+1)%4].ID()
+				pkt.Size = 1500
+				pkt.Payload = payload
+				star.Hosts[j%4].Send(pkt)
+			}
+			eng.Run()
+		}
+		send()
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			send()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*hops), "allocs/hop")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
 	})
 }
@@ -166,9 +203,9 @@ func BenchmarkShardFabric(b *testing.B) {
 }
 
 // BenchmarkArenaChaos measures the stamped-arena fast path under the
-// aliasing faults that used to force the copy path (DESIGN.md §16):
+// aliasing faults that once forced a payload copy (DESIGN.md §16):
 // reordering plus duplication on the first host's link. "fresh" allocates
-// every payload at send time — the cost the old unconditional copy paid —
+// every payload at send time — what a sender without an arena pays —
 // while "arena" recycles generation-stamped buffers, so its steady-state
 // allocs/hop must sit within 2× of the clean fabric's pooled budget (the
 // only remaining allocations are the duplicates' defensive clones).

@@ -16,8 +16,9 @@ import (
 )
 
 // E15 — the stamped-arena fast path under chaos and sharding. The same
-// incast workload runs with payload buffers copied at injection ("copy")
-// and recycled through generation-stamped arenas ("arena"), across fault
+// incast workload runs with payload buffers the fabric borrows read-only
+// from the sender ("borrowed": nobody recycles them, the GC does) and
+// recycled through generation-stamped arenas ("arena"), across fault
 // mixes (clean, reorder+duplicate on every sender uplink) and shard
 // counts. The table reports wall clock per cell and, crucially, whether
 // the two paths — and every shard count — produced bit-identical
@@ -77,7 +78,8 @@ func runArenaSweepCell(chaos, useArena bool, shards, dim int, o Options) (digest
 	}
 
 	// Stacks bind after partitioning; the arena rows close the per-host
-	// Get → send → recycle loop the copy rows pay an injection copy for.
+	// Get → send → recycle loop, where the borrowed rows allocate every
+	// message's buffers afresh.
 	stacks := map[int]*transport.Stack{}
 	arenas := map[int]*wire.Arena{}
 	stackFor := func(h int) (*transport.Stack, error) {
@@ -150,7 +152,8 @@ func runArenaSweepCell(chaos, useArena bool, shards, dim int, o Options) (digest
 }
 
 // runArenaSweep is the E15 sweep: fault mix × shard count × payload path,
-// with the copy path at each (faults, shards) as the identity reference.
+// with the 1-shard borrowed path of each fault mix as the identity
+// reference.
 func runArenaSweep(w io.Writer, o Options) error {
 	mixes := []bool{false, true}
 	shardCounts := []int{1, 2, 4}
@@ -160,7 +163,7 @@ func runArenaSweep(w io.Writer, o Options) error {
 		shardCounts = []int{1, 2}
 		dim = 1 << 12
 	}
-	t := NewTable("Stamped-arena fast path: copy vs arena × fault mix × shards (E15)",
+	t := NewTable("Stamped-arena fast path: borrowed vs arena × fault mix × shards (E15)",
 		"faults", "shards", "path", "completed", "stale_drops", "wall_ms", "identical")
 	for _, chaos := range mixes {
 		mixName := "clean"
@@ -170,7 +173,7 @@ func runArenaSweep(w io.Writer, o Options) error {
 		refDigest := ""
 		for _, shards := range shardCounts {
 			for _, useArena := range []bool{false, true} {
-				path := "copy"
+				path := "borrowed"
 				if useArena {
 					path = "arena"
 				}
@@ -188,7 +191,7 @@ func runArenaSweep(w io.Writer, o Options) error {
 				} else {
 					identical = fmt.Sprintf("%v", digest == refDigest)
 					if digest != refDigest {
-						return fmt.Errorf("exp: arenasweep %s: %d-shard %s output diverges from the 1-shard copy reference",
+						return fmt.Errorf("exp: arenasweep %s: %d-shard %s output diverges from the 1-shard borrowed reference",
 							mixName, shards, path)
 					}
 				}
@@ -202,5 +205,5 @@ func runArenaSweep(w io.Writer, o Options) error {
 }
 
 func init() {
-	register(Runner{"arenasweep", "stamped-arena fast path: copy-vs-arena bit-identity under chaos and sharding (E15)", runArenaSweep})
+	register(Runner{"arenasweep", "stamped-arena fast path: borrowed-vs-arena bit-identity under chaos and sharding (E15)", runArenaSweep})
 }

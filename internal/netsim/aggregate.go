@@ -86,7 +86,7 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 		metaOf = noMeta
 	}
 	for _, prio := range []Priority{PrioHigh, PrioNormal} {
-		for _, qpkt := range p.q[prio] {
+		for _, qpkt := range p.q[prio].queued() {
 			if qpkt.Dst != pkt.Dst || qpkt.Payload == nil || !wire.IsTrimgrad(qpkt.Payload) {
 				continue
 			}
@@ -164,6 +164,7 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet,
 		qpkt.PayloadOwner, qpkt.PayloadGen = nil, 0
 	}
 	qpkt.Payload = merged
+	qpkt.ownsPayload = true
 	qpkt.Size += delta
 	qpkt.Control = ctl
 	qpkt.Trimmed = mh.Trimmed()

@@ -7,7 +7,7 @@ import "fmt"
 // traffic and background flows colliding inside a multi-tier fabric —
 // scaled down to simulable sizes. Both install ECMP route tables: every
 // inter-rack destination has all equal-cost next hops registered, and the
-// per-switch seeded flow hash (Switch.nextHop) picks one per flow, so
+// per-switch seeded flow hash (Switch.egress) picks one per flow, so
 // runs are bit-identical across repeats while flows still spread.
 
 // FatTreeConfig parameterizes NewFatTree.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"trimgrad/internal/obs"
@@ -261,6 +262,47 @@ func (s *PortStats) emit(e obs.Emit, prefix string) {
 	e.Gauge(prefix+"max_queue_bytes", s.MaxQueueBytes)
 }
 
+// pktQueue is one priority's FIFO over a single backing array. A dequeue
+// nils its slot and advances head rather than re-slicing the front away
+// (which would leak the capacity behind it and regrow for the life of the
+// port); a drained queue rewinds to the start of its array, and a push
+// that finds the array full slides the live packets down over a dead front
+// half before it would grow. Steady traffic therefore reuses one array
+// sized to about twice the deepest backlog, and a drained queue holds no
+// *Packet (TestPortQueueReleasesDequeued).
+type pktQueue struct {
+	pkts []*Packet
+	head int
+}
+
+func (q *pktQueue) empty() bool { return q.head == len(q.pkts) }
+
+// queued returns the resident packets in FIFO order (a view, not a copy).
+func (q *pktQueue) queued() []*Packet { return q.pkts[q.head:] }
+
+func (q *pktQueue) push(pkt *Packet) {
+	if len(q.pkts) == cap(q.pkts) && q.head > 0 && q.head >= len(q.pkts)/2 {
+		// At least half the array is dequeued slots: moving the live half
+		// down costs no more than the slots it frees, so pushes stay O(1)
+		// amortised without growing.
+		n := copy(q.pkts, q.pkts[q.head:])
+		clear(q.pkts[n:])
+		q.pkts, q.head = q.pkts[:n], 0
+	}
+	//trimlint:owner transfer the port queue owns queued packets; transmitNext hands them onward and drop sites release them
+	q.pkts = append(q.pkts, pkt)
+}
+
+func (q *pktQueue) pop() *Packet {
+	pkt := q.pkts[q.head]
+	q.pkts[q.head] = nil
+	q.head++
+	if q.head == len(q.pkts) {
+		q.pkts, q.head = q.pkts[:0], 0
+	}
+	return pkt
+}
+
 // Port is one output port: a two-priority byte-bounded queue feeding a
 // transmitter with finite bandwidth and propagation delay.
 type Port struct {
@@ -274,7 +316,7 @@ type Port struct {
 	peerSim *Sim
 	link    LinkConfig
 	cfg     QueueConfig
-	q       [2][]*Packet // index by Priority
+	q       [2]pktQueue // index by Priority
 	bytes   [2]int
 	busy    bool
 	lossRNG *xrand.Rand
@@ -390,8 +432,7 @@ func (p *Port) admit(pkt *Packet) {
 }
 
 func (p *Port) push(pkt *Packet) {
-	//trimlint:owner transfer the port queue owns queued packets; transmitNext hands them onward and drop sites release them
-	p.q[pkt.Prio] = append(p.q[pkt.Prio], pkt)
+	p.q[pkt.Prio].push(pkt)
 	p.bytes[pkt.Prio] += pkt.Size
 	p.Stats.Enqueued++
 	depth := p.QueuedBytes()
@@ -405,19 +446,16 @@ func (p *Port) push(pkt *Packet) {
 }
 
 func (p *Port) transmitNext() {
-	var pkt *Packet
-	for _, prio := range []Priority{PrioHigh, PrioNormal} {
-		if len(p.q[prio]) > 0 {
-			pkt = p.q[prio][0]
-			p.q[prio] = p.q[prio][1:]
-			p.bytes[prio] -= pkt.Size
-			break
+	prio := PrioHigh
+	if p.q[PrioHigh].empty() {
+		if p.q[PrioNormal].empty() {
+			p.busy = false
+			return
 		}
+		prio = PrioNormal
 	}
-	if pkt == nil {
-		p.busy = false
-		return
-	}
+	pkt := p.q[prio].pop()
+	p.bytes[prio] -= pkt.Size
 	p.busy = true
 	tx := Time(int64(pkt.Size) * 8 * int64(Second) / p.link.Bandwidth)
 	p.sim.afterTxDone(tx, p, pkt)
@@ -442,6 +480,11 @@ func (p *Port) onTxDone(pkt *Packet) {
 // are load-balanced by a deterministic seeded flow hash (ECMP), so a
 // flow's packets always take one path and same-seed runs pick identical
 // paths.
+//
+// routes and ports are the configuration, written by the topology
+// builders; packets are forwarded through fwd, the two resolved into one
+// destination-indexed table, so a hop costs an array index instead of two
+// map probes.
 type Switch struct {
 	id       NodeID
 	sim      *Sim
@@ -449,12 +492,25 @@ type Switch struct {
 	ports    map[NodeID]*Port // keyed by next-hop node id
 	routes   map[NodeID][]NodeID
 	ecmpSeed uint64
+	// fwd[dst-fwdBase] locates dst's equal-cost set, as output ports in hash
+	// bucket order, inside fwdPorts (a nil *Port is a next hop that is not a
+	// connected neighbour). Built by the first Deliver after any change to
+	// routes or ports — each of which resets fwd to nil — and only ever
+	// touched from the switch's own simulator, so sharding needs no lock.
+	fwd      []fwdEntry
+	fwdBase  NodeID
+	fwdPorts []*Port
 	// metaCache holds metadata snooped for the aggregation merge path
 	// (nil until the first metadata packet passes an aggregating switch).
 	metaCache map[aggMetaKey]wire.MetaInfo
 	// RouteMisses counts packets with no route (dropped).
 	RouteMisses int
 }
+
+// fwdEntry is one destination's slice of Switch.fwdPorts: n ports starting
+// at off. Eight bytes, so a table over a fat tree's whole id range stays a
+// few cache lines per pod.
+type fwdEntry struct{ off, n uint32 }
 
 // ID implements Node.
 func (s *Switch) ID() NodeID { return s.id }
@@ -470,13 +526,17 @@ func (s *Switch) attach(peer Node, link LinkConfig) error {
 	s.ports[peer.ID()] = p
 	// A directly-connected peer routes to itself by default.
 	s.routes[peer.ID()] = []NodeID{peer.ID()}
+	s.fwd = nil
 	return nil
 }
 
 // SetRoute directs traffic for dst through nextHop alone, replacing any
 // previously installed next-hop set (which must be a connected neighbour
 // by the time packets flow).
-func (s *Switch) SetRoute(dst, nextHop NodeID) { s.routes[dst] = []NodeID{nextHop} }
+func (s *Switch) SetRoute(dst, nextHop NodeID) {
+	s.routes[dst] = []NodeID{nextHop}
+	s.fwd = nil
+}
 
 // AddRoute appends nextHop to dst's equal-cost next-hop set (ignoring
 // exact duplicates). Insertion order is the hash bucket order, so
@@ -488,6 +548,7 @@ func (s *Switch) AddRoute(dst, nextHop NodeID) {
 		}
 	}
 	s.routes[dst] = append(s.routes[dst], nextHop)
+	s.fwd = nil
 }
 
 // NextHops returns dst's equal-cost next-hop set (a copy, in hash bucket
@@ -500,19 +561,52 @@ func (s *Switch) NextHops(dst NodeID) []NodeID {
 // from the network's WithECMPSeed at construction).
 func (s *Switch) SetECMPSeed(seed uint64) { s.ecmpSeed = seed }
 
-// nextHop resolves dst's forwarding decision for one flow: the ECMP hash
-// (see ecmpHash) indexes into the equal-cost set, so a flow's packets
-// always leave through the same port.
-func (s *Switch) nextHop(src, dst NodeID, flow uint64) (NodeID, bool) {
-	hops := s.routes[dst]
-	switch len(hops) {
-	case 0:
-		return 0, false
-	case 1:
-		return hops[0], true
+// buildFwd resolves routes through ports into the forwarding table. Node
+// ids are dense in every builder (hosts from 0, switches from
+// SwitchIDBase), so the table spans the routed destinations' id range.
+func (s *Switch) buildFwd() {
+	s.fwd, s.fwdBase, s.fwdPorts = []fwdEntry{}, 0, nil // non-nil: built, even if empty
+	if len(s.routes) == 0 {
+		return
 	}
-	h := ecmpHash(s.ecmpSeed, s.id, src, dst, flow)
-	return hops[h%uint64(len(hops))], true
+	lo, hi, hops := NodeID(math.MaxInt), NodeID(math.MinInt), 0
+	//trimlint:allow determinism min, max and a sum are order-independent
+	for dst, next := range s.routes {
+		lo, hi = min(lo, dst), max(hi, dst)
+		hops += len(next)
+	}
+	s.fwd, s.fwdBase = make([]fwdEntry, hi-lo+1), lo
+	s.fwdPorts = make([]*Port, 0, hops)
+	//trimlint:allow determinism each destination fills its own table entry; order never shows in a decision
+	for dst, next := range s.routes {
+		s.fwd[dst-lo] = fwdEntry{off: uint32(len(s.fwdPorts)), n: uint32(len(next))}
+		for _, hop := range next {
+			s.fwdPorts = append(s.fwdPorts, s.ports[hop])
+		}
+	}
+}
+
+// egress is the forwarding decision for one flow: dst's table entry and,
+// when that holds more than one equal-cost port, the ECMP hash (see
+// ecmpHash) indexing into it, so a flow's packets always leave through the
+// same port. Nil means no route.
+func (s *Switch) egress(src, dst NodeID, flow uint64) *Port {
+	if s.fwd == nil {
+		s.buildFwd()
+	}
+	i := dst - s.fwdBase
+	if i < 0 || int(i) >= len(s.fwd) {
+		return nil
+	}
+	switch e := s.fwd[i]; e.n {
+	case 0:
+		return nil
+	case 1:
+		return s.fwdPorts[e.off]
+	default:
+		h := ecmpHash(s.ecmpSeed, s.id, src, dst, flow)
+		return s.fwdPorts[e.off+uint32(h%uint64(e.n))]
+	}
 }
 
 // ecmpHash is the deterministic ECMP flow hash: the xrand.Seed mixer over
@@ -550,14 +644,8 @@ func (s *Switch) Deliver(pkt *Packet) {
 	if s.cfg.AggregateTrimmable {
 		s.snoopMeta(pkt)
 	}
-	next, ok := s.nextHop(pkt.Src, pkt.Dst, pkt.FlowID)
-	if !ok {
-		s.RouteMisses++
-		s.sim.releasePacket(pkt)
-		return
-	}
-	port, ok := s.ports[next]
-	if !ok {
+	port := s.egress(pkt.Src, pkt.Dst, pkt.FlowID)
+	if port == nil {
 		s.RouteMisses++
 		s.sim.releasePacket(pkt)
 		return
@@ -617,6 +705,14 @@ func (h *Host) Deliver(pkt *Packet) {
 // stamped automatically. A paused or crashed host silently drops its own
 // sends: its peers observe silence, exactly what a crash looks like from
 // the network.
+//
+// The payload is borrowed, never copied: from this call on its bytes are
+// immutable. The fabric reads them in place at every hop and on every
+// shard, and a trimming switch copies the kept prefix rather than write
+// them (Packet.TrimTo), so the caller may keep the slice and send it again
+// (a retransmission) but must not write it again — unless it is stamped
+// with a wire.Arena (PayloadOwner), whose flight count tells the arena
+// when the last in-flight reader is gone and the buffer may be recycled.
 func (h *Host) Send(pkt *Packet) {
 	if h.uplink == nil {
 		panic(fmt.Sprintf("netsim: host %d is not attached", h.id))
@@ -629,22 +725,9 @@ func (h *Host) Send(pkt *Packet) {
 	pkt.Src = h.id
 	if pkt.PayloadOwner != nil {
 		// Generation-stamped payload (DESIGN.md §16): the stamp becomes an
-		// in-flight reference. The arena parks any Put while references
-		// remain, so the buffer cannot be recycled under this packet, and
-		// in-flight mutation is ruled out by copy-on-trim plus the
-		// write-free checksum — which is what makes the zero-copy fast
-		// path legal even across shard boundaries and under aliasing
-		// faults.
+		// in-flight reference, so the arena parks any Put while this packet
+		// lives instead of recycling the buffer under it.
 		pkt.PayloadOwner.AddFlight(pkt.Payload)
-	} else if h.sim.eng != nil && pkt.Payload != nil {
-		// Unstamped payload on a sharded simulator: the transport may
-		// retain the slice for retransmission with no arena tracking the
-		// aliasing, so copying at injection keeps a single owner chain —
-		// exactly one shard touches the bytes at any virtual time, with
-		// hand-off barriers ordering the transfers. Done at every shard
-		// count (1 included) so the bit-identity contract compares like
-		// with like; stamped senders skip the copy everywhere.
-		pkt.Payload = append([]byte(nil), pkt.Payload...)
 	}
 	h.uplink.Enqueue(pkt)
 }

@@ -306,6 +306,169 @@ func TestRouteMissCounted(t *testing.T) {
 	}
 }
 
+// TestForwardingTableFollowsRouteChanges pins the lazily built forwarding
+// table against its configuration: routes and links installed after
+// traffic has already flowed (so after the table was built) take effect on
+// the very next packet, an ECMP set keeps its hash-bucket order across a
+// rebuild, a next hop with no link behind it is a miss only for the flows
+// that hash to it, and every miss — unknown destination, id below or above
+// the table's range, unconnected next hop — still counts in RouteMisses.
+func TestForwardingTableFollowsRouteChanges(t *testing.T) {
+	sim := NewSim()
+	net := NewNetwork(sim)
+	a, b, c := net.AddHost(1), net.AddHost(2), net.AddHost(3)
+	s1 := net.AddSwitch(SwitchIDBase, QueueConfig{})
+	s2 := net.AddSwitch(SwitchIDBase+1, QueueConfig{})
+	s3 := net.AddSwitch(SwitchIDBase+2, QueueConfig{})
+	net.Connect(a.ID(), s1.ID(), fastLink())
+	net.Connect(b.ID(), s2.ID(), fastLink())
+	net.Connect(s1.ID(), s2.ID(), fastLink())
+	got := map[NodeID]int{}
+	b.Handler = func(*Packet) { got[b.ID()]++ }
+	c.Handler = func(*Packet) { got[c.ID()]++ }
+	send := func(dst NodeID, flow uint64) {
+		a.Send(&Packet{Dst: dst, Size: 100, FlowID: flow})
+		sim.Run()
+	}
+
+	// No route to host 2 yet: a miss, which also builds s1's table.
+	send(2, 0)
+	if s1.RouteMisses != 1 || got[2] != 0 {
+		t.Fatalf("before SetRoute: misses %d, delivered %d; want 1, 0", s1.RouteMisses, got[2])
+	}
+	// SetRoute after traffic started.
+	s1.SetRoute(2, s2.ID())
+	send(2, 0)
+	if s1.RouteMisses != 1 || got[2] != 1 {
+		t.Fatalf("after SetRoute: misses %d, delivered %d; want 1, 1", s1.RouteMisses, got[2])
+	}
+	// Ids outside the table's range on either side, and an unknown id in it.
+	for _, dst := range []NodeID{-7, 0, 500, SwitchIDBase + 900} {
+		send(dst, 0)
+	}
+	if s1.RouteMisses != 5 {
+		t.Fatalf("out-of-range and unknown destinations: misses %d, want 5", s1.RouteMisses)
+	}
+
+	// AddRoute after traffic started: host 3 becomes reachable over two
+	// equal-cost hops, the second of which has no link yet. Flows hashing
+	// to the first arrive; flows hashing to the second miss.
+	net.Connect(c.ID(), s2.ID(), fastLink())
+	s1.AddRoute(3, s2.ID())
+	s1.AddRoute(3, s3.ID())
+	const flows = 64
+	bucket := func(flow uint64) uint64 { return ecmpHash(0, s1.ID(), a.ID(), 3, flow) % 2 }
+	viaS2 := 0
+	for f := uint64(0); f < flows; f++ {
+		if bucket(f) == 0 {
+			viaS2++
+		}
+		send(3, f)
+	}
+	if viaS2 == 0 || viaS2 == flows {
+		t.Fatalf("degenerate hash split %d/%d", viaS2, flows)
+	}
+	if got[3] != viaS2 || s1.RouteMisses != 5+flows-viaS2 {
+		t.Fatalf("half-wired ECMP set: delivered %d (want %d), misses %d (want %d)",
+			got[3], viaS2, s1.RouteMisses, 5+flows-viaS2)
+	}
+	if p := (&Topology{Net: net}).PathFor(a.ID(), 3, 0); (p != nil) != (bucket(0) == 0) {
+		t.Fatalf("PathFor = %v disagrees with the forwarding decision (bucket %d)", p, bucket(0))
+	}
+
+	// NewLink after traffic started: wiring s3 completes the set, bucket
+	// order unchanged, so every flow now arrives.
+	if err := net.NewLink(s1.ID(), s3.ID(), fastLink()); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.NewLink(s3.ID(), s2.ID(), fastLink()); err != nil {
+		t.Fatal(err)
+	}
+	s3.SetRoute(3, s2.ID())
+	misses := s1.RouteMisses
+	got[3] = 0
+	for f := uint64(0); f < flows; f++ {
+		send(3, f)
+	}
+	if got[3] != flows || s1.RouteMisses != misses || s3.RouteMisses != 0 {
+		t.Fatalf("after NewLink: delivered %d/%d, new misses s1 %d s3 %d",
+			got[3], flows, s1.RouteMisses-misses, s3.RouteMisses)
+	}
+	if n := s3.Port(s2.ID()).Stats.Transmitted; n != flows-viaS2 {
+		t.Fatalf("s3 carried %d flows, want the %d that hash to the second bucket", n, flows-viaS2)
+	}
+}
+
+// TestPortQueueReleasesDequeued pins the head-indexed queue's two promises:
+// a drained port's backing arrays hold no *Packet (the record may be
+// recycled or collected the moment it leaves), and steady traffic reuses
+// one array instead of regrowing behind a sliding window.
+func TestPortQueueReleasesDequeued(t *testing.T) {
+	sim := NewSim()
+	star := NewStar(sim, 2, LinkConfig{Bandwidth: Mbps(100), Delay: 0},
+		QueueConfig{CapacityBytes: 1 << 20})
+	port := star.Tier(TierEdge)[0].Port(1)
+	star.Hosts[1].Handler = func(*Packet) {}
+	burst := func(n int) {
+		for i := 0; i < n; i++ {
+			prio := PrioNormal
+			if i%3 == 0 {
+				prio = PrioHigh
+			}
+			star.Hosts[0].Send(&Packet{Dst: 1, Size: 200, Prio: prio})
+		}
+		sim.Run()
+	}
+	burst(100)
+	caps := [2]int{cap(port.q[PrioNormal].pkts), cap(port.q[PrioHigh].pkts)}
+	for round := 0; round < 50; round++ {
+		burst(100)
+	}
+	for prio := range port.q {
+		q := &port.q[prio]
+		if !q.empty() || q.head != 0 || len(q.pkts) != 0 {
+			t.Fatalf("prio %d: drained queue not rewound: head %d len %d", prio, q.head, len(q.pkts))
+		}
+		for i, p := range q.pkts[:cap(q.pkts)] {
+			if p != nil {
+				t.Fatalf("prio %d: slot %d of the drained queue still holds a packet", prio, i)
+			}
+		}
+		if cap(q.pkts) != caps[prio] {
+			t.Fatalf("prio %d: array regrew from %d to %d slots under a repeating load", prio, caps[prio], cap(q.pkts))
+		}
+	}
+
+	// A queue that never drains — one in for every one out — must settle on
+	// one array too: pushes reclaim the dequeued front instead of growing.
+	var q pktQueue
+	for i := 0; i < 40; i++ {
+		q.push(&Packet{Seq: uint64(i)})
+	}
+	next, settled := uint64(0), 0
+	for i := 40; i < 10000; i++ {
+		if got := q.pop().Seq; got != next {
+			t.Fatalf("popped seq %d, want %d", got, next)
+		}
+		next++
+		q.push(&Packet{Seq: uint64(i)})
+		if i == 1000 {
+			settled = cap(q.pkts)
+		}
+	}
+	if cap(q.pkts) != settled || settled > 4*40 {
+		t.Fatalf("a 40-deep queue holds %d slots after 1000 cycles and %d after 10000; want one array of at most 160", settled, cap(q.pkts))
+	}
+	if n := len(q.queued()); n != 40 {
+		t.Fatalf("queued %d, want 40", n)
+	}
+	for _, p := range q.pkts[:q.head] {
+		if p != nil {
+			t.Fatal("a dequeued slot still holds its packet")
+		}
+	}
+}
+
 func TestCrossTrafficPoisson(t *testing.T) {
 	sim := NewSim()
 	star := NewStar(sim, 2, fastLink(), QueueConfig{CapacityBytes: 1 << 20})

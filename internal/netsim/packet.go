@@ -25,7 +25,10 @@ type Packet struct {
 	Src, Dst NodeID
 	Size     int
 	Prio     Priority
-	// Payload holds trimgrad wire bytes; nil for opaque traffic.
+	// Payload holds trimgrad wire bytes; nil for opaque traffic. The bytes
+	// are immutable once the packet is handed to Host.Send (which states
+	// the contract): the fabric shares them read-only with the sender, and
+	// a trim copies the kept prefix instead of writing them (TrimTo).
 	Payload []byte
 	// FlowID tags the packet for flow-level statistics.
 	FlowID uint64
@@ -54,6 +57,11 @@ type Packet struct {
 	// to the fabric.
 	PayloadGen uint64
 
+	// ownsPayload marks Payload as this packet's private buffer — made by
+	// a trim, Clone, or an aggregation merge inside the fabric, referenced
+	// by nobody else — so a further trim may rewrite it in place.
+	ownsPayload bool
+
 	// pooled marks a record obtained from Sim.NewPacket. The fabric
 	// recycles pooled records at their terminal point (host delivery or
 	// drop); plain &Packet{} literals stay unpooled and are left to the
@@ -74,6 +82,7 @@ func (p *Packet) Clone() *Packet {
 	q.pooled = false
 	if p.Payload != nil {
 		q.Payload = append([]byte(nil), p.Payload...)
+		q.ownsPayload = true
 	}
 	// The copy is privately owned: no stamp, no flight to retire.
 	q.PayloadOwner, q.PayloadGen = nil, 0
@@ -101,28 +110,34 @@ func (p *Packet) Trimmable() bool {
 // TrimTo trims the payload toward target total wire bytes (payload +
 // NetOverhead) and updates Size, Trimmed, and Prio. It reports whether any
 // bytes were actually removed.
+//
+// Trimming is the one place the fabric changes payload bytes, and it never
+// writes a buffer it does not own (DESIGN.md §16): a payload still shared
+// with its sender — borrowed or arena-stamped — is trimmed into a private
+// copy of the kept prefix only, leaving the sender's retransmit buffer
+// intact and, on a sharded fabric, never racing a sender-side read. A
+// stamped buffer's flight is retired there, since this packet no longer
+// references it. A payload the packet already owns is cut in place.
 func (p *Packet) TrimTo(target int) bool {
 	if p.Payload == nil {
 		return false
 	}
-	if p.PayloadOwner != nil {
-		// Copy-on-trim (DESIGN.md §16): wire.Trim rewrites the flags byte
-		// and tail CRC in place, but a stamped payload is the sender's
-		// retransmit buffer shared zero-copy — writing it here would poison
-		// retries and, on a sharded fabric, race a concurrent sender-side
-		// read. The trim mutates a private copy; the shared buffer's flight
-		// is retired since this packet no longer references it.
-		owner, old := p.PayloadOwner, p.Payload
-		p.Payload = append([]byte(nil), old...)
-		p.PayloadOwner, p.PayloadGen = nil, 0
-		owner.EndFlight(old)
-	}
 	want := target - wire.NetOverhead
-	trimmed := wire.Trim(p.Payload, want)
+	var trimmed []byte
+	if p.ownsPayload {
+		trimmed = wire.Trim(p.Payload, want)
+	} else {
+		trimmed = wire.TrimCopy(p.Payload, want)
+	}
 	if len(trimmed) >= len(p.Payload) {
 		return false
 	}
+	if p.PayloadOwner != nil {
+		p.PayloadOwner.EndFlight(p.Payload)
+		p.PayloadOwner, p.PayloadGen = nil, 0
+	}
 	p.Payload = trimmed
+	p.ownsPayload = true
 	p.Size = len(trimmed) + wire.NetOverhead
 	p.Trimmed = true
 	p.Prio = PrioHigh

@@ -25,6 +25,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"trimgrad/internal/obs"
@@ -141,16 +142,21 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
-// Wheel geometry. A slot spans 2^slotShift nanoseconds (≈4.1 µs — a few
-// packet serializations at 10 Gb/s), and the wheel covers numSlots slots
-// (≈1 ms). Per-packet events (tx, propagation, queueing) land in the
-// wheel; protocol timers (RTOs at 100s of µs after backoff, experiment
-// deadlines) spill into the overflow heap, which is exactly the
-// cheap-near/rare-far split a fabric simulation wants.
+// Wheel geometry. A slot spans 2^slotShift nanoseconds (256 ns — about a
+// fifth of one MTU serialization at 10 Gb/s, so a busy fabric drains a
+// handful of events per tick, not dozens), and the wheel covers numSlots
+// slots (≈1 ms).
+// Per-packet events (tx, propagation, queueing) and first RTOs land in the
+// wheel; backed-off protocol timers and experiment deadlines spill into
+// the overflow heap, which is exactly the cheap-near/rare-far split a
+// fabric simulation wants. The constants were picked by measurement
+// (DESIGN.md §11 has the table); they are not an option.
 const (
-	slotShift = 12
-	numSlots  = 256
+	slotShift = 8
+	numSlots  = 4096
 	slotMask  = numSlots - 1
+	// occWords is the size of the slot-occupancy bitmap: one bit per slot.
+	occWords = numSlots / 64
 )
 
 // Sim is a deterministic discrete-event scheduler. The zero value is not
@@ -175,9 +181,12 @@ type Sim struct {
 	stopped bool
 	obs     *obs.Registry
 
-	curTick  int64
-	cur      eventHeap
-	slots    [numSlots]*event
+	curTick int64
+	cur     eventHeap
+	slots   [numSlots]*event
+	// occ has bit i set exactly when slots[i] is non-empty, so advance finds
+	// the next occupied slot a word at a time instead of probing every one.
+	occ      [occWords]uint64
 	nSlots   int // events resident in slot chains
 	overflow eventHeap
 	npend    int
@@ -353,6 +362,7 @@ func (s *Sim) place(ev *event) {
 		idx := tick & slotMask
 		ev.next = s.slots[idx]
 		s.slots[idx] = ev
+		s.occ[idx>>6] |= 1 << (idx & 63)
 		s.nSlots++
 	default:
 		s.overflow.push(ev)
@@ -364,26 +374,45 @@ func (s *Sim) place(ev *event) {
 // tick into cur. Precondition: cur is empty and npend > 0.
 func (s *Sim) advance() {
 	if s.nSlots > 0 {
-		for i := int64(1); i < numSlots; i++ {
-			tick := s.curTick + i
-			idx := tick & slotMask
-			if s.slots[idx] != nil {
-				s.curTick = tick
-				s.drainSlot(idx)
-				s.migrate()
-				return
-			}
-		}
+		// Every resident slot event has a tick in (curTick, curTick+numSlots),
+		// so the first occupied slot in ring order after curTick's own index
+		// is the earliest tick, and its ring distance is the tick delta.
+		idx := s.nextOccupied((s.curTick + 1) & slotMask)
+		s.curTick += (idx - s.curTick) & slotMask
+		s.drainSlot(idx)
+		s.migrate()
+		return
 	}
 	// Wheel empty: jump straight to the overflow minimum's tick.
 	s.curTick = int64(s.overflow[0].at) >> slotShift
 	s.migrate()
 }
 
+// nextOccupied returns the index of the first occupied slot at or after
+// from in ring order (wrapping past numSlots-1 to 0). Precondition: some
+// slot is occupied.
+func (s *Sim) nextOccupied(from int64) int64 {
+	w := from >> 6
+	// The starting word first, from bit from&63 up; then whole words round
+	// the ring; the starting word's low bits are the last stretch, reached
+	// when the loop comes back to it (those at or above from&63 are known
+	// clear by then).
+	if m := s.occ[w] >> (from & 63) << (from & 63); m != 0 {
+		return w<<6 + int64(bits.TrailingZeros64(m))
+	}
+	for {
+		w = (w + 1) & (occWords - 1)
+		if m := s.occ[w]; m != 0 {
+			return w<<6 + int64(bits.TrailingZeros64(m))
+		}
+	}
+}
+
 // drainSlot moves a slot chain into the working heap.
 func (s *Sim) drainSlot(idx int64) {
 	ev := s.slots[idx]
 	s.slots[idx] = nil
+	s.occ[idx>>6] &^= 1 << (idx & 63)
 	for ev != nil {
 		next := ev.next
 		ev.next = nil

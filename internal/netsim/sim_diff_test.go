@@ -156,6 +156,9 @@ func FuzzTimerWheel(f *testing.F) {
 		seed[i] = byte(rng.Uint64())
 	}
 	f.Add(seed)
+	for _, seed := range wheelWrapSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref := &refSim{}
 		wheel := NewSim()
@@ -166,6 +169,179 @@ func FuzzTimerWheel(f *testing.F) {
 			t.Fatalf("processed %d (heap) != %d (wheel)", ref.processed, wheel.Processed)
 		}
 	})
+}
+
+// wheelOps encodes runScenario operands (24 bits each, big endian).
+func wheelOps(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = append(b, byte(v>>16), byte(v>>8), byte(v))
+	}
+	return b
+}
+
+// delayOp returns the operand delayFor maps to delay d through case kind
+// (d must be below that case's modulus).
+func delayOp(kind uint64, d Time) uint64 {
+	for r := uint64(0); r < 8; r++ {
+		if v := uint64(d)<<3 | r; v%6 == kind {
+			return v
+		}
+	}
+	panic("unreachable: eight consecutive values cover every residue mod 6")
+}
+
+// wheelWrapSeeds are schedule programs that walk curTick to the end of the
+// ring and then schedule across the wrap: slot indices numerically below
+// the current one, an event alone in the window's last slot, and overflow
+// events that migrate into slots either side of an occupancy-word boundary.
+// Operands are laid out in the order runScenario draws them; the tail of
+// ones means "one zero-delay child, never stop, no extra roots".
+func wheelWrapSeeds() [][]byte {
+	const tick = Time(1) << slotShift
+	in := func(d Time) uint64 { return delayOp(2, d) }  // lands in the wheel
+	far := func(d Time) uint64 { return delayOp(3, d) } // lands in overflow
+	const twoPhases, noStop = 0, 1
+	run := delayOp(4, 2*Millisecond) // the first RunUntil covers every event below
+	tail := make([]uint64, 48)
+	for i := range tail {
+		tail[i] = 1
+	}
+	seed := func(head ...uint64) []byte { return wheelOps(append(head, tail...)...) }
+	return [][]byte{
+		// Two roots at ring indices numSlots-3 and numSlots-2. The first
+		// fans out to indices 2 and numSlots-1 and to the last slot of its
+		// window; the second to index 68, in the next occupancy word.
+		seed(0, in((numSlots-3)*tick+5), in((numSlots-2)*tick), twoPhases, run,
+			3, in(5*tick), in(2*tick+9), in((numSlots-1)*tick), noStop,
+			1, in(70*tick), noStop),
+		// A root at index 60 and four overflow roots 62..66 ticks past the
+		// horizon. The root's children land at index 59 of the next lap
+		// (below the current index), in overflow at index 61, and at index
+		// 123 — reaching which migrates all five overflow events into slots
+		// 61..66, either side of the word boundary at 64.
+		seed(3, in(60*tick), far((numSlots+62)*tick), far((numSlots+63)*tick),
+			far((numSlots+64)*tick+1), far((numSlots+66)*tick), twoPhases, run,
+			3, in((numSlots-1)*tick), far((numSlots+1)*tick), in(63*tick), noStop),
+	}
+}
+
+// checkOccupancy asserts the bitmap invariant: bit i is set exactly when
+// slot i holds a chain, and nSlots counts the chained events.
+func checkOccupancy(t *testing.T, s *Sim) {
+	t.Helper()
+	n := 0
+	for i := range s.slots {
+		set := s.occ[i>>6]&(1<<(i&63)) != 0
+		if set != (s.slots[i] != nil) {
+			t.Fatalf("slot %d: occupancy bit %v, chain present %v", i, set, s.slots[i] != nil)
+		}
+		for ev := s.slots[i]; ev != nil; ev = ev.next {
+			n++
+		}
+	}
+	if n != s.nSlots {
+		t.Fatalf("nSlots = %d, chains hold %d", s.nSlots, n)
+	}
+}
+
+// ringSpy is a Sim whose callbacks check the occupancy invariant and count
+// how often the wheel's ring index moved backwards between two fires — a
+// wrap past the end of the slot array.
+type ringSpy struct {
+	*Sim
+	t     *testing.T
+	last  int64
+	wraps int
+}
+
+func (r *ringSpy) After(d Time, fn func()) {
+	r.Sim.After(d, func() {
+		checkOccupancy(r.t, r.Sim)
+		if idx := r.curTick & slotMask; idx < r.last {
+			r.wraps++
+			r.last = idx
+		} else {
+			r.last = idx
+		}
+		fn()
+	})
+}
+
+// TestWheelOccupancyWrap drives the bitmap search where it is easiest to
+// get wrong — the ring seam. Hand-built schedules cover a slot index
+// numerically below the current one, a lone event numSlots-1 ticks out
+// (found only after the search has gone round every word and come back to
+// the low bits of the one it started in), and overflow events migrating
+// into both sides of an occupancy-word boundary; each must replay the
+// reference heap, keep bit i ⇔ slot i non-empty at every fire, and leave
+// the bitmap clear. The fuzz seeds must actually cross the seam.
+func TestWheelOccupancyWrap(t *testing.T) {
+	const tick = Time(1) << slotShift
+	type child struct {
+		parent int  // index into the schedule, -1 for a root
+		d      Time // delay from the parent's firing time (from 0 for roots)
+	}
+	schedules := map[string][]child{
+		"index below current": {
+			{-1, (numSlots-3)*tick + 1},
+			{0, 5 * tick}, {0, 2 * tick}, {0, 10*tick + 7}, {0, tick},
+		},
+		"lone event in the last slot": {
+			{-1, 70*tick + 3}, // ring index 70: word 1, bit 6
+			{0, (numSlots - 1) * tick},
+			{1, (numSlots - 1) * tick},
+		},
+		"one past the horizon": {
+			{-1, 5 * tick},
+			{0, numSlots * tick}, {0, (numSlots - 1) * tick},
+		},
+		"overflow across a word boundary": {
+			{-1, tick},
+			{-1, (numSlots + 62) * tick}, {-1, (numSlots + 63) * tick},
+			{-1, (numSlots+64)*tick + 2}, {-1, (numSlots + 65) * tick},
+			{-1, (2*numSlots + 63) * tick}, {-1, (2*numSlots + 64) * tick},
+			{3, (numSlots - 1) * tick},
+		},
+	}
+	play := func(s scheduler, prog []child) []string {
+		var trace []string
+		var arm func(i int)
+		arm = func(i int) {
+			s.After(prog[i].d, func() {
+				trace = append(trace, fmt.Sprintf("fire %d @%d", i, s.Now()))
+				for j := range prog {
+					if prog[j].parent == i {
+						arm(j)
+					}
+				}
+			})
+		}
+		for i := range prog {
+			if prog[i].parent == -1 {
+				arm(i)
+			}
+		}
+		s.Run()
+		return append(trace, fmt.Sprintf("end now=%d pending=%d", s.Now(), s.Pending()))
+	}
+	for name, prog := range schedules {
+		t.Run(name, func(t *testing.T) {
+			spy := &ringSpy{Sim: NewSim(), t: t}
+			diffTraces(t, play(&refSim{}, prog), play(spy, prog))
+			checkOccupancy(t, spy.Sim)
+			if spy.occ != [occWords]uint64{} {
+				t.Fatal("drained wheel left occupancy bits set")
+			}
+		})
+	}
+	for i, seed := range wheelWrapSeeds() {
+		spy := &ringSpy{Sim: NewSim(), t: t}
+		diffTraces(t, runScenario(&refSim{}, seed), runScenario(spy, seed))
+		if spy.wraps == 0 {
+			t.Errorf("fuzz seed %d never crossed the ring seam", i)
+		}
+	}
 }
 
 // TestSimDrainedHoldsNoEventReferences pins the satellite fix for the old

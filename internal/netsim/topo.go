@@ -122,15 +122,11 @@ func (t *Topology) PathFor(src, dst NodeID, flow uint64) []NodeID {
 		if !ok {
 			return nil
 		}
-		next, ok := sw.nextHop(src, dst, flow)
-		if !ok {
+		port := sw.egress(src, dst, flow)
+		if port == nil {
 			return nil
 		}
-		peer := t.Net.Node(next)
-		if peer == nil {
-			return nil
-		}
-		at = peer
+		at = port.peer
 	}
 	return nil
 }

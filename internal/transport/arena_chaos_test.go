@@ -10,7 +10,7 @@ import (
 )
 
 // arenaDiffOutcome is everything observable about one chaos transfer that
-// the arena-vs-copy bit-identity contract covers: the delivery stream (a
+// the arena-vs-borrowed bit-identity contract covers: the delivery stream (a
 // running hash of every payload, in order), timings, and both stacks'
 // stats.
 type arenaDiffOutcome struct {
@@ -88,7 +88,7 @@ func runArenaDiffTransfer(t *testing.T, useArena bool, faults netsim.FaultConfig
 }
 
 // TestArenaChaosBitIdentity is the differential pin for the tentpole: the
-// stamped-arena fast path must be bit-identical to the copy path under
+// stamped-arena fast path must be bit-identical to the borrowed path under
 // every aliasing fault mix — same delivery stream, same timings, same
 // stats — because recycling only ever happens after the last in-flight
 // reference drains. Any divergence means a buffer was reused (or copied)
@@ -104,12 +104,12 @@ func TestArenaChaosBitIdentity(t *testing.T) {
 			ReorderDelay: 50 * netsim.Microsecond, DuplicateRate: 0.3}},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
-			copyPath := runArenaDiffTransfer(t, false, sc.faults)
+			borrowedPath := runArenaDiffTransfer(t, false, sc.faults)
 			arenaPath := runArenaDiffTransfer(t, true, sc.faults)
-			if copyPath != arenaPath {
-				t.Errorf("arena path diverges from copy path:\n copy  %+v\n arena %+v", copyPath, arenaPath)
+			if borrowedPath != arenaPath {
+				t.Errorf("arena path diverges from borrowed path:\n borrowed %+v\n arena    %+v", borrowedPath, arenaPath)
 			}
-			if copyPath.doneAt == 0 {
+			if borrowedPath.doneAt == 0 {
 				t.Error("transfer failed instead of completing")
 			}
 			// Determinism of the arena path itself: same seed, same outcome.

@@ -30,7 +30,11 @@ type relSender struct {
 	payloads [][]byte
 	// gens holds the arena generation stamp of each payload (nil without
 	// an arena); every transmit re-validates before reading the buffer.
-	gens     []uint64
+	gens []uint64
+	// sums holds each payload's datagram checksum, computed once when the
+	// message is handed over: payloads are immutable from then on
+	// (netsim.Host.Send), so every retransmission carries the same sum.
+	sums     []uint32
 	acked    []bool
 	inFlight map[int]bool
 	nAcked   int
@@ -46,8 +50,9 @@ type relSender struct {
 
 // SendReliable transmits payloads to dst as message id, invoking done when
 // every packet has been acknowledged, or failed (with the reason) after
-// MaxRetries timeout rounds. Payload slices are not copied; callers must
-// not mutate them.
+// MaxRetries timeout rounds. Payload slices are not copied, here or in the
+// fabric: their bytes are immutable from this call on (netsim.Host.Send),
+// so callers must not write them again.
 func (s *Stack) SendReliable(dst netsim.NodeID, id uint32, payloads [][]byte,
 	done func(at netsim.Time), failed func(err error)) {
 	tx := &relSender{
@@ -56,6 +61,7 @@ func (s *Stack) SendReliable(dst netsim.NodeID, id uint32, payloads [][]byte,
 		id:       id,
 		payloads: payloads,
 		gens:     s.stampGens(payloads),
+		sums:     payloadSums(payloads),
 		acked:    make([]bool, len(payloads)),
 		inFlight: make(map[int]bool),
 		cwnd:     float64(s.cfg.InitWindow),
@@ -94,8 +100,7 @@ func (tx *relSender) transmit(idx int) {
 	pkt.FlowID = uint64(tx.id)
 	pkt.Seq = uint64(idx)
 	pkt.Control = relData{
-		MsgID: tx.id, Idx: idx, Total: len(tx.payloads),
-		Sum: payloadSum(tx.payloads[idx]),
+		MsgID: tx.id, Idx: idx, Total: len(tx.payloads), Sum: tx.sums[idx],
 	}
 	tx.stack.stamp(pkt, tx.gens, idx)
 	tx.stack.host.Send(pkt)

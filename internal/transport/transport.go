@@ -282,8 +282,8 @@ func (s *Stack) releasePayloads(sets ...[][]byte) {
 
 // stampGens registers every payload with the stack's arena and returns
 // the generation stamps the senders will transmit (and later re-validate)
-// under. Nil without an arena — the no-stamp fast path for copy-mode
-// stacks. GenOf registers foreign buffers too, so stamping works whether
+// under. Nil without an arena — the fabric then borrows the caller's
+// buffers unstamped, and the GC recycles them. GenOf registers foreign buffers too, so stamping works whether
 // or not the encoder drew its buffers from the same arena.
 func (s *Stack) stampGens(payloads [][]byte) []uint64 {
 	if s.arena == nil || len(payloads) == 0 {
@@ -337,6 +337,16 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // switch legitimately shortens the payload without updating the sum, so
 // receivers only verify it on untrimmed packets.
 func payloadSum(payload []byte) uint32 { return crc32.Checksum(payload, crcTable) }
+
+// payloadSums is payloadSum of every payload of a message, taken once at
+// hand-over for all of its (re)transmissions.
+func payloadSums(payloads [][]byte) []uint32 {
+	sums := make([]uint32, len(payloads))
+	for i, b := range payloads {
+		sums[i] = payloadSum(b)
+	}
+	return sums
+}
 
 // validPayload reports whether a received payload may be acked and
 // delivered. Untrimmed packets must match the sender's datagram checksum,

@@ -54,8 +54,13 @@ type trimSender struct {
 	// buffers (nil without an arena); every send re-validates its stamp
 	// before reading, so a NACK-driven or re-blast retransmission can
 	// never read a recycled buffer.
-	metaGens  []uint64
-	dataGens  []uint64
+	metaGens []uint64
+	dataGens []uint64
+	// metaSums/dataSums hold each payload's datagram checksum, computed once
+	// when the message is handed over: payloads are immutable from then on
+	// (netsim.Host.Send), so every retransmission carries the same sum.
+	metaSums  []uint32
+	dataSums  []uint32
 	metaAcked []bool
 	nMetaAck  int
 	rto       netsim.Time
@@ -69,13 +74,17 @@ type trimSender struct {
 // SendTrimmable transmits a trimmable message: metas reliably, data
 // packets once at line rate. done fires when the receiver confirms every
 // packet was accounted for (delivered or trimmed); failed receives the
-// reason when the retransmit budget runs out.
+// reason when the retransmit budget runs out. Payload slices are not
+// copied, here or in the fabric: their bytes are immutable from this call
+// on (netsim.Host.Send) — a switch that trims a packet copies the prefix
+// it keeps — so callers must not write them again.
 func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte,
 	done func(at netsim.Time), failed func(err error)) {
 	tx := &trimSender{
 		stack: s, dst: dst, id: id,
 		metas: metas, data: data,
 		metaGens: s.stampGens(metas), dataGens: s.stampGens(data),
+		metaSums: payloadSums(metas), dataSums: payloadSums(data),
 		metaAcked: make([]bool, len(metas)),
 		rto:       s.cfg.RTO,
 		done:      done, failed: failed,
@@ -102,8 +111,7 @@ func (tx *trimSender) sendMeta(idx int) {
 	pkt.Kind = "trim-meta"
 	pkt.FlowID = uint64(tx.id)
 	pkt.Control = trimMeta{
-		MsgID: tx.id, Idx: idx, Total: len(tx.metas),
-		Sum: payloadSum(tx.metas[idx]),
+		MsgID: tx.id, Idx: idx, Total: len(tx.metas), Sum: tx.metaSums[idx],
 	}
 	tx.stack.stamp(pkt, tx.metaGens, idx)
 	tx.stack.host.Send(pkt)
@@ -122,8 +130,7 @@ func (tx *trimSender) sendData(idx int) {
 	pkt.FlowID = uint64(tx.id)
 	pkt.Seq = uint64(idx)
 	pkt.Control = trimData{
-		MsgID: tx.id, Idx: idx, Total: len(tx.data),
-		Sum: payloadSum(tx.data[idx]),
+		MsgID: tx.id, Idx: idx, Total: len(tx.data), Sum: tx.dataSums[idx],
 	}
 	tx.stack.stamp(pkt, tx.dataGens, idx)
 	tx.stack.host.Send(pkt)

@@ -228,56 +228,71 @@ var normFlags = func() (t [256][1]byte) {
 	return t
 }()
 
-// Trim performs the switch-side trim operation on a raw packet buffer,
-// returning the trimmed packet (a re-sliced view of buf with the Trimmed
-// flag set). Metadata packets are returned unchanged — the paper's design
-// keeps them reliable. Naive packets are cut to targetSize (but never below
-// the header). Data packets are cut to the head boundary, the smallest
+// TrimLen reports how many leading bytes of buf the switch-side trim toward
+// targetSize keeps, without touching buf; len(buf) means there is nothing
+// to cut. Metadata packets are never cut — the paper's design keeps them
+// reliable — and neither are buffers that are not trimgrad packets. Naive
+// packets are cut to targetSize in whole 4-byte floats (never below the
+// header). Data packets are cut to the head boundary, the smallest
 // self-contained size; if targetSize allows keeping some whole tails beyond
 // the boundary they are preserved (multi-level trimming, §5.1).
-//
-// Trim mutates the flags byte of buf in place, mirroring how a trimming
-// switch rewrites the packet, and clears the now-meaningless tail CRC.
-func Trim(buf []byte, targetSize int) []byte {
+func TrimLen(buf []byte, targetSize int) int {
 	h, err := ParseHeader(buf)
-	if err != nil {
-		return buf // not ours; a real switch would just truncate
+	if err != nil || h.IsMeta() {
+		return len(buf) // not ours, or reliable metadata
 	}
-	if h.IsMeta() {
-		return buf
-	}
-	if targetSize < HeaderSize {
-		targetSize = HeaderSize
-	}
+	targetSize = max(targetSize, HeaderSize)
 	if targetSize >= len(buf) {
-		return buf // nothing to cut
+		return len(buf)
 	}
-
-	var keep int
 	if h.IsNaive() {
 		// Keep whole 4-byte floats only.
-		keep = HeaderSize + (targetSize-HeaderSize)/4*4
-	} else {
-		// Never cut below the head boundary; above it, keep whole tails.
-		boundary := HeaderSize + h.HeadBytes()
-		if targetSize <= boundary {
-			keep = boundary
-		} else if h.Q == 0 {
-			keep = boundary
-		} else {
-			extraBits := (targetSize - boundary) * 8
-			wholeTails := extraBits / int(h.Q)
-			keep = boundary + (wholeTails*int(h.Q)+7)/8
-			if keep > len(buf) {
-				keep = len(buf)
-			}
-		}
+		return HeaderSize + (targetSize-HeaderSize)/4*4
 	}
+	// Never cut below the head boundary; above it, keep whole tails.
+	boundary := HeaderSize + h.HeadBytes()
+	if targetSize <= boundary || h.Q == 0 {
+		return min(boundary, len(buf))
+	}
+	wholeTails := (targetSize - boundary) * 8 / int(h.Q)
+	return min(boundary+(wholeTails*int(h.Q)+7)/8, len(buf))
+}
+
+// markTrimmed rewrites the two header fields a trimming switch touches: the
+// Trimmed flag is set and the now-meaningless tail CRC cleared.
+func markTrimmed(pkt []byte) {
+	pkt[offFlags] |= FlagTrimmed
+	binary.BigEndian.PutUint32(pkt[offTailCRC:], 0)
+}
+
+// Trim performs the switch-side trim operation on a raw packet buffer in
+// place, returning the trimmed packet: a re-sliced view of the first
+// TrimLen bytes of buf with the Trimmed flag set and the tail CRC cleared,
+// mirroring how a trimming switch rewrites the packet. A buffer with
+// nothing to cut is returned unchanged. The caller must own buf; to trim a
+// buffer someone else may still read, use TrimCopy.
+func Trim(buf []byte, targetSize int) []byte {
+	keep := TrimLen(buf, targetSize)
 	if keep >= len(buf) {
 		return buf
 	}
 	out := buf[:keep]
-	out[offFlags] |= FlagTrimmed
-	binary.BigEndian.PutUint32(out[offTailCRC:], 0)
+	markTrimmed(out)
+	return out
+}
+
+// TrimCopy is Trim for a buffer the caller does not own: buf is never
+// written, and the result — byte-identical to what Trim would return — is a
+// fresh allocation holding only the kept prefix. A buffer with nothing to
+// cut (metadata, foreign bytes, already at or below the target) is returned
+// as-is, so `len(out) < len(buf)` tells the caller a copy was made.
+func TrimCopy(buf []byte, targetSize int) []byte {
+	keep := TrimLen(buf, targetSize)
+	if keep >= len(buf) {
+		return buf
+	}
+	out := make([]byte, keep)
+	copy(out, buf)
+	markTrimmed(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -117,5 +118,84 @@ func TestTrimBytesHeadOnlyBounded(t *testing.T) {
 		if nm := trimRoundTripNMSE(t, c, row, seed, 0); nm >= 1 {
 			t.Errorf("seed %d: head-only NMSE %g not better than sending nothing", seed, nm)
 		}
+	}
+}
+
+// TestTrimCopyMatchesTrim pins the non-mutating trim against the in-place
+// one: for data, naive and already-trimmed packets at
+// head-boundary, multi-level and no-op targets, TrimCopy returns the bytes
+// Trim returns, of TrimLen length, without writing its input; buffers with
+// nothing to cut (metadata, foreign bytes, targets at or above the length)
+// come back as the very same slice.
+func TestTrimCopyMatchesTrim(t *testing.T) {
+	heads, tails := randHeadsTails(9, 200, 1, 31)
+	dh := testHeader(200, 1, 31)
+	data, err := BuildDataPacket(dh, heads, tails)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floats := make([]float32, 64)
+	for i := range floats {
+		floats[i] = float32(i) * 0.25
+	}
+	naive, err := BuildNaivePacket(Header{Flow: 1, Count: 64}, floats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := BuildMetaPacket(Header{Flow: 1}, 1, 10, 1.0)
+	foreign := []byte("not a trimgrad packet, just sixty-odd bytes of somebody else's traffic")
+	boundary := HeaderSize + dh.HeadBytes()
+
+	cases := []struct {
+		name   string
+		buf    []byte
+		target int
+		cut    bool
+	}{
+		{"data/head-boundary", data, 0, true},
+		{"data/below-header", data, HeaderSize - 5, true},
+		{"data/at-boundary", data, boundary, true},
+		{"data/multi-level", data, boundary + 100, true},
+		{"data/one-tail", data, boundary + 4, true},
+		{"data/just-short", data, len(data) - 1, true},
+		{"data/at-length", data, len(data), false},
+		{"data/beyond", data, 1 << 20, false},
+		{"naive/to-header", naive, 0, true},
+		{"naive/mid-float", naive, HeaderSize + 10, true},
+		{"naive/beyond", naive, len(naive) + 1, false},
+		{"meta", meta, 0, false},
+		{"foreign", foreign, 0, false},
+		{"empty", nil, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := append([]byte(nil), tc.buf...)
+			want := Trim(append([]byte(nil), tc.buf...), tc.target)
+			got := TrimCopy(src, tc.target)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("TrimCopy differs from Trim:\n got  %x\n want %x", got, want)
+			}
+			if !bytes.Equal(src, tc.buf) {
+				t.Fatal("TrimCopy wrote its input")
+			}
+			if n := TrimLen(src, tc.target); n != len(want) {
+				t.Fatalf("TrimLen = %d, Trim kept %d", n, len(want))
+			}
+			if cut := len(got) < len(src); cut != tc.cut {
+				t.Fatalf("cut = %v, want %v", cut, tc.cut)
+			}
+			if tc.cut {
+				if cap(got) != len(got) {
+					t.Fatalf("trimmed copy holds cap %d for %d kept bytes: the cut tail was copied too", cap(got), len(got))
+				}
+				// A second level trims the copy further, still matching Trim.
+				again := TrimCopy(got, 0)
+				if want2 := Trim(append([]byte(nil), want...), 0); !bytes.Equal(again, want2) {
+					t.Fatal("second-level TrimCopy differs from second-level Trim")
+				}
+			} else if len(src) > 0 && &got[0] != &src[0] {
+				t.Fatal("nothing to cut, yet TrimCopy returned a different buffer")
+			}
+		})
 	}
 }

@@ -7,11 +7,14 @@
 #                             runs the test suite with -short
 #   scripts/check.sh -chaos   fault-injection pass only: race-enabled chaos,
 #                             fault, and duplicate-delivery regression tests,
-#                             plus the stamped-arena suites (aliasing faults,
-#                             counted stale drops, copy-vs-arena bit-identity)
+#                             plus the payload-ownership suites: stamped arena
+#                             (aliasing faults, counted stale drops,
+#                             borrowed-vs-arena bit-identity) and borrowed
+#                             payloads (immutable after Send, no copy per hop)
 #   scripts/check.sh -bench   perf smoke only: the BenchmarkHot* suite,
 #                             the BenchmarkFabric* fast-path suite (wheel,
-#                             pooled hops, and the k=4 fat-tree incast),
+#                             pooled and borrowed-payload hops, and the k=4
+#                             fat-tree incast),
 #                             and the BenchmarkShardFabric partitioned-
 #                             engine suite run clean under -race with live
 #                             obs registries, and the obs overhead guard
@@ -39,7 +42,7 @@ if [[ $mode == bench ]]; then
   step "go test -race -bench Hot (hot-path suite, live registries)"
   go test -race -run '^$' -bench 'Hot' -benchtime 1x .
   step "go test -race -bench Fabric (wheel + pooled-event fast path)"
-  go test -race -run '^$' -bench '^Fabric' -benchtime 1x .
+  go test -race -run '^$' -bench '^BenchmarkFabric' -benchtime 1x .
   step "go test -race -bench Shard (partitioned engine, cross-shard mailboxes)"
   go test -race -run '^$' -bench 'Shard' -benchtime 1x .
   step "obs overhead guard (encode hot path, Nop vs live registry)"
@@ -52,8 +55,8 @@ if [[ $mode == chaos ]]; then
   step "go test -race (chaos/fault/duplicate regressions)"
   go test -race -run 'Chaos|Fault|Flap|Duplicate|PauseAndFail' \
     ./internal/netsim ./internal/transport ./internal/collective ./internal/exp
-  step "go test -race (stamped-arena suites: aliasing faults, stale drops, bit-identity)"
-  go test -race -run 'Arena' -count=1 \
+  step "go test -race (payload ownership: stamped arena, borrowed immutability, no per-hop copy)"
+  go test -race -run 'Arena|Borrowed|NeverWritesSender|FirstSendChecksum' -count=1 \
     ./internal/wire ./internal/netsim ./internal/transport
   echo "OK (chaos pass)"
   exit 0
