@@ -31,9 +31,13 @@ func fabricStar(sim *netsim.Sim) *netsim.Topology {
 // BenchmarkFabricHop measures the steady-state cost of one simulated
 // packet crossing the fabric (two hops: host→switch→host) on the fast
 // path: Sim.NewPacket records recycled on delivery, typed events
-// dispatched without closures. The "pooled" sub-benchmark name is kept so
-// the BENCH_<date>.json trajectory stays comparable; "borrowed-sharded"
-// records the same hop with a payload on board.
+// dispatched without closures. There is one event order (ties break by
+// causal key on a plain Sim and on an Engine alike), so the two arms
+// measure the same scheduler: "pooled" on a plain Sim with no payload,
+// "borrowed-sharded" through a 1-shard Engine with a payload on board.
+// Both names are kept because the BENCH_<date>.json trajectory records
+// them; "pooled" figures from before PR 16 used the cheaper schedule-order
+// tie-break and are not comparable.
 func BenchmarkFabricHop(b *testing.B) {
 	const pkts = 256
 	const hops = pkts * 2
@@ -58,9 +62,9 @@ func BenchmarkFabricHop(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
 	})
 	// The path the repository benchmark's fabric workloads take: a sharded
-	// engine (keyed event order) carrying unstamped payloads that the sender
-	// keeps and resends. Host.Send borrows them, so allocs/hop must match
-	// the payload-free arm above.
+	// engine carrying unstamped payloads that the sender keeps and resends.
+	// Host.Send borrows them, so allocs/hop must match the payload-free arm
+	// above.
 	b.Run("borrowed-sharded", func(b *testing.B) {
 		sim := netsim.NewSim()
 		star := fabricStar(sim)

@@ -68,67 +68,6 @@ type fabricOutcome struct {
 	snap    obs.Snapshot
 }
 
-// runFatTreeAllReduce executes one 16-worker all-reduce of alg on a k=4
-// fat tree whose switches aggregate trimmable packets, with sc's faults
-// on worker 0's host link.
-func runFatTreeAllReduce(t *testing.T, alg Algorithm, sc fabricScenario, seed uint64) fabricOutcome {
-	t.Helper()
-	q := deepQ()
-	q.AggregateTrimmable = true
-	// The budget mirrors the star chaos matrix: small RTO so loss recovers
-	// fast, deadline as the hang backstop. Every schedule touches worker
-	// 0's faulty link at least once (it is a rank and, for the hierarchy
-	// and parameter server, the root).
-	cfg := transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 16}
-	sim, topo, ws := fatTreeWorkers(t, q, cfg, quant.Sign)
-	n := len(ws)
-	faults := sc.faults
-	faults.Seed = seed
-	// Host 0 hangs off edge switch SwitchIDBase (pod 0, edge 0).
-	topo.Net.InjectFaults(0, netsim.SwitchIDBase, faults)
-
-	grads := make([][]float32, n)
-	for i := range grads {
-		grads[i] = intGrad(seed+uint64(i)+1, 1024)
-	}
-	want := exactMean(grads)
-	res := fabricOutcome{avgs: make([][]float32, n), outcome: make([]rankOutcome, n)}
-	err := AllReduce(alg, 3, 100, ws, grads,
-		func(rank int, avg []float32, at netsim.Time) {
-			res.avgs[rank] = avg
-			res.outcome[rank].done = true
-			res.outcome[rank].doneAt = at
-			ok := true
-			for i := range want {
-				if avg[i] != want[i] {
-					ok = false
-					break
-				}
-			}
-			res.outcome[rank].nmseOK = ok
-		},
-		func(rank int, err error) { res.outcome[rank].errStr = err.Error() })
-	if err != nil {
-		t.Fatalf("%s: AllReduce(%v): %v", sc.name, alg, err)
-	}
-	sim.RunUntil(netsim.Second)
-	for rank := range res.outcome {
-		if !res.outcome[rank].done && res.outcome[rank].errStr == "" {
-			t.Fatalf("%s/%v: rank %d neither completed nor errored — a hang", sc.name, alg, rank)
-		}
-		if res.outcome[rank].done && !res.outcome[rank].nmseOK {
-			t.Errorf("%s/%v: rank %d completed with a wrong average", sc.name, alg, rank)
-		}
-		if res.outcome[rank].errStr != "" {
-			t.Errorf("%s/%v: rank %d failed a survivable scenario: %s",
-				sc.name, alg, rank, res.outcome[rank].errStr)
-		}
-		res.outcome[rank].agg = ws[rank].AggStats
-	}
-	res.snap = sim.Obs().Snapshot()
-	return res
-}
-
 // TestFatTreeAllReduceMatrix runs every algorithm × scenario twice with
 // the same seed: each rank must deliver the exact bitwise average (Sign
 // codec + integer gradients make float addition associative), and both
@@ -140,8 +79,8 @@ func TestFatTreeAllReduceMatrix(t *testing.T) {
 		for _, sc := range fabricScenarios(testing.Short()) {
 			alg, sc := alg, sc
 			t.Run(alg.String()+"/"+sc.name, func(t *testing.T) {
-				first := runFatTreeAllReduce(t, alg, sc, 42)
-				again := runFatTreeAllReduce(t, alg, sc, 42)
+				first := runShardedFatTreeAllReduce(t, alg, sc, 42, plainSim)
+				again := runShardedFatTreeAllReduce(t, alg, sc, 42, plainSim)
 				if !reflect.DeepEqual(first.avgs, again.avgs) {
 					t.Error("averages differ across same-seed runs")
 				}

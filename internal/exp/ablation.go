@@ -2,7 +2,6 @@ package exp
 
 import (
 	"io"
-	"time"
 
 	"trimgrad/internal/core"
 	"trimgrad/internal/ddp"
@@ -223,14 +222,12 @@ func runAblationRowSize(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		//trimlint:allow determinism wall-clock here measures encode cost, it never enters encoded output
-		start := time.Now()
+		elapsed := stopwatch()
 		msg, err := enc.Encode(1, 1, grad)
 		if err != nil {
 			return err
 		}
-		//trimlint:allow determinism reported as a perf column, not part of the seeded experiment output
-		encodeMs := float64(time.Since(start).Microseconds()) / 1000
+		encodeMs := float64(elapsed().Microseconds()) / 1000
 
 		dec, err := core.NewDecoderWith(1, core.WithConfig(cfg))
 		if err != nil {

@@ -1,18 +1,10 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"sync/atomic"
-	"time"
 
-	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
-	"trimgrad/internal/obs"
-	"trimgrad/internal/quant"
-	"trimgrad/internal/transport"
-	"trimgrad/internal/wire"
 )
 
 // E15 — the stamped-arena fast path under chaos and sharding. The same
@@ -35,120 +27,6 @@ func arenaSweepFaults(seed uint64) netsim.FaultConfig {
 		ReorderDelay:  20 * netsim.Microsecond,
 		DuplicateRate: 0.2,
 	}
-}
-
-// runArenaSweepCell drives one (faults, shards, path) cell over the k=4
-// fat-tree incast and returns its output digest, completion count, total
-// stale drops, and wall clock.
-func runArenaSweepCell(chaos, useArena bool, shards, dim int, o Options) (digest string, completed, flows int, stale uint64, wallMs float64, err error) {
-	q := netsim.QueueConfig{
-		CapacityBytes:     48 << 10,
-		HighCapacityBytes: 1 << 20,
-		Mode:              netsim.TrimOverflow,
-	}
-	link := netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond}
-	reg := obs.New()
-	sim := netsim.NewSim()
-	topo, err := netsim.NewFatTree(sim, netsim.FatTreeConfig{
-		K: 4, HostLink: link, Queue: q, ECMPSeed: 31 + o.Seed,
-	}, netsim.WithRegistry(reg))
-	if err != nil {
-		return "", 0, 0, 0, 0, err
-	}
-	eng, err := netsim.ShardTopology(topo, shards)
-	if err != nil {
-		return "", 0, 0, 0, 0, err
-	}
-	defer eng.Close()
-
-	n := len(topo.Hosts)
-	wl, err := netsim.ParseWorkload("incast", n, 7+o.Seed)
-	if err != nil {
-		return "", 0, 0, 0, 0, err
-	}
-	grads := wl.GradientFlows()
-	if chaos {
-		// Fault every sender's uplink after partitioning so each injector
-		// lives on the shard that owns its port. The streams key off
-		// (Seed, host), never off scheduling, so every shard count and both
-		// payload paths replay the same fault sequence.
-		for _, f := range grads {
-			topo.Hosts[f.Src].Uplink().SetFaults(arenaSweepFaults(11+o.Seed), uint64(f.Src))
-		}
-	}
-
-	// Stacks bind after partitioning; the arena rows close the per-host
-	// Get → send → recycle loop, where the borrowed rows allocate every
-	// message's buffers afresh.
-	stacks := map[int]*transport.Stack{}
-	arenas := map[int]*wire.Arena{}
-	stackFor := func(h int) (*transport.Stack, error) {
-		if s, ok := stacks[h]; ok {
-			return s, nil
-		}
-		var opts []transport.Opt
-		if useArena {
-			arenas[h] = wire.NewArena()
-			opts = append(opts, transport.WithArena(arenas[h]))
-		}
-		s, err := transport.New(topo.Hosts[h], opts...)
-		if err != nil {
-			return nil, err
-		}
-		s.Receiver = transport.ReceiverFunc(func(netsim.NodeID, []byte) {})
-		stacks[h] = s
-		return s, nil
-	}
-	var done atomic.Int64
-	coreCfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12}
-	for i, f := range grads {
-		src, err := stackFor(f.Src)
-		if err != nil {
-			return "", 0, 0, 0, 0, err
-		}
-		if _, err := stackFor(f.Dst); err != nil {
-			return "", 0, 0, 0, 0, err
-		}
-		cfg := coreCfg
-		cfg.Flow = uint32(i)
-		encOpts := []core.Option{core.WithConfig(cfg)}
-		if useArena {
-			encOpts = append(encOpts, core.WithArena(arenas[f.Src]))
-		}
-		enc, err := core.NewEncoderWith(encOpts...)
-		if err != nil {
-			return "", 0, 0, 0, 0, err
-		}
-		msg, err := enc.Encode(1, uint32(i+1), randGrad(uint64(80+i)+o.Seed, dim))
-		if err != nil {
-			return "", 0, 0, 0, 0, err
-		}
-		src.SendTrimmable(topo.Hosts[f.Dst].ID(), uint32(i+1), msg.Meta, msg.Data,
-			func(netsim.Time) { done.Add(1) }, nil)
-	}
-
-	//trimlint:allow determinism wall clock measures simulator throughput, it never enters simulated output
-	start := time.Now()
-	const slice = 10 * netsim.Millisecond
-	for now := netsim.Time(0); done.Load() < int64(len(grads)) && now < 10*netsim.Second; now += slice {
-		eng.RunUntil(now + slice)
-	}
-	//trimlint:allow determinism reported as a perf column, not part of the seeded experiment output
-	wallMs = float64(time.Since(start).Microseconds()) / 1000
-
-	stale = topo.Hosts[0].Sim().StaleDrops()
-	for h := 0; h < n; h++ {
-		if s, ok := stacks[h]; ok {
-			stale += uint64(s.Stats.StaleDrops)
-		}
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, eng.Snapshot()); err != nil {
-		return "", 0, 0, 0, 0, err
-	}
-	fmt.Fprintf(&buf, "completed=%d vnow=%d processed=%d",
-		done.Load(), eng.Now(), eng.Processed())
-	return buf.String(), int(done.Load()), len(grads), stale, wallMs, nil
 }
 
 // runArenaSweep is the E15 sweep: fault mix × shard count × payload path,
@@ -177,27 +55,29 @@ func runArenaSweep(w io.Writer, o Options) error {
 				if useArena {
 					path = "arena"
 				}
-				digest, completed, flows, stale, wallMs, err := runArenaSweepCell(chaos, useArena, shards, dim, o)
+				cell := shardCell{kind: "fattree", workload: "incast", shards: shards, dim: dim,
+					chaos: chaos, arena: useArena}
+				res, err := cell.run(o)
 				if err != nil {
 					return fmt.Errorf("exp: arenasweep %s/%d/%s: %w", mixName, shards, path, err)
 				}
-				if stale != 0 {
+				if res.stale != 0 {
 					return fmt.Errorf("exp: arenasweep %s/%d/%s: %d stale drops on a correct run, want 0",
-						mixName, shards, path, stale)
+						mixName, shards, path, res.stale)
 				}
 				identical := "ref"
 				if refDigest == "" {
-					refDigest = digest
+					refDigest = res.digest
 				} else {
-					identical = fmt.Sprintf("%v", digest == refDigest)
-					if digest != refDigest {
+					identical = fmt.Sprintf("%v", res.digest == refDigest)
+					if res.digest != refDigest {
 						return fmt.Errorf("exp: arenasweep %s: %d-shard %s output diverges from the 1-shard borrowed reference",
 							mixName, shards, path)
 					}
 				}
 				t.Add(mixName, shards, path,
-					fmt.Sprintf("%d/%d", completed, flows),
-					stale, wallMs, identical)
+					fmt.Sprintf("%d/%d", res.completed, res.flows),
+					res.stale, res.wallMs, identical)
 			}
 		}
 	}

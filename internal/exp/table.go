@@ -10,6 +10,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"time"
 
 	"trimgrad/internal/obs"
 )
@@ -164,4 +165,13 @@ func emit(w io.Writer, o Options, t *Table) error {
 	}
 	_, err := t.WriteTo(w)
 	return err
+}
+
+// stopwatch starts a wall-clock timer; the returned function reports the
+// time elapsed since. It is the one place the harness reads the wall clock:
+// experiments time their own cost with it (encode time, simulator
+// throughput) and print that as a perf column.
+func stopwatch() (elapsed func() time.Duration) {
+	start := time.Now() //trimlint:allow determinism wall clock measures what an experiment costs to run; it is a perf column, never part of seeded output
+	return func() time.Duration { return time.Since(start) }
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"trimgrad/internal/ddp"
 	"trimgrad/internal/fwht"
@@ -249,8 +248,7 @@ func runFig5(w io.Writer, o Options) error {
 	for _, sc := range figSchemes[1:] {
 		codec := quant.MustNew(*sc.params)
 		iters := 10
-		//trimlint:allow determinism wall-clock here measures encode cost, it never enters encoded output
-		start := time.Now()
+		elapsed := stopwatch()
 		for i := 0; i < iters; i++ {
 			enc, err := codec.Encode(row, uint64(i))
 			if err != nil {
@@ -260,8 +258,7 @@ func runFig5(w io.Writer, o Options) error {
 				return err
 			}
 		}
-		//trimlint:allow determinism reported as a perf column, not part of the seeded experiment output
-		ns := float64(time.Since(start).Nanoseconds()) / float64(iters*n)
+		ns := float64(elapsed().Nanoseconds()) / float64(iters*n)
 		if sc.name == "sq" {
 			sqNs = ns
 		}

@@ -22,10 +22,10 @@ import (
 // window executes events in [T, T+W). A cross-shard arrival created by
 // an event at t ≥ T lands at t+delay ≥ T+W — strictly beyond the window
 // — so placing mailboxes at the barrier can never deliver into a
-// shard's past. Determinism across shard counts comes from the keyed
-// event order (see Sim.nextKey): tie-break keys are causal-path hashes,
-// identical at every shard count, so each shard fires its events in
-// exactly the order the 1-shard engine would.
+// shard's past. Determinism across shard counts comes from the event
+// order every Sim uses (see Sim.nextKey): tie-break keys are causal-path
+// hashes, identical at every shard count, so each shard fires its events
+// in exactly the order the 1-shard engine — and a plain Sim — would.
 
 // xmsg is one cross-shard packet hand-off: the propagation arrival of a
 // packet that left through a partition-boundary port, stamped with its
@@ -54,8 +54,9 @@ type ShardAssignment struct {
 }
 
 // Engine drives a topology partitioned across per-shard simulators. Use
-// ShardTopology to build one; 1 shard is valid (and is the bit-identity
-// reference the differential tests compare higher counts against).
+// ShardTopology to build one; 1 shard is valid (it is the bit-identity
+// reference the differential tests compare higher counts and the plain
+// Sim against).
 type Engine struct {
 	shards []*shard
 	window Time // conservative lookahead: min cross-shard link delay
@@ -64,7 +65,6 @@ type Engine struct {
 
 	mainObs *obs.Registry // registry attached before partitioning
 
-	rootN    uint64      // shared root-context child counter (see rootKeySalt)
 	parallel bool        // a team phase is running; guards foreign scheduling
 	bound    Time        // inclusive bound of the current window phase
 	stop     atomic.Bool // Engine.Stop latch; may be set from shard goroutines
@@ -92,7 +92,7 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 		return nil, fmt.Errorf("netsim: %d shards exceed the %d %s switches of this %s topology; a rack is never split, so use at most %d shards",
 			shards, len(racks), t.Tiers[0].Name, t.Kind, len(racks))
 	}
-	if base.npend != 0 || base.seq != 0 || base.now != 0 || base.keyed {
+	if base.npend != 0 || *base.rootN != 0 || base.now != 0 || base.eng != nil {
 		return nil, fmt.Errorf("netsim: shard: simulator is not pristine (events were scheduled or it is already sharded); partition right after building the topology")
 	}
 	if base.controlMerger != nil {
@@ -104,10 +104,10 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 		s := base
 		if i > 0 {
 			s = NewSim()
+			s.rootN = base.rootN
 		}
 		s.eng = e
 		s.shardIdx = i
-		s.keyed = true
 		s.out = make([][]xmsg, shards)
 		s.retPkt = make([][]*Packet, shards)
 		sh := &shard{sim: s}

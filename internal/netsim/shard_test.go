@@ -194,22 +194,31 @@ type trafficOutcome struct {
 	processed uint64
 }
 
+// plainSim, as runShardTraffic's shard count, runs the workload on the bare
+// NewSim() the topology was built on: no ShardTopology, no Engine.
+const plainSim = 0
+
 // runShardTraffic drives a randomized packet workload over the topology
-// built by build, partitioned into the given shard count, and collects
-// the full observable state. chaos adds duplication/reordering/burst-loss
-// faults on host 0's access link plus a mid-run link flap on the first
-// uplink.
+// built by build, partitioned into the given shard count (or left on a
+// plain Sim), and collects the full observable state. chaos adds
+// duplication/reordering/burst-loss faults on host 0's access link plus a
+// mid-run link flap on the first uplink.
 func runShardTraffic(t *testing.T, shards int, chaos bool,
 	build func(sim *Sim, reg *obs.Registry) *Topology) trafficOutcome {
 	t.Helper()
 	sim := NewSim()
 	reg := obs.New()
 	topo := build(sim, reg)
-	eng, err := ShardTopology(topo, shards)
-	if err != nil {
-		t.Fatal(err)
+	run, snapshot, now := sim.Run, reg.Snapshot, sim.Now
+	processed := func() uint64 { return sim.Processed }
+	if shards != plainSim {
+		eng, err := ShardTopology(topo, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		run, snapshot, now, processed = eng.Run, eng.Snapshot, eng.Now, eng.Processed
 	}
-	defer eng.Close()
 	if chaos {
 		topo.Net.InjectFaults(topo.Hosts[0].ID(), topo.Tiers[0].Switches[0].ID(), FaultConfig{
 			Seed:          7,
@@ -258,7 +267,7 @@ func runShardTraffic(t *testing.T, shards int, chaos bool,
 			})
 		}
 	}
-	eng.Run()
+	run()
 
 	for _, sw := range topo.Switches() {
 		for _, p := range sw.Ports() {
@@ -270,12 +279,12 @@ func runShardTraffic(t *testing.T, shards int, chaos bool,
 		out.ports[fmt.Sprintf("%d->%d", p.owner, p.peer.ID())] = p.Stats
 	}
 	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, eng.Snapshot()); err != nil {
+	if err := obs.WriteJSONL(&buf, snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out.jsonl = buf.String()
-	out.now = eng.Now()
-	out.processed = eng.Processed()
+	out.now = now()
+	out.processed = processed()
 	return out
 }
 
@@ -306,11 +315,31 @@ func leafSpineFixture(sim *Sim, reg *obs.Registry) *Topology {
 	return topo
 }
 
-// TestShardTrafficDifferential pins the full bit-identity contract on
-// real fabrics: per-host delivery traces, every port's statistics, the
-// merged telemetry JSONL bytes, the final clock, and the processed-event
-// total must be identical at every shard count — clean and under chaos.
-func TestShardTrafficDifferential(t *testing.T) {
+// diffTraffic reports every observable in which got (labelled who)
+// diverges from the 1-shard reference run.
+func diffTraffic(t *testing.T, who string, ref, got trafficOutcome) {
+	t.Helper()
+	if !reflect.DeepEqual(ref.deliv, got.deliv) {
+		t.Errorf("%s: delivery traces diverge from 1 shard", who)
+	}
+	if !reflect.DeepEqual(ref.ports, got.ports) {
+		t.Errorf("%s: port stats diverge from 1 shard", who)
+	}
+	if ref.jsonl != got.jsonl {
+		t.Errorf("%s: telemetry JSONL bytes diverge from 1 shard", who)
+	}
+	if ref.now != got.now || ref.processed != got.processed {
+		t.Errorf("%s: clock/processed diverge: now %v vs %v, processed %d vs %d",
+			who, ref.now, got.now, ref.processed, got.processed)
+	}
+}
+
+// forEachTrafficCell runs check once per fabric × {clean, chaos} cell with
+// that cell's 1-shard reference run — after making sure the reference
+// actually moved packets and exported telemetry — and a function that
+// reruns the cell at another shard count.
+func forEachTrafficCell(t *testing.T,
+	check func(t *testing.T, ref trafficOutcome, rerun func(shards int) trafficOutcome)) {
 	fabrics := []struct {
 		name  string
 		build func(*Sim, *obs.Registry) *Topology
@@ -337,25 +366,34 @@ func TestShardTrafficDifferential(t *testing.T) {
 				if total == 0 {
 					t.Fatal("reference run delivered nothing")
 				}
-				for _, shards := range shardCounts[1:] {
-					got := runShardTraffic(t, shards, chaos, fab.build)
-					if !reflect.DeepEqual(ref.deliv, got.deliv) {
-						t.Errorf("%d shards: delivery traces diverge from 1 shard", shards)
-					}
-					if !reflect.DeepEqual(ref.ports, got.ports) {
-						t.Errorf("%d shards: port stats diverge from 1 shard", shards)
-					}
-					if ref.jsonl != got.jsonl {
-						t.Errorf("%d shards: telemetry JSONL bytes diverge from 1 shard", shards)
-					}
-					if ref.now != got.now || ref.processed != got.processed {
-						t.Errorf("%d shards: clock/processed diverge: now %v vs %v, processed %d vs %d",
-							shards, ref.now, got.now, ref.processed, got.processed)
-					}
-				}
+				check(t, ref, func(shards int) trafficOutcome {
+					return runShardTraffic(t, shards, chaos, fab.build)
+				})
 			})
 		}
 	}
+}
+
+// TestShardTrafficDifferential pins the full bit-identity contract on
+// real fabrics: per-host delivery traces, every port's statistics, the
+// merged telemetry JSONL bytes, the final clock, and the processed-event
+// total must be identical at every shard count — clean and under chaos.
+func TestShardTrafficDifferential(t *testing.T) {
+	forEachTrafficCell(t, func(t *testing.T, ref trafficOutcome, rerun func(int) trafficOutcome) {
+		for _, shards := range shardCounts[1:] {
+			diffTraffic(t, fmt.Sprintf("%d shards", shards), ref, rerun(shards))
+		}
+	})
+}
+
+// TestShardPlainSimIdentity pins that there is one event order: the same
+// workload on a bare NewSim() — no ShardTopology, no Engine — produces the
+// same delivery traces, port statistics, JSONL bytes, clock, and processed
+// count as the 1-shard engine, on every fabric, clean and under chaos.
+func TestShardPlainSimIdentity(t *testing.T) {
+	forEachTrafficCell(t, func(t *testing.T, ref trafficOutcome, rerun func(int) trafficOutcome) {
+		diffTraffic(t, "plain Sim", ref, rerun(plainSim))
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -11,16 +11,17 @@
 // wire format of package wire: data packets shrink to their self-contained
 // compressed form, while metadata/control packets are never trimmed.
 //
-// Everything is deterministic: events at equal timestamps fire in schedule
-// order, and all randomness comes from explicit xrand seeds, so experiment
-// results are exactly reproducible.
+// Everything is deterministic: events at equal timestamps fire in
+// causal-key order (see Sim.nextKey) — a fixed order that is the same at
+// every shard count, and is not FIFO — and all randomness comes from
+// explicit xrand seeds, so experiment results are exactly reproducible.
 //
 // The scheduler is a hierarchical timer wheel (see DESIGN.md §11): the
 // near future lives in fixed-width slots indexed by time delta, the far
 // future in a heap-backed overflow level, and the hot fabric paths run on
 // pooled typed event records instead of heap-allocated closures. The
-// firing order is bit-identical to a (at, seq)-keyed binary heap — pinned
-// by the differential and fuzz tests in sim_diff_test.go.
+// firing order is bit-identical to a binary heap ordered by (at, causal
+// key) — pinned by the differential and fuzz tests in sim_diff_test.go.
 package netsim
 
 import (
@@ -78,7 +79,7 @@ const (
 // nothing it fired (see TestSimDrainedHoldsNoEventReferences).
 type event struct {
 	at   Time
-	seq  uint64
+	key  uint64 // causal-path hash: the tie-break among equal timestamps
 	next *event // slot chain / free-list link
 	kind evKind
 	fn   func()  // evFunc
@@ -87,15 +88,15 @@ type event struct {
 	pkt  *Packet // evTxDone, evDeliver, evAdmit
 }
 
-// evLess is the scheduler's total order: time, then schedule sequence.
+// evLess is the scheduler's total order: time, then causal key.
 func evLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.key < b.key
 }
 
-// eventHeap is a binary min-heap of events keyed by (at, seq). It backs
+// eventHeap is a binary min-heap of events keyed by (at, key). It backs
 // the wheel's current-tick working set and the far-future overflow level.
 // Unlike container/heap it is monomorphic — no `any` boxing per push —
 // and pop nils the vacated slot so the backing array never retains a
@@ -160,7 +161,9 @@ const (
 )
 
 // Sim is a deterministic discrete-event scheduler. The zero value is not
-// usable; construct with NewSim.
+// usable; construct with NewSim. Events at equal timestamps fire in
+// causal-key order: the same order on every run of the same program and
+// at every shard count, but not the order they were scheduled in.
 //
 // Internally it is a two-level timer wheel over pooled event records:
 //
@@ -177,7 +180,6 @@ const (
 // event inside the wheel window, so a slot can never alias two ticks.
 type Sim struct {
 	now     Time
-	seq     uint64
 	stopped bool
 	obs     *obs.Registry
 
@@ -194,20 +196,20 @@ type Sim struct {
 	freeEv  *event
 	freePkt []*Packet
 
+	// Causal-key context (see nextKey). rootN counts the events scheduled
+	// outside any dispatch; the shards of an Engine share one counter.
+	rootN       *uint64
+	dispatching bool   // inside dispatch: ctxKey/ctxN are the live context
+	ctxKey      uint64 // key of the event being dispatched
+	ctxN        uint64 // children scheduled by the current dispatch so far
+
 	// Sharded-mode fields (see shard.go and DESIGN.md §15). eng is non-nil
-	// when this Sim is one shard of an Engine; keyed switches event
-	// tie-breaking from the arrival-order seq counter to causal-path hash
-	// keys, which are a pure function of the event's causal ancestry and
-	// therefore identical at every shard count.
-	eng         *Engine
-	shardIdx    int
-	keyed       bool
-	dispatching bool        // inside dispatch: ctxKey/ctxN are the live context
-	ctxKey      uint64      // key of the event being dispatched
-	ctxN        uint64      // children scheduled by the current dispatch so far
-	active      bool        // this shard's goroutine is running a parallel phase
-	out         [][]xmsg    // per-destination-shard hand-off mailboxes
-	retPkt      [][]*Packet // per-home-shard pooled-packet returns
+	// when this Sim is one shard of an Engine.
+	eng      *Engine
+	shardIdx int
+	active   bool        // this shard's goroutine is running a parallel phase
+	out      [][]xmsg    // per-destination-shard hand-off mailboxes
+	retPkt   [][]*Packet // per-home-shard pooled-packet returns
 
 	// controlMerger, when set, lets the transport layer re-describe a
 	// merged packet's control header during in-network aggregation (see
@@ -224,7 +226,7 @@ type Sim struct {
 }
 
 // NewSim returns an empty simulator at time zero.
-func NewSim() *Sim { return &Sim{} }
+func NewSim() *Sim { return &Sim{rootN: new(uint64)} }
 
 // StaleDrops returns how many stamped payloads the fabric refused to
 // touch because their generation had moved on — a deliver, re-admission,
@@ -306,47 +308,40 @@ func (s *Sim) releaseEvent(ev *event) {
 }
 
 // rootKeySalt seeds the causal keys of events scheduled outside any
-// dispatch (setup code, slicing loops between RunUntil calls). The root
-// child counter lives on the Engine, shared by every shard: setup runs
-// single-threaded, and a shared counter means "the i-th root event of the
-// program" gets the same key no matter which shard it lands on — the
-// anchor of the cross-shard-count identity argument.
+// dispatch (setup code, slicing loops between RunUntil calls). Every shard
+// of an Engine shares the root counter: setup runs single-threaded, and a
+// shared counter means "the i-th root event of the program" gets the same
+// key no matter which shard it lands on — the anchor of the
+// cross-shard-count identity argument.
 const rootKeySalt = 0x5ead0e5e
 
 // nextKey derives the causal-path hash key for the next event this
-// context schedules: xrand.Seed(parent key, child index). Two runs at
-// different shard counts execute the same causal tree, so every event
-// gets the same key — which is what lets (at, key) ordering reproduce
-// the single-shard firing order exactly.
+// context schedules: xrand.Seed(parent key, child index). The key is a
+// pure function of the event's causal ancestry, so a plain Sim and an
+// Engine at any shard count — which all execute the same causal tree —
+// give every event the same key and fire ties in the same order.
 func (s *Sim) nextKey() uint64 {
 	if s.dispatching {
 		k := xrand.Seed(s.ctxKey, s.ctxN)
 		s.ctxN++
 		return k
 	}
-	k := xrand.Seed(rootKeySalt, s.eng.rootN)
-	s.eng.rootN++
+	k := xrand.Seed(rootKeySalt, *s.rootN)
+	*s.rootN++
 	return k
 }
 
-// schedule assigns (at, seq) and places ev in the right level. In keyed
-// (sharded) mode the tie-break key is the causal-path hash instead of the
-// arrival counter; the comparator evLess is unchanged either way.
+// schedule assigns (at, key) and places ev in the right level.
 func (s *Sim) schedule(t Time, ev *event) {
 	if t < s.now {
 		s.releaseEvent(ev)
 		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, s.now))
 	}
-	if s.keyed {
-		if s.eng.parallel && !s.active {
-			s.releaseEvent(ev)
-			panic("netsim: event scheduled on a foreign shard during a parallel window; cross-shard effects must go through packet hand-offs")
-		}
-		ev.seq = s.nextKey()
-	} else {
-		s.seq++
-		ev.seq = s.seq
+	if s.eng != nil && s.eng.parallel && !s.active {
+		s.releaseEvent(ev)
+		panic("netsim: event scheduled on a foreign shard during a parallel window; cross-shard effects must go through packet hand-offs")
 	}
+	ev.key = s.nextKey()
 	ev.at = t
 	s.place(ev)
 }
@@ -541,15 +536,11 @@ func (s *Sim) runTo(deadline Time) {
 		s.npend--
 		s.now = ev.at
 		s.Processed++
-		if s.keyed {
-			// The event's key becomes the causal context for everything it
-			// schedules; restore the root context on the way out.
-			s.ctxKey, s.ctxN, s.dispatching = ev.seq, 0, true
-			s.dispatch(ev)
-			s.dispatching = false
-		} else {
-			s.dispatch(ev)
-		}
+		// The event's key becomes the causal context for everything it
+		// schedules; restore the root context on the way out.
+		s.ctxKey, s.ctxN, s.dispatching = ev.key, 0, true
+		s.dispatch(ev)
+		s.dispatching = false
 		s.releaseEvent(ev)
 	}
 }
@@ -595,7 +586,7 @@ func (s *Sim) placeRemote(m xmsg) {
 	//trimlint:owner transfer ownership continues from the outbox to the destination shard's pooled event
 	ev.pkt = m.pkt
 	ev.at = m.at
-	ev.seq = m.key
+	ev.key = m.key
 	s.place(ev)
 }
 

@@ -47,7 +47,7 @@ func delayFor(v uint64) Time {
 	mag := v >> 3
 	switch v % 6 {
 	case 0:
-		return 0 // same-time tie: ordering must fall back to seq
+		return 0 // same-time tie: ordering must fall back to the causal key
 	case 1:
 		return Time(mag % (1 << slotShift)) // inside the current slot
 	case 2:
@@ -63,7 +63,7 @@ func delayFor(v uint64) Time {
 
 // runScenario interprets one schedule program against s and returns the
 // event-firing trace plus clock/pending checkpoints. Identical traces on
-// Sim and refSim mean identical (at, seq) firing order, identical Now()
+// Sim and refSim mean identical (at, key) firing order, identical Now()
 // trajectory, and identical Pending() at every phase boundary.
 func runScenario(s scheduler, data []byte) []string {
 	src := &opSource{data: data}
@@ -123,9 +123,9 @@ func diffTraces(t *testing.T, want, got []string) {
 	}
 }
 
-// TestTimerWheelMatchesHeap is the differential pin for the tentpole:
+// TestTimerWheelMatchesHeap is the differential pin for the scheduler:
 // randomized schedule programs replayed through the reference heap and
-// the timer wheel must fire in the exact same (at, seq) order with the
+// the timer wheel must fire in the exact same (at, key) order with the
 // same Now() trajectory and Processed counts.
 func TestTimerWheelMatchesHeap(t *testing.T) {
 	rng := xrand.New(99)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -19,18 +20,48 @@ func TestSimOrdering(t *testing.T) {
 	}
 }
 
-func TestSimFIFOAtSameTime(t *testing.T) {
-	s := NewSim()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		s.At(5, func() { order = append(order, i) })
-	}
-	s.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events not FIFO: %v", order)
+// TestSimTieOrderIsCausalKey replaces TestSimFIFOAtSameTime: FIFO among
+// equal timestamps is withdrawn as a contract (it held only while ties
+// fell back to a schedule counter, an order no sharded run could
+// reproduce). What holds instead: ties fire in causal-key order — every
+// event exactly once, the same order each time the same program runs, and
+// the order the independent refSim derives — and that order is not the
+// order of the At calls.
+func TestSimTieOrderIsCausalKey(t *testing.T) {
+	// Ten roots at one timestamp; every third schedules a child at that
+	// same timestamp from inside its dispatch, so both key streams (root
+	// counter and per-dispatch child index) break ties.
+	program := func(s scheduler) []int {
+		var order []int
+		for i := 0; i < 10; i++ {
+			i := i
+			s.At(5, func() {
+				order = append(order, i)
+				if i%3 == 0 {
+					s.At(5, func() { order = append(order, 100+i) })
+				}
+			})
 		}
+		s.Run()
+		return order
+	}
+	first := program(NewSim())
+	seen := map[int]bool{}
+	for _, v := range first {
+		seen[v] = true
+	}
+	if len(first) != 14 || len(seen) != 14 {
+		t.Fatalf("want 14 distinct firings, got %v", first)
+	}
+	if again := program(NewSim()); !slices.Equal(first, again) {
+		t.Fatalf("same program, different tie order:\n first: %v\n again: %v", first, again)
+	}
+	if ref := program(&refSim{}); !slices.Equal(first, ref) {
+		t.Fatalf("tie order differs from the reference heap:\n wheel: %v\n heap:  %v", first, ref)
+	}
+	roots := slices.DeleteFunc(slices.Clone(first), func(v int) bool { return v >= 100 })
+	if slices.IsSorted(roots) {
+		t.Fatalf("ties fired in schedule order %v: the tie-break is the causal key, and nothing may rely on FIFO", first)
 	}
 }
 

@@ -74,7 +74,7 @@ func (c *CrossTraffic) scheduleNext() {
 // across the shards of a sharded simulator: completion callbacks fire on
 // the shard goroutine that owns the receiving host, so the recorder
 // serializes its state behind a mutex. (Completion order across shards is
-// still deterministic — the keyed event order fixes it — so the recorded
+// still deterministic — the causal-key event order fixes it — so the recorded
 // multiset and every derived statistic are identical at any shard count.)
 type FCTRecorder struct {
 	mu    sync.Mutex

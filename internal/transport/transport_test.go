@@ -282,7 +282,13 @@ func TestTrimAwareNackRepairsPartialLoss(t *testing.T) {
 // by multiples, while the trim-aware transport in a trimming fabric is
 // barely affected under the same offered load.
 func TestBaselineSlowdownUnderLoss(t *testing.T) {
-	run := func(mode netsim.QueueMode, capBytes int, nSenders int) (netsim.Time, bool) {
+	// repairs totals what loss recovery did in one run: sender timeouts and
+	// retransmits, and duplicate deliveries at the receiver.
+	type repairs struct{ timeouts, retransmits, dups int }
+	// run returns the last completion time, whether every sender completed,
+	// and the run's repairs.
+	run := func(mode netsim.QueueMode, capBytes int, cfg Config) (netsim.Time, bool, repairs) {
+		const nSenders = 4
 		sim := netsim.NewSim()
 		star := netsim.NewStar(sim, nSenders+1,
 			netsim.LinkConfig{Bandwidth: netsim.Mbps(100), Delay: 5 * netsim.Microsecond},
@@ -293,8 +299,10 @@ func TestBaselineSlowdownUnderLoss(t *testing.T) {
 		enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 		var last netsim.Time
 		completed := 0
-		for i := 0; i < nSenders; i++ {
-			s := newStack(star.Hosts[i], Config{})
+		senders := make([]*Stack, nSenders)
+		for i := range senders {
+			s := newStack(star.Hosts[i], cfg)
+			senders[i] = s
 			msg, _ := enc.Encode(1, uint32(i+1), gaussianGrad(uint64(i), 1<<13))
 			onDone := func(at netsim.Time) {
 				completed++
@@ -310,14 +318,25 @@ func TestBaselineSlowdownUnderLoss(t *testing.T) {
 			}
 		}
 		sim.RunUntil(5 * netsim.Second)
-		return last, completed == nSenders
+		r := repairs{dups: rx.Stats.DupsReceived}
+		for _, s := range senders {
+			r.timeouts += s.Stats.Timeouts
+			r.retransmits += s.Stats.Retransmits
+		}
+		return last, completed == nSenders, r
 	}
 
-	reliableClean, ok1 := run(netsim.DropTail, 1<<20, 4) // deep buffer: no loss
-	reliableLossy, ok2 := run(netsim.DropTail, 20000, 4) // shallow: drops + RTO
-	trimLossy, ok3 := run(netsim.TrimOverflow, 20000, 4) // shallow: trims
+	// The clean arm must be clean by construction, not by which spurious
+	// timer wins a tie: a full 1 MiB queue takes 84 ms to drain at 100 Mb/s,
+	// so its RTO sits above that and no timer can fire on a queued packet.
+	reliableClean, ok1, cleanRepairs := run(netsim.DropTail, 1<<20, Config{RTO: 100 * netsim.Millisecond})
+	reliableLossy, ok2, _ := run(netsim.DropTail, 20000, Config{}) // shallow: drops + RTO
+	trimLossy, ok3, _ := run(netsim.TrimOverflow, 20000, Config{}) // shallow: trims
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatalf("completion: clean=%v lossy=%v trim=%v", ok1, ok2, ok3)
+	}
+	if cleanRepairs != (repairs{}) {
+		t.Errorf("deep-buffer arm is not loss-free: %+v", cleanRepairs)
 	}
 	if reliableLossy < reliableClean {
 		t.Errorf("loss should slow the reliable baseline: %v vs %v", reliableLossy, reliableClean)

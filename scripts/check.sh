@@ -105,10 +105,10 @@ go test ./...
 step "go test -race (concurrency-heavy packages)"
 go test -race ./internal/core ./internal/transport ./internal/collective ./internal/ddp
 
-step "shard determinism (differential + sharded matrices, -race, GOMAXPROCS 1 and 4)"
-# The bit-identity contract must hold however the goroutines are actually
-# scheduled: truly parallel (4) and fully serialized (1) both run under
-# the race detector.
+step "shard determinism (differential + plain-Sim identity + sharded matrices, -race, GOMAXPROCS 1 and 4)"
+# The bit-identity contract — plain Sim ≡ 1 shard ≡ S shards — must hold
+# however the goroutines are actually scheduled: truly parallel (4) and
+# fully serialized (1) both run under the race detector.
 for procs in 1 4; do
   GOMAXPROCS=$procs go test -race -run 'Shard' -count=1 \
     ./internal/netsim ./internal/collective
@@ -126,6 +126,11 @@ go test -run 'TestObsOverheadGuard' -count=1 .
 step "fuzz smoke (wire parsers + Trim + aggregate merge + validate/parse parity, 2s each)"
 for target in FuzzParseDataPacket FuzzParseMetaPacket FuzzParseNaivePacket FuzzTrim FuzzTrimPreservesHeads FuzzAggregateMerge FuzzParseAggPacket FuzzValidateMatchesParse; do
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 2s ./internal/wire
+done
+
+step "fuzz smoke (event order: wheel vs key-deriving reference heap, shard counts vs 1 shard, 2s each)"
+for target in FuzzTimerWheel FuzzShardScheduler; do
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime 2s ./internal/netsim
 done
 
 step "coverage (fault-injection surface)"
