@@ -519,11 +519,16 @@ func BenchmarkHotMLEpoch(b *testing.B) {
 
 // BenchmarkFWHT measures the fast Walsh-Hadamard transform on the paper's
 // row size (the kernel the fast-hadamard-transform CUDA library provides
-// on the testbed).
+// on the testbed) and on the 2^11 row the benchmark's training workload
+// encodes.
 func BenchmarkFWHT(b *testing.B) {
-	v := benchRow(fwht.DefaultRowSize)
-	b.SetBytes(int64(len(v) * 4))
-	for i := 0; i < b.N; i++ {
-		fwht.Transform(v)
+	for _, n := range []int{fwht.DefaultRowSize, 1 << 11} {
+		b.Run(fmt.Sprintf("row%d", n), func(b *testing.B) {
+			v := benchRow(n)
+			b.SetBytes(int64(len(v) * 4))
+			for i := 0; i < b.N; i++ {
+				fwht.Transform(v)
+			}
+		})
 	}
 }

@@ -61,6 +61,7 @@ var acquireSpecs = map[funcKey]string{
 	{"wire", "Arena", "GetStamped"}: "arena buffer (Arena.GetStamped)",
 	{"par", "", "Float32s"}:         "scratch slice (par.Float32s)",
 	{"par", "", "Float64s"}:         "scratch slice (par.Float64s)",
+	{"par", "", "Uint32s"}:          "scratch slice (par.Uint32s)",
 	{"par", "", "Bytes"}:            "scratch slice (par.Bytes)",
 }
 
@@ -94,6 +95,7 @@ var consumeSpecs = map[funcKey]consumeSpec{
 	{"wire", "", "PutPacked"}:          {args: []int{1, 2}, root: true},
 	{"par", "", "PutFloat32s"}:         {args: []int{0}, root: true},
 	{"par", "", "PutFloat64s"}:         {args: []int{0}, root: true},
+	{"par", "", "PutUint32s"}:          {args: []int{0}, root: true},
 	{"par", "", "PutBytes"}:            {args: []int{0}, root: true},
 	// Crossing into the fabric transfers ownership: the fabric releases at
 	// the packet's terminal point (host delivery or any drop).

@@ -40,6 +40,22 @@ func collChaosScenarios() []collChaosScenario {
 	}
 }
 
+// apply arms the scenario's faults on a star fabric.
+func (sc collChaosScenario) apply(star *netsim.Topology, seed uint64) {
+	faults := sc.faults
+	faults.Seed = seed
+	star.Net.InjectFaults(0, netsim.SwitchIDBase, faults)
+	if sc.flap {
+		star.Net.FlapLink(0, netsim.SwitchIDBase, 200*netsim.Microsecond, 2*netsim.Millisecond)
+	}
+	if sc.crash >= 0 {
+		star.Hosts[sc.crash].Fail()
+	}
+	if sc.partition >= 0 {
+		star.Net.SetLinkDown(netsim.NodeID(sc.partition), netsim.SwitchIDBase, true)
+	}
+}
+
 // rankOutcome is one rank's observable result; two same-seed runs must
 // produce identical outcomes rank for rank.
 type rankOutcome struct {
@@ -72,18 +88,7 @@ func runChaosAllReduce(t *testing.T, alg Algorithm, mode Mode, sc collChaosScena
 		w.Deadline = 100 * netsim.Millisecond
 		ws[i] = w
 	}
-	faults := sc.faults
-	faults.Seed = seed
-	star.Net.InjectFaults(0, netsim.SwitchIDBase, faults)
-	if sc.flap {
-		star.Net.FlapLink(0, netsim.SwitchIDBase, 200*netsim.Microsecond, 2*netsim.Millisecond)
-	}
-	if sc.crash >= 0 {
-		star.Hosts[sc.crash].Fail()
-	}
-	if sc.partition >= 0 {
-		star.Net.SetLinkDown(netsim.NodeID(sc.partition), netsim.SwitchIDBase, true)
-	}
+	sc.apply(star, seed)
 
 	grads := make([][]float32, n)
 	for i := range grads {

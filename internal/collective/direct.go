@@ -73,17 +73,11 @@ func AllReduceDirect(epoch uint64, baseMsg uint32, workers []*Worker,
 		}
 		w.armDeadline(func() bool { return received == n-1 }, fail)
 		// Send our gradient to every peer.
-		msg := baseMsg + uint32(i)
-		for j, dst := range ids {
-			if j == i {
-				continue
-			}
-			err := w.send(dst, epoch, msg, grads[i], nil, func(err error) {
-				fail(fmt.Errorf("collective: send %d→%d: %w", i, dst, err))
-			})
-			if err != nil {
-				return err
-			}
+		err := w.sendAll(others(ids, i), epoch, baseMsg+uint32(i), grads[i], func(dst netsim.NodeID, err error) {
+			fail(fmt.Errorf("collective: send %d→%d: %w", i, dst, err))
+		})
+		if err != nil {
+			return err
 		}
 	}
 	// Single-worker degenerate case completes immediately.
@@ -150,16 +144,11 @@ func AllGather(epoch uint64, baseMsg uint32, workers []*Worker,
 			}
 		}
 		w.armDeadline(func() bool { return received == n-1 }, fail)
-		msg := baseMsg + uint32(i)
-		for j, dst := range ids {
-			if j == i {
-				continue
-			}
-			if err := w.send(dst, epoch, msg, shards[i], nil, func(err error) {
-				fail(fmt.Errorf("collective: send %d→%d: %w", i, dst, err))
-			}); err != nil {
-				return err
-			}
+		err := w.sendAll(others(ids, i), epoch, baseMsg+uint32(i), shards[i], func(dst netsim.NodeID, err error) {
+			fail(fmt.Errorf("collective: send %d→%d: %w", i, dst, err))
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if n == 1 {
@@ -215,19 +204,17 @@ func Broadcast(epoch uint64, msg uint32, workers []*Worker, root int,
 		}
 		w.armDeadline(func() bool { return got }, fail)
 	}
+	ids := make([]netsim.NodeID, n)
 	for i, w := range workers {
-		if i == root {
-			continue
+		ids[i] = w.Stack.Host().ID()
+	}
+	err := workers[root].sendAll(others(ids, root), epoch, msg, tensor, func(dst netsim.NodeID, err error) {
+		if onError != nil {
+			onError(root, fmt.Errorf("collective: broadcast to %d: %w", dst, err))
 		}
-		dst := w.Stack.Host().ID()
-		err := workers[root].send(dst, epoch, msg, tensor, nil, func(err error) {
-			if onError != nil {
-				onError(root, fmt.Errorf("collective: broadcast to %d: %w", dst, err))
-			}
-		})
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 	if onDone != nil {
 		onDone(root, append([]float32(nil), tensor...),

@@ -86,7 +86,7 @@ func AllReduceHierarchical(epoch uint64, baseMsg uint32, workers []*Worker,
 				}
 			}
 			w.armDeadline(func() bool { return got }, fail)
-			if err := w.send(ids[leader], epoch, baseMsg+uint32(i), grads[i], nil, func(err error) {
+			if err := w.send(ids[leader], epoch, baseMsg+uint32(i), grads[i], func(err error) {
 				fail(fmt.Errorf("collective: hier reduce %d→%d: %w", i, leader, err))
 			}); err != nil {
 				return err
@@ -211,17 +211,17 @@ func (st *hierLeader) maybeAdvance(at netsim.Time) {
 			st.w.span("collective.hier.reduce", st.started, at)
 		}
 		msg := st.baseMsg + uint32(st.n) + uint32(st.rank)
+		var peers []netsim.NodeID
 		for _, peer := range st.leaders {
-			if peer == st.rank {
-				continue
+			if peer != st.rank {
+				peers = append(peers, st.ids[peer])
 			}
-			dst := st.ids[peer]
-			if err := st.w.send(dst, st.epoch, msg, st.groupSum, nil, func(err error) {
-				st.fail(fmt.Errorf("collective: hier exchange %d→%d: %w", st.rank, dst, err))
-			}); err != nil {
-				st.fail(err)
-				return
-			}
+		}
+		if err := st.w.sendAll(peers, st.epoch, msg, st.groupSum, func(dst netsim.NodeID, err error) {
+			st.fail(fmt.Errorf("collective: hier exchange %d→%d: %w", st.rank, dst, err))
+		}); err != nil {
+			st.fail(err)
+			return
 		}
 	}
 	if st.membersLeft == 0 && st.extLeft == 0 {
@@ -238,17 +238,12 @@ func (st *hierLeader) maybeAdvance(at netsim.Time) {
 		// fail, whose done guard makes them no-ops. The member that missed
 		// the broadcast reports its own deadline error — the leader must not
 		// report a second outcome.
-		for i := st.off[st.group]; i < st.off[st.group+1]; i++ {
-			if i == st.rank {
-				continue
-			}
-			dst := st.ids[i]
-			if err := st.w.send(dst, st.epoch, msg, avg, nil, func(err error) {
-				st.fail(fmt.Errorf("collective: hier broadcast %d→%d: %w", st.rank, dst, err))
-			}); err != nil {
-				st.fail(err)
-				return
-			}
+		// The leader is the first rank of its group; the members follow it.
+		members := st.ids[st.rank+1 : st.off[st.group+1]]
+		if err := st.w.sendAll(members, st.epoch, msg, avg, func(dst netsim.NodeID, err error) {
+			st.fail(fmt.Errorf("collective: hier broadcast %d→%d: %w", st.rank, dst, err))
+		}); err != nil {
+			st.fail(err)
 		}
 	}
 }

@@ -86,14 +86,10 @@ func AllReduceParamServer(epoch uint64, baseMsg uint32, workers []*Worker,
 		// srvFail, whose received == n−1 guard makes them no-ops. The client
 		// that missed the broadcast reports its own deadline error — the
 		// server must not report a second outcome.
-		for _, dst := range ids[1:] {
-			dst := dst
-			if err := server.send(dst, epoch, baseMsg+1, sum, nil, func(err error) {
-				srvFail(fmt.Errorf("collective: ps broadcast to %d: %w", dst, err))
-			}); err != nil {
-				srvFail(err)
-				return
-			}
+		if err := server.sendAll(ids[1:], epoch, baseMsg+1, sum, func(dst netsim.NodeID, err error) {
+			srvFail(fmt.Errorf("collective: ps broadcast to %d: %w", dst, err))
+		}); err != nil {
+			srvFail(err)
 		}
 	}
 	server.armDeadline(func() bool { return received == n-1 }, srvFail)
@@ -129,7 +125,7 @@ func AllReduceParamServer(epoch uint64, baseMsg uint32, workers []*Worker,
 			}
 		}
 		w.armDeadline(func() bool { return got }, fail)
-		if err := w.send(serverID, epoch, baseMsg, grads[i], nil, func(err error) {
+		if err := w.send(serverID, epoch, baseMsg, grads[i], func(err error) {
 			fail(fmt.Errorf("collective: ps reduce %d→0: %w", i, err))
 		}); err != nil {
 			return err

@@ -191,7 +191,7 @@ func (st *rdState) run() {
 			if rd.sendTo >= 0 {
 				msg := st.msgID(rd.step, st.rank)
 				step := rd.step
-				err := st.w.send(st.ids[rd.sendTo], st.epoch, msg, st.acc, nil, func(err error) {
+				err := st.w.send(st.ids[rd.sendTo], st.epoch, msg, st.acc, func(err error) {
 					st.fail(fmt.Errorf("collective: rd send step %d: %w", step, err))
 				})
 				if err != nil {

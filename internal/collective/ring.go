@@ -128,7 +128,7 @@ func (rs *ringState) sendStep() error {
 	c := rs.sendChunk(rs.step, rs.rank)
 	msg := rs.msgID(rs.step, rs.rank)
 	step := rs.step
-	err := rs.w.send(rs.rightID, rs.epoch, msg, rs.chunk(c), nil, func(err error) {
+	err := rs.w.send(rs.rightID, rs.epoch, msg, rs.chunk(c), func(err error) {
 		rs.fail(fmt.Errorf("collective: ring send step %d: %w", step, err))
 	})
 	if err != nil {

@@ -1,5 +1,11 @@
 package collective
 
+import (
+	"slices"
+
+	"trimgrad/internal/netsim"
+)
+
 // mod is the mathematical modulus: the result is always in [0, n) even for
 // negative a, unlike Go's % operator. Every algorithm's neighbour/step
 // arithmetic (ring left-neighbour, recursive-doubling partner, hierarchical
@@ -16,4 +22,10 @@ func chunkOffsets(dim, n int) []int {
 		off[c] = c * dim / n
 	}
 	return off
+}
+
+// others returns ids without the entry at index skip, order kept: every
+// peer of rank skip.
+func others(ids []netsim.NodeID, skip int) []netsim.NodeID {
+	return slices.Concat(ids[:skip], ids[skip+1:])
 }

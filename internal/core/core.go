@@ -14,13 +14,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"trimgrad/internal/fwht"
 	"trimgrad/internal/obs"
-	"trimgrad/internal/par"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/wire"
 	"trimgrad/internal/xrand"
@@ -186,34 +184,10 @@ func NewEncoderWith(opts ...Option) (*Encoder, error) {
 // Codec exposes the underlying quantizer (for benchmarks and diagnostics).
 func (e *Encoder) Codec() quant.Codec { return e.codec }
 
-// Encode encodes grad as message msgID of the given epoch.
+// Encode encodes grad as message msgID of the given epoch: EncodeParallel
+// on the calling goroutine alone.
 func (e *Encoder) Encode(epoch uint64, msgID uint32, grad []float32) (*Message, error) {
-	if len(grad) == 0 {
-		return nil, errors.New("core: empty gradient")
-	}
-	// The padded row backing lives only for the duration of this call
-	// (packets copy the bits they need), so it comes from the scratch
-	// arena: steady-state encoding does not allocate it.
-	nRows := (len(grad) + e.cfg.RowSize - 1) / e.cfg.RowSize
-	backing := par.Float32s(nRows * e.cfg.RowSize)
-	defer par.PutFloat32s(backing)
-	rows := fwht.SplitRowsBacking(grad, e.cfg.RowSize, backing)
-	msg := &Message{ID: msgID, N: len(grad), Meta: make([][]byte, 0, nRows)}
-	for r, row := range rows {
-		seed := RowSeed(epoch, msgID, uint32(r))
-		enc, err := e.codec.Encode(row, seed)
-		if err != nil {
-			return nil, fmt.Errorf("core: row %d: %w", r, err)
-		}
-		meta, data, err := wire.PackRowTo(e.arena, e.cfg.Flow, msgID, uint32(r), enc)
-		if err != nil {
-			return nil, fmt.Errorf("core: row %d: %w", r, err)
-		}
-		msg.Meta = append(msg.Meta, meta)
-		msg.Data = append(msg.Data, data...)
-	}
-	countEncoded(e.reg, msg, len(rows))
-	return msg, nil
+	return e.EncodeParallel(epoch, msgID, grad, 1)
 }
 
 // Stats summarizes what a Decoder saw for one message.
@@ -431,48 +405,10 @@ func (d *Decoder) replayPending(row uint32, asm *wire.RowAssembler) {
 // original gradient length (known to the training framework, which sized
 // the bucket). Rows whose metadata never arrived are decoded as zeros —
 // metadata travels reliably, so in practice this only happens in
-// drop-injection experiments.
+// drop-injection experiments. It is DecodeParallel on the calling
+// goroutine alone.
 func (d *Decoder) Reconstruct(n int) ([]float32, Stats, error) {
-	if n <= 0 {
-		return nil, d.stats, errors.New("core: non-positive gradient length")
-	}
-	defer func() { d.obs.flush(d.stats) }()
-	rowSize := d.cfg.RowSize
-	nRows := (n + rowSize - 1) / rowSize
-	out := make([]float32, 0, nRows*rowSize)
-	d.stats.ExpectedPackets = 0
-	d.stats.TrimmedCoords = 0
-	d.stats.TotalCoords = 0
-	d.stats.DroppedCoords = 0
-	for r := 0; r < nRows; r++ {
-		asm := d.rows[uint32(r)]
-		if asm == nil || !asm.HaveMeta() {
-			out = append(out, make([]float32, rowSize)...)
-			d.stats.TotalCoords += rowSize
-			d.stats.DroppedCoords += rowSize
-			continue
-		}
-		enc, headAvail, tailAvail, err := asm.Assemble()
-		if err != nil {
-			return nil, d.stats, fmt.Errorf("core: row %d: %w", r, err)
-		}
-		d.stats.ExpectedPackets += asm.ExpectedPackets()
-		dec, err := d.codec.Decode(enc, headAvail, tailAvail)
-		if err != nil {
-			return nil, d.stats, fmt.Errorf("core: row %d: %w", r, err)
-		}
-		for i := range headAvail {
-			d.stats.TotalCoords++
-			switch {
-			case !headAvail[i]:
-				d.stats.DroppedCoords++
-			case !tailAvail[i]:
-				d.stats.TrimmedCoords++
-			}
-		}
-		out = append(out, dec...)
-	}
-	return out[:n], d.stats, nil
+	return d.DecodeParallel(n, 1)
 }
 
 // Stats returns the decoder's packet statistics so far (and flushes them

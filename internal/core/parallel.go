@@ -10,12 +10,13 @@ import (
 	"trimgrad/internal/wire"
 )
 
-// EncodeParallel is Encode with per-row parallelism. The paper splits each
-// communication blob into 2^15-entry rows precisely so the GPU can rotate
-// them independently; on the CPU the same independence lets rows encode on
-// all cores. The result — packets, obs counters, everything — is
-// bit-identical to Encode (row seeds depend only on (epoch, msgID, row),
-// never on execution order).
+// EncodeParallel encodes grad as message msgID of the given epoch, rows
+// in parallel. The paper splits each communication blob into 2^15-entry
+// rows precisely so the GPU can rotate them independently; on the CPU the
+// same independence lets rows encode on all cores. The result — packets,
+// obs counters, everything — is the same bytes at every worker count (row
+// seeds depend only on (epoch, msgID, row), never on execution order);
+// workers = 1 runs the rows in order on the calling goroutine.
 //
 // Work is scheduled on the persistent par.Default pool and codec
 // instances are cached per worker slot across calls, so steady-state
@@ -31,51 +32,53 @@ func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, wor
 	if workers <= 0 {
 		workers = par.Default.Size()
 	}
-	if workers > nRows {
-		workers = nRows
-	}
-	if workers <= 1 {
-		return e.Encode(epoch, msgID, grad)
-	}
+	workers = min(workers, nRows)
 	codecs, err := e.workerCodecs(workers)
 	if err != nil {
 		return nil, err
 	}
+	// The padded row backing lives only for the duration of this call
+	// (packets copy the bits they need), so it comes from the scratch
+	// arena: steady-state encoding does not allocate it.
 	backing := par.Float32s(nRows * rowSize)
 	defer par.PutFloat32s(backing)
 	rows := fwht.SplitRowsBacking(grad, rowSize, backing)
 
-	type rowOut struct {
-		meta []byte
-		data [][]byte
-		err  error
-	}
-	outs := make([]rowOut, nRows)
+	outs := make([]encodedRow, nRows)
 	par.Default.ForEachWorker(nRows, workers, func(w, r int) {
-		seed := RowSeed(epoch, msgID, uint32(r))
-		enc, err := codecs[w].Encode(rows[r], seed)
-		if err != nil {
-			outs[r].err = fmt.Errorf("core: row %d: %w", r, err)
-			return
-		}
-		meta, data, err := wire.PackRowTo(e.arena, e.cfg.Flow, msgID, uint32(r), enc)
-		if err != nil {
-			outs[r].err = fmt.Errorf("core: row %d: %w", r, err)
-			return
-		}
-		outs[r] = rowOut{meta: meta, data: data}
+		outs[r] = e.encodeRow(codecs[w], epoch, msgID, uint32(r), rows[r])
 	})
 
 	msg := &Message{ID: msgID, N: len(grad), Meta: make([][]byte, 0, nRows)}
 	for r := range outs {
 		if outs[r].err != nil {
-			return nil, outs[r].err
+			return nil, fmt.Errorf("core: row %d: %w", r, outs[r].err)
 		}
 		msg.Meta = append(msg.Meta, outs[r].meta)
 		msg.Data = append(msg.Data, outs[r].data...)
 	}
 	countEncoded(e.reg, msg, nRows)
 	return msg, nil
+}
+
+// encodedRow is one row's packets, or why it has none.
+type encodedRow struct {
+	meta []byte
+	data [][]byte
+	err  error
+}
+
+// encodeRow is the encode direction's one row body: seed → quantise →
+// packetise. The packets copy the head and tail bits they carry, so the
+// quantised row's scratch goes straight back to the pool.
+func (e *Encoder) encodeRow(codec quant.Codec, epoch uint64, msgID, r uint32, row []float32) encodedRow {
+	enc, err := codec.Encode(row, RowSeed(epoch, msgID, r))
+	if err != nil {
+		return encodedRow{err: err}
+	}
+	defer enc.Release()
+	meta, data, err := wire.PackRowTo(e.arena, e.cfg.Flow, msgID, r, enc)
+	return encodedRow{meta: meta, data: data, err: err}
 }
 
 // workerCodecs returns n cached codec instances, growing the cache under
@@ -100,69 +103,31 @@ func (e *Encoder) workerCodecs(n int) ([]quant.Codec, error) {
 	return e.codecs[:n:n], nil
 }
 
-// DecodeParallel is Reconstruct with per-row parallelism: row
-// reassembly + codec decode is embarrassingly parallel, exactly like the
-// encode side. The reconstructed gradient is byte-identical to
-// Reconstruct's, and the merged Stats and obs counters match the serial
-// loop field for field (per-row contributions are folded in ascending
-// row order, including the serial loop's stop-at-first-error prefix).
+// DecodeParallel decodes the gradient from whatever packets arrived, rows
+// in parallel: row reassembly + codec decode is embarrassingly parallel,
+// exactly like the encode side. n is the original gradient length. The
+// gradient, the Stats and the obs counters are the same at every worker
+// count (per-row contributions are folded in ascending row order, and a
+// failing row reports what the rows before it counted); workers = 1 runs
+// the rows in order on the calling goroutine.
 //
-// workers ≤ 0 means the pool size (GOMAXPROCS). DecodeParallel and
-// Reconstruct may be freely interleaved on one Decoder, but not called
-// concurrently with each other or with Handle.
+// workers ≤ 0 means the pool size (GOMAXPROCS). DecodeParallel may be
+// called again on one Decoder, but not concurrently with itself or with
+// Handle.
 func (d *Decoder) DecodeParallel(n, workers int) ([]float32, Stats, error) {
 	if n <= 0 {
 		return nil, d.stats, errors.New("core: non-positive gradient length")
 	}
 	rowSize := d.cfg.RowSize
 	nRows := (n + rowSize - 1) / rowSize
-	if workers <= 0 {
-		workers = par.Default.Size()
-	}
-	if workers > nRows {
-		workers = nRows
-	}
-	if workers <= 1 {
-		return d.Reconstruct(n)
-	}
 
-	// Per-row partial statistics, merged serially below. The shared codec
-	// is safe to call concurrently (quant.Codec documents statelessness);
-	// d.rows is only read here, never written.
-	type rowRes struct {
-		expected, total, trimmed, dropped int
-		err                               error
-	}
+	// Each row decodes straight into its slice of out and leaves its
+	// counts in res; the shared codec is safe to call concurrently
+	// (quant.Codec documents statelessness) and d.rows is only read.
 	out := make([]float32, nRows*rowSize)
-	res := make([]rowRes, nRows)
+	res := make([]decodedRow, nRows)
 	par.Default.ForEach(nRows, workers, func(r int) {
-		asm := d.rows[uint32(r)]
-		if asm == nil || !asm.HaveMeta() {
-			// Row never arrived: decode as zeros (out is already zero).
-			res[r] = rowRes{total: rowSize, dropped: rowSize}
-			return
-		}
-		enc, headAvail, tailAvail, err := asm.Assemble()
-		if err != nil {
-			res[r].err = fmt.Errorf("core: row %d: %w", r, err)
-			return
-		}
-		res[r].expected = asm.ExpectedPackets()
-		dec, err := d.codec.Decode(enc, headAvail, tailAvail)
-		if err != nil {
-			res[r].err = fmt.Errorf("core: row %d: %w", r, err)
-			return
-		}
-		for i := range headAvail {
-			res[r].total++
-			switch {
-			case !headAvail[i]:
-				res[r].dropped++
-			case !tailAvail[i]:
-				res[r].trimmed++
-			}
-		}
-		copy(out[r*rowSize:(r+1)*rowSize], dec)
+		res[r] = d.decodeRow(uint32(r), out[r*rowSize:(r+1)*rowSize])
 	})
 
 	defer func() { d.obs.flush(d.stats) }()
@@ -171,15 +136,45 @@ func (d *Decoder) DecodeParallel(n, workers int) ([]float32, Stats, error) {
 	d.stats.TotalCoords = 0
 	d.stats.DroppedCoords = 0
 	for r := range res {
-		// Expected is counted before the row decodes in the serial loop,
-		// so fold it in before surfacing the row's error.
+		// A row that fails to decode still expected its packets.
 		d.stats.ExpectedPackets += res[r].expected
 		if res[r].err != nil {
-			return nil, d.stats, res[r].err
+			return nil, d.stats, fmt.Errorf("core: row %d: %w", r, res[r].err)
 		}
 		d.stats.TotalCoords += res[r].total
 		d.stats.TrimmedCoords += res[r].trimmed
 		d.stats.DroppedCoords += res[r].dropped
 	}
 	return out[:n], d.stats, nil
+}
+
+// decodedRow is one row's contribution to the message's Stats.
+type decodedRow struct {
+	expected, total, trimmed, dropped int
+	err                               error
+}
+
+// decodeRow is the decode direction's one row body: assemble → decode into
+// dst, the row's zeroed slice of the output → count. A row whose metadata
+// never arrived stays zero and counts as dropped.
+func (d *Decoder) decodeRow(r uint32, dst []float32) decodedRow {
+	asm := d.rows[r]
+	if asm == nil || !asm.HaveMeta() {
+		return decodedRow{total: len(dst), dropped: len(dst)}
+	}
+	enc, headAvail, tailAvail, err := asm.Assemble()
+	if err != nil {
+		return decodedRow{err: err}
+	}
+	res := decodedRow{expected: asm.ExpectedPackets()}
+	if enc.N > len(dst) {
+		res.err = fmt.Errorf("%d coordinates exceed the configured RowSize %d", enc.N, len(dst))
+		return res
+	}
+	if res.err = d.codec.DecodeInto(dst[:enc.N], enc, headAvail, tailAvail); res.err != nil {
+		return res
+	}
+	heads, tails := asm.Filled()
+	res.total, res.trimmed, res.dropped = enc.N, heads-tails, enc.N-heads
+	return res
 }

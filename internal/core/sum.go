@@ -316,7 +316,7 @@ func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) {
 	defer func() { d.obs.flush(d.stats) }()
 	rowSize := d.cfg.RowSize
 	nRows := (n + rowSize - 1) / rowSize
-	out := make([]float32, 0, nRows*rowSize)
+	out := make([]float32, nRows*rowSize)
 	d.stats.TotalCoords = d.nFlows * nRows * rowSize
 	d.stats.TrimmedCoords = d.headContribs - d.tailContribs
 	d.stats.DroppedCoords = d.stats.TotalCoords - d.headContribs
@@ -324,21 +324,18 @@ func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) {
 	for r := 0; r < nRows; r++ {
 		row := d.rows[uint32(r)]
 		if row == nil || !row.haveGeom {
-			out = append(out, make([]float32, rowSize)...)
-			continue
+			continue // out is already zero
 		}
 		if row.geomKnown() {
 			per := wire.CoordsPerPacket(row.p, row.q)
 			d.stats.ExpectedPackets += d.nFlows * ((row.n + per - 1) / per)
 		}
-		// Finalize into a copy so Reconstruct stays repeatable.
-		dec := append([]float32(nil), row.native...)
+		// Finalize in the row's slice of the output, not in the accumulator,
+		// so Reconstruct stays repeatable.
+		dec := out[r*rowSize:][:row.n]
+		copy(dec, row.native)
 		if err := quant.FinalizeNative(row.scheme, row.seed, dec); err != nil {
 			return nil, d.stats, fmt.Errorf("core: row %d: %w", r, err)
-		}
-		out = append(out, dec...)
-		for pad := len(dec); pad < rowSize; pad++ {
-			out = append(out, 0)
 		}
 	}
 	return out[:n], d.stats, nil

@@ -17,6 +17,7 @@ package fwht
 
 import (
 	"math"
+	"math/bits"
 
 	"trimgrad/internal/vecmath"
 	"trimgrad/internal/xrand"
@@ -28,17 +29,74 @@ const DefaultRowSize = 1 << 15
 // Transform applies the (unnormalized) Walsh-Hadamard transform to v in
 // place. len(v) must be a power of two; Transform panics otherwise.
 // Applying Transform twice multiplies v by len(v).
+//
+// The transform is log₂n butterfly stages h = 1, 2, 4, …, n/2, stage h
+// replacing every pair (v[j], v[j+h]) by (sum, difference). The stages
+// run in that order and every butterfly is one rounded float32 add and
+// one rounded subtract, so each output is a fixed tree of float32
+// operations — the determinism contract (same seed, same bytes) pins
+// that tree, and the kernel only changes how many stages share one trip
+// through memory: h = 1, 2, 4 run on eight contiguous values held in
+// registers, the rest two stages per pass (radix-4), with one single
+// stage first when an odd number remains.
 func Transform(v []float32) {
 	n := len(v)
 	if !vecmath.IsPow2(n) {
 		panic("fwht: length is not a power of two")
 	}
-	for h := 1; h < n; h <<= 1 {
-		for i := 0; i < n; i += h << 1 {
-			for j := i; j < i+h; j++ {
-				x, y := v[j], v[j+h]
-				v[j], v[j+h] = x+y, x-y
+	if n < 8 {
+		for h := 1; h < n; h <<= 1 {
+			stage(v, h)
+		}
+		return
+	}
+	for i := 0; i+8 <= n; i += 8 {
+		b := v[i : i+8]
+		x0, x1, x2, x3, x4, x5, x6, x7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+		x0, x1 = x0+x1, x0-x1
+		x2, x3 = x2+x3, x2-x3
+		x4, x5 = x4+x5, x4-x5
+		x6, x7 = x6+x7, x6-x7
+		x0, x2 = x0+x2, x0-x2
+		x1, x3 = x1+x3, x1-x3
+		x4, x6 = x4+x6, x4-x6
+		x5, x7 = x5+x7, x5-x7
+		b[0], b[4] = x0+x4, x0-x4
+		b[1], b[5] = x1+x5, x1-x5
+		b[2], b[6] = x2+x6, x2-x6
+		b[3], b[7] = x3+x7, x3-x7
+	}
+	h := 8
+	if bits.TrailingZeros(uint(n))&1 == 0 {
+		// log₂n − 3 stages remain; an odd count leaves one for radix 2.
+		stage(v, h)
+		h <<= 1
+	}
+	for ; h < n; h <<= 2 {
+		for i := 0; i < n; i += h << 2 {
+			a := v[i : i+h]
+			b := v[i+h:][:len(a)]
+			c := v[i+2*h:][:len(a)]
+			d := v[i+3*h:][:len(a)]
+			for j := range a {
+				// Stage h on (a, b) and (c, d), then stage 2h on the results.
+				s0, d0 := a[j]+b[j], a[j]-b[j]
+				s1, d1 := c[j]+d[j], c[j]-d[j]
+				a[j], c[j] = s0+s1, s0-s1
+				b[j], d[j] = d0+d1, d0-d1
 			}
+		}
+	}
+}
+
+// stage runs the single butterfly stage h over v.
+func stage(v []float32, h int) {
+	for i := 0; i < len(v); i += h << 1 {
+		a := v[i : i+h]
+		b := v[i+h:][:len(a)]
+		for j := range a {
+			x, y := a[j], b[j]
+			a[j], b[j] = x+y, x-y
 		}
 	}
 }
@@ -52,23 +110,22 @@ func Normalized(v []float32) {
 
 // applySignDiagonal multiplies v element-wise by the ±1 diagonal derived
 // from seed: bit=1 means negate. The same seed always yields the same
-// diagonal, which is how sender and receiver share D_s.
+// diagonal, which is how sender and receiver share D_s. Negation is the
+// sign bit XORed with the diagonal's bit — what unary minus does to a
+// float32, zeros, infinities and NaNs included — so a coin-flip branch
+// per coordinate is not taken.
 func applySignDiagonal(v []float32, seed uint64) {
 	r := xrand.New(seed)
-	n := len(v)
-	i := 0
-	for i < n {
+	for len(v) > 0 {
 		w := r.Uint64()
-		m := 64
-		if n-i < m {
-			m = n - i
+		chunk := v[:min(64, len(v))]
+		for b, x := range chunk {
+			// uint32(w)<<31 is bit 0 of w — coordinate b's coin — moved to
+			// the float's sign position.
+			chunk[b] = math.Float32frombits(math.Float32bits(x) ^ uint32(w)<<31)
+			w >>= 1
 		}
-		for b := 0; b < m; b++ {
-			if w>>uint(b)&1 == 1 {
-				v[i+b] = -v[i+b]
-			}
-		}
-		i += m
+		v = v[len(chunk):]
 	}
 }
 

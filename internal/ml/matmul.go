@@ -2,11 +2,9 @@ package ml
 
 import "trimgrad/internal/par"
 
-// Cache-blocked, pool-parallel dense-layer kernels. The training loop's
-// hot path is three matmul-shaped loops (forward y = xW + b, backward
-// input gx = gy·Wᵀ, backward weights dW += xᵀ·gy); the naive triple
-// loops they replace dominated epoch time and kept trainsim experiments
-// from measuring the compression algorithms.
+// Register-blocked, pool-parallel dense-layer kernels. The training
+// loop's hot path is three matmul-shaped loops: forward y = xW + b,
+// backward input gx = gy·Wᵀ, backward weights dW += xᵀ·gy.
 //
 // Determinism is a hard invariant here (seed → byte-identical telemetry,
 // per the chaos matrix): every float32 accumulator must see its
@@ -15,13 +13,20 @@ import "trimgrad/internal/par"
 //
 //   - each output row (a sample's activations, a weight row's gradients)
 //     is computed by exactly one worker, claimed in fixed index order;
-//   - within a row, tile loops are arranged so each accumulator's
-//     contribution order is the plain ascending loop's order (blocking
-//     changes traversal locality, never per-accumulator order).
+//   - within a row, each accumulator adds its terms in plain ascending
+//     index order, one rounded add per term, and a term whose activation
+//     is exactly zero is skipped (never multiplied, so a NaN or ±Inf
+//     weight opposite a dead ReLU unit stays out of the sum).
 //
-// So results are bit-identical to the serial kernels for every worker
-// count, which the cross-worker-count equivalence tests in
-// matmul_test.go pin under -race.
+// Blocking happens around that rule, never inside it. The two kernels
+// that scale a vector by an activation (forward, backward weights) first
+// collect four *live* activations — ReLU leaves about half of them zero,
+// so four adjacent indices are rarely all live — and then add the four
+// scaled vectors in index order per load/store of the output element
+// (axpy4). The dot-product kernel (backward input) keeps four independent
+// accumulators, one per output, over a single pass of gy. Results are
+// bit-identical to the naive triple loops, which survive as the
+// references in matmul_test.go, at every worker count.
 
 // jBlock is the output-column tile width: a 256-float y-tile (1 KiB)
 // stays L1-resident while the kernel streams the W rows beneath it.
@@ -46,6 +51,29 @@ func SetWorkers(n int) {
 // mlWorkers returns the active kernel worker count.
 func mlWorkers() int { return workerOverride }
 
+// axpy1 adds a·v to y element-wise. len(v) must be at least len(y).
+func axpy1(y []float32, a float32, v []float32) {
+	v = v[:len(y)]
+	for j := range y {
+		y[j] += a * v[j]
+	}
+}
+
+// axpy4 adds a0·v0, a1·v1, a2·v2, a3·v3 to y element-wise, in that order:
+// y[j] ends as ((((y[j] + a0·v0[j]) + a1·v1[j]) + a2·v2[j]) + a3·v3[j]),
+// exactly what four axpy1 calls leave, with one load and one store of
+// y[j] instead of four.
+func axpy4(y []float32, a0, a1, a2, a3 float32, v0, v1, v2, v3 []float32) {
+	v0, v1, v2, v3 = v0[:len(y)], v1[:len(y)], v2[:len(y)], v3[:len(y)]
+	for j := range y {
+		t := y[j] + a0*v0[j]
+		t += a1 * v1[j]
+		t += a2 * v2[j]
+		t += a3 * v3[j]
+		y[j] = t
+	}
+}
+
 // denseForward computes out[s] = x[s]·W + b for every sample, one sample
 // per worker. W is row-major In×Out.
 func denseForward(out, x [][]float32, w, b []float32, outDim int) {
@@ -54,32 +82,56 @@ func denseForward(out, x [][]float32, w, b []float32, outDim int) {
 		y := out[s]
 		copy(y, b)
 		for j0 := 0; j0 < outDim; j0 += jBlock {
-			j1 := j0 + jBlock
-			if j1 > outDim {
-				j1 = outDim
-			}
+			j1 := min(j0+jBlock, outDim)
 			yt := y[j0:j1]
+			// live holds the input indices with a nonzero activation that
+			// are waiting for a full block of four.
+			var live [4]int
+			k := 0
 			for i, xi := range row {
 				if xi == 0 {
 					continue
 				}
-				wt := w[i*outDim+j0 : i*outDim+j1]
-				for j, wij := range wt {
-					yt[j] += xi * wij
+				live[k] = i
+				if k++; k < 4 {
+					continue
 				}
+				k = 0
+				i0, i1, i2, i3 := live[0], live[1], live[2], live[3]
+				axpy4(yt, row[i0], row[i1], row[i2], row[i3],
+					w[i0*outDim+j0:], w[i1*outDim+j0:], w[i2*outDim+j0:], w[i3*outDim+j0:])
+			}
+			for _, i := range live[:k] {
+				axpy1(yt, row[i], w[i*outDim+j0:])
 			}
 		}
 	})
 }
 
 // denseBackwardInput computes gradIn[s] = gradOut[s]·Wᵀ for every
-// sample, one sample per worker.
+// sample, one sample per worker: four inputs' dot products share each
+// pass over gy, each with its own accumulator.
 func denseBackwardInput(gradIn, gradOut [][]float32, w []float32, outDim int) {
 	par.Default.ForEach(len(gradOut), mlWorkers(), func(s int) {
-		gy := gradOut[s]
+		gy := gradOut[s][:outDim]
 		gx := gradIn[s]
-		for i := range gx {
-			wRow := w[i*outDim : (i+1)*outDim]
+		i := 0
+		for ; i+4 <= len(gx); i += 4 {
+			w0 := w[i*outDim:][:len(gy)]
+			w1 := w[(i+1)*outDim:][:len(gy)]
+			w2 := w[(i+2)*outDim:][:len(gy)]
+			w3 := w[(i+3)*outDim:][:len(gy)]
+			var a0, a1, a2, a3 float32
+			for j, g := range gy {
+				a0 += g * w0[j]
+				a1 += g * w1[j]
+				a2 += g * w2[j]
+				a3 += g * w3[j]
+			}
+			gx[i], gx[i+1], gx[i+2], gx[i+3] = a0, a1, a2, a3
+		}
+		for ; i < len(gx); i++ {
+			wRow := w[i*outDim:][:len(gy)]
 			var acc float32
 			for j, g := range gy {
 				acc += g * wRow[j]
@@ -98,14 +150,25 @@ func denseBackwardWeights(dw []float32, x, gradOut [][]float32, outDim int) {
 	inDim := len(dw) / outDim
 	par.Default.ForEach(inDim, mlWorkers(), func(i int) {
 		dwRow := dw[i*outDim : (i+1)*outDim]
-		for s, gy := range gradOut {
-			xi := x[s][i]
-			if xi == 0 {
+		// live holds the samples whose activation i is nonzero and that are
+		// waiting for a full block of four.
+		var live [4]int
+		k := 0
+		for s := range gradOut {
+			if x[s][i] == 0 {
 				continue
 			}
-			for j, g := range gy {
-				dwRow[j] += xi * g
+			live[k] = s
+			if k++; k < 4 {
+				continue
 			}
+			k = 0
+			s0, s1, s2, s3 := live[0], live[1], live[2], live[3]
+			axpy4(dwRow, x[s0][i], x[s1][i], x[s2][i], x[s3][i],
+				gradOut[s0], gradOut[s1], gradOut[s2], gradOut[s3])
+		}
+		for _, s := range live[:k] {
+			axpy1(dwRow, x[s][i], gradOut[s])
 		}
 	})
 }

@@ -69,6 +69,42 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// TestReLUMatchesBranch pins the branch-free ReLU to the obvious one —
+// y = v where v > 0, gx = g where the unit was live, +0 everywhere else —
+// bit for bit, on rows of unequal length and on the values a comparison
+// treats specially: both zeros, NaNs of either sign, infinities.
+func TestReLUMatchesBranch(t *testing.T) {
+	special := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xffc00001),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	}
+	rng := xrand.New(3)
+	x := [][]float32{special, make([]float32, 33), make([]float32, 1), {}}
+	gy := make([][]float32, len(x))
+	for s, row := range x {
+		gy[s] = make([]float32, len(row))
+		for i := range row {
+			if s > 0 {
+				row[i] = float32(rng.NormFloat64())
+			}
+			gy[s][i] = special[(s+i)%len(special)] + float32(rng.NormFloat64())
+		}
+	}
+	r := NewReLU()
+	out := r.Forward(x, true)
+	gradIn := r.Backward(gy)
+	for s, row := range x {
+		wantY, wantG := make([]float32, len(row)), make([]float32, len(row))
+		for i, v := range row {
+			if v > 0 {
+				wantY[i], wantG[i] = v, gy[s][i]
+			}
+		}
+		bitsEqual(t, "relu forward", 1, out[s], wantY)
+		bitsEqual(t, "relu backward", 1, gradIn[s], wantG)
+	}
+}
+
 func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	logits := [][]float32{{0, 0, 0, 0}}
 	loss, grad := SoftmaxCrossEntropy(logits, []int{2})

@@ -115,9 +115,35 @@ func sliceRows(n, dim int) [][]float32 {
 	return rows
 }
 
+// rowsLike allocates a zeroed matrix with x's row lengths as one backing
+// array.
+func rowsLike(x [][]float32) [][]float32 {
+	total := 0
+	for _, row := range x {
+		total += len(row)
+	}
+	rows := make([][]float32, len(x))
+	backing := make([]float32, total)
+	for s, row := range x {
+		rows[s], backing = backing[:len(row):len(row)], backing[len(row):]
+	}
+	return rows
+}
+
+// keepIf returns v when keep holds and +0 otherwise. The choice is made on
+// v's bits, as integers, so it compiles to a conditional move: a ReLU
+// unit is live about half the time, which a branch cannot predict.
+func keepIf(v float32, keep bool) float32 {
+	bits := math.Float32bits(v)
+	if !keep {
+		bits = 0
+	}
+	return math.Float32frombits(bits)
+}
+
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	mask [][]bool
+	y [][]float32 // cached output for backward: y > 0 exactly where the input was
 }
 
 // NewReLU returns a ReLU layer.
@@ -130,46 +156,30 @@ func (r *ReLU) initialize(rng *xrand.Rand)   {}
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x [][]float32, train bool) [][]float32 {
-	out := make([][]float32, len(x))
-	if train {
-		r.mask = make([][]bool, len(x))
-	}
+	out := rowsLike(x)
 	for s, row := range x {
-		y := make([]float32, len(row))
-		var m []bool
-		if train {
-			m = make([]bool, len(row))
-		}
+		y := out[s][:len(row)]
 		for i, v := range row {
-			if v > 0 {
-				y[i] = v
-				if train {
-					m[i] = true
-				}
-			}
+			y[i] = keepIf(v, v > 0)
 		}
-		out[s] = y
-		if train {
-			r.mask[s] = m
-		}
+	}
+	if train {
+		r.y = out
 	}
 	return out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut [][]float32) [][]float32 {
-	if r.mask == nil {
+	if r.y == nil {
 		panic("ml: relu backward before forward(train)")
 	}
-	gradIn := make([][]float32, len(gradOut))
+	gradIn := rowsLike(gradOut)
 	for s, gy := range gradOut {
-		gx := make([]float32, len(gy))
+		gx, y := gradIn[s], r.y[s][:len(gy)]
 		for i, g := range gy {
-			if r.mask[s][i] {
-				gx[i] = g
-			}
+			gx[i] = keepIf(g, y[i] > 0)
 		}
-		gradIn[s] = gx
 	}
 	return gradIn
 }

@@ -124,6 +124,11 @@ func TestScratchRoundTrip(t *testing.T) {
 		t.Fatalf("len = %d, want 32", len(d))
 	}
 	PutFloat64s(d)
+	u := Uint32s(48)
+	if len(u) != 48 {
+		t.Fatalf("len = %d, want 48", len(u))
+	}
+	PutUint32s(u)
 }
 
 // TestScratchGrows: requesting more than a recycled capacity allocates

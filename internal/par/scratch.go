@@ -4,79 +4,81 @@ import "sync"
 
 // Scratch arenas for the per-row buffers the encode/decode hot paths
 // need transiently: RHT rotation copies, EDEN centroid values, packed
-// row backings. Each Get hands back a possibly-dirty buffer of the
-// requested length — callers must fully overwrite it — and each Put
-// recycles one for the next caller. Putting back is optional (the GC
-// reclaims unreturned buffers) and never required for correctness, so
-// external callers of quant codecs keep ordinary ownership semantics.
+// row backings, an encoded row's head and tail words. Each Get hands back
+// a possibly-dirty buffer of the requested length — callers must fully
+// overwrite it — and each Put recycles one for the next caller. Putting
+// back is optional (the GC reclaims unreturned buffers) and never required
+// for correctness, so external callers of quant codecs keep ordinary
+// ownership semantics.
 //
 // The arenas are process-global sync.Pools: concurrent Get/Put from
 // pool workers is safe, and a buffer obtained by one goroutine may be
 // returned by another as long as it is no longer referenced.
 
+// scratch is one element type's arena. A sync.Pool holds pointers, so a
+// pooled slice travels in a box; the box a get empties waits in empty for
+// the next put, which therefore allocates nothing either.
+type scratch[T any] struct {
+	full, empty sync.Pool // *[]T
+}
+
+func (p *scratch[T]) get(n int) []T {
+	if v := p.full.Get(); v != nil {
+		box := v.(*[]T)
+		s := *box
+		*box = nil
+		p.empty.Put(box)
+		if cap(s) >= n {
+			return s[:n]
+		}
+	}
+	return make([]T, n)
+}
+
+func (p *scratch[T]) put(s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	box, _ := p.empty.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	p.full.Put(box)
+}
+
 var (
-	f32Pool  sync.Pool // *[]float32
-	f64Pool  sync.Pool // *[]float64
-	bytePool sync.Pool // *[]byte
+	f32s  scratch[float32]
+	f64s  scratch[float64]
+	u32s  scratch[uint32]
+	bytes scratch[byte]
 )
 
 // Float32s returns a float32 scratch buffer of length n. Contents are
 // undefined; the caller must overwrite every element it reads.
-func Float32s(n int) []float32 {
-	if v := f32Pool.Get(); v != nil {
-		if s := *(v.(*[]float32)); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]float32, n)
-}
+func Float32s(n int) []float32 { return f32s.get(n) }
 
 // PutFloat32s recycles a buffer obtained from Float32s. The caller must
 // not retain any reference (including subslices) after the call.
-func PutFloat32s(s []float32) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	f32Pool.Put(&s)
-}
+func PutFloat32s(s []float32) { f32s.put(s) }
 
 // Float64s returns a float64 scratch buffer of length n. Contents are
 // undefined; the caller must overwrite every element it reads.
-func Float64s(n int) []float64 {
-	if v := f64Pool.Get(); v != nil {
-		if s := *(v.(*[]float64)); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]float64, n)
-}
+func Float64s(n int) []float64 { return f64s.get(n) }
 
 // PutFloat64s recycles a buffer obtained from Float64s.
-func PutFloat64s(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	f64Pool.Put(&s)
-}
+func PutFloat64s(s []float64) { f64s.put(s) }
+
+// Uint32s returns a uint32 scratch buffer of length n. Contents are
+// undefined; the caller must overwrite every element it reads.
+func Uint32s(n int) []uint32 { return u32s.get(n) }
+
+// PutUint32s recycles a buffer obtained from Uint32s.
+func PutUint32s(s []uint32) { u32s.put(s) }
 
 // Bytes returns a byte scratch buffer of length n. Contents are
 // undefined; the caller must overwrite every element it reads.
-func Bytes(n int) []byte {
-	if v := bytePool.Get(); v != nil {
-		if s := *(v.(*[]byte)); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]byte, n)
-}
+func Bytes(n int) []byte { return bytes.get(n) }
 
 // PutBytes recycles a buffer obtained from Bytes.
-func PutBytes(s []byte) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	bytePool.Put(&s)
-}
+func PutBytes(s []byte) { bytes.put(s) }

@@ -90,11 +90,7 @@ func (c *edenCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	// Normalize to unit variance for the N(0,1) quantizer.
 	sigma := vecmath.Std(rot)
 	q := tailWidth(32-c.p.P, c.p.TailBits)
-	enc := &EncodedRow{
-		Scheme: Eden, P: c.p.P, Q: q, N: n, Seed: seed,
-		Heads: make([]uint32, n),
-		Tails: make([]uint32, n),
-	}
+	enc := newEncodedRow(Eden, c.p.P, q, n, seed, 0)
 	// Quantize and accumulate the inner products the scale needs.
 	var dotRC, normC2 float64
 	for i, r := range rot {
@@ -121,17 +117,20 @@ func (c *edenCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 }
 
 func (c *edenCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error) {
-	if err := checkDecodeArgs(enc, headAvail, tailAvail); err != nil {
-		return nil, err
+	return decodeNew(c, enc, headAvail, tailAvail)
+}
+
+func (c *edenCodec) DecodeInto(rot []float32, enc *EncodedRow, headAvail, tailAvail []bool) error {
+	if err := checkDecodeArgs(rot, enc, headAvail, tailAvail); err != nil {
+		return err
 	}
 	if !vecmath.IsPow2(enc.N) {
-		return nil, fmt.Errorf("quant: eden row length %d is not a power of two", enc.N)
+		return fmt.Errorf("quant: eden row length %d is not a power of two", enc.N)
 	}
 	centroids, ok := lloydMaxCentroids[enc.P]
 	if !ok {
-		return nil, fmt.Errorf("quant: eden head width P=%d not in [1,4]", enc.P)
+		return fmt.Errorf("quant: eden head width P=%d not in [1,4]", enc.P)
 	}
-	rot := make([]float32, enc.N)
 	for i := range rot {
 		switch {
 		case !avail(headAvail, i):
@@ -143,5 +142,5 @@ func (c *edenCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]floa
 		}
 	}
 	fwht.InverseRandomRotate(rot, enc.Seed)
-	return rot, nil
+	return nil
 }

@@ -24,12 +24,20 @@ import (
 // coordinate: PacketValues(start, …, tailCount) returns exactly what the
 // full decode would place at positions start..start+len(heads)-1 given
 // that only the first tailCount tails survived (and all heads arrived).
+//
+// A NativeDecoder is not safe for concurrent use: for SD it carries the
+// row's dither stream from one packet to the next.
 type NativeDecoder struct {
 	scheme    Scheme
 	p, q      int
 	scale     float64
 	seed      uint64
 	centroids []float64 // Eden only
+	// SD only: the row's dither stream and the row coordinate its next
+	// draw belongs to. Packets arriving in order continue the stream; it is
+	// re-created only to go backwards.
+	dither   *xrand.Rand
+	ditherAt int
 }
 
 // NewNativeDecoder builds a native-domain decoder for one row's packets.
@@ -65,7 +73,7 @@ func NewNativeDecoder(scheme Scheme, p, q int, scale float64, seed uint64) (*Nat
 //
 // The SD dither stream is consumed per row coordinate from index 0, so
 // start positions this packet inside the stream exactly as the full-row
-// decode would.
+// decode would — in whatever order, and however often, packets arrive.
 func (d *NativeDecoder) PacketValues(out []float32, start int, heads, tails []uint32, tailCount int) error {
 	n := len(heads)
 	if len(out) != n {
@@ -77,10 +85,14 @@ func (d *NativeDecoder) PacketValues(out []float32, start int, heads, tails []ui
 	}
 	var dither *xrand.Rand
 	if d.scheme == SD {
-		dither = xrand.New(d.seed)
-		for i := 0; i < start; i++ {
+		if d.dither == nil || start < d.ditherAt {
+			d.dither, d.ditherAt = xrand.New(d.seed), 0
+		}
+		dither = d.dither
+		for ; d.ditherAt < start; d.ditherAt++ {
 			dither.Uniform(-d.scale, d.scale)
 		}
+		d.ditherAt += n
 	}
 	for i := 0; i < n; i++ {
 		var eps float64

@@ -115,5 +115,96 @@ func TestNativeDecoderPacketSplit(t *testing.T) {
 				}
 			}
 		}
+
+		// One decoder, many packets, any arrival order: packets of 37
+		// coordinates, every third one trimmed, must land on Codec.Decode's
+		// values whether they come in order, reversed, shuffled or twice —
+		// the decoder keeps the SD dither stream between packets, and has to
+		// find each packet's place in it again.
+		const per = 37
+		nPkts := (n + per - 1) / per
+		mask := make([]bool, n)
+		for i := range mask {
+			mask[i] = (i/per)%3 != 1
+		}
+		want, err := c.Decode(enc, nil, mask)
+		if err != nil {
+			t.Fatalf("%v: %v", p.Scheme, err)
+		}
+		inOrder := make([]int, nPkts)
+		for k := range inOrder {
+			inOrder[k] = k
+		}
+		reversed := make([]int, nPkts)
+		for k := range reversed {
+			reversed[k] = nPkts - 1 - k
+		}
+		shuffled := append([]int(nil), inOrder...)
+		for k := len(shuffled) - 1; k > 0; k-- {
+			j := int(r.Uint64() % uint64(k+1))
+			shuffled[k], shuffled[j] = shuffled[j], shuffled[k]
+		}
+		duplicated := append(append(append([]int(nil), inOrder...), shuffled...), 2, 2, 0)
+		for name, order := range map[string][]int{
+			"in order": inOrder, "reversed": reversed, "shuffled": shuffled, "duplicated": duplicated,
+		} {
+			got := make([]float32, n)
+			for _, k := range order {
+				lo, hi := k*per, min((k+1)*per, n)
+				tc := hi - lo
+				if k%3 == 1 {
+					tc = 0
+				}
+				if err := nd.PacketValues(got[lo:hi], lo, enc.Heads[lo:hi], enc.Tails[lo:hi], tc); err != nil {
+					t.Fatalf("%v %s: packet %d: %v", p.Scheme, name, k, err)
+				}
+			}
+			if err := FinalizeNative(enc.Scheme, seed, got); err != nil {
+				t.Fatalf("%v %s: %v", p.Scheme, name, err)
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%v %s: coord %d: native %v != decode %v", p.Scheme, name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeOverwritesPooledWords: Heads and Tails come from a scratch
+// pool and arrive dirty, so every codec must write every word — a released
+// row that was all ones must not show through the next encode.
+func TestEncodeOverwritesPooledWords(t *testing.T) {
+	const n = 256
+	row := make([]float32, n)
+	r := xrand.New(0xd1e7)
+	for i := range row {
+		row[i] = float32(r.NormFloat64())
+	}
+	for _, p := range nativeTestParams {
+		c := MustNew(p)
+		first, err := c.Encode(row, 9)
+		if err != nil {
+			t.Fatalf("%v: %v", p.Scheme, err)
+		}
+		heads := append([]uint32(nil), first.Heads...)
+		tails := append([]uint32(nil), first.Tails...)
+		for i := range first.Heads {
+			first.Heads[i], first.Tails[i] = ^uint32(0), ^uint32(0)
+		}
+		first.Release()
+		if first.Heads != nil || first.Tails != nil {
+			t.Fatalf("%v: Release left the row holding its words", p.Scheme)
+		}
+		again, err := c.Encode(row, 9)
+		if err != nil {
+			t.Fatalf("%v: %v", p.Scheme, err)
+		}
+		for i := range heads {
+			if again.Heads[i] != heads[i] || again.Tails[i] != tails[i] {
+				t.Fatalf("%v: coord %d: (%x, %x) after a dirty pool, (%x, %x) before",
+					p.Scheme, i, again.Heads[i], again.Tails[i], heads[i], tails[i])
+			}
+		}
 	}
 }

@@ -42,6 +42,8 @@ package quant
 import (
 	"errors"
 	"fmt"
+
+	"trimgrad/internal/par"
 )
 
 // Scheme identifies a trimmable encoding scheme.
@@ -167,6 +169,27 @@ type EncodedRow struct {
 	Tails  []uint32
 }
 
+// newEncodedRow returns a row of n coordinates for a codec's Encode to
+// fill. Heads and Tails come from the par scratch pool and arrive dirty:
+// the codec writes all 2n words.
+func newEncodedRow(s Scheme, p, q, n int, seed uint64, scale float64) *EncodedRow {
+	enc := &EncodedRow{Scheme: s, P: p, Q: q, N: n, Seed: seed, Scale: scale}
+	//trimlint:owner transfer the row owns its words from here; handing them back (Release) is optional
+	enc.Heads, enc.Tails = par.Uint32s(n), par.Uint32s(n)
+	return enc
+}
+
+// Release hands Heads and Tails back to the scratch pool every codec's
+// Encode draws them from, and empties the row. It is optional, like every
+// par Put: a caller that keeps or simply drops the row has ordinary
+// ownership of the two slices; one that calls Release must hold no other
+// reference to them.
+func (e *EncodedRow) Release() {
+	par.PutUint32s(e.Heads)
+	par.PutUint32s(e.Tails)
+	e.Heads, e.Tails = nil, nil
+}
+
 // Validate checks internal consistency.
 func (e *EncodedRow) Validate() error {
 	switch {
@@ -211,6 +234,22 @@ type Codec interface {
 	// decodes to the prior mean, zero, in the scheme's native domain —
 	// before the inverse rotation for the RHT family.
 	Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error)
+	// DecodeInto is Decode writing the row into out, which must hold
+	// exactly enc.N entries and is fully overwritten: a receiver decodes
+	// each row straight into its slice of the gradient.
+	DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAvail []bool) error
+}
+
+// decodeNew is every codec's Decode: DecodeInto a fresh row.
+func decodeNew(c Codec, enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error) {
+	if err := enc.Validate(); err != nil {
+		return nil, err
+	}
+	out := make([]float32, enc.N)
+	if err := c.DecodeInto(out, enc, headAvail, tailAvail); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // New constructs the codec described by p.
@@ -278,9 +317,12 @@ func NoneTrimmed(n int) []bool {
 	return t
 }
 
-func checkDecodeArgs(enc *EncodedRow, headAvail, tailAvail []bool) error {
+func checkDecodeArgs(out []float32, enc *EncodedRow, headAvail, tailAvail []bool) error {
 	if err := enc.Validate(); err != nil {
 		return err
+	}
+	if len(out) != enc.N {
+		return fmt.Errorf("quant: output length %d != N %d", len(out), enc.N)
 	}
 	if headAvail != nil && len(headAvail) != enc.N {
 		return fmt.Errorf("quant: headAvail length %d != N %d", len(headAvail), enc.N)

@@ -42,12 +42,7 @@ func (c *rhtCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 		scale = vecmath.L1Norm(rot) / float64(n)
 	}
 	q := tailWidth(31, c.p.TailBits)
-	enc := &EncodedRow{
-		Scheme: RHT, P: 1, Q: q, N: n, Seed: seed,
-		Scale: scale,
-		Heads: make([]uint32, n),
-		Tails: make([]uint32, n),
-	}
+	enc := newEncodedRow(RHT, 1, q, n, seed, scale)
 	for i, r := range rot {
 		enc.Heads[i], enc.Tails[i] = splitSignQ(r, q)
 	}
@@ -55,13 +50,16 @@ func (c *rhtCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 }
 
 func (c *rhtCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error) {
-	if err := checkDecodeArgs(enc, headAvail, tailAvail); err != nil {
-		return nil, err
+	return decodeNew(c, enc, headAvail, tailAvail)
+}
+
+func (c *rhtCodec) DecodeInto(rot []float32, enc *EncodedRow, headAvail, tailAvail []bool) error {
+	if err := checkDecodeArgs(rot, enc, headAvail, tailAvail); err != nil {
+		return err
 	}
 	if !vecmath.IsPow2(enc.N) {
-		return nil, fmt.Errorf("quant: rht row length %d is not a power of two", enc.N)
+		return fmt.Errorf("quant: rht row length %d is not a power of two", enc.N)
 	}
-	rot := make([]float32, enc.N)
 	f := float32(enc.Scale)
 	for i := range rot {
 		switch {
@@ -74,7 +72,7 @@ func (c *rhtCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float
 		}
 	}
 	fwht.InverseRandomRotate(rot, enc.Seed)
-	return rot, nil
+	return nil
 }
 
 // rhtLinearCodec composes the RHT rotation with a P-bit linear head on the
@@ -97,12 +95,7 @@ func (c *rhtLinearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error)
 	fwht.RandomRotate(rot, seed)
 	limit := c.p.ClipSigma * vecmath.Std(rot)
 	q := tailWidth(32-c.p.P, c.p.TailBits)
-	enc := &EncodedRow{
-		Scheme: RHTLinear, P: c.p.P, Q: q, N: n, Seed: seed,
-		Scale: limit,
-		Heads: make([]uint32, n),
-		Tails: make([]uint32, n),
-	}
+	enc := newEncodedRow(RHTLinear, c.p.P, q, n, seed, limit)
 	// The quantization coin flips must not collide with the rotation's
 	// diagonal stream, so derive a distinct sub-seed.
 	r := xrand.New(xrand.Seed(seed, quantStreamLabel))
@@ -118,13 +111,16 @@ func (c *rhtLinearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error)
 const quantStreamLabel = 0x517ea11
 
 func (c *rhtLinearCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error) {
-	if err := checkDecodeArgs(enc, headAvail, tailAvail); err != nil {
-		return nil, err
+	return decodeNew(c, enc, headAvail, tailAvail)
+}
+
+func (c *rhtLinearCodec) DecodeInto(rot []float32, enc *EncodedRow, headAvail, tailAvail []bool) error {
+	if err := checkDecodeArgs(rot, enc, headAvail, tailAvail); err != nil {
+		return err
 	}
 	if !vecmath.IsPow2(enc.N) {
-		return nil, fmt.Errorf("quant: rht-linear row length %d is not a power of two", enc.N)
+		return fmt.Errorf("quant: rht-linear row length %d is not a power of two", enc.N)
 	}
-	rot := make([]float32, enc.N)
 	for i := range rot {
 		switch {
 		case !avail(headAvail, i):
@@ -136,5 +132,5 @@ func (c *rhtLinearCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([
 		}
 	}
 	fwht.InverseRandomRotate(rot, enc.Seed)
-	return rot, nil
+	return nil
 }

@@ -16,12 +16,7 @@ func (c *signCodec) Params() Params { return c.p }
 func (c *signCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
 	q := tailWidth(31, c.p.TailBits)
-	enc := &EncodedRow{
-		Scheme: Sign, P: 1, Q: q, N: n, Seed: seed,
-		Scale: vecmath.Std(row),
-		Heads: make([]uint32, n),
-		Tails: make([]uint32, n),
-	}
+	enc := newEncodedRow(Sign, 1, q, n, seed, vecmath.Std(row))
 	for i, v := range row {
 		enc.Heads[i], enc.Tails[i] = splitSignQ(v, q)
 	}
@@ -29,10 +24,13 @@ func (c *signCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 }
 
 func (c *signCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error) {
-	if err := checkDecodeArgs(enc, headAvail, tailAvail); err != nil {
-		return nil, err
+	return decodeNew(c, enc, headAvail, tailAvail)
+}
+
+func (c *signCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAvail []bool) error {
+	if err := checkDecodeArgs(out, enc, headAvail, tailAvail); err != nil {
+		return err
 	}
-	out := make([]float32, enc.N)
 	sigma := float32(enc.Scale)
 	for i := range out {
 		switch {
@@ -44,7 +42,7 @@ func (c *signCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]floa
 			out[i] = signValue(enc.Heads[i]) * sigma
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // sqCodec implements stochastic quantization (§3.1): after clipping to
@@ -60,12 +58,7 @@ func (c *sqCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
 	limit := c.p.ClipSigma * vecmath.Std(row)
 	q := tailWidth(31, c.p.TailBits)
-	enc := &EncodedRow{
-		Scheme: SQ, P: 1, Q: q, N: n, Seed: seed,
-		Scale: limit,
-		Heads: make([]uint32, n),
-		Tails: make([]uint32, n),
-	}
+	enc := newEncodedRow(SQ, 1, q, n, seed, limit)
 	r := xrand.New(seed)
 	for i, v := range row {
 		cv := clipTo(v, limit)
@@ -88,10 +81,13 @@ func (c *sqCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 }
 
 func (c *sqCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error) {
-	if err := checkDecodeArgs(enc, headAvail, tailAvail); err != nil {
-		return nil, err
+	return decodeNew(c, enc, headAvail, tailAvail)
+}
+
+func (c *sqCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAvail []bool) error {
+	if err := checkDecodeArgs(out, enc, headAvail, tailAvail); err != nil {
+		return err
 	}
-	out := make([]float32, enc.N)
 	limit := float32(enc.Scale)
 	for i := range out {
 		switch {
@@ -103,7 +99,7 @@ func (c *sqCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float3
 			out[i] = signValue(enc.Heads[i]) * limit
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // sdCodec implements subtractive dithering (§3.1). Sender and receiver
@@ -123,12 +119,7 @@ func (c *sdCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
 	limit := c.p.ClipSigma * vecmath.Std(row)
 	q := tailWidth(31, c.p.TailBits)
-	enc := &EncodedRow{
-		Scheme: SD, P: 1, Q: q, N: n, Seed: seed,
-		Scale: limit,
-		Heads: make([]uint32, n),
-		Tails: make([]uint32, n),
-	}
+	enc := newEncodedRow(SD, 1, q, n, seed, limit)
 	r := xrand.New(seed)
 	for i, v := range row {
 		cv := float64(clipTo(v, limit))
@@ -144,10 +135,13 @@ func (c *sdCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 }
 
 func (c *sdCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error) {
-	if err := checkDecodeArgs(enc, headAvail, tailAvail); err != nil {
-		return nil, err
+	return decodeNew(c, enc, headAvail, tailAvail)
+}
+
+func (c *sdCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAvail []bool) error {
+	if err := checkDecodeArgs(out, enc, headAvail, tailAvail); err != nil {
+		return err
 	}
-	out := make([]float32, enc.N)
 	limit := enc.Scale
 	// Regenerate the same dither stream the encoder used. The stream is
 	// consumed for every coordinate (trimmed, dropped or not) to stay
@@ -164,7 +158,7 @@ func (c *sdCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float3
 			out[i] = float32(float64(signValue(enc.Heads[i]))*limit - eps)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // linearCodec implements P-bit stochastically-rounded uniform quantization
@@ -178,12 +172,7 @@ func (c *linearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
 	limit := c.p.ClipSigma * vecmath.Std(row)
 	q := tailWidth(32-c.p.P, c.p.TailBits)
-	enc := &EncodedRow{
-		Scheme: Linear, P: c.p.P, Q: q, N: n, Seed: seed,
-		Scale: limit,
-		Heads: make([]uint32, n),
-		Tails: make([]uint32, n),
-	}
+	enc := newEncodedRow(Linear, c.p.P, q, n, seed, limit)
 	r := xrand.New(seed)
 	encodeLinearHeads(enc, row, limit, c.p.P, r)
 	for i, v := range row {
@@ -193,10 +182,13 @@ func (c *linearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 }
 
 func (c *linearCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error) {
-	if err := checkDecodeArgs(enc, headAvail, tailAvail); err != nil {
-		return nil, err
+	return decodeNew(c, enc, headAvail, tailAvail)
+}
+
+func (c *linearCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAvail []bool) error {
+	if err := checkDecodeArgs(out, enc, headAvail, tailAvail); err != nil {
+		return err
 	}
-	out := make([]float32, enc.N)
 	for i := range out {
 		switch {
 		case !avail(headAvail, i):
@@ -207,7 +199,7 @@ func (c *linearCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]fl
 			out[i] = linearLevelValue(enc.Heads[i], enc.Scale, enc.P)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // encodeLinearHeads fills enc.Heads with stochastically-rounded level

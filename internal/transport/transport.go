@@ -242,6 +242,11 @@ func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 // Host returns the underlying simulated host.
 func (s *Stack) Host() *netsim.Host { return s.host }
 
+// OwnsPayloads reports whether the stack was built WithArena and so
+// recycles a message's payload buffers when the message finishes: such
+// buffers may be handed to it once, for one destination.
+func (s *Stack) OwnsPayloads() bool { return s.arena != nil }
+
 func (s *Stack) handle(p *netsim.Packet) {
 	switch c := p.Control.(type) {
 	case relData:

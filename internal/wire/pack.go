@@ -78,6 +78,7 @@ type RowAssembler struct {
 	headAvail []bool
 	tailAvail []bool
 	filled    int // coordinates whose head has arrived
+	tailed    int // coordinates whose tail has arrived too
 	received  int // data packets accepted so far
 }
 
@@ -176,9 +177,11 @@ func (a *RowAssembler) mark(start, count, tailCount int) {
 			a.filled++
 		}
 	}
-	tailAvail := a.tailAvail[start : start+tailCount]
-	for i := range tailAvail {
-		tailAvail[i] = true
+	for i, have := range a.tailAvail[start : start+tailCount] {
+		if !have {
+			a.tailAvail[start+i] = true
+			a.tailed++
+		}
 	}
 	a.received++
 }
@@ -198,6 +201,11 @@ func (a *RowAssembler) ExpectedPackets() int {
 	per := CoordsPerPacket(a.p, a.q)
 	return (a.n + per - 1) / per
 }
+
+// Filled returns how many coordinates have their head and how many of
+// those their tail as well: of a row of n, heads−tails were trimmed and
+// n−heads never arrived.
+func (a *RowAssembler) Filled() (heads, tails int) { return a.filled, a.tailed }
 
 // Complete reports whether every coordinate's head has arrived (tails may
 // still be missing — that is what trimming means).

@@ -15,10 +15,12 @@
 #                             the BenchmarkFabric* fast-path suite (wheel,
 #                             pooled and borrowed-payload hops, and the k=4
 #                             fat-tree incast),
-#                             and the BenchmarkShardFabric partitioned-
-#                             engine suite run clean under -race with live
-#                             obs registries, and the obs overhead guard
-#                             still holds
+#                             the BenchmarkShardFabric partitioned-
+#                             engine suite and the compute kernels
+#                             (BenchmarkFWHT at 2^15 and 2^11,
+#                             BenchmarkDenseLayer) run clean under -race
+#                             with live obs registries, and the obs
+#                             overhead guard still holds
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + trimlint
 #                             (trimlint replays from .trimlint-cache when
 #                             the tree is unchanged) + the no-Deprecated
@@ -45,6 +47,9 @@ if [[ $mode == bench ]]; then
   go test -race -run '^$' -bench '^BenchmarkFabric' -benchtime 1x .
   step "go test -race -bench Shard (partitioned engine, cross-shard mailboxes)"
   go test -race -run '^$' -bench 'Shard' -benchtime 1x .
+  step "go test -race -bench FWHT, DenseLayer (compute kernels, serial and pooled)"
+  go test -race -run '^$' -bench '^BenchmarkFWHT' -benchtime 1x .
+  go test -race -run '^$' -bench '^BenchmarkDenseLayer' -benchtime 1x ./internal/ml
   step "obs overhead guard (encode hot path, Nop vs live registry)"
   go test -run 'TestObsOverheadGuard' -count=1 .
   echo "OK (bench smoke)"
@@ -102,8 +107,9 @@ fi
 step "go test ./..."
 go test ./...
 
-step "go test -race (concurrency-heavy packages)"
-go test -race ./internal/core ./internal/transport ./internal/collective ./internal/ddp
+step "go test -race (concurrency-heavy packages, and the ones whose code runs on pool goroutines)"
+go test -race ./internal/core ./internal/transport ./internal/collective ./internal/ddp \
+  ./internal/ml ./internal/par ./internal/fwht
 
 step "shard determinism (differential + plain-Sim identity + sharded matrices, -race, GOMAXPROCS 1 and 4)"
 # The bit-identity contract — plain Sim ≡ 1 shard ≡ S shards — must hold
