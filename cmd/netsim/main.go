@@ -25,7 +25,6 @@ import (
 	"trimgrad/internal/obs"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/transport"
-	"trimgrad/internal/wire"
 )
 
 // buildTopology constructs the -topo fabric. Star/dumbbell/ring size from
@@ -81,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mice     = fs.Float64("mice", 0, "background mouse-flow rate (packets/s per host; 200 B packets)")
 		elephant = fs.Float64("elephants", 0, "background elephant-flow rate (packets/s per fourth host; 1500 B packets)")
 		seed     = fs.Uint64("seed", 1, "seed")
-		arena    = fs.Bool("arena", false, "recycle payload buffers through a generation-stamped wire arena (zero-alloc fast path; composes with -shards and fault injection)")
 		shards   = fs.Int("shards", 0, "simulator shards (parallel partitions; 0 = min(GOMAXPROCS, rack switches)); results are bit-identical at every count")
 		verbose  = fs.Bool("v", false, "print the shard partition map (shard → switches/hosts)")
 		metrics  = fs.String("metrics", "", "export per-port/transport telemetry and flow spans as JSONL to this file")
@@ -175,23 +173,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	flows := w.GradientFlows()
 
-	// One transport stack per host that sends or receives gradients. With
-	// -arena each sending host recycles its payload buffers through its own
-	// generation-stamped arena (DESIGN.md §16) — legal at any -shards count
-	// and under aliasing faults, with stale touches surfacing in the
-	// per-tier stale counter below.
+	// One transport stack per host that sends or receives gradients.
 	stacks := make(map[int]*transport.Stack)
-	arenas := make(map[int]*wire.Arena)
 	stackFor := func(h int) (*transport.Stack, error) {
 		if s, ok := stacks[h]; ok {
 			return s, nil
 		}
-		opts := []transport.Opt{transport.WithReceiver(transport.ReceiverFunc(func(netsim.NodeID, []byte) {}))}
-		if *arena {
-			arenas[h] = wire.NewArena()
-			opts = append(opts, transport.WithArena(arenas[h]))
-		}
-		s, err := transport.New(t.Hosts[h], opts...)
+		s, err := transport.New(t.Hosts[h],
+			transport.WithReceiver(transport.ReceiverFunc(func(netsim.NodeID, []byte) {})))
 		if err != nil {
 			return nil, err
 		}
@@ -212,15 +201,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if _, err := stackFor(f.Dst); err != nil {
 			return fail(err)
 		}
-		encOpts := []core.Option{core.WithConfig(core.Config{
+		enc, err := core.NewEncoderWith(core.WithConfig(core.Config{
 			Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13, Flow: uint32(i),
-		})}
-		if *arena {
-			// The sender's encoder packs into the same arena its transport
-			// recycles, closing the Get → send → Put loop per host.
-			encOpts = append(encOpts, core.WithArena(arenas[f.Src]))
-		}
-		enc, err := core.NewEncoderWith(encOpts...)
+		}))
 		if err != nil {
 			return fail(err)
 		}
@@ -290,15 +273,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 				st.Trimmed += p.Stats.Trimmed
 				st.Dropped += p.Stats.Dropped
 				st.Aggregated += p.Stats.Aggregated
-				st.StaleDrops += p.Stats.StaleDrops
 				if p.Stats.MaxQueueBytes > maxQ {
 					maxQ = p.Stats.MaxQueueBytes
 				}
 			}
 		}
-		fmt.Fprintf(stdout, "tier %-6s (%2d sw) enq=%d tx=%d trim=%d drop=%d agg=%d stale=%d maxQ=%dB\n",
+		fmt.Fprintf(stdout, "tier %-6s (%2d sw) enq=%d tx=%d trim=%d drop=%d agg=%d maxQ=%dB\n",
 			tier.Name, len(tier.Switches), st.Enqueued, st.Transmitted,
-			st.Trimmed, st.Dropped, st.Aggregated, st.StaleDrops, maxQ)
+			st.Trimmed, st.Dropped, st.Aggregated, maxQ)
 	}
 
 	if *metrics != "" {

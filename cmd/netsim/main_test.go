@@ -45,15 +45,17 @@ func TestRejectsBadInvocations(t *testing.T) {
 	}
 }
 
-// TestUnknownFlagIsUsageError: the -topology alias is gone, and like any
-// undefined flag it exits 2 with the usage text.
+// TestUnknownFlagIsUsageError: the -topology alias and the -arena switch
+// are gone, and like any undefined flag they exit 2 with the usage text.
 func TestUnknownFlagIsUsageError(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-topology", "star"}, &stdout, &stderr); code != 2 {
-		t.Errorf("exit status %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "flag provided but not defined") {
-		t.Errorf("stderr = %q", stderr.String())
+	for _, args := range [][]string{{"-topology", "star"}, {"-arena"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit status %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr = %q", args, stderr.String())
+		}
 	}
 }
 

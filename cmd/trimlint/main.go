@@ -25,8 +25,8 @@
 //	wire-endianness    single-endianness wire codec
 //	locked-value-copy  mutex-holding values passed by copy
 //	wallclock          wall-clock reads outside sanctioned packages
-//	poolownership      pooled packets/arena buffers/par scratch reach exactly
-//	                   one release on every path
+//	poolownership      pooled packets and par scratch reach exactly one
+//	                   release on every path
 //	goroutinebound     go statements outside internal/par need a provable join
 //	obshotpath         obs registry lookups stay out of event-dispatch paths
 //

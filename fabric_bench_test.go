@@ -1,6 +1,6 @@
 // Fabric fast-path benchmarks (DESIGN.md §11): the timer-wheel
-// scheduler, the typed-event dispatch, and the pooled packet/buffer
-// arenas. These are trajectory benchmarks — BENCH_<date>.json records
+// scheduler, the typed-event dispatch, and the pooled packet records.
+// These are trajectory benchmarks — BENCH_<date>.json records
 // them and `benchjson -diff` tracks the numbers across dates;
 // TestFabricHopAllocations in internal/netsim pins the hard per-hop
 // allocation budget.
@@ -206,64 +206,6 @@ func BenchmarkShardFabric(b *testing.B) {
 	}
 }
 
-// BenchmarkArenaChaos measures the stamped-arena fast path under the
-// aliasing faults that once forced a payload copy (DESIGN.md §16):
-// reordering plus duplication on the first host's link. "fresh" allocates
-// every payload at send time — what a sender without an arena pays —
-// while "arena" recycles generation-stamped buffers, so its steady-state
-// allocs/hop must sit within 2× of the clean fabric's pooled budget (the
-// only remaining allocations are the duplicates' defensive clones).
-func BenchmarkArenaChaos(b *testing.B) {
-	const pkts = 256
-	const hops = pkts * 2
-	for _, style := range []string{"fresh", "arena"} {
-		useArena := style == "arena"
-		b.Run(style, func(b *testing.B) {
-			sim := netsim.NewSim()
-			star := fabricStar(sim)
-			star.Net.InjectFaults(0, netsim.SwitchIDBase, netsim.FaultConfig{
-				Seed: 3, ReorderRate: 0.2, ReorderDelay: 5 * netsim.Microsecond, DuplicateRate: 0.2,
-			})
-			arena := wire.NewArena()
-			bufs := make([][]byte, 0, pkts)
-			send := func() {
-				bufs = bufs[:0]
-				for j := 0; j < pkts; j++ {
-					pkt := sim.NewPacket()
-					pkt.Dst = star.Hosts[(j+1)%4].ID()
-					pkt.Size = 1500
-					if useArena {
-						buf, gen := arena.GetStamped(1500)
-						pkt.Payload = buf
-						pkt.PayloadOwner = arena
-						pkt.PayloadGen = gen
-						bufs = append(bufs, buf)
-					} else {
-						pkt.Payload = make([]byte, 1500)
-					}
-					star.Hosts[j%4].Send(pkt)
-				}
-				sim.Run()
-				for _, buf := range bufs {
-					arena.Put(buf)
-				}
-			}
-			send() // warm pools, free lists, and stamp registrations
-			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				send()
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*hops), "allocs/hop")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
-		})
-	}
-}
-
 // BenchmarkFabricWheel measures raw scheduler throughput: events spread
 // across every level of the timer wheel (same-slot, in-window, overflow)
 // with no network attached. This isolates the tentpole — schedule +
@@ -292,10 +234,8 @@ func BenchmarkFabricWheel(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
-// BenchmarkFabricPack measures PackRow with and without the wire arena:
-// "fresh" allocates every meta/data buffer, "arena" recycles them via
-// PackRowTo/PutPacked — the sender-side buffer loop the transport runs
-// per message.
+// BenchmarkFabricPack measures PackRow: one allocation per meta/data
+// buffer, the sender-side cost the transport pays per message.
 func BenchmarkFabricPack(b *testing.B) {
 	row := benchRow(1 << 13)
 	c := quant.MustNew(quant.Params{Scheme: quant.RHT})
@@ -303,23 +243,11 @@ func BenchmarkFabricPack(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := wire.PackRow(1, 2, 3, enc); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := wire.PackRow(1, 2, 3, enc); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("arena", func(b *testing.B) {
-		a := wire.NewArena()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			meta, data, err := wire.PackRowTo(a, 1, 2, 3, enc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wire.PutPacked(a, meta, data)
-		}
-	})
+	}
 }

@@ -112,8 +112,7 @@ func TestFixtures(t *testing.T) {
 		{"wallclock", "testdata/wallclock/ddp"},
 		{"wallclock", "testdata/wallclock/metrics"},
 		{"poolownership", "testdata/poolownership/netsim"},
-		{"poolownership", "testdata/poolownership/wire"},
-		{"poolownership", "testdata/poolownership/stamped"},
+		{"poolownership", "testdata/poolownership/par"},
 		{"poolownership", "testdata/poolownership/clean"},
 		{"goroutinebound", "testdata/goroutinebound/spawn"},
 		{"goroutinebound", "testdata/goroutinebound/par"},

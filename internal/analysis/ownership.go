@@ -7,10 +7,10 @@ import (
 	"sort"
 )
 
-// PoolOwnershipAnalyzer tracks pooled values — Sim.NewPacket packets,
-// wire.Arena payload buffers, internal/par scratch slices — from
-// acquisition to a terminal owner, and demands that every value reaches
-// exactly one release site on every path. It is a forward value-flow pass
+// PoolOwnershipAnalyzer tracks pooled values — Sim.NewPacket packets and
+// internal/par scratch slices — from acquisition to a terminal owner, and
+// demands that every value reaches exactly one release site on every
+// path. It is a forward value-flow pass
 // over each function, made interprocedural by a per-package fixpoint:
 // when a tracked value is passed to a package-local function, that
 // function's parameter joins the tracked set, its own body is analyzed
@@ -30,7 +30,7 @@ import (
 // for the lattice, the summary rules, and the engine's known blind spots.
 var PoolOwnershipAnalyzer = &Analyzer{
 	Name: "poolownership",
-	Doc:  "pooled packets, arena buffers, and par scratch must reach exactly one release on every path; escapes need //trimlint:owner transfer",
+	Doc:  "pooled packets and par scratch must reach exactly one release on every path; escapes need //trimlint:owner transfer",
 	Run:  runPoolOwnership,
 }
 
@@ -55,27 +55,10 @@ func keyFor(fn *types.Func) funcKey {
 // tracked value with the given origin label.
 var acquireSpecs = map[funcKey]string{
 	{"netsim", "Sim", "NewPacket"}: "pooled packet (Sim.NewPacket)",
-	{"wire", "Arena", "Get"}:       "arena buffer (Arena.Get)",
-	// GetStamped is the one multi-valued acquisition: result 0 is the
-	// tracked buffer, result 1 its generation stamp (a plain integer).
-	{"wire", "Arena", "GetStamped"}: "arena buffer (Arena.GetStamped)",
-	{"par", "", "Float32s"}:         "scratch slice (par.Float32s)",
-	{"par", "", "Float64s"}:         "scratch slice (par.Float64s)",
-	{"par", "", "Uint32s"}:          "scratch slice (par.Uint32s)",
-	{"par", "", "Bytes"}:            "scratch slice (par.Bytes)",
-}
-
-// stampQuerySpecs are the generation-stamp queries of DESIGN.md §16. Each
-// may legally be handed a buffer whose ownership has already been
-// released — asking "is this stamp still live?" is precisely what a late
-// toucher does after the owner may have recycled — so the listed argument
-// positions are neither uses (no use-after-release report) nor releases.
-var stampQuerySpecs = map[funcKey][]int{
-	{"wire", "Arena", "GenOf"}:     {0},
-	{"wire", "Arena", "Valid"}:     {0},
-	{"wire", "Arena", "AddFlight"}: {0},
-	{"wire", "Arena", "EndFlight"}: {0},
-	{"wire", "Arena", "Flights"}:   {0},
+	{"par", "", "Float32s"}:        "scratch slice (par.Float32s)",
+	{"par", "", "Float64s"}:        "scratch slice (par.Float64s)",
+	{"par", "", "Uint32s"}:         "scratch slice (par.Uint32s)",
+	{"par", "", "Bytes"}:           "scratch slice (par.Bytes)",
 }
 
 // consumeSpec describes a call that discharges the ownership obligation
@@ -90,9 +73,6 @@ type consumeSpec struct {
 
 var consumeSpecs = map[funcKey]consumeSpec{
 	{"netsim", "Sim", "releasePacket"}: {args: []int{0}, root: true},
-	{"wire", "Arena", "Put"}:           {args: []int{0}, root: true},
-	{"wire", "Arena", "PutAll"}:        {args: []int{0}, root: true},
-	{"wire", "", "PutPacked"}:          {args: []int{1, 2}, root: true},
 	{"par", "", "PutFloat32s"}:         {args: []int{0}, root: true},
 	{"par", "", "PutFloat64s"}:         {args: []int{0}, root: true},
 	{"par", "", "PutUint32s"}:          {args: []int{0}, root: true},
@@ -625,13 +605,6 @@ func (w *ownWalk) call(call *ast.CallExpr, e *env) *cell {
 			return w.newCell(origin, call, e)
 		}
 	}
-	// Stamp queries read only the buffer's identity, never its bytes:
-	// evaluate the queried positions with the use-after-release check off
-	// and leave every ownership state untouched.
-	var queryArgs []int
-	if callee != nil {
-		queryArgs = stampQuerySpecs[keyFor(callee)]
-	}
 	// Root sinks always consume. Transfer APIs consume at call sites
 	// outside the callee's package; inside it, the callee's own body is
 	// in view and the summary path below verifies it instead.
@@ -644,16 +617,13 @@ func (w *ownWalk) call(call *ast.CallExpr, e *env) *cell {
 	}
 	cells := make([]*cell, len(call.Args))
 	for i, a := range call.Args {
-		if (specApplies && intIn(spec.args, i)) || intIn(queryArgs, i) {
+		if specApplies && intIn(spec.args, i) {
 			w.noUse++
 			cells[i] = w.eval(a, e)
 			w.noUse--
 			continue
 		}
 		cells[i] = w.eval(a, e)
-	}
-	if len(queryArgs) > 0 {
-		return nil // a stamp query neither consumes nor taints its arguments
 	}
 	if callee == nil {
 		return nil // unresolvable call: every tracked argument is a borrow
@@ -812,15 +782,10 @@ func isPanicCall(pkg *Package, call *ast.CallExpr) bool {
 
 func (w *ownWalk) assign(s *ast.AssignStmt, e *env) {
 	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		// Tuple assignment. GetStamped is the one multi-valued acquisition:
-		// its tracked buffer is result 0 (the stamp in result 1 is a plain
-		// integer); every other tuple RHS leaves all targets untracked.
-		c := w.eval(s.Rhs[0], e)
-		for i, l := range s.Lhs {
-			if i == 0 {
-				w.bindLHS(l, c, s, e)
-				continue
-			}
+		// Tuple assignment: no modelled acquisition is multi-valued, so
+		// every left-hand side becomes untracked.
+		w.eval(s.Rhs[0], e)
+		for _, l := range s.Lhs {
 			w.bindLHS(l, nil, s, e)
 		}
 		return
@@ -985,49 +950,11 @@ func setNil(c *cell, e *env) {
 	}
 }
 
-// validFact recognizes `arena.Valid(buf, gen)` over a tracked buffer —
-// the §16 guard a late toucher runs before reading a possibly-recycled
-// payload.
-func (w *ownWalk) validFact(cond ast.Expr, e *env) *cell {
-	call, ok := ast.Unparen(cond).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return nil
-	}
-	callee := calleeFunc(w.pkg, call)
-	if callee == nil {
-		return nil
-	}
-	if k := keyFor(callee); k.pkg != "wire" || k.recv != "Arena" || k.name != "Valid" {
-		return nil
-	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, ok := w.pkg.Info.Uses[id].(*types.Var)
-	if !ok {
-		return nil
-	}
-	return e.vars[v]
-}
-
-// resurrect tolerates reads of a released buffer inside a Valid-guarded
-// branch: the generation check just proved the buffer has not been
-// recycled, so the stamped-release idiom may keep reading it there.
-func resurrect(c *cell, e *env) {
-	cs := e.cells[c]
-	if cs.st == stDead || cs.st == stMaybe {
-		cs.st = stXfer
-		e.cells[c] = cs
-	}
-}
-
 func (w *ownWalk) ifStmt(s *ast.IfStmt, e *env) bool {
 	if s.Init != nil {
 		w.walkStmt(s.Init, e)
 	}
 	factCell, nilWhenTrue, hasFact := w.nilFact(s.Cond, e)
-	validCell := w.validFact(s.Cond, e)
 	w.eval(s.Cond, e)
 
 	thenEnv := e.clone()
@@ -1038,9 +965,6 @@ func (w *ownWalk) ifStmt(s *ast.IfStmt, e *env) bool {
 		} else {
 			setNil(factCell, elseEnv)
 		}
-	}
-	if validCell != nil {
-		resurrect(validCell, thenEnv)
 	}
 	termThen := w.walkBlock(s.Body, thenEnv)
 	termElse := false

@@ -22,7 +22,7 @@ func TestSarifGolden(t *testing.T) {
 		},
 		{
 			Check:   "directive",
-			File:    filepath.Join(string(filepath.Separator)+"mod", "internal", "wire", "arena.go"),
+			File:    filepath.Join(string(filepath.Separator)+"mod", "internal", "wire", "pack.go"),
 			Line:    7,
 			Col:     1,
 			Message: "trimlint:allow directive names no check",

@@ -109,15 +109,7 @@ func WithRegistry(r *obs.Registry) Option {
 
 // New binds a worker to a stack, configured by options. The codec Flow id
 // is overwritten with the rank so packet headers identify the sender.
-//
-// A stack built transport.WithArena is refused: it recycles a message's
-// payload buffers when that message finishes, and a worker hands one set
-// of buffers to many destinations (sendAll) — the first to finish would
-// recycle bytes a slower destination's retransmission still needs.
 func New(rank int, stack *transport.Stack, opts ...Option) (*Worker, error) {
-	if stack.OwnsPayloads() {
-		return nil, errors.New("collective: stack was built transport.WithArena and recycles each finished message's payloads; a worker shares one encoded message between destinations and needs a stack that leaves them alone")
-	}
 	var o workerOpts
 	for _, opt := range opts {
 		opt(&o)
@@ -264,10 +256,9 @@ func (w *Worker) armDeadline(completed func() bool, fail func(err error)) {
 
 // sendAll encodes grad once as message msg and ships that one encoded
 // message to every destination in dsts, in order, using the worker's
-// mode; with no destination it encodes nothing. The destinations share the packet buffers — their bytes are
-// immutable once handed to the transport (netsim.Host.Send), and the
-// worker's stack never recycles them (New refuses a stack that would) —
-// while each gets an outer slice of its own. failed receives the
+// mode; with no destination it encodes nothing. The destinations share
+// the packet buffers and the slices that list them: both are immutable
+// once handed to the transport (netsim.Host.Send). failed receives the
 // transport's error for one destination.
 func (w *Worker) sendAll(dsts []netsim.NodeID, epoch uint64, msg uint32, grad []float32,
 	failed func(dst netsim.NodeID, err error)) error {
@@ -278,13 +269,16 @@ func (w *Worker) sendAll(dsts []netsim.NodeID, epoch uint64, msg uint32, grad []
 	if err != nil {
 		return err
 	}
+	var all [][]byte
+	if w.Mode != Trimmable {
+		all = slices.Concat(m.Meta, m.Data)
+	}
 	for _, dst := range dsts {
 		fail := func(err error) { failed(dst, err) }
-		switch w.Mode {
-		case Trimmable:
-			w.Stack.SendTrimmable(dst, msg, slices.Clone(m.Meta), slices.Clone(m.Data), nil, fail)
-		default:
-			w.Stack.SendReliable(dst, msg, slices.Concat(m.Meta, m.Data), nil, fail)
+		if w.Mode == Trimmable {
+			w.Stack.SendTrimmable(dst, msg, m.Meta, m.Data, nil, fail)
+		} else {
+			w.Stack.SendReliable(dst, msg, all, nil, fail)
 		}
 	}
 	return nil

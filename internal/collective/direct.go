@@ -20,19 +20,11 @@ func AllReduceDirect(epoch uint64, baseMsg uint32, workers []*Worker,
 	grads [][]float32, onDone func(rank int, avg []float32, at netsim.Time),
 	onError func(rank int, err error)) error {
 	n := len(workers)
-	if n == 0 || len(grads) != n {
-		return fmt.Errorf("collective: %d workers, %d gradients", n, len(grads))
+	dim, err := checkGrads(workers, grads)
+	if err != nil {
+		return err
 	}
-	dim := len(grads[0])
-	for _, g := range grads {
-		if len(g) != dim {
-			return fmt.Errorf("collective: gradient length mismatch")
-		}
-	}
-	ids := make([]netsim.NodeID, n)
-	for i, w := range workers {
-		ids[i] = w.Stack.Host().ID()
-	}
+	ids := hostIDs(workers)
 	opStart := workers[0].Stack.Host().Sim().Now()
 	for i, w := range workers {
 		i, w := i, w
@@ -99,11 +91,10 @@ func AllGather(epoch uint64, baseMsg uint32, workers []*Worker,
 	if n == 0 || len(shards) != n {
 		return fmt.Errorf("collective: %d workers, %d shards", n, len(shards))
 	}
-	ids := make([]netsim.NodeID, n)
+	ids := hostIDs(workers)
 	rankOf := make(map[netsim.NodeID]int, n)
-	for i, w := range workers {
-		ids[i] = w.Stack.Host().ID()
-		rankOf[ids[i]] = i
+	for i, id := range ids {
+		rankOf[id] = i
 	}
 	opStart := workers[0].Stack.Host().Sim().Now()
 	for i, w := range workers {
@@ -204,10 +195,7 @@ func Broadcast(epoch uint64, msg uint32, workers []*Worker, root int,
 		}
 		w.armDeadline(func() bool { return got }, fail)
 	}
-	ids := make([]netsim.NodeID, n)
-	for i, w := range workers {
-		ids[i] = w.Stack.Host().ID()
-	}
+	ids := hostIDs(workers)
 	err := workers[root].sendAll(others(ids, root), epoch, msg, tensor, func(dst netsim.NodeID, err error) {
 		if onError != nil {
 			onError(root, fmt.Errorf("collective: broadcast to %d: %w", dst, err))

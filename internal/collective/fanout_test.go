@@ -15,7 +15,6 @@ import (
 	"trimgrad/internal/obs"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/transport"
-	"trimgrad/internal/wire"
 )
 
 // Every operation that sends one tensor to several destinations encodes
@@ -252,26 +251,6 @@ func TestFanoutEncodesEachTensorOnce(t *testing.T) {
 					op.name, mode, got, want, op.tensors(len(ws)), want/int64(op.tensors(len(ws))))
 			}
 		}
-	}
-}
-
-// TestNewRefusesArenaStack: a stack that recycles a finished message's
-// payloads cannot carry shared buffers — the first destination to finish
-// would Put bytes a slower destination's NACK retransmission still reads —
-// so a worker is never built on one.
-func TestNewRefusesArenaStack(t *testing.T) {
-	sim := netsim.NewSim()
-	star := netsim.NewStar(sim, 2, fast(), deepQ())
-	stack, err := transport.New(star.Hosts[0], transport.WithArena(wire.NewArena()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := New(0, stack, WithConfig(coreCfg(quant.RHT)), WithMode(Trimmable))
-	if err == nil || w != nil {
-		t.Fatalf("New on an arena-owning stack = (%v, %v), want an error", w, err)
-	}
-	if !strings.Contains(err.Error(), "transport.WithArena") {
-		t.Errorf("error %q does not name transport.WithArena", err)
 	}
 }
 

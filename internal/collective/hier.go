@@ -45,10 +45,7 @@ func AllReduceHierarchical(epoch uint64, baseMsg uint32, workers []*Worker,
 			groupOf[i] = j
 		}
 	}
-	ids := make([]netsim.NodeID, n)
-	for i, w := range workers {
-		ids[i] = w.Stack.Host().ID()
-	}
+	ids := hostIDs(workers)
 	un := uint32(n)
 	opStart := workers[0].Stack.Host().Sim().Now()
 

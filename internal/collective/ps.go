@@ -37,13 +37,10 @@ func AllReduceParamServer(epoch uint64, baseMsg uint32, workers []*Worker,
 	}
 	server := workers[0]
 	serverID := server.Stack.Host().ID()
-	ids := make([]netsim.NodeID, n)
+	ids := hostIDs(workers)
 	clientOf := make(map[netsim.NodeID]bool, n-1)
-	for i, w := range workers {
-		ids[i] = w.Stack.Host().ID()
-		if i > 0 {
-			clientOf[ids[i]] = true
-		}
+	for _, id := range ids[1:] {
+		clientOf[id] = true
 	}
 	opStart := server.Stack.Host().Sim().Now()
 

@@ -35,10 +35,7 @@ func AllReduceRecursiveDoubling(epoch uint64, baseMsg uint32, workers []*Worker,
 		}
 		return nil
 	}
-	ids := make([]netsim.NodeID, n)
-	for i, w := range workers {
-		ids[i] = w.Stack.Host().ID()
-	}
+	ids := hostIDs(workers)
 	opStart := workers[0].Stack.Host().Sim().Now()
 	for i := range workers {
 		st := &rdState{

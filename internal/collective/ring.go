@@ -20,14 +20,9 @@ func AllReduceRing(epoch uint64, baseMsg uint32, workers []*Worker,
 	grads [][]float32, onDone func(rank int, avg []float32, at netsim.Time),
 	onError func(rank int, err error)) error {
 	n := len(workers)
-	if n == 0 || len(grads) != n {
-		return fmt.Errorf("collective: %d workers, %d gradients", n, len(grads))
-	}
-	dim := len(grads[0])
-	for _, g := range grads {
-		if len(g) != dim {
-			return fmt.Errorf("collective: gradient length mismatch")
-		}
+	dim, err := checkGrads(workers, grads)
+	if err != nil {
+		return err
 	}
 	if n == 1 {
 		if onDone != nil {

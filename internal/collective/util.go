@@ -24,6 +24,15 @@ func chunkOffsets(dim, n int) []int {
 	return off
 }
 
+// hostIDs returns every worker's node id, indexed by rank.
+func hostIDs(workers []*Worker) []netsim.NodeID {
+	ids := make([]netsim.NodeID, len(workers))
+	for i, w := range workers {
+		ids[i] = w.Stack.Host().ID()
+	}
+	return ids
+}
+
 // others returns ids without the entry at index skip, order kept: every
 // peer of rank skip.
 func others(ids []netsim.NodeID, skip int) []netsim.NodeID {

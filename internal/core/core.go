@@ -77,22 +77,6 @@ func (m *Message) WireBytes() int {
 	return total
 }
 
-// Release recycles every packet buffer of the message into a and empties
-// the message. Call it only when no packet can still be referenced — in
-// simulation that means after the transport reported the message done or
-// failed (a trimmed packet in flight aliases the sender's buffer). When
-// the transport itself owns release (transport.WithArena), do not also
-// call Release; a buffer must be recycled exactly once.
-func (m *Message) Release(a *wire.Arena) {
-	if a == nil {
-		return
-	}
-	a.PutAll(m.Meta)
-	a.PutAll(m.Data)
-	m.Meta = nil
-	m.Data = nil
-}
-
 // RowSeed derives the shared-randomness seed for one row, combining the
 // epoch and message/row ids exactly as the paper combines the training
 // epoch and collective-communication message ID into the GPU RNG seed.
@@ -107,9 +91,8 @@ func RowSeed(epoch uint64, message, row uint32) uint64 {
 type Option func(*options)
 
 type options struct {
-	cfg   Config
-	reg   *obs.Registry
-	arena *wire.Arena
+	cfg Config
+	reg *obs.Registry
 }
 
 // WithConfig sets the whole codec configuration at once.
@@ -130,13 +113,6 @@ func WithFlow(f uint32) Option { return func(o *options) { o.cfg.Flow = f } }
 // (the default) disables instrumentation.
 func WithRegistry(r *obs.Registry) Option { return func(o *options) { o.reg = r } }
 
-// WithArena draws packet buffers from a wire.Arena instead of the
-// allocator. The encoded Message's buffers are then arena-owned: exactly
-// one party must recycle them — Message.Release after local consumption,
-// or the transport stack (transport.WithArena on the same arena) when the
-// message is handed to it. Nil (the default) keeps plain allocation.
-func WithArena(a *wire.Arena) Option { return func(o *options) { o.arena = a } }
-
 // countEncoded adds one successfully encoded message to r's
 // "core.encode.*" counters. The encode side has no stats struct behind
 // it, so these are plain registry counters written once per message.
@@ -155,7 +131,6 @@ type Encoder struct {
 	cfg   Config
 	codec quant.Codec
 	reg   *obs.Registry
-	arena *wire.Arena
 
 	// mu guards codecs, the lazily-grown per-worker codec cache used by
 	// EncodeParallel (slot 0 aliases codec).
@@ -178,7 +153,7 @@ func NewEncoderWith(opts ...Option) (*Encoder, error) {
 		return nil, err
 	}
 	countEncoded(o.reg, &Message{}, 0) // declare the family: an idle encoder exports zeros
-	return &Encoder{cfg: cfg, codec: codec, reg: o.reg, arena: o.arena}, nil
+	return &Encoder{cfg: cfg, codec: codec, reg: o.reg}, nil
 }
 
 // Codec exposes the underlying quantizer (for benchmarks and diagnostics).

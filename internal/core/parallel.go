@@ -77,7 +77,7 @@ func (e *Encoder) encodeRow(codec quant.Codec, epoch uint64, msgID, r uint32, ro
 		return encodedRow{err: err}
 	}
 	defer enc.Release()
-	meta, data, err := wire.PackRowTo(e.arena, e.cfg.Flow, msgID, r, enc)
+	meta, data, err := wire.PackRow(e.cfg.Flow, msgID, r, enc)
 	return encodedRow{meta: meta, data: data, err: err}
 }
 

@@ -174,6 +174,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate refuses values no run can mean; zero still means default
+// (withDefaults). Both constructors call it, so a bad flag or sweep cell
+// fails before any training instead of printing a table of nonsense.
+func (c Config) validate() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	for _, f := range []field{{"TrimRate", c.TrimRate}, {"DropRate", c.DropRate}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("ddp: %s must be a probability in [0, 1], got %v", f.name, f.v)
+		}
+	}
+	for _, f := range []field{{"LR", c.LR}, {"Momentum", c.Momentum}, {"Gamma", c.Gamma}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("ddp: %s must be finite and non-negative, got %v", f.name, f.v)
+		}
+	}
+	for _, f := range []field{{"Workers", float64(c.Workers)}, {"Epochs", float64(c.Epochs)},
+		{"Batch", float64(c.Batch)}, {"StepSize", float64(c.StepSize)}, {"EvalEvery", float64(c.EvalEvery)}} {
+		if f.v < 0 {
+			return fmt.Errorf("ddp: %s must not be negative, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // SchemeName names the run's encoding for tables.
 func (c Config) SchemeName() string {
 	if c.Scheme == nil {
@@ -264,6 +291,9 @@ func NewTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 	var o trainerOpts
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if err := o.cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg := o.cfg.withDefaults()
 	if train.Len() == 0 {

@@ -2,6 +2,7 @@ package ddp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"trimgrad/internal/core"
@@ -252,5 +253,59 @@ func TestResultString(t *testing.T) {
 func TestEmptyDatasetRejected(t *testing.T) {
 	if _, err := NewTrainer(&ml.Dataset{Classes: 2, Dim: 2}, &ml.Dataset{}, WithConfig(Config{}), WithHidden(8)); err == nil {
 		t.Fatal("empty training set should fail")
+	}
+}
+
+// TestConfigValidated: both constructors refuse a Config no run can mean,
+// naming the field, and still read zero as "use the default".
+func TestConfigValidated(t *testing.T) {
+	train, test := testData()
+	ctors := []struct {
+		name string
+		new  func(Config) error
+	}{
+		{"NewTrainer", func(cfg Config) error {
+			_, err := NewTrainer(train, test, WithConfig(cfg), WithHidden(8))
+			return err
+		}},
+		{"NewNetTrainer", func(cfg Config) error {
+			_, err := NewNetTrainer(train, test, WithConfig(cfg), WithHidden(8))
+			return err
+		}},
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string // the refused field; "" means accepted
+	}{
+		{"zero value", func(*Config) {}, ""},
+		{"rates at their bounds", func(c *Config) { c.TrimRate, c.DropRate = 1, 0 }, ""},
+		{"TrimRate above 1", func(c *Config) { c.TrimRate = 2 }, "TrimRate"},
+		{"TrimRate negative", func(c *Config) { c.TrimRate = -1 }, "TrimRate"},
+		{"TrimRate NaN", func(c *Config) { c.TrimRate = math.NaN() }, "TrimRate"},
+		{"DropRate above 1", func(c *Config) { c.DropRate = 7 }, "DropRate"},
+		{"LR negative", func(c *Config) { c.LR = -0.1 }, "LR"},
+		{"LR infinite", func(c *Config) { c.LR = math.Inf(1) }, "LR"},
+		{"Momentum NaN", func(c *Config) { c.Momentum = math.NaN() }, "Momentum"},
+		{"Gamma negative", func(c *Config) { c.Gamma = -0.5 }, "Gamma"},
+		{"Workers negative", func(c *Config) { c.Workers = -1 }, "Workers"},
+		{"Epochs negative", func(c *Config) { c.Epochs = -3 }, "Epochs"},
+		{"Batch negative", func(c *Config) { c.Batch = -64 }, "Batch"},
+		{"StepSize negative", func(c *Config) { c.StepSize = -1 }, "StepSize"},
+		{"EvalEvery negative", func(c *Config) { c.EvalEvery = -1 }, "EvalEvery"},
+	} {
+		for _, ctor := range ctors {
+			t.Run(ctor.name+"/"+tc.name, func(t *testing.T) {
+				cfg := Config{Scheme: sp(quant.RHT, 0)}
+				tc.set(&cfg)
+				err := ctor.new(cfg)
+				switch {
+				case tc.want == "" && err != nil:
+					t.Errorf("refused: %v", err)
+				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "ddp: "+tc.want+" ")):
+					t.Errorf("error %v, want one naming %s", err, tc.want)
+				}
+			})
+		}
 	}
 }

@@ -132,6 +132,9 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*NetTrainer, error)
 	for _, opt := range opts {
 		opt(&o)
 	}
+	if err := o.cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg := o.cfg.withDefaults()
 	fabric := o.fabric.withDefaults()
 	if train.Len() == 0 {

@@ -206,7 +206,7 @@ var (
 		"Dropped": "dropped_total", "DroppedBytes": "dropped_bytes_total",
 		"Trimmed": "trimmed_total", "ECNMarked": "ecn_marked_total",
 		"MaxQueueBytes": "max_queue_bytes", "DownDrops": "down_drops_total",
-		"Aggregated": "aggregated_total", "StaleDrops": "stale_drops_total",
+		"Aggregated": "aggregated_total",
 	}
 	faultStatNames = map[string]string{
 		"Corrupted": "corrupted_total", "Duplicated": "duplicated_total",
@@ -218,7 +218,6 @@ var (
 		"Timeouts": "timeouts_total", "AcksSent": "acks_sent_total",
 		"NacksSent": "nacks_sent_total", "Failures": "failures_total",
 		"RejectedPackets": "rejected_packets_total", "DupsReceived": "dups_received_total",
-		"StaleDrops": "stale_drops_total",
 	}
 	decodeStatNames = map[string]string{
 		"Packets": "packets_total", "TrimmedPackets": "trimmed_packets_total",

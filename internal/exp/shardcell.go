@@ -10,29 +10,24 @@ import (
 	"trimgrad/internal/obs"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/transport"
-	"trimgrad/internal/wire"
 )
 
-// shardCell is one cell of the sharded-engine sweeps (E14 strong scaling,
-// E15 stamped arenas): a four-rack fabric partitioned into shards, one
-// trimmable RHT gradient flow per workload entry, run to completion in
-// 10 ms slices.
+// shardCell is one cell of the sharded-engine strong-scaling sweep (E14):
+// a four-rack fabric partitioned into shards, one trimmable RHT gradient
+// flow per workload entry over a background mix, per-flow FCT spans in the
+// telemetry, run to completion in 10 ms slices.
 type shardCell struct {
 	kind, workload string // fabric ("fattree", "leafspine") and netsim workload spec
 	shards, dim    int
-	loaded         bool // E14: background mix under the gradient flows, per-flow FCT spans in the telemetry
-	chaos          bool // E15: arenaSweepFaults on every sender uplink
-	arena          bool // E15: payload buffers recycled through per-host stamped arenas
 }
 
 // cellResult is what one cell produced: a digest of every observable the
 // bit-identity contract covers (the canonical merged telemetry — port
 // counters, transport metrics, flow spans — plus completion outcomes), and
-// the columns the sweeps print.
+// the columns the sweep prints.
 type cellResult struct {
 	digest           string
 	completed, flows int
-	stale            uint64 // stale drops, fabric plus stacks
 	wallMs           float64
 }
 
@@ -75,32 +70,15 @@ func (c shardCell) run(o Options) (res cellResult, err error) {
 		return res, err
 	}
 	grads := wl.GradientFlows()
-	if c.chaos {
-		// Fault every sender's uplink after partitioning so each injector
-		// lives on the shard that owns its port. The streams key off
-		// (Seed, host), never off scheduling, so every shard count and both
-		// payload paths replay the same fault sequence.
-		for _, f := range grads {
-			topo.Hosts[f.Src].Uplink().SetFaults(arenaSweepFaults(11+o.Seed), uint64(f.Src))
-		}
-	}
 
 	// Stacks bind to their host's shard simulator, so they are built only
-	// after partitioning — same order cmd/netsim uses. The arena cells close
-	// the per-host Get → send → recycle loop, where the others allocate
-	// every message's buffers afresh.
+	// after partitioning — same order cmd/netsim uses.
 	stacks := map[int]*transport.Stack{}
-	arenas := map[int]*wire.Arena{}
 	stackFor := func(h int) (*transport.Stack, error) {
 		if s, ok := stacks[h]; ok {
 			return s, nil
 		}
-		var opts []transport.Opt
-		if c.arena {
-			arenas[h] = wire.NewArena()
-			opts = append(opts, transport.WithArena(arenas[h]))
-		}
-		s, err := transport.New(topo.Hosts[h], opts...)
+		s, err := transport.New(topo.Hosts[h])
 		if err != nil {
 			return nil, err
 		}
@@ -109,9 +87,7 @@ func (c shardCell) run(o Options) (res cellResult, err error) {
 		return s, nil
 	}
 	fct := netsim.NewFCTRecorder()
-	if c.loaded {
-		fct.Obs = reg
-	}
+	fct.Obs = reg
 	// Completions fire on shard goroutines.
 	var done atomic.Int64
 	coreCfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12}
@@ -125,11 +101,7 @@ func (c shardCell) run(o Options) (res cellResult, err error) {
 		}
 		cfg := coreCfg
 		cfg.Flow = uint32(i)
-		encOpts := []core.Option{core.WithConfig(cfg)}
-		if c.arena {
-			encOpts = append(encOpts, core.WithArena(arenas[f.Src]))
-		}
-		enc, err := core.NewEncoderWith(encOpts...)
+		enc, err := core.NewEncoderWith(core.WithConfig(cfg))
 		if err != nil {
 			return res, err
 		}
@@ -142,10 +114,7 @@ func (c shardCell) run(o Options) (res cellResult, err error) {
 		src.SendTrimmable(topo.Hosts[f.Dst].ID(), uint32(i+1), msg.Meta, msg.Data,
 			func(at netsim.Time) { done.Add(1); fct.FlowFinished(id, at) }, nil)
 	}
-	var bg []*netsim.CrossTraffic
-	if c.loaded {
-		bg = netsim.BackgroundMix(n, 2e5, 5e4, 41+o.Seed).StartBackground(topo, 43+o.Seed)
-	}
+	bg := netsim.BackgroundMix(n, 2e5, 5e4, 41+o.Seed).StartBackground(topo, 43+o.Seed)
 
 	elapsed := stopwatch()
 	const slice = 10 * netsim.Millisecond
@@ -157,21 +126,12 @@ func (c shardCell) run(o Options) (res cellResult, err error) {
 		ct.Stop()
 	}
 
-	res.stale = topo.Hosts[0].Sim().StaleDrops()
-	for h := 0; h < n; h++ {
-		if s, ok := stacks[h]; ok {
-			res.stale += uint64(s.Stats.StaleDrops)
-		}
-	}
 	var buf bytes.Buffer
 	if err := obs.WriteJSONL(&buf, eng.Snapshot()); err != nil {
 		return res, err
 	}
-	fmt.Fprintf(&buf, "completed=%d ", done.Load())
-	if c.loaded {
-		fmt.Fprintf(&buf, "maxfct=%d ", fct.Max())
-	}
-	fmt.Fprintf(&buf, "vnow=%d processed=%d", eng.Now(), eng.Processed())
+	fmt.Fprintf(&buf, "completed=%d maxfct=%d vnow=%d processed=%d",
+		done.Load(), fct.Max(), eng.Now(), eng.Processed())
 	res.digest = buf.String()
 	res.completed, res.flows = int(done.Load()), len(grads)
 	return res, nil

@@ -35,7 +35,7 @@ func runStrongScale(w io.Writer, o Options) error {
 		for _, wl := range workloads {
 			refDigest, refWall := "", 0.0
 			for _, shards := range shardCounts {
-				cell := shardCell{kind: kind, workload: wl, shards: shards, dim: dim, loaded: true}
+				cell := shardCell{kind: kind, workload: wl, shards: shards, dim: dim}
 				res, err := cell.run(o)
 				if err != nil {
 					return fmt.Errorf("exp: strongscale %s/%s/%d: %w", kind, wl, shards, err)

@@ -119,16 +119,6 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 // values accumulate first — float addition order stays deterministic.
 func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet,
 	metaOf func(flow, msg, row uint32) (wire.MetaInfo, bool)) bool {
-	// Merging reads both payloads in full; stamped inputs must still be on
-	// their handed-out generation (DESIGN.md §16). A stale input vetoes
-	// the merge — the arriving packet then falls through to admit, whose
-	// own stamp check turns it into a counted stale-drop.
-	if qpkt.PayloadOwner != nil && !qpkt.PayloadOwner.Valid(qpkt.Payload, qpkt.PayloadGen) {
-		return false
-	}
-	if pkt.PayloadOwner != nil && !pkt.PayloadOwner.Valid(pkt.Payload, pkt.PayloadGen) {
-		return false
-	}
 	merged, err := wire.MergeTrimmable(qpkt.Payload, pkt.Payload, metaOf)
 	if err != nil {
 		return false
@@ -154,15 +144,9 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet,
 	// Commit: rewrite the queued packet in place. Aggregates may exceed the
 	// original sizes (jumbo frames — part of the placement trade-off the
 	// aggregation sweep measures), so the byte accounting takes the delta.
-	// The merged buffer is freshly allocated, so the queued packet's old
-	// stamped payload (if any) is no longer referenced by it: retire that
-	// flight and clear the stamp. The absorbed pkt's flight is retired by
-	// the caller's releasePacket.
+	// The merged buffer is freshly allocated: a merge never writes an
+	// operand's payload.
 	delta := len(merged) - len(qpkt.Payload)
-	if qpkt.PayloadOwner != nil {
-		qpkt.PayloadOwner.EndFlight(qpkt.Payload)
-		qpkt.PayloadOwner, qpkt.PayloadGen = nil, 0
-	}
 	qpkt.Payload = merged
 	qpkt.ownsPayload = true
 	qpkt.Size += delta

@@ -162,10 +162,7 @@ func (f *FaultInjector) corrupt(pkt *Packet) *Packet {
 }
 
 // SetFaults attaches a fault process to this port, deriving its stream
-// from cfg.Seed and streamID. A zero-value cfg detaches. Every knob
-// composes with arena payload recycling: a held-back or duplicated packet
-// re-validates its payload's generation stamp at re-admission, so a
-// recycled buffer becomes a counted stale-drop (DESIGN.md §16).
+// from cfg.Seed and streamID. A zero-value cfg detaches.
 func (p *Port) SetFaults(cfg FaultConfig, streamID ...uint64) *FaultInjector {
 	if !cfg.enabled() {
 		p.faults = nil

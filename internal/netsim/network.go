@@ -237,13 +237,6 @@ type PortStats struct {
 	// into a queued one (so k original packets becoming one aggregate
 	// count k−1). Only nonzero with QueueConfig.AggregateTrimmable.
 	Aggregated int
-	// StaleDrops counts stamped payloads refused at admission because
-	// their arena generation had moved on (the buffer was recycled while
-	// this packet was in flight — see DESIGN.md §16). Always zero under
-	// the correct ownership protocol; nonzero means a sender released a
-	// buffer it did not exclusively own and the generation stamp turned
-	// the read into a counted drop instead of silent corruption.
-	StaleDrops int
 }
 
 // emit reports the counts under a port's metric prefix. PortStats is the
@@ -258,7 +251,6 @@ func (s *PortStats) emit(e obs.Emit, prefix string) {
 	e.Counter(prefix+"ecn_marked_total", s.ECNMarked)
 	e.Counter(prefix+"down_drops_total", s.DownDrops)
 	e.Counter(prefix+"aggregated_total", s.Aggregated)
-	e.Counter(prefix+"stale_drops_total", s.StaleDrops)
 	e.Gauge(prefix+"max_queue_bytes", s.MaxQueueBytes)
 }
 
@@ -376,16 +368,6 @@ func (p *Port) admit(pkt *Packet) {
 	if p.down {
 		// A reordered packet can surface after a flap began.
 		p.Stats.DownDrops++
-		p.sim.releasePacket(pkt)
-		return
-	}
-	// Stamp validation before any queueing decision: a stamped payload
-	// whose generation moved on (recycled mid-flight) must not be read,
-	// queued, or merged. Covers first admission, reordered re-admission
-	// (evAdmit funnels back through here), and duplicates.
-	if pkt.PayloadOwner != nil && !pkt.PayloadOwner.Valid(pkt.Payload, pkt.PayloadGen) {
-		p.Stats.StaleDrops++
-		p.sim.staleDrops++
 		p.sim.releasePacket(pkt)
 		return
 	}
@@ -710,9 +692,8 @@ func (h *Host) Deliver(pkt *Packet) {
 // immutable. The fabric reads them in place at every hop and on every
 // shard, and a trimming switch copies the kept prefix rather than write
 // them (Packet.TrimTo), so the caller may keep the slice and send it again
-// (a retransmission) but must not write it again — unless it is stamped
-// with a wire.Arena (PayloadOwner), whose flight count tells the arena
-// when the last in-flight reader is gone and the buffer may be recycled.
+// (a retransmission) but must not write it again; the GC recycles the
+// buffer once the last packet, duplicate or retransmit queue drops it.
 func (h *Host) Send(pkt *Packet) {
 	if h.uplink == nil {
 		panic(fmt.Sprintf("netsim: host %d is not attached", h.id))
@@ -723,12 +704,6 @@ func (h *Host) Send(pkt *Packet) {
 		return
 	}
 	pkt.Src = h.id
-	if pkt.PayloadOwner != nil {
-		// Generation-stamped payload (DESIGN.md §16): the stamp becomes an
-		// in-flight reference, so the arena parks any Put while this packet
-		// lives instead of recycling the buffer under it.
-		pkt.PayloadOwner.AddFlight(pkt.Payload)
-	}
 	h.uplink.Enqueue(pkt)
 }
 

@@ -44,19 +44,6 @@ type Packet struct {
 	// ECE carries an ECN congestion-experienced mark.
 	ECE bool
 
-	// PayloadOwner, when non-nil, is the wire.Arena whose generation stamp
-	// guards Payload: the buffer is shared zero-copy with its sender (which
-	// may recycle it through the arena), so every late toucher must check
-	// PayloadOwner.Valid(Payload, PayloadGen) before reading and treat a
-	// mismatch as a counted stale-drop (DESIGN.md §16). Host.Send converts
-	// the stamp into an in-flight reference (Arena.AddFlight) and
-	// Sim.releasePacket retires it, so under the correct ownership protocol
-	// the buffer is parked — never recycled — while this packet lives.
-	PayloadOwner *wire.Arena
-	// PayloadGen is the generation stamp taken when the payload was handed
-	// to the fabric.
-	PayloadGen uint64
-
 	// ownsPayload marks Payload as this packet's private buffer — made by
 	// a trim, Clone, or an aggregation merge inside the fabric, referenced
 	// by nobody else — so a further trim may rewrite it in place.
@@ -84,8 +71,6 @@ func (p *Packet) Clone() *Packet {
 		q.Payload = append([]byte(nil), p.Payload...)
 		q.ownsPayload = true
 	}
-	// The copy is privately owned: no stamp, no flight to retire.
-	q.PayloadOwner, q.PayloadGen = nil, 0
 	return &q
 }
 
@@ -113,11 +98,10 @@ func (p *Packet) Trimmable() bool {
 //
 // Trimming is the one place the fabric changes payload bytes, and it never
 // writes a buffer it does not own (DESIGN.md §16): a payload still shared
-// with its sender — borrowed or arena-stamped — is trimmed into a private
-// copy of the kept prefix only, leaving the sender's retransmit buffer
-// intact and, on a sharded fabric, never racing a sender-side read. A
-// stamped buffer's flight is retired there, since this packet no longer
-// references it. A payload the packet already owns is cut in place.
+// with its sender is trimmed into a private copy of the kept prefix only,
+// leaving the sender's retransmit buffer intact and, on a sharded fabric,
+// never racing a sender-side read. A payload the packet already owns is
+// cut in place.
 func (p *Packet) TrimTo(target int) bool {
 	if p.Payload == nil {
 		return false
@@ -131,10 +115,6 @@ func (p *Packet) TrimTo(target int) bool {
 	}
 	if len(trimmed) >= len(p.Payload) {
 		return false
-	}
-	if p.PayloadOwner != nil {
-		p.PayloadOwner.EndFlight(p.Payload)
-		p.PayloadOwner, p.PayloadGen = nil, 0
 	}
 	p.Payload = trimmed
 	p.ownsPayload = true

@@ -216,10 +216,6 @@ type Sim struct {
 	// SetControlMerger). Nil means only control-free packets may merge.
 	controlMerger func(into, from *Packet, merged []byte) (any, bool)
 
-	// staleDrops counts stamped payloads dropped at a terminal touch point
-	// because their arena generation had moved on (see Sim.StaleDrops).
-	staleDrops uint64
-
 	// Processed counts executed events (useful in tests and as a runaway
 	// guard).
 	Processed uint64
@@ -227,25 +223,6 @@ type Sim struct {
 
 // NewSim returns an empty simulator at time zero.
 func NewSim() *Sim { return &Sim{rootN: new(uint64)} }
-
-// StaleDrops returns how many stamped payloads the fabric refused to
-// touch because their generation had moved on — a deliver, re-admission,
-// or merge that arrived after the buffer was recycled. Under the correct
-// ownership protocol (flights retired at every terminal point) this is
-// always zero; a nonzero count means an owner released a buffer it did
-// not exclusively hold, and the stamps turned what would have been silent
-// corruption into counted drops. Port-level stale drops are also counted
-// in PortStats.StaleDrops.
-func (s *Sim) StaleDrops() uint64 {
-	if s.eng != nil {
-		var n uint64
-		for _, sh := range s.eng.shards {
-			n += sh.sim.staleDrops
-		}
-		return n
-	}
-	return s.staleDrops
-}
 
 // SetControlMerger registers the transport hook the aggregation merge path
 // consults before folding two packets (QueueConfig.AggregateTrimmable):
@@ -479,17 +456,7 @@ func (s *Sim) dispatch(ev *event) {
 	case evTxDone:
 		ev.port.onTxDone(ev.pkt)
 	case evDeliver:
-		// A host is the packet's terminal hop; a stamped payload whose
-		// generation moved on while the packet propagated must not reach
-		// the application (every queued hop re-checks in Port.admit, so the
-		// final propagation leg is the only uncovered window).
 		if _, isHost := ev.node.(*Host); isHost {
-			if pkt := ev.pkt; pkt != nil && pkt.PayloadOwner != nil &&
-				!pkt.PayloadOwner.Valid(pkt.Payload, pkt.PayloadGen) {
-				s.staleDrops++
-				s.releasePacket(pkt)
-				return
-			}
 			ev.node.Deliver(ev.pkt)
 			// Once Deliver returned, the fabric owns the record again and
 			// can recycle it. Switches forward, so their packets stay live.
@@ -621,15 +588,6 @@ func (s *Sim) NewPacket() *Packet {
 func (s *Sim) releasePacket(p *Packet) {
 	if p == nil {
 		return
-	}
-	// Retire the in-flight arena reference before the pooled check: stamped
-	// payloads ride unpooled packets too, and every terminal point funnels
-	// through here. Draining the last flight completes a parked recycle
-	// (Arena.EndFlight), which is what lets the sender's Put proceed even
-	// when a reordered or duplicated copy outlived the message.
-	if p.PayloadOwner != nil {
-		p.PayloadOwner.EndFlight(p.Payload)
-		p.PayloadOwner, p.PayloadGen = nil, 0
 	}
 	if !p.pooled {
 		return

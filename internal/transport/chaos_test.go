@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"testing"
 
 	"trimgrad/internal/core"
@@ -87,15 +88,25 @@ func runChaosTransfer(t *testing.T, trimmable bool, sc chaosScenario, seed uint6
 	})
 	onDone := func(at netsim.Time) { out.doneAt = at }
 	onFail := func(error) { out.failed = true }
+	// The one ownership rule: what is handed to a Send — the bytes and the
+	// slices that list them — reads the same after drain, whatever the
+	// fabric did in between (corrupted a Clone, duplicated, reordered,
+	// dropped, retransmitted).
+	payloads := allPayloads(msg)
+	handed := bytes.Join(payloads, nil)
 	if trimmable {
 		a.SendTrimmable(1, 1, msg.Meta, msg.Data, onDone, onFail)
 	} else {
-		payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
 		a.SendReliable(1, 1, payloads, onDone, onFail)
 	}
 	const deadline = 5 * netsim.Second
 	sim.RunUntil(deadline)
 
+	for _, after := range [][][]byte{payloads, allPayloads(msg)} {
+		if !bytes.Equal(bytes.Join(after, nil), handed) {
+			t.Errorf("%s: a payload handed to the transport was written after Send", sc.name)
+		}
+	}
 	if out.doneAt == 0 && !out.failed {
 		t.Fatalf("%s: transfer neither completed nor failed within %v — a hang", sc.name, deadline)
 	}

@@ -19,6 +19,98 @@ func allPayloads(msg *core.Message) [][]byte {
 	return append(append([][]byte{}, msg.Meta...), msg.Data...)
 }
 
+// incastUnwritten drives an 8-sender trimmable incast to host 0 of a k=4
+// fat tree with queues q, on the plain simulator (shards 0) or a sharded
+// one, and fails the test unless every sender completes and every byte of
+// every sender buffer reads the same before and after. When aggregate is
+// set the senders are distinct flows of one message id, so switches may
+// fold their packets. It returns the fabric and stacks for the caller to
+// check that the scenario was harsh enough.
+func incastUnwritten(t *testing.T, shards int, q netsim.QueueConfig, aggregate bool) (*netsim.Topology, []*Stack) {
+	t.Helper()
+	sim := netsim.NewSim()
+	topo, err := netsim.NewFatTree(sim, netsim.FatTreeConfig{
+		K:        4,
+		HostLink: netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 2 * netsim.Microsecond},
+		Queue:    q,
+		ECMPSeed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() { sim.RunUntil(5 * netsim.Second) }
+	if shards > 0 {
+		eng, err := netsim.ShardTopology(topo, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		run = func() { eng.RunUntil(5 * netsim.Second) }
+	}
+
+	cfg := Config{RTO: 100 * netsim.Microsecond, MaxRetries: 200}
+	stacks := make([]*Stack, len(topo.Hosts))
+	for i, h := range topo.Hosts {
+		stacks[i] = newStack(h, cfg)
+	}
+	const senders = 8
+	var msgs []*core.Message
+	var before [][]byte
+	done := make([]bool, senders)
+	for s := 0; s < senders; s++ {
+		ccfg, id := coreConfig(), uint32(s+1)
+		if aggregate {
+			ccfg.Flow, id = uint32(s+1), 1
+		}
+		enc, err := core.NewEncoderWith(core.WithConfig(ccfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := enc.Encode(1, id, gaussianGrad(uint64(50+s), 1<<13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs = append(msgs, msg)
+		for _, b := range allPayloads(msg) {
+			before = append(before, bytes.Clone(b))
+		}
+	}
+	for s, msg := range msgs {
+		src := len(topo.Hosts) - 1 - s // other pods first: the longest paths
+		stacks[src].SendTrimmable(topo.Hosts[0].ID(), msg.ID, msg.Meta, msg.Data,
+			func(netsim.Time) { done[s] = true },
+			func(err error) { t.Errorf("sender %d failed: %v", s, err) })
+	}
+	run()
+
+	for s, ok := range done {
+		if !ok {
+			t.Fatalf("sender %d did not complete", s)
+		}
+	}
+	i := 0
+	for s, msg := range msgs {
+		for j, b := range allPayloads(msg) {
+			if !bytes.Equal(b, before[i]) {
+				t.Fatalf("sender %d payload %d was written after Send", s, j)
+			}
+			i++
+		}
+	}
+	return topo, stacks
+}
+
+// plainAndSharded runs f on the plain simulator (shards 0) and a 2-shard one.
+func plainAndSharded(t *testing.T, f func(t *testing.T, shards int)) {
+	for _, shards := range []int{0, 2} {
+		name := "plain"
+		if shards > 0 {
+			name = fmt.Sprintf("shards=%d", shards)
+		}
+		t.Run(name, func(t *testing.T) { f(t, shards) })
+	}
+}
+
 // TestTrimNeverWritesSenderPayload pins the fix for the sender-buffer
 // corruption: a packet trimmed at one hop, dropped at the next and NACKed
 // used to be re-sent from a buffer the in-place trim had already rewritten
@@ -27,94 +119,48 @@ func allPayloads(msg *core.Message) [][]byte {
 // exactly that sequence; every byte of every sender buffer must read the
 // same before and after, on the plain simulator and on a sharded one.
 func TestTrimNeverWritesSenderPayload(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		name := "plain"
-		if shards > 0 {
-			name = fmt.Sprintf("shards=%d", shards)
+	plainAndSharded(t, func(t *testing.T, shards int) {
+		topo, stacks := incastUnwritten(t, shards, netsim.QueueConfig{
+			CapacityBytes: 6000, HighCapacityBytes: 1200, Mode: netsim.TrimOverflow,
+		}, false)
+		trimmed, dropped, retx := 0, 0, 0
+		for _, sw := range topo.Switches() {
+			for _, p := range sw.Ports() {
+				trimmed += p.Stats.Trimmed
+				dropped += p.Stats.Dropped
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			sim := netsim.NewSim()
-			topo, err := netsim.NewFatTree(sim, netsim.FatTreeConfig{
-				K:        4,
-				HostLink: netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 2 * netsim.Microsecond},
-				Queue: netsim.QueueConfig{
-					CapacityBytes: 6000, HighCapacityBytes: 1200, Mode: netsim.TrimOverflow,
-				},
-				ECMPSeed: 11,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func() { sim.RunUntil(5 * netsim.Second) }
-			if shards > 0 {
-				eng, err := netsim.ShardTopology(topo, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer eng.Close()
-				run = func() { eng.RunUntil(5 * netsim.Second) }
-			}
+		for _, st := range stacks {
+			retx += st.Stats.Retransmits
+		}
+		if trimmed == 0 || dropped == 0 || retx == 0 {
+			t.Fatalf("scenario too gentle to reach the bug: trimmed=%d dropped=%d retransmits=%d", trimmed, dropped, retx)
+		}
+	})
+}
 
-			cfg := Config{RTO: 100 * netsim.Microsecond, MaxRetries: 200}
-			stacks := make([]*Stack, len(topo.Hosts))
-			for i, h := range topo.Hosts {
-				stacks[i] = newStack(h, cfg)
+// TestMergeNeverWritesSenderPayload is the same guard for the fabric's
+// other payload writer, the aggregating switch: the senders share one
+// message id, so their packets fold where they queue together, and a jumbo
+// aggregate that overflows the queue is trimmed in turn. A merge builds a
+// fresh buffer; it never writes an operand.
+func TestMergeNeverWritesSenderPayload(t *testing.T) {
+	plainAndSharded(t, func(t *testing.T, shards int) {
+		topo, _ := incastUnwritten(t, shards, netsim.QueueConfig{
+			CapacityBytes: 6000, HighCapacityBytes: 1 << 20, Mode: netsim.TrimOverflow,
+			AggregateTrimmable: true,
+		}, true)
+		merged, trimmed := 0, 0
+		for _, sw := range topo.Switches() {
+			for _, p := range sw.Ports() {
+				merged += p.Stats.Aggregated
+				trimmed += p.Stats.Trimmed
 			}
-			const senders = 8
-			var msgs []*core.Message
-			var before [][]byte
-			done := make([]bool, senders)
-			for s := 0; s < senders; s++ {
-				enc, err := core.NewEncoderWith(core.WithConfig(coreConfig()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				msg, err := enc.Encode(1, uint32(s+1), gaussianGrad(uint64(50+s), 1<<13))
-				if err != nil {
-					t.Fatal(err)
-				}
-				msgs = append(msgs, msg)
-				for _, b := range allPayloads(msg) {
-					before = append(before, bytes.Clone(b))
-				}
-			}
-			for s, msg := range msgs {
-				src := len(topo.Hosts) - 1 - s // other pods first: the longest paths
-				stacks[src].SendTrimmable(topo.Hosts[0].ID(), msg.ID, msg.Meta, msg.Data,
-					func(netsim.Time) { done[s] = true },
-					func(err error) { t.Errorf("sender %d failed: %v", s, err) })
-			}
-			run()
-
-			for s, ok := range done {
-				if !ok {
-					t.Fatalf("sender %d did not complete", s)
-				}
-			}
-			trimmed, dropped, retx := 0, 0, 0
-			for _, sw := range topo.Switches() {
-				for _, p := range sw.Ports() {
-					trimmed += p.Stats.Trimmed
-					dropped += p.Stats.Dropped
-				}
-			}
-			for _, st := range stacks {
-				retx += st.Stats.Retransmits
-			}
-			if trimmed == 0 || dropped == 0 || retx == 0 {
-				t.Fatalf("scenario too gentle to reach the bug: trimmed=%d dropped=%d retransmits=%d", trimmed, dropped, retx)
-			}
-			i := 0
-			for s, msg := range msgs {
-				for j, b := range allPayloads(msg) {
-					if !bytes.Equal(b, before[i]) {
-						t.Fatalf("sender %d payload %d was written after Send", s, j)
-					}
-					i++
-				}
-			}
-		})
-	}
+		}
+		if merged == 0 || trimmed == 0 {
+			t.Fatalf("scenario too gentle: aggregated=%d trimmed=%d", merged, trimmed)
+		}
+	})
 }
 
 // TestRetransmitCarriesFirstSendChecksum pins the once-per-message datagram

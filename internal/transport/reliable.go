@@ -28,9 +28,6 @@ type relSender struct {
 	dst      netsim.NodeID
 	id       uint32
 	payloads [][]byte
-	// gens holds the arena generation stamp of each payload (nil without
-	// an arena); every transmit re-validates before reading the buffer.
-	gens []uint64
 	// sums holds each payload's datagram checksum, computed once when the
 	// message is handed over: payloads are immutable from then on
 	// (netsim.Host.Send), so every retransmission carries the same sum.
@@ -50,9 +47,10 @@ type relSender struct {
 
 // SendReliable transmits payloads to dst as message id, invoking done when
 // every packet has been acknowledged, or failed (with the reason) after
-// MaxRetries timeout rounds. Payload slices are not copied, here or in the
-// fabric: their bytes are immutable from this call on (netsim.Host.Send),
-// so callers must not write them again.
+// MaxRetries timeout rounds. Neither payloads nor the slices in it are
+// copied, here or in the fabric: both are immutable from this call on
+// (netsim.Host.Send), so callers must not write them again but may hand
+// them to another destination.
 func (s *Stack) SendReliable(dst netsim.NodeID, id uint32, payloads [][]byte,
 	done func(at netsim.Time), failed func(err error)) {
 	tx := &relSender{
@@ -60,7 +58,6 @@ func (s *Stack) SendReliable(dst netsim.NodeID, id uint32, payloads [][]byte,
 		dst:      dst,
 		id:       id,
 		payloads: payloads,
-		gens:     s.stampGens(payloads),
 		sums:     payloadSums(payloads),
 		acked:    make([]bool, len(payloads)),
 		inFlight: make(map[int]bool),
@@ -87,9 +84,6 @@ func (tx *relSender) pump() {
 }
 
 func (tx *relSender) transmit(idx int) {
-	if tx.stack.staleSend(tx.gens, tx.payloads[idx], idx) {
-		return
-	}
 	tx.inFlight[idx] = true
 	tx.stack.Stats.DataSent++
 	pkt := tx.stack.sim.NewPacket()
@@ -102,7 +96,6 @@ func (tx *relSender) transmit(idx int) {
 	pkt.Control = relData{
 		MsgID: tx.id, Idx: idx, Total: len(tx.payloads), Sum: tx.sums[idx],
 	}
-	tx.stack.stamp(pkt, tx.gens, idx)
 	tx.stack.host.Send(pkt)
 }
 
@@ -124,7 +117,6 @@ func (tx *relSender) onTimeout() {
 		tx.finished = true
 		tx.stack.Stats.Failures++
 		delete(tx.stack.relTx, msgKey{tx.dst, tx.id})
-		tx.stack.releasePayloads(tx.payloads)
 		if tx.failed != nil {
 			tx.failed(ErrRetriesExhausted)
 		}
@@ -185,7 +177,6 @@ func (tx *relSender) onAck(a relAck) {
 	if tx.nAcked == len(tx.payloads) {
 		tx.finished = true
 		delete(tx.stack.relTx, msgKey{tx.dst, tx.id})
-		tx.stack.releasePayloads(tx.payloads)
 		if tx.done != nil {
 			tx.done(tx.stack.sim.Now())
 		}

@@ -111,12 +111,6 @@ type Stats struct {
 	// already being accounted for; they are re-acked but never
 	// re-delivered to the application.
 	DupsReceived int
-	// StaleDrops counts retransmissions skipped because the payload
-	// buffer's arena generation had moved on (the buffer was recycled
-	// while the message was still nominally in flight — DESIGN.md §16).
-	// Always zero under the correct ownership protocol, where a message's
-	// buffers are parked until its last in-flight packet terminates.
-	StaleDrops int
 }
 
 // Stack is the per-host transport endpoint. Create one per host with New;
@@ -138,10 +132,6 @@ type Stack struct {
 
 	Stats Stats
 
-	// arena, when set, receives the sender-side payload buffers of every
-	// finished message (done or failed) for reuse by the next encode.
-	arena *wire.Arena
-
 	relTx  map[msgKey]*relSender
 	relRx  map[msgKey]*relReceiver
 	trimTx map[msgKey]*trimSender
@@ -162,7 +152,6 @@ func (s *Stats) emit(e obs.Emit, prefix string) {
 	e.Counter(prefix+"failures_total", s.Failures)
 	e.Counter(prefix+"rejected_packets_total", s.RejectedPackets)
 	e.Counter(prefix+"dups_received_total", s.DupsReceived)
-	e.Counter(prefix+"stale_drops_total", s.StaleDrops)
 }
 
 type msgKey struct {
@@ -174,10 +163,9 @@ type msgKey struct {
 type Opt func(*stackOpts)
 
 type stackOpts struct {
-	cfg   Config
-	reg   *obs.Registry
-	rcv   Receiver
-	arena *wire.Arena
+	cfg Config
+	reg *obs.Registry
+	rcv Receiver
 }
 
 // WithConfig sets the protocol configuration (zero fields take defaults).
@@ -190,21 +178,6 @@ func WithRegistry(r *obs.Registry) Opt { return func(o *stackOpts) { o.reg = r }
 
 // WithReceiver sets the payload consumer at construction time.
 func WithReceiver(rcv Receiver) Opt { return func(o *stackOpts) { o.rcv = rcv } }
-
-// WithArena transfers ownership of sender-side payload buffers to the
-// stack: when a message finishes (acknowledged in full, every packet
-// accounted for, or the retry budget exhausted) its payload slices are
-// recycled into a for the next encode. The caller must stop touching the
-// buffers once SendReliable/SendTrimmable returns, and must not also
-// release them itself (core's Message.Release). Every outgoing payload is
-// generation-stamped against a (DESIGN.md §16): the fabric holds a flight
-// reference per in-flight packet, so a finished message's buffers are
-// parked — not recycled — until the last reordered or duplicated copy
-// terminates, and any touch that slips past the protocol is refused by a
-// stamp check instead of reading recycled bytes. That is what makes the
-// arena legal under reorder/duplicate fault injection and on sharded
-// simulators.
-func WithArena(a *wire.Arena) Opt { return func(o *stackOpts) { o.arena = a } }
 
 // New attaches a transport stack to h, configured by options. No option
 // combination fails today; the error return is part of the constructor
@@ -219,7 +192,6 @@ func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 		sim:      h.Sim(),
 		cfg:      o.cfg.withDefaults(),
 		Receiver: o.rcv,
-		arena:    o.arena,
 		relTx:    make(map[msgKey]*relSender),
 		relRx:    make(map[msgKey]*relReceiver),
 		trimTx:   make(map[msgKey]*trimSender),
@@ -242,11 +214,6 @@ func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 // Host returns the underlying simulated host.
 func (s *Stack) Host() *netsim.Host { return s.host }
 
-// OwnsPayloads reports whether the stack was built WithArena and so
-// recycles a message's payload buffers when the message finishes: such
-// buffers may be handed to it once, for one destination.
-func (s *Stack) OwnsPayloads() bool { return s.arena != nil }
-
 func (s *Stack) handle(p *netsim.Packet) {
 	switch c := p.Control.(type) {
 	case relData:
@@ -268,61 +235,6 @@ func (s *Stack) handle(p *netsim.Packet) {
 	default:
 		// Opaque cross traffic: ignore.
 	}
-}
-
-// releasePayloads recycles a finished message's sender-side buffers into
-// the stack's arena (a no-op without one). Buffer slots are nil-ed so a
-// stray late callback cannot double-release.
-func (s *Stack) releasePayloads(sets ...[][]byte) {
-	if s.arena == nil {
-		return
-	}
-	for _, set := range sets {
-		for i, b := range set {
-			s.arena.Put(b)
-			set[i] = nil
-		}
-	}
-}
-
-// stampGens registers every payload with the stack's arena and returns
-// the generation stamps the senders will transmit (and later re-validate)
-// under. Nil without an arena — the fabric then borrows the caller's
-// buffers unstamped, and the GC recycles them. GenOf registers foreign buffers too, so stamping works whether
-// or not the encoder drew its buffers from the same arena.
-func (s *Stack) stampGens(payloads [][]byte) []uint64 {
-	if s.arena == nil || len(payloads) == 0 {
-		return nil
-	}
-	gens := make([]uint64, len(payloads))
-	for i, b := range payloads {
-		gens[i] = s.arena.GenOf(b)
-	}
-	return gens
-}
-
-// staleSend reports whether payload idx's stamp went stale — the buffer
-// was recycled while the message was nominally still in flight — in which
-// case the (re)transmission is counted in Stats.StaleDrops and skipped.
-// Under the correct ownership protocol (buffers parked until the last
-// in-flight reference drains) this never fires; it is the sender-side
-// tripwire of DESIGN.md §16.
-func (s *Stack) staleSend(gens []uint64, payload []byte, idx int) bool {
-	if gens == nil || s.arena.Valid(payload, gens[idx]) {
-		return false
-	}
-	s.Stats.StaleDrops++
-	return true
-}
-
-// stamp marks an outgoing packet's payload with the stack's arena and its
-// generation, arming every downstream touch point's stamp check.
-func (s *Stack) stamp(pkt *netsim.Packet, gens []uint64, idx int) {
-	if gens == nil {
-		return
-	}
-	pkt.PayloadOwner = s.arena
-	pkt.PayloadGen = gens[idx]
 }
 
 func (s *Stack) deliver(src netsim.NodeID, payload []byte) {

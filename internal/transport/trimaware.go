@@ -50,12 +50,6 @@ type trimSender struct {
 	id    uint32
 	metas [][]byte
 	data  [][]byte
-	// metaGens/dataGens hold the arena generation stamps of the payload
-	// buffers (nil without an arena); every send re-validates its stamp
-	// before reading, so a NACK-driven or re-blast retransmission can
-	// never read a recycled buffer.
-	metaGens []uint64
-	dataGens []uint64
 	// metaSums/dataSums hold each payload's datagram checksum, computed once
 	// when the message is handed over: payloads are immutable from then on
 	// (netsim.Host.Send), so every retransmission carries the same sum.
@@ -74,16 +68,16 @@ type trimSender struct {
 // SendTrimmable transmits a trimmable message: metas reliably, data
 // packets once at line rate. done fires when the receiver confirms every
 // packet was accounted for (delivered or trimmed); failed receives the
-// reason when the retransmit budget runs out. Payload slices are not
-// copied, here or in the fabric: their bytes are immutable from this call
-// on (netsim.Host.Send) — a switch that trims a packet copies the prefix
-// it keeps — so callers must not write them again.
+// reason when the retransmit budget runs out. Neither metas and data nor
+// the slices in them are copied, here or in the fabric: all are immutable
+// from this call on (netsim.Host.Send) — a switch that trims a packet
+// copies the prefix it keeps — so callers must not write them again but
+// may hand them to another destination.
 func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte,
 	done func(at netsim.Time), failed func(err error)) {
 	tx := &trimSender{
 		stack: s, dst: dst, id: id,
 		metas: metas, data: data,
-		metaGens: s.stampGens(metas), dataGens: s.stampGens(data),
 		metaSums: payloadSums(metas), dataSums: payloadSums(data),
 		metaAcked: make([]bool, len(metas)),
 		rto:       s.cfg.RTO,
@@ -100,9 +94,6 @@ func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte
 }
 
 func (tx *trimSender) sendMeta(idx int) {
-	if tx.stack.staleSend(tx.metaGens, tx.metas[idx], idx) {
-		return
-	}
 	pkt := tx.stack.sim.NewPacket()
 	pkt.Dst = tx.dst
 	pkt.Size = payloadSize(tx.metas[idx])
@@ -113,14 +104,10 @@ func (tx *trimSender) sendMeta(idx int) {
 	pkt.Control = trimMeta{
 		MsgID: tx.id, Idx: idx, Total: len(tx.metas), Sum: tx.metaSums[idx],
 	}
-	tx.stack.stamp(pkt, tx.metaGens, idx)
 	tx.stack.host.Send(pkt)
 }
 
 func (tx *trimSender) sendData(idx int) {
-	if tx.stack.staleSend(tx.dataGens, tx.data[idx], idx) {
-		return
-	}
 	tx.stack.Stats.DataSent++
 	pkt := tx.stack.sim.NewPacket()
 	pkt.Dst = tx.dst
@@ -132,7 +119,6 @@ func (tx *trimSender) sendData(idx int) {
 	pkt.Control = trimData{
 		MsgID: tx.id, Idx: idx, Total: len(tx.data), Sum: tx.dataSums[idx],
 	}
-	tx.stack.stamp(pkt, tx.dataGens, idx)
 	tx.stack.host.Send(pkt)
 }
 
@@ -156,7 +142,6 @@ func (tx *trimSender) onTimeout() {
 		tx.finished = true
 		tx.stack.Stats.Failures++
 		delete(tx.stack.trimTx, msgKey{tx.dst, tx.id})
-		tx.stack.releasePayloads(tx.metas, tx.data)
 		if tx.failed != nil {
 			tx.failed(ErrRetriesExhausted)
 		}
@@ -211,7 +196,6 @@ func (tx *trimSender) onDone() {
 	}
 	tx.finished = true
 	delete(tx.stack.trimTx, msgKey{tx.dst, tx.id})
-	tx.stack.releasePayloads(tx.metas, tx.data)
 	if tx.done != nil {
 		tx.done(tx.stack.sim.Now())
 	}

@@ -133,9 +133,8 @@ func TestReadBitsMatchesBitAtATime(t *testing.T) {
 // TestPackUnpackBitsMatchBitWriterReader pins the bulk kernels to the
 // per-value writer/reader for every width 1–32 over counts that leave the
 // stream at every bit offset: PackBits must emit WriteBits' exact bytes
-// into a dirty destination (the arena hands back stale memory) without
-// touching a byte past its return value, and UnpackBits must return
-// ReadBits' values.
+// into a dirty destination without touching a byte past its return value,
+// and UnpackBits must return ReadBits' values.
 func TestPackUnpackBitsMatchBitWriterReader(t *testing.T) {
 	rng := xrand.New(99)
 	for width := 1; width <= 32; width++ {

@@ -27,14 +27,6 @@ type DataPacket struct {
 // (low h.P / h.Q bits respectively) for i in [0, h.Count). The Trimmed flag
 // is cleared; both CRCs are computed. The result length is h.FullSize().
 func BuildDataPacket(h Header, heads, tails []uint32) ([]byte, error) {
-	return BuildDataPacketTo(nil, h, heads, tails)
-}
-
-// BuildDataPacketTo is BuildDataPacket drawing its buffer from a (nil a
-// means allocate). The returned slice is arena-owned: the caller must
-// Put it back exactly once after the last alias — including any trimmed
-// re-slice — is gone.
-func BuildDataPacketTo(a *Arena, h Header, heads, tails []uint32) ([]byte, error) {
 	if int(h.Count) != len(heads) || int(h.Count) != len(tails) {
 		return nil, fmt.Errorf("wire: count %d != heads %d / tails %d",
 			h.Count, len(heads), len(tails))
@@ -51,10 +43,8 @@ func BuildDataPacketTo(a *Arena, h Header, heads, tails []uint32) ([]byte, error
 	h.Flags &^= FlagTrimmed | FlagMeta | FlagNaive
 
 	// Both bit regions are packed straight into the packet buffer, so the
-	// packet costs at most one allocation (none on an arena hit). Recycled
-	// buffers arrive dirty; PackBits stores every byte of a region whole,
-	// never OR-ing into prior contents.
-	buf := a.Get(h.FullSize())
+	// packet costs one allocation.
+	buf := make([]byte, h.FullSize())
 	h.marshal(buf)
 	headEnd := HeaderSize + h.HeadBytes()
 	vecmath.PackBits(buf[HeaderSize:headEnd], heads, int(h.P))
@@ -205,13 +195,13 @@ func checksum(b []byte) uint32 {
 // coordinates into the wrong place.
 func headerChecksum(buf []byte, region []byte) uint32 {
 	// The flags byte is normalized through a static lookup table instead of
-	// an in-place rewrite: headerChecksum runs on received payloads that may
-	// be zero-copy aliases of a sender's stamped arena buffer (DESIGN.md
-	// §16), so even a transient write here would race a concurrent
-	// retransmit read on another shard. A stack-local copy of the byte is
-	// not an option either — crc32's accelerated castagnoli path defeats
-	// escape analysis and would heap-allocate on every packet; slicing the
-	// package-level table allocates nothing.
+	// an in-place rewrite: headerChecksum runs on received payloads that
+	// alias the sender's buffer (DESIGN.md §16), so even a transient write
+	// here would race a concurrent retransmit read on another shard. A
+	// stack-local copy of the byte is not an option either — crc32's
+	// accelerated castagnoli path defeats escape analysis and would
+	// heap-allocate on every packet; slicing the package-level table
+	// allocates nothing.
 	c := crc32.Update(0, castagnoli, buf[:offFlags])
 	c = crc32.Update(c, castagnoli, normFlags[buf[offFlags]][:])
 	c = crc32.Update(c, castagnoli, buf[offFlags+1:offHeadCRC])

@@ -25,16 +25,9 @@ const MetaSize = HeaderSize + metaPayloadSize
 
 // BuildMetaPacket serializes a metadata packet for one row.
 func BuildMetaPacket(h Header, scheme uint8, n uint32, scale float64) []byte {
-	return BuildMetaPacketTo(nil, h, scheme, n, scale)
-}
-
-// BuildMetaPacketTo is BuildMetaPacket drawing its buffer from a (nil a
-// means allocate). Every payload byte is written, so a dirty recycled
-// buffer is safe.
-func BuildMetaPacketTo(a *Arena, h Header, scheme uint8, n uint32, scale float64) []byte {
 	h.Flags = (h.Flags &^ (FlagTrimmed | FlagNaive)) | FlagMeta
 	h.Count = 0
-	buf := a.Get(MetaSize)
+	buf := make([]byte, MetaSize)
 	h.marshal(buf)
 	pl := buf[HeaderSize:]
 	pl[0] = scheme

@@ -12,13 +12,6 @@ import (
 // carry consecutive coordinate ranges; the k-th data packet starts at
 // coordinate k·CoordsPerPacket(P, Q).
 func PackRow(flow, message, rowID uint32, enc *quant.EncodedRow) (meta []byte, data [][]byte, err error) {
-	return PackRowTo(nil, flow, message, rowID, enc)
-}
-
-// PackRowTo is PackRow drawing every packet buffer from a (nil a means
-// allocate). All returned buffers — meta and data alike — are arena-owned;
-// the sender recycles them when the message is done.
-func PackRowTo(a *Arena, flow, message, rowID uint32, enc *quant.EncodedRow) (meta []byte, data [][]byte, err error) {
 	if err := enc.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -30,7 +23,7 @@ func PackRowTo(a *Arena, flow, message, rowID uint32, enc *quant.EncodedRow) (me
 		Q:       uint8(enc.Q),
 		Seed:    enc.Seed,
 	}
-	meta = BuildMetaPacketTo(a, base, uint8(enc.Scheme), uint32(enc.N), enc.Scale)
+	meta = BuildMetaPacket(base, uint8(enc.Scheme), uint32(enc.N), enc.Scale)
 
 	per := CoordsPerPacket(enc.P, enc.Q)
 	data = make([][]byte, 0, (enc.N+per-1)/per)
@@ -42,25 +35,13 @@ func PackRowTo(a *Arena, flow, message, rowID uint32, enc *quant.EncodedRow) (me
 		h := base
 		h.Start = uint32(start)
 		h.Count = uint16(end - start)
-		pkt, err := BuildDataPacketTo(a, h, enc.Heads[start:end], enc.Tails[start:end])
+		pkt, err := BuildDataPacket(h, enc.Heads[start:end], enc.Tails[start:end])
 		if err != nil {
-			PutPacked(a, meta, data)
 			return nil, nil, err
 		}
 		data = append(data, pkt)
 	}
 	return meta, data, nil
-}
-
-// PutPacked recycles one PackRowTo result (meta plus all data buffers)
-// back into a. Call it only when no packet of the message can still be
-// in flight — after the transport reports done or failed.
-func PutPacked(a *Arena, meta []byte, data [][]byte) {
-	if a == nil {
-		return
-	}
-	a.Put(meta)
-	a.PutAll(data)
 }
 
 // RowAssembler reassembles one row from its metadata packet and whatever

@@ -20,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 date=${BENCH_DATE:-$(date +%Y-%m-%d)}
-pattern=${BENCH_PATTERN:-'Hot|Fig5|FWHT|E5Wire|Fabric|Collective|Shard|Arena'}
+pattern=${BENCH_PATTERN:-'Hot|Fig5|FWHT|E5Wire|Fabric|Collective|Shard'}
 benchtime=${BENCH_TIME:-3x}
 out="BENCH_${date}.json"
 # Same-day rerun: auto-suffix b, c, … instead of clobbering (or requiring

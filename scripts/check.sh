@@ -7,10 +7,9 @@
 #                             runs the test suite with -short
 #   scripts/check.sh -chaos   fault-injection pass only: race-enabled chaos,
 #                             fault, and duplicate-delivery regression tests,
-#                             plus the payload-ownership suites: stamped arena
-#                             (aliasing faults, counted stale drops,
-#                             borrowed-vs-arena bit-identity) and borrowed
-#                             payloads (immutable after Send, no copy per hop)
+#                             plus the payload-ownership suites (immutable
+#                             after Send under trims and merges, one
+#                             checksum per message, no copy per hop)
 #   scripts/check.sh -bench   perf smoke only: the BenchmarkHot* suite,
 #                             the BenchmarkFabric* fast-path suite (wheel,
 #                             pooled and borrowed-payload hops, and the k=4
@@ -25,6 +24,9 @@
 #                             (trimlint replays from .trimlint-cache when
 #                             the tree is unchanged) + the no-Deprecated
 #                             guard
+#   scripts/check.sh -loc     print the size score ROADMAP and CHANGES.md
+#                             quote: non-test and test Go lines outside
+#                             benchmark/ and testdata/, and DESIGN.md's lines
 #
 # Every step must pass; the script stops at the first failure.
 set -euo pipefail
@@ -36,21 +38,50 @@ case "${1:-}" in
   -chaos) mode=chaos ;;
   -bench) mode=bench ;;
   -lint)  mode=lint ;;
+  -loc)   mode=loc ;;
 esac
 
 step() { echo "== $*"; }
 
+# selects KIND PATTERN PKG...: fail unless PATTERN names at least one KIND
+# (Test, Benchmark or Fuzz) in every PKG, so a deleted or renamed suite
+# cannot turn the gate that ran it into a no-op.
+selects() {
+  local kind=$1 pattern=$2 pkg listed
+  shift 2
+  for pkg in "$@"; do
+    listed=$(go test -list "$pattern" "$pkg")
+    if ! grep -q "^$kind" <<<"$listed"; then
+      echo "check.sh: pattern '$pattern' selects no $kind in $pkg" >&2
+      exit 1
+    fi
+  done
+}
+
+if [[ $mode == loc ]]; then
+  golines() { find . -name '*.go' -not -path './benchmark/*' -not -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }
+  echo "non-test Go  $(golines -not -name '*_test.go')"
+  echo "test Go      $(golines -name '*_test.go')"
+  echo "DESIGN.md    $(wc -l < DESIGN.md)"
+  exit 0
+fi
+
 if [[ $mode == bench ]]; then
+  bench() { # PATTERN PKG
+    selects Benchmark "$1" "$2"
+    go test -race -run '^$' -bench "$1" -benchtime 1x "$2"
+  }
   step "go test -race -bench Hot (hot-path suite, live registries)"
-  go test -race -run '^$' -bench 'Hot' -benchtime 1x .
+  bench 'Hot' .
   step "go test -race -bench Fabric (wheel + pooled-event fast path)"
-  go test -race -run '^$' -bench '^BenchmarkFabric' -benchtime 1x .
+  bench '^BenchmarkFabric' .
   step "go test -race -bench Shard (partitioned engine, cross-shard mailboxes)"
-  go test -race -run '^$' -bench 'Shard' -benchtime 1x .
+  bench 'Shard' .
   step "go test -race -bench FWHT, DenseLayer (compute kernels, serial and pooled)"
-  go test -race -run '^$' -bench '^BenchmarkFWHT' -benchtime 1x .
-  go test -race -run '^$' -bench '^BenchmarkDenseLayer' -benchtime 1x ./internal/ml
+  bench '^BenchmarkFWHT' .
+  bench '^BenchmarkDenseLayer' ./internal/ml
   step "obs overhead guard (encode hot path, Nop vs live registry)"
+  selects Test 'TestObsOverheadGuard' .
   go test -run 'TestObsOverheadGuard' -count=1 .
   echo "OK (bench smoke)"
   exit 0
@@ -58,11 +89,15 @@ fi
 
 if [[ $mode == chaos ]]; then
   step "go test -race (chaos/fault/duplicate regressions)"
-  go test -race -run 'Chaos|Fault|Flap|Duplicate|PauseAndFail' \
-    ./internal/netsim ./internal/transport ./internal/collective ./internal/exp
-  step "go test -race (payload ownership: stamped arena, borrowed immutability, no per-hop copy)"
-  go test -race -run 'Arena|Borrowed|NeverWritesSender|FirstSendChecksum' -count=1 \
-    ./internal/wire ./internal/netsim ./internal/transport
+  pattern='Chaos|Fault|Flap|Duplicate|PauseAndFail'
+  pkgs=(./internal/netsim ./internal/transport ./internal/collective ./internal/exp)
+  selects Test "$pattern" "${pkgs[@]}"
+  go test -race -run "$pattern" "${pkgs[@]}"
+  step "go test -race (payload ownership: immutable after Send, one checksum per message, no per-hop copy)"
+  pattern='Borrowed|NeverWritesSender|FirstSendChecksum'
+  pkgs=(./internal/netsim ./internal/transport)
+  selects Test "$pattern" "${pkgs[@]}"
+  go test -race -run "$pattern" -count=1 "${pkgs[@]}"
   echo "OK (chaos pass)"
   exit 0
 fi
@@ -115,6 +150,7 @@ step "shard determinism (differential + plain-Sim identity + sharded matrices, -
 # The bit-identity contract — plain Sim ≡ 1 shard ≡ S shards — must hold
 # however the goroutines are actually scheduled: truly parallel (4) and
 # fully serialized (1) both run under the race detector.
+selects Test 'Shard' ./internal/netsim ./internal/collective
 for procs in 1 4; do
   GOMAXPROCS=$procs go test -race -run 'Shard' -count=1 \
     ./internal/netsim ./internal/collective
@@ -127,15 +163,18 @@ go run ./cmd/trimbench -exp fig5 -quick -metrics "$metrics_tmp" > /dev/null
 go run ./tools/metricsval "$metrics_tmp"
 
 step "obs overhead guard (encode hot path, Nop vs live registry)"
+selects Test 'TestObsOverheadGuard' .
 go test -run 'TestObsOverheadGuard' -count=1 .
 
 step "fuzz smoke (wire parsers + Trim + aggregate merge + validate/parse parity, 2s each)"
 for target in FuzzParseDataPacket FuzzParseMetaPacket FuzzParseNaivePacket FuzzTrim FuzzTrimPreservesHeads FuzzAggregateMerge FuzzParseAggPacket FuzzValidateMatchesParse; do
+  selects Fuzz "^${target}\$" ./internal/wire
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 2s ./internal/wire
 done
 
 step "fuzz smoke (event order: wheel vs key-deriving reference heap, shard counts vs 1 shard, 2s each)"
 for target in FuzzTimerWheel FuzzShardScheduler; do
+  selects Fuzz "^${target}\$" ./internal/netsim
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 2s ./internal/netsim
 done
 
