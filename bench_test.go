@@ -16,6 +16,7 @@ import (
 	"trimgrad/internal/ml"
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/obs"
+	"trimgrad/internal/par"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/sparse"
 	"trimgrad/internal/transport"
@@ -466,25 +467,35 @@ func BenchmarkHotEncodeDecodeRound(b *testing.B) {
 	}
 }
 
+// mlArms are the two ways a pass runs its kernels: a replica's, on the
+// calling goroutine, and a NewMLP model's, fanned out over the par pool.
+var mlArms = []struct {
+	name  string
+	model func(m *ml.Model) *ml.Model
+}{
+	{"serial", (*ml.Model).Replica},
+	{"parallel", func(m *ml.Model) *ml.Model { return m }},
+}
+
+// trainPass is one worker's share of a round through public calls.
+func trainPass(m *ml.Model, x [][]float32, y []int) {
+	m.ZeroGrad()
+	logits := m.Forward(x, true)
+	_, dLogits := ml.SoftmaxCrossEntropy(logits, y)
+	m.Backward(dLogits)
+}
+
 // BenchmarkHotMatmul measures one dense-layer forward+backward on a
 // training-shaped batch — the blocked-matmul kernels in isolation.
 func BenchmarkHotMatmul(b *testing.B) {
-	defer ml.SetWorkers(0)
 	train, _ := ml.Synthetic(ml.SyntheticConfig{Classes: 20, Dim: 128, Train: 256, Test: 1, Seed: 6})
-	m := ml.NewMLP(5, train.Dim, 256, train.Classes)
 	xs, ys := train.Batches(128, 3)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			ml.SetWorkers(bc.workers)
+	for _, arm := range mlArms {
+		b.Run(arm.name, func(b *testing.B) {
+			m := arm.model(ml.NewMLP(5, train.Dim, 256, train.Classes))
 			b.SetBytes(int64(128 * train.Dim * 256 * 4))
 			for i := 0; i < b.N; i++ {
-				m.ZeroGrad()
-				logits := m.Forward(xs[0], true)
-				_, dLogits := ml.SoftmaxCrossEntropy(logits, ys[0])
-				m.Backward(dLogits)
+				trainPass(m, xs[0], ys[0])
 			}
 		})
 	}
@@ -493,28 +504,51 @@ func BenchmarkHotMatmul(b *testing.B) {
 // BenchmarkHotMLEpoch measures one full training epoch — every batch
 // through forward, loss, backward, and an SGD step.
 func BenchmarkHotMLEpoch(b *testing.B) {
-	defer ml.SetWorkers(0)
 	train, _ := ml.Synthetic(ml.SyntheticConfig{Classes: 20, Dim: 64, Train: 1024, Test: 1, Seed: 7})
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			ml.SetWorkers(bc.workers)
-			m := ml.NewMLP(8, train.Dim, 128, train.Classes)
+	for _, arm := range mlArms {
+		b.Run(arm.name, func(b *testing.B) {
+			m := arm.model(ml.NewMLP(8, train.Dim, 128, train.Classes))
 			opt := ml.NewSGD(0.05, 0.9)
 			for i := 0; i < b.N; i++ {
 				xs, ys := train.Batches(64, uint64(i))
 				for r := range xs {
-					m.ZeroGrad()
-					logits := m.Forward(xs[r], true)
-					_, dLogits := ml.SoftmaxCrossEntropy(logits, ys[r])
-					m.Backward(dLogits)
+					trainPass(m, xs[r], ys[r])
 					opt.Step(m.Params(), m.Grads())
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkTrainCompute measures the compute half of one train_k4_ps round
+// — 8 workers, batch 64, the 32-256-128-30 MLP — the two ways there are to
+// run it: every worker through one model, one after another, each kernel
+// forking the pool (what the benchmark's unrolled loop still does), and
+// every worker on its own replica, the eight passes handed to the pool
+// whole (what ddp.computeGrads does).
+func BenchmarkTrainCompute(b *testing.B) {
+	const workers, batch = 8, 64
+	train, _ := ml.Synthetic(ml.SyntheticConfig{Classes: 30, Dim: 32, Train: workers * batch, Test: 1, Seed: 7})
+	xs, ys := train.Batches(batch, 3)
+	model := ml.NewMLP(1, train.Dim, 256, 128, train.Classes)
+	replicas := make([]*ml.Model, workers)
+	for w := range replicas {
+		replicas[w] = model.Replica()
+	}
+	b.Run("one-model", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for w := 0; w < workers; w++ {
+				trainPass(model, xs[w], ys[w])
+			}
+		}
+	})
+	b.Run("replicas", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			par.Default.ForEach(workers, 0, func(w int) { trainPass(replicas[w], xs[w], ys[w]) })
+		}
+	})
 }
 
 // BenchmarkFWHT measures the fast Walsh-Hadamard transform on the paper's

@@ -24,6 +24,7 @@ func TestRejectsBadInvocations(t *testing.T) {
 		{"-lr -0.1", "LR must be finite and non-negative"},
 		{"-workers 0", "-workers must be at least 1"},
 		{"-workers -2", "-workers must be at least 1"},
+		{"-hard=false -workers 3001", "3001 workers for 3000 samples"},
 		{"-epochs 0", "-epochs must be at least 1"},
 		{"-epochs -3", "-epochs must be at least 1"},
 		{"-scheme morse", "morse"},

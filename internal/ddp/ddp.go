@@ -23,6 +23,7 @@ import (
 	"trimgrad/internal/core"
 	"trimgrad/internal/ml"
 	"trimgrad/internal/obs"
+	"trimgrad/internal/par"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/sparse"
 	"trimgrad/internal/vecmath"
@@ -201,6 +202,19 @@ func (c Config) validate() error {
 	return nil
 }
 
+// checkShards refuses a training set that would leave a worker's shard
+// empty: such a run has no rounds and would report NaN losses.
+func checkShards(cfg Config, train *ml.Dataset) error {
+	if train.Len() == 0 {
+		return errors.New("ddp: empty training set")
+	}
+	if cfg.Workers > train.Len() {
+		return fmt.Errorf("ddp: Workers must not exceed the training samples, got %d workers for %d samples",
+			cfg.Workers, train.Len())
+	}
+	return nil
+}
+
 // SchemeName names the run's encoding for tables.
 func (c Config) SchemeName() string {
 	if c.Scheme == nil {
@@ -296,8 +310,8 @@ func NewTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 		return nil, err
 	}
 	cfg := o.cfg.withDefaults()
-	if train.Len() == 0 {
-		return nil, errors.New("ddp: empty training set")
+	if err := checkShards(cfg, train); err != nil {
+		return nil, err
 	}
 	sizes := append([]int{train.Dim}, o.hidden...)
 	sizes = append(sizes, train.Classes)
@@ -345,6 +359,63 @@ func roundSpans(r *obs.Registry, scheme string, wallStart, compute, encode, comm
 	r.RecordSpan("ddp.round.comm", t2, t3, attr)
 }
 
+// batch is one worker's input to one round.
+type batch struct {
+	x [][]float32
+	y []int
+}
+
+// epochBatches cuts every worker's shard into the epoch's batches, in the
+// order its seed shuffles them: batches[r][w] is worker w's round r. The
+// epoch has as many rounds as the shortest shard has batches.
+func epochBatches(shards []*ml.Dataset, cfg Config, epoch int) [][]batch {
+	xs := make([][][][]float32, len(shards))
+	ys := make([][][]int, len(shards))
+	rounds := math.MaxInt
+	for w, shard := range shards {
+		xs[w], ys[w] = shard.Batches(cfg.Batch, cfg.Seed+uint64(epoch)*131+uint64(w))
+		rounds = min(rounds, len(xs[w]))
+	}
+	batches := make([][]batch, rounds)
+	for r := range batches {
+		batches[r] = make([]batch, len(shards))
+		for w := range shards {
+			batches[r][w] = batch{xs[w][r], ys[w][r]}
+		}
+	}
+	return batches
+}
+
+// newReplicas returns one replica of model per worker and their live
+// gradient buffers, which the exchange reads in place.
+func newReplicas(model *ml.Model, workers int) (replicas []*ml.Model, grads [][]float32) {
+	replicas = make([]*ml.Model, workers)
+	grads = make([][]float32, workers)
+	for w := range replicas {
+		replicas[w] = model.Replica()
+		grads[w] = replicas[w].Grads()
+	}
+	return replicas, grads
+}
+
+// computeGrads runs one round's compute the way DDP does, every worker at
+// once: worker w's forward and backward pass over round[w], against the
+// parameters the replicas share, is one task of a single fan-out over the
+// par pool (workers executors; 0 means the pool's size). Each pass leaves its
+// gradient in its replica and its loss in losses[w], so what a run reports
+// does not depend on which executor ran which worker — provided the caller
+// adds the losses up in rank order.
+func computeGrads(replicas []*ml.Model, round []batch, losses []float64, workers int) {
+	par.Default.ForEach(len(replicas), workers, func(w int) {
+		m := replicas[w]
+		m.ZeroGrad()
+		logits := m.Forward(round[w].x, true)
+		loss, dLogits := ml.SoftmaxCrossEntropy(logits, round[w].y)
+		losses[w] = loss
+		m.Backward(dLogits)
+	})
+}
+
 // Model exposes the trained model (for FSDP and inspection).
 func (t *Trainer) Model() *ml.Model { return t.model }
 
@@ -370,35 +441,17 @@ func (t *Trainer) Run() (*Result, error) {
 	wall := 0.0
 	msgID := uint32(1)
 	dim := t.model.NumParams()
-	grads := make([][]float32, cfg.Workers)
+	replicas, grads := newReplicas(t.model, cfg.Workers)
+	losses := make([]float64, cfg.Workers)
 
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		// Per-worker batch streams for this epoch.
-		type stream struct {
-			xs [][][]float32
-			ys [][]int
-		}
-		streams := make([]stream, cfg.Workers)
-		rounds := math.MaxInt
-		for w := range streams {
-			xs, ys := shards[w].Batches(cfg.Batch, cfg.Seed+uint64(epoch)*131+uint64(w))
-			streams[w] = stream{xs, ys}
-			if len(xs) < rounds {
-				rounds = len(xs)
-			}
-		}
+		batches := epochBatches(shards, cfg, epoch)
 		var epochLoss float64
 		trimmedCoords, totalCoords := 0, 0
-		for r := 0; r < rounds; r++ {
-			// Each worker: forward/backward on its own batch against the
-			// shared (synchronized) parameters.
-			for w := 0; w < cfg.Workers; w++ {
-				t.model.ZeroGrad()
-				logits := t.model.Forward(streams[w].xs[r], true)
-				loss, dLogits := ml.SoftmaxCrossEntropy(logits, streams[w].ys[r])
+		for _, round := range batches {
+			computeGrads(replicas, round, losses, 0)
+			for _, loss := range losses {
 				epochLoss += loss
-				t.model.Backward(dLogits)
-				grads[w] = append(grads[w][:0], t.model.Grads()...)
 			}
 			// Aggregate through the congested network.
 			avg := make([]float32, dim)
@@ -440,7 +493,7 @@ func (t *Trainer) Run() (*Result, error) {
 			p := Point{
 				Epoch: epoch,
 				Wall:  wall,
-				Loss:  epochLoss / float64(rounds*cfg.Workers),
+				Loss:  epochLoss / float64(len(batches)*cfg.Workers),
 				Top1:  top1,
 				Top5:  top5,
 			}

@@ -289,6 +289,7 @@ func TestConfigValidated(t *testing.T) {
 		{"Momentum NaN", func(c *Config) { c.Momentum = math.NaN() }, "Momentum"},
 		{"Gamma negative", func(c *Config) { c.Gamma = -0.5 }, "Gamma"},
 		{"Workers negative", func(c *Config) { c.Workers = -1 }, "Workers"},
+		{"Workers above the sample count", func(c *Config) { c.Workers = train.Len() + 1 }, "Workers"},
 		{"Epochs negative", func(c *Config) { c.Epochs = -3 }, "Epochs"},
 		{"Batch negative", func(c *Config) { c.Batch = -64 }, "Batch"},
 		{"StepSize negative", func(c *Config) { c.StepSize = -1 }, "StepSize"},

@@ -3,7 +3,6 @@ package ddp
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"trimgrad/internal/collective"
 	"trimgrad/internal/core"
@@ -137,8 +136,8 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*NetTrainer, error)
 	}
 	cfg := o.cfg.withDefaults()
 	fabric := o.fabric.withDefaults()
-	if train.Len() == 0 {
-		return nil, errors.New("ddp: empty training set")
+	if err := checkShards(cfg, train); err != nil {
+		return nil, err
 	}
 	if cfg.Scheme == nil {
 		return nil, errors.New("ddp: networked training needs an encoding scheme (wire format)")
@@ -212,32 +211,17 @@ func (t *NetTrainer) Run() (*Result, error) {
 	wall := 0.0
 	msgBase := uint32(1)
 	dim := t.model.NumParams()
-	grads := make([][]float32, cfg.Workers)
+	replicas, grads := newReplicas(t.model, cfg.Workers)
+	losses := make([]float64, cfg.Workers)
 
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		type stream struct {
-			xs [][][]float32
-			ys [][]int
-		}
-		streams := make([]stream, cfg.Workers)
-		rounds := math.MaxInt
-		for w := range streams {
-			xs, ys := shards[w].Batches(cfg.Batch, cfg.Seed+uint64(epoch)*131+uint64(w))
-			streams[w] = stream{xs, ys}
-			if len(xs) < rounds {
-				rounds = len(xs)
-			}
-		}
+		batches := epochBatches(shards, cfg, epoch)
 		var epochLoss float64
 		trimmed, total := 0, 0
-		for r := 0; r < rounds; r++ {
-			for w := 0; w < cfg.Workers; w++ {
-				t.model.ZeroGrad()
-				logits := t.model.Forward(streams[w].xs[r], true)
-				loss, dLogits := ml.SoftmaxCrossEntropy(logits, streams[w].ys[r])
+		for _, round := range batches {
+			computeGrads(replicas, round, losses, 0)
+			for _, loss := range losses {
 				epochLoss += loss
-				t.model.Backward(dLogits)
-				grads[w] = append(grads[w][:0], t.model.Grads()...)
 			}
 			avg, commSecs, err := t.exchangeRound(uint64(epoch), msgBase, grads, dim)
 			if err != nil {
@@ -264,7 +248,7 @@ func (t *NetTrainer) Run() (*Result, error) {
 			top1, top5 := ml.Evaluate(t.model, t.test, 256)
 			p := Point{
 				Epoch: epoch, Wall: wall,
-				Loss: epochLoss / float64(rounds*cfg.Workers),
+				Loss: epochLoss / float64(len(batches)*cfg.Workers),
 				Top1: top1, Top5: top5,
 			}
 			if total > 0 {

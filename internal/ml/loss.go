@@ -4,13 +4,16 @@ import "math"
 
 // SoftmaxCrossEntropy computes the mean cross-entropy loss of logits
 // against integer labels and the gradient ∂L/∂logits (already divided by
-// the batch size, matching PyTorch's mean reduction).
+// the batch size, matching PyTorch's mean reduction). The gradient is the
+// caller's: one backing array per call.
 func SoftmaxCrossEntropy(logits [][]float32, labels []int) (loss float64, grad [][]float32) {
 	if len(logits) != len(labels) {
 		panic("ml: logits/labels length mismatch")
 	}
 	n := len(logits)
-	grad = make([][]float32, n)
+	var batch batchBuf
+	grad = batch.like(logits)
+	var exps []float64 // one row's exponentials, reused by the next row
 	for s, row := range logits {
 		y := labels[s]
 		if y < 0 || y >= len(row) {
@@ -24,14 +27,17 @@ func SoftmaxCrossEntropy(logits [][]float32, labels []int) (loss float64, grad [
 			}
 		}
 		var sum float64
-		exps := make([]float64, len(row))
+		if cap(exps) < len(row) {
+			exps = make([]float64, len(row))
+		}
+		exps = exps[:len(row)]
 		for i, v := range row {
 			e := math.Exp(float64(v - maxV))
 			exps[i] = e
 			sum += e
 		}
 		loss += -math.Log(exps[y]/sum + 1e-45)
-		g := make([]float32, len(row))
+		g := grad[s]
 		for i := range row {
 			p := exps[i] / sum
 			if i == y {
@@ -39,7 +45,6 @@ func SoftmaxCrossEntropy(logits [][]float32, labels []int) (loss float64, grad [
 			}
 			g[i] = float32(p / float64(n))
 		}
-		grad[s] = g
 	}
 	return loss / float64(n), grad
 }

@@ -32,25 +32,6 @@ import "trimgrad/internal/par"
 // stays L1-resident while the kernel streams the W rows beneath it.
 const jBlock = 256
 
-// workerOverride, when nonzero, fixes the worker count of the ml
-// kernels; zero delegates to the par.Default pool size. Tests and
-// benchmarks use it to pin serial vs parallel execution.
-var workerOverride int
-
-// SetWorkers overrides the worker count used by the dense-layer kernels:
-// n <= 0 restores the default (the par pool size, GOMAXPROCS). It is not
-// safe to call concurrently with training; results are bit-identical at
-// every setting, so it only changes speed.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerOverride = n
-}
-
-// mlWorkers returns the active kernel worker count.
-func mlWorkers() int { return workerOverride }
-
 // axpy1 adds a·v to y element-wise. len(v) must be at least len(y).
 func axpy1(y []float32, a float32, v []float32) {
 	v = v[:len(y)]
@@ -74,103 +55,133 @@ func axpy4(y []float32, a0, a1, a2, a3 float32, v0, v1, v2, v3 []float32) {
 	}
 }
 
+// Each kernel takes the worker count its layer was bound with: 0 fans the
+// rows out over the par pool, 1 — a replica, whose whole pass is already a
+// task on that pool — loops on the calling goroutine, building no closure.
+
 // denseForward computes out[s] = x[s]·W + b for every sample, one sample
-// per worker. W is row-major In×Out.
-func denseForward(out, x [][]float32, w, b []float32, outDim int) {
-	par.Default.ForEach(len(x), mlWorkers(), func(s int) {
-		row := x[s]
-		y := out[s]
-		copy(y, b)
-		for j0 := 0; j0 < outDim; j0 += jBlock {
-			j1 := min(j0+jBlock, outDim)
-			yt := y[j0:j1]
-			// live holds the input indices with a nonzero activation that
-			// are waiting for a full block of four.
-			var live [4]int
-			k := 0
-			for i, xi := range row {
-				if xi == 0 {
-					continue
-				}
-				live[k] = i
-				if k++; k < 4 {
-					continue
-				}
-				k = 0
-				i0, i1, i2, i3 := live[0], live[1], live[2], live[3]
-				axpy4(yt, row[i0], row[i1], row[i2], row[i3],
-					w[i0*outDim+j0:], w[i1*outDim+j0:], w[i2*outDim+j0:], w[i3*outDim+j0:])
-			}
-			for _, i := range live[:k] {
-				axpy1(yt, row[i], w[i*outDim+j0:])
-			}
+// per task. W is row-major In×Out.
+func denseForward(out, x [][]float32, w, b []float32, outDim, workers int) {
+	if workers == 1 {
+		for s, row := range x {
+			forwardRow(out[s], row, w, b, outDim)
 		}
-	})
+		return
+	}
+	par.Default.ForEach(len(x), workers, func(s int) { forwardRow(out[s], x[s], w, b, outDim) })
 }
 
-// denseBackwardInput computes gradIn[s] = gradOut[s]·Wᵀ for every
-// sample, one sample per worker: four inputs' dot products share each
-// pass over gy, each with its own accumulator.
-func denseBackwardInput(gradIn, gradOut [][]float32, w []float32, outDim int) {
-	par.Default.ForEach(len(gradOut), mlWorkers(), func(s int) {
-		gy := gradOut[s][:outDim]
-		gx := gradIn[s]
-		i := 0
-		for ; i+4 <= len(gx); i += 4 {
-			w0 := w[i*outDim:][:len(gy)]
-			w1 := w[(i+1)*outDim:][:len(gy)]
-			w2 := w[(i+2)*outDim:][:len(gy)]
-			w3 := w[(i+3)*outDim:][:len(gy)]
-			var a0, a1, a2, a3 float32
-			for j, g := range gy {
-				a0 += g * w0[j]
-				a1 += g * w1[j]
-				a2 += g * w2[j]
-				a3 += g * w3[j]
-			}
-			gx[i], gx[i+1], gx[i+2], gx[i+3] = a0, a1, a2, a3
-		}
-		for ; i < len(gx); i++ {
-			wRow := w[i*outDim:][:len(gy)]
-			var acc float32
-			for j, g := range gy {
-				acc += g * wRow[j]
-			}
-			gx[i] = acc
-		}
-	})
-}
-
-// denseBackwardWeights accumulates dW += xᵀ·gradOut, one weight row
-// (input index i) per worker. For a fixed (i, j) the contributions
-// arrive in ascending sample order — the same order as the serial
-// (s, i, j) loop, since each sample adds exactly one term per cell — so
-// the accumulated float32 is bit-identical to the serial kernel's.
-func denseBackwardWeights(dw []float32, x, gradOut [][]float32, outDim int) {
-	inDim := len(dw) / outDim
-	par.Default.ForEach(inDim, mlWorkers(), func(i int) {
-		dwRow := dw[i*outDim : (i+1)*outDim]
-		// live holds the samples whose activation i is nonzero and that are
-		// waiting for a full block of four.
+// forwardRow computes y = row·W + b.
+func forwardRow(y, row, w, b []float32, outDim int) {
+	copy(y, b)
+	for j0 := 0; j0 < outDim; j0 += jBlock {
+		j1 := min(j0+jBlock, outDim)
+		yt := y[j0:j1]
+		// live holds the input indices with a nonzero activation that
+		// are waiting for a full block of four.
 		var live [4]int
 		k := 0
-		for s := range gradOut {
-			if x[s][i] == 0 {
+		for i, xi := range row {
+			if xi == 0 {
 				continue
 			}
-			live[k] = s
+			live[k] = i
 			if k++; k < 4 {
 				continue
 			}
 			k = 0
-			s0, s1, s2, s3 := live[0], live[1], live[2], live[3]
-			axpy4(dwRow, x[s0][i], x[s1][i], x[s2][i], x[s3][i],
-				gradOut[s0], gradOut[s1], gradOut[s2], gradOut[s3])
+			i0, i1, i2, i3 := live[0], live[1], live[2], live[3]
+			axpy4(yt, row[i0], row[i1], row[i2], row[i3],
+				w[i0*outDim+j0:], w[i1*outDim+j0:], w[i2*outDim+j0:], w[i3*outDim+j0:])
 		}
-		for _, s := range live[:k] {
-			axpy1(dwRow, x[s][i], gradOut[s])
+		for _, i := range live[:k] {
+			axpy1(yt, row[i], w[i*outDim+j0:])
 		}
+	}
+}
+
+// denseBackwardInput computes gradIn[s] = gradOut[s]·Wᵀ for every
+// sample, one sample per task.
+func denseBackwardInput(gradIn, gradOut [][]float32, w []float32, outDim, workers int) {
+	if workers == 1 {
+		for s, gy := range gradOut {
+			backwardInputRow(gradIn[s], gy[:outDim], w, outDim)
+		}
+		return
+	}
+	par.Default.ForEach(len(gradOut), workers, func(s int) {
+		backwardInputRow(gradIn[s], gradOut[s][:outDim], w, outDim)
 	})
+}
+
+// backwardInputRow computes gx = gy·Wᵀ: four inputs' dot products share
+// each pass over gy, each with its own accumulator.
+func backwardInputRow(gx, gy, w []float32, outDim int) {
+	i := 0
+	for ; i+4 <= len(gx); i += 4 {
+		w0 := w[i*outDim:][:len(gy)]
+		w1 := w[(i+1)*outDim:][:len(gy)]
+		w2 := w[(i+2)*outDim:][:len(gy)]
+		w3 := w[(i+3)*outDim:][:len(gy)]
+		var a0, a1, a2, a3 float32
+		for j, g := range gy {
+			a0 += g * w0[j]
+			a1 += g * w1[j]
+			a2 += g * w2[j]
+			a3 += g * w3[j]
+		}
+		gx[i], gx[i+1], gx[i+2], gx[i+3] = a0, a1, a2, a3
+	}
+	for ; i < len(gx); i++ {
+		wRow := w[i*outDim:][:len(gy)]
+		var acc float32
+		for j, g := range gy {
+			acc += g * wRow[j]
+		}
+		gx[i] = acc
+	}
+}
+
+// denseBackwardWeights accumulates dW += xᵀ·gradOut, one weight row
+// (input index i) per task. For a fixed (i, j) the contributions
+// arrive in ascending sample order — the same order as the serial
+// (s, i, j) loop, since each sample adds exactly one term per cell — so
+// the accumulated float32 is bit-identical to the serial kernel's.
+func denseBackwardWeights(dw []float32, x, gradOut [][]float32, outDim, workers int) {
+	inDim := len(dw) / outDim
+	if workers == 1 {
+		for i := 0; i < inDim; i++ {
+			backwardWeightsRow(dw[i*outDim:(i+1)*outDim], i, x, gradOut)
+		}
+		return
+	}
+	par.Default.ForEach(inDim, workers, func(i int) {
+		backwardWeightsRow(dw[i*outDim:(i+1)*outDim], i, x, gradOut)
+	})
+}
+
+// backwardWeightsRow accumulates dwRow += Σ_s x[s][i]·gradOut[s].
+func backwardWeightsRow(dwRow []float32, i int, x, gradOut [][]float32) {
+	// live holds the samples whose activation i is nonzero and that are
+	// waiting for a full block of four.
+	var live [4]int
+	k := 0
+	for s := range gradOut {
+		if x[s][i] == 0 {
+			continue
+		}
+		live[k] = s
+		if k++; k < 4 {
+			continue
+		}
+		k = 0
+		s0, s1, s2, s3 := live[0], live[1], live[2], live[3]
+		axpy4(dwRow, x[s0][i], x[s1][i], x[s2][i], x[s3][i],
+			gradOut[s0], gradOut[s1], gradOut[s2], gradOut[s3])
+	}
+	for _, s := range live[:k] {
+		axpy1(dwRow, x[s][i], gradOut[s])
+	}
 }
 
 // denseBackwardBias accumulates db += Σ_s gradOut[s]. Out is small (a

@@ -140,32 +140,40 @@ func poisonDeadRows(w []float32, x [][]float32, outDim int) {
 	}
 }
 
+// matmulShapes cover a single element, less than one block of four, and
+// sizes that are not multiples of 4 or 8 on either side of the jBlock tile
+// edge.
+var matmulShapes = []struct{ batch, in, out int }{
+	{1, 1, 1}, {3, 3, 1}, {5, 1, 3}, {2, 3, 3}, {37, 30, 33}, {4, 33, 30},
+	{7, 130, 33}, {9, 33, 130}, {37, 65, 50}, {6, 30, jBlock + 33},
+}
+
+// patternBatch is a random batch with ±0 wherever zero says so.
+func patternBatch(rng *xrand.Rand, n, dim int, zero func(rng *xrand.Rand, s, i int) bool) [][]float32 {
+	negZero := float32(math.Copysign(0, -1))
+	x := randomBatch(rng, n, dim, false)
+	for s, row := range x {
+		for i := range row {
+			if zero(rng, s, i) {
+				// −0 compares equal to zero and is skipped like +0.
+				row[i] = []float32{0, negZero}[(s+i)%2]
+			}
+		}
+	}
+	return x
+}
+
 // TestDenseForwardBackwardBitIdenticalAcrossWorkers: one training step's
 // forward activations, input gradients, and parameter gradients must be
 // byte-identical to the naive reference loops at every worker count —
 // determinism under parallelism and under blocking is the perf
-// substrate's hard invariant. Dimensions cover a single element, less
-// than one block of four, and sizes that are not multiples of 4 or 8 on
-// either side of the jBlock tile edge.
+// substrate's hard invariant. The count goes to the kernels the way a
+// model hands it over, through bind.
 func TestDenseForwardBackwardBitIdenticalAcrossWorkers(t *testing.T) {
-	defer SetWorkers(0)
-	shapes := []struct{ batch, in, out int }{
-		{1, 1, 1}, {3, 3, 1}, {5, 1, 3}, {2, 3, 3}, {37, 30, 33}, {4, 33, 30},
-		{7, 130, 33}, {9, 33, 130}, {37, 65, 50}, {6, 30, jBlock + 33},
-	}
-	negZero := float32(math.Copysign(0, -1))
-	for _, sh := range shapes {
+	for _, sh := range matmulShapes {
 		for _, pat := range activationPatterns {
 			rng := xrand.New(uint64(11 + sh.in*sh.out))
-			x := randomBatch(rng, sh.batch, sh.in, false)
-			for s, row := range x {
-				for i := range row {
-					if pat.zero(rng, s, i) {
-						// −0 compares equal to zero and is skipped like +0.
-						row[i] = []float32{0, negZero}[(s+i)%2]
-					}
-				}
-			}
+			x := patternBatch(rng, sh.batch, sh.in, pat.zero)
 			gy := randomBatch(rng, sh.batch, sh.out, false)
 			w := make([]float32, sh.in*sh.out+sh.out)
 			for i := range w {
@@ -177,8 +185,8 @@ func TestDenseForwardBackwardBitIdenticalAcrossWorkers(t *testing.T) {
 				dw0[i] = float32(rng.NormFloat64())
 			}
 
-			wantFwd := sliceRows(sh.batch, sh.out)
-			wantGx := sliceRows(sh.batch, sh.in)
+			wantFwd := new(batchBuf).shape(sh.batch, sh.out)
+			wantGx := new(batchBuf).shape(sh.batch, sh.in)
 			wantDw := append([]float32(nil), dw0...)
 			refDenseForward(wantFwd, x, w[:sh.in*sh.out], w[sh.in*sh.out:], sh.out)
 			refDenseBackwardInput(wantGx, gy, w[:sh.in*sh.out], sh.out)
@@ -191,10 +199,9 @@ func TestDenseForwardBackwardBitIdenticalAcrossWorkers(t *testing.T) {
 			}
 
 			for _, workers := range matmulWorkerCounts {
-				SetWorkers(workers)
 				d := NewDense(sh.in, sh.out)
 				grads := append([]float32(nil), dw0...)
-				d.bind(append([]float32(nil), w...), grads)
+				d.bind(append([]float32(nil), w...), grads, workers)
 				fwd := d.Forward(x, true)
 				gradIn := d.Backward(gy)
 				label := pat.name
@@ -210,12 +217,11 @@ func TestDenseForwardBackwardBitIdenticalAcrossWorkers(t *testing.T) {
 // an MLP and requires the resulting parameters to match bit for bit:
 // the end-to-end guarantee trainsim's telemetry determinism rests on.
 func TestTrainingStepBitIdenticalAcrossWorkers(t *testing.T) {
-	defer SetWorkers(0)
 	train, _ := Synthetic(SyntheticConfig{Classes: 10, Dim: 24, Train: 96, Test: 8, Seed: 9})
 
 	run := func(workers int) []float32 {
-		SetWorkers(workers)
 		m := NewMLP(3, train.Dim, 48, train.Classes)
+		m.bind(workers)
 		opt := NewSGD(0.05, 0.9)
 		xs, ys := train.Batches(32, 77)
 		for r := range xs {
@@ -237,7 +243,6 @@ func TestTrainingStepBitIdenticalAcrossWorkers(t *testing.T) {
 // BenchmarkDenseLayer measures one forward+backward pass of a
 // paper-plausible layer, serial vs pooled.
 func BenchmarkDenseLayer(b *testing.B) {
-	defer SetWorkers(0)
 	const batch, in, out = 128, 64, 128
 	rng := xrand.New(4)
 	x := randomBatch(rng, batch, in, true)
@@ -247,11 +252,10 @@ func BenchmarkDenseLayer(b *testing.B) {
 		workers int
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
-			SetWorkers(bc.workers)
 			d := NewDense(in, out)
 			params := make([]float32, d.ParamCount())
 			grads := make([]float32, d.ParamCount())
-			d.bind(params, grads)
+			d.bind(params, grads, bc.workers)
 			d.initialize(xrand.New(5))
 			b.SetBytes(int64(batch * in * out * 4))
 			for i := 0; i < b.N; i++ {

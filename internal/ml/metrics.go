@@ -1,6 +1,10 @@
 package ml
 
-import "sort"
+import (
+	"sort"
+
+	"trimgrad/internal/par"
+)
 
 // TopKAccuracy returns the fraction of samples whose true label is among
 // the k largest logits — the paper reports top-1 and top-5.
@@ -35,26 +39,37 @@ func inTopK(row []float32, label, k int) bool {
 }
 
 // Evaluate runs the model over the dataset in eval mode and returns top-1
-// and top-5 accuracy.
+// and top-5 accuracy. The batches fan out over the par pool, each executor
+// on its own replica of m; hits are integer counts, so their sum does not
+// depend on which executor scored which batch.
 func Evaluate(m *Model, d *Dataset, batch int) (top1, top5 float64) {
 	if d.Len() == 0 {
 		return 0, 0
 	}
-	var hits1, hits5 int
-	for start := 0; start < d.Len(); start += batch {
-		end := start + batch
-		if end > d.Len() {
-			end = d.Len()
+	batches := (d.Len() + batch - 1) / batch
+	workers := min(par.Default.Size(), batches)
+	replicas := make([]*Model, workers)
+	hits := make([][2]int, workers)
+	par.Default.ForEachWorker(batches, workers, func(w, b int) {
+		if replicas[w] == nil {
+			replicas[w] = m.Replica()
 		}
-		logits := m.Forward(d.X[start:end], false)
+		start := b * batch
+		end := min(start+batch, d.Len())
+		logits := replicas[w].Forward(d.X[start:end], false)
 		for s, row := range logits {
 			if inTopK(row, d.Y[start+s], 1) {
-				hits1++
+				hits[w][0]++
 			}
 			if inTopK(row, d.Y[start+s], 5) {
-				hits5++
+				hits[w][1]++
 			}
 		}
+	})
+	var hits1, hits5 int
+	for _, h := range hits {
+		hits1 += h[0]
+		hits5 += h[1]
 	}
 	n := float64(d.Len())
 	return float64(hits1) / n, float64(hits5) / n

@@ -12,7 +12,7 @@ func TestDenseForwardKnown(t *testing.T) {
 	d := NewDense(2, 2)
 	params := []float32{1, 2, 3, 4, 0.5, -0.5} // W=[[1,2],[3,4]], b=[0.5,-0.5]
 	grads := make([]float32, 6)
-	d.bind(params, grads)
+	d.bind(params, grads, 0)
 	out := d.Forward([][]float32{{1, 1}}, false)
 	// y = [1+3+0.5, 2+4-0.5] = [4.5, 5.5]
 	if out[0][0] != 4.5 || out[0][1] != 5.5 {

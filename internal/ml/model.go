@@ -21,7 +21,9 @@ import (
 	"trimgrad/internal/xrand"
 )
 
-// Layer is one differentiable stage of a model.
+// Layer is one differentiable stage of a model. A layer owns the batch
+// matrices it returns and reuses them: a returned matrix is valid until
+// the layer's next call of the same method.
 type Layer interface {
 	// Forward computes outputs for a batch (rows are samples). When train
 	// is true the layer may cache activations for Backward.
@@ -32,20 +34,69 @@ type Layer interface {
 	// ParamCount returns how many scalars of the flat buffers this layer
 	// owns.
 	ParamCount() int
+	// accumulate is Backward without ∂L/∂input: all the first layer of a
+	// model needs, since nothing reads the gradient of the data.
+	accumulate(gradOut [][]float32)
 	// bind points the layer at its slices of the model's parameter and
-	// gradient buffers.
-	bind(params, grads []float32)
+	// gradient buffers and fixes the worker count of its kernels (0: the
+	// par pool's size).
+	bind(params, grads []float32, workers int)
 	// initialize fills the layer's parameters.
 	initialize(rng *xrand.Rand)
+	// replica returns an unbound layer of the same shape.
+	replica() Layer
+}
+
+// batchBuf is a batch matrix a layer owns: one backing array, grown when a
+// batch needs more and otherwise reused as it is. Its contents are whatever
+// the last pass left, so a kernel writing into it must store every element.
+type batchBuf struct {
+	rows    [][]float32
+	backing []float32
+}
+
+// grow returns n row headers and total floats of backing.
+func (b *batchBuf) grow(n, total int) ([][]float32, []float32) {
+	if cap(b.rows) < n {
+		b.rows = make([][]float32, n)
+	}
+	if cap(b.backing) < total {
+		b.backing = make([]float32, total)
+	}
+	return b.rows[:n], b.backing[:total]
+}
+
+// shape returns the buffer as an n×dim matrix.
+func (b *batchBuf) shape(n, dim int) [][]float32 {
+	rows, backing := b.grow(n, n*dim)
+	for s := range rows {
+		rows[s] = backing[s*dim : (s+1)*dim : (s+1)*dim]
+	}
+	return rows
+}
+
+// like returns the buffer as a matrix with x's row lengths.
+func (b *batchBuf) like(x [][]float32) [][]float32 {
+	total := 0
+	for _, row := range x {
+		total += len(row)
+	}
+	rows, backing := b.grow(len(x), total)
+	for s, row := range x {
+		rows[s], backing = backing[:len(row):len(row)], backing[len(row):]
+	}
+	return rows
 }
 
 // Dense is a fully-connected layer: y = xW + b, with W stored row-major
 // (In×Out).
 type Dense struct {
-	In, Out int
-	w, b    []float32
-	dw, db  []float32
-	x       [][]float32 // cached input for backward
+	In, Out     int
+	w, b        []float32
+	dw, db      []float32
+	workers     int
+	x           [][]float32 // cached input for backward
+	out, gradIn batchBuf
 }
 
 // NewDense returns an uninitialized dense layer.
@@ -54,11 +105,14 @@ func NewDense(in, out int) *Dense { return &Dense{In: in, Out: out} }
 // ParamCount implements Layer.
 func (d *Dense) ParamCount() int { return d.In*d.Out + d.Out }
 
-func (d *Dense) bind(params, grads []float32) {
+func (d *Dense) bind(params, grads []float32, workers int) {
 	nw := d.In * d.Out
 	d.w, d.b = params[:nw], params[nw:nw+d.Out]
 	d.dw, d.db = grads[:nw], grads[nw:nw+d.Out]
+	d.workers = workers
 }
+
+func (d *Dense) replica() Layer { return NewDense(d.In, d.Out) }
 
 func (d *Dense) initialize(rng *xrand.Rand) {
 	// He initialization, appropriate for the ReLU nonlinearity.
@@ -71,8 +125,9 @@ func (d *Dense) initialize(rng *xrand.Rand) {
 	}
 }
 
-// Forward implements Layer. The matmul runs cache-blocked on the par
-// pool (see matmul.go); results are bit-identical at every worker count.
+// Forward implements Layer. The matmul runs register-blocked, on the par
+// pool unless the layer is a replica's (see matmul.go); results are
+// bit-identical at every worker count.
 func (d *Dense) Forward(x [][]float32, train bool) [][]float32 {
 	// Validate before fanning out: a panic must fire on the caller's
 	// goroutine, not inside a pool worker.
@@ -84,8 +139,8 @@ func (d *Dense) Forward(x [][]float32, train bool) [][]float32 {
 	if train {
 		d.x = x
 	}
-	out := sliceRows(len(x), d.Out)
-	denseForward(out, x, d.w, d.b, d.Out)
+	out := d.out.shape(len(x), d.Out)
+	denseForward(out, x, d.w, d.b, d.Out, d.workers)
 	return out
 }
 
@@ -94,40 +149,18 @@ func (d *Dense) Forward(x [][]float32, train bool) [][]float32 {
 // (each owned by exactly one worker so accumulation order is fixed), and
 // the small ∂L/∂b reduction serial.
 func (d *Dense) Backward(gradOut [][]float32) [][]float32 {
-	if d.x == nil {
-		panic("ml: dense backward before forward(train)")
-	}
-	gradIn := sliceRows(len(gradOut), d.In)
-	denseBackwardInput(gradIn, gradOut, d.w, d.Out)
-	denseBackwardWeights(d.dw, d.x, gradOut, d.Out)
-	denseBackwardBias(d.db, gradOut)
+	d.accumulate(gradOut)
+	gradIn := d.gradIn.shape(len(gradOut), d.In)
+	denseBackwardInput(gradIn, gradOut, d.w, d.Out, d.workers)
 	return gradIn
 }
 
-// sliceRows allocates an n×dim matrix as one backing array, halving the
-// batch-loop allocation count versus per-row makes.
-func sliceRows(n, dim int) [][]float32 {
-	rows := make([][]float32, n)
-	backing := make([]float32, n*dim)
-	for s := range rows {
-		rows[s] = backing[s*dim : (s+1)*dim]
+func (d *Dense) accumulate(gradOut [][]float32) {
+	if d.x == nil {
+		panic("ml: dense backward before forward(train)")
 	}
-	return rows
-}
-
-// rowsLike allocates a zeroed matrix with x's row lengths as one backing
-// array.
-func rowsLike(x [][]float32) [][]float32 {
-	total := 0
-	for _, row := range x {
-		total += len(row)
-	}
-	rows := make([][]float32, len(x))
-	backing := make([]float32, total)
-	for s, row := range x {
-		rows[s], backing = backing[:len(row):len(row)], backing[len(row):]
-	}
-	return rows
+	denseBackwardWeights(d.dw, d.x, gradOut, d.Out, d.workers)
+	denseBackwardBias(d.db, gradOut)
 }
 
 // keepIf returns v when keep holds and +0 otherwise. The choice is made on
@@ -143,20 +176,23 @@ func keepIf(v float32, keep bool) float32 {
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	y [][]float32 // cached output for backward: y > 0 exactly where the input was
+	y           [][]float32 // cached output for backward: y > 0 exactly where the input was
+	out, gradIn batchBuf
 }
 
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
 // ParamCount implements Layer.
-func (r *ReLU) ParamCount() int              { return 0 }
-func (r *ReLU) bind(params, grads []float32) {}
-func (r *ReLU) initialize(rng *xrand.Rand)   {}
+func (r *ReLU) ParamCount() int                     { return 0 }
+func (r *ReLU) accumulate([][]float32)              {}
+func (r *ReLU) bind(params, grads []float32, _ int) {}
+func (r *ReLU) initialize(rng *xrand.Rand)          {}
+func (r *ReLU) replica() Layer                      { return NewReLU() }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x [][]float32, train bool) [][]float32 {
-	out := rowsLike(x)
+	out := r.out.like(x)
 	for s, row := range x {
 		y := out[s][:len(row)]
 		for i, v := range row {
@@ -174,7 +210,7 @@ func (r *ReLU) Backward(gradOut [][]float32) [][]float32 {
 	if r.y == nil {
 		panic("ml: relu backward before forward(train)")
 	}
-	gradIn := rowsLike(gradOut)
+	gradIn := r.gradIn.like(gradOut)
 	for s, gy := range gradOut {
 		gx, y := gradIn[s], r.y[s][:len(gy)]
 		for i, g := range gy {
@@ -185,7 +221,9 @@ func (r *ReLU) Backward(gradOut [][]float32) [][]float32 {
 }
 
 // Model is a feed-forward stack of layers over flat parameter/gradient
-// buffers.
+// buffers. Its layers own the batch matrices a pass produces, so one model
+// runs one pass at a time; concurrent passes over the same parameters each
+// take their own Replica.
 type Model struct {
 	layers []Layer
 	params []float32
@@ -193,7 +231,8 @@ type Model struct {
 }
 
 // NewModel assembles layers, allocates the flat buffers, and initializes
-// parameters deterministically from seed.
+// parameters deterministically from seed. Its kernels fan out over the par
+// pool.
 func NewModel(seed uint64, layers ...Layer) *Model {
 	total := 0
 	for _, l := range layers {
@@ -204,15 +243,42 @@ func NewModel(seed uint64, layers ...Layer) *Model {
 		params: make([]float32, total),
 		grads:  make([]float32, total),
 	}
-	off := 0
+	m.bind(0)
 	rng := xrand.New(seed)
 	for _, l := range layers {
-		n := l.ParamCount()
-		l.bind(m.params[off:off+n], m.grads[off:off+n])
 		l.initialize(rng)
-		off += n
 	}
 	return m
+}
+
+// bind hands every layer its slices of the flat buffers and the kernel
+// worker count.
+func (m *Model) bind(workers int) {
+	off := 0
+	for _, l := range m.layers {
+		n := l.ParamCount()
+		l.bind(m.params[off:off+n], m.grads[off:off+n], workers)
+		off += n
+	}
+}
+
+// Replica returns a model for one of several concurrent passes over m's
+// parameters. It shares m's parameter buffer — read-only during a pass, so
+// an SGD.Step or SetParams between passes is seen by m and every replica —
+// and owns its gradient buffer, activation caches and batch matrices. Its
+// kernels run on the calling goroutine: a replica's pass is the unit that
+// is handed to the par pool, and a task on the pool never forks it.
+func (m *Model) Replica() *Model {
+	r := &Model{
+		layers: make([]Layer, len(m.layers)),
+		params: m.params,
+		grads:  make([]float32, len(m.grads)),
+	}
+	for i, l := range m.layers {
+		r.layers[i] = l.replica()
+	}
+	r.bind(1)
+	return r
 }
 
 // NewMLP builds Dense+ReLU stacks: sizes[0] inputs, hidden layers, and
@@ -231,7 +297,8 @@ func NewMLP(seed uint64, sizes ...int) *Model {
 	return NewModel(seed, layers...)
 }
 
-// Forward runs the batch through all layers.
+// Forward runs the batch through all layers. The returned logits belong
+// to the model and are valid until its next pass.
 func (m *Model) Forward(x [][]float32, train bool) [][]float32 {
 	for _, l := range m.layers {
 		x = l.Forward(x, train)
@@ -239,13 +306,15 @@ func (m *Model) Forward(x [][]float32, train bool) [][]float32 {
 	return x
 }
 
-// Backward propagates ∂L/∂logits through all layers, accumulating
-// parameter gradients.
+// Backward propagates ∂L/∂logits of the preceding Forward(x, true) through
+// all layers, accumulating parameter gradients. The first layer's ∂L/∂x is
+// not computed: nothing reads the gradient of the data.
 func (m *Model) Backward(gradLogits [][]float32) {
 	g := gradLogits
-	for i := len(m.layers) - 1; i >= 0; i-- {
+	for i := len(m.layers) - 1; i > 0; i-- {
 		g = m.layers[i].Backward(g)
 	}
+	m.layers[0].accumulate(g)
 }
 
 // ZeroGrad clears the gradient buffer.
@@ -261,7 +330,8 @@ func (m *Model) Params() []float32 { return m.params }
 // Grads returns the live flat gradient buffer.
 func (m *Model) Grads() []float32 { return m.grads }
 
-// SetParams overwrites all parameters (used to sync replicas).
+// SetParams overwrites all parameters, for the model and every replica of
+// it.
 func (m *Model) SetParams(p []float32) {
 	if len(p) != len(m.params) {
 		panic("ml: SetParams length mismatch")

@@ -17,9 +17,11 @@
 #                             the BenchmarkShardFabric partitioned-
 #                             engine suite and the compute kernels
 #                             (BenchmarkFWHT at 2^15 and 2^11,
-#                             BenchmarkDenseLayer) run clean under -race
-#                             with live obs registries, and the obs
-#                             overhead guard still holds
+#                             BenchmarkDenseLayer) and the round's compute
+#                             half (BenchmarkTrainCompute: one model vs
+#                             replicas) run clean under -race with live
+#                             obs registries, and the obs overhead guard
+#                             still holds
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + trimlint
 #                             (trimlint replays from .trimlint-cache when
 #                             the tree is unchanged) + the no-Deprecated
@@ -77,9 +79,10 @@ if [[ $mode == bench ]]; then
   bench '^BenchmarkFabric' .
   step "go test -race -bench Shard (partitioned engine, cross-shard mailboxes)"
   bench 'Shard' .
-  step "go test -race -bench FWHT, DenseLayer (compute kernels, serial and pooled)"
+  step "go test -race -bench FWHT, DenseLayer, TrainCompute (compute kernels, serial and pooled; a round's passes on one model and on replicas)"
   bench '^BenchmarkFWHT' .
   bench '^BenchmarkDenseLayer' ./internal/ml
+  bench '^BenchmarkTrainCompute' .
   step "obs overhead guard (encode hot path, Nop vs live registry)"
   selects Test 'TestObsOverheadGuard' .
   go test -run 'TestObsOverheadGuard' -count=1 .
