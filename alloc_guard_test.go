@@ -1,6 +1,8 @@
 package trimgrad
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"trimgrad/internal/core"
@@ -72,5 +74,95 @@ func TestAllocGuardForwardBackward(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("a warmed replica's Forward+Backward allocates %.0f times at batch %d, want 0", allocs, batch)
+	}
+}
+
+// TestAllocGuardReceiveRound: the receive side of one parameter-server
+// round of train_k4_ps's shape — the server's SumDecoder takes the seven
+// clients' messages (45 214 floats in 2^11-coordinate RHT rows, a quarter
+// of the packets trimmed) and reconstructs their sum, then each client's
+// Decoder takes the broadcast and reconstructs it — allocates the eight
+// gradients it hands back plus per-row bookkeeping (presence bitsets, the
+// cached native decoders), not the rows: accumulators come from the scratch
+// pool and go back at Release, and a packet is decoded where it lands.
+func TestAllocGuardReceiveRound(t *testing.T) {
+	skipAllocGuard(t)
+	const (
+		workers = 8
+		rowSize = 1 << 11
+		slack   = 288 << 10 // bytes beyond the gradients; 224 KB measured
+	)
+	grad := benchRow(32*256 + 256 + 256*128 + 128 + 128*30 + 30)
+	rows := (len(grad) + rowSize - 1) / rowSize
+	cfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: rowSize}
+	encode := func(flow uint32, msg uint32) [][]byte {
+		cfg := cfg
+		cfg.Flow = flow
+		enc, err := core.NewEncoderWith(core.WithConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := enc.EncodeParallel(1, msg, grad, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trimmer := core.NewTrimmer(0.25, uint64(flow)+1)
+		for i, pkt := range m.Data {
+			m.Data[i] = trimmer.Apply(pkt)
+		}
+		return append(m.Meta, m.Data...)
+	}
+	var reduce [][]byte
+	for flow := uint32(1); flow < workers; flow++ {
+		reduce = append(reduce, encode(flow, 1)...)
+	}
+	broadcast := encode(0, 2)
+
+	round := func() {
+		sum, err := core.NewSumDecoder(1, workers-1, core.WithConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkt := range reduce {
+			if err := sum.Handle(pkt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := sum.Reconstruct(len(grad)); err != nil {
+			t.Fatal(err)
+		}
+		sum.Release()
+		for client := 1; client < workers; client++ {
+			dec, err := core.NewDecoderWith(2, core.WithConfig(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pkt := range broadcast {
+				if err := dec.Handle(pkt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := dec.DecodeParallel(len(grad), 0); err != nil {
+				t.Fatal(err)
+			}
+			dec.Release()
+		}
+	}
+	round() // warm the scratch pool
+	// A collection mid-round would empty the pool and charge the round for
+	// refilling it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const rounds = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	gradients := uint64(workers * rows * rowSize * 4)
+	t.Logf("%d bytes per round: %d of gradients + %d", perRound, gradients, perRound-gradients)
+	if perRound > gradients+slack {
+		t.Errorf("the receive side of a round allocates %d bytes, bound %d (8 gradients) + %d", perRound, gradients, slack)
 	}
 }

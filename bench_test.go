@@ -222,7 +222,9 @@ func BenchmarkE5WirePack(b *testing.B) {
 // BenchmarkE5WireParse measures the receive side of the same row, one
 // sub-benchmark per way a layer touches an arrived packet: validate is a
 // transport's admission (CRCs only), parse materializes a DataPacket, and
-// assemble is the decoder's ingestion (verify + unpack into the row).
+// ingest is the decoder's whole cost of the row short of the inverse
+// transform (verify, unpack into scratch, decode into the row's
+// accumulator, the accumulator itself drawn from and returned to the pool).
 // Half the packets are head-trimmed, as under a congested hop.
 func BenchmarkE5WireParse(b *testing.B) {
 	row := benchRow(1 << 13)
@@ -237,10 +239,6 @@ func BenchmarkE5WireParse(b *testing.B) {
 	}
 	for i := 0; i < len(data); i += 2 {
 		data[i] = wire.Trim(data[i], 0)
-	}
-	mp, err := wire.ParseMetaPacket(meta)
-	if err != nil {
-		b.Fatal(err)
 	}
 	b.Run("validate", func(b *testing.B) {
 		b.ReportAllocs()
@@ -262,21 +260,26 @@ func BenchmarkE5WireParse(b *testing.B) {
 			}
 		}
 	})
-	b.Run("assemble", func(b *testing.B) {
+	b.Run("ingest", func(b *testing.B) {
+		cfg := core.Config{Params: quant.Params{Scheme: quant.Sign}, RowSize: len(row)}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			asm := wire.NewRowAssembler()
-			if err := asm.AddMeta(mp); err != nil {
+			dec, err := core.NewDecoderWith(1, core.WithConfig(cfg))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := dec.Handle(meta); err != nil {
 				b.Fatal(err)
 			}
 			for _, pkt := range data {
-				if _, err := asm.AddDataBytes(pkt); err != nil {
+				if err := dec.Handle(pkt); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if !asm.Complete() {
-				b.Fatal("row incomplete")
+			if s := dec.Stats(); s.Packets != len(data) {
+				b.Fatalf("ingested %d of %d packets", s.Packets, len(data))
 			}
+			dec.Release()
 		}
 	})
 }

@@ -208,6 +208,7 @@ func (w *Worker) reconstruct(src netsim.NodeID, msg uint32, n int) ([]float32, e
 	}
 	w.AggStats.Accumulate(stats)
 	delete(w.decs, key)
+	dec.Release()
 	return out, nil
 }
 
@@ -237,6 +238,7 @@ func (w *Worker) reconstructSum(msg uint32, n int) ([]float32, error) {
 	}
 	w.AggStats.Accumulate(stats)
 	delete(w.sums, msg)
+	sd.Release()
 	return out, nil
 }
 

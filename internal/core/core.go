@@ -3,9 +3,9 @@
 // matching the paper's GPU-L1-sized rows), encodes each row with a
 // trimmable quantization scheme from package quant, and packetizes it with
 // package wire so that any switch along the path can compress the gradient
-// just by trimming packets. On the receive side it reassembles rows from
-// any mix of full, trimmed, and missing packets and decodes the
-// (approximate) gradient.
+// just by trimming packets. On the receive side it decodes any mix of
+// full, trimmed, and missing packets into the (approximate) gradient, one
+// packet at a time as they arrive.
 //
 // The package also provides the congestion injectors used throughout the
 // evaluation (probabilistic trimming/dropping, mirroring the paper's
@@ -251,19 +251,43 @@ func (o *decObs) flush(cur Stats) {
 	o.emitted = cur
 }
 
-// Decoder reassembles and decodes one message's packet stream.
+// Decoder decodes one message's packet stream as it arrives: every accepted
+// data packet is bit-unpacked into packet-sized scratch and decoded straight
+// into its row's native-domain accumulator, so nothing is reassembled and
+// Reconstruct is a copy plus quant.FinalizeNative per row.
 // A Decoder instance handles a single message; create one per message.
 type Decoder struct {
-	cfg   Config
-	codec quant.Codec
+	geom  geometry
 	msgID uint32
-	rows  map[uint32]*wire.RowAssembler
-	// pending buffers data packets that arrive before their row's
-	// metadata (reordering on the wire); they replay once the meta lands.
-	pending map[uint32][][]byte
-	stats   Stats
-	obs     decObs
+	rows  rowTable[decRow]
+	stats Stats
+	obs   decObs
+	// Per-packet scratch, reused so a data packet is ingested without
+	// allocating: dp receives the unpacked heads and tails, vals the decode
+	// of a packet that overlaps what its row already holds.
+	dp   wire.DataPacket
+	vals []float32
 }
+
+// decRow is one row of a Decoder's message. Two presence bitsets say which
+// coordinates' heads, and which coordinates' tails, have arrived: they are
+// what makes duplicate and overlapping deliveries idempotent (a trimmed
+// copy never overwrites the full-precision value an earlier copy stored;
+// a full copy upgrades a trimmed one) and what the coordinate-level Stats
+// are counted from.
+type decRow struct {
+	nativeRow // n == 0 until the metadata arrives
+	// dec decodes the row's packets; the metadata's scale fixes it.
+	dec          *quant.NativeDecoder
+	heads, tails bitset
+	filled       int // coordinates whose head has arrived
+	tailed       int // coordinates whose tail has arrived too
+	// pending buffers data packets that arrive before the row's metadata
+	// (reordering on the wire); they replay once the meta lands.
+	pending [][]byte
+}
+
+func newDecRow() *decRow { return new(decRow) }
 
 // maxPendingPerRow bounds how many early data packets one row buffers
 // while its metadata is in flight. Past the bound, further early arrivals
@@ -279,17 +303,13 @@ func NewDecoderWith(msgID uint32, opts ...Option) (*Decoder, error) {
 		opt(&o)
 	}
 	cfg := o.cfg.withDefaults()
-	codec, err := quant.New(cfg.Params)
-	if err != nil {
+	if _, err := quant.New(cfg.Params); err != nil {
 		return nil, err
 	}
 	return &Decoder{
-		cfg:     cfg,
-		codec:   codec,
-		msgID:   msgID,
-		rows:    make(map[uint32]*wire.RowAssembler),
-		pending: make(map[uint32][][]byte),
-		obs:     newDecObs(o.reg),
+		geom:  newGeometry(cfg),
+		msgID: msgID,
+		obs:   newDecObs(o.reg),
 	}, nil
 }
 
@@ -312,68 +332,152 @@ func (d *Decoder) handle(pkt []byte) error {
 	if h.Message != d.msgID {
 		return fmt.Errorf("core: packet for message %d, decoder is for %d", h.Message, d.msgID)
 	}
-	asm := d.rows[h.Row]
-	if asm == nil {
-		asm = wire.NewRowAssembler()
-		d.rows[h.Row] = asm
-	}
 	if h.IsMeta() {
 		m, err := wire.ParseMetaPacket(pkt)
 		if err != nil {
 			return err
 		}
-		if err := asm.AddMeta(m); err != nil {
-			return err
-		}
-		d.replayPending(h.Row, asm)
-		return nil
+		return d.addMeta(m)
 	}
-	if !asm.HaveMeta() {
+	row := d.rows.at(h.Row)
+	if row == nil || row.n == 0 {
 		// Reordered arrival: verify the packet now (a corrupt one is
 		// rejected on arrival, never parked) and buffer it until its
 		// metadata lands; it is unpacked once, at replay.
 		if _, _, err := wire.CheckDataPacket(pkt); err != nil {
 			return err
 		}
-		if len(d.pending[h.Row]) >= maxPendingPerRow {
+		if row, err = d.rows.ensure(h.Row, newDecRow); err != nil {
+			return err
+		}
+		if len(row.pending) >= maxPendingPerRow {
 			return fmt.Errorf("core: row %d pending buffer full", h.Row)
 		}
-		d.pending[h.Row] = append(d.pending[h.Row], pkt)
+		row.pending = append(row.pending, pkt)
 		return nil
 	}
-	return d.addData(asm, pkt)
+	return d.addData(row, pkt)
 }
 
-// addData verifies pkt and unpacks it straight into the row's assembler.
-func (d *Decoder) addData(asm *wire.RowAssembler, pkt []byte) error {
-	h, err := asm.AddDataBytes(pkt)
+// addMeta admits a row's metadata, sets the row up to ingest — accumulator,
+// presence bitsets, the native decoder its scale fixes — and replays the
+// data packets that outran it. A duplicate delivery of the reliable channel
+// is benign.
+func (d *Decoder) addMeta(m *wire.MetaPacket) error {
+	if err := d.geom.admitMeta(m); err != nil {
+		return err
+	}
+	row, err := d.rows.ensure(m.Row, newDecRow)
 	if err != nil {
+		return err
+	}
+	if row.n > 0 {
+		return nil
+	}
+	row.dec, err = quant.NewNativeDecoder(d.geom.scheme, d.geom.p, d.geom.q, m.Scale, m.Seed)
+	if err != nil {
+		return err
+	}
+	row.init(m.Seed, int(m.N))
+	words := (row.n + 63) / 64
+	sets := make(bitset, 2*words)
+	row.heads, row.tails = sets[:words], sets[words:]
+
+	pending := row.pending
+	row.pending = nil
+	for _, pkt := range pending {
+		// A packet that fails validation against the meta counts as
+		// rejected, exactly as if it had arrived late.
+		if err := d.addData(row, pkt); err != nil {
+			d.stats.RejectedPackets++
+		}
+	}
+	return nil
+}
+
+// addData verifies pkt, unpacks it into the decoder's scratch and decodes
+// it into its slice of the row.
+func (d *Decoder) addData(row *decRow, pkt []byte) error {
+	dp := &d.dp
+	if err := dp.Unpack(pkt); err != nil {
+		return err
+	}
+	if err := d.geom.admitData(&dp.Header); err != nil {
+		return err
+	}
+	dst, err := row.admit(&dp.Header)
+	if err != nil {
+		return err
+	}
+	if err := d.store(row, dst, dp); err != nil {
 		return err
 	}
 	d.stats.Packets++
 	d.stats.BytesReceived += len(pkt)
 	d.obs.packetBytes.Observe(int64(len(pkt)))
-	if h.Trimmed() {
+	if dp.Trimmed() {
 		d.stats.TrimmedPackets++
 	}
 	return nil
 }
 
-// replayPending feeds a row's buffered early data packets into its
-// assembler now that the metadata is present. Packets that fail
-// validation against the meta are counted rejected, exactly as if they
-// had arrived late.
-func (d *Decoder) replayPending(row uint32, asm *wire.RowAssembler) {
-	pkts := d.pending[row]
-	if len(pkts) == 0 {
-		return
+// store decodes an admitted packet into dst, its slice of row's
+// accumulator. A first contribution is stored, not added to the zero it
+// finds, so a −0 coordinate survives.
+func (d *Decoder) store(row *decRow, dst []float32, dp *wire.DataPacket) error {
+	start, count, tailCount := int(dp.Start), len(dst), dp.TailCount
+	if !row.heads.anyIn(start, start+count) {
+		// Nothing of this range has arrived before — all but duplicate
+		// deliveries: decode in place.
+		if err := row.dec.PacketValues(dst, start, dp.Heads, dp.Tails, tailCount); err != nil {
+			return err
+		}
+		row.heads.setRange(start, start+count)
+		row.tails.setRange(start, start+tailCount)
+		row.filled += count
+		row.tailed += tailCount
+		return nil
 	}
-	delete(d.pending, row)
-	for _, pkt := range pkts {
-		if err := d.addData(asm, pkt); err != nil {
-			d.stats.RejectedPackets++
+	// A duplicate or overlapping delivery: decode aside and keep, per
+	// coordinate, only what is news — a tail where there was none, a head
+	// where there was nothing.
+	if cap(d.vals) < count {
+		d.vals = make([]float32, count)
+	}
+	vals := d.vals[:count]
+	if err := row.dec.PacketValues(vals, start, dp.Heads, dp.Tails, tailCount); err != nil {
+		return err
+	}
+	for i, v := range vals {
+		c, full := start+i, i < tailCount
+		hadHead := row.heads.has(c)
+		if hadHead && (!full || row.tails.has(c)) {
+			continue
+		}
+		dst[i] = v
+		if !hadHead {
+			row.heads.set(c)
+			row.filled++
+		}
+		if full {
+			row.tails.set(c)
+			row.tailed++
 		}
 	}
+	return nil
+}
+
+// Release hands the rows' accumulators back to the scratch pool they were
+// drawn from and empties the decoder, for a caller that is done with it
+// (Stats stay readable). It is optional, like every par Put: a decoder
+// that is simply dropped leaves its rows to the GC.
+func (d *Decoder) Release() {
+	for _, row := range d.rows {
+		if row != nil {
+			row.release()
+		}
+	}
+	d.rows = nil
 }
 
 // Reconstruct decodes the gradient from whatever packets arrived. n is the

@@ -104,12 +104,14 @@ func (e *Encoder) workerCodecs(n int) ([]quant.Codec, error) {
 }
 
 // DecodeParallel decodes the gradient from whatever packets arrived, rows
-// in parallel: row reassembly + codec decode is embarrassingly parallel,
-// exactly like the encode side. n is the original gradient length. The
-// gradient, the Stats and the obs counters are the same at every worker
-// count (per-row contributions are folded in ascending row order, and a
-// failing row reports what the rows before it counted); workers = 1 runs
-// the rows in order on the calling goroutine.
+// in parallel: the packets were decoded into their rows as they arrived, so
+// what is left per row — a copy into the output and the inverse rotation of
+// the rotated schemes — is embarrassingly parallel, exactly like the encode
+// side. n is the original gradient length. The gradient, the Stats and the
+// obs counters are the same at every worker count (per-row contributions
+// are folded in ascending row order, and a failing row reports what the
+// rows before it counted); workers = 1 runs the rows in order on the
+// calling goroutine.
 //
 // workers ≤ 0 means the pool size (GOMAXPROCS). DecodeParallel may be
 // called again on one Decoder, but not concurrently with itself or with
@@ -118,12 +120,11 @@ func (d *Decoder) DecodeParallel(n, workers int) ([]float32, Stats, error) {
 	if n <= 0 {
 		return nil, d.stats, errors.New("core: non-positive gradient length")
 	}
-	rowSize := d.cfg.RowSize
+	rowSize := d.geom.rowSize
 	nRows := (n + rowSize - 1) / rowSize
 
-	// Each row decodes straight into its slice of out and leaves its
-	// counts in res; the shared codec is safe to call concurrently
-	// (quant.Codec documents statelessness) and d.rows is only read.
+	// Each row finalizes into its slice of out and leaves its counts in
+	// res; d.rows is only read.
 	out := make([]float32, nRows*rowSize)
 	res := make([]decodedRow, nRows)
 	par.Default.ForEach(nRows, workers, func(r int) {
@@ -154,27 +155,18 @@ type decodedRow struct {
 	err                               error
 }
 
-// decodeRow is the decode direction's one row body: assemble → decode into
-// dst, the row's zeroed slice of the output → count. A row whose metadata
-// never arrived stays zero and counts as dropped.
+// decodeRow is the decode direction's one row body: finalize into dst, the
+// row's zeroed slice of the output → count. A row whose metadata never
+// arrived stays zero and counts as dropped.
 func (d *Decoder) decodeRow(r uint32, dst []float32) decodedRow {
-	asm := d.rows[r]
-	if asm == nil || !asm.HaveMeta() {
+	row := d.rows.at(r)
+	if row == nil || row.n == 0 {
 		return decodedRow{total: len(dst), dropped: len(dst)}
 	}
-	enc, headAvail, tailAvail, err := asm.Assemble()
-	if err != nil {
-		return decodedRow{err: err}
-	}
-	res := decodedRow{expected: asm.ExpectedPackets()}
-	if enc.N > len(dst) {
-		res.err = fmt.Errorf("%d coordinates exceed the configured RowSize %d", enc.N, len(dst))
+	res := decodedRow{expected: d.geom.packets(row.n)}
+	if res.err = row.finalizeInto(dst, d.geom.scheme); res.err != nil {
 		return res
 	}
-	if res.err = d.codec.DecodeInto(dst[:enc.N], enc, headAvail, tailAvail); res.err != nil {
-		return res
-	}
-	heads, tails := asm.Filled()
-	res.total, res.trimmed, res.dropped = enc.N, heads-tails, enc.N-heads
+	res.total, res.trimmed, res.dropped = row.n, row.filled-row.tailed, row.n-row.filled
 	return res
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"trimgrad/internal/quant"
@@ -119,9 +121,9 @@ func TestDecoderReordersDataBeforeMeta(t *testing.T) {
 }
 
 // TestHandleDataAllocatesNothing pins the receive-path budget: once a
-// row's metadata is present, a data packet — full or trimmed — is verified
-// and unpacked straight into the row (Decoder) or into reused scratch
-// (SumDecoder) without a single allocation.
+// row's metadata is present, a data packet — full or trimmed, first copy or
+// duplicate — is verified, unpacked into reused scratch and decoded into
+// the row by either decoder without a single allocation.
 func TestHandleDataAllocatesNothing(t *testing.T) {
 	cfg := testConfig(quant.RHT, 0)
 	enc, err := NewEncoderWith(WithConfig(cfg))
@@ -202,6 +204,114 @@ func TestEarlyCorruptDataRejectedOnArrival(t *testing.T) {
 		}
 		if s := d.Stats(); s.RejectedPackets != 1 || s.Packets != 1 {
 			t.Fatalf("%s: rejected/accepted = %d/%d, want 1/1", name, s.RejectedPackets, s.Packets)
+		}
+	}
+}
+
+// TestForgedMetadataRejectedAtHandle: a CRC-valid metadata packet whose
+// geometry is not the configuration's — a row longer than RowSize, an empty
+// one, a scheme other than the configured one, head or tail widths its
+// Params do not produce, a rotated row no inverse transform exists for, a
+// row id no message has — is refused when it arrives, by both decoders
+// alike: counted, allocating next to nothing however long a row it claims,
+// and leaving the row open to the genuine metadata, so the message still
+// decodes to exactly what an undisturbed decoder makes of it.
+func TestForgedMetadataRejectedAtHandle(t *testing.T) {
+	cfg := testConfig(quant.RHT, 0)
+	enc, err := NewEncoderWith(WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const msgID = 9
+	grad := gaussianGrad(36, 3*cfg.RowSize)
+	msg, err := enc.Encode(1, msgID, grad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genuine, err := wire.ParseMetaPacket(msg.Meta[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	forge := func(edit func(m *wire.MetaPacket)) []byte {
+		m := *genuine
+		edit(&m)
+		return wire.BuildMetaPacket(m.Header, m.Scheme, m.N, m.Scale)
+	}
+	forged := []struct {
+		name string
+		pkt  []byte
+	}{
+		{"N = 2^24", forge(func(m *wire.MetaPacket) { m.N = 1 << 24 })},
+		{"N = 2^32-1", forge(func(m *wire.MetaPacket) { m.N = math.MaxUint32 })},
+		{"N = RowSize+1", forge(func(m *wire.MetaPacket) { m.N = uint32(cfg.RowSize) + 1 })},
+		{"N = 0", forge(func(m *wire.MetaPacket) { m.N = 0 })},
+		{"N not a power of two", forge(func(m *wire.MetaPacket) { m.N = uint32(cfg.RowSize) - 24 })},
+		{"unknown scheme", forge(func(m *wire.MetaPacket) { m.Scheme = 200 })},
+		{"another scheme", forge(func(m *wire.MetaPacket) { m.Scheme = uint8(quant.SD) })},
+		{"P = 8", forge(func(m *wire.MetaPacket) { m.P = 8 })},
+		{"Q = 16", forge(func(m *wire.MetaPacket) { m.Q = 16 })},
+		{"row 2^31", forge(func(m *wire.MetaPacket) { m.Row = 1 << 31 })}, // rows are a slice: the id must not size it
+	}
+
+	type decoder interface {
+		Handle([]byte) error
+		Reconstruct(int) ([]float32, Stats, error)
+		Stats() Stats
+	}
+	build := map[string]func() (decoder, error){
+		"Decoder":    func() (decoder, error) { return NewDecoderWith(msgID, WithConfig(cfg)) },
+		"SumDecoder": func() (decoder, error) { return NewSumDecoder(msgID, 1, WithConfig(cfg)) },
+	}
+	for name, mk := range build {
+		clean, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Row 0 is set up before the forgeries, row 1 is the one they claim,
+		// row 2's metadata comes after them.
+		for _, d := range []decoder{clean, dec} {
+			if err := d.Handle(msg.Meta[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, f := range forged {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := dec.Handle(f.pkt)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s: %s: accepted", name, f.name)
+			}
+			if got := dec.Stats().RejectedPackets; got != i+1 {
+				t.Errorf("%s: %s: RejectedPackets = %d, want %d", name, f.name, got, i+1)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<10 {
+				t.Errorf("%s: %s: rejecting it allocated %d bytes, want < 1 KB", name, f.name, grew)
+			}
+		}
+		for _, d := range []decoder{clean, dec} {
+			for _, pkt := range append(append([][]byte{}, msg.Meta[1:]...), msg.Data...) {
+				if err := d.Handle(pkt); err != nil {
+					t.Fatalf("%s: genuine packet after the forgeries: %v", name, err)
+				}
+			}
+		}
+		want, wantStats, err := clean.Reconstruct(len(grad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotStats, err := dec.Reconstruct(len(grad))
+		if err != nil {
+			t.Fatalf("%s: the message no longer decodes: %v", name, err)
+		}
+		requireSameBits(t, name, got, want)
+		wantStats.RejectedPackets = len(forged)
+		if gotStats != wantStats {
+			t.Errorf("%s: stats\n got %+v\nwant %+v", name, gotStats, wantStats)
 		}
 	}
 }

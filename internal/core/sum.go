@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"trimgrad/internal/par"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/wire"
 )
@@ -33,10 +34,10 @@ import (
 // TrimmedCoords counts contributions whose tail was lost, DroppedCoords
 // contributions that never arrived at all.
 type SumDecoder struct {
-	cfg    Config
+	geom   geometry
 	msgID  uint32
 	nFlows int
-	rows   map[uint32]*sumRow
+	rows   rowTable[sumRow]
 	stats  Stats
 	obs    decObs
 	// contribution accounting across all rows (in original-packet units).
@@ -48,26 +49,28 @@ type SumDecoder struct {
 	vals []float32
 }
 
-// sumRow is one row's native-domain accumulator.
+// sumRow is one row's native-domain accumulator and the per-flow state
+// that feeds it. Its geometry (seed and length) comes from the first
+// metadata packet or, when an aggregate outruns every one of them, from
+// the aggregate; n == 0 means neither has arrived.
 type sumRow struct {
-	haveGeom bool
-	scheme   quant.Scheme
-	p, q     int
-	seed     uint64
-	n        int
+	nativeRow
+	// metaSeen is false while the geometry was only adopted from an
+	// aggregate: the row's true length, and with it how many packets each
+	// sender emitted, is not known yet.
+	metaSeen bool
 	scales   map[uint32]float64 // flow → reliable scale
 	// decoders caches each flow's native decoder, built from its scale on
 	// the flow's first data packet.
 	decoders map[uint32]*quant.NativeDecoder
-	native   []float32
 	// pending buffers each flow's early data packets until that flow's
 	// metadata lands (aggregates never wait: their values are pre-decoded).
 	pending map[uint32][][]byte
 }
 
 // NewSumDecoder builds a summing decoder for message msgID fed by nFlows
-// senders. The configuration must match the senders'; the per-row scheme
-// geometry is cross-checked against the metadata packets as they arrive.
+// senders. The configuration must match the senders'; every metadata
+// packet is admitted against it, and against the row's other flows.
 func NewSumDecoder(msgID uint32, nFlows int, opts ...Option) (*SumDecoder, error) {
 	var o options
 	for _, opt := range opts {
@@ -77,16 +80,15 @@ func NewSumDecoder(msgID uint32, nFlows int, opts ...Option) (*SumDecoder, error
 	if nFlows < 1 {
 		return nil, fmt.Errorf("core: SumDecoder needs at least one flow, got %d", nFlows)
 	}
-	// Validate Params eagerly (same gate as Decoder) even though decoding
-	// runs through NativeDecoder: a bad scheme should fail at build time.
+	// Validate Params eagerly (same gate as Decoder): a bad scheme should
+	// fail at build time.
 	if _, err := quant.New(cfg.Params); err != nil {
 		return nil, err
 	}
 	return &SumDecoder{
-		cfg:    cfg,
+		geom:   newGeometry(cfg),
 		msgID:  msgID,
 		nFlows: nFlows,
-		rows:   make(map[uint32]*sumRow),
 		obs:    newDecObs(o.reg),
 	}, nil
 }
@@ -110,94 +112,79 @@ func (d *SumDecoder) handle(pkt []byte) error {
 	if h.Message != d.msgID {
 		return fmt.Errorf("core: packet for message %d, sum decoder is for %d", h.Message, d.msgID)
 	}
-	if h.IsNaive() {
-		return errors.New("core: naive packets cannot be summed")
-	}
-	row := d.rows[h.Row]
-	if row == nil {
-		row = &sumRow{
-			scales:   make(map[uint32]float64),
-			decoders: make(map[uint32]*quant.NativeDecoder),
-			pending:  make(map[uint32][][]byte),
-		}
-		d.rows[h.Row] = row
-	}
 	switch {
+	case h.IsNaive():
+		return errors.New("core: naive packets cannot be summed")
 	case h.IsMeta():
 		m, err := wire.ParseMetaPacket(pkt)
 		if err != nil {
 			return err
 		}
-		return d.addMeta(row, m)
+		return d.addMeta(m)
 	case h.IsAgg():
 		ap, err := wire.ParseAggPacket(pkt)
 		if err != nil {
 			return err
 		}
-		return d.addAgg(row, pkt, ap)
-	default:
-		if _, ok := row.scales[h.Flow]; !ok {
-			// This flow's scale has not arrived yet: verify the packet now,
-			// buffer it, and unpack it once at replay.
-			if _, _, err := wire.CheckDataPacket(pkt); err != nil {
-				return err
-			}
-			if len(row.pending[h.Flow]) >= maxPendingPerRow {
-				return fmt.Errorf("core: row %d flow %d pending buffer full", h.Row, h.Flow)
-			}
-			row.pending[h.Flow] = append(row.pending[h.Flow], pkt)
-			return nil
+		return d.addAgg(pkt, ap)
+	}
+	row := d.rows.at(h.Row)
+	if row == nil || !row.hasScale(h.Flow) {
+		// This flow's scale has not arrived yet: verify the packet now,
+		// buffer it, and unpack it once at replay.
+		if _, _, err := wire.CheckDataPacket(pkt); err != nil {
+			return err
 		}
-		return d.addData(row, pkt)
+		if row, err = d.rows.ensure(h.Row, newSumRow); err != nil {
+			return err
+		}
+		if len(row.pending[h.Flow]) >= maxPendingPerRow {
+			return fmt.Errorf("core: row %d flow %d pending buffer full", h.Row, h.Flow)
+		}
+		row.pending[h.Flow] = append(row.pending[h.Flow], pkt)
+		return nil
+	}
+	return d.addData(row, pkt)
+}
+
+func newSumRow() *sumRow {
+	return &sumRow{
+		scales:   make(map[uint32]float64),
+		decoders: make(map[uint32]*quant.NativeDecoder),
+		pending:  make(map[uint32][][]byte),
 	}
 }
 
-// ensureGeom records (or cross-checks) a row's shared geometry. Every
-// flow's metadata must agree on scheme, P, Q, seed, and length — they
-// encode the same (epoch, message, row) under the same Config.
-func (d *SumDecoder) ensureGeom(row *sumRow, scheme quant.Scheme, p, q int, seed uint64, n int) error {
-	if !row.haveGeom {
-		if scheme != d.cfg.Params.Scheme {
-			return fmt.Errorf("core: metadata scheme %v != configured %v", scheme, d.cfg.Params.Scheme)
-		}
-		if n <= 0 || n > d.cfg.RowSize {
-			return fmt.Errorf("core: row length %d outside (0,%d]", n, d.cfg.RowSize)
-		}
-		row.haveGeom = true
-		row.scheme, row.p, row.q, row.seed, row.n = scheme, p, q, seed, n
-		row.native = make([]float32, n)
-		return nil
-	}
-	if !row.geomKnown() {
-		// Geometry was adopted from an aggregate (packet shape unknown):
-		// cross-check the shared fields and fill in P/Q from the meta.
-		if scheme != row.scheme || seed != row.seed || n != row.n {
-			return fmt.Errorf("core: metadata disagrees with aggregate geometry (row seed %x/%x)",
-				seed, row.seed)
-		}
-		row.p, row.q = p, q
-		return nil
-	}
-	if scheme != row.scheme || p != row.p || q != row.q || seed != row.seed || n != row.n {
-		return fmt.Errorf("core: row geometry mismatch (scheme %v/%v P %d/%d Q %d/%d)",
-			scheme, row.scheme, p, row.p, q, row.q)
-	}
-	return nil
+func (row *sumRow) hasScale(flow uint32) bool {
+	_, ok := row.scales[flow]
+	return ok
 }
 
-func (d *SumDecoder) addMeta(row *sumRow, m *wire.MetaPacket) error {
-	if err := d.ensureGeom(row, quant.Scheme(m.Scheme), int(m.P), int(m.Q), m.Seed, int(m.N)); err != nil {
+// addMeta admits one flow's metadata — against the configuration, then
+// against what the row's other flows (or an aggregate) already fixed: they
+// all encode the same (epoch, message, row), so seed and length must agree
+// — records the flow's scale and replays its early data packets.
+func (d *SumDecoder) addMeta(m *wire.MetaPacket) error {
+	if err := d.geom.admitMeta(m); err != nil {
 		return err
 	}
-	if _, dup := row.scales[m.Flow]; dup {
-		return nil // reliable-channel duplicate, benign (mirrors RowAssembler)
+	row, err := d.rows.ensure(m.Row, newSumRow)
+	if err != nil {
+		return err
+	}
+	switch {
+	case row.n == 0:
+		row.init(m.Seed, int(m.N))
+	case m.Seed != row.seed || int(m.N) != row.n:
+		return fmt.Errorf("core: row geometry mismatch (seed %x/%x length %d/%d)",
+			m.Seed, row.seed, m.N, row.n)
+	}
+	row.metaSeen = true
+	if row.hasScale(m.Flow) {
+		return nil // reliable-channel duplicate, benign
 	}
 	row.scales[m.Flow] = m.Scale
-	// Replay this flow's buffered early data packets.
 	pkts := row.pending[m.Flow]
-	if len(pkts) == 0 {
-		return nil
-	}
 	delete(row.pending, m.Flow)
 	for _, pkt := range pkts {
 		if err := d.addData(row, pkt); err != nil {
@@ -207,43 +194,40 @@ func (d *SumDecoder) addMeta(row *sumRow, m *wire.MetaPacket) error {
 	return nil
 }
 
-// addData verifies one plain data packet, unpacks it into the decoder's
-// scratch and folds it into the row's native accumulator.
+// addData verifies one plain data packet of a flow whose scale is known,
+// unpacks it into the decoder's scratch, decodes it and adds it to its
+// slice of the row's accumulator.
 func (d *SumDecoder) addData(row *sumRow, pkt []byte) error {
 	dp := &d.dp
 	if err := dp.Unpack(pkt); err != nil {
 		return err
 	}
-	if !row.haveGeom {
-		return errors.New("core: data before metadata")
+	if err := d.geom.admitData(&dp.Header); err != nil {
+		return err
 	}
-	if int(dp.P) != row.p || int(dp.Q) != row.q || dp.Seed != row.seed {
-		return fmt.Errorf("core: packet P/Q/seed mismatch for row %d", dp.Row)
-	}
-	start, count := int(dp.Start), int(dp.Count)
-	if start < 0 || start+count > row.n {
-		return fmt.Errorf("core: packet range [%d,%d) outside row of %d", start, start+count, row.n)
+	dst, err := row.admit(&dp.Header)
+	if err != nil {
+		return err
 	}
 	nd := row.decoders[dp.Flow]
 	if nd == nil {
-		var err error
-		nd, err = quant.NewNativeDecoder(row.scheme, row.p, row.q, row.scales[dp.Flow], row.seed)
+		nd, err = quant.NewNativeDecoder(d.geom.scheme, d.geom.p, d.geom.q, row.scales[dp.Flow], row.seed)
 		if err != nil {
 			return err
 		}
 		row.decoders[dp.Flow] = nd
 	}
-	if cap(d.vals) < count {
-		d.vals = make([]float32, count)
+	if cap(d.vals) < len(dst) {
+		d.vals = make([]float32, len(dst))
 	}
-	vals := d.vals[:count]
-	if err := nd.PacketValues(vals, start, dp.Heads, dp.Tails, dp.TailCount); err != nil {
+	vals := d.vals[:len(dst)]
+	if err := nd.PacketValues(vals, int(dp.Start), dp.Heads, dp.Tails, dp.TailCount); err != nil {
 		return err
 	}
 	for i, v := range vals {
-		row.native[start+i] += v
+		dst[i] += v
 	}
-	d.headContribs += count
+	d.headContribs += len(dst)
 	d.tailContribs += dp.TailCount
 	d.stats.Packets++
 	d.stats.BytesReceived += len(pkt)
@@ -256,41 +240,35 @@ func (d *SumDecoder) addData(row *sumRow, pkt []byte) error {
 
 // addAgg folds one switch-built aggregate. Its values are already
 // native-domain sums, so no metadata is needed; geometry comes from the
-// aggregate's own key fields (the scheme from the decoder Config, since
-// aggregates do not record it).
-func (d *SumDecoder) addAgg(row *sumRow, pkt []byte, ap *wire.AggPacket) error {
-	if !row.haveGeom {
-		// An aggregate can outrun every metadata packet; adopt its key
-		// geometry with the configured scheme's packet shape unknown (P/Q
-		// of the original packets are gone). Record what we can and let
-		// later metas cross-check seed and length.
-		if int(ap.Start)+int(ap.Count) > d.cfg.RowSize {
+// aggregate's own key fields.
+func (d *SumDecoder) addAgg(pkt []byte, ap *wire.AggPacket) error {
+	row := d.rows.at(ap.Row)
+	if row == nil || row.n == 0 {
+		// An aggregate can outrun every metadata packet; adopt its seed and
+		// the longest length a row may have, and let later metas cross-check
+		// both.
+		if int(ap.Start)+int(ap.Count) > d.geom.rowSize {
 			return fmt.Errorf("core: aggregate range [%d,%d) outside RowSize %d",
-				ap.Start, int(ap.Start)+int(ap.Count), d.cfg.RowSize)
+				ap.Start, int(ap.Start)+int(ap.Count), d.geom.rowSize)
 		}
-		row.haveGeom = true
-		row.scheme = d.cfg.Params.Scheme
-		row.p, row.q = -1, -1 // unknown until a meta arrives
-		row.seed = ap.Seed
-		row.n = d.cfg.RowSize
-		row.native = make([]float32, row.n)
-	}
-	if ap.Seed != row.seed {
-		return fmt.Errorf("core: aggregate seed %x != row seed %x", ap.Seed, row.seed)
-	}
-	start, count := int(ap.Start), int(ap.Count)
-	if start < 0 || start+count > row.n {
-		return fmt.Errorf("core: aggregate range [%d,%d) outside row of %d", start, start+count, row.n)
-	}
-	for i := 0; i < count; i++ {
-		if i < ap.TailCount {
-			row.native[start+i] += ap.TailSums[i]
-		} else {
-			row.native[start+i] += ap.Sums[i]
+		var err error
+		if row, err = d.rows.ensure(ap.Row, newSumRow); err != nil {
+			return err
 		}
+		row.init(ap.Seed, d.geom.rowSize)
+	}
+	dst, err := row.admit(&ap.Header)
+	if err != nil {
+		return err
+	}
+	for i, v := range ap.TailSums[:ap.TailCount] {
+		dst[i] += v
+	}
+	for i := ap.TailCount; i < len(dst); i++ {
+		dst[i] += ap.Sums[i]
 	}
 	k := ap.Inputs()
-	d.headContribs += k * count
+	d.headContribs += k * len(dst)
 	d.tailContribs += k * ap.TailCount
 	d.stats.Packets += k
 	d.stats.BytesReceived += len(pkt)
@@ -301,44 +279,50 @@ func (d *SumDecoder) addAgg(row *sumRow, pkt []byte, ap *wire.AggPacket) error {
 	return nil
 }
 
-// geomKnown reports whether the row's packet shape (P/Q) is known — false
-// while the geometry was only adopted from an aggregate, which does not
-// record the original packets' bit widths.
-func (row *sumRow) geomKnown() bool { return row.haveGeom && row.p >= 0 }
-
 // Reconstruct returns the coordinate-wise SUM of every contributing
 // flow's gradient (the caller divides by the flow count). n is the
 // original gradient length. Rows that received nothing decode as zeros.
+// Like Decoder.DecodeParallel it finalizes the rows on the par pool — the
+// result is the same bits however they are scheduled — and may be called
+// again.
 func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) {
 	if n <= 0 {
 		return nil, d.stats, errors.New("core: non-positive gradient length")
 	}
 	defer func() { d.obs.flush(d.stats) }()
-	rowSize := d.cfg.RowSize
+	rowSize := d.geom.rowSize
 	nRows := (n + rowSize - 1) / rowSize
 	out := make([]float32, nRows*rowSize)
+	errs := make([]error, nRows)
+	par.Default.ForEach(nRows, 0, func(r int) {
+		if row := d.rows.at(uint32(r)); row != nil && row.n > 0 {
+			errs[r] = row.finalizeInto(out[r*rowSize:], d.geom.scheme)
+		}
+	})
 	d.stats.TotalCoords = d.nFlows * nRows * rowSize
 	d.stats.TrimmedCoords = d.headContribs - d.tailContribs
 	d.stats.DroppedCoords = d.stats.TotalCoords - d.headContribs
 	d.stats.ExpectedPackets = 0
-	for r := 0; r < nRows; r++ {
-		row := d.rows[uint32(r)]
-		if row == nil || !row.haveGeom {
-			continue // out is already zero
+	for r, err := range errs {
+		if row := d.rows.at(uint32(r)); row != nil && row.metaSeen {
+			d.stats.ExpectedPackets += d.nFlows * d.geom.packets(row.n)
 		}
-		if row.geomKnown() {
-			per := wire.CoordsPerPacket(row.p, row.q)
-			d.stats.ExpectedPackets += d.nFlows * ((row.n + per - 1) / per)
-		}
-		// Finalize in the row's slice of the output, not in the accumulator,
-		// so Reconstruct stays repeatable.
-		dec := out[r*rowSize:][:row.n]
-		copy(dec, row.native)
-		if err := quant.FinalizeNative(row.scheme, row.seed, dec); err != nil {
+		if err != nil {
 			return nil, d.stats, fmt.Errorf("core: row %d: %w", r, err)
 		}
 	}
 	return out[:n], d.stats, nil
+}
+
+// Release hands the rows' accumulators back to the scratch pool and empties
+// the decoder; optional, exactly as Decoder.Release is.
+func (d *SumDecoder) Release() {
+	for _, row := range d.rows {
+		if row != nil {
+			row.release()
+		}
+	}
+	d.rows = nil
 }
 
 // Stats returns the decoder's packet statistics so far (and flushes them

@@ -141,6 +141,35 @@ func TestScratchGrows(t *testing.T) {
 	}
 }
 
+// TestScratchMixedSizesSteadyState: one element type serves row-sized and
+// message-sized buffers at once, so gets of the two sizes alternate by
+// construction. Each must be served from its own size class — a single
+// pool hands the message's buffer to the next row and the row's to the next
+// message, which can only drop it — and allocate nothing once warm.
+func TestScratchMixedSizesSteadyState(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	get := func(n, class int) []float32 {
+		s := Float32s(n)
+		if len(s) != n || cap(s) != class {
+			t.Fatalf("Float32s(%d): len %d cap %d, want cap %d, its class's", n, len(s), cap(s), class)
+		}
+		return s
+	}
+	cycle := func() {
+		row, msg := get(1<<11, 1<<11), get(1<<16, 1<<16)
+		PutFloat32s(msg)
+		PutFloat32s(row)
+		// A size that is no power of two shares the class that covers it.
+		PutFloat32s(get(23<<11, 1<<16))
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("alternating 2^11 / 2^16 gets and puts allocate %v times a cycle after warm-up, want 0", allocs)
+	}
+}
+
 // TestDefaultPoolForEach covers the package-level convenience wrapper.
 func TestDefaultPoolForEach(t *testing.T) {
 	const n = 100

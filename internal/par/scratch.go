@@ -1,10 +1,14 @@
 package par
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Scratch arenas for the per-row buffers the encode/decode hot paths
 // need transiently: RHT rotation copies, EDEN centroid values, packed
-// row backings, an encoded row's head and tail words. Each Get hands back
+// row backings, an encoded row's head and tail words, a decoder's row
+// accumulators. Each Get hands back
 // a possibly-dirty buffer of the requested length — callers must fully
 // overwrite it — and each Put recycles one for the next caller. Putting
 // back is optional (the GC reclaims unreturned buffers) and never required
@@ -15,24 +19,34 @@ import "sync"
 // pool workers is safe, and a buffer obtained by one goroutine may be
 // returned by another as long as it is no longer referenced.
 
-// scratch is one element type's arena. A sync.Pool holds pointers, so a
-// pooled slice travels in a box; the box a get empties waits in empty for
-// the next put, which therefore allocates nothing either.
+// scratch is one element type's arena: one pool per power-of-two size
+// class, because one element type serves buffers of very different sizes at
+// once (a float32 buffer is a whole-message backing, a rotation row or a
+// decoder row) and a single pool hands the small ones to the large
+// requests, which can only drop them, and the large ones to the small. A
+// get allocates its class's full capacity, so whatever a class holds fits
+// whatever is asked of it. A
+// sync.Pool holds pointers, so a pooled slice travels in a box; the box a
+// get empties waits in empty for the next put, which therefore allocates
+// nothing either.
 type scratch[T any] struct {
-	full, empty sync.Pool // *[]T
+	full  [bits.UintSize]sync.Pool // *[]T; full[c] holds capacities in [2^c, 2^(c+1))
+	empty sync.Pool                // *[]T
 }
 
 func (p *scratch[T]) get(n int) []T {
-	if v := p.full.Get(); v != nil {
+	if n == 0 {
+		return nil
+	}
+	c := bits.Len(uint(n - 1)) // the class whose every capacity is ≥ n
+	if v := p.full[c].Get(); v != nil {
 		box := v.(*[]T)
 		s := *box
 		*box = nil
 		p.empty.Put(box)
-		if cap(s) >= n {
-			return s[:n]
-		}
+		return s[:n]
 	}
-	return make([]T, n)
+	return make([]T, n, 1<<c)
 }
 
 func (p *scratch[T]) put(s []T) {
@@ -44,7 +58,7 @@ func (p *scratch[T]) put(s []T) {
 		box = new([]T)
 	}
 	*box = s[:0]
-	p.full.Put(box)
+	p.full[bits.Len(uint(cap(s)))-1].Put(box)
 }
 
 var (

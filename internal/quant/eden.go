@@ -89,7 +89,7 @@ func (c *edenCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 
 	// Normalize to unit variance for the N(0,1) quantizer.
 	sigma := vecmath.Std(rot)
-	q := tailWidth(32-c.p.P, c.p.TailBits)
+	_, q := c.p.Widths()
 	enc := newEncodedRow(Eden, c.p.P, q, n, seed, 0)
 	// Quantize and accumulate the inner products the scale needs.
 	var dotRC, normC2 float64

@@ -28,11 +28,19 @@ import (
 // A NativeDecoder is not safe for concurrent use: for SD it carries the
 // row's dither stream from one packet to the next.
 type NativeDecoder struct {
-	scheme    Scheme
-	p, q      int
-	scale     float64
-	seed      uint64
-	centroids []float64 // Eden only
+	scheme Scheme
+	p, q   int
+	scale  float64
+	seed   uint64
+	// What a head alone decodes to is fixed by the row's scale, so it is
+	// worked out once here, by the multiplications Codec.Decode performs per
+	// coordinate (a NaN or infinite scale lands on the same bits): ±scale
+	// for the sign heads — rounded to float32 for Sign, SQ and RHT, kept
+	// wide for SD, which subtracts the dither first — and Eden's 2^P scaled
+	// centroids. Linear heads are too many to tabulate (P ≤ 16).
+	pm32 [2]float32
+	pm64 [2]float64
+	eden [1 << 4]float32
 	// SD only: the row's dither stream and the row coordinate its next
 	// draw belongs to. Packets arriving in order continue the stream; it is
 	// re-created only to go backwards.
@@ -55,12 +63,18 @@ func NewNativeDecoder(scheme Scheme, p, q int, scale float64, seed uint64) (*Nat
 		return nil, fmt.Errorf("quant: tail width Q=%d out of range [0,32]", q)
 	}
 	d := &NativeDecoder{scheme: scheme, p: p, q: q, scale: scale, seed: seed}
+	for bit := range d.pm32 {
+		d.pm32[bit] = signValue(uint32(bit)) * float32(scale)
+		d.pm64[bit] = float64(signValue(uint32(bit))) * scale
+	}
 	if scheme == Eden {
 		c, ok := lloydMaxCentroids[p]
 		if !ok {
 			return nil, fmt.Errorf("quant: eden head width P=%d not in [1,4]", p)
 		}
-		d.centroids = c
+		for idx := range d.eden[:1<<uint(p)] {
+			d.eden[idx] = float32(edenValue(uint32(idx), c) * scale)
+		}
 	}
 	return d, nil
 }
@@ -70,6 +84,8 @@ func NewNativeDecoder(scheme Scheme, p, q int, scale float64, seed uint64) (*Nat
 // on a per-packet path keep one slice and reuse it). The packet carries
 // heads[i]/tails[i] for row coordinates start..start+len(heads)-1; tails
 // are meaningful only for i < tailCount (the packet's survivor prefix).
+// That makes a packet two runs — a full-precision prefix and a head-only
+// suffix — and each is one loop of its scheme's own.
 //
 // The SD dither stream is consumed per row coordinate from index 0, so
 // start positions this packet inside the stream exactly as the full-row
@@ -83,43 +99,60 @@ func (d *NativeDecoder) PacketValues(out []float32, start int, heads, tails []ui
 		return fmt.Errorf("quant: tailCount %d out of range (heads %d, tails %d)",
 			tailCount, n, len(tails))
 	}
-	var dither *xrand.Rand
-	if d.scheme == SD {
-		if d.dither == nil || start < d.ditherAt {
-			d.dither, d.ditherAt = xrand.New(d.seed), 0
+	// q is read once: a store through out could, for all the compiler
+	// knows, change d.
+	full, fullHeads, fullTails, q := out[:tailCount], heads[:tailCount], tails[:tailCount], d.q
+	switch d.scheme {
+	case Sign, RHT:
+		for i := range full {
+			full[i] = joinSignQ(fullHeads[i], fullTails[i], q)
 		}
-		dither = d.dither
-		for ; d.ditherAt < start; d.ditherAt++ {
-			dither.Uniform(-d.scale, d.scale)
+	default:
+		for i := range full {
+			full[i] = joinTopQ(fullTails[i], q)
 		}
-		d.ditherAt += n
 	}
-	for i := 0; i < n; i++ {
-		var eps float64
-		if dither != nil {
-			eps = dither.Uniform(-d.scale, d.scale)
+
+	out, heads = out[tailCount:], heads[tailCount:]
+	switch d.scheme {
+	case Sign, SQ, RHT:
+		for i, h := range heads {
+			out[i] = d.pm32[h&1]
 		}
-		if i < tailCount {
-			switch d.scheme {
-			case Sign, RHT:
-				out[i] = joinSignQ(heads[i], tails[i], d.q)
-			default:
-				out[i] = joinTopQ(tails[i], d.q)
-			}
-			continue
+	case SD:
+		if len(heads) == 0 {
+			break // an untrimmed packet leaves the stream where it is
 		}
-		switch d.scheme {
-		case Sign, SQ, RHT:
-			out[i] = signValue(heads[i]) * float32(d.scale)
-		case SD:
-			out[i] = float32(float64(signValue(heads[i]))*d.scale - eps)
-		case Linear, RHTLinear:
-			out[i] = linearLevelValue(heads[i], d.scale, d.p)
-		case Eden:
-			out[i] = float32(edenValue(heads[i], d.centroids) * d.scale)
+		dither := d.ditherFrom(start + tailCount)
+		for i, h := range heads {
+			out[i] = float32(d.pm64[h&1] - dither.Uniform(-d.scale, d.scale))
+		}
+		d.ditherAt += len(heads)
+	case Linear, RHTLinear:
+		levels := linearLevels(d.p)
+		for i, h := range heads {
+			out[i] = linearValue(h, d.scale, levels)
+		}
+	case Eden:
+		mask := uint32(1)<<uint(d.p) - 1
+		for i, h := range heads {
+			out[i] = d.eden[h&mask]
 		}
 	}
 	return nil
+}
+
+// ditherFrom returns the row's SD dither stream positioned so that its
+// next draw is row coordinate at's: every coordinate before it costs one
+// draw whether or not anything decodes from it.
+func (d *NativeDecoder) ditherFrom(at int) *xrand.Rand {
+	if d.dither == nil || at < d.ditherAt {
+		d.dither, d.ditherAt = xrand.New(d.seed), 0
+	}
+	for ; d.ditherAt < at; d.ditherAt++ {
+		d.dither.Uint64()
+	}
+	return d.dither
 }
 
 // Rotated reports whether the scheme's native domain is the RHT-rotated

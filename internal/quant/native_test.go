@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"testing"
 
 	"trimgrad/internal/xrand"
@@ -165,6 +166,84 @@ func TestNativeDecoderPacketSplit(t *testing.T) {
 			for i := range want {
 				if want[i] != got[i] {
 					t.Fatalf("%v %s: coord %d: native %v != decode %v", p.Scheme, name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPacketValuesMatchesDecodeEveryRun pins PacketValues' two per-scheme
+// loops to Codec.Decode's per-coordinate switch, bit for bit: one packet
+// covering row coordinates [start, n) with its first tailCount tails, for
+// every start and every tailCount (so every length of both runs, and every
+// place in the SD dither stream a packet can begin or change run at),
+// against Decode under the masks that say exactly that. One decoder serves
+// all of them in an order that seeks the dither stream both ways. Rows hold
+// ±0, subnormals, ±Inf and NaN beside ordinary values, at narrowed tails
+// too, and the reliable scale is replaced by NaN, ±Inf, a negative and 0.
+func TestPacketValuesMatchesDecodeEveryRun(t *testing.T) {
+	const n = 32
+	inf := float32(math.Inf(1))
+	special := []float32{0, float32(math.Copysign(0, -1)), 1e-42, -1e-42, inf, -inf,
+		float32(math.NaN()), math.Float32frombits(0xffc00001), 1, -1}
+	params := append([]Params(nil), nativeTestParams...)
+	for _, p := range nativeTestParams {
+		for _, tb := range []int{8, 16} {
+			p.TailBits = tb
+			params = append(params, p)
+		}
+	}
+	for _, p := range params {
+		c := MustNew(p)
+		for _, finite := range []bool{true, false} {
+			r := xrand.New(0xc0de)
+			row := make([]float32, n)
+			for i := range row {
+				row[i] = float32(r.NormFloat64())
+			}
+			scales := []float64{math.NaN()} // a non-finite row's own scale is NaN at best
+			if finite {
+				copy(row[3:], special[:4])
+				scales = []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.75, 0}
+			} else {
+				copy(row[3:], special)
+			}
+			const seed = 0x5eedf00d
+			enc, err := c.Encode(row, seed)
+			if err != nil {
+				t.Fatalf("%v: %v", p, err)
+			}
+			for _, scale := range append([]float64{enc.Scale}, scales...) {
+				enc.Scale = scale
+				nd, err := NewNativeDecoder(enc.Scheme, enc.P, enc.Q, enc.Scale, seed)
+				if err != nil {
+					t.Fatalf("%v: %v", p, err)
+				}
+				for k := 0; k < n; k++ {
+					start := k * 13 % n // 13 is a unit mod 32: every start, out of order
+					for tc := 0; tc <= n-start; tc++ {
+						headAvail, tailAvail := make([]bool, n), make([]bool, n)
+						for i := start; i < n; i++ {
+							headAvail[i], tailAvail[i] = true, i < start+tc
+						}
+						want, err := c.Decode(enc, headAvail, tailAvail)
+						if err != nil {
+							t.Fatalf("%v: %v", p, err)
+						}
+						got := make([]float32, n)
+						if err := nd.PacketValues(got[start:], start, enc.Heads[start:], enc.Tails[start:], tc); err != nil {
+							t.Fatalf("%v: %v", p, err)
+						}
+						if err := FinalizeNative(enc.Scheme, seed, got); err != nil {
+							t.Fatalf("%v: %v", p, err)
+						}
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("%v scale %v start %d tailCount %d: coord %d: native %x != decode %x",
+									p, scale, start, tc, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+							}
+						}
+					}
 				}
 			}
 		}

@@ -152,6 +152,22 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// Widths returns the head and tail widths (P and Q, in bits per coordinate)
+// of every row a codec built from p encodes. They depend on nothing but p,
+// so a receiver configured like its sender knows them before any packet
+// arrives and can refuse metadata that claims otherwise.
+func (p Params) Widths() (head, tail int) {
+	p = p.withDefaults()
+	switch p.Scheme {
+	case Linear, RHTLinear, Eden:
+		// Value heads spend their P bits on a quantization index, so the
+		// tail carries what is left of the float's 32.
+		return p.P, tailWidth(32-p.P, p.TailBits)
+	default:
+		return p.P, tailWidth(31, p.TailBits)
+	}
+}
+
 // EncodedRow is one gradient row after trimmable encoding.
 //
 // Heads[i] holds the low P bits of coordinate i's head; Tails[i] the low Q

@@ -41,7 +41,7 @@ func (c *rhtCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 		// Mean |r|: the one-shot MSE-optimal scale (biased toward zero).
 		scale = vecmath.L1Norm(rot) / float64(n)
 	}
-	q := tailWidth(31, c.p.TailBits)
+	_, q := c.p.Widths()
 	enc := newEncodedRow(RHT, 1, q, n, seed, scale)
 	for i, r := range rot {
 		enc.Heads[i], enc.Tails[i] = splitSignQ(r, q)
@@ -94,7 +94,7 @@ func (c *rhtLinearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error)
 	copy(rot, row)
 	fwht.RandomRotate(rot, seed)
 	limit := c.p.ClipSigma * vecmath.Std(rot)
-	q := tailWidth(32-c.p.P, c.p.TailBits)
+	_, q := c.p.Widths()
 	enc := newEncodedRow(RHTLinear, c.p.P, q, n, seed, limit)
 	// The quantization coin flips must not collide with the rotation's
 	// diagonal stream, so derive a distinct sub-seed.

@@ -15,7 +15,7 @@ func (c *signCodec) Params() Params { return c.p }
 
 func (c *signCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
-	q := tailWidth(31, c.p.TailBits)
+	_, q := c.p.Widths()
 	enc := newEncodedRow(Sign, 1, q, n, seed, vecmath.Std(row))
 	for i, v := range row {
 		enc.Heads[i], enc.Tails[i] = splitSignQ(v, q)
@@ -57,7 +57,7 @@ func (c *sqCodec) Params() Params { return c.p }
 func (c *sqCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
 	limit := c.p.ClipSigma * vecmath.Std(row)
-	q := tailWidth(31, c.p.TailBits)
+	_, q := c.p.Widths()
 	enc := newEncodedRow(SQ, 1, q, n, seed, limit)
 	r := xrand.New(seed)
 	for i, v := range row {
@@ -118,7 +118,7 @@ func (c *sdCodec) Params() Params { return c.p }
 func (c *sdCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
 	limit := c.p.ClipSigma * vecmath.Std(row)
-	q := tailWidth(31, c.p.TailBits)
+	_, q := c.p.Widths()
 	enc := newEncodedRow(SD, 1, q, n, seed, limit)
 	r := xrand.New(seed)
 	for i, v := range row {
@@ -171,7 +171,7 @@ func (c *linearCodec) Params() Params { return c.p }
 func (c *linearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
 	limit := c.p.ClipSigma * vecmath.Std(row)
-	q := tailWidth(32-c.p.P, c.p.TailBits)
+	_, q := c.p.Widths()
 	enc := newEncodedRow(Linear, c.p.P, q, n, seed, limit)
 	r := xrand.New(seed)
 	encodeLinearHeads(enc, row, limit, c.p.P, r)
@@ -227,7 +227,15 @@ func encodeLinearHeads(enc *EncodedRow, row []float32, limit float64, p int, r *
 
 // linearLevelValue maps a P-bit level index back to its value in [−L, L].
 func linearLevelValue(k uint32, limit float64, p int) float32 {
-	levels := float64(int(1)<<uint(p)) - 1
+	return linearValue(k, limit, linearLevels(p))
+}
+
+// linearLevels is the top level index of a P-bit linear head.
+func linearLevels(p int) float64 { return float64(int(1)<<uint(p)) - 1 }
+
+// linearValue is linearLevelValue with the level count worked out by the
+// caller, once per run of coordinates.
+func linearValue(k uint32, limit, levels float64) float32 {
 	if limit <= 0 || levels <= 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"trimgrad/internal/xrand"
@@ -131,14 +132,20 @@ func TestReadBitsMatchesBitAtATime(t *testing.T) {
 }
 
 // TestPackUnpackBitsMatchBitWriterReader pins the bulk kernels to the
-// per-value writer/reader for every width 1–32 over counts that leave the
-// stream at every bit offset: PackBits must emit WriteBits' exact bytes
-// into a dirty destination without touching a byte past its return value,
-// and UnpackBits must return ReadBits' values.
+// per-value writer/reader for every width 1–32 over every count 0–70 (every
+// bit offset, and zero to eight whole groups plus every ragged tail of the
+// eight-field kernels) and two packet-sized ones: PackBits must emit
+// WriteBits' exact bytes into a dirty destination without touching the
+// canary bytes past its return value, and UnpackBits must return ReadBits'
+// values from a source that ends at ⌈n·width/8⌉.
 func TestPackUnpackBitsMatchBitWriterReader(t *testing.T) {
 	rng := xrand.New(99)
+	counts := []int{127, 354}
+	for n := 0; n <= 70; n++ {
+		counts = append(counts, n)
+	}
 	for width := 1; width <= 32; width++ {
-		for _, n := range []int{0, 1, 2, 3, 5, 7, 8, 9, 31, 33, 64, 127, 354} {
+		for _, n := range counts {
 			vals := make([]uint32, n)
 			for i := range vals {
 				vals[i] = uint32(rng.Uint64()) // high bits beyond width must be masked off
@@ -201,4 +208,33 @@ func TestPackUnpackBitsRejectBadInput(t *testing.T) {
 	mustPanic("UnpackBits width 0", func() { UnpackBits(vals, make([]byte, 64), 0) })
 	mustPanic("UnpackBits width 33", func() { UnpackBits(vals, make([]byte, 64), 33) })
 	mustPanic("UnpackBits short src", func() { UnpackBits(vals, make([]byte, 3), 3) })
+}
+
+// BenchmarkBits times the bulk kernels on one data packet's worth of
+// fields (354) at the two widths every default scheme ships — 1-bit heads
+// and 31-bit tails, which take the eight-field group kernels — and at 8,
+// which takes the accumulator loop.
+func BenchmarkBits(b *testing.B) {
+	const n = 354
+	rng := xrand.New(5)
+	vals := make([]uint32, n)
+	for i := range vals {
+		vals[i] = uint32(rng.Uint64())
+	}
+	for _, width := range []int{1, 8, 31} {
+		buf := make([]byte, (n*width+7)/8)
+		b.Run(fmt.Sprintf("pack/w%d", width), func(b *testing.B) {
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				PackBits(buf, vals, width)
+			}
+		})
+		out := make([]uint32, n)
+		b.Run(fmt.Sprintf("unpack/w%d", width), func(b *testing.B) {
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				UnpackBits(out, buf, width)
+			}
+		})
+	}
 }

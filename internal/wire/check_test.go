@@ -4,14 +4,12 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"trimgrad/internal/quant"
 )
 
 // The receive path has one source of truth: every accept/reject decision
 // lives in a check function that Validate calls alone and Parse*Packet /
-// Unpack / AddDataBytes call before unpacking. These tests pin that the
-// entry points cannot drift apart and that the verify-only path is free.
+// Unpack call before unpacking. These tests pin that the entry points
+// cannot drift apart and that the verify-only path is free.
 
 // errClass maps err to the sentinel it wraps (nil for nil, errUnclassed
 // for the plain geometry errors that wrap none).
@@ -54,9 +52,9 @@ func parseAsClaimed(buf []byte) error {
 
 // FuzzValidateMatchesParse: for every packet kind, Validate(buf) == nil
 // exactly when the kind's parser succeeds, with the same error class when
-// it does not; and for data packets the three unpacking entry points
-// (fresh parse, Unpack into dirty scratch, AddDataBytes) agree with
-// CheckDataPacket and with each other.
+// it does not; and for data packets the two unpacking entry points (fresh
+// parse, Unpack into dirty scratch) agree with CheckDataPacket and with
+// each other.
 func FuzzValidateMatchesParse(f *testing.F) {
 	seedPackets(f)
 	sums := randSums(1, 16)
@@ -93,16 +91,6 @@ func FuzzValidateMatchesParse(f *testing.F) {
 			scratch.Header != fresh.Header || scratch.TailCount != tailCount {
 			t.Fatal("Unpack into dirty scratch differs from a fresh parse")
 		}
-		if int(h.Start)+int(h.Count) <= 1<<16 {
-			two, direct := assemblerFor(&h), assemblerFor(&h)
-			if err := two.AddData(fresh); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := direct.AddDataBytes(data); err != nil {
-				t.Fatal(err)
-			}
-			requireSameAssembly(t, two, direct)
-		}
 	})
 }
 
@@ -112,36 +100,6 @@ func dirty(n int) []uint32 {
 		s[i] = 0xFFFFFFFF
 	}
 	return s
-}
-
-// assemblerFor returns an assembler whose metadata matches h and whose row
-// is just long enough to hold h's range.
-func assemblerFor(h *Header) *RowAssembler {
-	a := NewRowAssembler()
-	m := &MetaPacket{Header: *h, Scheme: uint8(quant.Sign), N: h.Start + uint32(h.Count)}
-	if err := a.AddMeta(m); err != nil {
-		panic(err)
-	}
-	return a
-}
-
-func requireSameAssembly(t *testing.T, want, got *RowAssembler) {
-	t.Helper()
-	we, wh, wt, err := want.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge, gh, gt, err := got.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(we, ge) || !reflect.DeepEqual(wh, gh) || !reflect.DeepEqual(wt, gt) {
-		t.Fatal("AddDataBytes assembled a different row than ParseDataPacket+AddData")
-	}
-	if want.Received() != got.Received() || want.Complete() != got.Complete() {
-		t.Fatalf("Received/Complete = %d/%v, want %d/%v",
-			got.Received(), got.Complete(), want.Received(), want.Complete())
-	}
 }
 
 // TestValidateAllocatesNothing: admission is CRC-only for every trim state
@@ -181,112 +139,5 @@ func TestValidateAllocatesNothing(t *testing.T) {
 	}
 	if _, tc, _ := CheckDataPacket(Trim(clone(full), h.TrimmedSize()+500)); tc <= 0 || tc >= count {
 		t.Fatalf("mid-tail trim kept %d of %d tails; the case is not mid-tail", tc, count)
-	}
-}
-
-// TestAddDataBytesMatchesParseAddData drives both ingestion forms with the
-// same packet sequence — full, head-trimmed, mid-tail-trimmed, duplicates
-// in both orders (a trimmed duplicate must not erase tails a full copy
-// delivered), corrupt, foreign-seed and out-of-range packets — and
-// requires identical verdicts per packet and an identical row at the end.
-func TestAddDataBytesMatchesParseAddData(t *testing.T) {
-	c := quant.MustNew(quant.Params{Scheme: quant.Sign})
-	enc, err := c.Encode(gaussianRow(9, 1500), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, data, err := PackRow(1, 2, 3, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := c.Encode(gaussianRow(9, 1500), 2) // same geometry, different seed
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, foreign, err := PackRow(1, 2, 3, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := func(b []byte) []byte { return append([]byte(nil), b...) }
-	h0, err := ParseHeader(data[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	beyond := h0
-	beyond.Start = uint32(enc.N) - 10 // a valid packet whose range overruns the row
-	heads, tails := randHeadsTails(3, int(h0.Count), int(h0.P), int(h0.Q))
-	outOfRange, err := BuildDataPacket(beyond, heads, tails)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt := clone(data[1])
-	corrupt[HeaderSize+2] ^= 0x10
-
-	seq := []struct {
-		name string
-		pkt  []byte
-		ok   bool
-	}{
-		{"full", data[0], true},
-		{"head-trimmed duplicate of a full packet", Trim(clone(data[0]), 0), true},
-		{"head-trimmed", Trim(clone(data[1]), 0), true},
-		{"full duplicate of a trimmed packet", data[1], true},
-		{"mid-tail-trimmed", Trim(clone(data[2]), h0.TrimmedSize()+300), true},
-		{"corrupt", corrupt, false},
-		{"foreign seed", foreign[3], false},
-		{"out of range", outOfRange, false},
-		{"metadata", meta, false},
-		{"short final packet", data[len(data)-1], true},
-	}
-
-	m, err := ParseMetaPacket(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, direct := NewRowAssembler(), NewRowAssembler()
-	if _, err := direct.AddDataBytes(data[0]); err == nil {
-		t.Fatal("AddDataBytes before metadata must fail")
-	}
-	for _, a := range []*RowAssembler{two, direct} {
-		if err := a.AddMeta(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range seq {
-		dp, err := ParseDataPacket(s.pkt)
-		if err == nil {
-			err = two.AddData(dp)
-		}
-		h, derr := direct.AddDataBytes(s.pkt)
-		if (err == nil) != s.ok || (derr == nil) != s.ok {
-			t.Fatalf("%s: parse+AddData = %v, AddDataBytes = %v, want ok=%v", s.name, err, derr, s.ok)
-		}
-		if derr == nil && h != dp.Header {
-			t.Fatalf("%s: AddDataBytes returned header %+v, want %+v", s.name, h, dp.Header)
-		}
-		requireSameAssembly(t, two, direct)
-	}
-	if direct.Complete() {
-		t.Fatal("row reported complete with packets missing")
-	}
-	for _, pkt := range data {
-		if _, err := direct.AddDataBytes(pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !direct.Complete() {
-		t.Fatal("row not complete after every packet arrived")
-	}
-	got, _, tailAvail, err := direct.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Heads, enc.Heads) || !reflect.DeepEqual(got.Tails, enc.Tails) {
-		t.Fatal("fully delivered row differs from what was packed")
-	}
-	for i, ok := range tailAvail {
-		if !ok {
-			t.Fatalf("tail %d unavailable after full delivery", i)
-		}
 	}
 }

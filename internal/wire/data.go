@@ -99,9 +99,9 @@ func resize(s []uint32, n int) []uint32 {
 // a complete head region, the head CRC, and the tail CRC whenever the trim
 // state leaves one to verify — without unpacking a single coordinate or
 // allocating. It returns the header and how many leading coordinates still
-// have their tails. ParseDataPacket, DataPacket.Unpack,
-// RowAssembler.AddDataBytes and Validate all decide through this function,
-// so a packet is accepted by one of them exactly when it is by all.
+// have their tails. ParseDataPacket, DataPacket.Unpack and Validate all
+// decide through this function, so a packet is accepted by one of them
+// exactly when it is by all.
 func CheckDataPacket(buf []byte) (h Header, tailCount int, err error) {
 	h, err = ParseHeader(buf)
 	if err != nil {

@@ -94,64 +94,21 @@ func (a *RowAssembler) AddMeta(m *MetaPacket) error {
 // the row length are rejected.
 func (a *RowAssembler) AddData(p *DataPacket) error {
 	if !a.haveMeta {
-		return errDataBeforeMeta
+		return errors.New("wire: data before metadata")
 	}
-	if err := a.admit(&p.Header); err != nil {
-		return err
+	if int(p.P) != a.p || int(p.Q) != a.q {
+		return fmt.Errorf("wire: packet P/Q %d/%d != row %d/%d", p.P, p.Q, a.p, a.q)
+	}
+	if p.Seed != a.seed {
+		return fmt.Errorf("wire: packet seed %x != row seed %x", p.Seed, a.seed)
 	}
 	start, count := int(p.Start), int(p.Count)
+	if start+count > a.n {
+		return fmt.Errorf("wire: packet range [%d,%d) outside row of %d", start, start+count, a.n)
+	}
 	tailCount := min(p.TailCount, count)
 	copy(a.heads[start:], p.Heads[:count])
 	copy(a.tails[start:], p.Tails[:tailCount])
-	a.mark(start, count, tailCount)
-	return nil
-}
-
-// AddDataBytes is ParseDataPacket followed by AddData without the
-// DataPacket in between: the raw packet is checked (CheckDataPacket — the
-// assembler trusts no caller to have done it) and then bit-unpacked
-// straight into the row, so ingesting a packet allocates nothing and
-// touches each coordinate once. It accepts and rejects exactly what the
-// two-step form does and leaves the assembler in the identical state. The
-// parsed header is returned for the caller's accounting.
-func (a *RowAssembler) AddDataBytes(buf []byte) (Header, error) {
-	if !a.haveMeta {
-		return Header{}, errDataBeforeMeta
-	}
-	h, tailCount, err := CheckDataPacket(buf)
-	if err != nil {
-		return h, err
-	}
-	if err := a.admit(&h); err != nil {
-		return h, err
-	}
-	start := int(h.Start)
-	unpackData(buf, &h, tailCount, a.heads[start:], a.tails[start:])
-	a.mark(start, int(h.Count), tailCount)
-	return h, nil
-}
-
-var errDataBeforeMeta = errors.New("wire: data before metadata")
-
-// admit checks a data packet's header against the row's metadata, which
-// must have arrived.
-func (a *RowAssembler) admit(h *Header) error {
-	if int(h.P) != a.p || int(h.Q) != a.q {
-		return fmt.Errorf("wire: packet P/Q %d/%d != row %d/%d", h.P, h.Q, a.p, a.q)
-	}
-	if h.Seed != a.seed {
-		return fmt.Errorf("wire: packet seed %x != row seed %x", h.Seed, a.seed)
-	}
-	start, count := int(h.Start), int(h.Count)
-	if start < 0 || start+count > a.n {
-		return fmt.Errorf("wire: packet range [%d,%d) outside row of %d", start, start+count, a.n)
-	}
-	return nil
-}
-
-// mark records that coordinates [start, start+count) now have heads and
-// the first tailCount of them tails, and counts one accepted packet.
-func (a *RowAssembler) mark(start, count, tailCount int) {
 	for i, have := range a.headAvail[start : start+count] {
 		if !have {
 			a.headAvail[start+i] = true
@@ -165,6 +122,7 @@ func (a *RowAssembler) mark(start, count, tailCount int) {
 		}
 	}
 	a.received++
+	return nil
 }
 
 // HaveMeta reports whether the metadata packet has arrived.

@@ -19,9 +19,12 @@
 #                             (BenchmarkFWHT at 2^15 and 2^11,
 #                             BenchmarkDenseLayer) and the round's compute
 #                             half (BenchmarkTrainCompute: one model vs
-#                             replicas) run clean under -race with live
-#                             obs registries, and the obs overhead guard
-#                             still holds
+#                             replicas) and the receive path's
+#                             (BenchmarkBits: pack/unpack at widths 1, 8,
+#                             31; BenchmarkDecoderIngest: full and
+#                             head-trimmed packets, rht and sd) run clean
+#                             under -race with live obs registries, and the
+#                             obs overhead guard still holds
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + trimlint
 #                             (trimlint replays from .trimlint-cache when
 #                             the tree is unchanged) + the no-Deprecated
@@ -83,6 +86,9 @@ if [[ $mode == bench ]]; then
   bench '^BenchmarkFWHT' .
   bench '^BenchmarkDenseLayer' ./internal/ml
   bench '^BenchmarkTrainCompute' .
+  step "go test -race -bench Bits, DecoderIngest (receive path: bit kernels, packet -> row accumulator)"
+  bench '^BenchmarkBits$' ./internal/vecmath
+  bench '^BenchmarkDecoderIngest$' ./internal/core
   step "obs overhead guard (encode hot path, Nop vs live registry)"
   selects Test 'TestObsOverheadGuard' .
   go test -run 'TestObsOverheadGuard' -count=1 .
@@ -174,6 +180,10 @@ for target in FuzzParseDataPacket FuzzParseMetaPacket FuzzParseNaivePacket FuzzT
   selects Fuzz "^${target}\$" ./internal/wire
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 2s ./internal/wire
 done
+
+step "fuzz smoke (decoders behind the checksums: re-sealed forgeries into Decoder and SumDecoder, 2s)"
+selects Fuzz '^FuzzDecoderHandle$' ./internal/core
+go test -run '^$' -fuzz '^FuzzDecoderHandle$' -fuzztime 2s ./internal/core
 
 step "fuzz smoke (event order: wheel vs key-deriving reference heap, shard counts vs 1 shard, 2s each)"
 for target in FuzzTimerWheel FuzzShardScheduler; do
