@@ -419,12 +419,12 @@ func BenchmarkE11TranscriptReplay(b *testing.B) {
 	}
 }
 
-// The BenchmarkHot* family is the hot-path trajectory suite: each
-// benchmark runs a serial and a parallel sub-benchmark over identical
-// work with live obs registries attached, so scripts/bench.sh +
-// tools/benchjson can compute serial/parallel speedups and track them
-// across commits in BENCH_<date>.json. Names are load-bearing: benchjson
-// pairs `<name>/serial` with `<name>/parallel`.
+// The BenchmarkHot* family is the hot-path suite: each benchmark runs a
+// `<name>/serial` and a `<name>/parallel` sub-benchmark over identical
+// work with live obs registries attached, so one `go test -bench Hot`
+// reads off the serial/parallel speedup. `scripts/check.sh -bench`
+// smoke-runs it under -race; measured comparisons across commits come
+// from `go run ./benchmark`.
 
 // BenchmarkHotEncodeDecodeRound measures a full gradient round trip —
 // encode to packets, reassemble, decode — on a DDP-sized gradient.

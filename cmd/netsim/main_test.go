@@ -28,6 +28,18 @@ func TestRejectsBadInvocations(t *testing.T) {
 		{"-topo leafspine -spines -2", "-spines must be positive"},
 		{"-topo leafspine -hostsperleaf 0", "-hostsperleaf must be positive"},
 		{"-topo torus", "unknown topology"},
+		// Rejected by Scenario.Validate, before a simulator exists.
+		{"-topo fattree -k 3", "even k"},
+		{"-topo leafspine -oversub -1", "oversubscription ratio"},
+		{"-topo leafspine -oversub NaN", "oversubscription ratio"},
+		{"-workload bogus", "unknown workload"},
+		{"-workload incast:99", "incast fan 99 exceeds"},
+		{"-shards -1", "shard count -1 is outside 0..1"},
+		{"-shards 5", "shard count 5 is outside 0..1"},
+		{"-mice -5", "rates must be finite and ≥ 0"},
+		{"-mice NaN", "rates must be finite and ≥ 0"},
+		{"-elephants -1", "rates must be finite and ≥ 0"},
+		{"-cross -1", "rates must be finite and ≥ 0"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -37,6 +49,9 @@ func TestRejectsBadInvocations(t *testing.T) {
 			msg := stderr.String()
 			if !strings.Contains(msg, tc.want) || strings.Count(msg, "\n") != 1 {
 				t.Errorf("stderr = %q, want one line containing %q", msg, tc.want)
+			}
+			if !strings.HasPrefix(msg, "netsim: ") || strings.Count(msg, "netsim:") != 1 {
+				t.Errorf("stderr = %q, want exactly one netsim: prefix", msg)
 			}
 			if stdout.Len() != 0 {
 				t.Errorf("a rejected invocation printed a report: %q", stdout.String())

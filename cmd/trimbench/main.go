@@ -77,22 +77,9 @@ func main() {
 	}
 
 	if *metrics != "" {
-		if err := exportMetrics(*metrics, o.Obs); err != nil {
+		if err := obs.WriteJSONLFile(*metrics, o.Obs.Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, "trimbench:", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// exportMetrics writes the registry's snapshot as JSONL.
-func exportMetrics(path string, r *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(f, r.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

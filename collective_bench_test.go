@@ -1,7 +1,6 @@
 // Collective-zoo benchmarks: one simulated all-reduce round per
 // algorithm over a trimming star fabric, plus the parameter-server
-// incast with in-network aggregation switched on. These are trajectory
-// benchmarks (BENCH_<date>.json records them); the interesting axes are
+// incast with in-network aggregation switched on. The interesting axes are
 // events and allocations per round — wall time is dominated by the
 // simulator, and the per-algorithm spread shows the event-count cost of
 // each schedule's traffic pattern.

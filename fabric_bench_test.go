@@ -1,7 +1,7 @@
 // Fabric fast-path benchmarks (DESIGN.md §11): the timer-wheel
 // scheduler, the typed-event dispatch, and the pooled packet records.
-// These are trajectory benchmarks — BENCH_<date>.json records
-// them and `benchjson -diff` tracks the numbers across dates;
+// `scripts/check.sh -bench` smoke-runs them under -race; measured
+// comparisons come from `go run ./benchmark`, and
 // TestFabricHopAllocations in internal/netsim pins the hard per-hop
 // allocation budget.
 package trimgrad
@@ -35,9 +35,8 @@ func fabricStar(sim *netsim.Sim) *netsim.Topology {
 // causal key on a plain Sim and on an Engine alike), so the two arms
 // measure the same scheduler: "pooled" on a plain Sim with no payload,
 // "borrowed-sharded" through a 1-shard Engine with a payload on board.
-// Both names are kept because the BENCH_<date>.json trajectory records
-// them; "pooled" figures from before PR 16 used the cheaper schedule-order
-// tie-break and are not comparable.
+// "pooled" figures quoted from before PR 16 used the cheaper
+// schedule-order tie-break and are not comparable.
 func BenchmarkFabricHop(b *testing.B) {
 	const pkts = 256
 	const hops = pkts * 2

@@ -55,6 +55,10 @@ var deterministicPkgs = map[string]bool{
 	// (seeded workloads), so it is held to the same standard; its few
 	// wall-clock perf measurements carry explicit allow directives.
 	"exp": true,
+	// scenario is the one rig every fabric experiment runs through: the
+	// tables, digests and fuzz properties above it assume the same bytes
+	// from the same seeds at every shard count.
+	"scenario": true,
 	// par is the worker-pool substrate under the parallel encode/decode
 	// and matmul paths: its contract is bit-identical output at every
 	// worker count, so any clock, rand, or map-order dependence in its

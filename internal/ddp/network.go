@@ -86,40 +86,32 @@ func (f FabricConfig) withDefaults() FabricConfig {
 	return f
 }
 
-// buildFabric constructs the configured topology with at least nHosts
-// hosts. Workers occupy hosts 0..Workers-1 regardless of topology (the
-// builders order hosts by rank), so the collective's rank→NodeID mapping
-// needs no adjustment; Clos fabrics may round the host count up to the
-// fabric's natural size.
-func buildFabric(sim *netsim.Sim, f FabricConfig, nHosts int, opts ...netsim.Option) (*netsim.Topology, error) {
+// fabricSpec sizes the configured topology for at least nHosts hosts.
+// Workers occupy hosts 0..Workers-1 regardless of topology (the builders
+// order hosts by rank), so the collective's rank→NodeID mapping needs no
+// adjustment; Clos fabrics may round the host count up to the fabric's
+// natural size.
+func fabricSpec(f FabricConfig, nHosts int) (netsim.FabricSpec, error) {
+	spec := netsim.FabricSpec{Kind: f.Topology, N: nHosts, Link: f.Link, Queue: f.Queue}
 	switch f.Topology {
 	case "star":
-		return netsim.NewStar(sim, nHosts, f.Link, f.Queue, opts...), nil
 	case "fattree":
-		k := f.FatTreeK
-		if k == 0 {
-			for k = 2; netsim.FatTreeHosts(k) < nHosts; k += 2 {
+		spec.K = f.FatTreeK
+		if spec.K == 0 {
+			for spec.K = 2; netsim.FatTreeHosts(spec.K) < nHosts; spec.K += 2 {
 			}
 		}
-		if netsim.FatTreeHosts(k) < nHosts {
-			return nil, fmt.Errorf("ddp: fat tree k=%d holds %d hosts, need %d",
-				k, netsim.FatTreeHosts(k), nHosts)
+		if netsim.FatTreeHosts(spec.K) < nHosts {
+			return spec, fmt.Errorf("ddp: fat tree k=%d holds %d hosts, need %d",
+				spec.K, netsim.FatTreeHosts(spec.K), nHosts)
 		}
-		return netsim.NewFatTree(sim, netsim.FatTreeConfig{
-			K: k, HostLink: f.Link, Queue: f.Queue,
-		}, opts...)
 	case "leafspine":
-		const perLeaf = 4
-		leaves := (nHosts + perLeaf - 1) / perLeaf
-		if leaves < 2 {
-			leaves = 2
-		}
-		return netsim.NewLeafSpine(sim, netsim.LeafSpineConfig{
-			Leaves: leaves, Spines: 2, HostsPerLeaf: perLeaf,
-			HostLink: f.Link, Oversub: f.Oversub, Queue: f.Queue,
-		}, opts...)
+		spec.Spines, spec.HostsPerLeaf, spec.Oversub = 2, 4, f.Oversub
+		spec.Leaves = max(2, (nHosts+spec.HostsPerLeaf-1)/spec.HostsPerLeaf)
+	default:
+		return spec, fmt.Errorf("ddp: unknown fabric topology %q (want star|fattree|leafspine)", f.Topology)
 	}
-	return nil, fmt.Errorf("ddp: unknown fabric topology %q (want star|fattree|leafspine)", f.Topology)
+	return spec, nil
 }
 
 // NewNetTrainer builds a closed-loop trainer from options: cfg.Workers
@@ -158,7 +150,11 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*NetTrainer, error)
 	if fabric.CrossRate > 0 {
 		nHosts++
 	}
-	topo, err := buildFabric(nt.sim, fabric, nHosts, netsim.WithRegistry(o.reg))
+	spec, err := fabricSpec(fabric, nHosts)
+	if err != nil {
+		return nil, err
+	}
+	topo, err := spec.Build(nt.sim, netsim.WithRegistry(o.reg))
 	if err != nil {
 		return nil, err
 	}

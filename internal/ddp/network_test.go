@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"strings"
 	"testing"
 
 	"trimgrad/internal/collective"
@@ -119,5 +120,30 @@ func TestNetworkedValidation(t *testing.T) {
 	if _, err := NewNetTrainer(train, test,
 		WithConfig(Config{Workers: 2}), WithFabric(FabricConfig{}), WithHidden(8)); err == nil {
 		t.Error("baseline (nil scheme) should be rejected")
+	}
+}
+
+// TestNetworkedFabricValidation: a fabric no builder accepts is refused by
+// NewNetTrainer with netsim.FabricSpec's own diagnosis (or, for a fat tree
+// too small for the job, ddp's sizing arithmetic).
+func TestNetworkedFabricValidation(t *testing.T) {
+	train, test := testData()
+	dead := netsim.LinkConfig{Bandwidth: -1}
+	for name, tc := range map[string]struct {
+		fabric FabricConfig
+		want   string
+	}{
+		"unknown":           {FabricConfig{Topology: "torus"}, "unknown fabric topology"},
+		"odd k":             {FabricConfig{Topology: "fattree", FatTreeK: 5}, "even k"},
+		"small k":           {FabricConfig{Topology: "fattree", FatTreeK: 2}, "holds 2 hosts, need 4"},
+		"fattree dead link": {FabricConfig{Topology: "fattree", Link: dead}, "bandwidth"},
+		"oversubscription":  {FabricConfig{Topology: "leafspine", Oversub: -1}, "oversubscription"},
+		"star dead link":    {FabricConfig{Topology: "star", Link: dead}, "bandwidth"},
+	} {
+		_, err := NewNetTrainer(train, test,
+			WithConfig(Config{Workers: 4, Scheme: sp(quant.RHT, 1)}), WithFabric(tc.fabric), WithHidden(8))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, err, tc.want)
+		}
 	}
 }

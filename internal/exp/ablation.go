@@ -8,6 +8,7 @@ import (
 	"trimgrad/internal/ml"
 	"trimgrad/internal/obs"
 	"trimgrad/internal/quant"
+	"trimgrad/internal/scenario"
 	"trimgrad/internal/vecmath"
 	"trimgrad/internal/xrand"
 )
@@ -25,7 +26,7 @@ func runAdaptive(w io.Writer, o Options) error {
 	if o.Quick {
 		dim = 1 << 11
 	}
-	grad := randGrad(71+o.Seed, dim)
+	grad := scenario.Gradient(71+o.Seed, dim)
 	rowSize := 1 << 11
 
 	// Full-precision message size defines the phase capacities.
@@ -131,7 +132,7 @@ func runAdaptive(w io.Writer, o Options) error {
 // the paper picks the unbiased one.
 func runAblationScale(w io.Writer, o Options) error {
 	n := 1 << 12
-	row := randGrad(81+o.Seed, n)
+	row := scenario.Gradient(81+o.Seed, n)
 	t := NewTable("Ablation — RHT scale: unbiased vs MMSE",
 		"scale", "one_shot_nmse", "mean_of_200_nmse")
 	for _, mode := range []struct {
@@ -213,7 +214,7 @@ func runAblationRowSize(w io.Writer, o Options) error {
 		sizes = []int{1 << 10, 1 << 12}
 	}
 	dim := sizes[len(sizes)-1] * 2
-	grad := randGrad(91+o.Seed, dim)
+	grad := scenario.Gradient(91+o.Seed, dim)
 	t := NewTable("Ablation — RHT row size (paper: 2^15)",
 		"row_size", "encode_ms", "meta_packets", "trimmed_nmse")
 	for _, rs := range sizes {
@@ -261,7 +262,7 @@ func runAblationClip(w io.Writer, o Options) error {
 	if o.Quick {
 		n = 1 << 11
 	}
-	row := randGrad(101+o.Seed, n)
+	row := scenario.Gradient(101+o.Seed, n)
 	t := NewTable("Ablation — clip multiplier L = kσ (TernGrad uses 2.5)",
 		"scheme", "k", "trimmed_nmse", "mean_of_100_nmse")
 	for _, scheme := range []quant.Scheme{quant.SQ, quant.SD} {
@@ -301,7 +302,7 @@ func runAblationClip(w io.Writer, o Options) error {
 // reduce far more than the single-hop direct exchange.
 func runRingVsDirect(w io.Writer, o Options) error {
 	n := 1 << 12
-	row := randGrad(111+o.Seed, n)
+	row := scenario.Gradient(111+o.Seed, n)
 	c := quant.MustNew(quant.Params{Scheme: quant.RHT})
 	t := NewTable("Ablation — per-hop error compounding (decode→re-encode chain)",
 		"hops", "trim_per_hop", "nmse", "cosine")

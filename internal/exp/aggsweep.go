@@ -8,6 +8,7 @@ import (
 	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/quant"
+	"trimgrad/internal/scenario"
 	"trimgrad/internal/transport"
 	"trimgrad/internal/vecmath"
 )
@@ -41,7 +42,7 @@ func runAggSweep(w io.Writer, o Options) error {
 	exact := make([]float32, dim)
 	grads := make([][]float32, n)
 	for i := range grads {
-		grads[i] = randGrad(uint64(60+i)+o.Seed, dim)
+		grads[i] = scenario.Gradient(uint64(60+i)+o.Seed, dim)
 		vecmath.Add(exact, grads[i])
 	}
 	vecmath.Scale(exact, 1/float32(n))
@@ -69,15 +70,12 @@ func runAggSweep(w io.Writer, o Options) error {
 func runAggSweepCell(p quant.Params, alg collective.Algorithm, agg bool,
 	n, dim int, grads [][]float32, exact []float32, o Options) ([]any, error) {
 	sim := netsim.NewSim()
-	qcfg := netsim.QueueConfig{
-		CapacityBytes:      48 << 10,
-		HighCapacityBytes:  1 << 20,
-		Mode:               netsim.TrimOverflow,
-		AggregateTrimmable: agg,
+	q, _ := queueFor(true, 48<<10, 1<<20)
+	q.AggregateTrimmable = agg
+	star, err := netsim.FabricSpec{Kind: "star", N: n, Link: link10G, Queue: q}.Build(sim)
+	if err != nil {
+		return nil, err
 	}
-	star := netsim.NewStar(sim, n,
-		netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
-		qcfg)
 	workers := make([]*collective.Worker, n)
 	for i := 0; i < n; i++ {
 		stack, err := transport.New(star.Hosts[i])
@@ -98,7 +96,7 @@ func runAggSweepCell(p quant.Params, alg collective.Algorithm, agg bool,
 	var lastDone netsim.Time
 	var opErr error
 	start := sim.Now()
-	err := collective.AllReduce(alg, 1, 100, workers, grads,
+	err = collective.AllReduce(alg, 1, 100, workers, grads,
 		func(rank int, avg []float32, at netsim.Time) {
 			results[rank] = avg
 			if at > lastDone {
@@ -133,20 +131,15 @@ func runAggSweepCell(p quant.Params, alg collective.Algorithm, agg bool,
 	if completed > 0 {
 		nmse /= float64(completed)
 	}
-	merges, trims := 0, 0
-	for i := 0; i < n; i++ {
-		st := star.Tier(netsim.TierEdge)[0].Port(netsim.NodeID(i)).Stats
-		merges += st.Aggregated
-		trims += st.Trimmed
-	}
+	ports := netsim.PortTotals(star.Switches())
 	trimFrac := 0.0
 	if total > 0 {
 		trimFrac = float64(trimmed) / float64(total)
 	}
 	return []any{
 		quant.MustNew(p).Name(), alg.String(), agg,
-		float64(lastDone-start) / float64(netsim.Millisecond),
-		trimFrac, merges, trims, nmse,
+		ms(lastDone - start),
+		trimFrac, ports.Aggregated, ports.Trimmed, nmse,
 		fmt.Sprintf("%d/%d", completed, n),
 	}, nil
 }

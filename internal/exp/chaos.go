@@ -7,8 +7,8 @@ import (
 	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/quant"
+	"trimgrad/internal/scenario"
 	"trimgrad/internal/transport"
-	"trimgrad/internal/vecmath"
 )
 
 // runChaos sweeps the fault-injection matrix over both transports: one
@@ -18,12 +18,12 @@ import (
 // scenarios, surfaced as numbers so recovery-cost regressions are visible,
 // not just pass/fail.
 func runChaos(w io.Writer, o Options) error {
-	type scenario struct {
+	type cell struct {
 		name   string
 		faults netsim.FaultConfig
 		flap   bool
 	}
-	scenarios := []scenario{
+	cells := []cell{
 		{name: "clean"},
 		{name: "corrupt-10%", faults: netsim.FaultConfig{CorruptRate: 0.1, CorruptBits: 4}},
 		{name: "corrupt-40%", faults: netsim.FaultConfig{CorruptRate: 0.4, CorruptBits: 8}},
@@ -37,98 +37,57 @@ func runChaos(w io.Writer, o Options) error {
 			GoodToBad: 0.02, BadToGood: 0.5, LossBad: 1,
 		}, flap: true},
 	}
-	if o.Quick {
-		scenarios = []scenario{scenarios[0], scenarios[2], scenarios[5]}
-	}
 	dim := 1 << 16
 	if o.Quick {
+		cells = []cell{cells[0], cells[2], cells[5]}
 		dim = 1 << 13
 	}
-	grad := randGrad(17+o.Seed, dim)
 
 	t := NewTable("Fault-injection chaos matrix — transfer robustness",
 		"scenario", "mode", "status", "completion_ms", "retransmits", "rejected", "dups", "nmse")
-	for _, sc := range scenarios {
+	for _, c := range cells {
 		for _, trimmable := range []bool{false, true} {
-			mode := "reliable"
+			mode, qmode := "reliable", netsim.DropTail
 			if trimmable {
-				mode = "trim-aware"
+				mode, qmode = "trim-aware", netsim.TrimOverflow
 			}
-			sim := netsim.NewSim()
-			qmode := netsim.DropTail
-			if trimmable {
-				qmode = netsim.TrimOverflow
+			// The faulty link is the sender's uplink.
+			fault := scenario.LinkFault{Host: 0, Config: c.faults}
+			fault.Config.Seed = 23 + o.Seed
+			if c.flap {
+				fault.FlapAt, fault.FlapFor = 500*netsim.Microsecond, 2*netsim.Millisecond
 			}
 			// o.Obs (possibly nil: obs instruments are nil-safe) collects
 			// per-port, transport, and codec telemetry across every cell;
 			// the determinism regression test diffs two same-seed exports.
-			star := netsim.NewStar(sim, 2,
-				netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
-				netsim.QueueConfig{CapacityBytes: 1 << 20, HighCapacityBytes: 1 << 20, Mode: qmode},
-				netsim.WithRegistry(o.Obs))
-			faults := sc.faults
-			faults.Seed = 23 + o.Seed
-			star.Net.InjectFaults(0, netsim.SwitchIDBase, faults)
-			if sc.flap {
-				star.Net.FlapLink(0, netsim.SwitchIDBase, 500*netsim.Microsecond, 2*netsim.Millisecond)
-			}
-			cfg := transport.Config{RTO: 200 * netsim.Microsecond, MaxRetries: 30}
-			a, err := transport.New(star.Hosts[0], transport.WithConfig(cfg))
+			res, err := scenario.Run(scenario.Scenario{
+				Fabric: netsim.FabricSpec{Kind: "star", N: 2, Link: link10G,
+					Queue: netsim.QueueConfig{CapacityBytes: 1 << 20, HighCapacityBytes: 1 << 20, Mode: qmode}},
+				Workload: "incast", Dim: dim, GradSeed: 17 + o.Seed,
+				Codec:    core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 10},
+				Reliable: !trimmable, Decode: true,
+				Transport: transport.Config{RTO: 200 * netsim.Microsecond, MaxRetries: 30},
+				Faults:    []scenario.LinkFault{fault}, Horizon: 30 * netsim.Second,
+			}, o.Obs)
 			if err != nil {
 				return err
 			}
-			b, err := transport.New(star.Hosts[1], transport.WithConfig(cfg))
-			if err != nil {
-				return err
-			}
-
-			ccfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 10}
-			enc, err := core.NewEncoderWith(core.WithConfig(ccfg), core.WithRegistry(o.Obs))
-			if err != nil {
-				return err
-			}
-			msg, err := enc.Encode(1, 1, grad)
-			if err != nil {
-				return err
-			}
-			dec, err := core.NewDecoderWith(1, core.WithConfig(ccfg), core.WithRegistry(o.Obs))
-			if err != nil {
-				return err
-			}
-			b.Receiver = transport.ReceiverFunc(func(_ netsim.NodeID, pl []byte) {
-				//trimlint:allow swallowed-error decoder rejections are counted in its stats and reported in the table
-				_ = dec.Handle(pl)
-			})
-			var done netsim.Time
-			failed := false
-			onDone := func(at netsim.Time) { done = at }
-			onFail := func(error) { failed = true }
-			if trimmable {
-				a.SendTrimmable(1, 1, msg.Meta, msg.Data, onDone, onFail)
-			} else {
-				payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
-				a.SendReliable(1, 1, payloads, onDone, onFail)
-			}
-			sim.RunUntil(30 * netsim.Second)
-
+			f := res.Flows[0]
 			status, completion, nmse := "HUNG", "-", "-"
 			switch {
-			case failed:
+			case f.Err != nil:
 				status = "failed-clean"
-			case done != 0:
-				status = "ok"
-				completion = fmt.Sprintf("%.3f", done.Seconds()*1e3)
-				rec, _, err := dec.Reconstruct(dim)
-				if err != nil {
-					return err
+			case f.Done != 0:
+				if !f.Decoded {
+					return fmt.Errorf("exp: chaos %s/%s: the transfer completed but its gradient cannot be reconstructed", c.name, mode)
 				}
-				nmse = fmt.Sprintf("%.2g", vecmath.NMSE(grad, rec))
+				status = "ok"
+				completion = fmt.Sprintf("%.3f", f.Done.Seconds()*1e3)
+				nmse = fmt.Sprintf("%.2g", f.NMSE)
 			}
-			// A failed or hung transfer is never reconstructed; Stats is
-			// what flushes the abandoned decoder's counts into o.Obs.
-			dec.Stats()
-			t.Add(sc.name, mode, status, completion,
-				a.Stats.Retransmits, b.Stats.RejectedPackets, b.Stats.DupsReceived, nmse)
+			rx := res.Stacks[1].Stats
+			t.Add(c.name, mode, status, completion,
+				res.Retransmits(), rx.RejectedPackets, rx.DupsReceived, nmse)
 		}
 	}
 	return emit(w, o, t)

@@ -7,34 +7,28 @@ import (
 	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/quant"
-	"trimgrad/internal/transport"
-	"trimgrad/internal/vecmath"
+	"trimgrad/internal/scenario"
 )
 
-// sweepHosts is the host count every fabric in the sweep is sized for:
-// a k=4 fat tree's natural 16, matched by the star and the 4×4
-// leaf–spine so rows compare the fabric, not the scale.
-const sweepHosts = 16
-
-// buildSweepFabric constructs one sweep topology over sweepHosts hosts.
-// The leaf–spine runs 4:1 oversubscribed — the configuration where
-// multi-tier queueing actually differs from the single-switch star.
-func buildSweepFabric(sim *netsim.Sim, kind string, q netsim.QueueConfig, seed uint64) (*netsim.Topology, error) {
-	link := netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond}
-	switch kind {
-	case "star":
-		return netsim.NewStar(sim, sweepHosts, link, q), nil
-	case "fattree":
-		return netsim.NewFatTree(sim, netsim.FatTreeConfig{
-			K: 4, HostLink: link, Queue: q, ECMPSeed: seed,
-		})
-	case "leafspine":
-		return netsim.NewLeafSpine(sim, netsim.LeafSpineConfig{
-			Leaves: 4, Spines: 2, HostsPerLeaf: 4,
-			HostLink: link, Oversub: 4, Queue: q, ECMPSeed: seed,
-		})
+// sweepScenario is the run E13 and E14 share: one RHT gradient per flow
+// of workload over a mice/elephant background, on a fabric sized for 16
+// hosts — a k=4 fat tree's natural size, matched by the star and the 4×4
+// leaf–spine so rows compare the fabric, not the scale. The leaf–spine
+// runs 4:1 oversubscribed: the configuration where multi-tier queueing
+// actually differs from the single-switch star.
+func sweepScenario(kind, workload string, q netsim.QueueConfig, dim int, o Options) scenario.Scenario {
+	return scenario.Scenario{
+		Fabric: netsim.FabricSpec{
+			Kind: kind, N: 16, K: 4, Leaves: 4, Spines: 2, HostsPerLeaf: 4, Oversub: 4,
+			Link: link10G, Queue: q, ECMPSeed: 31 + o.Seed,
+		},
+		Workload: workload, WorkloadSeed: 7 + o.Seed, Dim: dim, GradSeed: 80 + o.Seed,
+		Codec:    core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12},
+		MiceRate: 2e5, ElephantRate: 5e4, MixSeed: 41 + o.Seed, BackgroundSeed: 43 + o.Seed,
+		// The open-loop background never drains the event queue, so the run
+		// stops once the last gradient lands.
+		Horizon: 10 * netsim.Second, Slice: 10 * netsim.Millisecond,
 	}
-	return nil, fmt.Errorf("unknown sweep topology %q", kind)
 }
 
 // runFabricSweep is the cross-topology congestion sweep (E13): the same
@@ -58,134 +52,30 @@ func runFabricSweep(w io.Writer, o Options) error {
 	t := NewTable("Fabric sweep: topology x buffer x mode under background load (E13)",
 		"topology", "buffer_kb", "mode", "completed", "max_fct_ms",
 		"trimmed_pkts", "dropped_pkts", "retransmits", "mean_nmse")
+	// Each cell: fan senders incast at the last host; the row reports
+	// completion, straggler FCT, fabric-wide trim/drop counts, and the
+	// mean decode NMSE.
 	for _, kind := range topologies {
 		for _, buffer := range buffers {
 			for _, trimming := range []bool{false, true} {
-				row, err := runFabricSweepCell(kind, buffer, trimming, dim, fan, o)
+				q, mode := queueFor(trimming, buffer, 1<<20)
+				s := sweepScenario(kind, fmt.Sprintf("incast:%d", fan), q, dim, o)
+				s.Reliable, s.Decode = !trimming, true
+				res, err := scenario.Run(s, nil)
 				if err != nil {
 					return fmt.Errorf("exp: fabricsweep %s/%d: %w", kind, buffer, err)
 				}
-				t.Add(row...)
+				nmse := "-"
+				if mean, decoded := meanNMSE(res); decoded > 0 {
+					nmse = fmt.Sprintf("%.2g", mean)
+				}
+				fabric := netsim.PortTotals(res.Topo.Switches())
+				t.Add(kind, buffer>>10, mode, fmt.Sprintf("%d/%d", res.FCT.Count(), fan),
+					ms(res.FCT.Max()), fabric.Trimmed, fabric.Dropped, res.Retransmits(), nmse)
 			}
 		}
 	}
 	return emit(w, o, t)
-}
-
-// runFabricSweepCell runs one cell: fan senders incast their encoded
-// gradients at the last host while every host contributes background
-// mice (and every fourth an elephant stream), then reports completion,
-// straggler FCT, fabric-wide trim/drop counts, and mean decode NMSE.
-func runFabricSweepCell(kind string, buffer int, trimming bool, dim, fan int, o Options) ([]any, error) {
-	q := netsim.QueueConfig{
-		CapacityBytes:     buffer,
-		HighCapacityBytes: 1 << 20,
-		Mode:              netsim.DropTail,
-	}
-	mode := "drop+reliable"
-	if trimming {
-		q.Mode = netsim.TrimOverflow
-		mode = "trim+trimaware"
-	}
-	sim := netsim.NewSim()
-	topo, err := buildSweepFabric(sim, kind, q, 31+o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	n := len(topo.Hosts)
-	sink := n - 1
-	sinkID := topo.Hosts[sink].ID()
-
-	coreCfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12}
-	decs := map[netsim.NodeID]*core.Decoder{}
-	rx, err := transport.New(topo.Hosts[sink])
-	if err != nil {
-		return nil, err
-	}
-	rx.Receiver = transport.ReceiverFunc(func(src netsim.NodeID, pl []byte) {
-		if d := decs[src]; d != nil {
-			//trimlint:allow swallowed-error rejections are counted in the decoder's Stats; this sweep reports NMSE only
-			_ = d.Handle(pl)
-		}
-	})
-
-	fct := netsim.NewFCTRecorder()
-	completed, retrans := 0, 0
-	grads := make([][]float32, fan)
-	stacks := make([]*transport.Stack, fan)
-	for i := 0; i < fan; i++ {
-		grads[i] = randGrad(uint64(80+i)+o.Seed, dim)
-		s, err := transport.New(topo.Hosts[i])
-		if err != nil {
-			return nil, err
-		}
-		stacks[i] = s
-		enc, err := core.NewEncoderWith(core.WithConfig(coreCfg))
-		if err != nil {
-			return nil, err
-		}
-		msg, err := enc.Encode(1, uint32(i+1), grads[i])
-		if err != nil {
-			return nil, err
-		}
-		d, err := core.NewDecoderWith(uint32(i+1), core.WithConfig(coreCfg))
-		if err != nil {
-			return nil, err
-		}
-		decs[topo.Hosts[i].ID()] = d
-		id := uint64(i + 1)
-		fct.FlowStarted(id, 0)
-		onDone := func(at netsim.Time) { completed++; fct.FlowFinished(id, at) }
-		if trimming {
-			s.SendTrimmable(sinkID, uint32(i+1), msg.Meta, msg.Data, onDone, nil)
-		} else {
-			payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
-			s.SendReliable(sinkID, uint32(i+1), payloads, onDone, nil)
-		}
-	}
-	bg := netsim.BackgroundMix(n, 2e5, 5e4, 41+o.Seed).StartBackground(topo, 43+o.Seed)
-	// Run in slices and stop at completion: the open-loop background never
-	// drains the event queue, so a fixed long horizon would simulate
-	// seconds of pure background after the last gradient lands.
-	const slice = 10 * netsim.Millisecond
-	for now := netsim.Time(0); completed < fan && now < 10*netsim.Second; now += slice {
-		sim.RunUntil(now + slice)
-	}
-	for _, ct := range bg {
-		ct.Stop()
-	}
-
-	for _, s := range stacks {
-		retrans += s.Stats.Retransmits
-	}
-	trims, drops := 0, 0
-	for _, sw := range topo.Switches() {
-		for _, p := range sw.Ports() {
-			trims += p.Stats.Trimmed
-			drops += p.Stats.Dropped
-		}
-	}
-	var meanNMSE float64
-	decoded := 0
-	for i := 0; i < fan; i++ {
-		d := decs[topo.Hosts[i].ID()]
-		out, _, err := d.Reconstruct(dim)
-		if err != nil {
-			continue
-		}
-		meanNMSE += vecmath.NMSE(grads[i], out)
-		decoded++
-	}
-	nmse := "-"
-	if decoded > 0 {
-		nmse = fmt.Sprintf("%.2g", meanNMSE/float64(decoded))
-	}
-	return []any{
-		kind, buffer >> 10, mode,
-		fmt.Sprintf("%d/%d", completed, fan),
-		float64(fct.Max()) / float64(netsim.Millisecond),
-		trims, drops, retrans, nmse,
-	}, nil
 }
 
 func init() {

@@ -14,6 +14,7 @@ import (
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/obs"
 	"trimgrad/internal/quant"
+	"trimgrad/internal/scenario"
 	"trimgrad/internal/transport"
 )
 
@@ -58,7 +59,7 @@ func (g *goldenRun) incast(t *testing.T, topo *netsim.Topology, reg *obs.Registr
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg, err := enc.Encode(3, msgID, randGrad(uint64(90+i), dim))
+		msg, err := enc.Encode(3, msgID, scenario.Gradient(uint64(90+i), dim))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"trimgrad/internal/lowrank"
 	"trimgrad/internal/ml"
 	"trimgrad/internal/quant"
+	"trimgrad/internal/scenario"
 	"trimgrad/internal/sparse"
 	"trimgrad/internal/vecmath"
 	"trimgrad/internal/wire"
@@ -55,7 +56,7 @@ func runLayout(w io.Writer, o Options) error {
 	if o.Quick {
 		n = 1 << 11
 	}
-	v := randGrad(31+o.Seed, n)
+	v := scenario.Gradient(31+o.Seed, n)
 	per := 256
 
 	t := NewTable("Figure 2 / MLT — Layout under whole-float trimming (E6)",
@@ -106,7 +107,7 @@ func runCompose(w io.Writer, o Options) error {
 	if o.Quick {
 		n = 1 << 11
 	}
-	v := randGrad(41+o.Seed, n)
+	v := scenario.Gradient(41+o.Seed, n)
 
 	t := NewTable("§5.3 — Ahead-of-time compression + just-in-time trimming (E9)",
 		"method", "wire_bytes", "trim", "nmse")

@@ -7,19 +7,14 @@ import (
 	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/quant"
-	"trimgrad/internal/transport"
+	"trimgrad/internal/scenario"
 	"trimgrad/internal/vecmath"
-	"trimgrad/internal/xrand"
 )
 
-func randGrad(seed uint64, n int) []float32 {
-	r := xrand.New(seed)
-	v := make([]float32, n)
-	for i := range v {
-		v[i] = float32(r.NormFloat64() * 0.05)
-	}
-	return v
-}
+// link10G is the host link of every simulated fabric below.
+var link10G = netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond}
+
+func ms(t netsim.Time) float64 { return float64(t) / float64(netsim.Millisecond) }
 
 // runBaselineDrops regenerates the §4.4 text numbers (E4): the reliable
 // baseline's message completion time as random loss increases. The paper:
@@ -27,68 +22,42 @@ func randGrad(seed uint64, n int) []float32 {
 // round becomes 5–10× slower or times out.
 func runBaselineDrops(w io.Writer, o Options) error {
 	rates := []float64{0, 0.001, 0.0025, 0.005, 0.01, 0.02, 0.05}
-	if o.Quick {
-		rates = []float64{0, 0.0025, 0.02}
-	}
 	dim := 1 << 18
 	if o.Quick {
+		rates = []float64{0, 0.0025, 0.02}
 		dim = 1 << 14
 	}
-	grad := randGrad(11+o.Seed, dim)
 	var cleanTime netsim.Time
 	t := NewTable("§4.4 — Reliable baseline under random loss (E4)",
 		"loss_rate", "completion_ms", "slowdown", "retransmits", "status")
 	for _, rate := range rates {
-		sim := netsim.NewSim()
-		star := netsim.NewStar(sim, 2,
-			netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
-			netsim.QueueConfig{
+		res, err := scenario.Run(scenario.Scenario{
+			Fabric: netsim.FabricSpec{Kind: "star", N: 2, Link: link10G, Queue: netsim.QueueConfig{
 				CapacityBytes: 1 << 20, Mode: netsim.DropTail,
 				LossRate: rate, LossSeed: 99 + o.Seed,
-			})
-		a, err := transport.New(star.Hosts[0])
+			}},
+			Workload: "incast", Dim: dim, GradSeed: 11 + o.Seed,
+			Codec:    core.Config{Params: quant.Params{Scheme: quant.Sign}},
+			Reliable: true, Horizon: 60 * netsim.Second,
+		}, nil)
 		if err != nil {
 			return err
 		}
-		_, err = transport.New(star.Hosts[1], transport.WithReceiver(transport.ReceiverFunc(func(netsim.NodeID, []byte) {})))
-		if err != nil {
-			return err
-		}
-
-		enc, err := core.NewEncoderWith(core.WithConfig(core.Config{Params: quant.Params{Scheme: quant.Sign}}))
-		if err != nil {
-			return err
-		}
-		msg, err := enc.Encode(1, 1, grad)
-		if err != nil {
-			return err
-		}
-		payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
-		var done netsim.Time
-		failed := false
-		a.SendReliable(1, 1, payloads,
-			func(at netsim.Time) { done = at },
-			func(error) { failed = true })
-		sim.RunUntil(60 * netsim.Second)
-
-		status := "ok"
-		slowdown := "-"
+		f := res.Flows[0]
+		status, slowdown, comp := "ok", "-", "-"
 		switch {
-		case failed:
+		case f.Err != nil:
 			status = "timeout"
-		case done == 0:
+		case f.Done == 0:
 			status = "stalled"
 		default:
 			if cleanTime == 0 {
-				cleanTime = done
+				cleanTime = f.Done
 			}
-			slowdown = fmt.Sprintf("%.2fx", float64(done)/float64(cleanTime))
+			slowdown = fmt.Sprintf("%.2fx", float64(f.Done)/float64(cleanTime))
+			comp = fmt.Sprintf("%.2f", ms(f.Done))
 		}
-		comp := "-"
-		if done > 0 {
-			comp = fmt.Sprintf("%.2f", float64(done)/float64(netsim.Millisecond))
-		}
-		t.Add(rate, comp, slowdown, a.Stats.Retransmits, status)
+		t.Add(rate, comp, slowdown, res.Retransmits(), status)
 	}
 	return emit(w, o, t)
 }
@@ -99,82 +68,50 @@ func runBaselineDrops(w io.Writer, o Options) error {
 // inflates it.
 func runIncast(w io.Writer, o Options) error {
 	fanins := []int{2, 4, 8, 16}
-	if o.Quick {
-		fanins = []int{2, 4}
-	}
 	dim := 1 << 16
 	if o.Quick {
+		fanins = []int{2, 4}
 		dim = 1 << 13
 	}
 	t := NewTable("Incast: straggler FCT, trim vs drop (E8)",
 		"senders", "mode", "max_fct_ms", "p50_fct_ms", "trimmed_pkts", "dropped_pkts", "retransmits", "completed")
 	for _, n := range fanins {
-		for _, mode := range []string{"drop+reliable", "trim+trimaware"} {
-			qcfg := netsim.QueueConfig{
-				CapacityBytes: 64 << 10, HighCapacityBytes: 512 << 10,
-				Mode: netsim.DropTail,
-			}
-			if mode == "trim+trimaware" {
-				qcfg.Mode = netsim.TrimOverflow
-			}
-			sim := netsim.NewSim()
-			star := netsim.NewStar(sim, n+1,
-				netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
-				qcfg)
-			_, err := transport.New(star.Hosts[n], transport.WithReceiver(transport.ReceiverFunc(func(netsim.NodeID, []byte) {})))
+		for _, trimming := range []bool{false, true} {
+			q, mode := queueFor(trimming, 64<<10, 512<<10)
+			res, err := scenario.Run(scenario.Scenario{
+				Fabric:   netsim.FabricSpec{Kind: "star", N: n + 1, Link: link10G, Queue: q},
+				Workload: "incast", Dim: dim, GradSeed: o.Seed,
+				Codec:    core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13},
+				Reliable: !trimming, Horizon: 60 * netsim.Second,
+			}, nil)
 			if err != nil {
 				return err
 			}
-
-			fct := netsim.NewFCTRecorder()
-			completed := 0
-			retrans := 0
-			stacks := make([]*transport.Stack, n)
-			for i := 0; i < n; i++ {
-				stacks[i], err = transport.New(star.Hosts[i])
-				if err != nil {
-					return err
-				}
-				enc, err := core.NewEncoderWith(core.WithConfig(core.Config{
-					Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13, Flow: uint32(i),
-				}))
-				if err != nil {
-					return err
-				}
-				msg, err := enc.Encode(1, uint32(i+1), randGrad(uint64(i)+o.Seed, dim))
-				if err != nil {
-					return err
-				}
-				id := uint64(i + 1)
-				fct.FlowStarted(id, 0)
-				onDone := func(at netsim.Time) {
-					completed++
-					fct.FlowFinished(id, at)
-				}
-				if qcfg.Mode == netsim.TrimOverflow {
-					stacks[i].SendTrimmable(netsim.NodeID(n), uint32(i+1), msg.Meta, msg.Data, onDone, nil)
-				} else {
-					payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
-					stacks[i].SendReliable(netsim.NodeID(n), uint32(i+1), payloads, onDone, nil)
-				}
-			}
-			sim.RunUntil(60 * netsim.Second)
-			for _, s := range stacks {
-				retrans += s.Stats.Retransmits
-			}
-			var trims, drops int
-			port := star.Tier(netsim.TierEdge)[0].Port(netsim.NodeID(n))
-			if port != nil {
-				trims, drops = port.Stats.Trimmed, port.Stats.Dropped
-			}
-			t.Add(n, mode,
-				float64(fct.Max())/float64(netsim.Millisecond),
-				float64(fct.Percentile(0.5))/float64(netsim.Millisecond),
-				trims, drops, retrans,
-				fmt.Sprintf("%d/%d", completed, n))
+			port := sinkPort(res)
+			t.Add(n, mode, ms(res.FCT.Max()), ms(res.FCT.Percentile(0.5)),
+				port.Trimmed, port.Dropped, res.Retransmits(),
+				fmt.Sprintf("%d/%d", res.FCT.Count(), n))
 		}
 	}
 	return emit(w, o, t)
+}
+
+// queueFor returns the switch queue and the mode label of one arm of a
+// trim-vs-drop comparison.
+func queueFor(trimming bool, capacity, high int) (netsim.QueueConfig, string) {
+	q := netsim.QueueConfig{CapacityBytes: capacity, HighCapacityBytes: high, Mode: netsim.DropTail}
+	if trimming {
+		q.Mode = netsim.TrimOverflow
+		return q, "trim+trimaware"
+	}
+	return q, "drop+reliable"
+}
+
+// sinkPort returns the counters of a star's switch port toward the incast
+// target (the last host) — the one hot queue of a single-switch incast.
+func sinkPort(res *scenario.Result) netsim.PortStats {
+	sink := res.Topo.Hosts[len(res.Topo.Hosts)-1]
+	return res.Topo.Tier(netsim.TierEdge)[0].Port(sink.ID()).Stats
 }
 
 // runMultiLevel regenerates §5.1 (E7): multi-level trimming. Part one
@@ -187,7 +124,7 @@ func runMultiLevel(w io.Writer, o Options) error {
 	if o.Quick {
 		n = 1 << 11
 	}
-	row := randGrad(21+o.Seed, n)
+	row := scenario.Gradient(21+o.Seed, n)
 	t := NewTable("§5.1 — Multi-level heads: fully-trimmed NMSE by P (E7a)",
 		"codec", "P", "trimmed_size_frac", "nmse")
 	codecs := []quant.Params{
@@ -226,66 +163,43 @@ func runMultiLevel(w io.Writer, o Options) error {
 	t2 := NewTable("§5.1 — Switch trim target under incast (E7b)",
 		"trim_target_bytes", "trimmed_pkts", "dropped_pkts", "mean_nmse", "max_fct_ms")
 	for _, target := range []int{0, 400, 800} {
-		sim := netsim.NewSim()
-		const nSend = 4
-		star := netsim.NewStar(sim, nSend+1,
-			netsim.LinkConfig{Bandwidth: netsim.Gbps(5), Delay: 5 * netsim.Microsecond},
-			netsim.QueueConfig{
-				CapacityBytes: 48 << 10, HighCapacityBytes: 1 << 20,
-				Mode: netsim.TrimOverflow, TrimTarget: target,
-			})
-		rxStack, err := transport.New(star.Hosts[nSend])
+		res, err := scenario.Run(scenario.Scenario{
+			Fabric: netsim.FabricSpec{Kind: "star", N: 5,
+				Link: netsim.LinkConfig{Bandwidth: netsim.Gbps(5), Delay: 5 * netsim.Microsecond},
+				Queue: netsim.QueueConfig{
+					CapacityBytes: 48 << 10, HighCapacityBytes: 1 << 20,
+					Mode: netsim.TrimOverflow, TrimTarget: target,
+				}},
+			Workload: "incast", Dim: dim, GradSeed: 40 + o.Seed,
+			Codec:  core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12},
+			Decode: true, Horizon: 60 * netsim.Second,
+		}, nil)
 		if err != nil {
 			return err
 		}
-		decs := map[netsim.NodeID]*core.Decoder{}
-		coreCfg := core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 12}
-		rxStack.Receiver = transport.ReceiverFunc(func(src netsim.NodeID, pl []byte) {
-			if d := decs[src]; d != nil {
-				//trimlint:allow swallowed-error rejections are counted in the decoder's Stats; this run reports NMSE only
-				_ = d.Handle(pl)
-			}
-		})
-		fct := netsim.NewFCTRecorder()
-		grads := make([][]float32, nSend)
-		for i := 0; i < nSend; i++ {
-			grads[i] = randGrad(uint64(40+i)+o.Seed, dim)
-			s, err := transport.New(star.Hosts[i])
-			if err != nil {
-				return err
-			}
-			enc, err := core.NewEncoderWith(core.WithConfig(coreCfg))
-			if err != nil {
-				return err
-			}
-			msg, err := enc.Encode(1, uint32(i+1), grads[i])
-			if err != nil {
-				return err
-			}
-			d, err := core.NewDecoderWith(uint32(i+1), core.WithConfig(coreCfg))
-			if err != nil {
-				return err
-			}
-			decs[netsim.NodeID(i)] = d
-			id := uint64(i + 1)
-			fct.FlowStarted(id, 0)
-			s.SendTrimmable(netsim.NodeID(nSend), uint32(i+1), msg.Meta, msg.Data,
-				func(at netsim.Time) { fct.FlowFinished(id, at) }, nil)
+		nmse, decoded := meanNMSE(res)
+		if decoded < len(res.Flows) {
+			return fmt.Errorf("exp: multilevel: %d of %d gradients could not be reconstructed", len(res.Flows)-decoded, len(res.Flows))
 		}
-		sim.RunUntil(60 * netsim.Second)
-		var meanNMSE float64
-		for i := 0; i < nSend; i++ {
-			out, _, err := decs[netsim.NodeID(i)].Reconstruct(dim)
-			if err != nil {
-				return err
-			}
-			meanNMSE += vecmath.NMSE(grads[i], out) / nSend
-		}
-		port := star.Tier(netsim.TierEdge)[0].Port(netsim.NodeID(nSend))
-		t2.Add(target, port.Stats.Trimmed, port.Stats.Dropped, meanNMSE,
-			float64(fct.Max())/float64(netsim.Millisecond))
+		port := sinkPort(res)
+		t2.Add(target, port.Trimmed, port.Dropped, nmse, ms(res.FCT.Max()))
 	}
 	return emit(w, o, t2)
+}
+
+// meanNMSE averages the decode error over the flows whose gradient could
+// be reconstructed, and says how many that was.
+func meanNMSE(res *scenario.Result) (mean float64, decoded int) {
+	for _, f := range res.Flows {
+		if f.Decoded {
+			mean += f.NMSE
+			decoded++
+		}
+	}
+	if decoded > 0 {
+		mean /= float64(decoded)
+	}
+	return mean, decoded
 }
 
 func init() {

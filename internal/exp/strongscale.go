@@ -1,9 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
+
+	"trimgrad/internal/obs"
+	"trimgrad/internal/scenario"
 )
 
 // E14 — strong scaling of the sharded simulator. The same gradient
@@ -15,6 +19,34 @@ import (
 // window holds — on the 2-core reference box these four-rack fabrics read
 // 0.55–0.75 — but the identical column must read true everywhere, always:
 // parallelism is free to buy nothing, never to change physics.
+
+// runShardCell runs one E14 cell — sweepScenario, trimmable, partitioned
+// into shards, per-flow FCT spans in the telemetry — and returns the run,
+// a digest of every observable the bit-identity contract covers (the
+// canonical merged telemetry — port counters, transport and codec metrics,
+// flow spans — plus completion outcomes), and the wall milliseconds of the
+// event loop alone: set-up and encoding are the same work at every shard
+// count.
+func runShardCell(kind, workload string, shards, dim int, o Options) (res *scenario.Result, digest string, wallMs float64, err error) {
+	q, _ := queueFor(true, 48<<10, 1<<20)
+	s := sweepScenario(kind, workload, q, dim, o)
+	s.Shards = shards
+	rig, err := scenario.Prepare(s, obs.New())
+	if err != nil {
+		return nil, "", 0, err
+	}
+	elapsed := stopwatch()
+	res = rig.Run()
+	wallMs = float64(elapsed().Microseconds()) / 1000
+
+	var buf bytes.Buffer
+	if err := obs.WriteJSONL(&buf, res.Snapshot()); err != nil {
+		return nil, "", 0, err
+	}
+	fmt.Fprintf(&buf, "completed=%d maxfct=%d vnow=%d processed=%d",
+		res.FCT.Count(), res.FCT.Max(), res.Now, res.Processed)
+	return res, buf.String(), wallMs, nil
+}
 
 // runStrongScale is the E14 sweep: shards × fabric × workload.
 func runStrongScale(w io.Writer, o Options) error {
@@ -35,27 +67,26 @@ func runStrongScale(w io.Writer, o Options) error {
 		for _, wl := range workloads {
 			refDigest, refWall := "", 0.0
 			for _, shards := range shardCounts {
-				cell := shardCell{kind: kind, workload: wl, shards: shards, dim: dim}
-				res, err := cell.run(o)
+				res, digest, wallMs, err := runShardCell(kind, wl, shards, dim, o)
 				if err != nil {
 					return fmt.Errorf("exp: strongscale %s/%s/%d: %w", kind, wl, shards, err)
 				}
 				identical := "ref"
 				speedup := 1.0
 				if shards == 1 {
-					refDigest, refWall = res.digest, res.wallMs
+					refDigest, refWall = digest, wallMs
 				} else {
-					identical = fmt.Sprintf("%v", res.digest == refDigest)
-					if res.digest != refDigest {
+					identical = fmt.Sprintf("%v", digest == refDigest)
+					if digest != refDigest {
 						return fmt.Errorf("exp: strongscale %s/%s: %d-shard output diverges from 1-shard", kind, wl, shards)
 					}
-					if res.wallMs > 0 {
-						speedup = refWall / res.wallMs
+					if wallMs > 0 {
+						speedup = refWall / wallMs
 					}
 				}
 				t.Add(kind, wl, shards,
-					fmt.Sprintf("%d/%d", res.completed, res.flows),
-					res.wallMs, fmt.Sprintf("%.2f", speedup), identical)
+					fmt.Sprintf("%d/%d", res.FCT.Count(), len(res.Flows)),
+					wallMs, fmt.Sprintf("%.2f", speedup), identical)
 			}
 		}
 	}

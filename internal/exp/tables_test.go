@@ -83,11 +83,11 @@ func TestTableGoldens(t *testing.T) {
 func TestStrongScaleDigests(t *testing.T) {
 	var out bytes.Buffer
 	cell := func(kind, workload string, shards, dim int) {
-		res, err := shardCell{kind: kind, workload: workload, shards: shards, dim: dim}.run(Options{})
+		_, digest, _, err := runShardCell(kind, workload, shards, dim, Options{})
 		if err != nil {
 			t.Fatalf("%s/%s/%d: %v", kind, workload, shards, err)
 		}
-		fmt.Fprintf(&out, "%s %s shards=%d dim=%d %x\n", kind, workload, shards, dim, sha256.Sum256([]byte(res.digest)))
+		fmt.Fprintf(&out, "%s %s shards=%d dim=%d %x\n", kind, workload, shards, dim, sha256.Sum256([]byte(digest)))
 	}
 	for _, shards := range []int{1, 2, 4} {
 		cell("fattree", "incast", shards, 1<<12)

@@ -1,6 +1,9 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Clos fabric builders: k-ary fat tree and leaf–spine. These are the
 // data-center topologies the paper's trimming story assumes — gradient
@@ -27,6 +30,16 @@ type FatTreeConfig struct {
 	ECMPSeed uint64
 }
 
+func (cfg FatTreeConfig) validate() error {
+	if cfg.K < 2 || cfg.K%2 != 0 {
+		return fmt.Errorf("netsim: fat tree needs even k ≥ 2, got %d", cfg.K)
+	}
+	if cfg.HostLink.Bandwidth <= 0 {
+		return fmt.Errorf("netsim: fat tree host link bandwidth must be positive")
+	}
+	return nil
+}
+
 // FatTreeHosts returns the host count of a k-ary fat tree (k³/4).
 func FatTreeHosts(k int) int { return k * k * k / 4 }
 
@@ -45,13 +58,10 @@ func FatTreeHosts(k int) int { return k * k * k / 4 }
 // aggregation switch wired to it. Inter-pod paths are 6 links, intra-pod
 // 4, same-edge 2.
 func NewFatTree(sim *Sim, cfg FatTreeConfig, opts ...Option) (*Topology, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	k := cfg.K
-	if k < 2 || k%2 != 0 {
-		return nil, fmt.Errorf("netsim: fat tree needs even k ≥ 2, got %d", k)
-	}
-	if cfg.HostLink.Bandwidth <= 0 {
-		return nil, fmt.Errorf("netsim: fat tree host link bandwidth must be positive")
-	}
 	fabricLink := cfg.FabricLink
 	if fabricLink.Bandwidth == 0 {
 		fabricLink = cfg.HostLink
@@ -167,15 +177,6 @@ func NewFatTree(sim *Sim, cfg FatTreeConfig, opts ...Option) (*Topology, error) 
 	return t, nil
 }
 
-// BuildFatTree is the panicking convenience wrapper over NewFatTree.
-func BuildFatTree(sim *Sim, cfg FatTreeConfig, opts ...Option) *Topology {
-	t, err := NewFatTree(sim, cfg, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // LeafSpineConfig parameterizes NewLeafSpine.
 type LeafSpineConfig struct {
 	// Leaves and Spines count the two switch tiers; every leaf connects
@@ -201,34 +202,43 @@ type LeafSpineConfig struct {
 	ECMPSeed uint64
 }
 
+// uplink validates the configuration and derives the leaf↔spine link.
+func (cfg LeafSpineConfig) uplink() (LinkConfig, error) {
+	if cfg.Leaves < 1 || cfg.Spines < 1 || cfg.HostsPerLeaf < 1 {
+		return LinkConfig{}, fmt.Errorf("netsim: leaf–spine needs ≥1 leaves, spines, and hosts per leaf (got %d/%d/%d)",
+			cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf)
+	}
+	if cfg.HostLink.Bandwidth <= 0 {
+		return LinkConfig{}, fmt.Errorf("netsim: leaf–spine host link bandwidth must be positive")
+	}
+	oversub := cfg.Oversub
+	if oversub == 0 {
+		oversub = 1
+	}
+	if !(oversub > 0) || math.IsInf(oversub, 1) {
+		return LinkConfig{}, fmt.Errorf("netsim: oversubscription ratio must be positive and finite, got %g", oversub)
+	}
+	uplinkBW := int64(float64(cfg.HostsPerLeaf) * float64(cfg.HostLink.Bandwidth) /
+		(float64(cfg.Spines) * oversub))
+	if uplinkBW <= 0 {
+		return LinkConfig{}, fmt.Errorf("netsim: oversubscription %g leaves no uplink bandwidth", oversub)
+	}
+	uplink := LinkConfig{Bandwidth: uplinkBW, Delay: cfg.UplinkDelay}
+	if uplink.Delay == 0 {
+		uplink.Delay = cfg.HostLink.Delay
+	}
+	return uplink, nil
+}
+
 // NewLeafSpine builds a two-tier leaf–spine fabric with ECMP routing:
 // every leaf connects to every spine, remote-leaf traffic hashes across
 // all spines, and the oversubscription knob thins the uplinks. Host h
 // hangs off leaf h/HostsPerLeaf; leaf switch IDs start at SwitchIDBase,
 // spines directly after. All inter-leaf paths are 4 links, intra-leaf 2.
 func NewLeafSpine(sim *Sim, cfg LeafSpineConfig, opts ...Option) (*Topology, error) {
-	if cfg.Leaves < 1 || cfg.Spines < 1 || cfg.HostsPerLeaf < 1 {
-		return nil, fmt.Errorf("netsim: leaf–spine needs ≥1 leaves, spines, and hosts per leaf (got %d/%d/%d)",
-			cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf)
-	}
-	if cfg.HostLink.Bandwidth <= 0 {
-		return nil, fmt.Errorf("netsim: leaf–spine host link bandwidth must be positive")
-	}
-	oversub := cfg.Oversub
-	if oversub == 0 {
-		oversub = 1
-	}
-	if oversub < 0 {
-		return nil, fmt.Errorf("netsim: oversubscription ratio must be positive, got %g", oversub)
-	}
-	uplinkBW := int64(float64(cfg.HostsPerLeaf) * float64(cfg.HostLink.Bandwidth) /
-		(float64(cfg.Spines) * oversub))
-	if uplinkBW <= 0 {
-		return nil, fmt.Errorf("netsim: oversubscription %g leaves no uplink bandwidth", oversub)
-	}
-	uplink := LinkConfig{Bandwidth: uplinkBW, Delay: cfg.UplinkDelay}
-	if uplink.Delay == 0 {
-		uplink.Delay = cfg.HostLink.Delay
+	uplink, err := cfg.uplink()
+	if err != nil {
+		return nil, err
 	}
 	leafID := func(l int) NodeID { return SwitchIDBase + NodeID(l) }
 	spineID := func(s int) NodeID { return SwitchIDBase + NodeID(cfg.Leaves+s) }
@@ -290,13 +300,4 @@ func NewLeafSpine(sim *Sim, cfg LeafSpineConfig, opts ...Option) (*Topology, err
 		{Name: TierSpine, Switches: spines},
 	}
 	return t, nil
-}
-
-// BuildLeafSpine is the panicking convenience wrapper over NewLeafSpine.
-func BuildLeafSpine(sim *Sim, cfg LeafSpineConfig, opts ...Option) *Topology {
-	t, err := NewLeafSpine(sim, cfg, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }

@@ -343,6 +343,20 @@ func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig
 // QueuedBytes returns the current total queue depth in bytes.
 func (p *Port) QueuedBytes() int { return p.bytes[PrioNormal] + p.bytes[PrioHigh] }
 
+// Backlog returns the packets this port admitted and has not finished
+// transmitting: both queues plus the one on the wire. At any instant
+// Stats.Enqueued == Stats.Transmitted + Backlog().
+func (p *Port) Backlog() int {
+	n := len(p.q[PrioNormal].queued()) + len(p.q[PrioHigh].queued())
+	if p.busy {
+		n++
+	}
+	return n
+}
+
+// Peer returns the node at the far end of this port's link.
+func (p *Port) Peer() NodeID { return p.peer.ID() }
+
 // Link returns the link configuration this port transmits over (for
 // tests asserting derived bandwidths, e.g. oversubscribed uplinks).
 func (p *Port) Link() LinkConfig { return p.link }

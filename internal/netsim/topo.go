@@ -227,12 +227,111 @@ func NewRing(sim *Sim, n int, edge, trunk LinkConfig, q QueueConfig, opts ...Opt
 	return t
 }
 
-// ParseTopology resolves a CLI -topo flag value to a builder kind,
-// rejecting unknown names with the accepted set.
-func ParseTopology(s string) (string, error) {
-	switch s {
-	case "star", "dumbbell", "ring", "fattree", "leafspine":
-		return s, nil
+// FabricSpec describes a fabric as plain data: which builder, how big,
+// which links and queues. A harness states the run it wants as a spec;
+// Build is the one place a topology name becomes a fabric, and Hosts and
+// Racks answer the sizes by arithmetic so a caller can check a workload
+// fan or a shard count before any simulator exists.
+type FabricSpec struct {
+	// Kind is "star", "dumbbell", "ring", "fattree" or "leafspine".
+	Kind string
+	// N is the host count of a star, dumbbell or ring. A dumbbell puts
+	// the last host alone on the right side; a ring gives each host its
+	// own switch.
+	N int
+	// K is the fat-tree arity (k³/4 hosts).
+	K int
+	// Leaves, Spines and HostsPerLeaf size a leaf–spine fabric; Oversub
+	// thins its uplinks (zero: 1, non-blocking).
+	Leaves, Spines, HostsPerLeaf int
+	Oversub                      float64
+	// Link is every host link, and the dumbbell bottleneck, the ring
+	// trunks and a fat tree's fabric links; leaf–spine uplinks derive
+	// their bandwidth from it.
+	Link  LinkConfig
+	Queue QueueConfig
+	// ECMPSeed salts the per-switch flow hash of the Clos fabrics.
+	ECMPSeed uint64
+}
+
+// plan is the one switch on a topology name: it checks the spec against
+// its builder's rules and returns the fabric's sizes and the call that
+// builds it.
+func (f FabricSpec) plan() (hosts, racks int, build func(*Sim, []Option) (*Topology, error), err error) {
+	minHosts := 2
+	switch f.Kind {
+	case "star":
+		minHosts, racks = 1, 1
+		build = func(sim *Sim, o []Option) (*Topology, error) { return NewStar(sim, f.N, f.Link, f.Queue, o...), nil }
+	case "dumbbell":
+		racks = 2
+		build = func(sim *Sim, o []Option) (*Topology, error) {
+			return NewDumbbell(sim, f.N-1, 1, f.Link, f.Link, f.Queue, o...), nil
+		}
+	case "ring":
+		racks = f.N
+		build = func(sim *Sim, o []Option) (*Topology, error) {
+			return NewRing(sim, f.N, f.Link, f.Link, f.Queue, o...), nil
+		}
+	case "fattree":
+		cfg := FatTreeConfig{K: f.K, HostLink: f.Link, Queue: f.Queue, ECMPSeed: f.ECMPSeed}
+		build = func(sim *Sim, o []Option) (*Topology, error) { return NewFatTree(sim, cfg, o...) }
+		return FatTreeHosts(f.K), f.K * f.K / 2, build, cfg.validate()
+	case "leafspine":
+		cfg := LeafSpineConfig{
+			Leaves: f.Leaves, Spines: f.Spines, HostsPerLeaf: f.HostsPerLeaf,
+			HostLink: f.Link, Oversub: f.Oversub, Queue: f.Queue, ECMPSeed: f.ECMPSeed,
+		}
+		build = func(sim *Sim, o []Option) (*Topology, error) { return NewLeafSpine(sim, cfg, o...) }
+		_, err = cfg.uplink()
+		return f.Leaves * f.HostsPerLeaf, f.Leaves, build, err
+	default:
+		return 0, 0, nil, fmt.Errorf("netsim: unknown topology %q (want star|dumbbell|ring|fattree|leafspine)", f.Kind)
 	}
-	return "", fmt.Errorf("netsim: unknown topology %q (want star|dumbbell|ring|fattree|leafspine)", s)
+	if f.N < minHosts {
+		err = fmt.Errorf("netsim: a %s needs at least %d hosts, got %d", f.Kind, minHosts, f.N)
+	} else if f.Link.Bandwidth <= 0 {
+		err = fmt.Errorf("netsim: %s link bandwidth must be positive", f.Kind)
+	}
+	return f.N, racks, build, err
+}
+
+// Validate rejects a spec no builder accepts, with the rule it breaks.
+func (f FabricSpec) Validate() error { _, _, _, err := f.plan(); return err }
+
+// Hosts returns the host count Build produces for a valid spec.
+func (f FabricSpec) Hosts() int { hosts, _, _, _ := f.plan(); return hosts }
+
+// Racks returns the number of rack (bottom-tier) switches Build produces
+// for a valid spec — the ceiling on ShardTopology's shard count.
+func (f FabricSpec) Racks() int { _, racks, _, _ := f.plan(); return racks }
+
+// Build validates the spec and constructs its fabric on sim.
+func (f FabricSpec) Build(sim *Sim, opts ...Option) (*Topology, error) {
+	_, _, build, err := f.plan()
+	if err != nil {
+		return nil, err
+	}
+	return build(sim, opts)
+}
+
+// PortTotals sums the port counters of the given switches; MaxQueueBytes
+// is the deepest queue any of their ports saw.
+func PortTotals(switches []*Switch) PortStats {
+	var t PortStats
+	for _, sw := range switches {
+		for _, p := range sw.Ports() {
+			s := p.Stats
+			t.Enqueued += s.Enqueued
+			t.Transmitted += s.Transmitted
+			t.Dropped += s.Dropped
+			t.DroppedBytes += s.DroppedBytes
+			t.Trimmed += s.Trimmed
+			t.ECNMarked += s.ECNMarked
+			t.DownDrops += s.DownDrops
+			t.Aggregated += s.Aggregated
+			t.MaxQueueBytes = max(t.MaxQueueBytes, s.MaxQueueBytes)
+		}
+	}
+	return t
 }

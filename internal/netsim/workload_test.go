@@ -143,12 +143,12 @@ func TestParseWorkloadAndTopology(t *testing.T) {
 	if _, err := ParseWorkload("bogus", 8, 1); err == nil {
 		t.Error("bogus workload accepted")
 	}
-	for _, name := range []string{"star", "dumbbell", "ring", "fattree", "leafspine"} {
-		if _, err := ParseTopology(name); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, spec := range validSpecs {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: %v", spec.Kind, err)
 		}
 	}
-	if _, err := ParseTopology("mesh"); err == nil {
+	if err := (FabricSpec{Kind: "mesh", N: 4, Link: fastLink()}).Validate(); err == nil {
 		t.Error("unknown topology accepted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -88,6 +89,19 @@ func WriteJSONL(w io.Writer, s Snapshot) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteJSONLFile creates (or truncates) path and writes s to it as JSONL.
+func WriteJSONLFile(path string, s Snapshot) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteJSONL(f, s); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteCSV writes the snapshot as a flat CSV with a fixed header:

@@ -1,8 +1,8 @@
 // Package prof wires the stdlib runtime/pprof profilers into the CLI
 // tools (-cpuprofile / -memprofile on trimbench and trainsim). It exists
-// so the perf harness can answer "where did the time go" on any
-// hardware with nothing but `go tool pprof`; scripts/bench.sh gives the
-// trajectory, these profiles give the attribution.
+// so a run can answer "where did the time go" on any hardware with
+// nothing but `go tool pprof`; `go run ./benchmark` gives the numbers,
+// these profiles give the attribution.
 package prof
 
 import (

@@ -6,8 +6,9 @@
 #   scripts/check.sh -short   fast mode: skips the race-detector pass and
 #                             runs the test suite with -short
 #   scripts/check.sh -chaos   fault-injection pass only: race-enabled chaos,
-#                             fault, and duplicate-delivery regression tests,
-#                             plus the payload-ownership suites (immutable
+#                             fault, and duplicate-delivery regression tests
+#                             (the faulty half of the scenario matrix among
+#                             them), plus the payload-ownership suites (immutable
 #                             after Send under trims and merges, one
 #                             checksum per message, no copy per hop)
 #   scripts/check.sh -bench   perf smoke only: the BenchmarkHot* suite,
@@ -28,7 +29,7 @@
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + trimlint
 #                             (trimlint replays from .trimlint-cache when
 #                             the tree is unchanged) + the no-Deprecated
-#                             guard
+#                             guard + the one-fabric-switch guard
 #   scripts/check.sh -loc     print the size score ROADMAP and CHANGES.md
 #                             quote: non-test and test Go lines outside
 #                             benchmark/ and testdata/, and DESIGN.md's lines
@@ -99,7 +100,7 @@ fi
 if [[ $mode == chaos ]]; then
   step "go test -race (chaos/fault/duplicate regressions)"
   pattern='Chaos|Fault|Flap|Duplicate|PauseAndFail'
-  pkgs=(./internal/netsim ./internal/transport ./internal/collective ./internal/exp)
+  pkgs=(./internal/netsim ./internal/transport ./internal/collective ./internal/exp ./internal/scenario)
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" "${pkgs[@]}"
   step "go test -race (payload ownership: immutable after Send, one checksum per message, no per-hop copy)"
@@ -133,8 +134,19 @@ if [[ -n "$deprecated" ]]; then
   exit 1
 fi
 
+step "one name->topology switch (fabrics are built by netsim.FabricSpec.Build)"
+# A harness describes its fabric as a FabricSpec; only internal/netsim (the
+# builders and Build), benchmark/ and the examples call a builder by name.
+builders=$(grep -rnE --include='*.go' --exclude='*_test.go' 'netsim\.New(Star|Dumbbell|Ring|FatTree|LeafSpine)\(' . \
+  | grep -vE '^\./(internal/netsim|benchmark|examples)/' || true)
+if [[ -n "$builders" ]]; then
+  echo "topology builders called outside internal/netsim, benchmark/ and examples/ — describe the fabric as a netsim.FabricSpec and call Build:" >&2
+  echo "$builders" >&2
+  exit 1
+fi
+
 if [[ $mode == lint ]]; then
-  echo "OK (lint mode: gofmt + vet + trimlint + no-Deprecated)"
+  echo "OK (lint mode: gofmt + vet + trimlint + no-Deprecated + one-fabric-switch)"
   exit 0
 fi
 
@@ -190,6 +202,10 @@ for target in FuzzTimerWheel FuzzShardScheduler; do
   selects Fuzz "^${target}\$" ./internal/netsim
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 2s ./internal/netsim
 done
+
+step "fuzz smoke (scenarios: any fabric x partition x workload x transport x faults settles, conserves, repeats, 3s)"
+selects Fuzz '^FuzzScenario$' ./internal/scenario
+go test -run '^$' -fuzz '^FuzzScenario$' -fuzztime 3s ./internal/scenario
 
 step "coverage (fault-injection surface)"
 go test -cover ./internal/netsim ./internal/wire ./internal/transport \
