@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -162,30 +160,7 @@ func checkGolden(t *testing.T, name string, g *goldenRun) {
 	if err := obs.WriteJSONL(&buf, g.snap); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(buf.Bytes(), want) {
-		return
-	}
-	got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(got) && i < len(exp); i++ {
-		if got[i] != exp[i] {
-			t.Fatalf("%s differs at line %d:\n got %s\nwant %s", path, i+1, got[i], exp[i])
-		}
-	}
-	t.Fatalf("%s: got %d lines, want %d", path, len(got), len(exp))
+	checkFile(t, name, buf.Bytes())
 }
 
 // TestGoldenMetricsExport pins the exported bytes of two seeded runs: the

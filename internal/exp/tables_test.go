@@ -25,9 +25,16 @@ func checkFile(t *testing.T, name string, got []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s moved:\n--- got\n%s--- want\n%s", path, got, want)
+	if bytes.Equal(got, want) {
+		return
 	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("%s differs at line %d:\n got %s\nwant %s", path, i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("%s: got %d lines, want %d", path, len(g), len(w))
 }
 
 // maskColumns blanks the named CSV columns (wall-clock readings) so the

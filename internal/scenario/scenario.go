@@ -194,7 +194,6 @@ type Rig struct {
 	sim     *netsim.Sim
 	loop    runner
 	res     *Result
-	grads   [][]float32     // what each flow sent; Decode only
 	decs    []*core.Decoder // per flow; Decode only
 	open    []*netsim.CrossTraffic
 	pending atomic.Int64 // flows neither done nor failed
@@ -316,7 +315,7 @@ func (r *Rig) send(flows []netsim.Flow) error {
 				return err
 			}
 			decsAt[f.Dst][topo.Hosts[f.Src].ID()] = d
-			r.decs, r.grads = append(r.decs, d), append(r.grads, grad)
+			r.decs = append(r.decs, d)
 		}
 		// Completions fire on the sender's shard: each writes its own
 		// Flow, and the loop reads them after the engine's barrier.
@@ -344,11 +343,12 @@ func (r *Rig) send(flows []netsim.Flow) error {
 // returns the result. It is the only place a scenario's simulator runs.
 func (r *Rig) Run() *Result {
 	s, res := r.s, r.res
-	if s.Slice == 0 {
-		r.loop.RunUntil(s.Horizon)
+	step := s.Slice
+	if step == 0 {
+		step = s.Horizon
 	}
-	for now := netsim.Time(0); s.Slice > 0 && r.pending.Load() > 0 && now < s.Horizon; now += s.Slice {
-		r.loop.RunUntil(now + s.Slice)
+	for now := netsim.Time(0); r.pending.Load() > 0 && now < s.Horizon; now += step {
+		r.loop.RunUntil(now + step)
 	}
 	for _, ct := range r.open {
 		ct.Stop()
@@ -360,7 +360,7 @@ func (r *Rig) Run() *Result {
 			f.Stats = d.Stats() // still flushes the decoder's counts into the registry
 			continue
 		}
-		f.Decoded, f.NMSE, f.Stats = true, vecmath.NMSE(r.grads[i], got), st
+		f.Decoded, f.NMSE, f.Stats = true, vecmath.NMSE(Gradient(s.GradSeed+uint64(i), s.Dim), got), st
 	}
 	res.Now, res.Processed = r.loop.Now(), r.sim.Processed
 	if res.eng != nil {

@@ -77,7 +77,11 @@ func checkScenario(t testing.TB, s Scenario, shards int) {
 	if again := export(t, s); again != plain {
 		t.Errorf("two same-seed runs exported different bytes:\n%s", firstDiff(plain, again))
 	}
-	for n := 1; n <= shards; n += max(1, shards-1) {
+	counts := []int{1}
+	if shards > 1 {
+		counts = append(counts, shards)
+	}
+	for _, n := range counts {
 		s.Shards = n
 		if got := export(t, s); got != plain {
 			t.Errorf("%d-shard export differs from the plain simulator's:\n%s", n, firstDiff(plain, got))
@@ -328,5 +332,8 @@ func FuzzScenario(f *testing.F) {
 			t.Fatalf("program %v decoded to an invalid scenario: %v\n%+v", program, err, s)
 		}
 		checkScenario(t, s, shards)
+		if t.Failed() {
+			t.Logf("program %v is scenario %+v at %d shards", program, s, shards)
+		}
 	})
 }
