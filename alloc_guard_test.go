@@ -54,10 +54,12 @@ func TestAllocGuardEncodeParallel(t *testing.T) {
 }
 
 // TestAllocGuardForwardBackward: a warmed replica of the benchmark's
-// 32-256-128-30 MLP runs Forward and Backward at batch 64 without
-// allocating: every batch matrix is its layer's, and its kernels build no
-// closure. (A round's other allocations — the loss gradient, the fan-out —
-// are bounded by ddp's TestAllocGuardComputeRound, next to computeGrads.)
+// 32-256-128-30 MLP runs Forward and Backward without allocating while its
+// batch alternates 64 → 37 → 64: every batch matrix and live list is its
+// layer's, sized from batch × width whatever share is live, and its kernels
+// build no closure. (A round's other allocations — the loss gradient, the
+// fan-out — are bounded by ddp's TestAllocGuardComputeRound, next to
+// computeGrads.)
 func TestAllocGuardForwardBackward(t *testing.T) {
 	skipAllocGuard(t)
 	const batch = 64
@@ -69,11 +71,13 @@ func TestAllocGuardForwardBackward(t *testing.T) {
 		dLogits[s] = benchRow(30)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		model.Forward(x, true)
-		model.Backward(dLogits)
+		for _, n := range []int{batch, 37, batch} {
+			model.Forward(x[:n], true)
+			model.Backward(dLogits[:n])
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("a warmed replica's Forward+Backward allocates %.0f times at batch %d, want 0", allocs, batch)
+		t.Errorf("a warmed replica's Forward+Backward passes at batches %d, 37, %d allocate %.0f times, want 0", batch, batch, allocs)
 	}
 }
 

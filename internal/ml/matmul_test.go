@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,9 +9,10 @@ import (
 )
 
 // matmulWorkerCounts is the cross-worker-count equivalence matrix the
-// perf substrate is tested against (serial, under-, at-, and
-// over-subscribed relative to typical GOMAXPROCS).
-var matmulWorkerCounts = []int{1, 2, 3, 8}
+// perf substrate is tested against: a replica's serial loop (1), the
+// pool at its own size (0, what NewModel binds), and under-, at- and
+// over-subscribed relative to typical GOMAXPROCS.
+var matmulWorkerCounts = []int{1, 0, 2, 3, 8}
 
 func randomBatch(rng *xrand.Rand, n, dim int, sparsify bool) [][]float32 {
 	x := make([][]float32, n)
@@ -18,7 +20,7 @@ func randomBatch(rng *xrand.Rand, n, dim int, sparsify bool) [][]float32 {
 		row := make([]float32, dim)
 		for i := range row {
 			row[i] = float32(rng.NormFloat64())
-			// Exercise the xi == 0 skip path the way ReLU outputs do.
+			// Leave entries out of the live lists the way ReLU outputs do.
 			if sparsify && rng.Float64() < 0.3 {
 				row[i] = 0
 			}
@@ -85,6 +87,33 @@ func refDenseBackwardWeights(dw []float32, x, gradOut [][]float32, outDim int) {
 	}
 }
 
+// refReLU is the rectifier as a branch: a copy of x with +0 wherever x is
+// not > 0.
+func refReLU(x [][]float32) [][]float32 {
+	y := make([][]float32, len(x))
+	for s, row := range x {
+		y[s] = make([]float32, len(row))
+		for i, v := range row {
+			if v > 0 {
+				y[s][i] = v
+			}
+		}
+	}
+	return y
+}
+
+// refMask is the rectifier's backward as a branch: +0 in g wherever the
+// rectified y is dead.
+func refMask(g, y [][]float32) {
+	for s, row := range g {
+		for i := range row {
+			if !(y[s][i] > 0) {
+				row[i] = 0
+			}
+		}
+	}
+}
+
 func flatten(rows [][]float32) []float32 {
 	var out []float32
 	for _, row := range rows {
@@ -105,23 +134,31 @@ func canonNaNs(v []float32) []float32 {
 	return v
 }
 
-// activationPatterns are the zero layouts the gather step has to get
-// right: none to gather, nothing to skip, every other one, a ReLU-like
-// random half, and whole input columns dead in every sample (the columns
-// poisonDeadRows then fills with NaN, ±Inf and −0 weights).
+// liveCounts are the list lengths a block-of-four walk has to get right,
+// one per sample in turn: an all-dead row, 1–3 (no full block), 4k + r, and
+// an all-live row.
+var liveCounts = []int{0, 1, 2, 3, 4, 5, 7, 10, math.MaxInt}
+
+// activationPatterns are the zero layouts the lists have to get right:
+// nothing to list, nothing to leave out, every other one, a ReLU-like
+// random half, whole input columns dead in every sample (the columns
+// poisonDeadRows then fills with NaN, ±Inf and −0 weights), and rows of
+// every liveCounts length.
 var activationPatterns = []struct {
 	name string
-	zero func(rng *xrand.Rand, s, i int) bool
+	zero func(rng *xrand.Rand, s, i, dim int) bool
 }{
-	{"all-zero", func(*xrand.Rand, int, int) bool { return true }},
-	{"no-zero", func(*xrand.Rand, int, int) bool { return false }},
-	{"alternating", func(_ *xrand.Rand, s, i int) bool { return (s+i)%2 == 0 }},
-	{"relu-like", func(rng *xrand.Rand, _, _ int) bool { return rng.Float64() < 0.5 }},
-	{"dead-columns", func(rng *xrand.Rand, _, i int) bool { return i%3 == 1 || rng.Float64() < 0.3 }},
+	{"all-zero", func(*xrand.Rand, int, int, int) bool { return true }},
+	{"no-zero", func(*xrand.Rand, int, int, int) bool { return false }},
+	{"alternating", func(_ *xrand.Rand, s, i, _ int) bool { return (s+i)%2 == 0 }},
+	{"relu-like", func(rng *xrand.Rand, _, _, _ int) bool { return rng.Float64() < 0.5 }},
+	{"dead-columns", func(rng *xrand.Rand, _, i, _ int) bool { return i%3 == 1 || rng.Float64() < 0.3 }},
+	{"live-counts", func(_ *xrand.Rand, s, i, dim int) bool { return (i*3+s)%dim >= liveCounts[s%len(liveCounts)] }},
 }
 
 // poisonDeadRows overwrites the weight rows of inputs that are zero in
-// every sample with values that must never reach a forward sum.
+// every sample with values that must never reach a forward sum or, when a
+// rectifier made those zeros, an input gradient.
 func poisonDeadRows(w []float32, x [][]float32, outDim int) {
 	poison := []float32{
 		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
@@ -149,12 +186,12 @@ var matmulShapes = []struct{ batch, in, out int }{
 }
 
 // patternBatch is a random batch with ±0 wherever zero says so.
-func patternBatch(rng *xrand.Rand, n, dim int, zero func(rng *xrand.Rand, s, i int) bool) [][]float32 {
+func patternBatch(rng *xrand.Rand, n, dim int, zero func(rng *xrand.Rand, s, i, dim int) bool) [][]float32 {
 	negZero := float32(math.Copysign(0, -1))
 	x := randomBatch(rng, n, dim, false)
 	for s, row := range x {
 		for i := range row {
-			if zero(rng, s, i) {
+			if zero(rng, s, i, dim) {
 				// −0 compares equal to zero and is skipped like +0.
 				row[i] = []float32{0, negZero}[(s+i)%2]
 			}
@@ -163,67 +200,157 @@ func patternBatch(rng *xrand.Rand, n, dim int, zero func(rng *xrand.Rand, s, i i
 	return x
 }
 
+// preActivations is a matrix the rectifier turns into x's zero layout:
+// positive where x is live, and where x is zero one of the values v > 0
+// rejects — both zeros, a negative, −Inf, NaNs of either sign.
+func preActivations(x [][]float32) [][]float32 {
+	dead := []float32{
+		0, float32(math.Copysign(0, -1)), -1.5, float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(0xffc00001),
+	}
+	pre := make([][]float32, len(x))
+	for s, row := range x {
+		pre[s] = make([]float32, len(row))
+		for i, v := range row {
+			if v == 0 {
+				pre[s][i] = dead[(s+i)%len(dead)]
+			} else {
+				pre[s][i] = float32(math.Abs(float64(v)))
+			}
+		}
+	}
+	return pre
+}
+
+func allFinite(rows [][]float32) bool {
+	for _, v := range flatten(rows) {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestDenseForwardBackwardBitIdenticalAcrossWorkers: one training step's
 // forward activations, input gradients, and parameter gradients must be
 // byte-identical to the naive reference loops at every worker count —
 // determinism under parallelism and under blocking is the perf
 // substrate's hard invariant. The count goes to the kernels the way a
-// model hands it over, through bind.
+// model hands it over, through bind. Two arms share the list-driven
+// kernels: a lone Dense through the Layer interface, which lists its raw
+// input's non-zero entries itself and differentiates every unit, and a
+// Dense above a ReLU the way a model runs them, which takes the
+// rectifier's list and masks its input gradient with it — there a
+// poisoned weight row opposite an always-dead unit must stay out of the
+// input gradient too, and the ReLU's own backward has nothing left to do.
+// Each layer then runs a short batch and the full one again in the
+// buffers and lists it has.
 func TestDenseForwardBackwardBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, sh := range matmulShapes {
 		for _, pat := range activationPatterns {
-			rng := xrand.New(uint64(11 + sh.in*sh.out))
-			x := patternBatch(rng, sh.batch, sh.in, pat.zero)
-			gy := randomBatch(rng, sh.batch, sh.out, false)
-			w := make([]float32, sh.in*sh.out+sh.out)
-			for i := range w {
-				w[i] = float32(rng.NormFloat64())
-			}
-			poisonDeadRows(w[:sh.in*sh.out], x, sh.out)
-			dw0 := make([]float32, len(w))
-			for i := range dw0 {
-				dw0[i] = float32(rng.NormFloat64())
-			}
-
-			wantFwd := new(batchBuf).shape(sh.batch, sh.out)
-			wantGx := new(batchBuf).shape(sh.batch, sh.in)
-			wantDw := append([]float32(nil), dw0...)
-			refDenseForward(wantFwd, x, w[:sh.in*sh.out], w[sh.in*sh.out:], sh.out)
-			refDenseBackwardInput(wantGx, gy, w[:sh.in*sh.out], sh.out)
-			refDenseBackwardWeights(wantDw[:sh.in*sh.out], x, gy, sh.out)
-			denseBackwardBias(wantDw[sh.in*sh.out:], gy)
-			for _, v := range flatten(wantFwd) {
-				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-					t.Fatalf("%v %s: a poisoned weight reached the reference forward sum", sh, pat.name)
+			for _, rectified := range []bool{false, true} {
+				rng := xrand.New(uint64(11 + sh.in*sh.out))
+				x := patternBatch(rng, sh.batch, sh.in, pat.zero)
+				pre := x
+				if rectified {
+					pre = preActivations(x)
+					x = refReLU(pre)
 				}
-			}
+				gy := randomBatch(rng, sh.batch, sh.out, false)
+				w := make([]float32, sh.in*sh.out+sh.out)
+				for i := range w {
+					w[i] = float32(rng.NormFloat64())
+				}
+				poisonDeadRows(w[:sh.in*sh.out], x, sh.out)
+				wantDw := make([]float32, len(w))
+				for i := range wantDw {
+					wantDw[i] = float32(rng.NormFloat64())
+				}
 
-			for _, workers := range matmulWorkerCounts {
-				d := NewDense(sh.in, sh.out)
-				grads := append([]float32(nil), dw0...)
-				d.bind(append([]float32(nil), w...), grads, workers)
-				fwd := d.Forward(x, true)
-				gradIn := d.Backward(gy)
-				label := pat.name
-				bitsEqual(t, label+" forward", workers, flatten(fwd), flatten(wantFwd))
-				bitsEqual(t, label+" gradIn", workers, canonNaNs(flatten(gradIn)), canonNaNs(flatten(wantGx)))
-				bitsEqual(t, label+" dW,db", workers, grads, wantDw)
+				denses := make([]*Dense, len(matmulWorkerCounts))
+				relus := make([]*ReLU, len(matmulWorkerCounts))
+				grads := make([][]float32, len(matmulWorkerCounts))
+				for k, workers := range matmulWorkerCounts {
+					denses[k], relus[k] = NewDense(sh.in, sh.out), NewReLU()
+					grads[k] = append([]float32(nil), wantDw...)
+					denses[k].bind(append([]float32(nil), w...), grads[k], workers)
+				}
+
+				for _, n := range []int{sh.batch, (sh.batch + 1) / 2, sh.batch} {
+					label := fmt.Sprintf("%v %s rectified=%v batch %d", sh, pat.name, rectified, n)
+					x, pre, gy := x[:n], pre[:n], gy[:n]
+					wantFwd := new(batchBuf).shape(n, sh.out)
+					wantGx := new(batchBuf).shape(n, sh.in)
+					refDenseForward(wantFwd, x, w[:sh.in*sh.out], w[sh.in*sh.out:], sh.out)
+					refDenseBackwardInput(wantGx, gy, w[:sh.in*sh.out], sh.out)
+					refDenseBackwardWeights(wantDw[:sh.in*sh.out], x, gy, sh.out)
+					denseBackwardBias(wantDw[sh.in*sh.out:], gy)
+					if !allFinite(wantFwd) {
+						t.Fatalf("%s: a poisoned weight reached the reference forward sum", label)
+					}
+					if rectified {
+						refMask(wantGx, x)
+						if !allFinite(wantGx) {
+							t.Fatalf("%s: a poisoned weight reached the reference input gradient", label)
+						}
+					}
+
+					for k, workers := range matmulWorkerCounts {
+						d, r := denses[k], relus[k]
+						// A layer's matrices hold whatever the last pass
+						// left: every element must be stored again.
+						for _, buf := range []*batchBuf{&d.out, &d.gradIn} {
+							for i := range buf.backing {
+								buf.backing[i] = float32(math.NaN())
+							}
+						}
+						var fwd, gradIn [][]float32
+						if rectified {
+							// The rectifier overwrites the matrix it is lent.
+							lent := new(batchBuf).like(pre)
+							for s := range pre {
+								copy(lent[s], pre[s])
+							}
+							fwd = d.forward(r.forward(activations{rows: lent, scratch: true}, true), true).rows
+							var masked bool
+							gradIn, masked = d.backward(gy, false, true)
+							if below, _ := r.backward(gradIn, masked, true); !masked || &below[0] != &gradIn[0] {
+								t.Fatalf("%s: masked = %v, or the ReLU did not hand the masked gradient on as it was", label, masked)
+							}
+						} else {
+							fwd = d.Forward(x, true)
+							gradIn = d.Backward(gy)
+						}
+						bitsEqual(t, label+" forward", workers, flatten(fwd), flatten(wantFwd))
+						bitsEqual(t, label+" gradIn", workers, canonNaNs(flatten(gradIn)), canonNaNs(flatten(wantGx)))
+						bitsEqual(t, label+" dW,db", workers, grads[k], wantDw)
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestTrainingStepBitIdenticalAcrossWorkers runs whole SGD steps through
-// an MLP and requires the resulting parameters to match bit for bit:
-// the end-to-end guarantee trainsim's telemetry determinism rests on.
+// an MLP — two rectified layers of widths that are not multiples of four,
+// a short last batch — and requires the resulting parameters to match,
+// bit for bit, the steps taken on the naive kernels' gradients: the
+// end-to-end guarantee trainsim's telemetry determinism rests on.
 func TestTrainingStepBitIdenticalAcrossWorkers(t *testing.T) {
-	train, _ := Synthetic(SyntheticConfig{Classes: 10, Dim: 24, Train: 96, Test: 8, Seed: 9})
+	train, _ := Synthetic(SyntheticConfig{Classes: 10, Dim: 24, Train: 100, Test: 8, Seed: 9})
+	sizes := []int{train.Dim, 45, 18, train.Classes}
+	xs, ys := train.Batches(32, 77)
 
-	run := func(workers int) []float32 {
-		m := NewMLP(3, train.Dim, 48, train.Classes)
+	ref := append([]float32(nil), NewMLP(3, sizes...).Params()...)
+	opt := NewSGD(0.05, 0.9)
+	for r := range xs {
+		opt.Step(ref, refPass(ref, sizes, xs[r], ys[r]).grads)
+	}
+
+	for _, workers := range matmulWorkerCounts {
+		m := NewMLP(3, sizes...)
 		m.bind(workers)
 		opt := NewSGD(0.05, 0.9)
-		xs, ys := train.Batches(32, 77)
 		for r := range xs {
 			m.ZeroGrad()
 			logits := m.Forward(xs[r], true)
@@ -231,37 +358,49 @@ func TestTrainingStepBitIdenticalAcrossWorkers(t *testing.T) {
 			m.Backward(dLogits)
 			opt.Step(m.Params(), m.Grads())
 		}
-		return append([]float32(nil), m.Params()...)
-	}
-
-	ref := run(1)
-	for _, workers := range matmulWorkerCounts[1:] {
-		bitsEqual(t, "params", workers, run(workers), ref)
+		bitsEqual(t, "params", workers, m.Params(), ref)
 	}
 }
 
 // BenchmarkDenseLayer measures one forward+backward pass of a
-// paper-plausible layer, serial vs pooled.
+// paper-plausible layer, serial vs pooled: over a raw input the layer lists
+// itself and differentiates in full, and over a rectifier's output — about
+// half live, the share a train_k4_ps profile sees — with the rectifier's
+// list and a masked input gradient.
 func BenchmarkDenseLayer(b *testing.B) {
 	const batch, in, out = 128, 64, 128
 	rng := xrand.New(4)
-	x := randomBatch(rng, batch, in, true)
+	dense := randomBatch(rng, batch, in, true)
 	gy := randomBatch(rng, batch, out, false)
+	pre := randomBatch(rng, batch, in, false)
 	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
+		name      string
+		workers   int
+		rectified bool
+	}{{"serial", 1, false}, {"parallel", 0, false}, {"serial-rectified", 1, true}, {"parallel-rectified", 0, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			d := NewDense(in, out)
 			params := make([]float32, d.ParamCount())
 			grads := make([]float32, d.ParamCount())
 			d.bind(params, grads, bc.workers)
 			d.initialize(xrand.New(5))
-			b.SetBytes(int64(batch * in * out * 4))
-			for i := 0; i < b.N; i++ {
-				d.Forward(x, true)
-				d.Backward(gy)
+			x := activations{rows: dense}
+			if bc.rectified {
+				x = NewReLU().forward(activations{rows: pre}, true)
 			}
+			live := 0
+			for _, v := range flatten(x.rows) {
+				if v != 0 {
+					live++
+				}
+			}
+			b.SetBytes(int64(batch * in * out * 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.forward(x, true)
+				d.backward(gy, false, true)
+			}
+			b.ReportMetric(float64(live)/float64(batch*in), "live_share")
 		})
 	}
 }

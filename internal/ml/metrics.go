@@ -40,20 +40,18 @@ func inTopK(row []float32, label, k int) bool {
 
 // Evaluate runs the model over the dataset in eval mode and returns top-1
 // and top-5 accuracy. The batches fan out over the par pool, each executor
-// on its own replica of m; hits are integer counts, so their sum does not
-// depend on which executor scored which batch.
+// on its own forward-only replica of m, which m keeps for the next call;
+// hits are integer counts, so their sum does not depend on which executor
+// scored which batch.
 func Evaluate(m *Model, d *Dataset, batch int) (top1, top5 float64) {
 	if d.Len() == 0 {
 		return 0, 0
 	}
 	batches := (d.Len() + batch - 1) / batch
 	workers := min(par.Default.Size(), batches)
-	replicas := make([]*Model, workers)
+	replicas := m.evalReplicas(workers)
 	hits := make([][2]int, workers)
 	par.Default.ForEachWorker(batches, workers, func(w, b int) {
-		if replicas[w] == nil {
-			replicas[w] = m.Replica()
-		}
 		start := b * batch
 		end := min(start+batch, d.Len())
 		logits := replicas[w].Forward(d.X[start:end], false)

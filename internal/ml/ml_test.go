@@ -57,6 +57,35 @@ func TestDenseBackwardGradCheck(t *testing.T) {
 	}
 }
 
+// TestBackwardAfterEvalForwardPanics: a training pass's caches point into
+// batch matrices the next pass overwrites — an eval pass too, perhaps at
+// another batch size — so an eval forward drops them, and a Backward that
+// follows it is the "backward before forward(train)" it looks like rather
+// than a gradient against a clobbered batch.
+func TestBackwardAfterEvalForwardPanics(t *testing.T) {
+	rng := xrand.New(2)
+	x := randomBatch(rng, 5, 3, false)
+	mustPanic := func(name, want string, backward func()) {
+		t.Helper()
+		defer func() {
+			if got := recover(); got != want {
+				t.Errorf("%s: Backward after an eval forward: recovered %v, want panic %q", name, got, want)
+			}
+		}()
+		backward()
+	}
+
+	m := NewMLP(7, 3, 4, 2)
+	_, dLogits := SoftmaxCrossEntropy(m.Forward(x, true), randomLabels(rng, len(x), 2))
+	m.Forward(x[:2], false)
+	mustPanic("model", "ml: dense backward before forward(train)", func() { m.Backward(dLogits) })
+
+	r := NewReLU()
+	r.Forward(x, true)
+	r.Forward(x[:2], false)
+	mustPanic("relu", "ml: relu backward before forward(train)", func() { r.Backward(randomBatch(rng, 5, 3, false)) })
+}
+
 func TestReLU(t *testing.T) {
 	r := NewReLU()
 	out := r.Forward([][]float32{{-1, 0, 2}}, true)

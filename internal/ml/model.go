@@ -26,17 +26,22 @@ import (
 // the layer's next call of the same method.
 type Layer interface {
 	// Forward computes outputs for a batch (rows are samples). When train
-	// is true the layer may cache activations for Backward.
+	// is true the layer caches what Backward needs; an eval pass drops it.
 	Forward(x [][]float32, train bool) [][]float32
-	// Backward consumes ∂L/∂output, accumulates parameter gradients, and
-	// returns ∂L/∂input.
+	// Backward consumes ∂L/∂output — a layer may overwrite it — accumulates
+	// parameter gradients, and returns ∂L/∂input.
 	Backward(gradOut [][]float32) [][]float32
 	// ParamCount returns how many scalars of the flat buffers this layer
 	// owns.
 	ParamCount() int
-	// accumulate is Backward without ∂L/∂input: all the first layer of a
-	// model needs, since nothing reads the gradient of the data.
-	accumulate(gradOut [][]float32)
+	// forward is Forward inside a model, where a matrix travels with what
+	// the layer below knows about it.
+	forward(x activations, train bool) activations
+	// backward is Backward inside a model. masked: the layer above already
+	// stored +0 in gradOut wherever this layer's output was dead; the second
+	// result says the same of ∂L/∂input and the layer below. A model's first
+	// layer is not asked for ∂L/∂input: nothing reads the data's gradient.
+	backward(gradOut [][]float32, masked, wantIn bool) (gradIn [][]float32, maskedBelow bool)
 	// bind points the layer at its slices of the model's parameter and
 	// gradient buffers and fixes the worker count of its kernels (0: the
 	// par pool's size).
@@ -47,6 +52,17 @@ type Layer interface {
 	replica() Layer
 }
 
+// activations is a batch matrix on its way up a model.
+type activations struct {
+	rows [][]float32
+	// live lists rows' non-zero entries if the layer that wrote them
+	// rectified them; nil means nobody has listed them.
+	live *liveSet
+	// scratch: rows belong to a layer below that will not read them again,
+	// so the receiver may overwrite them.
+	scratch bool
+}
+
 // batchBuf is a batch matrix a layer owns: one backing array, grown when a
 // batch needs more and otherwise reused as it is. Its contents are whatever
 // the last pass left, so a kernel writing into it must store every element.
@@ -55,15 +71,19 @@ type batchBuf struct {
 	backing []float32
 }
 
+// grow returns v with length n: v's own array while that is large enough,
+// contents and all, a new one otherwise.
+func grow[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
+}
+
 // grow returns n row headers and total floats of backing.
 func (b *batchBuf) grow(n, total int) ([][]float32, []float32) {
-	if cap(b.rows) < n {
-		b.rows = make([][]float32, n)
-	}
-	if cap(b.backing) < total {
-		b.backing = make([]float32, total)
-	}
-	return b.rows[:n], b.backing[:total]
+	b.rows, b.backing = grow(b.rows, n), grow(b.backing, total)
+	return b.rows, b.backing
 }
 
 // shape returns the buffer as an n×dim matrix.
@@ -91,11 +111,16 @@ func (b *batchBuf) like(x [][]float32) [][]float32 {
 // Dense is a fully-connected layer: y = xW + b, with W stored row-major
 // (In×Out).
 type Dense struct {
-	In, Out     int
-	w, b        []float32
-	dw, db      []float32
-	workers     int
-	x           [][]float32 // cached input for backward
+	In, Out int
+	w, b    []float32
+	dw, db  []float32
+	workers int
+	// Cached by a training forward for backward, dropped by an eval one: the
+	// input and its live set. That is the set of the rectifier that wrote
+	// the input — ∂L/∂input is then computed for its units only — or own.
+	x           [][]float32
+	live        *liveSet
+	own, every  liveSet // when the input brought no live set: its non-zero entries; every unit
 	out, gradIn batchBuf
 }
 
@@ -125,59 +150,71 @@ func (d *Dense) initialize(rng *xrand.Rand) {
 	}
 }
 
-// Forward implements Layer. The matmul runs register-blocked, on the par
-// pool unless the layer is a replica's (see matmul.go); results are
-// bit-identical at every worker count.
+// Forward implements Layer. The matmul runs register-blocked over the
+// input's live set, on the par pool unless the layer is a replica's (see
+// matmul.go); results are bit-identical at every worker count.
 func (d *Dense) Forward(x [][]float32, train bool) [][]float32 {
+	return d.forward(activations{rows: x}, train).rows
+}
+
+func (d *Dense) forward(x activations, train bool) activations {
 	// Validate before fanning out: a panic must fire on the caller's
 	// goroutine, not inside a pool worker.
-	for _, row := range x {
+	for _, row := range x.rows {
 		if len(row) != d.In {
 			panic(fmt.Sprintf("ml: dense expects %d inputs, got %d", d.In, len(row)))
 		}
 	}
-	if train {
-		d.x = x
+	live := x.live
+	if live == nil {
+		d.own.list(nil, x.rows)
+		live = &d.own
 	}
-	out := d.out.shape(len(x), d.Out)
-	denseForward(out, x, d.w, d.b, d.Out, d.workers)
-	return out
+	// An eval pass overwrites the matrices the cached ones point into.
+	d.x, d.live = nil, nil
+	if train {
+		d.x, d.live = x.rows, live
+	}
+	out := d.out.shape(len(x.rows), d.Out)
+	denseForward(out, x.rows, d.w, d.b, d.Out, d.workers, live)
+	return activations{rows: out, scratch: true}
 }
 
-// Backward implements Layer. Three kernels replace the fused serial
-// loop: ∂L/∂input parallel over samples, ∂L/∂W parallel over weight rows
-// (each owned by exactly one worker so accumulation order is fixed), and
-// the small ∂L/∂b reduction serial.
+// Backward implements Layer with three kernels: ∂L/∂W parallel over weight
+// rows (each owned by exactly one worker so accumulation order is fixed),
+// the small ∂L/∂b reduction serial, and ∂L/∂input parallel over samples.
 func (d *Dense) Backward(gradOut [][]float32) [][]float32 {
-	d.accumulate(gradOut)
-	gradIn := d.gradIn.shape(len(gradOut), d.In)
-	denseBackwardInput(gradIn, gradOut, d.w, d.Out, d.workers)
+	gradIn, _ := d.backward(gradOut, false, true)
 	return gradIn
 }
 
-func (d *Dense) accumulate(gradOut [][]float32) {
+func (d *Dense) backward(gradOut [][]float32, _, wantIn bool) ([][]float32, bool) {
 	if d.x == nil {
 		panic("ml: dense backward before forward(train)")
 	}
-	denseBackwardWeights(d.dw, d.x, gradOut, d.Out, d.workers)
+	d.live.transpose()
+	denseBackwardWeights(d.dw, d.x, gradOut, d.Out, d.workers, d.live)
 	denseBackwardBias(d.db, gradOut)
-}
-
-// keepIf returns v when keep holds and +0 otherwise. The choice is made on
-// v's bits, as integers, so it compiles to a conditional move: a ReLU
-// unit is live about half the time, which a branch cannot predict.
-func keepIf(v float32, keep bool) float32 {
-	bits := math.Float32bits(v)
-	if !keep {
-		bits = 0
+	if !wantIn {
+		return nil, false
 	}
-	return math.Float32frombits(bits)
+	mask := d.live
+	if mask == &d.own { // nobody rectified the input: every unit has a gradient
+		d.every.listAll(len(gradOut), d.In)
+		mask = &d.every
+	}
+	gradIn := d.gradIn.shape(len(gradOut), d.In)
+	denseBackwardInput(gradIn, gradOut, d.w, d.Out, d.workers, mask)
+	return gradIn, mask == d.live
 }
 
-// ReLU is the rectified-linear activation.
+// ReLU is the rectified-linear activation. It lists the units it leaves
+// live as it writes them (matmul.go), so the Dense above never tests an
+// activation and masks ∂L/∂input itself.
 type ReLU struct {
-	y           [][]float32 // cached output for backward: y > 0 exactly where the input was
-	out, gradIn batchBuf
+	live    liveSet
+	trained bool     // live is a training pass's
+	out     batchBuf // used only when the input is not the ReLU's to overwrite
 }
 
 // NewReLU returns a ReLU layer.
@@ -185,39 +222,42 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // ParamCount implements Layer.
 func (r *ReLU) ParamCount() int                     { return 0 }
-func (r *ReLU) accumulate([][]float32)              {}
 func (r *ReLU) bind(params, grads []float32, _ int) {}
 func (r *ReLU) initialize(rng *xrand.Rand)          {}
 func (r *ReLU) replica() Layer                      { return NewReLU() }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x [][]float32, train bool) [][]float32 {
-	out := r.out.like(x)
-	for s, row := range x {
-		y := out[s][:len(row)]
-		for i, v := range row {
-			y[i] = keepIf(v, v > 0)
-		}
-	}
-	if train {
-		r.y = out
-	}
-	return out
+	return r.forward(activations{rows: x}, train).rows
 }
 
-// Backward implements Layer.
+// forward rectifies the layer below's matrix in place; only a caller's own
+// matrix gets a copy.
+func (r *ReLU) forward(x activations, train bool) activations {
+	out := x.rows
+	if !x.scratch {
+		out = r.out.like(x.rows)
+	}
+	r.live.list(out, x.rows)
+	r.trained = train
+	return activations{rows: out, live: &r.live, scratch: true}
+}
+
+// Backward implements Layer: gradOut, with +0 stored where the unit was
+// dead.
 func (r *ReLU) Backward(gradOut [][]float32) [][]float32 {
-	if r.y == nil {
+	gradIn, _ := r.backward(gradOut, false, true)
+	return gradIn
+}
+
+func (r *ReLU) backward(gradOut [][]float32, masked, _ bool) ([][]float32, bool) {
+	if !r.trained {
 		panic("ml: relu backward before forward(train)")
 	}
-	gradIn := r.gradIn.like(gradOut)
-	for s, gy := range gradOut {
-		gx, y := gradIn[s], r.y[s][:len(gy)]
-		for i, g := range gy {
-			gx[i] = keepIf(g, y[i] > 0)
-		}
+	if !masked {
+		r.live.maskRows(gradOut)
 	}
-	return gradIn
+	return gradOut, false
 }
 
 // Model is a feed-forward stack of layers over flat parameter/gradient
@@ -228,6 +268,7 @@ type Model struct {
 	layers []Layer
 	params []float32
 	grads  []float32
+	evals  []*Model // Evaluate's forward-only replicas, kept between calls
 }
 
 // NewModel assembles layers, allocates the flat buffers, and initializes
@@ -268,17 +309,27 @@ func (m *Model) bind(workers int) {
 // and owns its gradient buffer, activation caches and batch matrices. Its
 // kernels run on the calling goroutine: a replica's pass is the unit that
 // is handed to the par pool, and a task on the pool never forks it.
-func (m *Model) Replica() *Model {
-	r := &Model{
-		layers: make([]Layer, len(m.layers)),
-		params: m.params,
-		grads:  make([]float32, len(m.grads)),
-	}
+func (m *Model) Replica() *Model { return m.replica(make([]float32, len(m.params))) }
+
+// replica is Replica over the given gradient buffer.
+func (m *Model) replica(grads []float32) *Model {
+	r := &Model{layers: make([]Layer, len(m.layers)), params: m.params, grads: grads}
 	for i, l := range m.layers {
 		r.layers[i] = l.replica()
 	}
 	r.bind(1)
 	return r
+}
+
+// evalReplicas returns n replicas of m for forward passes only: they never
+// write a gradient, so they are bound to m's buffer instead of one each.
+// They stay on m — which runs one pass at a time, Evaluate's included — so
+// only the first call that needs them builds them and their batch matrices.
+func (m *Model) evalReplicas(n int) []*Model {
+	for len(m.evals) < n {
+		m.evals = append(m.evals, m.replica(m.grads))
+	}
+	return m.evals[:n]
 }
 
 // NewMLP builds Dense+ReLU stacks: sizes[0] inputs, hidden layers, and
@@ -300,21 +351,21 @@ func NewMLP(seed uint64, sizes ...int) *Model {
 // Forward runs the batch through all layers. The returned logits belong
 // to the model and are valid until its next pass.
 func (m *Model) Forward(x [][]float32, train bool) [][]float32 {
+	a := activations{rows: x}
 	for _, l := range m.layers {
-		x = l.Forward(x, train)
+		a = l.forward(a, train)
 	}
-	return x
+	return a.rows
 }
 
 // Backward propagates ∂L/∂logits of the preceding Forward(x, true) through
 // all layers, accumulating parameter gradients. The first layer's ∂L/∂x is
 // not computed: nothing reads the gradient of the data.
 func (m *Model) Backward(gradLogits [][]float32) {
-	g := gradLogits
-	for i := len(m.layers) - 1; i > 0; i-- {
-		g = m.layers[i].Backward(g)
+	g, masked := gradLogits, false
+	for i := len(m.layers) - 1; i >= 0; i-- {
+		g, masked = m.layers[i].backward(g, masked, i > 0)
 	}
-	m.layers[0].accumulate(g)
 }
 
 // ZeroGrad clears the gradient buffer.

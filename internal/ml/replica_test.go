@@ -111,13 +111,7 @@ func refPass(params []float32, sizes []int, x [][]float32, labels []int) passRes
 		y := fresh(len(act), d.out)
 		refDenseForward(y, act, d.w, d.b, d.out)
 		if l < len(layers)-1 {
-			for _, row := range y {
-				for i, v := range row {
-					if !(v > 0) {
-						row[i] = 0
-					}
-				}
-			}
+			y = refReLU(y)
 		}
 		act = y
 	}
@@ -131,13 +125,7 @@ func refPass(params []float32, sizes []int, x [][]float32, labels []int) passRes
 		}
 		gx := fresh(len(g), sizes[l])
 		refDenseBackwardInput(gx, g, d.w, d.out)
-		for s, row := range gx {
-			for i := range row {
-				if !(d.x[s][i] > 0) { // d.x is the ReLU output feeding layer l
-					row[i] = 0
-				}
-			}
-		}
+		refMask(gx, d.x) // d.x is the ReLU output feeding layer l
 		g = gx
 	}
 	return passResult{flatten(act), loss, grads}

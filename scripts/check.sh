@@ -18,7 +18,8 @@
 #                             the BenchmarkShardFabric partitioned-
 #                             engine suite and the compute kernels
 #                             (BenchmarkFWHT at 2^15 and 2^11,
-#                             BenchmarkDenseLayer) and the round's compute
+#                             BenchmarkDenseLayer over a raw and a
+#                             rectified input) and the round's compute
 #                             half (BenchmarkTrainCompute: one model vs
 #                             replicas) and the receive path's
 #                             (BenchmarkBits: pack/unpack at widths 1, 8,
@@ -83,7 +84,7 @@ if [[ $mode == bench ]]; then
   bench '^BenchmarkFabric' .
   step "go test -race -bench Shard (partitioned engine, cross-shard mailboxes)"
   bench 'Shard' .
-  step "go test -race -bench FWHT, DenseLayer, TrainCompute (compute kernels, serial and pooled; a round's passes on one model and on replicas)"
+  step "go test -race -bench FWHT, DenseLayer, TrainCompute (compute kernels, serial and pooled, raw and rectified input; a round's passes on one model and on replicas)"
   bench '^BenchmarkFWHT' .
   bench '^BenchmarkDenseLayer' ./internal/ml
   bench '^BenchmarkTrainCompute' .
@@ -183,6 +184,8 @@ trap 'rm -f "$metrics_tmp"' EXIT
 go run ./cmd/trimbench -exp fig5 -quick -metrics "$metrics_tmp" > /dev/null
 go run ./tools/metricsval "$metrics_tmp"
 
+# The tree's one wall-clock assertion: it runs only when -run names the test,
+# so the plain `go test ./...` above asserts deterministic facts only.
 step "obs overhead guard (encode hot path, Nop vs live registry)"
 selects Test 'TestObsOverheadGuard' .
 go test -run 'TestObsOverheadGuard' -count=1 .
