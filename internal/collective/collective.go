@@ -162,6 +162,9 @@ func (w *Worker) handlePayload(src netsim.NodeID, payload []byte) {
 		w.AggStats.RejectedPackets++
 		return
 	}
+	if w.onComplete == nil {
+		return // no operation in progress (the last one failed): see abandon
+	}
 	if sd := w.sums[h.Message]; sd != nil {
 		//trimlint:allow swallowed-error rejections are counted in the sum decoder's Stats; like the per-sender path, they simply don't contribute
 		_ = sd.Handle(payload)
@@ -192,13 +195,17 @@ func (w *Worker) handlePayload(src netsim.NodeID, payload []byte) {
 	}
 }
 
-// reconstruct decodes a completed message from src and drops its state.
+// reconstruct decodes a completed message from src and drops its state,
+// whether or not the decode succeeds: a decoder holds references to the
+// payloads it admitted, so one left in the map pins a whole message.
 func (w *Worker) reconstruct(src netsim.NodeID, msg uint32, n int) ([]float32, error) {
 	key := decKey{src, msg}
 	dec := w.decs[key]
 	if dec == nil {
 		return nil, fmt.Errorf("collective: no packets from %d for message %d", src, msg)
 	}
+	delete(w.decs, key)
+	defer dec.Release()
 	// Parallel reconstruction is bit-identical to serial (values, Stats,
 	// and obs counters alike), so the collective's determinism contract —
 	// same seed, same bytes — is preserved while rows decode on all cores.
@@ -207,8 +214,6 @@ func (w *Worker) reconstruct(src netsim.NodeID, msg uint32, n int) ([]float32, e
 		return nil, err
 	}
 	w.AggStats.Accumulate(stats)
-	delete(w.decs, key)
-	dec.Release()
 	return out, nil
 }
 
@@ -226,20 +231,31 @@ func (w *Worker) registerSum(msg uint32, nFlows int) error {
 
 // reconstructSum finishes a registered summing decoder: it returns the
 // coordinate-wise SUM of the contributing gradients (the caller divides)
-// and drops the decoder's state.
+// and drops the decoder's state, as reconstruct does.
 func (w *Worker) reconstructSum(msg uint32, n int) ([]float32, error) {
 	sd := w.sums[msg]
 	if sd == nil {
 		return nil, fmt.Errorf("collective: no sum decoder for message %d", msg)
 	}
+	delete(w.sums, msg)
+	defer sd.Release()
 	out, stats, err := sd.Reconstruct(n)
 	if err != nil {
 		return nil, err
 	}
 	w.AggStats.Accumulate(stats)
-	delete(w.sums, msg)
-	sd.Release()
 	return out, nil
+}
+
+// abandon ends the worker's part in an operation that failed: its decoders
+// are dropped, and with them their references to the payloads they admitted,
+// and payloads that still arrive for the operation are ignored — no decoder
+// is made for them — until the next operation installs its completion hook.
+// Each operation's fail calls it, once.
+func (w *Worker) abandon() {
+	clear(w.decs)
+	clear(w.sums)
+	w.onComplete = nil
 }
 
 // armDeadline schedules the worker's per-operation deadline check: if

@@ -40,6 +40,7 @@ func AllReduceDirect(epoch uint64, baseMsg uint32, workers []*Worker,
 				return
 			}
 			failed = true
+			w.abandon()
 			if onError != nil {
 				onError(i, err)
 			}
@@ -108,6 +109,7 @@ func AllGather(epoch uint64, baseMsg uint32, workers []*Worker,
 				return
 			}
 			failed = true
+			w.abandon()
 			if onError != nil {
 				onError(i, err)
 			}
@@ -174,6 +176,7 @@ func Broadcast(epoch uint64, msg uint32, workers []*Worker, root int,
 				return
 			}
 			failed = true
+			w.abandon()
 			if onError != nil {
 				onError(i, err)
 			}

@@ -63,6 +63,7 @@ func AllReduceHierarchical(epoch uint64, baseMsg uint32, workers []*Worker,
 					return
 				}
 				failed = true
+				w.abandon()
 				if onError != nil {
 					onError(i, err)
 				}
@@ -152,6 +153,7 @@ func (st *hierLeader) fail(err error) {
 		return
 	}
 	st.failed = true
+	st.w.abandon()
 	if st.onError != nil {
 		st.onError(st.rank, err)
 	}

@@ -56,6 +56,7 @@ func AllReduceParamServer(epoch uint64, baseMsg uint32, workers []*Worker,
 			return
 		}
 		srvFailed = true
+		server.abandon()
 		if onError != nil {
 			onError(0, err)
 		}
@@ -102,6 +103,7 @@ func AllReduceParamServer(epoch uint64, baseMsg uint32, workers []*Worker,
 				return
 			}
 			failed = true
+			w.abandon()
 			if onError != nil {
 				onError(i, err)
 			}

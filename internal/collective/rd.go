@@ -170,6 +170,7 @@ func (st *rdState) fail(err error) {
 		return
 	}
 	st.failed = true
+	st.w.abandon()
 	if st.onError != nil {
 		st.onError(st.rank, err)
 	}

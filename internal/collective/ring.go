@@ -139,6 +139,7 @@ func (rs *ringState) fail(err error) {
 		return
 	}
 	rs.failed = true
+	rs.w.abandon()
 	if rs.onError != nil {
 		rs.onError(rs.rank, err)
 	}

@@ -4,8 +4,9 @@
 // trimmable quantization scheme from package quant, and packetizes it with
 // package wire so that any switch along the path can compress the gradient
 // just by trimming packets. On the receive side it decodes any mix of
-// full, trimmed, and missing packets into the (approximate) gradient, one
-// packet at a time as they arrive.
+// full, trimmed, and missing packets into the (approximate) gradient: packets
+// are admitted one at a time as they arrive and decoded a row at a time, on
+// all cores, when the gradient is asked for.
 //
 // The package also provides the congestion injectors used throughout the
 // evaluation (probabilistic trimming/dropping, mirroring the paper's
@@ -251,10 +252,22 @@ func (o *decObs) flush(cur Stats) {
 	o.emitted = cur
 }
 
-// Decoder decodes one message's packet stream as it arrives: every accepted
-// data packet is bit-unpacked into packet-sized scratch and decoded straight
-// into its row's native-domain accumulator, so nothing is reassembled and
-// Reconstruct is a copy plus quant.FinalizeNative per row.
+// arrived counts one accepted data packet or aggregate, standing for inputs
+// original sender packets, in s.
+func (o *decObs) arrived(s *Stats, pkt []byte, inputs int, trimmed bool) {
+	s.Packets += inputs
+	s.BytesReceived += len(pkt)
+	o.packetBytes.Observe(int64(len(pkt)))
+	if trimmed {
+		s.TrimmedPackets += inputs
+	}
+}
+
+// Decoder decodes one message's packet stream. Handle makes every accept or
+// reject decision about a packet as it arrives — from its header and
+// checksums, no bit unpacked — and parks a reference to each data packet that
+// brings news in its row's arrival log; DecodeParallel replays the logs, a
+// row per pool index, straight into the output. Nothing is reassembled.
 // A Decoder instance handles a single message; create one per message.
 type Decoder struct {
 	geom  geometry
@@ -262,38 +275,23 @@ type Decoder struct {
 	rows  rowTable[decRow]
 	stats Stats
 	obs   decObs
-	// Per-packet scratch, reused so a data packet is ingested without
-	// allocating: dp receives the unpacked heads and tails, vals the decode
-	// of a packet that overlaps what its row already holds.
-	dp   wire.DataPacket
-	vals []float32
 }
 
-// decRow is one row of a Decoder's message. Two presence bitsets say which
-// coordinates' heads, and which coordinates' tails, have arrived: they are
-// what makes duplicate and overlapping deliveries idempotent (a trimmed
-// copy never overwrites the full-precision value an earlier copy stored;
-// a full copy upgrades a trimmed one) and what the coordinate-level Stats
-// are counted from.
+// decRow is one row of a Decoder's message.
 type decRow struct {
 	nativeRow // n == 0 until the metadata arrives
-	// dec decodes the row's packets; the metadata's scale fixes it.
-	dec          *quant.NativeDecoder
-	heads, tails bitset
-	filled       int // coordinates whose head has arrived
-	tailed       int // coordinates whose tail has arrived too
+	// dec decodes the row's packets at replay; the metadata's scale fixes it.
+	dec *quant.NativeDecoder
+	// seen is what has arrived so far, filled and tailed its head and tail
+	// counts: admission's copy of what each replay rebuilds as it goes.
+	seen           presence
+	filled, tailed int
 	// pending buffers data packets that arrive before the row's metadata
-	// (reordering on the wire); they replay once the meta lands.
-	pending [][]byte
+	// (reordering on the wire); they are admitted once the meta lands.
+	pending []early
 }
 
 func newDecRow() *decRow { return new(decRow) }
-
-// maxPendingPerRow bounds how many early data packets one row buffers
-// while its metadata is in flight. Past the bound, further early arrivals
-// are rejected — a sender cannot exhaust receiver memory by withholding
-// metadata.
-const maxPendingPerRow = 256
 
 // NewDecoderWith builds a decoder for message msgID from options. The
 // configuration must match the sender's.
@@ -316,6 +314,11 @@ func NewDecoderWith(msgID uint32, opts ...Option) (*Decoder, error) {
 // Handle ingests one arrived packet (metadata or data, in any order).
 // Packets belonging to other messages are rejected; every rejection is
 // counted in Stats.RejectedPackets so silent corruption stays visible.
+//
+// An accepted data packet is referenced, not copied: pkt must stay
+// unmodified until Release (or until the decoder is dropped) — the
+// "immutable after Host.Send" rule, extended to the receiver. Several
+// decoders may hold the same bytes.
 func (d *Decoder) Handle(pkt []byte) error {
 	if err := d.handle(pkt); err != nil {
 		d.stats.RejectedPackets++
@@ -339,30 +342,29 @@ func (d *Decoder) handle(pkt []byte) error {
 		}
 		return d.addMeta(m)
 	}
+	// A corrupt packet is rejected on arrival, never parked.
+	_, tailCount, err := wire.CheckDataPacket(pkt)
+	if err != nil {
+		return err
+	}
 	row := d.rows.at(h.Row)
 	if row == nil || row.n == 0 {
-		// Reordered arrival: verify the packet now (a corrupt one is
-		// rejected on arrival, never parked) and buffer it until its
-		// metadata lands; it is unpacked once, at replay.
-		if _, _, err := wire.CheckDataPacket(pkt); err != nil {
-			return err
-		}
+		// Reordered arrival: hold the packet until its metadata lands.
 		if row, err = d.rows.ensure(h.Row, newDecRow); err != nil {
 			return err
 		}
 		if len(row.pending) >= maxPendingPerRow {
 			return fmt.Errorf("core: row %d pending buffer full", h.Row)
 		}
-		row.pending = append(row.pending, pkt)
+		row.pending = append(row.pending, early{pkt, h, tailCount})
 		return nil
 	}
-	return d.addData(row, pkt)
+	return d.addData(row, pkt, &h, tailCount)
 }
 
-// addMeta admits a row's metadata, sets the row up to ingest — accumulator,
-// presence bitsets, the native decoder its scale fixes — and replays the
-// data packets that outran it. A duplicate delivery of the reliable channel
-// is benign.
+// addMeta admits a row's metadata, sets the row up to ingest — arrival log,
+// presence, the native decoder its scale fixes — and admits the data packets
+// that outran it. A duplicate delivery of the reliable channel is benign.
 func (d *Decoder) addMeta(m *wire.MetaPacket) error {
 	if err := d.geom.admitMeta(m); err != nil {
 		return err
@@ -378,107 +380,51 @@ func (d *Decoder) addMeta(m *wire.MetaPacket) error {
 	if err != nil {
 		return err
 	}
-	row.init(m.Seed, int(m.N))
-	words := (row.n + 63) / 64
-	sets := make(bitset, 2*words)
-	row.heads, row.tails = sets[:words], sets[words:]
+	row.init(m.Seed, int(m.N), d.geom.packets(int(m.N)), 0)
+	row.seen = newPresence(row.n)
 
 	pending := row.pending
 	row.pending = nil
-	for _, pkt := range pending {
+	for _, e := range pending {
 		// A packet that fails validation against the meta counts as
 		// rejected, exactly as if it had arrived late.
-		if err := d.addData(row, pkt); err != nil {
+		if err := d.addData(row, e.pkt, &e.h, e.tailCount); err != nil {
 			d.stats.RejectedPackets++
 		}
 	}
 	return nil
 }
 
-// addData verifies pkt, unpacks it into the decoder's scratch and decodes
-// it into its slice of the row.
-func (d *Decoder) addData(row *decRow, pkt []byte) error {
-	dp := &d.dp
-	if err := dp.Unpack(pkt); err != nil {
+// addData admits a checked data packet against the configuration and its
+// row, counts it, and parks it if it is news.
+func (d *Decoder) addData(row *decRow, pkt []byte, h *wire.Header, tailCount int) error {
+	if err := d.geom.admitData(h); err != nil {
 		return err
 	}
-	if err := d.geom.admitData(&dp.Header); err != nil {
+	if err := row.admit(h); err != nil {
 		return err
 	}
-	dst, err := row.admit(&dp.Header)
-	if err != nil {
-		return err
-	}
-	if err := d.store(row, dst, dp); err != nil {
-		return err
-	}
-	d.stats.Packets++
-	d.stats.BytesReceived += len(pkt)
-	d.obs.packetBytes.Observe(int64(len(pkt)))
-	if dp.Trimmed() {
-		d.stats.TrimmedPackets++
-	}
-	return nil
-}
-
-// store decodes an admitted packet into dst, its slice of row's
-// accumulator. A first contribution is stored, not added to the zero it
-// finds, so a −0 coordinate survives.
-func (d *Decoder) store(row *decRow, dst []float32, dp *wire.DataPacket) error {
-	start, count, tailCount := int(dp.Start), len(dst), dp.TailCount
-	if !row.heads.anyIn(start, start+count) {
-		// Nothing of this range has arrived before — all but duplicate
-		// deliveries: decode in place.
-		if err := row.dec.PacketValues(dst, start, dp.Heads, dp.Tails, tailCount); err != nil {
+	// Presence is recorded only while the log has room: news that cannot be
+	// parked is rejected whole, and a duplicate is benign even then.
+	heads, tails := row.seen.arrive(int(h.Start), int(h.Count), tailCount, len(row.log) < row.limit, nil, nil)
+	if heads+tails > 0 {
+		fresh := heads == int(h.Count)
+		if err := row.park(parked{pkt: pkt, start: h.Start, count: h.Count,
+			tailCount: uint16(tailCount), fresh: fresh}); err != nil {
 			return err
 		}
-		row.heads.setRange(start, start+count)
-		row.tails.setRange(start, start+tailCount)
-		row.filled += count
-		row.tailed += tailCount
-		return nil
+		row.filled += heads
+		row.tailed += tails
+		row.overlaps = row.overlaps || !fresh
 	}
-	// A duplicate or overlapping delivery: decode aside and keep, per
-	// coordinate, only what is news — a tail where there was none, a head
-	// where there was nothing.
-	if cap(d.vals) < count {
-		d.vals = make([]float32, count)
-	}
-	vals := d.vals[:count]
-	if err := row.dec.PacketValues(vals, start, dp.Heads, dp.Tails, tailCount); err != nil {
-		return err
-	}
-	for i, v := range vals {
-		c, full := start+i, i < tailCount
-		hadHead := row.heads.has(c)
-		if hadHead && (!full || row.tails.has(c)) {
-			continue
-		}
-		dst[i] = v
-		if !hadHead {
-			row.heads.set(c)
-			row.filled++
-		}
-		if full {
-			row.tails.set(c)
-			row.tailed++
-		}
-	}
+	d.obs.arrived(&d.stats, pkt, 1, h.Trimmed())
 	return nil
 }
 
-// Release hands the rows' accumulators back to the scratch pool they were
-// drawn from and empties the decoder, for a caller that is done with it
-// (Stats stay readable). It is optional, like every par Put: a decoder
-// that is simply dropped leaves its rows to the GC.
-func (d *Decoder) Release() {
-	for _, row := range d.rows {
-		if row != nil {
-			row.release()
-		}
-	}
-	d.rows = nil
-}
+// Release drops the arrival logs — the decoder's references to the packets
+// it was handed — and empties the decoder, for a caller that is done with
+// it (Stats stay readable).
+func (d *Decoder) Release() { d.rows = nil }
 
 // Reconstruct decodes the gradient from whatever packets arrived. n is the
 // original gradient length (known to the training framework, which sized

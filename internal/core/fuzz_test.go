@@ -24,6 +24,9 @@ func FuzzDecoderHandle(f *testing.F) {
 		rowSize = 1 << 9
 		nRows   = 3
 		msgID   = 5
+		// nFlowPackets is what one flow emits for a full row: no row's log may
+		// exceed twice that (and, a SumDecoder's, maxPendingPerRow more).
+		nFlowPackets = 2
 	)
 	cfg := Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: rowSize, Flow: 7}
 	enc, err := NewEncoderWith(WithConfig(cfg))
@@ -105,19 +108,28 @@ func FuzzDecoderHandle(f *testing.F) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		// Two row tables (≤ 512 KB each), a few KB a packet for parsed
-		// aggregates and parked packets, and per row seen its accumulator,
-		// bitsets and decoders: nothing a header field can inflate.
+		// Two row tables (≤ 512 KB each), a few KB a packet for rejections
+		// and parked packets, and per row seen its arrival log, bitsets and
+		// decoders: nothing a header field can inflate.
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(2<<20+len(fed)<<14+len(rowsSeen)*16*rowSize); grew > bound {
 			t.Fatalf("handling %d packets over %d rows allocated %d bytes, bound %d", len(fed), len(rowsSeen), grew, bound)
 		}
 
 		// Every packet fed is accounted for exactly once: accepted metadata,
-		// an accepted data packet, a rejection, or parked awaiting metadata.
-		parked := [2]int{}
+		// an accepted data packet — in its row's arrival log or, to a Decoder,
+		// no news — a rejection, or parked awaiting metadata. No log outgrows
+		// its row's bound.
+		parked, logged := [2]int{}, [2]int{}
+		bounded := func(row *nativeRow) int {
+			if len(row.log) > row.limit || len(row.log) > 2*nFlowPackets+maxPendingPerRow {
+				t.Fatalf("a row's log holds %d packets, its limit is %d", len(row.log), row.limit)
+			}
+			return len(row.log)
+		}
 		for _, row := range dec.rows {
 			if row != nil {
 				parked[0] += len(row.pending)
+				logged[0] += bounded(&row.nativeRow)
 			}
 		}
 		for _, row := range sum.rows {
@@ -125,9 +137,14 @@ func FuzzDecoderHandle(f *testing.F) {
 				for _, pkts := range row.pending {
 					parked[1] += len(pkts)
 				}
+				logged[1] += bounded(&row.nativeRow)
 			}
 		}
 		ds, ss := dec.Stats(), sum.Stats()
+		if logged[0] > ds.Packets || logged[1] != ss.Packets-aggExtra {
+			t.Fatalf("logs hold %d and %d packets; the Decoder accepted %d (some no news), the SumDecoder %d (all of them news)",
+				logged[0], logged[1], ds.Packets, ss.Packets-aggExtra)
+		}
 		if got := metas[0] + ds.Packets + ds.RejectedPackets + parked[0]; got != len(fed) {
 			t.Fatalf("Decoder accounts for %d of %d packets (%d metas, %d parked, %+v)", got, len(fed), metas[0], parked[0], ds)
 		}

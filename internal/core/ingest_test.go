@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"trimgrad/internal/obs"
 	"trimgrad/internal/quant"
@@ -12,12 +13,13 @@ import (
 	"trimgrad/internal/xrand"
 )
 
-// The decoders ingest a packet by decoding it straight into its row's
-// native-domain accumulator. What that replaced — reassemble the row's bits
-// with wire.RowAssembler, then decode the whole row with Codec.DecodeInto —
-// stays as the public row-level API, and here as the reference the
-// accumulating path is pinned against bit for bit: gradient, every Stats
-// field, every per-packet verdict and the obs export.
+// The decoders admit and park a packet as it arrives and decode it, with its
+// row's others, straight into the output when the gradient is asked for.
+// What that replaced — reassemble the row's bits with wire.RowAssembler, then
+// decode the whole row with Codec.DecodeInto — stays as the public row-level
+// API, and here as the reference the replaying path is pinned against bit for
+// bit: gradient, every Stats field, every per-packet verdict and the obs
+// export.
 
 // refDecoder is the reassembling Decoder: ParseDataPacket + RowAssembler
 // .AddData per packet, Codec.DecodeInto per row.
@@ -452,11 +454,23 @@ func refNativeRow(t *testing.T, asm *wire.RowAssembler) []float32 {
 // TestSumDecoderMatchesSummedReferences: a SumDecoder over three flows
 // against three separate reassembling decodes whose native-domain rows are
 // added, per coordinate, in the order the flows' packets arrived, and
-// finalized once — gradient bits and every Stats field. Each flow loses and
-// has trimmed a different third of its packets; no packet comes twice (a
-// sum counts what it is sent).
+// finalized once — gradient bits and every Stats field, at every worker
+// count. Each flow loses and has trimmed a different third of its packets;
+// no packet comes twice (a sum counts what it is sent). A float32 sum is
+// its order, so a SumDecoder has to preserve the arrival order its replay
+// parallelises: the last order interleaves the flows packet by packet,
+// stands switch-built aggregates of two and three inputs in for the packets
+// they fold, and lets one flow's metadata land after its data. There the
+// reference is serialSum, the arrival order spelled out, itself pinned to
+// the flow-by-flow reference on the orders that have one.
 func TestSumDecoderMatchesSummedReferences(t *testing.T) {
 	const nFlows = 3
+	var folded [4]int // aggregates the last order built, by input count
+	defer func() {
+		if folded[2] == 0 || folded[3] == 0 {
+			t.Errorf("the aggregated orders folded %d pairs and %d triples: both kinds must occur", folded[2], folded[3])
+		}
+	}()
 	for _, p := range ingestSchemes {
 		for _, tb := range ingestTailBits {
 			p.TailBits = tb
@@ -482,7 +496,7 @@ func TestSumDecoderMatchesSummedReferences(t *testing.T) {
 
 			// One flow's native rows, finalized, are that flow's Codec decode:
 			// the reference the sums below are built from is itself pinned.
-			want := Stats{TotalCoords: nFlows * nRows * ingestRowSize}
+			wantByFlow := Stats{TotalCoords: nFlows * nRows * ingestRowSize}
 			native := make([][][]float32, nFlows) // flow, row
 			for f, ref := range refs {
 				decoded, st, err := ref.Reconstruct(n)
@@ -500,12 +514,12 @@ func TestSumDecoderMatchesSummedReferences(t *testing.T) {
 					}
 				}
 				requireSameBits(t, fmt.Sprintf("%v q=%d flow %d: finalized native rows vs Codec", p.Scheme, tb, f), own[:n], decoded)
-				want.Packets += st.Packets
-				want.TrimmedPackets += st.TrimmedPackets
-				want.BytesReceived += st.BytesReceived
-				want.ExpectedPackets += st.ExpectedPackets
-				want.TrimmedCoords += st.TrimmedCoords
-				want.DroppedCoords += nRows*ingestRowSize - (st.TotalCoords - st.DroppedCoords)
+				wantByFlow.Packets += st.Packets
+				wantByFlow.TrimmedPackets += st.TrimmedPackets
+				wantByFlow.BytesReceived += st.BytesReceived
+				wantByFlow.ExpectedPackets += st.ExpectedPackets
+				wantByFlow.TrimmedCoords += st.TrimmedCoords
+				wantByFlow.DroppedCoords += nRows*ingestRowSize - (st.TotalCoords - st.DroppedCoords)
 			}
 
 			// Each order delivers every flow's packets so that, coordinate by
@@ -535,15 +549,22 @@ func TestSumDecoderMatchesSummedReferences(t *testing.T) {
 			for _, order := range []struct {
 				name  string
 				pkts  [][]byte
-				flows [nFlows]int
+				flows []int // nil: no flow-by-flow reference, serialSum is it
 			}{
-				{"flow by flow", flowMajor, [nFlows]int{0, 1, 2}},
-				{"packet by packet", packetMajor, [nFlows]int{0, 1, 2}},
-				{"meta last, flows reversed", metaLast, [nFlows]int{2, 1, 0}},
+				{"flow by flow", flowMajor, []int{0, 1, 2}},
+				{"packet by packet", packetMajor, []int{0, 1, 2}},
+				{"meta last, flows reversed", metaLast, []int{2, 1, 0}},
+				{"aggregates between interleaved flows, one meta late", aggregatedOrder(t, p.Scheme, metas, data, &folded), nil},
 			} {
 				label := fmt.Sprintf("%v q=%d %s", p.Scheme, tb, order.name)
-				wantSum := make([]float32, nRows*ingestRowSize)
-				for r := 0; r < nRows; r++ {
+				// With a flow order, the reference is the flows' rows added in
+				// it; without one, the arrival order spelled out.
+				serial, serialStats := serialSum(t, cfg, nFlows, n, order.pkts)
+				want, wantSum := serialStats, serial
+				if order.flows != nil {
+					want, wantSum = wantByFlow, make([]float32, nRows*ingestRowSize)
+				}
+				for r := 0; r < nRows && order.flows != nil; r++ {
 					acc := wantSum[r*ingestRowSize:][:len(native[0][r])]
 					for _, f := range order.flows {
 						_, headAvail, _, err := refs[f].rows[uint32(r)].Assemble()
@@ -569,32 +590,210 @@ func TestSumDecoderMatchesSummedReferences(t *testing.T) {
 						t.Fatalf("%s: packet %d: %v", label, i, err)
 					}
 				}
-				got, gotStats, err := sd.Reconstruct(n)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+				requireSameBits(t, label+": serialSum", canonNaNs(serial), canonNaNs(wantSum[:n]))
+				if serialStats != want {
+					t.Fatalf("%s: serialSum stats\n got %+v\nwant %+v", label, serialStats, want)
 				}
-				requireSameBits(t, label, canonNaNs(got), canonNaNs(wantSum[:n]))
-				if gotStats != want {
-					t.Fatalf("%s: stats\n got %+v\nwant %+v", label, gotStats, want)
+				for _, workers := range replayWorkers {
+					got, gotStats, err := sd.reconstruct(n, workers)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", label, workers, err)
+					}
+					requireSameBits(t, fmt.Sprintf("%s workers=%d", label, workers), canonNaNs(got), canonNaNs(wantSum[:n]))
+					if gotStats != want {
+						t.Fatalf("%s workers=%d: stats\n got %+v\nwant %+v", label, workers, gotStats, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// BenchmarkDecoderIngest times the receive path up to Reconstruct: one
-// decoder per iteration takes a 2^13-coordinate row's metadata and its 24
-// data packets, all of them full or all of them head-trimmed, and is
-// released. rht has the cheapest trimmed decode (a table lookup), sd the
-// dearest (a dither draw per trimmed coordinate).
+// aggregatedOrder delivers three flows the way an aggregating fabric might.
+// Flows 0 and 1 send their metadata first; flow 2's lands after most of its
+// data. Flow 0's packets then arrive one by one, each followed by one of flow
+// 2's (parked until that metadata); where flow 1 — and, every other time,
+// flow 2 — has a packet with the same key, a switch-built aggregate of the
+// two or three stands in for them (counted in folded, by inputs). What was
+// not folded follows.
+func aggregatedOrder(t *testing.T, scheme quant.Scheme, metas, data [3][][]byte, folded *[4]int) [][]byte {
+	t.Helper()
+	scaleOf := func(flow, _, row uint32) (wire.MetaInfo, bool) {
+		m, err := wire.ParseMetaPacket(metas[flow][row])
+		return wire.MetaInfo{Scheme: scheme, Scale: m.Scale}, err == nil
+	}
+	type key struct{ row, start uint32 }
+	keyOf := func(pkt []byte) key {
+		h, err := wire.ParseHeader(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key{h.Row, h.Start}
+	}
+	byKey := [3]map[key][]byte{}
+	for f := range data {
+		byKey[f] = map[key][]byte{}
+		for _, pkt := range data[f] {
+			byKey[f][keyOf(pkt)] = pkt
+		}
+	}
+	merge := func(a, b []byte) []byte {
+		agg, err := wire.MergeTrimmable(a, b, scaleOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg
+	}
+	out := append(append([][]byte{}, metas[0]...), metas[1]...)
+	threeWay, next2 := false, 0
+	emit2 := func() { // flow 2's next packet that no aggregate has folded
+		for ; next2 < len(data[2]); next2++ {
+			if k := keyOf(data[2][next2]); byKey[2][k] != nil {
+				out = append(out, data[2][next2])
+				delete(byKey[2], k)
+				next2++
+				return
+			}
+		}
+	}
+	for i, pkt := range data[0] {
+		k := keyOf(pkt)
+		if other := byKey[1][k]; other != nil {
+			inputs := 2
+			pkt = merge(pkt, other)
+			delete(byKey[1], k)
+			if third := byKey[2][k]; third != nil && threeWay {
+				inputs, pkt = 3, merge(pkt, third)
+				delete(byKey[2], k)
+			}
+			threeWay = !threeWay
+			folded[inputs]++
+		}
+		out = append(out, pkt)
+		if emit2(); i == len(data[0])*2/3 {
+			out = append(out, metas[2]...)
+		}
+	}
+	for _, pkt := range data[1] {
+		if byKey[1][keyOf(pkt)] != nil {
+			out = append(out, pkt)
+		}
+	}
+	for next2 < len(data[2]) {
+		emit2()
+	}
+	return out
+}
+
+// serialSum is the arrival order a SumDecoder preserves, spelled out on one
+// goroutine: every packet is decoded and added to its row, coordinate by
+// coordinate, as it is admitted — a flow's early data when its metadata
+// lands, an aggregate's survivor prefix from T and the rest from S — and the
+// rows are finalized once. It returns the sum and the Stats.
+func serialSum(t *testing.T, cfg Config, nFlows, n int, pkts [][]byte) ([]float32, Stats) {
+	t.Helper()
+	type flowKey struct{ row, flow uint32 }
+	p, q := cfg.Params.Widths()
+	nRows := (n + cfg.RowSize - 1) / cfg.RowSize
+	acc := make([]float32, nRows*cfg.RowSize)
+	rowLen := make([]int, nRows)
+	scales := map[flowKey]*wire.MetaPacket{}
+	early := map[flowKey][][]byte{}
+	var st Stats
+	heads, tails := 0, 0
+	add := func(pkt []byte) {
+		dp, err := wire.ParseDataPacket(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := scales[flowKey{dp.Row, dp.Flow}]
+		nd, err := quant.NewNativeDecoder(cfg.Params.Scheme, p, q, m.Scale, m.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float32, dp.Count)
+		if err := nd.PacketValues(vals, int(dp.Start), dp.Heads, dp.Tails, dp.TailCount); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vals {
+			acc[int(dp.Row)*cfg.RowSize+int(dp.Start)+i] += v
+		}
+		st.Packets++
+		st.BytesReceived += len(pkt)
+		if dp.Trimmed() {
+			st.TrimmedPackets++
+		}
+		heads, tails = heads+len(vals), tails+dp.TailCount
+	}
+	for _, pkt := range pkts {
+		h, err := wire.ParseHeader(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := flowKey{h.Row, h.Flow}
+		switch {
+		case h.IsMeta():
+			m, err := wire.ParseMetaPacket(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scales[k], rowLen[h.Row] = m, int(m.N)
+			for _, e := range early[k] {
+				add(e)
+			}
+			delete(early, k)
+		case h.IsAgg():
+			ap, err := wire.ParseAggPacket(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ap.Sums {
+				v := ap.Sums[i]
+				if i < ap.TailCount {
+					v = ap.TailSums[i]
+				}
+				acc[int(h.Row)*cfg.RowSize+int(h.Start)+i] += v
+			}
+			st.Packets += ap.Inputs()
+			st.BytesReceived += len(pkt)
+			if ap.Trimmed() {
+				st.TrimmedPackets += ap.Inputs()
+			}
+			heads, tails = heads+ap.Inputs()*len(ap.Sums), tails+ap.Inputs()*ap.TailCount
+		case scales[k] == nil:
+			early[k] = append(early[k], pkt)
+		default:
+			add(pkt)
+		}
+	}
+	perPacket := wire.CoordsPerPacket(p, q)
+	for r, rn := range rowLen {
+		if err := quant.FinalizeNative(cfg.Params.Scheme, RowSeed(ingestEpoch, ingestMsg, uint32(r)), acc[r*cfg.RowSize:][:rn]); err != nil {
+			t.Fatal(err)
+		}
+		st.ExpectedPackets += nFlows * ((rn + perPacket - 1) / perPacket)
+	}
+	st.TotalCoords = nFlows * len(acc)
+	st.TrimmedCoords, st.DroppedCoords = heads-tails, st.TotalCoords-heads
+	return acc[:n], st
+}
+
+// BenchmarkDecoderIngest times the receive path in its two halves: one
+// decoder per iteration is handed an eight-row message (2^13-coordinate
+// rows, 24 data packets each, all of them full or all of them head-trimmed)
+// — handle_ns/pkt, the serial admission — and then decodes it on one worker
+// and on all cores — reconstruct_ns/pkt, the row replay — and is released.
+// rht has the cheapest trimmed decode (a table lookup), sd the dearest (a
+// dither draw per trimmed coordinate).
 func BenchmarkDecoderIngest(b *testing.B) {
+	const nRows = 8
 	for _, scheme := range []quant.Scheme{quant.RHT, quant.SD} {
 		cfg := Config{Params: quant.Params{Scheme: scheme}, RowSize: 1 << 13}
 		enc, err := NewEncoderWith(WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
-		msg, err := enc.Encode(1, 1, gaussianGrad(95, cfg.RowSize))
+		msg, err := enc.Encode(1, 1, gaussianGrad(95, nRows*cfg.RowSize))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -606,25 +805,36 @@ func BenchmarkDecoderIngest(b *testing.B) {
 			name string
 			data [][]byte
 		}{{"full", msg.Data}, {"trimmed", trimmed}} {
-			b.Run(scheme.String()+"/"+arm.name, func(b *testing.B) {
-				b.SetBytes(int64(cfg.RowSize) * 4)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					dec, err := NewDecoderWith(1, WithConfig(cfg))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := dec.Handle(msg.Meta[0]); err != nil {
-						b.Fatal(err)
-					}
-					for _, pkt := range arm.data {
-						if err := dec.Handle(pkt); err != nil {
+			for _, workers := range []int{1, 0} {
+				b.Run(fmt.Sprintf("%v/%s/workers=%d", scheme, arm.name, workers), func(b *testing.B) {
+					b.SetBytes(int64(msg.N) * 4)
+					b.ReportAllocs()
+					var handle, reconstruct time.Duration
+					for i := 0; i < b.N; i++ {
+						dec, err := NewDecoderWith(1, WithConfig(cfg))
+						if err != nil {
 							b.Fatal(err)
 						}
+						t0 := time.Now()
+						for _, pkts := range [][][]byte{msg.Meta, arm.data} {
+							for _, pkt := range pkts {
+								if err := dec.Handle(pkt); err != nil {
+									b.Fatal(err)
+								}
+							}
+						}
+						t1 := time.Now()
+						if _, _, err := dec.DecodeParallel(msg.N, workers); err != nil {
+							b.Fatal(err)
+						}
+						handle, reconstruct = handle+t1.Sub(t0), reconstruct+time.Since(t1)
+						dec.Release()
 					}
-					dec.Release()
-				}
-			})
+					perPkt := float64(b.N * len(arm.data))
+					b.ReportMetric(float64(handle.Nanoseconds())/perPkt, "handle_ns/pkt")
+					b.ReportMetric(float64(reconstruct.Nanoseconds())/perPkt, "reconstruct_ns/pkt")
+				})
+			}
 		}
 	}
 }

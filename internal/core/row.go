@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
-	"trimgrad/internal/par"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/wire"
 )
@@ -59,49 +59,73 @@ func (g geometry) admitData(h *wire.Header) error {
 // coordinates (derivable from the reliable metadata alone).
 func (g geometry) packets(n int) int { return (n + g.perPacket - 1) / g.perPacket }
 
-// nativeRow is one row of a message as both decoders hold it: an
-// accumulator in the scheme's native domain (quant.NativeDecoder), written
-// as packets arrive, so that reconstructing the row is a copy and
-// quant.FinalizeNative. The accumulator is drawn zeroed from the par
-// scratch pool — a coordinate nothing arrived for decodes from the prior
-// mean, zero — and goes back at the decoder's Release.
-type nativeRow struct {
-	seed   uint64
-	n      int
-	native []float32
+// parked is one admitted packet in its row's arrival log: a reference to the
+// bytes Handle was given, and what admission read from the checked header
+// and tail count. Replay unpacks by these fields; it never parses the
+// buffer's header again.
+type parked struct {
+	pkt              []byte
+	start, flow      uint32
+	count, tailCount uint16
+	agg              bool // an aggregate: float32 sums, no bits to decode
+	fresh            bool // Decoder: none of the range had arrived before
 }
 
-func (r *nativeRow) init(seed uint64, n int) {
-	r.seed, r.n = seed, n
-	//trimlint:owner transfer the row owns its accumulator until the decoder's Release hands it back, or drops it for the GC
-	r.native = par.Float32s(n)
-	clear(r.native)
+// early is a data packet that outran the metadata it is admitted against:
+// checked on arrival, kept with the header it was checked under.
+type early struct {
+	pkt       []byte
+	h         wire.Header
+	tailCount int
+}
+
+// maxPendingPerRow bounds how many early data packets one row (one flow of
+// a SumDecoder's row) buffers while its metadata is in flight. Past the
+// bound, further early arrivals are rejected — a sender cannot exhaust
+// receiver memory by withholding metadata.
+const maxPendingPerRow = 256
+
+// nativeRow is one row of a message as both decoders hold it: its geometry
+// and the arrival log Reconstruct replays, in order, into the row's slice
+// of the output. The log is sized once, for the packets the row's senders
+// emit, and holds at most limit: twice that (a range can bring news twice:
+// heads, then tails) plus slack — none for a Decoder, maxPendingPerRow for
+// a SumDecoder, to which every packet is news, a duplicate included — so
+// parked memory is bounded by the row's geometry.
+type nativeRow struct {
+	seed  uint64
+	n     int
+	log   []parked
+	limit int
+	// overlaps: a Decoder parked a packet that is not fresh, so replay has to
+	// rebuild presence to know which of its coordinates are news.
+	overlaps bool
+}
+
+func (r *nativeRow) init(seed uint64, n, packets, slack int) {
+	r.seed, r.n, r.log, r.limit = seed, n, make([]parked, 0, packets), 2*packets+slack
 }
 
 // admit checks that a packet (data or aggregate) belongs to this row's
-// encoding and lies inside it, returning its slice of the accumulator.
-func (r *nativeRow) admit(h *wire.Header) ([]float32, error) {
+// encoding and lies inside it.
+func (r *nativeRow) admit(h *wire.Header) error {
 	if h.Seed != r.seed {
-		return nil, fmt.Errorf("core: packet seed %x != row seed %x", h.Seed, r.seed)
+		return fmt.Errorf("core: packet seed %x != row seed %x", h.Seed, r.seed)
 	}
-	start, count := int(h.Start), int(h.Count)
-	if start+count > r.n {
-		return nil, fmt.Errorf("core: packet range [%d,%d) outside row of %d", start, start+count, r.n)
+	if start, count := int(h.Start), int(h.Count); start+count > r.n {
+		return fmt.Errorf("core: packet range [%d,%d) outside row of %d", start, start+count, r.n)
 	}
-	return r.native[start : start+count], nil
+	return nil
 }
 
-// finalizeInto leaves the row's gradient-domain values in dst[:n]. The
-// accumulator itself is not transformed, so reconstruction is repeatable.
-func (r *nativeRow) finalizeInto(dst []float32, scheme quant.Scheme) error {
-	dst = dst[:r.n]
-	copy(dst, r.native)
-	return quant.FinalizeNative(scheme, r.seed, dst)
-}
-
-func (r *nativeRow) release() {
-	par.PutFloat32s(r.native)
-	r.native = nil
+// park appends an admitted packet to the log, or refuses it when the log
+// holds all a row may.
+func (r *nativeRow) park(e parked) error {
+	if len(r.log) >= r.limit {
+		return fmt.Errorf("core: row arrival log full at %d packets", len(r.log))
+	}
+	r.log = append(r.log, e)
+	return nil
 }
 
 // maxRows bounds the row ids a decoder admits. Rows live in a slice indexed
@@ -135,31 +159,48 @@ func (t *rowTable[R]) ensure(id uint32, mk func() *R) (*R, error) {
 	return (*t)[id], nil
 }
 
-// bitset is a fixed-size set of a row's coordinates.
-type bitset []uint64
+// presence says which of a row's coordinates have their head, and which
+// their tail too. It is what makes duplicate and overlapping deliveries
+// idempotent — a trimmed copy never replaces the full-precision value an
+// earlier copy brought, a full copy upgrades a trimmed one — and what the
+// coordinate-level Stats are counted from. tails ⊆ heads: a tail only
+// arrives behind its head.
+type presence struct{ heads, tails []uint64 }
 
-func (b bitset) has(i int) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
-func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// anyIn reports whether any coordinate in [lo, hi) is in the set.
-func (b bitset) anyIn(lo, hi int) bool {
-	for lo < hi {
-		w, mask, n := wordMask(lo, hi)
-		if b[w]&mask != 0 {
-			return true
-		}
-		lo += n
-	}
-	return false
+func newPresence(n int) presence {
+	words := (n + 63) / 64
+	sets := make([]uint64, 2*words)
+	return presence{sets[:words], sets[words:]}
 }
 
-// setRange adds every coordinate in [lo, hi).
-func (b bitset) setRange(lo, hi int) {
-	for lo < hi {
+// arrive is the presence rule, the one place that decides what is news. A
+// packet carries the heads of [start, start+count) and the tails of the
+// first tailCount of them; a coordinate of it is news when it brings a tail
+// where there was none or a head where there was nothing. arrive returns how
+// many coordinates gain a head and how many a tail — both zero: the packet is
+// no news — records the packet if record is set and, given the packet's
+// decode in vals, stores the news coordinates' values into dst.
+func (p presence) arrive(start, count, tailCount int, record bool, dst, vals []float32) (heads, tails int) {
+	for lo, hi, fullEnd := start, start+count, start+tailCount; lo < hi; {
 		w, mask, n := wordMask(lo, hi)
-		b[w] |= mask
+		var full uint64
+		if lo < fullEnd {
+			_, full, _ = wordMask(lo, fullEnd)
+		}
+		gainH, gainT := mask&^p.heads[w], full&^p.tails[w]
+		for news := gainT | gainH&^full; vals != nil && news != 0; news &= news - 1 {
+			i := w<<6 + bits.TrailingZeros64(news) - start
+			dst[i] = vals[i]
+		}
+		if record {
+			p.heads[w] |= mask
+			p.tails[w] |= full
+		}
+		heads += bits.OnesCount64(gainH)
+		tails += bits.OnesCount64(gainT)
 		lo += n
 	}
+	return heads, tails
 }
 
 // wordMask returns the word holding coordinate lo, the mask of the n

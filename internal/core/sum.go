@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"trimgrad/internal/par"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/wire"
 )
@@ -13,13 +12,13 @@ import (
 // into their coordinate-wise native-domain sum — the receive side of
 // SwitchML-style in-network aggregation and of the parameter-server
 // collective. Unlike Decoder, which decodes one sender's message, a
-// SumDecoder accepts plain data packets from any flow (decoding each into
+// SumDecoder admits plain data packets from any flow (each decodes into
 // the scheme's native domain via quant.NativeDecoder) as well as
 // switch-built aggregate packets (wire.AggPacket, whose payload already
-// carries native-domain sums) and folds them all into one accumulator per
-// row. Reconstruct then applies the inverse rotation once per row and
-// returns the SUM of the contributing gradients — the caller divides by
-// the flow count.
+// carries native-domain sums) and parks them in arrival order, as Decoder
+// does. Reconstruct adds each row's packets up in that order, straight into
+// the output, applies the inverse rotation once per row and returns the SUM
+// of the contributing gradients — the caller divides by the flow count.
 //
 // This works because the per-row shared-randomness seed has no flow
 // component (RowSeed mixes epoch, message, and row only): every flow's
@@ -43,29 +42,24 @@ type SumDecoder struct {
 	// contribution accounting across all rows (in original-packet units).
 	headContribs int // coordinates that arrived (any precision) × inputs
 	tailContribs int // coordinates that arrived at full precision × inputs
-	// Per-packet scratch, reused so a plain data packet folds in without
-	// allocating: dp receives the unpacked heads/tails, vals their decode.
-	dp   wire.DataPacket
-	vals []float32
 }
 
-// sumRow is one row's native-domain accumulator and the per-flow state
-// that feeds it. Its geometry (seed and length) comes from the first
-// metadata packet or, when an aggregate outruns every one of them, from
-// the aggregate; n == 0 means neither has arrived.
+// sumRow is one row's arrival log and the per-flow state its replay decodes
+// with. Its geometry (seed and length) comes from the first metadata packet
+// or, when an aggregate outruns every one of them, from the aggregate;
+// n == 0 means neither has arrived.
 type sumRow struct {
 	nativeRow
 	// metaSeen is false while the geometry was only adopted from an
 	// aggregate: the row's true length, and with it how many packets each
 	// sender emitted, is not known yet.
 	metaSeen bool
-	scales   map[uint32]float64 // flow → reliable scale
-	// decoders caches each flow's native decoder, built from its scale on
-	// the flow's first data packet.
+	// decoders holds each flow's native decoder, built from the reliable
+	// scale its metadata brought; a flow without one is still awaited.
 	decoders map[uint32]*quant.NativeDecoder
 	// pending buffers each flow's early data packets until that flow's
 	// metadata lands (aggregates never wait: their values are pre-decoded).
-	pending map[uint32][][]byte
+	pending map[uint32][]early
 }
 
 // NewSumDecoder builds a summing decoder for message msgID fed by nFlows
@@ -94,8 +88,8 @@ func NewSumDecoder(msgID uint32, nFlows int, opts ...Option) (*SumDecoder, error
 }
 
 // Handle ingests one arrived packet — metadata, plain data, or aggregate,
-// from any flow, in any order. Rejections are counted exactly as in
-// Decoder.Handle.
+// from any flow, in any order. Rejections are counted, and accepted packets
+// referenced until Release, exactly as in Decoder.Handle.
 func (d *SumDecoder) Handle(pkt []byte) error {
 	if err := d.handle(pkt); err != nil {
 		d.stats.RejectedPackets++
@@ -122,48 +116,47 @@ func (d *SumDecoder) handle(pkt []byte) error {
 		}
 		return d.addMeta(m)
 	case h.IsAgg():
-		ap, err := wire.ParseAggPacket(pkt)
+		_, tailCount, err := wire.CheckAggPacket(pkt)
 		if err != nil {
 			return err
 		}
-		return d.addAgg(pkt, ap)
+		return d.addAgg(pkt, &h, tailCount)
+	}
+	_, tailCount, err := wire.CheckDataPacket(pkt)
+	if err != nil {
+		return err
 	}
 	row := d.rows.at(h.Row)
-	if row == nil || !row.hasScale(h.Flow) {
-		// This flow's scale has not arrived yet: verify the packet now,
-		// buffer it, and unpack it once at replay.
-		if _, _, err := wire.CheckDataPacket(pkt); err != nil {
-			return err
-		}
+	if row == nil || row.decoders[h.Flow] == nil {
+		// This flow's scale has not arrived yet: hold the packet until it does.
 		if row, err = d.rows.ensure(h.Row, newSumRow); err != nil {
 			return err
 		}
 		if len(row.pending[h.Flow]) >= maxPendingPerRow {
 			return fmt.Errorf("core: row %d flow %d pending buffer full", h.Row, h.Flow)
 		}
-		row.pending[h.Flow] = append(row.pending[h.Flow], pkt)
+		row.pending[h.Flow] = append(row.pending[h.Flow], early{pkt, h, tailCount})
 		return nil
 	}
-	return d.addData(row, pkt)
+	return d.park(row, pkt, &h, tailCount, 1)
 }
 
 func newSumRow() *sumRow {
 	return &sumRow{
-		scales:   make(map[uint32]float64),
 		decoders: make(map[uint32]*quant.NativeDecoder),
-		pending:  make(map[uint32][][]byte),
+		pending:  make(map[uint32][]early),
 	}
 }
 
-func (row *sumRow) hasScale(flow uint32) bool {
-	_, ok := row.scales[flow]
-	return ok
-}
+// packets is how many packets the row's flows emit between them: what its
+// log is sized for and, doubled, bounded by.
+func (d *SumDecoder) packets(n int) int { return d.nFlows * d.geom.packets(n) }
 
 // addMeta admits one flow's metadata — against the configuration, then
 // against what the row's other flows (or an aggregate) already fixed: they
 // all encode the same (epoch, message, row), so seed and length must agree
-// — records the flow's scale and replays its early data packets.
+// — builds the flow's decoder from its scale and admits its early data
+// packets.
 func (d *SumDecoder) addMeta(m *wire.MetaPacket) error {
 	if err := d.geom.admitMeta(m); err != nil {
 		return err
@@ -174,138 +167,102 @@ func (d *SumDecoder) addMeta(m *wire.MetaPacket) error {
 	}
 	switch {
 	case row.n == 0:
-		row.init(m.Seed, int(m.N))
+		row.init(m.Seed, int(m.N), d.packets(int(m.N)), maxPendingPerRow)
 	case m.Seed != row.seed || int(m.N) != row.n:
 		return fmt.Errorf("core: row geometry mismatch (seed %x/%x length %d/%d)",
 			m.Seed, row.seed, m.N, row.n)
 	}
 	row.metaSeen = true
-	if row.hasScale(m.Flow) {
+	if row.decoders[m.Flow] != nil {
 		return nil // reliable-channel duplicate, benign
 	}
-	row.scales[m.Flow] = m.Scale
-	pkts := row.pending[m.Flow]
+	nd, err := quant.NewNativeDecoder(d.geom.scheme, d.geom.p, d.geom.q, m.Scale, row.seed)
+	if err != nil {
+		return err
+	}
+	row.decoders[m.Flow] = nd
+	pending := row.pending[m.Flow]
 	delete(row.pending, m.Flow)
-	for _, pkt := range pkts {
-		if err := d.addData(row, pkt); err != nil {
+	for _, e := range pending {
+		if err := d.park(row, e.pkt, &e.h, e.tailCount, 1); err != nil {
 			d.stats.RejectedPackets++
 		}
 	}
 	return nil
 }
 
-// addData verifies one plain data packet of a flow whose scale is known,
-// unpacks it into the decoder's scratch, decodes it and adds it to its
-// slice of the row's accumulator.
-func (d *SumDecoder) addData(row *sumRow, pkt []byte) error {
-	dp := &d.dp
-	if err := dp.Unpack(pkt); err != nil {
-		return err
-	}
-	if err := d.geom.admitData(&dp.Header); err != nil {
-		return err
-	}
-	dst, err := row.admit(&dp.Header)
-	if err != nil {
-		return err
-	}
-	nd := row.decoders[dp.Flow]
-	if nd == nil {
-		nd, err = quant.NewNativeDecoder(d.geom.scheme, d.geom.p, d.geom.q, row.scales[dp.Flow], row.seed)
-		if err != nil {
-			return err
-		}
-		row.decoders[dp.Flow] = nd
-	}
-	if cap(d.vals) < len(dst) {
-		d.vals = make([]float32, len(dst))
-	}
-	vals := d.vals[:len(dst)]
-	if err := nd.PacketValues(vals, int(dp.Start), dp.Heads, dp.Tails, dp.TailCount); err != nil {
-		return err
-	}
-	for i, v := range vals {
-		dst[i] += v
-	}
-	d.headContribs += len(dst)
-	d.tailContribs += dp.TailCount
-	d.stats.Packets++
-	d.stats.BytesReceived += len(pkt)
-	d.obs.packetBytes.Observe(int64(len(pkt)))
-	if dp.Trimmed() {
-		d.stats.TrimmedPackets++
-	}
-	return nil
-}
-
-// addAgg folds one switch-built aggregate. Its values are already
+// addAgg admits one switch-built aggregate. Its values are already
 // native-domain sums, so no metadata is needed; geometry comes from the
 // aggregate's own key fields.
-func (d *SumDecoder) addAgg(pkt []byte, ap *wire.AggPacket) error {
-	row := d.rows.at(ap.Row)
+func (d *SumDecoder) addAgg(pkt []byte, h *wire.Header, tailCount int) error {
+	row := d.rows.at(h.Row)
 	if row == nil || row.n == 0 {
 		// An aggregate can outrun every metadata packet; adopt its seed and
 		// the longest length a row may have, and let later metas cross-check
 		// both.
-		if int(ap.Start)+int(ap.Count) > d.geom.rowSize {
+		if int(h.Start)+int(h.Count) > d.geom.rowSize {
 			return fmt.Errorf("core: aggregate range [%d,%d) outside RowSize %d",
-				ap.Start, int(ap.Start)+int(ap.Count), d.geom.rowSize)
+				h.Start, int(h.Start)+int(h.Count), d.geom.rowSize)
 		}
 		var err error
-		if row, err = d.rows.ensure(ap.Row, newSumRow); err != nil {
+		if row, err = d.rows.ensure(h.Row, newSumRow); err != nil {
 			return err
 		}
-		row.init(ap.Seed, d.geom.rowSize)
+		row.init(h.Seed, d.geom.rowSize, d.packets(d.geom.rowSize), maxPendingPerRow)
 	}
-	dst, err := row.admit(&ap.Header)
-	if err != nil {
+	return d.park(row, pkt, h, tailCount, int(h.Flow))
+}
+
+// park admits a checked packet standing for inputs sender packets (an
+// aggregate's Flow field; 1 for plain data, whose widths must be the
+// configuration's) to its row's log and counts it.
+func (d *SumDecoder) park(row *sumRow, pkt []byte, h *wire.Header, tailCount, inputs int) error {
+	if !h.IsAgg() {
+		if err := d.geom.admitData(h); err != nil {
+			return err
+		}
+	}
+	if err := row.admit(h); err != nil {
 		return err
 	}
-	for i, v := range ap.TailSums[:ap.TailCount] {
-		dst[i] += v
+	if err := row.park(parked{pkt: pkt, start: h.Start, flow: h.Flow, count: h.Count,
+		tailCount: uint16(tailCount), agg: h.IsAgg()}); err != nil {
+		return err
 	}
-	for i := ap.TailCount; i < len(dst); i++ {
-		dst[i] += ap.Sums[i]
-	}
-	k := ap.Inputs()
-	d.headContribs += k * len(dst)
-	d.tailContribs += k * ap.TailCount
-	d.stats.Packets += k
-	d.stats.BytesReceived += len(pkt)
-	d.obs.packetBytes.Observe(int64(len(pkt)))
-	if ap.Trimmed() {
-		d.stats.TrimmedPackets += k
-	}
+	d.headContribs += inputs * int(h.Count)
+	d.tailContribs += inputs * tailCount
+	d.obs.arrived(&d.stats, pkt, inputs, h.Trimmed())
 	return nil
 }
 
 // Reconstruct returns the coordinate-wise SUM of every contributing
 // flow's gradient (the caller divides by the flow count). n is the
 // original gradient length. Rows that received nothing decode as zeros.
-// Like Decoder.DecodeParallel it finalizes the rows on the par pool — the
-// result is the same bits however they are scheduled — and may be called
-// again.
-func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) {
+// Like Decoder.DecodeParallel it replays and finalizes the rows on the par
+// pool — the result is the same bits however they are scheduled — and may
+// be called again.
+func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) { return d.reconstruct(n, 0) }
+
+// reconstruct is Reconstruct on up to workers executors (≤ 0: the pool size).
+func (d *SumDecoder) reconstruct(n, workers int) ([]float32, Stats, error) {
 	if n <= 0 {
 		return nil, d.stats, errors.New("core: non-positive gradient length")
 	}
 	defer func() { d.obs.flush(d.stats) }()
 	rowSize := d.geom.rowSize
-	nRows := (n + rowSize - 1) / rowSize
-	out := make([]float32, nRows*rowSize)
-	errs := make([]error, nRows)
-	par.Default.ForEach(nRows, 0, func(r int) {
+	errs := make([]error, (n+rowSize-1)/rowSize)
+	out := d.geom.decodeRows(len(errs), workers, func(s *replayScratch, r int, dst []float32) {
 		if row := d.rows.at(uint32(r)); row != nil && row.n > 0 {
-			errs[r] = row.finalizeInto(out[r*rowSize:], d.geom.scheme)
+			errs[r] = row.replay(&d.geom, s, dst, nil, row.decoders)
 		}
 	})
-	d.stats.TotalCoords = d.nFlows * nRows * rowSize
+	d.stats.TotalCoords = d.nFlows * len(out)
 	d.stats.TrimmedCoords = d.headContribs - d.tailContribs
 	d.stats.DroppedCoords = d.stats.TotalCoords - d.headContribs
 	d.stats.ExpectedPackets = 0
 	for r, err := range errs {
 		if row := d.rows.at(uint32(r)); row != nil && row.metaSeen {
-			d.stats.ExpectedPackets += d.nFlows * d.geom.packets(row.n)
+			d.stats.ExpectedPackets += d.packets(row.n)
 		}
 		if err != nil {
 			return nil, d.stats, fmt.Errorf("core: row %d: %w", r, err)
@@ -314,16 +271,9 @@ func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) {
 	return out[:n], d.stats, nil
 }
 
-// Release hands the rows' accumulators back to the scratch pool and empties
-// the decoder; optional, exactly as Decoder.Release is.
-func (d *SumDecoder) Release() {
-	for _, row := range d.rows {
-		if row != nil {
-			row.release()
-		}
-	}
-	d.rows = nil
-}
+// Release drops the arrival logs and empties the decoder, exactly as
+// Decoder.Release does.
+func (d *SumDecoder) Release() { d.rows = nil }
 
 // Stats returns the decoder's packet statistics so far (and flushes them
 // to the registry). Coordinate-level fields are only populated after

@@ -7,8 +7,7 @@ import (
 
 // Scratch arenas for the per-row buffers the encode/decode hot paths
 // need transiently: RHT rotation copies, EDEN centroid values, packed
-// row backings, an encoded row's head and tail words, a decoder's row
-// accumulators. Each Get hands back
+// row backings, an encoded row's head and tail words. Each Get hands back
 // a possibly-dirty buffer of the requested length — callers must fully
 // overwrite it — and each Put recycles one for the next caller. Putting
 // back is optional (the GC reclaims unreturned buffers) and never required
@@ -21,8 +20,8 @@ import (
 
 // scratch is one element type's arena: one pool per power-of-two size
 // class, because one element type serves buffers of very different sizes at
-// once (a float32 buffer is a whole-message backing, a rotation row or a
-// decoder row) and a single pool hands the small ones to the large
+// once (a float32 buffer is a whole-message backing or a rotation row)
+// and a single pool hands the small ones to the large
 // requests, which can only drop them, and the large ones to the small. A
 // get allocates its class's full capacity, so whatever a class holds fits
 // whatever is asked of it. A

@@ -115,11 +115,7 @@ func BuildAggPacket(h Header, sums, tailSums []float32) ([]byte, error) {
 // for as many leading coordinates as the surviving bytes allow, with the
 // tail CRC verified only when the full region is present.
 func ParseAggPacket(buf []byte) (*AggPacket, error) {
-	h, err := ParseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	tailCount, err := checkAgg(buf, &h)
+	h, tailCount, err := CheckAggPacket(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -132,6 +128,25 @@ func ParseAggPacket(buf []byte) (*AggPacket, error) {
 	unpackFloats(p.Sums, buf[HeaderSize:])
 	unpackFloats(p.TailSums[:tailCount], buf[HeaderSize+h.HeadBytes():])
 	return p, nil
+}
+
+// CheckAggPacket is CheckDataPacket for an aggregate: every accept/reject
+// decision, nothing unpacked or allocated, the header and the survivor
+// prefix length returned.
+func CheckAggPacket(buf []byte) (h Header, tailCount int, err error) {
+	if h, err = ParseHeader(buf); err == nil {
+		tailCount, err = checkAgg(buf, &h)
+	}
+	return h, tailCount, err
+}
+
+// UnpackAgg reads from an aggregate CheckAggPacket has accepted the value a
+// receiver uses for each of its len(vals) coordinates: T[i] inside the
+// tailCount-long survivor prefix, S[i] beyond it. Like UnpackData it never
+// reads the header.
+func UnpackAgg(vals []float32, buf []byte, tailCount int) {
+	unpackFloats(vals[:tailCount], buf[HeaderSize+4*len(vals):])
+	unpackFloats(vals[tailCount:], buf[HeaderSize+4*tailCount:])
 }
 
 // checkAgg makes every accept/reject decision about buf as an aggregate

@@ -82,7 +82,7 @@ func (p *DataPacket) Unpack(buf []byte) error {
 	p.Header, p.TailCount = h, tailCount
 	p.Heads = resize(p.Heads, int(h.Count))
 	p.Tails = resize(p.Tails, int(h.Count))
-	unpackData(buf, &h, tailCount, p.Heads, p.Tails)
+	UnpackData(buf, int(h.P), int(h.Q), int(h.Count), tailCount, p.Heads, p.Tails)
 	return nil
 }
 
@@ -167,17 +167,18 @@ func tailCRCHolds(buf []byte, h *Header, tailBuf []byte) bool {
 	return true
 }
 
-// unpackData bit-unpacks a checked data packet: all h.Count heads into
-// heads and the first tailCount tails into tails, each slice indexed from
-// the packet's first coordinate. It cannot fail — checkData established
-// that buf holds those bits.
-func unpackData(buf []byte, h *Header, tailCount int, heads, tails []uint32) {
-	vecmath.UnpackBits(heads[:h.Count], buf[HeaderSize:], int(h.P))
-	if h.Q == 0 {
+// UnpackData bit-unpacks a data packet CheckDataPacket has accepted, by what
+// the check returned: all count heads into heads and the first tailCount
+// tails into tails, each slice indexed from the packet's first coordinate. It
+// never reads the header — a receiver that parked a shared buffer unpacks by
+// what it recorded — and cannot fail: the check found those bits in buf.
+func UnpackData(buf []byte, p, q, count, tailCount int, heads, tails []uint32) {
+	vecmath.UnpackBits(heads[:count], buf[HeaderSize:], p)
+	if q == 0 {
 		clear(tails[:tailCount])
 		return
 	}
-	vecmath.UnpackBits(tails[:tailCount], buf[HeaderSize+h.HeadBytes():], int(h.Q))
+	vecmath.UnpackBits(tails[:tailCount], buf[HeaderSize+(p*count+7)/8:], q)
 }
 
 // checksum computes CRC-32C over b.

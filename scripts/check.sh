@@ -24,7 +24,9 @@
 #                             replicas) and the receive path's
 #                             (BenchmarkBits: pack/unpack at widths 1, 8,
 #                             31; BenchmarkDecoderIngest: full and
-#                             head-trimmed packets, rht and sd) run clean
+#                             head-trimmed packets, rht and sd, handle and
+#                             reconstruct timed apart at 1 worker and all
+#                             cores) run clean
 #                             under -race with live obs registries, and the
 #                             obs overhead guard still holds
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + trimlint
@@ -88,7 +90,7 @@ if [[ $mode == bench ]]; then
   bench '^BenchmarkFWHT' .
   bench '^BenchmarkDenseLayer' ./internal/ml
   bench '^BenchmarkTrainCompute' .
-  step "go test -race -bench Bits, DecoderIngest (receive path: bit kernels, packet -> row accumulator)"
+  step "go test -race -bench Bits, DecoderIngest (receive path: bit kernels, Handle admission and row replay)"
   bench '^BenchmarkBits$' ./internal/vecmath
   bench '^BenchmarkDecoderIngest$' ./internal/core
   step "obs overhead guard (encode hot path, Nop vs live registry)"

@@ -28,8 +28,8 @@
 //	msg, _ := enc.Encode(epoch, msgID, grad)
 //	// ship msg.Meta reliably, msg.Data through the trimming network ...
 //	dec, _ := trimgrad.NewDecoder(cfg, msgID)
-//	for _, pkt := range arrived { dec.Handle(pkt) }
-//	approx, stats, _ := dec.Reconstruct(len(grad))
+//	for _, pkt := range arrived { dec.Handle(pkt) } // admits and references pkt: leave it unmodified
+//	approx, stats, _ := dec.Reconstruct(len(grad))  // decodes the rows, on all cores
 //
 // See examples/ for runnable scenarios and cmd/trimbench for the paper's
 // figures.
@@ -75,7 +75,9 @@ type (
 	Config = core.Config
 	// Encoder turns gradients into trimmable packet streams.
 	Encoder = core.Encoder
-	// Decoder reassembles gradients from (possibly trimmed) packets.
+	// Decoder admits (possibly trimmed) packets as they arrive and decodes
+	// the gradient from them, row-parallel, at Reconstruct. It keeps a
+	// reference to each accepted packet until Release.
 	Decoder = core.Decoder
 	// Message is one encoded collective-communication message.
 	Message = core.Message
