@@ -1,6 +1,7 @@
 // All-reduce example: 8 simulated hosts on a ring fabric average their
-// gradients over congested, trimming trunk links. Two algorithms run on
-// the identical fabric:
+// gradients over congested, trimming trunk links. Each algorithm named on
+// the command line (direct|ring|rd|hier|ps; default: direct ring) runs on
+// the identical fabric. The default pair is the contrast:
 //
 //   - direct all-reduce: every gradient crosses the network once, so each
 //     coordinate suffers at most one trim-compression;
@@ -16,6 +17,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"trimgrad/internal/collective"
 	"trimgrad/internal/core"
@@ -45,6 +47,10 @@ func makeGrads() [][]float32 {
 }
 
 func run(algorithm string, grads [][]float32, exact []float32) {
+	alg, err := collective.ParseAlgorithm(algorithm)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sim := netsim.NewSim()
 	// Shallow trunk buffers force trimming when steps collide.
 	ring := netsim.NewRing(sim, nWorkers,
@@ -79,13 +85,7 @@ func run(algorithm string, grads [][]float32, exact []float32) {
 		}
 	}
 	onErr := func(rank int, err error) { log.Fatalf("rank %d: %v", rank, err) }
-	var err error
-	if algorithm == "ring" {
-		err = collective.AllReduceRing(1, 100, workers, grads, onDone, onErr)
-	} else {
-		err = collective.AllReduceDirect(1, 100, workers, grads, onDone, onErr)
-	}
-	if err != nil {
+	if err := collective.AllReduce(alg, 1, 100, workers, grads, onDone, onErr); err != nil {
 		log.Fatal(err)
 	}
 	sim.RunUntil(30 * netsim.Second)
@@ -114,8 +114,13 @@ func main() {
 
 	fmt.Printf("all-reduce of %d workers × %d coords over a trimming ring fabric\n\n",
 		nWorkers, dim)
-	run("direct", grads, exact)
-	run("ring", grads, exact)
+	algorithms := os.Args[1:]
+	if len(algorithms) == 0 {
+		algorithms = []string{"direct", "ring"}
+	}
+	for _, a := range algorithms {
+		run(a, grads, exact)
+	}
 	fmt.Println("\nThe ring pays one decode→re-encode per hop, so trim error compounds")
 	fmt.Println("across its 2(N−1) steps; the direct algorithm compresses each")
 	fmt.Println("coordinate at most once (cf. THC, cited in §3.2 of the paper).")

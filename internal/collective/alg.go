@@ -14,19 +14,19 @@ import (
 type Algorithm int
 
 const (
-	// AlgDirect is the all-to-all exchange of AllReduceDirect.
+	// AlgDirect is the all-to-all exchange (directPlan).
 	AlgDirect Algorithm = iota
-	// AlgRing is the bandwidth-optimal ring of AllReduceRing.
+	// AlgRing is the bandwidth-optimal ring (ringPlan).
 	AlgRing
-	// AlgRecursiveDoubling is the log-step halving/doubling exchange of
-	// AllReduceRecursiveDoubling.
+	// AlgRecursiveDoubling is the log-step halving/doubling exchange
+	// (rdPlan).
 	AlgRecursiveDoubling
 	// AlgHierarchical reduces within groups, exchanges between group
-	// leaders, and broadcasts back (AllReduceHierarchical).
+	// leaders, and broadcasts back (hierPlan).
 	AlgHierarchical
 	// AlgParamServer funnels every gradient to rank 0, which sums and
-	// broadcasts the average (AllReduceParamServer). Its shared-message
-	// incast is the pattern in-network aggregation collapses.
+	// broadcasts the average (psPlan). Its shared-message incast is the
+	// pattern in-network aggregation collapses.
 	AlgParamServer
 )
 
@@ -96,24 +96,54 @@ func MsgSpan(a Algorithm, n int) uint32 {
 }
 
 // AllReduce runs the selected algorithm: every worker contributes its
-// gradient and onDone fires once per rank with the average. Message IDs
-// baseMsg..baseMsg+MsgSpan(a, len(workers))−1 may be consumed.
+// gradient and onDone fires once per rank with the average, unless onError
+// reports that rank's first transport failure, deadline expiry or decode
+// error instead. Message IDs baseMsg..baseMsg+MsgSpan(a, len(workers))−1
+// may be consumed.
 func AllReduce(a Algorithm, epoch uint64, baseMsg uint32, workers []*Worker,
 	grads [][]float32, onDone func(rank int, avg []float32, at netsim.Time),
 	onError func(rank int, err error)) error {
+	dim, err := checkGrads(workers, grads)
+	if err != nil {
+		return err
+	}
+	plans, err := allReducePlans(a, len(workers), dim, baseMsg)
+	if err != nil {
+		return err
+	}
+	return run(epoch, workers, grads, plans, func(rank int, acc []float32, _ [][]float32, at netsim.Time) {
+		if onDone != nil {
+			onDone(rank, acc, at)
+		}
+	}, onError)
+}
+
+// allReducePlans builds every rank's plan for one all-reduce of a
+// dim-length gradient over n ranks.
+func allReducePlans(a Algorithm, n, dim int, baseMsg uint32) ([]plan, error) {
+	var build func(n, dim int, base uint32, rank int) plan
 	switch a {
 	case AlgDirect:
-		return AllReduceDirect(epoch, baseMsg, workers, grads, onDone, onError)
+		build = directPlan
 	case AlgRing:
-		return AllReduceRing(epoch, baseMsg, workers, grads, onDone, onError)
+		if n > 1 && dim < n {
+			return nil, fmt.Errorf("collective: gradient length %d < %d workers", dim, n)
+		}
+		build = ringPlan
 	case AlgRecursiveDoubling:
-		return AllReduceRecursiveDoubling(epoch, baseMsg, workers, grads, onDone, onError)
+		build = rdPlan
 	case AlgHierarchical:
-		return AllReduceHierarchical(epoch, baseMsg, workers, grads, onDone, onError)
+		build = hierPlan
 	case AlgParamServer:
-		return AllReduceParamServer(epoch, baseMsg, workers, grads, onDone, onError)
+		build = psPlan
+	default:
+		return nil, fmt.Errorf("collective: unknown algorithm %v", a)
 	}
-	return fmt.Errorf("collective: unknown algorithm %v", a)
+	plans := make([]plan, n)
+	for i := range plans {
+		plans[i] = build(n, dim, baseMsg, i)
+	}
+	return plans, nil
 }
 
 // checkGrads validates the shared worker/gradient preconditions and

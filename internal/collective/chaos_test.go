@@ -191,7 +191,7 @@ func TestChaosRingAllReduceSurvivesFaults(t *testing.T) {
 	}
 	want := exactMean(grads)
 	completed := 0
-	err := AllReduceRing(1, 100, ws, grads,
+	err := AllReduce(AlgRing, 1, 100, ws, grads,
 		func(rank int, avg []float32, at netsim.Time) {
 			completed++
 			if nm := vecmath.NMSE(want, avg); nm > 1e-8 {
@@ -231,7 +231,7 @@ func TestChaosCrashErrorIsExplicit(t *testing.T) {
 		grads[i] = gaussianGrad(uint64(i)+31, 1024)
 	}
 	errs := make([]error, n)
-	if err := AllReduceDirect(1, 100, ws, grads,
+	if err := AllReduce(AlgDirect, 1, 100, ws, grads,
 		func(rank int, _ []float32, _ netsim.Time) {
 			t.Errorf("rank %d completed despite a crashed peer", rank)
 		},

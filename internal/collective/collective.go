@@ -1,7 +1,8 @@
 // Package collective implements the collective-communication operations
-// distributed training needs (the paper's "*ccl" layer): direct and ring
-// all-reduce for gradient averaging, all-gather for FSDP weight
-// collection (§5.5), and broadcast. Every operation runs over the
+// distributed training needs (the paper's "*ccl" layer): five all-reduce
+// schedules for gradient averaging, all-gather for FSDP weight collection
+// (§5.5), and broadcast. Each operation builds one plan per rank (plan.go)
+// and one executor runs them. Every operation runs over the
 // simulated fabric via package transport in either Reliable (baseline) or
 // Trimmable mode, and aggregation understands trimmed rows: a message
 // whose packets were trimmed still contributes its compressed gradient —
@@ -251,7 +252,7 @@ func (w *Worker) reconstructSum(msg uint32, n int) ([]float32, error) {
 // are dropped, and with them their references to the payloads they admitted,
 // and payloads that still arrive for the operation are ignored — no decoder
 // is made for them — until the next operation installs its completion hook.
-// Each operation's fail calls it, once.
+// The executor's fail calls it, once per rank.
 func (w *Worker) abandon() {
 	clear(w.decs)
 	clear(w.sums)
@@ -300,11 +301,4 @@ func (w *Worker) sendAll(dsts []netsim.NodeID, epoch uint64, msg uint32, grad []
 		}
 	}
 	return nil
-}
-
-// send is sendAll to the single destination dst.
-func (w *Worker) send(dst netsim.NodeID, epoch uint64, msg uint32, grad []float32,
-	failed func(err error)) error {
-	return w.sendAll([]netsim.NodeID{dst}, epoch, msg, grad,
-		func(_ netsim.NodeID, err error) { failed(err) })
 }

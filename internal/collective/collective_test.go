@@ -97,7 +97,7 @@ func TestAllReduceDirectExactNoCongestion(t *testing.T) {
 		}
 		want := exactMean(grads)
 		results := make([][]float32, n)
-		err := AllReduceDirect(7, 100, ws, grads,
+		err := AllReduce(AlgDirect, 7, 100, ws, grads,
 			func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
 			func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
 		if err != nil {
@@ -120,7 +120,7 @@ func TestAllReduceDirectSingleWorker(t *testing.T) {
 	_ = sim
 	grads := [][]float32{gaussianGrad(1, 100)}
 	got := false
-	err := AllReduceDirect(1, 1, ws[:1], grads,
+	err := AllReduce(AlgDirect, 1, 1, ws[:1], grads,
 		func(rank int, avg []float32, at netsim.Time) {
 			got = true
 			if nm := vecmath.NMSE(grads[0], avg); nm != 0 {
@@ -134,10 +134,10 @@ func TestAllReduceDirectSingleWorker(t *testing.T) {
 
 func TestAllReduceDirectValidation(t *testing.T) {
 	_, ws := starWorkers(t, 2, Trimmable, deepQ(), fast(), quant.Sign)
-	if err := AllReduceDirect(1, 1, ws, [][]float32{{1}}, nil, nil); err == nil {
+	if err := AllReduce(AlgDirect, 1, 1, ws, [][]float32{{1}}, nil, nil); err == nil {
 		t.Error("mismatched gradient count should fail")
 	}
-	if err := AllReduceDirect(1, 1, ws, [][]float32{{1, 2}, {1}}, nil, nil); err == nil {
+	if err := AllReduce(AlgDirect, 1, 1, ws, [][]float32{{1, 2}, {1}}, nil, nil); err == nil {
 		t.Error("mismatched lengths should fail")
 	}
 }
@@ -151,7 +151,7 @@ func TestAllReduceRingExactNoCongestion(t *testing.T) {
 		}
 		want := exactMean(grads)
 		results := make([][]float32, n)
-		err := AllReduceRing(3, 500, ws, grads,
+		err := AllReduce(AlgRing, 3, 500, ws, grads,
 			func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
 			func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
 		if err != nil {
@@ -174,7 +174,7 @@ func TestAllReduceRingExactNoCongestion(t *testing.T) {
 func TestAllReduceRingValidation(t *testing.T) {
 	_, ws := ringWorkers(t, 3, Trimmable, deepQ(), fast(), fast(), quant.Sign)
 	grads := [][]float32{{1, 2}, {3, 4}, {5, 6}}
-	if err := AllReduceRing(1, 1, ws, grads, nil, nil); err == nil {
+	if err := AllReduce(AlgRing, 1, 1, ws, grads, nil, nil); err == nil {
 		t.Error("dim < n should fail")
 	}
 }
@@ -194,7 +194,7 @@ func TestAllReduceDirectUnderCongestionTrims(t *testing.T) {
 	}
 	want := exactMean(grads)
 	results := make([][]float32, n)
-	err := AllReduceDirect(9, 1000, ws, grads,
+	err := AllReduce(AlgDirect, 9, 1000, ws, grads,
 		func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
 		func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
 	if err != nil {

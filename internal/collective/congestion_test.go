@@ -22,7 +22,7 @@ func TestWorkersReusableAcrossOps(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		results := make([][]float32, n)
 		base := uint32(1 + round*n)
-		err := AllReduceDirect(uint64(round+1), base, ws, grads,
+		err := AllReduce(AlgDirect, uint64(round+1), base, ws, grads,
 			func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
 			func(rank int, err error) { t.Errorf("round %d rank %d: %v", round, rank, err) })
 		if err != nil {
@@ -56,7 +56,7 @@ func TestRingUnderCongestionStillCompletes(t *testing.T) {
 	}
 	want := exactMean(grads)
 	results := make([][]float32, n)
-	err := AllReduceRing(5, 700, ws, grads,
+	err := AllReduce(AlgRing, 5, 700, ws, grads,
 		func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
 		func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
 	if err != nil {
@@ -117,7 +117,7 @@ func TestAggStatsAccumulate(t *testing.T) {
 		quant.RHT)
 	grads := [][]float32{gaussianGrad(61, 1<<13), gaussianGrad(62, 1<<13)}
 	done := 0
-	err := AllReduceDirect(1, 1, ws, grads,
+	err := AllReduce(AlgDirect, 1, 1, ws, grads,
 		func(rank int, avg []float32, at netsim.Time) { done++ }, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,6 @@
 package collective
 
-import (
-	"slices"
-
-	"trimgrad/internal/netsim"
-)
+import "trimgrad/internal/netsim"
 
 // mod is the mathematical modulus: the result is always in [0, n) even for
 // negative a, unlike Go's % operator. Every algorithm's neighbour/step
@@ -33,8 +29,19 @@ func hostIDs(workers []*Worker) []netsim.NodeID {
 	return ids
 }
 
-// others returns ids without the entry at index skip, order kept: every
-// peer of rank skip.
-func others(ids []netsim.NodeID, skip int) []netsim.NodeID {
-	return slices.Concat(ids[:skip], ids[skip+1:])
+// peers returns every rank of n but skip, in rank order.
+func peers(n, skip int) []int {
+	out := make([]int, 0, n)
+	for r := 0; r < n; r++ {
+		if r != skip {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// stepMsg is the message id rank sender uses at global step step of a
+// stepped schedule (ring, rd): base + step·n + sender.
+func stepMsg(base uint32, n, step, sender int) uint32 {
+	return base + uint32(step)*uint32(n) + uint32(sender)
 }
