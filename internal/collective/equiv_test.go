@@ -63,8 +63,11 @@ func runEquiv(t *testing.T, alg Algorithm, grads [][]float32, aggregate bool) eq
 	return res
 }
 
+// TestAllReduceEquivalenceMatrix covers rd's remainders r = 1, 2, 3 (n =
+// 5, 6, 7), hier's uneven groups (n = 5: three groups of 1, 2, 2) and the
+// lone rank (n = 1).
 func TestAllReduceEquivalenceMatrix(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 8} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 		grads := make([][]float32, n)
 		for i := range grads {
 			grads[i] = intGrad(uint64(1000*n+i), 512)
@@ -103,40 +106,41 @@ func TestAllReduceEquivalenceMatrix(t *testing.T) {
 // TestAllReduceSequentialRounds pins MsgSpan: two back-to-back rounds with
 // the message base advanced by MsgSpan must not cross-talk.
 func TestAllReduceSequentialRounds(t *testing.T) {
-	const n = 4
-	for _, alg := range Algorithms() {
-		sim, ws := starWorkers(t, n, Trimmable, deepQ(), fast(), quant.Sign)
-		gradsA := make([][]float32, n)
-		gradsB := make([][]float32, n)
-		for i := range gradsA {
-			gradsA[i] = intGrad(uint64(10+i), 256)
-			gradsB[i] = intGrad(uint64(20+i), 256)
-		}
-		wantA, wantB := exactMean(gradsA), exactMean(gradsB)
-		resA := make([][]float32, n)
-		resB := make([][]float32, n)
-		fail := func(rank int, err error) { t.Errorf("%v rank %d: %v", alg, rank, err) }
-		if err := AllReduce(alg, 1, 100, ws, gradsA,
-			func(rank int, avg []float32, at netsim.Time) { resA[rank] = avg }, fail); err != nil {
-			t.Fatal(err)
-		}
-		sim.Run()
-		base := 100 + MsgSpan(alg, n)
-		if err := AllReduce(alg, 2, base, ws, gradsB,
-			func(rank int, avg []float32, at netsim.Time) { resB[rank] = avg }, fail); err != nil {
-			t.Fatal(err)
-		}
-		sim.Run()
-		for rank := 0; rank < n; rank++ {
-			if resA[rank] == nil || resB[rank] == nil {
-				t.Fatalf("%v rank %d: incomplete (A=%v B=%v)", alg, rank, resA[rank] != nil, resB[rank] != nil)
+	for _, n := range []int{4, 7} {
+		for _, alg := range Algorithms() {
+			sim, ws := starWorkers(t, n, Trimmable, deepQ(), fast(), quant.Sign)
+			gradsA := make([][]float32, n)
+			gradsB := make([][]float32, n)
+			for i := range gradsA {
+				gradsA[i] = intGrad(uint64(10+i), 256)
+				gradsB[i] = intGrad(uint64(20+i), 256)
 			}
-			for i := range wantA {
-				if resA[rank][i] != wantA[i] {
-					t.Fatalf("%v rank %d round A: coord %d = %v, want %v", alg, rank, i, resA[rank][i], wantA[i])
+			wantA, wantB := exactMean(gradsA), exactMean(gradsB)
+			resA := make([][]float32, n)
+			resB := make([][]float32, n)
+			fail := func(rank int, err error) { t.Errorf("%v n=%d rank %d: %v", alg, n, rank, err) }
+			if err := AllReduce(alg, 1, 100, ws, gradsA,
+				func(rank int, avg []float32, at netsim.Time) { resA[rank] = avg }, fail); err != nil {
+				t.Fatal(err)
+			}
+			sim.Run()
+			base := 100 + MsgSpan(alg, n)
+			if err := AllReduce(alg, 2, base, ws, gradsB,
+				func(rank int, avg []float32, at netsim.Time) { resB[rank] = avg }, fail); err != nil {
+				t.Fatal(err)
+			}
+			sim.Run()
+			for rank := 0; rank < n; rank++ {
+				if resA[rank] == nil || resB[rank] == nil {
+					t.Fatalf("%v n=%d rank %d: incomplete (A=%v B=%v)", alg, n, rank, resA[rank] != nil, resB[rank] != nil)
 				}
-				if resB[rank][i] != wantB[i] {
-					t.Fatalf("%v rank %d round B: coord %d = %v, want %v", alg, rank, i, resB[rank][i], wantB[i])
+				for i := range wantA {
+					if resA[rank][i] != wantA[i] {
+						t.Fatalf("%v n=%d rank %d round A: coord %d = %v, want %v", alg, n, rank, i, resA[rank][i], wantA[i])
+					}
+					if resB[rank][i] != wantB[i] {
+						t.Fatalf("%v n=%d rank %d round B: coord %d = %v, want %v", alg, n, rank, i, resB[rank][i], wantB[i])
+					}
 				}
 			}
 		}
