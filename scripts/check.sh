@@ -33,9 +33,11 @@
 #                             (trimlint replays from .trimlint-cache when
 #                             the tree is unchanged) + the no-Deprecated
 #                             guard + the one-fabric-switch guard
-#   scripts/check.sh -loc     print the size score ROADMAP and CHANGES.md
+#   scripts/check.sh -loc [DIR...]
+#                             print the size score ROADMAP and CHANGES.md
 #                             quote: non-test and test Go lines outside
-#                             benchmark/ and testdata/, and DESIGN.md's lines
+#                             benchmark/ and testdata/, and DESIGN.md's
+#                             lines; then each DIR's non-test and test lines
 #
 # Every step must pass; the script stops at the first failure.
 set -euo pipefail
@@ -49,6 +51,7 @@ case "${1:-}" in
   -lint)  mode=lint ;;
   -loc)   mode=loc ;;
 esac
+[[ $# -gt 0 ]] && shift
 
 step() { echo "== $*"; }
 
@@ -68,10 +71,20 @@ selects() {
 }
 
 if [[ $mode == loc ]]; then
-  golines() { find . -name '*.go' -not -path './benchmark/*' -not -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }
-  echo "non-test Go  $(golines -not -name '*_test.go')"
-  echo "test Go      $(golines -name '*_test.go')"
+  golines() { # DIR FIND-ARGS...
+    local dir=$1
+    shift
+    find "$dir" -name '*.go' -not -path './benchmark/*' -not -path '*/testdata/*' "$@" -print0 | xargs -0r cat | wc -l
+  }
+  echo "non-test Go  $(golines . -not -name '*_test.go')"
+  echo "test Go      $(golines . -name '*_test.go')"
   echo "DESIGN.md    $(wc -l < DESIGN.md)"
+  for dir in "$@"; do
+    dir=./${dir#./}
+    dir=${dir%/}
+    [[ -d $dir ]] || { echo "check.sh: -loc: no directory $dir" >&2; exit 1; }
+    echo "${dir#./}  non-test $(golines "$dir" -not -name '*_test.go')  test $(golines "$dir" -name '*_test.go')"
+  done
   exit 0
 fi
 
