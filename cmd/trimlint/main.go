@@ -2,37 +2,27 @@
 //
 // Usage:
 //
-//	go run ./cmd/trimlint [flags] [packages]
+//	go run ./cmd/trimlint [-list] [packages]
 //
 // Packages use go-tool patterns relative to the module root ("./...",
 // "./internal/core", "./cmd/..."); the default is "./...". trimlint exits
 // 0 when the tree is clean, 1 when it has findings, and 2 when it cannot
-// load or type-check the code.
+// load or type-check the code, no package matches, or a flag is unknown.
+// -list prints every check with its one-line doc and exits.
 //
-// Flags:
-//
-//	-json            emit findings as a SARIF 2.1.0 document instead of text
-//	-enable  a,b,c   run only the named checks
-//	-disable a,b,c   run all checks except the named ones
-//	-list            print the available checks and exit
-//	-nocache         ignore and do not update the lint cache
-//
-// Checks (see -list for one-line docs):
+// Checks:
 //
 //	determinism        wall-clock/rand/map-order bans in deterministic packages
 //	swallowed-error    discarded error values
 //	float-equality     exact ==/!= on computed floats
 //	wire-endianness    single-endianness wire codec
-//	locked-value-copy  mutex-holding values passed by copy
-//	wallclock          wall-clock reads outside sanctioned packages
 //	poolownership      pooled packets and par scratch reach exactly one
 //	                   release on every path
 //	goroutinebound     go statements outside internal/par need a provable join
 //	obshotpath         obs registry lookups stay out of event-dispatch paths
 //
-// Results are cached under <module>/.trimlint-cache keyed by a content
-// hash of every non-test source file plus the flag set, so an unchanged
-// tree re-lints in milliseconds; -nocache bypasses it.
+// Lock copies are go vet's copylocks check, which scripts/check.sh runs
+// before trimlint.
 //
 // Findings are suppressed line-by-line with
 //
@@ -48,133 +38,65 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"trimgrad/internal/analysis"
 )
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a SARIF document")
-	enable := flag.String("enable", "", "comma-separated checks to run (default: all)")
-	disable := flag.String("disable", "", "comma-separated checks to skip")
-	list := flag.Bool("list", false, "list available checks and exit")
-	noCache := flag.Bool("nocache", false, "ignore and do not update the lint cache")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run lints the module containing the working directory and returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trimlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list available checks and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, a := range analysis.Analyzers() {
-			fmt.Printf("%-18s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
 		}
-		return
-	}
-
-	analyzers, err := selectAnalyzers(*enable, *disable)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "trimlint:", err)
-		os.Exit(2)
+		return 0
 	}
 
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	var cache *lintCache
-	if !*noCache {
-		if c, err := openCache(root, patterns, *enable, *disable); err == nil {
-			cache = c
-			if diags, ok := cache.lookup(); ok {
-				emit(root, diags, *jsonOut)
-				return
-			}
-		}
-		// A cache that cannot be opened or read is simply skipped: the
-		// lint result must never depend on cache health.
-	}
-
 	pkgs, err := analysis.LoadModule(root, patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if len(pkgs) == 0 {
 		// A typo'd pattern must not look like a clean run.
-		fmt.Fprintf(os.Stderr, "trimlint: no packages match %s\n", strings.Join(patterns, " "))
-		os.Exit(2)
+		fmt.Fprintf(stderr, "trimlint: no packages match %s\n", strings.Join(patterns, " "))
+		return 2
 	}
 
-	diags := analysis.Run(pkgs, analyzers)
-	if cache != nil {
-		cache.store(diags)
-	}
-	emit(root, diags, *jsonOut)
-}
-
-// emit prints the findings in the selected format and exits non-zero when
-// there are any.
-func emit(root string, diags []analysis.Diagnostic, jsonOut bool) {
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(analysis.ToSarif(root, diags)); err != nil {
-			fmt.Fprintln(os.Stderr, "trimlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	diags := analysis.Run(pkgs, analysis.Analyzers())
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		if !jsonOut {
-			fmt.Fprintf(os.Stderr, "trimlint: %d finding(s)\n", len(diags))
-		}
-		os.Exit(1)
+		fmt.Fprintf(stderr, "trimlint: %d finding(s)\n", len(diags))
+		return 1
 	}
-}
-
-// selectAnalyzers applies the -enable/-disable flags to the registry.
-func selectAnalyzers(enable, disable string) ([]*analysis.Analyzer, error) {
-	if enable != "" && disable != "" {
-		return nil, fmt.Errorf("-enable and -disable are mutually exclusive")
-	}
-	all := analysis.Analyzers()
-	if enable != "" {
-		var out []*analysis.Analyzer
-		for _, name := range strings.Split(enable, ",") {
-			a := analysis.ByName(strings.TrimSpace(name))
-			if a == nil {
-				return nil, fmt.Errorf("unknown check %q (see -list)", name)
-			}
-			out = append(out, a)
-		}
-		return out, nil
-	}
-	if disable != "" {
-		skip := make(map[string]bool)
-		for _, name := range strings.Split(disable, ",") {
-			name = strings.TrimSpace(name)
-			if analysis.ByName(name) == nil {
-				return nil, fmt.Errorf("unknown check %q (see -list)", name)
-			}
-			skip[name] = true
-		}
-		var out []*analysis.Analyzer
-		for _, a := range all {
-			if !skip[a.Name] {
-				out = append(out, a)
-			}
-		}
-		return out, nil
-	}
-	return all, nil
+	return 0
 }

@@ -33,7 +33,7 @@ import (
 
 // An Analyzer is one named invariant checker.
 type Analyzer struct {
-	// Name identifies the checker in output, flags, and allow directives.
+	// Name identifies the checker in output, -list, and allow directives.
 	Name string
 	// Doc is a one-line description shown by `trimlint -list`.
 	Doc string
@@ -43,12 +43,11 @@ type Analyzer struct {
 
 // A Diagnostic is a single finding.
 type Diagnostic struct {
-	Check   string         `json:"check"`
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col"`
-	Message string         `json:"message"`
+	Check   string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -72,7 +71,6 @@ func (p *Pass) Report(n ast.Node, format string, args ...interface{}) {
 	}
 	*p.diags = append(*p.diags, Diagnostic{
 		Check:   p.Check,
-		Pos:     pos,
 		File:    pos.Filename,
 		Line:    pos.Line,
 		Col:     pos.Column,
@@ -87,22 +85,10 @@ func Analyzers() []*Analyzer {
 		SwallowedErrorAnalyzer,
 		FloatEqualityAnalyzer,
 		WireEndiannessAnalyzer,
-		LockedValueCopyAnalyzer,
-		WallClockAnalyzer,
 		PoolOwnershipAnalyzer,
 		GoroutineBoundAnalyzer,
 		ObsHotPathAnalyzer,
 	}
-}
-
-// ByName returns the registered analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // Run executes the analyzers over every package and returns the surviving
@@ -162,7 +148,6 @@ func (pkg *Package) parseDirectives(known map[string]bool) []Diagnostic {
 	report := func(pos token.Position, format string, args ...interface{}) {
 		diags = append(diags, Diagnostic{
 			Check:   "directive",
-			Pos:     pos,
 			File:    pos.Filename,
 			Line:    pos.Line,
 			Col:     pos.Column,

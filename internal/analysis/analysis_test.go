@@ -57,11 +57,21 @@ func collectWants(t *testing.T, dir string) []want {
 	return wants
 }
 
+// byName returns the registered analyzer with the given name, or nil.
+func byName(name string) *Analyzer {
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
 // runFixture loads the single-package fixture in dir, runs one analyzer,
 // and diffs its diagnostics against the fixture's want comments.
 func runFixture(t *testing.T, checkName, dir string) {
 	t.Helper()
-	az := ByName(checkName)
+	az := byName(checkName)
 	if az == nil {
 		t.Fatalf("no analyzer named %q", checkName)
 	}
@@ -101,6 +111,7 @@ func TestFixtures(t *testing.T) {
 		dir   string
 	}{
 		{"determinism", "testdata/determinism/core"},
+		{"determinism", "testdata/determinism/ddp"},
 		{"determinism", "testdata/determinism/freepkg"},
 		{"determinism", "testdata/determinism/kinds"},
 		{"determinism", "testdata/determinism/par"},
@@ -108,9 +119,6 @@ func TestFixtures(t *testing.T) {
 		{"float-equality", "testdata/floateq/feq"},
 		{"wire-endianness", "testdata/endian/mixed"},
 		{"wire-endianness", "testdata/endian/pure"},
-		{"locked-value-copy", "testdata/copylock/locks"},
-		{"wallclock", "testdata/wallclock/ddp"},
-		{"wallclock", "testdata/wallclock/metrics"},
 		{"poolownership", "testdata/poolownership/netsim"},
 		{"poolownership", "testdata/poolownership/par"},
 		{"poolownership", "testdata/poolownership/clean"},
@@ -219,6 +227,132 @@ func TestAllowCoversSameAndNextLine(t *testing.T) {
 	for _, c := range cases {
 		if got := pkg.allowed("f.go", c.line, c.check); got != c.want {
 			t.Errorf("allowed(line %d, %s) = %v, want %v", c.line, c.check, got, c.want)
+		}
+	}
+}
+
+// A seed is a one-line bug planted in real tree code, with the finding its
+// check must report in that file. Each edit's old text must occur exactly
+// once in the file, so a tree that drifts fails loudly instead of seeding
+// nothing.
+type seed struct {
+	check string
+	file  string      // module-relative
+	edits [][2]string // old, new
+	want  string      // regexp the finding's message matches
+}
+
+var seeds = []seed{
+	{"determinism", "internal/collective/plan.go", [][2]string{
+		{"import (\n\t\"fmt\"\n", "import (\n\t\"fmt\"\n\t\"time\"\n"},
+		{"\tids := hostIDs(workers)\n", "\tids := hostIDs(workers)\n\t_ = time.Now()\n"},
+	}, "calls time.Now"},
+	{"swallowed-error", "internal/ddp/ddp.go", [][2]string{
+		{"\tfor _, m := range msg.Meta {\n\t\tif err := dec.Handle(m); err != nil {\n\t\t\treturn nil, core.Stats{}, err\n\t\t}\n",
+			"\tfor _, m := range msg.Meta {\n\t\tdec.Handle(m)\n"},
+	}, "error from Handle is silently dropped"},
+	{"float-equality", "internal/quant/scalar.go", [][2]string{
+		{"float64(lo) < levels", "float64(lo) != levels"},
+	}, "exact floating-point != comparison"},
+	{"wire-endianness", "internal/wire/meta.go", [][2]string{
+		{"binary.BigEndian.PutUint32(pl[4:], n)", "binary.LittleEndian.PutUint32(pl[4:], n)"},
+		{"binary.BigEndian.Uint32(pl[4:]),", "binary.LittleEndian.Uint32(pl[4:]),"},
+	}, "mixes byte orders"},
+	{"poolownership", "internal/netsim/network.go", [][2]string{
+		{"p.cfg.LossRate {\n\t\tp.Stats.Dropped++\n\t\tp.Stats.DroppedBytes += pkt.Size\n\t\tp.sim.releasePacket(pkt)\n",
+			"p.cfg.LossRate {\n\t\tp.Stats.Dropped++\n\t\tp.Stats.DroppedBytes += pkt.Size\n"},
+	}, "releases them on some paths but not all"},
+	{"poolownership", "internal/netsim/network.go", [][2]string{
+		{"\t\tp.Stats.DroppedBytes += pkt.Size\n\t\tp.sim.releasePacket(pkt)\n\t\treturn\n\t}\n\tp.push(pkt)\n",
+			"\t\tp.sim.releasePacket(pkt)\n\t\tp.Stats.DroppedBytes += pkt.Size\n\t\treturn\n\t}\n\tp.push(pkt)\n"},
+	}, "use of pooled value in parameter pkt after release"},
+	{"poolownership", "internal/core/parallel.go", [][2]string{
+		{"defer par.PutFloat32s(backing)", "par.PutFloat32s(backing)"},
+	}, `use of scratch slice \(par\.Float32s\) after release`},
+	{"goroutinebound", "internal/collective/plan.go", [][2]string{
+		{"\tstart := workers[0]", "\tgo hostIDs(workers)\n\tstart := workers[0]"},
+	}, "goroutine spawned with no join in run"},
+	{"obshotpath", "internal/netsim/network.go", [][2]string{
+		{"p.queueDepth.Observe(int64(depth))", "p.sim.obs.Histogram(\"queue_depth_bytes\", obs.BucketsBytes()).Observe(int64(depth))"},
+	}, "lookup Registry.Histogram in push"},
+}
+
+// TestSeededBugs plants every seed in one copy of the module's non-test
+// sources, lints the copy once, and requires each seed's finding: a
+// checker kept in Analyzers() must catch a bug in real code, not only in
+// its fixtures.
+func TestSeededBugs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks a copy of the whole module")
+	}
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && skipDir(d.Name()) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if d.Name() != "go.mod" && !isSourceFile(d.Name()) {
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(dst, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), src, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range seeds {
+		path := filepath.Join(dst, filepath.FromSlash(s.file))
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(src)
+		for _, e := range s.edits {
+			if n := strings.Count(text, e[0]); n != 1 {
+				t.Fatalf("%s seed: %q occurs %d times in %s, want 1", s.check, e[0], n, s.file)
+			}
+			text = strings.Replace(text, e[0], e[1], 1)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := LoadModule(dst, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Run(pkgs, Analyzers())
+	for _, s := range seeds {
+		re := regexp.MustCompile(s.want)
+		file := filepath.Join(dst, filepath.FromSlash(s.file))
+		found := false
+		for _, d := range diags {
+			if d.Check == s.check && d.File == file && re.MatchString(d.Message) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("%s seeded in %s: no finding matched %q", s.check, s.file, s.want)
 		}
 	}
 }

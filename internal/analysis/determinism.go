@@ -64,6 +64,10 @@ var deterministicPkgs = map[string]bool{
 	// worker count, so any clock, rand, or map-order dependence in its
 	// scheduling would silently void that guarantee.
 	"par": true,
+	// ddp stamps its round spans on the trainer's modelled wall clock: a
+	// real clock read there turns the same-seed telemetry export into
+	// per-run noise, and its trainers must replay a transcript exactly.
+	"ddp": true,
 }
 
 // bannedTimeFuncs are the time-package functions that read or wait on the

@@ -8,7 +8,7 @@
 //     same-seed runs must emit bit-identical exports. All timestamps come
 //     from an injectable Clock — by default a logical counter, in
 //     simulations the netsim virtual clock — never the wall clock
-//     (enforced by trimlint's wallclock checker). Snapshots are sorted,
+//     (enforced by trimlint's determinism checker). Snapshots are sorted,
 //     histograms use fixed pinned buckets, and quantiles are computed
 //     from bucket counts without sorting observations.
 //

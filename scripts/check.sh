@@ -30,28 +30,36 @@
 #                             under -race with live obs registries, and the
 #                             obs overhead guard still holds
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + trimlint
-#                             (trimlint replays from .trimlint-cache when
-#                             the tree is unchanged) + the no-Deprecated
-#                             guard + the one-fabric-switch guard
+#                             + the no-Deprecated guard + the
+#                             one-fabric-switch guard
 #   scripts/check.sh -loc [DIR...]
 #                             print the size score ROADMAP and CHANGES.md
 #                             quote: non-test and test Go lines outside
 #                             benchmark/ and testdata/, and DESIGN.md's
 #                             lines; then each DIR's non-test and test lines
 #
-# Every step must pass; the script stops at the first failure.
+# Every step must pass; the script stops at the first failure. Any other
+# argument prints this usage and exits 2.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+usage() {
+  sed -n '/^# Usage:/,/^#$/s/^# \{0,1\}//p' scripts/check.sh >&2
+  exit 2
+}
+
 mode=full
 case "${1:-}" in
+  "")     ;;
   -short) mode=short ;;
   -chaos) mode=chaos ;;
   -bench) mode=bench ;;
   -lint)  mode=lint ;;
   -loc)   mode=loc ;;
+  *)      usage ;;
 esac
 [[ $# -gt 0 ]] && shift
+[[ $mode == loc || $# -eq 0 ]] || usage
 
 step() { echo "== $*"; }
 
