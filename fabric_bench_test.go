@@ -205,32 +205,45 @@ func BenchmarkShardFabric(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricWheel measures raw scheduler throughput: events spread
-// across every level of the timer wheel (same-slot, in-window, overflow)
-// with no network attached. This isolates the tentpole — schedule +
-// dispatch cost per event.
+// BenchmarkFabricWheel measures raw scheduler throughput — schedule +
+// dispatch cost per event — with no network attached. spread scatters
+// the events over 2 ms, every level of the timer wheel (same-slot,
+// in-window, overflow) and about half an event per 256 ns tick; lockstep
+// puts 128 events on one shared timestamp in every other tick, the shape
+// of senders in an incast, so it prices ordering a deep tick.
 func BenchmarkFabricWheel(b *testing.B) {
 	const events = 4096
-	delays := make([]netsim.Time, events)
 	rng := xrand.New(42)
-	for i := range delays {
-		delays[i] = netsim.Time(rng.Uint64() % uint64(2*netsim.Millisecond))
+	shapes := []struct {
+		name  string
+		delay func(i int) netsim.Time
+	}{
+		{"spread", func(int) netsim.Time { return netsim.Time(rng.Uint64() % uint64(2*netsim.Millisecond)) }},
+		{"lockstep", func(i int) netsim.Time { return netsim.Time(i/128) * 512 }},
 	}
-	fn := func() {}
-	sim := netsim.NewSim()
-	run := func() {
-		for _, d := range delays {
-			sim.After(d, fn)
-		}
-		sim.Run()
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			delays := make([]netsim.Time, events)
+			for i := range delays {
+				delays[i] = shape.delay(i)
+			}
+			fn := func() {}
+			sim := netsim.NewSim()
+			run := func() {
+				for _, d := range delays {
+					sim.After(d, fn)
+				}
+				sim.Run()
+			}
+			run() // warm the event pool so iterations measure steady state
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+		})
 	}
-	run() // warm the event pool so iterations measure steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
 // BenchmarkFabricPack measures PackRow: one allocation per meta/data

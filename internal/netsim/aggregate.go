@@ -128,7 +128,7 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet,
 	// Without a registered merger only control-free packets may merge.
 	var ctl any
 	if p.sim.controlMerger != nil {
-		c, ok := p.sim.controlMerger(qpkt, pkt, merged)
+		c, ok := p.sim.controlMerger(qpkt, pkt)
 		if !ok {
 			return false
 		}

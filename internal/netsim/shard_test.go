@@ -479,7 +479,7 @@ func TestShardTopologyValidation(t *testing.T) {
 		sim := NewSim()
 		topo := NewRing(sim, 4, link, link, QueueConfig{})
 		// What transport.New always does to the host's simulator.
-		sim.SetControlMerger(func(into, from *Packet, merged []byte) (any, bool) { return nil, false })
+		sim.SetControlMerger(func(into, from *Packet) (any, bool) { return nil, false })
 		if _, err := ShardTopology(topo, 2); err == nil {
 			t.Fatal("partitioning after a transport registered must be rejected")
 		}

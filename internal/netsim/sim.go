@@ -25,8 +25,10 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"trimgrad/internal/obs"
@@ -88,50 +90,62 @@ type event struct {
 	pkt  *Packet // evTxDone, evDeliver, evAdmit
 }
 
-// evLess is the scheduler's total order: time, then causal key.
-func evLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.key < b.key
+// qent is a queue entry: an event with its (at, key) copied inline, so
+// ordering entries reads only the entries and never follows ev.
+type qent struct {
+	at  Time
+	key uint64
+	ev  *event
 }
 
-// eventHeap is a binary min-heap of events keyed by (at, key). It backs
-// the wheel's current-tick working set and the far-future overflow level.
-// Unlike container/heap it is monomorphic — no `any` boxing per push —
-// and pop nils the vacated slot so the backing array never retains a
-// fired event.
-type eventHeap []*event
+// before is the scheduler's total order: time, then causal key.
+func (a qent) before(b qent) bool {
+	return a.at < b.at || a.at == b.at && a.key < b.key
+}
 
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	q := *h
+// cmpEnt is before as a three-way comparison, for sorting.
+func cmpEnt(a, b qent) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.key, b.key)
+}
+
+// entHeap is a binary min-heap of entries in before order. It backs the
+// current tick's late arrivals and the far-future overflow level. pop
+// zeroes the vacated slot so the backing array never retains a fired
+// event.
+type entHeap []qent
+
+func (h *entHeap) push(e qent) {
+	q := append(*h, e)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !evLess(q[i], q[parent]) {
+		if !q[i].before(q[parent]) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
+	*h = q
 }
 
-func (h *eventHeap) pop() *event {
+func (h *entHeap) pop() qent {
 	q := *h
 	n := len(q) - 1
 	top := q[0]
-	q[0], q[n] = q[n], nil // nil the slot: no retained *event in the array
+	q[0], q[n] = q[n], qent{}
 	q = q[:n]
 	*h = q
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		least := i
-		if l < n && evLess(q[l], q[least]) {
+		if l < n && q[l].before(q[least]) {
 			least = l
 		}
-		if r < n && evLess(q[r], q[least]) {
+		if r < n && q[r].before(q[least]) {
 			least = r
 		}
 		if least == i {
@@ -144,9 +158,9 @@ func (h *eventHeap) pop() *event {
 }
 
 // Wheel geometry. A slot spans 2^slotShift nanoseconds (256 ns — about a
-// fifth of one MTU serialization at 10 Gb/s, so a busy fabric drains a
-// handful of events per tick, not dozens), and the wheel covers numSlots
-// slots (≈1 ms).
+// fifth of one MTU serialization at 10 Gb/s; senders in lockstep still
+// share exact timestamps, so a busy tick can hold a hundred events), and
+// the wheel covers numSlots slots (≈1 ms).
 // Per-packet events (tx, propagation, queueing) and first RTOs land in the
 // wheel; backed-off protocol timers and experiment deadlines spill into
 // the overflow heap, which is exactly the cheap-near/rare-far split a
@@ -167,12 +181,14 @@ const (
 //
 // Internally it is a two-level timer wheel over pooled event records:
 //
-//   - cur: a small heap holding every pending event with tick ≤ curTick.
-//     Because slot events all have strictly later timestamps, cur's
-//     minimum is the global minimum.
+//   - run and late: every pending event with tick ≤ curTick. run[ri:] is
+//     the rest of curTick's slot, sorted once when it was drained; late is
+//     a heap of the events placed at or before curTick after that drain.
+//     Because slot events all have strictly later timestamps, the smaller
+//     of the two heads is the global minimum.
 //   - slots: the wheel proper — events with curTick < tick < curTick+numSlots,
 //     chained per slot in no particular order (ordering is imposed when a
-//     slot is drained into cur).
+//     slot is drained into run).
 //   - overflow: a heap of events at tick ≥ curTick+numSlots, migrated
 //     into the wheel as curTick advances.
 //
@@ -184,13 +200,15 @@ type Sim struct {
 	obs     *obs.Registry
 
 	curTick int64
-	cur     eventHeap
+	run     []qent
+	ri      int
+	late    entHeap
 	slots   [numSlots]*event
 	// occ has bit i set exactly when slots[i] is non-empty, so advance finds
 	// the next occupied slot a word at a time instead of probing every one.
 	occ      [occWords]uint64
 	nSlots   int // events resident in slot chains
-	overflow eventHeap
+	overflow entHeap
 	npend    int
 
 	freeEv  *event
@@ -214,7 +232,7 @@ type Sim struct {
 	// controlMerger, when set, lets the transport layer re-describe a
 	// merged packet's control header during in-network aggregation (see
 	// SetControlMerger). Nil means only control-free packets may merge.
-	controlMerger func(into, from *Packet, merged []byte) (any, bool)
+	controlMerger func(into, from *Packet) (any, bool)
 
 	// Processed counts executed events (useful in tests and as a runaway
 	// guard).
@@ -226,13 +244,12 @@ func NewSim() *Sim { return &Sim{rootN: new(uint64)} }
 
 // SetControlMerger registers the transport hook the aggregation merge path
 // consults before folding two packets (QueueConfig.AggregateTrimmable):
-// given the two packets and the merged wire payload, it returns the control
-// header describing the aggregate — typically the concatenation of both
-// inputs' reassembly entries plus a fresh datagram checksum — or ok=false
-// to veto the merge (e.g. the two packets share a sender, so folding would
-// double-count). Every transport stack registers the same package-level
-// function, so repeated registration is idempotent.
-func (s *Sim) SetControlMerger(fn func(into, from *Packet, merged []byte) (any, bool)) {
+// given the two packets, it returns the control header describing the
+// aggregate — typically the concatenation of both inputs' reassembly
+// entries — or ok=false to veto the merge (e.g. the two packets share a
+// sender, so folding would double-count). Every transport stack registers
+// the same package-level function, so repeated registration is idempotent.
+func (s *Sim) SetControlMerger(fn func(into, from *Packet) (any, bool)) {
 	if s.eng != nil {
 		// Transports register on their host's shard, but the aggregating
 		// switch consulting the hook may live on any shard.
@@ -323,13 +340,13 @@ func (s *Sim) schedule(t Time, ev *event) {
 	s.place(ev)
 }
 
-// place routes ev by tick: at-or-before the current tick into the working
+// place routes ev by tick: at-or-before the current tick into the late
 // heap, inside the wheel window into a slot chain, beyond into overflow.
 func (s *Sim) place(ev *event) {
 	tick := int64(ev.at) >> slotShift
 	switch {
 	case tick <= s.curTick:
-		s.cur.push(ev)
+		s.late.push(qent{ev.at, ev.key, ev})
 	case tick < s.curTick+numSlots:
 		idx := tick & slotMask
 		ev.next = s.slots[idx]
@@ -337,14 +354,15 @@ func (s *Sim) place(ev *event) {
 		s.occ[idx>>6] |= 1 << (idx & 63)
 		s.nSlots++
 	default:
-		s.overflow.push(ev)
+		s.overflow.push(qent{ev.at, ev.key, ev})
 	}
 	s.npend++
 }
 
 // advance moves curTick to the next tick holding events and drains that
-// tick into cur. Precondition: cur is empty and npend > 0.
+// tick into run. Precondition: run and late are spent and npend > 0.
 func (s *Sim) advance() {
+	s.run, s.ri = s.run[:0], 0
 	if s.nSlots > 0 {
 		// Every resident slot event has a tick in (curTick, curTick+numSlots),
 		// so the first occupied slot in ring order after curTick's own index
@@ -380,7 +398,8 @@ func (s *Sim) nextOccupied(from int64) int64 {
 	}
 }
 
-// drainSlot moves a slot chain into the working heap.
+// drainSlot moves a slot chain into run and sorts it: by insertion for
+// the handful of events most ticks hold, by pdqsort for a deep one.
 func (s *Sim) drainSlot(idx int64) {
 	ev := s.slots[idx]
 	s.slots[idx] = nil
@@ -388,22 +407,45 @@ func (s *Sim) drainSlot(idx int64) {
 	for ev != nil {
 		next := ev.next
 		ev.next = nil
-		s.cur.push(ev)
-		s.nSlots--
+		s.run = append(s.run, qent{ev.at, ev.key, ev})
 		ev = next
+	}
+	r := s.run
+	s.nSlots -= len(r)
+	if len(r) > 16 {
+		slices.SortFunc(r, cmpEnt)
+		return
+	}
+	for i := 1; i < len(r); i++ {
+		for j := i; j > 0 && r[j].before(r[j-1]); j-- {
+			r[j], r[j-1] = r[j-1], r[j]
+		}
 	}
 }
 
 // migrate restores the overflow invariant after curTick advanced: any
-// event now inside the wheel window moves into its slot (or into cur if
+// event now inside the wheel window moves into its slot (or into late if
 // its tick is the current one).
 func (s *Sim) migrate() {
 	limit := s.curTick + numSlots
 	for len(s.overflow) > 0 && int64(s.overflow[0].at)>>slotShift < limit {
-		ev := s.overflow.pop()
+		e := s.overflow.pop()
 		s.npend-- // place re-counts it
-		s.place(ev)
+		s.place(e.ev)
 	}
+}
+
+// head returns the earliest pending entry, advancing the wheel when the
+// current tick is spent, and whether it heads late rather than run.
+// Precondition: npend > 0.
+func (s *Sim) head() (qent, bool) {
+	if s.ri == len(s.run) && len(s.late) == 0 {
+		s.advance()
+	}
+	if s.ri < len(s.run) && (len(s.late) == 0 || s.run[s.ri].before(s.late[0])) {
+		return s.run[s.ri], false
+	}
+	return s.late[0], true
 }
 
 // At schedules fn at absolute time t. Scheduling in the past panics: that
@@ -492,23 +534,24 @@ func (s *Sim) RunUntil(deadline Time) {
 func (s *Sim) runTo(deadline Time) {
 	s.stopped = false
 	for s.npend > 0 && !s.stopped {
-		if len(s.cur) == 0 {
-			s.advance()
-		}
-		ev := s.cur[0]
-		if ev.at > deadline {
+		e, late := s.head()
+		if e.at > deadline {
 			return
 		}
-		s.cur.pop()
+		if late {
+			s.late.pop()
+		} else {
+			s.ri++
+		}
 		s.npend--
-		s.now = ev.at
+		s.now = e.at
 		s.Processed++
 		// The event's key becomes the causal context for everything it
 		// schedules; restore the root context on the way out.
-		s.ctxKey, s.ctxN, s.dispatching = ev.key, 0, true
-		s.dispatch(ev)
+		s.ctxKey, s.ctxN, s.dispatching = e.key, 0, true
+		s.dispatch(e.ev)
 		s.dispatching = false
-		s.releaseEvent(ev)
+		s.releaseEvent(e.ev)
 	}
 }
 
@@ -516,16 +559,14 @@ func (s *Sim) runTo(deadline Time) {
 func (s *Sim) Pending() int { return s.npend }
 
 // nextAt peeks at the earliest pending event's timestamp without firing
-// it. It may advance curTick to surface the wheel minimum into cur, which
+// it. It may advance curTick to surface the wheel minimum into run, which
 // never changes firing semantics — only where the event is resident.
 func (s *Sim) nextAt() (Time, bool) {
 	if s.npend == 0 {
 		return 0, false
 	}
-	if len(s.cur) == 0 {
-		s.advance()
-	}
-	return s.cur[0].at, true
+	e, _ := s.head()
+	return e.at, true
 }
 
 // handOff records a cross-shard propagation arrival in the outbox toward

@@ -145,6 +145,71 @@ func TestTimerWheelMatchesHeap(t *testing.T) {
 	}
 }
 
+// lockstep runs the incast shape on s: 128 roots share one timestamp and
+// re-arm at one period for several rounds, so each round's tick holds all
+// of them; every other firing also spawns a child less than a tick later
+// (in the same tick, placed after that tick was drained), and the run
+// advances by RunUntil deadlines that land mid-tick. It returns the trace
+// and the most events that fired in one tick.
+func lockstep(s scheduler) ([]string, int) {
+	const (
+		roots  = 128
+		rounds = 5
+		start  = 40<<slotShift + 16 // children up to 239 ns later stay in the tick
+		period = 4 << slotShift
+	)
+	var trace []string
+	perTick := map[Time]int{}
+	fire := func(name string) {
+		trace = append(trace, fmt.Sprintf("fire %s @%d", name, s.Now()))
+		perTick[s.Now()>>slotShift]++
+	}
+	var arm func(id, round int, d Time)
+	arm = func(id, round int, d Time) {
+		s.After(d, func() {
+			fire(fmt.Sprintf("%d.%d", id, round))
+			if id%2 == 0 {
+				s.After(Time(id*37%200), func() { fire(fmt.Sprintf("%d.%d child", id, round)) })
+			}
+			if round+1 < rounds {
+				arm(id, round+1, period)
+			}
+		})
+	}
+	for id := 0; id < roots; id++ {
+		arm(id, 0, start)
+	}
+	for r := 0; r < rounds; r++ {
+		s.RunUntil(start + Time(r)*period + 100)
+		trace = append(trace, fmt.Sprintf("round %d now=%d pending=%d", r, s.Now(), s.Pending()))
+	}
+	s.Run()
+	trace = append(trace, fmt.Sprintf("end now=%d pending=%d", s.Now(), s.Pending()))
+	most := 0
+	for _, n := range perTick {
+		most = max(most, n)
+	}
+	return trace, most
+}
+
+// TestTimerWheelLockstep is the differential pin where ticks are deep: the
+// random programs above hold a handful of events per tick, an incast holds
+// a hundred. The wheel must replay the reference heap through ticks of
+// that depth, late same-tick arrivals and mid-tick deadlines included.
+func TestTimerWheelLockstep(t *testing.T) {
+	ref := &refSim{}
+	want, _ := lockstep(ref)
+	wheel := NewSim()
+	got, most := lockstep(wheel)
+	diffTraces(t, want, got)
+	if ref.processed != wheel.Processed {
+		t.Fatalf("processed %d (heap) != %d (wheel)", ref.processed, wheel.Processed)
+	}
+	if most < 100 {
+		t.Fatalf("deepest tick held %d events; the program must reach 100", most)
+	}
+}
+
 // FuzzTimerWheel feeds arbitrary byte programs through both schedulers.
 func FuzzTimerWheel(f *testing.F) {
 	f.Add([]byte{})

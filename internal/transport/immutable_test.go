@@ -2,17 +2,22 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
+	"trimgrad/internal/wire"
+	"trimgrad/internal/xrand"
 )
 
 // Payload immutability (DESIGN.md §16): once a payload is handed to
 // Host.Send its bytes are never written again, by the fabric or by the
 // transport, so the sender's retransmit buffers stay byte-identical for
-// the life of the message and each payload needs one datagram checksum.
+// the life of the message and every retransmission carries the CRCs the
+// packet was built with.
 
 // allPayloads lists a message's buffers, metadata first.
 func allPayloads(msg *core.Message) [][]byte {
@@ -163,85 +168,130 @@ func TestMergeNeverWritesSenderPayload(t *testing.T) {
 	})
 }
 
-// TestRetransmitCarriesFirstSendChecksum pins the once-per-message datagram
-// checksum: a retransmission reuses the sum taken at hand-over, it equals
-// what a fresh checksum of the (unchanged) buffer gives, and a copy
-// corrupted in flight is still rejected by it.
-func TestRetransmitCarriesFirstSendChecksum(t *testing.T) {
+// castagnoli is the CRC-32C table, built here so the reference rule below
+// shares no checksum code with the wire format.
+var castagnoli = func() (t [256]uint32) {
+	for i := range t {
+		c := uint32(i)
+		for k := 0; k < 8; k++ {
+			c = c>>1 ^ 0x82f63b78&-(c&1)
+		}
+		t[i] = c
+	}
+	return t
+}()
+
+// datagramSum is CRC-32C over a whole payload: the datagram checksum
+// senders once stamped into every control header at hand-over.
+func datagramSum(b []byte) uint32 {
+	c := ^uint32(0)
+	for _, x := range b {
+		c = castagnoli[byte(c)^x] ^ c>>8
+	}
+	return ^c
+}
+
+// datagramRejects is the admission rule the datagram checksum implemented,
+// kept as the reference: an untrimmed payload had to match the sum taken
+// at hand-over, and one claiming to be trimgrad had to pass wire.Validate.
+func datagramRejects(pl []byte, trimmed bool, sum uint32) bool {
+	return !trimmed && datagramSum(pl) != sum ||
+		wire.IsTrimgrad(pl) && wire.Validate(pl) != nil
+}
+
+// TestAdmissionMatchesDatagramChecksum pins admission on the packets' own
+// wire CRCs to the rule it replaced: for every single-bit flip, and seeded
+// 2- and 3-bit sets, of each kind of packet a receiver sees, validPayload
+// rejects exactly when the datagram checksum plus wire.Validate did. A
+// copy corrupted in flight is still rejected end to end.
+func TestAdmissionMatchesDatagramChecksum(t *testing.T) {
 	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
 	msg, _ := enc.Encode(1, 1, gaussianGrad(8, 1<<12))
 
-	t.Run("reliable", func(t *testing.T) {
-		// Random loss in both directions: a lost ack makes the receiver see
-		// the same payload twice, first send and retransmission.
-		sim, a, b := pair(netsim.QueueConfig{CapacityBytes: 1 << 20, LossRate: 0.2, LossSeed: 3}, fastLink())
-		payloads := allPayloads(msg)
-		sums := map[int][]uint32{}
-		inner := b.host.Handler
-		b.host.Handler = func(p *netsim.Packet) {
-			if c, ok := p.Control.(relData); ok {
-				sums[c.Idx] = append(sums[c.Idx], c.Sum)
-			}
-			inner(p)
+	t.Run("flips", func(t *testing.T) {
+		data := msg.Data[0]
+		h, err := wire.ParseHeader(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		completed := false
-		a.SendReliable(1, 1, payloads, func(netsim.Time) { completed = true },
-			func(err error) { t.Fatalf("failed: %v", err) })
-		sim.Run()
-		if !completed || a.Stats.Retransmits == 0 {
-			t.Fatalf("completed=%v retransmits=%d: want a completed run with retransmissions", completed, a.Stats.Retransmits)
+		// Header bytes 36..39 hold the CRC-32C of the tail region.
+		if tail := data[h.TrimmedSize():]; datagramSum(tail) != binary.BigEndian.Uint32(data[36:]) {
+			t.Fatal("datagramSum is not the wire format's CRC-32C")
 		}
-		repeats := 0
-		for idx, got := range sums {
-			for _, s := range got {
-				if s != payloadSum(payloads[idx]) {
-					t.Fatalf("payload %d sent with sum %08x, buffer sums to %08x", idx, s, payloadSum(payloads[idx]))
+		sums := make([]float32, 64)
+		for i := range sums {
+			sums[i] = float32(i) - 20.5
+		}
+		agg, err := wire.BuildAggPacket(wire.Header{Flow: 2, Message: 1, Row: 3, Count: 64, Seed: 9}, sums, sums)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := wire.BuildNaivePacket(wire.Header{Flow: 1, Message: 1, Row: 3}, append(sums, sums...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			name    string
+			sent    []byte // the payload handed over, which the sum covers
+			pl      []byte // what reaches the receiver before any flip
+			trimmed bool
+		}{
+			{"meta", msg.Meta[0], msg.Meta[0], false},
+			{"data", data, data, false},
+			{"aggregate", agg, agg, false},
+			{"naive", naive, naive, false},
+			{"trimmed data", data, wire.TrimCopy(data, h.TrimmedSize()+h.TailBytes()/2), true},
+		}
+		rng := xrand.New(27)
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				var s Stack
+				sum := datagramSum(c.sent)
+				nbits := 8 * len(c.pl)
+				var sets [][]int
+				for i := 0; i < nbits; i++ {
+					sets = append(sets, []int{i})
 				}
-			}
-			if len(got) > 1 {
-				repeats++
-			}
-		}
-		if repeats == 0 {
-			t.Fatal("no payload reached the receiver twice; the retransmit sum went unobserved")
-		}
-	})
-
-	t.Run("trimmable", func(t *testing.T) {
-		// Random loss: data packets are lost whole and NACK-repaired.
-		sim := netsim.NewSim()
-		star := netsim.NewStar(sim, 2, fastLink(),
-			netsim.QueueConfig{CapacityBytes: 1 << 20, LossRate: 0.2, LossSeed: 4})
-		a := newStack(star.Hosts[0], Config{RTO: 200 * netsim.Microsecond})
-		b := newStack(star.Hosts[1], Config{RTO: 200 * netsim.Microsecond})
-		sums := map[int][]uint32{}
-		inner := b.host.Handler
-		b.host.Handler = func(p *netsim.Packet) {
-			if c, ok := p.Control.(trimData); ok {
-				sums[c.Idx] = append(sums[c.Idx], c.Sum)
-			}
-			inner(p)
-		}
-		completed := false
-		a.SendTrimmable(1, 1, msg.Meta, msg.Data, func(netsim.Time) { completed = true },
-			func(err error) { t.Fatalf("failed: %v", err) })
-		sim.Run()
-		if !completed || a.Stats.Retransmits == 0 {
-			t.Fatalf("completed=%v retransmits=%d: want a completed run with retransmissions", completed, a.Stats.Retransmits)
-		}
-		for idx, got := range sums {
-			for _, s := range got {
-				if s != payloadSum(msg.Data[idx]) {
-					t.Fatalf("data %d sent with sum %08x, buffer sums to %08x", idx, s, payloadSum(msg.Data[idx]))
+				for k := 2; k <= 3; k++ {
+					for n := 0; n < 1000; n++ {
+						set := []int{rng.Intn(nbits)}
+						for len(set) < k {
+							if b := rng.Intn(nbits); !slices.Contains(set, b) {
+								set = append(set, b)
+							}
+						}
+						sets = append(sets, set)
+					}
 				}
-			}
+				rejected := 0
+				for _, set := range sets {
+					pl := bytes.Clone(c.pl)
+					for _, b := range set {
+						pl[b/8] ^= 1 << (b % 8)
+					}
+					want := datagramRejects(pl, c.trimmed, sum)
+					if got := !s.validPayload(&netsim.Packet{Payload: pl, Trimmed: c.trimmed}); got != want {
+						t.Fatalf("bits %v: rejected=%v, the datagram checksum rule says %v", set, got, want)
+					}
+					if want {
+						rejected++
+					}
+				}
+				if s.Stats.RejectedPackets != rejected {
+					t.Fatalf("RejectedPackets = %d, want %d", s.Stats.RejectedPackets, rejected)
+				}
+				if !s.validPayload(&netsim.Packet{Payload: c.pl, Trimmed: c.trimmed}) {
+					t.Fatal("the packet as it arrived is rejected")
+				}
+				t.Logf("%d flip sets, %d rejected", len(sets), rejected)
+			})
 		}
 	})
 
 	t.Run("corrupted copy rejected", func(t *testing.T) {
 		// Half the transmissions are corrupted on the sender's uplink; the
-		// cached sum convicts each bad copy, and a retransmission — same
-		// buffer, same sum — is accepted.
+		// packets' own CRCs convict each bad copy, and a retransmission of
+		// the unchanged buffer is accepted.
 		sim, a, b := pair(netsim.QueueConfig{CapacityBytes: 1 << 20}, fastLink())
 		a.host.Uplink().SetFaults(netsim.FaultConfig{Seed: 5, CorruptRate: 0.5, CorruptBits: 3})
 		payloads := allPayloads(msg)

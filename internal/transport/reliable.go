@@ -12,7 +12,6 @@ type relData struct {
 	MsgID uint32
 	Idx   int
 	Total int
-	Sum   uint32 // datagram checksum over the payload
 }
 
 // relAck acknowledges one reliable data packet.
@@ -28,10 +27,6 @@ type relSender struct {
 	dst      netsim.NodeID
 	id       uint32
 	payloads [][]byte
-	// sums holds each payload's datagram checksum, computed once when the
-	// message is handed over: payloads are immutable from then on
-	// (netsim.Host.Send), so every retransmission carries the same sum.
-	sums     []uint32
 	acked    []bool
 	inFlight map[int]bool
 	nAcked   int
@@ -47,18 +42,19 @@ type relSender struct {
 
 // SendReliable transmits payloads to dst as message id, invoking done when
 // every packet has been acknowledged, or failed (with the reason) after
-// MaxRetries timeout rounds. Neither payloads nor the slices in it are
-// copied, here or in the fabric: both are immutable from this call on
+// MaxRetries timeout rounds. Every payload must be a trimgrad packet; it
+// panics otherwise. Neither payloads nor the slices in it are copied, here
+// or in the fabric: both are immutable from this call on
 // (netsim.Host.Send), so callers must not write them again but may hand
 // them to another destination.
 func (s *Stack) SendReliable(dst netsim.NodeID, id uint32, payloads [][]byte,
 	done func(at netsim.Time), failed func(err error)) {
+	mustBeTrimgrad(id, payloads)
 	tx := &relSender{
 		stack:    s,
 		dst:      dst,
 		id:       id,
 		payloads: payloads,
-		sums:     payloadSums(payloads),
 		acked:    make([]bool, len(payloads)),
 		inFlight: make(map[int]bool),
 		cwnd:     float64(s.cfg.InitWindow),
@@ -93,9 +89,7 @@ func (tx *relSender) transmit(idx int) {
 	pkt.Kind = "rel-data"
 	pkt.FlowID = uint64(tx.id)
 	pkt.Seq = uint64(idx)
-	pkt.Control = relData{
-		MsgID: tx.id, Idx: idx, Total: len(tx.payloads), Sum: tx.sums[idx],
-	}
+	pkt.Control = relData{MsgID: tx.id, Idx: idx, Total: len(tx.payloads)}
 	tx.stack.host.Send(pkt)
 }
 
@@ -193,7 +187,7 @@ type relReceiver struct {
 }
 
 func (s *Stack) handleRelData(p *netsim.Packet, c relData) {
-	if !s.validPayload(p, c.Sum) {
+	if !s.validPayload(p) {
 		// Deliberately unacked: the sender's RTO treats the corrupted
 		// packet as lost and retransmits from its intact buffer.
 		return

@@ -20,7 +20,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/obs"
@@ -103,8 +102,8 @@ type Stats struct {
 	AcksSent        int
 	NacksSent       int
 	Failures        int // messages that exhausted MaxRetries
-	// RejectedPackets counts received trimgrad payloads that failed
-	// checksum/decode validation (bit corruption on the wire). They are
+	// RejectedPackets counts received payloads that failed their wire
+	// CRCs or header checks (bit corruption on the wire). They are
 	// dropped unacked and recovered through the normal loss path.
 	RejectedPackets int
 	// DupsReceived counts data/metadata packets that arrived again after
@@ -204,9 +203,8 @@ func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 	}
 	h.Handler = s.handle
 	// Let aggregating switches fold trim-aware data packets: the merger
-	// rebuilds the control header (reassembly entries + checksum) for the
-	// merged payload. Package-level, so re-registration per stack is
-	// idempotent.
+	// rebuilds the control header (the reassembly entries) for the merged
+	// payload. Package-level, so re-registration per stack is idempotent.
 	h.Sim().SetControlMerger(mergeControls)
 	return s, nil
 }
@@ -247,43 +245,35 @@ func (s *Stack) deliver(src netsim.NodeID, payload []byte) {
 // payloadSize is the wire size of a packet carrying payload.
 func payloadSize(payload []byte) int { return len(payload) + wire.NetOverhead }
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// payloadSum is the datagram checksum a sender stamps into its control
-// header — the analogue of a UDP checksum over the payload. A trimming
-// switch legitimately shortens the payload without updating the sum, so
-// receivers only verify it on untrimmed packets.
-func payloadSum(payload []byte) uint32 { return crc32.Checksum(payload, crcTable) }
-
-// payloadSums is payloadSum of every payload of a message, taken once at
-// hand-over for all of its (re)transmissions.
-func payloadSums(payloads [][]byte) []uint32 {
-	sums := make([]uint32, len(payloads))
+// mustBeTrimgrad refuses, at hand-over, a message carrying anything but
+// trimgrad packets: receivers admit payloads on the packets' own wire CRCs
+// (validPayload), which foreign bytes do not have.
+func mustBeTrimgrad(id uint32, payloads [][]byte) {
 	for i, b := range payloads {
-		sums[i] = payloadSum(b)
+		if !wire.IsTrimgrad(b) {
+			panic(fmt.Sprintf("transport: message %d payload %d is not a trimgrad packet", id, i))
+		}
 	}
-	return sums
 }
 
 // validPayload reports whether a received payload may be acked and
-// delivered. Untrimmed packets must match the sender's datagram checksum,
-// which covers opaque application bytes and trimgrad packets alike (and
-// catches flips in the magic itself). A payload claiming to be trimgrad
-// must additionally pass wire.Validate — header sanity plus every wire CRC
-// its trim state allows, verified without unpacking a coordinate — which
-// is what protects trimmed packets, whose datagram sum the switch
-// invalidated. Failures are counted in
-// Stats.RejectedPackets and dropped unacked so a flipped bit becomes a
-// recoverable loss, never a delivered bad gradient.
-func (s *Stack) validPayload(p *netsim.Packet, sum uint32) bool {
-	if !p.Trimmed && payloadSum(p.Payload) != sum {
-		s.Stats.RejectedPackets++
-		return false
+// delivered, judged by the packet's own wire CRCs in one pass, without
+// unpacking a coordinate. A packet the fabric did not trim must be a
+// trimgrad packet exactly as built (wire.ValidateUntrimmed: every CRC, no
+// trimmed flag in its header). A trimmed one must pass wire.Validate, which
+// checks the CRCs its trim state leaves; if its magic was hit after the
+// cut it is handed on as foreign bytes, and the decoder refuses them.
+// Failures are counted in Stats.RejectedPackets and dropped unacked so a
+// flipped bit becomes a recoverable loss, never a delivered bad gradient.
+func (s *Stack) validPayload(p *netsim.Packet) bool {
+	var err error
+	switch {
+	case !p.Trimmed:
+		err = wire.ValidateUntrimmed(p.Payload)
+	case wire.IsTrimgrad(p.Payload):
+		err = wire.Validate(p.Payload)
 	}
-	if !wire.IsTrimgrad(p.Payload) {
-		return true
-	}
-	if wire.Validate(p.Payload) != nil {
+	if err != nil {
 		s.Stats.RejectedPackets++
 		return false
 	}

@@ -128,8 +128,10 @@ func TestReliableFailsAfterMaxRetries(t *testing.T) {
 	sim := netsim.NewSim()
 	star := netsim.NewStar(sim, 2, fastLink(), netsim.QueueConfig{})
 	a := newStack(star.Hosts[0], Config{MaxRetries: 3, RTO: 10 * netsim.Microsecond})
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
+	msg, _ := enc.Encode(1, 1, gaussianGrad(9, 1<<8))
 	var failErr error
-	a.SendReliable(55 /* no such host */, 1, [][]byte{{1, 2, 3}},
+	a.SendReliable(55 /* no such host */, 1, msg.Meta,
 		func(netsim.Time) { t.Fatal("should not complete") },
 		func(err error) { failErr = err })
 	sim.Run()
@@ -141,6 +143,33 @@ func TestReliableFailsAfterMaxRetries(t *testing.T) {
 	}
 	if a.Stats.Failures != 1 {
 		t.Errorf("failures = %d", a.Stats.Failures)
+	}
+}
+
+// TestSendRefusesForeignPayload pins the hand-over rule admission rests
+// on: a receiver judges payloads by their own wire CRCs, so both send
+// paths refuse a payload that is not a trimgrad packet before anything
+// reaches the fabric.
+func TestSendRefusesForeignPayload(t *testing.T) {
+	sim, a, _ := pair(netsim.QueueConfig{}, fastLink())
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
+	msg, _ := enc.Encode(1, 1, gaussianGrad(10, 1<<8))
+	foreign := [][]byte{msg.Data[0], {1, 2, 3}}
+	for name, send := range map[string]func(){
+		"reliable":  func() { a.SendReliable(1, 1, foreign, nil, nil) },
+		"trimmable": func() { a.SendTrimmable(1, 2, msg.Meta, foreign, nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a foreign payload was accepted at hand-over", name)
+				}
+			}()
+			send()
+		}()
+	}
+	if sim.Pending() != 0 || a.Stats.DataSent != 0 {
+		t.Fatalf("refused sends left %d events and %d data packets", sim.Pending(), a.Stats.DataSent)
 	}
 }
 

@@ -22,7 +22,6 @@ type trimAggEntry struct {
 // trimAggData is the control header of a switch-built aggregate packet.
 type trimAggData struct {
 	Entries []trimAggEntry
-	Sum     uint32 // datagram checksum over the merged (untrimmed) payload
 }
 
 // aggEntries flattens a data packet's control into reassembly entries.
@@ -41,7 +40,7 @@ func aggEntries(p *netsim.Packet) ([]trimAggEntry, bool) {
 // the merge when either input is not trim-aware data or when the inputs
 // share an original packet (a retransmit meeting its queued self, or two
 // aggregates with a common ancestor — folding would double-count).
-func mergeControls(into, from *netsim.Packet, merged []byte) (any, bool) {
+func mergeControls(into, from *netsim.Packet) (any, bool) {
 	ea, ok := aggEntries(into)
 	if !ok {
 		return nil, false
@@ -59,7 +58,7 @@ func mergeControls(into, from *netsim.Packet, merged []byte) (any, bool) {
 	}
 	entries := make([]trimAggEntry, 0, len(ea)+len(eb))
 	entries = append(append(entries, ea...), eb...)
-	return trimAggData{Entries: entries, Sum: payloadSum(merged)}, true
+	return trimAggData{Entries: entries}, true
 }
 
 // handleTrimAgg accounts a switch-built aggregate to every folded sender's
@@ -72,7 +71,7 @@ func (s *Stack) handleTrimAgg(p *netsim.Packet, c trimAggData) {
 	for i, e := range c.Entries {
 		rxs[i] = s.trimReceiverFor(e.Src, e.MsgID, 0, e.Total)
 	}
-	if !s.validPayload(p, c.Sum) {
+	if !s.validPayload(p) {
 		for _, rx := range rxs {
 			rx.armNack()
 		}

@@ -16,7 +16,6 @@ type trimData struct {
 	MsgID uint32
 	Idx   int
 	Total int
-	Sum   uint32 // datagram checksum over the untrimmed payload
 }
 
 // trimMeta carries one reliable metadata payload.
@@ -24,7 +23,6 @@ type trimMeta struct {
 	MsgID uint32
 	Idx   int
 	Total int
-	Sum   uint32 // datagram checksum over the payload
 }
 
 // trimMetaAck acknowledges one metadata packet.
@@ -45,16 +43,11 @@ type trimNack struct {
 }
 
 type trimSender struct {
-	stack *Stack
-	dst   netsim.NodeID
-	id    uint32
-	metas [][]byte
-	data  [][]byte
-	// metaSums/dataSums hold each payload's datagram checksum, computed once
-	// when the message is handed over: payloads are immutable from then on
-	// (netsim.Host.Send), so every retransmission carries the same sum.
-	metaSums  []uint32
-	dataSums  []uint32
+	stack     *Stack
+	dst       netsim.NodeID
+	id        uint32
+	metas     [][]byte
+	data      [][]byte
 	metaAcked []bool
 	nMetaAck  int
 	rto       netsim.Time
@@ -68,17 +61,19 @@ type trimSender struct {
 // SendTrimmable transmits a trimmable message: metas reliably, data
 // packets once at line rate. done fires when the receiver confirms every
 // packet was accounted for (delivered or trimmed); failed receives the
-// reason when the retransmit budget runs out. Neither metas and data nor
-// the slices in them are copied, here or in the fabric: all are immutable
-// from this call on (netsim.Host.Send) — a switch that trims a packet
-// copies the prefix it keeps — so callers must not write them again but
-// may hand them to another destination.
+// reason when the retransmit budget runs out. Every payload must be a
+// trimgrad packet; it panics otherwise. Neither metas and data nor the
+// slices in them are copied, here or in the fabric: all are immutable from
+// this call on (netsim.Host.Send) — a switch that trims a packet copies
+// the prefix it keeps — so callers must not write them again but may hand
+// them to another destination.
 func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte,
 	done func(at netsim.Time), failed func(err error)) {
+	mustBeTrimgrad(id, metas)
+	mustBeTrimgrad(id, data)
 	tx := &trimSender{
 		stack: s, dst: dst, id: id,
 		metas: metas, data: data,
-		metaSums: payloadSums(metas), dataSums: payloadSums(data),
 		metaAcked: make([]bool, len(metas)),
 		rto:       s.cfg.RTO,
 		done:      done, failed: failed,
@@ -101,9 +96,7 @@ func (tx *trimSender) sendMeta(idx int) {
 	pkt.Payload = tx.metas[idx]
 	pkt.Kind = "trim-meta"
 	pkt.FlowID = uint64(tx.id)
-	pkt.Control = trimMeta{
-		MsgID: tx.id, Idx: idx, Total: len(tx.metas), Sum: tx.metaSums[idx],
-	}
+	pkt.Control = trimMeta{MsgID: tx.id, Idx: idx, Total: len(tx.metas)}
 	tx.stack.host.Send(pkt)
 }
 
@@ -116,9 +109,7 @@ func (tx *trimSender) sendData(idx int) {
 	pkt.Kind = "trim-data"
 	pkt.FlowID = uint64(tx.id)
 	pkt.Seq = uint64(idx)
-	pkt.Control = trimData{
-		MsgID: tx.id, Idx: idx, Total: len(tx.data), Sum: tx.dataSums[idx],
-	}
+	pkt.Control = trimData{MsgID: tx.id, Idx: idx, Total: len(tx.data)}
 	tx.stack.host.Send(pkt)
 }
 
@@ -230,7 +221,7 @@ func (s *Stack) trimReceiverFor(src netsim.NodeID, id uint32, nMeta, nData int) 
 }
 
 func (s *Stack) handleTrimMeta(p *netsim.Packet, c trimMeta) {
-	if !s.validPayload(p, c.Sum) {
+	if !s.validPayload(p) {
 		// Unacked: the sender's meta RTO re-sends the intact bytes.
 		return
 	}
@@ -263,7 +254,7 @@ func (s *Stack) handleTrimMeta(p *netsim.Packet, c trimMeta) {
 
 func (s *Stack) handleTrimData(p *netsim.Packet, c trimData) {
 	rx := s.trimReceiverFor(p.Src, c.MsgID, 0, c.Total)
-	if !s.validPayload(p, c.Sum) {
+	if !s.validPayload(p) {
 		// Not marked in dataGot, so the gap check NACKs it and the sender
 		// re-sends from its intact buffer.
 		rx.armNack()

@@ -1,10 +1,13 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // IsTrimgrad reports whether buf begins with the trimgrad magic. It is a
-// cheap gate for transports that also carry opaque application payloads:
-// only buffers claiming to be trimgrad packets are held to Validate.
+// cheap gate for code that may see foreign bytes: only buffers claiming to
+// be trimgrad packets are held to Validate.
 func IsTrimgrad(buf []byte) bool {
 	return len(buf) >= offVersion && binary.BigEndian.Uint16(buf[offMagic:]) == Magic
 }
@@ -24,15 +27,41 @@ func Validate(buf []byte) error {
 	if err != nil {
 		return err
 	}
+	return check(buf, &h)
+}
+
+// ValidateUntrimmed is Validate for a packet no switch has cut. It also
+// convicts the two header fields no CRC covers: the FlagTrimmed bit (the
+// head CRC skips it because a switch sets it in flight) must be clear, and
+// the tail-CRC field of a kind without a tail region (metadata, naive)
+// must read the zero its builder wrote. With those, a packet sent whole
+// is rejected wherever one CRC-32C over all of it would reject it
+// (transport's TestAdmissionMatchesDatagramChecksum flips every bit).
+func ValidateUntrimmed(buf []byte) error {
+	h, err := ParseHeader(buf)
+	if err != nil {
+		return err
+	}
+	if h.Trimmed() {
+		return fmt.Errorf("%w: trimmed flag on an untrimmed packet", ErrBadChecksum)
+	}
+	if (h.IsMeta() || h.IsNaive()) && binary.BigEndian.Uint32(buf[offTailCRC:]) != 0 {
+		return fmt.Errorf("%w: tail CRC on a packet without tails", ErrBadChecksum)
+	}
+	return check(buf, &h)
+}
+
+// check runs the check function of the kind h's flags claim.
+func check(buf []byte, h *Header) (err error) {
 	switch {
 	case h.IsMeta():
-		err = checkMeta(buf, &h)
+		err = checkMeta(buf, h)
 	case h.IsNaive():
-		_, err = checkNaive(buf, &h)
+		_, err = checkNaive(buf, h)
 	case h.IsAgg():
-		_, err = checkAgg(buf, &h)
+		_, err = checkAgg(buf, h)
 	default:
-		_, err = checkData(buf, &h)
+		_, err = checkData(buf, h)
 	}
 	return err
 }

@@ -9,8 +9,8 @@
 #                             fault, and duplicate-delivery regression tests
 #                             (the faulty half of the scenario matrix among
 #                             them), plus the payload-ownership suites (immutable
-#                             after Send under trims and merges, one
-#                             checksum per message, no copy per hop)
+#                             after Send under trims and merges, admission
+#                             on the packet's own CRCs, no copy per hop)
 #   scripts/check.sh -bench   perf smoke only: the BenchmarkHot* suite,
 #                             the BenchmarkFabric* fast-path suite (wheel,
 #                             pooled and borrowed-payload hops, and the k=4
@@ -127,8 +127,8 @@ if [[ $mode == chaos ]]; then
   pkgs=(./internal/netsim ./internal/transport ./internal/collective ./internal/exp ./internal/scenario)
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" "${pkgs[@]}"
-  step "go test -race (payload ownership: immutable after Send, one checksum per message, no per-hop copy)"
-  pattern='Borrowed|NeverWritesSender|FirstSendChecksum'
+  step "go test -race (payload ownership: immutable after Send, admission on the packet's own CRCs, no per-hop copy)"
+  pattern='Borrowed|NeverWritesSender|AdmissionMatches'
   pkgs=(./internal/netsim ./internal/transport)
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" -count=1 "${pkgs[@]}"

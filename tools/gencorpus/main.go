@@ -23,10 +23,20 @@ import (
 
 const corpusRoot = "internal/wire/testdata/fuzz"
 
-func writeEntry(target, name string, values ...any) {
-	dir := filepath.Join(corpusRoot, target)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Fatal(err)
+// corpus writes entries under root; the first failure sticks in err and
+// turns every later write into a no-op.
+type corpus struct {
+	root string
+	err  error
+}
+
+func (c *corpus) writeEntry(target, name string, values ...any) {
+	if c.err != nil {
+		return
+	}
+	dir := filepath.Join(c.root, target)
+	if c.err = os.MkdirAll(dir, 0o755); c.err != nil {
+		return
 	}
 	body := "go test fuzz v1\n"
 	for _, v := range values {
@@ -42,15 +52,24 @@ func writeEntry(target, name string, values ...any) {
 		case int:
 			body += fmt.Sprintf("int(%d)\n", x)
 		default:
-			log.Fatalf("unsupported corpus value type %T", v)
+			c.err = fmt.Errorf("unsupported corpus value type %T", v)
+			return
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-		log.Fatal(err)
-	}
+	c.err = os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644)
 }
 
 func main() {
+	if err := run(corpusRoot); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("wrote corpora under", corpusRoot)
+}
+
+// run writes every corpus entry under root.
+func run(root string) error {
+	c := &corpus{root: root}
+	writeEntry := c.writeEntry
 	h := wire.Header{
 		Flow: 7, Message: 3, Row: 1, Start: 0,
 		Count: 64, P: 4, Q: 12, Seed: 0xDEADBEEF,
@@ -63,13 +82,13 @@ func main() {
 	}
 	data, err := wire.BuildDataPacket(h, heads, tails)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	trimmed := wire.Trim(append([]byte(nil), data...), wire.HeaderSize+40)
 	meta := wire.BuildMetaPacket(h, 3, 1024, 0.125)
 	naive, err := wire.BuildNaivePacket(h, []float32{1.5, -2.25, 0, 3e7})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	naiveTrimmed := wire.Trim(append([]byte(nil), naive...), wire.HeaderSize+8)
 
@@ -120,11 +139,11 @@ func main() {
 	aggHdr.Count = uint16(len(aggSums))
 	aggFull, err := wire.BuildAggPacket(aggHdr, aggSums, aggSums)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	aggTrimmed, err := wire.BuildAggPacket(aggHdr, aggSums, aggSums[:7])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	writeEntry("FuzzParseAggPacket", "valid-agg", aggFull)
 	writeEntry("FuzzParseAggPacket", "trimmed-agg", aggTrimmed)
@@ -147,5 +166,5 @@ func main() {
 	zeroed := append([]byte(nil), flagged...)
 	copy(zeroed[36:40], []byte{0, 0, 0, 0})
 	writeEntry("FuzzValidateMatchesParse", "trimmed-flag-zero-tailcrc", zeroed)
-	fmt.Println("wrote corpora under", corpusRoot)
+	return c.err
 }
