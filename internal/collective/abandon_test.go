@@ -29,10 +29,11 @@ func TestFailedRoundDropsDecoders(t *testing.T) {
 		ws := make([]*Worker, n)
 		for i := range ws {
 			st := newStack(star.Hosts[i], transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 8})
-			w, err := New(i, st, WithConfig(coreCfg(quant.RHT)), WithMode(Trimmable), WithDeadline(20*netsim.Millisecond))
+			w, err := New(i, st, WithConfig(coreCfg(quant.RHT)), WithMode(Trimmable))
 			if err != nil {
 				t.Fatal(err)
 			}
+			w.Deadline = 20 * netsim.Millisecond
 			ws[i] = w
 		}
 		return sim, star, ws

@@ -83,11 +83,10 @@ type decKey struct {
 type Option func(*workerOpts)
 
 type workerOpts struct {
-	cfg      core.Config
-	mode     Mode
-	deadline netsim.Time
-	reg      *obs.Registry
-	regSet   bool
+	cfg    core.Config
+	mode   Mode
+	reg    *obs.Registry
+	regSet bool
 }
 
 // WithConfig sets the codec configuration (Flow is overwritten with the
@@ -96,9 +95,6 @@ func WithConfig(cfg core.Config) Option { return func(o *workerOpts) { o.cfg = c
 
 // WithMode selects the transport protocol.
 func WithMode(m Mode) Option { return func(o *workerOpts) { o.mode = m } }
-
-// WithDeadline bounds each collective operation this worker joins.
-func WithDeadline(d netsim.Time) Option { return func(o *workerOpts) { o.deadline = d } }
 
 // WithRegistry overrides the telemetry registry. By default the worker
 // inherits the registry bound to its host's simulator; the worker's
@@ -125,15 +121,14 @@ func New(rank int, stack *transport.Stack, opts ...Option) (*Worker, error) {
 		return nil, err
 	}
 	w := &Worker{
-		Rank:     rank,
-		Stack:    stack,
-		Mode:     o.mode,
-		Deadline: o.deadline,
-		cfg:      cfg,
-		enc:      enc,
-		decs:     make(map[decKey]*core.Decoder),
-		sums:     make(map[uint32]*core.SumDecoder),
-		obs:      o.reg,
+		Rank:  rank,
+		Stack: stack,
+		Mode:  o.mode,
+		cfg:   cfg,
+		enc:   enc,
+		decs:  make(map[decKey]*core.Decoder),
+		sums:  make(map[uint32]*core.SumDecoder),
+		obs:   o.reg,
 	}
 	stack.Receiver = transport.ReceiverFunc(w.handlePayload)
 	stack.OnMessageComplete = func(src netsim.NodeID, msg uint32, at netsim.Time) {

@@ -14,7 +14,7 @@ import (
 // The sharded fat-tree matrix: the PR 8 equivalence/chaos matrix rerun
 // on the partitioned engine. The contract is netsim's bit-identity
 // guarantee one layer up: for every algorithm × fault scenario, a plain
-// Sim (what ddp.NetTrainer runs) and the 2/4/8-shard engines must
+// Sim (what ddp.NewNetTrainer's trainer runs) and the 2/4/8-shard engines must
 // reproduce the 1-shard run exactly — averages, per-rank outcomes
 // (completion times included), decode stats, and the canonical merged
 // telemetry snapshot.

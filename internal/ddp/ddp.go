@@ -1,18 +1,25 @@
 // Package ddp is the distributed data-parallel trainer used to regenerate
-// the paper's evaluation (§4): N workers compute gradients on separate
-// data shards, exchange them through the trimmable-gradient codec with a
-// congestion injector deciding each packet's fate (exactly the paper's
-// "pre-set random probabilistic dropping/trimming" methodology), and apply
+// the paper's evaluation: N workers compute gradients on separate data
+// shards, exchange them through the trimmable-gradient codec, and apply
 // the aggregated gradient with SGD+momentum under a StepLR schedule.
 //
-// Wall-clock time is simulated with a calibrated cost model rather than
-// measured, because the interesting quantity — time to accuracy — depends
-// on per-round costs the paper reports from its GPU testbed: trimmable
-// encoding adds ~42–68% to a round, the RHT encoder is ~18% slower than
-// the scalar ones, and the reliable baseline slows down 5–10× once drops
-// exceed ~1–2% (§4.4). The *relative* costs are also measured for real by
-// this repository's Go benchmarks (bench_test.go); the model keeps the
-// training loop deterministic and fast.
+// One Trainer runs one loop; its constructors differ only in the exchange.
+// NewTrainer's has an injector decide each packet's fate (the paper's §4
+// "pre-set random probabilistic dropping/trimming"); NewNetTrainer's runs
+// each round over a live netsim fabric (§5.1's "full-scale simulation").
+// Each refuses what only the other reads: WithFabric is an error for
+// NewTrainer; TrimRate, DropRate, Injector and ErrorFeedback for
+// NewNetTrainer.
+//
+// Wall-clock time is simulated, not measured: a calibrated cost model gives
+// each round's compute and encode time (and NewTrainer's comm time), as
+// time to accuracy depends on per-round costs the paper reports from its
+// GPU testbed: trimmable encoding adds ~42–68% to a round, the RHT encoder
+// is ~18% slower than the scalar ones, and the reliable baseline slows
+// down 5–10× once drops exceed ~1–2% (§4.4). The *relative* costs are
+// also measured for real by this repository's Go benchmarks
+// (bench_test.go); the model keeps the training loop deterministic and
+// fast.
 package ddp
 
 import (
@@ -79,12 +86,7 @@ func (c CostModel) RoundTime(scheme *quant.Params, dropRate float64) float64 {
 		}
 		return base * mult
 	}
-	enc := base * c.EncodeScalarFrac
-	switch scheme.Scheme {
-	case quant.RHT, quant.RHTLinear:
-		enc *= c.RHTFactor
-	}
-	return base + enc
+	return base + c.EncodeTime(scheme)
 }
 
 // EncodeTime returns just the encode+decode component (Figure 5's
@@ -202,19 +204,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// checkShards refuses a training set that would leave a worker's shard
-// empty: such a run has no rounds and would report NaN losses.
-func checkShards(cfg Config, train *ml.Dataset) error {
-	if train.Len() == 0 {
-		return errors.New("ddp: empty training set")
-	}
-	if cfg.Workers > train.Len() {
-		return fmt.Errorf("ddp: Workers must not exceed the training samples, got %d workers for %d samples",
-			cfg.Workers, train.Len())
-	}
-	return nil
-}
-
 // SchemeName names the run's encoding for tables.
 func (c Config) SchemeName() string {
 	if c.Scheme == nil {
@@ -255,14 +244,14 @@ func (r *Result) TimeToAccuracy(target float64) (float64, bool) {
 	return 0, false
 }
 
-// An Option configures a Trainer or NetTrainer at construction.
+// An Option configures a Trainer at construction.
 type Option func(*trainerOpts)
 
 type trainerOpts struct {
 	cfg    Config
 	hidden []int
 	reg    *obs.Registry
-	fabric FabricConfig
+	fabric *FabricConfig
 }
 
 // WithConfig sets the training configuration.
@@ -282,62 +271,137 @@ func WithHidden(sizes ...int) Option { return func(o *trainerOpts) { o.hidden = 
 // are deterministic; they are just different time axes.
 func WithRegistry(r *obs.Registry) Option { return func(o *trainerOpts) { o.reg = r } }
 
-// WithFabric sets the simulated network under a NetTrainer (ignored by
-// NewTrainer).
-func WithFabric(f FabricConfig) Option { return func(o *trainerOpts) { o.fabric = f } }
+// WithFabric sets the simulated network under NewNetTrainer's trainer;
+// NewTrainer refuses it.
+func WithFabric(f FabricConfig) Option { return func(o *trainerOpts) { o.fabric = &f } }
 
-// Trainer runs one configuration on a dataset.
+// Trainer runs one configuration on a dataset. NewTrainer and
+// NewNetTrainer build the same loop around different exchanges.
 type Trainer struct {
 	cfg   Config
 	model *ml.Model
 	train *ml.Dataset
 	test  *ml.Dataset
-	enc   *core.Encoder
-	inj   core.Injector
-	efs   []*sparse.ErrorFeedback
 	obs   *obs.Registry
+	// exchange averages one round's gradients under message ids from
+	// msgBase on; a round uses msgSpan of them.
+	exchange exchangeFunc
+	msgSpan  uint32
 }
 
-// NewTrainer builds a trainer from options. The model is created
-// internally (MLP sized to the dataset) so that every configuration
-// starts from identical weights.
-func NewTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
+type exchangeFunc func(epoch uint64, msgBase uint32, grads [][]float32) (exchanged, error)
+
+// exchanged is what one round's exchange reports: the average every
+// replica applies, the seconds the round adds to the wall clock and to
+// its ddp.round.comm span, and the coordinates trimmed of those carried.
+type exchanged struct {
+	avg            []float32
+	wall, comm     float64
+	trimmed, total int
+}
+
+// newTrainer does what both constructors share: it applies the options,
+// validates and defaults the Config, refuses a training set that would
+// leave a worker's shard empty (no rounds, NaN losses) and builds the MLP
+// (sized to the dataset, so every configuration starts from identical
+// weights). The caller sets the exchange.
+func newTrainer(train, test *ml.Dataset, opts []Option) (*Trainer, *FabricConfig, error) {
 	var o trainerOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
 	if err := o.cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg := o.cfg.withDefaults()
-	if err := checkShards(cfg, train); err != nil {
-		return nil, err
+	if train.Len() == 0 {
+		return nil, nil, errors.New("ddp: empty training set")
+	}
+	if cfg.Workers > train.Len() {
+		return nil, nil, fmt.Errorf("ddp: Workers must not exceed the training samples, got %d workers for %d samples",
+			cfg.Workers, train.Len())
 	}
 	sizes := append([]int{train.Dim}, o.hidden...)
 	sizes = append(sizes, train.Classes)
-	model := ml.NewMLP(cfg.Seed, sizes...)
+	t := &Trainer{cfg: cfg, model: ml.NewMLP(cfg.Seed, sizes...), train: train, test: test, obs: o.reg}
+	return t, o.fabric, nil
+}
 
-	t := &Trainer{cfg: cfg, model: model, train: train, test: test, obs: o.reg}
-	if cfg.Scheme != nil {
-		enc, err := core.NewEncoderWith(core.WithConfig(core.Config{
-			Params: *cfg.Scheme, RowSize: cfg.RowSize,
-		}), core.WithRegistry(o.reg))
-		if err != nil {
-			return nil, err
-		}
-		t.enc = enc
-		t.inj = cfg.Injector
-		if t.inj == nil {
-			t.inj = core.NewTrimmer(cfg.TrimRate, cfg.Seed+0x7717)
-		}
-		if cfg.ErrorFeedback {
-			t.efs = make([]*sparse.ErrorFeedback, cfg.Workers)
-			for i := range t.efs {
-				t.efs[i] = &sparse.ErrorFeedback{}
-			}
-		}
+// NewTrainer builds the §4 trainer from options: every worker's gradient
+// goes through encode → injector → decode, and the cost model times the
+// round.
+func NewTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
+	t, fabric, err := newTrainer(train, test, opts)
+	if err != nil {
+		return nil, err
 	}
+	if fabric != nil {
+		return nil, errors.New("ddp: WithFabric is read only by NewNetTrainer; NewTrainer injects its congestion")
+	}
+	if t.exchange, err = injectedExchange(t.cfg, t.obs); err != nil {
+		return nil, err
+	}
+	t.msgSpan = uint32(t.cfg.Workers)
 	return t, nil
+}
+
+// injectedExchange returns NewTrainer's exchange; every round costs the
+// cost model's RoundTime. Without a scheme it is the reliable baseline,
+// which averages the exact gradients. With one, worker w's gradient
+// (error-feedback compensated under ErrorFeedback) takes message id
+// msgBase+w through encode → injector → decode.
+func injectedExchange(cfg Config, reg *obs.Registry) (exchangeFunc, error) {
+	wall := cfg.Cost.RoundTime(cfg.Scheme, cfg.DropRate)
+	comm := wall - cfg.Cost.Compute - cfg.Cost.EncodeTime(cfg.Scheme)
+	if cfg.Scheme == nil {
+		return func(_ uint64, _ uint32, grads [][]float32) (exchanged, error) {
+			return exchanged{avg: mean(grads), wall: wall, comm: comm}, nil
+		}, nil
+	}
+	codec := core.Config{Params: *cfg.Scheme, RowSize: cfg.RowSize}
+	enc, err := core.NewEncoderWith(core.WithConfig(codec), core.WithRegistry(reg))
+	if err != nil {
+		return nil, err
+	}
+	inj := cfg.Injector
+	if inj == nil {
+		inj = core.NewTrimmer(cfg.TrimRate, cfg.Seed+0x7717)
+	}
+	var efs []sparse.ErrorFeedback
+	if cfg.ErrorFeedback {
+		efs = make([]sparse.ErrorFeedback, cfg.Workers)
+	}
+	return func(epoch uint64, msgBase uint32, grads [][]float32) (exchanged, error) {
+		out := exchanged{wall: wall, comm: comm}
+		decoded := make([][]float32, len(grads))
+		for w, g := range grads {
+			if efs != nil {
+				g = efs[w].Compensate(g)
+			}
+			dec, stats, err := roundTrip(enc, inj, codec, epoch, msgBase+uint32(w), g)
+			if err != nil {
+				return exchanged{}, err
+			}
+			if efs != nil {
+				efs[w].Update(g, dec)
+			}
+			decoded[w] = dec
+			out.trimmed += stats.TrimmedCoords
+			out.total += stats.TotalCoords
+		}
+		out.avg = mean(decoded)
+		return out, nil
+	}, nil
+}
+
+// mean returns the element-wise mean of vs, summed in rank order.
+func mean(vs [][]float32) []float32 {
+	avg := make([]float32, len(vs[0]))
+	for _, v := range vs {
+		vecmath.Add(avg, v)
+	}
+	vecmath.Scale(avg, 1/float32(len(vs)))
+	return avg
 }
 
 // roundSpans records the per-round phase spans on r: compute, then
@@ -419,67 +483,48 @@ func computeGrads(replicas []*ml.Model, round []batch, losses []float64, workers
 // Model exposes the trained model (for FSDP and inspection).
 func (t *Trainer) Model() *ml.Model { return t.model }
 
-// Run executes the configured training and returns its result.
+// Run executes the configured training and returns its result. Each round
+// advances the modeled wall clock by what the exchange reports.
 func (t *Trainer) Run() (*Result, error) {
 	cfg := t.cfg
 	res := &Result{Config: cfg}
 	if cfg.Scheme == nil && cfg.DropRate > cfg.Cost.DropTimeoutRate {
 		// §4.4: NCCL starts reporting timeout errors; the run never
 		// finishes.
-		res.TimedOut = true
-		res.Diverged = true
+		res.TimedOut, res.Diverged = true, true
 		return res, nil
 	}
 
 	shards := t.train.Shard(cfg.Workers)
 	opt := ml.NewSGD(cfg.LR, cfg.Momentum)
 	sched := ml.NewStepLR(opt, cfg.StepSize, cfg.Gamma)
-	roundTime := cfg.Cost.RoundTime(cfg.Scheme, cfg.DropRate)
 	encodeTime := cfg.Cost.EncodeTime(cfg.Scheme)
 	schemeName := cfg.SchemeName()
 
 	wall := 0.0
-	msgID := uint32(1)
-	dim := t.model.NumParams()
+	msgBase := uint32(1)
 	replicas, grads := newReplicas(t.model, cfg.Workers)
 	losses := make([]float64, cfg.Workers)
 
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		batches := epochBatches(shards, cfg, epoch)
 		var epochLoss float64
-		trimmedCoords, totalCoords := 0, 0
+		trimmed, total := 0, 0
 		for _, round := range batches {
 			computeGrads(replicas, round, losses, 0)
 			for _, loss := range losses {
 				epochLoss += loss
 			}
-			// Aggregate through the congested network.
-			avg := make([]float32, dim)
-			for w := 0; w < cfg.Workers; w++ {
-				g := grads[w]
-				if t.enc != nil {
-					if t.efs != nil {
-						g = t.efs[w].Compensate(g)
-					}
-					dec, stats, err := t.exchange(uint64(epoch), msgID, g)
-					if err != nil {
-						return nil, err
-					}
-					msgID++
-					if t.efs != nil {
-						t.efs[w].Update(g, dec)
-					}
-					g = dec
-					trimmedCoords += stats.TrimmedCoords
-					totalCoords += stats.TotalCoords
-				}
-				vecmath.Add(avg, g)
+			x, err := t.exchange(uint64(epoch), msgBase, grads)
+			if err != nil {
+				return nil, err
 			}
-			vecmath.Scale(avg, 1/float32(cfg.Workers))
-			opt.Step(t.model.Params(), avg)
-			roundSpans(t.obs, schemeName, wall,
-				cfg.Cost.Compute, encodeTime, roundTime-cfg.Cost.Compute-encodeTime)
-			wall += roundTime
+			msgBase += t.msgSpan
+			opt.Step(t.model.Params(), x.avg)
+			roundSpans(t.obs, schemeName, wall, cfg.Cost.Compute, encodeTime, x.comm)
+			wall += x.wall
+			trimmed += x.trimmed
+			total += x.total
 
 			if !allFinite(t.model.Params()) {
 				res.Diverged = true
@@ -497,8 +542,8 @@ func (t *Trainer) Run() (*Result, error) {
 				Top1:  top1,
 				Top5:  top5,
 			}
-			if totalCoords > 0 {
-				p.TrimFrac = float64(trimmedCoords) / float64(totalCoords)
+			if total > 0 {
+				p.TrimFrac = float64(trimmed) / float64(total)
 			}
 			res.Points = append(res.Points, p)
 		}
@@ -511,18 +556,17 @@ func (t *Trainer) Run() (*Result, error) {
 	return res, nil
 }
 
-// exchange pushes one worker's gradient through encode → injector →
+// roundTrip pushes one worker's gradient through encode → injector →
 // decode. Both codec halves run on the par pool; parallel output is
 // bit-identical to serial, so training trajectories do not depend on
 // GOMAXPROCS.
-func (t *Trainer) exchange(epoch uint64, msgID uint32, grad []float32) ([]float32, core.Stats, error) {
-	msg, err := t.enc.EncodeParallel(epoch, msgID, grad, 0)
+func roundTrip(enc *core.Encoder, inj core.Injector, codec core.Config,
+	epoch uint64, msgID uint32, grad []float32) ([]float32, core.Stats, error) {
+	msg, err := enc.EncodeParallel(epoch, msgID, grad, 0)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	dec, err := core.NewDecoderWith(msgID, core.WithConfig(core.Config{
-		Params: *t.cfg.Scheme, RowSize: t.cfg.RowSize,
-	}))
+	dec, err := core.NewDecoderWith(msgID, core.WithConfig(codec))
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -532,7 +576,7 @@ func (t *Trainer) exchange(epoch uint64, msgID uint32, grad []float32) ([]float3
 		}
 	}
 	for _, d := range msg.Data {
-		pkt := t.inj.Apply(d)
+		pkt := inj.Apply(d)
 		if pkt == nil {
 			continue
 		}
@@ -540,11 +584,7 @@ func (t *Trainer) exchange(epoch uint64, msgID uint32, grad []float32) ([]float3
 			return nil, core.Stats{}, err
 		}
 	}
-	out, stats, err := dec.DecodeParallel(len(grad), 0)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return out, stats, nil
+	return dec.DecodeParallel(len(grad), 0)
 }
 
 func allFinite(v []float32) bool {

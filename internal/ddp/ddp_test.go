@@ -257,9 +257,12 @@ func TestEmptyDatasetRejected(t *testing.T) {
 }
 
 // TestConfigValidated: both constructors refuse a Config no run can mean,
-// naming the field, and still read zero as "use the default".
+// naming the field, and still read zero as "use the default". Rates in
+// range are NewNetTrainer's to refuse too (TestNetTrainerRefusesUnreadConfig).
 func TestConfigValidated(t *testing.T) {
 	train, test := testData()
+	// The rows where NewNetTrainer refuses a field NewTrainer accepts.
+	netWant := map[string]string{"rates at their bounds": "TrimRate"}
 	ctors := []struct {
 		name string
 		new  func(Config) error
@@ -300,11 +303,15 @@ func TestConfigValidated(t *testing.T) {
 				cfg := Config{Scheme: sp(quant.RHT, 0)}
 				tc.set(&cfg)
 				err := ctor.new(cfg)
+				want := tc.want
+				if w, ok := netWant[tc.name]; ok && ctor.name == "NewNetTrainer" {
+					want = w
+				}
 				switch {
-				case tc.want == "" && err != nil:
+				case want == "" && err != nil:
 					t.Errorf("refused: %v", err)
-				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "ddp: "+tc.want+" ")):
-					t.Errorf("error %v, want one naming %s", err, tc.want)
+				case want != "" && (err == nil || !strings.Contains(err.Error(), "ddp: "+want+" ")):
+					t.Errorf("error %v, want one naming %s", err, want)
 				}
 			})
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"trimgrad/internal/collective"
+	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/quant"
 )
@@ -120,6 +121,38 @@ func TestNetworkedValidation(t *testing.T) {
 	if _, err := NewNetTrainer(train, test,
 		WithConfig(Config{Workers: 2}), WithFabric(FabricConfig{}), WithHidden(8)); err == nil {
 		t.Error("baseline (nil scheme) should be rejected")
+	}
+}
+
+// TestTrainerRefusesUnreadConfig: what only one exchange reads is an
+// error, naming it, for the constructor whose exchange would ignore it.
+func TestTrainerRefusesUnreadConfig(t *testing.T) {
+	train, test := testData()
+	rht := sp(quant.RHT, 1)
+	for _, tc := range []struct {
+		field string
+		build func() (*Trainer, error)
+	}{
+		{"TrimRate", func() (*Trainer, error) {
+			return NewNetTrainer(train, test, WithConfig(Config{Workers: 2, Scheme: rht, TrimRate: 0.1}), WithHidden(8))
+		}},
+		{"DropRate", func() (*Trainer, error) {
+			return NewNetTrainer(train, test, WithConfig(Config{Workers: 2, Scheme: rht, DropRate: 0.01}), WithHidden(8))
+		}},
+		{"Injector", func() (*Trainer, error) {
+			return NewNetTrainer(train, test,
+				WithConfig(Config{Workers: 2, Scheme: rht, Injector: core.NewTrimmer(0.1, 1)}), WithHidden(8))
+		}},
+		{"ErrorFeedback", func() (*Trainer, error) {
+			return NewNetTrainer(train, test, WithConfig(Config{Workers: 2, Scheme: rht, ErrorFeedback: true}), WithHidden(8))
+		}},
+		{"WithFabric", func() (*Trainer, error) {
+			return NewTrainer(train, test, WithConfig(Config{Workers: 2, Scheme: rht}), WithFabric(FabricConfig{}), WithHidden(8))
+		}},
+	} {
+		if _, err := tc.build(); err == nil || !strings.Contains(err.Error(), "ddp: "+tc.field+" ") {
+			t.Errorf("%s: err = %v, want one naming it", tc.field, err)
+		}
 	}
 }
 

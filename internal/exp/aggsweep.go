@@ -84,11 +84,11 @@ func runAggSweepCell(p quant.Params, alg collective.Algorithm, agg bool,
 		}
 		w, err := collective.New(i, stack,
 			collective.WithConfig(core.Config{Params: p, RowSize: 1 << 12}),
-			collective.WithMode(collective.Trimmable),
-			collective.WithDeadline(10*netsim.Second))
+			collective.WithMode(collective.Trimmable))
 		if err != nil {
 			return nil, err
 		}
+		w.Deadline = 10 * netsim.Second
 		workers[i] = w
 	}
 

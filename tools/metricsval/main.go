@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -40,26 +41,28 @@ type attrKV struct {
 	V string `json:"v"`
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: metricsval <file.jsonl> [more.jsonl ...]")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run validates every export named in args and returns the exit code: 0
+// when all are valid, 1 when any is not, 2 without a file to check.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, "usage: metricsval <file.jsonl> [more.jsonl ...]")
+		return 2
 	}
-	bad := false
-	for _, path := range os.Args[1:] {
+	code := 0
+	for _, path := range args {
 		n, errs := validateFile(path)
 		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "metricsval: %s\n", e)
+			fmt.Fprintf(stderr, "metricsval: %s\n", e)
 		}
 		if len(errs) > 0 {
-			bad = true
+			code = 1
 			continue
 		}
-		fmt.Printf("%s: %d records ok\n", path, n)
+		fmt.Fprintf(stdout, "%s: %d records ok\n", path, n)
 	}
-	if bad {
-		os.Exit(1)
-	}
+	return code
 }
 
 // validateFile checks every line of one export; it returns the record
