@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"trimgrad/internal/exp"
@@ -21,65 +23,76 @@ import (
 	"trimgrad/internal/prof"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, runs the experiments
+// into stdout and returns the exit status — 2 for a rejected invocation
+// (one line on stderr), 1 for a failure after the inputs were accepted.
+// The profiles are stopped on every return.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trimbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name    = flag.String("exp", "", "experiment to run (see -list), or 'all'")
-		list    = flag.Bool("list", false, "list available experiments")
-		quick   = flag.Bool("quick", false, "shrink datasets/epochs for a fast smoke run")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		seed    = flag.Uint64("seed", 0, "experiment seed offset")
-		metrics = flag.String("metrics", "", "export collected telemetry as JSONL to this file")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		name    = fs.String("exp", "", "experiment to run (see -list), or 'all'")
+		list    = fs.Bool("list", false, "list available experiments")
+		quick   = fs.Bool("quick", false, "shrink datasets/epochs for a fast smoke run")
+		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		seed    = fs.Uint64("seed", 0, "experiment seed offset")
+		metrics = fs.String("metrics", "", "export collected telemetry as JSONL to this file")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "trimbench:", err)
+		return 1
+	}
+
+	if *list || *name == "" {
+		fmt.Fprintln(stdout, "available experiments:")
+		for _, r := range exp.Experiments() {
+			fmt.Fprintf(stdout, "  %-16s %s\n", r.Name, r.Desc)
+		}
+		if *name == "" && !*list {
+			return 2
+		}
+		return 0
+	}
+	runners := exp.Experiments()
+	if *name != "all" {
+		r, ok := exp.Lookup(*name)
+		if !ok {
+			fmt.Fprintf(stderr, "trimbench: unknown experiment %q (try -list)\n", *name)
+			return 2
+		}
+		runners = []exp.Runner{r}
+	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "trimbench:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer stopProf()
-
-	if *list || *name == "" {
-		fmt.Println("available experiments:")
-		for _, r := range exp.Experiments() {
-			fmt.Printf("  %-16s %s\n", r.Name, r.Desc)
-		}
-		if *name == "" && !*list {
-			os.Exit(2)
-		}
-		return
-	}
 
 	o := exp.Options{Quick: *quick, CSV: *csv, Seed: *seed}
 	if *metrics != "" {
 		o.Obs = obs.New()
 	}
-	run := func(r exp.Runner) {
-		fmt.Printf("# %s — %s\n\n", r.Name, r.Desc)
-		if err := r.Run(os.Stdout, o); err != nil {
-			fmt.Fprintf(os.Stderr, "trimbench: %s: %v\n", r.Name, err)
-			os.Exit(1)
+	for _, r := range runners {
+		fmt.Fprintf(stdout, "# %s — %s\n\n", r.Name, r.Desc)
+		if err := r.Run(stdout, o); err != nil {
+			return fail(fmt.Errorf("%s: %w", r.Name, err))
 		}
 	}
-	if *name == "all" {
-		for _, r := range exp.Experiments() {
-			run(r)
-		}
-	} else {
-		r, ok := exp.Lookup(*name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "trimbench: unknown experiment %q (try -list)\n", *name)
-			os.Exit(2)
-		}
-		run(r)
-	}
-
 	if *metrics != "" {
 		if err := obs.WriteJSONLFile(*metrics, o.Obs.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "trimbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
+	return 0
 }

@@ -124,8 +124,8 @@ func inspect(w io.Writer, buf []byte, hexDump bool) {
 	switch {
 	case h.IsMeta():
 		kind = "metadata"
-	case h.IsNaive():
-		kind = "naive (whole floats)"
+	case h.IsAgg():
+		kind = "aggregate"
 	}
 	fmt.Fprintf(w, "kind      %s\n", kind)
 	fmt.Fprintf(w, "flags     trimmed=%v\n", h.Trimmed())
@@ -143,13 +143,14 @@ func inspect(w io.Writer, buf []byte, hexDump bool) {
 			return
 		}
 		fmt.Fprintf(w, "metadata  scheme=%v N=%d scale=%g\n", quant.Scheme(m.Scheme), m.N, m.Scale)
-	case h.IsNaive():
-		p, err := wire.ParseNaivePacket(buf)
+	case h.IsAgg():
+		_, tailCount, err := wire.CheckAggPacket(buf)
 		if err != nil {
 			fmt.Fprintf(w, "payload   INVALID: %v\n", err)
 			return
 		}
-		fmt.Fprintf(w, "payload   %d/%d whole floats survive\n", p.ValueCount, p.Count)
+		fmt.Fprintf(w, "payload   sums of %d packets, full-precision sums %d/%d\n",
+			h.Flow, tailCount, h.Count)
 	default:
 		p, err := wire.ParseDataPacket(buf)
 		if err != nil {

@@ -69,6 +69,50 @@ func TestRejectsBadInvocations(t *testing.T) {
 	}
 }
 
+// aggTrimmed is the transcript of `trimwire -in` on a switch-built aggregate
+// of three packets whose survivor prefix is 3 of 8 coordinates.
+const aggTrimmed = `kind      aggregate
+flags     trimmed=true
+flow      3
+message   2  row 5  start 16  count 8
+geometry  P=32 head bits, Q=32 tail bits per coordinate
+seed      0x9
+size      84 bytes on wire (+42 network overhead)
+payload   sums of 3 packets, full-precision sums 3/8
+`
+
+func TestInspectAggregate(t *testing.T) {
+	sums := []float32{1, -2, 3.5, 0, 8, -0.25, 6, 7}
+	agg, err := wire.BuildAggPacket(wire.Header{Flow: 3, Message: 2, Row: 5, Start: 16, Count: 8, Seed: 9}, sums, sums[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "agg.bin")
+	if err := os.WriteFile(path, agg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-in", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d, stderr %q", code, stderr.String())
+	}
+	if got := stdout.String(); got != aggTrimmed {
+		t.Errorf("transcript:\n--- got\n%s--- want\n%s", got, aggTrimmed)
+	}
+
+	// A flag bit no kind defines makes the buffer foreign.
+	agg[3] |= 0x40
+	if err := os.WriteFile(path, agg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if code := run([]string{"-in", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d, stderr %q", code, stderr.String())
+	}
+	if got := stdout.String(); !strings.HasPrefix(got, "not a trimgrad packet: wire: undefined flag bits") {
+		t.Errorf("unknown flag bit: %q", got)
+	}
+}
+
 // TestTrimFileRoundTrip drives -out and -in: the trimmed demo packet is
 // written, read back, and still verifies.
 func TestTrimFileRoundTrip(t *testing.T) {

@@ -86,7 +86,7 @@ func RowSeed(epoch uint64, message, row uint32) uint64 {
 }
 
 // An Option configures an Encoder or Decoder at construction. The option
-// set replaces passing a bare Config: NewEncoderWith(WithParams(p),
+// set replaces passing a bare Config: NewEncoderWith(WithConfig(cfg),
 // WithRegistry(r)) composes configuration with telemetry without widening
 // the constructor signature again.
 type Option func(*options)
@@ -98,15 +98,6 @@ type options struct {
 
 // WithConfig sets the whole codec configuration at once.
 func WithConfig(cfg Config) Option { return func(o *options) { o.cfg = cfg } }
-
-// WithParams selects the quantization scheme.
-func WithParams(p quant.Params) Option { return func(o *options) { o.cfg.Params = p } }
-
-// WithRowSize sets the per-row coordinate count (a power of two).
-func WithRowSize(n int) Option { return func(o *options) { o.cfg.RowSize = n } }
-
-// WithFlow sets the sender id stamped into packet headers.
-func WithFlow(f uint32) Option { return func(o *options) { o.cfg.Flow = f } }
 
 // WithRegistry attaches a telemetry registry: encoders report the
 // "core.encode.*" counters, decoders flush their Stats into the

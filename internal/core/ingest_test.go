@@ -304,7 +304,7 @@ func arrivals(t *testing.T, m wireMessage, seed uint64) map[string][][]byte {
 	late[len(late)-1] ^= 0x01 // tail-region damage on an untrimmed packet
 	hostile := cat(m.metas[:2], [][]byte{
 		data[0], corrupt, foreign.seed, data[1], foreign.message, foreign.beyond,
-		{0xde, 0xad}, foreign.naive, m.metas[0], late,
+		{0xde, 0xad}, m.metas[0], late,
 	}, data[2:], m.metas[2:], data[len(data)-2:])
 
 	return map[string][][]byte{
@@ -321,7 +321,7 @@ func arrivals(t *testing.T, m wireMessage, seed uint64) map[string][][]byte {
 }
 
 // foreignPackets are CRC-valid packets that do not belong in the message.
-type foreignPackets struct{ seed, message, beyond, naive []byte }
+type foreignPackets struct{ seed, message, beyond []byte }
 
 func encodeForeign(t *testing.T, m wireMessage, like []byte) foreignPackets {
 	t.Helper()
@@ -338,15 +338,10 @@ func encodeForeign(t *testing.T, m wireMessage, like []byte) foreignPackets {
 		}
 		return pkt
 	}
-	naive, err := wire.BuildNaivePacket(dp.Header, []float32{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return foreignPackets{
 		seed:    rebuild(func(h *wire.Header) { h.Seed ^= 1 }),
 		message: rebuild(func(h *wire.Header) { h.Message++ }),
 		beyond:  rebuild(func(h *wire.Header) { h.Start = ingestRowSize - 10 }),
-		naive:   naive,
 	}
 }
 
@@ -754,12 +749,12 @@ func serialSum(t *testing.T, cfg Config, nFlows, n int, pkts [][]byte) ([]float3
 				}
 				acc[int(h.Row)*cfg.RowSize+int(h.Start)+i] += v
 			}
-			st.Packets += ap.Inputs()
+			st.Packets += int(ap.Flow)
 			st.BytesReceived += len(pkt)
 			if ap.Trimmed() {
-				st.TrimmedPackets += ap.Inputs()
+				st.TrimmedPackets += int(ap.Flow)
 			}
-			heads, tails = heads+ap.Inputs()*len(ap.Sums), tails+ap.Inputs()*ap.TailCount
+			heads, tails = heads+int(ap.Flow)*len(ap.Sums), tails+int(ap.Flow)*ap.TailCount
 		case scales[k] == nil:
 			early[k] = append(early[k], pkt)
 		default:

@@ -107,8 +107,6 @@ func (d *SumDecoder) handle(pkt []byte) error {
 		return fmt.Errorf("core: packet for message %d, sum decoder is for %d", h.Message, d.msgID)
 	}
 	switch {
-	case h.IsNaive():
-		return errors.New("core: naive packets cannot be summed")
 	case h.IsMeta():
 		m, err := wire.ParseMetaPacket(pkt)
 		if err != nil {

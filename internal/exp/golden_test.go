@@ -53,7 +53,9 @@ func (g *goldenRun) incast(t *testing.T, topo *netsim.Topology, reg *obs.Registr
 			continue
 		}
 		msgID := uint32(i + 1)
-		enc, err := core.NewEncoderWith(core.WithConfig(goldenCodec), core.WithFlow(uint32(i)), core.WithRegistry(reg))
+		cfg := goldenCodec
+		cfg.Flow = uint32(i)
+		enc, err := core.NewEncoderWith(core.WithConfig(cfg), core.WithRegistry(reg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,7 +78,7 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 		return false
 	}
 	h, err := wire.ParseHeader(pkt.Payload)
-	if err != nil || h.IsMeta() || h.IsNaive() {
+	if err != nil || h.IsMeta() {
 		return false
 	}
 	metaOf := p.metaOf
@@ -91,7 +91,7 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 				continue
 			}
 			qh, err := wire.ParseHeader(qpkt.Payload)
-			if err != nil || qh.IsMeta() || qh.IsNaive() {
+			if err != nil || qh.IsMeta() {
 				continue
 			}
 			if qh.Message != h.Message || qh.Row != h.Row || qh.Start != h.Start ||

@@ -379,9 +379,8 @@ func TestFatTreeSameSeedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := Merge("incast+bg",
-			Incast(len(topo.Hosts), 8),
-			BackgroundMix(len(topo.Hosts), 2e5, 5e4, 99))
+		w := Workload{Name: "incast+bg", Flows: append(Incast(len(topo.Hosts), 8).Flows,
+			BackgroundMix(len(topo.Hosts), 2e5, 5e4, 99).Flows...)}
 		cts := w.StartBackground(topo, 13)
 		for i, f := range w.GradientFlows() {
 			for p := 0; p < 32; p++ {

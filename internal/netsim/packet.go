@@ -85,11 +85,7 @@ func (p *Packet) Trimmable() bool {
 	if err != nil || h.IsMeta() {
 		return false
 	}
-	minSize := wire.HeaderSize
-	if !h.IsNaive() {
-		minSize = h.TrimmedSize()
-	}
-	return len(p.Payload) > minSize
+	return len(p.Payload) > h.TrimmedSize()
 }
 
 // TrimTo trims the payload toward target total wire bytes (payload +

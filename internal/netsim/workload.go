@@ -73,16 +73,6 @@ func (w Workload) GradientFlows() []Flow {
 	return out
 }
 
-// Merge concatenates workloads under a new name (e.g. incast gradient
-// traffic + a background mice/elephant mix).
-func Merge(name string, ws ...Workload) Workload {
-	m := Workload{Name: name}
-	for _, w := range ws {
-		m.Flows = append(m.Flows, w.Flows...)
-	}
-	return m
-}
-
 // StartBackground launches every open-loop flow as Poisson cross traffic
 // on t and returns the generators (for Stop and Sent accounting).
 // Gradient flows are skipped — they are the caller's to drive. Each

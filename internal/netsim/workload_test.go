@@ -89,7 +89,7 @@ func TestBackgroundMixAndMerge(t *testing.T) {
 		t.Errorf("mix = %d mice / %d elephants, want 8/2", mice, elephants)
 	}
 
-	m := Merge("combo", Incast(8, 2), w)
+	m := Workload{Name: "combo", Flows: append(Incast(8, 2).Flows, w.Flows...)}
 	if len(m.Flows) != 2+len(w.Flows) {
 		t.Errorf("merged flows = %d", len(m.Flows))
 	}

@@ -3,16 +3,14 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
-// Exporters render a Snapshot. Both formats are deterministic: the
-// snapshot is already in canonical order and every record has a fixed
-// field order, so two same-seed runs produce byte-identical files
-// (pinned by exp's TestChaosMetricsDeterminism).
+// The exporter renders a Snapshot deterministically: the snapshot is
+// already in canonical order and every record has a fixed field order, so
+// two same-seed runs produce byte-identical files (pinned by exp's
+// TestChaosMetricsDeterminism).
 
 // jsonl line shapes. Kind is always first so consumers can dispatch
 // before decoding the rest.
@@ -102,59 +100,4 @@ func WriteJSONLFile(path string, s Snapshot) error {
 		return err
 	}
 	return f.Close()
-}
-
-// WriteCSV writes the snapshot as a flat CSV with a fixed header:
-//
-//	kind,name,value,start,end,detail
-//
-// Counters and gauges fill value; spans fill value (duration) plus
-// start/end and attrs in detail; histograms fill value (count) with
-// p50/p99/sum and the per-bucket counts in detail. Names and attribute
-// values never contain commas by construction of the naming schema.
-func WriteCSV(w io.Writer, s Snapshot) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "kind,name,value,start,end,detail"); err != nil {
-		return err
-	}
-	row := func(kind, name string, value int64, start, end, detail string) error {
-		_, err := fmt.Fprintf(bw, "%s,%s,%d,%s,%s,%s\n", kind, name, value, start, end, detail)
-		return err
-	}
-	for _, c := range s.Counters {
-		if err := row("counter", c.Name, c.Value, "", "", ""); err != nil {
-			return err
-		}
-	}
-	for _, g := range s.Gauges {
-		if err := row("gauge", g.Name, g.Value, "", "", ""); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.Histograms {
-		detail := fmt.Sprintf("p50=%d;p99=%d;sum=%d;counts=%s",
-			h.Quantile(0.50), h.Quantile(0.99), h.Sum, joinInt64(h.Counts, "|"))
-		if err := row("histogram", h.Name, h.Count, "", "", detail); err != nil {
-			return err
-		}
-	}
-	for _, sp := range s.Spans {
-		var attrs []string
-		for _, kv := range sp.Attrs {
-			attrs = append(attrs, kv.K+"="+kv.V)
-		}
-		if err := row("span", sp.Name, sp.Duration(),
-			fmt.Sprint(sp.Start), fmt.Sprint(sp.End), strings.Join(attrs, ";")); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-func joinInt64(v []int64, sep string) string {
-	parts := make([]string, len(v))
-	for i, x := range v {
-		parts[i] = fmt.Sprint(x)
-	}
-	return strings.Join(parts, sep)
 }

@@ -205,26 +205,6 @@ func TestWriteJSONLGolden(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	r := New()
-	r.Counter("c").Inc()
-	r.RecordSpan("op", 1, 4, KV{"rank", "2"})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "kind,name,value,start,end,detail" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if lines[1] != "counter,c,1,,," {
-		t.Fatalf("counter row = %q", lines[1])
-	}
-	if lines[2] != "span,op,3,1,4,rank=2" {
-		t.Fatalf("span row = %q", lines[2])
-	}
-}
-
 func TestConcurrentInstruments(t *testing.T) {
 	r := New()
 	c := r.Counter("c")

@@ -15,9 +15,8 @@ import (
 // Start begins CPU profiling to cpuPath (when non-empty) and returns a
 // stop function that finishes the CPU profile and writes an allocation
 // profile to memPath (when non-empty). The stop function is idempotent;
-// call it on the tool's successful exit path (profiles are deliberately
-// abandoned on fatal errors — a partial profile of a failed run
-// misleads more than it informs).
+// the tools defer it, so a run that fails still leaves a well-formed
+// profile of the work it did.
 func Start(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

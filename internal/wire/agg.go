@@ -62,9 +62,6 @@ type AggPacket struct {
 	TailCount int
 }
 
-// Inputs returns how many original sender packets the aggregate folds.
-func (p *AggPacket) Inputs() int { return int(p.Flow) }
-
 // BuildAggPacket serializes an aggregate packet. h supplies the shared
 // key fields (Message, Row, Start, Count, Seed) and Flow = input count;
 // flags and geometry are normalized here: P = Q = 32, FlagAgg set, and
@@ -81,7 +78,7 @@ func BuildAggPacket(h Header, sums, tailSums []float32) ([]byte, error) {
 	if h.Flow == 0 {
 		return nil, fmt.Errorf("wire: aggregate input count (Flow) must be positive")
 	}
-	h.Flags &^= FlagMeta | FlagNaive | FlagTrimmed
+	h.Flags &^= FlagMeta | FlagTrimmed
 	h.Flags |= FlagAgg
 	h.P, h.Q = 32, 32
 	trimmed := len(tailSums) < len(sums)
@@ -149,11 +146,18 @@ func UnpackAgg(vals []float32, buf []byte, tailCount int) {
 	unpackFloats(vals[tailCount:], buf[HeaderSize+4*tailCount:])
 }
 
+// unpackFloats reads len(dst) big-endian float32s from src.
+func unpackFloats(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.BigEndian.Uint32(src[4*i:]))
+	}
+}
+
 // checkAgg makes every accept/reject decision about buf as an aggregate
 // packet whose header is h, without allocating, and returns the survivor
 // prefix length.
 func checkAgg(buf []byte, h *Header) (tailCount int, err error) {
-	if !h.IsAgg() || h.IsMeta() || h.IsNaive() {
+	if !h.IsAgg() || h.IsMeta() {
 		return 0, ErrNotAgg
 	}
 	if h.P != 32 || h.Q != 32 {
@@ -253,7 +257,7 @@ func MergeTrimmable(a, b []byte, metaOf func(flow, msg, row uint32) (MetaInfo, b
 	if err != nil {
 		return nil, err
 	}
-	if ha.IsMeta() || ha.IsNaive() || hb.IsMeta() || hb.IsNaive() {
+	if ha.IsMeta() || hb.IsMeta() {
 		return nil, fmt.Errorf("%w: only data/aggregate packets merge", ErrMergeKey)
 	}
 	if ha.Message != hb.Message || ha.Row != hb.Row || ha.Start != hb.Start ||

@@ -39,8 +39,8 @@ func TestBuildParseAggRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tc=%d: %v", tc, err)
 		}
-		if ap.Inputs() != 3 {
-			t.Fatalf("tc=%d: inputs = %d, want 3", tc, ap.Inputs())
+		if ap.Flow != 3 {
+			t.Fatalf("tc=%d: inputs = %d, want 3", tc, ap.Flow)
 		}
 		if ap.TailCount != tc {
 			t.Fatalf("tc=%d: TailCount = %d", tc, ap.TailCount)
@@ -108,8 +108,8 @@ func TestMergeTrimmableAggAgg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap.Inputs() != 5 {
-		t.Fatalf("inputs = %d, want 5", ap.Inputs())
+	if ap.Flow != 5 {
+		t.Fatalf("inputs = %d, want 5", ap.Flow)
 	}
 	if ap.TailCount != 11 {
 		t.Fatalf("TailCount = %d, want min(20,11)=11", ap.TailCount)
@@ -153,17 +153,13 @@ func TestMergeTrimmableRejections(t *testing.T) {
 		}
 	}
 
-	// Meta and naive packets never merge.
+	// Metadata never merges, as either input.
 	meta := BuildMetaPacket(testHeader(count, 1, 31), uint8(quant.Sign), 256, 1.5)
 	if _, err := MergeTrimmable(base, meta, noMeta); !errors.Is(err, ErrMergeKey) {
 		t.Fatalf("meta merge: err = %v, want ErrMergeKey", err)
 	}
-	naive, err := BuildNaivePacket(testHeader(4, 32, 0), []float32{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeTrimmable(naive, base, noMeta); !errors.Is(err, ErrMergeKey) {
-		t.Fatalf("naive merge: err = %v, want ErrMergeKey", err)
+	if _, err := MergeTrimmable(meta, base, noMeta); !errors.Is(err, ErrMergeKey) {
+		t.Fatalf("meta-first merge: err = %v, want ErrMergeKey", err)
 	}
 
 	// A plain data packet without snooped metadata cannot be decoded.
@@ -317,8 +313,8 @@ func FuzzAggregateMerge(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parse merged: %v", err)
 		}
-		if want := ha.Flow + hb.Flow; uint32(ap.Inputs()) != want {
-			t.Fatalf("inputs = %d, want %d", ap.Inputs(), want)
+		if want := ha.Flow + hb.Flow; ap.Flow != want {
+			t.Fatalf("inputs = %d, want %d", ap.Flow, want)
 		}
 		if want := min(ka, kb); ap.TailCount != want {
 			t.Fatalf("TailCount = %d, want %d", ap.TailCount, want)

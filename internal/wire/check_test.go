@@ -18,8 +18,8 @@ func errClass(err error) error {
 		return nil
 	}
 	for _, c := range []error{
-		ErrTooShort, ErrBadMagic, ErrBadVersion, ErrBadChecksum,
-		ErrNotMeta, ErrNotData, ErrNotNaive, ErrNotAgg,
+		ErrTooShort, ErrBadMagic, ErrBadVersion, ErrBadFlags, ErrBadChecksum,
+		ErrNotMeta, ErrNotData, ErrNotAgg,
 	} {
 		if errors.Is(err, c) {
 			return c
@@ -40,8 +40,6 @@ func parseAsClaimed(buf []byte) error {
 	switch {
 	case h.IsMeta():
 		_, err = ParseMetaPacket(buf)
-	case h.IsNaive():
-		_, err = ParseNaivePacket(buf)
 	case h.IsAgg():
 		_, err = ParseAggPacket(buf)
 	default:
@@ -103,7 +101,7 @@ func dirty(n int) []uint32 {
 }
 
 // TestValidateAllocatesNothing: admission is CRC-only for every trim state
-// of a data packet and for the other three kinds.
+// of a data packet and for the other two kinds.
 func TestValidateAllocatesNothing(t *testing.T) {
 	const count = 354
 	heads, tails := randHeadsTails(5, count, 1, 31)
@@ -113,10 +111,6 @@ func TestValidateAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := func(b []byte) []byte { return append([]byte(nil), b...) }
-	naive, err := BuildNaivePacket(h, []float32{1, -2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sums := randSums(2, 16)
 	agg, err := BuildAggPacket(aggTestHeader(16, 2), sums, sums[:5])
 	if err != nil {
@@ -127,7 +121,6 @@ func TestValidateAllocatesNothing(t *testing.T) {
 		"head-trimmed":     Trim(clone(full), 0),
 		"mid-tail-trimmed": Trim(clone(full), h.TrimmedSize()+500),
 		"meta":             BuildMetaPacket(h, 3, 1024, 2.5),
-		"naive":            naive,
 		"trimmed-agg":      agg,
 	} {
 		if err := Validate(pkt); err != nil {

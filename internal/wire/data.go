@@ -40,7 +40,7 @@ func BuildDataPacket(h Header, heads, tails []uint32) ([]byte, error) {
 		return nil, fmt.Errorf("wire: packet size %d exceeds MaxPayload %d",
 			h.FullSize(), MaxPayload)
 	}
-	h.Flags &^= FlagTrimmed | FlagMeta | FlagNaive
+	h.Flags &^= FlagTrimmed | FlagMeta
 
 	// Both bit regions are packed straight into the packet buffer, so the
 	// packet costs one allocation.
@@ -113,7 +113,7 @@ func CheckDataPacket(buf []byte) (h Header, tailCount int, err error) {
 
 // checkData is CheckDataPacket for a header already parsed from buf.
 func checkData(buf []byte, h *Header) (tailCount int, err error) {
-	if h.IsMeta() || h.IsNaive() || h.IsAgg() {
+	if h.IsMeta() || h.IsAgg() {
 		return 0, ErrNotData
 	}
 	// Reject forged/corrupt geometry before any bit arithmetic: heads are
@@ -189,7 +189,7 @@ func checksum(b []byte) uint32 {
 // headerChecksum computes CRC-32C over the immutable header bytes followed
 // by region. The flags byte is normalized with FlagTrimmed cleared — a
 // trimming switch sets that bit in flight, and the CRC must survive the
-// rewrite — while FlagMeta/FlagNaive stay covered so a bit flip cannot
+// rewrite — while FlagMeta/FlagAgg stay covered so a bit flip cannot
 // reinterpret a packet as another kind. The CRC fields themselves are
 // excluded. Folding the header under the head CRC means a flip in
 // Row/Start/Seed/geometry is rejected instead of silently decoding
@@ -222,9 +222,8 @@ var normFlags = func() (t [256][1]byte) {
 // TrimLen reports how many leading bytes of buf the switch-side trim toward
 // targetSize keeps, without touching buf; len(buf) means there is nothing
 // to cut. Metadata packets are never cut — the paper's design keeps them
-// reliable — and neither are buffers that are not trimgrad packets. Naive
-// packets are cut to targetSize in whole 4-byte floats (never below the
-// header). Data packets are cut to the head boundary, the smallest
+// reliable — and neither are buffers whose header does not parse. Data and
+// aggregate packets are cut to the head boundary, the smallest
 // self-contained size; if targetSize allows keeping some whole tails beyond
 // the boundary they are preserved (multi-level trimming, §5.1).
 func TrimLen(buf []byte, targetSize int) int {
@@ -235,10 +234,6 @@ func TrimLen(buf []byte, targetSize int) int {
 	targetSize = max(targetSize, HeaderSize)
 	if targetSize >= len(buf) {
 		return len(buf)
-	}
-	if h.IsNaive() {
-		// Keep whole 4-byte floats only.
-		return HeaderSize + (targetSize-HeaderSize)/4*4
 	}
 	// Never cut below the head boundary; above it, keep whole tails.
 	boundary := HeaderSize + h.HeadBytes()

@@ -19,11 +19,9 @@ func seedPackets(f *testing.F) {
 	f.Add(append([]byte(nil), data...))
 	f.Add(append([]byte(nil), Trim(append([]byte(nil), data...), 0)...))
 	f.Add(BuildMetaPacket(h, 3, 1024, 2.5))
-	naive, err := BuildNaivePacket(h, []float32{1, -2, 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(naive)
+	unknown := append([]byte(nil), data...)
+	unknown[offFlags] |= 0x40 // a flag bit no kind defines
+	f.Add(unknown)
 	f.Add([]byte{})
 	f.Add([]byte{0x54, 0x47, 1, 0})
 	f.Add(make([]byte, HeaderSize))
@@ -52,16 +50,6 @@ func FuzzParseMetaPacket(f *testing.F) {
 	})
 }
 
-func FuzzParseNaivePacket(f *testing.F) {
-	seedPackets(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ParseNaivePacket(data)
-		if err == nil && p.ValueCount > int(p.Count) {
-			t.Fatal("ValueCount exceeds Count")
-		}
-	})
-}
-
 func FuzzTrim(f *testing.F) {
 	seedPackets(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -75,7 +63,7 @@ func FuzzTrim(f *testing.F) {
 			// without panicking.
 			_, _ = ParseDataPacket(out)
 			_, _ = ParseMetaPacket(out)
-			_, _ = ParseNaivePacket(out)
+			_, _ = ParseAggPacket(out)
 		}
 	})
 }

@@ -122,8 +122,8 @@ func TestTrimBytesHeadOnlyBounded(t *testing.T) {
 }
 
 // TestTrimCopyMatchesTrim pins the non-mutating trim against the in-place
-// one: for data, naive and already-trimmed packets at
-// head-boundary, multi-level and no-op targets, TrimCopy returns the bytes
+// one: for data and aggregate packets at head-boundary, multi-level and
+// no-op targets, TrimCopy returns the bytes
 // Trim returns, of TrimLen length, without writing its input; buffers with
 // nothing to cut (metadata, foreign bytes, targets at or above the length)
 // come back as the very same slice.
@@ -138,7 +138,7 @@ func TestTrimCopyMatchesTrim(t *testing.T) {
 	for i := range floats {
 		floats[i] = float32(i) * 0.25
 	}
-	naive, err := BuildNaivePacket(Header{Flow: 1, Count: 64}, floats)
+	agg, err := BuildAggPacket(Header{Flow: 2, Count: 64}, floats, floats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +160,9 @@ func TestTrimCopyMatchesTrim(t *testing.T) {
 		{"data/just-short", data, len(data) - 1, true},
 		{"data/at-length", data, len(data), false},
 		{"data/beyond", data, 1 << 20, false},
-		{"naive/to-header", naive, 0, true},
-		{"naive/mid-float", naive, HeaderSize + 10, true},
-		{"naive/beyond", naive, len(naive) + 1, false},
+		{"agg/head-boundary", agg, 0, true},
+		{"agg/mid-sum", agg, HeaderSize + 4*64 + 10, true},
+		{"agg/beyond", agg, len(agg) + 1, false},
 		{"meta", meta, 0, false},
 		{"foreign", foreign, 0, false},
 		{"empty", nil, 0, false},

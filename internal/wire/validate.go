@@ -33,9 +33,9 @@ func Validate(buf []byte) error {
 // ValidateUntrimmed is Validate for a packet no switch has cut. It also
 // convicts the two header fields no CRC covers: the FlagTrimmed bit (the
 // head CRC skips it because a switch sets it in flight) must be clear, and
-// the tail-CRC field of a kind without a tail region (metadata, naive)
-// must read the zero its builder wrote. With those, a packet sent whole
-// is rejected wherever one CRC-32C over all of it would reject it
+// the tail-CRC field of metadata, the one kind without a tail region, must
+// read the zero its builder wrote. With those, a packet sent whole is
+// rejected wherever one CRC-32C over all of it would reject it
 // (transport's TestAdmissionMatchesDatagramChecksum flips every bit).
 func ValidateUntrimmed(buf []byte) error {
 	h, err := ParseHeader(buf)
@@ -45,7 +45,7 @@ func ValidateUntrimmed(buf []byte) error {
 	if h.Trimmed() {
 		return fmt.Errorf("%w: trimmed flag on an untrimmed packet", ErrBadChecksum)
 	}
-	if (h.IsMeta() || h.IsNaive()) && binary.BigEndian.Uint32(buf[offTailCRC:]) != 0 {
+	if h.IsMeta() && binary.BigEndian.Uint32(buf[offTailCRC:]) != 0 {
 		return fmt.Errorf("%w: tail CRC on a packet without tails", ErrBadChecksum)
 	}
 	return check(buf, &h)
@@ -56,8 +56,6 @@ func check(buf []byte, h *Header) (err error) {
 	switch {
 	case h.IsMeta():
 		err = checkMeta(buf, h)
-	case h.IsNaive():
-		_, err = checkNaive(buf, h)
 	case h.IsAgg():
 		_, err = checkAgg(buf, h)
 	default:

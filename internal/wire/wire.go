@@ -18,11 +18,9 @@
 //
 // Metadata packets carry the per-row reliable side information (the σ/L/f
 // scale of package quant) and are never trimmed; they model the paper's
-// "small packet that will not be trimmed".
-//
-// Naive packets (Figure 2(a)) carry whole 32-bit floats back to back; they
-// exist as the baseline layout whose trim behaviour the paper contrasts
-// with the head/tail arrangement.
+// "small packet that will not be trimmed". Aggregates (agg.go) are the
+// SwitchML-style sums a switch builds from queued data packets. There is
+// no fourth kind: Figure 2(a)'s whole-float layout lives in package sparse.
 //
 // All integers are big-endian (network byte order). Head and tail regions
 // are covered by separate CRC-32C checksums so that a trimmed packet still
@@ -67,13 +65,13 @@ const (
 	FlagTrimmed = 1 << 0
 	// FlagMeta marks a reliable metadata packet; switches never trim it.
 	FlagMeta = 1 << 1
-	// FlagNaive marks a Figure-2(a) whole-float packet.
-	FlagNaive = 1 << 2
 	// FlagAgg marks an in-network aggregate: the switch-side sum of two or
 	// more trimmable data packets with matching (message, row, offset,
 	// seed) keys. Its payload holds decoded float32 sums, not head/tail
 	// bits (see agg.go).
 	FlagAgg = 1 << 3
+	// knownFlags is every bit a kind defines; ParseHeader refuses the rest.
+	knownFlags = FlagTrimmed | FlagMeta | FlagAgg
 )
 
 // Field offsets within the fixed header.
@@ -103,7 +101,7 @@ var (
 	ErrBadChecksum = errors.New("wire: checksum mismatch")
 	ErrNotMeta     = errors.New("wire: not a metadata packet")
 	ErrNotData     = errors.New("wire: not a data packet")
-	ErrNotNaive    = errors.New("wire: not a naive packet")
+	ErrBadFlags    = errors.New("wire: undefined flag bits")
 )
 
 // Header is the fixed 40-byte packet header shared by all packet kinds.
@@ -124,9 +122,6 @@ func (h *Header) Trimmed() bool { return h.Flags&FlagTrimmed != 0 }
 
 // IsMeta reports whether this is a metadata packet.
 func (h *Header) IsMeta() bool { return h.Flags&FlagMeta != 0 }
-
-// IsNaive reports whether this is a naive whole-float packet.
-func (h *Header) IsNaive() bool { return h.Flags&FlagNaive != 0 }
 
 // IsAgg reports whether this is an in-network aggregate packet.
 func (h *Header) IsAgg() bool { return h.Flags&FlagAgg != 0 }
@@ -170,6 +165,9 @@ func ParseHeader(buf []byte) (Header, error) {
 	}
 	if buf[offVersion] != Version {
 		return h, fmt.Errorf("%w: %d", ErrBadVersion, buf[offVersion])
+	}
+	if buf[offFlags]&^knownFlags != 0 {
+		return h, fmt.Errorf("%w: %#02x", ErrBadFlags, buf[offFlags])
 	}
 	h.Flags = buf[offFlags]
 	h.Flow = binary.BigEndian.Uint32(buf[offFlow:])

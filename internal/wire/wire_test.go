@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 
 	"trimgrad/internal/xrand"
@@ -300,66 +301,26 @@ func TestParseKindMismatch(t *testing.T) {
 	heads, tails := randHeadsTails(6, 4, 1, 31)
 	data, _ := BuildDataPacket(h, heads, tails)
 	meta := BuildMetaPacket(h, 1, 4, 1)
-	naive, _ := BuildNaivePacket(h, []float32{1, 2, 3})
 	if _, err := ParseMetaPacket(data); err != ErrNotMeta {
 		t.Errorf("ParseMeta(data) = %v", err)
 	}
 	if _, err := ParseDataPacket(meta); err != ErrNotData {
 		t.Errorf("ParseData(meta) = %v", err)
 	}
-	if _, err := ParseDataPacket(naive); err != ErrNotData {
-		t.Errorf("ParseData(naive) = %v", err)
-	}
-	if _, err := ParseNaivePacket(data); err != ErrNotNaive {
-		t.Errorf("ParseNaive(data) = %v", err)
-	}
-}
-
-func TestNaiveRoundTripAndTrim(t *testing.T) {
-	vals := []float32{5, -4, 3.5, -2.25, 1, -0.5}
-	h := testHeader(0, 32, 0)
-	buf, err := BuildNaivePacket(h, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ParseNaivePacket(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ValueCount != len(vals) {
-		t.Fatalf("ValueCount = %d", p.ValueCount)
-	}
-	for i, v := range vals {
-		if p.Values[i] != v {
-			t.Fatalf("value %d = %v, want %v", i, p.Values[i], v)
+	// Bit 2 (once the whole-float kind) and bits 4-7 belong to no kind: the
+	// header is refused, so Trim leaves the buffer whole.
+	for _, bit := range []uint8{1 << 2, 1 << 4, 1 << 6, 1 << 7} {
+		unknown := append([]byte(nil), data...)
+		unknown[offFlags] |= bit
+		if _, err := ParseHeader(unknown); !errors.Is(err, ErrBadFlags) {
+			t.Errorf("ParseHeader(flags|%#x) = %v, want ErrBadFlags", bit, err)
 		}
-	}
-	// Trim keeps whole floats only: target header+10 bytes → 2 floats.
-	trimmed := Trim(buf, HeaderSize+10)
-	tp, err := ParseNaivePacket(trimmed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.ValueCount != 2 || !tp.Trimmed() {
-		t.Fatalf("trimmed naive: count=%d trimmed=%v", tp.ValueCount, tp.Trimmed())
-	}
-	if tp.Values[0] != 5 || tp.Values[1] != -4 {
-		t.Fatal("surviving floats corrupted")
-	}
-}
-
-func TestNaiveCorruptionDetected(t *testing.T) {
-	h := testHeader(0, 32, 0)
-	buf, _ := BuildNaivePacket(h, []float32{1, 2})
-	buf[HeaderSize+2] ^= 1
-	if _, err := ParseNaivePacket(buf); err == nil {
-		t.Error("naive corruption not detected")
-	}
-}
-
-func TestNaiveFloatsPerPacket(t *testing.T) {
-	if got := NaiveFloatsPerPacket(); got != (MaxPayload-HeaderSize)/4 {
-		t.Errorf("NaiveFloatsPerPacket = %d", got)
+		if err := Validate(unknown); !errors.Is(err, ErrBadFlags) {
+			t.Errorf("Validate(flags|%#x) = %v, want ErrBadFlags", bit, err)
+		}
+		if n := TrimLen(unknown, 0); n != len(unknown) {
+			t.Errorf("TrimLen(flags|%#x) = %d, want %d (uncut)", bit, n, len(unknown))
+		}
 	}
 }
 

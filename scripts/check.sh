@@ -214,7 +214,7 @@ selects Test 'TestObsOverheadGuard' .
 go test -run 'TestObsOverheadGuard' -count=1 .
 
 step "fuzz smoke (wire parsers + Trim + aggregate merge + validate/parse parity, 2s each)"
-for target in FuzzParseDataPacket FuzzParseMetaPacket FuzzParseNaivePacket FuzzTrim FuzzTrimPreservesHeads FuzzAggregateMerge FuzzParseAggPacket FuzzValidateMatchesParse; do
+for target in FuzzParseDataPacket FuzzParseMetaPacket FuzzTrim FuzzTrimPreservesHeads FuzzAggregateMerge FuzzParseAggPacket FuzzValidateMatchesParse; do
   selects Fuzz "^${target}\$" ./internal/wire
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 2s ./internal/wire
 done

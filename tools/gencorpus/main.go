@@ -86,11 +86,6 @@ func run(root string) error {
 	}
 	trimmed := wire.Trim(append([]byte(nil), data...), wire.HeaderSize+40)
 	meta := wire.BuildMetaPacket(h, 3, 1024, 0.125)
-	naive, err := wire.BuildNaivePacket(h, []float32{1.5, -2.25, 0, 3e7})
-	if err != nil {
-		return err
-	}
-	naiveTrimmed := wire.Trim(append([]byte(nil), naive...), wire.HeaderSize+8)
 
 	corrupt := func(buf []byte, off int) []byte {
 		c := append([]byte(nil), buf...)
@@ -99,14 +94,12 @@ func run(root string) error {
 	}
 
 	for _, target := range []string{
-		"FuzzParseDataPacket", "FuzzParseMetaPacket", "FuzzParseNaivePacket", "FuzzTrim",
-		"FuzzValidateMatchesParse",
+		"FuzzParseDataPacket", "FuzzParseMetaPacket", "FuzzTrim", "FuzzValidateMatchesParse",
 	} {
 		writeEntry(target, "valid-data", data)
 		writeEntry(target, "trimmed-data", trimmed)
 		writeEntry(target, "valid-meta", meta)
-		writeEntry(target, "valid-naive", naive)
-		writeEntry(target, "trimmed-naive", naiveTrimmed)
+		writeEntry(target, "unknown-flag", corrupt(data, 3)) // byte 3 is flags; no kind defines 0x40
 		writeEntry(target, "corrupt-header", corrupt(data, 13))
 		writeEntry(target, "corrupt-payload", corrupt(data, wire.HeaderSize+3))
 		writeEntry(target, "corrupt-crc", corrupt(data, 33))
@@ -153,7 +146,7 @@ func run(root string) error {
 	writeEntry("FuzzParseAggPacket", "valid-data", data)
 
 	// Validate-vs-parse corpus: every kind above (the loop already wrote
-	// the data, meta and naive shapes) plus the aggregates, and the two
+	// the data and meta shapes) plus the aggregates, and the two
 	// trim states whose tail-CRC rule differs — a trimmed flag on a
 	// full-length packet with its CRC kept, and with it zeroed.
 	writeEntry("FuzzValidateMatchesParse", "valid-agg", aggFull)
