@@ -7,7 +7,7 @@ import (
 
 // ObsHotPathAnalyzer keeps observability lookups off the per-event hot
 // path. The obs registry's name-resolving methods (Counter, Gauge,
-// Histogram, StartSpan, RecordSpan) hash strings and take a lock; they
+// Histogram, RecordSpan) hash strings and take a lock; they
 // are meant to run once at construction time, with the returned handles
 // (*obs.Counter etc.) cached in struct fields. This checker finds the
 // fabric's dispatch roots — every function switching over a local
@@ -16,7 +16,7 @@ import (
 // CHA-style), and flags any registry lookup inside that region.
 var ObsHotPathAnalyzer = &Analyzer{
 	Name: "obshotpath",
-	Doc:  "obs registry lookups (Counter/Gauge/Histogram/Span) must happen at construction time, not in functions reachable from the event-dispatch switch",
+	Doc:  "obs registry lookups (Counter/Gauge/Histogram/RecordSpan) must happen at construction time, not in functions reachable from the event-dispatch switch",
 	Run:  runObsHotPath,
 }
 
@@ -26,7 +26,6 @@ var registryLookupMethods = map[string]bool{
 	"Counter":    true,
 	"Gauge":      true,
 	"Histogram":  true,
-	"StartSpan":  true,
 	"RecordSpan": true,
 }
 

@@ -56,9 +56,7 @@ func keyFor(fn *types.Func) funcKey {
 var acquireSpecs = map[funcKey]string{
 	{"netsim", "Sim", "NewPacket"}: "pooled packet (Sim.NewPacket)",
 	{"par", "", "Float32s"}:        "scratch slice (par.Float32s)",
-	{"par", "", "Float64s"}:        "scratch slice (par.Float64s)",
 	{"par", "", "Uint32s"}:         "scratch slice (par.Uint32s)",
-	{"par", "", "Bytes"}:           "scratch slice (par.Bytes)",
 }
 
 // consumeSpec describes a call that discharges the ownership obligation
@@ -74,9 +72,7 @@ type consumeSpec struct {
 var consumeSpecs = map[funcKey]consumeSpec{
 	{"netsim", "Sim", "releasePacket"}: {args: []int{0}, root: true},
 	{"par", "", "PutFloat32s"}:         {args: []int{0}, root: true},
-	{"par", "", "PutFloat64s"}:         {args: []int{0}, root: true},
 	{"par", "", "PutUint32s"}:          {args: []int{0}, root: true},
-	{"par", "", "PutBytes"}:            {args: []int{0}, root: true},
 	// Crossing into the fabric transfers ownership: the fabric releases at
 	// the packet's terminal point (host delivery or any drop).
 	{"netsim", "Host", "Send"}:    {args: []int{0}},

@@ -7,7 +7,7 @@ type tickKind int
 
 type Counter struct{ n int }
 
-func (c *Counter) Inc() { c.n++ }
+func (c *Counter) Add(n int) { c.n += n }
 
 type Registry struct{}
 
@@ -25,8 +25,8 @@ func newLoop(r *Registry) *loop {
 func (l *loop) dispatch(k tickKind) {
 	switch k {
 	case 0:
-		l.ticks.Inc()
+		l.ticks.Add(1)
 	default:
-		l.skips.Inc()
+		l.skips.Add(1)
 	}
 }

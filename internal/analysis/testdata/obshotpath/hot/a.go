@@ -13,7 +13,7 @@ const (
 
 type Counter struct{ n int }
 
-func (c *Counter) Inc() { c.n++ }
+func (c *Counter) Add(n int) { c.n += n }
 
 type Registry struct{}
 
@@ -28,7 +28,7 @@ type remote struct {
 }
 
 func (r *remote) deliver() {
-	r.reg.Counter("delivered").Inc() // want "obs registry lookup"
+	r.reg.Counter("delivered").Add(1) // want "obs registry lookup"
 }
 
 type engine struct {
@@ -49,10 +49,10 @@ func (e *engine) dispatch(k evKind) {
 	case evB:
 		e.out.deliver()
 	default:
-		e.drops.Inc()
+		e.drops.Add(1)
 	}
 }
 
 func (e *engine) onA() {
-	e.reg.Counter("a").Inc() // want "obs registry lookup"
+	e.reg.Counter("a").Add(1) // want "obs registry lookup"
 }

@@ -1,15 +1,15 @@
-// Package par is a poolownership fixture for scratch slices: Bytes draws
-// a pooled slice, PutBytes recycles it, and every acquisition below must
+// Package par is a poolownership fixture for scratch slices: Float32s
+// draws a pooled slice, PutFloat32s recycles it, and every acquisition below must
 // reach exactly one release on every path.
 package par
 
-var free [][]byte
+var free [][]float32
 
-// Bytes is the acquisition point the checker tracks.
-func Bytes(n int) []byte { return make([]byte, n) }
+// Float32s is the acquisition point the checker tracks.
+func Float32s(n int) []float32 { return make([]float32, n) }
 
-// PutBytes is the root sink; its body is the trusted boundary.
-func PutBytes(b []byte) {
+// PutFloat32s is the root sink; its body is the trusted boundary.
+func PutFloat32s(b []float32) {
 	if b == nil {
 		return
 	}
@@ -19,50 +19,50 @@ func PutBytes(b []byte) {
 // frame is long-lived storage; stashing a scratch slice in it without an
 // owner annotation is the escaped-scratch case.
 type frame struct {
-	payload []byte
+	payload []float32
 }
 
 func escaped() *frame {
-	buf := Bytes(64)
+	buf := Float32s(64)
 	return &frame{payload: buf} // want "escapes: stored in a composite literal"
 }
 
-func appended(frames [][]byte) [][]byte {
-	buf := Bytes(32)
+func appended(frames [][]float32) [][]float32 {
+	buf := Float32s(32)
 	return append(frames, buf) // want "escapes: appended to a slice"
 }
 
 func partialPut(n int) {
-	buf := Bytes(n) // want "released on some paths but not all"
+	buf := Float32s(n) // want "released on some paths but not all"
 	if n > 4 {
-		PutBytes(buf)
+		PutFloat32s(buf)
 	}
 }
 
 func doublePut() {
-	buf := Bytes(8)
-	defer PutBytes(buf)
-	PutBytes(buf) // want "released again"
+	buf := Float32s(8)
+	defer PutFloat32s(buf)
+	PutFloat32s(buf) // want "released again"
 }
 
 func useAfterPut() int {
-	buf := Bytes(8)
-	PutBytes(buf)
+	buf := Float32s(8)
+	PutFloat32s(buf)
 	return len(buf) // want "use of scratch slice .* after release"
 }
 
 // deferPut is the canonical clean shape: acquire, defer the release,
 // work with the slice until return.
 func deferPut() int {
-	buf := Bytes(32)
-	defer PutBytes(buf)
+	buf := Float32s(32)
+	defer PutFloat32s(buf)
 	return len(buf)
 }
 
 // build transfers the slice to the caller; re-slicing keeps the same
 // underlying allocation, so the obligation follows the subslice out.
-func build() []byte {
-	buf := Bytes(16)
+func build() []float32 {
+	buf := Float32s(16)
 	buf = buf[:8]
 	return buf
 }

@@ -1,7 +1,7 @@
 // Package collective implements the collective-communication operations
 // distributed training needs (the paper's "*ccl" layer): five all-reduce
-// schedules for gradient averaging, all-gather for FSDP weight collection
-// (§5.5), and broadcast. Each operation builds one plan per rank (plan.go)
+// schedules for gradient averaging and all-gather for FSDP weight
+// collection (§5.5). Each operation builds one plan per rank (plan.go)
 // and one executor runs them. Every operation runs over the
 // simulated fabric via package transport in either Reliable (baseline) or
 // Trimmable mode, and aggregation understands trimmed rows: a message
@@ -83,10 +83,8 @@ type decKey struct {
 type Option func(*workerOpts)
 
 type workerOpts struct {
-	cfg    core.Config
-	mode   Mode
-	reg    *obs.Registry
-	regSet bool
+	cfg  core.Config
+	mode Mode
 }
 
 // WithConfig sets the codec configuration (Flow is overwritten with the
@@ -96,27 +94,19 @@ func WithConfig(cfg core.Config) Option { return func(o *workerOpts) { o.cfg = c
 // WithMode selects the transport protocol.
 func WithMode(m Mode) Option { return func(o *workerOpts) { o.mode = m } }
 
-// WithRegistry overrides the telemetry registry. By default the worker
-// inherits the registry bound to its host's simulator; the worker's
-// encoder and decoders report into it, and collective operations record
-// per-phase spans on it.
-func WithRegistry(r *obs.Registry) Option {
-	return func(o *workerOpts) { o.reg, o.regSet = r, true }
-}
-
 // New binds a worker to a stack, configured by options. The codec Flow id
-// is overwritten with the rank so packet headers identify the sender.
+// is overwritten with the rank so packet headers identify the sender. The
+// worker reports into the registry bound to its host's simulator: its
+// encoder and decoders count there, and operations record per-phase spans.
 func New(rank int, stack *transport.Stack, opts ...Option) (*Worker, error) {
 	var o workerOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if !o.regSet {
-		o.reg = stack.Host().Sim().Obs()
-	}
+	reg := stack.Host().Sim().Obs()
 	cfg := o.cfg
 	cfg.Flow = uint32(rank)
-	enc, err := core.NewEncoderWith(core.WithConfig(cfg), core.WithRegistry(o.reg))
+	enc, err := core.NewEncoderWith(core.WithConfig(cfg), core.WithRegistry(reg))
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +118,7 @@ func New(rank int, stack *transport.Stack, opts ...Option) (*Worker, error) {
 		enc:   enc,
 		decs:  make(map[decKey]*core.Decoder),
 		sums:  make(map[uint32]*core.SumDecoder),
-		obs:   o.reg,
+		obs:   reg,
 	}
 	stack.Receiver = transport.ReceiverFunc(w.handlePayload)
 	stack.OnMessageComplete = func(src netsim.NodeID, msg uint32, at netsim.Time) {
@@ -145,9 +135,6 @@ func (w *Worker) span(name string, start, end netsim.Time) {
 	w.obs.RecordSpan(name, int64(start), int64(end),
 		obs.KV{K: "rank", V: strconv.Itoa(w.Rank)})
 }
-
-// Encoder exposes the worker's encoder (for size accounting in harnesses).
-func (w *Worker) Encoder() *core.Encoder { return w.enc }
 
 func (w *Worker) handlePayload(src netsim.NodeID, payload []byte) {
 	h, err := wire.ParseHeader(payload)

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"math"
 	"testing"
 
 	"trimgrad/internal/core"
@@ -242,41 +241,6 @@ func TestAllGatherExact(t *testing.T) {
 				t.Errorf("rank %d shard %d: NMSE %g", rank, src, nm)
 			}
 		}
-	}
-}
-
-func TestBroadcastExact(t *testing.T) {
-	const n = 4
-	sim, ws := starWorkers(t, n, Reliable, deepQ(), fast(), quant.SQ)
-	tensor := gaussianGrad(40, 5000)
-	results := make([][]float32, n)
-	err := Broadcast(1, 300, ws, 2, tensor,
-		func(rank int, cp []float32, at netsim.Time) { results[rank] = cp },
-		func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	for rank, got := range results {
-		if got == nil {
-			t.Fatalf("rank %d incomplete", rank)
-		}
-		// SQ tails drop the lowest mantissa bit; tolerance accordingly.
-		if nm := vecmath.NMSE(tensor, got); nm > 1e-12 {
-			if rank == 2 && nm != 0 {
-				t.Errorf("root copy should be exact")
-			}
-			if nm > math.Pow(2, -40) {
-				t.Errorf("rank %d: NMSE %g", rank, nm)
-			}
-		}
-	}
-}
-
-func TestBroadcastValidation(t *testing.T) {
-	_, ws := starWorkers(t, 2, Trimmable, deepQ(), fast(), quant.Sign)
-	if err := Broadcast(1, 1, ws, 5, []float32{1}, nil, nil); err == nil {
-		t.Error("bad root should fail")
 	}
 }
 

@@ -80,33 +80,6 @@ func TestRingUnderCongestionStillCompletes(t *testing.T) {
 	}
 }
 
-// TestBroadcastTrimmableUnderCongestion: broadcast from one root into a
-// congested star fabric delivers a usable copy to every worker.
-func TestBroadcastTrimmableUnderCongestion(t *testing.T) {
-	const n = 5
-	sim, ws := starWorkers(t, n, Trimmable,
-		netsim.QueueConfig{CapacityBytes: 6 << 10, HighCapacityBytes: 1 << 20, Mode: netsim.TrimOverflow},
-		netsim.LinkConfig{Bandwidth: netsim.Mbps(300), Delay: 2 * netsim.Microsecond},
-		quant.RHT)
-	tensor := gaussianGrad(60, 1<<13)
-	results := make([][]float32, n)
-	err := Broadcast(1, 800, ws, 0, tensor,
-		func(rank int, cp []float32, at netsim.Time) { results[rank] = cp },
-		func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.RunUntil(30 * netsim.Second)
-	for rank, got := range results {
-		if got == nil {
-			t.Fatalf("rank %d incomplete", rank)
-		}
-		if cos := vecmath.CosineSimilarity(tensor, got); cos < 0.7 {
-			t.Errorf("rank %d: cosine %v", rank, cos)
-		}
-	}
-}
-
 // TestAggStatsAccumulate: worker decode statistics accumulate across
 // operations and reflect trimming.
 func TestAggStatsAccumulate(t *testing.T) {

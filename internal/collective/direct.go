@@ -46,26 +46,6 @@ func AllGather(epoch uint64, baseMsg uint32, workers []*Worker,
 	}, onError)
 }
 
-// Broadcast sends root's tensor to every other worker as message msg.
-// onDone fires for every non-root worker with its decoded copy, and for
-// root with a copy once its sends are issued. A destination that misses
-// the broadcast reports its own deadline error; the root never errs.
-func Broadcast(epoch uint64, msg uint32, workers []*Worker, root int,
-	tensor []float32, onDone func(rank int, copy []float32, at netsim.Time),
-	onError func(rank int, err error)) error {
-	n := len(workers)
-	if root < 0 || root >= n {
-		return fmt.Errorf("collective: bad root %d", root)
-	}
-	in := make([][]float32, n)
-	in[root] = tensor
-	return run(epoch, workers, in, broadcastPlans(n, len(tensor), msg, root), func(rank int, acc []float32, _ [][]float32, at netsim.Time) {
-		if onDone != nil {
-			onDone(rank, acc, at)
-		}
-	}, onError)
-}
-
 // gatherPlans builds every rank's AllGather plan for shards of lengths lens.
 func gatherPlans(lens []int, base uint32) []plan {
 	n := len(lens)
@@ -80,18 +60,5 @@ func gatherPlans(lens []int, base uint32) []plan {
 		}
 		plans[i] = p
 	}
-	return plans
-}
-
-// broadcastPlans builds every rank's Broadcast plan: the root sends at
-// start and, receiving nothing, completes at once.
-func broadcastPlans(n, dim int, msg uint32, root int) []plan {
-	plans := make([]plan, n)
-	for i := range plans {
-		plans[i] = plan{groups: []group{{from: []recv{{root, msg}}, fold: foldAdopt, hi: dim, after: atStart}},
-			phases: []phase{{"collective.broadcast", atDone}}}
-	}
-	plans[root] = plan{sends: []send{{to: peers(n, root), msg: msg, in: true, hi: dim,
-		on: atStart, label: "broadcast"}}}
 	return plans
 }

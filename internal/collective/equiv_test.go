@@ -25,7 +25,7 @@ func intGrad(seed uint64, n int) []float32 {
 	r := xrand.New(seed)
 	v := make([]float32, n)
 	for i := range v {
-		v[i] = float32(int(r.Uint32()%65) - 32)
+		v[i] = float32(int(uint32(r.Uint64()>>32)%65) - 32)
 	}
 	return v
 }

@@ -91,14 +91,6 @@ func fanoutOps() []fanoutOp {
 			},
 			tensors: func(n int) int { return n },
 		},
-		{
-			name: "broadcast",
-			run: func(ws []*Worker, seed uint64, dim int, done func(int, [][]float32, netsim.Time), fail func(int, error)) error {
-				return Broadcast(1, 100, ws, 1, gaussianGrad(seed, dim),
-					func(rank int, v []float32, at netsim.Time) { done(rank, [][]float32{v}, at) }, fail)
-			},
-			tensors: func(int) int { return 1 },
-		},
 	}
 }
 
@@ -223,10 +215,8 @@ func TestFanoutMatchesPerDestinationEncode(t *testing.T) {
 				got[key] = digest
 				if sc.name == "congested" && op.name != "ring" && op.name != "rd" {
 					// The cell must really contend: trimmed coordinates or
-					// retransmissions (a lone broadcast root only queues at its
-					// own link, so it retransmits metadata but trims nothing;
-					// ring and rd send to one peer per step, so no egress port
-					// of the star carries two of their flows).
+					// retransmissions (ring and rd send to one peer per step,
+					// so no egress port of the star carries two of their flows).
 					trimmed, retx := 0, 0
 					for _, w := range ws {
 						trimmed += w.AggStats.TrimmedCoords

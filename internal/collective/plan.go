@@ -240,8 +240,8 @@ func (x *rankRun) finished(g int, at netsim.Time) {
 }
 
 // finish reports the rank's outcome, then fires its post-completion sends.
-// A rank that receives nothing (n == 1, a broadcast root) reports a copy of
-// its input, unscaled, and records no span.
+// A rank that receives nothing (n == 1) reports a copy of its input,
+// unscaled, and records no span.
 func (x *rankRun) finish(at netsim.Time) {
 	x.done = true
 	if len(x.p.groups) > 0 {

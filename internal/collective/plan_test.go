@@ -117,20 +117,6 @@ func planCases(t *testing.T, n int) map[string]planCase {
 		out:  func(r *absRank) [][]float32 { return r.slots },
 	}
 
-	root := n / 2
-	tensor := intGrad(uint64(n), dim)
-	bin := make([][]float32, n)
-	bin[root] = tensor
-	cases["broadcast"] = planCase{plans: broadcastPlans(n, dim, planBase, root), in: bin, span: 1,
-		cost: func(i int) (int, int) {
-			if i == root {
-				return (n - 1) * dim, 0
-			}
-			return 0, dim
-		},
-		want: func(int) [][]float32 { return [][]float32{tensor} },
-		out:  acc,
-	}
 	return cases
 }
 
@@ -339,7 +325,7 @@ func absRun(plans []plan, in [][]float32, seed uint64) ([]*absRank, error) {
 		}
 	}
 	for len(flight) > 0 {
-		k := int(rng.Uint32() % uint32(len(flight)))
+		k := int(uint32(rng.Uint64()>>32) % uint32(len(flight)))
 		m := flight[k]
 		flight = slices.Delete(flight, k, k+1)
 		r := ranks[m.dst]

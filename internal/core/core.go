@@ -65,19 +65,6 @@ func (m *Message) DataBytes() int {
 	return total
 }
 
-// WireBytes returns the total bytes on the wire including per-packet
-// network overhead and the metadata packets.
-func (m *Message) WireBytes() int {
-	total := 0
-	for _, p := range m.Data {
-		total += len(p) + wire.NetOverhead
-	}
-	for _, p := range m.Meta {
-		total += len(p) + wire.NetOverhead
-	}
-	return total
-}
-
 // RowSeed derives the shared-randomness seed for one row, combining the
 // epoch and message/row ids exactly as the paper combines the training
 // epoch and collective-communication message ID into the GPU RNG seed.
@@ -148,9 +135,6 @@ func NewEncoderWith(opts ...Option) (*Encoder, error) {
 	return &Encoder{cfg: cfg, codec: codec, reg: o.reg}, nil
 }
 
-// Codec exposes the underlying quantizer (for benchmarks and diagnostics).
-func (e *Encoder) Codec() quant.Codec { return e.codec }
-
 // Encode encodes grad as message msgID of the given epoch: EncodeParallel
 // on the calling goroutine alone.
 func (e *Encoder) Encode(epoch uint64, msgID uint32, grad []float32) (*Message, error) {
@@ -192,9 +176,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.BytesReceived += o.BytesReceived
 	s.RejectedPackets += o.RejectedPackets
 }
-
-// DroppedPackets returns how many data packets never arrived.
-func (s Stats) DroppedPackets() int { return s.ExpectedPackets - s.Packets }
 
 // TrimFraction returns the fraction of coordinates that lost their tails.
 func (s Stats) TrimFraction() float64 {

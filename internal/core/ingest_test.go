@@ -215,7 +215,11 @@ func encodeAwkward(t *testing.T, cfg Config, grad []float32) wireMessage {
 	reissue(2, ingestRowSize, -0.5)
 
 	const last = 3
-	half, err := enc.Codec().Encode(grad[last*ingestRowSize:], RowSeed(ingestEpoch, ingestMsg, last))
+	codec, err := quant.New(cfg.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := codec.Encode(grad[last*ingestRowSize:], RowSeed(ingestEpoch, ingestMsg, last))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,6 @@ type Injector interface {
 	Apply(pkt []byte) []byte
 }
 
-// Deliver is the identity injector: an uncongested network.
-type Deliver struct{}
-
-// Apply returns pkt unchanged.
-func (Deliver) Apply(pkt []byte) []byte { return pkt }
-
 // Trimmer trims each packet independently with probability Rate,
 // simulating congestion-triggered switch trimming at a fixed intensity.
 type Trimmer struct {
@@ -62,20 +56,6 @@ func NewDropper(rate float64, seed uint64) *Dropper {
 func (d *Dropper) Apply(pkt []byte) []byte {
 	if d.rng.Float64() < d.Rate {
 		return nil
-	}
-	return pkt
-}
-
-// Chain applies injectors in order, stopping if a packet is dropped.
-type Chain []Injector
-
-// Apply runs pkt through every injector in sequence.
-func (c Chain) Apply(pkt []byte) []byte {
-	for _, inj := range c {
-		pkt = inj.Apply(pkt)
-		if pkt == nil {
-			return nil
-		}
 	}
 	return pkt
 }

@@ -118,7 +118,7 @@ func TestSumDecoderMatchesSeparateDecoders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", p.Scheme, err)
 		}
-		if stats.DroppedPackets() != 0 || stats.TrimFraction() != 0 {
+		if stats.Packets != stats.ExpectedPackets || stats.TrimFraction() != 0 {
 			t.Fatalf("%v: unexpected loss: %+v", p.Scheme, stats)
 		}
 		if quant.Rotated(p.Scheme) {

@@ -18,10 +18,10 @@ func TestTranscriptRecordReplay(t *testing.T) {
 	msg, _ := enc.Encode(5, 9, grad)
 
 	// Recorded run: random trimming + dropping.
-	rec := NewRecorder(Chain{NewTrimmer(0.4, 3), NewDropper(0.1, 4)})
+	rec := NewRecorder(chain{NewTrimmer(0.4, 3), NewDropper(0.1, 4)})
 	outA, statsA := transfer(t, cfg, msg, rec)
 
-	if statsA.TrimmedPackets == 0 || statsA.DroppedPackets() == 0 {
+	if statsA.TrimmedPackets == 0 || statsA.Packets == statsA.ExpectedPackets {
 		t.Fatalf("test needs both trims and drops: %+v", statsA)
 	}
 	if len(rec.Transcript.Events) != len(msg.Data) {
@@ -46,8 +46,8 @@ func TestTranscriptRecordReplay(t *testing.T) {
 	if statsB.TrimmedPackets != statsA.TrimmedPackets {
 		t.Errorf("replay trims %d != recorded %d", statsB.TrimmedPackets, statsA.TrimmedPackets)
 	}
-	if statsB.DroppedPackets() != statsA.DroppedPackets() {
-		t.Errorf("replay drops %d != recorded %d", statsB.DroppedPackets(), statsA.DroppedPackets())
+	if dropsA, dropsB := statsA.ExpectedPackets-statsA.Packets, statsB.ExpectedPackets-statsB.Packets; dropsB != dropsA {
+		t.Errorf("replay drops %d != recorded %d", dropsB, dropsA)
 	}
 	for i := range outA {
 		if outA[i] != outB[i] {
@@ -65,7 +65,7 @@ func TestPlayerUnknownPacketsPass(t *testing.T) {
 	msg, _ := enc.Encode(1, 1, grad)
 	player := NewPlayer(&Transcript{})
 	out, stats := transfer(t, cfg, msg, player)
-	if stats.TrimmedPackets != 0 || stats.DroppedPackets() != 0 {
+	if stats.TrimmedPackets != 0 || stats.Packets != stats.ExpectedPackets {
 		t.Errorf("empty transcript should deliver everything: %+v", stats)
 	}
 	if nm := vecmath.NMSE(grad, out); nm > 1e-10 {

@@ -187,18 +187,6 @@ func SplitRowsBacking(v []float32, rowSize int, backing []float32) [][]float32 {
 	return rows
 }
 
-// JoinRows concatenates rows and truncates to length n, reversing SplitRows.
-func JoinRows(rows [][]float32, n int) []float32 {
-	out := make([]float32, 0, n)
-	for _, r := range rows {
-		out = append(out, r...)
-	}
-	if len(out) < n {
-		panic("fwht: JoinRows has fewer elements than requested")
-	}
-	return out[:n]
-}
-
 // UnbiasedScale computes the DRIVE scale factor f = ‖V‖²₂ / ‖R(V)‖₁ used to
 // decode sign bits without bias: E[IRHT(f·sign(R(V)))] = V. original is the
 // pre-rotation row, rotated the post-rotation row. Returns 0 for an

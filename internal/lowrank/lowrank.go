@@ -29,24 +29,6 @@ func (m Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 // Set stores element (i, j).
 func (m Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
-// Col returns column j as a fresh slice.
-func (m Matrix) Col(j int) []float32 {
-	out := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
-// FrobeniusNorm returns ‖M‖_F.
-func (m Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // matMul returns a·b.
 func matMul(a, b Matrix) Matrix {
 	if a.Cols != b.Rows {

@@ -48,25 +48,3 @@ func SoftmaxCrossEntropy(logits [][]float32, labels []int) (loss float64, grad [
 	}
 	return loss / float64(n), grad
 }
-
-// Softmax returns the probability rows for logits (used by inference
-// examples).
-func Softmax(logits []float32) []float32 {
-	maxV := logits[0]
-	for _, v := range logits {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	out := make([]float32, len(logits))
-	for i, v := range logits {
-		e := math.Exp(float64(v - maxV))
-		out[i] = float32(e)
-		sum += e
-	}
-	for i := range out {
-		out[i] = float32(float64(out[i]) / sum)
-	}
-	return out
-}

@@ -152,8 +152,13 @@ func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	}
 }
 
+// TestSoftmaxSumsToOne reads the softmax back out of the cross-entropy
+// gradient (p − onehot for a batch of one): it must sum to one and stay
+// finite next to a logit whose exponential overflows float64.
 func TestSoftmaxSumsToOne(t *testing.T) {
-	p := Softmax([]float32{1, 2, 3, 400})
+	_, grad := SoftmaxCrossEntropy([][]float32{{1, 2, 3, 800}}, []int{0})
+	p := append([]float32(nil), grad[0]...)
+	p[0]++
 	var sum float64
 	for _, v := range p {
 		sum += float64(v)

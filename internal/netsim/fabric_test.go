@@ -71,7 +71,7 @@ func TestFatTreeGoldenRoutes(t *testing.T) {
 		{topo.Tier(TierCore)[3], 0, []NodeID{1009}}, // core 3 hangs off each pod's agg 1
 	}
 	for _, c := range cases {
-		got := c.sw.NextHops(c.dst)
+		got := c.sw.routes[c.dst]
 		if len(got) != len(c.want) {
 			t.Errorf("switch %d → host %d: next hops %v, want %v", c.sw.ID(), c.dst, got, c.want)
 			continue
@@ -300,10 +300,10 @@ func TestLeafSpineShapeAndRoutes(t *testing.T) {
 	}
 	leaf0 := topo.Tier(TierLeaf)[0]
 	// Remote host: ECMP over both spines (ids 1004, 1005); local direct.
-	if hops := leaf0.NextHops(15); len(hops) != 2 || hops[0] != 1004 || hops[1] != 1005 {
+	if hops := leaf0.routes[15]; len(hops) != 2 || hops[0] != 1004 || hops[1] != 1005 {
 		t.Errorf("leaf0 → host 15 next hops %v, want [1004 1005]", hops)
 	}
-	if hops := leaf0.NextHops(0); len(hops) != 1 || hops[0] != 0 {
+	if hops := leaf0.routes[0]; len(hops) != 1 || hops[0] != 0 {
 		t.Errorf("leaf0 → host 0 next hops %v, want [0]", hops)
 	}
 	for src := range topo.Hosts {
@@ -354,10 +354,10 @@ func TestLeafSpineOversubscription(t *testing.T) {
 		})
 		leaf0 := topo.Tier(TierLeaf)[0]
 		spine0 := topo.Tier(TierSpine)[0]
-		if got := leaf0.Port(spine0.ID()).Link().Bandwidth; got != tc.wantBW {
+		if got := leaf0.Port(spine0.ID()).link.Bandwidth; got != tc.wantBW {
 			t.Errorf("oversub %g: uplink bandwidth %d, want %d", tc.oversub, got, tc.wantBW)
 		}
-		if got := leaf0.Port(0).Link().Bandwidth; got != host.Bandwidth {
+		if got := leaf0.Port(0).link.Bandwidth; got != host.Bandwidth {
 			t.Errorf("oversub %g: host link bandwidth changed to %d", tc.oversub, got)
 		}
 	}

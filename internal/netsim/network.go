@@ -97,7 +97,7 @@ type Network struct {
 	Sim   *Sim
 	nodes map[NodeID]Node
 	// ecmpSeed salts the flow hash of every switch created afterwards
-	// (see Switch.SetECMPSeed and WithECMPSeed).
+	// (see WithECMPSeed).
 	ecmpSeed uint64
 }
 
@@ -106,11 +106,11 @@ type Option func(*Network)
 
 // WithRegistry attaches a telemetry registry to the network's simulator.
 // Every port created afterwards exports its PortStats through the
-// registry (metric prefix "netsim.port.<owner>-><peer>."), and the
-// registry's clock is rebound to simulated time so spans recorded by any
-// layer above the fabric are stamped deterministically.
+// registry (metric prefix "netsim.port.<owner>-><peer>."), and every
+// transport stack and collective worker built on the fabric reports into
+// it too (Sim.Obs); each layer stamps its own spans in simulated time.
 func WithRegistry(r *obs.Registry) Option {
-	return func(n *Network) { n.Sim.setObs(r) }
+	return func(n *Network) { n.Sim.obs = r }
 }
 
 // WithECMPSeed salts the deterministic ECMP flow hash of every switch the
@@ -357,10 +357,6 @@ func (p *Port) Backlog() int {
 // Peer returns the node at the far end of this port's link.
 func (p *Port) Peer() NodeID { return p.peer.ID() }
 
-// Link returns the link configuration this port transmits over (for
-// tests asserting derived bandwidths, e.g. oversubscribed uplinks).
-func (p *Port) Link() LinkConfig { return p.link }
-
 // Enqueue admits a packet to the port. A down port discards everything;
 // an attached FaultInjector may drop, clone, corrupt, or delay the packet
 // before (or instead of) admission; admit applies ECN marking and the
@@ -546,16 +542,6 @@ func (s *Switch) AddRoute(dst, nextHop NodeID) {
 	s.routes[dst] = append(s.routes[dst], nextHop)
 	s.fwd = nil
 }
-
-// NextHops returns dst's equal-cost next-hop set (a copy, in hash bucket
-// order), or nil when dst is unroutable from this switch.
-func (s *Switch) NextHops(dst NodeID) []NodeID {
-	return append([]NodeID(nil), s.routes[dst]...)
-}
-
-// SetECMPSeed overrides the switch's flow-hash salt (normally inherited
-// from the network's WithECMPSeed at construction).
-func (s *Switch) SetECMPSeed(seed uint64) { s.ecmpSeed = seed }
 
 // buildFwd resolves routes through ports into the forwarding table. Node
 // ids are dense in every builder (hosts from 0, switches from

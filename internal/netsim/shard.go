@@ -113,7 +113,7 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 		sh := &shard{sim: s}
 		if e.mainObs != nil {
 			sh.reg = obs.New()
-			s.setObs(sh.reg)
+			s.obs = sh.reg
 		}
 		e.shards = append(e.shards, sh)
 	}
@@ -239,9 +239,6 @@ func (p *Port) rebind(s *Sim) {
 		p.faults.sim = s
 	}
 }
-
-// Shards returns the shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // Window returns the conservative lookahead (min cross-shard link delay;
 // maxTime when no link crosses a boundary, e.g. with 1 shard).

@@ -261,18 +261,9 @@ func (s *Sim) SetControlMerger(fn func(into, from *Packet) (any, bool)) {
 	s.controlMerger = fn
 }
 
-// setObs binds a telemetry registry to this simulator. The registry's
-// clock becomes the virtual clock, so every span and timestamp recorded
-// by fabric components is stamped in simulated nanoseconds — identical
-// across same-seed runs.
-func (s *Sim) setObs(r *obs.Registry) {
-	s.obs = r
-	r.SetClock(func() int64 { return int64(s.now) })
-}
-
 // Obs returns the registry bound to this simulator (nil — the no-op
 // registry — when none was attached). Transports and collectives built on
-// top of the fabric inherit it by default.
+// top of the fabric report into it.
 func (s *Sim) Obs() *obs.Registry { return s.obs }
 
 // Now returns the current simulated time.

@@ -129,8 +129,8 @@ func TestFabricSpecBuildMatchesBuilders(t *testing.T) {
 		if up := got.Tiers[0].Switches[0].Ports(); spec.Kind == "leafspine" {
 			wantUp := want.Tiers[0].Switches[0].Ports()
 			for p := range up {
-				if up[p].Link() != wantUp[p].Link() {
-					t.Errorf("leafspine port %d link %+v, builder's %+v", p, up[p].Link(), wantUp[p].Link())
+				if up[p].link != wantUp[p].link {
+					t.Errorf("leafspine port %d link %+v, builder's %+v", p, up[p].link, wantUp[p].link)
 				}
 			}
 		}

@@ -129,18 +129,6 @@ func (f *FCTRecorder) Percentile(q float64) Time {
 	return s[idx]
 }
 
-// Mean returns the average completion time, or 0 if empty.
-func (f *FCTRecorder) Mean() Time {
-	if len(f.fcts) == 0 {
-		return 0
-	}
-	var sum Time
-	for _, t := range f.fcts {
-		sum += t
-	}
-	return sum / Time(len(f.fcts))
-}
-
 // Max returns the slowest completion time (the straggler, which the paper
 // argues dominates synchronous training).
 func (f *FCTRecorder) Max() Time {

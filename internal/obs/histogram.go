@@ -2,29 +2,17 @@ package obs
 
 import "sync/atomic"
 
-// Standard pinned bucket boundaries. These are part of the export schema:
-// changing them changes every histogram export, so they are frozen by a
-// golden test (TestBucketBoundariesGolden). Both sets are powers of two /
-// powers of ten so bucket edges survive unit conversions exactly.
-
-// BucketsBytes covers packet and queue sizes from 64 B to 16 MiB in
-// powers of two (plus the implicit +Inf overflow bucket).
+// BucketsBytes is the standard pinned bucket set: packet and queue sizes
+// from 64 B to 16 MiB in powers of two (plus the implicit +Inf overflow
+// bucket). Bucket bounds are part of the export schema: changing them
+// changes every histogram export, so they are frozen by a golden test
+// (TestBucketBoundariesGolden).
 func BucketsBytes() []int64 {
 	b := make([]int64, 0, 19)
 	for v := int64(64); v <= 16<<20; v *= 2 {
 		b = append(b, v)
 	}
 	return b
-}
-
-// BucketsDurationNs covers latencies from 1 µs to 100 s in a 1–2–5
-// decade pattern (plus the implicit +Inf overflow bucket).
-func BucketsDurationNs() []int64 {
-	var b []int64
-	for decade := int64(1_000); decade <= 10_000_000_000; decade *= 10 {
-		b = append(b, decade, 2*decade, 5*decade)
-	}
-	return append(b, 100_000_000_000)
 }
 
 // Histogram is a fixed-bucket histogram of int64 observations. Bucket i
@@ -79,32 +67,6 @@ func (h *Histogram) bucketOf(v int64) int {
 		}
 	}
 	return lo
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Quantile estimates the q-quantile (0..1) as the upper bound of the
-// bucket containing the q-th observation — an upper-bound estimate with
-// no sorting, matching HistogramPoint.Quantile on the exported form.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	return h.point().Quantile(q)
 }
 
 // point snapshots the histogram into its exported form.

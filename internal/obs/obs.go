@@ -5,17 +5,19 @@
 // Three properties drive the design:
 //
 //   - Determinism. Telemetry is part of the experiment output: two
-//     same-seed runs must emit bit-identical exports. All timestamps come
-//     from an injectable Clock — by default a logical counter, in
-//     simulations the netsim virtual clock — never the wall clock
-//     (enforced by trimlint's determinism checker). Snapshots are sorted,
-//     histograms use fixed pinned buckets, and quantiles are computed
-//     from bucket counts without sorting observations.
+//     same-seed runs must emit bit-identical exports. The registry has no
+//     clock: every span is stamped by its caller (RecordSpan) in simulated
+//     time or a modeled clock, never the wall clock (enforced by
+//     trimlint's determinism checker). Snapshots are sorted, histograms use
+//     fixed pinned buckets, and quantiles are computed from bucket counts
+//     without sorting observations.
 //
-//   - Injectability. Instrumentation is opt-in through functional options
-//     (netsim.WithRegistry, transport.WithRegistry, ...). A nil *Registry
-//     (obs.Nop) is a valid registry whose instruments are all no-ops, so
-//     hot paths pay one nil check when telemetry is off.
+//   - Injectability. Instrumentation is opt-in: a registry attached to a
+//     simulator (netsim.WithRegistry) reaches every layer built on it, and
+//     a codec or trainer takes one directly (core.WithRegistry,
+//     ddp.WithRegistry). A nil *Registry (obs.Nop) is a valid registry
+//     whose instruments are all no-ops, so hot paths pay one nil check
+//     when telemetry is off.
 //
 //   - Mergeability. Snapshot values compose: Merge is associative and
 //     order-independent (counters sum, gauges max, histograms add
@@ -36,20 +38,12 @@ import (
 	"sync/atomic"
 )
 
-// Clock supplies int64 timestamps for spans and StartSpan/Now. In
-// simulations this is the netsim virtual clock (nanoseconds of simulated
-// time); the default is a logical monotone counter, which is deterministic
-// under deterministic execution. It must never read the wall clock.
-type Clock func() int64
-
 // Registry owns a namespace of instruments plus a span log. The zero
 // value is not useful; construct with New. A nil *Registry (Nop) is valid:
 // every method no-ops and every instrument getter returns a nil instrument
 // whose methods also no-op.
 type Registry struct {
 	mu       sync.Mutex
-	clock    Clock
-	logical  atomic.Int64
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -58,54 +52,17 @@ type Registry struct {
 }
 
 // Nop is the disabled registry: instruments obtained from it are no-ops.
-// Passing Nop (or just nil) through WithRegistry options turns
-// instrumentation off at the cost of one nil check per event.
+// Passing Nop (or just nil) to netsim.WithRegistry turns instrumentation
+// off at the cost of one nil check per event.
 var Nop *Registry
 
-// Option configures a Registry at construction.
-type Option func(*Registry)
-
-// WithClock sets the timestamp source (see SetClock).
-func WithClock(c Clock) Option { return func(r *Registry) { r.clock = c } }
-
-// New returns an empty registry. Without WithClock, timestamps come from
-// a logical counter that increments on every Now call.
-func New(opts ...Option) *Registry {
-	r := &Registry{
+// New returns an empty registry.
+func New() *Registry {
+	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
-}
-
-// SetClock rebinds the timestamp source, e.g. to a simulator's virtual
-// clock once the simulation exists. Nil restores the logical counter.
-func (r *Registry) SetClock(c Clock) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.clock = c
-	r.mu.Unlock()
-}
-
-// Now returns the current timestamp from the registry's clock. On the nil
-// registry it returns 0.
-func (r *Registry) Now() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	c := r.clock
-	r.mu.Unlock()
-	if c != nil {
-		return c()
-	}
-	return r.logical.Add(1)
 }
 
 // Emit is handed to a source while Snapshot runs; each call reports one
@@ -206,9 +163,6 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count (0 on the nil counter).
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -229,14 +183,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
 }
 
 // Value returns the current value (0 on the nil gauge).

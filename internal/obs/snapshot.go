@@ -1,6 +1,9 @@
 package obs
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // CounterPoint is one counter in a Snapshot.
 type CounterPoint struct {
@@ -39,7 +42,10 @@ func (h HistogramPoint) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(q * float64(h.Count))
+	// ceil(q·Count), forgiving the product's last-bit error: 0.07·100 is
+	// 7.000000000000001 in float64, and the rank it means is 7.
+	x := q * float64(h.Count)
+	rank := int64(math.Ceil(x - x*1e-12))
 	if rank < 1 {
 		rank = 1
 	}

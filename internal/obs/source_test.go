@@ -28,7 +28,7 @@ func TestSourcePointsSortWithInstruments(t *testing.T) {
 	r.Gauge("a.depth").Set(2)
 	st := &stats{}
 	r.AddSource(st.emit)
-	r.Counter("a.events_total").Inc()
+	r.Counter("a.events_total").Add(1)
 	st.sent, st.peak = 7, 9 // written after registration: sources read at Snapshot
 
 	s := r.Snapshot()

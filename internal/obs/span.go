@@ -1,8 +1,9 @@
 package obs
 
 // Spans are the tracing half of the registry: named time intervals
-// stamped in the registry's clock domain. The span taxonomy (which
-// package records which names, and in which clock domain) is documented
+// stamped by their callers, in simulated time or a modeled clock. The
+// span taxonomy (which package records which names, and in which clock
+// domain) is documented
 // in DESIGN.md §9; the rule that keeps exports deterministic is that
 // spans are only recorded from deterministic single-threaded event paths
 // (the simulator loop, the modeled training loop), never from parallel
@@ -36,9 +37,9 @@ func (s SpanPoint) Attr(key string) (string, bool) {
 	return "", false
 }
 
-// RecordSpan appends a completed span with explicit timestamps. This is
-// the form instrumented packages use when they already know simulated
-// start/end times (e.g. netsim.Time values converted with int64).
+// RecordSpan appends a completed span with the caller's timestamps
+// (e.g. netsim.Time values converted with int64); the registry has no
+// clock of its own.
 func (r *Registry) RecordSpan(name string, start, end int64, attrs ...KV) {
 	if r == nil {
 		return
@@ -50,38 +51,4 @@ func (r *Registry) RecordSpan(name string, start, end int64, attrs ...KV) {
 	r.mu.Lock()
 	r.spans = append(r.spans, sp)
 	r.mu.Unlock()
-}
-
-// Span is an in-progress interval started by StartSpan.
-type Span struct {
-	r     *Registry
-	name  string
-	start int64
-	attrs []KV
-}
-
-// StartSpan opens a span stamped with the registry clock. End (or EndAt)
-// completes and records it. On the nil registry it returns nil, whose End
-// methods no-op.
-func (r *Registry) StartSpan(name string, attrs ...KV) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{r: r, name: name, start: r.Now(), attrs: attrs}
-}
-
-// End completes the span at the registry clock's current time.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.EndAt(s.r.Now())
-}
-
-// EndAt completes the span at an explicit timestamp.
-func (s *Span) EndAt(end int64) {
-	if s == nil {
-		return
-	}
-	s.r.RecordSpan(s.name, s.start, end, s.attrs...)
 }

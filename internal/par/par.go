@@ -130,7 +130,3 @@ func (p *Pool) ForEachWorker(n, workers int, fn func(worker, i int)) {
 	loop(0)
 	wg.Wait()
 }
-
-// ForEach runs fn(i) for every i in [0, n) on the Default pool with the
-// default worker count.
-func ForEach(n int, fn func(i int)) { Default.ForEach(n, 0, fn) }

@@ -114,16 +114,6 @@ func TestScratchRoundTrip(t *testing.T) {
 	}
 	PutFloat32s(s2)
 
-	b := Bytes(64)
-	if len(b) != 64 {
-		t.Fatalf("len = %d, want 64", len(b))
-	}
-	PutBytes(b)
-	d := Float64s(32)
-	if len(d) != 32 {
-		t.Fatalf("len = %d, want 32", len(d))
-	}
-	PutFloat64s(d)
 	u := Uint32s(48)
 	if len(u) != 48 {
 		t.Fatalf("len = %d, want 48", len(u))
@@ -170,11 +160,12 @@ func TestScratchMixedSizesSteadyState(t *testing.T) {
 	}
 }
 
-// TestDefaultPoolForEach covers the package-level convenience wrapper.
+// TestDefaultPoolForEach covers the shared Default pool at its default
+// worker count.
 func TestDefaultPoolForEach(t *testing.T) {
 	const n = 100
 	out := make([]int, n)
-	ForEach(n, func(i int) { out[i] = i + 1 })
+	Default.ForEach(n, 0, func(i int) { out[i] = i + 1 })
 	for i := range out {
 		if out[i] != i+1 {
 			t.Fatalf("slot %d = %d", i, out[i])

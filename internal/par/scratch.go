@@ -61,10 +61,8 @@ func (p *scratch[T]) put(s []T) {
 }
 
 var (
-	f32s  scratch[float32]
-	f64s  scratch[float64]
-	u32s  scratch[uint32]
-	bytes scratch[byte]
+	f32s scratch[float32]
+	u32s scratch[uint32]
 )
 
 // Float32s returns a float32 scratch buffer of length n. Contents are
@@ -75,23 +73,9 @@ func Float32s(n int) []float32 { return f32s.get(n) }
 // not retain any reference (including subslices) after the call.
 func PutFloat32s(s []float32) { f32s.put(s) }
 
-// Float64s returns a float64 scratch buffer of length n. Contents are
-// undefined; the caller must overwrite every element it reads.
-func Float64s(n int) []float64 { return f64s.get(n) }
-
-// PutFloat64s recycles a buffer obtained from Float64s.
-func PutFloat64s(s []float64) { f64s.put(s) }
-
 // Uint32s returns a uint32 scratch buffer of length n. Contents are
 // undefined; the caller must overwrite every element it reads.
 func Uint32s(n int) []uint32 { return u32s.get(n) }
 
 // PutUint32s recycles a buffer obtained from Uint32s.
 func PutUint32s(s []uint32) { u32s.put(s) }
-
-// Bytes returns a byte scratch buffer of length n. Contents are
-// undefined; the caller must overwrite every element it reads.
-func Bytes(n int) []byte { return bytes.get(n) }
-
-// PutBytes recycles a buffer obtained from Bytes.
-func PutBytes(s []byte) { bytes.put(s) }

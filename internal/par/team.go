@@ -50,9 +50,6 @@ func NewTeam(n int) *Team {
 	return t
 }
 
-// Size returns the number of executors (including the caller).
-func (t *Team) Size() int { return t.n }
-
 // Run executes f(i) for every executor i in [0, n) — f(0) on the calling
 // goroutine, the rest on the pinned workers — and returns after all of
 // them completed (a full barrier).

@@ -50,9 +50,6 @@ func joinTopQ(tail uint32, q int) float32 {
 	return math.Float32frombits(tail << uint(32-q))
 }
 
-// signBitOf returns 1 for negative v (including -0), else 0.
-func signBitOf(v float32) uint32 { return math.Float32bits(v) >> 31 }
-
 // signValue maps a sign bit to ±1.
 func signValue(bit uint32) float32 {
 	if bit&1 == 1 {

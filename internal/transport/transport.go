@@ -163,26 +163,21 @@ type Opt func(*stackOpts)
 
 type stackOpts struct {
 	cfg Config
-	reg *obs.Registry
 	rcv Receiver
 }
 
 // WithConfig sets the protocol configuration (zero fields take defaults).
 func WithConfig(cfg Config) Opt { return func(o *stackOpts) { o.cfg = cfg } }
 
-// WithRegistry overrides the telemetry registry. By default the stack
-// inherits whatever registry is bound to the host's simulator (nil — off —
-// when none is).
-func WithRegistry(r *obs.Registry) Opt { return func(o *stackOpts) { o.reg = r } }
-
 // WithReceiver sets the payload consumer at construction time.
 func WithReceiver(rcv Receiver) Opt { return func(o *stackOpts) { o.rcv = rcv } }
 
-// New attaches a transport stack to h, configured by options. No option
-// combination fails today; the error return is part of the constructor
-// contract every caller already handles.
+// New attaches a transport stack to h, configured by options. The stack
+// reports into the registry bound to the host's simulator (none: off). No
+// option combination fails today; the error return is part of the
+// constructor contract every caller already handles.
 func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
-	o := stackOpts{reg: h.Sim().Obs()}
+	var o stackOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -196,10 +191,10 @@ func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 		trimTx:   make(map[msgKey]*trimSender),
 		trimRx:   make(map[msgKey]*trimReceiver),
 	}
-	if o.reg != nil {
+	if reg := h.Sim().Obs(); reg != nil {
 		prefix := fmt.Sprintf("transport.h%d.", h.ID())
-		s.cwnd = o.reg.Gauge(prefix + "cwnd_x1000")
-		o.reg.AddSource(func(e obs.Emit) { s.Stats.emit(e, prefix) })
+		s.cwnd = reg.Gauge(prefix + "cwnd_x1000")
+		reg.AddSource(func(e obs.Emit) { s.Stats.emit(e, prefix) })
 	}
 	h.Handler = s.handle
 	// Let aggregating switches fold trim-aware data packets: the merger

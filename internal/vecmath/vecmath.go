@@ -64,17 +64,6 @@ func L2NormSquared(v []float32) float64 {
 // L2Norm returns √(Σ v_i²).
 func L2Norm(v []float32) float64 { return math.Sqrt(L2NormSquared(v)) }
 
-// LInfNorm returns max|v_i|, or 0 for an empty slice.
-func LInfNorm(v []float32) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(float64(x)); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Dot returns the float64 inner product of a and b. It panics if the
 // lengths differ.
 func Dot(a, b []float32) float64 {
@@ -122,16 +111,6 @@ func Axpy(dst []float32, a float32, x []float32) {
 
 // Add computes dst += x element-wise. It panics if lengths differ.
 func Add(dst, x []float32) { Axpy(dst, 1, x) }
-
-// Sub computes dst -= x element-wise. It panics if lengths differ.
-func Sub(dst, x []float32) { Axpy(dst, -1, x) }
-
-// Fill sets every element of v to c.
-func Fill(v []float32, c float32) {
-	for i := range v {
-		v[i] = c
-	}
-}
 
 // NMSE returns the normalized mean squared error ‖est-ref‖²/‖ref‖², the
 // standard quality metric for gradient compression (lower is better).
@@ -187,32 +166,6 @@ func TopKIndices(v []float32, k int) []int {
 
 // MagnitudeOrder returns all indices of v ordered by decreasing magnitude.
 func MagnitudeOrder(v []float32) []int { return TopKIndices(v, len(v)) }
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the magnitudes of v using
-// linear interpolation, or 0 for an empty slice.
-func Quantile(v []float32, q float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	mags := make([]float64, len(v))
-	for i, x := range v {
-		mags[i] = math.Abs(float64(x))
-	}
-	sort.Float64s(mags)
-	if q <= 0 {
-		return mags[0]
-	}
-	if q >= 1 {
-		return mags[len(mags)-1]
-	}
-	pos := q * float64(len(mags)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(mags) {
-		return mags[len(mags)-1]
-	}
-	return mags[lo]*(1-frac) + mags[lo+1]*frac
-}
 
 // NextPow2 returns the smallest power of two ≥ n, with NextPow2(0) == 1.
 func NextPow2(n int) int {

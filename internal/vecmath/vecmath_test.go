@@ -28,14 +28,11 @@ func TestEmptyInputs(t *testing.T) {
 	if Sum(nil) != 0 || Mean(nil) != 0 || Std(nil) != 0 {
 		t.Error("empty-slice moments should be 0")
 	}
-	if L1Norm(nil) != 0 || L2Norm(nil) != 0 || LInfNorm(nil) != 0 {
+	if L1Norm(nil) != 0 || L2Norm(nil) != 0 {
 		t.Error("empty-slice norms should be 0")
 	}
 	if TopKIndices(nil, 3) != nil {
 		t.Error("TopKIndices(nil) should be nil")
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile(nil) should be 0")
 	}
 }
 
@@ -49,9 +46,6 @@ func TestNorms(t *testing.T) {
 	}
 	if got := L2NormSquared(v); got != 25 {
 		t.Errorf("L2² = %v, want 25", got)
-	}
-	if got := LInfNorm(v); got != 4 {
-		t.Errorf("L∞ = %v, want 4", got)
 	}
 }
 
@@ -90,7 +84,7 @@ func TestClipNegativeLimitPanics(t *testing.T) {
 	Clip([]float32{1}, -1)
 }
 
-func TestScaleAxpyAddSubFill(t *testing.T) {
+func TestScaleAxpyAdd(t *testing.T) {
 	v := []float32{1, 2}
 	Scale(v, 3)
 	if v[0] != 3 || v[1] != 6 {
@@ -103,14 +97,6 @@ func TestScaleAxpyAddSubFill(t *testing.T) {
 	Add(v, []float32{1, 1})
 	if v[0] != 6 || v[1] != 9 {
 		t.Fatalf("Add: got %v", v)
-	}
-	Sub(v, []float32{6, 9})
-	if v[0] != 0 || v[1] != 0 {
-		t.Fatalf("Sub: got %v", v)
-	}
-	Fill(v, 7)
-	if v[0] != 7 || v[1] != 7 {
-		t.Fatalf("Fill: got %v", v)
 	}
 }
 
@@ -171,26 +157,6 @@ func TestMagnitudeOrderStableTies(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("MagnitudeOrder = %v, want %v (stable ties)", got, want)
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	v := []float32{1, 2, 3, 4, 5}
-	if got := Quantile(v, 0); got != 1 {
-		t.Errorf("q0 = %v, want 1", got)
-	}
-	if got := Quantile(v, 1); got != 5 {
-		t.Errorf("q1 = %v, want 5", got)
-	}
-	if got := Quantile(v, 0.5); got != 3 {
-		t.Errorf("q0.5 = %v, want 3", got)
-	}
-	if got := Quantile(v, 0.25); got != 2 {
-		t.Errorf("q0.25 = %v, want 2", got)
-	}
-	// Magnitudes are used, not signed values.
-	if got := Quantile([]float32{-10, 1}, 1); got != 10 {
-		t.Errorf("q1 of {-10,1} = %v, want 10", got)
 	}
 }
 

@@ -19,9 +19,9 @@ func randHeadsTails(seed uint64, n int, p, q int) ([]uint32, []uint32) {
 	heads := make([]uint32, n)
 	tails := make([]uint32, n)
 	for i := range heads {
-		heads[i] = r.Uint32() & (1<<uint(p) - 1)
+		heads[i] = uint32(r.Uint64()>>32) & (1<<uint(p) - 1)
 		if q > 0 {
-			tails[i] = r.Uint32() & (1<<uint(q) - 1)
+			tails[i] = uint32(r.Uint64()>>32) & (1<<uint(q) - 1)
 		}
 	}
 	return heads, tails

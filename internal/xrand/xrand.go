@@ -99,9 +99,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 uniformly random bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -134,18 +131,10 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
-// Float32 returns a uniform float32 in [0, 1).
-func (r *Rand) Float32() float32 {
-	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
-}
-
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
-
-// Bool returns a uniformly random boolean.
-func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
 
 // NormFloat64 returns a standard-normal sample using Box-Muller.
 // The polar (Marsaglia) variant is used to avoid trig in the common path.
@@ -175,21 +164,6 @@ func (r *Rand) ExpFloat64() float64 {
 	return -math.Log(1 - r.Float64())
 }
 
-// SignBits fills dst with n random sign bits packed LSB-first, suitable for
-// the RHT random diagonal. dst must have at least (n+63)/64 elements.
-func (r *Rand) SignBits(dst []uint64, n int) {
-	words := (n + 63) / 64
-	if len(dst) < words {
-		panic("xrand: SignBits destination too short")
-	}
-	for i := 0; i < words; i++ {
-		dst[i] = r.Uint64()
-	}
-	if rem := n % 64; rem != 0 {
-		dst[words-1] &= (1 << uint(rem)) - 1
-	}
-}
-
 // Perm returns a random permutation of [0, n) using Fisher-Yates.
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -201,12 +175,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

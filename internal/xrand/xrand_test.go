@@ -74,16 +74,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestFloat32Range(t *testing.T) {
-	r := New(4)
-	for i := 0; i < 100000; i++ {
-		f := r.Float32()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float32 out of [0,1): %v", f)
-		}
-	}
-}
-
 func TestUniformMoments(t *testing.T) {
 	r := New(5)
 	const n = 200000
@@ -195,44 +185,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSignBits(t *testing.T) {
-	r := New(12)
-	dst := make([]uint64, 4)
-	r.SignBits(dst, 200)
-	// Bits beyond n must be zero.
-	if dst[3]>>(200-192) != 0 {
-		t.Fatalf("bits beyond n not masked: %x", dst[3])
-	}
-	// Roughly half the bits should be set.
-	ones := 0
-	for _, w := range dst {
-		for ; w != 0; w &= w - 1 {
-			ones++
-		}
-	}
-	if ones < 70 || ones > 130 {
-		t.Errorf("SignBits set %d/200 bits, want ~100", ones)
-	}
-}
-
-func TestSignBitsExactMultiple(t *testing.T) {
-	r := New(13)
-	dst := make([]uint64, 2)
-	r.SignBits(dst, 128) // no masking branch
-	if dst[0] == 0 && dst[1] == 0 {
-		t.Fatal("SignBits produced all zeros")
-	}
-}
-
-func TestSignBitsShortDstPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for short destination")
-		}
-	}()
-	New(14).SignBits(make([]uint64, 1), 65)
-}
-
 func TestDeriveIndependence(t *testing.T) {
 	r := New(15)
 	a := r.Derive(1)
@@ -246,24 +198,6 @@ func TestDeriveIndependence(t *testing.T) {
 	r1.Derive(99)
 	if r1.Uint64() != r2.Uint64() {
 		t.Fatal("Derive disturbed parent state")
-	}
-}
-
-func TestShuffleMatchesPermStatistics(t *testing.T) {
-	r := New(16)
-	xs := []int{0, 1, 2, 3, 4}
-	firstSlotCounts := make([]int, 5)
-	const trials = 50000
-	for i := 0; i < trials; i++ {
-		copy(xs, []int{0, 1, 2, 3, 4})
-		r.Shuffle(5, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		firstSlotCounts[xs[0]]++
-	}
-	want := trials / 5
-	for v, c := range firstSlotCounts {
-		if math.Abs(float64(c-want)) > 0.06*float64(want) {
-			t.Errorf("value %d landed in slot 0 %d times, want ~%d", v, c, want)
-		}
 	}
 }
 

@@ -189,7 +189,7 @@ go test ./...
 
 step "go test -race (concurrency-heavy packages, and the ones whose code runs on pool goroutines)"
 go test -race ./internal/core ./internal/transport ./internal/collective ./internal/ddp \
-  ./internal/ml ./internal/par ./internal/fwht
+  ./internal/ml ./internal/par ./internal/fwht ./internal/obs
 
 step "shard determinism (differential + plain-Sim identity + sharded matrices, -race, GOMAXPROCS 1 and 4)"
 # The bit-identity contract — plain Sim ≡ 1 shard ≡ S shards — must hold

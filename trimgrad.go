@@ -16,7 +16,7 @@
 //	internal/core       gradient ⇄ packet pipeline, injectors, transcripts
 //	internal/netsim     discrete-event fabric with trimming switches
 //	internal/transport  reliable (baseline) and trim-aware protocols
-//	internal/collective ring/direct all-reduce, all-gather, broadcast
+//	internal/collective five all-reduce schedules, all-gather
 //	internal/ml, internal/ddp   training substrate and DDP driver (§4)
 //	internal/sparse, internal/lowrank   §5.2–5.3 compression companions
 //	internal/exp        the figure-regeneration harness (cmd/trimbench)
