@@ -210,7 +210,9 @@ func BenchmarkShardFabric(b *testing.B) {
 // the events over 2 ms, every level of the timer wheel (same-slot,
 // in-window, overflow) and about half an event per 256 ns tick; lockstep
 // puts 128 events on one shared timestamp in every other tick, the shape
-// of senders in an incast, so it prices ordering a deep tick.
+// of senders in an incast, so it prices ordering a deep tick, and
+// lockstep-512 does the same with 512, the depth of an incast's deepest
+// ticks, which the radix path orders.
 func BenchmarkFabricWheel(b *testing.B) {
 	const events = 4096
 	rng := xrand.New(42)
@@ -220,6 +222,7 @@ func BenchmarkFabricWheel(b *testing.B) {
 	}{
 		{"spread", func(int) netsim.Time { return netsim.Time(rng.Uint64() % uint64(2*netsim.Millisecond)) }},
 		{"lockstep", func(i int) netsim.Time { return netsim.Time(i/128) * 512 }},
+		{"lockstep-512", func(i int) netsim.Time { return netsim.Time(i/512) * 512 }},
 	}
 	for _, shape := range shapes {
 		b.Run(shape.name, func(b *testing.B) {

@@ -165,7 +165,7 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet,
 	if prio == PrioHigh {
 		capBytes = p.cfg.HighCapacityBytes
 	}
-	if p.bytes[prio] > capBytes && p.cfg.Mode == TrimOverflow && qpkt.Trimmable() {
+	if p.bytes[prio] > capBytes && p.cfg.Mode == TrimOverflow {
 		before := qpkt.Size
 		if qpkt.TrimTo(p.cfg.TrimTarget) {
 			p.bytes[prio] -= before - qpkt.Size

@@ -405,14 +405,19 @@ func (p *Port) admit(pkt *Packet) {
 		cap = p.cfg.HighCapacityBytes
 	}
 	if p.bytes[pkt.Prio]+pkt.Size > cap {
-		// Overflow: trim if allowed and useful, otherwise drop.
-		if p.cfg.Mode == TrimOverflow && pkt.Prio == PrioNormal && pkt.Trimmable() {
-			if pkt.TrimTo(p.cfg.TrimTarget) {
+		// Overflow: trim if allowed and useful, otherwise drop. One header
+		// parse decides; the payload is cut only if the trimmed packet fits
+		// the high queue, and a trim that does not is dropped at its
+		// trimmed size.
+		if p.cfg.Mode == TrimOverflow && pkt.Prio == PrioNormal {
+			if keep := pkt.trimLen(p.cfg.TrimTarget); keep < len(pkt.Payload) {
 				p.Stats.Trimmed++
-				if p.bytes[PrioHigh]+pkt.Size <= p.cfg.HighCapacityBytes {
+				if p.bytes[PrioHigh]+keep+wire.NetOverhead <= p.cfg.HighCapacityBytes {
+					pkt.cut(keep)
 					p.push(pkt)
 					return
 				}
+				pkt.Size = keep + wire.NetOverhead
 			}
 		}
 		p.Stats.Dropped++
@@ -462,7 +467,7 @@ func (p *Port) onTxDone(pkt *Packet) {
 	if p.peerSim != p.sim {
 		p.sim.handOff(p, pkt)
 	} else {
-		p.sim.afterDeliver(p.link.Delay, p.peer, pkt)
+		p.sim.afterDeliver(p.link.Delay, p, pkt)
 	}
 	p.transmitNext()
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"testing"
 
 	"trimgrad/internal/quant"
@@ -144,6 +145,29 @@ func TestTrimOverflowTrimsGradients(t *testing.T) {
 	// with identical load (every gradient packet is trimmable).
 	if st.Dropped > 5 {
 		t.Errorf("%d drops despite trimming", st.Dropped)
+	}
+}
+
+// TestTrimThatDropsCopiesNothing: when the trimmed packet would not fit
+// the high queue either, the port counts the trim and drops the packet at
+// its trimmed size without copying the payload or touching the sender's
+// bytes.
+func TestTrimThatDropsCopiesNothing(t *testing.T) {
+	sim := NewSim()
+	star := NewStar(sim, 2, fastLink(), QueueConfig{CapacityBytes: 1, HighCapacityBytes: 1, Mode: TrimOverflow})
+	port := star.Tier(TierEdge)[0].Port(1)
+	pkt := buildGradPacket(t, 1, 300)
+	full, sent := pkt.Size, bytes.Clone(pkt.Payload)
+	port.Enqueue(pkt)
+	want := PortStats{Trimmed: 1, Dropped: 1, DroppedBytes: wire.TrimLen(sent, 0) + wire.NetOverhead}
+	if port.Stats != want {
+		t.Fatalf("stats %+v, want %+v", port.Stats, want)
+	}
+	if !bytes.Equal(pkt.Payload, sent) || pkt.Trimmed {
+		t.Fatal("a dropped trim wrote or replaced the payload")
+	}
+	if avg := testing.AllocsPerRun(10, func() { pkt.Size = full; port.Enqueue(pkt) }); avg != 0 {
+		t.Fatalf("a trim that ends in a drop allocated %.1f times", avg)
 	}
 }
 

@@ -74,23 +74,16 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
-// Trimmable reports whether the switch can usefully trim this packet:
-// it must carry a trimgrad payload that is not a metadata packet and not
-// already at its minimum size.
-func (p *Packet) Trimmable() bool {
-	if p.Payload == nil {
-		return false
-	}
-	h, err := wire.ParseHeader(p.Payload)
-	if err != nil || h.IsMeta() {
-		return false
-	}
-	return len(p.Payload) > h.TrimmedSize()
+// trimLen returns how many payload bytes a trim toward target total wire
+// bytes (payload + NetOverhead) keeps, parsing the header once. len(Payload)
+// means the switch cannot usefully trim the packet: it is opaque, a
+// metadata packet, or already at its minimum size.
+func (p *Packet) trimLen(target int) int {
+	return wire.TrimLen(p.Payload, target-wire.NetOverhead)
 }
 
-// TrimTo trims the payload toward target total wire bytes (payload +
-// NetOverhead) and updates Size, Trimmed, and Prio. It reports whether any
-// bytes were actually removed.
+// cut trims the payload to its first keep bytes, a trimLen verdict below
+// len(Payload), and updates Size, Trimmed, and Prio.
 //
 // Trimming is the one place the fabric changes payload bytes, and it never
 // writes a buffer it does not own (DESIGN.md §16): a payload still shared
@@ -98,24 +91,27 @@ func (p *Packet) Trimmable() bool {
 // leaving the sender's retransmit buffer intact and, on a sharded fabric,
 // never racing a sender-side read. A payload the packet already owns is
 // cut in place.
-func (p *Packet) TrimTo(target int) bool {
-	if p.Payload == nil {
-		return false
+func (p *Packet) cut(keep int) {
+	out := p.Payload[:keep]
+	if !p.ownsPayload {
+		out = make([]byte, keep)
+		copy(out, p.Payload)
 	}
-	want := target - wire.NetOverhead
-	var trimmed []byte
-	if p.ownsPayload {
-		trimmed = wire.Trim(p.Payload, want)
-	} else {
-		trimmed = wire.TrimCopy(p.Payload, want)
-	}
-	if len(trimmed) >= len(p.Payload) {
-		return false
-	}
-	p.Payload = trimmed
+	wire.MarkTrimmed(out)
+	p.Payload = out
 	p.ownsPayload = true
-	p.Size = len(trimmed) + wire.NetOverhead
+	p.Size = keep + wire.NetOverhead
 	p.Trimmed = true
 	p.Prio = PrioHigh
+}
+
+// TrimTo trims the payload toward target total wire bytes and reports
+// whether any bytes were actually removed.
+func (p *Packet) TrimTo(target int) bool {
+	keep := p.trimLen(target)
+	if keep >= len(p.Payload) {
+		return false
+	}
+	p.cut(keep)
 	return true
 }

@@ -48,23 +48,24 @@ func TestPacketClone(t *testing.T) {
 }
 
 func TestTrimmableClassification(t *testing.T) {
+	trimmable := func(p *Packet) bool { return p.trimLen(0) < len(p.Payload) }
 	// Opaque packets are not trimmable.
-	if (&Packet{Size: 100}).Trimmable() {
+	if trimmable(&Packet{Size: 100}) {
 		t.Error("opaque packet claimed trimmable")
 	}
 	// Garbage payloads are not trimmable.
-	if (&Packet{Size: 100, Payload: []byte{1, 2, 3}}).Trimmable() {
+	if trimmable(&Packet{Size: 100, Payload: []byte{1, 2, 3}}) {
 		t.Error("garbage payload claimed trimmable")
 	}
 	// Metadata packets are not trimmable.
 	meta := wire.BuildMetaPacket(wire.Header{Flow: 1}, 1, 10, 1.0)
-	if (&Packet{Size: len(meta), Payload: meta}).Trimmable() {
+	if trimmable(&Packet{Size: len(meta), Payload: meta}) {
 		t.Error("metadata claimed trimmable")
 	}
 	// A real data packet is trimmable.
 	data := gradPayload(t, 512)
 	p := &Packet{Size: len(data) + wire.NetOverhead, Payload: data}
-	if !p.Trimmable() {
+	if !trimmable(p) {
 		t.Fatal("data packet not trimmable")
 	}
 	// After trimming to the minimum it is no longer trimmable.
@@ -74,7 +75,7 @@ func TestTrimmableClassification(t *testing.T) {
 	if !p.Trimmed || p.Prio != PrioHigh {
 		t.Error("TrimTo should set Trimmed and raise priority")
 	}
-	if p.Trimmable() {
+	if trimmable(p) {
 		t.Error("minimal packet still claims trimmable")
 	}
 	if p.TrimTo(0) {

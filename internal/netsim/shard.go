@@ -29,11 +29,13 @@ import (
 
 // xmsg is one cross-shard packet hand-off: the propagation arrival of a
 // packet that left through a partition-boundary port, stamped with its
-// arrival time and the causal key assigned at the sending shard.
+// arrival time and the causal key assigned at the sending shard. The
+// receiving node is port's peer; the destination shard only reads that
+// field, which no shard writes after partitioning.
 type xmsg struct {
 	at   Time
 	key  uint64
-	node Node
+	port *Port
 	pkt  *Packet
 }
 

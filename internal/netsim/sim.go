@@ -25,7 +25,6 @@
 package netsim
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -69,7 +68,7 @@ const (
 	evFunc evKind = iota
 	// evTxDone fires when port finishes serializing pkt onto the link.
 	evTxDone
-	// evDeliver hands pkt to node after propagation.
+	// evDeliver hands pkt to port's peer after propagation.
 	evDeliver
 	// evAdmit re-admits a fault-delayed (reordered) pkt into port's queue.
 	evAdmit
@@ -78,15 +77,16 @@ const (
 // event is one scheduled occurrence. Records are pooled on the owning
 // Sim's free list; only the fields their kind needs are set, and all
 // reference fields are cleared on release so a drained simulator retains
-// nothing it fired (see TestSimDrainedHoldsNoEventReferences).
+// nothing it fired (see TestSimDrainedHoldsNoEventReferences). A delivery
+// reaches its node through the delivering port, so a record is 56 bytes
+// and fits one 64-byte allocation.
 type event struct {
 	at   Time
 	key  uint64 // causal-path hash: the tie-break among equal timestamps
 	next *event // slot chain / free-list link
 	kind evKind
 	fn   func()  // evFunc
-	port *Port   // evTxDone, evAdmit
-	node Node    // evDeliver
+	port *Port   // evTxDone, evAdmit; evDeliver: the port whose peer receives
 	pkt  *Packet // evTxDone, evDeliver, evAdmit
 }
 
@@ -101,14 +101,6 @@ type qent struct {
 // before is the scheduler's total order: time, then causal key.
 func (a qent) before(b qent) bool {
 	return a.at < b.at || a.at == b.at && a.key < b.key
-}
-
-// cmpEnt is before as a three-way comparison, for sorting.
-func cmpEnt(a, b qent) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.key, b.key)
 }
 
 // entHeap is a binary min-heap of entries in before order. It backs the
@@ -174,6 +166,17 @@ const (
 	occWords = numSlots / 64
 )
 
+// Tick ordering (see orderRun). A drained tick deeper than sortDepth is
+// ordered by packed integer keys: by slices.Sort below radixDepth, by
+// radixPasses LSD byte passes from radixDepth on. radixDepth is where the
+// radix passes overtook slices.Sort when ticks 24 to 1 024 deep were timed
+// (DESIGN.md §11).
+const (
+	sortDepth   = 16
+	radixDepth  = 64
+	radixPasses = 3
+)
+
 // Sim is a deterministic discrete-event scheduler. The zero value is not
 // usable; construct with NewSim. Events at equal timestamps fire in
 // causal-key order: the same order on every run of the same program and
@@ -182,8 +185,9 @@ const (
 // Internally it is a two-level timer wheel over pooled event records:
 //
 //   - run and late: every pending event with tick ≤ curTick. run[ri:] is
-//     the rest of curTick's slot, sorted once when it was drained; late is
-//     a heap of the events placed at or before curTick after that drain.
+//     the rest of curTick's slot, put in (at, key) order once when it was
+//     drained (orderRun); late is a heap of the events placed at or before
+//     curTick after that drain.
 //     Because slot events all have strictly later timestamps, the smaller
 //     of the two heads is the global minimum.
 //   - slots: the wheel proper — events with curTick < tick < curTick+numSlots,
@@ -203,7 +207,11 @@ type Sim struct {
 	run     []qent
 	ri      int
 	late    entHeap
-	slots   [numSlots]*event
+	// runTmp and keyBuf are orderRun's scratch: the permuted run and the
+	// packed keys (twice a deep tick's length, for the radix ping-pong).
+	runTmp []qent
+	keyBuf []uint64
+	slots  [numSlots]*event
 	// occ has bit i set exactly when slots[i] is non-empty, so advance finds
 	// the next occupied slot a word at a time instead of probing every one.
 	occ      [occWords]uint64
@@ -286,7 +294,6 @@ func (s *Sim) allocEvent() *event {
 func (s *Sim) releaseEvent(ev *event) {
 	ev.fn = nil
 	ev.port = nil
-	ev.node = nil
 	ev.pkt = nil
 	ev.next = s.freeEv
 	s.freeEv = ev
@@ -389,8 +396,7 @@ func (s *Sim) nextOccupied(from int64) int64 {
 	}
 }
 
-// drainSlot moves a slot chain into run and sorts it: by insertion for
-// the handful of events most ticks hold, by pdqsort for a deep one.
+// drainSlot moves a slot chain into run and puts it in order.
 func (s *Sim) drainSlot(idx int64) {
 	ev := s.slots[idx]
 	s.slots[idx] = nil
@@ -401,17 +407,80 @@ func (s *Sim) drainSlot(idx int64) {
 		s.run = append(s.run, qent{ev.at, ev.key, ev})
 		ev = next
 	}
-	r := s.run
-	s.nSlots -= len(r)
-	if len(r) > 16 {
-		slices.SortFunc(r, cmpEnt)
-		return
+	s.nSlots -= len(s.run)
+	s.orderRun()
+}
+
+// orderRun sorts run, whose entries all share one tick, into before order:
+// the handful of events most ticks hold by insertion alone, a deeper tick
+// by packedSort first. The insertion pass compares full (at, key), so the
+// result is exact whatever packedSort left out of order.
+func (s *Sim) orderRun() {
+	if len(s.run) > sortDepth {
+		s.packedSort()
 	}
+	r := s.run
 	for i := 1; i < len(r); i++ {
 		for j := i; j > 0 && r[j].before(r[j-1]); j-- {
 			r[j], r[j-1] = r[j-1], r[j]
 		}
 	}
+}
+
+// packedSort orders run with plain integer compares. (at, key) packs into
+// one uint64 — at's low slotShift bits on top, then key's high bits, then
+// the entry's index in the low ⌈log₂ n⌉ bits, which makes every packed key
+// distinct and names its entry — and run is permuted by the sorted keys.
+// Only entries whose truncated keys tie can be left out of order.
+func (s *Sim) packedSort() {
+	n := len(s.run)
+	b := bits.Len(uint(n - 1))
+	s.keyBuf = slices.Grow(s.keyBuf[:0], 2*n)
+	keys := s.keyBuf[:n]
+	for i, e := range s.run {
+		keys[i] = uint64(e.at)<<(64-slotShift) | e.key>>(slotShift+b)<<b | uint64(i)
+	}
+	if n < radixDepth {
+		slices.Sort(keys)
+	} else {
+		keys = radixTop(keys, s.keyBuf[n:2*n])
+	}
+	tmp := s.runTmp[:0]
+	for _, k := range keys {
+		tmp = append(tmp, s.run[k&(1<<b-1)])
+	}
+	s.run, s.runTmp = tmp, s.run
+}
+
+// radixTop sorts keys by their top radixPasses bytes with a stable LSD
+// radix sort, ping-ponging through tmp (len(tmp) == len(keys)), and
+// returns whichever of the two holds the result. A pass whose byte every
+// key shares is skipped.
+func radixTop(keys, tmp []uint64) []uint64 {
+	var count [radixPasses][256]int
+	for _, k := range keys {
+		for p := range count {
+			count[p][byte(k>>(64-8*(radixPasses-p)))]++
+		}
+	}
+	for p := range count {
+		shift := 64 - 8*(radixPasses-p)
+		c := &count[p]
+		if c[byte(keys[0]>>shift)] == len(keys) {
+			continue
+		}
+		sum := 0
+		for d, n := range c {
+			c[d], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			d := byte(k >> shift)
+			tmp[c[d]] = k
+			c[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // migrate restores the overflow invariant after curTick advanced: any
@@ -460,11 +529,11 @@ func (s *Sim) afterTxDone(d Time, p *Port, pkt *Packet) {
 	s.schedule(s.now+d, ev)
 }
 
-// afterDeliver schedules the typed propagation-arrival event at node n.
-func (s *Sim) afterDeliver(d Time, n Node, pkt *Packet) {
+// afterDeliver schedules the typed propagation-arrival event at p's peer.
+func (s *Sim) afterDeliver(d Time, p *Port, pkt *Packet) {
 	ev := s.allocEvent()
 	ev.kind = evDeliver
-	ev.node = n
+	ev.port = p
 	ev.pkt = pkt
 	s.schedule(s.now+d, ev)
 }
@@ -489,14 +558,15 @@ func (s *Sim) dispatch(ev *event) {
 	case evTxDone:
 		ev.port.onTxDone(ev.pkt)
 	case evDeliver:
-		if _, isHost := ev.node.(*Host); isHost {
-			ev.node.Deliver(ev.pkt)
+		peer := ev.port.peer
+		if _, isHost := peer.(*Host); isHost {
+			peer.Deliver(ev.pkt)
 			// Once Deliver returned, the fabric owns the record again and
 			// can recycle it. Switches forward, so their packets stay live.
 			s.releasePacket(ev.pkt)
 			return
 		}
-		ev.node.Deliver(ev.pkt)
+		peer.Deliver(ev.pkt)
 	case evAdmit:
 		ev.port.admit(ev.pkt)
 	}
@@ -571,7 +641,7 @@ func (s *Sim) handOff(p *Port, pkt *Packet) {
 	dst := p.peerSim
 	//trimlint:owner transfer the outbox owns the packet until the barrier places it on the destination shard
 	s.out[dst.shardIdx] = append(s.out[dst.shardIdx], xmsg{
-		at: s.now + p.link.Delay, key: s.nextKey(), node: p.peer, pkt: pkt,
+		at: s.now + p.link.Delay, key: s.nextKey(), port: p, pkt: pkt,
 	})
 }
 
@@ -581,7 +651,7 @@ func (s *Sim) handOff(p *Port, pkt *Packet) {
 func (s *Sim) placeRemote(m xmsg) {
 	ev := s.allocEvent()
 	ev.kind = evDeliver
-	ev.node = m.node
+	ev.port = m.port
 	//trimlint:owner transfer ownership continues from the outbox to the destination shard's pooled event
 	ev.pkt = m.pkt
 	ev.at = m.at

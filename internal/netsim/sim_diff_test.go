@@ -1,11 +1,14 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"trimgrad/internal/xrand"
 )
@@ -145,17 +148,22 @@ func TestTimerWheelMatchesHeap(t *testing.T) {
 	}
 }
 
-// lockstep runs the incast shape on s: 128 roots share one timestamp and
-// re-arm at one period for several rounds, so each round's tick holds all
-// of them; every other firing also spawns a child less than a tick later
-// (in the same tick, placed after that tick was drained), and the run
-// advances by RunUntil deadlines that land mid-tick. It returns the trace
-// and the most events that fired in one tick.
+// lockstepRoots is how many events each lockstep tick drains from its
+// slot: twice radixDepth, so those ticks take orderRun's radix path.
+const lockstepRoots = 2 * radixDepth
+
+// lockstep runs the incast shape on s: lockstepRoots roots spread over
+// three timestamps of one tick re-arm at one period for several rounds, so
+// each round's slot drains all of them; every other firing also spawns a
+// child less than a tick later (in the same tick, placed in the late heap
+// after that tick was drained), and the run advances by RunUntil deadlines
+// that land mid-tick. It returns the trace and the most events that fired
+// in one tick, drained and late together.
 func lockstep(s scheduler) ([]string, int) {
 	const (
-		roots  = 128
+		roots  = lockstepRoots
 		rounds = 5
-		start  = 40<<slotShift + 16 // children up to 239 ns later stay in the tick
+		start  = 40<<slotShift + 16 // roots up to 32 ns and children up to 199 ns later stay in the tick
 		period = 4 << slotShift
 	)
 	var trace []string
@@ -177,7 +185,7 @@ func lockstep(s scheduler) ([]string, int) {
 		})
 	}
 	for id := 0; id < roots; id++ {
-		arm(id, 0, start)
+		arm(id, 0, start+Time(id%3)*16)
 	}
 	for r := 0; r < rounds; r++ {
 		s.RunUntil(start + Time(r)*period + 100)
@@ -194,8 +202,9 @@ func lockstep(s scheduler) ([]string, int) {
 
 // TestTimerWheelLockstep is the differential pin where ticks are deep: the
 // random programs above hold a handful of events per tick, an incast holds
-// a hundred. The wheel must replay the reference heap through ticks of
-// that depth, late same-tick arrivals and mid-tick deadlines included.
+// hundreds. The wheel must replay the reference heap through drained ticks
+// deep enough for the radix path, late same-tick arrivals and mid-tick
+// deadlines included.
 func TestTimerWheelLockstep(t *testing.T) {
 	ref := &refSim{}
 	want, _ := lockstep(ref)
@@ -205,8 +214,104 @@ func TestTimerWheelLockstep(t *testing.T) {
 	if ref.processed != wheel.Processed {
 		t.Fatalf("processed %d (heap) != %d (wheel)", ref.processed, wheel.Processed)
 	}
-	if most < 100 {
-		t.Fatalf("deepest tick held %d events; the program must reach 100", most)
+	if most < lockstepRoots {
+		t.Fatalf("deepest tick held %d events; the program must reach %d", most, lockstepRoots)
+	}
+}
+
+// The event record must stay in the 64-byte size class.
+var _ [56 - unsafe.Sizeof(event{})]byte
+
+// cmpEnt is before as a three-way comparison: slices.SortFunc(r, cmpEnt)
+// is the reference orderRun must reproduce.
+func cmpEnt(a, b qent) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.key, b.key)
+}
+
+// TestOrderRunMatchesSortFunc pins the tick sort where it is new: at
+// depths either side of each threshold and far past them, a drained tick
+// must come out exactly as slices.SortFunc(cmpEnt) orders it. The shapes
+// include keys that agree on their top bits, whose packed keys tie (or
+// differ only in their index), so the insertion pass does the ordering
+// the integer sort could not. With hashed keys, as every Sim draws them,
+// packedSort alone must leave almost nothing for that pass. One Sim runs
+// every case, so the scratch buffers are reused across depths.
+func TestOrderRunMatchesSortFunc(t *testing.T) {
+	const tick = 123457 // any tick: only at's low slotShift bits are packed
+	rng := xrand.New(32)
+	shapes := []struct {
+		name   string
+		hashed bool // keys are uniformly random
+		entry  func(i int) (off Time, key uint64)
+	}{
+		{"random", true, func(int) (Time, uint64) { return Time(rng.Intn(1 << slotShift)), rng.Uint64() }},
+		{"one timestamp", true, func(int) (Time, uint64) { return 77, rng.Uint64() }},
+		{"three uneven timestamps", true, func(i int) (Time, uint64) { return Time(max(i%5-2, 0)) * 80, rng.Uint64() }},
+		// Distinct low 16 bits under one shared 48-bit prefix: the radix
+		// bytes all tie, slices.Sort sees a few of the low bits.
+		{"shared top bits", false, func(i int) (Time, uint64) {
+			return Time(i % 2), 0xfeedfacecafe<<16 | uint64(i)*0x9e37&0xffff
+		}},
+		// Keys differing only below the packed bits: every packed key
+		// ties but for the index, so the insertion pass does all the work.
+		{"shared packed bits", false, func(i int) (Time, uint64) { return 5, 0xabcdef<<40 | uint64(i*0x65)&0xff }},
+	}
+	depths := []int{2, sortDepth, sortDepth + 1, radixDepth - 1, radixDepth, radixDepth + 1, 1024}
+	s := NewSim()
+	for _, shape := range shapes {
+		for _, n := range depths {
+			if shape.name == "shared packed bits" && n > 256 {
+				continue // the low byte holds 256 distinct keys
+			}
+			ents := make([]qent, n)
+			for i := range ents {
+				off, key := shape.entry(i)
+				ents[i] = qent{at: tick<<slotShift + off, key: key, ev: &event{}}
+			}
+			want := slices.Clone(ents)
+			slices.SortFunc(want, cmpEnt)
+			s.run = append(s.run[:0], ents...)
+			s.orderRun()
+			if !slices.Equal(s.run, want) {
+				t.Fatalf("%s, depth %d: orderRun differs from slices.SortFunc(cmpEnt)", shape.name, n)
+			}
+			if !shape.hashed || n <= sortDepth {
+				continue
+			}
+			s.run = append(s.run[:0], ents...)
+			s.packedSort()
+			inv := 0
+			for i := range s.run {
+				for j := i; j > 0 && s.run[j].before(s.run[j-1]); j-- {
+					s.run[j], s.run[j-1] = s.run[j-1], s.run[j]
+					inv++
+				}
+			}
+			if inv > n/16 {
+				t.Errorf("%s, depth %d: packedSort left %d inversions for the insertion pass", shape.name, n, inv)
+			}
+		}
+	}
+}
+
+// TestDeepTickAllocations: once a Sim has drained and ordered a slot of
+// some depth, doing it again as deep allocates nothing.
+func TestDeepTickAllocations(t *testing.T) {
+	s := NewSim()
+	fn := func() {}
+	tick := func() {
+		// Two ticks ahead, so the events land in a slot, not the late heap.
+		for i := 0; i < 512; i++ {
+			s.After(2<<slotShift+Time(i%3)*80, fn)
+		}
+		s.Run()
+	}
+	tick() // warm the event pool and the sort scratch
+	if avg := testing.AllocsPerRun(10, tick); avg != 0 {
+		t.Fatalf("a warmed 512-event tick allocated %.1f times", avg)
 	}
 }
 

@@ -244,9 +244,13 @@ func TrimLen(buf []byte, targetSize int) int {
 	return min(boundary+(wholeTails*int(h.Q)+7)/8, len(buf))
 }
 
-// markTrimmed rewrites the two header fields a trimming switch touches: the
-// Trimmed flag is set and the now-meaningless tail CRC cleared.
-func markTrimmed(pkt []byte) {
+// MarkTrimmed rewrites the two header fields a trimming switch touches: the
+// Trimmed flag is set and the now-meaningless tail CRC cleared. pkt is the
+// kept prefix — the first TrimLen bytes of a packet, in a buffer the caller
+// owns. Trim and TrimCopy cut and mark in one call; a caller that already
+// holds TrimLen's verdict cuts the prefix itself and marks it here, so the
+// header is parsed once.
+func MarkTrimmed(pkt []byte) {
 	pkt[offFlags] |= FlagTrimmed
 	binary.BigEndian.PutUint32(pkt[offTailCRC:], 0)
 }
@@ -263,7 +267,7 @@ func Trim(buf []byte, targetSize int) []byte {
 		return buf
 	}
 	out := buf[:keep]
-	markTrimmed(out)
+	MarkTrimmed(out)
 	return out
 }
 
@@ -279,6 +283,6 @@ func TrimCopy(buf []byte, targetSize int) []byte {
 	}
 	out := make([]byte, keep)
 	copy(out, buf)
-	markTrimmed(out)
+	MarkTrimmed(out)
 	return out
 }
