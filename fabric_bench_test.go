@@ -31,7 +31,8 @@ func fabricStar(sim *netsim.Sim) *netsim.Topology {
 // BenchmarkFabricHop measures the steady-state cost of one simulated
 // packet crossing the fabric (two hops: host→switch→host) on the fast
 // path: Sim.NewPacket records recycled on delivery, typed events
-// dispatched without closures. There is one event order (ties break by
+// dispatched without closures; events/hop counts the events that fired
+// (Processed) per hop. There is one event order (ties break by
 // causal key on a plain Sim and on an Engine alike), so the two arms
 // measure the same scheduler: "pooled" on a plain Sim with no payload,
 // "borrowed-sharded" through a 1-shard Engine with a payload on board.
@@ -54,11 +55,13 @@ func BenchmarkFabricHop(b *testing.B) {
 		}
 		send() // warm the event, packet, and queue pools
 		b.ReportAllocs()
+		events := sim.Processed
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			send()
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+		b.ReportMetric(float64(sim.Processed-events)/float64(b.N*hops), "events/hop")
 	})
 	// The path the repository benchmark's fabric workloads take: a sharded
 	// engine carrying unstamped payloads that the sender keeps and resends.
@@ -87,6 +90,7 @@ func BenchmarkFabricHop(b *testing.B) {
 		b.ReportAllocs()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		events := eng.Processed()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			send()
@@ -95,6 +99,7 @@ func BenchmarkFabricHop(b *testing.B) {
 		runtime.ReadMemStats(&after)
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*hops), "allocs/hop")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+		b.ReportMetric(float64(eng.Processed()-events)/float64(b.N*hops), "events/hop")
 	})
 }
 
@@ -103,7 +108,8 @@ func BenchmarkFabricHop(b *testing.B) {
 // host 15, every sender a distinct ECMP flow so the load spreads across
 // the aggregation and core tiers. The per-hop metric divides by the exact
 // hop count of each flow's hashed path (PathFor), so it stays comparable
-// to BenchmarkFabricHop's star numbers as routing depth grows.
+// to BenchmarkFabricHop's star numbers as routing depth grows; events/hop
+// is Processed per hop.
 func BenchmarkFabricFatTree(b *testing.B) {
 	const pktsPerSender = 16
 	sim := netsim.NewSim()
@@ -138,11 +144,13 @@ func BenchmarkFabricFatTree(b *testing.B) {
 	}
 	send() // warm the event, packet, and queue pools
 	b.ReportAllocs()
+	events := sim.Processed
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		send()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+	b.ReportMetric(float64(sim.Processed-events)/float64(b.N*hops), "events/hop")
 }
 
 // BenchmarkShardFabric measures the partitioned engine on the k=4 fat

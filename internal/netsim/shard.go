@@ -214,8 +214,8 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 		for i := range e.shards {
 			src := e.shards[i].sim
 			msgs := src.out[j]
-			for k := range msgs {
-				d.placeRemote(msgs[k])
+			for k, m := range msgs {
+				d.deliverAt(m.port, m.pkt, m.at, m.key)
 				msgs[k] = xmsg{}
 			}
 			src.out[j] = msgs[:0]
@@ -304,12 +304,14 @@ func (e *Engine) nextAt() (Time, bool) {
 }
 
 // RunUntil executes events with timestamps ≤ deadline across all shards
-// in synchronized windows, then advances every shard clock to the
-// deadline (mirroring Sim.RunUntil). A Sim.Stop called from inside an
-// event takes effect at the enclosing window boundary.
+// in synchronized windows, then, unless a Stop ended it early, advances
+// every shard clock to the deadline (mirroring Sim.RunUntil). A Sim.Stop
+// called from inside an event takes effect at the enclosing window
+// boundary.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stop.Store(false)
-	for {
+	stopped := false
+	for !stopped {
 		t, ok := e.nextAt()
 		if !ok || t > deadline {
 			break
@@ -328,22 +330,13 @@ func (e *Engine) RunUntil(deadline Time) {
 		// Sim.Stop on a shard (read here after the barrier, so no race) and
 		// Engine.Stop (an atomic latch, settable mid-window from any shard
 		// goroutine) both land at the window boundary.
-		stopped := e.stop.Load()
+		stopped = e.stop.Load()
 		for _, sh := range e.shards {
-			if sh.sim.stopped {
-				stopped = true
-			}
-		}
-		if stopped {
-			return
+			stopped = stopped || sh.sim.stopped
 		}
 	}
-	if deadline < maxTime {
-		for _, sh := range e.shards {
-			if sh.sim.now < deadline {
-				sh.sim.now = deadline
-			}
-		}
+	for _, sh := range e.shards {
+		sh.sim.finish(deadline, stopped)
 	}
 }
 

@@ -26,6 +26,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -66,7 +67,8 @@ type evKind uint8
 const (
 	// evFunc runs an arbitrary callback (the cold At/After path).
 	evFunc evKind = iota
-	// evTxDone fires when port finishes serializing pkt onto the link.
+	// evTxDone fires when port finishes serializing onto the link, if a
+	// packet waits behind the wire (see Port.transmitNext).
 	evTxDone
 	// evDeliver hands pkt to port's peer after propagation.
 	evDeliver
@@ -87,7 +89,7 @@ type event struct {
 	kind evKind
 	fn   func()  // evFunc
 	port *Port   // evTxDone, evAdmit; evDeliver: the port whose peer receives
-	pkt  *Packet // evTxDone, evDeliver, evAdmit
+	pkt  *Packet // evDeliver, evAdmit
 }
 
 // qent is a queue entry: an event with its (at, key) copied inline, so
@@ -182,6 +184,13 @@ const (
 // causal-key order: the same order on every run of the same program and
 // at every shard count, but not the order they were scheduled in.
 //
+// A key is fixed when an event is scheduled, so the fabric and Timer can
+// reserve an event's (at, key) and place a record only if the event will
+// do something: a serialization end with nothing queued behind it, or a
+// timer re-armed while an earlier event of its own is pending, is never
+// placed (DESIGN.md §11). A reserved point has passed once it is at or
+// before the dispatch cursor (curAt, curKey).
+//
 // Internally it is a two-level timer wheel over pooled event records:
 //
 //   - run and late: every pending event with tick ≤ curTick. run[ri:] is
@@ -229,6 +238,14 @@ type Sim struct {
 	ctxKey      uint64 // key of the event being dispatched
 	ctxN        uint64 // children scheduled by the current dispatch so far
 
+	// curAt, curKey is the dispatch cursor: the latest (at, key) dispatched,
+	// or, after an unstopped run, the end of its last instant (finish).
+	curAt  Time
+	curKey uint64
+	// wire lists the ports whose serialization end was reserved but not
+	// placed (Port.listed), for finish to settle.
+	wire []*Port
+
 	// Sharded-mode fields (see shard.go and DESIGN.md §15). eng is non-nil
 	// when this Sim is one shard of an Engine.
 	eng      *Engine
@@ -242,8 +259,9 @@ type Sim struct {
 	// SetControlMerger). Nil means only control-free packets may merge.
 	controlMerger func(into, from *Packet) (any, bool)
 
-	// Processed counts executed events (useful in tests and as a runaway
-	// guard).
+	// Processed counts the events that fired (useful in tests and as a
+	// runaway guard). Reserved points that were never placed do not count,
+	// so it is not the number of scheduled occurrences.
 	Processed uint64
 }
 
@@ -323,19 +341,33 @@ func (s *Sim) nextKey() uint64 {
 	return k
 }
 
-// schedule assigns (at, key) and places ev in the right level.
-func (s *Sim) schedule(t Time, ev *event) {
+// reserve fixes the causal key of an event at t without placing it.
+// Scheduling in the past panics: that is always a logic bug in a
+// discrete-event model.
+func (s *Sim) reserve(t Time) uint64 {
 	if t < s.now {
-		s.releaseEvent(ev)
 		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, s.now))
 	}
 	if s.eng != nil && s.eng.parallel && !s.active {
-		s.releaseEvent(ev)
 		panic("netsim: event scheduled on a foreign shard during a parallel window; cross-shard effects must go through packet hand-offs")
 	}
-	ev.key = s.nextKey()
-	ev.at = t
+	return s.nextKey()
+}
+
+// passed reports whether the reserved point (at, key) is at or before the
+// dispatch cursor: whether an event placed there would have fired by now.
+func (s *Sim) passed(at Time, key uint64) bool {
+	return at < s.curAt || at == s.curAt && key <= s.curKey
+}
+
+// placeAt places a typed event of kind at the reserved point (at, key)
+// and returns it, for an evFunc caller to set fn.
+func (s *Sim) placeAt(kind evKind, at Time, key uint64, p *Port, pkt *Packet) *event {
+	ev := s.allocEvent()
+	//trimlint:owner transfer the pooled event owns the packet until dispatch delivers or re-admits it
+	ev.kind, ev.at, ev.key, ev.port, ev.pkt = kind, at, key, p, pkt
 	s.place(ev)
+	return ev
 }
 
 // place routes ev by tick: at-or-before the current tick into the late
@@ -510,42 +542,26 @@ func (s *Sim) head() (qent, bool) {
 
 // At schedules fn at absolute time t. Scheduling in the past panics: that
 // is always a logic bug in a discrete-event model.
-func (s *Sim) At(t Time, fn func()) {
-	ev := s.allocEvent()
-	ev.kind = evFunc
-	ev.fn = fn
-	s.schedule(t, ev)
-}
+func (s *Sim) At(t Time, fn func()) { s.placeAt(evFunc, t, s.reserve(t), nil, nil).fn = fn }
 
 // After schedules fn d nanoseconds from now.
 func (s *Sim) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
-// afterTxDone schedules the typed serialization-complete event for port p.
-func (s *Sim) afterTxDone(d Time, p *Port, pkt *Packet) {
-	ev := s.allocEvent()
-	ev.kind = evTxDone
-	ev.port = p
-	ev.pkt = pkt
-	s.schedule(s.now+d, ev)
-}
-
-// afterDeliver schedules the typed propagation-arrival event at p's peer.
-func (s *Sim) afterDeliver(d Time, p *Port, pkt *Packet) {
-	ev := s.allocEvent()
-	ev.kind = evDeliver
-	ev.port = p
-	ev.pkt = pkt
-	s.schedule(s.now+d, ev)
+// deliverAt schedules pkt's propagation arrival at p's peer at the
+// reserved point (at, key): a typed event when the peer runs on this Sim,
+// else a hand-off the barrier passes to the peer's shard (shard.go).
+func (s *Sim) deliverAt(p *Port, pkt *Packet, at Time, key uint64) {
+	if p.peerSim == s {
+		s.placeAt(evDeliver, at, key, p, pkt)
+		return
+	}
+	//trimlint:owner transfer the outbox owns the packet until the barrier places it on the destination shard
+	s.out[p.peerSim.shardIdx] = append(s.out[p.peerSim.shardIdx], xmsg{at: at, key: key, port: p, pkt: pkt})
 }
 
 // afterAdmit schedules the typed fault-delay re-admission event at port p.
 func (s *Sim) afterAdmit(d Time, p *Port, pkt *Packet) {
-	ev := s.allocEvent()
-	ev.kind = evAdmit
-	ev.port = p
-	//trimlint:owner transfer the pooled event owns the packet until dispatch re-admits it at the port
-	ev.pkt = pkt
-	s.schedule(s.now+d, ev)
+	s.placeAt(evAdmit, s.now+d, s.reserve(s.now+d), p, pkt)
 }
 
 // dispatch runs one event. The switch must cover every evKind — trimlint's
@@ -556,7 +572,11 @@ func (s *Sim) dispatch(ev *event) {
 	case evFunc:
 		ev.fn()
 	case evTxDone:
-		ev.port.onTxDone(ev.pkt)
+		// A packet waits behind the wire. Child 0, the arrival, was
+		// scheduled at transmit start.
+		s.ctxN = 1
+		ev.port.Stats.Transmitted++
+		ev.port.transmitNext()
 	case evDeliver:
 		peer := ev.port.peer
 		if _, isHost := peer.(*Host); isHost {
@@ -579,19 +599,47 @@ func (s *Sim) Stop() { s.stopped = true }
 func (s *Sim) Run() { s.RunUntil(maxTime) }
 
 // RunUntil executes events with timestamps ≤ deadline, advancing the clock
-// to each event's time. The clock finishes at min(deadline, last event).
+// to each event's time. Unless Stop ended it early, the clock then
+// advances to the deadline; a stopped run leaves it at the stopping
+// event, so the events still pending never fire in the past.
 func (s *Sim) RunUntil(deadline Time) {
 	s.runTo(deadline)
-	if s.now < deadline && deadline < maxTime {
-		s.now = deadline
-	}
+	s.finish(deadline, s.stopped)
 }
 
-// runTo is RunUntil without the final clock advance: events ≤ deadline
-// fire, but the clock stays at the last fired event. The sharded engine
-// runs windows through it so a window bound — an artifact of the shard
-// count — never shows up in any clock, keeping Now() trajectories
-// identical at every shard count.
+// finish ends a run. An unstopped run fired every event at or before
+// deadline (every event at all, for maxTime), so the clock advances to
+// the deadline, or, on a drained simulator, to the latest serialization
+// end it reserved, and the cursor to the end of that instant. A stopped
+// run moves neither. Then every port on the wire list whose reserved
+// point has passed is settled.
+func (s *Sim) finish(deadline Time, stopped bool) {
+	if !stopped && deadline >= s.now {
+		if deadline < maxTime {
+			s.now = deadline
+		} else {
+			for _, p := range s.wire {
+				s.now = max(s.now, p.txAt)
+			}
+		}
+		s.curAt, s.curKey = s.now, math.MaxUint64
+	}
+	wire := s.wire[:0]
+	for _, p := range s.wire {
+		if p.settle() {
+			wire = append(wire, p)
+		} else {
+			p.listed = false
+		}
+	}
+	clear(s.wire[len(wire):])
+	s.wire = wire
+}
+
+// runTo is RunUntil without finish: events ≤ deadline fire, but the clock
+// stays at the last fired event. The sharded engine runs windows through
+// it so a window bound — an artifact of the shard count — never shows up
+// in any clock, keeping Now() trajectories identical at every shard count.
 func (s *Sim) runTo(deadline Time) {
 	s.stopped = false
 	for s.npend > 0 && !s.stopped {
@@ -606,6 +654,11 @@ func (s *Sim) runTo(deadline Time) {
 		}
 		s.npend--
 		s.now = e.at
+		if e.at > s.curAt {
+			s.curAt, s.curKey = e.at, e.key
+		} else {
+			s.curKey = max(s.curKey, e.key)
+		}
 		s.Processed++
 		// The event's key becomes the causal context for everything it
 		// schedules; restore the root context on the way out.
@@ -628,35 +681,6 @@ func (s *Sim) nextAt() (Time, bool) {
 	}
 	e, _ := s.head()
 	return e.at, true
-}
-
-// handOff records a cross-shard propagation arrival in the outbox toward
-// the peer's shard. The key is consumed from the same causal stream a
-// local afterDeliver would use, so shard layout never perturbs any
-// sibling event's key. The destination places the message at the next
-// synchronization barrier; conservative lookahead (window ≤ every
-// cross-shard link delay) guarantees it lands strictly beyond the
-// destination's current window, so no rollback is ever needed.
-func (s *Sim) handOff(p *Port, pkt *Packet) {
-	dst := p.peerSim
-	//trimlint:owner transfer the outbox owns the packet until the barrier places it on the destination shard
-	s.out[dst.shardIdx] = append(s.out[dst.shardIdx], xmsg{
-		at: s.now + p.link.Delay, key: s.nextKey(), port: p, pkt: pkt,
-	})
-}
-
-// placeRemote installs one handed-off arrival, carrying the key assigned
-// at the sending shard. Only evDeliver crosses shards: serialization,
-// fault re-admission, and protocol timers are all port- or host-local.
-func (s *Sim) placeRemote(m xmsg) {
-	ev := s.allocEvent()
-	ev.kind = evDeliver
-	ev.port = m.port
-	//trimlint:owner transfer ownership continues from the outbox to the destination shard's pooled event
-	ev.pkt = m.pkt
-	ev.at = m.at
-	ev.key = m.key
-	s.place(ev)
 }
 
 // NewPacket returns a zeroed packet from the simulator's pool. Pooled

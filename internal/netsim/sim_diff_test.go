@@ -517,7 +517,8 @@ func TestWheelOccupancyWrap(t *testing.T) {
 // TestSimDrainedHoldsNoEventReferences pins the satellite fix for the old
 // eventQueue.Pop leak: after a sim drains, nothing it retains (pooled
 // event records, heap backing arrays, slot chains) may keep a fired
-// callback's captures alive.
+// callback's captures alive, nor those of a Timer nobody else holds,
+// whether it fired, was re-armed later or earlier, or was stopped.
 func TestSimDrainedHoldsNoEventReferences(t *testing.T) {
 	s := NewSim()
 	const n = 200
@@ -527,7 +528,20 @@ func TestSimDrainedHoldsNoEventReferences(t *testing.T) {
 		runtime.SetFinalizer(&big[0], func(*byte) { collected.Add(1) })
 		// Spread across wheel levels so every container is exercised.
 		d := Time(i) * 7 * Microsecond
-		s.After(d, func() { _ = big[0] })
+		if i%2 == 0 {
+			s.After(d, func() { _ = big[0] })
+			continue
+		}
+		tm := s.NewTimer(func() { _ = big[0] })
+		tm.Reset(d)
+		switch i % 8 {
+		case 3:
+			tm.Reset(2 * d)
+		case 5:
+			tm.Reset(d / 2)
+		case 7:
+			tm.Stop()
+		}
 	}
 	s.Run()
 	if s.Pending() != 0 {

@@ -89,7 +89,7 @@ func (s *refSim) RunUntil(deadline Time) {
 		ev.fn()
 		s.firing = nil
 	}
-	if s.now < deadline && deadline < maxTime {
+	if !s.stopped && s.now < deadline && deadline < maxTime {
 		s.now = deadline
 	}
 }

@@ -115,6 +115,25 @@ func TestSimStop(t *testing.T) {
 	}
 }
 
+// TestSimStoppedRunKeepsClock: a stopped RunUntil leaves the clock at the
+// stopping event. Advancing it to the deadline would let the next run fire
+// the events still pending in the clock's past.
+func TestSimStoppedRunKeepsClock(t *testing.T) {
+	for _, s := range []scheduler{NewSim(), &refSim{}} {
+		var fired []Time
+		s.At(1, s.Stop)
+		s.At(2, func() { fired = append(fired, s.Now()) })
+		s.RunUntil(10)
+		if s.Now() != 1 || s.Pending() != 1 {
+			t.Fatalf("%T: after a stopped RunUntil(10): now %v, pending %d; want 1, 1", s, s.Now(), s.Pending())
+		}
+		s.Run()
+		if !slices.Equal(fired, []Time{2}) || s.Now() != 2 {
+			t.Fatalf("%T: the pending event fired at %v, clock %v; want [2], 2", s, fired, s.Now())
+		}
+	}
+}
+
 func TestSimPastSchedulingPanics(t *testing.T) {
 	s := NewSim()
 	s.At(10, func() {

@@ -321,7 +321,7 @@ func PortTotals(switches []*Switch) PortStats {
 	var t PortStats
 	for _, sw := range switches {
 		for _, p := range sw.Ports() {
-			s := p.Stats
+			s := p.stats()
 			t.Enqueued += s.Enqueued
 			t.Transmitted += s.Transmitted
 			t.Dropped += s.Dropped

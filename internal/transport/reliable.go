@@ -36,7 +36,7 @@ type relSender struct {
 	retries  int
 	done     func(at netsim.Time)
 	failed   func(err error)
-	timerGen int
+	timer    *netsim.Timer // the RTO
 	finished bool
 }
 
@@ -62,9 +62,10 @@ func (s *Stack) SendReliable(dst netsim.NodeID, id uint32, payloads [][]byte,
 		done:     done,
 		failed:   failed,
 	}
+	tx.timer = s.sim.NewTimer(tx.onTimeout)
 	s.relTx[msgKey{dst, id}] = tx
 	tx.pump()
-	tx.armTimer()
+	tx.timer.Reset(tx.rto)
 }
 
 // pump transmits as many unsent, unacked packets as the window allows.
@@ -91,17 +92,6 @@ func (tx *relSender) transmit(idx int) {
 	pkt.Seq = uint64(idx)
 	pkt.Control = relData{MsgID: tx.id, Idx: idx, Total: len(tx.payloads)}
 	tx.stack.host.Send(pkt)
-}
-
-func (tx *relSender) armTimer() {
-	tx.timerGen++
-	gen := tx.timerGen
-	tx.stack.sim.After(tx.rto, func() {
-		if tx.finished || gen != tx.timerGen {
-			return
-		}
-		tx.onTimeout()
-	})
 }
 
 func (tx *relSender) onTimeout() {
@@ -138,7 +128,7 @@ func (tx *relSender) onTimeout() {
 		tx.stack.Stats.Retransmits++
 		resent++
 	}
-	tx.armTimer()
+	tx.timer.Reset(tx.rto)
 }
 
 func (tx *relSender) onAck(a relAck) {
@@ -170,6 +160,7 @@ func (tx *relSender) onAck(a relAck) {
 	}
 	if tx.nAcked == len(tx.payloads) {
 		tx.finished = true
+		tx.timer.Stop()
 		delete(tx.stack.relTx, msgKey{tx.dst, tx.id})
 		if tx.done != nil {
 			tx.done(tx.stack.sim.Now())
@@ -177,7 +168,7 @@ func (tx *relSender) onAck(a relAck) {
 		return
 	}
 	tx.pump()
-	tx.armTimer()
+	tx.timer.Reset(tx.rto)
 }
 
 type relReceiver struct {

@@ -55,7 +55,7 @@ type trimSender struct {
 	done      func(at netsim.Time)
 	failed    func(err error)
 	finished  bool
-	timerGen  int
+	timer     *netsim.Timer // the metadata RTO
 }
 
 // SendTrimmable transmits a trimmable message: metas reliably, data
@@ -78,6 +78,7 @@ func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte
 		rto:       s.cfg.RTO,
 		done:      done, failed: failed,
 	}
+	tx.timer = s.sim.NewTimer(tx.onTimeout)
 	s.trimTx[msgKey{dst, id}] = tx
 	for i := range metas {
 		tx.sendMeta(i)
@@ -85,7 +86,7 @@ func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte
 	for i := range data {
 		tx.sendData(i)
 	}
-	tx.armTimer()
+	tx.timer.Reset(tx.rto)
 }
 
 func (tx *trimSender) sendMeta(idx int) {
@@ -111,17 +112,6 @@ func (tx *trimSender) sendData(idx int) {
 	pkt.Seq = uint64(idx)
 	pkt.Control = trimData{MsgID: tx.id, Idx: idx, Total: len(tx.data)}
 	tx.stack.host.Send(pkt)
-}
-
-func (tx *trimSender) armTimer() {
-	tx.timerGen++
-	gen := tx.timerGen
-	tx.stack.sim.After(tx.rto, func() {
-		if tx.finished || gen != tx.timerGen {
-			return
-		}
-		tx.onTimeout()
-	})
 }
 
 // onTimeout re-sends unacked metadata. Data packets are NOT blindly
@@ -154,7 +144,7 @@ func (tx *trimSender) onTimeout() {
 			tx.stack.Stats.Retransmits++
 		}
 	}
-	tx.armTimer()
+	tx.timer.Reset(tx.rto)
 }
 
 func (tx *trimSender) onMetaAck(idx int) {
@@ -178,7 +168,7 @@ func (tx *trimSender) onNack(missing []int) {
 			tx.stack.Stats.Retransmits++
 		}
 	}
-	tx.armTimer()
+	tx.timer.Reset(tx.rto)
 }
 
 func (tx *trimSender) onDone() {
@@ -186,6 +176,7 @@ func (tx *trimSender) onDone() {
 		return
 	}
 	tx.finished = true
+	tx.timer.Stop()
 	delete(tx.stack.trimTx, msgKey{tx.dst, tx.id})
 	if tx.done != nil {
 		tx.done(tx.stack.sim.Now())
@@ -201,7 +192,7 @@ type trimReceiver struct {
 	dataGot  []bool
 	nDataGot int
 	complete bool
-	nackGen  int
+	nack     *netsim.Timer // the gap check
 }
 
 func (s *Stack) trimReceiverFor(src netsim.NodeID, id uint32, nMeta, nData int) *trimReceiver {
@@ -209,6 +200,7 @@ func (s *Stack) trimReceiverFor(src netsim.NodeID, id uint32, nMeta, nData int) 
 	rx := s.trimRx[key]
 	if rx == nil {
 		rx = &trimReceiver{stack: s, src: src, id: id}
+		rx.nack = s.sim.NewTimer(rx.checkGaps)
 		s.trimRx[key] = rx
 	}
 	if rx.metaGot == nil && nMeta > 0 {
@@ -323,33 +315,31 @@ func (rx *trimReceiver) sendDone() {
 
 // armNack schedules a gap check one RTO after the most recent data
 // arrival; if packets are still missing, it NACKs them.
-func (rx *trimReceiver) armNack() {
-	rx.nackGen++
-	gen := rx.nackGen
-	rx.stack.sim.After(rx.stack.cfg.RTO, func() {
-		if rx.complete || gen != rx.nackGen {
-			return
-		}
-		var missing []int
-		for i, ok := range rx.dataGot {
-			if !ok {
-				missing = append(missing, i)
-				if len(missing) >= 128 {
-					break
-				}
+func (rx *trimReceiver) armNack() { rx.nack.Reset(rx.stack.cfg.RTO) }
+
+func (rx *trimReceiver) checkGaps() {
+	if rx.complete {
+		return
+	}
+	var missing []int
+	for i, ok := range rx.dataGot {
+		if !ok {
+			missing = append(missing, i)
+			if len(missing) >= 128 {
+				break
 			}
 		}
-		if len(missing) == 0 {
-			return
-		}
-		rx.stack.Stats.NacksSent++
-		pkt := rx.stack.sim.NewPacket()
-		pkt.Dst = rx.src
-		pkt.Size = ackSize + 4*len(missing)
-		pkt.Prio = netsim.PrioHigh
-		pkt.Kind = "trim-nack"
-		pkt.Control = trimNack{MsgID: rx.id, Missing: missing}
-		rx.stack.host.Send(pkt)
-		rx.armNack()
-	})
+	}
+	if len(missing) == 0 {
+		return
+	}
+	rx.stack.Stats.NacksSent++
+	pkt := rx.stack.sim.NewPacket()
+	pkt.Dst = rx.src
+	pkt.Size = ackSize + 4*len(missing)
+	pkt.Prio = netsim.PrioHigh
+	pkt.Kind = "trim-nack"
+	pkt.Control = trimNack{MsgID: rx.id, Missing: missing}
+	rx.stack.host.Send(pkt)
+	rx.armNack()
 }
