@@ -16,8 +16,6 @@
 //	swallowed-error    discarded error values
 //	float-equality     exact ==/!= on computed floats
 //	wire-endianness    single-endianness wire codec
-//	poolownership      pooled packets and par scratch reach exactly one
-//	                   release on every path
 //	goroutinebound     go statements outside internal/par need a provable join
 //	obshotpath         obs registry lookups stay out of event-dispatch paths
 //
@@ -28,13 +26,9 @@
 //
 //	//trimlint:allow <check> <one-line justification>
 //
-// which covers the directive's own line and the line below it. The
-// poolownership checker additionally honors
-//
-//	//trimlint:owner transfer <one-line justification>
-//
-// marking a deliberate ownership hand-off (store into a long-lived
-// structure) as a transfer rather than an escape.
+// which covers the directive's own line and the line below it. Pooled
+// packet records are checked when a run drains, by netsim's Network.Audit
+// (DESIGN.md §11).
 package main
 
 import (

@@ -85,7 +85,6 @@ func Analyzers() []*Analyzer {
 		SwallowedErrorAnalyzer,
 		FloatEqualityAnalyzer,
 		WireEndiannessAnalyzer,
-		PoolOwnershipAnalyzer,
 		GoroutineBoundAnalyzer,
 		ObsHotPathAnalyzer,
 	}
@@ -126,24 +125,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // directivePrefix introduces an allow directive comment.
 const directivePrefix = "trimlint:allow"
 
-// ownerPrefix introduces an ownership directive comment:
-//
-//	//trimlint:owner transfer <one-line justification>
-//
-// It marks a deliberate ownership hand-off point for the poolownership
-// checker: the store or capture on its line (or the line directly below)
-// transfers the pooled value to another owner instead of escaping it.
-const ownerPrefix = "trimlint:owner"
-
-// parseDirectives scans the package's comments for //trimlint:allow and
-// //trimlint:owner directives, populating pkg.allow / pkg.ownerXfer and
-// returning diagnostics for malformed ones. It is idempotent.
+// parseDirectives scans the package's comments for //trimlint:allow
+// directives, populating pkg.allow and returning diagnostics for malformed
+// ones. It is idempotent.
 func (pkg *Package) parseDirectives(known map[string]bool) []Diagnostic {
 	if pkg.allow != nil {
 		return pkg.directiveDiags
 	}
 	pkg.allow = make(map[string]map[int][]string)
-	pkg.ownerXfer = make(map[string]map[int]bool)
 	var diags []Diagnostic
 	report := func(pos token.Position, format string, args ...interface{}) {
 		diags = append(diags, Diagnostic{
@@ -158,25 +147,6 @@ func (pkg *Package) parseDirectives(known map[string]bool) []Diagnostic {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
-				if strings.HasPrefix(text, ownerPrefix) {
-					pos := pkg.Fset.Position(c.Pos())
-					rest := strings.TrimSpace(strings.TrimPrefix(text, ownerPrefix))
-					fields := strings.Fields(rest)
-					switch {
-					case len(fields) == 0 || fields[0] != "transfer":
-						report(pos, "trimlint:owner directive must read `owner transfer <justification>`")
-					case len(fields) < 2:
-						report(pos, "trimlint:owner transfer lacks a justification; say who the new owner is")
-					default:
-						byLine := pkg.ownerXfer[pos.Filename]
-						if byLine == nil {
-							byLine = make(map[int]bool)
-							pkg.ownerXfer[pos.Filename] = byLine
-						}
-						byLine[pos.Line] = true
-					}
-					continue
-				}
 				if !strings.HasPrefix(text, directivePrefix) {
 					continue
 				}
@@ -231,15 +201,4 @@ func (pkg *Package) allowed(file string, line int, check string) bool {
 		}
 	}
 	return false
-}
-
-// ownerTransferAt reports whether a //trimlint:owner transfer directive
-// covers file:line (same coverage rule as allow: the directive's own line
-// for end-of-line comments, or the line directly above).
-func (pkg *Package) ownerTransferAt(file string, line int) bool {
-	byLine := pkg.ownerXfer[file]
-	if byLine == nil {
-		return false
-	}
-	return byLine[line] || byLine[line-1]
 }

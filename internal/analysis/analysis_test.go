@@ -119,9 +119,6 @@ func TestFixtures(t *testing.T) {
 		{"float-equality", "testdata/floateq/feq"},
 		{"wire-endianness", "testdata/endian/mixed"},
 		{"wire-endianness", "testdata/endian/pure"},
-		{"poolownership", "testdata/poolownership/netsim"},
-		{"poolownership", "testdata/poolownership/par"},
-		{"poolownership", "testdata/poolownership/clean"},
 		{"goroutinebound", "testdata/goroutinebound/spawn"},
 		{"goroutinebound", "testdata/goroutinebound/par"},
 		{"goroutinebound", "testdata/goroutinebound/shardteam"},
@@ -258,17 +255,6 @@ var seeds = []seed{
 		{"binary.BigEndian.PutUint32(pl[4:], n)", "binary.LittleEndian.PutUint32(pl[4:], n)"},
 		{"binary.BigEndian.Uint32(pl[4:]),", "binary.LittleEndian.Uint32(pl[4:]),"},
 	}, "mixes byte orders"},
-	{"poolownership", "internal/netsim/network.go", [][2]string{
-		{"p.cfg.LossRate {\n\t\tp.Stats.Dropped++\n\t\tp.Stats.DroppedBytes += pkt.Size\n\t\tp.sim.releasePacket(pkt)\n",
-			"p.cfg.LossRate {\n\t\tp.Stats.Dropped++\n\t\tp.Stats.DroppedBytes += pkt.Size\n"},
-	}, "releases them on some paths but not all"},
-	{"poolownership", "internal/netsim/network.go", [][2]string{
-		{"\t\tp.Stats.DroppedBytes += pkt.Size\n\t\tp.sim.releasePacket(pkt)\n\t\treturn\n\t}\n\tp.push(pkt)\n",
-			"\t\tp.sim.releasePacket(pkt)\n\t\tp.Stats.DroppedBytes += pkt.Size\n\t\treturn\n\t}\n\tp.push(pkt)\n"},
-	}, "use of pooled value in parameter pkt after release"},
-	{"poolownership", "internal/core/parallel.go", [][2]string{
-		{"defer par.PutFloat32s(backing)", "par.PutFloat32s(backing)"},
-	}, `use of scratch slice \(par\.Float32s\) after release`},
 	{"goroutinebound", "internal/collective/plan.go", [][2]string{
 		{"\tstart := workers[0]", "\tgo hostIDs(workers)\n\tstart := workers[0]"},
 	}, "goroutine spawned with no join in run"},

@@ -16,8 +16,8 @@ import (
 // "could run on this path", never "definitely runs".
 //
 // Function-valued calls (closures stored in fields, callbacks like
-// Host.Handler) produce no edges; the engine's checkers treat them as
-// opaque. See DESIGN.md §12 for the resulting blind spots.
+// Host.Handler) produce no edges, so obshotpath cannot see a lookup made
+// through one. DESIGN.md §7 lists the resulting blind spots.
 type callGraph struct {
 	pkg *Package
 	// nodes maps every declared *types.Func (with a body) to its info.

@@ -30,7 +30,6 @@ type Package struct {
 	Info  *types.Info
 
 	allow          map[string]map[int][]string
-	ownerXfer      map[string]map[int]bool
 	directiveDiags []Diagnostic
 }
 

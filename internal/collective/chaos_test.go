@@ -115,6 +115,9 @@ func runChaosAllReduce(t *testing.T, alg Algorithm, mode Mode, sc collChaosScena
 		t.Fatalf("%s: AllReduce(%v): %v", sc.name, alg, err)
 	}
 	sim.RunUntil(netsim.Second)
+	if err := star.Net.Audit(); err != nil {
+		t.Errorf("%s: %v", sc.name, err)
+	}
 
 	for rank := range out {
 		if !out[rank].done && out[rank].errStr == "" {

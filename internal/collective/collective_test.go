@@ -45,7 +45,7 @@ func coreCfg(s quant.Scheme) core.Config {
 
 // starWorkers builds n workers on a star fabric.
 func starWorkers(t *testing.T, n int, mode Mode, q netsim.QueueConfig,
-	link netsim.LinkConfig, s quant.Scheme) (*netsim.Sim, []*Worker) {
+	link netsim.LinkConfig, s quant.Scheme) (*netsim.Topology, []*Worker) {
 	t.Helper()
 	sim := netsim.NewSim()
 	star := netsim.NewStar(sim, n, link, q)
@@ -58,7 +58,7 @@ func starWorkers(t *testing.T, n int, mode Mode, q netsim.QueueConfig,
 		}
 		ws[i] = w
 	}
-	return sim, ws
+	return star, ws
 }
 
 func ringWorkers(t *testing.T, n int, mode Mode, q netsim.QueueConfig,
@@ -89,7 +89,8 @@ func deepQ() netsim.QueueConfig {
 func TestAllReduceDirectExactNoCongestion(t *testing.T) {
 	for _, mode := range []Mode{Reliable, Trimmable} {
 		const n = 4
-		sim, ws := starWorkers(t, n, mode, deepQ(), fast(), quant.RHT)
+		star, ws := starWorkers(t, n, mode, deepQ(), fast(), quant.RHT)
+		sim := star.Net.Sim
 		grads := make([][]float32, n)
 		for i := range grads {
 			grads[i] = gaussianGrad(uint64(i+1), 3000)
@@ -115,8 +116,7 @@ func TestAllReduceDirectExactNoCongestion(t *testing.T) {
 }
 
 func TestAllReduceDirectSingleWorker(t *testing.T) {
-	sim, ws := starWorkers(t, 2, Trimmable, deepQ(), fast(), quant.Sign)
-	_ = sim
+	_, ws := starWorkers(t, 2, Trimmable, deepQ(), fast(), quant.Sign)
 	grads := [][]float32{gaussianGrad(1, 100)}
 	got := false
 	err := AllReduce(AlgDirect, 1, 1, ws[:1], grads,
@@ -183,10 +183,11 @@ func TestAllReduceDirectUnderCongestionTrims(t *testing.T) {
 	// egress port; messages must complete without data retransmission and
 	// the average must stay directionally correct.
 	const n = 4
-	sim, ws := starWorkers(t, n, Trimmable,
+	star, ws := starWorkers(t, n, Trimmable,
 		netsim.QueueConfig{CapacityBytes: 6000, Mode: netsim.TrimOverflow, HighCapacityBytes: 64 << 10},
 		netsim.LinkConfig{Bandwidth: netsim.Mbps(200), Delay: 2 * netsim.Microsecond},
 		quant.RHT)
+	sim := star.Net.Sim
 	grads := make([][]float32, n)
 	for i := range grads {
 		grads[i] = gaussianGrad(uint64(20+i), 1<<13)
@@ -219,7 +220,8 @@ func TestAllReduceDirectUnderCongestionTrims(t *testing.T) {
 
 func TestAllGatherExact(t *testing.T) {
 	const n = 3
-	sim, ws := starWorkers(t, n, Trimmable, deepQ(), fast(), quant.Sign)
+	star, ws := starWorkers(t, n, Trimmable, deepQ(), fast(), quant.Sign)
+	sim := star.Net.Sim
 	shards := make([][]float32, n)
 	for i := range shards {
 		shards[i] = gaussianGrad(uint64(30+i), 777)

@@ -12,7 +12,8 @@ import (
 // collectives with distinct message-id ranges.
 func TestWorkersReusableAcrossOps(t *testing.T) {
 	const n = 3
-	sim, ws := starWorkers(t, n, Trimmable, deepQ(), fast(), quant.RHT)
+	star, ws := starWorkers(t, n, Trimmable, deepQ(), fast(), quant.RHT)
+	sim := star.Net.Sim
 	grads := make([][]float32, n)
 	for i := range grads {
 		grads[i] = gaussianGrad(uint64(40+i), 1024)
@@ -84,10 +85,11 @@ func TestRingUnderCongestionStillCompletes(t *testing.T) {
 // operations and reflect trimming.
 func TestAggStatsAccumulate(t *testing.T) {
 	const n = 2
-	sim, ws := starWorkers(t, n, Trimmable,
+	star, ws := starWorkers(t, n, Trimmable,
 		netsim.QueueConfig{CapacityBytes: 4 << 10, HighCapacityBytes: 1 << 20, Mode: netsim.TrimOverflow},
 		netsim.LinkConfig{Bandwidth: netsim.Mbps(300), Delay: 2 * netsim.Microsecond},
 		quant.RHT)
+	sim := star.Net.Sim
 	grads := [][]float32{gaussianGrad(61, 1<<13), gaussianGrad(62, 1<<13)}
 	done := 0
 	err := AllReduce(AlgDirect, 1, 1, ws, grads,

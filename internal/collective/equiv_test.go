@@ -44,7 +44,8 @@ func runEquiv(t *testing.T, alg Algorithm, grads [][]float32, aggregate bool) eq
 	n := len(grads)
 	q := deepQ()
 	q.AggregateTrimmable = aggregate
-	sim, ws := starWorkers(t, n, Trimmable, q, fast(), quant.Sign)
+	star, ws := starWorkers(t, n, Trimmable, q, fast(), quant.Sign)
+	sim := star.Net.Sim
 	res := equivResult{avgs: make([][]float32, n), stats: make([]core.Stats, n)}
 	err := AllReduce(alg, 5, 100, ws, grads,
 		func(rank int, avg []float32, at netsim.Time) { res.avgs[rank] = avg },
@@ -53,6 +54,9 @@ func runEquiv(t *testing.T, alg Algorithm, grads [][]float32, aggregate bool) eq
 		t.Fatalf("%v: %v", alg, err)
 	}
 	sim.Run()
+	if err := star.Net.Audit(); err != nil {
+		t.Errorf("%v n=%d agg=%v: %v", alg, n, aggregate, err)
+	}
 	for rank, avg := range res.avgs {
 		if avg == nil {
 			t.Fatalf("%v n=%d agg=%v: rank %d incomplete", alg, n, aggregate, rank)
@@ -108,7 +112,8 @@ func TestAllReduceEquivalenceMatrix(t *testing.T) {
 func TestAllReduceSequentialRounds(t *testing.T) {
 	for _, n := range []int{4, 7} {
 		for _, alg := range Algorithms() {
-			sim, ws := starWorkers(t, n, Trimmable, deepQ(), fast(), quant.Sign)
+			star, ws := starWorkers(t, n, Trimmable, deepQ(), fast(), quant.Sign)
+			sim := star.Net.Sim
 			gradsA := make([][]float32, n)
 			gradsB := make([][]float32, n)
 			for i := range gradsA {

@@ -167,6 +167,9 @@ func runFanout(t *testing.T, op fanoutOp, mode Mode, sc collChaosScenario, reg *
 		t.Fatalf("%s/%v/%s: %v", op.name, mode, sc.name, err)
 	}
 	sim.RunUntil(netsim.Second)
+	if err := star.Net.Audit(); err != nil {
+		t.Errorf("%s/%v/%s: %v", op.name, mode, sc.name, err)
+	}
 
 	spans := make([][]string, n)
 	for _, sp := range reg.Snapshot().Spans {

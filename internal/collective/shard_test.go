@@ -115,6 +115,9 @@ func runShardedFatTreeAllReduce(t *testing.T, alg Algorithm, sc fabricScenario,
 		t.Fatalf("%s: AllReduce(%v): %v", sc.name, alg, err)
 	}
 	rig.runUntil(netsim.Second)
+	if err := rig.topo.Net.Audit(); err != nil {
+		t.Errorf("%s/%v/%d shards: %v", sc.name, alg, shards, err)
+	}
 	for rank := range res.outcome {
 		if !res.outcome[rank].done && res.outcome[rank].errStr == "" {
 			t.Fatalf("%s/%v/%d shards: rank %d neither completed nor errored — a hang",

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"trimgrad/internal/quant"
+	"trimgrad/internal/wire"
 )
 
 // TestEncodeParallelBitIdentical: parallel encoding must be bit-identical
@@ -100,5 +102,53 @@ func BenchmarkEncodeParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestEncodePaddedRowScratch pins EncodeParallel's padded-row scratch: the
+// row is borrowed from the par arena and must stay the encoder's until the
+// row's packets are built. Three encodes of a 200-coordinate gradient
+// (one zero-padded 256-coordinate row) must each equal the codec run
+// directly on the padded row and packed by wire.PackRow; a scratch handed
+// back early is reused by the codec's own scratch and the packets change.
+func TestEncodePaddedRowScratch(t *testing.T) {
+	grad := gaussianGrad(72, 200)
+	row := make([]float32, 256)
+	copy(row, grad)
+	for _, s := range []quant.Scheme{quant.RHT, quant.SQ} {
+		cfg := Config{Params: quant.Params{Scheme: s, P: 1}, RowSize: 256, Flow: 1}
+		codec, err := quant.New(cfg.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := codec.Encode(row, RowSeed(1, 9, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMeta, wantData, err := wire.PackRow(cfg.Flow, 9, 0, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := NewEncoderWith(WithConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for it := 0; it < 3; it++ {
+			msg, err := enc.Encode(1, 9, grad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(msg.Meta) != 1 || !bytes.Equal(msg.Meta[0], wantMeta) {
+				t.Fatalf("%v it %d: meta differs", s, it)
+			}
+			if len(msg.Data) != len(wantData) {
+				t.Fatalf("%v it %d: %d data packets, want %d", s, it, len(msg.Data), len(wantData))
+			}
+			for i := range wantData {
+				if !bytes.Equal(msg.Data[i], wantData[i]) {
+					t.Fatalf("%v it %d: data %d differs", s, it, i)
+				}
+			}
+		}
 	}
 }

@@ -150,6 +150,9 @@ func runFabricCell(t *testing.T, c fabricCell) string {
 			t.Fatalf("flows still open at %v", c.bound)
 		}
 		runUntil(deadline)
+		if err := topo.Net.Audit(); err != nil {
+			t.Fatalf("after the slice to %v: %v", deadline, err)
+		}
 		fmt.Fprintf(&log.tail, "slice now=%d\n", now())
 	}
 	stalls := 0
@@ -169,8 +172,9 @@ func runFabricCell(t *testing.T, c fabricCell) string {
 // packets sent between RunUntil slices whose deadlines land one ns before,
 // exactly on, and one ns after a serialization end, as well as anywhere
 // else, so a send meets a port whose packet is still on the wire, one
-// whose wire just emptied, and an idle one. After every slice it logs the
-// clock and each port's enqueued, transmitted and backlog counts.
+// whose wire just emptied, and an idle one. After every slice it audits
+// the fabric and logs the clock and each port's enqueued, transmitted and
+// backlog counts.
 func rootSendCell(t *testing.T) string {
 	t.Helper()
 	reg := obs.New()
@@ -203,6 +207,9 @@ func rootSendCell(t *testing.T) string {
 			deadline += netsim.Time(rng.Intn(8000))
 		}
 		sim.RunUntil(deadline)
+		if err := star.Net.Audit(); err != nil {
+			t.Fatalf("slice %d: %v", slice, err)
+		}
 		fmt.Fprintf(&log.tail, "slice %d now=%d", slice, sim.Now())
 		for _, p := range ports {
 			fmt.Fprintf(&log.tail, " %d/%d/%d", p.Stats.Enqueued, p.Stats.Transmitted, p.Backlog())
@@ -221,6 +228,9 @@ func rootSendCell(t *testing.T) string {
 		}
 	}
 	sim.Run()
+	if err := star.Net.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	fmt.Fprintf(&log.tail, "end now=%d\n", sim.Now())
 	if err := obs.WriteJSONL(&log.tail, reg.Snapshot()); err != nil {
 		t.Fatal(err)

@@ -281,7 +281,6 @@ func (q *pktQueue) push(pkt *Packet) {
 		clear(q.pkts[n:])
 		q.pkts, q.head = q.pkts[:n], 0
 	}
-	//trimlint:owner transfer the port queue owns queued packets; transmitNext hands them onward and drop sites release them
 	q.pkts = append(q.pkts, pkt)
 }
 

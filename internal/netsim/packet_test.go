@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"trimgrad/internal/quant"
 	"trimgrad/internal/wire"
@@ -110,9 +112,25 @@ func TestLossRateDeterministicAndProportional(t *testing.T) {
 			QueueConfig{CapacityBytes: 1 << 20, LossRate: 0.3, LossSeed: 77})
 		star.Hosts[1].Handler = func(p *Packet) { delivered++ }
 		for i := 0; i < 1000; i++ {
-			star.Hosts[0].Send(&Packet{Dst: 1, Size: 100})
+			pkt := sim.NewPacket()
+			pkt.Dst, pkt.Size = 1, 100
+			star.Hosts[0].Send(pkt)
 		}
 		sim.Run()
+		// Every pooled record reached a terminal point: a lost packet too.
+		if err := star.Net.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		// A loss is counted at its full size, read before the release.
+		var lost PortStats
+		for _, p := range star.Switches()[0].Ports() {
+			lost.Dropped += p.Stats.Dropped
+			lost.DroppedBytes += p.Stats.DroppedBytes
+		}
+		if delivered+lost.Dropped != 1000 || lost.DroppedBytes != 100*lost.Dropped {
+			t.Fatalf("delivered %d, lost %d packets of %d bytes; want 1000 packets of 100 bytes",
+				delivered, lost.Dropped, lost.DroppedBytes)
+		}
 		return delivered
 	}
 	a, b := run(), run()
@@ -242,4 +260,49 @@ func TestZeroBandwidthPanics(t *testing.T) {
 		}
 	}()
 	net.Connect(a.ID(), b.ID(), LinkConfig{Bandwidth: 0})
+}
+
+// Packet stays within 120 bytes: Audit adds no per-record field.
+var _ [120 - unsafe.Sizeof(Packet{})]byte
+
+// TestPooledRecordMisuse pins Audit's pool checks on the three ways a
+// caller can break a pooled record's single ownership: releasing it twice,
+// sending it after its release, and taking one from NewPacket without
+// ever sending it.
+func TestPooledRecordMisuse(t *testing.T) {
+	cases := []struct {
+		name  string
+		do    func(sim *Sim, h *Host)
+		audit string // substring of Audit's report
+	}{
+		{"release twice", func(sim *Sim, _ *Host) {
+			pkt := sim.NewPacket()
+			sim.releasePacket(pkt)
+			sim.releasePacket(pkt)
+		}, "a pooled packet is free twice"},
+		{"send released", func(sim *Sim, h *Host) {
+			pkt := sim.NewPacket()
+			sim.releasePacket(pkt)
+			pkt.Dst, pkt.Size = 1, 100
+			h.Send(pkt)
+			sim.Run()
+		}, "a pooled packet is free twice"},
+		{"never sent", func(sim *Sim, _ *Host) {
+			sim.NewPacket()
+			sim.Run()
+		}, "1 pooled packets live, 0 held"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sim := NewSim()
+			star := NewStar(sim, 2, fastLink(), QueueConfig{})
+			if err := star.Net.Audit(); err != nil {
+				t.Fatalf("fresh fabric: %v", err)
+			}
+			c.do(sim, star.Hosts[0])
+			if err := star.Net.Audit(); err == nil || !strings.Contains(err.Error(), c.audit) {
+				t.Fatalf("Audit() = %v, want a report containing %q", err, c.audit)
+			}
+		})
+	}
 }

@@ -230,6 +230,10 @@ type Sim struct {
 
 	freeEv  *event
 	freePkt []*Packet
+	// pktMade counts the pooled records NewPacket allocated here (not the
+	// ones it reused): Network.Audit balances it against the free lists,
+	// the return bins and the records the fabric holds.
+	pktMade int
 
 	// Causal-key context (see nextKey). rootN counts the events scheduled
 	// outside any dispatch; the shards of an Engine share one counter.
@@ -364,7 +368,6 @@ func (s *Sim) passed(at Time, key uint64) bool {
 // and returns it, for an evFunc caller to set fn.
 func (s *Sim) placeAt(kind evKind, at Time, key uint64, p *Port, pkt *Packet) *event {
 	ev := s.allocEvent()
-	//trimlint:owner transfer the pooled event owns the packet until dispatch delivers or re-admits it
 	ev.kind, ev.at, ev.key, ev.port, ev.pkt = kind, at, key, p, pkt
 	s.place(ev)
 	return ev
@@ -555,7 +558,6 @@ func (s *Sim) deliverAt(p *Port, pkt *Packet, at Time, key uint64) {
 		s.placeAt(evDeliver, at, key, p, pkt)
 		return
 	}
-	//trimlint:owner transfer the outbox owns the packet until the barrier places it on the destination shard
 	s.out[p.peerSim.shardIdx] = append(s.out[p.peerSim.shardIdx], xmsg{at: at, key: key, port: p, pkt: pkt})
 }
 
@@ -698,6 +700,7 @@ func (s *Sim) NewPacket() *Packet {
 		s.freePkt = s.freePkt[:n-1]
 		return p
 	}
+	s.pktMade++
 	return &Packet{pooled: true, home: s}
 }
 

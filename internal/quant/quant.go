@@ -190,7 +190,6 @@ type EncodedRow struct {
 // the codec writes all 2n words.
 func newEncodedRow(s Scheme, p, q, n int, seed uint64, scale float64) *EncodedRow {
 	enc := &EncodedRow{Scheme: s, P: p, Q: q, N: n, Seed: seed, Scale: scale}
-	//trimlint:owner transfer the row owns its words from here; handing them back (Release) is optional
 	enc.Heads, enc.Tails = par.Uint32s(n), par.Uint32s(n)
 	return enc
 }

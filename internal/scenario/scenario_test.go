@@ -26,7 +26,8 @@ var comboFault = netsim.FaultConfig{
 // export runs s and renders everything the run observed — the telemetry
 // export, each flow's outcome, the clock and the event count — after
 // checking the two invariants that hold for any single run: every flow
-// settled, and every port transmitted or still holds what it admitted.
+// settled, and the fabric passes Network.Audit (pooled packets balance,
+// every port transmitted or still holds what it admitted).
 func export(t testing.TB, s Scenario) string {
 	t.Helper()
 	res, err := Run(s, obs.New())
@@ -50,17 +51,8 @@ func export(t testing.TB, s Scenario) string {
 		fmt.Fprintf(&buf, "flow %d %d->%d done=%d err=%v decoded=%v nmse=%v stats=%+v\n",
 			i, f.Src, f.Dst, f.Done, f.Err, f.Decoded, f.NMSE, f.Stats)
 	}
-	var ports []*netsim.Port
-	for _, h := range res.Topo.Hosts {
-		ports = append(ports, h.Uplink())
-	}
-	for _, sw := range res.Topo.Switches() {
-		ports = append(ports, sw.Ports()...)
-	}
-	for _, p := range ports {
-		if st := p.Stats; st.Enqueued != st.Transmitted+p.Backlog() {
-			t.Errorf("port toward %d: admitted %d, transmitted %d, holds %d", p.Peer(), st.Enqueued, st.Transmitted, p.Backlog())
-		}
+	if err := res.Topo.Net.Audit(); err != nil {
+		t.Errorf("%+v: %v", s, err)
 	}
 	fmt.Fprintf(&buf, "completed=%d retransmits=%d now=%d processed=%d", res.FCT.Count(), res.Retransmits(), res.Now, res.Processed)
 	return buf.String()
@@ -318,8 +310,8 @@ func fuzzScenario(program []byte) (Scenario, int) {
 
 // FuzzScenario drives checkScenario from bytes: any reachable combination
 // of fabric, partition, workload, transport, codec, background and faults
-// must settle every flow, conserve packets at every port, repeat
-// byte-for-byte, and not depend on the partition.
+// must settle every flow, pass Network.Audit, repeat byte-for-byte, and
+// not depend on the partition.
 func FuzzScenario(f *testing.F) {
 	f.Add([]byte{})                                                           // 2-host star, 1-sender incast, trim-aware sign
 	f.Add([]byte{3, 1, 3, 1, 0x1c, 7, 255, 3, 6, 1, 6, 9, 0, 0x1f, 5, 0x3f})  // fat tree, faults on two links, background

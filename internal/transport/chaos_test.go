@@ -101,6 +101,9 @@ func runChaosTransfer(t *testing.T, trimmable bool, sc chaosScenario, seed uint6
 	}
 	const deadline = 5 * netsim.Second
 	sim.RunUntil(deadline)
+	if err := star.Net.Audit(); err != nil {
+		t.Errorf("%s: %v", sc.name, err)
+	}
 
 	for _, after := range [][][]byte{payloads, allPayloads(msg)} {
 		if !bytes.Equal(bytes.Join(after, nil), handed) {

@@ -37,6 +37,13 @@
 #                             quote: non-test and test Go lines outside
 #                             benchmark/ and testdata/, and DESIGN.md's
 #                             lines; then each DIR's non-test and test lines
+#   scripts/check.sh -reach   list the internal/ functions no shipped path
+#                             reaches, and count them: every cmd/*,
+#                             examples/* and ./benchmark built with
+#                             -cover, each run once over its inputs (every
+#                             trimbench experiment at -quick, every
+#                             benchmark workload traced and untraced),
+#                             then the functions at 0.0 % (about a minute)
 #
 # Every step must pass; the script stops at the first failure. Any other
 # argument prints this usage and exits 2.
@@ -56,6 +63,7 @@ case "${1:-}" in
   -bench) mode=bench ;;
   -lint)  mode=lint ;;
   -loc)   mode=loc ;;
+  -reach) mode=reach ;;
   *)      usage ;;
 esac
 [[ $# -gt 0 ]] && shift
@@ -93,6 +101,41 @@ if [[ $mode == loc ]]; then
     [[ -d $dir ]] || { echo "check.sh: -loc: no directory $dir" >&2; exit 1; }
     echo "${dir#./}  non-test $(golines "$dir" -not -name '*_test.go')  test $(golines "$dir" -name '*_test.go')"
   done
+  exit 0
+fi
+
+if [[ $mode == reach ]]; then
+  reach=$(mktemp -d /tmp/trimgrad-reach.XXXXXX)
+  trap 'rm -rf "$reach"' EXIT
+  bin=$reach/bin
+  export GOCOVERDIR=$reach/cov
+  mkdir -p "$bin" "$GOCOVERDIR"
+  step "go build -cover -coverpkg=trimgrad/... (cmd/*, examples/*, benchmark)"
+  for pkg in ./cmd/* ./examples/* ./benchmark; do
+    go build -cover -coverpkg=trimgrad/... -o "$bin/$(basename "$pkg")" "$pkg"
+  done
+  step "run each binary"
+  "$bin/trimlint" ./... > /dev/null
+  for exp in $("$bin/trimbench" 2>&1 | awk 'NR > 1 {print $1}'); do
+    "$bin/trimbench" -exp "$exp" -quick > /dev/null
+  done
+  "$bin/netsim" > /dev/null
+  "$bin/trainsim" -epochs 1 > /dev/null
+  "$bin/trimwire" -demo > /dev/null
+  for ex in ./examples/*; do
+    "$bin/$(basename "$ex")" > /dev/null
+  done
+  workloads=$(awk '/"workloads"/ {w = 1} /"end_to_end"/ {w = 0} w && /"name"/' BENCHMARK.json | sed 's/.*"name": *"\([^"]*\)".*/\1/')
+  for w in $workloads; do
+    for trace in 0 1; do
+      "$bin/benchmark" -workload "$w" -seconds 0.3 -trace "$trace" > /dev/null
+    done
+  done
+  step "internal/ functions at 0.0 %"
+  go tool covdata textfmt -i="$GOCOVERDIR" -o "$reach/cover.out"
+  go tool cover -func "$reach/cover.out" | awk '$1 ~ /^trimgrad\/internal\// && $NF == "0.0%"' > "$reach/unreached"
+  cat "$reach/unreached"
+  echo "unreached internal/ functions: $(wc -l < "$reach/unreached")"
   exit 0
 fi
 
