@@ -31,7 +31,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main without the process: it parses args, runs the simulation,
 // prints the report to stdout and returns the exit status — 2 for a
-// rejected invocation (one line on stderr), 1 for a failed run.
+// rejected invocation (one line on stderr), 1 for a failed run or audit.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -129,6 +129,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	res, err := scenario.Run(s, reg)
 	if err != nil {
+		return fail(err)
+	}
+	if err := res.Topo.Net.Audit(); err != nil {
 		return fail(err)
 	}
 

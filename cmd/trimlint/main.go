@@ -17,7 +17,6 @@
 //	float-equality     exact ==/!= on computed floats
 //	wire-endianness    single-endianness wire codec
 //	goroutinebound     go statements outside internal/par need a provable join
-//	obshotpath         obs registry lookups stay out of event-dispatch paths
 //
 // Lock copies are go vet's copylocks check, which scripts/check.sh runs
 // before trimlint.
@@ -27,8 +26,8 @@
 //	//trimlint:allow <check> <one-line justification>
 //
 // which covers the directive's own line and the line below it. Pooled
-// packet records are checked when a run drains, by netsim's Network.Audit
-// (DESIGN.md §11).
+// packet records, and obs registry lookups made inside a run, are checked
+// when a run drains, by netsim's Network.Audit (DESIGN.md §9, §11).
 package main
 
 import (

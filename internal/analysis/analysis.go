@@ -86,7 +86,6 @@ func Analyzers() []*Analyzer {
 		FloatEqualityAnalyzer,
 		WireEndiannessAnalyzer,
 		GoroutineBoundAnalyzer,
-		ObsHotPathAnalyzer,
 	}
 }
 

@@ -122,8 +122,6 @@ func TestFixtures(t *testing.T) {
 		{"goroutinebound", "testdata/goroutinebound/spawn"},
 		{"goroutinebound", "testdata/goroutinebound/par"},
 		{"goroutinebound", "testdata/goroutinebound/shardteam"},
-		{"obshotpath", "testdata/obshotpath/hot"},
-		{"obshotpath", "testdata/obshotpath/cold"},
 	}
 	for _, c := range cases {
 		c := c
@@ -258,9 +256,6 @@ var seeds = []seed{
 	{"goroutinebound", "internal/collective/plan.go", [][2]string{
 		{"\tstart := workers[0]", "\tgo hostIDs(workers)\n\tstart := workers[0]"},
 	}, "goroutine spawned with no join in run"},
-	{"obshotpath", "internal/netsim/network.go", [][2]string{
-		{"p.queueDepth.Observe(int64(depth))", "p.sim.obs.Histogram(\"queue_depth_bytes\", obs.BucketsBytes()).Observe(int64(depth))"},
-	}, "lookup Registry.Histogram in push"},
 }
 
 // TestSeededBugs plants every seed in one copy of the module's non-test

@@ -67,6 +67,8 @@ type Worker struct {
 	// depend on the source host.
 	sums map[uint32]*core.SumDecoder
 	obs  *obs.Registry
+	// withObs holds the decode handles New resolved, for every decoder.
+	withObs core.Option
 
 	// onComplete is the op-installed completion hook.
 	onComplete func(src netsim.NodeID, msg uint32, at netsim.Time)
@@ -106,19 +108,25 @@ func New(rank int, stack *transport.Stack, opts ...Option) (*Worker, error) {
 	reg := stack.Host().Sim().Obs()
 	cfg := o.cfg
 	cfg.Flow = uint32(rank)
-	enc, err := core.NewEncoderWith(core.WithConfig(cfg), core.WithRegistry(reg))
+	withObs := core.WithRegistry(reg)
+	enc, err := core.NewEncoderWith(core.WithConfig(cfg), withObs)
 	if err != nil {
 		return nil, err
 	}
+	// The first decoder built with withObs resolves the handles.
+	if _, err := core.NewDecoderWith(0, core.WithConfig(cfg), withObs); err != nil {
+		return nil, err
+	}
 	w := &Worker{
-		Rank:  rank,
-		Stack: stack,
-		Mode:  o.mode,
-		cfg:   cfg,
-		enc:   enc,
-		decs:  make(map[decKey]*core.Decoder),
-		sums:  make(map[uint32]*core.SumDecoder),
-		obs:   reg,
+		Rank:    rank,
+		Stack:   stack,
+		Mode:    o.mode,
+		cfg:     cfg,
+		enc:     enc,
+		decs:    make(map[decKey]*core.Decoder),
+		sums:    make(map[uint32]*core.SumDecoder),
+		obs:     reg,
+		withObs: withObs,
 	}
 	stack.Receiver = transport.ReceiverFunc(w.handlePayload)
 	stack.OnMessageComplete = func(src netsim.NodeID, msg uint32, at netsim.Time) {
@@ -162,7 +170,7 @@ func (w *Worker) handlePayload(src netsim.NodeID, payload []byte) {
 	key := decKey{src, h.Message}
 	dec := w.decs[key]
 	if dec == nil {
-		d, err := core.NewDecoderWith(h.Message, core.WithConfig(w.cfg), core.WithRegistry(w.obs))
+		d, err := core.NewDecoderWith(h.Message, core.WithConfig(w.cfg), w.withObs)
 		if err != nil {
 			w.AggStats.RejectedPackets++
 			return
@@ -204,7 +212,7 @@ func (w *Worker) reconstruct(src netsim.NodeID, msg uint32, n int) ([]float32, e
 // senders; incoming packets for msg (from any flow, aggregated or not)
 // route to it instead of per-sender decoders.
 func (w *Worker) registerSum(msg uint32, nFlows int) error {
-	sd, err := core.NewSumDecoder(msg, nFlows, core.WithConfig(w.cfg), core.WithRegistry(w.obs))
+	sd, err := core.NewSumDecoder(msg, nFlows, core.WithConfig(w.cfg), w.withObs)
 	if err != nil {
 		return err
 	}

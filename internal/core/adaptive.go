@@ -37,7 +37,7 @@ type AdaptiveQ struct {
 	// Congestion-signal source (see Bind/Update): the controller reads the
 	// receiver's coordinate counters from the shared registry instead of
 	// having per-message trim fractions threaded to it by hand.
-	reg                    *obs.Registry
+	trimmed, total         *obs.Counter
 	lastTrimmed, lastTotal int64
 }
 
@@ -71,20 +71,19 @@ func (a *AdaptiveQ) Q() int {
 // from counter deltas — the congestion signal flows through the registry,
 // not through hand-plumbed stats returns.
 func (a *AdaptiveQ) Bind(r *obs.Registry) {
-	a.reg = r
-	a.lastTrimmed = r.Counter("core.decode.coords_trimmed_total").Value()
-	a.lastTotal = r.Counter("core.decode.coords_total").Value()
+	a.trimmed = r.Counter("core.decode.coords_trimmed_total")
+	a.total = r.Counter("core.decode.coords_total")
+	a.lastTrimmed, a.lastTotal = a.trimmed.Value(), a.total.Value()
 }
 
 // Update reads the coordinate counters accumulated since the previous
 // Update (or Bind) and feeds the resulting trim fraction to Observe.
 // A no-op when nothing was decoded in between, or when unbound.
 func (a *AdaptiveQ) Update() {
-	if a.reg == nil {
+	if a.total == nil {
 		return
 	}
-	trimmed := a.reg.Counter("core.decode.coords_trimmed_total").Value()
-	total := a.reg.Counter("core.decode.coords_total").Value()
+	trimmed, total := a.trimmed.Value(), a.total.Value()
 	dTrimmed, dTotal := trimmed-a.lastTrimmed, total-a.lastTotal
 	a.lastTrimmed, a.lastTotal = trimmed, total
 	if dTotal <= 0 {

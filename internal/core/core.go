@@ -81,6 +81,7 @@ type Option func(*options)
 type options struct {
 	cfg Config
 	reg *obs.Registry
+	dec *decFamily
 }
 
 // WithConfig sets the whole codec configuration at once.
@@ -89,19 +90,11 @@ func WithConfig(cfg Config) Option { return func(o *options) { o.cfg = cfg } }
 // WithRegistry attaches a telemetry registry: encoders report the
 // "core.encode.*" counters, decoders flush their Stats into the
 // "core.decode.*" counters and observe the packet-size histogram. Nil
-// (the default) disables instrumentation.
-func WithRegistry(r *obs.Registry) Option { return func(o *options) { o.reg = r } }
-
-// countEncoded adds one successfully encoded message to r's
-// "core.encode.*" counters. The encode side has no stats struct behind
-// it, so these are plain registry counters written once per message.
-func countEncoded(r *obs.Registry, msg *Message, rows int) {
-	if r == nil {
-		return
-	}
-	r.Counter("core.encode.rows_total").Add(int64(rows))
-	r.Counter("core.encode.packets_total").Add(int64(len(msg.Meta) + len(msg.Data)))
-	r.Counter("core.encode.bytes_total").Add(int64(msg.DataBytes()))
+// (the default) disables instrumentation. Decoders built with one returned
+// Option share the handles the first of them resolved (DESIGN.md §9).
+func WithRegistry(r *obs.Registry) Option {
+	dec := &decFamily{reg: r}
+	return func(o *options) { o.reg, o.dec = r, dec }
 }
 
 // Encoder turns gradient tensors into trimmable packet streams.
@@ -109,7 +102,8 @@ func countEncoded(r *obs.Registry, msg *Message, rows int) {
 type Encoder struct {
 	cfg   Config
 	codec quant.Codec
-	reg   *obs.Registry
+	// The "core.encode.*" counters, nil without a registry (no stats struct).
+	rowsTotal, packetsTotal, bytesTotal *obs.Counter
 
 	// mu guards codecs, the lazily-grown per-worker codec cache used by
 	// EncodeParallel (slot 0 aliases codec).
@@ -131,8 +125,9 @@ func NewEncoderWith(opts ...Option) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	countEncoded(o.reg, &Message{}, 0) // declare the family: an idle encoder exports zeros
-	return &Encoder{cfg: cfg, codec: codec, reg: o.reg}, nil
+	r := o.reg // resolving declares the family: an idle encoder exports zeros
+	return &Encoder{cfg: cfg, codec: codec, rowsTotal: r.Counter("core.encode.rows_total"),
+		packetsTotal: r.Counter("core.encode.packets_total"), bytesTotal: r.Counter("core.encode.bytes_total")}, nil
 }
 
 // Encode encodes grad as message msgID of the given epoch: EncodeParallel
@@ -185,22 +180,48 @@ func (s Stats) TrimFraction() float64 {
 	return float64(s.TrimmedCoords) / float64(s.TotalCoords)
 }
 
-// decObs is a decoder's view of the registry. Decoders are created per
-// message, so they are too short-lived to register as sources and their
-// names are not per-instance: all decoders of a registry share one
-// "core.decode.*" family. Stats stays the only per-packet write; flush
-// pushes what it has gained into the shared counters.
-type decObs struct {
+// decCounters names the "core.decode.<name>_total" counters; counts lists
+// a Stats in the same order.
+var decCounters = [...]string{"packets", "trimmed_packets", "bytes", "rejected",
+	"coords", "coords_trimmed", "coords_dropped", "expected_packets"}
+
+func (s *Stats) counts() [len(decCounters)]int {
+	return [...]int{s.Packets, s.TrimmedPackets, s.BytesReceived, s.RejectedPackets,
+		s.TotalCoords, s.TrimmedCoords, s.DroppedCoords, s.ExpectedPackets}
+}
+
+// decFamily is a registry's "core.decode.*" family, shared by the decoders
+// of one WithRegistry Option (too short-lived to be sources) and resolved,
+// so declared, when the first is built: an idle decoder exports zeros.
+type decFamily struct {
+	once        sync.Once
 	reg         *obs.Registry
+	packetBytes *obs.Histogram
+	counters    [len(decCounters)]*obs.Counter
+}
+
+// decObs returns a new decoder's view of the registry.
+func (o *options) decObs() decObs {
+	f := o.dec
+	if f == nil || f.reg == nil {
+		return decObs{}
+	}
+	f.once.Do(func() {
+		f.packetBytes = f.reg.Histogram("core.decode.packet_bytes", obs.BucketsBytes())
+		for i, name := range decCounters {
+			f.counters[i] = f.reg.Counter("core.decode." + name + "_total")
+		}
+	})
+	return decObs{fam: f, packetBytes: f.packetBytes}
+}
+
+// decObs is a decoder's view of the registry (fam is nil without one):
+// Stats stays the only per-packet write, and flush pushes its gains to fam.
+type decObs struct {
+	fam         *decFamily
 	packetBytes *obs.Histogram
 	// emitted is what earlier flushes already pushed.
 	emitted Stats
-}
-
-func newDecObs(r *obs.Registry) decObs {
-	o := decObs{reg: r, packetBytes: r.Histogram("core.decode.packet_bytes", obs.BucketsBytes())}
-	o.flush(Stats{}) // declare the family: a decoder that never flushes exports zeros
-	return o
 }
 
 // flush adds cur − emitted to the registry, field by field. Reconstruct
@@ -209,18 +230,13 @@ func newDecObs(r *obs.Registry) decObs {
 // every Stats call flushes; a decoder dropped without any of them leaves
 // its counts unexported.
 func (o *decObs) flush(cur Stats) {
-	r, prev := o.reg, o.emitted
-	if r == nil {
+	if o.fam == nil {
 		return
 	}
-	r.Counter("core.decode.packets_total").Add(int64(cur.Packets - prev.Packets))
-	r.Counter("core.decode.trimmed_packets_total").Add(int64(cur.TrimmedPackets - prev.TrimmedPackets))
-	r.Counter("core.decode.bytes_total").Add(int64(cur.BytesReceived - prev.BytesReceived))
-	r.Counter("core.decode.rejected_total").Add(int64(cur.RejectedPackets - prev.RejectedPackets))
-	r.Counter("core.decode.coords_total").Add(int64(cur.TotalCoords - prev.TotalCoords))
-	r.Counter("core.decode.coords_trimmed_total").Add(int64(cur.TrimmedCoords - prev.TrimmedCoords))
-	r.Counter("core.decode.coords_dropped_total").Add(int64(cur.DroppedCoords - prev.DroppedCoords))
-	r.Counter("core.decode.expected_packets_total").Add(int64(cur.ExpectedPackets - prev.ExpectedPackets))
+	now, prev := cur.counts(), o.emitted.counts()
+	for i, c := range o.fam.counters {
+		c.Add(int64(now[i] - prev[i]))
+	}
 	o.emitted = cur
 }
 
@@ -279,7 +295,7 @@ func NewDecoderWith(msgID uint32, opts ...Option) (*Decoder, error) {
 	return &Decoder{
 		geom:  newGeometry(cfg),
 		msgID: msgID,
-		obs:   newDecObs(o.reg),
+		obs:   o.decObs(),
 	}, nil
 }
 

@@ -36,11 +36,13 @@ type refDecoder struct {
 func newRefDecoder(t *testing.T, msgID uint32, cfg Config, reg *obs.Registry) *refDecoder {
 	t.Helper()
 	cfg = cfg.withDefaults()
+	var o options
+	WithRegistry(reg)(&o)
 	return &refDecoder{
 		cfg: cfg, codec: quant.MustNew(cfg.Params), msgID: msgID,
 		rows:    make(map[uint32]*wire.RowAssembler),
 		pending: make(map[uint32][][]byte),
-		obs:     newDecObs(reg),
+		obs:     o.decObs(),
 	}
 }
 

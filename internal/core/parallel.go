@@ -58,7 +58,11 @@ func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, wor
 		msg.Meta = append(msg.Meta, outs[r].meta)
 		msg.Data = append(msg.Data, outs[r].data...)
 	}
-	countEncoded(e.reg, msg, nRows)
+	if e.rowsTotal != nil {
+		e.rowsTotal.Add(int64(nRows))
+		e.packetsTotal.Add(int64(len(msg.Meta) + len(msg.Data)))
+		e.bytesTotal.Add(int64(msg.DataBytes()))
+	}
 	return msg, nil
 }
 

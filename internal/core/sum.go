@@ -83,7 +83,7 @@ func NewSumDecoder(msgID uint32, nFlows int, opts ...Option) (*SumDecoder, error
 		geom:   newGeometry(cfg),
 		msgID:  msgID,
 		nFlows: nFlows,
-		obs:    newDecObs(o.reg),
+		obs:    o.decObs(),
 	}, nil
 }
 

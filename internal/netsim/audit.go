@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// Audit checks three invariants of the fabric's state and returns the
+// Audit checks four invariants of the fabric's state and returns the
 // first violation, or nil. Call it between runs — after Run or a RunUntil
 // slice returns — never from inside an event. It reads only state the
 // fabric keeps anyway, so the per-packet path carries no bookkeeping for
@@ -22,6 +22,8 @@ import (
 //     also held. A record released twice, or released and then sent, is
 //     caught here.
 //   - Port conservation. Every port has Enqueued == Transmitted + Backlog().
+//   - No lookups in a run. No simulator's registry resolved an instrument
+//     by name while the simulator ran (obs.Registry.BeginRun).
 //
 // Nodes are walked in ID order, so the violation reported is the same on
 // every run.
@@ -82,6 +84,9 @@ func (n *Network) Audit() error {
 	}
 	made := 0
 	for _, s := range sims {
+		if k := s.obs.RunLookups(); k > 0 {
+			fail("%d registry lookups inside a run; resolve instrument handles at construction", k)
+		}
 		made += s.pktMade
 		s.eachPending(func(ev *event) { hold(ev.pkt, "a pending event") })
 		for _, box := range s.out {

@@ -642,7 +642,10 @@ func (s *Sim) finish(deadline Time, stopped bool) {
 // stays at the last fired event. The sharded engine runs windows through
 // it so a window bound — an artifact of the shard count — never shows up
 // in any clock, keeping Now() trajectories identical at every shard count.
+// While it runs, its registry carries the mark Network.Audit reads.
 func (s *Sim) runTo(deadline Time) {
+	s.obs.BeginRun()
+	defer s.obs.EndRun()
 	s.stopped = false
 	for s.npend > 0 && !s.stopped {
 		e, late := s.head()

@@ -31,6 +31,11 @@
 // source (AddSource) that reports the struct's fields when Snapshot runs,
 // so the struct stays the only hot-path write. The naming schema shared by
 // every instrumented package is documented in DESIGN.md §9.
+//
+// Lookups by name (Counter, Gauge, Histogram) hash a string under a lock,
+// so handles are resolved at construction, never per event: a simulator
+// marks its registry while it runs (BeginRun), and Network.Audit fails if
+// any lookup ran under the mark.
 package obs
 
 import (
@@ -49,6 +54,8 @@ type Registry struct {
 	hists    map[string]*Histogram
 	sources  []func(Emit)
 	spans    []SpanPoint
+	// running counts the runs in progress, runLookups the lookups in one.
+	running, runLookups atomic.Int32
 }
 
 // Nop is the disabled registry: instruments obtained from it are no-ops.
@@ -98,13 +105,45 @@ func (r *Registry) AddSource(fn func(Emit)) {
 	r.mu.Unlock()
 }
 
+// BeginRun marks r as used by a running simulator until the matching
+// EndRun (overlapping runs nest). RunLookups counts the Counter, Gauge and
+// Histogram calls under the mark; RecordSpan and AddSource are not lookups.
+func (r *Registry) BeginRun() {
+	if r != nil {
+		r.running.Add(1)
+	}
+}
+
+// EndRun clears the mark of one BeginRun.
+func (r *Registry) EndRun() {
+	if r != nil {
+		r.running.Add(-1)
+	}
+}
+
+// RunLookups returns how many lookups ran under a BeginRun mark.
+func (r *Registry) RunLookups() int {
+	if r == nil {
+		return 0
+	}
+	return int(r.runLookups.Load())
+}
+
+// lockLookup takes r.mu for a lookup, counting it under the run mark.
+func (r *Registry) lockLookup() {
+	r.mu.Lock()
+	if r.running.Load() > 0 {
+		r.runLookups.Add(1)
+	}
+}
+
 // Counter returns the named monotone counter, creating it on first use.
 // Nil registry returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
+	r.lockLookup()
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
@@ -120,7 +159,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
+	r.lockLookup()
 	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
@@ -139,7 +178,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
+	r.lockLookup()
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {

@@ -27,6 +27,31 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestRunLookups pins the run mark: lookups count while any run is in
+// progress, nested runs keep the mark until the outer one ends, and
+// spans and sources never count.
+func TestRunLookups(t *testing.T) {
+	r := New()
+	r.Counter("a.events_total")
+	r.BeginRun()
+	r.BeginRun()
+	r.Gauge("a.depth")
+	r.EndRun()
+	r.Histogram("a.bytes", BucketsBytes())
+	r.RecordSpan("a.span", 0, 1)
+	r.AddSource(func(Emit) {})
+	r.EndRun()
+	r.Counter("a.events_total")
+	if got := r.RunLookups(); got != 2 {
+		t.Fatalf("RunLookups() = %d, want 2", got)
+	}
+	Nop.BeginRun()
+	Nop.EndRun()
+	if got := Nop.RunLookups(); got != 0 {
+		t.Fatalf("Nop.RunLookups() = %d, want 0", got)
+	}
+}
+
 func TestNopRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	if r != Nop {
