@@ -4,11 +4,13 @@
 //
 //	go run ./cmd/trimlint [-list] [packages]
 //
-// Packages use go-tool patterns relative to the module root ("./...",
-// "./internal/core", "./cmd/..."); the default is "./...". trimlint exits
-// 0 when the tree is clean, 1 when it has findings, and 2 when it cannot
-// load or type-check the code, no package matches, or a flag is unknown.
-// -list prints every check with its one-line doc and exits.
+// Packages are go-tool patterns read relative to the working directory,
+// as go vet reads them ("./...", "./internal/core", "./cmd/..."); the
+// default is "./...". trimlint lists them with the go command, so it
+// analyses the files the go tool builds for the target GOOS and GOARCH.
+// It exits 0 when the tree is clean, 1 when it has findings, and 2 when
+// it cannot load or type-check the code, no package matches, or a flag is
+// unknown. -list prints every check with its one-line doc and exits.
 //
 // Checks:
 //
@@ -43,8 +45,7 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run lints the module containing the working directory and returns the
-// exit code.
+// run lints the packages its arguments name and returns the exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trimlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -63,16 +64,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.LoadModule(root, patterns)
+	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -10,14 +10,15 @@ import (
 )
 
 // inModule writes a one-package module into a temp directory and makes it
-// the working directory for the rest of the test: run finds the module
-// from ".", as the command does.
-func inModule(t *testing.T, pkg, src string) {
+// the working directory for the rest of the test: run reads its patterns
+// from ".", as the command does. srcs are the package's files a.go, b.go,
+// and so on.
+func inModule(t *testing.T, pkg string, srcs ...string) {
 	t.Helper()
 	root := t.TempDir()
-	files := map[string]string{
-		"go.mod":                   "module lintme\n\ngo 1.22\n",
-		filepath.Join(pkg, "a.go"): src,
+	files := map[string]string{"go.mod": "module lintme\n\ngo 1.22\n"}
+	for i, src := range srcs {
+		files[filepath.Join(pkg, string(rune('a'+i))+".go")] = src
 	}
 	for name, body := range files {
 		path := filepath.Join(root, name)
@@ -71,6 +72,17 @@ func TestFindingExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "1 finding(s)") {
 		t.Errorf("stderr %q does not count the finding", errOut)
+	}
+}
+
+// TestBuildConstraintsHonoured: a file the go tool never builds is not
+// linted or type-checked, so its redeclaration of Same is no error.
+func TestBuildConstraintsHonoured(t *testing.T) {
+	inModule(t, "p",
+		"package p\n\nfunc Same(a, b int) bool { return a == b }\n",
+		"//go:build ignore\n\npackage p\n\nfunc Same(a, b float64) bool { return a == b }\n")
+	if code, out, errOut := trimlint("./..."); code != 0 || out != "" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 0 and no findings", code, out, errOut)
 	}
 }
 

@@ -9,8 +9,8 @@
 // The package is pure standard library (go/parser, go/ast, go/token,
 // go/types); it deliberately avoids golang.org/x/tools so the repository
 // stays dependency-free. Checkers are registered as Analyzers and run over
-// type-checked packages loaded by LoadModule (the real tree) or LoadDir
-// (fixture self-tests).
+// type-checked packages loaded by Load, which lists them with `go list`
+// (the real tree and the fixture self-tests alike).
 //
 // Findings can be suppressed line-by-line with a directive comment:
 //

@@ -57,6 +57,9 @@ func collectWants(t *testing.T, dir string) []want {
 	return wants
 }
 
+// moduleRoot is the repository root, seen from this package's directory.
+const moduleRoot = "../.."
+
 // byName returns the registered analyzer with the given name, or nil.
 func byName(name string) *Analyzer {
 	for _, a := range Analyzers() {
@@ -67,6 +70,20 @@ func byName(name string) *Analyzer {
 	return nil
 }
 
+// loadFixture loads the one package in the fixture directory dir, as
+// trimlint would load "./"+dir.
+func loadFixture(t *testing.T, dir string) []*Package {
+	t.Helper()
+	pkgs, err := Load(".", "./"+dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("%s: loaded %d packages, want 1", dir, len(pkgs))
+	}
+	return pkgs
+}
+
 // runFixture loads the single-package fixture in dir, runs one analyzer,
 // and diffs its diagnostics against the fixture's want comments.
 func runFixture(t *testing.T, checkName, dir string) {
@@ -75,11 +92,7 @@ func runFixture(t *testing.T, checkName, dir string) {
 	if az == nil {
 		t.Fatalf("no analyzer named %q", checkName)
 	}
-	pkg, err := LoadDir(dir, "fixture/"+filepath.ToSlash(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Run([]*Package{pkg}, []*Analyzer{az})
+	got := Run(loadFixture(t, dir), []*Analyzer{az})
 	wants := collectWants(t, dir)
 	used := make([]bool, len(wants))
 	for _, d := range got {
@@ -135,11 +148,7 @@ func TestFixtures(t *testing.T) {
 // are themselves findings. The fixture has no want comments: a directive
 // occupies its whole comment, so expectations live here instead.
 func TestDirectiveValidation(t *testing.T) {
-	pkg, err := LoadDir("testdata/directive/dir", "fixture/directive/dir")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Run([]*Package{pkg}, Analyzers())
+	got := Run(loadFixture(t, "testdata/directive/dir"), Analyzers())
 	var msgs []string
 	for _, d := range got {
 		if d.Check != "directive" {
@@ -166,11 +175,7 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root, []string{"./..."})
+	pkgs, err := Load(moduleRoot, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,27 +184,6 @@ func TestModuleClean(t *testing.T) {
 	}
 	for _, d := range Run(pkgs, Analyzers()) {
 		t.Errorf("module not trimlint-clean: %s", d)
-	}
-}
-
-func TestMatchPattern(t *testing.T) {
-	cases := []struct {
-		pat, rel string
-		want     bool
-	}{
-		{"./...", "internal/core", true},
-		{"./...", "", true},
-		{"./internal/...", "internal/core", true},
-		{"./internal/...", "internal", true},
-		{"./internal/...", "cmd/trimlint", false},
-		{"./internal/core", "internal/core", true},
-		{"./internal/core", "internal/corelib", false},
-		{"./internal/core/...", "internal/corelib", false},
-	}
-	for _, c := range cases {
-		if got := matchPattern(c.pat, c.rel); got != c.want {
-			t.Errorf("matchPattern(%q, %q) = %v, want %v", c.pat, c.rel, got, c.want)
-		}
 	}
 }
 
@@ -258,47 +242,44 @@ var seeds = []seed{
 	}, "goroutine spawned with no join in run"},
 }
 
-// TestSeededBugs plants every seed in one copy of the module's non-test
-// sources, lints the copy once, and requires each seed's finding: a
-// checker kept in Analyzers() must catch a bug in real code, not only in
-// its fixtures.
+// TestSeededBugs plants every seed in one copy of go.mod and the files Load
+// lists for the module, lints the copy once, and requires each seed's
+// finding: a checker kept in Analyzers() must catch a bug in real code,
+// not only in its fixtures.
 func TestSeededBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks a copy of the whole module")
 	}
-	root, err := FindModuleRoot(".")
+	pkgs, err := Load(moduleRoot, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := filepath.Abs(moduleRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := t.TempDir()
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	files := []string{filepath.Join(root, "go.mod")}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, pkg.Fset.File(f.Pos()).Name())
 		}
-		if d.IsDir() {
-			if path != root && skipDir(d.Name()) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if d.Name() != "go.mod" && !isSourceFile(d.Name()) {
-			return nil
-		}
+	}
+	for _, path := range files {
 		rel, err := filepath.Rel(root, path)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		if err := os.MkdirAll(filepath.Join(dst, filepath.Dir(rel)), 0o755); err != nil {
-			return err
+			t.Fatal(err)
 		}
-		return os.WriteFile(filepath.Join(dst, rel), src, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
+		if err := os.WriteFile(filepath.Join(dst, rel), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, s := range seeds {
 		path := filepath.Join(dst, filepath.FromSlash(s.file))
@@ -317,7 +298,7 @@ func TestSeededBugs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pkgs, err := LoadModule(dst, []string{"./..."})
+	pkgs, err = Load(dst, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func run(root string) error {
 	tails := make([]uint32, h.Count)
 	for i := range heads {
 		heads[i] = uint32(i) % (1 << h.P)
-		tails[i] = uint32(i*2654435761) % (1 << h.Q)
+		tails[i] = uint32(i) * 2654435761 % (1 << h.Q)
 	}
 	data, err := wire.BuildDataPacket(h, heads, tails)
 	if err != nil {
