@@ -21,6 +21,8 @@ func TestRejectsBadInvocations(t *testing.T) {
 		{"-trim -1", "TrimRate must be a probability"},
 		{"-trim NaN", "TrimRate must be a probability"},
 		{"-drop 7", "DropRate must be a probability"},
+		{"-scheme rht -drop 0.01 -epochs 1", "DropRate is not read with a Scheme"},
+		{"-scheme baseline -trim 0.3 -epochs 1", "TrimRate is not read by the baseline"},
 		{"-lr -0.1", "LR must be finite and non-negative"},
 		{"-workers 0", "-workers must be at least 1"},
 		{"-workers -2", "-workers must be at least 1"},

@@ -113,12 +113,13 @@ func BenchmarkFabricHop(b *testing.B) {
 func BenchmarkFabricFatTree(b *testing.B) {
 	const pktsPerSender = 16
 	sim := netsim.NewSim()
-	topo, err := netsim.NewFatTree(sim, netsim.FatTreeConfig{
+	topo, err := netsim.FabricSpec{
+		Kind:     "fattree",
 		K:        4,
-		HostLink: netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
+		Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
 		Queue:    netsim.QueueConfig{CapacityBytes: 1 << 20},
 		ECMPSeed: 7,
-	})
+	}.Build(sim)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,12 +167,13 @@ func BenchmarkShardFabric(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			sim := netsim.NewSim()
-			topo, err := netsim.NewFatTree(sim, netsim.FatTreeConfig{
+			topo, err := netsim.FabricSpec{
+				Kind:     "fattree",
 				K:        4,
-				HostLink: netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
+				Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
 				Queue:    netsim.QueueConfig{CapacityBytes: 1 << 20},
 				ECMPSeed: 7,
-			})
+			}.Build(sim)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -24,9 +24,10 @@ func fatTreeWorkers(t *testing.T, q netsim.QueueConfig, cfg transport.Config,
 	s quant.Scheme) (*netsim.Sim, *netsim.Topology, []*Worker) {
 	t.Helper()
 	sim := netsim.NewSim()
-	topo, err := netsim.NewFatTree(sim, netsim.FatTreeConfig{
-		K: 4, HostLink: fast(), Queue: q, ECMPSeed: 77,
-	})
+	topo, err := netsim.FabricSpec{
+		Kind: "fattree",
+		K:    4, Link: fast(), Queue: q, ECMPSeed: 77,
+	}.Build(sim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,10 @@ func shardedFatTreeWorkers(t *testing.T, shards int, q netsim.QueueConfig,
 	t.Helper()
 	sim := netsim.NewSim()
 	reg := obs.New()
-	topo, err := netsim.NewFatTree(sim, netsim.FatTreeConfig{
-		K: 4, HostLink: fast(), Queue: q, ECMPSeed: 77,
-	}, netsim.WithRegistry(reg))
+	topo, err := netsim.FabricSpec{
+		Kind: "fattree",
+		K:    4, Link: fast(), Queue: q, ECMPSeed: 77,
+	}.Build(sim, netsim.WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

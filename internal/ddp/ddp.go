@@ -7,9 +7,10 @@
 // NewTrainer's has an injector decide each packet's fate (the paper's §4
 // "pre-set random probabilistic dropping/trimming"); NewNetTrainer's runs
 // each round over a live netsim fabric (§5.1's "full-scale simulation").
-// Each refuses what only the other reads: WithFabric is an error for
-// NewTrainer; TrimRate, DropRate, Injector and ErrorFeedback for
-// NewNetTrainer.
+// Each refuses what its exchange never reads: WithFabric is an error for
+// NewTrainer, and so are DropRate with a Scheme and TrimRate, Injector or
+// ErrorFeedback without one; TrimRate, DropRate, Injector and
+// ErrorFeedback are errors for NewNetTrainer.
 //
 // Wall-clock time is simulated, not measured: a calibrated cost model gives
 // each round's compute and encode time (and NewTrainer's comm time), as
@@ -36,42 +37,38 @@ import (
 	"trimgrad/internal/vecmath"
 )
 
+// The cost model's calibration (DESIGN.md), applied on top of a
+// CostModel's Compute and Comm.
+const (
+	// encodeScalarFrac is the encode+decode overhead of the scalar
+	// schemes (sign/SQ/SD), as a fraction of Compute+Comm. The paper
+	// reports 42–68% total hook overhead; 0.45 is our default.
+	encodeScalarFrac = 0.45
+	// rhtFactor is the RHT encode cost relative to scalar (paper: ~1.18).
+	rhtFactor = 1.18
+	// dropKneeRate is the loss rate the reliable baseline absorbs without
+	// slowdown (paper: 0.15–0.25%).
+	dropKneeRate = 0.002
+	// dropSlowdownPerUnit is the round-time multiplier growth per unit of
+	// drop rate beyond the knee; calibrated so ~1.5% drops give the
+	// paper's 5–10× slowdown (1.5% drops → ≈ 6.85× round time).
+	dropSlowdownPerUnit = 450
+	// dropTimeoutRate is the loss rate beyond which the baseline starts
+	// reporting timeout errors (the run is marked failed).
+	dropTimeoutRate = 0.05
+)
+
 // CostModel converts a training round into simulated wall-clock seconds.
 type CostModel struct {
 	// Compute is forward+backward time per round.
 	Compute float64
 	// Comm is gradient-exchange time per round on an uncongested network.
 	Comm float64
-	// EncodeScalarFrac is the encode+decode overhead of the scalar
-	// schemes (sign/SQ/SD), as a fraction of Compute+Comm. The paper
-	// reports 42–68% total hook overhead; 0.45 is our default.
-	EncodeScalarFrac float64
-	// RHTFactor is the RHT encode cost relative to scalar (paper: ~1.18).
-	RHTFactor float64
-	// DropKneeRate is the loss rate the reliable baseline absorbs without
-	// slowdown (paper: 0.15–0.25%).
-	DropKneeRate float64
-	// DropSlowdownPerUnit is the round-time multiplier growth per unit of
-	// drop rate beyond the knee; calibrated so ~1.5% drops give the
-	// paper's 5–10× slowdown.
-	DropSlowdownPerUnit float64
-	// DropTimeoutRate is the loss rate beyond which the baseline starts
-	// reporting timeout errors (the run is marked failed).
-	DropTimeoutRate float64
 }
 
-// DefaultCostModel returns the calibration described in DESIGN.md.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		Compute:             0.100, // 100 ms fwd+bwd
-		Comm:                0.050, // 50 ms exchange
-		EncodeScalarFrac:    0.45,
-		RHTFactor:           1.18,
-		DropKneeRate:        0.002,
-		DropSlowdownPerUnit: 450, // 1.5% drops → ≈ 6.85× round time
-		DropTimeoutRate:     0.05,
-	}
-}
+// DefaultCostModel returns the calibration described in DESIGN.md: 100 ms
+// of forward+backward and a 50 ms exchange per round.
+func DefaultCostModel() CostModel { return CostModel{Compute: 0.100, Comm: 0.050} }
 
 // RoundTime returns the simulated seconds one training round takes for
 // the given scheme (baseline == nil means uncompressed NCCL-style) at the
@@ -81,8 +78,8 @@ func (c CostModel) RoundTime(scheme *quant.Params, dropRate float64) float64 {
 	base := c.Compute + c.Comm
 	if scheme == nil {
 		mult := 1.0
-		if dropRate > c.DropKneeRate {
-			mult += c.DropSlowdownPerUnit * (dropRate - c.DropKneeRate)
+		if dropRate > dropKneeRate {
+			mult += dropSlowdownPerUnit * (dropRate - dropKneeRate)
 		}
 		return base * mult
 	}
@@ -95,10 +92,10 @@ func (c CostModel) EncodeTime(scheme *quant.Params) float64 {
 	if scheme == nil {
 		return 0
 	}
-	enc := (c.Compute + c.Comm) * c.EncodeScalarFrac
+	enc := (c.Compute + c.Comm) * encodeScalarFrac
 	switch scheme.Scheme {
 	case quant.RHT, quant.RHTLinear:
-		enc *= c.RHTFactor
+		enc *= rhtFactor
 	}
 	return enc
 }
@@ -111,11 +108,11 @@ type Config struct {
 	// reliable baseline.
 	Scheme *quant.Params
 	// TrimRate is the per-packet probability of in-network trimming
-	// (ignored by the baseline).
+	// (NewTrainer with a Scheme only).
 	TrimRate float64
 	// DropRate is the per-packet loss probability for the baseline
-	// (repaired by retransmission at a wall-clock cost; gradients stay
-	// exact).
+	// (NewTrainer without a Scheme only): repaired by retransmission at a
+	// wall-clock cost, so gradients stay exact.
 	DropRate float64
 	// RowSize is the codec row size (power of two).
 	RowSize int
@@ -131,8 +128,8 @@ type Config struct {
 	Seed uint64
 	// Cost is the wall-clock model; zero value means DefaultCostModel.
 	Cost CostModel
-	// Injector overrides the TrimRate/DropRate injector (used for
-	// transcript replay, §5.4). Optional.
+	// Injector overrides the TrimRate injector (used for transcript
+	// replay, §5.4). Optional.
 	Injector core.Injector
 	// ErrorFeedback enables per-worker error-feedback compensation: the
 	// residual each round's compression discarded is added back before
@@ -227,7 +224,7 @@ type Result struct {
 	Config    Config
 	Points    []Point
 	Diverged  bool
-	TimedOut  bool // baseline exceeded DropTimeoutRate (§4.4 timeouts)
+	TimedOut  bool // baseline DropRate above the 5% timeout rate (§4.4 timeouts)
 	FinalTop1 float64
 	FinalTop5 float64
 	WallTotal float64
@@ -338,11 +335,41 @@ func NewTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 	if fabric != nil {
 		return nil, errors.New("ddp: WithFabric is read only by NewNetTrainer; NewTrainer injects its congestion")
 	}
-	if t.exchange, err = injectedExchange(t.cfg, t.obs); err != nil {
+	cfg := t.cfg
+	if cfg.Scheme != nil {
+		err = refuseUnread("with a Scheme; an encoded round is trimmed, never dropped",
+			unread{"DropRate", cfg.DropRate != 0})
+	} else {
+		err = refuseUnread("by the baseline (no Scheme); it averages the exact gradients",
+			unread{"TrimRate", cfg.TrimRate != 0}, unread{"Injector", cfg.Injector != nil},
+			unread{"ErrorFeedback", cfg.ErrorFeedback})
+	}
+	if err != nil {
+		return nil, err
+	}
+	if t.exchange, err = injectedExchange(cfg, t.obs); err != nil {
 		return nil, err
 	}
 	t.msgSpan = uint32(t.cfg.Workers)
 	return t, nil
+}
+
+// unread is a Config field an exchange never reads, and whether it is set.
+type unread struct {
+	name string
+	set  bool
+}
+
+// refuseUnread names the first set field, so a setting the chosen
+// exchange would ignore fails instead of labelling a run that never used
+// it; why completes "ddp: <field> is not read …".
+func refuseUnread(why string, fields ...unread) error {
+	for _, f := range fields {
+		if f.set {
+			return fmt.Errorf("ddp: %s is not read %s", f.name, why)
+		}
+	}
+	return nil
 }
 
 // injectedExchange returns NewTrainer's exchange; every round costs the
@@ -488,7 +515,7 @@ func (t *Trainer) Model() *ml.Model { return t.model }
 func (t *Trainer) Run() (*Result, error) {
 	cfg := t.cfg
 	res := &Result{Config: cfg}
-	if cfg.Scheme == nil && cfg.DropRate > cfg.Cost.DropTimeoutRate {
+	if cfg.Scheme == nil && cfg.DropRate > dropTimeoutRate {
 		// §4.4: NCCL starts reporting timeout errors; the run never
 		// finishes.
 		res.TimedOut, res.Diverged = true, true

@@ -106,14 +106,10 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 	if cfg.Scheme == nil {
 		return nil, errors.New("ddp: networked training needs an encoding scheme (wire format)")
 	}
-	for _, unread := range []struct {
-		name string
-		set  bool
-	}{{"TrimRate", cfg.TrimRate != 0}, {"DropRate", cfg.DropRate != 0},
-		{"Injector", cfg.Injector != nil}, {"ErrorFeedback", cfg.ErrorFeedback}} {
-		if unread.set {
-			return nil, fmt.Errorf("ddp: %s is not read by NewNetTrainer; the fabric's queues decide what trims or drops", unread.name)
-		}
+	if err := refuseUnread("by NewNetTrainer; the fabric's queues decide what trims or drops",
+		unread{"TrimRate", cfg.TrimRate != 0}, unread{"DropRate", cfg.DropRate != 0},
+		unread{"Injector", cfg.Injector != nil}, unread{"ErrorFeedback", cfg.ErrorFeedback}); err != nil {
+		return nil, err
 	}
 	if f == nil {
 		f = &FabricConfig{}

@@ -124,8 +124,11 @@ func TestNetworkedValidation(t *testing.T) {
 	}
 }
 
-// TestTrainerRefusesUnreadConfig: what only one exchange reads is an
-// error, naming it, for the constructor whose exchange would ignore it.
+// TestTrainerRefusesUnreadConfig: what an exchange never reads is an
+// error, naming it: the injection settings for NewNetTrainer, WithFabric
+// for NewTrainer, and for NewTrainer the rate of the arm it is not
+// running (DropRate with a Scheme; TrimRate, Injector and ErrorFeedback
+// without one).
 func TestTrainerRefusesUnreadConfig(t *testing.T) {
 	train, test := testData()
 	rht := sp(quant.RHT, 1)
@@ -148,6 +151,18 @@ func TestTrainerRefusesUnreadConfig(t *testing.T) {
 		}},
 		{"WithFabric", func() (*Trainer, error) {
 			return NewTrainer(train, test, WithConfig(Config{Workers: 2, Scheme: rht}), WithFabric(FabricConfig{}), WithHidden(8))
+		}},
+		{"DropRate", func() (*Trainer, error) {
+			return NewTrainer(train, test, WithConfig(Config{Workers: 2, Scheme: rht, DropRate: 0.01}), WithHidden(8))
+		}},
+		{"TrimRate", func() (*Trainer, error) {
+			return NewTrainer(train, test, WithConfig(Config{Workers: 2, TrimRate: 0.3}), WithHidden(8))
+		}},
+		{"Injector", func() (*Trainer, error) {
+			return NewTrainer(train, test, WithConfig(Config{Workers: 2, Injector: core.NewTrimmer(0.1, 1)}), WithHidden(8))
+		}},
+		{"ErrorFeedback", func() (*Trainer, error) {
+			return NewTrainer(train, test, WithConfig(Config{Workers: 2, ErrorFeedback: true}), WithHidden(8))
 		}},
 	} {
 		if _, err := tc.build(); err == nil || !strings.Contains(err.Error(), "ddp: "+tc.field+" ") {

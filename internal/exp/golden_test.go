@@ -131,12 +131,13 @@ func goldenFatTree(t *testing.T, shards int) *goldenRun {
 	t.Helper()
 	reg := obs.New()
 	g := &goldenRun{}
-	topo, err := netsim.NewFatTree(netsim.NewSim(), netsim.FatTreeConfig{
+	topo, err := netsim.FabricSpec{
+		Kind:     "fattree",
 		K:        4,
-		HostLink: netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
+		Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
 		Queue:    netsim.QueueConfig{CapacityBytes: 16 << 10, HighCapacityBytes: 128 << 10, Mode: netsim.TrimOverflow},
 		ECMPSeed: 7,
-	}, netsim.WithRegistry(reg))
+	}.Build(netsim.NewSim(), netsim.WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,12 +78,13 @@ func runFabricCell(t *testing.T, c fabricCell) string {
 	t.Helper()
 	reg := obs.New()
 	sim := netsim.NewSim()
-	topo, err := netsim.NewFatTree(sim, netsim.FatTreeConfig{
+	topo, err := netsim.FabricSpec{
+		Kind:     "fattree",
 		K:        4,
-		HostLink: netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 2 * netsim.Microsecond},
+		Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 2 * netsim.Microsecond},
 		Queue:    c.queue,
 		ECMPSeed: 5,
-	}, netsim.WithRegistry(reg))
+	}.Build(sim, netsim.WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

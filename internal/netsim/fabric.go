@@ -8,42 +8,36 @@ import (
 // Clos fabric builders: k-ary fat tree and leaf–spine. These are the
 // data-center topologies the paper's trimming story assumes — gradient
 // traffic and background flows colliding inside a multi-tier fabric —
-// scaled down to simulable sizes. Both install ECMP route tables: every
-// inter-rack destination has all equal-cost next hops registered, and the
+// scaled down to simulable sizes. Both are reached through
+// FabricSpec.Build, which has already checked the spec, so a builder
+// cannot fail. Both install ECMP route tables: every inter-rack
+// destination has all equal-cost next hops registered, and the
 // per-switch seeded flow hash (Switch.egress) picks one per flow, so
 // runs are bit-identical across repeats while flows still spread.
 
-// FatTreeConfig parameterizes NewFatTree.
+// FatTreeConfig is the fat-tree description NewFatTree takes: FabricSpec's
+// K, Link (as HostLink), Queue and ECMPSeed.
 type FatTreeConfig struct {
-	// K is the fat-tree arity: K pods of K/2 edge and K/2 aggregation
-	// switches each, (K/2)² core switches, and K³/4 hosts (K/2 per edge
-	// switch). K must be even and ≥ 2.
-	K int
-	// HostLink is every host↔edge link.
+	K        int
 	HostLink LinkConfig
-	// FabricLink is every switch↔switch link (edge↔agg, agg↔core). The
-	// zero value reuses HostLink — a rearrangeably non-blocking fat tree.
-	FabricLink LinkConfig
-	// Queue configures every switch port.
-	Queue QueueConfig
-	// ECMPSeed salts the per-switch flow hash.
+	Queue    QueueConfig
 	ECMPSeed uint64
 }
 
-func (cfg FatTreeConfig) validate() error {
-	if cfg.K < 2 || cfg.K%2 != 0 {
-		return fmt.Errorf("netsim: fat tree needs even k ≥ 2, got %d", cfg.K)
-	}
-	if cfg.HostLink.Bandwidth <= 0 {
-		return fmt.Errorf("netsim: fat tree host link bandwidth must be positive")
-	}
-	return nil
+// NewFatTree builds FabricSpec{Kind: "fattree"} from cfg. It stays only
+// for the benchmark harness (benchmark/fabric.go and benchmark/train.go),
+// until a benchmark-only change moves them to FabricSpec and deletes it.
+func NewFatTree(sim *Sim, cfg FatTreeConfig, opts ...Option) (*Topology, error) {
+	return FabricSpec{Kind: "fattree", K: cfg.K, Link: cfg.HostLink, Queue: cfg.Queue, ECMPSeed: cfg.ECMPSeed}.Build(sim, opts...)
 }
 
 // FatTreeHosts returns the host count of a k-ary fat tree (k³/4).
 func FatTreeHosts(k int) int { return k * k * k / 4 }
 
-// NewFatTree builds a k-ary fat tree with ECMP routing.
+// newFatTree builds a k-ary fat tree with ECMP routing: K pods of K/2
+// edge and K/2 aggregation switches each, (K/2)² core switches, and K³/4
+// hosts (K/2 per edge switch). Every link is f.Link, so the tree is
+// rearrangeably non-blocking.
 //
 // Host h lives in pod h/(k/2)², under edge switch (h mod (k/2)²)/(k/2).
 // Switch IDs are allocated from SwitchIDBase tier by tier: k²/2 edge
@@ -57,15 +51,8 @@ func FatTreeHosts(k int) int { return k * k * k / 4 }
 // k/2 core uplinks; a core switch reaches each pod through the single
 // aggregation switch wired to it. Inter-pod paths are 6 links, intra-pod
 // 4, same-edge 2.
-func NewFatTree(sim *Sim, cfg FatTreeConfig, opts ...Option) (*Topology, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	k := cfg.K
-	fabricLink := cfg.FabricLink
-	if fabricLink.Bandwidth == 0 {
-		fabricLink = cfg.HostLink
-	}
+func (f FabricSpec) newFatTree(sim *Sim, opts []Option) *Topology {
+	k := f.K
 	half := k / 2
 	nEdge := k * half    // also the aggregation count
 	nCore := half * half // (k/2)²
@@ -73,8 +60,8 @@ func NewFatTree(sim *Sim, cfg FatTreeConfig, opts ...Option) (*Topology, error) 
 	aggID := func(pod, a int) NodeID { return SwitchIDBase + NodeID(nEdge+pod*half+a) }
 	coreID := func(j int) NodeID { return SwitchIDBase + NodeID(2*nEdge+j) }
 
-	opts = append(append([]Option(nil), opts...), WithECMPSeed(cfg.ECMPSeed))
 	net := NewNetwork(sim, opts...)
+	net.ecmpSeed = f.ECMPSeed
 	t := &Topology{Kind: "fattree", Net: net}
 	edge := make([]*Switch, 0, nEdge)
 	agg := make([]*Switch, 0, nEdge)
@@ -82,28 +69,16 @@ func NewFatTree(sim *Sim, cfg FatTreeConfig, opts ...Option) (*Topology, error) 
 
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
-			sw, err := net.NewSwitch(edgeID(pod, e), cfg.Queue)
-			if err != nil {
-				return nil, err
-			}
-			edge = append(edge, sw)
+			edge = append(edge, net.AddSwitch(edgeID(pod, e), f.Queue))
 		}
 	}
 	for pod := 0; pod < k; pod++ {
 		for a := 0; a < half; a++ {
-			sw, err := net.NewSwitch(aggID(pod, a), cfg.Queue)
-			if err != nil {
-				return nil, err
-			}
-			agg = append(agg, sw)
+			agg = append(agg, net.AddSwitch(aggID(pod, a), f.Queue))
 		}
 	}
 	for j := 0; j < nCore; j++ {
-		sw, err := net.NewSwitch(coreID(j), cfg.Queue)
-		if err != nil {
-			return nil, err
-		}
-		core = append(core, sw)
+		core = append(core, net.AddSwitch(coreID(j), f.Queue))
 	}
 
 	// Hosts and host↔edge links; attach installs the edge switch's
@@ -111,29 +86,19 @@ func NewFatTree(sim *Sim, cfg FatTreeConfig, opts ...Option) (*Topology, error) 
 	for h := 0; h < FatTreeHosts(k); h++ {
 		pod := h / (half * half)
 		e := (h % (half * half)) / half
-		host, err := net.NewHost(NodeID(h))
-		if err != nil {
-			return nil, err
-		}
-		t.Hosts = append(t.Hosts, host)
-		if err := net.NewLink(host.ID(), edgeID(pod, e), cfg.HostLink); err != nil {
-			return nil, err
-		}
+		t.Hosts = append(t.Hosts, net.AddHost(NodeID(h)))
+		net.Connect(NodeID(h), edgeID(pod, e), f.Link)
 	}
 	// Edge↔agg (full bipartite per pod) and agg↔core links.
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
-				if err := net.NewLink(edgeID(pod, e), aggID(pod, a), fabricLink); err != nil {
-					return nil, err
-				}
+				net.Connect(edgeID(pod, e), aggID(pod, a), f.Link)
 			}
 		}
 		for a := 0; a < half; a++ {
 			for c := 0; c < half; c++ {
-				if err := net.NewLink(aggID(pod, a), coreID(a*half+c), fabricLink); err != nil {
-					return nil, err
-				}
+				net.Connect(aggID(pod, a), coreID(a*half+c), f.Link)
 			}
 		}
 	}
@@ -174,123 +139,78 @@ func NewFatTree(sim *Sim, cfg FatTreeConfig, opts ...Option) (*Topology, error) 
 		{Name: TierAgg, Switches: agg},
 		{Name: TierCore, Switches: core},
 	}
-	return t, nil
+	return t
 }
 
-// LeafSpineConfig parameterizes NewLeafSpine.
-type LeafSpineConfig struct {
-	// Leaves and Spines count the two switch tiers; every leaf connects
-	// to every spine. HostsPerLeaf hosts hang off each leaf.
-	Leaves, Spines, HostsPerLeaf int
-	// HostLink is every host↔leaf link.
-	HostLink LinkConfig
-	// Oversub is the leaf oversubscription ratio: downlink capacity over
-	// uplink capacity, HostsPerLeaf·hostBW / (Spines·uplinkBW). Each
-	// leaf↔spine uplink's bandwidth is derived from it:
-	//
-	//	uplinkBW = HostsPerLeaf·hostBW / (Spines·Oversub)
-	//
-	// 1 (the zero-value default) is non-blocking; 4 means four hosts
-	// contend for each unit of uplink capacity under all-out load.
-	Oversub float64
-	// UplinkDelay is the leaf↔spine propagation delay (zero reuses
-	// HostLink.Delay).
-	UplinkDelay Time
-	// Queue configures every switch port.
-	Queue QueueConfig
-	// ECMPSeed salts the per-switch flow hash.
-	ECMPSeed uint64
-}
-
-// uplink validates the configuration and derives the leaf↔spine link.
-func (cfg LeafSpineConfig) uplink() (LinkConfig, error) {
-	if cfg.Leaves < 1 || cfg.Spines < 1 || cfg.HostsPerLeaf < 1 {
+// leafUplink checks a leaf–spine spec's sizes and oversubscription and
+// derives the leaf↔spine link: Link's delay, and the bandwidth that
+// leaves each leaf Oversub times more host capacity than uplink capacity,
+//
+//	uplinkBW = HostsPerLeaf·hostBW / (Spines·Oversub)
+//
+// Oversub 1 (the zero-value default) is non-blocking; 4 means four hosts
+// contend for each unit of uplink capacity under all-out load.
+func (f FabricSpec) leafUplink() (LinkConfig, error) {
+	if f.Leaves < 1 || f.Spines < 1 || f.HostsPerLeaf < 1 {
 		return LinkConfig{}, fmt.Errorf("netsim: leaf–spine needs ≥1 leaves, spines, and hosts per leaf (got %d/%d/%d)",
-			cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf)
+			f.Leaves, f.Spines, f.HostsPerLeaf)
 	}
-	if cfg.HostLink.Bandwidth <= 0 {
-		return LinkConfig{}, fmt.Errorf("netsim: leaf–spine host link bandwidth must be positive")
-	}
-	oversub := cfg.Oversub
+	oversub := f.Oversub
 	if oversub == 0 {
 		oversub = 1
 	}
 	if !(oversub > 0) || math.IsInf(oversub, 1) {
 		return LinkConfig{}, fmt.Errorf("netsim: oversubscription ratio must be positive and finite, got %g", oversub)
 	}
-	uplinkBW := int64(float64(cfg.HostsPerLeaf) * float64(cfg.HostLink.Bandwidth) /
-		(float64(cfg.Spines) * oversub))
+	uplinkBW := int64(float64(f.HostsPerLeaf) * float64(f.Link.Bandwidth) /
+		(float64(f.Spines) * oversub))
 	if uplinkBW <= 0 {
 		return LinkConfig{}, fmt.Errorf("netsim: oversubscription %g leaves no uplink bandwidth", oversub)
 	}
-	uplink := LinkConfig{Bandwidth: uplinkBW, Delay: cfg.UplinkDelay}
-	if uplink.Delay == 0 {
-		uplink.Delay = cfg.HostLink.Delay
-	}
-	return uplink, nil
+	return LinkConfig{Bandwidth: uplinkBW, Delay: f.Link.Delay}, nil
 }
 
-// NewLeafSpine builds a two-tier leaf–spine fabric with ECMP routing:
-// every leaf connects to every spine, remote-leaf traffic hashes across
-// all spines, and the oversubscription knob thins the uplinks. Host h
-// hangs off leaf h/HostsPerLeaf; leaf switch IDs start at SwitchIDBase,
-// spines directly after. All inter-leaf paths are 4 links, intra-leaf 2.
-func NewLeafSpine(sim *Sim, cfg LeafSpineConfig, opts ...Option) (*Topology, error) {
-	uplink, err := cfg.uplink()
-	if err != nil {
-		return nil, err
-	}
+// newLeafSpine builds a two-tier leaf–spine fabric with ECMP routing:
+// every leaf connects to every spine over uplink (leafUplink's), and
+// remote-leaf traffic hashes across all spines. Host h hangs
+// off leaf h/HostsPerLeaf; leaf switch IDs start at SwitchIDBase, spines
+// directly after. All inter-leaf paths are 4 links, intra-leaf 2.
+func (f FabricSpec) newLeafSpine(sim *Sim, uplink LinkConfig, opts []Option) *Topology {
 	leafID := func(l int) NodeID { return SwitchIDBase + NodeID(l) }
-	spineID := func(s int) NodeID { return SwitchIDBase + NodeID(cfg.Leaves+s) }
+	spineID := func(s int) NodeID { return SwitchIDBase + NodeID(f.Leaves+s) }
 
-	opts = append(append([]Option(nil), opts...), WithECMPSeed(cfg.ECMPSeed))
 	net := NewNetwork(sim, opts...)
+	net.ecmpSeed = f.ECMPSeed
 	t := &Topology{Kind: "leafspine", Net: net}
-	leaves := make([]*Switch, cfg.Leaves)
-	spines := make([]*Switch, cfg.Spines)
+	leaves := make([]*Switch, f.Leaves)
+	spines := make([]*Switch, f.Spines)
 	for l := range leaves {
-		sw, err := net.NewSwitch(leafID(l), cfg.Queue)
-		if err != nil {
-			return nil, err
-		}
-		leaves[l] = sw
+		leaves[l] = net.AddSwitch(leafID(l), f.Queue)
 	}
 	for s := range spines {
-		sw, err := net.NewSwitch(spineID(s), cfg.Queue)
-		if err != nil {
-			return nil, err
-		}
-		spines[s] = sw
+		spines[s] = net.AddSwitch(spineID(s), f.Queue)
 	}
-	for h := 0; h < cfg.Leaves*cfg.HostsPerLeaf; h++ {
-		host, err := net.NewHost(NodeID(h))
-		if err != nil {
-			return nil, err
-		}
-		t.Hosts = append(t.Hosts, host)
-		if err := net.NewLink(host.ID(), leafID(h/cfg.HostsPerLeaf), cfg.HostLink); err != nil {
-			return nil, err
-		}
+	for h := 0; h < f.Leaves*f.HostsPerLeaf; h++ {
+		t.Hosts = append(t.Hosts, net.AddHost(NodeID(h)))
+		net.Connect(NodeID(h), leafID(h/f.HostsPerLeaf), f.Link)
 	}
-	for l := 0; l < cfg.Leaves; l++ {
-		for s := 0; s < cfg.Spines; s++ {
-			if err := net.NewLink(leafID(l), spineID(s), uplink); err != nil {
-				return nil, err
-			}
+	for l := 0; l < f.Leaves; l++ {
+		for s := 0; s < f.Spines; s++ {
+			net.Connect(leafID(l), spineID(s), uplink)
 		}
 	}
 	for dst := 0; dst < len(t.Hosts); dst++ {
 		dstID := NodeID(dst)
-		dstLeaf := dst / cfg.HostsPerLeaf
-		for l := 0; l < cfg.Leaves; l++ {
+		dstLeaf := dst / f.HostsPerLeaf
+		for l := 0; l < f.Leaves; l++ {
 			if l == dstLeaf {
 				continue // direct route installed by attach
 			}
-			for s := 0; s < cfg.Spines; s++ {
+			for s := 0; s < f.Spines; s++ {
 				leaves[l].AddRoute(dstID, spineID(s))
 			}
 		}
-		for s := 0; s < cfg.Spines; s++ {
+		for s := 0; s < f.Spines; s++ {
 			spines[s].SetRoute(dstID, leafID(dstLeaf))
 		}
 	}
@@ -299,5 +219,5 @@ func NewLeafSpine(sim *Sim, cfg LeafSpineConfig, opts ...Option) (*Topology, err
 		{Name: TierLeaf, Switches: leaves},
 		{Name: TierSpine, Switches: spines},
 	}
-	return t, nil
+	return t
 }

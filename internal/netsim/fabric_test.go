@@ -11,21 +11,22 @@ import (
 func fatTree(t *testing.T, k int, q QueueConfig, opts ...Option) *Topology {
 	t.Helper()
 	sim := NewSim()
-	topo, err := NewFatTree(sim, FatTreeConfig{
-		K: k, HostLink: fastLink(), Queue: q, ECMPSeed: 7,
-	}, opts...)
+	topo, err := FabricSpec{
+		Kind: "fattree", K: k, Link: fastLink(), Queue: q, ECMPSeed: 7,
+	}.Build(sim, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return topo
 }
 
-func leafSpine(t *testing.T, cfg LeafSpineConfig) *Topology {
+func leafSpine(t *testing.T, spec FabricSpec) *Topology {
 	t.Helper()
-	if cfg.HostLink.Bandwidth == 0 {
-		cfg.HostLink = fastLink()
+	spec.Kind = "leafspine"
+	if spec.Link.Bandwidth == 0 {
+		spec.Link = fastLink()
 	}
-	topo, err := NewLeafSpine(NewSim(), cfg)
+	topo, err := spec.Build(NewSim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +187,9 @@ func TestFatTreeECMPSpread(t *testing.T) {
 // single flow can never be reordered by multipathing.
 func TestFatTreeFlowFIFO(t *testing.T) {
 	sim := NewSim()
-	topo, err := NewFatTree(sim, FatTreeConfig{
-		K: 4, HostLink: fastLink(), Queue: QueueConfig{CapacityBytes: 1 << 20}, ECMPSeed: 3,
-	})
+	topo, err := FabricSpec{
+		Kind: "fattree", K: 4, Link: fastLink(), Queue: QueueConfig{CapacityBytes: 1 << 20}, ECMPSeed: 3,
+	}.Build(sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +222,9 @@ func TestFatTreeFlowFIFO(t *testing.T) {
 // nothing else anywhere in the fabric.
 func TestPathForMatchesDeliveredPath(t *testing.T) {
 	sim := NewSim()
-	topo, err := NewFatTree(sim, FatTreeConfig{
-		K: 4, HostLink: fastLink(), Queue: QueueConfig{CapacityBytes: 1 << 20}, ECMPSeed: 11,
-	})
+	topo, err := FabricSpec{
+		Kind: "fattree", K: 4, Link: fastLink(), Queue: QueueConfig{CapacityBytes: 1 << 20}, ECMPSeed: 11,
+	}.Build(sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestPathForMatchesDeliveredPath(t *testing.T) {
 }
 
 func TestLeafSpineShapeAndRoutes(t *testing.T) {
-	topo := leafSpine(t, LeafSpineConfig{Leaves: 4, Spines: 2, HostsPerLeaf: 4, ECMPSeed: 5})
+	topo := leafSpine(t, FabricSpec{Leaves: 4, Spines: 2, HostsPerLeaf: 4, ECMPSeed: 5})
 	if got := len(topo.Hosts); got != 16 {
 		t.Fatalf("hosts = %d, want 16", got)
 	}
@@ -349,8 +350,8 @@ func TestLeafSpineOversubscription(t *testing.T) {
 		{2, Gbps(10)},
 		{4, Gbps(5)},
 	} {
-		topo := leafSpine(t, LeafSpineConfig{
-			Leaves: 2, Spines: 2, HostsPerLeaf: 4, HostLink: host, Oversub: tc.oversub,
+		topo := leafSpine(t, FabricSpec{
+			Leaves: 2, Spines: 2, HostsPerLeaf: 4, Link: host, Oversub: tc.oversub,
 		})
 		leaf0 := topo.Tier(TierLeaf)[0]
 		spine0 := topo.Tier(TierSpine)[0]
@@ -371,11 +372,12 @@ func TestFatTreeSameSeedDeterminism(t *testing.T) {
 	run := func() []byte {
 		reg := obs.New()
 		sim := NewSim()
-		topo, err := NewFatTree(sim, FatTreeConfig{
-			K: 4, HostLink: LinkConfig{Bandwidth: Gbps(10), Delay: 5 * Microsecond},
+		topo, err := FabricSpec{
+			Kind: "fattree", K: 4,
+			Link:     LinkConfig{Bandwidth: Gbps(10), Delay: 5 * Microsecond},
 			Queue:    QueueConfig{CapacityBytes: 32 << 10, Mode: TrimOverflow},
 			ECMPSeed: 11,
-		}, WithRegistry(reg))
+		}.Build(sim, WithRegistry(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,22 +409,18 @@ func TestFatTreeSameSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestFatTreeRejectsBadConfig pins the constructor errors (odd k, missing
-// bandwidth) and their NewLink/NewSwitch plumbing.
+// TestFatTreeRejectsBadConfig pins the Clos builders' refusals (odd k,
+// missing bandwidth, zero leaves, negative oversubscription) at Build.
 func TestFatTreeRejectsBadConfig(t *testing.T) {
-	if _, err := NewFatTree(NewSim(), FatTreeConfig{K: 3, HostLink: fastLink()}); err == nil {
-		t.Error("odd k accepted")
-	}
-	if _, err := NewFatTree(NewSim(), FatTreeConfig{K: 4}); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
-	if _, err := NewLeafSpine(NewSim(), LeafSpineConfig{Leaves: 0, Spines: 1, HostsPerLeaf: 1, HostLink: fastLink()}); err == nil {
-		t.Error("zero leaves accepted")
-	}
-	if _, err := NewLeafSpine(NewSim(), LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 2, HostLink: fastLink(), Oversub: -1,
-	}); err == nil {
-		t.Error("negative oversubscription accepted")
+	for name, spec := range map[string]FabricSpec{
+		"odd k":                  {Kind: "fattree", K: 3, Link: fastLink()},
+		"zero bandwidth":         {Kind: "fattree", K: 4},
+		"zero leaves":            {Kind: "leafspine", Spines: 1, HostsPerLeaf: 1, Link: fastLink()},
+		"negative oversubscribe": {Kind: "leafspine", Leaves: 2, Spines: 2, HostsPerLeaf: 2, Link: fastLink(), Oversub: -1},
+	} {
+		if _, err := spec.Build(NewSim()); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

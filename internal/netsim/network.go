@@ -96,8 +96,10 @@ type Node interface {
 type Network struct {
 	Sim   *Sim
 	nodes map[NodeID]Node
-	// ecmpSeed salts the flow hash of every switch created afterwards
-	// (see WithECMPSeed).
+	// ecmpSeed salts the flow hash of every switch created afterwards:
+	// the Clos builders set it from FabricSpec.ECMPSeed. Two networks with
+	// different seeds spread the same flow set differently; the same seed
+	// reproduces the exact per-flow path choices, bit for bit.
 	ecmpSeed uint64
 }
 
@@ -111,14 +113,6 @@ type Option func(*Network)
 // it too (Sim.Obs); each layer stamps its own spans in simulated time.
 func WithRegistry(r *obs.Registry) Option {
 	return func(n *Network) { n.Sim.obs = r }
-}
-
-// WithECMPSeed salts the deterministic ECMP flow hash of every switch the
-// network creates afterwards. Two networks built with different seeds
-// spread the same flow set differently; the same seed reproduces the
-// exact per-flow path choices, bit for bit.
-func WithECMPSeed(seed uint64) Option {
-	return func(n *Network) { n.ecmpSeed = seed }
 }
 
 // NewNetwork returns an empty network driven by sim.

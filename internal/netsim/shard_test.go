@@ -289,12 +289,13 @@ func runShardTraffic(t *testing.T, shards int, chaos bool,
 }
 
 func fatTreeFixture(sim *Sim, reg *obs.Registry) *Topology {
-	topo, err := NewFatTree(sim, FatTreeConfig{
+	topo, err := FabricSpec{
+		Kind:     "fattree",
 		K:        4,
-		HostLink: LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond},
+		Link:     LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond},
 		Queue:    QueueConfig{CapacityBytes: 6_000, HighCapacityBytes: 16_000, Mode: TrimOverflow},
 		ECMPSeed: 77,
-	}, WithRegistry(reg))
+	}.Build(sim, WithRegistry(reg))
 	if err != nil {
 		panic(err)
 	}
@@ -302,13 +303,14 @@ func fatTreeFixture(sim *Sim, reg *obs.Registry) *Topology {
 }
 
 func leafSpineFixture(sim *Sim, reg *obs.Registry) *Topology {
-	topo, err := NewLeafSpine(sim, LeafSpineConfig{
+	topo, err := FabricSpec{
+		Kind:   "leafspine",
 		Leaves: 8, Spines: 2, HostsPerLeaf: 2,
-		HostLink: LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond},
+		Link:     LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond},
 		Oversub:  2,
 		Queue:    QueueConfig{CapacityBytes: 6_000, HighCapacityBytes: 16_000, Mode: TrimOverflow},
 		ECMPSeed: 99,
-	}, WithRegistry(reg))
+	}.Build(sim, WithRegistry(reg))
 	if err != nil {
 		panic(err)
 	}

@@ -81,27 +81,24 @@ func TestFabricSpecSizesMatchBuild(t *testing.T) {
 
 // TestFabricSpecBuildMatchesBuilders: a spec builds the same fabric as the
 // builder it names — same hosts, same tiers, same equal-cost paths and
-// same per-flow ECMP choice between every host pair.
+// same per-flow ECMP choice between every host pair. The fat-tree row
+// pins the benchmark harness's NewFatTree adapter against Build; the
+// leaf–spine builder has no other way in (TestLeafSpineShapeAndRoutes and
+// TestLeafSpineOversubscription pin it).
 func TestFabricSpecBuildMatchesBuilders(t *testing.T) {
 	link, q := fastLink(), specQueue()
-	direct := []*Topology{
-		NewStar(NewSim(), 6, link, q),
-		NewDumbbell(NewSim(), 4, 1, link, link, q),
-		NewRing(NewSim(), 4, link, link, q),
-	}
 	ft, err := NewFatTree(NewSim(), FatTreeConfig{K: 4, HostLink: link, Queue: q, ECMPSeed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := NewLeafSpine(NewSim(), LeafSpineConfig{
-		Leaves: 3, Spines: 2, HostsPerLeaf: 4, Oversub: 4, HostLink: link, Queue: q, ECMPSeed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
+	direct := []*Topology{
+		NewStar(NewSim(), 6, link, q),
+		NewDumbbell(NewSim(), 4, 1, link, link, q),
+		NewRing(NewSim(), 4, link, link, q),
+		ft,
 	}
-	direct = append(direct, ft, ls)
-	for i, spec := range validSpecs {
-		want := direct[i]
+	for i, want := range direct {
+		spec := validSpecs[i]
 		got, err := spec.Build(NewSim())
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Kind, err)
@@ -123,14 +120,6 @@ func TestFabricSpecBuildMatchesBuilders(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.PathFor(a.ID(), b.ID(), 77), want.PathFor(a.ID(), b.ID(), 77)) {
 					t.Fatalf("%s: ECMP path %d->%d differs from the builder's", spec.Kind, a.ID(), b.ID())
-				}
-			}
-		}
-		if up := got.Tiers[0].Switches[0].Ports(); spec.Kind == "leafspine" {
-			wantUp := want.Tiers[0].Switches[0].Ports()
-			for p := range up {
-				if up[p].link != wantUp[p].link {
-					t.Errorf("leafspine port %d link %+v, builder's %+v", p, up[p].link, wantUp[p].link)
 				}
 			}
 		}

@@ -242,12 +242,12 @@ type FabricSpec struct {
 	// K is the fat-tree arity (k³/4 hosts).
 	K int
 	// Leaves, Spines and HostsPerLeaf size a leaf–spine fabric; Oversub
-	// thins its uplinks (zero: 1, non-blocking).
+	// thins its uplinks (zero: 1, non-blocking; see leafUplink).
 	Leaves, Spines, HostsPerLeaf int
 	Oversub                      float64
 	// Link is every host link, and the dumbbell bottleneck, the ring
-	// trunks and a fat tree's fabric links; leaf–spine uplinks derive
-	// their bandwidth from it.
+	// trunks and a fat tree's fabric links; leaf–spine uplinks take its
+	// delay and derive their bandwidth from it.
 	Link  LinkConfig
 	Queue QueueConfig
 	// ECMPSeed salts the per-switch flow hash of the Clos fabrics.
@@ -257,43 +257,37 @@ type FabricSpec struct {
 // plan is the one switch on a topology name: it checks the spec against
 // its builder's rules and returns the fabric's sizes and the call that
 // builds it.
-func (f FabricSpec) plan() (hosts, racks int, build func(*Sim, []Option) (*Topology, error), err error) {
-	minHosts := 2
+func (f FabricSpec) plan() (hosts, racks int, build func(*Sim, []Option) *Topology, err error) {
+	hosts, minHosts := f.N, 2
 	switch f.Kind {
 	case "star":
 		minHosts, racks = 1, 1
-		build = func(sim *Sim, o []Option) (*Topology, error) { return NewStar(sim, f.N, f.Link, f.Queue, o...), nil }
+		build = func(sim *Sim, o []Option) *Topology { return NewStar(sim, f.N, f.Link, f.Queue, o...) }
 	case "dumbbell":
 		racks = 2
-		build = func(sim *Sim, o []Option) (*Topology, error) {
-			return NewDumbbell(sim, f.N-1, 1, f.Link, f.Link, f.Queue, o...), nil
-		}
+		build = func(sim *Sim, o []Option) *Topology { return NewDumbbell(sim, f.N-1, 1, f.Link, f.Link, f.Queue, o...) }
 	case "ring":
 		racks = f.N
-		build = func(sim *Sim, o []Option) (*Topology, error) {
-			return NewRing(sim, f.N, f.Link, f.Link, f.Queue, o...), nil
-		}
+		build = func(sim *Sim, o []Option) *Topology { return NewRing(sim, f.N, f.Link, f.Link, f.Queue, o...) }
 	case "fattree":
-		cfg := FatTreeConfig{K: f.K, HostLink: f.Link, Queue: f.Queue, ECMPSeed: f.ECMPSeed}
-		build = func(sim *Sim, o []Option) (*Topology, error) { return NewFatTree(sim, cfg, o...) }
-		return FatTreeHosts(f.K), f.K * f.K / 2, build, cfg.validate()
-	case "leafspine":
-		cfg := LeafSpineConfig{
-			Leaves: f.Leaves, Spines: f.Spines, HostsPerLeaf: f.HostsPerLeaf,
-			HostLink: f.Link, Oversub: f.Oversub, Queue: f.Queue, ECMPSeed: f.ECMPSeed,
+		hosts, racks, build = FatTreeHosts(f.K), f.K*f.K/2, f.newFatTree
+		if f.K < 2 || f.K%2 != 0 {
+			err = fmt.Errorf("netsim: fat tree needs even k ≥ 2, got %d", f.K)
 		}
-		build = func(sim *Sim, o []Option) (*Topology, error) { return NewLeafSpine(sim, cfg, o...) }
-		_, err = cfg.uplink()
-		return f.Leaves * f.HostsPerLeaf, f.Leaves, build, err
+	case "leafspine":
+		var uplink LinkConfig
+		uplink, err = f.leafUplink()
+		hosts, minHosts, racks = f.Leaves*f.HostsPerLeaf, 1, f.Leaves
+		build = func(sim *Sim, o []Option) *Topology { return f.newLeafSpine(sim, uplink, o) }
 	default:
 		return 0, 0, nil, fmt.Errorf("netsim: unknown topology %q (want star|dumbbell|ring|fattree|leafspine)", f.Kind)
 	}
-	if f.N < minHosts {
-		err = fmt.Errorf("netsim: a %s needs at least %d hosts, got %d", f.Kind, minHosts, f.N)
-	} else if f.Link.Bandwidth <= 0 {
+	if f.Link.Bandwidth <= 0 {
 		err = fmt.Errorf("netsim: %s link bandwidth must be positive", f.Kind)
+	} else if err == nil && hosts < minHosts {
+		err = fmt.Errorf("netsim: a %s needs at least %d hosts, got %d", f.Kind, minHosts, hosts)
 	}
-	return f.N, racks, build, err
+	return hosts, racks, build, err
 }
 
 // Validate rejects a spec no builder accepts, with the rule it breaks.
@@ -312,7 +306,7 @@ func (f FabricSpec) Build(sim *Sim, opts ...Option) (*Topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	return build(sim, opts)
+	return build(sim, opts), nil
 }
 
 // PortTotals sums the port counters of the given switches; MaxQueueBytes

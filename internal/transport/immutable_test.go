@@ -34,12 +34,13 @@ func allPayloads(msg *core.Message) [][]byte {
 func incastUnwritten(t *testing.T, shards int, q netsim.QueueConfig, aggregate bool) (*netsim.Topology, []*Stack) {
 	t.Helper()
 	sim := netsim.NewSim()
-	topo, err := netsim.NewFatTree(sim, netsim.FatTreeConfig{
+	topo, err := netsim.FabricSpec{
+		Kind:     "fattree",
 		K:        4,
-		HostLink: netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 2 * netsim.Microsecond},
+		Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 2 * netsim.Microsecond},
 		Queue:    q,
 		ECMPSeed: 11,
-	})
+	}.Build(sim)
 	if err != nil {
 		t.Fatal(err)
 	}

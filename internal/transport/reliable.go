@@ -57,7 +57,7 @@ func (s *Stack) SendReliable(dst netsim.NodeID, id uint32, payloads [][]byte,
 		payloads: payloads,
 		acked:    make([]bool, len(payloads)),
 		inFlight: make(map[int]bool),
-		cwnd:     float64(s.cfg.InitWindow),
+		cwnd:     initWindow,
 		rto:      s.cfg.RTO,
 		done:     done,
 		failed:   failed,
@@ -107,7 +107,7 @@ func (tx *relSender) onTimeout() {
 		return
 	}
 	// Exponential backoff: consecutive silent RTOs stretch the timer so a
-	// dead or partitioned peer costs O(MaxRetries · MaxRTO), not a flood.
+	// dead or partitioned peer costs O(MaxRetries · maxBackoff · RTO), not a flood.
 	tx.rto = tx.stack.cfg.backoff(tx.rto)
 	// Multiplicative decrease and go-back over the unacked set.
 	tx.cwnd = tx.cwnd / 2

@@ -34,13 +34,8 @@ var ErrRetriesExhausted = errors.New("transport: retransmit budget exhausted")
 // Config tunes the protocols.
 type Config struct {
 	// RTO is the initial retransmission timeout. Senders back off
-	// exponentially from it on consecutive timeouts.
+	// exponentially from it on consecutive timeouts, up to 16×RTO.
 	RTO netsim.Time
-	// MaxRTO caps the exponential backoff. Zero means 16×RTO.
-	MaxRTO netsim.Time
-	// InitWindow is the reliable sender's initial congestion window in
-	// packets.
-	InitWindow int
 	// MaxWindow caps the reliable congestion window.
 	MaxWindow int
 	// MaxRetries bounds per-message retransmission rounds before the
@@ -52,12 +47,6 @@ func (c Config) withDefaults() Config {
 	if c.RTO == 0 {
 		c.RTO = 500 * netsim.Microsecond
 	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 16 * c.RTO
-	}
-	if c.InitWindow == 0 {
-		c.InitWindow = 12
-	}
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 256
 	}
@@ -67,13 +56,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backoff doubles rto, capped at MaxRTO.
+// initWindow is the reliable sender's initial congestion window in
+// packets.
+const initWindow = 12
+
+// maxBackoff caps the exponential backoff at this multiple of the
+// configured RTO.
+const maxBackoff = 16
+
+// backoff doubles rto, capped at maxBackoff×RTO.
 func (c Config) backoff(rto netsim.Time) netsim.Time {
-	rto *= 2
-	if rto > c.MaxRTO {
-		rto = c.MaxRTO
-	}
-	return rto
+	return min(2*rto, maxBackoff*c.RTO)
 }
 
 // ackSize is the wire size of control packets (acks, nacks, done).

@@ -146,6 +146,43 @@ func TestReliableFailsAfterMaxRetries(t *testing.T) {
 	}
 }
 
+// TestReliableInitialWindowAndBackoffCap pins the sender's two fixed
+// constants against a peer that has failed, so nothing is ever acked: the
+// first RTO finds initWindow packets on the wire, and consecutive
+// timeouts double the timer until it reaches maxBackoff×RTO, at the
+// default RTO and at a configured one.
+func TestReliableInitialWindowAndBackoffCap(t *testing.T) {
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
+	msg, _ := enc.Encode(1, 1, gaussianGrad(21, 1<<14))
+	payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
+	if len(payloads) <= 12 {
+		t.Fatalf("%d packets cannot show a 12-packet window", len(payloads))
+	}
+	for _, cfg := range []Config{{}, {RTO: 100 * netsim.Microsecond}} {
+		sim := netsim.NewSim()
+		star := netsim.NewStar(sim, 2, fastLink(), netsim.QueueConfig{CapacityBytes: 1 << 20})
+		a := newStack(star.Hosts[0], cfg)
+		star.Hosts[1].Fail()
+		a.SendReliable(1, 1, payloads, func(netsim.Time) { t.Error("completed against a failed host") }, nil)
+		rto := a.cfg.RTO
+		sim.RunUntil(rto - 1)
+		if a.Stats.DataSent != 12 || a.Stats.Timeouts != 0 {
+			t.Errorf("RTO %v: %d packets sent, %d timeouts before the first RTO; want 12, 0",
+				rto, a.Stats.DataSent, a.Stats.Timeouts)
+		}
+		// Gaps 1, 2, 4, 8, 16 RTOs, then capped at 16.
+		for i, at := range []netsim.Time{1, 3, 7, 15, 31, 47} {
+			sim.RunUntil(at*rto - 1)
+			before := a.Stats.Timeouts
+			sim.RunUntil(at * rto)
+			if before != i || a.Stats.Timeouts != i+1 {
+				t.Errorf("RTO %v: timeout %d fired between %v and %v (counts %d, %d); want at %d×RTO",
+					rto, i+1, at*rto-1, at*rto, before, a.Stats.Timeouts, at)
+			}
+		}
+	}
+}
+
 // TestSendRefusesForeignPayload pins the hand-over rule admission rests
 // on: a receiver judges payloads by their own wire CRCs, so both send
 // paths refuse a payload that is not a trimgrad packet before anything

@@ -32,7 +32,10 @@
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + go vet
 #                             for GOARCH=386 (every package but
 #                             ./benchmark) + trimlint + the no-Deprecated
-#                             guard + the one-fabric-switch guard
+#                             guard + the one-fabric-switch guard (no
+#                             builder called by name outside internal/netsim,
+#                             benchmark/ and examples/; NewFatTree only in
+#                             benchmark/ and internal/netsim/spec_test.go)
 #   scripts/check.sh -loc [DIR...]
 #                             print the size score ROADMAP and CHANGES.md
 #                             quote: non-test and test Go lines outside
@@ -43,8 +46,11 @@
 #                             examples/* and ./benchmark built with
 #                             -cover, each run once over its inputs (every
 #                             trimbench experiment at -quick, every
-#                             benchmark workload traced and untraced),
-#                             then the functions at 0.0 % (about a minute)
+#                             benchmark workload traced and untraced) and
+#                             again with the flags that gate a path
+#                             (-csv, -metrics, profiles, the dumbbell and
+#                             leaf–spine fabrics, all-to-all, -agg), then
+#                             the functions at 0.0 % (about a minute)
 #
 # Every step must pass; the script stops at the first failure. Any other
 # argument prints this usage and exits 2.
@@ -120,8 +126,16 @@ if [[ $mode == reach ]]; then
   for exp in $("$bin/trimbench" 2>&1 | awk 'NR > 1 {print $1}'); do
     "$bin/trimbench" -exp "$exp" -quick > /dev/null
   done
+  # The paths a flag gates: CSV and JSONL export, profiles, the
+  # dumbbell and leaf–spine builders, all-to-all traffic, aggregation.
+  "$bin/trimbench" -exp wire-math -quick -csv > /dev/null
+  "$bin/trimbench" -exp fig5 -quick -metrics "$reach/fig5.jsonl" > /dev/null
   "$bin/netsim" > /dev/null
+  for args in "-topo dumbbell" "-topo leafspine" "-workload alltoall" "-agg" "-metrics $reach/netsim.jsonl"; do
+    "$bin/netsim" $args > /dev/null
+  done
   "$bin/trainsim" -epochs 1 > /dev/null
+  "$bin/trainsim" -epochs 1 -cpuprofile "$reach/cpu.prof" -memprofile "$reach/mem.prof" > /dev/null
   "$bin/trimwire" -demo > /dev/null
   for ex in ./examples/*; do
     "$bin/$(basename "$ex")" > /dev/null
@@ -211,16 +225,26 @@ fi
 step "one name->topology switch (fabrics are built by netsim.FabricSpec.Build)"
 # A harness describes its fabric as a FabricSpec; only internal/netsim (the
 # builders and Build), benchmark/ and the examples call a builder by name.
-builders=$(grep -rnE --include='*.go' --exclude='*_test.go' 'netsim\.New(Star|Dumbbell|Ring|FatTree|LeafSpine)\(' . \
+builders=$(grep -rnE --include='*.go' --exclude='*_test.go' 'netsim\.New(Star|Dumbbell|Ring|FatTree)\(' . \
   | grep -vE '^\./(internal/netsim|benchmark|examples)/' || true)
 if [[ -n "$builders" ]]; then
   echo "topology builders called outside internal/netsim, benchmark/ and examples/ — describe the fabric as a netsim.FabricSpec and call Build:" >&2
   echo "$builders" >&2
   exit 1
 fi
+# NewFatTree is the benchmark harness's adapter to FabricSpec.Build, kept
+# until a benchmark-only change deletes it: no new caller, test files
+# included, beyond benchmark/ and the test that pins it against Build.
+fattree=$(grep -rnE --include='*.go' 'NewFatTree\(' . \
+  | grep -vE '^\./(benchmark/|internal/netsim/spec_test\.go:)|func NewFatTree\(' || true)
+if [[ -n "$fattree" ]]; then
+  echo "NewFatTree called outside benchmark/ and internal/netsim/spec_test.go — use netsim.FabricSpec{Kind: \"fattree\", …}.Build:" >&2
+  echo "$fattree" >&2
+  exit 1
+fi
 
 if [[ $mode == lint ]]; then
-  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + one-fabric-switch)"
+  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + one-fabric-switch + NewFatTree only in benchmark/)"
   exit 0
 fi
 
