@@ -1,5 +1,6 @@
 // Fabric fast-path benchmarks (DESIGN.md §11): the timer-wheel
-// scheduler, the typed-event dispatch, and the pooled packet records.
+// scheduler, the typed-event dispatch, the pooled packet records, and
+// what a fat tree costs to build.
 // `scripts/check.sh -bench` smoke-runs them under -race; measured
 // comparisons come from `go run ./benchmark`, and
 // TestFabricHopAllocations in internal/netsim pins the hard per-hop
@@ -152,6 +153,37 @@ func BenchmarkFabricFatTree(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
 	b.ReportMetric(float64(sim.Processed-events)/float64(b.N*hops), "events/hop")
+}
+
+// BenchmarkFabricBuild measures what a k-ary fat tree costs to build and
+// make ready to forward: FabricSpec.Build, then one flow from every host
+// to the host half the fabric away, so a route table built lazily on
+// first use would be paid here too. Every fabric workload, experiment
+// cell and trainer round builds its fabric from scratch.
+func BenchmarkFabricBuild(b *testing.B) {
+	for _, k := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			spec := netsim.FabricSpec{
+				Kind:     "fattree",
+				K:        k,
+				Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
+				ECMPSeed: 7,
+			}
+			hosts := spec.Hosts()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				topo, err := spec.Build(netsim.NewSim())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for h := 0; h < hosts; h++ {
+					if topo.PathFor(netsim.NodeID(h), netsim.NodeID((h+hosts/2)%hosts), uint64(h)) == nil {
+						b.Fatalf("k=%d: host %d unroutable", k, h)
+					}
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkShardFabric measures the partitioned engine on the k=4 fat

@@ -10,9 +10,9 @@ import (
 // traffic and background flows colliding inside a multi-tier fabric —
 // scaled down to simulable sizes. Both are reached through
 // FabricSpec.Build, which has already checked the spec, so a builder
-// cannot fail. Both install ECMP route tables: every inter-rack
-// destination has all equal-cost next hops registered, and the
-// per-switch seeded flow hash (Switch.egress) picks one per flow, so
+// cannot fail. Both write each switch's forwarding table once: every
+// inter-rack destination points at its set of equal-cost next hops, and
+// the per-switch seeded flow hash (Switch.egress) picks one per flow, so
 // runs are bit-identical across repeats while flows still spread.
 
 // FatTreeConfig is the fat-tree description NewFatTree takes: FabricSpec's
@@ -40,7 +40,7 @@ func FatTreeHosts(k int) int { return k * k * k / 4 }
 // rearrangeably non-blocking.
 //
 // Host h lives in pod h/(k/2)², under edge switch (h mod (k/2)²)/(k/2).
-// Switch IDs are allocated from SwitchIDBase tier by tier: k²/2 edge
+// Switch IDs are allocated from switchBase tier by tier: k²/2 edge
 // switches, then k²/2 aggregation switches (both in pod-major order),
 // then (k/2)² core switches. Core switch j connects to aggregation
 // switch j/(k/2) of every pod.
@@ -56,9 +56,10 @@ func (f FabricSpec) newFatTree(sim *Sim, opts []Option) *Topology {
 	half := k / 2
 	nEdge := k * half    // also the aggregation count
 	nCore := half * half // (k/2)²
-	edgeID := func(pod, e int) NodeID { return SwitchIDBase + NodeID(pod*half+e) }
-	aggID := func(pod, a int) NodeID { return SwitchIDBase + NodeID(nEdge+pod*half+a) }
-	coreID := func(j int) NodeID { return SwitchIDBase + NodeID(2*nEdge+j) }
+	base := switchBase(FatTreeHosts(k))
+	edgeID := func(pod, e int) NodeID { return base + NodeID(pod*half+e) }
+	aggID := func(pod, a int) NodeID { return base + NodeID(nEdge+pod*half+a) }
+	coreID := func(j int) NodeID { return base + NodeID(2*nEdge+j) }
 
 	net := NewNetwork(sim, opts...)
 	net.ecmpSeed = f.ECMPSeed
@@ -82,7 +83,7 @@ func (f FabricSpec) newFatTree(sim *Sim, opts []Option) *Topology {
 	}
 
 	// Hosts and host↔edge links; attach installs the edge switch's
-	// directly-connected routes.
+	// direct routes to its hosts.
 	for h := 0; h < FatTreeHosts(k); h++ {
 		pod := h / (half * half)
 		e := (h % (half * half)) / half
@@ -103,34 +104,31 @@ func (f FabricSpec) newFatTree(sim *Sim, opts []Option) *Topology {
 		}
 	}
 
-	// Route tables. Only host destinations need entries: transports and
-	// workloads address hosts, never switches.
-	for dst := 0; dst < FatTreeHosts(k); dst++ {
-		dstID := NodeID(dst)
-		dstPod := dst / (half * half)
-		dstEdge := (dst % (half * half)) / half
-		for pod := 0; pod < k; pod++ {
+	// Forwarding tables: attach installed each edge switch's own hosts;
+	// every other rack or pod points at one shared set. The top range goes
+	// first, so each table is sized once.
+	hosts, rack, podHosts := NodeID(FatTreeHosts(k)), NodeID(half), NodeID(half*half)
+	for pod := 0; pod < k; pod++ {
+		lo, hi := NodeID(pod)*podHosts, NodeID(pod+1)*podHosts
+		for e := 0; e < half; e++ {
+			sw, first := edge[pod*half+e], lo+NodeID(e)*rack
+			up := sw.hopSet(switchIDs(agg[pod*half:][:half])...)
+			sw.route(first+rack, hosts, up)
+			sw.route(0, first, up)
+		}
+		for a := 0; a < half; a++ {
+			sw := agg[pod*half+a]
+			up := sw.hopSet(switchIDs(core[a*half:][:half])...)
+			sw.route(hi, hosts, up)
+			sw.route(0, lo, up)
 			for e := 0; e < half; e++ {
-				if pod == dstPod && e == dstEdge {
-					continue // direct route installed by attach
-				}
-				for a := 0; a < half; a++ {
-					edge[pod*half+e].AddRoute(dstID, aggID(pod, a))
-				}
-			}
-			for a := 0; a < half; a++ {
-				sw := agg[pod*half+a]
-				if pod == dstPod {
-					sw.SetRoute(dstID, edgeID(dstPod, dstEdge))
-					continue
-				}
-				for c := 0; c < half; c++ {
-					sw.AddRoute(dstID, coreID(a*half+c))
-				}
+				sw.route(lo+NodeID(e)*rack, lo+NodeID(e+1)*rack, sw.hopSet(edgeID(pod, e)))
 			}
 		}
-		for j := 0; j < nCore; j++ {
-			core[j].SetRoute(dstID, aggID(dstPod, j/half))
+	}
+	for j, sw := range core {
+		for pod := k - 1; pod >= 0; pod-- {
+			sw.route(NodeID(pod)*podHosts, NodeID(pod+1)*podHosts, sw.hopSet(aggID(pod, j/half)))
 		}
 	}
 
@@ -173,11 +171,12 @@ func (f FabricSpec) leafUplink() (LinkConfig, error) {
 // newLeafSpine builds a two-tier leaf–spine fabric with ECMP routing:
 // every leaf connects to every spine over uplink (leafUplink's), and
 // remote-leaf traffic hashes across all spines. Host h hangs
-// off leaf h/HostsPerLeaf; leaf switch IDs start at SwitchIDBase, spines
+// off leaf h/HostsPerLeaf; leaf switch IDs start at switchBase, spines
 // directly after. All inter-leaf paths are 4 links, intra-leaf 2.
 func (f FabricSpec) newLeafSpine(sim *Sim, uplink LinkConfig, opts []Option) *Topology {
-	leafID := func(l int) NodeID { return SwitchIDBase + NodeID(l) }
-	spineID := func(s int) NodeID { return SwitchIDBase + NodeID(f.Leaves+s) }
+	base := switchBase(f.Leaves * f.HostsPerLeaf)
+	leafID := func(l int) NodeID { return base + NodeID(l) }
+	spineID := func(s int) NodeID { return base + NodeID(f.Leaves+s) }
 
 	net := NewNetwork(sim, opts...)
 	net.ecmpSeed = f.ECMPSeed
@@ -199,19 +198,17 @@ func (f FabricSpec) newLeafSpine(sim *Sim, uplink LinkConfig, opts []Option) *To
 			net.Connect(leafID(l), spineID(s), uplink)
 		}
 	}
-	for dst := 0; dst < len(t.Hosts); dst++ {
-		dstID := NodeID(dst)
-		dstLeaf := dst / f.HostsPerLeaf
-		for l := 0; l < f.Leaves; l++ {
-			if l == dstLeaf {
-				continue // direct route installed by attach
-			}
-			for s := 0; s < f.Spines; s++ {
-				leaves[l].AddRoute(dstID, spineID(s))
-			}
-		}
-		for s := 0; s < f.Spines; s++ {
-			spines[s].SetRoute(dstID, leafID(dstLeaf))
+	// Forwarding tables, top range first: a leaf sends other leaves' hosts
+	// over the one set of all spines, a spine each leaf's hosts to it.
+	hosts, rack := NodeID(len(t.Hosts)), NodeID(f.HostsPerLeaf)
+	for l, sw := range leaves {
+		up := sw.hopSet(switchIDs(spines)...)
+		sw.route(NodeID(l+1)*rack, hosts, up)
+		sw.route(0, NodeID(l)*rack, up)
+	}
+	for _, sw := range spines {
+		for l := f.Leaves - 1; l >= 0; l-- {
+			sw.route(NodeID(l)*rack, NodeID(l+1)*rack, sw.hopSet(leafID(l)))
 		}
 	}
 

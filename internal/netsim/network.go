@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"trimgrad/internal/obs"
@@ -164,7 +164,6 @@ func (n *Network) NewSwitch(id NodeID, cfg QueueConfig) (*Switch, error) {
 		sim:      n.Sim,
 		cfg:      cfg.withDefaults(),
 		ports:    make(map[NodeID]*Port),
-		routes:   make(map[NodeID][]NodeID),
 		ecmpSeed: n.ecmpSeed,
 	}
 	if err := n.register(sw); err != nil {
@@ -508,31 +507,26 @@ func (p *Port) settle() bool {
 	return p.busy && !p.txPlaced
 }
 
-// Switch is an output-queued switch with static route tables. A route
-// table entry holds one or more equal-cost next hops; multi-hop entries
-// are load-balanced by a deterministic seeded flow hash (ECMP), so a
-// flow's packets always take one path and same-seed runs pick identical
-// paths.
-//
-// routes and ports are the configuration, written by the topology
-// builders; packets are forwarded through fwd, the two resolved into one
-// destination-indexed table, so a hop costs an array index instead of two
-// map probes.
+// Switch is an output-queued switch with a static forwarding table,
+// written once by the topology builders after wiring (SetRoute and
+// AddRoute edit it for hand-wired fabrics). An entry holds one or more
+// equal-cost next hops; multi-hop entries are load-balanced by a
+// deterministic seeded flow hash (ECMP), so a flow's packets always take
+// one path and same-seed runs pick identical paths. The table is only
+// touched from the switch's own simulator, so sharding needs no lock.
 type Switch struct {
 	id       NodeID
 	sim      *Sim
 	cfg      QueueConfig
 	ports    map[NodeID]*Port // keyed by next-hop node id
-	routes   map[NodeID][]NodeID
 	ecmpSeed uint64
-	// fwd[dst-fwdBase] locates dst's equal-cost set, as output ports in hash
-	// bucket order, inside fwdPorts (a nil *Port is a next hop that is not a
-	// connected neighbour). Built by the first Deliver after any change to
-	// routes or ports — each of which resets fwd to nil — and only ever
-	// touched from the switch's own simulator, so sharding needs no lock.
+	// fwd[dst], indexed by host id (nothing addresses a switch), locates
+	// dst's equal-cost set of ports, in hash bucket order, in fwdPorts;
+	// destinations may share a set. fwdHops holds each port's next hop, so
+	// attach can fill in a nil port: a hop not connected yet.
 	fwd      []fwdEntry
-	fwdBase  NodeID
 	fwdPorts []*Port
+	fwdHops  []NodeID
 	// metaCache holds metadata snooped for the aggregation merge path
 	// (nil until the first metadata packet passes an aggregating switch).
 	metaCache map[aggMetaKey]wire.MetaInfo
@@ -541,8 +535,7 @@ type Switch struct {
 }
 
 // fwdEntry is one destination's slice of Switch.fwdPorts: n ports starting
-// at off. Eight bytes, so a table over a fat tree's whole id range stays a
-// few cache lines per pod.
+// at off (n = 0: no route). A k = 8 fat tree's table is a kilobyte.
 type fwdEntry struct{ off, n uint32 }
 
 // ID implements Node.
@@ -557,55 +550,61 @@ func (s *Switch) attach(peer Node, link LinkConfig) error {
 		p.metaOf = s.metaInfo
 	}
 	s.ports[peer.ID()] = p
-	// A directly-connected peer routes to itself by default.
-	s.routes[peer.ID()] = []NodeID{peer.ID()}
-	s.fwd = nil
+	for i, hop := range s.fwdHops {
+		if hop == peer.ID() {
+			s.fwdPorts[i] = p
+		}
+	}
+	// A directly-connected host routes to itself.
+	if _, ok := peer.(*Host); ok {
+		s.route(peer.ID(), peer.ID()+1, s.hopSet(peer.ID()))
+	}
 	return nil
+}
+
+// hopSet stores an equal-cost set of next hops, in hash bucket order, and
+// returns the entry that points at it.
+func (s *Switch) hopSet(hops ...NodeID) fwdEntry {
+	e := fwdEntry{off: uint32(len(s.fwdPorts)), n: uint32(len(hops))}
+	for _, hop := range hops {
+		s.fwdPorts = append(s.fwdPorts, s.ports[hop])
+		s.fwdHops = append(s.fwdHops, hop)
+	}
+	return e
+}
+
+// route points destinations lo..hi-1 at e, growing the table to reach them.
+func (s *Switch) route(lo, hi NodeID, e fwdEntry) {
+	if grow := int(hi) - len(s.fwd); grow > 0 {
+		s.fwd = append(s.fwd, make([]fwdEntry, grow)...)
+	}
+	for dst := lo; dst < hi; dst++ {
+		s.fwd[dst] = e
+	}
+}
+
+// nextHops lists dst's equal-cost next hops, in hash bucket order; nil: no route.
+func (s *Switch) nextHops(dst NodeID) []NodeID {
+	if uint(dst) >= uint(len(s.fwd)) {
+		return nil
+	}
+	e := s.fwd[dst]
+	return s.fwdHops[e.off : e.off+e.n : e.off+e.n]
 }
 
 // SetRoute directs traffic for dst through nextHop alone, replacing any
 // previously installed next-hop set (which must be a connected neighbour
 // by the time packets flow).
-func (s *Switch) SetRoute(dst, nextHop NodeID) {
-	s.routes[dst] = []NodeID{nextHop}
-	s.fwd = nil
-}
+func (s *Switch) SetRoute(dst, nextHop NodeID) { s.route(dst, dst+1, s.hopSet(nextHop)) }
 
 // AddRoute appends nextHop to dst's equal-cost next-hop set (ignoring
 // exact duplicates). Insertion order is the hash bucket order, so
-// builders must add hops deterministically.
+// callers must add hops deterministically. The extended set is a copy,
+// so destinations sharing the old one keep it.
 func (s *Switch) AddRoute(dst, nextHop NodeID) {
-	for _, h := range s.routes[dst] {
-		if h == nextHop {
-			return
-		}
-	}
-	s.routes[dst] = append(s.routes[dst], nextHop)
-	s.fwd = nil
-}
-
-// buildFwd resolves routes through ports into the forwarding table. Node
-// ids are dense in every builder (hosts from 0, switches from
-// SwitchIDBase), so the table spans the routed destinations' id range.
-func (s *Switch) buildFwd() {
-	s.fwd, s.fwdBase, s.fwdPorts = []fwdEntry{}, 0, nil // non-nil: built, even if empty
-	if len(s.routes) == 0 {
-		return
-	}
-	lo, hi, hops := NodeID(math.MaxInt), NodeID(math.MinInt), 0
-	//trimlint:allow determinism min, max and a sum are order-independent
-	for dst, next := range s.routes {
-		lo, hi = min(lo, dst), max(hi, dst)
-		hops += len(next)
-	}
-	s.fwd, s.fwdBase = make([]fwdEntry, hi-lo+1), lo
-	s.fwdPorts = make([]*Port, 0, hops)
-	//trimlint:allow determinism each destination fills its own table entry; order never shows in a decision
-	for dst, next := range s.routes {
-		s.fwd[dst-lo] = fwdEntry{off: uint32(len(s.fwdPorts)), n: uint32(len(next))}
-		for _, hop := range next {
-			s.fwdPorts = append(s.fwdPorts, s.ports[hop])
-		}
+	hops := s.nextHops(dst)
+	if !slices.Contains(hops, nextHop) {
+		s.route(dst, dst+1, s.hopSet(append(hops, nextHop)...))
 	}
 }
 
@@ -614,14 +613,10 @@ func (s *Switch) buildFwd() {
 // ecmpHash) indexing into it, so a flow's packets always leave through the
 // same port. Nil means no route.
 func (s *Switch) egress(src, dst NodeID, flow uint64) *Port {
-	if s.fwd == nil {
-		s.buildFwd()
-	}
-	i := dst - s.fwdBase
-	if i < 0 || int(i) >= len(s.fwd) {
+	if uint(dst) >= uint(len(s.fwd)) {
 		return nil
 	}
-	switch e := s.fwd[i]; e.n {
+	switch e := s.fwd[dst]; e.n {
 	case 0:
 		return nil
 	case 1:

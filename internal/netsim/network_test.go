@@ -330,7 +330,7 @@ func TestRouteMissCounted(t *testing.T) {
 	}
 }
 
-// TestForwardingTableFollowsRouteChanges pins the lazily built forwarding
+// TestForwardingTableFollowsRouteChanges pins the forwarding
 // table against its configuration: routes and links installed after
 // traffic has already flowed (so after the table was built) take effect on
 // the very next packet, an ECMP set keeps its hash-bucket order across a

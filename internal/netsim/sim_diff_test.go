@@ -587,3 +587,26 @@ func TestFabricHopAllocations(t *testing.T) {
 		t.Fatalf("%.2f allocs per packet hop (budget 1); %.1f per run", perHop, avg)
 	}
 }
+
+// TestFabricBuildAllocations bounds what a k = 8 fat tree costs to build
+// and make ready to forward: FabricSpec.Build, then one forwarding
+// decision at every switch, so a table built lazily on first use would be
+// counted too. The builders write each table once, every equal-cost set
+// stored once per switch.
+func TestFabricBuildAllocations(t *testing.T) {
+	spec := FabricSpec{Kind: "fattree", K: 8, Link: LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond}}
+	build := func() {
+		topo, err := spec.Build(NewSim())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sw := range topo.Switches() {
+			sw.egress(0, 0, 0)
+		}
+	}
+	avg := testing.AllocsPerRun(5, build)
+	t.Logf("k = 8 fat-tree build: %.0f allocations", avg)
+	if avg > 4000 {
+		t.Fatalf("k = 8 fat-tree build: %.0f allocations (budget 4000)", avg)
+	}
+}

@@ -3,7 +3,7 @@ package netsim
 import "fmt"
 
 // Topology builders used across the evaluation. Host IDs start at 0;
-// switch IDs start at 1000 to keep them visually distinct in traces.
+// switch IDs at max(1000, hosts) to keep them visually distinct in traces.
 //
 // Every builder returns the unified *Topology: the network, the hosts in
 // rank order, and the switches grouped into named tiers. Experiments
@@ -13,6 +13,18 @@ import "fmt"
 
 // SwitchIDBase is the first NodeID used for switches by the builders.
 const SwitchIDBase NodeID = 1000
+
+// switchBase is the first switch id of a fabric with the given host count.
+func switchBase(hosts int) NodeID { return max(SwitchIDBase, NodeID(hosts)) }
+
+// switchIDs lists the switches' ids, in order.
+func switchIDs(sws []*Switch) []NodeID {
+	ids := make([]NodeID, len(sws))
+	for i, sw := range sws {
+		ids[i] = sw.id
+	}
+	return ids
+}
 
 // Tier names used by the builders. Star/dumbbell/ring fabrics have a
 // single "edge" tier; the Clos fabrics add "agg"/"core" (fat tree) or
@@ -67,7 +79,7 @@ func (t *Topology) Switches() []*Switch {
 const maxPathHops = 8
 
 // PathsBetween enumerates every distinct path packets from host src may
-// take to host dst, following all equal-cost branches of the route
+// take to host dst, following all equal-cost branches of the forwarding
 // tables. Each path lists node IDs from src to dst inclusive. The result
 // is nil when dst is unreachable (or either endpoint is not a host).
 func (t *Topology) PathsBetween(src, dst NodeID) [][]NodeID {
@@ -93,7 +105,7 @@ func (t *Topology) PathsBetween(src, dst NodeID) [][]NodeID {
 		if !ok {
 			return
 		}
-		for _, next := range sw.routes[dst] {
+		for _, next := range sw.nextHops(dst) {
 			if peer := t.Net.Node(next); peer != nil {
 				walk(peer, path)
 			}
@@ -137,7 +149,7 @@ func (t *Topology) PathFor(src, dst NodeID, flow uint64) []NodeID {
 // port exists.
 func NewStar(sim *Sim, n int, link LinkConfig, q QueueConfig, opts ...Option) *Topology {
 	net := NewNetwork(sim, opts...)
-	sw := net.AddSwitch(SwitchIDBase, q)
+	sw := net.AddSwitch(switchBase(n), q)
 	t := &Topology{
 		Kind: "star", Net: net,
 		Tiers: []Tier{{Name: TierEdge, Switches: []*Switch{sw}}},
@@ -156,8 +168,8 @@ func NewStar(sim *Sim, n int, link LinkConfig, q QueueConfig, opts ...Option) *T
 // left block then right block; the edge tier is [left, right].
 func NewDumbbell(sim *Sim, nLeft, nRight int, edge, bottleneck LinkConfig, q QueueConfig, opts ...Option) *Topology {
 	net := NewNetwork(sim, opts...)
-	left := net.AddSwitch(SwitchIDBase, q)
-	right := net.AddSwitch(SwitchIDBase+1, q)
+	left := net.AddSwitch(switchBase(nLeft+nRight), q)
+	right := net.AddSwitch(left.id+1, q)
 	net.Connect(left.ID(), right.ID(), bottleneck)
 	t := &Topology{
 		Kind: "dumbbell", Net: net,
@@ -167,15 +179,15 @@ func NewDumbbell(sim *Sim, nLeft, nRight int, edge, bottleneck LinkConfig, q Que
 		h := net.AddHost(NodeID(i))
 		net.Connect(h.ID(), left.ID(), edge)
 		t.Hosts = append(t.Hosts, h)
-		// Right switch reaches left hosts via the left switch.
-		right.SetRoute(h.ID(), left.ID())
 	}
 	for i := 0; i < nRight; i++ {
 		h := net.AddHost(NodeID(nLeft + i))
 		net.Connect(h.ID(), right.ID(), edge)
 		t.Hosts = append(t.Hosts, h)
-		left.SetRoute(h.ID(), right.ID())
 	}
+	// Each switch reaches the other side's hosts over the bottleneck.
+	left.route(NodeID(nLeft), NodeID(nLeft+nRight), left.hopSet(right.id))
+	right.route(0, NodeID(nLeft), right.hopSet(left.id))
 	return t
 }
 
@@ -193,7 +205,7 @@ func NewRing(sim *Sim, n int, edge, trunk LinkConfig, q QueueConfig, opts ...Opt
 	t := &Topology{Kind: "ring", Net: net}
 	switches := make([]*Switch, n)
 	for i := 0; i < n; i++ {
-		switches[i] = net.AddSwitch(SwitchIDBase+NodeID(i), q)
+		switches[i] = net.AddSwitch(switchBase(n)+NodeID(i), q)
 		t.Hosts = append(t.Hosts, net.AddHost(NodeID(i)))
 	}
 	t.Tiers = []Tier{{Name: TierEdge, Switches: switches}}
@@ -206,22 +218,17 @@ func NewRing(sim *Sim, n int, edge, trunk LinkConfig, q QueueConfig, opts ...Opt
 		}
 		net.Connect(switches[i].ID(), switches[(i+1)%n].ID(), trunk)
 	}
-	// Shortest-arc static routes.
-	for i := 0; i < n; i++ {
-		sw := switches[i]
+	// Shortest-arc routes, ties clockwise, over one set per direction.
+	for i, sw := range switches {
+		cw, ccw := sw.hopSet(switches[(i+1)%n].id), sw.hopSet(switches[(i-1+n)%n].id)
 		for dst := 0; dst < n; dst++ {
-			if dst == i {
-				continue
+			switch cwHops := (dst - i + n) % n; {
+			case cwHops == 0: // the direct route attach installed
+			case 2*cwHops <= n:
+				sw.route(NodeID(dst), NodeID(dst+1), cw)
+			default:
+				sw.route(NodeID(dst), NodeID(dst+1), ccw)
 			}
-			cw := (dst - i + n) % n  // hops clockwise
-			ccw := (i - dst + n) % n // hops counter-clockwise
-			var next NodeID
-			if cw <= ccw {
-				next = SwitchIDBase + NodeID((i+1)%n)
-			} else {
-				next = SwitchIDBase + NodeID((i-1+n)%n)
-			}
-			sw.SetRoute(NodeID(dst), next)
 		}
 	}
 	return t
