@@ -398,6 +398,112 @@ func TestShardPlainSimIdentity(t *testing.T) {
 	})
 }
 
+// TestShardRunUntilSlices pins the state between RunUntil calls. A k=4
+// fat tree with 5 µs links runs an all-to-all once in 1.7 µs slices —
+// shorter than the lookahead window, so a call returns while packets
+// are in flight across shard boundaries — and once in a single Run, on
+// a plain Sim and at 1, 2 and 4 shards. Every delivery log must equal
+// the plain Sim's single run; at every slice boundary Pending() must
+// equal the plain Sim's at the same boundary and Network.Audit must be
+// clean, so no hand-off is held back from either.
+func TestShardRunUntilSlices(t *testing.T) {
+	const slice = 1700 * Nanosecond
+	run := func(shards int, sliced bool) (deliv [][]delivery, pending []int) {
+		sim := NewSim()
+		topo, err := FabricSpec{
+			Kind:     "fattree",
+			K:        4,
+			Link:     LinkConfig{Bandwidth: Gbps(10), Delay: 5 * Microsecond},
+			Queue:    QueueConfig{CapacityBytes: 6_000, HighCapacityBytes: 16_000, Mode: TrimOverflow},
+			ECMPSeed: 31,
+		}.Build(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runUntil, pend := sim.RunUntil, sim.Pending
+		if shards != plainSim {
+			eng, err := ShardTopology(topo, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if shards > 1 && eng.Window() != 5*Microsecond {
+				t.Fatalf("lookahead window = %v, want 5µs", eng.Window())
+			}
+			runUntil, pend = eng.RunUntil, eng.Pending
+		}
+		n := len(topo.Hosts)
+		deliv = make([][]delivery, n)
+		for i, h := range topo.Hosts {
+			i, h := i, h
+			h.Handler = func(pkt *Packet) {
+				deliv[i] = append(deliv[i], delivery{
+					At: h.sim.Now(), Src: pkt.Src, Flow: pkt.FlowID,
+					Size: pkt.Size, Prio: pkt.Prio, Trimmed: pkt.Trimmed,
+				})
+			}
+		}
+		for fi, f := range AllToAll(n).GradientFlows() {
+			src, dst, flow := topo.Hosts[f.Src], topo.Hosts[f.Dst].ID(), uint64(fi)
+			src.Sim().At(Time(fi%7)*3*Microsecond, func() {
+				for b := 0; b < 3; b++ {
+					pkt := src.Sim().NewPacket()
+					pkt.Dst, pkt.Size, pkt.FlowID = dst, 1500, flow
+					src.Send(pkt)
+				}
+			})
+		}
+		if !sliced {
+			runUntil(maxTime)
+			if err := topo.Net.Audit(); err != nil {
+				t.Fatal(err)
+			}
+			return deliv, nil
+		}
+		for deadline := slice; ; deadline += slice {
+			runUntil(deadline)
+			if err := topo.Net.Audit(); err != nil {
+				t.Fatalf("after RunUntil(%v): %v", deadline, err)
+			}
+			pending = append(pending, pend())
+			if pend() == 0 {
+				return deliv, pending
+			}
+			if deadline > Second {
+				t.Fatal("the all-to-all did not drain within a simulated second")
+			}
+		}
+	}
+
+	ref, _ := run(plainSim, false)
+	total := 0
+	for _, d := range ref {
+		total += len(d)
+	}
+	if total == 0 {
+		t.Fatal("reference run delivered nothing")
+	}
+	plainDeliv, plainPending := run(plainSim, true)
+	if !reflect.DeepEqual(ref, plainDeliv) {
+		t.Error("plain Sim: sliced delivery log diverges from a single Run")
+	}
+	if len(plainPending) < 10 {
+		t.Fatalf("only %d slices; the run must span many windows", len(plainPending))
+	}
+	for _, shards := range []int{1, 2, 4} {
+		for _, sliced := range []bool{false, true} {
+			deliv, pending := run(shards, sliced)
+			if !reflect.DeepEqual(ref, deliv) {
+				t.Errorf("%d shards (sliced %v): delivery log diverges from the plain Sim", shards, sliced)
+			}
+			if sliced && !reflect.DeepEqual(plainPending, pending) {
+				t.Errorf("%d shards: Pending() at slice boundaries diverges from the plain Sim:\n got %v\nwant %v",
+					shards, pending, plainPending)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Allocation guard: the per-shard pools (events, packets, mailboxes) must
 // keep sharded steady-state traffic at the same ≤1 alloc/hop budget the
