@@ -17,7 +17,7 @@ import (
 // results (merged obs JSONL, completion count, straggler FCT). Speedup
 // is a property of the host machine and of how much work a lookahead
 // window holds — on the 2-core reference box these four-rack fabrics read
-// 0.55–0.75 — but the identical column must read true everywhere, always:
+// 0.63–1.22 — but the identical column must read true everywhere, always:
 // parallelism is free to buy nothing, never to change physics.
 
 // runShardCell runs one E14 cell — sweepScenario, trimmable, partitioned

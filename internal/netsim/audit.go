@@ -89,9 +89,11 @@ func (n *Network) Audit() error {
 		}
 		made += s.pktMade
 		s.eachPending(func(ev *event) { hold(ev.pkt, "a pending event") })
-		for _, box := range s.out {
-			for _, m := range box {
-				hold(m.pkt, "an outbox")
+		for _, set := range s.out {
+			for _, box := range set {
+				for _, m := range box {
+					hold(m.pkt, "an outbox")
+				}
 			}
 		}
 	}
@@ -109,9 +111,11 @@ func (n *Network) Audit() error {
 		for _, pkt := range s.freePkt {
 			idle(pkt)
 		}
-		for _, bin := range s.retPkt {
-			for _, pkt := range bin {
-				idle(pkt)
+		for _, set := range s.retPkt {
+			for _, bin := range set {
+				for _, pkt := range bin {
+					idle(pkt)
+				}
 			}
 		}
 	}

@@ -15,17 +15,19 @@ import (
 // switches stay with their pod. Every shard owns a full Sim (timer
 // wheel, event pool, packet pool) and runs on its own pinned par.Team
 // executor. The only cross-shard interaction is the propagation arrival
-// of a packet crossing a partition-boundary link, exchanged through
-// per-(src,dst) mailboxes at a conservative synchronization barrier.
+// of a packet crossing a partition-boundary link, handed over through
+// per-(src,dst) mailboxes that the destination empties at the start of
+// the next conservative synchronization window.
 //
 // Safety (no rollback): with window W = min cross-shard link delay, a
 // window executes events in [T, T+W). A cross-shard arrival created by
 // an event at t ≥ T lands at t+delay ≥ T+W — strictly beyond the window
-// — so placing mailboxes at the barrier can never deliver into a
-// shard's past. Determinism across shard counts comes from the event
-// order every Sim uses (see Sim.nextKey): tie-break keys are causal-path
-// hashes, identical at every shard count, so each shard fires its events
-// in exactly the order the 1-shard engine — and a plain Sim — would.
+// — so placing it at the start of the next window can never deliver
+// into a shard's past. Determinism across shard counts comes from the
+// event order every Sim uses (see Sim.nextKey): tie-break keys are
+// causal-path hashes, identical at every shard count, so each shard fires
+// its events in exactly the order the 1-shard engine — and a plain Sim —
+// would.
 
 // xmsg is one cross-shard packet hand-off: the propagation arrival of a
 // packet that left through a partition-boundary port, stamped with its
@@ -69,9 +71,10 @@ type Engine struct {
 
 	parallel bool        // a team phase is running; guards foreign scheduling
 	bound    Time        // inclusive bound of the current window phase
+	wr       int         // the mailbox set this window writes; the other is drained
 	stop     atomic.Bool // Engine.Stop latch; may be set from shard goroutines
 
-	execF, exchangeF func(int) // preallocated phase closures
+	execF, drainF func(int) // preallocated phase closures
 }
 
 // ShardTopology partitions t's fabric into the given number of shards
@@ -110,8 +113,11 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 		}
 		s.eng = e
 		s.shardIdx = i
-		s.out = make([][]xmsg, shards)
-		s.retPkt = make([][]*Packet, shards)
+		for set := range s.out {
+			s.out[set] = make([][]xmsg, shards)
+			s.outAt[set] = maxTime
+			s.retPkt[set] = make([][]*Packet, shards)
+		}
 		sh := &shard{sim: s}
 		if e.mainObs != nil {
 			sh.reg = obs.New()
@@ -205,31 +211,35 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 	e.execF = func(i int) {
 		s := e.shards[i].sim
 		s.active = true
+		e.place(s)
 		s.runTo(e.bound)
 		s.active = false
 	}
-	e.exchangeF = func(j int) {
-		d := e.shards[j].sim
-		d.active = true
-		for i := range e.shards {
-			src := e.shards[i].sim
-			msgs := src.out[j]
-			for k, m := range msgs {
-				d.deliverAt(m.port, m.pkt, m.at, m.key)
-				msgs[k] = xmsg{}
-			}
-			src.out[j] = msgs[:0]
-			if pkts := src.retPkt[j]; len(pkts) > 0 {
-				d.freePkt = append(d.freePkt, pkts...)
-				for k := range pkts {
-					pkts[k] = nil
-				}
-				src.retPkt[j] = pkts[:0]
-			}
-		}
-		d.active = false
-	}
+	e.drainF = func(i int) { e.place(e.shards[i].sim) }
 	return e, nil
+}
+
+// place takes d's share of the mailbox set the current window does not
+// write: it places the hand-offs addressed to d, in source shard order,
+// and takes back d's pooled packets. Each shard drains only its own
+// column of every source's set, while the sources write the other set,
+// so nothing is read and written in the same phase.
+func (e *Engine) place(d *Sim) {
+	set, j := e.wr^1, d.shardIdx
+	for _, sh := range e.shards {
+		src := sh.sim
+		msgs := src.out[set][j]
+		for k, m := range msgs {
+			d.placeAt(evDeliver, m.at, m.key, m.port, m.pkt)
+			msgs[k] = xmsg{}
+		}
+		src.out[set][j] = msgs[:0]
+		if pkts := src.retPkt[set][j]; len(pkts) > 0 {
+			d.freePkt = append(d.freePkt, pkts...)
+			clear(pkts)
+			src.retPkt[set][j] = pkts[:0]
+		}
+	}
 }
 
 // rebind moves the port, and the fault injector attached to it, onto its
@@ -272,8 +282,8 @@ func (e *Engine) Now() Time {
 }
 
 // Pending returns the number of queued events across all shards.
-// Mailboxes are always drained at the barrier, so between calls this is
-// the complete count.
+// RunUntil drains the mailboxes before it returns, so between calls this
+// is the complete count.
 func (e *Engine) Pending() int {
 	n := 0
 	for _, sh := range e.shards {
@@ -291,16 +301,21 @@ func (e *Engine) Processed() uint64 {
 	return n
 }
 
-// nextAt returns the earliest pending timestamp across shards.
-func (e *Engine) nextAt() (Time, bool) {
-	var min Time
-	ok := false
+// turn flips the mailbox parity for the next phase and returns the
+// earliest timestamp that phase has to place or fire: the shard heads and
+// the hand-offs of the set it drains, whose marks it clears.
+func (e *Engine) turn() (Time, bool) {
+	e.wr ^= 1
+	next := maxTime
 	for _, sh := range e.shards {
-		if at, has := sh.sim.nextAt(); has && (!ok || at < min) {
-			min, ok = at, true
+		s := sh.sim
+		if at, has := s.nextAt(); has {
+			next = min(next, at)
 		}
+		next = min(next, s.outAt[e.wr^1])
+		s.outAt[e.wr^1] = maxTime
 	}
-	return min, ok
+	return next, next < maxTime
 }
 
 // RunUntil executes events with timestamps ≤ deadline across all shards
@@ -308,12 +323,17 @@ func (e *Engine) nextAt() (Time, bool) {
 // every shard clock to the deadline (mirroring Sim.RunUntil). A Sim.Stop
 // called from inside an event takes effect at the enclosing window
 // boundary.
+//
+// A window is one team phase: each shard places the hand-offs the last
+// window addressed to it, then runs to the bound. One more phase at the
+// end of the call places the last window's hand-offs, so the state
+// between calls holds no mailbox entry.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stop.Store(false)
 	stopped := false
-	for !stopped {
-		t, ok := e.nextAt()
-		if !ok || t > deadline {
+	for {
+		t, ok := e.turn()
+		if stopped || !ok || t > deadline {
 			break
 		}
 		bound := deadline
@@ -325,7 +345,6 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.bound = bound
 		e.parallel = true
 		e.team.Run(e.execF)
-		e.team.Run(e.exchangeF)
 		e.parallel = false
 		// Sim.Stop on a shard (read here after the barrier, so no race) and
 		// Engine.Stop (an atomic latch, settable mid-window from any shard
@@ -335,6 +354,7 @@ func (e *Engine) RunUntil(deadline Time) {
 			stopped = stopped || sh.sim.stopped
 		}
 	}
+	e.team.Run(e.drainF)
 	for _, sh := range e.shards {
 		sh.sim.finish(deadline, stopped)
 	}

@@ -251,12 +251,15 @@ type Sim struct {
 	wire []*Port
 
 	// Sharded-mode fields (see shard.go and DESIGN.md §15). eng is non-nil
-	// when this Sim is one shard of an Engine.
+	// when this Sim is one shard of an Engine. out and retPkt hold two
+	// sets of mailboxes, selected by window parity (Engine.wr): a window
+	// writes one set while the peers drain the other.
 	eng      *Engine
 	shardIdx int
-	active   bool        // this shard's goroutine is running a parallel phase
-	out      [][]xmsg    // per-destination-shard hand-off mailboxes
-	retPkt   [][]*Packet // per-home-shard pooled-packet returns
+	active   bool           // this shard's goroutine is running a parallel phase
+	out      [2][][]xmsg    // per-destination-shard hand-off mailboxes
+	outAt    [2]Time        // earliest at in each out set; maxTime when empty
+	retPkt   [2][][]*Packet // per-home-shard pooled-packet returns
 
 	// controlMerger, when set, lets the transport layer re-describe a
 	// merged packet's control header during in-network aggregation (see
@@ -552,13 +555,16 @@ func (s *Sim) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
 // deliverAt schedules pkt's propagation arrival at p's peer at the
 // reserved point (at, key): a typed event when the peer runs on this Sim,
-// else a hand-off the barrier passes to the peer's shard (shard.go).
+// else a hand-off the peer's shard places at the start of the next
+// window (shard.go).
 func (s *Sim) deliverAt(p *Port, pkt *Packet, at Time, key uint64) {
 	if p.peerSim == s {
 		s.placeAt(evDeliver, at, key, p, pkt)
 		return
 	}
-	s.out[p.peerSim.shardIdx] = append(s.out[p.peerSim.shardIdx], xmsg{at: at, key: key, port: p, pkt: pkt})
+	wr, dst := s.eng.wr, p.peerSim.shardIdx
+	s.out[wr][dst] = append(s.out[wr][dst], xmsg{at: at, key: key, port: p, pkt: pkt})
+	s.outAt[wr] = min(s.outAt[wr], at)
 }
 
 // afterAdmit schedules the typed fault-delay re-admission event at port p.
@@ -713,10 +719,11 @@ func (s *Sim) NewPacket() *Packet {
 //
 // In sharded mode a packet that terminated away from its allocating shard
 // is parked in a per-home return bin and flows back to its home pool at
-// the next barrier: without the return leg, a steady cross-shard flow
-// (an incast, say) would grow the sink shard's free list without bound
-// while the source shards allocate fresh records every packet — exactly
-// the ≤1 alloc/hop regression the per-shard pools exist to avoid.
+// the start of the next window: without the return leg, a steady
+// cross-shard flow (an incast, say) would grow the sink shard's free list
+// without bound while the source shards allocate fresh records every
+// packet — exactly the ≤1 alloc/hop regression the per-shard pools exist
+// to avoid.
 func (s *Sim) releasePacket(p *Packet) {
 	if p == nil {
 		return
@@ -727,7 +734,8 @@ func (s *Sim) releasePacket(p *Packet) {
 	home := p.home
 	*p = Packet{pooled: true, home: home}
 	if home != nil && home != s {
-		s.retPkt[home.shardIdx] = append(s.retPkt[home.shardIdx], p)
+		wr := s.eng.wr
+		s.retPkt[wr][home.shardIdx] = append(s.retPkt[wr][home.shardIdx], p)
 		return
 	}
 	s.freePkt = append(s.freePkt, p)

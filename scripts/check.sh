@@ -16,7 +16,9 @@
 #                             pooled and borrowed-payload hops, and the k=4
 #                             fat-tree incast),
 #                             the BenchmarkShardFabric partitioned-
-#                             engine suite and the compute kernels
+#                             engine suite, the shard barrier alone
+#                             (BenchmarkTeamRun: one empty par.Team phase
+#                             at 1, 2 and 4 members) and the compute kernels
 #                             (BenchmarkFWHT at 2^15 and 2^11,
 #                             BenchmarkDenseLayer over a raw and a
 #                             rectified input) and the round's compute
@@ -163,8 +165,9 @@ if [[ $mode == bench ]]; then
   bench 'Hot' .
   step "go test -race -bench Fabric (wheel + pooled-event fast path)"
   bench '^BenchmarkFabric' .
-  step "go test -race -bench Shard (partitioned engine, cross-shard mailboxes)"
+  step "go test -race -bench Shard, TeamRun (partitioned engine, cross-shard mailboxes; the barrier's empty phase)"
   bench 'Shard' .
+  bench '^BenchmarkTeamRun$' ./internal/par
   step "go test -race -bench FWHT, DenseLayer, TrainCompute (compute kernels, serial and pooled, raw and rectified input; a round's passes on one model and on replicas)"
   bench '^BenchmarkFWHT' .
   bench '^BenchmarkDenseLayer' ./internal/ml
@@ -265,14 +268,15 @@ step "go test -race (concurrency-heavy packages, and the ones whose code runs on
 go test -race ./internal/core ./internal/transport ./internal/collective ./internal/ddp \
   ./internal/ml ./internal/par ./internal/fwht ./internal/obs
 
-step "shard determinism (differential + plain-Sim identity + sharded matrices, -race, GOMAXPROCS 1 and 4)"
+step "shard determinism (differential + plain-Sim identity + sharded matrices + the par.Team barrier, -race, GOMAXPROCS 1 and 4)"
 # The bit-identity contract — plain Sim ≡ 1 shard ≡ S shards — must hold
 # however the goroutines are actually scheduled: truly parallel (4) and
-# fully serialized (1) both run under the race detector.
-selects Test 'Shard' ./internal/netsim ./internal/collective
+# fully serialized (1) both run under the race detector, and so does the
+# barrier under them, spinning and parking.
+pkgs=(./internal/netsim ./internal/collective ./internal/par)
+selects Test 'Shard|Team' "${pkgs[@]}"
 for procs in 1 4; do
-  GOMAXPROCS=$procs go test -race -run 'Shard' -count=1 \
-    ./internal/netsim ./internal/collective
+  GOMAXPROCS=$procs go test -race -run 'Shard|Team' -count=1 "${pkgs[@]}"
 done
 
 step "metrics export smoke (trimbench -metrics -> metricsval)"
