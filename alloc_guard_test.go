@@ -7,7 +7,9 @@ import (
 
 	"trimgrad/internal/core"
 	"trimgrad/internal/ml"
+	"trimgrad/internal/netsim"
 	"trimgrad/internal/quant"
+	"trimgrad/internal/transport"
 )
 
 // The allocation guards bound what the training round's two compute
@@ -168,5 +170,73 @@ func TestAllocGuardReceiveRound(t *testing.T) {
 	t.Logf("%d bytes per round: %d of gradients + %d", perRound, gradients, perRound-gradients)
 	if perRound > gradients+slack {
 		t.Errorf("the receive side of a round allocates %d bytes, bound %d (8 gradients) + %d", perRound, gradients, slack)
+	}
+}
+
+// TestAllocGuardTransportPerMessage: once a star's simulator is warm, a
+// SendReliable and a SendTrimmable cost the same allocations at 64 packets
+// as at 256. Control headers are one per message and direction, the packet
+// index riding in Packet.Seq, and the reliable sender's in-flight set is a
+// slice cleared at each RTO, not a map rebuilt; what remains is per
+// message (sender, receiver, their slices, timers and headers).
+func TestAllocGuardTransportPerMessage(t *testing.T) {
+	skipAllocGuard(t)
+	sim := netsim.NewSim()
+	star, err := netsim.FabricSpec{
+		Kind: "star", N: 2,
+		Link:  netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
+		Queue: netsim.QueueConfig{CapacityBytes: 1 << 20},
+	}.Build(sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := core.NewEncoderWith(core.WithConfig(core.Config{
+		Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 10,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := enc.Encode(1, 1, benchRow(1<<17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msg.Data) < 256 {
+		t.Fatalf("the message has %d data packets, want 256", len(msg.Data))
+	}
+	id := uint32(0)
+	send := func(trimmable bool, n int) func() {
+		return func() {
+			// Fresh stacks: a receiver keeps every message's state, so each
+			// run starts from empty maps, a cost per run, not per packet.
+			tx, err := transport.New(star.Hosts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := transport.New(star.Hosts[1]); err != nil {
+				t.Fatal(err)
+			}
+			id++
+			done := false
+			finish := func(netsim.Time) { done = true }
+			fail := func(err error) { t.Fatal(err) }
+			if trimmable {
+				tx.SendTrimmable(1, id, msg.Meta[:1], msg.Data[:n], finish, fail)
+			} else {
+				tx.SendReliable(1, id, msg.Data[:n], finish, fail)
+			}
+			sim.Run()
+			if !done {
+				t.Fatalf("message %d did not complete", id)
+			}
+		}
+	}
+	for _, trimmable := range []bool{false, true} {
+		send(trimmable, 256)() // size every queue and pool for the larger message
+		small := testing.AllocsPerRun(10, send(trimmable, 64))
+		large := testing.AllocsPerRun(10, send(trimmable, 256))
+		t.Logf("trimmable=%v: %.0f allocations at 64 packets, %.0f at 256", trimmable, small, large)
+		if small != large {
+			t.Errorf("trimmable=%v: a message allocates %.0f times at 64 packets and %.0f at 256, want equal", trimmable, small, large)
+		}
 	}
 }

@@ -160,11 +160,11 @@ func (n *Network) AddHost(id NodeID) *Host {
 // NewSwitch creates a switch whose ports use cfg, rejecting duplicate ids.
 func (n *Network) NewSwitch(id NodeID, cfg QueueConfig) (*Switch, error) {
 	sw := &Switch{
-		id:       id,
-		sim:      n.Sim,
-		cfg:      cfg.withDefaults(),
-		ports:    make(map[NodeID]*Port),
-		ecmpSeed: n.ecmpSeed,
+		id:      id,
+		sim:     n.Sim,
+		cfg:     cfg.withDefaults(),
+		ports:   make(map[NodeID]*Port),
+		ecmpKey: xrand.Seed(n.ecmpSeed, uint64(id)),
 	}
 	if err := n.register(sw); err != nil {
 		return nil, err
@@ -314,6 +314,10 @@ type Port struct {
 	// (nil, a free no-op, without a registry).
 	queueDepth *obs.Histogram
 
+	// txTable[size] is serialize's answer for every size up to an MTU,
+	// shared by the sim's ports of this bandwidth (Sim.txTables).
+	txTable []Time
+
 	// busy is set from transmit start until the serialization end at the
 	// reserved point (txAt, txKey) is processed: by its tx-done event once
 	// txPlaced, else by settle. listed: the port is on sim.wire.
@@ -327,6 +331,16 @@ func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig
 		panic("netsim: link bandwidth must be positive")
 	}
 	p := &Port{sim: sim, owner: owner, peer: peer, peerSim: sim, link: link, cfg: cfg.withDefaults()}
+	if p.txTable = sim.txTables[link.Bandwidth]; p.txTable == nil {
+		p.txTable = make([]Time, wire.MTU+1)
+		for size := range p.txTable {
+			p.txTable[size] = Time(int64(size) * 8 * int64(Second) / link.Bandwidth)
+		}
+		if sim.txTables == nil {
+			sim.txTables = make(map[int64][]Time)
+		}
+		sim.txTables[link.Bandwidth] = p.txTable
+	}
 	if p.cfg.LossRate > 0 {
 		p.lossRNG = xrand.New(xrand.Seed(p.cfg.LossSeed, uint64(peer.ID())))
 	}
@@ -473,7 +487,7 @@ func (p *Port) transmitNext() {
 	p.bytes[prio] -= pkt.Size
 	s := p.sim
 	p.busy, p.txPlaced = true, false
-	p.txAt = s.now + Time(int64(pkt.Size)*8*int64(Second)/p.link.Bandwidth)
+	p.txAt = s.now + p.serialize(pkt.Size)
 	p.txKey = s.nextKey()
 	s.deliverAt(p, pkt, p.txAt+p.link.Delay, xrand.Seed(p.txKey, 0))
 	if p.txAt == s.now || !p.q[PrioHigh].empty() || !p.q[PrioNormal].empty() {
@@ -482,6 +496,17 @@ func (p *Port) transmitNext() {
 		p.listed = true
 		s.wire = append(s.wire, p)
 	}
+}
+
+// serialize returns how long size bytes take on the wire,
+// size·8·Second/Bandwidth: a table lookup up to an MTU, computed by that
+// division at newPort (Bandwidth never changes after), and the division
+// itself for a larger packet (an aggregate).
+func (p *Port) serialize(size int) Time {
+	if uint(size) < uint(len(p.txTable)) {
+		return p.txTable[size]
+	}
+	return Time(int64(size) * 8 * int64(Second) / p.link.Bandwidth)
 }
 
 // placeTxDone places the tx-done event at the reserved point.
@@ -515,11 +540,13 @@ func (p *Port) settle() bool {
 // one path and same-seed runs pick identical paths. The table is only
 // touched from the switch's own simulator, so sharding needs no lock.
 type Switch struct {
-	id       NodeID
-	sim      *Sim
-	cfg      QueueConfig
-	ports    map[NodeID]*Port // keyed by next-hop node id
-	ecmpSeed uint64
+	id    NodeID
+	sim   *Sim
+	cfg   QueueConfig
+	ports map[NodeID]*Port // keyed by next-hop node id
+	// ecmpKey is xrand.Seed(ecmpSeed, id), the flow hash's per-switch
+	// prefix (see egress), mixed once at NewSwitch.
+	ecmpKey uint64
 	// fwd[dst], indexed by host id (nothing addresses a switch), locates
 	// dst's equal-cost set of ports, in hash bucket order, in fwdPorts;
 	// destinations may share a set. fwdHops holds each port's next hop, so
@@ -609,9 +636,14 @@ func (s *Switch) AddRoute(dst, nextHop NodeID) {
 }
 
 // egress is the forwarding decision for one flow: dst's table entry and,
-// when that holds more than one equal-cost port, the ECMP hash (see
-// ecmpHash) indexing into it, so a flow's packets always leave through the
-// same port. Nil means no route.
+// when that holds more than one equal-cost port, the ECMP flow hash
+// indexing into it, so a flow's packets always leave through the same
+// port. Nil means no route. The hash is the xrand.Seed mixer over (ECMP
+// seed, switch, src, dst, flow), continued from the switch's ecmpKey;
+// including the switch id decorrelates the choice made at successive tiers
+// (the classic hash-polarization fix: without it, every core-facing switch
+// would pick the same bucket index for a given flow). A power-of-two set
+// takes the bucket by mask, which equals the modulo.
 func (s *Switch) egress(src, dst NodeID, flow uint64) *Port {
 	if uint(dst) >= uint(len(s.fwd)) {
 		return nil
@@ -622,18 +654,12 @@ func (s *Switch) egress(src, dst NodeID, flow uint64) *Port {
 	case 1:
 		return s.fwdPorts[e.off]
 	default:
-		h := ecmpHash(s.ecmpSeed, s.id, src, dst, flow)
+		h := xrand.SeedFrom(s.ecmpKey, uint64(src), uint64(dst), flow)
+		if e.n&(e.n-1) == 0 {
+			return s.fwdPorts[e.off+uint32(h)&(e.n-1)]
+		}
 		return s.fwdPorts[e.off+uint32(h%uint64(e.n))]
 	}
-}
-
-// ecmpHash is the deterministic ECMP flow hash: the xrand.Seed mixer over
-// (seed, switch, src, dst, flow). Including the switch id decorrelates
-// the choice made at successive tiers (the classic hash-polarization fix:
-// without it, every core-facing switch would pick the same bucket index
-// for a given flow).
-func ecmpHash(seed uint64, sw, src, dst NodeID, flow uint64) uint64 {
-	return xrand.Seed(seed, uint64(sw), uint64(src), uint64(dst), flow)
 }
 
 // Port returns the output port toward a neighbour (for statistics).

@@ -86,6 +86,43 @@ func TestBandwidthSerialization(t *testing.T) {
 	}
 }
 
+// TestSerializationMatchesDivision pins Port.serialize, the tabled
+// serialization time, to size·8·Second/Bandwidth at every size up to one
+// past a full frame and a few jumbo ones, on every bandwidth the repo
+// configures. Sizes alternate on one port, so a stale per-port cache would
+// show.
+func TestSerializationMatchesDivision(t *testing.T) {
+	bws := []int64{Gbps(10), Gbps(5), Gbps(2), Mbps(500)}
+	// The leaf–spine uplinks: E13/E14's 4:1 and cmd/netsim's default 1:1.
+	for _, oversub := range []float64{4, 1} {
+		spec := FabricSpec{Kind: "leafspine", Leaves: 4, Spines: 2, HostsPerLeaf: 4, Oversub: oversub, Link: LinkConfig{Bandwidth: Gbps(10)}}
+		up, err := spec.leafUplink()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bws = append(bws, up.Bandwidth)
+	}
+	var sizes []int
+	for size := 0; size <= wire.MTU+wire.NetOverhead+1; size++ {
+		sizes = append(sizes, size)
+	}
+	sizes = append(sizes, 4096, 9000, 64<<10, 1<<20)
+	sim := NewSim()
+	peer := &Host{id: 1, sim: sim}
+	for _, bw := range bws {
+		p := newPort(sim, 0, peer, LinkConfig{Bandwidth: bw}, QueueConfig{})
+		check := func(size int) {
+			if got, want := p.serialize(size), Time(int64(size)*8*int64(Second)/bw); got != want {
+				t.Fatalf("bandwidth %d: serialize(%d) = %d, want %d", bw, size, got, want)
+			}
+		}
+		for i, size := range sizes {
+			check(size)
+			check(sizes[len(sizes)-1-i])
+		}
+	}
+}
+
 func TestDropTailOverflow(t *testing.T) {
 	sim := NewSim()
 	// Tiny switch buffer: 3000 bytes ≈ 2 MTU packets.
@@ -381,7 +418,8 @@ func TestForwardingTableFollowsRouteChanges(t *testing.T) {
 	s1.AddRoute(3, s2.ID())
 	s1.AddRoute(3, s3.ID())
 	const flows = 64
-	bucket := func(flow uint64) uint64 { return ecmpHash(0, s1.ID(), a.ID(), 3, flow) % 2 }
+	// The flow hash spelled out: Seed over (ECMP seed, switch, src, dst, flow).
+	bucket := func(flow uint64) uint64 { return xrand.Seed(0, uint64(s1.ID()), uint64(a.ID()), 3, flow) % 2 }
 	viaS2 := 0
 	for f := uint64(0); f < flows; f++ {
 		if bucket(f) == 0 {

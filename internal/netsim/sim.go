@@ -261,6 +261,10 @@ type Sim struct {
 	outAt    [2]Time        // earliest at in each out set; maxTime when empty
 	retPkt   [2][][]*Packet // per-home-shard pooled-packet returns
 
+	// txTables holds each link bandwidth's serialization times by packet
+	// size (Port.serialize), built by the first port of that bandwidth.
+	txTables map[int64][]Time
+
 	// controlMerger, when set, lets the transport layer re-describe a
 	// merged packet's control header during in-network aggregation (see
 	// SetControlMerger). Nil means only control-free packets may merge.

@@ -7,18 +7,21 @@ import "trimgrad/internal/netsim"
 // echoes — a deliberately conventional design standing in for the
 // NCCL-over-RoCE/TCP baseline whose loss behaviour §4.4 measures.
 
-// relData is the control header of a reliable data packet.
+// Control headers are built once per message, never per packet, and like
+// payloads are written before Host.Send and never after (DESIGN.md §16).
+
+// relData is the control header of a reliable message's data packets,
+// shared by all of them: a packet's index rides in Packet.Seq.
 type relData struct {
 	MsgID uint32
-	Idx   int
 	Total int
 }
 
-// relAck acknowledges one reliable data packet.
+// relAck acknowledges one reliable data packet. A receiver builds a
+// message's acks as a table, one per index and echoed ECN value.
 type relAck struct {
 	MsgID uint32
 	Idx   int
-	Total int
 	ECE   bool
 }
 
@@ -27,8 +30,10 @@ type relSender struct {
 	dst      netsim.NodeID
 	id       uint32
 	payloads [][]byte
+	hdr      *relData
 	acked    []bool
-	inFlight map[int]bool
+	inFlight []bool
+	nFlight  int
 	nAcked   int
 	nextIdx  int
 	cwnd     float64
@@ -55,8 +60,9 @@ func (s *Stack) SendReliable(dst netsim.NodeID, id uint32, payloads [][]byte,
 		dst:      dst,
 		id:       id,
 		payloads: payloads,
+		hdr:      &relData{MsgID: id, Total: len(payloads)},
 		acked:    make([]bool, len(payloads)),
-		inFlight: make(map[int]bool),
+		inFlight: make([]bool, len(payloads)),
 		cwnd:     initWindow,
 		rto:      s.cfg.RTO,
 		done:     done,
@@ -70,7 +76,7 @@ func (s *Stack) SendReliable(dst netsim.NodeID, id uint32, payloads [][]byte,
 
 // pump transmits as many unsent, unacked packets as the window allows.
 func (tx *relSender) pump() {
-	for len(tx.inFlight) < int(tx.cwnd) && tx.nextIdx < len(tx.payloads) {
+	for tx.nFlight < int(tx.cwnd) && tx.nextIdx < len(tx.payloads) {
 		idx := tx.nextIdx
 		tx.nextIdx++
 		if tx.acked[idx] {
@@ -81,7 +87,10 @@ func (tx *relSender) pump() {
 }
 
 func (tx *relSender) transmit(idx int) {
-	tx.inFlight[idx] = true
+	if !tx.inFlight[idx] {
+		tx.inFlight[idx] = true
+		tx.nFlight++
+	}
 	tx.stack.Stats.DataSent++
 	pkt := tx.stack.sim.NewPacket()
 	pkt.Dst = tx.dst
@@ -90,7 +99,7 @@ func (tx *relSender) transmit(idx int) {
 	pkt.Kind = "rel-data"
 	pkt.FlowID = uint64(tx.id)
 	pkt.Seq = uint64(idx)
-	pkt.Control = relData{MsgID: tx.id, Idx: idx, Total: len(tx.payloads)}
+	pkt.Control = tx.hdr
 	tx.stack.host.Send(pkt)
 }
 
@@ -115,7 +124,8 @@ func (tx *relSender) onTimeout() {
 		tx.cwnd = 1
 	}
 	tx.stack.cwnd.Set(int64(tx.cwnd * 1000))
-	tx.inFlight = make(map[int]bool)
+	clear(tx.inFlight)
+	tx.nFlight = 0
 	resent := 0
 	for idx, ok := range tx.acked {
 		if ok {
@@ -131,18 +141,21 @@ func (tx *relSender) onTimeout() {
 	tx.timer.Reset(tx.rto)
 }
 
-func (tx *relSender) onAck(a relAck) {
-	if tx.finished || a.Idx < 0 || a.Idx >= len(tx.acked) {
+func (tx *relSender) onAck(idx int, ece bool) {
+	if tx.finished || idx < 0 || idx >= len(tx.acked) {
 		return
 	}
-	if !tx.acked[a.Idx] {
-		tx.acked[a.Idx] = true
+	if !tx.acked[idx] {
+		tx.acked[idx] = true
 		tx.nAcked++
-		delete(tx.inFlight, a.Idx)
+		if tx.inFlight[idx] {
+			tx.inFlight[idx] = false
+			tx.nFlight--
+		}
 		// Forward progress: the path is alive, restart backoff.
 		tx.rto = tx.stack.cfg.RTO
 		tx.retries = 0
-		if a.ECE {
+		if ece {
 			// One multiplicative decrease per marked ack keeps this
 			// simple; DCTCP-style fractional reaction is not needed for
 			// the shapes we reproduce.
@@ -175,9 +188,29 @@ type relReceiver struct {
 	got      []bool
 	nGot     int
 	complete bool
+	acks     [2][]relAck // by echoed ECN value, built at first use
 }
 
-func (s *Stack) handleRelData(p *netsim.Packet, c relData) {
+// ack returns the header acking packet idx of message id with ECN echo
+// ece. An index outside the message (a reused id, resized) gets its own.
+func (rx *relReceiver) ack(id uint32, idx uint64, ece bool) *relAck {
+	if idx >= uint64(len(rx.got)) {
+		return &relAck{MsgID: id, Idx: int(idx), ECE: ece}
+	}
+	t := &rx.acks[0]
+	if ece {
+		t = &rx.acks[1]
+	}
+	if *t == nil {
+		*t = make([]relAck, len(rx.got))
+		for i := range *t {
+			(*t)[i] = relAck{MsgID: id, Idx: i, ECE: ece}
+		}
+	}
+	return &(*t)[idx]
+}
+
+func (s *Stack) handleRelData(p *netsim.Packet, c *relData) {
 	if !s.validPayload(p) {
 		// Deliberately unacked: the sender's RTO treats the corrupted
 		// packet as lost and retransmits from its intact buffer.
@@ -197,16 +230,17 @@ func (s *Stack) handleRelData(p *netsim.Packet, c relData) {
 	ack.Size = ackSize
 	ack.Prio = netsim.PrioHigh
 	ack.Kind = "rel-ack"
-	ack.Control = relAck{MsgID: c.MsgID, Idx: c.Idx, Total: c.Total, ECE: p.ECE}
+	ack.Control = rx.ack(c.MsgID, p.Seq, p.ECE)
 	s.host.Send(ack)
-	if c.Idx < 0 || c.Idx >= len(rx.got) {
+	idx := p.Seq
+	if idx >= uint64(len(rx.got)) {
 		return
 	}
-	if rx.got[c.Idx] {
+	if rx.got[idx] {
 		s.Stats.DupsReceived++
 		return // acked above but never re-delivered
 	}
-	rx.got[c.Idx] = true
+	rx.got[idx] = true
 	rx.nGot++
 	s.deliver(p.Src, p.Payload)
 	if rx.nGot == c.Total && !rx.complete {
@@ -217,8 +251,8 @@ func (s *Stack) handleRelData(p *netsim.Packet, c relData) {
 	}
 }
 
-func (s *Stack) handleRelAck(p *netsim.Packet, c relAck) {
+func (s *Stack) handleRelAck(p *netsim.Packet, c *relAck) {
 	if tx := s.relTx[msgKey{p.Src, c.MsgID}]; tx != nil {
-		tx.onAck(c)
+		tx.onAck(c.Idx, c.ECE)
 	}
 }

@@ -202,19 +202,19 @@ func (s *Stack) Host() *netsim.Host { return s.host }
 
 func (s *Stack) handle(p *netsim.Packet) {
 	switch c := p.Control.(type) {
-	case relData:
+	case *relData:
 		s.handleRelData(p, c)
-	case relAck:
+	case *relAck:
 		s.handleRelAck(p, c)
-	case trimData:
+	case *trimData:
 		s.handleTrimData(p, c)
-	case trimAggData:
+	case *trimAggData:
 		s.handleTrimAgg(p, c)
-	case trimMeta:
+	case *trimMeta:
 		s.handleTrimMeta(p, c)
-	case trimMetaAck:
+	case *trimMetaAck:
 		s.handleTrimMetaAck(p, c)
-	case trimDone:
+	case *trimDone:
 		s.handleTrimDone(p, c)
 	case trimNack:
 		s.handleTrimNack(p, c)

@@ -20,19 +20,22 @@ type trimAggEntry struct {
 }
 
 // trimAggData is the control header of a switch-built aggregate packet.
+// A merge builds a new one and never writes its inputs' headers, which
+// queued packets and sender retransmits may still share.
 type trimAggData struct {
 	Entries []trimAggEntry
 }
 
-// aggEntries flattens a data packet's control into reassembly entries.
-func aggEntries(p *netsim.Packet) ([]trimAggEntry, bool) {
+// aggEntries appends a data packet's reassembly entries to dst, reporting
+// false when the packet is not trim-aware data.
+func aggEntries(dst []trimAggEntry, p *netsim.Packet) ([]trimAggEntry, bool) {
 	switch c := p.Control.(type) {
-	case trimData:
-		return []trimAggEntry{{Src: p.Src, MsgID: c.MsgID, Idx: c.Idx, Total: c.Total}}, true
-	case trimAggData:
-		return c.Entries, true
+	case *trimData:
+		return append(dst, trimAggEntry{Src: p.Src, MsgID: c.MsgID, Idx: int(p.Seq), Total: c.Total}), true
+	case *trimAggData:
+		return append(dst, c.Entries...), true
 	}
-	return nil, false
+	return dst, false
 }
 
 // mergeControls is the netsim control merger (Sim.SetControlMerger): it
@@ -41,24 +44,22 @@ func aggEntries(p *netsim.Packet) ([]trimAggEntry, bool) {
 // share an original packet (a retransmit meeting its queued self, or two
 // aggregates with a common ancestor — folding would double-count).
 func mergeControls(into, from *netsim.Packet) (any, bool) {
-	ea, ok := aggEntries(into)
+	entries, ok := aggEntries(nil, into)
 	if !ok {
 		return nil, false
 	}
-	eb, ok := aggEntries(from)
-	if !ok {
+	n := len(entries)
+	if entries, ok = aggEntries(entries, from); !ok {
 		return nil, false
 	}
-	for _, a := range ea {
-		for _, b := range eb {
+	for _, a := range entries[:n] {
+		for _, b := range entries[n:] {
 			if a.Src == b.Src && a.MsgID == b.MsgID && a.Idx == b.Idx {
 				return nil, false
 			}
 		}
 	}
-	entries := make([]trimAggEntry, 0, len(ea)+len(eb))
-	entries = append(append(entries, ea...), eb...)
-	return trimAggData{Entries: entries}, true
+	return &trimAggData{Entries: entries}, true
 }
 
 // handleTrimAgg accounts a switch-built aggregate to every folded sender's
@@ -66,7 +67,7 @@ func mergeControls(into, from *netsim.Packet) (any, bool) {
 // all-or-nothing: if any entry was already accounted for, the whole
 // aggregate is discarded — delivering it would double-count that sender —
 // and the other senders' packets recover through the normal NACK path.
-func (s *Stack) handleTrimAgg(p *netsim.Packet, c trimAggData) {
+func (s *Stack) handleTrimAgg(p *netsim.Packet, c *trimAggData) {
 	rxs := make([]*trimReceiver, len(c.Entries))
 	for i, e := range c.Entries {
 		rxs[i] = s.trimReceiverFor(e.Src, e.MsgID, 0, e.Total)

@@ -11,10 +11,15 @@ import "trimgrad/internal/netsim"
 // header itself overflowed the high-priority queue) are recovered by a
 // receiver-driven NACK, NDP-style.
 
-// trimData is the control header of a trim-aware data packet.
+// Every control header but trimNack's is built once per message — a
+// data packet's index rides in Packet.Seq, metadata and its acks take
+// theirs from a per-message table — and, like payloads, headers are
+// written before Host.Send and never after (DESIGN.md §16).
+
+// trimData is the control header of a message's data packets, shared by
+// all of them.
 type trimData struct {
 	MsgID uint32
-	Idx   int
 	Total int
 }
 
@@ -48,6 +53,8 @@ type trimSender struct {
 	id        uint32
 	metas     [][]byte
 	data      [][]byte
+	metaHdrs  []trimMeta
+	dataHdr   *trimData
 	metaAcked []bool
 	nMetaAck  int
 	rto       netsim.Time
@@ -74,9 +81,14 @@ func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte
 	tx := &trimSender{
 		stack: s, dst: dst, id: id,
 		metas: metas, data: data,
+		metaHdrs:  make([]trimMeta, len(metas)),
+		dataHdr:   &trimData{MsgID: id, Total: len(data)},
 		metaAcked: make([]bool, len(metas)),
 		rto:       s.cfg.RTO,
 		done:      done, failed: failed,
+	}
+	for i := range tx.metaHdrs {
+		tx.metaHdrs[i] = trimMeta{MsgID: id, Idx: i, Total: len(metas)}
 	}
 	tx.timer = s.sim.NewTimer(tx.onTimeout)
 	s.trimTx[msgKey{dst, id}] = tx
@@ -97,7 +109,7 @@ func (tx *trimSender) sendMeta(idx int) {
 	pkt.Payload = tx.metas[idx]
 	pkt.Kind = "trim-meta"
 	pkt.FlowID = uint64(tx.id)
-	pkt.Control = trimMeta{MsgID: tx.id, Idx: idx, Total: len(tx.metas)}
+	pkt.Control = &tx.metaHdrs[idx]
 	tx.stack.host.Send(pkt)
 }
 
@@ -110,7 +122,7 @@ func (tx *trimSender) sendData(idx int) {
 	pkt.Kind = "trim-data"
 	pkt.FlowID = uint64(tx.id)
 	pkt.Seq = uint64(idx)
-	pkt.Control = trimData{MsgID: tx.id, Idx: idx, Total: len(tx.data)}
+	pkt.Control = tx.dataHdr
 	tx.stack.host.Send(pkt)
 }
 
@@ -193,18 +205,24 @@ type trimReceiver struct {
 	nDataGot int
 	complete bool
 	nack     *netsim.Timer // the gap check
+	metaAcks []trimMetaAck // built with metaGot
+	done     *trimDone
 }
 
 func (s *Stack) trimReceiverFor(src netsim.NodeID, id uint32, nMeta, nData int) *trimReceiver {
 	key := msgKey{src, id}
 	rx := s.trimRx[key]
 	if rx == nil {
-		rx = &trimReceiver{stack: s, src: src, id: id}
+		rx = &trimReceiver{stack: s, src: src, id: id, done: &trimDone{MsgID: id}}
 		rx.nack = s.sim.NewTimer(rx.checkGaps)
 		s.trimRx[key] = rx
 	}
 	if rx.metaGot == nil && nMeta > 0 {
 		rx.metaGot = make([]bool, nMeta)
+		rx.metaAcks = make([]trimMetaAck, nMeta)
+		for i := range rx.metaAcks {
+			rx.metaAcks[i] = trimMetaAck{MsgID: id, Idx: i}
+		}
 	}
 	if rx.dataGot == nil && nData > 0 {
 		rx.dataGot = make([]bool, nData)
@@ -212,7 +230,7 @@ func (s *Stack) trimReceiverFor(src netsim.NodeID, id uint32, nMeta, nData int) 
 	return rx
 }
 
-func (s *Stack) handleTrimMeta(p *netsim.Packet, c trimMeta) {
+func (s *Stack) handleTrimMeta(p *netsim.Packet, c *trimMeta) {
 	if !s.validPayload(p) {
 		// Unacked: the sender's meta RTO re-sends the intact bytes.
 		return
@@ -225,7 +243,11 @@ func (s *Stack) handleTrimMeta(p *netsim.Packet, c trimMeta) {
 	ack.Size = ackSize
 	ack.Prio = netsim.PrioHigh
 	ack.Kind = "trim-meta-ack"
-	ack.Control = trimMetaAck{MsgID: c.MsgID, Idx: c.Idx}
+	if c.Idx >= 0 && c.Idx < len(rx.metaAcks) {
+		ack.Control = &rx.metaAcks[c.Idx]
+	} else { // an index outside the message (a reused id, resized)
+		ack.Control = &trimMetaAck{MsgID: c.MsgID, Idx: c.Idx}
+	}
 	s.host.Send(ack)
 	if c.Idx < 0 || c.Idx >= len(rx.metaGot) {
 		return
@@ -244,7 +266,7 @@ func (s *Stack) handleTrimMeta(p *netsim.Packet, c trimMeta) {
 	rx.maybeComplete()
 }
 
-func (s *Stack) handleTrimData(p *netsim.Packet, c trimData) {
+func (s *Stack) handleTrimData(p *netsim.Packet, c *trimData) {
 	rx := s.trimReceiverFor(p.Src, c.MsgID, 0, c.Total)
 	if !s.validPayload(p) {
 		// Not marked in dataGot, so the gap check NACKs it and the sender
@@ -252,30 +274,31 @@ func (s *Stack) handleTrimData(p *netsim.Packet, c trimData) {
 		rx.armNack()
 		return
 	}
-	if c.Idx < 0 || c.Idx >= len(rx.dataGot) {
+	idx := p.Seq
+	if idx >= uint64(len(rx.dataGot)) {
 		return
 	}
-	if rx.dataGot[c.Idx] {
+	if rx.dataGot[idx] {
 		s.Stats.DupsReceived++
 		return // accounted for already; never re-delivered
 	}
 	if p.Trimmed {
 		s.Stats.TrimmedReceived++
 	}
-	rx.dataGot[c.Idx] = true
+	rx.dataGot[idx] = true
 	rx.nDataGot++
 	s.deliver(p.Src, p.Payload)
 	rx.armNack()
 	rx.maybeComplete()
 }
 
-func (s *Stack) handleTrimMetaAck(p *netsim.Packet, c trimMetaAck) {
+func (s *Stack) handleTrimMetaAck(p *netsim.Packet, c *trimMetaAck) {
 	if tx := s.trimTx[msgKey{p.Src, c.MsgID}]; tx != nil {
 		tx.onMetaAck(c.Idx)
 	}
 }
 
-func (s *Stack) handleTrimDone(p *netsim.Packet, c trimDone) {
+func (s *Stack) handleTrimDone(p *netsim.Packet, c *trimDone) {
 	if tx := s.trimTx[msgKey{p.Src, c.MsgID}]; tx != nil {
 		tx.onDone()
 	}
@@ -309,7 +332,7 @@ func (rx *trimReceiver) sendDone() {
 	pkt.Size = ackSize
 	pkt.Prio = netsim.PrioHigh
 	pkt.Kind = "trim-done"
-	pkt.Control = trimDone{MsgID: rx.id}
+	pkt.Control = rx.done
 	rx.stack.host.Send(pkt)
 }
 

@@ -67,7 +67,13 @@ func (r *Rand) Reseed(seed uint64) {
 // produce unrelated seeds. Both ends of a connection call Seed with the
 // same (epoch, messageID, rowID, ...) tuple to obtain identical streams.
 func Seed(parts ...uint64) uint64 {
-	h := uint64(0x6a09e667f3bcc909) // fractional bits of sqrt(2)
+	return SeedFrom(0x6a09e667f3bcc909, parts...) // fractional bits of sqrt(2)
+}
+
+// SeedFrom continues a Seed mix from h, a Seed result, over more parts:
+// Seed(a, b, c...) == SeedFrom(Seed(a, b), c...). A caller that mixes a
+// fixed prefix with varying tails computes the prefix once.
+func SeedFrom(h uint64, parts ...uint64) uint64 {
 	for _, p := range parts {
 		h ^= p
 		h = splitMix64(&h)

@@ -210,6 +210,18 @@ func TestQuickSeedDeterministic(t *testing.T) {
 	}
 }
 
+// TestQuickSeedFromSplits checks Seed(a..., b...) == SeedFrom(Seed(a...),
+// b...) for random tuples split at a random point, the ends included.
+func TestQuickSeedFromSplits(t *testing.T) {
+	f := func(parts []uint64, at uint8) bool {
+		k := int(at) % (len(parts) + 1)
+		return Seed(parts...) == SeedFrom(Seed(parts[:k]...), parts[k:]...)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestQuickFloat64InRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := New(seed)

@@ -38,6 +38,8 @@
 #                             builder called by name outside internal/netsim,
 #                             benchmark/ and examples/; NewFatTree only in
 #                             benchmark/ and internal/netsim/spec_test.go)
+#                             + the CHANGES.md bound (an entry for PR 41
+#                             or later is at most 1 500 bytes)
 #   scripts/check.sh -loc [DIR...]
 #                             print the size score ROADMAP and CHANGES.md
 #                             quote: non-test and test Go lines outside
@@ -246,8 +248,26 @@ if [[ -n "$fattree" ]]; then
   exit 1
 fi
 
+step "CHANGES.md entries from PR 41 on fit 1 500 bytes"
+# An entry is a "- PR N" bullet and the indented lines under it: one
+# paragraph plus its pair table. Earlier entries predate the bound.
+long=$(LC_ALL=C awk '
+  function flush() { if (pr >= 41 && size > 1500) printf "PR %d: %d bytes\n", pr, size }
+  /^- / {
+    flush()
+    pr = 0; size = 0
+    if (match($0, /^- (\*\*)?PR [0-9]+/)) { n = substr($0, RSTART, RLENGTH); gsub(/[^0-9]/, "", n); pr = n + 0 }
+  }
+  { size += length($0) + 1 }
+  END { flush() }' CHANGES.md)
+if [[ -n "$long" ]]; then
+  echo "CHANGES.md entries over 1 500 bytes — keep one paragraph plus its pair table:" >&2
+  echo "$long" >&2
+  exit 1
+fi
+
 if [[ $mode == lint ]]; then
-  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + one-fabric-switch + NewFatTree only in benchmark/)"
+  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + one-fabric-switch + NewFatTree only in benchmark/ + CHANGES.md bound)"
   exit 0
 fi
 
@@ -272,8 +292,9 @@ step "shard determinism (differential + plain-Sim identity + sharded matrices + 
 # The bit-identity contract — plain Sim ≡ 1 shard ≡ S shards — must hold
 # however the goroutines are actually scheduled: truly parallel (4) and
 # fully serialized (1) both run under the race detector, and so does the
-# barrier under them, spinning and parking.
-pkgs=(./internal/netsim ./internal/collective ./internal/par)
+# barrier under them, spinning and parking. The transport's run covers the
+# per-message control headers its shards share read-only.
+pkgs=(./internal/netsim ./internal/collective ./internal/par ./internal/transport)
 selects Test 'Shard|Team' "${pkgs[@]}"
 for procs in 1 4; do
   GOMAXPROCS=$procs go test -race -run 'Shard|Team' -count=1 "${pkgs[@]}"
