@@ -179,14 +179,21 @@ func TestAllocGuardReceiveRound(t *testing.T) {
 // index riding in Packet.Seq, and the reliable sender's in-flight set is a
 // slice cleared at each RTO, not a map rebuilt; what remains is per
 // message (sender, receiver, their slices, timers and headers).
+//
+// The cold-pool case starts each message on a fresh star, whose packet
+// pool is empty: a SendTrimmable's data packets wait in the NIC queue as
+// one run and each record is built when the wire takes it, so the pool
+// grows to what is on the wire at once, and 1 024 data packets allocate
+// as often as 64.
 func TestAllocGuardTransportPerMessage(t *testing.T) {
 	skipAllocGuard(t)
-	sim := netsim.NewSim()
-	star, err := netsim.FabricSpec{
+	spec := netsim.FabricSpec{
 		Kind: "star", N: 2,
 		Link:  netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
 		Queue: netsim.QueueConfig{CapacityBytes: 1 << 20},
-	}.Build(sim)
+	}
+	sim := netsim.NewSim()
+	star, err := spec.Build(sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +203,12 @@ func TestAllocGuardTransportPerMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := enc.Encode(1, 1, benchRow(1<<17))
+	msg, err := enc.Encode(1, 1, benchRow(1<<19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msg.Data) < 256 {
-		t.Fatalf("the message has %d data packets, want 256", len(msg.Data))
+	if len(msg.Data) < 1024 {
+		t.Fatalf("the message has %d data packets, want 1 024", len(msg.Data))
 	}
 	id := uint32(0)
 	send := func(trimmable bool, n int) func() {
@@ -238,5 +245,35 @@ func TestAllocGuardTransportPerMessage(t *testing.T) {
 		if small != large {
 			t.Errorf("trimmable=%v: a message allocates %.0f times at 64 packets and %.0f at 256, want equal", trimmable, small, large)
 		}
+	}
+
+	cold := func(n int) func() {
+		return func() {
+			sim := netsim.NewSim()
+			star, err := spec.Build(sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx, err := transport.New(star.Hosts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := transport.New(star.Hosts[1]); err != nil {
+				t.Fatal(err)
+			}
+			done := false
+			tx.SendTrimmable(1, 1, msg.Meta[:1], msg.Data[:n],
+				func(netsim.Time) { done = true }, func(err error) { t.Fatal(err) })
+			sim.Run()
+			if !done {
+				t.Fatalf("the %d-packet message did not complete", n)
+			}
+		}
+	}
+	small := testing.AllocsPerRun(5, cold(64))
+	large := testing.AllocsPerRun(5, cold(1024))
+	t.Logf("cold pool: %.0f allocations at 64 data packets, %.0f at 1 024", small, large)
+	if small != large {
+		t.Errorf("cold pool: a message allocates %.0f times at 64 data packets and %.0f at 1 024, want equal", small, large)
 	}
 }

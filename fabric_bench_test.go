@@ -107,52 +107,74 @@ func BenchmarkFabricHop(b *testing.B) {
 // BenchmarkFabricFatTree measures the pooled fast path on the multi-tier
 // fabric: a k=4 fat tree (16 hosts, 20 switches) under a full incast into
 // host 15, every sender a distinct ECMP flow so the load spreads across
-// the aggregation and core tiers. The per-hop metric divides by the exact
-// hop count of each flow's hashed path (PathFor), so it stays comparable
-// to BenchmarkFabricHop's star numbers as routing depth grows; events/hop
-// is Processed per hop.
+// the aggregation and core tiers. "send" hands each sender's packets to
+// Host.Send one by one, "run" as one Host.SendRun, whose NIC builds each
+// record when the wire takes it; both simulate the same packets. The
+// per-hop metric divides by the exact hop count of each flow's hashed path
+// (PathFor), so it stays comparable to BenchmarkFabricHop's star numbers
+// as routing depth grows; events/hop is Processed per hop; records/pkt is
+// the pool the first burst grew (Sim.PacketsMade) per packet sent.
 func BenchmarkFabricFatTree(b *testing.B) {
 	const pktsPerSender = 16
-	sim := netsim.NewSim()
-	topo, err := netsim.FabricSpec{
-		Kind:     "fattree",
-		K:        4,
-		Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
-		Queue:    netsim.QueueConfig{CapacityBytes: 1 << 20},
-		ECMPSeed: 7,
-	}.Build(sim)
-	if err != nil {
-		b.Fatal(err)
+	payloads := make([][]byte, pktsPerSender)
+	payload := make([]byte, 1500-wire.NetOverhead)
+	for j := range payloads {
+		payloads[j] = payload
 	}
-	for _, h := range topo.Hosts {
-		h.Handler = func(*netsim.Packet) {}
-	}
-	sink := topo.Hosts[15].ID()
-	hops := 0
-	for s := 0; s < 15; s++ {
-		hops += pktsPerSender * (len(topo.PathFor(netsim.NodeID(s), sink, uint64(s+1))) - 1)
-	}
-	send := func() {
-		for j := 0; j < pktsPerSender; j++ {
-			for s := 0; s < 15; s++ {
-				pkt := sim.NewPacket()
-				pkt.Dst = sink
-				pkt.Size = 1500
-				pkt.FlowID = uint64(s + 1)
-				topo.Hosts[s].Send(pkt)
-			}
+	for _, run := range []bool{false, true} {
+		name := "send"
+		if run {
+			name = "run"
 		}
-		sim.Run()
+		b.Run(name, func(b *testing.B) {
+			sim := netsim.NewSim()
+			topo, err := netsim.FabricSpec{
+				Kind:     "fattree",
+				K:        4,
+				Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
+				Queue:    netsim.QueueConfig{CapacityBytes: 1 << 20},
+				ECMPSeed: 7,
+			}.Build(sim)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, h := range topo.Hosts {
+				h.Handler = func(*netsim.Packet) {}
+			}
+			sink := topo.Hosts[15].ID()
+			hops := 0
+			for s := 0; s < 15; s++ {
+				hops += pktsPerSender * (len(topo.PathFor(netsim.NodeID(s), sink, uint64(s+1))) - 1)
+			}
+			send := func() {
+				for s := 0; s < 15; s++ {
+					h := topo.Hosts[s]
+					if run {
+						h.SendRun(netsim.Packet{Dst: sink, FlowID: uint64(s + 1)}, payloads)
+						continue
+					}
+					for _, pl := range payloads {
+						pkt := sim.NewPacket()
+						pkt.Dst, pkt.FlowID = sink, uint64(s+1)
+						pkt.Payload, pkt.Size = pl, len(pl)+wire.NetOverhead
+						h.Send(pkt)
+					}
+				}
+				sim.Run()
+			}
+			send() // warm the event, packet, and queue pools
+			records := float64(sim.PacketsMade()) / float64(15*pktsPerSender)
+			b.ReportAllocs()
+			events := sim.Processed
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+			b.ReportMetric(float64(sim.Processed-events)/float64(b.N*hops), "events/hop")
+			b.ReportMetric(records, "records/pkt")
+		})
 	}
-	send() // warm the event, packet, and queue pools
-	b.ReportAllocs()
-	events := sim.Processed
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
-	b.ReportMetric(float64(sim.Processed-events)/float64(b.N*hops), "events/hop")
 }
 
 // BenchmarkFabricBuild measures what a k-ary fat tree costs to build and

@@ -277,6 +277,10 @@ func (q *pktQueue) push(pkt *Packet) {
 	q.pkts = append(q.pkts, pkt)
 }
 
+// front returns the oldest resident entry: a packet, or nil for a run's
+// place (runQueue).
+func (q *pktQueue) front() *Packet { return q.pkts[q.head] }
+
 func (q *pktQueue) pop() *Packet {
 	pkt := q.pkts[q.head]
 	q.pkts[q.head] = nil
@@ -324,6 +328,59 @@ type Port struct {
 	busy, txPlaced, listed bool
 	txAt                   Time
 	txKey                  uint64
+
+	// runs holds a host NIC's queued Host.SendRun entries (nil until the
+	// first): one pointer, so Port stays in its 384-byte size class.
+	runs *runQueue
+}
+
+// runQueue holds a port's queued runs in FIFO order. Each run keeps its
+// place among single packets as a nil entry in the normal-priority
+// pktQueue, and its packets are built from the pool only when the wire
+// takes them (transmitNext), so the pool is sized by the wire, not by
+// the messages waiting. waiting counts the run packets already enqueued
+// (bytes, Stats, depth observed) and not yet built.
+type runQueue struct {
+	runs    []pktRun
+	head    int
+	waiting int
+}
+
+// pktRun is one Host.SendRun: payloads[next:] are its packets not yet built.
+type pktRun struct {
+	tmpl     Packet
+	payloads [][]byte
+	next     int
+}
+
+// runPacket builds packet i of a run from s's pool.
+func runPacket(s *Sim, tmpl *Packet, payloads [][]byte, i int) *Packet {
+	pkt := s.NewPacket()
+	home := pkt.home
+	*pkt = *tmpl
+	pkt.pooled, pkt.home, pkt.ownsPayload = true, home, false
+	pkt.Payload, pkt.Size, pkt.Seq = payloads[i], len(payloads[i])+wire.NetOverhead, tmpl.Seq+uint64(i)
+	return pkt
+}
+
+// live returns how many runs are queued (and placeholders in the FIFO).
+func (r *runQueue) live() int { return len(r.runs) - r.head }
+
+// build makes the head run's next packet from s's pool and reports
+// whether it was the run's last, which retires the run.
+func (r *runQueue) build(s *Sim) (*Packet, bool) {
+	run := &r.runs[r.head]
+	pkt := runPacket(s, &run.tmpl, run.payloads, run.next)
+	run.next++
+	r.waiting--
+	if run.next < len(run.payloads) {
+		return pkt, false
+	}
+	*run = pktRun{} // drop the payload references
+	if r.head++; r.head == len(r.runs) {
+		r.runs, r.head = r.runs[:0], 0
+	}
+	return pkt, true
 }
 
 func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig) *Port {
@@ -356,12 +413,16 @@ func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig
 func (p *Port) QueuedBytes() int { return p.bytes[PrioNormal] + p.bytes[PrioHigh] }
 
 // Backlog returns the packets this port admitted and has not finished
-// transmitting: both queues plus the one on the wire. Between events,
+// transmitting: both queues (a queued run's packets not yet built
+// included) plus the one on the wire. Between events,
 // Stats.Enqueued == Stats.Transmitted + Backlog(); inside one,
 // Stats.Transmitted may not yet count a serialization that ended with
 // nothing queued behind it (stats() does).
 func (p *Port) Backlog() int {
 	n := len(p.q[PrioNormal].queued()) + len(p.q[PrioHigh].queued())
+	if p.runs != nil {
+		n += p.runs.waiting - p.runs.live() // a run's packets, not its place
+	}
 	if p.busy && !p.ended() {
 		n++
 	}
@@ -453,7 +514,14 @@ func (p *Port) admit(pkt *Packet) {
 
 func (p *Port) push(pkt *Packet) {
 	p.q[pkt.Prio].push(pkt)
-	p.bytes[pkt.Prio] += pkt.Size
+	p.enqueued(pkt.Prio, pkt.Size)
+}
+
+// enqueued is push's per-packet half, for a packet of size bytes already
+// in its queue (or counted in runs.waiting): bytes, stats and the depth
+// observation, then the transmitter.
+func (p *Port) enqueued(prio Priority, size int) {
+	p.bytes[prio] += size
 	p.Stats.Enqueued++
 	depth := p.QueuedBytes()
 	if depth > p.Stats.MaxQueueBytes {
@@ -477,25 +545,50 @@ func (p *Port) push(pkt *Packet) {
 func (p *Port) transmitNext() {
 	prio := PrioHigh
 	if p.q[PrioHigh].empty() {
-		if p.q[PrioNormal].empty() {
+		if p.normalEmpty() {
 			p.busy = false
 			return
 		}
 		prio = PrioNormal
 	}
-	pkt := p.q[prio].pop()
+	q := &p.q[prio]
+	pkt := q.front()
+	if pkt == nil {
+		var last bool
+		if pkt, last = p.runs.build(p.sim); last {
+			q.pop()
+		}
+	} else {
+		q.pop()
+	}
 	p.bytes[prio] -= pkt.Size
 	s := p.sim
 	p.busy, p.txPlaced = true, false
 	p.txAt = s.now + p.serialize(pkt.Size)
 	p.txKey = s.nextKey()
 	s.deliverAt(p, pkt, p.txAt+p.link.Delay, xrand.Seed(p.txKey, 0))
-	if p.txAt == s.now || !p.q[PrioHigh].empty() || !p.q[PrioNormal].empty() {
+	if p.txAt == s.now || !p.q[PrioHigh].empty() || !p.normalEmpty() {
 		p.placeTxDone()
 	} else if !p.listed {
 		p.listed = true
 		s.wire = append(s.wire, p)
 	}
+}
+
+// normalEmpty reports whether no normal-priority packet waits: the FIFO
+// is empty, or holds only the places of runs whose enqueued packets are
+// all built (inside SendRun's enqueue loop).
+func (p *Port) normalEmpty() bool {
+	q := &p.q[PrioNormal]
+	return q.empty() || p.runs != nil && p.runs.waiting == 0 && len(q.queued()) == p.runs.live()
+}
+
+// takesRun reports whether admit would queue every packet of a run of
+// size bytes untouched and with no random draw: the port is up, has no
+// faults, loss, ECN or aggregation, and has room for all of it.
+func (p *Port) takesRun(size int) bool {
+	return !p.down && p.faults == nil && p.lossRNG == nil && p.cfg.ECNThresholdBytes == 0 &&
+		!p.cfg.AggregateTrimmable && p.bytes[PrioNormal]+size <= p.cfg.CapacityBytes
 }
 
 // serialize returns how long size bytes take on the wire,
@@ -767,6 +860,44 @@ func (h *Host) Send(pkt *Packet) {
 	}
 	pkt.Src = h.id
 	h.uplink.Enqueue(pkt)
+}
+
+// SendRun sends one packet per payload, in order: the same as Send of
+// tmpl with Payload = payloads[i], Size = len(payloads[i]) +
+// wire.NetOverhead and Seq = tmpl.Seq + i, for every i — every event,
+// statistic and export is identical. A normal-priority run that the
+// uplink takes whole, untouched (Port.takesRun), waits in the NIC queue
+// as one entry, and each packet record is built from the pool only when
+// the wire takes it; otherwise SendRun is that loop of Sends.
+//
+// Payloads are borrowed as with Send, and so is the outer slice: it is
+// read until the last packet is built, so neither it nor the payloads may
+// be written again.
+func (h *Host) SendRun(tmpl Packet, payloads [][]byte) {
+	size := 0
+	for _, pl := range payloads {
+		size += len(pl) + wire.NetOverhead
+	}
+	p := h.uplink
+	if p == nil || h.down || tmpl.Prio != PrioNormal || !p.takesRun(size) {
+		for i := range payloads {
+			h.Send(runPacket(h.sim, &tmpl, payloads, i))
+		}
+		return
+	}
+	if len(payloads) == 0 {
+		return
+	}
+	tmpl.Src = h.id
+	if p.runs == nil {
+		p.runs = new(runQueue)
+	}
+	p.runs.runs = append(p.runs.runs, pktRun{tmpl: tmpl, payloads: payloads})
+	p.q[PrioNormal].push(nil)
+	for _, pl := range payloads {
+		p.runs.waiting++
+		p.enqueued(PrioNormal, len(pl)+wire.NetOverhead)
+	}
 }
 
 // Fail crashes the host permanently: from now on it neither receives nor

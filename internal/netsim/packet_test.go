@@ -265,6 +265,10 @@ func TestZeroBandwidthPanics(t *testing.T) {
 // Packet stays within 120 bytes: Audit adds no per-record field.
 var _ [120 - unsafe.Sizeof(Packet{})]byte
 
+// Port stays in the 384-byte size class, one allocation per port of every
+// fabric build: a host's queued runs hide behind one pointer (Port.runs).
+var _ [384 - unsafe.Sizeof(Port{})]byte
+
 // TestPooledRecordMisuse pins Audit's pool checks on the three ways a
 // caller can break a pooled record's single ownership: releasing it twice,
 // sending it after its release, and taking one from NewPacket without

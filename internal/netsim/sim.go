@@ -717,6 +717,11 @@ func (s *Sim) NewPacket() *Packet {
 	return &Packet{pooled: true, home: s}
 }
 
+// PacketsMade returns how many pooled records NewPacket has allocated on
+// this simulator: the most its fabric ever held live at once, since
+// records are recycled.
+func (s *Sim) PacketsMade() int { return s.pktMade }
+
 // releasePacket recycles a pooled packet record. Unpooled packets (plain
 // literals) pass through untouched. All fields are cleared so the pool
 // never anchors payload buffers or control structs.

@@ -95,9 +95,7 @@ func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte
 	for i := range metas {
 		tx.sendMeta(i)
 	}
-	for i := range data {
-		tx.sendData(i)
-	}
+	tx.sendRun()
 	tx.timer.Reset(tx.rto)
 }
 
@@ -126,6 +124,18 @@ func (tx *trimSender) sendData(idx int) {
 	tx.stack.host.Send(pkt)
 }
 
+// sendRun sends every data packet, as sendData(0), sendData(1), … would,
+// in one Host.SendRun: the NIC builds each record when the wire takes it.
+func (tx *trimSender) sendRun() {
+	tx.stack.Stats.DataSent += len(tx.data)
+	tx.stack.host.SendRun(netsim.Packet{
+		Dst:     tx.dst,
+		Kind:    "trim-data",
+		FlowID:  uint64(tx.id),
+		Control: tx.dataHdr,
+	}, tx.data)
+}
+
 // onTimeout re-sends unacked metadata. Data packets are NOT blindly
 // retransmitted — the receiver NACKs exactly what is missing.
 func (tx *trimSender) onTimeout() {
@@ -151,10 +161,8 @@ func (tx *trimSender) onTimeout() {
 	// message was lost: the receiver never learned the data count, so its
 	// NACK cannot fire. After a few quiet RTOs, re-blast the data.
 	if tx.nMetaAck == len(tx.metaAcked) && tx.retries >= 3 && tx.retries%3 == 0 {
-		for i := range tx.data {
-			tx.sendData(i)
-			tx.stack.Stats.Retransmits++
-		}
+		tx.sendRun()
+		tx.stack.Stats.Retransmits += len(tx.data)
 	}
 	tx.timer.Reset(tx.rto)
 }

@@ -10,7 +10,8 @@
 #                             (the faulty half of the scenario matrix among
 #                             them), plus the payload-ownership suites (immutable
 #                             after Send under trims and merges, admission
-#                             on the packet's own CRCs, no copy per hop)
+#                             on the packet's own CRCs, no copy per hop,
+#                             SendRun equal to its Sends)
 #   scripts/check.sh -bench   perf smoke only: the BenchmarkHot* suite,
 #                             the BenchmarkFabric* fast-path suite (wheel,
 #                             pooled and borrowed-payload hops, and the k=4
@@ -191,7 +192,7 @@ if [[ $mode == chaos ]]; then
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" "${pkgs[@]}"
   step "go test -race (payload ownership: immutable after Send, admission on the packet's own CRCs, no per-hop copy)"
-  pattern='Borrowed|NeverWritesSender|AdmissionMatches'
+  pattern='Borrowed|NeverWritesSender|AdmissionMatches|SendRun'
   pkgs=(./internal/netsim ./internal/transport)
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" -count=1 "${pkgs[@]}"
