@@ -60,11 +60,13 @@ func maskColumns(csv string, names ...string) string {
 // encoded gradients through a simulated fabric — what `trimbench -exp
 // <name> -quick -csv` prints at seed 0 — against files recorded from the
 // hand-wired rigs these experiments used before they shared one scenario
-// runner. A diff here means a simulated result moved, not that a table
-// needs re-recording.
+// runner, and of the four that push encoded gradients through a pre-set
+// injector (compose, fsdp, adaptive, ablation-rowsize). A diff here means a
+// simulated result moved, not that a table needs re-recording.
 func TestTableGoldens(t *testing.T) {
 	for _, name := range []string{
 		"incast", "baseline-drops", "multilevel", "fabricsweep", "chaos", "aggsweep", "strongscale",
+		"compose", "fsdp", "adaptive", "ablation-rowsize",
 	} {
 		r, ok := Lookup(name)
 		if !ok {
@@ -79,6 +81,9 @@ func TestTableGoldens(t *testing.T) {
 			// The CPU count is in no CSV line; wall time and the speedup
 			// derived from it are the only machine-dependent cells.
 			got = maskColumns(got, "wall_ms", "speedup")
+		}
+		if name == "ablation-rowsize" {
+			got = maskColumns(got, "encode_ms")
 		}
 		checkFile(t, "table_"+name+".csv", []byte(got))
 	}
