@@ -147,22 +147,7 @@ func BenchmarkFig4Exchange(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				dec, err := core.NewDecoderWith(uint32(i+1), core.WithConfig(cfg))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, m := range msg.Meta {
-					if err := dec.Handle(m); err != nil {
-						b.Fatal(err)
-					}
-				}
-				inj := core.NewTrimmer(rate, uint64(i))
-				for _, d := range msg.Data {
-					if err := dec.Handle(inj.Apply(d)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, _, err := dec.Reconstruct(len(grad)); err != nil {
+				if _, _, err := core.Receive(msg, core.NewTrimmer(rate, uint64(i)), len(grad), core.WithConfig(cfg)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -374,19 +359,14 @@ func BenchmarkE10FSDPGather(b *testing.B) {
 		star := netsim.NewStar(sim, 4,
 			netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 2 * netsim.Microsecond},
 			netsim.QueueConfig{CapacityBytes: 1 << 20, Mode: netsim.TrimOverflow})
-		workers := make([]*collective.Worker, 4)
-		for w := range workers {
-			stack := newStack(star.Hosts[w], transport.Config{})
-			wk, err := collective.New(w, stack, collective.WithConfig(core.Config{
-				Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 11,
-			}), collective.WithMode(collective.Trimmable))
-			if err != nil {
-				b.Fatal(err)
-			}
-			workers[w] = wk
+		workers, err := collective.Bind(star.Hosts, transport.Config{}, collective.WithConfig(core.Config{
+			Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 11,
+		}), collective.WithMode(collective.Trimmable))
+		if err != nil {
+			b.Fatal(err)
 		}
 		done := 0
-		err := collective.AllGather(1, 10, workers, shards,
+		err = collective.AllGather(1, 10, workers, shards,
 			func(int, [][]float32, netsim.Time) { done++ }, nil)
 		if err != nil {
 			b.Fatal(err)

@@ -131,9 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if err := res.Topo.Net.Audit(); err != nil {
-		return fail(err)
-	}
 
 	if *verbose {
 		fmt.Fprintf(stdout, "shards=%d lookahead=%v\n", len(res.Partition), res.Window)

@@ -44,33 +44,23 @@ func benchAllReduce(b *testing.B, alg collective.Algorithm, n int, agg bool) {
 				Mode:               netsim.TrimOverflow,
 				AggregateTrimmable: agg,
 			})
-		workers := make([]*collective.Worker, n)
-		for i := 0; i < n; i++ {
-			stack, err := transport.New(star.Hosts[i])
-			if err != nil {
-				b.Fatal(err)
-			}
-			w, err := collective.New(i, stack,
-				collective.WithConfig(core.Config{
-					Params:  quant.Params{Scheme: quant.Sign},
-					RowSize: 1 << 12,
-				}),
-				collective.WithMode(collective.Trimmable))
-			if err != nil {
-				b.Fatal(err)
-			}
-			workers[i] = w
-		}
-		done := 0
-		err := collective.AllReduce(alg, 1, 100, workers, grads,
-			func(int, []float32, netsim.Time) { done++ },
-			func(rank int, err error) { b.Fatalf("rank %d: %v", rank, err) })
+		workers, err := collective.Bind(star.Hosts, transport.Config{},
+			collective.WithConfig(core.Config{
+				Params:  quant.Params{Scheme: quant.Sign},
+				RowSize: 1 << 12,
+			}),
+			collective.WithMode(collective.Trimmable))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.RunUntil(20 * netsim.Second)
-		if done != n {
-			b.Fatalf("round incomplete: %d/%d", done, n)
+		outs, err := collective.RunAllReduce(sim, 20*netsim.Second, alg, 1, 100, workers, grads)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for rank, o := range outs {
+			if o.Avg == nil {
+				b.Fatalf("round incomplete: rank %d", rank)
+			}
 		}
 	}
 }

@@ -60,42 +60,26 @@ func run(algorithm string, grads [][]float32, exact []float32) {
 			CapacityBytes: 16 << 10, HighCapacityBytes: 1 << 20,
 			Mode: netsim.TrimOverflow,
 		})
-	workers := make([]*collective.Worker, nWorkers)
-	for i := range workers {
-		stack, err := transport.New(ring.Hosts[i])
-		if err != nil {
-			log.Fatal(err)
-		}
-		w, err := collective.New(i, stack, collective.WithConfig(core.Config{
-			Params:  quant.Params{Scheme: quant.RHT},
-			RowSize: 1 << 12,
-		}), collective.WithMode(collective.Trimmable))
-		if err != nil {
-			log.Fatal(err)
-		}
-		workers[i] = w
-	}
-
-	results := make([][]float32, nWorkers)
-	var lastDone netsim.Time
-	onDone := func(rank int, avg []float32, at netsim.Time) {
-		results[rank] = avg
-		if at > lastDone {
-			lastDone = at
-		}
-	}
-	onErr := func(rank int, err error) { log.Fatalf("rank %d: %v", rank, err) }
-	if err := collective.AllReduce(alg, 1, 100, workers, grads, onDone, onErr); err != nil {
+	workers, err := collective.Bind(ring.Hosts, transport.Config{}, collective.WithConfig(core.Config{
+		Params:  quant.Params{Scheme: quant.RHT},
+		RowSize: 1 << 12,
+	}), collective.WithMode(collective.Trimmable))
+	if err != nil {
 		log.Fatal(err)
 	}
-	sim.RunUntil(30 * netsim.Second)
+	outs, err := collective.RunAllReduce(sim, 30*netsim.Second, alg, 1, 100, workers, grads)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var worstNMSE, trimFrac float64
-	for rank, got := range results {
-		if got == nil {
+	var lastDone netsim.Time
+	for rank, o := range outs {
+		if o.Avg == nil {
 			log.Fatalf("%s: rank %d never finished", algorithm, rank)
 		}
-		if nm := vecmath.NMSE(exact, got); nm > worstNMSE {
+		lastDone = max(lastDone, o.At)
+		if nm := vecmath.NMSE(exact, o.Avg); nm > worstNMSE {
 			worstNMSE = nm
 		}
 		trimFrac += workers[rank].AggStats.TrimFraction() / nWorkers

@@ -61,23 +61,15 @@ func main() {
 				CapacityBytes: buffer, HighCapacityBytes: 1 << 20,
 				Mode: netsim.TrimOverflow,
 			})
-		workers := make([]*collective.Worker, nWorkers)
-		for i := range workers {
-			stack, err := transport.New(star.Hosts[i])
-			if err != nil {
-				log.Fatal(err)
-			}
-			w, err := collective.New(i, stack, collective.WithConfig(core.Config{
-				Params:  quant.Params{Scheme: quant.RHT},
-				RowSize: 1 << 11,
-			}), collective.WithMode(collective.Trimmable))
-			if err != nil {
-				log.Fatal(err)
-			}
-			workers[i] = w
+		workers, err := collective.Bind(star.Hosts, transport.Config{}, collective.WithConfig(core.Config{
+			Params:  quant.Params{Scheme: quant.RHT},
+			RowSize: 1 << 11,
+		}), collective.WithMode(collective.Trimmable))
+		if err != nil {
+			log.Fatal(err)
 		}
 		var gathered [][]float32
-		err := collective.AllGather(1, 10, workers, shards,
+		err = collective.AllGather(1, 10, workers, shards,
 			func(rank int, g [][]float32, at netsim.Time) {
 				if rank == 0 {
 					gathered = g

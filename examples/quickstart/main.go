@@ -45,23 +45,7 @@ func main() {
 			// The "network": each data packet is trimmed with probability
 			// rate, exactly as a congested switch would cut it. Metadata
 			// packets travel the reliable channel untouched.
-			dec, err := core.NewDecoderWith(1, core.WithConfig(cfg))
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, m := range msg.Meta {
-				if err := dec.Handle(m); err != nil {
-					log.Fatal(err)
-				}
-			}
-			trimmer := core.NewTrimmer(rate, 42)
-			for _, d := range msg.Data {
-				pkt := trimmer.Apply(append([]byte(nil), d...))
-				if err := dec.Handle(pkt); err != nil {
-					log.Fatal(err)
-				}
-			}
-			out, stats, err := dec.Reconstruct(len(grad))
+			out, stats, err := core.Receive(msg, core.NewTrimmer(rate, 42), len(grad), core.WithConfig(cfg))
 			if err != nil {
 				log.Fatal(err)
 			}

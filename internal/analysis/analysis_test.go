@@ -226,8 +226,8 @@ var seeds = []seed{
 		{"import (\n\t\"fmt\"\n", "import (\n\t\"fmt\"\n\t\"time\"\n"},
 		{"\tids := hostIDs(workers)\n", "\tids := hostIDs(workers)\n\t_ = time.Now()\n"},
 	}, "calls time.Now"},
-	{"swallowed-error", "internal/ddp/ddp.go", [][2]string{
-		{"\tfor _, m := range msg.Meta {\n\t\tif err := dec.Handle(m); err != nil {\n\t\t\treturn nil, core.Stats{}, err\n\t\t}\n",
+	{"swallowed-error", "internal/core/core.go", [][2]string{
+		{"\tfor _, m := range msg.Meta {\n\t\tif err := dec.Handle(m); err != nil {\n\t\t\treturn nil, Stats{}, err\n\t\t}\n",
 			"\tfor _, m := range msg.Meta {\n\t\tdec.Handle(m)\n"},
 	}, "error from Handle is silently dropped"},
 	{"float-equality", "internal/quant/scalar.go", [][2]string{

@@ -26,15 +26,13 @@ func TestFailedRoundDropsDecoders(t *testing.T) {
 	build := func() (*netsim.Sim, *netsim.Topology, []*Worker) {
 		sim := netsim.NewSim()
 		star := netsim.NewStar(sim, n, fast(), deepQ())
-		ws := make([]*Worker, n)
-		for i := range ws {
-			st := newStack(star.Hosts[i], transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 8})
-			w, err := New(i, st, WithConfig(coreCfg(quant.RHT)), WithMode(Trimmable))
-			if err != nil {
-				t.Fatal(err)
-			}
+		ws, err := Bind(star.Hosts, transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 8},
+			WithConfig(coreCfg(quant.RHT)), WithMode(Trimmable))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range ws {
 			w.Deadline = 20 * netsim.Millisecond
-			ws[i] = w
 		}
 		return sim, star, ws
 	}

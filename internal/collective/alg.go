@@ -118,6 +118,47 @@ func AllReduce(a Algorithm, epoch uint64, baseMsg uint32, workers []*Worker,
 	}, onError)
 }
 
+// An Outcome is one rank's part in RunAllReduce: the average it decoded
+// and when, or its error and when it fired. A rank the horizon cut off
+// has neither Avg nor Err.
+type Outcome struct {
+	Avg []float32
+	At  netsim.Time
+	Err error
+}
+
+// RunAllReduce is one all-reduce round driven to its end: it starts
+// AllReduce, runs loop — the workers' *netsim.Sim, or the *netsim.Engine
+// their shards belong to — until horizon, and returns one Outcome per rank.
+// Its error is AllReduce's own refusal (with no outcomes), or else the
+// earliest failed rank's, ordered by (At, rank), as "rank r: err". At is
+// read from the rank's own simulator: on an Engine the callbacks run on
+// shard goroutines, so which of several same-instant failures fired first
+// is not defined.
+func RunAllReduce(loop interface{ RunUntil(netsim.Time) }, horizon netsim.Time, a Algorithm,
+	epoch uint64, baseMsg uint32, workers []*Worker, grads [][]float32) ([]Outcome, error) {
+	out := make([]Outcome, len(workers))
+	err := AllReduce(a, epoch, baseMsg, workers, grads,
+		func(rank int, avg []float32, at netsim.Time) { out[rank] = Outcome{Avg: avg, At: at} },
+		func(rank int, err error) {
+			out[rank] = Outcome{At: workers[rank].Stack.Host().Sim().Now(), Err: err}
+		})
+	if err != nil {
+		return nil, err
+	}
+	loop.RunUntil(horizon)
+	first := -1
+	for r, o := range out {
+		if o.Err != nil && (first < 0 || o.At < out[first].At) {
+			first = r
+		}
+	}
+	if first >= 0 {
+		return out, fmt.Errorf("rank %d: %w", first, out[first].Err)
+	}
+	return out, nil
+}
+
 // allReducePlans builds every rank's plan for one all-reduce of a
 // dim-length gradient over n ranks.
 func allReducePlans(a Algorithm, n, dim int, baseMsg uint32) ([]plan, error) {

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"trimgrad/internal/core"
@@ -66,6 +67,19 @@ type rankOutcome struct {
 	agg    core.Stats
 }
 
+// chaosWorkers binds one worker per star host, each with a 100 ms deadline.
+func chaosWorkers(t *testing.T, star *netsim.Topology, cfg transport.Config, mode Mode) []*Worker {
+	t.Helper()
+	ws, err := Bind(star.Hosts, cfg, WithConfig(coreCfg(quant.RHT)), WithMode(mode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
+		w.Deadline = 100 * netsim.Millisecond
+	}
+	return ws
+}
+
 // runChaosAllReduce executes one 3-worker all-reduce of the given
 // algorithm under sc.
 func runChaosAllReduce(t *testing.T, alg Algorithm, mode Mode, sc collChaosScenario, seed uint64) []rankOutcome {
@@ -78,16 +92,7 @@ func runChaosAllReduce(t *testing.T, alg Algorithm, mode Mode, sc collChaosScena
 	// deadline is the backstop for ranks that merely wait in silence. The
 	// budget is sized for the parameter-server schedule, which funnels every
 	// flow across worker 0's faulty link (16 backoffs ≈ 21ms « deadline).
-	cfg := transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 16}
-	ws := make([]*Worker, n)
-	for i := 0; i < n; i++ {
-		w, err := New(i, newStack(star.Hosts[i], cfg), WithConfig(coreCfg(quant.RHT)), WithMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Deadline = 100 * netsim.Millisecond
-		ws[i] = w
-	}
+	ws := chaosWorkers(t, star, transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 16}, mode)
 	sc.apply(star, seed)
 
 	grads := make([][]float32, n)
@@ -95,6 +100,7 @@ func runChaosAllReduce(t *testing.T, alg Algorithm, mode Mode, sc collChaosScena
 		grads[i] = gaussianGrad(seed+uint64(i)+1, 2048)
 	}
 	want := exactMean(grads)
+	// The callbacks, not RunAllReduce, so that a rank reporting twice shows.
 	out := make([]rankOutcome, n)
 	err := AllReduce(alg, 1, 100, ws, grads,
 		func(rank int, avg []float32, at netsim.Time) {
@@ -174,16 +180,7 @@ func TestChaosRingAllReduceSurvivesFaults(t *testing.T) {
 	sim := netsim.NewSim()
 	star := netsim.NewStar(sim, n, fast(),
 		netsim.QueueConfig{CapacityBytes: 8 << 20, Mode: netsim.TrimOverflow})
-	cfg := transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 30}
-	ws := make([]*Worker, n)
-	for i := 0; i < n; i++ {
-		w, err := New(i, newStack(star.Hosts[i], cfg), WithConfig(coreCfg(quant.RHT)), WithMode(Trimmable))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Deadline = 100 * netsim.Millisecond
-		ws[i] = w
-	}
+	ws := chaosWorkers(t, star, transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 30}, Trimmable)
 	star.Net.InjectFaults(0, netsim.SwitchIDBase, netsim.FaultConfig{
 		Seed: 9, CorruptRate: 0.2, CorruptBits: 3, DuplicateRate: 0.3,
 		ReorderRate: 0.3, ReorderDelay: 50 * netsim.Microsecond,
@@ -193,21 +190,10 @@ func TestChaosRingAllReduceSurvivesFaults(t *testing.T) {
 		grads[i] = gaussianGrad(uint64(i)+21, 2048)
 	}
 	want := exactMean(grads)
-	completed := 0
-	err := AllReduce(AlgRing, 1, 100, ws, grads,
-		func(rank int, avg []float32, at netsim.Time) {
-			completed++
-			if nm := vecmath.NMSE(want, avg); nm > 1e-8 {
-				t.Errorf("rank %d average NMSE %g under faults", rank, nm)
-			}
-		},
-		func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.RunUntil(netsim.Second)
-	if completed != n {
-		t.Fatalf("%d/%d ranks completed", completed, n)
+	for rank, avg := range mustAllReduce(t, sim, AlgRing, 1, 100, ws, grads) {
+		if nm := vecmath.NMSE(want, avg); nm > 1e-8 {
+			t.Errorf("rank %d average NMSE %g under faults", rank, nm)
+		}
 	}
 }
 
@@ -218,38 +204,32 @@ func TestChaosCrashErrorIsExplicit(t *testing.T) {
 	sim := netsim.NewSim()
 	star := netsim.NewStar(sim, n, fast(),
 		netsim.QueueConfig{CapacityBytes: 8 << 20, Mode: netsim.TrimOverflow})
-	cfg := transport.Config{RTO: 50 * netsim.Microsecond, MaxRetries: 5}
-	ws := make([]*Worker, n)
-	for i := 0; i < n; i++ {
-		w, err := New(i, newStack(star.Hosts[i], cfg), WithConfig(coreCfg(quant.RHT)), WithMode(Reliable))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Deadline = 100 * netsim.Millisecond
-		ws[i] = w
-	}
+	ws := chaosWorkers(t, star, transport.Config{RTO: 50 * netsim.Microsecond, MaxRetries: 5}, Reliable)
 	star.Hosts[2].Fail()
 	grads := make([][]float32, n)
 	for i := range grads {
 		grads[i] = gaussianGrad(uint64(i)+31, 1024)
 	}
-	errs := make([]error, n)
-	if err := AllReduce(AlgDirect, 1, 100, ws, grads,
-		func(rank int, _ []float32, _ netsim.Time) {
-			t.Errorf("rank %d completed despite a crashed peer", rank)
-		},
-		func(rank int, err error) { errs[rank] = err }); err != nil {
-		t.Fatal(err)
+	outs, err := RunAllReduce(sim, netsim.Second, AlgDirect, 1, 100, ws, grads)
+	if err == nil || len(outs) != n {
+		t.Fatalf("a round with a crashed peer: %d outcomes, error %v", len(outs), err)
 	}
-	sim.RunUntil(netsim.Second)
-	for rank, err := range errs {
-		if err == nil {
-			t.Fatalf("rank %d got no error", rank)
+	first := 0
+	for rank, o := range outs {
+		if o.Err == nil {
+			t.Fatalf("rank %d got no error (completed: %v)", rank, o.Avg != nil)
 		}
+		if o.At < outs[first].At {
+			first = rank
+		}
+	}
+	// The round's error is the earliest failure's; a tie names the lower rank.
+	if want := fmt.Sprintf("rank %d: %v", first, outs[first].Err); err.Error() != want {
+		t.Errorf("round error %q, want %q", err, want)
 	}
 	// The live ranks failed sending to the dead peer: a retries-exhausted
 	// error, wrapped with the route, must be the cause.
-	if !errors.Is(errs[0], transport.ErrRetriesExhausted) {
-		t.Errorf("rank 0 error = %v, want ErrRetriesExhausted in the chain", errs[0])
+	if !errors.Is(outs[0].Err, transport.ErrRetriesExhausted) {
+		t.Errorf("rank 0 error = %v, want ErrRetriesExhausted in the chain", outs[0].Err)
 	}
 }

@@ -137,6 +137,24 @@ func New(rank int, stack *transport.Stack, opts ...Option) (*Worker, error) {
 	return w, nil
 }
 
+// Bind attaches one transport stack, configured by tc, and one worker,
+// configured by opts, to each host, in host order: worker i is rank i on
+// hosts[i]. It is the one place a harness turns hosts into collective
+// participants; callers set Deadline on the result.
+func Bind(hosts []*netsim.Host, tc transport.Config, opts ...Option) ([]*Worker, error) {
+	ws := make([]*Worker, len(hosts))
+	for i, h := range hosts {
+		stack, err := transport.New(h, transport.WithConfig(tc))
+		if err != nil {
+			return nil, err
+		}
+		if ws[i], err = New(i, stack, opts...); err != nil {
+			return nil, err
+		}
+	}
+	return ws, nil
+}
+
 // span records one completed collective phase for this worker, stamped in
 // simulated time with the rank as an attribute.
 func (w *Worker) span(name string, start, end netsim.Time) {

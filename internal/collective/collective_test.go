@@ -47,16 +47,10 @@ func coreCfg(s quant.Scheme) core.Config {
 func starWorkers(t *testing.T, n int, mode Mode, q netsim.QueueConfig,
 	link netsim.LinkConfig, s quant.Scheme) (*netsim.Topology, []*Worker) {
 	t.Helper()
-	sim := netsim.NewSim()
-	star := netsim.NewStar(sim, n, link, q)
-	ws := make([]*Worker, n)
-	for i := 0; i < n; i++ {
-		st := newStack(star.Hosts[i], transport.Config{})
-		w, err := New(i, st, WithConfig(coreCfg(s)), WithMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws[i] = w
+	star := netsim.NewStar(netsim.NewSim(), n, link, q)
+	ws, err := Bind(star.Hosts, transport.Config{}, WithConfig(coreCfg(s)), WithMode(mode))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return star, ws
 }
@@ -66,16 +60,31 @@ func ringWorkers(t *testing.T, n int, mode Mode, q netsim.QueueConfig,
 	t.Helper()
 	sim := netsim.NewSim()
 	ring := netsim.NewRing(sim, n, edge, trunk, q)
-	ws := make([]*Worker, n)
-	for i := 0; i < n; i++ {
-		st := newStack(ring.Hosts[i], transport.Config{})
-		w, err := New(i, st, WithConfig(coreCfg(s)), WithMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws[i] = w
+	ws, err := Bind(ring.Hosts, transport.Config{}, WithConfig(coreCfg(s)), WithMode(mode))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return sim, ws
+}
+
+// mustAllReduce runs one all-reduce round on sim for up to 30 simulated
+// seconds and returns every rank's average, failing t on an error or on a
+// rank that did not finish.
+func mustAllReduce(t *testing.T, sim *netsim.Sim, a Algorithm, epoch uint64, baseMsg uint32,
+	ws []*Worker, grads [][]float32) [][]float32 {
+	t.Helper()
+	outs, err := RunAllReduce(sim, sim.Now()+30*netsim.Second, a, epoch, baseMsg, ws, grads)
+	if err != nil {
+		t.Fatalf("%v n=%d: %v", a, len(ws), err)
+	}
+	avgs := make([][]float32, len(outs))
+	for rank, o := range outs {
+		if o.Avg == nil {
+			t.Fatalf("%v n=%d: rank %d incomplete", a, len(ws), rank)
+		}
+		avgs[rank] = o.Avg
+	}
+	return avgs
 }
 
 func fast() netsim.LinkConfig {
@@ -96,18 +105,7 @@ func TestAllReduceDirectExactNoCongestion(t *testing.T) {
 			grads[i] = gaussianGrad(uint64(i+1), 3000)
 		}
 		want := exactMean(grads)
-		results := make([][]float32, n)
-		err := AllReduce(AlgDirect, 7, 100, ws, grads,
-			func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
-			func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Run()
-		for rank, got := range results {
-			if got == nil {
-				t.Fatalf("mode %v: rank %d incomplete", mode, rank)
-			}
+		for rank, got := range mustAllReduce(t, sim, AlgDirect, 7, 100, ws, grads) {
 			if nm := vecmath.NMSE(want, got); nm > 1e-8 {
 				t.Errorf("mode %v rank %d: NMSE %g", mode, rank, nm)
 			}
@@ -149,18 +147,7 @@ func TestAllReduceRingExactNoCongestion(t *testing.T) {
 			grads[i] = gaussianGrad(uint64(10+i), 2048)
 		}
 		want := exactMean(grads)
-		results := make([][]float32, n)
-		err := AllReduce(AlgRing, 3, 500, ws, grads,
-			func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
-			func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Run()
-		for rank, got := range results {
-			if got == nil {
-				t.Fatalf("n=%d: rank %d incomplete", n, rank)
-			}
+		for rank, got := range mustAllReduce(t, sim, AlgRing, 3, 500, ws, grads) {
 			// Ring re-encodes per hop; sign-head RHT is exact untrimmed,
 			// so the result should match the true mean almost exactly.
 			if nm := vecmath.NMSE(want, got); nm > 1e-6 {
@@ -193,20 +180,8 @@ func TestAllReduceDirectUnderCongestionTrims(t *testing.T) {
 		grads[i] = gaussianGrad(uint64(20+i), 1<<13)
 	}
 	want := exactMean(grads)
-	results := make([][]float32, n)
-	err := AllReduce(AlgDirect, 9, 1000, ws, grads,
-		func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
-		func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.RunUntil(10 * netsim.Second)
-
 	trimmedTotal := 0
-	for rank, got := range results {
-		if got == nil {
-			t.Fatalf("rank %d incomplete", rank)
-		}
+	for rank, got := range mustAllReduce(t, sim, AlgDirect, 9, 1000, ws, grads) {
 		cos := vecmath.CosineSimilarity(want, got)
 		if cos < 0.8 {
 			t.Errorf("rank %d: cosine %v under trimming", rank, cos)

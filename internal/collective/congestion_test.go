@@ -21,19 +21,8 @@ func TestWorkersReusableAcrossOps(t *testing.T) {
 	want := exactMean(grads)
 
 	for round := 0; round < 3; round++ {
-		results := make([][]float32, n)
 		base := uint32(1 + round*n)
-		err := AllReduce(AlgDirect, uint64(round+1), base, ws, grads,
-			func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
-			func(rank int, err error) { t.Errorf("round %d rank %d: %v", round, rank, err) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Run()
-		for rank, got := range results {
-			if got == nil {
-				t.Fatalf("round %d: rank %d incomplete", round, rank)
-			}
+		for rank, got := range mustAllReduce(t, sim, AlgDirect, uint64(round+1), base, ws, grads) {
 			if nm := vecmath.NMSE(want, got); nm > 1e-8 {
 				t.Errorf("round %d rank %d: NMSE %g", round, rank, nm)
 			}
@@ -56,20 +45,8 @@ func TestRingUnderCongestionStillCompletes(t *testing.T) {
 		grads[i] = gaussianGrad(uint64(50+i), 1<<13)
 	}
 	want := exactMean(grads)
-	results := make([][]float32, n)
-	err := AllReduce(AlgRing, 5, 700, ws, grads,
-		func(rank int, avg []float32, at netsim.Time) { results[rank] = avg },
-		func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.RunUntil(30 * netsim.Second)
-
 	trimmed := 0
-	for rank, got := range results {
-		if got == nil {
-			t.Fatalf("rank %d incomplete", rank)
-		}
+	for rank, got := range mustAllReduce(t, sim, AlgRing, 5, 700, ws, grads) {
 		cos := vecmath.CosineSimilarity(want, got)
 		if cos < 0.3 {
 			t.Errorf("rank %d: cosine %v (compounded error too large)", rank, cos)
@@ -91,16 +68,7 @@ func TestAggStatsAccumulate(t *testing.T) {
 		quant.RHT)
 	sim := star.Net.Sim
 	grads := [][]float32{gaussianGrad(61, 1<<13), gaussianGrad(62, 1<<13)}
-	done := 0
-	err := AllReduce(AlgDirect, 1, 1, ws, grads,
-		func(rank int, avg []float32, at netsim.Time) { done++ }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.RunUntil(30 * netsim.Second)
-	if done != n {
-		t.Fatalf("completed %d/%d", done, n)
-	}
+	mustAllReduce(t, sim, AlgDirect, 1, 1, ws, grads)
 	for rank, w := range ws {
 		if w.AggStats.TotalCoords == 0 {
 			t.Errorf("rank %d: no coords accounted", rank)

@@ -8,7 +8,6 @@ import (
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/obs"
 	"trimgrad/internal/quant"
-	"trimgrad/internal/transport"
 	"trimgrad/internal/xrand"
 )
 
@@ -46,22 +45,12 @@ func runEquiv(t *testing.T, alg Algorithm, grads [][]float32, aggregate bool) eq
 	q.AggregateTrimmable = aggregate
 	star, ws := starWorkers(t, n, Trimmable, q, fast(), quant.Sign)
 	sim := star.Net.Sim
-	res := equivResult{avgs: make([][]float32, n), stats: make([]core.Stats, n)}
-	err := AllReduce(alg, 5, 100, ws, grads,
-		func(rank int, avg []float32, at netsim.Time) { res.avgs[rank] = avg },
-		func(rank int, err error) { t.Errorf("%v rank %d: %v", alg, rank, err) })
-	if err != nil {
-		t.Fatalf("%v: %v", alg, err)
-	}
-	sim.Run()
+	res := equivResult{avgs: mustAllReduce(t, sim, alg, 5, 100, ws, grads), stats: make([]core.Stats, n)}
 	if err := star.Net.Audit(); err != nil {
 		t.Errorf("%v n=%d agg=%v: %v", alg, n, aggregate, err)
 	}
-	for rank, avg := range res.avgs {
-		if avg == nil {
-			t.Fatalf("%v n=%d agg=%v: rank %d incomplete", alg, n, aggregate, rank)
-		}
-		res.stats[rank] = ws[rank].AggStats
+	for rank, w := range ws {
+		res.stats[rank] = w.AggStats
 	}
 	res.snap = sim.Obs().Snapshot()
 	return res
@@ -121,24 +110,9 @@ func TestAllReduceSequentialRounds(t *testing.T) {
 				gradsB[i] = intGrad(uint64(20+i), 256)
 			}
 			wantA, wantB := exactMean(gradsA), exactMean(gradsB)
-			resA := make([][]float32, n)
-			resB := make([][]float32, n)
-			fail := func(rank int, err error) { t.Errorf("%v n=%d rank %d: %v", alg, n, rank, err) }
-			if err := AllReduce(alg, 1, 100, ws, gradsA,
-				func(rank int, avg []float32, at netsim.Time) { resA[rank] = avg }, fail); err != nil {
-				t.Fatal(err)
-			}
-			sim.Run()
-			base := 100 + MsgSpan(alg, n)
-			if err := AllReduce(alg, 2, base, ws, gradsB,
-				func(rank int, avg []float32, at netsim.Time) { resB[rank] = avg }, fail); err != nil {
-				t.Fatal(err)
-			}
-			sim.Run()
+			resA := mustAllReduce(t, sim, alg, 1, 100, ws, gradsA)
+			resB := mustAllReduce(t, sim, alg, 2, 100+MsgSpan(alg, n), ws, gradsB)
 			for rank := 0; rank < n; rank++ {
-				if resA[rank] == nil || resB[rank] == nil {
-					t.Fatalf("%v n=%d rank %d: incomplete (A=%v B=%v)", alg, n, rank, resA[rank] != nil, resB[rank] != nil)
-				}
 				for i := range wantA {
 					if resA[rank][i] != wantA[i] {
 						t.Fatalf("%v n=%d rank %d round A: coord %d = %v, want %v", alg, n, rank, i, resA[rank][i], wantA[i])
@@ -167,25 +141,8 @@ func TestParamServerIncastAggregates(t *testing.T) {
 	run := func() ([][]float32, int) {
 		q := deepQ()
 		q.AggregateTrimmable = true
-		sim := netsim.NewSim()
-		star := netsim.NewStar(sim, n, fast(), q)
-		ws := make([]*Worker, n)
-		for i := 0; i < n; i++ {
-			st := newStack(star.Hosts[i], transport.Config{})
-			w, err := New(i, st, WithConfig(coreCfg(quant.Sign)), WithMode(Trimmable))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws[i] = w
-		}
-		avgs := make([][]float32, n)
-		err := AllReduce(AlgParamServer, 9, 100, ws, grads,
-			func(rank int, avg []float32, at netsim.Time) { avgs[rank] = avg },
-			func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Run()
+		star, ws := starWorkers(t, n, Trimmable, q, fast(), quant.Sign)
+		avgs := mustAllReduce(t, star.Net.Sim, AlgParamServer, 9, 100, ws, grads)
 		aggregated := 0
 		for i := 0; i < n; i++ {
 			if p := star.Tier(netsim.TierEdge)[0].Port(netsim.NodeID(i)); p != nil {
@@ -199,9 +156,6 @@ func TestParamServerIncastAggregates(t *testing.T) {
 		t.Fatal("incast through aggregating switch folded no packets")
 	}
 	for rank, avg := range avgs {
-		if avg == nil {
-			t.Fatalf("rank %d incomplete", rank)
-		}
 		for i := range want {
 			if avg[i] != want[i] {
 				t.Fatalf("rank %d: coord %d = %v, want %v", rank, i, avg[i], want[i])

@@ -19,30 +19,6 @@ import (
 // the fault injector does), and a same-seed re-run is bit-identical all
 // the way down to the telemetry snapshot.
 
-// fatTreeWorkers builds one worker per host of a k=4 fat tree.
-func fatTreeWorkers(t *testing.T, q netsim.QueueConfig, cfg transport.Config,
-	s quant.Scheme) (*netsim.Sim, *netsim.Topology, []*Worker) {
-	t.Helper()
-	sim := netsim.NewSim()
-	topo, err := netsim.FabricSpec{
-		Kind: "fattree",
-		K:    4, Link: fast(), Queue: q, ECMPSeed: 77,
-	}.Build(sim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := make([]*Worker, len(topo.Hosts))
-	for i, h := range topo.Hosts {
-		w, err := New(i, newStack(h, cfg), WithConfig(coreCfg(s)), WithMode(Trimmable))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Deadline = 100 * netsim.Millisecond
-		ws[i] = w
-	}
-	return sim, topo, ws
-}
-
 type fabricScenario struct {
 	name   string
 	faults netsim.FaultConfig
@@ -108,25 +84,14 @@ func TestFatTreeParamServerAggregates(t *testing.T) {
 		CapacityBytes: 48 << 10, HighCapacityBytes: 8 << 20,
 		Mode: netsim.TrimOverflow, AggregateTrimmable: true,
 	}
-	sim, topo, ws := fatTreeWorkers(t, q, transport.Config{}, quant.Sign)
-	n := len(ws)
-	grads := make([][]float32, n)
+	rig := shardedFatTreeWorkers(t, plainSim, q, transport.Config{}, quant.Sign)
+	topo := rig.topo
+	grads := make([][]float32, len(rig.ws))
 	for i := range grads {
 		grads[i] = intGrad(uint64(61+i), 1<<13)
 	}
 	want := exactMean(grads)
-	avgs := make([][]float32, n)
-	err := AllReduce(AlgParamServer, 9, 100, ws, grads,
-		func(rank int, avg []float32, at netsim.Time) { avgs[rank] = avg },
-		func(rank int, err error) { t.Errorf("rank %d: %v", rank, err) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	for rank, avg := range avgs {
-		if avg == nil {
-			t.Fatalf("rank %d incomplete", rank)
-		}
+	for rank, avg := range mustAllReduce(t, topo.Net.Sim, AlgParamServer, 9, 100, rig.ws, grads) {
 		for i := range want {
 			if avg[i] != want[i] {
 				t.Fatalf("rank %d: coord %d = %v, want %v", rank, i, avg[i], want[i])

@@ -130,15 +130,7 @@ func runFanout(t *testing.T, op fanoutOp, mode Mode, sc collChaosScenario, reg *
 	}
 	sim := netsim.NewSim()
 	star := netsim.NewStar(sim, n, link, q, netsim.WithRegistry(reg))
-	ws = make([]*Worker, n)
-	for i := range ws {
-		w, err := New(i, newStack(star.Hosts[i], cfg), WithConfig(coreCfg(quant.RHT)), WithMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Deadline = 100 * netsim.Millisecond
-		ws[i] = w
-	}
+	ws = chaosWorkers(t, star, cfg, mode)
 	sc.apply(star, seed)
 
 	// Every operation reports one outcome per rank (the assertion

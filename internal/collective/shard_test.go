@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/obs"
 	"trimgrad/internal/quant"
@@ -28,7 +29,7 @@ const plainSim = 0
 type fatTreeRig struct {
 	topo     *netsim.Topology
 	ws       []*Worker
-	runUntil func(netsim.Time)
+	loop     interface{ RunUntil(netsim.Time) }
 	snapshot func() obs.Snapshot
 	close    func()
 }
@@ -48,24 +49,20 @@ func shardedFatTreeWorkers(t *testing.T, shards int, q netsim.QueueConfig,
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := fatTreeRig{topo: topo, runUntil: sim.RunUntil, snapshot: reg.Snapshot, close: func() {}}
+	rig := fatTreeRig{topo: topo, loop: sim, snapshot: reg.Snapshot, close: func() {}}
 	if shards != plainSim {
 		eng, err := netsim.ShardTopology(topo, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rig.runUntil, rig.snapshot, rig.close = eng.RunUntil, eng.Snapshot, eng.Close
+		rig.loop, rig.snapshot, rig.close = eng, eng.Snapshot, eng.Close
 	}
-	ws := make([]*Worker, len(topo.Hosts))
-	for i, h := range topo.Hosts {
-		w, err := New(i, newStack(h, cfg), WithConfig(coreCfg(s)), WithMode(Trimmable))
-		if err != nil {
-			t.Fatal(err)
-		}
+	if rig.ws, err = Bind(topo.Hosts, cfg, WithConfig(coreCfg(s)), WithMode(Trimmable)); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range rig.ws {
 		w.Deadline = 100 * netsim.Millisecond
-		ws[i] = w
 	}
-	rig.ws = ws
 	return rig
 }
 
@@ -96,46 +93,48 @@ func runShardedFatTreeAllReduce(t *testing.T, alg Algorithm, sc fabricScenario,
 		grads[i] = intGrad(seed+uint64(i)+1, 1024)
 	}
 	want := exactMean(grads)
-	res := fabricOutcome{avgs: make([][]float32, n), outcome: make([]rankOutcome, n)}
-	err := AllReduce(alg, 3, 100, ws, grads,
-		func(rank int, avg []float32, at netsim.Time) {
-			res.avgs[rank] = avg
-			res.outcome[rank].done = true
-			res.outcome[rank].doneAt = at
-			ok := true
-			for i := range want {
-				if avg[i] != want[i] {
-					ok = false
-					break
-				}
-			}
-			res.outcome[rank].nmseOK = ok
-		},
-		func(rank int, err error) { res.outcome[rank].errStr = err.Error() })
-	if err != nil {
+	outs, err := RunAllReduce(rig.loop, netsim.Second, alg, 3, 100, ws, grads)
+	if outs == nil {
 		t.Fatalf("%s: AllReduce(%v): %v", sc.name, alg, err)
 	}
-	rig.runUntil(netsim.Second)
 	if err := rig.topo.Net.Audit(); err != nil {
 		t.Errorf("%s/%v/%d shards: %v", sc.name, alg, shards, err)
 	}
-	for rank := range res.outcome {
-		if !res.outcome[rank].done && res.outcome[rank].errStr == "" {
+	res := fabricOutcome{avgs: make([][]float32, n), outcome: make([]rankOutcome, n)}
+	for rank, o := range outs {
+		if o.Avg == nil && o.Err == nil {
 			t.Fatalf("%s/%v/%d shards: rank %d neither completed nor errored — a hang",
 				sc.name, alg, shards, rank)
 		}
-		if res.outcome[rank].done && !res.outcome[rank].nmseOK {
+		if o.Err != nil {
+			t.Errorf("%s/%v/%d shards: rank %d failed a survivable scenario: %v",
+				sc.name, alg, shards, rank, o.Err)
+		}
+		res.avgs[rank] = o.Avg
+		res.outcome[rank] = outcomeOf(o, want, ws[rank].AggStats)
+		if o.Avg != nil && !res.outcome[rank].nmseOK {
 			t.Errorf("%s/%v/%d shards: rank %d completed with a wrong average",
 				sc.name, alg, shards, rank)
 		}
-		if res.outcome[rank].errStr != "" {
-			t.Errorf("%s/%v/%d shards: rank %d failed a survivable scenario: %s",
-				sc.name, alg, shards, rank, res.outcome[rank].errStr)
-		}
-		res.outcome[rank].agg = ws[rank].AggStats
 	}
 	res.snap = rig.snapshot()
 	return res
+}
+
+// outcomeOf is what the determinism contract compares of one rank's
+// Outcome: nmseOK says Avg is exactly want.
+func outcomeOf(o Outcome, want []float32, agg core.Stats) rankOutcome {
+	r := rankOutcome{done: o.Avg != nil, nmseOK: o.Avg != nil, agg: agg}
+	if r.done {
+		r.doneAt = o.At
+	}
+	if o.Err != nil {
+		r.errStr = o.Err.Error()
+	}
+	for i := range o.Avg {
+		r.nmseOK = r.nmseOK && o.Avg[i] == want[i]
+	}
+	return r
 }
 
 // TestShardedFatTreeAllReduceMatrix reruns the fat-tree equivalence and

@@ -48,26 +48,13 @@ func TestCapacityTrimmerBudget(t *testing.T) {
 	// Budget for roughly half the full bytes: the rest must be trimmed,
 	// not dropped (trimmed heads are tiny).
 	ct := &CapacityTrimmer{BudgetBytes: full / 2}
-	dec, _ := NewDecoderWith(1, WithConfig(cfg))
-	for _, m := range msg.Meta {
-		if err := dec.Handle(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	used := 0
-	for _, d := range msg.Data {
-		pkt := ct.Apply(append([]byte(nil), d...))
-		if pkt == nil {
-			continue
-		}
-		used += len(pkt)
-		if err := dec.Handle(pkt); err != nil {
-			t.Fatal(err)
-		}
+	out, stats, err := Receive(msg, ct, len(grad), WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Full packets obey the main budget; trimmed headers ride the
 	// high-priority budget on top.
-	if used > full/2+full/8 {
+	if used := stats.BytesReceived; used > full/2+full/8 {
 		t.Fatalf("budgets exceeded: %d > %d", used, full/2+full/8)
 	}
 	if ct.Trimmed == 0 {
@@ -75,10 +62,6 @@ func TestCapacityTrimmerBudget(t *testing.T) {
 	}
 	if ct.Dropped != 0 {
 		t.Fatalf("%d drops despite trimmable packets", ct.Dropped)
-	}
-	out, stats, err := dec.Reconstruct(len(grad))
-	if err != nil {
-		t.Fatal(err)
 	}
 	if stats.TrimmedCoords == 0 {
 		t.Fatal("no coordinates trimmed")
@@ -123,18 +106,8 @@ func TestAdaptiveQClosedLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, _ := NewDecoderWith(1, WithConfig(cfg))
-		for _, m := range msg.Meta {
-			dec.Handle(m)
-		}
 		ct.Reset()
-		for _, d := range msg.Data {
-			pkt := ct.Apply(append([]byte(nil), d...))
-			if pkt != nil {
-				dec.Handle(pkt)
-			}
-		}
-		_, stats, err := dec.Reconstruct(len(grad))
+		_, stats, err := Receive(msg, ct, len(grad), WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}

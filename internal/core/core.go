@@ -104,11 +104,6 @@ type Encoder struct {
 	codec quant.Codec
 	// The "core.encode.*" counters, nil without a registry (no stats struct).
 	rowsTotal, packetsTotal, bytesTotal *obs.Counter
-
-	// mu guards codecs, the lazily-grown per-worker codec cache used by
-	// EncodeParallel (slot 0 aliases codec).
-	mu     sync.Mutex
-	codecs []quant.Codec
 }
 
 // NewEncoderWith builds an encoder from options.
@@ -430,4 +425,33 @@ func (d *Decoder) Reconstruct(n int) ([]float32, Stats, error) {
 func (d *Decoder) Stats() Stats {
 	d.obs.flush(d.stats)
 	return d.stats
+}
+
+// Receive is the receive half of the paper's prototype (§4): it builds a
+// decoder for msg.ID from opts, hands it every metadata packet intact and
+// every data packet through inj — nil passes everything, and a nil result
+// from inj is a drop — and decodes the first n coordinates on the pool
+// (DecodeParallel(n, 0)). inj may trim msg.Data in place, as wire.Trim
+// does, so msg cannot be used again.
+func Receive(msg *Message, inj Injector, n int, opts ...Option) ([]float32, Stats, error) {
+	dec, err := NewDecoderWith(msg.ID, opts...)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	for _, m := range msg.Meta {
+		if err := dec.Handle(m); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	for _, d := range msg.Data {
+		if inj != nil {
+			if d = inj.Apply(d); d == nil {
+				continue
+			}
+		}
+		if err := dec.Handle(d); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	return dec.DecodeParallel(n, 0)
 }

@@ -42,28 +42,7 @@ func (c chain) Apply(pkt []byte) []byte {
 // reconstructs.
 func transfer(t *testing.T, cfg Config, msg *Message, inj Injector) ([]float32, Stats) {
 	t.Helper()
-	dec, err := NewDecoderWith(msg.ID, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msg.Meta {
-		if err := dec.Handle(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, d := range msg.Data {
-		pkt := append([]byte(nil), d...) // injector may mutate
-		if inj != nil {
-			pkt = inj.Apply(pkt)
-			if pkt == nil {
-				continue
-			}
-		}
-		if err := dec.Handle(pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out, stats, err := dec.Reconstruct(msg.N)
+	out, stats, err := Receive(msg, inj, msg.N, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

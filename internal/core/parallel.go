@@ -19,9 +19,10 @@ import (
 // seeds depend only on (epoch, msgID, row), never on execution order);
 // workers = 1 runs the rows in order on the calling goroutine.
 //
-// Work is scheduled on the persistent par.Default pool and codec
-// instances are cached per worker slot across calls, so steady-state
-// encoding pays neither goroutine spawns nor codec construction.
+// Work is scheduled on the persistent par.Default pool, and every worker
+// encodes with the encoder's one codec (quant.Codec's Encode is safe for
+// concurrent use), so steady-state encoding pays neither goroutine spawns
+// nor codec construction.
 //
 // workers ≤ 0 means the pool size (GOMAXPROCS).
 func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, workers int) (*Message, error) {
@@ -34,10 +35,6 @@ func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, wor
 		workers = par.Default.Size()
 	}
 	workers = min(workers, nRows)
-	codecs, err := e.workerCodecs(workers)
-	if err != nil {
-		return nil, err
-	}
 	// The padded row backing lives only for the duration of this call
 	// (packets copy the bits they need), so it comes from the scratch
 	// arena: steady-state encoding does not allocate it.
@@ -46,8 +43,8 @@ func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, wor
 	rows := fwht.SplitRowsBacking(grad, rowSize, backing)
 
 	outs := make([]encodedRow, nRows)
-	par.Default.ForEachWorker(nRows, workers, func(w, r int) {
-		outs[r] = e.encodeRow(codecs[w], epoch, msgID, uint32(r), rows[r])
+	par.Default.ForEachWorker(nRows, workers, func(_, r int) {
+		outs[r] = e.encodeRow(epoch, msgID, uint32(r), rows[r])
 	})
 
 	msg := &Message{ID: msgID, N: len(grad), Meta: make([][]byte, 0, nRows)}
@@ -76,36 +73,14 @@ type encodedRow struct {
 // encodeRow is the encode direction's one row body: seed → quantise →
 // packetise. The packets copy the head and tail bits they carry, so the
 // quantised row's scratch goes straight back to the pool.
-func (e *Encoder) encodeRow(codec quant.Codec, epoch uint64, msgID, r uint32, row []float32) encodedRow {
-	enc, err := codec.Encode(row, RowSeed(epoch, msgID, r))
+func (e *Encoder) encodeRow(epoch uint64, msgID, r uint32, row []float32) encodedRow {
+	enc, err := e.codec.Encode(row, RowSeed(epoch, msgID, r))
 	if err != nil {
 		return encodedRow{err: err}
 	}
 	defer enc.Release()
 	meta, data, err := wire.PackRow(e.cfg.Flow, msgID, r, enc)
 	return encodedRow{meta: meta, data: data, err: err}
-}
-
-// workerCodecs returns n cached codec instances, growing the cache under
-// the encoder's lock on first use of a larger worker count. Slot 0 is
-// the encoder's own codec. Codecs are stateless (see quant.Codec), so
-// instances returned here may still be exercised by an earlier
-// EncodeParallel call that is in flight; the cache exists so repeated
-// calls never re-run quant.New validation on the hot path.
-func (e *Encoder) workerCodecs(n int) ([]quant.Codec, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.codecs == nil {
-		e.codecs = append(e.codecs, e.codec)
-	}
-	for len(e.codecs) < n {
-		c, err := quant.New(e.cfg.Params)
-		if err != nil {
-			return nil, err
-		}
-		e.codecs = append(e.codecs, c)
-	}
-	return e.codecs[:n:n], nil
 }
 
 // DecodeParallel decodes the gradient from whatever packets arrived, rows

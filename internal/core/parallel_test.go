@@ -59,25 +59,9 @@ func TestEncodeParallelDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, errTransfer := func() ([]float32, Stats, error) {
-		dec, err := NewDecoderWith(1, WithConfig(cfg))
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		for _, m := range msg.Meta {
-			if err := dec.Handle(m); err != nil {
-				return nil, Stats{}, err
-			}
-		}
-		for _, d := range msg.Data {
-			if err := dec.Handle(d); err != nil {
-				return nil, Stats{}, err
-			}
-		}
-		return dec.Reconstruct(len(grad))
-	}()
-	if errTransfer != nil {
-		t.Fatal(errTransfer)
+	out, stats, err := Receive(msg, nil, len(grad), WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if stats.DroppedCoords != 0 {
 		t.Fatal("unexpected drops")

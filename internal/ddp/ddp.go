@@ -405,7 +405,14 @@ func injectedExchange(cfg Config, reg *obs.Registry) (exchangeFunc, error) {
 			if efs != nil {
 				g = efs[w].Compensate(g)
 			}
-			dec, stats, err := roundTrip(enc, inj, codec, epoch, msgBase+uint32(w), g)
+			// Both codec halves run on the par pool; parallel output is
+			// bit-identical to serial, so training trajectories do not
+			// depend on GOMAXPROCS.
+			msg, err := enc.EncodeParallel(epoch, msgBase+uint32(w), g, 0)
+			if err != nil {
+				return exchanged{}, err
+			}
+			dec, stats, err := core.Receive(msg, inj, len(g), core.WithConfig(codec))
 			if err != nil {
 				return exchanged{}, err
 			}
@@ -581,37 +588,6 @@ func (t *Trainer) Run() (*Result, error) {
 	}
 	res.WallTotal = wall
 	return res, nil
-}
-
-// roundTrip pushes one worker's gradient through encode → injector →
-// decode. Both codec halves run on the par pool; parallel output is
-// bit-identical to serial, so training trajectories do not depend on
-// GOMAXPROCS.
-func roundTrip(enc *core.Encoder, inj core.Injector, codec core.Config,
-	epoch uint64, msgID uint32, grad []float32) ([]float32, core.Stats, error) {
-	msg, err := enc.EncodeParallel(epoch, msgID, grad, 0)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	dec, err := core.NewDecoderWith(msgID, core.WithConfig(codec))
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	for _, m := range msg.Meta {
-		if err := dec.Handle(m); err != nil {
-			return nil, core.Stats{}, err
-		}
-	}
-	for _, d := range msg.Data {
-		pkt := inj.Apply(d)
-		if pkt == nil {
-			continue
-		}
-		if err := dec.Handle(pkt); err != nil {
-			return nil, core.Stats{}, err
-		}
-	}
-	return dec.DecodeParallel(len(grad), 0)
 }
 
 func allFinite(v []float32) bool {

@@ -128,22 +128,16 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := make([]*collective.Worker, cfg.Workers)
-	for i := range workers {
-		stack, err := transport.New(topo.Hosts[i])
-		if err != nil {
-			return nil, err
-		}
-		w, err := collective.New(i, stack,
-			collective.WithConfig(core.Config{Params: *cfg.Scheme, RowSize: cfg.RowSize}), collective.WithMode(fabric.Mode))
-		if err != nil {
-			return nil, err
-		}
+	workers, err := collective.Bind(topo.Hosts[:cfg.Workers], transport.Config{},
+		collective.WithConfig(core.Config{Params: *cfg.Scheme, RowSize: cfg.RowSize}), collective.WithMode(fabric.Mode))
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range workers {
 		// A round that cannot finish inside RoundTimeout surfaces as an
 		// explicit per-rank error instead of an empty result: a crashed or
 		// partitioned peer fails the round, never hangs it.
 		w.Deadline = fabric.RoundTimeout
-		workers[i] = w
 	}
 	if fabric.CrossRate > 0 {
 		src := topo.Hosts[len(topo.Hosts)-1]
@@ -164,33 +158,18 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 // cost model's compute and encode seconds, to that.
 func fabricExchange(sim *netsim.Sim, workers []*collective.Worker, fabric FabricConfig, compute float64) exchangeFunc {
 	return func(epoch uint64, msgBase uint32, grads [][]float32) (exchanged, error) {
-		results := make([][]float32, len(workers))
-		var lastDone netsim.Time
-		var opErr error
 		start := sim.Now()
-		err := collective.AllReduce(fabric.Algorithm, epoch, msgBase, workers, grads,
-			func(rank int, avg []float32, at netsim.Time) {
-				results[rank] = avg
-				if at > lastDone {
-					lastDone = at
-				}
-			},
-			func(rank int, err error) {
-				if opErr == nil {
-					opErr = fmt.Errorf("ddp: rank %d: %w", rank, err)
-				}
-			})
+		outs, err := collective.RunAllReduce(sim, start+fabric.RoundTimeout, fabric.Algorithm, epoch, msgBase, workers, grads)
 		if err != nil {
-			return exchanged{}, err
+			return exchanged{}, fmt.Errorf("ddp: %w", err)
 		}
-		sim.RunUntil(start + fabric.RoundTimeout)
-		if opErr != nil {
-			return exchanged{}, opErr
-		}
-		for rank, got := range results {
-			if got == nil {
+		results := make([][]float32, len(outs))
+		var lastDone netsim.Time
+		for rank, o := range outs {
+			if o.Avg == nil {
 				return exchanged{}, fmt.Errorf("ddp: rank %d round timed out (baseline congestion collapse?)", rank)
 			}
+			results[rank], lastDone = o.Avg, max(lastDone, o.At)
 		}
 		// Replica consistency: average the per-worker averages so every
 		// replica applies the same update (each already divides by n).

@@ -89,32 +89,16 @@ func runAdaptive(w io.Writer, o Options) error {
 				if err != nil {
 					return err
 				}
-				dec, err := core.NewDecoderWith(1, core.WithConfig(cfg), core.WithRegistry(s.reg))
-				if err != nil {
-					return err
-				}
-				for _, m := range msg.Meta {
-					if err := dec.Handle(m); err != nil {
-						return err
-					}
-				}
+				lastSent = float64(msg.DataBytes()) / float64(fullBytes)
 				ct.Reset()
-				for _, d := range msg.Data {
-					if pkt := ct.Apply(append([]byte(nil), d...)); pkt != nil {
-						if err := dec.Handle(pkt); err != nil {
-							return err
-						}
-					}
-				}
-				out, stats, err := dec.Reconstruct(dim)
+				out, stats, err := core.Receive(msg, ct, dim, core.WithConfig(cfg), core.WithRegistry(s.reg))
 				if err != nil {
 					return err
 				}
 				lastNMSE = vecmath.NMSE(grad, out)
 				lastTrim = stats.TrimFraction()
-				lastSent = float64(msg.DataBytes()) / float64(fullBytes)
 				if s.ctrl != nil {
-					// Reconstruct just emitted this round's coordinate
+					// Receive just emitted this round's coordinate
 					// counters into the bound registry; Update turns the
 					// delta into the feedback Observe used to get by hand.
 					s.ctrl.Update()
@@ -230,22 +214,7 @@ func runAblationRowSize(w io.Writer, o Options) error {
 		}
 		encodeMs := float64(elapsed().Microseconds()) / 1000
 
-		dec, err := core.NewDecoderWith(1, core.WithConfig(cfg))
-		if err != nil {
-			return err
-		}
-		for _, m := range msg.Meta {
-			if err := dec.Handle(m); err != nil {
-				return err
-			}
-		}
-		inj := core.NewTrimmer(1.0, 5) // trim everything
-		for _, d := range msg.Data {
-			if err := dec.Handle(inj.Apply(d)); err != nil {
-				return err
-			}
-		}
-		out, _, err := dec.Reconstruct(dim)
+		out, _, err := core.Receive(msg, core.NewTrimmer(1.0, 5), dim, core.WithConfig(cfg)) // trim everything
 		if err != nil {
 			return err
 		}

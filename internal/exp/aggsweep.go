@@ -76,55 +76,32 @@ func runAggSweepCell(p quant.Params, alg collective.Algorithm, agg bool,
 	if err != nil {
 		return nil, err
 	}
-	workers := make([]*collective.Worker, n)
-	for i := 0; i < n; i++ {
-		stack, err := transport.New(star.Hosts[i])
-		if err != nil {
-			return nil, err
-		}
-		w, err := collective.New(i, stack,
-			collective.WithConfig(core.Config{Params: p, RowSize: 1 << 12}),
-			collective.WithMode(collective.Trimmable))
-		if err != nil {
-			return nil, err
-		}
-		w.Deadline = 10 * netsim.Second
-		workers[i] = w
-	}
-
-	results := make([][]float32, n)
-	var lastDone netsim.Time
-	var opErr error
-	start := sim.Now()
-	err = collective.AllReduce(alg, 1, 100, workers, grads,
-		func(rank int, avg []float32, at netsim.Time) {
-			results[rank] = avg
-			if at > lastDone {
-				lastDone = at
-			}
-		},
-		func(rank int, err error) {
-			if opErr == nil {
-				opErr = fmt.Errorf("rank %d: %w", rank, err)
-			}
-		})
+	workers, err := collective.Bind(star.Hosts, transport.Config{},
+		collective.WithConfig(core.Config{Params: p, RowSize: 1 << 12}),
+		collective.WithMode(collective.Trimmable))
 	if err != nil {
 		return nil, err
 	}
-	sim.RunUntil(20 * netsim.Second)
-	if opErr != nil {
-		return nil, opErr
+	for _, w := range workers {
+		w.Deadline = 10 * netsim.Second
+	}
+	start := sim.Now()
+	outs, err := collective.RunAllReduce(sim, 20*netsim.Second, alg, 1, 100, workers, grads)
+	if err != nil {
+		return nil, err
 	}
 
 	completed := 0
 	var nmse float64
+	var lastDone netsim.Time
 	trimmed, total := 0, 0
-	for rank, got := range results {
-		if got == nil {
+	for rank, o := range outs {
+		if o.Avg == nil {
 			continue
 		}
 		completed++
-		nmse += vecmath.NMSE(exact, got)
+		lastDone = max(lastDone, o.At)
+		nmse += vecmath.NMSE(exact, o.Avg)
 		trimmed += workers[rank].AggStats.TrimmedCoords
 		total += workers[rank].AggStats.TotalCoords
 	}

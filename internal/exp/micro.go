@@ -123,29 +123,11 @@ func runCompose(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		dec, err := core.NewDecoderWith(1, core.WithConfig(cfg))
+		out, st, err := core.Receive(msg, core.NewTrimmer(rate, 7+o.Seed), n, core.WithConfig(cfg))
 		if err != nil {
 			return err
 		}
-		for _, m := range msg.Meta {
-			if err := dec.Handle(m); err != nil {
-				return err
-			}
-		}
-		inj := core.NewTrimmer(rate, 7+o.Seed)
-		bytes := 0
-		for _, d := range msg.Data {
-			pkt := inj.Apply(append([]byte(nil), d...))
-			bytes += len(pkt) + wire.NetOverhead
-			if err := dec.Handle(pkt); err != nil {
-				return err
-			}
-		}
-		out, _, err := dec.Reconstruct(n)
-		if err != nil {
-			return err
-		}
-		t.Add("dense rht", bytes, rate, vecmath.NMSE(v, out))
+		t.Add("dense rht", st.BytesReceived+wire.NetOverhead*st.Packets, rate, vecmath.NMSE(v, out))
 	}
 
 	// (b) Top-k sparsification (k = 10%) then RHT-encode the selected
@@ -278,22 +260,7 @@ func runFSDP(w io.Writer, o Options) error {
 			if err != nil {
 				return err
 			}
-			dec, err := core.NewDecoderWith(1, core.WithConfig(ccfg))
-			if err != nil {
-				return err
-			}
-			for _, mm := range msg.Meta {
-				if err := dec.Handle(mm); err != nil {
-					return err
-				}
-			}
-			inj := core.NewTrimmer(rate, 17+o.Seed)
-			for _, d := range msg.Data {
-				if err := dec.Handle(inj.Apply(append([]byte(nil), d...))); err != nil {
-					return err
-				}
-			}
-			gathered, _, err := dec.Reconstruct(len(orig))
+			gathered, _, err := core.Receive(msg, core.NewTrimmer(rate, 17+o.Seed), len(orig), core.WithConfig(ccfg))
 			if err != nil {
 				return err
 			}

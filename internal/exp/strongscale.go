@@ -38,6 +38,9 @@ func runShardCell(kind, workload string, shards, dim int, o Options) (res *scena
 	elapsed := stopwatch()
 	res = rig.Run()
 	wallMs = float64(elapsed().Microseconds()) / 1000
+	if err := res.Topo.Net.Audit(); err != nil {
+		return nil, "", 0, err
+	}
 
 	var buf bytes.Buffer
 	if err := obs.WriteJSONL(&buf, res.Snapshot()); err != nil {

@@ -106,7 +106,7 @@ func (f *FaultInjector) apply(pkt *Packet, p *Port) {
 	}
 	if f.cfg.DuplicateRate > 0 && f.rng.Float64() < f.cfg.DuplicateRate {
 		f.Stats.Duplicated++
-		p.admit(pkt.Clone())
+		p.admit(f.sim.clonePacket(pkt))
 	}
 	if f.cfg.CorruptRate > 0 && len(pkt.Payload) > 0 && f.rng.Float64() < f.cfg.CorruptRate {
 		orig := pkt
@@ -148,7 +148,7 @@ func (f *FaultInjector) dropBurst() bool {
 // Cloning matters: the original Payload slice is shared with the sender's
 // retransmit buffer, and corrupting it in place would poison every retry.
 func (f *FaultInjector) corrupt(pkt *Packet) *Packet {
-	c := pkt.Clone()
+	c := f.sim.clonePacket(pkt)
 	bits := f.cfg.CorruptBits
 	if bits <= 0 {
 		bits = 1

@@ -185,3 +185,33 @@ func TestHostPauseAndFail(t *testing.T) {
 		t.Error("a failed host must not send")
 	}
 }
+
+// TestFaultDuplicatesFromPool: a duplicate is a record of the simulator's
+// pool, recycled at delivery like the original, so a warmed port whose
+// every opaque packet is duplicated allocates nothing per packet.
+func TestFaultDuplicatesFromPool(t *testing.T) {
+	sim := NewSim()
+	star := NewStar(sim, 2, LinkConfig{Bandwidth: Gbps(10), Delay: Microsecond}, QueueConfig{CapacityBytes: 1 << 20})
+	star.Net.InjectFaults(0, SwitchIDBase, FaultConfig{Seed: 5, DuplicateRate: 1})
+	delivered := 0
+	star.Hosts[1].Handler = func(*Packet) { delivered++ }
+	const pkts = 64
+	send := func() {
+		for i := 0; i < pkts; i++ {
+			pkt := sim.NewPacket()
+			pkt.Dst, pkt.Size = 1, 1500
+			star.Hosts[0].Send(pkt)
+		}
+		sim.Run()
+	}
+	send() // warm the event, packet and queue pools
+	if delivered != 2*pkts {
+		t.Fatalf("delivered %d packets, want %d (every one duplicated)", delivered, 2*pkts)
+	}
+	if err := star.Net.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(10, send); avg != 0 {
+		t.Fatalf("%.2f allocs per duplicated packet, want 0", avg/pkts)
+	}
+}

@@ -45,7 +45,7 @@ type Packet struct {
 	ECE bool
 
 	// ownsPayload marks Payload as this packet's private buffer — made by
-	// a trim, Clone, or an aggregation merge inside the fabric, referenced
+	// a trim, a fault's clone, or an aggregation merge inside the fabric, referenced
 	// by nobody else — so a further trim may rewrite it in place.
 	ownsPayload bool
 
@@ -61,17 +61,20 @@ type Packet struct {
 	home *Sim
 }
 
-// Clone returns a shallow copy with its own Payload slice. The clone is
-// never pooled: it outlives the original on fault-injected paths
-// (duplication, corruption), so it must not be recycled with it.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.pooled = false
+// clonePacket returns a copy of p, with its own Payload buffer, from s's
+// pool. On fault-injected paths (duplication, corruption) the copy outlives
+// the original, so it is a record of its own: recycled at its own terminal
+// point, and counted by Network.Audit.
+func (s *Sim) clonePacket(p *Packet) *Packet {
+	c := s.NewPacket()
+	home := c.home
+	*c = *p
+	c.pooled, c.home = true, home
 	if p.Payload != nil {
-		q.Payload = append([]byte(nil), p.Payload...)
-		q.ownsPayload = true
+		c.Payload = append([]byte(nil), p.Payload...)
+		c.ownsPayload = true
 	}
-	return &q
+	return c
 }
 
 // trimLen returns how many payload bytes a trim toward target total wire

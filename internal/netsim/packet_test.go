@@ -33,18 +33,22 @@ func gradPayload(t *testing.T, n int) []byte {
 }
 
 func TestPacketClone(t *testing.T) {
+	sim := NewSim()
 	p := &Packet{Dst: 3, Size: 100, Payload: []byte{1, 2, 3}, Kind: "x"}
-	q := p.Clone()
+	q := sim.clonePacket(p)
 	q.Payload[0] = 9
 	if p.Payload[0] != 1 {
-		t.Fatal("Clone aliases payload")
+		t.Fatal("clone aliases payload")
 	}
 	if q.Dst != 3 || q.Size != 100 || q.Kind != "x" {
-		t.Fatal("Clone lost fields")
+		t.Fatal("clone lost fields")
+	}
+	if !q.pooled || q.home != sim || !q.ownsPayload || sim.PacketsMade() != 1 {
+		t.Fatal("clone is not a record of the simulator's pool owning its payload")
 	}
 	// Nil payload clone.
-	r := (&Packet{Size: 5}).Clone()
-	if r.Payload != nil {
+	r := sim.clonePacket(&Packet{Size: 5})
+	if r.Payload != nil || r.ownsPayload {
 		t.Fatal("nil payload should stay nil")
 	}
 }

@@ -230,9 +230,7 @@ func (e *EncodedRow) Validate() error {
 // Implementations hold only their Params: all per-call state (rotation
 // buffers, shared-randomness streams) is derived from the arguments, so
 // concurrent Encode/Decode calls on one Codec are safe. core's parallel
-// paths rely on this, and still cache per-worker codec instances so a
-// future stateful codec degrades to a compile-visible change here rather
-// than a data race.
+// paths rely on this: every worker of an encoder shares its one codec.
 type Codec interface {
 	// Name returns the scheme name used in figures and CLI flags.
 	Name() string

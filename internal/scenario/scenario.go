@@ -201,14 +201,16 @@ type Rig struct {
 	pending atomic.Int64 // flows neither done nor failed
 }
 
-// Run prepares s and drives it to completion or the horizon. reg may be
-// nil (telemetry off).
+// Run prepares s, drives it to completion or the horizon, and ends with
+// the fabric's verdict: a failing Network.Audit is returned with the
+// result. reg may be nil (telemetry off).
 func Run(s Scenario, reg *obs.Registry) (*Result, error) {
 	rig, err := Prepare(s, reg)
 	if err != nil {
 		return nil, err
 	}
-	return rig.Run(), nil
+	res := rig.Run()
+	return res, res.Topo.Net.Audit()
 }
 
 // Prepare does everything Run does short of the event loop, for a caller

@@ -90,7 +90,7 @@ func runChaosTransfer(t *testing.T, trimmable bool, sc chaosScenario, seed uint6
 	onFail := func(error) { out.failed = true }
 	// The one ownership rule: what is handed to a Send — the bytes and the
 	// slices that list them — reads the same after drain, whatever the
-	// fabric did in between (corrupted a Clone, duplicated, reordered,
+	// fabric did in between (corrupted a clone, duplicated, reordered,
 	// dropped, retransmitted).
 	payloads := allPayloads(msg)
 	handed := bytes.Join(payloads, nil)

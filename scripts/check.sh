@@ -39,6 +39,10 @@
 #                             builder called by name outside internal/netsim,
 #                             benchmark/ and examples/; NewFatTree only in
 #                             benchmark/ and internal/netsim/spec_test.go)
+#                             + the one-bind guard (collective.New only in
+#                             internal/collective and benchmark/;
+#                             transport.New also in internal/scenario and
+#                             examples/congestion)
 #                             + the CHANGES.md bound (an entry for PR 41
 #                             or later is at most 1 500 bytes)
 #   scripts/check.sh -loc [DIR...]
@@ -249,6 +253,20 @@ if [[ -n "$fattree" ]]; then
   exit 1
 fi
 
+step "one way to bind workers (collective.Bind) and stacks"
+# A harness turns hosts into collective workers with collective.Bind; only
+# the scenario runner, the congestion example and benchmark/ attach bare
+# transport stacks.
+binds=$( (grep -rnE --include='*.go' --exclude='*_test.go' 'collective\.New\(' . \
+    | grep -vE '^\./(internal/collective|benchmark)/' || true
+  grep -rnE --include='*.go' --exclude='*_test.go' 'transport\.New\(' . \
+    | grep -vE '^\./(internal/collective|internal/scenario|examples/congestion|benchmark)/' || true) )
+if [[ -n "$binds" ]]; then
+  echo "collective.New or transport.New called outside the layers that own them — use collective.Bind:" >&2
+  echo "$binds" >&2
+  exit 1
+fi
+
 step "CHANGES.md entries from PR 41 on fit 1 500 bytes"
 # An entry is a "- PR N" bullet and the indented lines under it: one
 # paragraph plus its pair table. Earlier entries predate the bound.
@@ -268,7 +286,7 @@ if [[ -n "$long" ]]; then
 fi
 
 if [[ $mode == lint ]]; then
-  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + one-fabric-switch + NewFatTree only in benchmark/ + CHANGES.md bound)"
+  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + one-fabric-switch + NewFatTree only in benchmark/ + one-bind + CHANGES.md bound)"
   exit 0
 fi
 
