@@ -114,7 +114,9 @@ func BenchmarkFabricHop(b *testing.B) {
 // (PathFor), so it stays comparable to BenchmarkFabricHop's star numbers
 // as routing depth grows; events/hop is Processed per hop; records/pkt is
 // the pool the first burst grew (Sim.PacketsMade) per packet sent.
+// "trim-cold" is the cold-pool trimming case (fabricTrimCold).
 func BenchmarkFabricFatTree(b *testing.B) {
+	b.Run("trim-cold", fabricTrimCold)
 	const pktsPerSender = 16
 	payloads := make([][]byte, pktsPerSender)
 	payload := make([]byte, 1500-wire.NetOverhead)
@@ -175,6 +177,49 @@ func BenchmarkFabricFatTree(b *testing.B) {
 			b.ReportMetric(records, "records/pkt")
 		})
 	}
+}
+
+// fabricTrimCold builds a fresh trimming k=4 fat tree every op, as each
+// iteration of a fabric workload does, and runs a 15-to-1 incast of
+// trimmable gradient packets into it as one Host.SendRun per sender. The
+// 64 KiB normal buffers overflow, so the trimmed heads pile up in the
+// high-priority FIFOs as they do in the incasts: B/op prices every queue
+// and pool record that pile needs, and records/pkt is the pool an op grew
+// (Sim.PacketsMade) per packet sent.
+func fabricTrimCold(b *testing.B) {
+	enc, err := quant.MustNew(quant.Params{Scheme: quant.RHT}).Encode(benchRow(1<<15), 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, data, err := wire.PackRow(1, 2, 3, enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := netsim.FabricSpec{
+		Kind:     "fattree",
+		K:        4,
+		Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond},
+		Queue:    netsim.QueueConfig{CapacityBytes: 64 << 10, HighCapacityBytes: 512 << 10, Mode: netsim.TrimOverflow},
+		ECMPSeed: 7,
+	}
+	b.ReportAllocs()
+	made := 0
+	for i := 0; i < b.N; i++ {
+		sim := netsim.NewSim()
+		topo, err := spec.Build(sim)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, h := range topo.Hosts {
+			h.Handler = func(*netsim.Packet) {}
+		}
+		for s := 0; s < 15; s++ {
+			topo.Hosts[s].SendRun(netsim.Packet{Dst: topo.Hosts[15].ID(), FlowID: uint64(s + 1)}, data)
+		}
+		sim.Run()
+		made += sim.PacketsMade()
+	}
+	b.ReportMetric(float64(made)/float64(b.N*15*len(data)), "records/pkt")
 }
 
 // BenchmarkFabricBuild measures what a k-ary fat tree costs to build and

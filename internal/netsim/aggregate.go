@@ -86,7 +86,8 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 		metaOf = noMeta
 	}
 	for _, prio := range []Priority{PrioHigh, PrioNormal} {
-		for _, qpkt := range p.q[prio].queued() {
+		q := &p.q[prio]
+		for qpkt, i := q.head, 0; i < q.n; qpkt, i = qpkt.next, i+1 {
 			if qpkt.Dst != pkt.Dst || qpkt.Payload == nil || !wire.IsTrimgrad(qpkt.Payload) {
 				continue
 			}

@@ -18,9 +18,11 @@ import (
 //     cross-shard outboxes. A packet on the wire is already in its
 //     arrival event. A record leaked on a drop, or handed out and never
 //     sent, breaks it.
-//   - Free-list hygiene. No record is free twice, and no free record is
-//     also held. A record released twice, or released and then sent, is
-//     caught here.
+//   - List hygiene. Every port FIFO, free list and return bin links
+//     exactly its count of records (walked no further, so a cut or looped
+//     list is reported, not followed). No record is free twice or both
+//     free and held: a record released twice, while queued, or before a
+//     send is caught here.
 //   - Port conservation. Every port has Enqueued == Transmitted + Backlog().
 //   - No lookups in a run. No simulator's registry resolved an instrument
 //     by name while the simulator ran (obs.Registry.BeginRun).
@@ -67,9 +69,9 @@ func (n *Network) Audit() error {
 				fail("port %d->%d enqueued %d packets, transmitted %d, holds %d",
 					p.owner, p.peer.ID(), st.Enqueued, st.Transmitted, b)
 			}
-			for _, q := range &p.q {
-				for _, pkt := range q.queued() {
-					hold(pkt, "port %d->%d", p.owner, p.peer.ID())
+			for prio := range p.q {
+				if !p.q[prio].walk(func(pkt *Packet) { hold(pkt, "port %d->%d", p.owner, p.peer.ID()) }) {
+					fail("port %d->%d priority %d FIFO does not link its %d packets", p.owner, p.peer.ID(), prio, p.q[prio].n)
 				}
 			}
 		}
@@ -108,13 +110,13 @@ func (n *Network) Audit() error {
 		free[pkt] = true
 	}
 	for _, s := range sims {
-		for _, pkt := range s.freePkt {
-			idle(pkt)
+		if !s.freePkt.walk(idle) {
+			fail("a free list does not link its %d records", s.freePkt.n)
 		}
-		for _, set := range s.retPkt {
-			for _, bin := range set {
-				for _, pkt := range bin {
-					idle(pkt)
+		for set := range s.retPkt {
+			for i := range s.retPkt[set] {
+				if !s.retPkt[set][i].walk(idle) {
+					fail("a return bin does not link its %d records", s.retPkt[set][i].n)
 				}
 			}
 		}

@@ -247,48 +247,64 @@ func (s *PortStats) emit(e obs.Emit, prefix string) {
 	e.Gauge(prefix+"max_queue_bytes", s.MaxQueueBytes)
 }
 
-// pktQueue is one priority's FIFO over a single backing array. A dequeue
-// nils its slot and advances head rather than re-slicing the front away
-// (which would leak the capacity behind it and regrow for the life of the
-// port); a drained queue rewinds to the start of its array, and a push
-// that finds the array full slides the live packets down over a dead front
-// half before it would grow. Steady traffic therefore reuses one array
-// sized to about twice the deepest backlog, and a drained queue holds no
-// *Packet (TestPortQueueReleasesDequeued).
+// pktQueue is a counted list of records linked through Packet.next: a
+// port's per-priority FIFO (push, pop), a free list or a shard's return
+// bin (pushFront, pop, prepend). A record sits in at most one list and has
+// a nil next outside them, so no list grows an array or, drained, holds one.
 type pktQueue struct {
-	pkts []*Packet
-	head int
+	head, tail *Packet
+	n          int
 }
 
-func (q *pktQueue) empty() bool { return q.head == len(q.pkts) }
-
-// queued returns the resident packets in FIFO order (a view, not a copy).
-func (q *pktQueue) queued() []*Packet { return q.pkts[q.head:] }
+func (q *pktQueue) empty() bool { return q.n == 0 }
 
 func (q *pktQueue) push(pkt *Packet) {
-	if len(q.pkts) == cap(q.pkts) && q.head > 0 && q.head >= len(q.pkts)/2 {
-		// At least half the array is dequeued slots: moving the live half
-		// down costs no more than the slots it frees, so pushes stay O(1)
-		// amortised without growing.
-		n := copy(q.pkts, q.pkts[q.head:])
-		clear(q.pkts[n:])
-		q.pkts, q.head = q.pkts[:n], 0
+	if q.n == 0 {
+		q.head = pkt
+	} else {
+		q.tail.next = pkt
 	}
-	q.pkts = append(q.pkts, pkt)
+	q.tail = pkt
+	q.n++
 }
 
-// front returns the oldest resident entry: a packet, or nil for a run's
-// place (runQueue).
-func (q *pktQueue) front() *Packet { return q.pkts[q.head] }
+func (q *pktQueue) pushFront(pkt *Packet) {
+	if q.n == 0 {
+		q.tail = pkt
+	}
+	pkt.next, q.head = q.head, pkt
+	q.n++
+}
 
 func (q *pktQueue) pop() *Packet {
-	pkt := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	if q.head == len(q.pkts) {
-		q.pkts, q.head = q.pkts[:0], 0
+	pkt := q.head
+	q.head, pkt.next = pkt.next, nil
+	if q.n--; q.n == 0 {
+		q.head, q.tail = nil, nil
 	}
 	return pkt
+}
+
+// prepend moves r's records to the front of q and empties r.
+func (q *pktQueue) prepend(r *pktQueue) {
+	if r.n > 0 {
+		if q.n == 0 {
+			q.tail = r.tail
+		}
+		r.tail.next, q.head, q.n = q.head, r.head, q.n+r.n
+		*r = pktQueue{}
+	}
+}
+
+// walk calls fn on q's first n records and reports whether they are the
+// whole list, ending at tail: Audit's walk of a list misuse cut or looped.
+func (q *pktQueue) walk(fn func(*Packet)) bool {
+	pkt, last, i := q.head, (*Packet)(nil), 0
+	for ; i < q.n && pkt != nil; i++ {
+		fn(pkt)
+		pkt, last = pkt.next, pkt
+	}
+	return i == q.n && pkt == nil && last == q.tail
 }
 
 // Port is one output port: a two-priority byte-bounded queue feeding a
@@ -335,10 +351,11 @@ type Port struct {
 }
 
 // runQueue holds a port's queued runs in FIFO order. Each run keeps its
-// place among single packets as a nil entry in the normal-priority
-// pktQueue, and its packets are built from the pool only when the wire
-// takes them (transmitNext), so the pool is sized by the wire, not by
-// the messages waiting. waiting counts the run packets already enqueued
+// place among single packets in the normal-priority FIFO as one pooled
+// record flagged run, a copy of its packet 0, which becomes its last
+// packet; the others are built from the pool only when the wire takes
+// them (transmitNext). So the pool is sized by the wire, not by the
+// messages waiting. waiting counts the run packets already enqueued
 // (bytes, Stats, depth observed) and not yet built.
 type runQueue struct {
 	runs    []pktRun
@@ -348,39 +365,41 @@ type runQueue struct {
 
 // pktRun is one Host.SendRun: payloads[next:] are its packets not yet built.
 type pktRun struct {
-	tmpl     Packet
 	payloads [][]byte
 	next     int
 }
 
-// runPacket builds packet i of a run from s's pool.
+// runPacket builds packet i of a run from s's pool, as a copy of tmpl
+// that is in no list and is no run's place.
 func runPacket(s *Sim, tmpl *Packet, payloads [][]byte, i int) *Packet {
 	pkt := s.NewPacket()
 	home := pkt.home
 	*pkt = *tmpl
-	pkt.pooled, pkt.home, pkt.ownsPayload = true, home, false
+	pkt.pooled, pkt.home, pkt.ownsPayload, pkt.next, pkt.run = true, home, false, nil, false
 	pkt.Payload, pkt.Size, pkt.Seq = payloads[i], len(payloads[i])+wire.NetOverhead, tmpl.Seq+uint64(i)
 	return pkt
 }
 
-// live returns how many runs are queued (and placeholders in the FIFO).
+// live returns how many runs are queued (and places in the FIFO).
 func (r *runQueue) live() int { return len(r.runs) - r.head }
 
-// build makes the head run's next packet from s's pool and reports
-// whether it was the run's last, which retires the run.
-func (r *runQueue) build(s *Sim) (*Packet, bool) {
+// build makes the head run's next packet, whose place is the record at
+// the FIFO's front, and reports whether it was the run's last, which
+// retires the run: the place becomes that packet, for the caller to pop.
+func (r *runQueue) build(s *Sim, place *Packet) (*Packet, bool) {
 	run := &r.runs[r.head]
-	pkt := runPacket(s, &run.tmpl, run.payloads, run.next)
-	run.next++
+	i := run.next
 	r.waiting--
-	if run.next < len(run.payloads) {
-		return pkt, false
+	if run.next++; run.next < len(run.payloads) {
+		return runPacket(s, place, run.payloads, i), false
 	}
+	pl := run.payloads[i]
+	place.Payload, place.Size, place.Seq, place.run = pl, len(pl)+wire.NetOverhead, place.Seq+uint64(i), false
 	*run = pktRun{} // drop the payload references
 	if r.head++; r.head == len(r.runs) {
 		r.runs, r.head = r.runs[:0], 0
 	}
-	return pkt, true
+	return place, true
 }
 
 func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig) *Port {
@@ -419,7 +438,7 @@ func (p *Port) QueuedBytes() int { return p.bytes[PrioNormal] + p.bytes[PrioHigh
 // Stats.Transmitted may not yet count a serialization that ended with
 // nothing queued behind it (stats() does).
 func (p *Port) Backlog() int {
-	n := len(p.q[PrioNormal].queued()) + len(p.q[PrioHigh].queued())
+	n := p.q[PrioNormal].n + p.q[PrioHigh].n
 	if p.runs != nil {
 		n += p.runs.waiting - p.runs.live() // a run's packets, not its place
 	}
@@ -552,13 +571,11 @@ func (p *Port) transmitNext() {
 		prio = PrioNormal
 	}
 	q := &p.q[prio]
-	pkt := q.front()
-	if pkt == nil {
-		var last bool
-		if pkt, last = p.runs.build(p.sim); last {
-			q.pop()
-		}
-	} else {
+	pkt, last := q.head, true
+	if pkt.run {
+		pkt, last = p.runs.build(p.sim, pkt)
+	}
+	if last {
 		q.pop()
 	}
 	p.bytes[prio] -= pkt.Size
@@ -580,7 +597,7 @@ func (p *Port) transmitNext() {
 // all built (inside SendRun's enqueue loop).
 func (p *Port) normalEmpty() bool {
 	q := &p.q[PrioNormal]
-	return q.empty() || p.runs != nil && p.runs.waiting == 0 && len(q.queued()) == p.runs.live()
+	return q.empty() || p.runs != nil && p.runs.waiting == 0 && q.n == p.runs.live()
 }
 
 // takesRun reports whether admit would queue every packet of a run of
@@ -867,8 +884,8 @@ func (h *Host) Send(pkt *Packet) {
 // wire.NetOverhead and Seq = tmpl.Seq + i, for every i — every event,
 // statistic and export is identical. A normal-priority run that the
 // uplink takes whole, untouched (Port.takesRun), waits in the NIC queue
-// as one entry, and each packet record is built from the pool only when
-// the wire takes it; otherwise SendRun is that loop of Sends.
+// as one entry, one pooled record, and every other packet record is
+// built only when the wire takes it; otherwise SendRun is that loop of Sends.
 //
 // Payloads are borrowed as with Send, and so is the outer slice: it is
 // read until the last packet is built, so neither it nor the payloads may
@@ -889,11 +906,13 @@ func (h *Host) SendRun(tmpl Packet, payloads [][]byte) {
 		return
 	}
 	tmpl.Src = h.id
+	place := runPacket(h.sim, &tmpl, payloads, 0)
+	place.run = true
 	if p.runs == nil {
 		p.runs = new(runQueue)
 	}
-	p.runs.runs = append(p.runs.runs, pktRun{tmpl: tmpl, payloads: payloads})
-	p.q[PrioNormal].push(nil)
+	p.runs.runs = append(p.runs.runs, pktRun{payloads: payloads})
+	p.q[PrioNormal].push(place)
 	for _, pl := range payloads {
 		p.runs.waiting++
 		p.enqueued(PrioNormal, len(pl)+wire.NetOverhead)

@@ -461,73 +461,121 @@ func TestForwardingTableFollowsRouteChanges(t *testing.T) {
 	}
 }
 
-// TestPortQueueReleasesDequeued pins the head-indexed queue's two promises:
-// a drained port's backing arrays hold no *Packet (the record may be
-// recycled or collected the moment it leaves), and steady traffic reuses
-// one array instead of regrowing behind a sliding window.
+// TestPortQueueReleasesDequeued pins the linked FIFO's three promises over
+// 10 000 push/pop cycles with SendRun places (run-flagged records) mixed
+// in: records leave in the order they came, a popped record links nowhere
+// (it may be recycled at once), and a drained queue references no record.
+// The port half drives the same mix through a NIC: packets sent one by one
+// and as runs arrive in send order, every FIFO drains empty, and the pool
+// audits clean.
 func TestPortQueueReleasesDequeued(t *testing.T) {
 	sim := NewSim()
-	star := NewStar(sim, 2, LinkConfig{Bandwidth: Mbps(100), Delay: 0},
-		QueueConfig{CapacityBytes: 1 << 20})
-	port := star.Tier(TierEdge)[0].Port(1)
-	star.Hosts[1].Handler = func(*Packet) {}
-	burst := func(n int) {
-		for i := 0; i < n; i++ {
-			prio := PrioNormal
-			if i%3 == 0 {
-				prio = PrioHigh
+	rng := xrand.New(3)
+	var q pktQueue
+	var want []*Packet
+	for i := 0; i < 10000; i++ {
+		for k := rng.Intn(3); k >= 0; k-- {
+			pkt := sim.NewPacket()
+			pkt.Seq, pkt.run = uint64(i), i%7 == 0
+			q.push(pkt)
+			want = append(want, pkt)
+		}
+		for k := rng.Intn(4); k > 0 && !q.empty(); k-- {
+			pkt := q.pop()
+			if pkt != want[0] {
+				t.Fatalf("cycle %d: popped seq %d, want %d", i, pkt.Seq, want[0].Seq)
 			}
-			star.Hosts[0].Send(&Packet{Dst: 1, Size: 200, Prio: prio})
+			if pkt.next != nil {
+				t.Fatalf("cycle %d: a popped record still links to another", i)
+			}
+			want = want[1:]
+			sim.releasePacket(pkt)
+		}
+		if q.n != len(want) {
+			t.Fatalf("cycle %d: queue counts %d, holds %d", i, q.n, len(want))
+		}
+	}
+	for !q.empty() {
+		if q.pop() != want[0] {
+			t.Fatal("drain left FIFO order")
+		}
+		want = want[1:]
+	}
+	if q != (pktQueue{}) {
+		t.Fatalf("a drained queue still references a record: %+v", q)
+	}
+
+	sim = NewSim()
+	star := NewStar(sim, 2, LinkConfig{Bandwidth: Mbps(100), Delay: 0}, QueueConfig{CapacityBytes: 1 << 20})
+	var got []uint64
+	star.Hosts[1].Handler = func(p *Packet) { got = append(got, p.Seq) }
+	h, run := star.Hosts[0], [][]byte{make([]byte, 100), make([]byte, 200), make([]byte, 300)}
+	seq := uint64(0)
+	for burst := 0; burst < 50; burst++ {
+		for j := 0; j < 12; j++ {
+			if j%3 == 1 {
+				h.SendRun(Packet{Dst: 1, Seq: seq}, run)
+				seq += uint64(len(run))
+				continue
+			}
+			pkt := sim.NewPacket()
+			pkt.Dst, pkt.Size, pkt.Seq = 1, 200, seq
+			h.Send(pkt)
+			seq++
+		}
+		if r := h.uplink.runs; r == nil || r.live() == 0 {
+			t.Fatal("no run queued as one entry")
 		}
 		sim.Run()
 	}
-	burst(100)
-	caps := [2]int{cap(port.q[PrioNormal].pkts), cap(port.q[PrioHigh].pkts)}
-	for round := 0; round < 50; round++ {
-		burst(100)
-	}
-	for prio := range port.q {
-		q := &port.q[prio]
-		if !q.empty() || q.head != 0 || len(q.pkts) != 0 {
-			t.Fatalf("prio %d: drained queue not rewound: head %d len %d", prio, q.head, len(q.pkts))
-		}
-		for i, p := range q.pkts[:cap(q.pkts)] {
-			if p != nil {
-				t.Fatalf("prio %d: slot %d of the drained queue still holds a packet", prio, i)
-			}
-		}
-		if cap(q.pkts) != caps[prio] {
-			t.Fatalf("prio %d: array regrew from %d to %d slots under a repeating load", prio, caps[prio], cap(q.pkts))
+	for i, s := range got {
+		if s != uint64(i) {
+			t.Fatalf("delivery %d carries seq %d: FIFO order broke", i, s)
 		}
 	}
+	if len(got) != int(seq) {
+		t.Fatalf("delivered %d of %d packets", len(got), seq)
+	}
+	for _, p := range append(star.Tier(TierEdge)[0].Ports(), h.uplink) {
+		if p.q != [2]pktQueue{} {
+			t.Fatalf("port %d->%d: drained FIFOs still reference records", p.owner, p.peer.ID())
+		}
+	}
+	if err := star.Net.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// A queue that never drains — one in for every one out — must settle on
-	// one array too: pushes reclaim the dequeued front instead of growing.
-	var q pktQueue
-	for i := 0; i < 40; i++ {
-		q.push(&Packet{Seq: uint64(i)})
+// TestPooledListsAllocateNothing: a FIFO and a free list link their
+// records, so pushing 10 000 records through a fresh FIFO, and releasing
+// 10 000 onto an empty free list, grow no array.
+func TestPooledListsAllocateNothing(t *testing.T) {
+	const n = 10000
+	sim := NewSim()
+	recs := make([]*Packet, n)
+	for i := range recs {
+		recs[i] = sim.NewPacket()
 	}
-	next, settled := uint64(0), 0
-	for i := 40; i < 10000; i++ {
-		if got := q.pop().Seq; got != next {
-			t.Fatalf("popped seq %d, want %d", got, next)
+	fifo := func() {
+		var q pktQueue
+		for _, pkt := range recs {
+			q.push(pkt)
 		}
-		next++
-		q.push(&Packet{Seq: uint64(i)})
-		if i == 1000 {
-			settled = cap(q.pkts)
+		for !q.empty() {
+			q.pop()
 		}
 	}
-	if cap(q.pkts) != settled || settled > 4*40 {
-		t.Fatalf("a 40-deep queue holds %d slots after 1000 cycles and %d after 10000; want one array of at most 160", settled, cap(q.pkts))
-	}
-	if n := len(q.queued()); n != 40 {
-		t.Fatalf("queued %d, want 40", n)
-	}
-	for _, p := range q.pkts[:q.head] {
-		if p != nil {
-			t.Fatal("a dequeued slot still holds its packet")
+	release := func() {
+		sim.freePkt = pktQueue{}
+		for _, pkt := range recs {
+			sim.releasePacket(pkt)
 		}
+	}
+	if avg := testing.AllocsPerRun(5, fifo); avg != 0 {
+		t.Errorf("pushing %d records through a FIFO allocated %.0f times", n, avg)
+	}
+	if avg := testing.AllocsPerRun(5, release); avg != 0 {
+		t.Errorf("releasing %d records onto a fresh free list allocated %.0f times", n, avg)
 	}
 }
 

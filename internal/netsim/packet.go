@@ -54,11 +54,15 @@ type Packet struct {
 	// drop); plain &Packet{} literals stay unpooled and are left to the
 	// GC, so callers that retain packets keep their aliasing freedom.
 	pooled bool
+	// run marks a queued Host.SendRun's place in a NIC FIFO (runQueue).
+	run bool
 	// home is the Sim whose pool allocated this record. On a sharded
 	// simulator a packet released on a foreign shard is returned to its
 	// home pool at the next barrier (see Sim.releasePacket), keeping the
 	// per-shard pools in steady state under one-directional traffic.
 	home *Sim
+	// next links the record into the one list holding it (pktQueue).
+	next *Packet
 }
 
 // clonePacket returns a copy of p, with its own Payload buffer, from s's
@@ -69,7 +73,7 @@ func (s *Sim) clonePacket(p *Packet) *Packet {
 	c := s.NewPacket()
 	home := c.home
 	*c = *p
-	c.pooled, c.home = true, home
+	c.pooled, c.home, c.next, c.run = true, home, nil, false
 	if p.Payload != nil {
 		c.Payload = append([]byte(nil), p.Payload...)
 		c.ownsPayload = true

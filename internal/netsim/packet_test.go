@@ -266,17 +266,42 @@ func TestZeroBandwidthPanics(t *testing.T) {
 	net.Connect(a.ID(), b.ID(), LinkConfig{Bandwidth: 0})
 }
 
-// Packet stays within 120 bytes: Audit adds no per-record field.
-var _ [120 - unsafe.Sizeof(Packet{})]byte
+// Packet stays within 128 bytes, the allocation size class it shares with
+// its 120-byte form before the list link: Audit adds no per-record field.
+var _ [128 - unsafe.Sizeof(Packet{})]byte
 
 // Port stays in the 384-byte size class, one allocation per port of every
-// fabric build: a host's queued runs hide behind one pointer (Port.runs).
+// fabric build: a host's queued runs hide behind one pointer (Port.runs),
+// and each of its two FIFOs is a 24-byte list header.
 var _ [384 - unsafe.Sizeof(Port{})]byte
+var _ [24 - unsafe.Sizeof(pktQueue{})]byte
 
-// TestPooledRecordMisuse pins Audit's pool checks on the three ways a
-// caller can break a pooled record's single ownership: releasing it twice,
-// sending it after its release, and taking one from NewPacket without
-// ever sending it.
+// TestBuiltRecordsStartUnlinked: a record built from a template that sits
+// in a list — a run's place, or a queued packet a fault clones — takes
+// the template's fields but neither its link nor its run flag.
+func TestBuiltRecordsStartUnlinked(t *testing.T) {
+	sim := NewSim()
+	var q pktQueue
+	place, behind := sim.NewPacket(), sim.NewPacket()
+	place.Dst, place.Seq, place.Kind, place.run = 4, 10, "run", true
+	q.push(place)
+	q.push(behind)
+	pkt := runPacket(sim, place, [][]byte{{1}, {2, 3}}, 1)
+	if pkt.next != nil || pkt.run || pkt.Dst != 4 || pkt.Seq != 11 || pkt.Size != 2+wire.NetOverhead {
+		t.Fatalf("runPacket built %+v from a queued run's place", pkt)
+	}
+	c := sim.clonePacket(place)
+	if c.next != nil || c.run || c.Dst != 4 || c.Kind != "run" {
+		t.Fatalf("clonePacket built %+v from a queued run's place", c)
+	}
+}
+
+// TestPooledRecordMisuse pins Audit's pool checks on the four ways a
+// caller can break a pooled record's single ownership: releasing it twice
+// (which loops the free list onto itself), releasing it while a port
+// queues it (which cuts that FIFO), sending it after its release, and
+// taking one from NewPacket without ever sending it. Audit walks each
+// list no further than its count, so it reports these, never hangs.
 func TestPooledRecordMisuse(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -288,6 +313,15 @@ func TestPooledRecordMisuse(t *testing.T) {
 			sim.releasePacket(pkt)
 			sim.releasePacket(pkt)
 		}, "a pooled packet is free twice"},
+		{"release a queued packet", func(sim *Sim, h *Host) {
+			var pkts [3]*Packet
+			for i := range pkts {
+				pkts[i] = sim.NewPacket()
+				pkts[i].Dst, pkts[i].Size = 1, 100
+				h.Send(pkts[i])
+			}
+			sim.releasePacket(pkts[1]) // pkts[0] is on the wire; 1 and 2 queue
+		}, "port 0->1000 priority 0 FIFO does not link its 2 packets"},
 		{"send released", func(sim *Sim, h *Host) {
 			pkt := sim.NewPacket()
 			sim.releasePacket(pkt)

@@ -116,7 +116,7 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 		for set := range s.out {
 			s.out[set] = make([][]xmsg, shards)
 			s.outAt[set] = maxTime
-			s.retPkt[set] = make([][]*Packet, shards)
+			s.retPkt[set] = make([]pktQueue, shards)
 		}
 		sh := &shard{sim: s}
 		if e.mainObs != nil {
@@ -221,9 +221,9 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 
 // place takes d's share of the mailbox set the current window does not
 // write: it places the hand-offs addressed to d, in source shard order,
-// and takes back d's pooled packets. Each shard drains only its own
-// column of every source's set, while the sources write the other set,
-// so nothing is read and written in the same phase.
+// and splices d's returned pooled packets onto its free list. Each shard
+// drains only its own column of every source's set, while the sources
+// write the other set, so nothing is read and written in the same phase.
 func (e *Engine) place(d *Sim) {
 	set, j := e.wr^1, d.shardIdx
 	for _, sh := range e.shards {
@@ -234,11 +234,7 @@ func (e *Engine) place(d *Sim) {
 			msgs[k] = xmsg{}
 		}
 		src.out[set][j] = msgs[:0]
-		if pkts := src.retPkt[set][j]; len(pkts) > 0 {
-			d.freePkt = append(d.freePkt, pkts...)
-			clear(pkts)
-			src.retPkt[set][j] = pkts[:0]
-		}
+		d.freePkt.prepend(&src.retPkt[set][j])
 	}
 }
 

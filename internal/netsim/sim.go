@@ -229,7 +229,7 @@ type Sim struct {
 	npend    int
 
 	freeEv  *event
-	freePkt []*Packet
+	freePkt pktQueue
 	// pktMade counts the pooled records NewPacket allocated here (not the
 	// ones it reused): Network.Audit balances it against the free lists,
 	// the return bins and the records the fabric holds.
@@ -256,10 +256,10 @@ type Sim struct {
 	// writes one set while the peers drain the other.
 	eng      *Engine
 	shardIdx int
-	active   bool           // this shard's goroutine is running a parallel phase
-	out      [2][][]xmsg    // per-destination-shard hand-off mailboxes
-	outAt    [2]Time        // earliest at in each out set; maxTime when empty
-	retPkt   [2][][]*Packet // per-home-shard pooled-packet returns
+	active   bool          // this shard's goroutine is running a parallel phase
+	out      [2][][]xmsg   // per-destination-shard hand-off mailboxes
+	outAt    [2]Time       // earliest at in each out set; maxTime when empty
+	retPkt   [2][]pktQueue // per-home-shard pooled-packet returns
 
 	// txTables holds each link bandwidth's serialization times by packet
 	// size (Port.serialize), built by the first port of that bandwidth.
@@ -707,11 +707,8 @@ func (s *Sim) nextAt() (Time, bool) {
 // past Deliver. Packets built with a plain &Packet{} literal are never
 // recycled, so existing callers and tests keep their aliasing freedom.
 func (s *Sim) NewPacket() *Packet {
-	if n := len(s.freePkt); n > 0 {
-		p := s.freePkt[n-1]
-		s.freePkt[n-1] = nil
-		s.freePkt = s.freePkt[:n-1]
-		return p
+	if !s.freePkt.empty() {
+		return s.freePkt.pop()
 	}
 	s.pktMade++
 	return &Packet{pooled: true, home: s}
@@ -743,9 +740,8 @@ func (s *Sim) releasePacket(p *Packet) {
 	home := p.home
 	*p = Packet{pooled: true, home: home}
 	if home != nil && home != s {
-		wr := s.eng.wr
-		s.retPkt[wr][home.shardIdx] = append(s.retPkt[wr][home.shardIdx], p)
+		s.retPkt[s.eng.wr][home.shardIdx].pushFront(p)
 		return
 	}
-	s.freePkt = append(s.freePkt, p)
+	s.freePkt.pushFront(p)
 }
