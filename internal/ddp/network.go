@@ -21,9 +21,6 @@ type FabricConfig struct {
 	// FatTreeK is the fat-tree arity; zero picks the smallest even k
 	// whose k³/4 hosts fit every worker (plus the cross-traffic host).
 	FatTreeK int
-	// Oversub is the leaf–spine oversubscription ratio (zero: 1, i.e.
-	// non-blocking).
-	Oversub float64
 	// Link is every host↔switch link.
 	Link netsim.LinkConfig
 	// Queue configures the switch (shallow buffers + TrimOverflow for the
@@ -82,7 +79,7 @@ func fabricSpec(f FabricConfig, nHosts int) (netsim.FabricSpec, error) {
 				spec.K, netsim.FatTreeHosts(spec.K), nHosts)
 		}
 	case "leafspine":
-		spec.Spines, spec.HostsPerLeaf, spec.Oversub = 2, 4, f.Oversub
+		spec.Spines, spec.HostsPerLeaf = 2, 4
 		spec.Leaves = max(2, (nHosts+spec.HostsPerLeaf-1)/spec.HostsPerLeaf)
 	default:
 		return spec, fmt.Errorf("ddp: unknown fabric topology %q (want star|fattree|leafspine)", f.Topology)

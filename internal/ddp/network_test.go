@@ -185,7 +185,6 @@ func TestNetworkedFabricValidation(t *testing.T) {
 		"odd k":             {FabricConfig{Topology: "fattree", FatTreeK: 5}, "even k"},
 		"small k":           {FabricConfig{Topology: "fattree", FatTreeK: 2}, "holds 2 hosts, need 4"},
 		"fattree dead link": {FabricConfig{Topology: "fattree", Link: dead}, "bandwidth"},
-		"oversubscription":  {FabricConfig{Topology: "leafspine", Oversub: -1}, "oversubscription"},
 		"star dead link":    {FabricConfig{Topology: "star", Link: dead}, "bandwidth"},
 	} {
 		_, err := NewNetTrainer(train, test,

@@ -117,7 +117,9 @@ func goldenStar(t *testing.T) *goldenRun {
 		fct := netsim.NewFCTRecorder()
 		fct.Obs = reg
 		finish := g.incast(t, star, reg, trimmable, fct)
-		star.Hosts[3].Send(&netsim.Packet{Dst: 99, Size: 100}) // no route: a switch route miss
+		miss := sim.NewPacket() // no route: a switch route miss
+		miss.Dst, miss.Size = 99, 100
+		star.Hosts[3].Send(miss)
 		sim.RunUntil(30 * netsim.Second)
 		finish()
 	}

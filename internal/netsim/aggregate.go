@@ -62,9 +62,16 @@ func (s *Switch) metaInfo(flow, msg, row uint32) (wire.MetaInfo, bool) {
 	return m, ok
 }
 
-// noMeta is the lookup used when no metadata cache is wired (ports used
-// directly in tests): only aggregate×aggregate merges can succeed.
-func noMeta(flow, msg, row uint32) (wire.MetaInfo, bool) { return wire.MetaInfo{}, false }
+// ControlMerger is implemented by a transport control header that can
+// describe an aggregate (QueueConfig.AggregateTrimmable). Before folding
+// pkt into the queued packet into, the switch asks into's Control for the
+// merged packet's header — typically both inputs' reassembly entries — and
+// ok=false vetoes the merge (the inputs share a sender packet, so folding
+// would double-count). Packets whose queued Control is not a ControlMerger
+// merge only when neither carries a Control.
+type ControlMerger interface {
+	MergeControl(into, from *Packet) (ctl any, ok bool)
+}
 
 // tryAggregate attempts to fold pkt into a queued packet with the same
 // destination and aggregation key. On success the queued packet has been
@@ -80,10 +87,6 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 	h, err := wire.ParseHeader(pkt.Payload)
 	if err != nil || h.IsMeta() {
 		return false
-	}
-	metaOf := p.metaOf
-	if metaOf == nil {
-		metaOf = noMeta
 	}
 	for _, prio := range []Priority{PrioHigh, PrioNormal} {
 		q := &p.q[prio]
@@ -102,12 +105,12 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 			// A retransmit can meet its still-queued original: same flow,
 			// same key. Folding would double-count that sender, so plain
 			// same-flow pairs never merge. (Aggregate inputs carry no flow
-			// list at this layer; the transport's control merger vetoes
+			// list at this layer; the transport's ControlMerger vetoes
 			// duplicates among them, since it knows every folded sender.)
 			if !qh.IsAgg() && !h.IsAgg() && qh.Flow == h.Flow {
 				continue
 			}
-			if p.mergeInto(qpkt, prio, pkt, metaOf) {
+			if p.mergeInto(qpkt, prio, pkt) {
 				return true
 			}
 		}
@@ -118,22 +121,18 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 // mergeInto folds pkt into the queued qpkt (resident in queue prio),
 // reporting success. The queued packet is the earlier arrival, so its
 // values accumulate first — float addition order stays deterministic.
-func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet,
-	metaOf func(flow, msg, row uint32) (wire.MetaInfo, bool)) bool {
-	merged, err := wire.MergeTrimmable(qpkt.Payload, pkt.Payload, metaOf)
+func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet) bool {
+	merged, err := wire.MergeTrimmable(qpkt.Payload, pkt.Payload, p.metaOf)
 	if err != nil {
 		return false
 	}
 	// The transport must be able to re-describe the merged packet (its
 	// control header lists every folded sender for reassembly accounting).
-	// Without a registered merger only control-free packets may merge.
 	var ctl any
-	if p.sim.controlMerger != nil {
-		c, ok := p.sim.controlMerger(qpkt, pkt)
-		if !ok {
+	if m, ok := qpkt.Control.(ControlMerger); ok {
+		if ctl, ok = m.MergeControl(qpkt, pkt); !ok {
 			return false
 		}
-		ctl = c
 	} else if qpkt.Control != nil || pkt.Control != nil {
 		return false
 	}

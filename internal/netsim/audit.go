@@ -22,7 +22,8 @@ import (
 //     exactly its count of records (walked no further, so a cut or looped
 //     list is reported, not followed). No record is free twice or both
 //     free and held: a record released twice, while queued, or before a
-//     send is caught here.
+//     send is caught here. Every held record came from a pool: a literal
+//     handed to Port.Enqueue is reported.
 //   - Port conservation. Every port has Enqueued == Transmitted + Backlog().
 //   - No lookups in a run. No simulator's registry resolved an instrument
 //     by name while the simulator ran (obs.Registry.BeginRun).
@@ -39,7 +40,9 @@ func (n *Network) Audit() error {
 	held := make(map[*Packet]bool)
 	hold := func(pkt *Packet, where string, at ...any) {
 		switch {
-		case pkt == nil || !pkt.pooled:
+		case pkt == nil:
+		case pkt.home == nil:
+			fail(where+" holds a record no pool made", at...)
 		case held[pkt]:
 			fail(where+" holds a pooled packet held elsewhere too", at...)
 		default:

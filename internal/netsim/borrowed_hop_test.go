@@ -91,7 +91,7 @@ func TestBorrowedHopAllocations(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			for s := 0; s < 2; s++ {
-				star.Hosts[s].Send(&Packet{Dst: 2, Size: len(payload) + wire.NetOverhead, Payload: payload})
+				star.Hosts[s].Send(record(sim, Packet{Dst: 2, Size: len(payload) + wire.NetOverhead, Payload: payload}))
 			}
 		}
 		sim.Run()

@@ -41,21 +41,21 @@ type FaultConfig struct {
 	// Zero means 10 µs.
 	ReorderDelay Time
 
-	// Gilbert-Elliott bursty loss: a two-state Markov channel that drops
-	// packets at LossGood while in the good state and LossBad while in the
-	// bad state, transitioning good→bad with probability GoodToBad and
+	// Gilbert-Elliott bursty loss: a two-state Markov channel that passes
+	// every packet while in the good state and drops at LossBad while in
+	// the bad state, transitioning good→bad with probability GoodToBad and
 	// bad→good with probability BadToGood per packet. GoodToBad = 0
-	// disables the chain (the channel stays good).
+	// disables the chain (the channel stays good). Uniform loss is
+	// QueueConfig.LossRate.
 	GoodToBad float64
 	BadToGood float64
-	LossGood  float64
 	LossBad   float64
 }
 
 // enabled reports whether the config can inject anything at all.
 func (c FaultConfig) enabled() bool {
 	return c.CorruptRate > 0 || c.DuplicateRate > 0 || c.ReorderRate > 0 ||
-		c.GoodToBad > 0 || c.LossGood > 0
+		c.GoodToBad > 0
 }
 
 // FaultStats counts what a FaultInjector actually did. It is the only
@@ -127,21 +127,17 @@ func (f *FaultInjector) apply(pkt *Packet, p *Port) {
 
 // dropBurst steps the Gilbert-Elliott chain one packet and draws loss.
 func (f *FaultInjector) dropBurst() bool {
-	if f.cfg.GoodToBad <= 0 && f.cfg.LossGood <= 0 {
+	if f.cfg.GoodToBad <= 0 {
 		return false
 	}
 	if f.bad {
 		if f.rng.Float64() < f.cfg.BadToGood {
 			f.bad = false
 		}
-	} else if f.cfg.GoodToBad > 0 && f.rng.Float64() < f.cfg.GoodToBad {
+	} else if f.rng.Float64() < f.cfg.GoodToBad {
 		f.bad = true
 	}
-	loss := f.cfg.LossGood
-	if f.bad {
-		loss = f.cfg.LossBad
-	}
-	return loss > 0 && f.rng.Float64() < loss
+	return f.bad && f.cfg.LossBad > 0 && f.rng.Float64() < f.cfg.LossBad
 }
 
 // corrupt returns a clone of pkt with CorruptBits payload bits flipped.

@@ -30,7 +30,7 @@ func newFaultHarness(t *testing.T, cfg FaultConfig, nSent int) *faultHarness {
 	for i := 0; i < nSent; i++ {
 		payload := bytes.Repeat([]byte{byte(i)}, 64)
 		sim.At(Time(i)*10*Microsecond, func() {
-			star.Hosts[0].Send(&Packet{Dst: 1, Size: len(payload), Payload: payload})
+			star.Hosts[0].Send(record(sim, Packet{Dst: 1, Size: len(payload), Payload: payload}))
 		})
 	}
 	return h
@@ -57,7 +57,7 @@ func TestFaultCorruptionClonesPayload(t *testing.T) {
 	sent := append([]byte(nil), original...)
 	var got []byte
 	star.Hosts[1].Handler = func(p *Packet) { got = p.Payload }
-	star.Hosts[0].Send(&Packet{Dst: 1, Size: len(sent), Payload: sent})
+	star.Hosts[0].Send(record(sim, Packet{Dst: 1, Size: len(sent), Payload: sent}))
 	sim.Run()
 	if got == nil {
 		t.Fatal("packet not delivered")
@@ -129,7 +129,7 @@ func TestLinkFlapDropsThenRecovers(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		i := i
 		h.sim.At(Time(i)*10*Microsecond, func() {
-			h.star.Hosts[0].Send(&Packet{Dst: 1, Size: 64, Payload: []byte{byte(i)}})
+			h.star.Hosts[0].Send(record(h.sim, Packet{Dst: 1, Size: 64, Payload: []byte{byte(i)}}))
 		})
 	}
 	h.star.Net.FlapLink(0, SwitchIDBase, 200*Microsecond, 300*Microsecond)
@@ -155,7 +155,7 @@ func TestHostPauseAndFail(t *testing.T) {
 		QueueConfig{CapacityBytes: 1 << 20})
 	got := 0
 	star.Hosts[1].Handler = func(*Packet) { got++ }
-	send := func() { star.Hosts[0].Send(&Packet{Dst: 1, Size: 64}) }
+	send := func() { star.Hosts[0].Send(record(sim, Packet{Dst: 1, Size: 64})) }
 
 	// Pause host 1 for 100 µs starting at t=50 µs.
 	sim.At(50*Microsecond, func() { star.Hosts[1].Pause(100 * Microsecond) })
@@ -180,7 +180,7 @@ func TestHostPauseAndFail(t *testing.T) {
 	if !star.Hosts[1].Down() {
 		t.Error("failed host reports up")
 	}
-	star.Hosts[1].Send(&Packet{Dst: 0, Size: 64})
+	star.Hosts[1].Send(record(sim, Packet{Dst: 0, Size: 64}))
 	if up := star.Hosts[1].Uplink().Stats.Enqueued; up != 0 {
 		t.Error("a failed host must not send")
 	}

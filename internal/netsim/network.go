@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"trimgrad/internal/obs"
@@ -375,7 +374,7 @@ func runPacket(s *Sim, tmpl *Packet, payloads [][]byte, i int) *Packet {
 	pkt := s.NewPacket()
 	home := pkt.home
 	*pkt = *tmpl
-	pkt.pooled, pkt.home, pkt.ownsPayload, pkt.next, pkt.run = true, home, false, nil, false
+	pkt.home, pkt.ownsPayload, pkt.next, pkt.run = home, false, nil, false
 	pkt.Payload, pkt.Size, pkt.Seq = payloads[i], len(payloads[i])+wire.NetOverhead, tmpl.Seq+uint64(i)
 	return pkt
 }
@@ -602,10 +601,10 @@ func (p *Port) normalEmpty() bool {
 
 // takesRun reports whether admit would queue every packet of a run of
 // size bytes untouched and with no random draw: the port is up, has no
-// faults, loss, ECN or aggregation, and has room for all of it.
+// faults, and has room for all of it. Runs leave host NICs only, whose
+// hostQueue has no loss, ECN or aggregation.
 func (p *Port) takesRun(size int) bool {
-	return !p.down && p.faults == nil && p.lossRNG == nil && p.cfg.ECNThresholdBytes == 0 &&
-		!p.cfg.AggregateTrimmable && p.bytes[PrioNormal]+size <= p.cfg.CapacityBytes
+	return !p.down && p.faults == nil && p.bytes[PrioNormal]+size <= p.cfg.CapacityBytes
 }
 
 // serialize returns how long size bytes take on the wire,
@@ -643,9 +642,8 @@ func (p *Port) settle() bool {
 }
 
 // Switch is an output-queued switch with a static forwarding table,
-// written once by the topology builders after wiring (SetRoute and
-// AddRoute edit it for hand-wired fabrics). An entry holds one or more
-// equal-cost next hops; multi-hop entries are load-balanced by a
+// written once by the topology builders after wiring. An entry holds one
+// or more equal-cost next hops; multi-hop entries are load-balanced by a
 // deterministic seeded flow hash (ECMP), so a flow's packets always take
 // one path and same-seed runs pick identical paths. The table is only
 // touched from the switch's own simulator, so sharding needs no lock.
@@ -659,8 +657,8 @@ type Switch struct {
 	ecmpKey uint64
 	// fwd[dst], indexed by host id (nothing addresses a switch), locates
 	// dst's equal-cost set of ports, in hash bucket order, in fwdPorts;
-	// destinations may share a set. fwdHops holds each port's next hop, so
-	// attach can fill in a nil port: a hop not connected yet.
+	// destinations may share a set. fwdHops holds each port's next hop
+	// (nextHops, for PathFor).
 	fwd      []fwdEntry
 	fwdPorts []*Port
 	fwdHops  []NodeID
@@ -687,11 +685,6 @@ func (s *Switch) attach(peer Node, link LinkConfig) error {
 		p.metaOf = s.metaInfo
 	}
 	s.ports[peer.ID()] = p
-	for i, hop := range s.fwdHops {
-		if hop == peer.ID() {
-			s.fwdPorts[i] = p
-		}
-	}
 	// A directly-connected host routes to itself.
 	if _, ok := peer.(*Host); ok {
 		s.route(peer.ID(), peer.ID()+1, s.hopSet(peer.ID()))
@@ -727,22 +720,6 @@ func (s *Switch) nextHops(dst NodeID) []NodeID {
 	}
 	e := s.fwd[dst]
 	return s.fwdHops[e.off : e.off+e.n : e.off+e.n]
-}
-
-// SetRoute directs traffic for dst through nextHop alone, replacing any
-// previously installed next-hop set (which must be a connected neighbour
-// by the time packets flow).
-func (s *Switch) SetRoute(dst, nextHop NodeID) { s.route(dst, dst+1, s.hopSet(nextHop)) }
-
-// AddRoute appends nextHop to dst's equal-cost next-hop set (ignoring
-// exact duplicates). Insertion order is the hash bucket order, so
-// callers must add hops deterministically. The extended set is a copy,
-// so destinations sharing the old one keep it.
-func (s *Switch) AddRoute(dst, nextHop NodeID) {
-	hops := s.nextHops(dst)
-	if !slices.Contains(hops, nextHop) {
-		s.route(dst, dst+1, s.hopSet(append(hops, nextHop)...))
-	}
 }
 
 // egress is the forwarding decision for one flow: dst's table entry and,
@@ -858,7 +835,8 @@ func (h *Host) Deliver(pkt *Packet) {
 // Send transmits a packet out of the host's NIC. The source field is
 // stamped automatically. A paused or crashed host silently drops its own
 // sends: its peers observe silence, exactly what a crash looks like from
-// the network.
+// the network. pkt must come from h.Sim().NewPacket (Send panics on any
+// other record), and the fabric owns it from this call on.
 //
 // The payload is borrowed, never copied: from this call on its bytes are
 // immutable. The fabric reads them in place at every hop and on every
@@ -869,6 +847,9 @@ func (h *Host) Deliver(pkt *Packet) {
 func (h *Host) Send(pkt *Packet) {
 	if h.uplink == nil {
 		panic(fmt.Sprintf("netsim: host %d is not attached", h.id))
+	}
+	if pkt.home != h.sim {
+		panic(fmt.Sprintf("netsim: host %d: Send takes a record from its own simulator's Sim.NewPacket", h.id))
 	}
 	if h.down {
 		h.DownDrops++

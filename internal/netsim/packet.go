@@ -21,6 +21,8 @@ const (
 // including network overhead; Payload optionally carries real trimgrad
 // wire-format bytes that switches know how to trim. Packets without a
 // Payload (cross traffic, acks) are opaque: they can only be dropped.
+// Every record comes from Sim.NewPacket, and the fabric recycles it at its
+// terminal point (Host.Send panics on a record its host's Sim did not make).
 type Packet struct {
 	Src, Dst NodeID
 	Size     int
@@ -34,10 +36,12 @@ type Packet struct {
 	FlowID uint64
 	// Seq is a transport-assigned sequence number.
 	Seq uint64
-	// Kind is a free-form label for transports ("data", "ack", ...).
-	Kind string
+	// _ keeps the record at 128 bytes: a 112-byte record allocates less
+	// but runs the sharded permutation slower (packet_test.go's guard).
+	_ [16]byte
 	// Control carries transport-level header fields (ack numbers, message
-	// ids). Simulated switches never inspect it.
+	// ids). Switches never read it; an aggregating switch asks it for the
+	// merged header when it implements ControlMerger.
 	Control any
 	// Trimmed is set by a switch that trimmed this packet.
 	Trimmed bool
@@ -49,11 +53,6 @@ type Packet struct {
 	// by nobody else — so a further trim may rewrite it in place.
 	ownsPayload bool
 
-	// pooled marks a record obtained from Sim.NewPacket. The fabric
-	// recycles pooled records at their terminal point (host delivery or
-	// drop); plain &Packet{} literals stay unpooled and are left to the
-	// GC, so callers that retain packets keep their aliasing freedom.
-	pooled bool
 	// run marks a queued Host.SendRun's place in a NIC FIFO (runQueue).
 	run bool
 	// home is the Sim whose pool allocated this record. On a sharded
@@ -73,7 +72,7 @@ func (s *Sim) clonePacket(p *Packet) *Packet {
 	c := s.NewPacket()
 	home := c.home
 	*c = *p
-	c.pooled, c.home, c.next, c.run = true, home, nil, false
+	c.home, c.next, c.run = home, nil, false
 	if p.Payload != nil {
 		c.Payload = append([]byte(nil), p.Payload...)
 		c.ownsPayload = true

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -34,43 +35,44 @@ func gradPayload(t *testing.T, n int) []byte {
 
 func TestPacketClone(t *testing.T) {
 	sim := NewSim()
-	p := &Packet{Dst: 3, Size: 100, Payload: []byte{1, 2, 3}, Kind: "x"}
+	p := record(sim, Packet{Dst: 3, Size: 100, Payload: []byte{1, 2, 3}, FlowID: 7})
 	q := sim.clonePacket(p)
 	q.Payload[0] = 9
 	if p.Payload[0] != 1 {
 		t.Fatal("clone aliases payload")
 	}
-	if q.Dst != 3 || q.Size != 100 || q.Kind != "x" {
+	if q.Dst != 3 || q.Size != 100 || q.FlowID != 7 {
 		t.Fatal("clone lost fields")
 	}
-	if !q.pooled || q.home != sim || !q.ownsPayload || sim.PacketsMade() != 1 {
+	if q.home != sim || !q.ownsPayload || sim.PacketsMade() != 2 {
 		t.Fatal("clone is not a record of the simulator's pool owning its payload")
 	}
 	// Nil payload clone.
-	r := sim.clonePacket(&Packet{Size: 5})
+	r := sim.clonePacket(record(sim, Packet{Size: 5}))
 	if r.Payload != nil || r.ownsPayload {
 		t.Fatal("nil payload should stay nil")
 	}
 }
 
 func TestTrimmableClassification(t *testing.T) {
+	sim := NewSim()
 	trimmable := func(p *Packet) bool { return p.trimLen(0) < len(p.Payload) }
 	// Opaque packets are not trimmable.
-	if trimmable(&Packet{Size: 100}) {
+	if trimmable(record(sim, Packet{Size: 100})) {
 		t.Error("opaque packet claimed trimmable")
 	}
 	// Garbage payloads are not trimmable.
-	if trimmable(&Packet{Size: 100, Payload: []byte{1, 2, 3}}) {
+	if trimmable(record(sim, Packet{Size: 100, Payload: []byte{1, 2, 3}})) {
 		t.Error("garbage payload claimed trimmable")
 	}
 	// Metadata packets are not trimmable.
 	meta := wire.BuildMetaPacket(wire.Header{Flow: 1}, 1, 10, 1.0)
-	if trimmable(&Packet{Size: len(meta), Payload: meta}) {
+	if trimmable(record(sim, Packet{Size: len(meta), Payload: meta})) {
 		t.Error("metadata claimed trimmable")
 	}
 	// A real data packet is trimmable.
 	data := gradPayload(t, 512)
-	p := &Packet{Size: len(data) + wire.NetOverhead, Payload: data}
+	p := record(sim, Packet{Size: len(data) + wire.NetOverhead, Payload: data})
 	if !trimmable(p) {
 		t.Fatal("data packet not trimmable")
 	}
@@ -91,7 +93,7 @@ func TestTrimmableClassification(t *testing.T) {
 
 func TestTrimToUpdatesSize(t *testing.T) {
 	data := gradPayload(t, 512)
-	p := &Packet{Size: len(data) + wire.NetOverhead, Payload: data}
+	p := record(NewSim(), Packet{Size: len(data) + wire.NetOverhead, Payload: data})
 	before := p.Size
 	if !p.TrimTo(0) {
 		t.Fatal("TrimTo failed")
@@ -176,9 +178,9 @@ func TestSwitchTrimTargetKeepsTails(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		data := gradPayload(t, 512)
-		star.Hosts[0].Send(&Packet{Dst: 2, Size: len(data) + wire.NetOverhead, Payload: data})
+		star.Hosts[0].Send(record(sim, Packet{Dst: 2, Size: len(data) + wire.NetOverhead, Payload: data}))
 		data2 := gradPayload(t, 512)
-		star.Hosts[1].Send(&Packet{Dst: 2, Size: len(data2) + wire.NetOverhead, Payload: data2})
+		star.Hosts[1].Send(record(sim, Packet{Dst: 2, Size: len(data2) + wire.NetOverhead, Payload: data2}))
 	}
 	sim.Run()
 	if !sawPartial {
@@ -200,7 +202,7 @@ func TestDumbbellBottleneckCongests(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		for s := 0; s < 4; s++ {
 			data := gradPayload(t, 512)
-			d.Hosts[s].Send(&Packet{Dst: dst, Size: len(data) + wire.NetOverhead, Payload: data})
+			d.Hosts[s].Send(record(sim, Packet{Dst: dst, Size: len(data) + wire.NetOverhead, Payload: data}))
 		}
 	}
 	sim.Run()
@@ -238,7 +240,7 @@ func TestUnattachedHostSendPanics(t *testing.T) {
 			t.Fatal("send on unattached host should panic")
 		}
 	}()
-	h.Send(&Packet{Dst: 2, Size: 10})
+	h.Send(record(sim, Packet{Dst: 2, Size: 10}))
 }
 
 func TestDuplicateNodeIDPanics(t *testing.T) {
@@ -266,9 +268,15 @@ func TestZeroBandwidthPanics(t *testing.T) {
 	net.Connect(a.ID(), b.ID(), LinkConfig{Bandwidth: 0})
 }
 
-// Packet stays within 128 bytes, the allocation size class it shares with
-// its 120-byte form before the list link: Audit adds no per-record field.
+// Packet fills its 128-byte size class, pinned from both sides. The cap:
+// Audit adds no per-record field. The floor: with the Kind label gone and
+// no pad, a 112-byte record allocated 4 % less an iteration (incast_k8_trim
+// 8.06 → 7.73 MB, permute_k8_s2 3.50 → 3.37 MB) but slowed permute_k8_s2
+// in 16 of 16 alternated ./benchmark pairs against the padded record
+// (medians 24.9 → 25.9 ms, 12 s runs on a 2-vCPU x86-64 Xeon). The floor
+// is scaled by the word size, so a 32-bit build checks the cap only.
 var _ [128 - unsafe.Sizeof(Packet{})]byte
+var _ [unsafe.Sizeof(Packet{}) - 113*(unsafe.Sizeof(uintptr(0))/8)]byte
 
 // Port stays in the 384-byte size class, one allocation per port of every
 // fabric build: a host's queued runs hide behind one pointer (Port.runs),
@@ -283,7 +291,7 @@ func TestBuiltRecordsStartUnlinked(t *testing.T) {
 	sim := NewSim()
 	var q pktQueue
 	place, behind := sim.NewPacket(), sim.NewPacket()
-	place.Dst, place.Seq, place.Kind, place.run = 4, 10, "run", true
+	place.Dst, place.Seq, place.FlowID, place.run = 4, 10, 9, true
 	q.push(place)
 	q.push(behind)
 	pkt := runPacket(sim, place, [][]byte{{1}, {2, 3}}, 1)
@@ -291,22 +299,25 @@ func TestBuiltRecordsStartUnlinked(t *testing.T) {
 		t.Fatalf("runPacket built %+v from a queued run's place", pkt)
 	}
 	c := sim.clonePacket(place)
-	if c.next != nil || c.run || c.Dst != 4 || c.Kind != "run" {
+	if c.next != nil || c.run || c.Dst != 4 || c.FlowID != 9 {
 		t.Fatalf("clonePacket built %+v from a queued run's place", c)
 	}
 }
 
-// TestPooledRecordMisuse pins Audit's pool checks on the four ways a
-// caller can break a pooled record's single ownership: releasing it twice
-// (which loops the free list onto itself), releasing it while a port
+// TestPooledRecordMisuse pins the checks on the ways a caller can break a
+// pooled record's single ownership. Audit reports four: releasing a record
+// twice (which loops the free list onto itself), releasing it while a port
 // queues it (which cuts that FIFO), sending it after its release, and
-// taking one from NewPacket without ever sending it. Audit walks each
-// list no further than its count, so it reports these, never hangs.
+// taking one from NewPacket without ever sending it. Audit walks each list
+// no further than its count, so it reports these, never hangs. It also
+// reports a record no pool made that a port holds. Host.Send panics on a
+// record that is not from its simulator's pool: a literal, or another
+// Sim's record.
 func TestPooledRecordMisuse(t *testing.T) {
 	cases := []struct {
-		name  string
-		do    func(sim *Sim, h *Host)
-		audit string // substring of Audit's report
+		name string
+		do   func(sim *Sim, h *Host)
+		want string // substring of the panic, or else of Audit's report
 	}{
 		{"release twice", func(sim *Sim, _ *Host) {
 			pkt := sim.NewPacket()
@@ -333,6 +344,19 @@ func TestPooledRecordMisuse(t *testing.T) {
 			sim.NewPacket()
 			sim.Run()
 		}, "1 pooled packets live, 0 held"},
+		{"send a literal", func(_ *Sim, h *Host) {
+			h.Send(&Packet{Dst: 1, Size: 100})
+		}, "Sim.NewPacket"},
+		{"send another Sim's record", func(_ *Sim, h *Host) {
+			pkt := NewSim().NewPacket()
+			pkt.Dst, pkt.Size = 1, 100
+			h.Send(pkt)
+		}, "Sim.NewPacket"},
+		{"enqueue a literal", func(_ *Sim, h *Host) {
+			for i := 0; i < 2; i++ { // the first goes on the wire, the second queues
+				h.uplink.Enqueue(&Packet{Dst: 1, Size: 100})
+			}
+		}, "port 0->1000 holds a record no pool made"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -341,9 +365,20 @@ func TestPooledRecordMisuse(t *testing.T) {
 			if err := star.Net.Audit(); err != nil {
 				t.Fatalf("fresh fabric: %v", err)
 			}
-			c.do(sim, star.Hosts[0])
-			if err := star.Net.Audit(); err == nil || !strings.Contains(err.Error(), c.audit) {
-				t.Fatalf("Audit() = %v, want a report containing %q", err, c.audit)
+			got := func() (report string) {
+				defer func() {
+					if r := recover(); r != nil {
+						report = fmt.Sprint(r)
+					}
+				}()
+				c.do(sim, star.Hosts[0])
+				if err := star.Net.Audit(); err != nil {
+					return err.Error()
+				}
+				return "Audit passed"
+			}()
+			if !strings.Contains(got, c.want) {
+				t.Fatalf("got %q, want a panic or report containing %q", got, c.want)
 			}
 		})
 	}

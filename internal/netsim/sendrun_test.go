@@ -75,8 +75,8 @@ func sendRunScript(t *testing.T, shards int, useRun bool) string {
 	logs := make([]strings.Builder, len(hosts))
 	for i, h := range hosts {
 		h.Handler = func(p *Packet) {
-			fmt.Fprintf(&logs[i], "%d %d<-%d %s/%v prio=%d flow=%d seq=%d trimmed=%v ece=%v len=%d/%d crc=%08x\n",
-				h.sim.Now(), h.id, p.Src, p.Kind, p.Control, p.Prio, p.FlowID, p.Seq, p.Trimmed, p.ECE,
+			fmt.Fprintf(&logs[i], "%d %d<-%d %v prio=%d flow=%d seq=%d trimmed=%v ece=%v len=%d/%d crc=%08x\n",
+				h.sim.Now(), h.id, p.Src, p.Control, p.Prio, p.FlowID, p.Seq, p.Trimmed, p.ECE,
 				p.Size, len(p.Payload), crc32.ChecksumIEEE(p.Payload))
 		}
 	}
@@ -123,11 +123,11 @@ func sendRunScript(t *testing.T, shards int, useRun bool) string {
 			crcs[j] = crc32.ChecksumIEEE(pl)
 		}
 		handed[i] = append(handed[i], handover{payloads, slices.Clone(payloads), crcs})
-		tmpl := Packet{Dst: hosts[dst].id, Prio: prio, Kind: "run", FlowID: uint64(100*i + dst), Seq: seq, Control: seq}
+		tmpl := Packet{Dst: hosts[dst].id, Prio: prio, FlowID: uint64(100*i + dst), Seq: seq, Control: seq}
 		if !useRun {
 			for j, pl := range payloads {
 				pkt := h.sim.NewPacket()
-				pkt.Dst, pkt.Prio, pkt.Kind, pkt.FlowID, pkt.Control = tmpl.Dst, prio, tmpl.Kind, tmpl.FlowID, tmpl.Control
+				pkt.Dst, pkt.Prio, pkt.FlowID, pkt.Control = tmpl.Dst, prio, tmpl.FlowID, tmpl.Control
 				pkt.Seq = seq + uint64(j)
 				pkt.Payload, pkt.Size = pl, len(pl)+wire.NetOverhead
 				h.Send(pkt)
@@ -149,7 +149,7 @@ func sendRunScript(t *testing.T, shards int, useRun bool) string {
 	single := func(i, dst int, prio Priority, seq uint64, pl []byte) {
 		h := hosts[i]
 		pkt := h.sim.NewPacket()
-		pkt.Dst, pkt.Prio, pkt.Kind, pkt.FlowID, pkt.Seq = hosts[dst].id, prio, "single", uint64(100*i+dst), seq
+		pkt.Dst, pkt.Prio, pkt.FlowID, pkt.Seq = hosts[dst].id, prio, uint64(100*i+dst), seq
 		pkt.Payload, pkt.Size = pl, len(pl)+wire.NetOverhead
 		h.Send(pkt)
 	}

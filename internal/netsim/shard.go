@@ -100,8 +100,10 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 	if base.npend != 0 || *base.rootN != 0 || base.now != 0 || base.eng != nil {
 		return nil, fmt.Errorf("netsim: shard: simulator is not pristine (events were scheduled or it is already sharded); partition right after building the topology")
 	}
-	if base.controlMerger != nil {
-		return nil, fmt.Errorf("netsim: shard: transports were built before partitioning; call ShardTopology first so stacks bind to their shard's simulator")
+	for _, h := range t.Hosts {
+		if h.Handler != nil {
+			return nil, fmt.Errorf("netsim: shard: host %d has a handler, so its transport was built before partitioning; call ShardTopology first so stacks bind to their shard's simulator", h.id)
+		}
 	}
 
 	e := &Engine{window: maxTime, topo: t, mainObs: base.obs}

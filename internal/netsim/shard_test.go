@@ -586,8 +586,8 @@ func TestShardTopologyValidation(t *testing.T) {
 	t.Run("transport-before-partition", func(t *testing.T) {
 		sim := NewSim()
 		topo := NewRing(sim, 4, link, link, QueueConfig{})
-		// What transport.New always does to the host's simulator.
-		sim.SetControlMerger(func(into, from *Packet) (any, bool) { return nil, false })
+		// What transport.New always does to its host.
+		topo.Hosts[1].Handler = func(*Packet) {}
 		if _, err := ShardTopology(topo, 2); err == nil {
 			t.Fatal("partitioning after a transport registered must be rejected")
 		}
@@ -602,6 +602,32 @@ func TestShardTopologyValidation(t *testing.T) {
 		}
 	})
 
+}
+
+// TestShardForeignRecord: a host sends records of its own shard's pool
+// only. One made by another shard's simulator — the base Sim a stack built
+// before partitioning would keep — panics at Host.Send rather than race
+// that shard's free list.
+func TestShardForeignRecord(t *testing.T) {
+	sim := NewSim()
+	topo := fatTreeFixture(sim, nil)
+	eng, err := ShardTopology(topo, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	h := topo.Hosts[len(topo.Hosts)-1]
+	if h.Sim() == sim {
+		t.Fatal("the last host should run on shard 1")
+	}
+	pkt := sim.NewPacket()
+	pkt.Dst, pkt.Size = topo.Hosts[0].ID(), 100
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Sim.NewPacket") {
+			t.Fatalf("Send of shard 0's record from shard 1: recovered %v, want a panic naming Sim.NewPacket", r)
+		}
+	}()
+	h.Send(pkt)
 }
 
 func TestShardPartitionMap(t *testing.T) {

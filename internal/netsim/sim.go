@@ -265,11 +265,6 @@ type Sim struct {
 	// size (Port.serialize), built by the first port of that bandwidth.
 	txTables map[int64][]Time
 
-	// controlMerger, when set, lets the transport layer re-describe a
-	// merged packet's control header during in-network aggregation (see
-	// SetControlMerger). Nil means only control-free packets may merge.
-	controlMerger func(into, from *Packet) (any, bool)
-
 	// Processed counts the events that fired (useful in tests and as a
 	// runaway guard). Reserved points that were never placed do not count,
 	// so it is not the number of scheduled occurrences.
@@ -278,25 +273,6 @@ type Sim struct {
 
 // NewSim returns an empty simulator at time zero.
 func NewSim() *Sim { return &Sim{rootN: new(uint64)} }
-
-// SetControlMerger registers the transport hook the aggregation merge path
-// consults before folding two packets (QueueConfig.AggregateTrimmable):
-// given the two packets, it returns the control header describing the
-// aggregate — typically the concatenation of both inputs' reassembly
-// entries — or ok=false to veto the merge (e.g. the two packets share a
-// sender, so folding would double-count). Every transport stack registers
-// the same package-level function, so repeated registration is idempotent.
-func (s *Sim) SetControlMerger(fn func(into, from *Packet) (any, bool)) {
-	if s.eng != nil {
-		// Transports register on their host's shard, but the aggregating
-		// switch consulting the hook may live on any shard.
-		for _, sh := range s.eng.shards {
-			sh.sim.controlMerger = fn
-		}
-		return
-	}
-	s.controlMerger = fn
-}
 
 // Obs returns the registry bound to this simulator (nil — the no-op
 // registry — when none was attached). Transports and collectives built on
@@ -698,20 +674,18 @@ func (s *Sim) nextAt() (Time, bool) {
 	return e.at, true
 }
 
-// NewPacket returns a zeroed packet from the simulator's pool. Pooled
-// packets are recycled by the fabric at their terminal point — delivery
-// to a host, or any drop (queue overflow, random loss, down port or host,
-// route miss, burst loss) — so steady-state traffic allocates no packet
+// NewPacket returns a zeroed packet record from the simulator's pool, the
+// only source of records. The fabric recycles each at its terminal point —
+// delivery to a host, or any drop (queue overflow, random loss, down port
+// or host, route miss, burst loss) — so steady-state traffic allocates no
 // records. The caller must treat the packet as gone once it is handed to
-// Host.Send / Port.Enqueue; in particular a handler must not retain it
-// past Deliver. Packets built with a plain &Packet{} literal are never
-// recycled, so existing callers and tests keep their aliasing freedom.
+// Host.Send / Port.Enqueue; a handler copies what it keeps past Deliver.
 func (s *Sim) NewPacket() *Packet {
 	if !s.freePkt.empty() {
 		return s.freePkt.pop()
 	}
 	s.pktMade++
-	return &Packet{pooled: true, home: s}
+	return &Packet{home: s}
 }
 
 // PacketsMade returns how many pooled records NewPacket has allocated on
@@ -719,9 +693,8 @@ func (s *Sim) NewPacket() *Packet {
 // records are recycled.
 func (s *Sim) PacketsMade() int { return s.pktMade }
 
-// releasePacket recycles a pooled packet record. Unpooled packets (plain
-// literals) pass through untouched. All fields are cleared so the pool
-// never anchors payload buffers or control structs.
+// releasePacket recycles a packet record. All fields are cleared so the
+// pool never anchors payload buffers or control structs.
 //
 // In sharded mode a packet that terminated away from its allocating shard
 // is parked in a per-home return bin and flows back to its home pool at
@@ -731,14 +704,8 @@ func (s *Sim) PacketsMade() int { return s.pktMade }
 // packet — exactly the ≤1 alloc/hop regression the per-shard pools exist
 // to avoid.
 func (s *Sim) releasePacket(p *Packet) {
-	if p == nil {
-		return
-	}
-	if !p.pooled {
-		return
-	}
 	home := p.home
-	*p = Packet{pooled: true, home: home}
+	*p = Packet{home: home}
 	if home != nil && home != s {
 		s.retPkt[s.eng.wr][home.shardIdx].pushFront(p)
 		return

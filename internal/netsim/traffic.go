@@ -62,7 +62,6 @@ func (c *CrossTraffic) scheduleNext() {
 		pkt.Dst = c.Dst
 		pkt.Size = c.PacketSize
 		pkt.Prio = c.Prio
-		pkt.Kind = "cross"
 		pkt.FlowID = c.FlowID
 		c.Host.Send(pkt)
 		c.Sent++

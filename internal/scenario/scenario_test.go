@@ -156,7 +156,7 @@ func TestFaultyLinkFailsFlowCleanly(t *testing.T) {
 			Codec:     core.Config{Params: quant.Params{Scheme: quant.Sign}, RowSize: 1 << 10},
 			Reliable:  reliable,
 			Transport: transport.Config{RTO: 100 * netsim.Microsecond, MaxRetries: 4},
-			Faults:    []LinkFault{{Host: 1, Config: netsim.FaultConfig{LossGood: 1}}},
+			Faults:    []LinkFault{{Host: 1, Config: netsim.FaultConfig{GoodToBad: 1, LossBad: 1}}},
 			Horizon:   10 * netsim.Second, Slice: netsim.Millisecond,
 		}, nil)
 		if err != nil {

@@ -243,6 +243,7 @@ func TestAdmissionMatchesDatagramChecksum(t *testing.T) {
 		for _, c := range cases {
 			t.Run(c.name, func(t *testing.T) {
 				var s Stack
+				rec := netsim.NewSim().NewPacket() // what arrives, rewritten per flip set
 				sum := datagramSum(c.sent)
 				nbits := 8 * len(c.pl)
 				var sets [][]int
@@ -267,7 +268,8 @@ func TestAdmissionMatchesDatagramChecksum(t *testing.T) {
 						pl[b/8] ^= 1 << (b % 8)
 					}
 					want := datagramRejects(pl, c.trimmed, sum)
-					if got := !s.validPayload(&netsim.Packet{Payload: pl, Trimmed: c.trimmed}); got != want {
+					rec.Payload, rec.Trimmed = pl, c.trimmed
+					if got := !s.validPayload(rec); got != want {
 						t.Fatalf("bits %v: rejected=%v, the datagram checksum rule says %v", set, got, want)
 					}
 					if want {
@@ -277,7 +279,7 @@ func TestAdmissionMatchesDatagramChecksum(t *testing.T) {
 				if s.Stats.RejectedPackets != rejected {
 					t.Fatalf("RejectedPackets = %d, want %d", s.Stats.RejectedPackets, rejected)
 				}
-				if !s.validPayload(&netsim.Packet{Payload: c.pl, Trimmed: c.trimmed}) {
+				if rec.Payload = c.pl; !s.validPayload(rec) {
 					t.Fatal("the packet as it arrived is rejected")
 				}
 				t.Logf("%d flip sets, %d rejected", len(sets), rejected)

@@ -96,7 +96,6 @@ func (tx *relSender) transmit(idx int) {
 	pkt.Dst = tx.dst
 	pkt.Size = payloadSize(tx.payloads[idx])
 	pkt.Payload = tx.payloads[idx]
-	pkt.Kind = "rel-data"
 	pkt.FlowID = uint64(tx.id)
 	pkt.Seq = uint64(idx)
 	pkt.Control = tx.hdr
@@ -165,9 +164,7 @@ func (tx *relSender) onAck(idx int, ece bool) {
 			}
 		} else {
 			tx.cwnd += 1.0 / tx.cwnd // additive increase
-			if tx.cwnd > float64(tx.stack.cfg.MaxWindow) {
-				tx.cwnd = float64(tx.stack.cfg.MaxWindow)
-			}
+			tx.cwnd = min(tx.cwnd, maxWindow)
 		}
 		tx.stack.cwnd.Set(int64(tx.cwnd * 1000))
 	}
@@ -229,7 +226,6 @@ func (s *Stack) handleRelData(p *netsim.Packet, c *relData) {
 	ack.Dst = p.Src
 	ack.Size = ackSize
 	ack.Prio = netsim.PrioHigh
-	ack.Kind = "rel-ack"
 	ack.Control = rx.ack(c.MsgID, p.Seq, p.ECE)
 	s.host.Send(ack)
 	idx := p.Seq

@@ -36,8 +36,6 @@ type Config struct {
 	// RTO is the initial retransmission timeout. Senders back off
 	// exponentially from it on consecutive timeouts, up to 16×RTO.
 	RTO netsim.Time
-	// MaxWindow caps the reliable congestion window.
-	MaxWindow int
 	// MaxRetries bounds per-message retransmission rounds before the
 	// message errors out (the paper's NCCL "timeout errors" under loss).
 	MaxRetries int
@@ -47,18 +45,18 @@ func (c Config) withDefaults() Config {
 	if c.RTO == 0 {
 		c.RTO = 500 * netsim.Microsecond
 	}
-	if c.MaxWindow == 0 {
-		c.MaxWindow = 256
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 50
 	}
 	return c
 }
 
-// initWindow is the reliable sender's initial congestion window in
-// packets.
-const initWindow = 12
+// initWindow and maxWindow are the reliable sender's initial and largest
+// congestion windows in packets.
+const (
+	initWindow = 12
+	maxWindow  = 256
+)
 
 // maxBackoff caps the exponential backoff at this multiple of the
 // configured RTO.
@@ -190,10 +188,6 @@ func New(h *netsim.Host, opts ...Opt) (*Stack, error) {
 		reg.AddSource(func(e obs.Emit) { s.Stats.emit(e, prefix) })
 	}
 	h.Handler = s.handle
-	// Let aggregating switches fold trim-aware data packets: the merger
-	// rebuilds the control header (the reassembly entries) for the merged
-	// payload. Package-level, so re-registration per stack is idempotent.
-	h.Sim().SetControlMerger(mergeControls)
 	return s, nil
 }
 

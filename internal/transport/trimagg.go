@@ -6,9 +6,10 @@ import "trimgrad/internal/netsim"
 // trim-aware data packets (netsim's AggregateTrimmable merge path), the
 // transport must keep its reassembly accounting coherent: the merged
 // packet stands in for several original sender packets, each tracked by a
-// different (src, msgID) receiver. The control merger below re-describes
-// the aggregate as the concatenation of its inputs' entries, and the
-// receive handler credits every entry while delivering the payload once.
+// different (src, msgID) receiver. The queued packet's control header
+// (netsim.ControlMerger) re-describes the aggregate as the concatenation of
+// its inputs' entries, and the receive handler credits every entry while
+// delivering the payload once.
 
 // trimAggEntry identifies one original sender packet folded into an
 // aggregate.
@@ -38,18 +39,25 @@ func aggEntries(dst []trimAggEntry, p *netsim.Packet) ([]trimAggEntry, bool) {
 	return dst, false
 }
 
-// mergeControls is the netsim control merger (Sim.SetControlMerger): it
-// builds the aggregate's control header from the two inputs', or vetoes
-// the merge when either input is not trim-aware data or when the inputs
-// share an original packet (a retransmit meeting its queued self, or two
-// aggregates with a common ancestor — folding would double-count).
-func mergeControls(into, from *netsim.Packet) (any, bool) {
-	entries, ok := aggEntries(nil, into)
-	if !ok {
-		return nil, false
-	}
+// MergeControl implements netsim.ControlMerger for a queued data packet.
+func (c *trimData) MergeControl(into, from *netsim.Packet) (any, bool) {
+	return mergeEntries([]trimAggEntry{{Src: into.Src, MsgID: c.MsgID, Idx: int(into.Seq), Total: c.Total}}, from)
+}
+
+// MergeControl implements netsim.ControlMerger for a queued aggregate.
+func (c *trimAggData) MergeControl(_, from *netsim.Packet) (any, bool) {
+	return mergeEntries(append([]trimAggEntry(nil), c.Entries...), from)
+}
+
+// mergeEntries builds the aggregate's control header from the queued
+// packet's entries and from's, or vetoes the merge when from is not
+// trim-aware data or when the inputs share an original packet (a
+// retransmit meeting its queued self, or two aggregates with a common
+// ancestor — folding would double-count).
+func mergeEntries(entries []trimAggEntry, from *netsim.Packet) (any, bool) {
 	n := len(entries)
-	if entries, ok = aggEntries(entries, from); !ok {
+	entries, ok := aggEntries(entries, from)
+	if !ok {
 		return nil, false
 	}
 	for _, a := range entries[:n] {

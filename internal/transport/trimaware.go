@@ -105,7 +105,6 @@ func (tx *trimSender) sendMeta(idx int) {
 	pkt.Size = payloadSize(tx.metas[idx])
 	pkt.Prio = netsim.PrioHigh
 	pkt.Payload = tx.metas[idx]
-	pkt.Kind = "trim-meta"
 	pkt.FlowID = uint64(tx.id)
 	pkt.Control = &tx.metaHdrs[idx]
 	tx.stack.host.Send(pkt)
@@ -117,7 +116,6 @@ func (tx *trimSender) sendData(idx int) {
 	pkt.Dst = tx.dst
 	pkt.Size = payloadSize(tx.data[idx])
 	pkt.Payload = tx.data[idx]
-	pkt.Kind = "trim-data"
 	pkt.FlowID = uint64(tx.id)
 	pkt.Seq = uint64(idx)
 	pkt.Control = tx.dataHdr
@@ -130,7 +128,6 @@ func (tx *trimSender) sendRun() {
 	tx.stack.Stats.DataSent += len(tx.data)
 	tx.stack.host.SendRun(netsim.Packet{
 		Dst:     tx.dst,
-		Kind:    "trim-data",
 		FlowID:  uint64(tx.id),
 		Control: tx.dataHdr,
 	}, tx.data)
@@ -250,7 +247,6 @@ func (s *Stack) handleTrimMeta(p *netsim.Packet, c *trimMeta) {
 	ack.Dst = p.Src
 	ack.Size = ackSize
 	ack.Prio = netsim.PrioHigh
-	ack.Kind = "trim-meta-ack"
 	if c.Idx >= 0 && c.Idx < len(rx.metaAcks) {
 		ack.Control = &rx.metaAcks[c.Idx]
 	} else { // an index outside the message (a reused id, resized)
@@ -339,7 +335,6 @@ func (rx *trimReceiver) sendDone() {
 	pkt.Dst = rx.src
 	pkt.Size = ackSize
 	pkt.Prio = netsim.PrioHigh
-	pkt.Kind = "trim-done"
 	pkt.Control = rx.done
 	rx.stack.host.Send(pkt)
 }
@@ -369,7 +364,6 @@ func (rx *trimReceiver) checkGaps() {
 	pkt.Dst = rx.src
 	pkt.Size = ackSize + 4*len(missing)
 	pkt.Prio = netsim.PrioHigh
-	pkt.Kind = "trim-nack"
 	pkt.Control = trimNack{MsgID: rx.id, Missing: missing}
 	rx.stack.host.Send(pkt)
 	rx.armNack()

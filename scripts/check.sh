@@ -8,10 +8,11 @@
 #   scripts/check.sh -chaos   fault-injection pass only: race-enabled chaos,
 #                             fault, and duplicate-delivery regression tests
 #                             (the faulty half of the scenario matrix among
-#                             them), plus the payload-ownership suites (immutable
-#                             after Send under trims and merges, admission
-#                             on the packet's own CRCs, no copy per hop,
-#                             SendRun equal to its Sends)
+#                             them), plus the payload- and record-ownership
+#                             suites (immutable after Send under trims and
+#                             merges, admission on the packet's own CRCs,
+#                             no copy per hop, SendRun equal to its Sends,
+#                             pool misuse and foreign records)
 #   scripts/check.sh -bench   perf smoke only: the BenchmarkHot* suite,
 #                             the BenchmarkFabric* fast-path suite (wheel,
 #                             pooled and borrowed-payload hops, and the k=4
@@ -195,8 +196,8 @@ if [[ $mode == chaos ]]; then
   pkgs=(./internal/netsim ./internal/transport ./internal/collective ./internal/exp ./internal/scenario)
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" "${pkgs[@]}"
-  step "go test -race (payload ownership: immutable after Send, admission on the packet's own CRCs, no per-hop copy)"
-  pattern='Borrowed|NeverWritesSender|AdmissionMatches|SendRun'
+  step "go test -race (payload and record ownership: immutable after Send, admission on the packet's own CRCs, no per-hop copy, records only from their Sim's pool)"
+  pattern='Borrowed|NeverWritesSender|AdmissionMatches|SendRun|PooledRecord|ForeignRecord'
   pkgs=(./internal/netsim ./internal/transport)
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" -count=1 "${pkgs[@]}"
