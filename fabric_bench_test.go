@@ -18,15 +18,13 @@ import (
 	"trimgrad/internal/xrand"
 )
 
-// fabricStar builds the 4-host star every hop benchmark runs over, with
-// sink handlers so delivered packets are consumed and recycled.
+// fabricStar builds the 4-host star every hop benchmark runs over. Its
+// hosts have no Handler, so a delivered packet is dropped and recycled,
+// and the star can still be partitioned (ShardTopology refuses hosts
+// whose transport is already bound).
 func fabricStar(sim *netsim.Sim) *netsim.Topology {
 	link := netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: netsim.Microsecond}
-	star := netsim.NewStar(sim, 4, link, netsim.QueueConfig{})
-	for _, h := range star.Hosts {
-		h.Handler = func(*netsim.Packet) {}
-	}
-	return star
+	return netsim.NewStar(sim, 4, link, netsim.QueueConfig{})
 }
 
 // BenchmarkFabricHop measures the steady-state cost of one simulated

@@ -38,6 +38,24 @@ func (c chain) Apply(pkt []byte) []byte {
 	return pkt
 }
 
+// dropper drops each packet independently with probability rate: a
+// conventional lossy network.
+type dropper struct {
+	rate float64
+	rng  *xrand.Rand
+}
+
+func newDropper(rate float64, seed uint64) *dropper {
+	return &dropper{rate: rate, rng: xrand.New(seed)}
+}
+
+func (d *dropper) Apply(pkt []byte) []byte {
+	if d.rng.Float64() < d.rate {
+		return nil
+	}
+	return pkt
+}
+
 // transfer pushes a message through inj into a fresh decoder and
 // reconstructs.
 func transfer(t *testing.T, cfg Config, msg *Message, inj Injector) ([]float32, Stats) {
@@ -146,7 +164,7 @@ func TestDroppedDelivery(t *testing.T) {
 	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(4, 1<<14)
 	msg, _ := enc.Encode(1, 1, grad)
-	out, stats := transfer(t, cfg, msg, NewDropper(0.5, 9))
+	out, stats := transfer(t, cfg, msg, newDropper(0.5, 9))
 	if stats.Packets == stats.ExpectedPackets {
 		t.Fatalf("expected drops: %+v", stats)
 	}
@@ -225,7 +243,7 @@ func TestChainInjector(t *testing.T) {
 	enc, _ := NewEncoderWith(WithConfig(cfg))
 	grad := gaussianGrad(7, 1<<13)
 	msg, _ := enc.Encode(1, 1, grad)
-	inj := chain{NewTrimmer(0.5, 1), NewDropper(0.5, 2)}
+	inj := chain{NewTrimmer(0.5, 1), newDropper(0.5, 2)}
 	_, stats := transfer(t, cfg, msg, inj)
 	if stats.Packets == stats.ExpectedPackets || stats.TrimmedPackets == 0 {
 		t.Errorf("chain should trim and drop: %+v", stats)

@@ -81,7 +81,7 @@ func messagesEqual(t *testing.T, label string, got, want *Message) {
 // the injector per decoder) guarantees serial and parallel decoders
 // consume identical bytes.
 func deliverPackets(msg *Message) [][]byte {
-	inj := chain{NewTrimmer(0.4, 101), NewDropper(0.25, 202)}
+	inj := chain{NewTrimmer(0.4, 101), newDropper(0.25, 202)}
 	var pkts [][]byte
 	for _, d := range msg.Data {
 		pkt := inj.Apply(append([]byte(nil), d...))

@@ -38,24 +38,3 @@ func (t *Trimmer) Apply(pkt []byte) []byte {
 	}
 	return pkt
 }
-
-// Dropper drops each packet independently with probability Rate,
-// simulating a conventional lossy network (the baseline transport's
-// environment).
-type Dropper struct {
-	Rate float64
-	rng  *xrand.Rand
-}
-
-// NewDropper returns a Dropper with a deterministic RNG.
-func NewDropper(rate float64, seed uint64) *Dropper {
-	return &Dropper{Rate: rate, rng: xrand.New(seed)}
-}
-
-// Apply drops pkt with probability Rate.
-func (d *Dropper) Apply(pkt []byte) []byte {
-	if d.rng.Float64() < d.Rate {
-		return nil
-	}
-	return pkt
-}

@@ -18,7 +18,7 @@ func TestTranscriptRecordReplay(t *testing.T) {
 	msg, _ := enc.Encode(5, 9, grad)
 
 	// Recorded run: random trimming + dropping.
-	rec := NewRecorder(chain{NewTrimmer(0.4, 3), NewDropper(0.1, 4)})
+	rec := NewRecorder(chain{NewTrimmer(0.4, 3), newDropper(0.1, 4)})
 	outA, statsA := transfer(t, cfg, msg, rec)
 
 	if statsA.TrimmedPackets == 0 || statsA.Packets == statsA.ExpectedPackets {

@@ -13,13 +13,14 @@ import (
 
 // FabricConfig describes the simulated network under the training job.
 type FabricConfig struct {
-	// Topology selects the fabric: "star" (default), "fattree", or
-	// "leafspine". Multi-tier fabrics route worker traffic over ECMP
-	// paths, so gradient exchanges contend inside the fabric rather than
-	// at a single switch.
+	// Topology is the fabric's netsim.FabricSpec.Kind: "star" (default),
+	// "dumbbell" or "ring", with one host per worker plus the cross-traffic
+	// host, or "fattree", sized by FatTreeK. A fat tree routes worker
+	// traffic over ECMP paths, so gradient exchanges contend inside the
+	// fabric rather than at a single switch.
 	Topology string
-	// FatTreeK is the fat-tree arity; zero picks the smallest even k
-	// whose k³/4 hosts fit every worker (plus the cross-traffic host).
+	// FatTreeK is the fat-tree arity; its k³/4 hosts must hold every
+	// worker and the cross-traffic host.
 	FatTreeK int
 	// Link is every host↔switch link.
 	Link netsim.LinkConfig
@@ -59,34 +60,6 @@ func (f FabricConfig) withDefaults() FabricConfig {
 	return f
 }
 
-// fabricSpec sizes the configured topology for at least nHosts hosts.
-// Workers occupy hosts 0..Workers-1 regardless of topology (the builders
-// order hosts by rank), so the collective's rank→NodeID mapping needs no
-// adjustment; Clos fabrics may round the host count up to the fabric's
-// natural size.
-func fabricSpec(f FabricConfig, nHosts int) (netsim.FabricSpec, error) {
-	spec := netsim.FabricSpec{Kind: f.Topology, N: nHosts, Link: f.Link, Queue: f.Queue}
-	switch f.Topology {
-	case "star":
-	case "fattree":
-		spec.K = f.FatTreeK
-		if spec.K == 0 {
-			for spec.K = 2; netsim.FatTreeHosts(spec.K) < nHosts; spec.K += 2 {
-			}
-		}
-		if netsim.FatTreeHosts(spec.K) < nHosts {
-			return spec, fmt.Errorf("ddp: fat tree k=%d holds %d hosts, need %d",
-				spec.K, netsim.FatTreeHosts(spec.K), nHosts)
-		}
-	case "leafspine":
-		spec.Spines, spec.HostsPerLeaf = 2, 4
-		spec.Leaves = max(2, (nHosts+spec.HostsPerLeaf-1)/spec.HostsPerLeaf)
-	default:
-		return spec, fmt.Errorf("ddp: unknown fabric topology %q (want star|fattree|leafspine)", f.Topology)
-	}
-	return spec, nil
-}
-
 // NewNetTrainer builds the closed-loop trainer: every round's all-reduce
 // runs over a live netsim fabric whose shallow-buffer switches trim (or
 // drop) under the incast the exchange itself creates, so the trim fraction
@@ -116,9 +89,11 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 	if fabric.CrossRate > 0 {
 		nHosts++
 	}
-	spec, err := fabricSpec(fabric, nHosts)
-	if err != nil {
-		return nil, err
+	// Workers occupy hosts 0..Workers-1 (the builders order hosts by rank),
+	// so the collective's rank→NodeID mapping needs no adjustment.
+	spec := netsim.FabricSpec{Kind: fabric.Topology, N: nHosts, K: fabric.FatTreeK, Link: fabric.Link, Queue: fabric.Queue}
+	if spec.Validate() == nil && spec.Hosts() < nHosts {
+		return nil, fmt.Errorf("ddp: %s fabric holds %d hosts, need %d", spec.Kind, spec.Hosts(), nHosts)
 	}
 	sim := netsim.NewSim()
 	topo, err := spec.Build(sim, netsim.WithRegistry(t.obs))
@@ -144,21 +119,27 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 		}
 	}
 	compute := cfg.Cost.Compute + cfg.Cost.EncodeTime(cfg.Scheme)
-	t.exchange = fabricExchange(sim, workers, fabric, compute)
+	t.exchange = fabricExchange(topo.Net, workers, fabric, compute)
 	t.msgSpan = collective.MsgSpan(fabric.Algorithm, cfg.Workers)
 	return t, nil
 }
 
 // fabricExchange returns NewNetTrainer's exchange: one all-reduce of the
-// configured algorithm per round on the live fabric. The round's comm span
-// is the simulated time the all-reduce took; its wall adds compute, the
-// cost model's compute and encode seconds, to that.
-func fabricExchange(sim *netsim.Sim, workers []*collective.Worker, fabric FabricConfig, compute float64) exchangeFunc {
+// configured algorithm per round on the live fabric, then Network.Audit of
+// the fabric it leaves. The round's comm span is the simulated time the
+// all-reduce took; its wall adds compute, the cost model's compute and
+// encode seconds, to that.
+func fabricExchange(net *netsim.Network, workers []*collective.Worker, fabric FabricConfig, compute float64) exchangeFunc {
+	sim, round := net.Sim, 0
 	return func(epoch uint64, msgBase uint32, grads [][]float32) (exchanged, error) {
+		round++
 		start := sim.Now()
 		outs, err := collective.RunAllReduce(sim, start+fabric.RoundTimeout, fabric.Algorithm, epoch, msgBase, workers, grads)
 		if err != nil {
 			return exchanged{}, fmt.Errorf("ddp: %w", err)
+		}
+		if err := net.Audit(); err != nil {
+			return exchanged{}, fmt.Errorf("ddp: round %d (epoch %d): %w", round, epoch, err)
 		}
 		results := make([][]float32, len(outs))
 		var lastDone netsim.Time

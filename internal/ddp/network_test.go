@@ -8,6 +8,7 @@ import (
 	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/quant"
+	"trimgrad/internal/transport"
 )
 
 // TestNetworkedTrainsCleanFabric: closed-loop training on an uncongested
@@ -179,9 +180,13 @@ func TestNetworkedFabricValidation(t *testing.T) {
 	dead := netsim.LinkConfig{Bandwidth: -1}
 	for name, tc := range map[string]struct {
 		fabric FabricConfig
-		want   string
+		want   string // "": accepted
 	}{
-		"unknown":           {FabricConfig{Topology: "torus"}, "unknown fabric topology"},
+		"dumbbell":          {FabricConfig{Topology: "dumbbell"}, ""},
+		"ring":              {FabricConfig{Topology: "ring"}, ""},
+		"unknown":           {FabricConfig{Topology: "torus"}, `netsim: unknown topology "torus"`},
+		"leafspine":         {FabricConfig{Topology: "leafspine"}, "netsim: leaf–spine needs ≥1 leaves"},
+		"no k":              {FabricConfig{Topology: "fattree"}, "netsim: fat tree needs even k ≥ 2, got 0"},
 		"odd k":             {FabricConfig{Topology: "fattree", FatTreeK: 5}, "even k"},
 		"small k":           {FabricConfig{Topology: "fattree", FatTreeK: 2}, "holds 2 hosts, need 4"},
 		"fattree dead link": {FabricConfig{Topology: "fattree", Link: dead}, "bandwidth"},
@@ -189,8 +194,39 @@ func TestNetworkedFabricValidation(t *testing.T) {
 	} {
 		_, err := NewNetTrainer(train, test,
 			WithConfig(Config{Workers: 4, Scheme: sp(quant.RHT, 1)}), WithFabric(tc.fabric), WithHidden(8))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", name, err, tc.want)
 		}
+	}
+}
+
+// TestFabricExchangeAudits: a round on a fabric that breaks one of
+// Network.Audit's invariants — here a pooled record handed out and never
+// sent — fails with Audit's report, naming the round.
+func TestFabricExchangeAudits(t *testing.T) {
+	fabric := FabricConfig{Mode: collective.Trimmable}.withDefaults()
+	topo, err := netsim.FabricSpec{Kind: "star", N: 2, Link: fabric.Link, Queue: fabric.Queue}.Build(netsim.NewSim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers, err := collective.Bind(topo.Hosts, transport.Config{},
+		collective.WithConfig(core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 10}),
+		collective.WithMode(fabric.Mode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchange := fabricExchange(topo.Net, workers, fabric, 0)
+	grads := [][]float32{make([]float32, 1<<10), make([]float32, 1<<10)}
+	if _, err := exchange(1, 1, grads); err != nil {
+		t.Fatalf("round 1 on a sound fabric: %v", err)
+	}
+	topo.Net.Sim.NewPacket()
+	_, err = exchange(1, 100, grads)
+	if want := "ddp: round 2 (epoch 1): netsim: audit: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("round 2 after a leaked record: err = %v, want one starting %q", err, want)
 	}
 }

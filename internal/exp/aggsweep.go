@@ -90,6 +90,9 @@ func runAggSweepCell(p quant.Params, alg collective.Algorithm, agg bool,
 	if err != nil {
 		return nil, err
 	}
+	if err := star.Net.Audit(); err != nil {
+		return nil, err
+	}
 
 	completed := 0
 	var nmse float64

@@ -12,14 +12,14 @@ import (
 //
 // A pass lists a layer's live inputs once; kernels never test an activation
 // for zero. Whoever writes an activation matrix compacts, per sample, the
-// ascending indices of its non-zero entries into a liveSet (the ReLU from
-// the same v > 0 that writes y, a Dense fed raw data from x ≠ 0), and
+// ascending indices of its non-zero entries into a liveSet (the relu from
+// the same v > 0 that writes y, the first dense from its data's x ≠ 0), and
 // backward transposes the set once, in O(nnz), into each unit's ascending
 // samples. Forward walks a sample's list, backward weights a unit's sample
 // list, and backward input computes dot products only for the live units of
 // the rectifier below and stores +0 for the rest, so the rectifier has no
-// backward pass of its own; an input nobody rectified is differentiated
-// over a list of every unit by the same kernel.
+// backward pass of its own. The one input nobody rectified, the model's, is
+// not differentiated.
 //
 // Determinism is a hard invariant here (seed → byte-identical telemetry,
 // per the chaos matrix): every float32 accumulator sees its contributions
@@ -53,35 +53,30 @@ type liveSet struct {
 	n, tn, idx, tidx []int32
 }
 
-// reset empties the set for a batch × width matrix.
-func (l *liveSet) reset(batch, width int) {
-	l.width = width
-	l.n = grow(l.n, batch)
-	l.idx = grow(l.idx, batch*width)
-}
-
 // units returns sample s's live units.
 func (l *liveSet) units(s int) []int32 { return l.idx[s*l.width:][:l.n[s]] }
 
 // samples returns the samples where unit i is live. Valid after transpose.
 func (l *liveSet) samples(i int) []int32 { return l.tidx[i*len(l.n):][:l.tn[i]] }
 
-// list makes l the live set of y, written here as relu(x) — x[s][i] where
-// that is > 0 and +0 elsewhere (−0, negatives, NaN); y may be x — or, with
-// no y, of x as it is. It is the one place an activation is compared with
+// list makes l the live set of x: of x as it is or, rectifying, of
+// relu(x), written over x — x[s][i] where that is > 0 and +0 elsewhere
+// (−0, negatives, NaN). It is the one place an activation is compared with
 // zero, and no branch depends on the outcome: the value is chosen on its
 // bits, as integers, and the list's advance is a conditional move too — a
 // ReLU unit is live about half the time, which a branch cannot predict.
-func (l *liveSet) list(y, x [][]float32) {
+func (l *liveSet) list(x [][]float32, rectify bool) {
 	width := 0
 	for _, row := range x {
 		width = max(width, len(row))
 	}
-	l.reset(len(x), width)
+	l.width = width
+	l.n = grow(l.n, len(x))
+	l.idx = grow(l.idx, len(x)*width)
 	for s, row := range x {
 		idx := l.idx[s*width:][:len(row)]
 		n := 0
-		if y == nil {
+		if !rectify {
 			for i, v := range row {
 				idx[n] = int32(i)
 				if v != 0 {
@@ -89,13 +84,12 @@ func (l *liveSet) list(y, x [][]float32) {
 				}
 			}
 		} else {
-			out := y[s][:len(row)]
 			for i, v := range row {
 				live, bits := v > 0, math.Float32bits(v)
 				if !live {
 					bits = 0
 				}
-				out[i] = math.Float32frombits(bits)
+				row[i] = math.Float32frombits(bits)
 				idx[n] = int32(i)
 				if live {
 					n++
@@ -103,17 +97,6 @@ func (l *liveSet) list(y, x [][]float32) {
 			}
 		}
 		l.n[s] = int32(n)
-	}
-}
-
-// listAll makes l list every unit of a batch × width matrix.
-func (l *liveSet) listAll(batch, width int) {
-	l.reset(batch, width)
-	for k := range l.idx {
-		l.idx[k] = int32(k % width)
-	}
-	for s := range l.n {
-		l.n[s] = int32(width)
 	}
 }
 
@@ -129,18 +112,6 @@ func (l *liveSet) transpose() {
 			l.tidx[int(i)*batch+int(l.tn[i])] = int32(s)
 			l.tn[i]++
 		}
-	}
-}
-
-// maskRows stores +0 in every entry of g that l does not list.
-func (l *liveSet) maskRows(g [][]float32) {
-	for s, row := range g {
-		dead := 0
-		for _, i := range l.units(s) {
-			clear(row[dead:int(i)])
-			dead = int(i) + 1
-		}
-		clear(row[dead:])
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // matmulWorkerCounts is the cross-worker-count equivalence matrix the
 // perf substrate is tested against: a replica's serial loop (1), the
-// pool at its own size (0, what NewModel binds), and under-, at- and
+// pool at its own size (0, what NewMLP binds), and under-, at- and
 // over-subscribed relative to typical GOMAXPROCS.
 var matmulWorkerCounts = []int{1, 0, 2, 3, 8}
 
@@ -237,14 +237,13 @@ func allFinite(rows [][]float32) bool {
 // determinism under parallelism and under blocking is the perf
 // substrate's hard invariant. The count goes to the kernels the way a
 // model hands it over, through bind. Two arms share the list-driven
-// kernels: a lone Dense through the Layer interface, which lists its raw
-// input's non-zero entries itself and differentiates every unit, and a
-// Dense above a ReLU the way a model runs them, which takes the
-// rectifier's list and masks its input gradient with it — there a
-// poisoned weight row opposite an always-dead unit must stay out of the
-// input gradient too, and the ReLU's own backward has nothing left to do.
-// Each layer then runs a short batch and the full one again in the
-// buffers and lists it has.
+// kernels, in the two places a model runs a dense: first, where it lists
+// its raw input's non-zero entries itself and computes no input gradient,
+// and above a relu, where it takes the rectifier's list and masks its
+// input gradient with it — there a poisoned weight row opposite an
+// always-dead unit must stay out of the input gradient too. Each layer
+// then runs a short batch and the full one again in the buffers and lists
+// it has.
 func TestDenseForwardBackwardBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, sh := range matmulShapes {
 		for _, pat := range activationPatterns {
@@ -267,11 +266,11 @@ func TestDenseForwardBackwardBitIdenticalAcrossWorkers(t *testing.T) {
 					wantDw[i] = float32(rng.NormFloat64())
 				}
 
-				denses := make([]*Dense, len(matmulWorkerCounts))
-				relus := make([]*ReLU, len(matmulWorkerCounts))
+				denses := make([]*dense, len(matmulWorkerCounts))
+				relus := make([]*relu, len(matmulWorkerCounts))
 				grads := make([][]float32, len(matmulWorkerCounts))
 				for k, workers := range matmulWorkerCounts {
-					denses[k], relus[k] = NewDense(sh.in, sh.out), NewReLU()
+					denses[k], relus[k] = newDense(sh.in, sh.out), &relu{}
 					grads[k] = append([]float32(nil), wantDw...)
 					denses[k].bind(append([]float32(nil), w...), grads[k], workers)
 				}
@@ -282,13 +281,13 @@ func TestDenseForwardBackwardBitIdenticalAcrossWorkers(t *testing.T) {
 					wantFwd := new(batchBuf).shape(n, sh.out)
 					wantGx := new(batchBuf).shape(n, sh.in)
 					refDenseForward(wantFwd, x, w[:sh.in*sh.out], w[sh.in*sh.out:], sh.out)
-					refDenseBackwardInput(wantGx, gy, w[:sh.in*sh.out], sh.out)
 					refDenseBackwardWeights(wantDw[:sh.in*sh.out], x, gy, sh.out)
 					denseBackwardBias(wantDw[sh.in*sh.out:], gy)
 					if !allFinite(wantFwd) {
 						t.Fatalf("%s: a poisoned weight reached the reference forward sum", label)
 					}
 					if rectified {
+						refDenseBackwardInput(wantGx, gy, w[:sh.in*sh.out], sh.out)
 						refMask(wantGx, x)
 						if !allFinite(wantGx) {
 							t.Fatalf("%s: a poisoned weight reached the reference input gradient", label)
@@ -299,30 +298,28 @@ func TestDenseForwardBackwardBitIdenticalAcrossWorkers(t *testing.T) {
 						d, r := denses[k], relus[k]
 						// A layer's matrices hold whatever the last pass
 						// left: every element must be stored again.
-						for _, buf := range []*batchBuf{&d.out, &d.gradIn} {
+						for _, buf := range []*batchBuf{&d.y, &d.gradIn} {
 							for i := range buf.backing {
 								buf.backing[i] = float32(math.NaN())
 							}
 						}
-						var fwd, gradIn [][]float32
+						var fwd [][]float32
 						if rectified {
 							// The rectifier overwrites the matrix it is lent.
 							lent := new(batchBuf).like(pre)
 							for s := range pre {
 								copy(lent[s], pre[s])
 							}
-							fwd = d.forward(r.forward(activations{rows: lent, scratch: true}, true), true).rows
-							var masked bool
-							gradIn, masked = d.backward(gy, false, true)
-							if below, _ := r.backward(gradIn, masked, true); !masked || &below[0] != &gradIn[0] {
-								t.Fatalf("%s: masked = %v, or the ReLU did not hand the masked gradient on as it was", label, masked)
-							}
+							fwd = d.forward(r.forward(activations{rows: lent}, true), true).rows
+							gradIn := d.backward(gy, true)
+							bitsEqual(t, label+" gradIn", workers, canonNaNs(flatten(gradIn)), canonNaNs(flatten(wantGx)))
 						} else {
-							fwd = d.Forward(x, true)
-							gradIn = d.Backward(gy)
+							fwd = d.forward(activations{rows: x}, true).rows
+							if gradIn := d.backward(gy, false); gradIn != nil {
+								t.Fatalf("%s: a first layer computed its input gradient", label)
+							}
 						}
 						bitsEqual(t, label+" forward", workers, flatten(fwd), flatten(wantFwd))
-						bitsEqual(t, label+" gradIn", workers, canonNaNs(flatten(gradIn)), canonNaNs(flatten(wantGx)))
 						bitsEqual(t, label+" dW,db", workers, grads[k], wantDw)
 					}
 				}
@@ -363,14 +360,15 @@ func TestTrainingStepBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // BenchmarkDenseLayer measures one forward+backward pass of a
-// paper-plausible layer, serial vs pooled: over a raw input the layer lists
-// itself and differentiates in full, and over a rectifier's output — about
-// half live, the share a train_k4_ps profile sees — with the rectifier's
-// list and a masked input gradient.
+// paper-plausible layer, serial vs pooled: over a raw input, as a model's
+// first layer, which lists its input itself and computes no input
+// gradient, and over a rectifier's output — about half live, the share a
+// train_k4_ps profile sees — with the rectifier's list and a masked input
+// gradient.
 func BenchmarkDenseLayer(b *testing.B) {
 	const batch, in, out = 128, 64, 128
 	rng := xrand.New(4)
-	dense := randomBatch(rng, batch, in, true)
+	raw := randomBatch(rng, batch, in, true)
 	gy := randomBatch(rng, batch, out, false)
 	pre := randomBatch(rng, batch, in, false)
 	for _, bc := range []struct {
@@ -379,14 +377,14 @@ func BenchmarkDenseLayer(b *testing.B) {
 		rectified bool
 	}{{"serial", 1, false}, {"parallel", 0, false}, {"serial-rectified", 1, true}, {"parallel-rectified", 0, true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			d := NewDense(in, out)
-			params := make([]float32, d.ParamCount())
-			grads := make([]float32, d.ParamCount())
+			d := newDense(in, out)
+			params := make([]float32, d.paramCount())
+			grads := make([]float32, d.paramCount())
 			d.bind(params, grads, bc.workers)
 			d.initialize(xrand.New(5))
-			x := activations{rows: dense}
+			x := activations{rows: raw}
 			if bc.rectified {
-				x = NewReLU().forward(activations{rows: pre}, true)
+				x = (&relu{}).forward(activations{rows: pre}, true)
 			}
 			live := 0
 			for _, v := range flatten(x.rows) {
@@ -398,7 +396,7 @@ func BenchmarkDenseLayer(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d.forward(x, true)
-				d.backward(gy, false, true)
+				d.backward(gy, bc.rectified)
 			}
 			b.ReportMetric(float64(live)/float64(batch*in), "live_share")
 		})

@@ -9,11 +9,11 @@ import (
 )
 
 func TestDenseForwardKnown(t *testing.T) {
-	d := NewDense(2, 2)
+	d := newDense(2, 2)
 	params := []float32{1, 2, 3, 4, 0.5, -0.5} // W=[[1,2],[3,4]], b=[0.5,-0.5]
 	grads := make([]float32, 6)
 	d.bind(params, grads, 0)
-	out := d.Forward([][]float32{{1, 1}}, false)
+	out := d.forward(activations{rows: [][]float32{{1, 1}}}, false).rows
 	// y = [1+3+0.5, 2+4-0.5] = [4.5, 5.5]
 	if out[0][0] != 4.5 || out[0][1] != 5.5 {
 		t.Fatalf("dense forward = %v", out[0])
@@ -65,34 +65,40 @@ func TestDenseBackwardGradCheck(t *testing.T) {
 func TestBackwardAfterEvalForwardPanics(t *testing.T) {
 	rng := xrand.New(2)
 	x := randomBatch(rng, 5, 3, false)
-	mustPanic := func(name, want string, backward func()) {
-		t.Helper()
-		defer func() {
-			if got := recover(); got != want {
-				t.Errorf("%s: Backward after an eval forward: recovered %v, want panic %q", name, got, want)
-			}
-		}()
-		backward()
-	}
-
 	m := NewMLP(7, 3, 4, 2)
 	_, dLogits := SoftmaxCrossEntropy(m.Forward(x, true), randomLabels(rng, len(x), 2))
 	m.Forward(x[:2], false)
-	mustPanic("model", "ml: dense backward before forward(train)", func() { m.Backward(dLogits) })
+	const want = "ml: dense backward before forward(train)"
+	defer func() {
+		if got := recover(); got != want {
+			t.Errorf("Backward after an eval forward: recovered %v, want panic %q", got, want)
+		}
+	}()
+	m.Backward(dLogits)
+}
 
-	r := NewReLU()
-	r.Forward(x, true)
-	r.Forward(x[:2], false)
-	mustPanic("relu", "ml: relu backward before forward(train)", func() { r.Backward(randomBatch(rng, 5, 3, false)) })
+// identityOver returns a relu under an n×n identity dense at the given
+// worker count: what the dense hands back as ∂L/∂input is ∂L/∂output
+// where the relu left the unit live, +0 where it left it dead — the
+// rectifier's backward, done by the layer above it.
+func identityOver(n, workers int) (*relu, *dense) {
+	d := newDense(n, n)
+	params := make([]float32, d.paramCount())
+	for i := 0; i < n; i++ {
+		params[i*n+i] = 1
+	}
+	d.bind(params, make([]float32, len(params)), workers)
+	return &relu{}, d
 }
 
 func TestReLU(t *testing.T) {
-	r := NewReLU()
-	out := r.Forward([][]float32{{-1, 0, 2}}, true)
-	if out[0][0] != 0 || out[0][1] != 0 || out[0][2] != 2 {
-		t.Fatalf("relu forward = %v", out[0])
+	r, d := identityOver(3, 1)
+	x := [][]float32{{-1, 0, 2}}
+	d.forward(r.forward(activations{rows: x}, true), true)
+	if x[0][0] != 0 || x[0][1] != 0 || x[0][2] != 2 {
+		t.Fatalf("relu forward = %v", x[0])
 	}
-	g := r.Backward([][]float32{{5, 5, 5}})
+	g := d.backward([][]float32{{5, 5, 5}}, true)
 	if g[0][0] != 0 || g[0][1] != 0 || g[0][2] != 5 {
 		t.Fatalf("relu backward = %v", g[0])
 	}
@@ -100,8 +106,9 @@ func TestReLU(t *testing.T) {
 
 // TestReLUMatchesBranch pins the branch-free ReLU to the obvious one —
 // y = v where v > 0, gx = g where the unit was live, +0 everywhere else —
-// bit for bit, on rows of unequal length and on the values a comparison
-// treats specially: both zeros, NaNs of either sign, infinities.
+// bit for bit, on the values a comparison treats specially: both zeros,
+// NaNs of either sign, infinities. The forward also runs on rows of
+// unequal length; the gradient is the dense's above the relu.
 func TestReLUMatchesBranch(t *testing.T) {
 	special := []float32{
 		0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xffc00001),
@@ -109,28 +116,35 @@ func TestReLUMatchesBranch(t *testing.T) {
 	}
 	rng := xrand.New(3)
 	x := [][]float32{special, make([]float32, 33), make([]float32, 1), {}}
-	gy := make([][]float32, len(x))
-	for s, row := range x {
-		gy[s] = make([]float32, len(row))
+	for _, row := range x[1:] {
 		for i := range row {
-			if s > 0 {
-				row[i] = float32(rng.NormFloat64())
-			}
-			gy[s][i] = special[(s+i)%len(special)] + float32(rng.NormFloat64())
+			row[i] = float32(rng.NormFloat64())
 		}
 	}
-	r := NewReLU()
-	out := r.Forward(x, true)
-	gradIn := r.Backward(gy)
-	for s, row := range x {
-		wantY, wantG := make([]float32, len(row)), make([]float32, len(row))
-		for i, v := range row {
-			if v > 0 {
-				wantY[i], wantG[i] = v, gy[s][i]
+	want := refReLU(x)
+	(&relu{}).forward(activations{rows: x}, true)
+	for s := range x {
+		bitsEqual(t, "relu forward", 1, x[s], want[s])
+	}
+
+	n := len(special)
+	pre := [][]float32{append([]float32(nil), special...), randomBatch(rng, 1, n, false)[0]}
+	y := refReLU(pre)
+	gy := randomBatch(rng, len(pre), n, false)
+	for _, workers := range matmulWorkerCounts {
+		r, d := identityOver(n, workers)
+		lent := [][]float32{append([]float32(nil), pre[0]...), append([]float32(nil), pre[1]...)}
+		d.forward(r.forward(activations{rows: lent}, true), true)
+		gradIn := d.backward(gy, true)
+		for s := range pre {
+			wantG := make([]float32, n)
+			for i, v := range y[s] {
+				if v > 0 {
+					wantG[i] = gy[s][i]
+				}
 			}
+			bitsEqual(t, "relu backward", workers, gradIn[s], wantG)
 		}
-		bitsEqual(t, "relu forward", 1, out[s], wantY)
-		bitsEqual(t, "relu backward", 1, gradIn[s], wantG)
 	}
 }
 

@@ -21,27 +21,23 @@ import (
 	"trimgrad/internal/xrand"
 )
 
-// Layer is one differentiable stage of a model. A layer owns the batch
-// matrices it returns and reuses them: a returned matrix is valid until
-// the layer's next call of the same method.
-type Layer interface {
-	// Forward computes outputs for a batch (rows are samples). When train
-	// is true the layer caches what Backward needs; an eval pass drops it.
-	Forward(x [][]float32, train bool) [][]float32
-	// Backward consumes ∂L/∂output — a layer may overwrite it — accumulates
-	// parameter gradients, and returns ∂L/∂input.
-	Backward(gradOut [][]float32) [][]float32
-	// ParamCount returns how many scalars of the flat buffers this layer
-	// owns.
-	ParamCount() int
-	// forward is Forward inside a model, where a matrix travels with what
-	// the layer below knows about it.
+// layer is one differentiable stage of a model: a dense or a relu. Every
+// model is NewMLP's stack, dense (relu dense)*, and a layer relies on that
+// shape. A layer owns the batch matrices it returns and reuses them: a
+// returned matrix is valid until the layer's next call of the same method.
+type layer interface {
+	// forward computes outputs for a batch (rows are samples), taking the
+	// matrix with what the layer below knows about it. When train is true
+	// the layer caches what backward needs; an eval pass drops it.
 	forward(x activations, train bool) activations
-	// backward is Backward inside a model. masked: the layer above already
-	// stored +0 in gradOut wherever this layer's output was dead; the second
-	// result says the same of ∂L/∂input and the layer below. A model's first
-	// layer is not asked for ∂L/∂input: nothing reads the data's gradient.
-	backward(gradOut [][]float32, masked, wantIn bool) (gradIn [][]float32, maskedBelow bool)
+	// backward consumes ∂L/∂output — a layer may overwrite it — accumulates
+	// parameter gradients, and returns ∂L/∂input with +0 stored wherever
+	// the rectifier below left a unit dead. A model's first layer is not
+	// asked for ∂L/∂input (wantIn false): nothing reads the data's gradient.
+	backward(gradOut [][]float32, wantIn bool) [][]float32
+	// paramCount returns how many scalars of the flat buffers this layer
+	// owns.
+	paramCount() int
 	// bind points the layer at its slices of the model's parameter and
 	// gradient buffers and fixes the worker count of its kernels (0: the
 	// par pool's size).
@@ -49,18 +45,15 @@ type Layer interface {
 	// initialize fills the layer's parameters.
 	initialize(rng *xrand.Rand)
 	// replica returns an unbound layer of the same shape.
-	replica() Layer
+	replica() layer
 }
 
 // activations is a batch matrix on its way up a model.
 type activations struct {
 	rows [][]float32
-	// live lists rows' non-zero entries if the layer that wrote them
-	// rectified them; nil means nobody has listed them.
+	// live lists rows' non-zero entries if the relu that wrote them
+	// rectified them; nil for the model's input, which nobody has listed.
 	live *liveSet
-	// scratch: rows belong to a layer below that will not read them again,
-	// so the receiver may overwrite them.
-	scratch bool
 }
 
 // batchBuf is a batch matrix a layer owns: one backing array, grown when a
@@ -108,40 +101,38 @@ func (b *batchBuf) like(x [][]float32) [][]float32 {
 	return rows
 }
 
-// Dense is a fully-connected layer: y = xW + b, with W stored row-major
-// (In×Out).
-type Dense struct {
-	In, Out int
+// dense is a fully-connected layer: y = xW + b, with W stored row-major
+// (in×out).
+type dense struct {
+	in, out int
 	w, b    []float32
 	dw, db  []float32
 	workers int
 	// Cached by a training forward for backward, dropped by an eval one: the
-	// input and its live set. That is the set of the rectifier that wrote
-	// the input — ∂L/∂input is then computed for its units only — or own.
-	x           [][]float32
-	live        *liveSet
-	own, every  liveSet // when the input brought no live set: its non-zero entries; every unit
-	out, gradIn batchBuf
+	// input and its live set, the relu's that wrote the input or, for the
+	// model's input, own.
+	x         [][]float32
+	live      *liveSet
+	own       liveSet // the model's input's non-zero entries
+	y, gradIn batchBuf
 }
 
-// NewDense returns an uninitialized dense layer.
-func NewDense(in, out int) *Dense { return &Dense{In: in, Out: out} }
+func newDense(in, out int) *dense { return &dense{in: in, out: out} }
 
-// ParamCount implements Layer.
-func (d *Dense) ParamCount() int { return d.In*d.Out + d.Out }
+func (d *dense) paramCount() int { return d.in*d.out + d.out }
 
-func (d *Dense) bind(params, grads []float32, workers int) {
-	nw := d.In * d.Out
-	d.w, d.b = params[:nw], params[nw:nw+d.Out]
-	d.dw, d.db = grads[:nw], grads[nw:nw+d.Out]
+func (d *dense) bind(params, grads []float32, workers int) {
+	nw := d.in * d.out
+	d.w, d.b = params[:nw], params[nw:nw+d.out]
+	d.dw, d.db = grads[:nw], grads[nw:nw+d.out]
 	d.workers = workers
 }
 
-func (d *Dense) replica() Layer { return NewDense(d.In, d.Out) }
+func (d *dense) replica() layer { return newDense(d.in, d.out) }
 
-func (d *Dense) initialize(rng *xrand.Rand) {
+func (d *dense) initialize(rng *xrand.Rand) {
 	// He initialization, appropriate for the ReLU nonlinearity.
-	std := math.Sqrt(2 / float64(d.In))
+	std := math.Sqrt(2 / float64(d.in))
 	for i := range d.w {
 		d.w[i] = float32(rng.NormFloat64() * std)
 	}
@@ -150,24 +141,20 @@ func (d *Dense) initialize(rng *xrand.Rand) {
 	}
 }
 
-// Forward implements Layer. The matmul runs register-blocked over the
-// input's live set, on the par pool unless the layer is a replica's (see
-// matmul.go); results are bit-identical at every worker count.
-func (d *Dense) Forward(x [][]float32, train bool) [][]float32 {
-	return d.forward(activations{rows: x}, train).rows
-}
-
-func (d *Dense) forward(x activations, train bool) activations {
+// forward runs the matmul register-blocked over the input's live set, on
+// the par pool unless the layer is a replica's (see matmul.go); results are
+// bit-identical at every worker count.
+func (d *dense) forward(x activations, train bool) activations {
 	// Validate before fanning out: a panic must fire on the caller's
 	// goroutine, not inside a pool worker.
 	for _, row := range x.rows {
-		if len(row) != d.In {
-			panic(fmt.Sprintf("ml: dense expects %d inputs, got %d", d.In, len(row)))
+		if len(row) != d.in {
+			panic(fmt.Sprintf("ml: dense expects %d inputs, got %d", d.in, len(row)))
 		}
 	}
 	live := x.live
 	if live == nil {
-		d.own.list(nil, x.rows)
+		d.own.list(x.rows, false)
 		live = &d.own
 	}
 	// An eval pass overwrites the matrices the cached ones point into.
@@ -175,121 +162,61 @@ func (d *Dense) forward(x activations, train bool) activations {
 	if train {
 		d.x, d.live = x.rows, live
 	}
-	out := d.out.shape(len(x.rows), d.Out)
-	denseForward(out, x.rows, d.w, d.b, d.Out, d.workers, live)
-	return activations{rows: out, scratch: true}
+	y := d.y.shape(len(x.rows), d.out)
+	denseForward(y, x.rows, d.w, d.b, d.out, d.workers, live)
+	return activations{rows: y}
 }
 
-// Backward implements Layer with three kernels: ∂L/∂W parallel over weight
-// rows (each owned by exactly one worker so accumulation order is fixed),
-// the small ∂L/∂b reduction serial, and ∂L/∂input parallel over samples.
-func (d *Dense) Backward(gradOut [][]float32) [][]float32 {
-	gradIn, _ := d.backward(gradOut, false, true)
-	return gradIn
-}
-
-func (d *Dense) backward(gradOut [][]float32, _, wantIn bool) ([][]float32, bool) {
+// backward runs three kernels: ∂L/∂W parallel over weight rows (each owned
+// by exactly one worker so accumulation order is fixed), the small ∂L/∂b
+// reduction serial, and ∂L/∂input parallel over samples. A dense asked for
+// ∂L/∂input sits on a relu, so d.live is the rectifier's set: the input
+// gradient is computed for its live units and +0 stored for the rest,
+// which is the relu's backward done here.
+func (d *dense) backward(gradOut [][]float32, wantIn bool) [][]float32 {
 	if d.x == nil {
 		panic("ml: dense backward before forward(train)")
 	}
 	d.live.transpose()
-	denseBackwardWeights(d.dw, d.x, gradOut, d.Out, d.workers, d.live)
+	denseBackwardWeights(d.dw, d.x, gradOut, d.out, d.workers, d.live)
 	denseBackwardBias(d.db, gradOut)
 	if !wantIn {
-		return nil, false
+		return nil
 	}
-	mask := d.live
-	if mask == &d.own { // nobody rectified the input: every unit has a gradient
-		d.every.listAll(len(gradOut), d.In)
-		mask = &d.every
-	}
-	gradIn := d.gradIn.shape(len(gradOut), d.In)
-	denseBackwardInput(gradIn, gradOut, d.w, d.Out, d.workers, mask)
-	return gradIn, mask == d.live
-}
-
-// ReLU is the rectified-linear activation. It lists the units it leaves
-// live as it writes them (matmul.go), so the Dense above never tests an
-// activation and masks ∂L/∂input itself.
-type ReLU struct {
-	live    liveSet
-	trained bool     // live is a training pass's
-	out     batchBuf // used only when the input is not the ReLU's to overwrite
-}
-
-// NewReLU returns a ReLU layer.
-func NewReLU() *ReLU { return &ReLU{} }
-
-// ParamCount implements Layer.
-func (r *ReLU) ParamCount() int                     { return 0 }
-func (r *ReLU) bind(params, grads []float32, _ int) {}
-func (r *ReLU) initialize(rng *xrand.Rand)          {}
-func (r *ReLU) replica() Layer                      { return NewReLU() }
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x [][]float32, train bool) [][]float32 {
-	return r.forward(activations{rows: x}, train).rows
-}
-
-// forward rectifies the layer below's matrix in place; only a caller's own
-// matrix gets a copy.
-func (r *ReLU) forward(x activations, train bool) activations {
-	out := x.rows
-	if !x.scratch {
-		out = r.out.like(x.rows)
-	}
-	r.live.list(out, x.rows)
-	r.trained = train
-	return activations{rows: out, live: &r.live, scratch: true}
-}
-
-// Backward implements Layer: gradOut, with +0 stored where the unit was
-// dead.
-func (r *ReLU) Backward(gradOut [][]float32) [][]float32 {
-	gradIn, _ := r.backward(gradOut, false, true)
+	gradIn := d.gradIn.shape(len(gradOut), d.in)
+	denseBackwardInput(gradIn, gradOut, d.w, d.out, d.workers, d.live)
 	return gradIn
 }
 
-func (r *ReLU) backward(gradOut [][]float32, masked, _ bool) ([][]float32, bool) {
-	if !r.trained {
-		panic("ml: relu backward before forward(train)")
-	}
-	if !masked {
-		r.live.maskRows(gradOut)
-	}
-	return gradOut, false
+// relu is the rectified-linear activation. It rectifies the dense below's
+// matrix in place and lists the units it leaves live as it writes them
+// (matmul.go), so the dense above never tests an activation and masks
+// ∂L/∂input itself.
+type relu struct{ live liveSet }
+
+func (r *relu) paramCount() int                     { return 0 }
+func (r *relu) bind(params, grads []float32, _ int) {}
+func (r *relu) initialize(rng *xrand.Rand)          {}
+func (r *relu) replica() layer                      { return &relu{} }
+
+func (r *relu) forward(x activations, _ bool) activations {
+	r.live.list(x.rows, true)
+	return activations{rows: x.rows, live: &r.live}
 }
+
+// backward hands on gradOut as it is: the dense above already stored +0
+// wherever the unit was dead.
+func (r *relu) backward(gradOut [][]float32, _ bool) [][]float32 { return gradOut }
 
 // Model is a feed-forward stack of layers over flat parameter/gradient
 // buffers. Its layers own the batch matrices a pass produces, so one model
 // runs one pass at a time; concurrent passes over the same parameters each
 // take their own Replica.
 type Model struct {
-	layers []Layer
+	layers []layer
 	params []float32
 	grads  []float32
 	evals  []*Model // Evaluate's forward-only replicas, kept between calls
-}
-
-// NewModel assembles layers, allocates the flat buffers, and initializes
-// parameters deterministically from seed. Its kernels fan out over the par
-// pool.
-func NewModel(seed uint64, layers ...Layer) *Model {
-	total := 0
-	for _, l := range layers {
-		total += l.ParamCount()
-	}
-	m := &Model{
-		layers: layers,
-		params: make([]float32, total),
-		grads:  make([]float32, total),
-	}
-	m.bind(0)
-	rng := xrand.New(seed)
-	for _, l := range layers {
-		l.initialize(rng)
-	}
-	return m
 }
 
 // bind hands every layer its slices of the flat buffers and the kernel
@@ -297,7 +224,7 @@ func NewModel(seed uint64, layers ...Layer) *Model {
 func (m *Model) bind(workers int) {
 	off := 0
 	for _, l := range m.layers {
-		n := l.ParamCount()
+		n := l.paramCount()
 		l.bind(m.params[off:off+n], m.grads[off:off+n], workers)
 		off += n
 	}
@@ -313,7 +240,7 @@ func (m *Model) Replica() *Model { return m.replica(make([]float32, len(m.params
 
 // replica is Replica over the given gradient buffer.
 func (m *Model) replica(grads []float32) *Model {
-	r := &Model{layers: make([]Layer, len(m.layers)), params: m.params, grads: grads}
+	r := &Model{layers: make([]layer, len(m.layers)), params: m.params, grads: grads}
 	for i, l := range m.layers {
 		r.layers[i] = l.replica()
 	}
@@ -332,20 +259,31 @@ func (m *Model) evalReplicas(n int) []*Model {
 	return m.evals[:n]
 }
 
-// NewMLP builds Dense+ReLU stacks: sizes[0] inputs, hidden layers, and
-// sizes[len-1] output logits.
+// NewMLP builds a dense (relu dense)* stack — sizes[0] inputs, hidden
+// layers, and sizes[len-1] output logits — allocates the flat buffers, and
+// initializes parameters deterministically from seed. Its kernels fan out
+// over the par pool.
 func NewMLP(seed uint64, sizes ...int) *Model {
 	if len(sizes) < 2 {
 		panic("ml: MLP needs at least input and output sizes")
 	}
-	var layers []Layer
+	m := &Model{}
+	total := 0
 	for i := 0; i < len(sizes)-1; i++ {
-		layers = append(layers, NewDense(sizes[i], sizes[i+1]))
+		d := newDense(sizes[i], sizes[i+1])
+		m.layers = append(m.layers, d)
+		total += d.paramCount()
 		if i < len(sizes)-2 {
-			layers = append(layers, NewReLU())
+			m.layers = append(m.layers, &relu{})
 		}
 	}
-	return NewModel(seed, layers...)
+	m.params, m.grads = make([]float32, total), make([]float32, total)
+	m.bind(0)
+	rng := xrand.New(seed)
+	for _, l := range m.layers {
+		l.initialize(rng)
+	}
+	return m
 }
 
 // Forward runs the batch through all layers. The returned logits belong
@@ -362,9 +300,9 @@ func (m *Model) Forward(x [][]float32, train bool) [][]float32 {
 // all layers, accumulating parameter gradients. The first layer's ∂L/∂x is
 // not computed: nothing reads the gradient of the data.
 func (m *Model) Backward(gradLogits [][]float32) {
-	g, masked := gradLogits, false
+	g := gradLogits
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		g, masked = m.layers[i].backward(g, masked, i > 0)
+		g = m.layers[i].backward(g, i > 0)
 	}
 }
 

@@ -87,18 +87,18 @@ func trainPass(m *Model, x [][]float32, labels []int) passResult {
 // left out as Model.Backward leaves it out.
 func refPass(params []float32, sizes []int, x [][]float32, labels []int) passResult {
 	fresh := func(n, dim int) [][]float32 { return new(batchBuf).shape(n, dim) }
-	type dense struct {
+	type refDense struct {
 		w, b, dw, db []float32
 		x            [][]float32
 		out          int
 	}
 	grads := make([]float32, len(params))
-	layers := make([]dense, len(sizes)-1)
+	layers := make([]refDense, len(sizes)-1)
 	off := 0
 	for l := range layers {
 		in, out := sizes[l], sizes[l+1]
 		nw := in * out
-		layers[l] = dense{
+		layers[l] = refDense{
 			w: params[off : off+nw], b: params[off+nw : off+nw+out],
 			dw: grads[off : off+nw], db: grads[off+nw : off+nw+out], out: out,
 		}

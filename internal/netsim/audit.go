@@ -37,7 +37,12 @@ func (n *Network) Audit() error {
 			bad = fmt.Errorf("netsim: audit: "+format, args...)
 		}
 	}
-	held := make(map[*Packet]bool)
+	if n.auditHeld == nil {
+		n.auditHeld, n.auditFree = make(map[*Packet]bool), make(map[*Packet]bool)
+	}
+	held, free := n.auditHeld, n.auditFree
+	clear(held)
+	clear(free)
 	hold := func(pkt *Packet, where string, at ...any) {
 		switch {
 		case pkt == nil:
@@ -102,7 +107,6 @@ func (n *Network) Audit() error {
 			}
 		}
 	}
-	free := make(map[*Packet]bool)
 	idle := func(pkt *Packet) {
 		switch {
 		case free[pkt]:

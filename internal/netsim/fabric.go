@@ -61,7 +61,7 @@ func (f FabricSpec) newFatTree(sim *Sim, opts []Option) *Topology {
 	aggID := func(pod, a int) NodeID { return base + NodeID(nEdge+pod*half+a) }
 	coreID := func(j int) NodeID { return base + NodeID(2*nEdge+j) }
 
-	net := NewNetwork(sim, opts...)
+	net := newNetwork(sim, opts...)
 	net.ecmpSeed = f.ECMPSeed
 	t := &Topology{Kind: "fattree", Net: net}
 	edge := make([]*Switch, 0, nEdge)
@@ -70,16 +70,16 @@ func (f FabricSpec) newFatTree(sim *Sim, opts []Option) *Topology {
 
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
-			edge = append(edge, net.AddSwitch(edgeID(pod, e), f.Queue))
+			edge = append(edge, net.addSwitch(edgeID(pod, e), f.Queue))
 		}
 	}
 	for pod := 0; pod < k; pod++ {
 		for a := 0; a < half; a++ {
-			agg = append(agg, net.AddSwitch(aggID(pod, a), f.Queue))
+			agg = append(agg, net.addSwitch(aggID(pod, a), f.Queue))
 		}
 	}
 	for j := 0; j < nCore; j++ {
-		core = append(core, net.AddSwitch(coreID(j), f.Queue))
+		core = append(core, net.addSwitch(coreID(j), f.Queue))
 	}
 
 	// Hosts and host↔edge links; attach installs the edge switch's
@@ -87,19 +87,19 @@ func (f FabricSpec) newFatTree(sim *Sim, opts []Option) *Topology {
 	for h := 0; h < FatTreeHosts(k); h++ {
 		pod := h / (half * half)
 		e := (h % (half * half)) / half
-		t.Hosts = append(t.Hosts, net.AddHost(NodeID(h)))
-		net.Connect(NodeID(h), edgeID(pod, e), f.Link)
+		t.Hosts = append(t.Hosts, net.addHost(NodeID(h)))
+		net.connect(NodeID(h), edgeID(pod, e), f.Link)
 	}
 	// Edge↔agg (full bipartite per pod) and agg↔core links.
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
-				net.Connect(edgeID(pod, e), aggID(pod, a), f.Link)
+				net.connect(edgeID(pod, e), aggID(pod, a), f.Link)
 			}
 		}
 		for a := 0; a < half; a++ {
 			for c := 0; c < half; c++ {
-				net.Connect(aggID(pod, a), coreID(a*half+c), f.Link)
+				net.connect(aggID(pod, a), coreID(a*half+c), f.Link)
 			}
 		}
 	}
@@ -178,24 +178,24 @@ func (f FabricSpec) newLeafSpine(sim *Sim, uplink LinkConfig, opts []Option) *To
 	leafID := func(l int) NodeID { return base + NodeID(l) }
 	spineID := func(s int) NodeID { return base + NodeID(f.Leaves+s) }
 
-	net := NewNetwork(sim, opts...)
+	net := newNetwork(sim, opts...)
 	net.ecmpSeed = f.ECMPSeed
 	t := &Topology{Kind: "leafspine", Net: net}
 	leaves := make([]*Switch, f.Leaves)
 	spines := make([]*Switch, f.Spines)
 	for l := range leaves {
-		leaves[l] = net.AddSwitch(leafID(l), f.Queue)
+		leaves[l] = net.addSwitch(leafID(l), f.Queue)
 	}
 	for s := range spines {
-		spines[s] = net.AddSwitch(spineID(s), f.Queue)
+		spines[s] = net.addSwitch(spineID(s), f.Queue)
 	}
 	for h := 0; h < f.Leaves*f.HostsPerLeaf; h++ {
-		t.Hosts = append(t.Hosts, net.AddHost(NodeID(h)))
-		net.Connect(NodeID(h), leafID(h/f.HostsPerLeaf), f.Link)
+		t.Hosts = append(t.Hosts, net.addHost(NodeID(h)))
+		net.connect(NodeID(h), leafID(h/f.HostsPerLeaf), f.Link)
 	}
 	for l := 0; l < f.Leaves; l++ {
 		for s := 0; s < f.Spines; s++ {
-			net.Connect(leafID(l), spineID(s), uplink)
+			net.connect(leafID(l), spineID(s), uplink)
 		}
 	}
 	// Forwarding tables, top range first: a leaf sends other leaves' hosts

@@ -453,48 +453,6 @@ func TestFatTreeRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestNetworkErrorVariants covers the error-returning construction API
-// that the panicking AddHost/AddSwitch/Connect wrap.
-func TestNetworkErrorVariants(t *testing.T) {
-	net := NewNetwork(NewSim())
-	if _, err := net.NewHost(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.NewHost(1); err == nil {
-		t.Error("duplicate host id accepted")
-	}
-	if _, err := net.NewSwitch(1, QueueConfig{}); err == nil {
-		t.Error("switch id colliding with host accepted")
-	}
-	if _, err := net.NewSwitch(1000, QueueConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.NewLink(1, 99, fastLink()); err == nil {
-		t.Error("link to unknown node accepted")
-	}
-	if err := net.NewLink(1, 1, fastLink()); err == nil {
-		t.Error("self-link accepted")
-	}
-	if err := net.NewLink(1, 1000, LinkConfig{Bandwidth: 0}); err == nil {
-		t.Error("zero-bandwidth link accepted")
-	}
-	if err := net.NewLink(1, 1000, fastLink()); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.NewLink(1, 1000, fastLink()); err == nil {
-		t.Error("double-wiring a host NIC accepted")
-	}
-	if _, err := net.NewHost(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.NewLink(2, 1000, fastLink()); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.NewLink(1000, 2, fastLink()); err == nil {
-		t.Error("duplicate switch link accepted")
-	}
-}
-
 var updatePaths = flag.Bool("update-paths", false,
 	"re-record testdata/path_digests.txt (only right when a path choice was meant to move)")
 

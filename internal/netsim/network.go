@@ -82,10 +82,9 @@ type Node interface {
 	ID() NodeID
 	// Deliver is invoked by the simulator when a packet arrives.
 	Deliver(pkt *Packet)
-	// attach creates this node's outgoing port toward peer. It reports
-	// misuse (a host NIC already wired, a duplicate switch link) as an
-	// error so NewLink can surface it without panicking.
-	attach(peer Node, link LinkConfig) error
+	// attach creates this node's outgoing port toward peer. It panics on
+	// a host NIC already wired or a duplicate switch link.
+	attach(peer Node, link LinkConfig)
 	// portTo returns the outgoing port toward a directly-connected peer,
 	// or nil. Fault injection and link flaps address ports through it.
 	portTo(peer NodeID) *Port
@@ -100,6 +99,9 @@ type Network struct {
 	// different seeds spread the same flow set differently; the same seed
 	// reproduces the exact per-flow path choices, bit for bit.
 	ecmpSeed uint64
+	// auditHeld and auditFree are Audit's record sets, cleared and kept
+	// between calls: a fabric audited every training round sizes them once.
+	auditHeld, auditFree map[*Packet]bool
 }
 
 // Option configures a Network at construction.
@@ -114,8 +116,8 @@ func WithRegistry(r *obs.Registry) Option {
 	return func(n *Network) { n.Sim.obs = r }
 }
 
-// NewNetwork returns an empty network driven by sim.
-func NewNetwork(sim *Sim, opts ...Option) *Network {
+// newNetwork returns an empty network driven by sim.
+func newNetwork(sim *Sim, opts ...Option) *Network {
 	n := &Network{Sim: sim, nodes: make(map[NodeID]Node)}
 	for _, o := range opts {
 		o(n)
@@ -126,38 +128,28 @@ func NewNetwork(sim *Sim, opts ...Option) *Network {
 // Node returns the node with the given id, or nil.
 func (n *Network) Node(id NodeID) Node { return n.nodes[id] }
 
-func (n *Network) register(node Node) error {
+// The constructors below panic on misuse; FabricSpec.Validate refuses,
+// with an error, every spec whose build would.
+
+func (n *Network) register(node Node) {
 	if _, dup := n.nodes[node.ID()]; dup {
-		return fmt.Errorf("netsim: duplicate node id %d", node.ID())
+		panic(fmt.Sprintf("netsim: duplicate node id %d", node.ID()))
 	}
 	n.nodes[node.ID()] = node
-	return nil
 }
 
-// NewHost creates a host endpoint, rejecting duplicate ids.
-func (n *Network) NewHost(id NodeID) (*Host, error) {
+// addHost creates a host endpoint.
+func (n *Network) addHost(id NodeID) *Host {
 	h := &Host{id: id, sim: n.Sim}
-	if err := n.register(h); err != nil {
-		return nil, err
-	}
+	n.register(h)
 	n.Sim.obs.AddSource(func(e obs.Emit) {
 		e.Counter(fmt.Sprintf("netsim.host.%d.down_drops_total", id), h.DownDrops)
 	})
-	return h, nil
-}
-
-// AddHost creates a host endpoint, panicking on a duplicate id (the
-// test-convenience wrapper over NewHost).
-func (n *Network) AddHost(id NodeID) *Host {
-	h, err := n.NewHost(id)
-	if err != nil {
-		panic(err)
-	}
 	return h
 }
 
-// NewSwitch creates a switch whose ports use cfg, rejecting duplicate ids.
-func (n *Network) NewSwitch(id NodeID, cfg QueueConfig) (*Switch, error) {
+// addSwitch creates a switch whose ports use cfg.
+func (n *Network) addSwitch(id NodeID, cfg QueueConfig) *Switch {
 	sw := &Switch{
 		id:      id,
 		sim:     n.Sim,
@@ -165,51 +157,28 @@ func (n *Network) NewSwitch(id NodeID, cfg QueueConfig) (*Switch, error) {
 		ports:   make(map[NodeID]*Port),
 		ecmpKey: xrand.Seed(n.ecmpSeed, uint64(id)),
 	}
-	if err := n.register(sw); err != nil {
-		return nil, err
-	}
+	n.register(sw)
 	n.Sim.obs.AddSource(func(e obs.Emit) {
 		e.Counter(fmt.Sprintf("netsim.switch.%d.route_misses_total", id), sw.RouteMisses)
 	})
-	return sw, nil
-}
-
-// AddSwitch creates a switch whose ports use cfg, panicking on a
-// duplicate id (the test-convenience wrapper over NewSwitch).
-func (n *Network) AddSwitch(id NodeID, cfg QueueConfig) *Switch {
-	sw, err := n.NewSwitch(id, cfg)
-	if err != nil {
-		panic(err)
-	}
 	return sw
 }
 
-// NewLink wires a full-duplex link between two nodes, reporting unknown
-// endpoints, self-links, non-positive bandwidth, and double-wiring (a
-// host NIC already attached, a duplicate switch link) as errors.
-func (n *Network) NewLink(a, b NodeID, link LinkConfig) error {
+// connect wires a full-duplex link between two nodes. Unknown endpoints,
+// a self-link, a non-positive bandwidth and double-wiring (a host NIC
+// already attached, a duplicate switch link) panic.
+func (n *Network) connect(a, b NodeID, link LinkConfig) {
 	na, nb := n.nodes[a], n.nodes[b]
-	if na == nil || nb == nil {
-		return fmt.Errorf("netsim: connect unknown nodes %d-%d", a, b)
+	switch {
+	case na == nil || nb == nil:
+		panic(fmt.Sprintf("netsim: connect unknown nodes %d-%d", a, b))
+	case a == b:
+		panic(fmt.Sprintf("netsim: self-link at node %d", a))
+	case link.Bandwidth <= 0:
+		panic(fmt.Sprintf("netsim: link %d-%d bandwidth must be positive", a, b))
 	}
-	if a == b {
-		return fmt.Errorf("netsim: self-link at node %d", a)
-	}
-	if link.Bandwidth <= 0 {
-		return fmt.Errorf("netsim: link %d-%d bandwidth must be positive", a, b)
-	}
-	if err := na.attach(nb, link); err != nil {
-		return err
-	}
-	return nb.attach(na, link)
-}
-
-// Connect wires a full-duplex link between two nodes, panicking on
-// misuse (the test-convenience wrapper over NewLink).
-func (n *Network) Connect(a, b NodeID, link LinkConfig) {
-	if err := n.NewLink(a, b, link); err != nil {
-		panic(err)
-	}
+	na.attach(nb, link)
+	nb.attach(na, link)
 }
 
 // PortStats counts what happened at one output port.
@@ -653,7 +622,7 @@ type Switch struct {
 	cfg   QueueConfig
 	ports map[NodeID]*Port // keyed by next-hop node id
 	// ecmpKey is xrand.Seed(ecmpSeed, id), the flow hash's per-switch
-	// prefix (see egress), mixed once at NewSwitch.
+	// prefix (see egress), mixed once at addSwitch.
 	ecmpKey uint64
 	// fwd[dst], indexed by host id (nothing addresses a switch), locates
 	// dst's equal-cost set of ports, in hash bucket order, in fwdPorts;
@@ -676,9 +645,9 @@ type fwdEntry struct{ off, n uint32 }
 // ID implements Node.
 func (s *Switch) ID() NodeID { return s.id }
 
-func (s *Switch) attach(peer Node, link LinkConfig) error {
+func (s *Switch) attach(peer Node, link LinkConfig) {
 	if _, dup := s.ports[peer.ID()]; dup {
-		return fmt.Errorf("netsim: duplicate link %d-%d", s.id, peer.ID())
+		panic(fmt.Sprintf("netsim: duplicate link %d-%d", s.id, peer.ID()))
 	}
 	p := newPort(s.sim, s.id, peer, link, s.cfg)
 	if s.cfg.AggregateTrimmable {
@@ -689,7 +658,6 @@ func (s *Switch) attach(peer Node, link LinkConfig) error {
 	if _, ok := peer.(*Host); ok {
 		s.route(peer.ID(), peer.ID()+1, s.hopSet(peer.ID()))
 	}
-	return nil
 }
 
 // hopSet stores an equal-cost set of next hops, in hash bucket order, and
@@ -806,12 +774,11 @@ type Host struct {
 // ID implements Node.
 func (h *Host) ID() NodeID { return h.id }
 
-func (h *Host) attach(peer Node, link LinkConfig) error {
+func (h *Host) attach(peer Node, link LinkConfig) {
 	if h.uplink != nil {
-		return fmt.Errorf("netsim: host %d already attached", h.id)
+		panic(fmt.Sprintf("netsim: host %d already attached", h.id))
 	}
 	h.uplink = newPort(h.sim, h.id, peer, link, hostQueue)
-	return nil
 }
 
 func (h *Host) portTo(peer NodeID) *Port {

@@ -216,56 +216,52 @@ func TestDumbbellBottleneckCongests(t *testing.T) {
 	}
 }
 
-func TestHostDoubleAttachPanics(t *testing.T) {
-	sim := NewSim()
-	net := NewNetwork(sim)
-	h := net.AddHost(1)
-	s1 := net.AddSwitch(1000, QueueConfig{})
-	s2 := net.AddSwitch(1001, QueueConfig{})
-	net.Connect(h.ID(), s1.ID(), fastLink())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second attach should panic")
-		}
-	}()
-	net.Connect(h.ID(), s2.ID(), fastLink())
+// TestNetworkMisusePanics: the node and link constructors panic on misuse
+// with a message naming it. Each row starts from hosts 1 and 2 and switch
+// 1000, host 1 wired to the switch.
+func TestNetworkMisusePanics(t *testing.T) {
+	cases := []struct {
+		name string
+		do   func(net *Network)
+		want string
+	}{
+		{"duplicate host id", func(net *Network) { net.addHost(1) }, "netsim: duplicate node id 1"},
+		{"switch id of a host", func(net *Network) { net.addSwitch(2, QueueConfig{}) }, "netsim: duplicate node id 2"},
+		{"unknown node", func(net *Network) { net.connect(2, 99, fastLink()) }, "netsim: connect unknown nodes 2-99"},
+		{"self-link", func(net *Network) { net.connect(2, 2, fastLink()) }, "netsim: self-link at node 2"},
+		{"zero bandwidth", func(net *Network) { net.connect(2, 1000, LinkConfig{}) }, "netsim: link 2-1000 bandwidth must be positive"},
+		{"host NIC wired twice", func(net *Network) {
+			net.addSwitch(1001, QueueConfig{})
+			net.connect(1, 1001, fastLink())
+		}, "netsim: host 1 already attached"},
+		{"duplicate switch link", func(net *Network) { net.connect(1000, 1, fastLink()) }, "netsim: duplicate link 1000-1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			net := newNetwork(NewSim())
+			net.addHost(1)
+			net.addHost(2)
+			net.addSwitch(1000, QueueConfig{})
+			net.connect(1, 1000, fastLink())
+			defer func() {
+				if got := fmt.Sprint(recover()); got != c.want {
+					t.Errorf("recovered %q, want panic %q", got, c.want)
+				}
+			}()
+			c.do(net)
+		})
+	}
 }
 
 func TestUnattachedHostSendPanics(t *testing.T) {
 	sim := NewSim()
-	net := NewNetwork(sim)
-	h := net.AddHost(1)
+	h := newNetwork(sim).addHost(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("send on unattached host should panic")
 		}
 	}()
 	h.Send(record(sim, Packet{Dst: 2, Size: 10}))
-}
-
-func TestDuplicateNodeIDPanics(t *testing.T) {
-	sim := NewSim()
-	net := NewNetwork(sim)
-	net.AddHost(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate id should panic")
-		}
-	}()
-	net.AddHost(1)
-}
-
-func TestZeroBandwidthPanics(t *testing.T) {
-	sim := NewSim()
-	net := NewNetwork(sim)
-	a := net.AddHost(1)
-	b := net.AddHost(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero bandwidth should panic")
-		}
-	}()
-	net.Connect(a.ID(), b.ID(), LinkConfig{Bandwidth: 0})
 }
 
 // Packet fills its 128-byte size class, pinned from both sides. The cap:

@@ -148,15 +148,15 @@ func (t *Topology) PathFor(src, dst NodeID, flow uint64) []NodeID {
 // Options (e.g. WithRegistry) apply to the underlying Network before any
 // port exists.
 func NewStar(sim *Sim, n int, link LinkConfig, q QueueConfig, opts ...Option) *Topology {
-	net := NewNetwork(sim, opts...)
-	sw := net.AddSwitch(switchBase(n), q)
+	net := newNetwork(sim, opts...)
+	sw := net.addSwitch(switchBase(n), q)
 	t := &Topology{
 		Kind: "star", Net: net,
 		Tiers: []Tier{{Name: TierEdge, Switches: []*Switch{sw}}},
 	}
 	for i := 0; i < n; i++ {
-		h := net.AddHost(NodeID(i))
-		net.Connect(h.ID(), sw.ID(), link)
+		h := net.addHost(NodeID(i))
+		net.connect(h.ID(), sw.ID(), link)
 		t.Hosts = append(t.Hosts, h)
 	}
 	return t
@@ -167,22 +167,22 @@ func NewStar(sim *Sim, n int, link LinkConfig, q QueueConfig, opts ...Option) *T
 // is where cross traffic and gradient traffic collide. Hosts are ordered
 // left block then right block; the edge tier is [left, right].
 func NewDumbbell(sim *Sim, nLeft, nRight int, edge, bottleneck LinkConfig, q QueueConfig, opts ...Option) *Topology {
-	net := NewNetwork(sim, opts...)
-	left := net.AddSwitch(switchBase(nLeft+nRight), q)
-	right := net.AddSwitch(left.id+1, q)
-	net.Connect(left.ID(), right.ID(), bottleneck)
+	net := newNetwork(sim, opts...)
+	left := net.addSwitch(switchBase(nLeft+nRight), q)
+	right := net.addSwitch(left.id+1, q)
+	net.connect(left.ID(), right.ID(), bottleneck)
 	t := &Topology{
 		Kind: "dumbbell", Net: net,
 		Tiers: []Tier{{Name: TierEdge, Switches: []*Switch{left, right}}},
 	}
 	for i := 0; i < nLeft; i++ {
-		h := net.AddHost(NodeID(i))
-		net.Connect(h.ID(), left.ID(), edge)
+		h := net.addHost(NodeID(i))
+		net.connect(h.ID(), left.ID(), edge)
 		t.Hosts = append(t.Hosts, h)
 	}
 	for i := 0; i < nRight; i++ {
-		h := net.AddHost(NodeID(nLeft + i))
-		net.Connect(h.ID(), right.ID(), edge)
+		h := net.addHost(NodeID(nLeft + i))
+		net.connect(h.ID(), right.ID(), edge)
 		t.Hosts = append(t.Hosts, h)
 	}
 	// Each switch reaches the other side's hosts over the bottleneck.
@@ -201,22 +201,22 @@ func NewRing(sim *Sim, n int, edge, trunk LinkConfig, q QueueConfig, opts ...Opt
 	if n < 2 {
 		panic("netsim: ring needs at least 2 nodes")
 	}
-	net := NewNetwork(sim, opts...)
+	net := newNetwork(sim, opts...)
 	t := &Topology{Kind: "ring", Net: net}
 	switches := make([]*Switch, n)
 	for i := 0; i < n; i++ {
-		switches[i] = net.AddSwitch(switchBase(n)+NodeID(i), q)
-		t.Hosts = append(t.Hosts, net.AddHost(NodeID(i)))
+		switches[i] = net.addSwitch(switchBase(n)+NodeID(i), q)
+		t.Hosts = append(t.Hosts, net.addHost(NodeID(i)))
 	}
 	t.Tiers = []Tier{{Name: TierEdge, Switches: switches}}
 	for i := 0; i < n; i++ {
-		net.Connect(t.Hosts[i].ID(), switches[i].ID(), edge)
+		net.connect(t.Hosts[i].ID(), switches[i].ID(), edge)
 		// A 2-ring degenerates to a single trunk; adding the wrap-around
 		// link again would duplicate it.
 		if n == 2 && i == 1 {
 			continue
 		}
-		net.Connect(switches[i].ID(), switches[(i+1)%n].ID(), trunk)
+		net.connect(switches[i].ID(), switches[(i+1)%n].ID(), trunk)
 	}
 	// Shortest-arc routes, ties clockwise, over one set per direction.
 	for i, sw := range switches {

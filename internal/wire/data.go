@@ -247,7 +247,7 @@ func TrimLen(buf []byte, targetSize int) int {
 // MarkTrimmed rewrites the two header fields a trimming switch touches: the
 // Trimmed flag is set and the now-meaningless tail CRC cleared. pkt is the
 // kept prefix — the first TrimLen bytes of a packet, in a buffer the caller
-// owns. Trim and TrimCopy cut and mark in one call; a caller that already
+// owns. Trim cuts and marks in one call; a caller that already
 // holds TrimLen's verdict cuts the prefix itself and marks it here, so the
 // header is parsed once.
 func MarkTrimmed(pkt []byte) {
@@ -260,29 +260,13 @@ func MarkTrimmed(pkt []byte) {
 // TrimLen bytes of buf with the Trimmed flag set and the tail CRC cleared,
 // mirroring how a trimming switch rewrites the packet. A buffer with
 // nothing to cut is returned unchanged. The caller must own buf; to trim a
-// buffer someone else may still read, use TrimCopy.
+// buffer someone else may still read, trim a bytes.Clone of it.
 func Trim(buf []byte, targetSize int) []byte {
 	keep := TrimLen(buf, targetSize)
 	if keep >= len(buf) {
 		return buf
 	}
 	out := buf[:keep]
-	MarkTrimmed(out)
-	return out
-}
-
-// TrimCopy is Trim for a buffer the caller does not own: buf is never
-// written, and the result — byte-identical to what Trim would return — is a
-// fresh allocation holding only the kept prefix. A buffer with nothing to
-// cut (metadata, foreign bytes, already at or below the target) is returned
-// as-is, so `len(out) < len(buf)` tells the caller a copy was made.
-func TrimCopy(buf []byte, targetSize int) []byte {
-	keep := TrimLen(buf, targetSize)
-	if keep >= len(buf) {
-		return buf
-	}
-	out := make([]byte, keep)
-	copy(out, buf)
 	MarkTrimmed(out)
 	return out
 }

@@ -121,12 +121,14 @@ func TestTrimBytesHeadOnlyBounded(t *testing.T) {
 	}
 }
 
-// TestTrimCopyMatchesTrim pins the non-mutating trim against the in-place
-// one: for data and aggregate packets at head-boundary, multi-level and
-// no-op targets, TrimCopy returns the bytes
-// Trim returns, of TrimLen length, without writing its input; buffers with
-// nothing to cut (metadata, foreign bytes, targets at or above the length)
-// come back as the very same slice.
+// TestTrimCopyMatchesTrim pins Trim on a copy, the way a caller trims a
+// buffer it does not own, for data and aggregate packets at head-boundary,
+// multi-level and no-op targets: Trim keeps TrimLen bytes of the copy it
+// is given, in place, and writes nothing past them; a cut prefix is the
+// original's with the Trimmed flag set and the tail CRC cleared, and a
+// second level matches one trim to the same target; buffers with nothing
+// to cut (metadata, foreign bytes, targets at or above the length) come
+// back unwritten.
 func TestTrimCopyMatchesTrim(t *testing.T) {
 	heads, tails := randHeadsTails(9, 200, 1, 31)
 	dh := testHeader(200, 1, 31)
@@ -169,32 +171,34 @@ func TestTrimCopyMatchesTrim(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			src := append([]byte(nil), tc.buf...)
-			want := Trim(append([]byte(nil), tc.buf...), tc.target)
-			got := TrimCopy(src, tc.target)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("TrimCopy differs from Trim:\n got  %x\n want %x", got, want)
+			cp := bytes.Clone(tc.buf)
+			got := Trim(cp, tc.target)
+			if n := TrimLen(tc.buf, tc.target); n != len(got) {
+				t.Fatalf("TrimLen = %d, Trim kept %d", n, len(got))
 			}
-			if !bytes.Equal(src, tc.buf) {
-				t.Fatal("TrimCopy wrote its input")
-			}
-			if n := TrimLen(src, tc.target); n != len(want) {
-				t.Fatalf("TrimLen = %d, Trim kept %d", n, len(want))
-			}
-			if cut := len(got) < len(src); cut != tc.cut {
+			if cut := len(got) < len(tc.buf); cut != tc.cut {
 				t.Fatalf("cut = %v, want %v", cut, tc.cut)
 			}
-			if tc.cut {
-				if cap(got) != len(got) {
-					t.Fatalf("trimmed copy holds cap %d for %d kept bytes: the cut tail was copied too", cap(got), len(got))
+			if len(got) > 0 && &got[0] != &cp[0] {
+				t.Fatal("Trim returned another buffer than the one it was given")
+			}
+			if !bytes.Equal(cp[len(got):], tc.buf[len(got):]) {
+				t.Fatal("Trim wrote past the kept prefix")
+			}
+			if !tc.cut {
+				if !bytes.Equal(cp, tc.buf) {
+					t.Fatal("nothing to cut, yet Trim wrote the buffer")
 				}
-				// A second level trims the copy further, still matching Trim.
-				again := TrimCopy(got, 0)
-				if want2 := Trim(append([]byte(nil), want...), 0); !bytes.Equal(again, want2) {
-					t.Fatal("second-level TrimCopy differs from second-level Trim")
-				}
-			} else if len(src) > 0 && &got[0] != &src[0] {
-				t.Fatal("nothing to cut, yet TrimCopy returned a different buffer")
+				return
+			}
+			want := bytes.Clone(tc.buf[:len(got)])
+			MarkTrimmed(want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("trimmed prefix differs from the marked original:\n got  %x\n want %x", got, want)
+			}
+			again := Trim(bytes.Clone(got), 0)
+			if want2 := Trim(bytes.Clone(tc.buf), 0); !bytes.Equal(again, want2) {
+				t.Fatal("a second-level trim differs from one trim to the same target")
 			}
 		})
 	}

@@ -60,7 +60,9 @@
 #                             again with the flags that gate a path
 #                             (-csv, -metrics, profiles, the dumbbell and
 #                             leaf–spine fabrics, all-to-all, -agg), then
-#                             the functions at 0.0 % (about a minute)
+#                             the functions at 0.0 % and, from the same
+#                             profile, each internal/ package's share of
+#                             statements executed (about a minute)
 #
 # Every step must pass; the script stops at the first failure. Any other
 # argument prints this usage and exits 2.
@@ -161,6 +163,23 @@ if [[ $mode == reach ]]; then
   go tool cover -func "$reach/cover.out" | awk '$1 ~ /^trimgrad\/internal\// && $NF == "0.0%"' > "$reach/unreached"
   cat "$reach/unreached"
   echo "unreached internal/ functions: $(wc -l < "$reach/unreached")"
+  # A reached function can still hold a branch only tests take: the share
+  # of each package's statements the runs executed shows where to look.
+  step "internal/ statements executed, per package"
+  awk 'NR > 1 && $1 ~ /^trimgrad\/internal\// {
+      stmts[$1] = $2
+      if ($3 > 0) hit[$1] = 1
+    }
+    END {
+      for (b in stmts) {
+        pkg = b
+        sub(/\/[^\/]*:.*/, "", pkg)
+        total[pkg] += stmts[b]
+        if (b in hit) ran[pkg] += stmts[b]
+      }
+      for (pkg in total)
+        printf "%-30s %5.1f %%  %5d of %5d\n", pkg, 100 * ran[pkg] / total[pkg], ran[pkg], total[pkg]
+    }' "$reach/cover.out" | sort
   exit 0
 fi
 

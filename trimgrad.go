@@ -108,7 +108,3 @@ func Trim(pkt []byte, targetSize int) []byte { return wire.Trim(pkt, targetSize)
 // NewTrimmer returns an injector trimming packets with the given
 // probability.
 func NewTrimmer(rate float64, seed uint64) Injector { return core.NewTrimmer(rate, seed) }
-
-// NewDropper returns an injector dropping packets with the given
-// probability.
-func NewDropper(rate float64, seed uint64) Injector { return core.NewDropper(rate, seed) }

@@ -76,11 +76,6 @@ func TestPublicTrimAndDrop(t *testing.T) {
 	if len(trimmed) >= len(msg.Data[0]) {
 		t.Error("Trim did not shrink the packet")
 	}
-	// Dropper drops everything at rate 1.
-	drop := NewDropper(1, 1)
-	if drop.Apply(msg.Data[0]) != nil {
-		t.Error("Dropper at rate 1 should drop")
-	}
 	// NewCodec exposes the row-level API.
 	c, err := NewCodec(Params{Scheme: SQ})
 	if err != nil {
