@@ -13,7 +13,8 @@ import (
 // copying them, at every shard count: a flood that resends the same eight
 // buffers must allocate no payload-sized memory at injection and stay
 // within the ≤1 alloc/hop budget, and the only payload allocation left in
-// the fabric — a trim — must hold exactly the kept prefix and leave the
+// the fabric — the copy of a trimmed packet its receiver reads (a trim
+// itself cuts a view) — must hold exactly the kept prefix and leave the
 // sender's buffer as it was.
 func TestBorrowedHopAllocations(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {

@@ -71,9 +71,9 @@ type trimSender struct {
 // reason when the retransmit budget runs out. Every payload must be a
 // trimgrad packet; it panics otherwise. Neither metas and data nor the
 // slices in them are copied, here or in the fabric: all are immutable from
-// this call on (netsim.Host.Send) — a switch that trims a packet copies
-// the prefix it keeps — so callers must not write them again but may hand
-// them to another destination.
+// this call on (netsim.Host.Send) — a switch that trims a packet keeps a
+// view of the prefix, which the receiving host copies — so callers must
+// not write them again but may hand them to another destination.
 func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte,
 	done func(at netsim.Time), failed func(err error)) {
 	mustBeTrimgrad(id, metas)
