@@ -153,6 +153,7 @@ func (f *FaultInjector) corrupt(pkt *Packet) *Packet {
 		pos := f.rng.Intn(len(c.Payload) * 8)
 		c.Payload[pos/8] ^= 1 << uint(pos%8)
 	}
+	c.stamp() // the flipped bits may be the header's
 	f.Stats.Corrupted++
 	return c
 }

@@ -22,6 +22,14 @@ func record(sim *Sim, p Packet) *Packet {
 	return r
 }
 
+// stampedRecord is record stamped as Host.Send stamps it, for a test that
+// hands it to a port or trims it without a Send.
+func stampedRecord(sim *Sim, p Packet) *Packet {
+	r := record(sim, p)
+	r.stamp()
+	return r
+}
+
 // buildGradPacket builds a real trimgrad data packet wrapped in a record
 // of sim's pool, so switches can trim it.
 func buildGradPacket(t *testing.T, sim *Sim, dst NodeID, n int) *Packet {
@@ -40,7 +48,7 @@ func buildGradPacket(t *testing.T, sim *Sim, dst NodeID, n int) *Packet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return record(sim, Packet{Dst: dst, Size: len(data[0]) + wire.NetOverhead, Payload: data[0]})
+	return stampedRecord(sim, Packet{Dst: dst, Size: len(data[0]) + wire.NetOverhead, Payload: data[0]})
 }
 
 func TestPointToPointDelivery(t *testing.T) {

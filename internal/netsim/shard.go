@@ -111,7 +111,7 @@ func ShardTopology(t *Topology, shards int) (*Engine, error) {
 		s := base
 		if i > 0 {
 			s = NewSim()
-			s.rootN = base.rootN
+			s.rootN, s.trims = base.rootN, base.trims
 		}
 		s.eng = e
 		s.shardIdx = i

@@ -211,6 +211,10 @@ type Sim struct {
 	now     Time
 	stopped bool
 	obs     *obs.Registry
+	// trims is set once a switch of the fabric trims on overflow
+	// (TrimOverflow): only then does Host.Send stamp a payload's trim
+	// geometry. An Engine's shards take their base simulator's.
+	trims bool
 
 	curTick int64
 	run     []qent
