@@ -104,7 +104,7 @@ func goldenStar(t *testing.T) *goldenRun {
 		sim := netsim.NewSim()
 		star := netsim.NewStar(sim, 5,
 			netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
-			netsim.QueueConfig{CapacityBytes: 24 << 10, HighCapacityBytes: 64 << 10, Mode: mode, ECNThresholdBytes: 8 << 10},
+			netsim.QueueConfig{CapacityBytes: 24 << 10, HighCapacityBytes: 64 << 10, Mode: mode},
 			netsim.WithRegistry(reg))
 		faults := netsim.FaultConfig{
 			Seed: 29, CorruptRate: 0.05, CorruptBits: 2, DuplicateRate: 0.1,
@@ -185,9 +185,8 @@ var (
 	portStatNames = map[string]string{
 		"Enqueued": "enqueued_total", "Transmitted": "transmitted_total",
 		"Dropped": "dropped_total", "DroppedBytes": "dropped_bytes_total",
-		"Trimmed": "trimmed_total", "ECNMarked": "ecn_marked_total",
-		"MaxQueueBytes": "max_queue_bytes", "DownDrops": "down_drops_total",
-		"Aggregated": "aggregated_total",
+		"Trimmed": "trimmed_total", "MaxQueueBytes": "max_queue_bytes",
+		"DownDrops": "down_drops_total", "Aggregated": "aggregated_total",
 	}
 	faultStatNames = map[string]string{
 		"Corrupted": "corrupted_total", "Duplicated": "duplicated_total",

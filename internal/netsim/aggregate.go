@@ -156,7 +156,6 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet) bool {
 	qpkt.Size += delta
 	qpkt.Control = ctl
 	qpkt.Trimmed = mh.Trimmed()
-	qpkt.ECE = qpkt.ECE || pkt.ECE
 	p.bytes[prio] += delta
 	p.Stats.Aggregated++
 

@@ -45,9 +45,6 @@ type QueueConfig struct {
 	HighCapacityBytes int
 	// Mode selects drop vs. trim on overflow.
 	Mode QueueMode
-	// ECNThresholdBytes marks ECE on enqueue when the normal queue
-	// exceeds this depth. Zero disables marking.
-	ECNThresholdBytes int
 	// TrimTarget is the post-trim wire size in bytes; zero means trim to
 	// the minimum (head boundary). §5.1's multi-level trimming uses
 	// larger targets.
@@ -190,7 +187,6 @@ type PortStats struct {
 	Dropped       int
 	DroppedBytes  int
 	Trimmed       int
-	ECNMarked     int
 	MaxQueueBytes int
 	// DownDrops counts packets discarded because the port was down
 	// (link flap or partition). Kept separate from Dropped so loss-rate
@@ -211,7 +207,6 @@ func (s *PortStats) emit(e obs.Emit, prefix string) {
 	e.Counter(prefix+"dropped_total", s.Dropped)
 	e.Counter(prefix+"dropped_bytes_total", s.DroppedBytes)
 	e.Counter(prefix+"trimmed_total", s.Trimmed)
-	e.Counter(prefix+"ecn_marked_total", s.ECNMarked)
 	e.Counter(prefix+"down_drops_total", s.DownDrops)
 	e.Counter(prefix+"aggregated_total", s.Aggregated)
 	e.Gauge(prefix+"max_queue_bytes", s.MaxQueueBytes)
@@ -485,8 +480,8 @@ func (p *Port) Peer() NodeID { return p.peer.ID() }
 
 // Enqueue admits a packet to the port. A down port discards everything;
 // an attached FaultInjector may drop, clone, corrupt, or delay the packet
-// before (or instead of) admission; admit applies ECN marking and the
-// configured overflow policy and starts the transmitter if idle.
+// before (or instead of) admission; admit applies the configured overflow
+// policy and starts the transmitter if idle.
 func (p *Port) Enqueue(pkt *Packet) {
 	if p.down {
 		p.Stats.DownDrops++
@@ -513,18 +508,13 @@ func (p *Port) admit(pkt *Packet) {
 		p.sim.releasePacket(pkt)
 		return
 	}
-	// Aggregation runs before ECN marking and capacity checks: a folded
-	// packet adds no new queue entry, so it neither signals congestion nor
-	// competes for buffer space.
+	// Aggregation runs before the capacity check: a folded packet adds no
+	// new queue entry, so it competes for no buffer space.
 	if p.cfg.AggregateTrimmable && p.tryAggregate(pkt) {
 		// The absorbed packet's terminal point: its payload has been folded
 		// into the queued aggregate.
 		p.sim.releasePacket(pkt)
 		return
-	}
-	if p.cfg.ECNThresholdBytes > 0 && p.bytes[PrioNormal] >= p.cfg.ECNThresholdBytes {
-		pkt.ECE = true
-		p.Stats.ECNMarked++
 	}
 	cap := p.cfg.CapacityBytes
 	if pkt.Prio == PrioHigh {
@@ -626,7 +616,7 @@ func (p *Port) normalEmpty() bool {
 // takesRun reports whether admit would queue every packet of a run of
 // size bytes untouched and with no random draw: the port is up, has no
 // faults, and has room for all of it. Runs leave host NICs only, whose
-// hostQueue has no loss, ECN or aggregation.
+// hostQueue has no loss or aggregation.
 func (p *Port) takesRun(size int) bool {
 	return !p.down && p.faults == nil && p.bytes[PrioNormal]+size <= p.cfg.CapacityBytes
 }

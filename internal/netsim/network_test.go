@@ -268,29 +268,6 @@ func TestMetaPacketsNeverTrimmed(t *testing.T) {
 	}
 }
 
-func TestECNMarking(t *testing.T) {
-	sim := NewSim()
-	q := QueueConfig{CapacityBytes: 1 << 20, ECNThresholdBytes: 3000}
-	star := NewStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
-	marked := 0
-	star.Hosts[2].Handler = func(p *Packet) {
-		if p.ECE {
-			marked++
-		}
-	}
-	for i := 0; i < 20; i++ {
-		star.Hosts[0].Send(record(sim, Packet{Dst: 2, Size: 1500}))
-		star.Hosts[1].Send(record(sim, Packet{Dst: 2, Size: 1500}))
-	}
-	sim.Run()
-	if marked == 0 {
-		t.Fatal("expected ECN marks")
-	}
-	if star.Tier(TierEdge)[0].Port(2).Stats.ECNMarked != marked {
-		t.Error("mark accounting mismatch")
-	}
-}
-
 func TestHighPriorityOvertakes(t *testing.T) {
 	sim := NewSim()
 	star := NewStar(sim, 2, LinkConfig{Bandwidth: Mbps(10), Delay: 0},

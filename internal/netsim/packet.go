@@ -56,8 +56,6 @@ type Packet struct {
 	Control any
 	// Trimmed is set by a switch that trimmed this packet.
 	Trimmed bool
-	// ECE carries an ECN congestion-experienced mark.
-	ECE bool
 
 	// ownsPayload marks Payload as this packet's private buffer — made by
 	// a reader's copy of a trim, a fault's clone, or an aggregation merge

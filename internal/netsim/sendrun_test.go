@@ -17,7 +17,7 @@ import (
 // TestSendRunMatchesSends pins Host.SendRun to the Sends it stands for:
 // one script of runs, sent once through SendRun and once as per-packet
 // Sends of the same records, must give the same delivery log (time, kind,
-// priority, flow, seq, trim, ECN and payload of every delivery), the same
+// priority, flow, seq, trim and payload of every delivery), the same
 // clock, Pending(), clean Audit, PortStats and Backlog() at every RunUntil
 // slice boundary, and the same registry export, on a plain Sim and at 2
 // shards. The script covers an idle uplink, a busy one with high-priority
@@ -75,8 +75,8 @@ func sendRunScript(t *testing.T, shards int, useRun bool) string {
 	logs := make([]strings.Builder, len(hosts))
 	for i, h := range hosts {
 		h.Handler = func(p *Packet) {
-			fmt.Fprintf(&logs[i], "%d %d<-%d %v prio=%d flow=%d seq=%d trimmed=%v ece=%v len=%d/%d crc=%08x\n",
-				h.sim.Now(), h.id, p.Src, p.Control, p.Prio, p.FlowID, p.Seq, p.Trimmed, p.ECE,
+			fmt.Fprintf(&logs[i], "%d %d<-%d %v prio=%d flow=%d seq=%d trimmed=%v len=%d/%d crc=%08x\n",
+				h.sim.Now(), h.id, p.Src, p.Control, p.Prio, p.FlowID, p.Seq, p.Trimmed,
 				p.Size, len(p.Payload), crc32.ChecksumIEEE(p.Payload))
 		}
 	}

@@ -328,7 +328,6 @@ func PortTotals(switches []*Switch) PortStats {
 			t.Dropped += s.Dropped
 			t.DroppedBytes += s.DroppedBytes
 			t.Trimmed += s.Trimmed
-			t.ECNMarked += s.ECNMarked
 			t.DownDrops += s.DownDrops
 			t.Aggregated += s.Aggregated
 			t.MaxQueueBytes = max(t.MaxQueueBytes, s.MaxQueueBytes)

@@ -1,45 +1,81 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 
 	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
+	"trimgrad/internal/obs"
 	"trimgrad/internal/vecmath"
 )
 
-// TestReliableECNKeepsQueuesShallow: with ECN marking and the AIMD
-// reaction, the reliable sender should keep the switch queue well below
-// its capacity compared to a run without ECN.
-func TestReliableECNKeepsQueuesShallow(t *testing.T) {
-	run := func(ecnThreshold int) int {
-		sim := netsim.NewSim()
-		// Fast edge into a 10x slower bottleneck: the sender's window
-		// piles up at the left switch's bottleneck port.
-		d := netsim.NewDumbbell(sim, 1, 1,
-			netsim.LinkConfig{Bandwidth: netsim.Gbps(1), Delay: 5 * netsim.Microsecond},
-			netsim.LinkConfig{Bandwidth: netsim.Mbps(100), Delay: 20 * netsim.Microsecond},
-			netsim.QueueConfig{CapacityBytes: 1 << 20, ECNThresholdBytes: ecnThreshold})
-		a := newStack(d.Hosts[0], Config{})
-		b := newStack(d.Hosts[1], Config{})
-		b.Receiver = ReceiverFunc(func(netsim.NodeID, []byte) {})
-		enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
-		msg, _ := enc.Encode(1, 1, gaussianGrad(9, 1<<15))
-		payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
-		done := false
-		a.SendReliable(d.Hosts[1].ID(), 1, payloads,
-			func(netsim.Time) { done = true }, nil)
-		sim.RunUntil(10 * netsim.Second)
-		if !done {
-			t.Fatal("did not complete")
-		}
-		sw := d.Tier(netsim.TierEdge)
-		return sw[0].Port(sw[1].ID()).Stats.MaxQueueBytes
+// TestReliableWindowRules pins the reliable sender's window through its
+// cwnd gauge: every new ack grows it by 1/cwnd up to maxWindow, every RTO
+// halves it, and it never falls below one packet. A lossless pair acks a
+// message long enough to reach maxWindow from initWindow, then a failed
+// peer leaves a second message to time out.
+func TestReliableWindowRules(t *testing.T) {
+	reg := obs.New()
+	sim := netsim.NewSim()
+	star := netsim.NewStar(sim, 3, fastLink(), netsim.QueueConfig{CapacityBytes: 1 << 20}, netsim.WithRegistry(reg))
+	a := newStack(star.Hosts[0], Config{})
+	newStack(star.Hosts[1], Config{})
+	gauge := reg.Gauge(fmt.Sprintf("transport.h%d.cwnd_x1000", star.Hosts[0].ID()))
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
+	msg, _ := enc.Encode(1, 1, gaussianGrad(9, 1<<8))
+	// Growing initWindow to maxWindow by 1/cwnd takes about
+	// (maxWindow² − initWindow²)/2 acks; one small payload, repeated.
+	payloads := make([][]byte, maxWindow*maxWindow/2+1000)
+	for i := range payloads {
+		payloads[i] = msg.Data[0]
 	}
-	withECN := run(10_000)
-	without := run(0)
-	if withECN >= without {
-		t.Errorf("ECN run queue depth %d should be below no-ECN %d", withECN, without)
+
+	cwnd, acks := float64(initWindow), 0
+	seen := make([]bool, len(payloads))
+	handle := star.Hosts[0].Handler
+	star.Hosts[0].Handler = func(p *netsim.Packet) {
+		handle(p)
+		c, ok := p.Control.(*relAck)
+		if !ok || seen[c.Idx] {
+			return
+		}
+		seen[c.Idx] = true
+		acks++
+		cwnd = min(cwnd+1/cwnd, maxWindow)
+		if got, want := gauge.Value(), int64(cwnd*1000); got != want {
+			t.Fatalf("after new ack %d: cwnd_x1000 %d, want %d", acks, got, want)
+		}
+	}
+	done := false
+	a.SendReliable(1, 1, payloads, func(netsim.Time) { done = true }, nil)
+	sim.RunUntil(netsim.Second)
+	if !done || acks != len(payloads) || a.Stats.Timeouts != 0 {
+		t.Fatalf("lossless message: done=%v after %d of %d acks, %d timeouts", done, acks, len(payloads), a.Stats.Timeouts)
+	}
+	if gauge.Value() != maxWindow*1000 {
+		t.Fatalf("window stopped at %d/1000 packets, want maxWindow %d", gauge.Value(), maxWindow)
+	}
+
+	star.Hosts[2].Fail()
+	start := sim.Now()
+	a.SendReliable(2, 2, payloads[:64], func(netsim.Time) { t.Error("completed against a failed host") }, nil)
+	rto := a.cfg.RTO
+	cwnd = initWindow
+	// The k-th timeout fires (2^k − 1)·RTO after the send while the backoff
+	// doubles; by the fifth the window has been at its floor once.
+	for k, at := range []netsim.Time{1, 3, 7, 15, 31} {
+		sim.RunUntil(start + at*rto)
+		if a.Stats.Timeouts != k+1 {
+			t.Fatalf("%d timeouts by %v×RTO, want %d", a.Stats.Timeouts, at, k+1)
+		}
+		cwnd = max(cwnd/2, 1)
+		if got, want := gauge.Value(), int64(cwnd*1000); got != want {
+			t.Fatalf("after RTO %d: cwnd_x1000 %d, want %d", k+1, got, want)
+		}
+	}
+	if cwnd != 1 {
+		t.Fatalf("five halvings from %d left the window at %v, want the floor 1", initWindow, cwnd)
 	}
 }
 

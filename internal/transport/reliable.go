@@ -3,9 +3,9 @@ package transport
 import "trimgrad/internal/netsim"
 
 // The reliable protocol: selective-repeat ARQ with per-message state, a
-// single RTO timer per message, and AIMD window adjustment driven by ECN
-// echoes — a deliberately conventional design standing in for the
-// NCCL-over-RoCE/TCP baseline whose loss behaviour §4.4 measures.
+// single RTO timer per message, and an AIMD window (1/cwnd more per new
+// ack, halved per RTO) — a deliberately conventional design standing in
+// for the NCCL-over-RoCE/TCP baseline whose loss behaviour §4.4 measures.
 
 // Control headers are built once per message, never per packet, and like
 // payloads are written before Host.Send and never after (DESIGN.md §16).
@@ -18,11 +18,10 @@ type relData struct {
 }
 
 // relAck acknowledges one reliable data packet. A receiver builds a
-// message's acks as a table, one per index and echoed ECN value.
+// message's acks as a table, one per index.
 type relAck struct {
 	MsgID uint32
 	Idx   int
-	ECE   bool
 }
 
 type relSender struct {
@@ -140,7 +139,7 @@ func (tx *relSender) onTimeout() {
 	tx.timer.Reset(tx.rto)
 }
 
-func (tx *relSender) onAck(idx int, ece bool) {
+func (tx *relSender) onAck(idx int) {
 	if tx.finished || idx < 0 || idx >= len(tx.acked) {
 		return
 	}
@@ -154,18 +153,7 @@ func (tx *relSender) onAck(idx int, ece bool) {
 		// Forward progress: the path is alive, restart backoff.
 		tx.rto = tx.stack.cfg.RTO
 		tx.retries = 0
-		if ece {
-			// One multiplicative decrease per marked ack keeps this
-			// simple; DCTCP-style fractional reaction is not needed for
-			// the shapes we reproduce.
-			tx.cwnd = tx.cwnd * 0.8
-			if tx.cwnd < 1 {
-				tx.cwnd = 1
-			}
-		} else {
-			tx.cwnd += 1.0 / tx.cwnd // additive increase
-			tx.cwnd = min(tx.cwnd, maxWindow)
-		}
+		tx.cwnd = min(tx.cwnd+1/tx.cwnd, maxWindow) // additive increase
 		tx.stack.cwnd.Set(int64(tx.cwnd * 1000))
 	}
 	if tx.nAcked == len(tx.payloads) {
@@ -185,26 +173,22 @@ type relReceiver struct {
 	got      []bool
 	nGot     int
 	complete bool
-	acks     [2][]relAck // by echoed ECN value, built at first use
+	acks     []relAck // built at first use
 }
 
-// ack returns the header acking packet idx of message id with ECN echo
-// ece. An index outside the message (a reused id, resized) gets its own.
-func (rx *relReceiver) ack(id uint32, idx uint64, ece bool) *relAck {
+// ack returns the header acking packet idx of message id. An index outside
+// the message (a reused id, resized) gets its own.
+func (rx *relReceiver) ack(id uint32, idx uint64) *relAck {
 	if idx >= uint64(len(rx.got)) {
-		return &relAck{MsgID: id, Idx: int(idx), ECE: ece}
+		return &relAck{MsgID: id, Idx: int(idx)}
 	}
-	t := &rx.acks[0]
-	if ece {
-		t = &rx.acks[1]
-	}
-	if *t == nil {
-		*t = make([]relAck, len(rx.got))
-		for i := range *t {
-			(*t)[i] = relAck{MsgID: id, Idx: i, ECE: ece}
+	if rx.acks == nil {
+		rx.acks = make([]relAck, len(rx.got))
+		for i := range rx.acks {
+			rx.acks[i] = relAck{MsgID: id, Idx: i}
 		}
 	}
-	return &(*t)[idx]
+	return &rx.acks[idx]
 }
 
 func (s *Stack) handleRelData(p *netsim.Packet, c *relData) {
@@ -219,14 +203,14 @@ func (s *Stack) handleRelData(p *netsim.Packet, c *relData) {
 		rx = &relReceiver{got: make([]bool, c.Total)}
 		s.relRx[key] = rx
 	}
-	// Echo ECN into the ack so the sender reacts. Duplicates are re-acked
-	// too — the original ack may have been the casualty.
+	// Duplicates are re-acked too — the original ack may have been the
+	// casualty.
 	s.Stats.AcksSent++
 	ack := s.sim.NewPacket()
 	ack.Dst = p.Src
 	ack.Size = ackSize
 	ack.Prio = netsim.PrioHigh
-	ack.Control = rx.ack(c.MsgID, p.Seq, p.ECE)
+	ack.Control = rx.ack(c.MsgID, p.Seq)
 	s.host.Send(ack)
 	idx := p.Seq
 	if idx >= uint64(len(rx.got)) {
@@ -249,6 +233,6 @@ func (s *Stack) handleRelData(p *netsim.Packet, c *relData) {
 
 func (s *Stack) handleRelAck(p *netsim.Packet, c *relAck) {
 	if tx := s.relTx[msgKey{p.Src, c.MsgID}]; tx != nil {
-		tx.onAck(c.Idx, c.ECE)
+		tx.onAck(c.Idx)
 	}
 }

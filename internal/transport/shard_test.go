@@ -91,7 +91,7 @@ func TestShardTransportHeaders(t *testing.T) {
 		q                    netsim.QueueConfig
 		trimmable, aggregate bool
 	}{
-		{"reliable", netsim.QueueConfig{CapacityBytes: 12000, ECNThresholdBytes: 6000}, false, false},
+		{"reliable", netsim.QueueConfig{CapacityBytes: 12000}, false, false},
 		{"trimmable", netsim.QueueConfig{CapacityBytes: 6000, HighCapacityBytes: 1200, Mode: netsim.TrimOverflow}, true, false},
 		{"aggregated", netsim.QueueConfig{CapacityBytes: 6000, HighCapacityBytes: 1 << 20, Mode: netsim.TrimOverflow, AggregateTrimmable: true}, true, true},
 	} {

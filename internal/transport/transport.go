@@ -3,8 +3,9 @@
 //
 //   - Reliable — the conventional *ccl-style transport: every packet must
 //     arrive intact, losses are detected by timeout and repaired by
-//     retransmission, and an AIMD window reacts to ECN marks. This is the
-//     baseline whose retransmission stalls create the stragglers of §1.
+//     retransmission, and an AIMD window grows per ack and halves per
+//     timeout. This is the baseline whose retransmission stalls create
+//     the stragglers of §1.
 //
 //   - TrimAware — the trimmable-gradients transport: data packets are
 //     blasted at line rate (trimming, not dropping, is the congestion
