@@ -14,13 +14,13 @@ import (
 // FabricConfig describes the simulated network under the training job.
 type FabricConfig struct {
 	// Topology is the fabric's netsim.FabricSpec.Kind: "star" (default),
-	// "dumbbell" or "ring", with one host per worker plus the cross-traffic
-	// host, or "fattree", sized by FatTreeK. A fat tree routes worker
-	// traffic over ECMP paths, so gradient exchanges contend inside the
-	// fabric rather than at a single switch.
+	// "dumbbell" or "ring", with one host per worker, or "fattree", sized
+	// by FatTreeK. A fat tree routes worker traffic over ECMP paths, so
+	// gradient exchanges contend inside the fabric rather than at a single
+	// switch.
 	Topology string
 	// FatTreeK is the fat-tree arity; its k³/4 hosts must hold every
-	// worker and the cross-traffic host.
+	// worker.
 	FatTreeK int
 	// Link is every host↔switch link.
 	Link netsim.LinkConfig
@@ -33,9 +33,6 @@ type FabricConfig struct {
 	Mode collective.Mode
 	// Algorithm selects the all-reduce schedule (zero value: AlgDirect).
 	Algorithm collective.Algorithm
-	// CrossRate, if nonzero, adds Poisson cross traffic at this many
-	// packets/s from a dedicated host toward each worker.
-	CrossRate float64
 	// RoundTimeout bounds one exchange; zero means 10 s.
 	RoundTimeout netsim.Time
 }
@@ -64,9 +61,9 @@ func (f FabricConfig) withDefaults() FabricConfig {
 // runs over a live netsim fabric whose shallow-buffer switches trim (or
 // drop) under the incast the exchange itself creates, so the trim fraction
 // is an outcome of queue dynamics and communication time is measured. The
-// fabric has cfg.Workers hosts, plus one cross-traffic host when CrossRate
-// > 0. A registry passed via WithRegistry is bound to the fabric, so every
-// layer underneath reports into it.
+// fabric has cfg.Workers hosts and carries nothing but the exchange, so a
+// round ends when its traffic drains. A registry passed via WithRegistry is
+// bound to the fabric, so every layer underneath reports into it.
 func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 	t, f, err := newTrainer(train, test, opts)
 	if err != nil {
@@ -85,15 +82,11 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 		f = &FabricConfig{}
 	}
 	fabric := f.withDefaults()
-	nHosts := cfg.Workers
-	if fabric.CrossRate > 0 {
-		nHosts++
-	}
 	// Workers occupy hosts 0..Workers-1 (the builders order hosts by rank),
 	// so the collective's rank→NodeID mapping needs no adjustment.
-	spec := netsim.FabricSpec{Kind: fabric.Topology, N: nHosts, K: fabric.FatTreeK, Link: fabric.Link, Queue: fabric.Queue}
-	if spec.Validate() == nil && spec.Hosts() < nHosts {
-		return nil, fmt.Errorf("ddp: %s fabric holds %d hosts, need %d", spec.Kind, spec.Hosts(), nHosts)
+	spec := netsim.FabricSpec{Kind: fabric.Topology, N: cfg.Workers, K: fabric.FatTreeK, Link: fabric.Link, Queue: fabric.Queue}
+	if spec.Validate() == nil && spec.Hosts() < cfg.Workers {
+		return nil, fmt.Errorf("ddp: %s fabric holds %d hosts, need %d", spec.Kind, spec.Hosts(), cfg.Workers)
 	}
 	sim := netsim.NewSim()
 	topo, err := spec.Build(sim, netsim.WithRegistry(t.obs))
@@ -110,13 +103,6 @@ func NewNetTrainer(train, test *ml.Dataset, opts ...Option) (*Trainer, error) {
 		// explicit per-rank error instead of an empty result: a crashed or
 		// partitioned peer fails the round, never hangs it.
 		w.Deadline = fabric.RoundTimeout
-	}
-	if fabric.CrossRate > 0 {
-		src := topo.Hosts[len(topo.Hosts)-1]
-		for i := 0; i < cfg.Workers; i++ {
-			netsim.NewCrossTraffic(src, netsim.NodeID(i), 1500,
-				fabric.CrossRate, cfg.Seed+uint64(i)*7).Start()
-		}
 	}
 	compute := cfg.Cost.Compute + cfg.Cost.EncodeTime(cfg.Scheme)
 	t.exchange = fabricExchange(topo.Net, workers, fabric, compute)
