@@ -12,75 +12,37 @@ import (
 	"trimgrad/internal/core"
 	"trimgrad/internal/netsim"
 	"trimgrad/internal/quant"
-	"trimgrad/internal/transport"
-	"trimgrad/internal/xrand"
+	"trimgrad/internal/scenario"
 )
 
-func run(mode netsim.QueueMode, label string) {
-	const (
-		nSenders = 8
-		dim      = 1 << 15
-	)
-	sim := netsim.NewSim()
-	star := netsim.NewStar(sim, nSenders+2,
-		netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
-		netsim.QueueConfig{
-			CapacityBytes: 64 << 10, HighCapacityBytes: 512 << 10, Mode: mode,
-		})
-	receiver := star.Hosts[nSenders]
-	crossSrc := star.Hosts[nSenders+1]
+const nSenders = 8
 
-	_, err := transport.New(receiver, transport.WithReceiver(transport.ReceiverFunc(func(netsim.NodeID, []byte) {})))
+func run(mode netsim.QueueMode, label string) {
+	s := scenario.Scenario{
+		// Hosts 0..7 send, the last host receives ("incast").
+		Fabric: netsim.FabricSpec{
+			Kind: "star", N: nSenders + 1,
+			Link:  netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 5 * netsim.Microsecond},
+			Queue: netsim.QueueConfig{CapacityBytes: 64 << 10, HighCapacityBytes: 512 << 10, Mode: mode},
+		},
+		Workload: "incast", WorkloadSeed: 9,
+		Dim: 1 << 15, GradSeed: 1,
+		Codec:    core.Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13},
+		Reliable: mode == netsim.DropTail,
+		// Bursty cross traffic beside every flow, ~40% of the bottleneck
+		// link in all: 3.3e5 MTU packets/s into the receiver.
+		CrossRate: 3.3e5 / nSenders,
+		// The cross traffic never drains, so stop once every flow settles.
+		Horizon: 30 * netsim.Second, Slice: netsim.Millisecond,
+	}
+	res, err := scenario.Run(s, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Bursty cross traffic at ~40% of the bottleneck link.
-	cross := netsim.NewCrossTraffic(crossSrc, receiver.ID(), 1500, 3.3e5, 9)
-	cross.Start()
-
-	fct := netsim.NewFCTRecorder()
-	completed := 0
-	retrans := 0
-	rng := xrand.New(1)
-	stacks := make([]*transport.Stack, nSenders)
-	for i := 0; i < nSenders; i++ {
-		stacks[i], err = transport.New(star.Hosts[i])
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc, err := core.NewEncoderWith(core.WithConfig(core.Config{
-			Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13, Flow: uint32(i),
-		}))
-		if err != nil {
-			log.Fatal(err)
-		}
-		grad := make([]float32, dim)
-		for j := range grad {
-			grad[j] = float32(rng.NormFloat64() * 0.05)
-		}
-		msg, err := enc.Encode(1, uint32(i+1), grad)
-		if err != nil {
-			log.Fatal(err)
-		}
-		id := uint64(i + 1)
-		fct.FlowStarted(id, 0)
-		onDone := func(at netsim.Time) { completed++; fct.FlowFinished(id, at) }
-		if mode == netsim.TrimOverflow {
-			stacks[i].SendTrimmable(receiver.ID(), uint32(i+1), msg.Meta, msg.Data, onDone, nil)
-		} else {
-			payloads := append(append([][]byte{}, msg.Meta...), msg.Data...)
-			stacks[i].SendReliable(receiver.ID(), uint32(i+1), payloads, onDone, nil)
-		}
-	}
-	sim.RunUntil(30 * netsim.Second)
-	cross.Stop()
-	for _, s := range stacks {
-		retrans += s.Stats.Retransmits
-	}
-	st := star.Tier(netsim.TierEdge)[0].Port(receiver.ID()).Stats
+	receiver := res.Topo.Hosts[nSenders].ID()
+	st := res.Topo.Tier(netsim.TierEdge)[0].Port(receiver).Stats
 	fmt.Printf("%-16s completed %d/%d  straggler(max FCT) %-12v p50 %-12v retransmits %-4d trims %-4d drops %d\n",
-		label, completed, nSenders, fct.Max(), fct.Percentile(0.5), retrans, st.Trimmed, st.Dropped)
+		label, res.FCT.Count(), len(res.Flows), res.FCT.Max(), res.FCT.Percentile(0.5), res.Retransmits(), st.Trimmed, st.Dropped)
 }
 
 func main() {

@@ -4,11 +4,11 @@
 // horizon — and Run builds the fabric, wires one transport stack per
 // participating host, encodes and sends one gradient per workload flow and
 // drives the simulator until every flow is done or failed. The flow-level
-// experiment sweeps, the chaos matrix and cmd/netsim are tables of
-// Scenarios plus a reading of the Result. Other runs wire their own stacks
-// onto a fabric: ddp's NewNetTrainer, the aggregation sweep and the
-// benchmark harness run collectives, and three examples wire theirs by
-// hand.
+// experiment sweeps, the chaos matrix, cmd/netsim and examples/congestion
+// are tables of Scenarios plus a reading of the Result. Other runs wire
+// their own stacks onto a fabric: ddp's NewNetTrainer, the aggregation
+// sweep and the benchmark harness run collectives, and the allreduce and
+// fsdp examples wire theirs by hand.
 package scenario
 
 import (

@@ -43,8 +43,7 @@
 #                             benchmark/ and internal/netsim/spec_test.go)
 #                             + the one-bind guard (collective.New only in
 #                             internal/collective and benchmark/;
-#                             transport.New also in internal/scenario and
-#                             examples/congestion)
+#                             transport.New also in internal/scenario)
 #                             + the CHANGES.md bound (an entry for PR 41
 #                             or later is at most 1 500 bytes)
 #   scripts/check.sh -loc [DIR...]
@@ -307,12 +306,11 @@ fi
 
 step "one way to bind workers (collective.Bind) and stacks"
 # A harness turns hosts into collective workers with collective.Bind; only
-# the scenario runner, the congestion example and benchmark/ attach bare
-# transport stacks.
+# the scenario runner and benchmark/ attach bare transport stacks.
 binds=$( (grep -rnE --include='*.go' --exclude='*_test.go' 'collective\.New\(' . \
     | grep -vE '^\./(internal/collective|benchmark)/' || true
   grep -rnE --include='*.go' --exclude='*_test.go' 'transport\.New\(' . \
-    | grep -vE '^\./(internal/collective|internal/scenario|examples/congestion|benchmark)/' || true) )
+    | grep -vE '^\./(internal/collective|internal/scenario|benchmark)/' || true) )
 if [[ -n "$binds" ]]; then
   echo "collective.New or transport.New called outside the layers that own them — use collective.Bind:" >&2
   echo "$binds" >&2
