@@ -25,7 +25,8 @@ var updateDeliveries = flag.Bool("update-deliveries", false,
 // record: every packet a host receives, as (time, dst, src, flow, seq,
 // trimmed, payload length), the clock after every RunUntil slice, and the
 // merged telemetry export (every port, fault and transport counter) at the
-// end. Each cell's log hashes into one line of
+// end, without its zero-valued points, so adding or deleting an
+// instrument that never counts moves nothing. Each cell's log hashes into one line of
 // testdata/delivery_digests.txt; a changed line means a simulated outcome
 // moved. Event counts are deliberately left out: how many events the
 // engine needs to produce these outcomes is its own business.
@@ -163,7 +164,7 @@ func runFabricCell(t *testing.T, c fabricCell) string {
 	if stalls < c.minStalls {
 		t.Fatalf("%d transport timeouts, the cell needs at least %d", stalls, c.minStalls)
 	}
-	if err := obs.WriteJSONL(&log.tail, snapshot()); err != nil {
+	if err := obs.WriteJSONL(&log.tail, snapshot().NonZero()); err != nil {
 		t.Fatal(err)
 	}
 	return log.digest()
@@ -233,7 +234,7 @@ func rootSendCell(t *testing.T) string {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&log.tail, "end now=%d\n", sim.Now())
-	if err := obs.WriteJSONL(&log.tail, reg.Snapshot()); err != nil {
+	if err := obs.WriteJSONL(&log.tail, reg.Snapshot().NonZero()); err != nil {
 		t.Fatal(err)
 	}
 	return log.digest()

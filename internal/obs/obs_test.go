@@ -179,6 +179,24 @@ func TestSpanSum(t *testing.T) {
 	}
 }
 
+func TestNonZero(t *testing.T) {
+	r := New()
+	r.Counter("zero")
+	r.Counter("one").Add(1)
+	r.Gauge("idle")
+	r.Gauge("depth").Set(-2)
+	r.Histogram("empty", []int64{10})
+	r.Histogram("seen", []int64{10}).Observe(0)
+	r.RecordSpan("s", 0, 0)
+	s := r.Snapshot().NonZero()
+	if len(s.Counters) != 1 || s.Counter("one") != 1 || len(s.Gauges) != 1 || s.Gauge("depth") != -2 {
+		t.Fatalf("NonZero kept counters %+v, gauges %+v", s.Counters, s.Gauges)
+	}
+	if _, ok := s.Histogram("seen"); !ok || len(s.Histograms) != 1 || len(s.Spans) != 1 {
+		t.Fatalf("NonZero kept histograms %+v, spans %+v", s.Histograms, s.Spans)
+	}
+}
+
 func TestDiff(t *testing.T) {
 	r := New()
 	r.Counter("c").Add(3)

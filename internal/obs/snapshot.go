@@ -200,6 +200,30 @@ func (s Snapshot) Histogram(name string) (HistogramPoint, bool) {
 	return HistogramPoint{}, false
 }
 
+// NonZero returns s without its zero-valued points: counters and gauges
+// that read 0 and histograms that observed nothing. Spans are kept. A
+// digest of the export then moves when some value does, not when an
+// instrument that never counted anything is added or deleted.
+func (s Snapshot) NonZero() Snapshot {
+	out := Snapshot{Spans: s.Spans}
+	for _, c := range s.Counters {
+		if c.Value != 0 {
+			out.Counters = append(out.Counters, c)
+		}
+	}
+	for _, g := range s.Gauges {
+		if g.Value != 0 {
+			out.Gauges = append(out.Gauges, g)
+		}
+	}
+	for _, h := range s.Histograms {
+		if h.Count != 0 {
+			out.Histograms = append(out.Histograms, h)
+		}
+	}
+	return out
+}
+
 // SpanSum returns the total duration and count of spans with the given
 // name whose attributes include every attr in the filter.
 func (s Snapshot) SpanSum(name string, filter ...KV) (total int64, count int) {
