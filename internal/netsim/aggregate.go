@@ -175,9 +175,9 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet) bool {
 			p.Stats.Trimmed++
 		}
 	}
-	if depth := p.QueuedBytes(); depth > p.Stats.MaxQueueBytes {
+	if depth := p.queued(); depth > p.Stats.MaxQueueBytes {
 		p.Stats.MaxQueueBytes = depth
 	}
-	p.queueDepth.Observe(int64(p.QueuedBytes()))
+	p.queueDepth.Observe(int64(p.queued()))
 	return true
 }

@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// Audit checks four invariants of the fabric's state and returns the
+// Audit checks five invariants of the fabric's state and returns the
 // first violation, or nil. Call it between runs — after Run or a RunUntil
 // slice returns — never from inside an event. It reads only state the
 // fabric keeps anyway, so the per-packet path carries no bookkeeping for
@@ -27,6 +27,9 @@ import (
 //   - Port conservation. Every port has Enqueued == Transmitted + Backlog().
 //   - No lookups in a run. No simulator's registry resolved an instrument
 //     by name while the simulator ran (obs.Registry.BeginRun).
+//   - Monotone time. No simulator fired an event before its own clock: a
+//     virtual serialization end caught up too late schedules its arrival
+//     in the past. The first such event is reported by kind and port.
 //
 // Nodes are walked in ID order, so the violation reported is the same on
 // every run.
@@ -96,6 +99,13 @@ func (n *Network) Audit() error {
 	for _, s := range sims {
 		if k := s.obs.RunLookups(); k > 0 {
 			fail("%d registry lookups inside a run; resolve instrument handles at construction", k)
+		}
+		if b := s.back; s.backNow > 0 {
+			what := evKindName[b.kind] + " event"
+			if b.port != nil {
+				what += fmt.Sprintf(" of port %d->%d", b.port.owner, b.port.peer.ID())
+			}
+			fail("a %s fired at %v, before the clock's %v: virtual time stepped back", what, b.at, s.backNow)
 		}
 		made += s.pktMade
 		s.eachPending(func(ev *event) { hold(ev.pkt, "a pending event") })

@@ -305,10 +305,14 @@ type Port struct {
 
 	// busy is set from transmit start until the serialization end at the
 	// reserved point (txAt, txKey) is processed: by its tx-done event once
-	// txPlaced, else by settle. listed: the port is on sim.wire.
-	busy, txPlaced, listed bool
-	txAt                   Time
-	txKey                  uint64
+	// txPlaced, else by catchUp. txDue marks an end the model counts as an
+	// event (a packet waits behind it) that is virtual: never placed, fired
+	// by catchUp. waking: the port's wake event is pending. listed: the
+	// port is on sim.wire, linked through wireNext.
+	busy, txPlaced, txDue, waking, listed bool
+	txAt                                  Time
+	txKey                                 uint64
+	wireNext                              *Port
 
 	// runs holds a host NIC's queued Host.SendRun entries (nil until the
 	// first): one pointer, so Port stays in its 384-byte size class.
@@ -447,32 +451,44 @@ func newPort(sim *Sim, owner NodeID, peer Node, link LinkConfig, cfg QueueConfig
 }
 
 // QueuedBytes returns the current total queue depth in bytes.
-func (p *Port) QueuedBytes() int { return p.bytes[PrioNormal] + p.bytes[PrioHigh] }
+func (p *Port) QueuedBytes() int {
+	p.catchUp()
+	return p.queued()
+}
+
+// queued is QueuedBytes of a port that has caught up.
+func (p *Port) queued() int { return p.bytes[PrioNormal] + p.bytes[PrioHigh] }
 
 // Backlog returns the packets this port admitted and has not finished
 // transmitting: both queues (a queued run's packets not yet built
-// included) plus the one on the wire. Between events,
-// Stats.Enqueued == Stats.Transmitted + Backlog(); inside one,
-// Stats.Transmitted may not yet count a serialization that ended with
-// nothing queued behind it (stats() does).
+// included) plus the one on the wire, so
+// Stats.Enqueued == Stats.Transmitted + Backlog() once the port has
+// caught up with the clock, as Backlog, stats, every run's end and every
+// port event make it do; inside an event, Stats.Transmitted alone may
+// lag.
 func (p *Port) Backlog() int {
-	n := p.q[PrioNormal].n + p.q[PrioHigh].n
-	if p.runs != nil {
-		n += int(p.runs.waiting) - p.runs.live() // a run's packets, not its place
-	}
-	if p.busy && !p.ended() {
+	p.catchUp()
+	n := p.waiting()
+	if p.busy {
 		n++
 	}
 	return n
 }
 
-// stats returns Stats as of now, settled or not.
-func (p *Port) stats() PortStats {
-	st := p.Stats
-	if p.ended() {
-		st.Transmitted++
+// waiting counts the packets queued behind the wire, a queued run's
+// packets not yet built included.
+func (p *Port) waiting() int {
+	n := p.q[PrioNormal].n + p.q[PrioHigh].n
+	if p.runs != nil {
+		n += int(p.runs.waiting) - p.runs.live() // a run's packets, not its place
 	}
-	return st
+	return n
+}
+
+// stats returns Stats as of now, caught up.
+func (p *Port) stats() PortStats {
+	p.catchUp()
+	return p.Stats
 }
 
 // Peer returns the node at the far end of this port's link.
@@ -496,6 +512,9 @@ func (p *Port) Enqueue(pkt *Packet) {
 }
 
 func (p *Port) admit(pkt *Packet) {
+	if p.txDue {
+		p.catchUp() // enqueued settles an end with nothing behind it
+	}
 	if p.down {
 		// A reordered packet can surface after a flap began.
 		p.Stats.DownDrops++
@@ -555,25 +574,36 @@ func (p *Port) push(pkt *Packet) {
 func (p *Port) enqueued(prio Priority, size int) {
 	p.bytes[prio] += size
 	p.Stats.Enqueued++
-	depth := p.QueuedBytes()
+	depth := p.queued()
 	if depth > p.Stats.MaxQueueBytes {
 		p.Stats.MaxQueueBytes = depth
 	}
 	p.queueDepth.Observe(int64(depth))
-	if p.settle() {
-		p.placeTxDone() // a packet now waits behind the wire
-	} else if !p.busy {
+	if p.ended() {
+		// An end with nothing queued behind it (admit and SendRun fired
+		// any other): count its packet transmitted and idle the port.
+		p.busy = false
+		p.Stats.Transmitted++
+	}
+	if !p.busy {
 		p.transmitNext()
+	} else if !p.txPlaced && !p.txDue {
+		p.placeTxDone() // a packet now waits behind the wire
 	}
 }
 
 // transmitNext starts serializing the next queued packet. It reserves the
 // key of the serialization end (tx-done) and schedules the arrival at once,
-// under the key that event gives its first child. The event is placed only
-// when a packet waits behind the wire, now or at a later push, or when the
-// serialization takes no time (its point could sort before the cursor and
-// read as passed); otherwise settle does its work: count the packet
-// transmitted, idle the port.
+// under the key that event gives its first child. The end is an event of
+// the model when a packet waits behind the wire, now or at a later push,
+// or when the serialization takes no time; otherwise catchUp does its
+// work once the clock passes it: count the packet transmitted, idle the
+// port. An event of the model stays virtual (txDue) when a catch-up has
+// already passed it, which fires it, or when it takes time, its port's
+// ends may stay virtual and at least virtualDepth packets wait; the wake
+// is armed. Otherwise it is placed: an end that takes no time may have a
+// key below the event starting it, so passed cannot tell whether it
+// fired.
 func (p *Port) transmitNext() {
 	prio := PrioHigh
 	if p.q[PrioHigh].empty() {
@@ -597,12 +627,104 @@ func (p *Port) transmitNext() {
 	p.txAt = s.now + p.serialize(pkt.Size)
 	p.txKey = s.nextKey()
 	s.deliverAt(p, pkt, p.txAt+p.link.Delay, xrand.Seed(p.txKey, 0))
-	if p.txAt == s.now || !p.q[PrioHigh].empty() || !p.normalEmpty() {
+	switch n := p.waiting(); {
+	case p.txAt > s.now && n == 0:
+		p.list()
+	case s.catching && s.passed(p.txAt, p.txKey), p.txAt > s.now && n >= virtualDepth && p.virtual():
+		p.txDue = true
+		s.nvirt++
+		p.list()
+		if !s.catching {
+			p.arm() // a catch-up arms once it is done
+		}
+	default:
 		p.placeTxDone()
-	} else if !p.listed {
-		p.listed = true
-		s.wire = append(s.wire, p)
 	}
+}
+
+// virtualDepth is the fewest packets waiting behind a transmit start for
+// which its end stays virtual. With one, a wake would stand in for one
+// tx-done event and add a catch-up besides; with two or more, one wake
+// can fire several ends. (The first packet queued behind an unplaced end
+// places its tx-done event for the same reason.) On incast_k8_drop, whose
+// bottleneck queues run shallow, virtual ends at every depth ran slower
+// than placed events; with this rule it runs at parity (DESIGN.md §11).
+const virtualDepth = 2
+
+// list puts p on its simulator's wire list, for finish to catch up.
+func (p *Port) list() {
+	if !p.listed {
+		p.listed = true
+		p.wireNext, p.sim.wire = p.sim.wire, p
+	}
+}
+
+// virtual reports whether p's serialization ends may stay virtual: its
+// peer runs on the same simulator, so a late catch-up schedules each
+// arrival on the wheel it fires from, and its link has delay, so a wake
+// between an end and the next arrival it starts exists. An arrival handed
+// to another shard must land in a later window, which only the window
+// bound guarantees: such a port, like one on a zero-delay link, places
+// its tx-done events.
+func (p *Port) virtual() bool { return p.peerSim == p.sim && p.link.Delay > 0 }
+
+// arm places p's wake, unless one is pending, at key 0 and a time in
+// (txAt, txAt + Delay]: after the virtual end at txAt has passed and
+// before any arrival of a packet that starts at txAt, since key 0 sorts
+// before every event of an instant. Its key is no child's, so it shifts
+// no event's key, and as the least key it moves the dispatch cursor to
+// where the next event would. It runs a wheel slot before txAt + Delay
+// where the delay allows, so the arrivals it starts land in a later
+// slot, not in the late heap. The wake catches the port up and re-arms
+// at the next virtual end: a backlog costs about one event per link
+// delay, not one per packet.
+func (p *Port) arm() {
+	if p.txDue && !p.waking {
+		p.waking = true
+		p.sim.nwake++
+		p.sim.placeAt(evWake, p.txAt+max(p.link.Delay-1<<slotShift, 1), 0, p, nil)
+	}
+}
+
+// catchUp fires, in order, every serialization end of p at or before the
+// dispatch cursor that no event was placed for. Every path that reads or
+// changes the queues catches up first: admit (of a port with a virtual
+// end), Host.SendRun, the getters, the wake and finish. The check inlines;
+// fire does the work.
+func (p *Port) catchUp() {
+	if p.busy && p.txAt <= p.sim.curAt {
+		p.fire()
+	}
+}
+
+// ended reports whether a serialization end that no event was placed for
+// is at or before the dispatch cursor.
+func (p *Port) ended() bool { return p.busy && !p.txPlaced && p.sim.passed(p.txAt, p.txKey) }
+
+// fire is catchUp once a busy port's end is at or before the cursor's
+// instant: it fires each end that has passed and no event was placed for.
+// An end with nothing queued behind it counts its packet transmitted and
+// idles the port. A virtual one does what its tx-done event would have
+// done, at its time and under its key: count the packet transmitted and
+// start the next, whose key is Seed(txKey, 1); it counts as a processed
+// event. Then the wake is armed for the next virtual end.
+func (p *Port) fire() {
+	s := p.sim
+	for p.ended() {
+		p.Stats.Transmitted++
+		if !p.txDue {
+			p.busy = false
+			return
+		}
+		p.txDue = false
+		s.nvirt--
+		s.Processed++
+		now, key, n, disp := s.now, s.ctxKey, s.ctxN, s.dispatching
+		s.now, s.ctxKey, s.ctxN, s.dispatching, s.catching = p.txAt, p.txKey, 1, true, true
+		p.transmitNext()
+		s.now, s.ctxKey, s.ctxN, s.dispatching, s.catching = now, key, n, disp, false
+	}
+	p.arm()
 }
 
 // normalEmpty reports whether no normal-priority packet waits: the FIFO
@@ -636,23 +758,6 @@ func (p *Port) serialize(size int) Time {
 func (p *Port) placeTxDone() {
 	p.txPlaced = true
 	p.sim.placeAt(evTxDone, p.txAt, p.txKey, p, nil)
-}
-
-// ended reports whether a serialization whose tx-done event was never
-// placed has reached its reserved point without being settled.
-func (p *Port) ended() bool {
-	return p.busy && !p.txPlaced && p.sim.passed(p.txAt, p.txKey)
-}
-
-// settle does what an unplaced tx-done event would have done once its
-// point passed: count the packet transmitted and idle the port. It
-// reports whether such a serialization is still in progress.
-func (p *Port) settle() bool {
-	if p.ended() {
-		p.busy = false
-		p.Stats.Transmitted++
-	}
-	return p.busy && !p.txPlaced
 }
 
 // Switch is an output-queued switch with a static forwarding table,
@@ -909,6 +1014,9 @@ func (h *Host) SendRun(tmpl Packet, payloads [][]byte) {
 		run.geo = runGeometry{}
 	}
 	p := h.uplink
+	if p != nil {
+		p.catchUp()
+	}
 	if p == nil || h.down || tmpl.Prio != PrioNormal || !p.takesRun(size) {
 		for i := range payloads {
 			h.send(runPacket(h.sim, &tmpl, &run, i))

@@ -285,7 +285,7 @@ func (e *Engine) Now() Time {
 func (e *Engine) Pending() int {
 	n := 0
 	for _, sh := range e.shards {
-		n += sh.sim.npend
+		n += sh.sim.Pending()
 	}
 	return n
 }

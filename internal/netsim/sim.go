@@ -59,22 +59,30 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 func (t Time) String() string { return t.Duration().String() }
 
 // evKind discriminates pooled typed events. The fabric's per-packet paths
-// (serialization done, propagation arrival, fault-delayed re-admission)
-// are typed so a hop costs zero closure allocations; everything else uses
-// evFunc through the public At/After API.
+// (serialization done, propagation arrival, fault-delayed re-admission,
+// a busy port's wake) are typed so a hop costs zero closure allocations;
+// everything else uses evFunc through the public At/After API.
 type evKind uint8
 
 const (
 	// evFunc runs an arbitrary callback (the cold At/After path).
 	evFunc evKind = iota
 	// evTxDone fires when port finishes serializing onto the link, if a
-	// packet waits behind the wire (see Port.transmitNext).
+	// packet waits behind the wire and the end is not virtual (see
+	// Port.transmitNext).
 	evTxDone
 	// evDeliver hands pkt to port's peer after propagation.
 	evDeliver
 	// evAdmit re-admits a fault-delayed (reordered) pkt into port's queue.
 	evAdmit
+	// evWake catches port up with its virtual serialization ends and
+	// re-arms (see Port.arm). It is no event of the model: Processed and
+	// Pending leave it out.
+	evWake
 )
+
+// evKindName names each kind in Audit's report.
+var evKindName = [...]string{evFunc: "callback", evTxDone: "tx-done", evDeliver: "delivery", evAdmit: "admission", evWake: "wake"}
 
 // event is one scheduled occurrence. Records are pooled on the owning
 // Sim's free list; only the fields their kind needs are set, and all
@@ -88,7 +96,7 @@ type event struct {
 	next *event // slot chain / free-list link
 	kind evKind
 	fn   func()  // evFunc
-	port *Port   // evTxDone, evAdmit; evDeliver: the port whose peer receives
+	port *Port   // evTxDone, evAdmit, evWake; evDeliver: the port whose peer receives
 	pkt  *Packet // evDeliver, evAdmit
 }
 
@@ -185,11 +193,12 @@ const (
 // at every shard count, but not the order they were scheduled in.
 //
 // A key is fixed when an event is scheduled, so the fabric and Timer can
-// reserve an event's (at, key) and place a record only if the event will
-// do something: a serialization end with nothing queued behind it, or a
-// timer re-armed while an earlier event of its own is pending, is never
-// placed (DESIGN.md §11). A reserved point has passed once it is at or
-// before the dispatch cursor (curAt, curKey).
+// reserve an event's (at, key) and place a record only if it must: a
+// serialization end with nothing queued behind it or a backlog behind it
+// on a link whose peer runs here with delay, and a timer re-armed while
+// an earlier event of its own is pending, are never placed (DESIGN.md
+// §11). A reserved point has passed once it is at or before the dispatch
+// cursor (curAt, curKey).
 //
 // Internally it is a two-level timer wheel over pooled event records:
 //
@@ -251,8 +260,18 @@ type Sim struct {
 	curAt  Time
 	curKey uint64
 	// wire lists the ports whose serialization end was reserved but not
-	// placed (Port.listed), for finish to settle.
-	wire []*Port
+	// placed (Port.listed), for finish to catch up; the list is linked
+	// through Port.wireNext, so keeping it allocates nothing.
+	wire *Port
+	// nvirt counts the virtual serialization ends of the model, pending on
+	// no wheel; nwake the wake events on it, which are no model events.
+	// catching is set while Port.catchUp fires an end.
+	nvirt, nwake int
+	catching     bool
+	// back is the first event runTo fired before the clock (its at, kind
+	// and port), and backNow that clock, zero if none: Audit reports it.
+	back    event
+	backNow Time
 
 	// Sharded-mode fields (see shard.go and DESIGN.md §15). eng is non-nil
 	// when this Sim is one shard of an Engine. out and retPkt hold two
@@ -269,14 +288,21 @@ type Sim struct {
 	// size (Port.serialize), built by the first port of that bandwidth.
 	txTables map[int64][]Time
 
-	// Processed counts the events that fired (useful in tests and as a
-	// runaway guard). Reserved points that were never placed do not count,
-	// so it is not the number of scheduled occurrences.
+	// Processed counts the events of the model that fired (useful in tests
+	// and as a runaway guard): a virtual serialization end with a packet
+	// behind it counts when a catch-up fires it, a wake never. Reserved
+	// points that are no events — a serialization end with nothing behind
+	// it, a timer re-arm — do not count, so it is not the number of
+	// scheduled occurrences. Inside a run it may lag the ends the clock
+	// has passed; between runs it is exact.
 	Processed uint64
 }
 
-// NewSim returns an empty simulator at time zero.
-func NewSim() *Sim { return &Sim{rootN: new(uint64)} }
+// NewSim returns an empty simulator at time zero. Its tick buffer holds
+// sortDepth events from the start, so the handful most ticks hold never
+// grows it: how deep a run's deepest tick gets (a wake can share one)
+// does not change what a run allocates.
+func NewSim() *Sim { return &Sim{rootN: new(uint64), run: make([]qent, 0, sortDepth)} }
 
 // Obs returns the registry bound to this simulator (nil — the no-op
 // registry — when none was attached). Transports and collectives built on
@@ -581,6 +607,13 @@ func (s *Sim) dispatch(ev *event) {
 		peer.Deliver(ev.pkt)
 	case evAdmit:
 		ev.port.admit(ev.pkt)
+	case evWake:
+		// No event of the model: undo runTo's count.
+		s.nwake--
+		s.Processed--
+		ev.port.waking = false
+		ev.port.catchUp()
+		ev.port.arm()
 	}
 }
 
@@ -603,29 +636,30 @@ func (s *Sim) RunUntil(deadline Time) {
 // deadline (every event at all, for maxTime), so the clock advances to
 // the deadline, or, on a drained simulator, to the latest serialization
 // end it reserved, and the cursor to the end of that instant. A stopped
-// run moves neither. Then every port on the wire list whose reserved
-// point has passed is settled.
+// run moves neither. Then every port on the wire list catches up with the
+// cursor, so the state between runs is exact.
 func (s *Sim) finish(deadline Time, stopped bool) {
 	if !stopped && deadline >= s.now {
 		if deadline < maxTime {
 			s.now = deadline
 		} else {
-			for _, p := range s.wire {
+			for p := s.wire; p != nil; p = p.wireNext {
 				s.now = max(s.now, p.txAt)
 			}
 		}
 		s.curAt, s.curKey = s.now, math.MaxUint64
 	}
-	wire := s.wire[:0]
-	for _, p := range s.wire {
-		if p.settle() {
-			wire = append(wire, p)
+	p := s.wire
+	s.wire = nil
+	for p != nil {
+		next := p.wireNext
+		if p.catchUp(); p.busy && !p.txPlaced {
+			p.wireNext, s.wire = s.wire, p
 		} else {
-			p.listed = false
+			p.wireNext, p.listed = nil, false
 		}
+		p = next
 	}
-	clear(s.wire[len(wire):])
-	s.wire = wire
 }
 
 // runTo is RunUntil without finish: events ≤ deadline fire, but the clock
@@ -648,6 +682,9 @@ func (s *Sim) runTo(deadline Time) {
 			s.ri++
 		}
 		s.npend--
+		if e.at < s.now && s.backNow == 0 {
+			s.back, s.backNow = event{at: e.at, kind: e.ev.kind, port: e.ev.port}, s.now
+		}
 		s.now = e.at
 		if e.at > s.curAt {
 			s.curAt, s.curKey = e.at, e.key
@@ -664,8 +701,10 @@ func (s *Sim) runTo(deadline Time) {
 	}
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.npend }
+// Pending returns the number of pending events of the model: those on
+// the wheel but the wakes, and the virtual serialization ends (see
+// Processed). Between runs it is exact.
+func (s *Sim) Pending() int { return s.npend - s.nwake + s.nvirt }
 
 // nextAt peeks at the earliest pending event's timestamp without firing
 // it. It may advance curTick to surface the wheel minimum into run, which

@@ -8,8 +8,10 @@
 #   scripts/check.sh -chaos   fault-injection pass only: race-enabled chaos,
 #                             fault, and duplicate-delivery regression tests
 #                             (the faulty half of the scenario matrix among
-#                             them), plus the payload- and record-ownership
-#                             suites (immutable after Send under trims and
+#                             them), the audit's monotone-time check
+#                             against a wake that never re-arms, plus the
+#                             payload- and record-ownership suites
+#                             (immutable after Send under trims and
 #                             merges, admission on the packet's own CRCs,
 #                             no copy per hop, SendRun equal to its Sends,
 #                             pool misuse and foreign records, delivered
@@ -241,8 +243,8 @@ if [[ $mode == bench ]]; then
 fi
 
 if [[ $mode == chaos ]]; then
-  step "go test -race (chaos/fault/duplicate regressions)"
-  pattern='Chaos|Fault|Flap|Duplicate|PauseAndFail'
+  step "go test -race (chaos/fault/duplicate regressions, monotone-time audit mutant)"
+  pattern='Chaos|Fault|Flap|Duplicate|PauseAndFail|MonotoneTime'
   pkgs=(./internal/netsim ./internal/transport ./internal/collective ./internal/exp ./internal/scenario)
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" "${pkgs[@]}"
