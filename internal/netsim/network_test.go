@@ -663,3 +663,34 @@ func TestPushFromLateChildAfterSerializationEnd(t *testing.T) {
 		t.Fatal("no parent key above the reserved one with a first child below it")
 	}
 }
+
+// TestWakeBeforeZeroLengthSuccessor: a virtual serialization end whose
+// successor takes no time starts an arrival exactly one link delay after
+// the end, the earliest any successor's can be, and nothing but the
+// port's wake touches the port in between. The wake must catch the port
+// up before that arrival is due: one run with no slice end to catch up
+// in between must deliver every packet and audit clean (no event fired
+// before the clock).
+func TestWakeBeforeZeroLengthSuccessor(t *testing.T) {
+	sim := NewSim()
+	star := NewStar(sim, 2, LinkConfig{Bandwidth: Gbps(400), Delay: Microsecond}, QueueConfig{})
+	delivered := 0
+	star.Hosts[1].Handler = func(*Packet) { delivered++ }
+	for _, size := range []int{1500, 1500, 40, 40, 40, 40} { // 40 B at 400 Gb/s: 0 ns
+		pkt := sim.NewPacket()
+		pkt.Dst, pkt.Size = star.Hosts[1].ID(), size
+		star.Hosts[0].Send(pkt)
+	}
+	p := star.Hosts[0].Uplink()
+	sim.RunUntil(40)
+	if !p.txDue {
+		t.Fatal("the second packet's end is not virtual; the test needs it to be")
+	}
+	sim.Run()
+	if err := star.Net.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 6 {
+		t.Fatalf("delivered %d of 6", delivered)
+	}
+}
