@@ -135,7 +135,7 @@ func (e *Encoder) Encode(epoch uint64, msgID uint32, grad []float32) (*Message, 
 type Stats struct {
 	// Packets counts data packets that arrived (trimmed or not).
 	Packets int
-	// TrimmedPackets counts arrived packets with the trimmed flag.
+	// TrimmedPackets counts arrived packets a switch cut (wire.Header.IsCut).
 	TrimmedPackets int
 	// ExpectedPackets is how many data packets the sender emitted.
 	ExpectedPackets int
@@ -400,7 +400,7 @@ func (d *Decoder) addData(row *decRow, pkt []byte, h *wire.Header, tailCount int
 		row.tailed += tails
 		row.overlaps = row.overlaps || !fresh
 	}
-	d.obs.arrived(&d.stats, pkt, 1, h.Trimmed())
+	d.obs.arrived(&d.stats, pkt, 1, h.IsCut(len(pkt)))
 	return nil
 }
 

@@ -229,7 +229,7 @@ func (d *SumDecoder) park(row *sumRow, pkt []byte, h *wire.Header, tailCount, in
 	}
 	d.headContribs += inputs * int(h.Count)
 	d.tailContribs += inputs * tailCount
-	d.obs.arrived(&d.stats, pkt, inputs, h.Trimmed())
+	d.obs.arrived(&d.stats, pkt, inputs, h.IsCut(len(pkt)))
 	return nil
 }
 

@@ -104,7 +104,7 @@ func (r *Recorder) Apply(pkt []byte) []byte {
 
 func wireTrimmed(pkt []byte) bool {
 	h, err := wire.ParseHeader(pkt)
-	return err == nil && h.Trimmed()
+	return err == nil && h.IsCut(len(pkt))
 }
 
 // Player replays a recorded transcript: each packet receives the fate its

@@ -122,9 +122,8 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 // reporting success. The queued packet is the earlier arrival, so its
 // values accumulate first — float addition order stays deterministic.
 func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet) bool {
-	// An unmarked cut (Packet.own) needs no copy here: MergeTrimmable reads
-	// it as it reads the marked copy, since a cut tail carries no CRC and
-	// the Trimmed flag is not an input, and the merge builds a new buffer.
+	// A cut view needs no copy here: MergeTrimmable finds its surviving
+	// tails by length, and the merge builds a new buffer.
 	merged, err := wire.MergeTrimmable(qpkt.Payload, pkt.Payload, p.metaOf)
 	if err != nil {
 		return false
@@ -151,7 +150,6 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet) bool {
 	// operand's payload.
 	delta := len(merged) - len(qpkt.Payload)
 	qpkt.Payload = merged
-	qpkt.ownsPayload, qpkt.unmarked = true, false
 	qpkt.stamp()
 	qpkt.Size += delta
 	qpkt.Control = ctl

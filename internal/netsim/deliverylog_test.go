@@ -221,12 +221,13 @@ func rootSendCell(t *testing.T) string {
 			src := rng.Intn(len(star.Hosts))
 			pkt := sim.NewPacket()
 			pkt.Dst = star.Hosts[(src+1+rng.Intn(len(star.Hosts)-1))%len(star.Hosts)].ID()
-			pkt.Size = sizes[rng.Intn(len(sizes))]
+			size := sizes[rng.Intn(len(sizes))]
+			pkt.Size = size
 			pkt.FlowID = uint64(src)
 			pkt.Seq = seq
 			seq++
-			star.Hosts[src].Send(pkt)
-			lastEnd = sim.Now() + netsim.Time(int64(pkt.Size)*8*int64(netsim.Second)/link.Bandwidth)
+			star.Hosts[src].Send(pkt) // the fabric owns pkt from here on
+			lastEnd = sim.Now() + netsim.Time(int64(size)*8*int64(netsim.Second)/link.Bandwidth)
 		}
 	}
 	sim.Run()

@@ -394,7 +394,7 @@ func runPacket(s *Sim, tmpl *Packet, run *pktRun, i int) *Packet {
 	pkt := s.NewPacket()
 	home := pkt.home
 	*pkt = *tmpl
-	pkt.home, pkt.ownsPayload, pkt.unmarked, pkt.next, pkt.run = home, false, false, nil, false
+	pkt.home, pkt.next, pkt.run = home, nil, false
 	pl := run.payloads[i]
 	pkt.Payload, pkt.Size, pkt.Seq = pl, len(pl)+wire.NetOverhead, tmpl.Seq+uint64(i)
 	run.geo.stamp(pkt)
@@ -945,7 +945,6 @@ func (h *Host) Deliver(pkt *Packet) {
 		return
 	}
 	if h.Handler != nil {
-		pkt.own() // the handler reads a trimmed payload's marked copy
 		h.Handler(pkt)
 	}
 }
@@ -959,7 +958,7 @@ func (h *Host) Deliver(pkt *Packet) {
 // The payload is borrowed, never copied: from this call on its bytes are
 // immutable. The fabric reads them in place at every hop and on every
 // shard; a trimming switch keeps a view of the prefix and the receiving
-// handler gets a marked copy of it, so nothing writes them. The caller
+// handler reads that view, so nothing writes them. The caller
 // may keep the slice and send it again (a retransmission) but must not
 // write it again; the GC recycles the buffer once the last packet, view,
 // duplicate or retransmit queue drops it. Send reads the trim geometry

@@ -30,9 +30,9 @@ type Packet struct {
 	// Payload holds trimgrad wire bytes; nil for opaque traffic. The bytes
 	// are immutable once the packet is handed to Host.Send (which states
 	// the contract): the fabric shares them read-only with the sender. A
-	// trim keeps a view of the prefix (cut); what takes a trimmed payload's
-	// bytes on — a host's Handler, a fault's clone — gets a private copy,
-	// marked as trimmed (own).
+	// trim keeps a view of the prefix (cut), and the receiving host's
+	// Handler reads that view: unmarked, a trim told by its length
+	// (wire.Header.IsCut). Only a fault's clone copies the bytes.
 	Payload []byte
 	// FlowID tags the packet for flow-level statistics.
 	FlowID uint64
@@ -57,16 +57,6 @@ type Packet struct {
 	// Trimmed is set by a switch that trimmed this packet.
 	Trimmed bool
 
-	// ownsPayload marks Payload as this packet's private buffer — made by
-	// a reader's copy of a trim, a fault's clone, or an aggregation merge
-	// inside the fabric, referenced by nobody else — so a further trim may
-	// rewrite it in place.
-	ownsPayload bool
-	// unmarked: Payload is a prefix of a buffer the packet does not own,
-	// cut by a trim that wrote nothing. Its first reader takes the copy
-	// the trim did not make (own).
-	unmarked bool
-
 	// run marks a queued Host.SendRun's place in a NIC FIFO (runQueue).
 	run bool
 	// home is the Sim whose pool allocated this record. On a sharded
@@ -78,8 +68,8 @@ type Packet struct {
 	next *Packet
 }
 
-// clonePacket returns a copy of p, with its own Payload buffer (marked, if
-// p's is an unmarked cut), from s's pool. On fault-injected paths
+// clonePacket returns a copy of p, with its own Payload buffer, from s's
+// pool. On fault-injected paths
 // (duplication, corruption) the copy outlives the original, so it is a
 // record of its own: recycled at its own terminal point, and counted by
 // Network.Audit. It keeps p's stamp, true of its bytes until a fault
@@ -91,11 +81,6 @@ func (s *Sim) clonePacket(p *Packet) *Packet {
 	c.home, c.next, c.run = home, nil, false
 	if p.Payload != nil {
 		c.Payload = append([]byte(nil), p.Payload...)
-		c.ownsPayload = true
-		if c.unmarked {
-			wire.MarkTrimmed(c.Payload)
-			c.unmarked = false
-		}
 	}
 	return c
 }
@@ -122,34 +107,15 @@ func (p *Packet) trimLen(target int) int {
 // cut trims the payload to its first keep bytes, a trimLen verdict below
 // len(Payload), and updates Size, Trimmed, and Prio.
 //
-// The fabric never writes a buffer it does not own (DESIGN.md §16): a
-// payload still shared with its sender is cut to a view of the kept prefix
-// and left unmarked, so a head dropped downstream is never copied; its
-// first reader copies and marks it (own). A payload the packet already
-// owns is cut and marked in place.
+// A cut writes nothing and copies nothing (DESIGN.md §16): the payload
+// becomes a view of the kept prefix, capped there so no reader can append
+// into the bytes behind it. Its header is left as the sender built it, so
+// readers tell the trim by its length (wire.Header.IsCut).
 func (p *Packet) cut(keep int) {
-	p.Payload = p.Payload[:keep]
-	if p.ownsPayload {
-		wire.MarkTrimmed(p.Payload)
-	} else {
-		p.unmarked = true
-	}
+	p.Payload = p.Payload[:keep:keep]
 	p.Size = keep + wire.NetOverhead
 	p.Trimmed = true
 	p.Prio = PrioHigh
-}
-
-// own gives an unmarked cut its private copy of the kept prefix, marked as
-// the trim left it (wire.MarkTrimmed): the bytes an eager trim would have
-// copied, made only once something reads them.
-func (p *Packet) own() {
-	if !p.unmarked {
-		return
-	}
-	b := make([]byte, len(p.Payload))
-	copy(b, p.Payload)
-	wire.MarkTrimmed(b)
-	p.Payload, p.unmarked, p.ownsPayload = b, false, true
 }
 
 // trimTo trims the payload toward target total wire bytes and reports

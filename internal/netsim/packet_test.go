@@ -44,12 +44,12 @@ func TestPacketClone(t *testing.T) {
 	if q.Dst != 3 || q.Size != 100 || q.FlowID != 7 {
 		t.Fatal("clone lost fields")
 	}
-	if q.home != sim || !q.ownsPayload || sim.PacketsMade() != 2 {
-		t.Fatal("clone is not a record of the simulator's pool owning its payload")
+	if q.home != sim || sim.PacketsMade() != 2 {
+		t.Fatal("clone is not a record of the simulator's pool")
 	}
 	// Nil payload clone.
 	r := sim.clonePacket(record(sim, Packet{Size: 5}))
-	if r.Payload != nil || r.ownsPayload {
+	if r.Payload != nil {
 		t.Fatal("nil payload should stay nil")
 	}
 }

@@ -192,25 +192,29 @@ func TestStampedTrimLenMatchesParse(t *testing.T) {
 	}
 }
 
-// seenPacket is what a receiving handler saw of one packet.
+// seenPacket is what a receiving handler saw of one packet: payload is
+// the delivered slice itself, kept past the handler.
 type seenPacket struct {
 	flow, seq uint64
 	trimmed   bool
 	payload   []byte
 }
 
-// TestTrimViewMatchesEagerTrim is the differential for copy-at-the-reader:
-// a trimming port cuts a shared payload to a view and the receiving handler
-// reads a marked copy, which must equal wire.Trim applied to a copy of the
-// sent bytes, on the plain Sim and at 2 shards (the dumbbell's bottleneck is
-// the shard boundary, so the copy is made on the other shard). Senders mix
-// runs the geometry table stamps, a run it does not cover and single Sends,
-// each of which must be trimmed, at head-boundary and multi-level targets. The chaos rows put duplicating
-// and corrupting faults downstream of the trimming port (they clone views)
-// and on it (they clone before the trim, so a corrupted clone is trimmed by
-// its own header): every delivered payload must then be the eager result
-// for the sent bytes with at most one bit flipped, before or after the
-// trim. Sender buffers must read as sent afterwards.
+// TestTrimViewMatchesEagerTrim pins the cut view against the eager trim it
+// replaced: a trimming port cuts a shared payload to a view of its prefix,
+// and the receiving handler reads that view — the sender's own array,
+// capped at the kept length — on the plain Sim and at 2 shards (the
+// dumbbell's bottleneck is the shard boundary, so the view crosses shards).
+// Each delivered trim must pass wire.Validate and parse to the start,
+// count, tail count, heads and tails of wire.Trim's marked copy of the sent
+// bytes. Senders mix runs the geometry table stamps, a run it does not
+// cover and single Sends, each of which must be trimmed, at head-boundary
+// and multi-level targets. The chaos rows put duplicating and corrupting
+// faults downstream of the trimming port (they clone views) and on it
+// (they clone before the trim, so a corrupted clone is trimmed by its own
+// header): a delivered copy must then be the view's bytes or differ from
+// them by one flipped bit, before or after the trim. Sender buffers must
+// read as sent afterwards.
 func TestTrimViewMatchesEagerTrim(t *testing.T) {
 	rows := []struct {
 		name   string
@@ -286,11 +290,11 @@ func checkTrimViews(t *testing.T, target int, faults string, shards int) {
 	got := make([][]seenPacket, 2)
 	for i, h := range topo.Hosts[4:] {
 		h.Handler = func(p *Packet) {
-			if p.Size != len(p.Payload)+wire.NetOverhead || p.unmarked {
-				t.Errorf("flow %d seq %d delivered with size %d, %d payload bytes, unmarked %v",
-					p.FlowID, p.Seq, p.Size, len(p.Payload), p.unmarked)
+			if p.Size != len(p.Payload)+wire.NetOverhead {
+				t.Errorf("flow %d seq %d delivered with size %d, %d payload bytes",
+					p.FlowID, p.Seq, p.Size, len(p.Payload))
 			}
-			got[i] = append(got[i], seenPacket{p.FlowID, p.Seq, p.Trimmed, bytes.Clone(p.Payload)})
+			got[i] = append(got[i], seenPacket{p.FlowID, p.Seq, p.Trimmed, p.Payload})
 		}
 	}
 	run()
@@ -301,27 +305,42 @@ func checkTrimViews(t *testing.T, target int, faults string, shards int) {
 	// trims counts trimmed deliveries by how their record was stamped: the
 	// run table (flows 0-2), the run it does not cover (3), Send (100+).
 	var trims [3]int
-	var flipped, corrupted int
+	var views, copies, flipped, corrupted int
 	for _, d := range append(got[0], got[1]...) {
-		s := orig[d.flow][d.seq]
+		s, buf := orig[d.flow][d.seq], sent[d.flow][d.seq]
 		want := s
 		if d.trimmed {
 			trims[min(d.flow/3, 2)]++
-			want = wire.Trim(bytes.Clone(s), target-wire.NetOverhead)
+			want = s[:wire.TrimLen(s, target-wire.NetOverhead)]
 		}
-		if bytes.Equal(d.payload, want) {
+		if !bytes.Equal(d.payload, want) {
+			if faults == "" || !oneFlipFrom(d.payload, want, s, d.trimmed, target) {
+				t.Fatalf("flow %d seq %d (trimmed %v): delivered\n %x\nwant\n %x", d.flow, d.seq, d.trimmed, d.payload, want)
+			}
+			flipped++
 			continue
 		}
-		if faults == "" || !oneFlipFrom(d.payload, want, s, d.trimmed, target) {
-			t.Fatalf("flow %d seq %d (trimmed %v): delivered\n %x\nwant\n %x", d.flow, d.seq, d.trimmed, d.payload, want)
+		if d.trimmed {
+			if err := matchesMarked(d.payload, s, target); err != nil {
+				t.Fatalf("flow %d seq %d: %v", d.flow, d.seq, err)
+			}
 		}
-		flipped++
+		switch {
+		case &d.payload[0] == &buf[0] && cap(d.payload) == len(want):
+			views++
+		case &d.payload[0] == &buf[0]:
+			t.Fatalf("flow %d seq %d: a view of %d bytes with capacity %d reaches past the cut", d.flow, d.seq, len(d.payload), cap(d.payload))
+		case faults == "":
+			t.Fatalf("flow %d seq %d: the receiver read a copy of the sender's bytes", d.flow, d.seq)
+		default:
+			copies++ // a fault's duplicate
+		}
 	}
 	for _, f := range injectors {
 		corrupted += f.Stats.Corrupted
 	}
-	if flipped > corrupted || faults != "" && corrupted == 0 {
-		t.Fatalf("%d deliveries differ by a flipped bit, %d packets corrupted", flipped, corrupted)
+	if flipped > corrupted || faults != "" && (corrupted == 0 || copies == 0) || views == 0 {
+		t.Fatalf("%d deliveries differ by a flipped bit, %d packets corrupted, %d views, %d duplicates delivered", flipped, corrupted, views, copies)
 	}
 	if trims[0] == 0 || trims[1] == 0 || trims[2] == 0 {
 		t.Fatalf("trimmed deliveries stamped by the run table, a record's build and Send: %v; want each > 0", trims)
@@ -335,10 +354,38 @@ func checkTrimViews(t *testing.T, target int, faults string, shards int) {
 	}
 }
 
+// matchesMarked checks a delivered cut view against wire.Trim's marked copy
+// of the sent bytes: both pass wire.Validate, both are cuts by the length
+// predicate, and both parse to the same start, count and tail count, and
+// unpack to the same heads and tails — all a decode reads of a packet.
+func matchesMarked(view, sent []byte, target int) error {
+	marked := wire.Trim(bytes.Clone(sent), target-wire.NetOverhead)
+	if err := wire.Validate(view); err != nil {
+		return fmt.Errorf("the view fails Validate: %v", err)
+	}
+	a, err := wire.ParseDataPacket(view)
+	if err != nil {
+		return err
+	}
+	b, err := wire.ParseDataPacket(marked)
+	if err != nil {
+		return err
+	}
+	if !a.IsCut(len(view)) || !b.IsCut(len(marked)) || len(view) != len(marked) {
+		return fmt.Errorf("view of %d bytes cut %v, marked copy of %d cut %v", len(view), a.IsCut(len(view)), len(marked), b.IsCut(len(marked)))
+	}
+	if a.Start != b.Start || a.Count != b.Count || a.TailCount != b.TailCount ||
+		!slices.Equal(a.Heads, b.Heads) || !slices.Equal(a.Tails[:a.TailCount], b.Tails[:b.TailCount]) {
+		return fmt.Errorf("the view parses to start %d count %d tails %d, the marked copy to %d %d %d, or their values differ",
+			a.Start, a.Count, a.TailCount, b.Start, b.Count, b.TailCount)
+	}
+	return nil
+}
+
 // oneFlipFrom reports whether got is want with one bit flipped (corrupted
 // after the trim, or before it outside what decides the cut), or, for a
-// trimmed delivery, the trim of sent with one bit flipped (corrupted
-// before the trim, which then parsed the corrupted header).
+// trimmed delivery, the cut of sent with one bit flipped (corrupted before
+// the trim, which then parsed the corrupted header).
 func oneFlipFrom(got, want, sent []byte, trimmed bool, target int) bool {
 	if len(got) == len(want) {
 		diff := 0
@@ -355,7 +402,7 @@ func oneFlipFrom(got, want, sent []byte, trimmed bool, target int) bool {
 	for pos := range len(sent) * 8 {
 		c := bytes.Clone(sent)
 		c[pos/8] ^= 1 << (pos % 8)
-		if bytes.Equal(wire.Trim(c, target-wire.NetOverhead), got) {
+		if bytes.Equal(c[:wire.TrimLen(c, target-wire.NetOverhead)], got) {
 			return true
 		}
 	}
@@ -413,12 +460,13 @@ func TestTrimmedHeadDroppedDownstreamAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMergedRecordRestamps: an aggregating port that folds an unmarked cut
+// TestMergedRecordRestamps: an aggregating port that folds a cut view
 // — arriving, or queued in the high queue, which is scanned first — into a
 // stamped packet builds the aggregate an eager trim's marked copy would
-// have given, without copying the view. The merged record owns its buffer,
-// is no view, and carries the aggregate's own geometry, so a later trim
-// decides as its header says; its receiver reads that buffer uncopied.
+// have given, without copying the view. The merged record holds a buffer
+// of its own, a view of neither operand, and carries the aggregate's own
+// geometry, so a later trim decides as its header says; its receiver reads
+// that buffer uncopied.
 func TestMergedRecordRestamps(t *testing.T) {
 	for _, viewQueued := range []bool{false, true} {
 		t.Run(fmt.Sprintf("view queued=%v", viewQueued), func(t *testing.T) {
@@ -451,6 +499,7 @@ func checkMergedRecord(t *testing.T, viewQueued bool) {
 	view.cut(view.trimLen(0))
 	port.Enqueue(queued)
 	a, b := queued.Payload, arriving.Payload
+	operands := [][]byte{a, b}
 	if viewQueued {
 		a = eager
 	} else {
@@ -464,9 +513,10 @@ func checkMergedRecord(t *testing.T, viewQueued bool) {
 	if port.Stats.Aggregated != 1 || !bytes.Equal(queued.Payload, want) {
 		t.Fatalf("aggregated %d; merged payload matches the eager trim's merge: %v", port.Stats.Aggregated, bytes.Equal(queued.Payload, want))
 	}
-	if head, q, _ := wire.TrimGeometry(want); !queued.ownsPayload || queued.unmarked || queued.trimHead != uint32(head) || queued.trimQ != uint8(q) {
-		t.Fatalf("merged record owns %v, unmarked %v, stamp (%d, %d); want owned, marked, (%d, %d)",
-			queued.ownsPayload, queued.unmarked, queued.trimHead, queued.trimQ, head, q)
+	aliases := &queued.Payload[0] == &operands[0][0] || &queued.Payload[0] == &operands[1][0]
+	if head, q, _ := wire.TrimGeometry(want); aliases || queued.trimHead != uint32(head) || queued.trimQ != uint8(q) {
+		t.Fatalf("merged record aliases an operand %v, stamp (%d, %d); want a buffer of its own, (%d, %d)",
+			aliases, queued.trimHead, queued.trimQ, head, q)
 	}
 	for target := 0; target <= len(queued.Payload)+wire.NetOverhead; target += 7 {
 		if got, want := queued.trimLen(target), wire.TrimLen(queued.Payload, target-wire.NetOverhead); got != want {

@@ -24,25 +24,40 @@ func allPayloads(msg *core.Message) [][]byte {
 	return append(append([][]byte{}, msg.Meta...), msg.Data...)
 }
 
+// incastRig is what incastUnwritten varies.
+type incastRig struct {
+	queue netsim.QueueConfig
+	// aggregate makes the senders distinct flows of one message id, so
+	// switches may fold their packets.
+	aggregate bool
+	faults    *netsim.FaultConfig // on every switch port, if set
+	receiver  Receiver            // host 0's, if set
+}
+
 // incastUnwritten drives an 8-sender trimmable incast to host 0 of a k=4
-// fat tree with queues q, on the plain simulator (shards 0) or a sharded
-// one, and fails the test unless every sender completes and every byte of
-// every sender buffer reads the same before and after. When aggregate is
-// set the senders are distinct flows of one message id, so switches may
-// fold their packets. It returns the fabric and stacks for the caller to
-// check that the scenario was harsh enough.
-func incastUnwritten(t *testing.T, shards int, q netsim.QueueConfig, aggregate bool) (*netsim.Topology, []*Stack) {
+// fat tree, on the plain simulator (shards 0) or a sharded one, and fails
+// the test unless every sender completes and every byte of every sender
+// buffer reads the same before and after. It returns the fabric, stacks
+// and messages for the caller to check that the scenario was harsh enough.
+func incastUnwritten(t *testing.T, shards int, rig incastRig) (*netsim.Topology, []*Stack, []*core.Message) {
 	t.Helper()
 	sim := netsim.NewSim()
 	topo, err := netsim.FabricSpec{
 		Kind:     "fattree",
 		K:        4,
 		Link:     netsim.LinkConfig{Bandwidth: netsim.Gbps(10), Delay: 2 * netsim.Microsecond},
-		Queue:    q,
+		Queue:    rig.queue,
 		ECMPSeed: 11,
 	}.Build(sim)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rig.faults != nil {
+		for _, sw := range topo.Switches() {
+			for _, p := range sw.Ports() {
+				p.SetFaults(*rig.faults, uint64(sw.ID()), uint64(p.Peer()))
+			}
+		}
 	}
 	run := func() { sim.RunUntil(5 * netsim.Second) }
 	if shards > 0 {
@@ -59,13 +74,14 @@ func incastUnwritten(t *testing.T, shards int, q netsim.QueueConfig, aggregate b
 	for i, h := range topo.Hosts {
 		stacks[i] = newStack(h, cfg)
 	}
+	stacks[0].Receiver = rig.receiver
 	const senders = 8
 	var msgs []*core.Message
 	var before [][]byte
 	done := make([]bool, senders)
 	for s := 0; s < senders; s++ {
 		ccfg, id := coreConfig(), uint32(s+1)
-		if aggregate {
+		if rig.aggregate {
 			ccfg.Flow, id = uint32(s+1), 1
 		}
 		enc, err := core.NewEncoderWith(core.WithConfig(ccfg))
@@ -103,7 +119,7 @@ func incastUnwritten(t *testing.T, shards int, q netsim.QueueConfig, aggregate b
 			i++
 		}
 	}
-	return topo, stacks
+	return topo, stacks, msgs
 }
 
 // plainAndSharded runs f on the plain simulator (shards 0) and a 2-shard one.
@@ -126,9 +142,9 @@ func plainAndSharded(t *testing.T, f func(t *testing.T, shards int)) {
 // same before and after, on the plain simulator and on a sharded one.
 func TestTrimNeverWritesSenderPayload(t *testing.T) {
 	plainAndSharded(t, func(t *testing.T, shards int) {
-		topo, stacks := incastUnwritten(t, shards, netsim.QueueConfig{
+		topo, stacks, _ := incastUnwritten(t, shards, incastRig{queue: netsim.QueueConfig{
 			CapacityBytes: 6000, HighCapacityBytes: 1200, Mode: netsim.TrimOverflow,
-		}, false)
+		}})
 		trimmed, dropped, retx := 0, 0, 0
 		for _, sw := range topo.Switches() {
 			for _, p := range sw.Ports() {
@@ -152,10 +168,10 @@ func TestTrimNeverWritesSenderPayload(t *testing.T) {
 // fresh buffer; it never writes an operand.
 func TestMergeNeverWritesSenderPayload(t *testing.T) {
 	plainAndSharded(t, func(t *testing.T, shards int) {
-		topo, _ := incastUnwritten(t, shards, netsim.QueueConfig{
+		topo, _, _ := incastUnwritten(t, shards, incastRig{queue: netsim.QueueConfig{
 			CapacityBytes: 6000, HighCapacityBytes: 1 << 20, Mode: netsim.TrimOverflow,
 			AggregateTrimmable: true,
-		}, true)
+		}, aggregate: true})
 		merged, trimmed := 0, 0
 		for _, sw := range topo.Switches() {
 			for _, p := range sw.Ports() {
@@ -167,6 +183,75 @@ func TestMergeNeverWritesSenderPayload(t *testing.T) {
 			t.Fatalf("scenario too gentle: aggregated=%d trimmed=%d", merged, trimmed)
 		}
 	})
+}
+
+// TestKeptTrimViewsMatchSender extends TestTrimNeverWritesSenderPayload to
+// the receive side: a receiver reads a trimmed packet as a view of its
+// sender's bytes, and may keep it. Host 0's receiver keeps every payload it
+// is handed through a trimming, aggregating incast whose switch ports
+// duplicate, reorder and corrupt, at 1 and 2 shards. At the end every kept
+// payload must read as it did when delivered; a kept view of a sender's
+// buffer must still be that buffer's prefix, capped at its cut when cut.
+// Trimmed views, aggregates and fault copies must all have been kept.
+func TestKeptTrimViewsMatchSender(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var kept, snaps [][]byte
+			_, _, msgs := incastUnwritten(t, shards, incastRig{
+				queue: netsim.QueueConfig{
+					CapacityBytes: 6000, HighCapacityBytes: 1 << 20, Mode: netsim.TrimOverflow,
+					AggregateTrimmable: true,
+				},
+				aggregate: true,
+				faults:    &netsim.FaultConfig{Seed: 3, DuplicateRate: 0.02, ReorderRate: 0.02, CorruptRate: 0.01},
+				receiver: ReceiverFunc(func(_ netsim.NodeID, pl []byte) {
+					kept = append(kept, pl)
+					snaps = append(snaps, bytes.Clone(pl))
+				}),
+			})
+			type key struct{ flow, row, start uint32 }
+			sent := map[key][]byte{}
+			for _, msg := range msgs {
+				for _, b := range msg.Data {
+					h, _ := wire.ParseHeader(b)
+					sent[key{h.Flow, h.Row, h.Start}] = b
+				}
+			}
+			var cutViews, views, aggs, copies int
+			for i, pl := range kept {
+				if !bytes.Equal(pl, snaps[i]) {
+					t.Fatalf("kept payload %d was written after delivery", i)
+				}
+				h, err := wire.ParseHeader(pl)
+				if err != nil || h.IsMeta() {
+					continue
+				}
+				if h.IsAgg() {
+					aggs++
+					continue
+				}
+				buf := sent[key{h.Flow, h.Row, h.Start}]
+				if buf == nil || &pl[0] != &buf[0] {
+					copies++
+					continue
+				}
+				views++
+				if !bytes.Equal(pl, buf[:len(pl)]) {
+					t.Fatalf("kept view %d no longer equals its sender's prefix", i)
+				}
+				if h.IsCut(len(pl)) {
+					cutViews++
+					if cap(pl) != len(pl) {
+						t.Fatalf("kept cut view %d: %d bytes with capacity %d reach past the cut", i, len(pl), cap(pl))
+					}
+				}
+			}
+			t.Logf("kept %d payloads: %d views (%d cut), %d aggregates, %d copies", len(kept), views, cutViews, aggs, copies)
+			if cutViews == 0 || aggs == 0 || copies == 0 {
+				t.Fatalf("scenario too gentle: %d cut views, %d aggregates, %d fault copies kept", cutViews, aggs, copies)
+			}
+		})
+	}
 }
 
 // castagnoli is the CRC-32C table, built here so the reference rule below

@@ -74,7 +74,9 @@ const ackSize = 64
 // Receiver consumes the payloads of delivered data/metadata packets.
 type Receiver interface {
 	// HandlePayload is called once per delivered packet with the (possibly
-	// trimmed) trimgrad wire bytes.
+	// trimmed) trimgrad wire bytes. They are often the sender's own bytes —
+	// a trim is a view of its prefix, told by its length (wire.Header.IsCut)
+	// — so a receiver may keep payload but must never write it.
 	HandlePayload(src netsim.NodeID, payload []byte)
 }
 
@@ -242,8 +244,8 @@ func mustBeTrimgrad(id uint32, payloads [][]byte) {
 // validPayload reports whether a received payload may be acked and
 // delivered, judged by the packet's own wire CRCs in one pass, without
 // unpacking a coordinate. A packet the fabric did not trim must be a
-// trimgrad packet exactly as built (wire.ValidateUntrimmed: every CRC, no
-// trimmed flag in its header). A trimmed one must pass wire.Validate, which
+// trimgrad packet exactly as built (wire.ValidateUntrimmed: every CRC, not
+// cut by flag or length). A trimmed one must pass wire.Validate, which
 // checks the CRCs its trim state leaves; if its magic was hit after the
 // cut it is handed on as foreign bytes, and the decoder refuses them.
 // Failures are counted in Stats.RejectedPackets and dropped unacked so a

@@ -44,7 +44,7 @@ type trimDone struct {
 // trimNack lists data packets whose heads never arrived.
 type trimNack struct {
 	MsgID   uint32
-	Missing []int
+	Missing []int32 // 4 bytes an index, as the NACK's Size charges
 }
 
 type trimSender struct {
@@ -72,7 +72,7 @@ type trimSender struct {
 // trimgrad packet; it panics otherwise. Neither metas and data nor the
 // slices in them are copied, here or in the fabric: all are immutable from
 // this call on (netsim.Host.Send) — a switch that trims a packet keeps a
-// view of the prefix, which the receiving host copies — so callers must
+// view of the prefix, which the receiver reads in place — so callers must
 // not write them again but may hand them to another destination.
 func (s *Stack) SendTrimmable(dst netsim.NodeID, id uint32, metas, data [][]byte,
 	done func(at netsim.Time), failed func(err error)) {
@@ -175,13 +175,13 @@ func (tx *trimSender) onMetaAck(idx int) {
 	tx.retries = 0
 }
 
-func (tx *trimSender) onNack(missing []int) {
+func (tx *trimSender) onNack(missing []int32) {
 	if tx.finished {
 		return
 	}
 	for _, idx := range missing {
-		if idx >= 0 && idx < len(tx.data) {
-			tx.sendData(idx)
+		if idx >= 0 && int(idx) < len(tx.data) {
+			tx.sendData(int(idx))
 			tx.stack.Stats.Retransmits++
 		}
 	}
@@ -347,17 +347,18 @@ func (rx *trimReceiver) checkGaps() {
 	if rx.complete {
 		return
 	}
-	var missing []int
+	n := min(len(rx.dataGot)-rx.nDataGot, 128)
+	if n == 0 {
+		return
+	}
+	missing := make([]int32, 0, n)
 	for i, ok := range rx.dataGot {
 		if !ok {
-			missing = append(missing, i)
-			if len(missing) >= 128 {
+			missing = append(missing, int32(i))
+			if len(missing) == n {
 				break
 			}
 		}
-	}
-	if len(missing) == 0 {
-		return
 	}
 	rx.stack.Stats.NacksSent++
 	pkt := rx.stack.sim.NewPacket()

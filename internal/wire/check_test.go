@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"trimgrad/internal/quant"
 )
 
 // The receive path has one source of truth: every accept/reject decision
@@ -132,5 +136,104 @@ func TestValidateAllocatesNothing(t *testing.T) {
 	}
 	if _, tc, _ := CheckDataPacket(Trim(clone(full), h.TrimmedSize()+500)); tc <= 0 || tc >= count {
 		t.Fatalf("mid-tail trim kept %d of %d tails; the case is not mid-tail", tc, count)
+	}
+}
+
+// checkTails runs the check of the kind buf's header claims and returns its
+// tail count: the surviving whole tails of a data packet or aggregate.
+func checkTails(buf []byte) (int, error) {
+	h, err := ParseHeader(buf)
+	if err != nil {
+		return 0, err
+	}
+	if h.IsAgg() {
+		return checkAgg(buf, &h)
+	}
+	return checkData(buf, &h)
+}
+
+// TestCutViewMatchesMarked: a fabric that cuts a packet to a view of its
+// prefix writes neither the Trimmed flag nor the zero tail CRC, so the
+// unmarked prefix must read as its marked form (MarkTrimmed, what Trim
+// returns) reads. For a packet of every scheme, at every head and tail
+// width the schemes use, and for an aggregate, at every length a cut can
+// leave — each prefix from the bare header to one byte short of the whole
+// packet — the two agree on Validate's verdict and error class, on the tail
+// count and on IsCut (true for both), and ValidateUntrimmed rejects both.
+// Every single-bit flip of the two is then rejected alike.
+func TestCutViewMatchesMarked(t *testing.T) {
+	row := gaussianRow(17, 32)
+	type packet struct {
+		name string
+		full []byte
+	}
+	var pkts []packet
+	for _, p := range []quant.Params{
+		{Scheme: quant.Sign}, {Scheme: quant.Sign, TailBits: 7},
+		{Scheme: quant.SQ}, {Scheme: quant.SD}, {Scheme: quant.RHT},
+		{Scheme: quant.Linear, P: 6}, {Scheme: quant.RHTLinear, P: 3},
+		{Scheme: quant.Eden, P: 2},
+	} {
+		c := quant.MustNew(p)
+		enc, err := c.Encode(row, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, data, err := PackRow(1, 2, 3, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _ := ParseHeader(data[0])
+		pkts = append(pkts, packet{fmt.Sprintf("%s P=%d Q=%d", c.Name(), h.P, h.Q), data[0]})
+	}
+	sums := randSums(3, 8)
+	agg, err := BuildAggPacket(aggTestHeader(8, 2), sums, sums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts = append(pkts, packet{"aggregate", agg})
+	for _, pkt := range pkts {
+		name, full := pkt.name, pkt.full
+		h, err := ParseHeader(full)
+		if err != nil || len(full) != h.FullSize() || h.IsCut(len(full)) {
+			t.Fatalf("%s: the whole packet (%d of %d bytes, %v) reads as cut", name, len(full), h.FullSize(), err)
+		}
+		valid, flips, rejected := 0, 0, 0
+		for n := HeaderSize; n < len(full); n++ {
+			view := full[:n:n]
+			marked := bytes.Clone(view)
+			MarkTrimmed(marked)
+			tv, errV := checkTails(view)
+			tm, errM := checkTails(marked)
+			if errClass(Validate(view)) != errClass(errV) || errClass(errV) != errClass(errM) || tv != tm {
+				t.Fatalf("%s cut to %d: view (%d tails, %v), marked (%d tails, %v)", name, n, tv, errV, tm, errM)
+			}
+			hv, _ := ParseHeader(view)
+			hm, _ := ParseHeader(marked)
+			if !hv.IsCut(n) || !hm.IsCut(n) || ValidateUntrimmed(view) == nil || ValidateUntrimmed(marked) == nil {
+				t.Fatalf("%s cut to %d: IsCut %v/%v, ValidateUntrimmed accepts the view or the marked form", name, n, hv.IsCut(n), hm.IsCut(n))
+			}
+			if errV != nil {
+				continue
+			}
+			valid++
+			for bit := range 8 * n {
+				fv, fm := bytes.Clone(view), bytes.Clone(marked)
+				fv[bit/8] ^= 1 << (bit % 8)
+				fm[bit/8] ^= 1 << (bit % 8)
+				cv, cm := errClass(Validate(fv)), errClass(Validate(fm))
+				if cv != cm {
+					t.Fatalf("%s cut to %d, bit %d flipped: view %v, marked %v", name, n, bit, cv, cm)
+				}
+				if cv != nil {
+					rejected++
+				}
+				flips++
+			}
+		}
+		if valid == 0 || rejected == 0 {
+			t.Fatalf("%s: %d cut lengths pass Validate, %d flips rejected; want both > 0", name, valid, rejected)
+		}
+		t.Logf("%s: %d cut lengths valid, %d of %d flips rejected", name, valid, rejected, flips)
 	}
 }

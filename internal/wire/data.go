@@ -263,12 +263,11 @@ func TrimKeep(n, targetSize, boundary, q int) int {
 	return min(boundary+(wholeTails*q+7)/8, n)
 }
 
-// MarkTrimmed rewrites the two header fields a trimming switch touches: the
+// MarkTrimmed rewrites the two header fields Trim marks a cut with: the
 // Trimmed flag is set and the now-meaningless tail CRC cleared. pkt is the
 // kept prefix — the first TrimLen bytes of a packet, in a buffer the caller
-// owns. Trim cuts and marks in one call; a caller that already
-// holds TrimLen's verdict cuts the prefix itself and marks it here, so the
-// header is parsed once.
+// owns. Trim cuts and marks in one call. Marking is optional: an unmarked
+// prefix validates and parses the same, and reads as cut (IsCut).
 func MarkTrimmed(pkt []byte) {
 	pkt[offFlags] |= FlagTrimmed
 	binary.BigEndian.PutUint32(pkt[offTailCRC:], 0)

@@ -19,7 +19,8 @@ func IsTrimgrad(buf []byte) bool {
 // but it unpacks nothing and allocates nothing, which is what lets a
 // transport admit a packet for the price of its CRCs. A nil return means
 // the surviving bytes are intact; note that the tail bytes of a trimmed
-// packet carry no checksum (Trim zeroes the tail CRC), so corruption
+// packet carry no checksum (a short tail region is never checked, marked
+// by Trim or not), so corruption
 // confined to a trimmed tail is undetectable by design — the decode path
 // treats those coordinates as lossy anyway.
 func Validate(buf []byte) error {
@@ -31,10 +32,11 @@ func Validate(buf []byte) error {
 }
 
 // ValidateUntrimmed is Validate for a packet no switch has cut. It also
-// convicts the two header fields no CRC covers: the FlagTrimmed bit (the
-// head CRC skips it because a switch sets it in flight) must be clear, and
-// the tail-CRC field of metadata, the one kind without a tail region, must
-// read the zero its builder wrote. With those, a packet sent whole is
+// convicts what no CRC covers: the packet must not be cut (IsCut: the
+// FlagTrimmed bit, which the head CRC skips because a switch sets it in
+// flight, must be clear, and the length whole), and the tail-CRC field of
+// metadata, the one kind without a tail region, must read the zero its
+// builder wrote. With those, a packet sent whole is
 // rejected wherever one CRC-32C over all of it would reject it
 // (transport's TestAdmissionMatchesDatagramChecksum flips every bit).
 func ValidateUntrimmed(buf []byte) error {
@@ -42,8 +44,8 @@ func ValidateUntrimmed(buf []byte) error {
 	if err != nil {
 		return err
 	}
-	if h.Trimmed() {
-		return fmt.Errorf("%w: trimmed flag on an untrimmed packet", ErrBadChecksum)
+	if h.IsCut(len(buf)) {
+		return fmt.Errorf("%w: an untrimmed packet is cut", ErrBadChecksum)
 	}
 	if h.IsMeta() && binary.BigEndian.Uint32(buf[offTailCRC:]) != 0 {
 		return fmt.Errorf("%w: tail CRC on a packet without tails", ErrBadChecksum)

@@ -117,8 +117,16 @@ type Header struct {
 	Seed    uint64 // shared-randomness seed for this row
 }
 
-// Trimmed reports whether the packet was trimmed by a switch.
+// Trimmed reports whether the packet's Trimmed flag is set. A switch that
+// cuts a view of the sender's bytes writes no flag; IsCut tells either.
 func (h *Header) Trimmed() bool { return h.Flags&FlagTrimmed != 0 }
+
+// IsCut reports whether an n-byte packet with header h was trimmed: its
+// Trimmed flag is set, or it is a data or aggregate packet shorter than
+// FullSize. A cut prefix is told by its length alone, marked or not.
+func (h *Header) IsCut(n int) bool {
+	return h.Trimmed() || !h.IsMeta() && n < h.FullSize()
+}
 
 // IsMeta reports whether this is a metadata packet.
 func (h *Header) IsMeta() bool { return h.Flags&FlagMeta != 0 }

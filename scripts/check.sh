@@ -15,7 +15,9 @@
 #                             merges, admission on the packet's own CRCs,
 #                             no copy per hop, SendRun equal to its Sends,
 #                             pool misuse and foreign records, delivered
-#                             trims equal to eager ones, plain and sharded)
+#                             trim views equal to eager trims and kept
+#                             views to their sender's prefix, plain and
+#                             sharded)
 #   scripts/check.sh -bench   perf smoke only: the BenchmarkHot* suite,
 #                             the BenchmarkFabric* fast-path suite (wheel,
 #                             pooled and borrowed-payload hops, and the k=4
@@ -248,8 +250,8 @@ if [[ $mode == chaos ]]; then
   pkgs=(./internal/netsim ./internal/transport ./internal/collective ./internal/exp ./internal/scenario)
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" "${pkgs[@]}"
-  step "go test -race (payload and record ownership: immutable after Send, admission on the packet's own CRCs, no per-hop copy, records only from their Sim's pool, trims decided from the record's stamp and copied at the reader)"
-  pattern='Borrowed|NeverWritesSender|AdmissionMatches|SendRun|PooledRecord|ForeignRecord|EagerTrim|StampedTrimLen|MergedRecord'
+  step "go test -race (payload and record ownership: immutable after Send, admission on the packet's own CRCs, no per-hop copy, records only from their Sim's pool, trims decided from the record's stamp and read as views, kept views equal to the sender's prefix)"
+  pattern='Borrowed|NeverWritesSender|KeptTrimViews|AdmissionMatches|SendRun|PooledRecord|ForeignRecord|EagerTrim|StampedTrimLen|MergedRecord'
   pkgs=(./internal/netsim ./internal/transport)
   selects Test "$pattern" "${pkgs[@]}"
   go test -race -run "$pattern" -count=1 "${pkgs[@]}"
