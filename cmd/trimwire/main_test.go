@@ -114,7 +114,8 @@ func TestInspectAggregate(t *testing.T) {
 }
 
 // TestTrimFileRoundTrip drives -out and -in: the trimmed demo packet is
-// written, read back, and still verifies.
+// written, read back, and still verifies. A trim writes no header byte, so
+// the flags byte reads 0 and the cut is told by its length.
 func TestTrimFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trimmed.bin")
 	var stdout, stderr bytes.Buffer
@@ -134,7 +135,7 @@ func TestTrimFileRoundTrip(t *testing.T) {
 	}
 	out := stdout.String()
 	if !strings.Contains(out, "flags     trimmed=true") || !strings.Contains(out, "(trimmed)") ||
-		!strings.Contains(out, "000000  54 47 01 01") {
+		!strings.Contains(out, "000000  54 47 01 00") {
 		t.Errorf("inspection of the written packet:\n%s", out)
 	}
 }

@@ -431,8 +431,8 @@ func (d *Decoder) Stats() Stats {
 // decoder for msg.ID from opts, hands it every metadata packet intact and
 // every data packet through inj — nil passes everything, and a nil result
 // from inj is a drop — and decodes the first n coordinates on the pool
-// (DecodeParallel(n, 0)). inj may trim msg.Data in place, as wire.Trim
-// does, so msg cannot be used again.
+// (DecodeParallel(n, 0)). An Injector writes no packet, so msg is left as
+// encoded and may be received again.
 func Receive(msg *Message, inj Injector, n int, opts ...Option) ([]float32, Stats, error) {
 	dec, err := NewDecoderWith(msg.ID, opts...)
 	if err != nil {

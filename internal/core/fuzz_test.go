@@ -275,7 +275,7 @@ func mutate(pkt []byte, field byte, v uint16) []byte {
 		if err != nil {
 			return pkt
 		}
-		if h.Trimmed() {
+		if h.IsCut(len(pkt)) {
 			out = wire.Trim(out, len(pkt))
 		}
 	}

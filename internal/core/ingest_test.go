@@ -105,7 +105,7 @@ func (d *refDecoder) addData(asm *wire.RowAssembler, pkt []byte) error {
 	d.stats.Packets++
 	d.stats.BytesReceived += len(pkt)
 	d.obs.packetBytes.Observe(int64(len(pkt)))
-	if dp.Trimmed() {
+	if dp.IsCut(len(pkt)) {
 		d.stats.TrimmedPackets++
 	}
 	return nil
@@ -721,7 +721,7 @@ func serialSum(t *testing.T, cfg Config, nFlows, n int, pkts [][]byte) ([]float3
 		}
 		st.Packets++
 		st.BytesReceived += len(pkt)
-		if dp.Trimmed() {
+		if dp.IsCut(len(pkt)) {
 			st.TrimmedPackets++
 		}
 		heads, tails = heads+len(vals), tails+dp.TailCount
@@ -757,7 +757,7 @@ func serialSum(t *testing.T, cfg Config, nFlows, n int, pkts [][]byte) ([]float3
 			}
 			st.Packets += int(ap.Flow)
 			st.BytesReceived += len(pkt)
-			if ap.Trimmed() {
+			if ap.IsCut(len(pkt)) {
 				st.TrimmedPackets += int(ap.Flow)
 			}
 			heads, tails = heads+int(ap.Flow)*len(ap.Sums), tails+int(ap.Flow)*ap.TailCount

@@ -10,8 +10,9 @@ import (
 // dropping/trimming" used to simulate congestion in the prototype (§4).
 // Metadata packets travel the reliable channel and bypass injectors.
 //
-// Apply returns the (possibly trimmed) packet, or nil if the packet was
-// dropped. Implementations may mutate pkt in place, as wire.Trim does.
+// Apply returns the packet, a prefix of it (a trim, as wire.Trim cuts), or
+// nil if the packet was dropped. It must not write pkt: the sender still
+// holds the bytes, and a decoder may hold them until it replays.
 type Injector interface {
 	Apply(pkt []byte) []byte
 }

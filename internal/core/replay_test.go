@@ -182,13 +182,15 @@ func TestDecoderArrivalOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestTrimInPlaceAfterHandle: a decoder references the packets it is handed,
-// and replays them by what it recorded at admission — so a sender (or a
-// switch model) that trims its buffer in place after Handle saw the untrimmed
-// view, rewriting the header's flag and tail CRC, changes neither the decode
-// nor the Stats. The row's first packet is handed in before the metadata, so
-// the parked-early path is covered too.
-func TestTrimInPlaceAfterHandle(t *testing.T) {
+// TestTailCRCWriteAfterHandle: a decoder references the packets it is
+// handed and replays them by what it recorded at admission, checking no CRC
+// again — so a write to the tail-CRC field of a handed buffer after Handle,
+// which leaves the packet failing its own check, changes neither the decode
+// nor the Stats. Nothing writes a packet after its builder returns; this
+// pins that replay would not see it if something did. The row's first
+// packet is handed in before the metadata, so the parked-early path is
+// covered too.
+func TestTailCRCWriteAfterHandle(t *testing.T) {
 	for _, scheme := range []quant.Scheme{quant.RHT, quant.SD} {
 		cfg := Config{Params: quant.Params{Scheme: scheme}, RowSize: 1 << 10}
 		enc, err := NewEncoderWith(WithConfig(cfg))
@@ -227,11 +229,13 @@ func TestTrimInPlaceAfterHandle(t *testing.T) {
 				if err := gotSum.Handle(mine); err != nil {
 					t.Fatal(err)
 				}
-				// The sender's copy is cut down to its heads, in place, while
-				// the decoders hold the untrimmed view of the same bytes.
-				wire.Trim(mine, 0)
-				if h, err := wire.ParseHeader(mine); err != nil || h.Trimmed() == h.IsMeta() {
-					t.Fatalf("in-place trim left the shared header %+v (%v)", h, err)
+				// Bytes 36–40 are the tail CRC; flipping them fails a whole
+				// packet's check while the decoders hold the same bytes.
+				for i := 36; i < 40; i++ {
+					mine[i] ^= 0xff
+				}
+				if wire.ValidateUntrimmed(mine) == nil {
+					t.Fatalf("a flipped tail CRC still validates: % x", mine[:wire.HeaderSize])
 				}
 			}
 			label := fmt.Sprintf("%v workers=%d", scheme, workers)

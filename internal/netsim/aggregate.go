@@ -153,7 +153,7 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet) bool {
 	qpkt.stamp()
 	qpkt.Size += delta
 	qpkt.Control = ctl
-	qpkt.Trimmed = mh.Trimmed()
+	qpkt.Trimmed = mh.IsCut(len(merged))
 	p.bytes[prio] += delta
 	p.Stats.Aggregated++
 

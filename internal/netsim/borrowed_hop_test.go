@@ -79,7 +79,7 @@ func TestBorrowedHopAllocations(t *testing.T) {
 			QueueConfig{CapacityBytes: 3000, HighCapacityBytes: 1 << 20, Mode: TrimOverflow, TrimTarget: target})
 		payload := gradPayload(t, 512)
 		orig := append([]byte(nil), payload...)
-		keep := wire.TrimLen(payload, target-wire.NetOverhead)
+		keep := len(wire.Trim(payload, target-wire.NetOverhead))
 		trimmed := 0
 		star.Hosts[2].Handler = func(p *Packet) {
 			if !p.Trimmed {
@@ -87,7 +87,7 @@ func TestBorrowedHopAllocations(t *testing.T) {
 			}
 			trimmed++
 			if len(p.Payload) != keep || cap(p.Payload) != keep || &p.Payload[0] != &payload[0] {
-				t.Errorf("trimmed payload len %d cap %d, a view of the sent buffer: %v; want a view of its first %d bytes (TrimLen)",
+				t.Errorf("trimmed payload len %d cap %d, a view of the sent buffer: %v; want a view of its first %d bytes (wire.Trim)",
 					len(p.Payload), cap(p.Payload), &p.Payload[0] == &payload[0], keep)
 			}
 		}

@@ -140,11 +140,13 @@ func (f *FaultInjector) dropBurst() bool {
 	return f.bad && f.cfg.LossBad > 0 && f.rng.Float64() < f.cfg.LossBad
 }
 
-// corrupt returns a clone of pkt with CorruptBits payload bits flipped.
-// Cloning matters: the original Payload slice is shared with the sender's
-// retransmit buffer, and corrupting it in place would poison every retry.
+// corrupt returns a clone of pkt with CorruptBits payload bits flipped in
+// a copy of its payload, the one copy a fault makes: the original Payload
+// is shared with the sender's retransmit buffer (and any duplicate), and
+// corrupting it in place would poison every retry.
 func (f *FaultInjector) corrupt(pkt *Packet) *Packet {
 	c := f.sim.clonePacket(pkt)
+	c.Payload = append([]byte(nil), pkt.Payload...)
 	bits := f.cfg.CorruptBits
 	if bits <= 0 {
 		bits = 1

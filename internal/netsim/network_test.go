@@ -208,7 +208,7 @@ func TestTrimThatDropsCopiesNothing(t *testing.T) {
 	pkt := buildGradPacket(t, sim, 1, 300)
 	tmpl, sent := *pkt, bytes.Clone(pkt.Payload)
 	port.Enqueue(pkt)
-	want := PortStats{Trimmed: 1, Dropped: 1, DroppedBytes: wire.TrimLen(sent, 0) + wire.NetOverhead}
+	want := PortStats{Trimmed: 1, Dropped: 1, DroppedBytes: len(wire.Trim(sent, 0)) + wire.NetOverhead}
 	if port.Stats != want {
 		t.Fatalf("stats %+v, want %+v", port.Stats, want)
 	}

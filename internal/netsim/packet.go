@@ -31,8 +31,8 @@ type Packet struct {
 	// are immutable once the packet is handed to Host.Send (which states
 	// the contract): the fabric shares them read-only with the sender. A
 	// trim keeps a view of the prefix (cut), and the receiving host's
-	// Handler reads that view: unmarked, a trim told by its length
-	// (wire.Header.IsCut). Only a fault's clone copies the bytes.
+	// Handler reads that view: a trim writes nothing and is told by its
+	// length (wire.Header.IsCut). Only a corruption fault copies the bytes.
 	Payload []byte
 	// FlowID tags the packet for flow-level statistics.
 	FlowID uint64
@@ -68,20 +68,17 @@ type Packet struct {
 	next *Packet
 }
 
-// clonePacket returns a copy of p, with its own Payload buffer, from s's
-// pool. On fault-injected paths
+// clonePacket returns a copy of the record p from s's pool, sharing its
+// Payload: payload bytes are immutable after Host.Send (DESIGN.md §16), so
+// a fault's duplicate reads the sender's. On fault-injected paths
 // (duplication, corruption) the copy outlives the original, so it is a
 // record of its own: recycled at its own terminal point, and counted by
-// Network.Audit. It keeps p's stamp, true of its bytes until a fault
-// writes them (FaultInjector.corrupt stamps again).
+// Network.Audit. It keeps p's stamp, true of the shared bytes.
 func (s *Sim) clonePacket(p *Packet) *Packet {
 	c := s.NewPacket()
 	home := c.home
 	*c = *p
 	c.home, c.next, c.run = home, nil, false
-	if p.Payload != nil {
-		c.Payload = append([]byte(nil), p.Payload...)
-	}
 	return c
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -33,19 +34,26 @@ func gradPayload(t *testing.T, n int) []byte {
 	return data[0]
 }
 
+// TestPacketClone: a fault's duplicate is a record of its own that shares
+// the sender's payload bytes; a corruption is the one copy, and it never
+// writes the original.
 func TestPacketClone(t *testing.T) {
 	sim := NewSim()
 	p := record(sim, Packet{Dst: 3, Size: 100, Payload: []byte{1, 2, 3}, FlowID: 7})
 	q := sim.clonePacket(p)
-	q.Payload[0] = 9
-	if p.Payload[0] != 1 {
-		t.Fatal("clone aliases payload")
+	if &q.Payload[0] != &p.Payload[0] || len(q.Payload) != 3 || cap(q.Payload) != cap(p.Payload) {
+		t.Fatal("a duplicate is not a view of the sender's bytes")
 	}
 	if q.Dst != 3 || q.Size != 100 || q.FlowID != 7 {
 		t.Fatal("clone lost fields")
 	}
 	if q.home != sim || sim.PacketsMade() != 2 {
 		t.Fatal("clone is not a record of the simulator's pool")
+	}
+	f := newFaultInjector(sim, FaultConfig{Seed: 1, CorruptRate: 1})
+	c := f.corrupt(p)
+	if &c.Payload[0] == &p.Payload[0] || bytes.Equal(c.Payload, p.Payload) || !bytes.Equal(p.Payload, []byte{1, 2, 3}) {
+		t.Fatalf("corrupted %x from %x: want a changed copy and the original as sent", c.Payload, p.Payload)
 	}
 	// Nil payload clone.
 	r := sim.clonePacket(record(sim, Packet{Size: 5}))

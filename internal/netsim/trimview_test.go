@@ -73,7 +73,7 @@ func messagePayloads(t *testing.T, flow uint32, tailBits int, rowLens ...int) []
 
 // TestStampedTrimLenMatchesParse pins the trim decision a port makes from
 // a record's stamp to the one it would make by parsing the payload
-// (wire.TrimLen), for every buffer of the wire fuzz corpus plus metadata,
+// (wire.Trim), for every buffer of the wire fuzz corpus plus metadata,
 // foreign, trimmed, partially trimmed, aggregate and oversized packets, at
 // every target from below the header to past the packet, and for every
 // place a record is stamped: Host.Send, a run's table, a run record that
@@ -99,15 +99,15 @@ func TestStampedTrimLenMatchesParse(t *testing.T) {
 	bufs := append(corpusPayloads(t),
 		data, foreign, agg,
 		wire.BuildMetaPacket(wire.Header{Flow: 1}, 1, 10, 1.0),
-		wire.Trim(bytes.Clone(data), 0),
-		wire.Trim(bytes.Clone(data), boundary+37),
-		wire.Trim(bytes.Clone(agg), wire.HeaderSize+100),
+		wire.Trim(data, 0),
+		wire.Trim(data, boundary+37),
+		wire.Trim(agg, wire.HeaderSize+100),
 		append(bytes.Clone(data), make([]byte, 1<<16)...))
 	check := func(how string, pkt *Packet) {
 		t.Helper()
 		for target := 0; target <= len(pkt.Payload)+wire.NetOverhead+2; target++ {
-			if got, want := pkt.trimLen(target), wire.TrimLen(pkt.Payload, target-wire.NetOverhead); got != want {
-				t.Fatalf("%s % x… target %d: stamped trimLen %d, TrimLen %d", how, pkt.Payload[:min(len(pkt.Payload), 8)], target, got, want)
+			if got, want := pkt.trimLen(target), len(wire.Trim(pkt.Payload, target-wire.NetOverhead)); got != want {
+				t.Fatalf("%s % x… target %d: stamped trimLen %d, Trim keeps %d", how, pkt.Payload[:min(len(pkt.Payload), 8)], target, got, want)
 			}
 		}
 	}
@@ -141,7 +141,7 @@ func TestStampedTrimLenMatchesParse(t *testing.T) {
 		}
 		if ok {
 			trimmable++
-			if h.Trimmed() {
+			if h.IsCut(len(buf)) {
 				trimmedIn++
 			}
 			if h.IsAgg() {
@@ -200,21 +200,21 @@ type seenPacket struct {
 	payload   []byte
 }
 
-// TestTrimViewMatchesEagerTrim pins the cut view against the eager trim it
-// replaced: a trimming port cuts a shared payload to a view of its prefix,
-// and the receiving handler reads that view — the sender's own array,
-// capped at the kept length — on the plain Sim and at 2 shards (the
-// dumbbell's bottleneck is the shard boundary, so the view crosses shards).
-// Each delivered trim must pass wire.Validate and parse to the start,
-// count, tail count, heads and tails of wire.Trim's marked copy of the sent
-// bytes. Senders mix runs the geometry table stamps, a run it does not
-// cover and single Sends, each of which must be trimmed, at head-boundary
-// and multi-level targets. The chaos rows put duplicating and corrupting
-// faults downstream of the trimming port (they clone views) and on it
-// (they clone before the trim, so a corrupted clone is trimmed by its own
-// header): a delivered copy must then be the view's bytes or differ from
-// them by one flipped bit, before or after the trim. Sender buffers must
-// read as sent afterwards.
+// TestTrimViewMatchesEagerTrim pins the cut view against wire.Trim: a
+// trimming port cuts a shared payload to a view of its prefix, and the
+// receiving handler reads that view — the sender's own array, capped at the
+// kept length — on the plain Sim and at 2 shards (the dumbbell's bottleneck
+// is the shard boundary, so the view crosses shards). Each delivered trim
+// must be wire.Trim of the sent bytes and pass wire.Validate as a cut.
+// Senders mix runs the geometry table stamps, a run it does not cover and
+// single Sends, each of which must be trimmed, at head-boundary and
+// multi-level targets. The chaos rows put duplicating and corrupting faults
+// downstream of the trimming port and on it (a corrupted clone is then
+// trimmed by its own header). A duplicate shares its original's bytes, so a
+// delivered duplicate is a view of the sender's; only a corrupted packet is
+// a copy, and it must differ from the view by one flipped bit, before or
+// after the trim, or (before it) have had the flip cut away. Sender buffers
+// must read as sent afterwards: no corruption writes the original.
 func TestTrimViewMatchesEagerTrim(t *testing.T) {
 	rows := []struct {
 		name   string
@@ -305,13 +305,13 @@ func checkTrimViews(t *testing.T, target int, faults string, shards int) {
 	// trims counts trimmed deliveries by how their record was stamped: the
 	// run table (flows 0-2), the run it does not cover (3), Send (100+).
 	var trims [3]int
-	var views, copies, flipped, corrupted int
+	var views, copies, flipped, corrupted, duplicated int
 	for _, d := range append(got[0], got[1]...) {
 		s, buf := orig[d.flow][d.seq], sent[d.flow][d.seq]
 		want := s
 		if d.trimmed {
 			trims[min(d.flow/3, 2)]++
-			want = s[:wire.TrimLen(s, target-wire.NetOverhead)]
+			want = wire.Trim(s, target-wire.NetOverhead)
 		}
 		if !bytes.Equal(d.payload, want) {
 			if faults == "" || !oneFlipFrom(d.payload, want, s, d.trimmed, target) {
@@ -321,8 +321,8 @@ func checkTrimViews(t *testing.T, target int, faults string, shards int) {
 			continue
 		}
 		if d.trimmed {
-			if err := matchesMarked(d.payload, s, target); err != nil {
-				t.Fatalf("flow %d seq %d: %v", d.flow, d.seq, err)
+			if h, err := wire.ParseHeader(d.payload); err != nil || !h.IsCut(len(d.payload)) || wire.Validate(d.payload) != nil {
+				t.Fatalf("flow %d seq %d: a trimmed delivery is no valid cut (%v)", d.flow, d.seq, err)
 			}
 		}
 		switch {
@@ -330,17 +330,18 @@ func checkTrimViews(t *testing.T, target int, faults string, shards int) {
 			views++
 		case &d.payload[0] == &buf[0]:
 			t.Fatalf("flow %d seq %d: a view of %d bytes with capacity %d reaches past the cut", d.flow, d.seq, len(d.payload), cap(d.payload))
-		case faults == "":
+		case faults != "before":
 			t.Fatalf("flow %d seq %d: the receiver read a copy of the sender's bytes", d.flow, d.seq)
 		default:
-			copies++ // a fault's duplicate
+			copies++ // a corrupted clone whose flipped bit the trim cut away
 		}
 	}
 	for _, f := range injectors {
 		corrupted += f.Stats.Corrupted
+		duplicated += f.Stats.Duplicated
 	}
-	if flipped > corrupted || faults != "" && (corrupted == 0 || copies == 0) || views == 0 {
-		t.Fatalf("%d deliveries differ by a flipped bit, %d packets corrupted, %d views, %d duplicates delivered", flipped, corrupted, views, copies)
+	if flipped+copies > corrupted || faults != "" && (corrupted == 0 || duplicated == 0) || views == 0 {
+		t.Fatalf("%d deliveries differ by a flipped bit and %d are unflipped copies, of %d packets corrupted; %d views, %d duplicated", flipped, copies, corrupted, views, duplicated)
 	}
 	if trims[0] == 0 || trims[1] == 0 || trims[2] == 0 {
 		t.Fatalf("trimmed deliveries stamped by the run table, a record's build and Send: %v; want each > 0", trims)
@@ -352,34 +353,6 @@ func checkTrimViews(t *testing.T, target int, faults string, shards int) {
 			}
 		}
 	}
-}
-
-// matchesMarked checks a delivered cut view against wire.Trim's marked copy
-// of the sent bytes: both pass wire.Validate, both are cuts by the length
-// predicate, and both parse to the same start, count and tail count, and
-// unpack to the same heads and tails — all a decode reads of a packet.
-func matchesMarked(view, sent []byte, target int) error {
-	marked := wire.Trim(bytes.Clone(sent), target-wire.NetOverhead)
-	if err := wire.Validate(view); err != nil {
-		return fmt.Errorf("the view fails Validate: %v", err)
-	}
-	a, err := wire.ParseDataPacket(view)
-	if err != nil {
-		return err
-	}
-	b, err := wire.ParseDataPacket(marked)
-	if err != nil {
-		return err
-	}
-	if !a.IsCut(len(view)) || !b.IsCut(len(marked)) || len(view) != len(marked) {
-		return fmt.Errorf("view of %d bytes cut %v, marked copy of %d cut %v", len(view), a.IsCut(len(view)), len(marked), b.IsCut(len(marked)))
-	}
-	if a.Start != b.Start || a.Count != b.Count || a.TailCount != b.TailCount ||
-		!slices.Equal(a.Heads, b.Heads) || !slices.Equal(a.Tails[:a.TailCount], b.Tails[:b.TailCount]) {
-		return fmt.Errorf("the view parses to start %d count %d tails %d, the marked copy to %d %d %d, or their values differ",
-			a.Start, a.Count, a.TailCount, b.Start, b.Count, b.TailCount)
-	}
-	return nil
 }
 
 // oneFlipFrom reports whether got is want with one bit flipped (corrupted
@@ -402,7 +375,7 @@ func oneFlipFrom(got, want, sent []byte, trimmed bool, target int) bool {
 	for pos := range len(sent) * 8 {
 		c := bytes.Clone(sent)
 		c[pos/8] ^= 1 << (pos % 8)
-		if bytes.Equal(c[:wire.TrimLen(c, target-wire.NetOverhead)], got) {
+		if bytes.Equal(wire.Trim(c, target-wire.NetOverhead), got) {
 			return true
 		}
 	}
@@ -452,7 +425,7 @@ func TestTrimmedHeadDroppedDownstreamAllocatesNothing(t *testing.T) {
 	if trims < 50 || drops != trims || delivered == 0 {
 		t.Fatalf("one flood trimmed %d, dropped %d downstream, delivered %d: the scenario must trim and drop every head", trims, drops, delivered)
 	}
-	keep := wire.TrimLen(payloads[0][0], -wire.NetOverhead)
+	keep := len(wire.Trim(payloads[0][0], -wire.NetOverhead))
 	grew, copies := m1.TotalAlloc-m0.TotalAlloc, uint64(trims*keep)
 	t.Logf("a flood trimmed %d heads and allocated %d bytes", trims, grew)
 	if grew > copies/8 {
@@ -462,8 +435,8 @@ func TestTrimmedHeadDroppedDownstreamAllocatesNothing(t *testing.T) {
 
 // TestMergedRecordRestamps: an aggregating port that folds a cut view
 // — arriving, or queued in the high queue, which is scanned first — into a
-// stamped packet builds the aggregate an eager trim's marked copy would
-// have given, without copying the view. The merged record holds a buffer
+// stamped packet builds the aggregate a merge of wire.Trim's prefix gives,
+// without copying the view. The merged record holds a buffer
 // of its own, a view of neither operand, and carries the aggregate's own
 // geometry, so a later trim decides as its header says; its receiver reads
 // that buffer uncopied.
@@ -495,7 +468,7 @@ func checkMergedRecord(t *testing.T, viewQueued bool) {
 	if viewQueued {
 		view = queued
 	}
-	eager := wire.Trim(bytes.Clone(view.Payload), -wire.NetOverhead)
+	eager := wire.Trim(view.Payload, -wire.NetOverhead)
 	view.cut(view.trimLen(0))
 	port.Enqueue(queued)
 	a, b := queued.Payload, arriving.Payload
@@ -519,7 +492,7 @@ func checkMergedRecord(t *testing.T, viewQueued bool) {
 			aliases, queued.trimHead, queued.trimQ, head, q)
 	}
 	for target := 0; target <= len(queued.Payload)+wire.NetOverhead; target += 7 {
-		if got, want := queued.trimLen(target), wire.TrimLen(queued.Payload, target-wire.NetOverhead); got != want {
+		if got, want := queued.trimLen(target), len(wire.Trim(queued.Payload, target-wire.NetOverhead)); got != want {
 			t.Fatalf("target %d: merged record trims to %d, its header says %d", target, got, want)
 		}
 	}

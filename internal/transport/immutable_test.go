@@ -136,7 +136,7 @@ func plainAndSharded(t *testing.T, f func(t *testing.T, shards int)) {
 // TestTrimNeverWritesSenderPayload pins the fix for the sender-buffer
 // corruption: a packet trimmed at one hop, dropped at the next and NACKed
 // used to be re-sent from a buffer the in-place trim had already rewritten
-// (FlagTrimmed set, tail CRC zeroed). An incast through shallow trimming
+// (a flag set, tail CRC zeroed). An incast through shallow trimming
 // queues with a header queue small enough to drop trimmed headers drives
 // exactly that sequence; every byte of every sender buffer must read the
 // same before and after, on the plain simulator and on a sharded one.

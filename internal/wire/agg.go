@@ -64,10 +64,11 @@ type AggPacket struct {
 
 // BuildAggPacket serializes an aggregate packet. h supplies the shared
 // key fields (Message, Row, Start, Count, Seed) and Flow = input count;
-// flags and geometry are normalized here: P = Q = 32, FlagAgg set, and
-// FlagTrimmed set with a zeroed tail CRC exactly when len(tailSums) <
-// len(sums) — so building from already-trimmed inputs yields the same
-// bytes as trimming a full aggregate to the same survivor prefix.
+// flags and geometry are normalized here: P = Q = 32 and FlagAgg set. The
+// tail CRC is the checksum of the tails given, so building from
+// already-trimmed inputs yields the bytes of trimming a full aggregate to
+// the same survivor prefix in every field but that one, which no reader
+// checks on a cut tail region.
 func BuildAggPacket(h Header, sums, tailSums []float32) ([]byte, error) {
 	if int(h.Count) != len(sums) {
 		return nil, fmt.Errorf("wire: count %d != sums %d", h.Count, len(sums))
@@ -78,13 +79,8 @@ func BuildAggPacket(h Header, sums, tailSums []float32) ([]byte, error) {
 	if h.Flow == 0 {
 		return nil, fmt.Errorf("wire: aggregate input count (Flow) must be positive")
 	}
-	h.Flags &^= FlagMeta | FlagTrimmed
-	h.Flags |= FlagAgg
+	h.Flags = h.Flags&^FlagMeta | FlagAgg
 	h.P, h.Q = 32, 32
-	trimmed := len(tailSums) < len(sums)
-	if trimmed {
-		h.Flags |= FlagTrimmed
-	}
 
 	buf := make([]byte, HeaderSize+4*len(sums)+4*len(tailSums))
 	h.marshal(buf)
@@ -99,11 +95,7 @@ func BuildAggPacket(h Header, sums, tailSums []float32) ([]byte, error) {
 		off += 4
 	}
 	binary.BigEndian.PutUint32(buf[offHeadCRC:], headerChecksum(buf, buf[HeaderSize:headEnd]))
-	if trimmed {
-		binary.BigEndian.PutUint32(buf[offTailCRC:], 0)
-	} else {
-		binary.BigEndian.PutUint32(buf[offTailCRC:], checksum(buf[headEnd:]))
-	}
+	binary.BigEndian.PutUint32(buf[offTailCRC:], checksum(buf[headEnd:]))
 	return buf, nil
 }
 

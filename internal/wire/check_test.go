@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -152,29 +153,68 @@ func checkTails(buf []byte) (int, error) {
 	return checkData(buf, &h)
 }
 
-// TestCutViewMatchesMarked: a fabric that cuts a packet to a view of its
-// prefix writes neither the Trimmed flag nor the zero tail CRC, so the
-// unmarked prefix must read as its marked form (MarkTrimmed, what Trim
-// returns) reads. For a packet of every scheme, at every head and tail
-// width the schemes use, and for an aggregate, at every length a cut can
-// leave — each prefix from the bare header to one byte short of the whole
-// packet — the two agree on Validate's verdict and error class, on the tail
-// count and on IsCut (true for both), and ValidateUntrimmed rejects both.
-// Every single-bit flip of the two is then rejected alike.
-func TestCutViewMatchesMarked(t *testing.T) {
-	row := gaussianRow(17, 32)
-	type packet struct {
-		name string
-		full []byte
+// checkField fails t unless the field called name reads want.
+func checkField[T comparable](t *testing.T, name string, got, want T) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s = %v, want %v", name, got, want)
 	}
-	var pkts []packet
-	for _, p := range []quant.Params{
-		{Scheme: quant.Sign}, {Scheme: quant.Sign, TailBits: 7},
-		{Scheme: quant.SQ}, {Scheme: quant.SD}, {Scheme: quant.RHT},
-		{Scheme: quant.Linear, P: 6}, {Scheme: quant.RHTLinear, P: 3},
-		{Scheme: quant.Eden, P: 2},
-	} {
-		c := quant.MustNew(p)
+}
+
+// cutGoldens are cut data packets as a trimming switch forwards them: the
+// first bytes of what PackRow(1, 2, 3, …) builds from gaussianRow(17, 8)
+// encoded with seed 5, cut by Trim to their three first whole tails. The
+// header is the sender's, tail CRC included.
+var cutGoldens = []struct {
+	params       quant.Params
+	hex          string
+	p, q         uint8
+	heads, tails []uint32
+}{
+	{quant.Params{Scheme: quant.Sign},
+		"54470100000000010000000200000003000000000008011f00000000000000057fb9589abecfd9d2037ab68366f610c7b1e05c173b",
+		1, 31, []uint32{0, 0, 0, 0, 0, 0, 1, 1}, []uint32{0x3d5b41b3, 0x3d8431ec, 0x3c0b82e7}},
+	{quant.Params{Scheme: quant.SQ},
+		"54470100000000010000000200000003000000000008011f00000000000000054f5a112bcf49b960333d5b41b27b0863d8f02e0b99",
+		1, 31, []uint32{0, 0, 1, 1, 0, 0, 1, 1}, []uint32{0x1eada0d9, 0x1ec218f6, 0x1e05c173}},
+	{quant.Params{Scheme: quant.SD},
+		"54470100000000010000000200000003000000000008011f00000000000000058dd2db99cf49b960023d5b41b27b0863d8f02e0b99",
+		1, 31, []uint32{0, 0, 0, 0, 0, 0, 1, 0}, []uint32{0x1eada0d9, 0x1ec218f6, 0x1e05c173}},
+	{quant.Params{Scheme: quant.RHT},
+		"54470100000000010000000200000003000000000008011f0000000000000005eb0dcdbb744a15ccb57a730feef4ec2b29ccc2deab",
+		1, 31, []uint32{1, 0, 1, 1, 0, 1, 0, 1}, []uint32{0x3d3987f7, 0x3d3b0aca, 0x39985bd5}},
+	{quant.Params{Scheme: quant.Linear, P: 6},
+		"54470100000000010000000200000003000000000008061a0000000000000005e708995dee89633cb708a59b968d3d5b418f610c73c0b82c",
+		6, 26, []uint32{0x2d, 0x30, 0x22, 0x25, 0x26, 0x39, 0x1a, 0x0d}, []uint32{0xf56d06, 0xf610c7, 0xf02e0b}},
+	{quant.Params{Scheme: quant.RHTLinear, P: 3},
+		"54470100000000010000000200000003000000000008031d0000000000000005dc10f5f421c2fa4071ba61bd3987f1e9d8566e6616f5",
+		3, 29, []uint32{3, 4, 3, 3, 5, 1, 4, 1}, []uint32{0x17a730fe, 0x07a76159, 0x17330b7a}},
+	{quant.Params{Scheme: quant.Eden, P: 2},
+		"54470100000000010000000200000003000000000008021e0000000000000005396daec406e1cb1d8a33bd3987f4f4ec2b2b9985bd6f",
+		2, 30, []uint32{2, 0, 2, 2, 0, 3, 0, 3}, []uint32{0x2f4e61fd, 0x0f4ec2b2, 0x2e6616f5}},
+}
+
+// aggCutGolden is the aggregate BuildAggPacket makes of two inputs (Flow
+// 3 counts them; Message 2, Row 3, Start 0, Seed 5) with sums {1, -2, 3.5,
+// 0.25, 8, -0.125, 6, 7} and full-precision sums {1.5, -2.25, 3, 0.5, 8.5,
+// -1, 6.25, 7.75}, cut by Trim to three full-precision sums.
+const aggCutGolden = "5447010800000003000000020000000300000000000820200000000000000005c1775d00015c0b533f800000c0000000406000003e80000041000000be00000040c0000040e000003fc00000c010000040400000"
+
+// TestCutPacketGolden pins the cut wire format the way a captured packet
+// pins a protocol: each golden is read through ParseHeader, Validate and
+// the kind's check and unpack, with every field checked by name, and must
+// be what today's builders and Trim produce, so a change to the format or
+// an encoder shows here. A cut reads as cut (IsCut) and ValidateUntrimmed
+// rejects it.
+func TestCutPacketGolden(t *testing.T) {
+	row := gaussianRow(17, 8)
+	for _, g := range cutGoldens {
+		c := quant.MustNew(g.params)
+		name := c.Name()
+		buf, err := hex.DecodeString(g.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
 		enc, err := c.Encode(row, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -183,57 +223,147 @@ func TestCutViewMatchesMarked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, _ := ParseHeader(data[0])
-		pkts = append(pkts, packet{fmt.Sprintf("%s P=%d Q=%d", c.Name(), h.P, h.Q), data[0]})
+		if built := Trim(data[0], len(buf)); !bytes.Equal(built, buf) {
+			t.Errorf("%s: PackRow cut by Trim reads %x, want the golden", name, built)
+		}
+		h, err := ParseHeader(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkField(t, name+" Flags", h.Flags, 0)
+		checkField(t, name+" Flow", h.Flow, 1)
+		checkField(t, name+" Message", h.Message, 2)
+		checkField(t, name+" Row", h.Row, 3)
+		checkField(t, name+" Start", h.Start, 0)
+		checkField(t, name+" Count", h.Count, 8)
+		checkField(t, name+" P", h.P, g.p)
+		checkField(t, name+" Q", h.Q, g.q)
+		checkField(t, name+" Seed", h.Seed, 5)
+		checkField(t, name+" IsCut", h.IsCut(len(buf)), true)
+		checkField(t, name+" Validate", Validate(buf), nil)
+		if ValidateUntrimmed(buf) == nil {
+			t.Errorf("%s: ValidateUntrimmed accepts a cut packet", name)
+		}
+		_, tailCount, err := CheckDataPacket(buf)
+		checkField(t, name+" CheckDataPacket", err, nil)
+		checkField(t, name+" tailCount", tailCount, len(g.tails))
+		heads, tails := make([]uint32, h.Count), make([]uint32, h.Count)
+		UnpackData(buf, int(h.P), int(h.Q), int(h.Count), tailCount, heads, tails)
+		for i, want := range g.heads {
+			checkField(t, fmt.Sprintf("%s heads[%d]", name, i), heads[i], want)
+		}
+		for i, want := range g.tails {
+			checkField(t, fmt.Sprintf("%s tails[%d]", name, i), tails[i], want)
+		}
+	}
+
+	buf, err := hex.DecodeString(aggCutGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := []float32{1, -2, 3.5, 0.25, 8, -0.125, 6, 7}
+	full, err := BuildAggPacket(Header{Flow: 3, Message: 2, Row: 3, Seed: 5, Count: 8}, sums,
+		[]float32{1.5, -2.25, 3, 0.5, 8.5, -1, 6.25, 7.75})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built := Trim(full, len(buf)); !bytes.Equal(built, buf) {
+		t.Errorf("aggregate: BuildAggPacket cut by Trim reads %x, want the golden", built)
+	}
+	h, err := ParseHeader(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkField(t, "agg Flags", h.Flags, FlagAgg)
+	checkField(t, "agg Flow", h.Flow, 3)
+	checkField(t, "agg Message", h.Message, 2)
+	checkField(t, "agg Row", h.Row, 3)
+	checkField(t, "agg Start", h.Start, 0)
+	checkField(t, "agg Count", h.Count, 8)
+	checkField(t, "agg P", h.P, 32)
+	checkField(t, "agg Q", h.Q, 32)
+	checkField(t, "agg Seed", h.Seed, 5)
+	checkField(t, "agg IsCut", h.IsCut(len(buf)), true)
+	checkField(t, "agg Validate", Validate(buf), nil)
+	if ValidateUntrimmed(buf) == nil {
+		t.Error("aggregate: ValidateUntrimmed accepts a cut packet")
+	}
+	_, tailCount, err := CheckAggPacket(buf)
+	checkField(t, "agg CheckAggPacket", err, nil)
+	checkField(t, "agg tailCount", tailCount, 3)
+	vals := make([]float32, h.Count)
+	UnpackAgg(vals, buf, tailCount)
+	for i, want := range []float32{1.5, -2.25, 3, 0.25, 8, -0.125, 6, 7} {
+		checkField(t, fmt.Sprintf("agg vals[%d]", i), vals[i], want)
+	}
+}
+
+// TestCutViewUnprotectedBytes: at every length a cut can leave — each
+// prefix from the bare header to one byte short of the whole packet — a
+// packet of every scheme and an aggregate reads as cut, ValidateUntrimmed
+// rejects it, and its tail count is the whole tails that fit. Where the
+// prefix validates, a single-bit flip is rejected everywhere but in the two
+// places no CRC covers on a cut: the tail-CRC field and the surviving tail
+// bytes.
+func TestCutViewUnprotectedBytes(t *testing.T) {
+	row := gaussianRow(17, 8)
+	var pkts [][]byte
+	for _, g := range cutGoldens {
+		enc, err := quant.MustNew(g.params).Encode(row, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, data, err := PackRow(1, 2, 3, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, data[0])
 	}
 	sums := randSums(3, 8)
 	agg, err := BuildAggPacket(aggTestHeader(8, 2), sums, sums)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts = append(pkts, packet{"aggregate", agg})
-	for _, pkt := range pkts {
-		name, full := pkt.name, pkt.full
+	pkts = append(pkts, agg)
+	for _, full := range pkts {
 		h, err := ParseHeader(full)
 		if err != nil || len(full) != h.FullSize() || h.IsCut(len(full)) {
-			t.Fatalf("%s: the whole packet (%d of %d bytes, %v) reads as cut", name, len(full), h.FullSize(), err)
+			t.Fatalf("% x: the whole packet reads as cut (%v)", full[:HeaderSize], err)
 		}
-		valid, flips, rejected := 0, 0, 0
+		boundary := HeaderSize + h.HeadBytes()
+		valid := 0
 		for n := HeaderSize; n < len(full); n++ {
 			view := full[:n:n]
-			marked := bytes.Clone(view)
-			MarkTrimmed(marked)
-			tv, errV := checkTails(view)
-			tm, errM := checkTails(marked)
-			if errClass(Validate(view)) != errClass(errV) || errClass(errV) != errClass(errM) || tv != tm {
-				t.Fatalf("%s cut to %d: view (%d tails, %v), marked (%d tails, %v)", name, n, tv, errV, tm, errM)
+			tc, err := checkTails(view)
+			if !h.IsCut(n) || ValidateUntrimmed(view) == nil {
+				t.Fatalf("P=%d Q=%d cut to %d: IsCut %v, or ValidateUntrimmed accepts it", h.P, h.Q, n, h.IsCut(n))
 			}
-			hv, _ := ParseHeader(view)
-			hm, _ := ParseHeader(marked)
-			if !hv.IsCut(n) || !hm.IsCut(n) || ValidateUntrimmed(view) == nil || ValidateUntrimmed(marked) == nil {
-				t.Fatalf("%s cut to %d: IsCut %v/%v, ValidateUntrimmed accepts the view or the marked form", name, n, hv.IsCut(n), hm.IsCut(n))
+			if errClass(Validate(view)) != errClass(err) {
+				t.Fatalf("P=%d Q=%d cut to %d: Validate %v, check %v", h.P, h.Q, n, Validate(view), err)
 			}
-			if errV != nil {
+			if n < boundary {
+				if err == nil {
+					t.Fatalf("P=%d Q=%d cut to %d inside the heads: accepted", h.P, h.Q, n)
+				}
 				continue
+			}
+			if want := min((n-boundary)*8/int(h.Q), int(h.Count)); err != nil || tc != want {
+				t.Fatalf("P=%d Q=%d cut to %d: %d tails (%v), want %d", h.P, h.Q, n, tc, err, want)
 			}
 			valid++
 			for bit := range 8 * n {
-				fv, fm := bytes.Clone(view), bytes.Clone(marked)
-				fv[bit/8] ^= 1 << (bit % 8)
-				fm[bit/8] ^= 1 << (bit % 8)
-				cv, cm := errClass(Validate(fv)), errClass(Validate(fm))
-				if cv != cm {
-					t.Fatalf("%s cut to %d, bit %d flipped: view %v, marked %v", name, n, bit, cv, cm)
+				flipped := bytes.Clone(view)
+				flipped[bit/8] ^= 1 << (bit % 8)
+				at := bit / 8
+				unprotected := at >= offTailCRC && at < HeaderSize || at >= boundary
+				if accepted := Validate(flipped) == nil; accepted != unprotected {
+					t.Fatalf("P=%d Q=%d cut to %d, byte %d bit %d flipped: accepted %v, want %v",
+						h.P, h.Q, n, at, bit%8, accepted, unprotected)
 				}
-				if cv != nil {
-					rejected++
-				}
-				flips++
 			}
 		}
-		if valid == 0 || rejected == 0 {
-			t.Fatalf("%s: %d cut lengths pass Validate, %d flips rejected; want both > 0", name, valid, rejected)
+		if valid == 0 {
+			t.Fatalf("P=%d Q=%d: no cut length validates", h.P, h.Q)
 		}
-		t.Logf("%s: %d cut lengths valid, %d of %d flips rejected", name, valid, rejected, flips)
 	}
 }

@@ -24,8 +24,8 @@ type DataPacket struct {
 }
 
 // BuildDataPacket serializes one data packet carrying heads[i] and tails[i]
-// (low h.P / h.Q bits respectively) for i in [0, h.Count). The Trimmed flag
-// is cleared; both CRCs are computed. The result length is h.FullSize().
+// (low h.P / h.Q bits respectively) for i in [0, h.Count). FlagMeta is
+// cleared; both CRCs are computed. The result length is h.FullSize().
 func BuildDataPacket(h Header, heads, tails []uint32) ([]byte, error) {
 	if int(h.Count) != len(heads) || int(h.Count) != len(tails) {
 		return nil, fmt.Errorf("wire: count %d != heads %d / tails %d",
@@ -40,7 +40,7 @@ func BuildDataPacket(h Header, heads, tails []uint32) ([]byte, error) {
 		return nil, fmt.Errorf("wire: packet size %d exceeds MaxPayload %d",
 			h.FullSize(), MaxPayload)
 	}
-	h.Flags &^= FlagTrimmed | FlagMeta
+	h.Flags &^= FlagMeta
 
 	// Both bit regions are packed straight into the packet buffer, so the
 	// packet costs one allocation.
@@ -96,8 +96,8 @@ func resize(s []uint32, n int) []uint32 {
 
 // CheckDataPacket makes every accept/reject decision about buf as a
 // (possibly trimmed) data packet — header sanity, kind, P/Q plausibility,
-// a complete head region, the head CRC, and the tail CRC whenever the trim
-// state leaves one to verify — without unpacking a single coordinate or
+// a complete head region, the head CRC, and the tail CRC whenever the whole
+// tail region survived — without unpacking a single coordinate or
 // allocating. It returns the header and how many leading coordinates still
 // have their tails. ParseDataPacket, DataPacket.Unpack and Validate all
 // decide through this function, so a packet is accepted by one of them
@@ -154,17 +154,11 @@ func tailRegion(buf []byte, h *Header) []byte {
 }
 
 // tailCRCHolds reports whether the surviving tail region is consistent
-// with the stored tail CRC. The CRC is verified whenever the full region
-// survived: a genuinely trimmed packet has its tail CRC zeroed by the
-// switch, so a nonzero CRC on a "trimmed" full-length packet means the flag
-// was corrupted in flight, and the stored CRC still convicts the tails. A
-// shortened region carries no checksum and always holds.
+// with the stored tail CRC. The CRC covers the whole region, so it is
+// verified whenever the whole region survived; a cut region carries no
+// checksum and always holds.
 func tailCRCHolds(buf []byte, h *Header, tailBuf []byte) bool {
-	tailCRC := binary.BigEndian.Uint32(buf[offTailCRC:])
-	if len(tailBuf) == h.TailBytes() && (!h.Trimmed() || tailCRC != 0) {
-		return checksum(tailBuf) == tailCRC
-	}
-	return true
+	return len(tailBuf) < h.TailBytes() || checksum(tailBuf) == binary.BigEndian.Uint32(buf[offTailCRC:])
 }
 
 // UnpackData bit-unpacks a data packet CheckDataPacket has accepted, by what
@@ -186,53 +180,13 @@ func checksum(b []byte) uint32 {
 	return crc32.Checksum(b, castagnoli)
 }
 
-// headerChecksum computes CRC-32C over the immutable header bytes followed
-// by region. The flags byte is normalized with FlagTrimmed cleared — a
-// trimming switch sets that bit in flight, and the CRC must survive the
-// rewrite — while FlagMeta/FlagAgg stay covered so a bit flip cannot
-// reinterpret a packet as another kind. The CRC fields themselves are
-// excluded. Folding the header under the head CRC means a flip in
-// Row/Start/Seed/geometry is rejected instead of silently decoding
-// coordinates into the wrong place.
+// headerChecksum computes CRC-32C over the header bytes before the CRC
+// fields, followed by region. FlagMeta/FlagAgg are covered, so a bit flip
+// cannot reinterpret a packet as another kind. Folding the header under
+// the head CRC means a flip in Row/Start/Seed/geometry is rejected instead
+// of silently decoding coordinates into the wrong place.
 func headerChecksum(buf []byte, region []byte) uint32 {
-	// The flags byte is normalized through a static lookup table instead of
-	// an in-place rewrite: headerChecksum runs on received payloads that
-	// alias the sender's buffer (DESIGN.md §16), so even a transient write
-	// here would race a concurrent retransmit read on another shard. A
-	// stack-local copy of the byte is not an option either — crc32's
-	// accelerated castagnoli path defeats escape analysis and would
-	// heap-allocate on every packet; slicing the package-level table
-	// allocates nothing.
-	c := crc32.Update(0, castagnoli, buf[:offFlags])
-	c = crc32.Update(c, castagnoli, normFlags[buf[offFlags]][:])
-	c = crc32.Update(c, castagnoli, buf[offFlags+1:offHeadCRC])
-	return crc32.Update(c, castagnoli, region)
-}
-
-// normFlags[b] holds b with FlagTrimmed cleared, as a one-byte array so
-// headerChecksum can hash the normalized flags byte without writing to the
-// packet or allocating.
-var normFlags = func() (t [256][1]byte) {
-	for i := range t {
-		t[i][0] = byte(i) &^ FlagTrimmed
-	}
-	return t
-}()
-
-// TrimLen reports how many leading bytes of buf the switch-side trim toward
-// targetSize keeps, without touching buf; len(buf) means there is nothing
-// to cut. Metadata packets are never cut — the paper's design keeps them
-// reliable — and neither are buffers whose header does not parse. Data and
-// aggregate packets are cut to the head boundary, the smallest
-// self-contained size; if targetSize allows keeping some whole tails beyond
-// the boundary they are preserved (multi-level trimming, §5.1). It is
-// TrimKeep on buf's TrimGeometry.
-func TrimLen(buf []byte, targetSize int) int {
-	boundary, q, ok := TrimGeometry(buf)
-	if !ok {
-		return len(buf) // not ours, or reliable metadata
-	}
-	return TrimKeep(len(buf), targetSize, boundary, q)
+	return crc32.Update(checksum(buf[:offHeadCRC]), castagnoli, region)
 }
 
 // TrimGeometry returns the two header fields a trim of buf depends on
@@ -249,8 +203,9 @@ func TrimGeometry(buf []byte) (boundary, q int, ok bool) {
 	return HeaderSize + h.HeadBytes(), int(h.Q), true
 }
 
-// TrimKeep is TrimLen for an n-byte packet of the given TrimGeometry: never
-// below the head boundary, and above it whole Q-bit tails only.
+// TrimKeep returns how many bytes Trim keeps of an n-byte packet of the
+// given TrimGeometry: never below the head boundary, and above it whole
+// Q-bit tails only.
 func TrimKeep(n, targetSize, boundary, q int) int {
 	targetSize = max(targetSize, HeaderSize)
 	if targetSize >= n {
@@ -263,28 +218,18 @@ func TrimKeep(n, targetSize, boundary, q int) int {
 	return min(boundary+(wholeTails*q+7)/8, n)
 }
 
-// MarkTrimmed rewrites the two header fields Trim marks a cut with: the
-// Trimmed flag is set and the now-meaningless tail CRC cleared. pkt is the
-// kept prefix — the first TrimLen bytes of a packet, in a buffer the caller
-// owns. Trim cuts and marks in one call. Marking is optional: an unmarked
-// prefix validates and parses the same, and reads as cut (IsCut).
-func MarkTrimmed(pkt []byte) {
-	pkt[offFlags] |= FlagTrimmed
-	binary.BigEndian.PutUint32(pkt[offTailCRC:], 0)
-}
-
-// Trim performs the switch-side trim operation on a raw packet buffer in
-// place, returning the trimmed packet: a re-sliced view of the first
-// TrimLen bytes of buf with the Trimmed flag set and the tail CRC cleared,
-// mirroring how a trimming switch rewrites the packet. A buffer with
-// nothing to cut is returned unchanged. The caller must own buf; to trim a
-// buffer someone else may still read, trim a bytes.Clone of it.
+// Trim performs the switch-side trim toward targetSize total bytes: it
+// returns buf's kept prefix and writes nothing, so a sender's buffer may be
+// trimmed wherever it is shared. Metadata packets are never cut — the
+// paper's design keeps them reliable — and neither are buffers whose header
+// does not parse; both come back whole. Data and aggregate packets are cut
+// to the head boundary, the smallest self-contained size; if targetSize
+// allows keeping some whole tails beyond the boundary they are preserved
+// (multi-level trimming, §5.1).
 func Trim(buf []byte, targetSize int) []byte {
-	keep := TrimLen(buf, targetSize)
-	if keep >= len(buf) {
+	boundary, q, ok := TrimGeometry(buf)
+	if !ok {
 		return buf
 	}
-	out := buf[:keep]
-	MarkTrimmed(out)
-	return out
+	return buf[:TrimKeep(len(buf), targetSize, boundary, q)]
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func seedPackets(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), data...))
-	f.Add(append([]byte(nil), Trim(append([]byte(nil), data...), 0)...))
+	f.Add(append([]byte(nil), Trim(data, 0)...))
 	f.Add(BuildMetaPacket(h, 3, 1024, 2.5))
 	unknown := append([]byte(nil), data...)
 	unknown[offFlags] |= 0x40 // a flag bit no kind defines
@@ -53,17 +54,20 @@ func FuzzParseMetaPacket(f *testing.F) {
 func FuzzTrim(f *testing.F) {
 	seedPackets(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := bytes.Clone(data)
 		for _, target := range []int{0, 40, 87, 1000, 1 << 20} {
-			buf := append([]byte(nil), data...)
-			out := Trim(buf, target)
-			if len(out) > len(data) {
-				t.Fatal("Trim grew the packet")
+			out := Trim(data, target)
+			if len(out) > len(data) || !bytes.Equal(out, orig[:len(out)]) {
+				t.Fatal("Trim returned no prefix of the packet")
 			}
 			// Whatever Trim returns must still be parseable-or-rejected
 			// without panicking.
 			_, _ = ParseDataPacket(out)
 			_, _ = ParseMetaPacket(out)
 			_, _ = ParseAggPacket(out)
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatal("Trim wrote the packet")
 		}
 	})
 }

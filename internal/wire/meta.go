@@ -25,7 +25,7 @@ const MetaSize = HeaderSize + metaPayloadSize
 
 // BuildMetaPacket serializes a metadata packet for one row.
 func BuildMetaPacket(h Header, scheme uint8, n uint32, scale float64) []byte {
-	h.Flags = (h.Flags &^ FlagTrimmed) | FlagMeta
+	h.Flags |= FlagMeta
 	h.Count = 0
 	buf := make([]byte, MetaSize)
 	h.marshal(buf)

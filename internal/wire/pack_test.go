@@ -318,7 +318,6 @@ func BenchmarkTrim(b *testing.B) {
 	pkt, _ := BuildDataPacket(h, heads, tails)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pkt[offFlags] &^= FlagTrimmed
 		Trim(pkt, 0)
 	}
 }

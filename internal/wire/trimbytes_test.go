@@ -37,9 +37,7 @@ func trimRoundTripNMSE(t *testing.T, c quant.Codec, row []float32, seed uint64, 
 	if err := asm.AddMeta(mp); err != nil {
 		t.Fatalf("add meta: %v", err)
 	}
-	for _, pkt := range data {
-		// Trim mutates flags in place: give it a private copy per level.
-		buf := append([]byte(nil), pkt...)
+	for _, buf := range data {
 		h, err := ParseHeader(buf)
 		if err != nil {
 			t.Fatalf("parse header: %v", err)
@@ -121,14 +119,12 @@ func TestTrimBytesHeadOnlyBounded(t *testing.T) {
 	}
 }
 
-// TestTrimCopyMatchesTrim pins Trim on a copy, the way a caller trims a
-// buffer it does not own, for data and aggregate packets at head-boundary,
-// multi-level and no-op targets: Trim keeps TrimLen bytes of the copy it
-// is given, in place, and writes nothing past them; a cut prefix is the
-// original's with the Trimmed flag set and the tail CRC cleared, and a
-// second level matches one trim to the same target; buffers with nothing
-// to cut (metadata, foreign bytes, targets at or above the length) come
-// back unwritten.
+// TestTrimCopyMatchesTrim pins Trim as a prefix, for data and aggregate
+// packets at head-boundary, multi-level and no-op targets: Trim returns the
+// first TrimKeep bytes of the very buffer it is given and writes nothing,
+// so the buffer still equals an untouched copy; a second level matches one
+// trim to the same target; buffers with nothing to cut (metadata, foreign
+// bytes, targets at or above the length) come back whole.
 func TestTrimCopyMatchesTrim(t *testing.T) {
 	heads, tails := randHeadsTails(9, 200, 1, 31)
 	dh := testHeader(200, 1, 31)
@@ -173,8 +169,10 @@ func TestTrimCopyMatchesTrim(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cp := bytes.Clone(tc.buf)
 			got := Trim(cp, tc.target)
-			if n := TrimLen(tc.buf, tc.target); n != len(got) {
-				t.Fatalf("TrimLen = %d, Trim kept %d", n, len(got))
+			if boundary, q, ok := TrimGeometry(tc.buf); ok {
+				if n := TrimKeep(len(tc.buf), tc.target, boundary, q); n != len(got) {
+					t.Fatalf("TrimKeep = %d, Trim kept %d", n, len(got))
+				}
 			}
 			if cut := len(got) < len(tc.buf); cut != tc.cut {
 				t.Fatalf("cut = %v, want %v", cut, tc.cut)
@@ -182,22 +180,16 @@ func TestTrimCopyMatchesTrim(t *testing.T) {
 			if len(got) > 0 && &got[0] != &cp[0] {
 				t.Fatal("Trim returned another buffer than the one it was given")
 			}
-			if !bytes.Equal(cp[len(got):], tc.buf[len(got):]) {
-				t.Fatal("Trim wrote past the kept prefix")
+			if !bytes.Equal(cp, tc.buf) {
+				t.Fatal("Trim wrote the buffer")
 			}
 			if !tc.cut {
-				if !bytes.Equal(cp, tc.buf) {
-					t.Fatal("nothing to cut, yet Trim wrote the buffer")
-				}
 				return
 			}
-			want := bytes.Clone(tc.buf[:len(got)])
-			MarkTrimmed(want)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("trimmed prefix differs from the marked original:\n got  %x\n want %x", got, want)
+			if h, err := ParseHeader(got); err != nil || !h.IsCut(len(got)) {
+				t.Fatalf("the kept prefix does not read as cut: %v", err)
 			}
-			again := Trim(bytes.Clone(got), 0)
-			if want2 := Trim(bytes.Clone(tc.buf), 0); !bytes.Equal(again, want2) {
+			if again := Trim(got, 0); !bytes.Equal(again, Trim(tc.buf, 0)) {
 				t.Fatal("a second-level trim differs from one trim to the same target")
 			}
 		})

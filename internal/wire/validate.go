@@ -19,10 +19,9 @@ func IsTrimgrad(buf []byte) bool {
 // but it unpacks nothing and allocates nothing, which is what lets a
 // transport admit a packet for the price of its CRCs. A nil return means
 // the surviving bytes are intact; note that the tail bytes of a trimmed
-// packet carry no checksum (a short tail region is never checked, marked
-// by Trim or not), so corruption
-// confined to a trimmed tail is undetectable by design — the decode path
-// treats those coordinates as lossy anyway.
+// packet carry no checksum (a short tail region is never checked), so
+// corruption confined to a trimmed tail is undetectable by design — the
+// decode path treats those coordinates as lossy anyway.
 func Validate(buf []byte) error {
 	h, err := ParseHeader(buf)
 	if err != nil {
@@ -32,13 +31,12 @@ func Validate(buf []byte) error {
 }
 
 // ValidateUntrimmed is Validate for a packet no switch has cut. It also
-// convicts what no CRC covers: the packet must not be cut (IsCut: the
-// FlagTrimmed bit, which the head CRC skips because a switch sets it in
-// flight, must be clear, and the length whole), and the tail-CRC field of
-// metadata, the one kind without a tail region, must read the zero its
-// builder wrote. With those, a packet sent whole is
-// rejected wherever one CRC-32C over all of it would reject it
-// (transport's TestAdmissionMatchesDatagramChecksum flips every bit).
+// convicts what no CRC covers: the packet must not be cut (IsCut: its
+// length must be whole), and the tail-CRC field of metadata, the one kind
+// without a tail region, must read the zero its builder wrote. With those,
+// a packet sent whole is rejected wherever one CRC-32C over all of it would
+// reject it (transport's TestAdmissionMatchesDatagramChecksum flips every
+// bit).
 func ValidateUntrimmed(buf []byte) error {
 	h, err := ParseHeader(buf)
 	if err != nil {

@@ -25,11 +25,11 @@
 // All integers are big-endian (network byte order). Head and tail regions
 // are covered by separate CRC-32C checksums so that a trimmed packet still
 // verifies its surviving bytes. The head CRC additionally covers the fixed
-// header (minus the flags byte, which a trimming switch rewrites in flight,
-// and the CRC fields themselves), so corrupted routing/geometry fields are
-// rejected rather than decoded into the wrong coordinates. A trimmed
-// packet's surviving tail bytes are the one unprotected region: the switch
-// clears the tail CRC when it cuts the packet.
+// header (all but the CRC fields themselves), so corrupted routing/geometry
+// fields are rejected rather than decoded into the wrong coordinates. A
+// trim writes nothing: the switch keeps a prefix, and readers tell the cut
+// by its length. A trimmed packet's surviving tail bytes are the one
+// unprotected region: the tail CRC covers only a whole tail region.
 package wire
 
 import (
@@ -59,10 +59,9 @@ const (
 	MaxPayload = MTU - NetOverhead
 )
 
-// Header flag bits.
+// Header flag bits. Bit 0 is reserved: ParseHeader refuses it like any
+// other undefined bit.
 const (
-	// FlagTrimmed marks a packet whose tail region was cut by a switch.
-	FlagTrimmed = 1 << 0
 	// FlagMeta marks a reliable metadata packet; switches never trim it.
 	FlagMeta = 1 << 1
 	// FlagAgg marks an in-network aggregate: the switch-side sum of two or
@@ -71,7 +70,7 @@ const (
 	// bits (see agg.go).
 	FlagAgg = 1 << 3
 	// knownFlags is every bit a kind defines; ParseHeader refuses the rest.
-	knownFlags = FlagTrimmed | FlagMeta | FlagAgg
+	knownFlags = FlagMeta | FlagAgg
 )
 
 // Field offsets within the fixed header.
@@ -117,16 +116,10 @@ type Header struct {
 	Seed    uint64 // shared-randomness seed for this row
 }
 
-// Trimmed reports whether the packet's Trimmed flag is set. A switch that
-// cuts a view of the sender's bytes writes no flag; IsCut tells either.
-func (h *Header) Trimmed() bool { return h.Flags&FlagTrimmed != 0 }
-
-// IsCut reports whether an n-byte packet with header h was trimmed: its
-// Trimmed flag is set, or it is a data or aggregate packet shorter than
-// FullSize. A cut prefix is told by its length alone, marked or not.
-func (h *Header) IsCut(n int) bool {
-	return h.Trimmed() || !h.IsMeta() && n < h.FullSize()
-}
+// IsCut reports whether an n-byte packet with header h was trimmed: a data
+// or aggregate packet shorter than FullSize. A trim writes nothing, so its
+// length is all that tells it.
+func (h *Header) IsCut(n int) bool { return !h.IsMeta() && n < h.FullSize() }
 
 // IsMeta reports whether this is a metadata packet.
 func (h *Header) IsMeta() bool { return h.Flags&FlagMeta != 0 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -29,7 +30,7 @@ func randHeadsTails(seed uint64, n int, p, q int) ([]uint32, []uint32) {
 
 func TestHeaderRoundTrip(t *testing.T) {
 	h := testHeader(42, 1, 31)
-	h.Flags = FlagTrimmed
+	h.Flags = FlagAgg
 	buf := make([]byte, HeaderSize)
 	h.marshal(buf)
 	got, err := ParseHeader(buf)
@@ -54,6 +55,11 @@ func TestParseHeaderErrors(t *testing.T) {
 	buf[2] = 99 // version
 	if _, err := ParseHeader(buf); err == nil {
 		t.Error("bad version should fail")
+	}
+	buf[2] = Version
+	buf[offFlags] = 1 << 0 // reserved: no kind, and no trim, sets bit 0
+	if _, err := ParseHeader(buf); !errors.Is(err, ErrBadFlags) {
+		t.Errorf("flags bit 0: %v, want ErrBadFlags", err)
 	}
 }
 
@@ -141,7 +147,7 @@ func TestDataPacketRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("P=%d Q=%d: parse: %v", p, q, err)
 		}
-		if pkt.Trimmed() || pkt.TailCount != n {
+		if pkt.IsCut(len(buf)) || pkt.TailCount != n {
 			t.Fatalf("P=%d Q=%d: unexpected trim state", p, q)
 		}
 		for i := 0; i < n; i++ {
@@ -178,6 +184,7 @@ func TestTrimToHeadBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig := bytes.Clone(buf)
 	trimmed := Trim(buf, 0)
 	if len(trimmed) != h.TrimmedSize() {
 		t.Fatalf("trimmed to %d, want %d", len(trimmed), h.TrimmedSize())
@@ -186,8 +193,11 @@ func TestTrimToHeadBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse trimmed: %v", err)
 	}
-	if !pkt.Trimmed() {
-		t.Error("trimmed flag not set")
+	if !pkt.IsCut(len(trimmed)) {
+		t.Error("trimmed packet not cut")
+	}
+	if !bytes.Equal(buf, orig) {
+		t.Error("Trim wrote the packet")
 	}
 	if pkt.TailCount != 0 {
 		t.Errorf("TailCount = %d, want 0", pkt.TailCount)
@@ -307,9 +317,10 @@ func TestParseKindMismatch(t *testing.T) {
 	if _, err := ParseDataPacket(meta); err != ErrNotData {
 		t.Errorf("ParseData(meta) = %v", err)
 	}
-	// Bit 2 (once the whole-float kind) and bits 4-7 belong to no kind: the
-	// header is refused, so Trim leaves the buffer whole.
-	for _, bit := range []uint8{1 << 2, 1 << 4, 1 << 6, 1 << 7} {
+	// Bit 0 (reserved), bit 2 (once the whole-float kind) and bits 4-7
+	// belong to no kind: the header is refused, so Trim leaves the buffer
+	// whole.
+	for _, bit := range []uint8{1 << 0, 1 << 2, 1 << 4, 1 << 6, 1 << 7} {
 		unknown := append([]byte(nil), data...)
 		unknown[offFlags] |= bit
 		if _, err := ParseHeader(unknown); !errors.Is(err, ErrBadFlags) {
@@ -318,8 +329,8 @@ func TestParseKindMismatch(t *testing.T) {
 		if err := Validate(unknown); !errors.Is(err, ErrBadFlags) {
 			t.Errorf("Validate(flags|%#x) = %v, want ErrBadFlags", bit, err)
 		}
-		if n := TrimLen(unknown, 0); n != len(unknown) {
-			t.Errorf("TrimLen(flags|%#x) = %d, want %d (uncut)", bit, n, len(unknown))
+		if n := len(Trim(unknown, 0)); n != len(unknown) {
+			t.Errorf("Trim(flags|%#x) kept %d, want %d (uncut)", bit, n, len(unknown))
 		}
 	}
 }

@@ -41,7 +41,10 @@
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + go vet
 #                             for GOARCH=386 (every package but
 #                             ./benchmark) + trimlint + the no-Deprecated
-#                             guard + the one-fabric-switch guard (no
+#                             guard + the no-trimmed-flag guard (no
+#                             FlagTrimmed, MarkTrimmed, TrimLen( or
+#                             Trimmed() in any Go file) + the
+#                             one-fabric-switch guard (no
 #                             builder called by name outside internal/netsim,
 #                             benchmark/ and examples/; NewFatTree only in
 #                             benchmark/ and internal/netsim/spec_test.go)
@@ -287,6 +290,16 @@ if [[ -n "$deprecated" ]]; then
   exit 1
 fi
 
+step "no trimmed flag (a trim is a prefix of the sender's bytes and writes nothing)"
+# Bit 0 of the flags byte is reserved since the marked trim was retired;
+# readers tell a cut by its length (wire.Header.IsCut).
+flagged=$(grep -rnE --include='*.go' 'FlagTrimmed|MarkTrimmed|TrimLen\(|Trimmed\(\)' . || true)
+if [[ -n "$flagged" ]]; then
+  echo "the retired trimmed flag is back — trim with wire.Trim and tell a cut by wire.Header.IsCut:" >&2
+  echo "$flagged" >&2
+  exit 1
+fi
+
 step "one name->topology switch (fabrics are built by netsim.FabricSpec.Build)"
 # A harness describes its fabric as a FabricSpec; only internal/netsim (the
 # builders and Build), benchmark/ and the examples call a builder by name.
@@ -340,7 +353,7 @@ if [[ -n "$long" ]]; then
 fi
 
 if [[ $mode == lint ]]; then
-  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + one-fabric-switch + NewFatTree only in benchmark/ + one-bind + CHANGES.md bound)"
+  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + no-trimmed-flag + one-fabric-switch + NewFatTree only in benchmark/ + one-bind + CHANGES.md bound)"
   exit 0
 fi
 

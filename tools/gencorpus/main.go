@@ -84,7 +84,7 @@ func run(root string) error {
 	if err != nil {
 		return err
 	}
-	trimmed := wire.Trim(append([]byte(nil), data...), wire.HeaderSize+40)
+	trimmed := wire.Trim(data, wire.HeaderSize+40)
 	meta := wire.BuildMetaPacket(h, 3, 1024, 0.125)
 
 	corrupt := func(buf []byte, off int) []byte {
@@ -146,18 +146,14 @@ func run(root string) error {
 	writeEntry("FuzzParseAggPacket", "valid-data", data)
 
 	// Validate-vs-parse corpus: every kind above (the loop already wrote
-	// the data and meta shapes) plus the aggregates, and the two
-	// trim states whose tail-CRC rule differs — a trimmed flag on a
-	// full-length packet with its CRC kept, and with it zeroed.
+	// the data and meta shapes) plus the aggregates, a corrupted whole
+	// tail region, and the reserved flag bit 0, which both refuse.
 	writeEntry("FuzzValidateMatchesParse", "valid-agg", aggFull)
 	writeEntry("FuzzValidateMatchesParse", "trimmed-agg", aggTrimmed)
 	writeEntry("FuzzValidateMatchesParse", "corrupt-agg-sums", corrupt(aggFull, wire.HeaderSize+3))
 	writeEntry("FuzzValidateMatchesParse", "corrupt-tail", corrupt(data, len(data)-2))
-	flagged := append([]byte(nil), data...)
-	flagged[3] |= wire.FlagTrimmed // byte 3 is flags; the head CRC normalises this bit out
-	writeEntry("FuzzValidateMatchesParse", "trimmed-flag-full-length", flagged)
-	zeroed := append([]byte(nil), flagged...)
-	copy(zeroed[36:40], []byte{0, 0, 0, 0})
-	writeEntry("FuzzValidateMatchesParse", "trimmed-flag-zero-tailcrc", zeroed)
+	reserved := append([]byte(nil), data...)
+	reserved[3] |= 1 // byte 3 is flags; bit 0 is reserved
+	writeEntry("FuzzValidateMatchesParse", "reserved-flag-bit", reserved)
 	return c.err
 }

@@ -102,7 +102,8 @@ func NewDecoder(cfg Config, msgID uint32) (*Decoder, error) {
 	return core.NewDecoderWith(msgID, core.WithConfig(cfg))
 }
 
-// Trim performs the switch-side trim operation on a raw packet buffer.
+// Trim performs the switch-side trim operation on a raw packet buffer: it
+// returns the kept prefix and writes nothing.
 func Trim(pkt []byte, targetSize int) []byte { return wire.Trim(pkt, targetSize) }
 
 // NewTrimmer returns an injector trimming packets with the given
