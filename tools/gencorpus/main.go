@@ -147,13 +147,18 @@ func run(root string) error {
 
 	// Validate-vs-parse corpus: every kind above (the loop already wrote
 	// the data and meta shapes) plus the aggregates, a corrupted whole
-	// tail region, and the reserved flag bit 0, which both refuse.
+	// tail region, and packets carrying the retired trimmed flag (bit 0,
+	// now reserved), which both refuse: at full length, and with the
+	// tail-CRC field zeroed as a marked trim once wrote it.
 	writeEntry("FuzzValidateMatchesParse", "valid-agg", aggFull)
 	writeEntry("FuzzValidateMatchesParse", "trimmed-agg", aggTrimmed)
 	writeEntry("FuzzValidateMatchesParse", "corrupt-agg-sums", corrupt(aggFull, wire.HeaderSize+3))
 	writeEntry("FuzzValidateMatchesParse", "corrupt-tail", corrupt(data, len(data)-2))
-	reserved := append([]byte(nil), data...)
-	reserved[3] |= 1 // byte 3 is flags; bit 0 is reserved
-	writeEntry("FuzzValidateMatchesParse", "reserved-flag-bit", reserved)
+	flagged := append([]byte(nil), data...)
+	flagged[3] |= 1 // byte 3 is flags; bit 0 is reserved
+	writeEntry("FuzzValidateMatchesParse", "trimmed-flag-full-length", flagged)
+	zeroed := append([]byte(nil), flagged...)
+	copy(zeroed[36:40], []byte{0, 0, 0, 0})
+	writeEntry("FuzzValidateMatchesParse", "trimmed-flag-zero-tailcrc", zeroed)
 	return c.err
 }
