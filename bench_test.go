@@ -229,7 +229,7 @@ func BenchmarkE5WireParse(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, pkt := range data {
-				if err := wire.Validate(pkt); err != nil {
+				if _, err := wire.Validate(pkt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -149,7 +149,7 @@ func (c *CapacityTrimmer) Apply(pkt []byte) []byte {
 		c.used += len(pkt)
 		return pkt
 	}
-	trimmed := applyTrim(pkt)
+	trimmed := wire.Trim(pkt, 0) // the minimal self-contained size
 	if len(trimmed) < len(pkt) && c.usedHigh+len(trimmed) <= c.highBudget() {
 		c.usedHigh += len(trimmed)
 		c.Trimmed++
@@ -157,9 +157,4 @@ func (c *CapacityTrimmer) Apply(pkt []byte) []byte {
 	}
 	c.Dropped++
 	return nil
-}
-
-// applyTrim cuts pkt to its minimal self-contained size.
-func applyTrim(pkt []byte) []byte {
-	return wire.Trim(pkt, 0)
 }

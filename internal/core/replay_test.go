@@ -234,7 +234,7 @@ func TestTailCRCWriteAfterHandle(t *testing.T) {
 				for i := 36; i < 40; i++ {
 					mine[i] ^= 0xff
 				}
-				if wire.ValidateUntrimmed(mine) == nil {
+				if _, err := wire.Validate(mine); err == nil {
 					t.Fatalf("a flipped tail CRC still validates: % x", mine[:wire.HeaderSize])
 				}
 			}

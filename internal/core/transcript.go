@@ -92,7 +92,7 @@ func (r *Recorder) Apply(pkt []byte) []byte {
 	switch {
 	case out == nil:
 		ev.Fate = FateDropped
-	case len(out) < len(pkt) || wireTrimmed(out):
+	case len(out) < len(pkt):
 		ev.Fate = FateTrimmed
 		ev.KeptBytes = len(out)
 	default:
@@ -100,11 +100,6 @@ func (r *Recorder) Apply(pkt []byte) []byte {
 	}
 	r.Transcript.Events = append(r.Transcript.Events, ev)
 	return out
-}
-
-func wireTrimmed(pkt []byte) bool {
-	h, err := wire.ParseHeader(pkt)
-	return err == nil && h.IsCut(len(pkt))
 }
 
 // Player replays a recorded transcript: each packet receives the fate its

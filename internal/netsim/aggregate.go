@@ -36,13 +36,6 @@ const aggMetaCacheMax = 4096
 // snoopMeta records the scheme and scale of a metadata packet traversing
 // an aggregating switch, keyed by (flow, message, row).
 func (s *Switch) snoopMeta(pkt *Packet) {
-	if pkt.Payload == nil || !wire.IsTrimgrad(pkt.Payload) {
-		return
-	}
-	h, err := wire.ParseHeader(pkt.Payload)
-	if err != nil || !h.IsMeta() {
-		return
-	}
 	m, err := wire.ParseMetaPacket(pkt.Payload)
 	if err != nil {
 		return
@@ -50,7 +43,7 @@ func (s *Switch) snoopMeta(pkt *Packet) {
 	if s.metaCache == nil || len(s.metaCache) >= aggMetaCacheMax {
 		s.metaCache = make(map[aggMetaKey]wire.MetaInfo, 64)
 	}
-	s.metaCache[aggMetaKey{h.Flow, h.Message, h.Row}] = wire.MetaInfo{
+	s.metaCache[aggMetaKey{m.Flow, m.Message, m.Row}] = wire.MetaInfo{
 		Scheme: quant.Scheme(m.Scheme),
 		Scale:  m.Scale,
 	}
@@ -81,9 +74,6 @@ type ControlMerger interface {
 // transport veto — leaves both packets untouched and the caller admits
 // pkt normally.
 func (p *Port) tryAggregate(pkt *Packet) bool {
-	if pkt.Payload == nil || !wire.IsTrimgrad(pkt.Payload) {
-		return false
-	}
 	h, err := wire.ParseHeader(pkt.Payload)
 	if err != nil || h.IsMeta() {
 		return false
@@ -91,7 +81,7 @@ func (p *Port) tryAggregate(pkt *Packet) bool {
 	for _, prio := range []Priority{PrioHigh, PrioNormal} {
 		q := &p.q[prio]
 		for qpkt, i := q.head, 0; i < q.n; qpkt, i = qpkt.next, i+1 {
-			if qpkt.Dst != pkt.Dst || qpkt.Payload == nil || !wire.IsTrimgrad(qpkt.Payload) {
+			if qpkt.Dst != pkt.Dst {
 				continue
 			}
 			qh, err := wire.ParseHeader(qpkt.Payload)
@@ -138,10 +128,6 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet) bool {
 	} else if qpkt.Control != nil || pkt.Control != nil {
 		return false
 	}
-	mh, err := wire.ParseHeader(merged)
-	if err != nil {
-		return false
-	}
 
 	// Commit: rewrite the queued packet in place. Aggregates may exceed the
 	// original sizes (jumbo frames — part of the placement trade-off the
@@ -153,22 +139,22 @@ func (p *Port) mergeInto(qpkt *Packet, prio Priority, pkt *Packet) bool {
 	qpkt.stamp()
 	qpkt.Size += delta
 	qpkt.Control = ctl
-	qpkt.Trimmed = mh.IsCut(len(merged))
 	p.bytes[prio] += delta
 	p.Stats.Aggregated++
 
 	// A jumbo merge can push the queue past capacity; under TrimOverflow
 	// the aggregate is trimmed back toward the target like any other
 	// overflow. (It is never dropped: it already carries another sender's
-	// data.) Note trimTo promotes Prio for the *next* hop; the byte
+	// data.) Note cut promotes Prio for the *next* hop; the byte
 	// accounting here stays against the queue the packet resides in.
 	capBytes := p.cfg.CapacityBytes
 	if prio == PrioHigh {
 		capBytes = p.cfg.HighCapacityBytes
 	}
 	if p.bytes[prio] > capBytes && p.cfg.Mode == TrimOverflow {
-		before := qpkt.Size
-		if qpkt.trimTo(p.cfg.TrimTarget) {
+		if keep := qpkt.trimLen(p.cfg.TrimTarget); keep < len(qpkt.Payload) {
+			before := qpkt.Size
+			qpkt.cut(keep)
 			p.bytes[prio] -= before - qpkt.Size
 			p.Stats.Trimmed++
 		}

@@ -82,7 +82,7 @@ func TestBorrowedHopAllocations(t *testing.T) {
 		keep := len(wire.Trim(payload, target-wire.NetOverhead))
 		trimmed := 0
 		star.Hosts[2].Handler = func(p *Packet) {
-			if !p.Trimmed {
+			if !isCut(p) {
 				return
 			}
 			trimmed++

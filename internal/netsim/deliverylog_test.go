@@ -15,6 +15,7 @@ import (
 	"trimgrad/internal/obs"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/transport"
+	"trimgrad/internal/wire"
 	"trimgrad/internal/xrand"
 )
 
@@ -45,11 +46,18 @@ func (l *deliveryLog) record(i int, h *netsim.Host) {
 	next := h.Handler
 	h.Handler = func(p *netsim.Packet) {
 		fmt.Fprintf(&l.hosts[i], "%d %d<-%d flow=%d seq=%d trimmed=%v len=%d\n",
-			h.Sim().Now(), h.ID(), p.Src, p.FlowID, p.Seq, p.Trimmed, len(p.Payload))
+			h.Sim().Now(), h.ID(), p.Src, p.FlowID, p.Seq, isCut(p.Payload), len(p.Payload))
 		if next != nil {
 			next(p)
 		}
 	}
+}
+
+// isCut reports whether a switch cut payload, told by its length
+// (wire.Header.IsCut).
+func isCut(payload []byte) bool {
+	h, err := wire.ParseHeader(payload)
+	return err == nil && h.IsCut(len(payload))
 }
 
 func (l *deliveryLog) digest() string {

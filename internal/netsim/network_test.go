@@ -30,6 +30,13 @@ func stampedRecord(sim *Sim, p Packet) *Packet {
 	return r
 }
 
+// isCut reports whether a switch cut p's payload, told by its length
+// (wire.Header.IsCut), as a receiver tells it.
+func isCut(p *Packet) bool {
+	h, err := wire.ParseHeader(p.Payload)
+	return err == nil && h.IsCut(len(p.Payload))
+}
+
 // buildGradPacket builds a real trimgrad data packet wrapped in a record
 // of sim's pool, so switches can trim it.
 func buildGradPacket(t *testing.T, sim *Sim, dst NodeID, n int) *Packet {
@@ -162,7 +169,7 @@ func TestTrimOverflowTrimsGradients(t *testing.T) {
 	star := NewStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
 	var full, trimmed int
 	star.Hosts[2].Handler = func(p *Packet) {
-		if p.Trimmed {
+		if isCut(p) {
 			trimmed++
 			if p.Prio != PrioHigh {
 				t.Error("trimmed packet should be high priority")
@@ -246,7 +253,7 @@ func TestMetaPacketsNeverTrimmed(t *testing.T) {
 	deliveredMeta := 0
 	star.Hosts[2].Handler = func(p *Packet) {
 		if p.Payload != nil { // the metas; bulk is opaque
-			if p.Trimmed {
+			if isCut(p) {
 				t.Error("metadata packet was trimmed")
 			}
 			deliveredMeta++

@@ -54,8 +54,6 @@ type Packet struct {
 	// ids). Switches never read it; an aggregating switch asks it for the
 	// merged header when it implements ControlMerger.
 	Control any
-	// Trimmed is set by a switch that trimmed this packet.
-	Trimmed bool
 
 	// run marks a queued Host.SendRun's place in a NIC FIFO (runQueue).
 	run bool
@@ -102,7 +100,7 @@ func (p *Packet) trimLen(target int) int {
 }
 
 // cut trims the payload to its first keep bytes, a trimLen verdict below
-// len(Payload), and updates Size, Trimmed, and Prio.
+// len(Payload), and updates Size and Prio.
 //
 // A cut writes nothing and copies nothing (DESIGN.md §16): the payload
 // becomes a view of the kept prefix, capped there so no reader can append
@@ -111,17 +109,5 @@ func (p *Packet) trimLen(target int) int {
 func (p *Packet) cut(keep int) {
 	p.Payload = p.Payload[:keep:keep]
 	p.Size = keep + wire.NetOverhead
-	p.Trimmed = true
 	p.Prio = PrioHigh
-}
-
-// trimTo trims the payload toward target total wire bytes and reports
-// whether any bytes were actually removed.
-func (p *Packet) trimTo(target int) bool {
-	keep := p.trimLen(target)
-	if keep >= len(p.Payload) {
-		return false
-	}
-	p.cut(keep)
-	return true
 }

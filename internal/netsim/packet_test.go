@@ -84,18 +84,13 @@ func TestTrimmableClassification(t *testing.T) {
 	if !trimmable(p) {
 		t.Fatal("data packet not trimmable")
 	}
-	// After trimming to the minimum it is no longer trimmable.
-	if !p.trimTo(0) {
-		t.Fatal("trimTo failed")
-	}
-	if !p.Trimmed || p.Prio != PrioHigh {
-		t.Error("trimTo should set Trimmed and raise priority")
+	// After cutting to the minimum it is no longer trimmable.
+	p.cut(p.trimLen(0))
+	if !isCut(p) || p.Prio != PrioHigh {
+		t.Error("cut should leave a cut view and raise priority")
 	}
 	if trimmable(p) {
 		t.Error("minimal packet still claims trimmable")
-	}
-	if p.trimTo(0) {
-		t.Error("second trimTo should be a no-op")
 	}
 }
 
@@ -103,9 +98,7 @@ func TestTrimToUpdatesSize(t *testing.T) {
 	data := gradPayload(t, 512)
 	p := stampedRecord(NewSim(), Packet{Size: len(data) + wire.NetOverhead, Payload: data})
 	before := p.Size
-	if !p.trimTo(0) {
-		t.Fatal("trimTo failed")
-	}
+	p.cut(p.trimLen(0))
 	if p.Size >= before {
 		t.Fatalf("size did not shrink: %d -> %d", before, p.Size)
 	}
@@ -169,7 +162,7 @@ func TestSwitchTrimTargetKeepsTails(t *testing.T) {
 	star := NewStar(sim, 3, LinkConfig{Bandwidth: Mbps(10), Delay: 0}, q)
 	sawPartial := false
 	star.Hosts[2].Handler = func(p *Packet) {
-		if !p.Trimmed {
+		if !isCut(p) {
 			return
 		}
 		dp, err := wire.ParseDataPacket(p.Payload)

@@ -76,7 +76,7 @@ func sendRunScript(t *testing.T, shards int, useRun bool) string {
 	for i, h := range hosts {
 		h.Handler = func(p *Packet) {
 			fmt.Fprintf(&logs[i], "%d %d<-%d %v prio=%d flow=%d seq=%d trimmed=%v len=%d/%d crc=%08x\n",
-				h.sim.Now(), h.id, p.Src, p.Control, p.Prio, p.FlowID, p.Seq, p.Trimmed,
+				h.sim.Now(), h.id, p.Src, p.Control, p.Prio, p.FlowID, p.Seq, isCut(p),
 				p.Size, len(p.Payload), crc32.ChecksumIEEE(p.Payload))
 		}
 	}

@@ -237,7 +237,7 @@ func runShardTraffic(t *testing.T, shards int, chaos bool,
 		h.Handler = func(pkt *Packet) {
 			out.deliv[i] = append(out.deliv[i], delivery{
 				At: h.sim.Now(), Src: pkt.Src, Flow: pkt.FlowID,
-				Size: pkt.Size, Prio: pkt.Prio, Trimmed: pkt.Trimmed,
+				Size: pkt.Size, Prio: pkt.Prio, Trimmed: isCut(pkt),
 			})
 		}
 	}
@@ -439,7 +439,7 @@ func TestShardRunUntilSlices(t *testing.T) {
 			h.Handler = func(pkt *Packet) {
 				deliv[i] = append(deliv[i], delivery{
 					At: h.sim.Now(), Src: pkt.Src, Flow: pkt.FlowID,
-					Size: pkt.Size, Prio: pkt.Prio, Trimmed: pkt.Trimmed,
+					Size: pkt.Size, Prio: pkt.Prio, Trimmed: isCut(pkt),
 				})
 			}
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"trimgrad/internal/core"
@@ -190,6 +191,79 @@ func TestChaosCorruptionIsCountedAndRepaired(t *testing.T) {
 				t.Error("corruption losses were never repaired by retransmission")
 			}
 		})
+	}
+}
+
+// TestCutPacketWithFlippedMagicIsRepaired: a data packet a switch cut,
+// whose magic a later hop flipped, is corruption like any other — senders
+// send trimgrad packets only — so the trim-aware receiver rejects it
+// unmarked, NACKs its index from the gap check, and completes once the
+// re-sent copy lands, with every head delivered once.
+func TestCutPacketWithFlippedMagicIsRepaired(t *testing.T) {
+	// Two senders incast into a shallow trimming queue, so heads are cut.
+	sim := netsim.NewSim()
+	star := netsim.NewStar(sim, 3,
+		netsim.LinkConfig{Bandwidth: netsim.Mbps(200), Delay: 5 * netsim.Microsecond},
+		netsim.QueueConfig{CapacityBytes: 10000, HighCapacityBytes: 1 << 20, Mode: netsim.TrimOverflow})
+	a, src := newStack(star.Hosts[0], Config{}), star.Hosts[0].ID()
+	other := newStack(star.Hosts[1], Config{})
+	b := newStack(star.Hosts[2], Config{})
+	enc, _ := core.NewEncoderWith(core.WithConfig(coreConfig()))
+	msg, _ := enc.Encode(1, 1, gaussianGrad(41, 1<<13))
+	load, _ := enc.Encode(1, 1, gaussianGrad(42, 1<<13))
+
+	delivered := make([]int, len(msg.Data))
+	b.Receiver = ReceiverFunc(func(from netsim.NodeID, pl []byte) {
+		for i, d := range msg.Data {
+			if from == src && bytes.HasPrefix(d, pl) {
+				delivered[i]++
+			}
+		}
+	})
+	victim, rejected := -1, false
+	rxHandle := star.Hosts[2].Handler
+	star.Hosts[2].Handler = func(p *netsim.Packet) {
+		if _, ok := p.Control.(*trimData); !ok || p.Src != src || victim >= 0 || len(p.Payload) == len(msg.Data[p.Seq]) {
+			rxHandle(p)
+			return
+		}
+		victim = int(p.Seq)
+		p.Payload = bytes.Clone(p.Payload)
+		p.Payload[0] ^= 0x80 // the magic's first byte, flipped after the cut
+		before := b.Stats.RejectedPackets
+		rxHandle(p)
+		rejected = b.Stats.RejectedPackets == before+1 && !b.trimRx[msgKey{src, 1}].dataGot[victim]
+	}
+	nacked := false
+	txHandle := star.Hosts[0].Handler
+	star.Hosts[0].Handler = func(p *netsim.Packet) {
+		if c, ok := p.Control.(trimNack); ok && victim >= 0 && slices.Contains(c.Missing, int32(victim)) {
+			nacked = true
+		}
+		txHandle(p)
+	}
+	done := false
+	a.SendTrimmable(star.Hosts[2].ID(), 1, msg.Meta, msg.Data, func(netsim.Time) { done = true },
+		func(err error) { t.Fatalf("failed: %v", err) })
+	other.SendTrimmable(star.Hosts[2].ID(), 1, load.Meta, load.Data, nil, nil)
+	sim.Run()
+
+	if victim < 0 {
+		t.Fatal("no data packet was cut: the queue never overflowed")
+	}
+	if !rejected {
+		t.Errorf("the cut packet %d with a flipped magic was admitted or marked received", victim)
+	}
+	if !nacked {
+		t.Errorf("the gap check never NACKed index %d", victim)
+	}
+	if !done {
+		t.Fatal("the message did not complete")
+	}
+	for i, n := range delivered {
+		if n != 1 {
+			t.Errorf("data %d delivered %d times, want once", i, n)
+		}
 	}
 }
 

@@ -279,10 +279,12 @@ func datagramSum(b []byte) uint32 {
 
 // datagramRejects is the admission rule the datagram checksum implemented,
 // kept as the reference: an untrimmed payload had to match the sum taken
-// at hand-over, and one claiming to be trimgrad had to pass wire.Validate.
+// at hand-over, and every payload must pass wire.Validate. (The datagram
+// rule let a trimmed payload without the magic through as foreign bytes;
+// senders send trimgrad packets only, so that is corruption too.)
 func datagramRejects(pl []byte, trimmed bool, sum uint32) bool {
-	return !trimmed && datagramSum(pl) != sum ||
-		wire.IsTrimgrad(pl) && wire.Validate(pl) != nil
+	_, err := wire.Validate(pl)
+	return !trimmed && datagramSum(pl) != sum || err != nil
 }
 
 // TestAdmissionMatchesDatagramChecksum pins admission on the packets' own
@@ -353,9 +355,9 @@ func TestAdmissionMatchesDatagramChecksum(t *testing.T) {
 						pl[b/8] ^= 1 << (b % 8)
 					}
 					want := datagramRejects(pl, c.trimmed, sum)
-					rec.Payload, rec.Trimmed = pl, c.trimmed
-					if got := !s.validPayload(rec); got != want {
-						t.Fatalf("bits %v: rejected=%v, the datagram checksum rule says %v", set, got, want)
+					rec.Payload = pl
+					if _, ok := s.validPayload(rec); ok == want {
+						t.Fatalf("bits %v: rejected=%v, the datagram checksum rule says %v", set, !ok, want)
 					}
 					if want {
 						rejected++
@@ -364,8 +366,9 @@ func TestAdmissionMatchesDatagramChecksum(t *testing.T) {
 				if s.Stats.RejectedPackets != rejected {
 					t.Fatalf("RejectedPackets = %d, want %d", s.Stats.RejectedPackets, rejected)
 				}
-				if rec.Payload = c.pl; !s.validPayload(rec) {
-					t.Fatal("the packet as it arrived is rejected")
+				rec.Payload = c.pl
+				if cut, ok := s.validPayload(rec); !ok || cut != c.trimmed {
+					t.Fatalf("the packet as it arrived: admitted %v, cut %v", ok, cut)
 				}
 				t.Logf("%d flip sets, %d rejected", len(sets), rejected)
 			})

@@ -192,7 +192,7 @@ func (rx *relReceiver) ack(id uint32, idx uint64) *relAck {
 }
 
 func (s *Stack) handleRelData(p *netsim.Packet, c *relData) {
-	if !s.validPayload(p) {
+	if _, ok := s.validPayload(p); !ok {
 		// Deliberately unacked: the sender's RTO treats the corrupted
 		// packet as lost and retransmits from its intact buffer.
 		return

@@ -242,25 +242,18 @@ func mustBeTrimgrad(id uint32, payloads [][]byte) {
 }
 
 // validPayload reports whether a received payload may be acked and
-// delivered, judged by the packet's own wire CRCs in one pass, without
-// unpacking a coordinate. A packet the fabric did not trim must be a
-// trimgrad packet exactly as built (wire.ValidateUntrimmed: every CRC, not
-// cut by flag or length). A trimmed one must pass wire.Validate, which
-// checks the CRCs its trim state leaves; if its magic was hit after the
-// cut it is handed on as foreign bytes, and the decoder refuses them.
-// Failures are counted in Stats.RejectedPackets and dropped unacked so a
-// flipped bit becomes a recoverable loss, never a delivered bad gradient.
-func (s *Stack) validPayload(p *netsim.Packet) bool {
-	var err error
-	switch {
-	case !p.Trimmed:
-		err = wire.ValidateUntrimmed(p.Payload)
-	case wire.IsTrimgrad(p.Payload):
-		err = wire.Validate(p.Payload)
-	}
+// delivered, and whether a switch cut it, judged by the packet's own bytes
+// in one wire.Validate pass, without unpacking a coordinate: every CRC its
+// length leaves must hold, and a cut is told by its length
+// (wire.Header.IsCut). Senders send trimgrad packets only, so a payload
+// that is not one was corrupted, cut or not. Failures are counted in
+// Stats.RejectedPackets and dropped unacked so a flipped bit becomes a
+// recoverable loss, never a delivered bad gradient.
+func (s *Stack) validPayload(p *netsim.Packet) (cut, ok bool) {
+	h, err := wire.Validate(p.Payload)
 	if err != nil {
 		s.Stats.RejectedPackets++
-		return false
+		return false, false
 	}
-	return true
+	return h.IsCut(len(p.Payload)), true
 }

@@ -80,7 +80,8 @@ func (s *Stack) handleTrimAgg(p *netsim.Packet, c *trimAggData) {
 	for i, e := range c.Entries {
 		rxs[i] = s.trimReceiverFor(e.Src, e.MsgID, 0, e.Total)
 	}
-	if !s.validPayload(p) {
+	cut, ok := s.validPayload(p)
+	if !ok {
 		for _, rx := range rxs {
 			rx.armNack()
 		}
@@ -95,7 +96,7 @@ func (s *Stack) handleTrimAgg(p *netsim.Packet, c *trimAggData) {
 			return
 		}
 	}
-	if p.Trimmed {
+	if cut {
 		s.Stats.TrimmedReceived++
 	}
 	for i, e := range c.Entries {

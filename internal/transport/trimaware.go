@@ -236,7 +236,7 @@ func (s *Stack) trimReceiverFor(src netsim.NodeID, id uint32, nMeta, nData int) 
 }
 
 func (s *Stack) handleTrimMeta(p *netsim.Packet, c *trimMeta) {
-	if !s.validPayload(p) {
+	if _, ok := s.validPayload(p); !ok {
 		// Unacked: the sender's meta RTO re-sends the intact bytes.
 		return
 	}
@@ -272,7 +272,8 @@ func (s *Stack) handleTrimMeta(p *netsim.Packet, c *trimMeta) {
 
 func (s *Stack) handleTrimData(p *netsim.Packet, c *trimData) {
 	rx := s.trimReceiverFor(p.Src, c.MsgID, 0, c.Total)
-	if !s.validPayload(p) {
+	cut, ok := s.validPayload(p)
+	if !ok {
 		// Not marked in dataGot, so the gap check NACKs it and the sender
 		// re-sends from its intact buffer.
 		rx.armNack()
@@ -286,7 +287,7 @@ func (s *Stack) handleTrimData(p *netsim.Packet, c *trimData) {
 		s.Stats.DupsReceived++
 		return // accounted for already; never re-delivered
 	}
-	if p.Trimmed {
+	if cut {
 		s.Stats.TrimmedReceived++
 	}
 	rx.dataGot[idx] = true

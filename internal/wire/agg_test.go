@@ -58,7 +58,7 @@ func TestBuildParseAggRoundTrip(t *testing.T) {
 				t.Fatalf("tc=%d: TailSums[%d] = %v, want %v", tc, i, ap.TailSums[i], v)
 			}
 		}
-		if err := Validate(buf); err != nil {
+		if _, err := Validate(buf); err != nil {
 			t.Fatalf("tc=%d: Validate: %v", tc, err)
 		}
 	}

@@ -53,9 +53,9 @@ func parseAsClaimed(buf []byte) error {
 	return err
 }
 
-// FuzzValidateMatchesParse: for every packet kind, Validate(buf) == nil
-// exactly when the kind's parser succeeds, with the same error class when
-// it does not; and for data packets the two unpacking entry points (fresh
+// FuzzValidateMatchesParse: for every packet kind, Validate(buf) succeeds
+// exactly when the kind's parser does, with the same error class when it
+// does not, and returns the header ParseHeader reads; and for data packets the two unpacking entry points (fresh
 // parse, Unpack into dirty scratch) agree with CheckDataPacket and with
 // each other.
 func FuzzValidateMatchesParse(f *testing.F) {
@@ -69,9 +69,12 @@ func FuzzValidateMatchesParse(f *testing.F) {
 		f.Add(agg)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		verr, perr := Validate(data), parseAsClaimed(data)
-		if errClass(verr) != errClass(perr) {
+		vh, verr := Validate(data)
+		if perr := parseAsClaimed(data); errClass(verr) != errClass(perr) {
 			t.Fatalf("Validate = %v, parse = %v", verr, perr)
+		}
+		if ph, _ := ParseHeader(data); verr == nil && vh != ph {
+			t.Fatalf("Validate returned %+v, ParseHeader reads %+v", vh, ph)
 		}
 
 		h, tailCount, cerr := CheckDataPacket(data)
@@ -128,10 +131,10 @@ func TestValidateAllocatesNothing(t *testing.T) {
 		"meta":             BuildMetaPacket(h, 3, 1024, 2.5),
 		"trimmed-agg":      agg,
 	} {
-		if err := Validate(pkt); err != nil {
+		if _, err := Validate(pkt); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if n := testing.AllocsPerRun(100, func() { _ = Validate(pkt) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { _, _ = Validate(pkt) }); n != 0 {
 			t.Errorf("%s: Validate allocates %v times per call, want 0", name, n)
 		}
 	}
@@ -204,8 +207,7 @@ const aggCutGolden = "5447010800000003000000020000000300000000000820200000000000
 // pins a protocol: each golden is read through ParseHeader, Validate and
 // the kind's check and unpack, with every field checked by name, and must
 // be what today's builders and Trim produce, so a change to the format or
-// an encoder shows here. A cut reads as cut (IsCut) and ValidateUntrimmed
-// rejects it.
+// an encoder shows here. A cut reads as cut (IsCut).
 func TestCutPacketGolden(t *testing.T) {
 	row := gaussianRow(17, 8)
 	for _, g := range cutGoldens {
@@ -240,10 +242,9 @@ func TestCutPacketGolden(t *testing.T) {
 		checkField(t, name+" Q", h.Q, g.q)
 		checkField(t, name+" Seed", h.Seed, 5)
 		checkField(t, name+" IsCut", h.IsCut(len(buf)), true)
-		checkField(t, name+" Validate", Validate(buf), nil)
-		if ValidateUntrimmed(buf) == nil {
-			t.Errorf("%s: ValidateUntrimmed accepts a cut packet", name)
-		}
+		vh, err := Validate(buf)
+		checkField(t, name+" Validate", err, nil)
+		checkField(t, name+" Validate header", vh, h)
 		_, tailCount, err := CheckDataPacket(buf)
 		checkField(t, name+" CheckDataPacket", err, nil)
 		checkField(t, name+" tailCount", tailCount, len(g.tails))
@@ -284,10 +285,9 @@ func TestCutPacketGolden(t *testing.T) {
 	checkField(t, "agg Q", h.Q, 32)
 	checkField(t, "agg Seed", h.Seed, 5)
 	checkField(t, "agg IsCut", h.IsCut(len(buf)), true)
-	checkField(t, "agg Validate", Validate(buf), nil)
-	if ValidateUntrimmed(buf) == nil {
-		t.Error("aggregate: ValidateUntrimmed accepts a cut packet")
-	}
+	vh, err := Validate(buf)
+	checkField(t, "agg Validate", err, nil)
+	checkField(t, "agg Validate header", vh, h)
 	_, tailCount, err := CheckAggPacket(buf)
 	checkField(t, "agg CheckAggPacket", err, nil)
 	checkField(t, "agg tailCount", tailCount, 3)
@@ -300,8 +300,7 @@ func TestCutPacketGolden(t *testing.T) {
 
 // TestCutViewUnprotectedBytes: at every length a cut can leave — each
 // prefix from the bare header to one byte short of the whole packet — a
-// packet of every scheme and an aggregate reads as cut, ValidateUntrimmed
-// rejects it, and its tail count is the whole tails that fit. Where the
+// packet of every scheme and an aggregate reads as cut, and its tail count is the whole tails that fit. Where the
 // prefix validates, a single-bit flip is rejected everywhere but in the two
 // places no CRC covers on a cut: the tail-CRC field and the surviving tail
 // bytes.
@@ -335,11 +334,11 @@ func TestCutViewUnprotectedBytes(t *testing.T) {
 		for n := HeaderSize; n < len(full); n++ {
 			view := full[:n:n]
 			tc, err := checkTails(view)
-			if !h.IsCut(n) || ValidateUntrimmed(view) == nil {
-				t.Fatalf("P=%d Q=%d cut to %d: IsCut %v, or ValidateUntrimmed accepts it", h.P, h.Q, n, h.IsCut(n))
+			if !h.IsCut(n) {
+				t.Fatalf("P=%d Q=%d cut to %d: not IsCut", h.P, h.Q, n)
 			}
-			if errClass(Validate(view)) != errClass(err) {
-				t.Fatalf("P=%d Q=%d cut to %d: Validate %v, check %v", h.P, h.Q, n, Validate(view), err)
+			if _, verr := Validate(view); errClass(verr) != errClass(err) {
+				t.Fatalf("P=%d Q=%d cut to %d: Validate %v, check %v", h.P, h.Q, n, verr, err)
 			}
 			if n < boundary {
 				if err == nil {
@@ -356,7 +355,8 @@ func TestCutViewUnprotectedBytes(t *testing.T) {
 				flipped[bit/8] ^= 1 << (bit % 8)
 				at := bit / 8
 				unprotected := at >= offTailCRC && at < HeaderSize || at >= boundary
-				if accepted := Validate(flipped) == nil; accepted != unprotected {
+				_, verr := Validate(flipped)
+				if accepted := verr == nil; accepted != unprotected {
 					t.Fatalf("P=%d Q=%d cut to %d, byte %d bit %d flipped: accepted %v, want %v",
 						h.P, h.Q, n, at, bit%8, accepted, unprotected)
 				}

@@ -71,5 +71,10 @@ func checkMeta(buf []byte, h *Header) error {
 	if headerChecksum(buf, buf[HeaderSize:MetaSize]) != binary.BigEndian.Uint32(buf[offHeadCRC:]) {
 		return fmt.Errorf("%w (metadata)", ErrBadChecksum)
 	}
+	// Metadata has no tail region, so no CRC covers its tail-CRC field:
+	// it must read the zero BuildMetaPacket wrote.
+	if binary.BigEndian.Uint32(buf[offTailCRC:]) != 0 {
+		return fmt.Errorf("%w: tail CRC on a packet without tails", ErrBadChecksum)
+	}
 	return nil
 }

@@ -299,6 +299,16 @@ func TestMetaRoundTrip(t *testing.T) {
 	if m.P != 8 || m.Q != 24 || m.Seed != h.Seed {
 		t.Error("header fields not preserved")
 	}
+	// Metadata has no tail region, so its tail-CRC field must read zero;
+	// Validate and the parse refuse anything else alike.
+	tailCRC := bytes.Clone(buf)
+	tailCRC[offTailCRC+3] ^= 1
+	if _, err := Validate(tailCRC); !errors.Is(err, ErrBadChecksum) {
+		t.Errorf("Validate(meta with a tail CRC) = %v, want ErrBadChecksum", err)
+	}
+	if _, err := ParseMetaPacket(tailCRC); !errors.Is(err, ErrBadChecksum) {
+		t.Errorf("ParseMetaPacket(meta with a tail CRC) = %v, want ErrBadChecksum", err)
+	}
 	// Corruption detection.
 	buf[HeaderSize+9] ^= 1
 	if _, err := ParseMetaPacket(buf); err == nil {
@@ -326,7 +336,7 @@ func TestParseKindMismatch(t *testing.T) {
 		if _, err := ParseHeader(unknown); !errors.Is(err, ErrBadFlags) {
 			t.Errorf("ParseHeader(flags|%#x) = %v, want ErrBadFlags", bit, err)
 		}
-		if err := Validate(unknown); !errors.Is(err, ErrBadFlags) {
+		if _, err := Validate(unknown); !errors.Is(err, ErrBadFlags) {
 			t.Errorf("Validate(flags|%#x) = %v, want ErrBadFlags", bit, err)
 		}
 		if n := len(Trim(unknown, 0)); n != len(unknown) {
