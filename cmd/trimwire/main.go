@@ -128,7 +128,7 @@ func inspect(w io.Writer, buf []byte, hexDump bool) {
 		kind = "aggregate"
 	}
 	fmt.Fprintf(w, "kind      %s\n", kind)
-	fmt.Fprintf(w, "flags     trimmed=%v\n", h.IsCut(len(buf)))
+	fmt.Fprintf(w, "cut       %v\n", h.IsCut(len(buf)))
 	fmt.Fprintf(w, "flow      %d\n", h.Flow)
 	fmt.Fprintf(w, "message   %d  row %d  start %d  count %d\n", h.Message, h.Row, h.Start, h.Count)
 	fmt.Fprintf(w, "geometry  P=%d head bits, Q=%d tail bits per coordinate\n", h.P, h.Q)

@@ -18,7 +18,7 @@ const demoTrim87 = `(no -in given: inspecting a generated demo packet)
 Trim(87): 1457 -> 85 bytes
 
 kind      data
-flags     trimmed=true
+cut       true
 flow      1
 message   2  row 0  start 0  count 354
 geometry  P=1 head bits, Q=31 tail bits per coordinate
@@ -72,7 +72,7 @@ func TestRejectsBadInvocations(t *testing.T) {
 // aggTrimmed is the transcript of `trimwire -in` on a switch-built aggregate
 // of three packets whose survivor prefix is 3 of 8 coordinates.
 const aggTrimmed = `kind      aggregate
-flags     trimmed=true
+cut       true
 flow      3
 message   2  row 5  start 16  count 8
 geometry  P=32 head bits, Q=32 tail bits per coordinate
@@ -126,7 +126,7 @@ func TestTrimFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.Validate(buf); err != nil {
+	if _, err := wire.Validate(buf); err != nil {
 		t.Fatalf("written packet does not verify: %v", err)
 	}
 	stdout.Reset()
@@ -134,7 +134,7 @@ func TestTrimFileRoundTrip(t *testing.T) {
 		t.Fatalf("exit status %d, stderr %q", code, stderr.String())
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "flags     trimmed=true") || !strings.Contains(out, "(trimmed)") ||
+	if !strings.Contains(out, "cut       true") || !strings.Contains(out, "(trimmed)") ||
 		!strings.Contains(out, "000000  54 47 01 00") {
 		t.Errorf("inspection of the written packet:\n%s", out)
 	}

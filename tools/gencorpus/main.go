@@ -147,9 +147,11 @@ func run(root string) error {
 
 	// Validate-vs-parse corpus: every kind above (the loop already wrote
 	// the data and meta shapes) plus the aggregates, a corrupted whole
-	// tail region, and packets carrying the retired trimmed flag (bit 0,
+	// tail region, metadata whose tail-CRC field (no CRC covers it there)
+	// is not zero, and packets carrying the retired trimmed flag (bit 0,
 	// now reserved), which both refuse: at full length, and with the
 	// tail-CRC field zeroed as a marked trim once wrote it.
+	writeEntry("FuzzValidateMatchesParse", "meta-tailcrc", corrupt(meta, 39))
 	writeEntry("FuzzValidateMatchesParse", "valid-agg", aggFull)
 	writeEntry("FuzzValidateMatchesParse", "trimmed-agg", aggTrimmed)
 	writeEntry("FuzzValidateMatchesParse", "corrupt-agg-sums", corrupt(aggFull, wire.HeaderSize+3))
