@@ -42,8 +42,9 @@
 #                             for GOARCH=386 (every package but
 #                             ./benchmark) + trimlint + the no-Deprecated
 #                             guard + the no-trimmed-flag guard (no
-#                             FlagTrimmed, MarkTrimmed, TrimLen( or
-#                             Trimmed() in any Go file) + the
+#                             FlagTrimmed, MarkTrimmed, TrimLen(,
+#                             Trimmed() or ValidateUntrimmed in any Go
+#                             file) + the
 #                             one-fabric-switch guard (no
 #                             builder called by name outside internal/netsim,
 #                             benchmark/ and examples/; NewFatTree only in
@@ -292,10 +293,11 @@ fi
 
 step "no trimmed flag (a trim is a prefix of the sender's bytes and writes nothing)"
 # Bit 0 of the flags byte is reserved since the marked trim was retired;
-# readers tell a cut by its length (wire.Header.IsCut).
-flagged=$(grep -rnE --include='*.go' 'FlagTrimmed|MarkTrimmed|TrimLen\(|Trimmed\(\)' . || true)
+# readers tell a cut by its length (wire.Header.IsCut), and one
+# wire.Validate admits a packet cut or whole.
+flagged=$(grep -rnE --include='*.go' 'FlagTrimmed|MarkTrimmed|TrimLen\(|Trimmed\(\)|ValidateUntrimmed' . || true)
 if [[ -n "$flagged" ]]; then
-  echo "the retired trimmed flag is back — trim with wire.Trim and tell a cut by wire.Header.IsCut:" >&2
+  echo "the retired trimmed flag is back — trim with wire.Trim, tell a cut by wire.Header.IsCut, admit with wire.Validate:" >&2
   echo "$flagged" >&2
   exit 1
 fi
