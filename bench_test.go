@@ -451,7 +451,7 @@ func BenchmarkHotEncodeDecodeRound(b *testing.B) {
 }
 
 // mlArms are the two ways a pass runs its kernels: a replica's, on the
-// calling goroutine, and a NewMLP model's, fanned out over the par pool.
+// calling goroutine, and a NewMLP model's, fanned out over the par crew.
 var mlArms = []struct {
 	name  string
 	model func(m *ml.Model) *ml.Model
@@ -506,8 +506,8 @@ func BenchmarkHotMLEpoch(b *testing.B) {
 // BenchmarkTrainCompute measures the compute half of one train_k4_ps round
 // — 8 workers, batch 64, the 32-256-128-30 MLP — the two ways there are to
 // run it: every worker through one model, one after another, each kernel
-// forking the pool (what the benchmark's unrolled loop still does), and
-// every worker on its own replica, the eight passes handed to the pool
+// forking the crew (what the benchmark's unrolled loop still does), and
+// every worker on its own replica, the eight passes handed to the crew
 // whole (what ddp.computeGrads does).
 func BenchmarkTrainCompute(b *testing.B) {
 	const workers, batch = 8, 64

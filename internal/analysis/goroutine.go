@@ -8,8 +8,8 @@ import (
 
 // GoroutineBoundAnalyzer bans unbounded goroutine spawns. The fabric's
 // determinism contract (DESIGN.md §6) allows concurrency only inside
-// internal/par, whose fixed worker pool is the one sanctioned spawn site.
-// Anywhere else, a `go` statement is accepted only when the enclosing
+// internal/par, whose worker crew (par.Team) is the one sanctioned spawn
+// site. Anywhere else, a `go` statement is accepted only when the enclosing
 // function declaration also contains a provable join: a channel receive
 // (`<-ch`, including range-over-channel) or a call to a method named Wait
 // (sync.WaitGroup.Wait and friends). A spawn with no in-function join is
@@ -23,7 +23,7 @@ var GoroutineBoundAnalyzer = &Analyzer{
 
 func runGoroutineBound(p *Pass) {
 	if p.Pkg.Name == "par" {
-		return // the worker pool is the sanctioned spawn site
+		return // the worker crew is the sanctioned spawn site
 	}
 	for _, f := range p.Pkg.Files {
 		for _, d := range f.Decls {

@@ -1,5 +1,5 @@
 // Package par is the goroutinebound exemption fixture: internal/par's
-// worker pool is the sanctioned spawn site, so nothing here is flagged.
+// worker crew is the sanctioned spawn site, so nothing here is flagged.
 package par
 
 func worker(int) {}

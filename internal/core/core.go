@@ -250,7 +250,7 @@ func (o *decObs) arrived(s *Stats, pkt []byte, inputs int, trimmed bool) {
 // reject decision about a packet as it arrives — from its header and
 // checksums, no bit unpacked — and parks a reference to each data packet that
 // brings news in its row's arrival log; DecodeParallel replays the logs, a
-// row per pool index, straight into the output. Nothing is reassembled.
+// row per crew index, straight into the output. Nothing is reassembled.
 // A Decoder instance handles a single message; create one per message.
 type Decoder struct {
 	geom  geometry
@@ -430,7 +430,7 @@ func (d *Decoder) Stats() Stats {
 // Receive is the receive half of the paper's prototype (§4): it builds a
 // decoder for msg.ID from opts, hands it every metadata packet intact and
 // every data packet through inj — nil passes everything, and a nil result
-// from inj is a drop — and decodes the first n coordinates on the pool
+// from inj is a drop — and decodes the first n coordinates on the crew
 // (DecodeParallel(n, 0)). An Injector writes no packet, so msg is left as
 // encoded and may be received again.
 func Receive(msg *Message, inj Injector, n int, opts ...Option) ([]float32, Stats, error) {

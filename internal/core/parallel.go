@@ -19,12 +19,12 @@ import (
 // seeds depend only on (epoch, msgID, row), never on execution order);
 // workers = 1 runs the rows in order on the calling goroutine.
 //
-// Work is scheduled on the persistent par.Default pool, and every worker
+// Work is scheduled on the persistent par.Default crew, and every worker
 // encodes with the encoder's one codec (quant.Codec's Encode is safe for
 // concurrent use), so steady-state encoding pays neither goroutine spawns
 // nor codec construction.
 //
-// workers ≤ 0 means the pool size (GOMAXPROCS).
+// workers ≤ 0 means the crew's size (GOMAXPROCS).
 func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, workers int) (*Message, error) {
 	if len(grad) == 0 {
 		return nil, errors.New("core: empty gradient")
@@ -85,14 +85,14 @@ func (e *Encoder) encodeRow(epoch uint64, msgID, r uint32, row []float32) encode
 
 // DecodeParallel decodes the gradient from whatever packets arrived, rows
 // in parallel: Handle only admitted and parked the packets, so a row's whole
-// decode — replay its log, inverse-rotate the rotated schemes — is one pool
+// decode — replay its log, inverse-rotate the rotated schemes — is one crew
 // index, exactly like the encode side. n is the original gradient length. The
 // gradient, the Stats and the obs counters are the same at every worker count
 // (per-row contributions are folded in ascending row order, and a failing row
 // reports what the rows before it counted); workers = 1 runs the rows in
 // order on the calling goroutine.
 //
-// workers ≤ 0 means the pool size (GOMAXPROCS). DecodeParallel may be
+// workers ≤ 0 means the crew's size (GOMAXPROCS). DecodeParallel may be
 // called again on one Decoder, but not concurrently with itself or with
 // Handle.
 func (d *Decoder) DecodeParallel(n, workers int) ([]float32, Stats, error) {
@@ -147,7 +147,7 @@ func (d *Decoder) decodeRow(s *replayScratch, r uint32, dst []float32) decodedRo
 }
 
 // decodeRows is the fork-join both decoders reconstruct through: a zeroed
-// output of nRows rows, body run once per row on the par pool with the
+// output of nRows rows, body run once per row on the par crew with the
 // row's slice of it and the executing worker slot's scratch.
 func (g *geometry) decodeRows(nRows, workers int, body func(s *replayScratch, r int, dst []float32)) []float32 {
 	if workers <= 0 {

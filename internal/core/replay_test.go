@@ -13,7 +13,7 @@ import (
 	"trimgrad/internal/xrand"
 )
 
-// Handle admits and parks; the rows are decoded later, on the pool, from
+// Handle admits and parks; the rows are decoded later, on the crew, from
 // their arrival logs. These tests pin the places where that replay could
 // differ from decoding on arrival: the order packets came in, the bytes of a
 // buffer the sender goes on using, and a log that is full.

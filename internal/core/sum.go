@@ -237,11 +237,11 @@ func (d *SumDecoder) park(row *sumRow, pkt []byte, h *wire.Header, tailCount, in
 // flow's gradient (the caller divides by the flow count). n is the
 // original gradient length. Rows that received nothing decode as zeros.
 // Like Decoder.DecodeParallel it replays and finalizes the rows on the par
-// pool — the result is the same bits however they are scheduled — and may
+// crew — the result is the same bits however they are scheduled — and may
 // be called again.
 func (d *SumDecoder) Reconstruct(n int) ([]float32, Stats, error) { return d.reconstruct(n, 0) }
 
-// reconstruct is Reconstruct on up to workers executors (≤ 0: the pool size).
+// reconstruct is Reconstruct on up to workers executors (≤ 0: the crew's size).
 func (d *SumDecoder) reconstruct(n, workers int) ([]float32, Stats, error) {
 	if n <= 0 {
 		return nil, d.stats, errors.New("core: non-positive gradient length")

@@ -405,7 +405,7 @@ func injectedExchange(cfg Config, reg *obs.Registry) (exchangeFunc, error) {
 			if efs != nil {
 				g = efs[w].Compensate(g)
 			}
-			// Both codec halves run on the par pool; parallel output is
+			// Both codec halves run on the par crew; parallel output is
 			// bit-identical to serial, so training trajectories do not
 			// depend on GOMAXPROCS.
 			msg, err := enc.EncodeParallel(epoch, msgBase+uint32(w), g, 0)
@@ -499,7 +499,7 @@ func newReplicas(model *ml.Model, workers int) (replicas []*ml.Model, grads [][]
 // computeGrads runs one round's compute the way DDP does, every worker at
 // once: worker w's forward and backward pass over round[w], against the
 // parameters the replicas share, is one task of a single fan-out over the
-// par pool (workers executors; 0 means the pool's size). Each pass leaves its
+// par crew (workers executors; 0 means the crew's size). Each pass leaves its
 // gradient in its replica and its loss in losses[w], so what a run reports
 // does not depend on which executor ran which worker — provided the caller
 // adds the losses up in rank order.

@@ -6,7 +6,7 @@ import (
 	"trimgrad/internal/par"
 )
 
-// Register-blocked, pool-parallel dense-layer kernels driven by live sets.
+// Register-blocked, crew-parallel dense-layer kernels driven by live sets.
 // The training loop's hot path is three matmul-shaped loops: forward
 // y = xW + b, backward input gx = gy·Wᵀ, backward weights dW += xᵀ·gy.
 //
@@ -139,8 +139,8 @@ func axpy4(y []float32, a0, a1, a2, a3 float32, v0, v1, v2, v3 []float32) {
 }
 
 // Each kernel takes the worker count its layer was bound with: 0 fans the
-// rows out over the par pool, 1 — a replica, whose whole pass is already a
-// task on that pool — loops on the calling goroutine, building no closure.
+// rows out over the par crew, 1 — a replica, whose whole pass is already a
+// task on that crew — loops on the calling goroutine, building no closure.
 // Both run the same row kernel.
 
 // denseForward computes out[s] = x[s]·W + b for every sample, one sample

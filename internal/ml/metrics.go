@@ -39,7 +39,7 @@ func inTopK(row []float32, label, k int) bool {
 }
 
 // Evaluate runs the model over the dataset in eval mode and returns top-1
-// and top-5 accuracy. The batches fan out over the par pool, each executor
+// and top-5 accuracy. The batches fan out over the par crew, each executor
 // on its own forward-only replica of m, which m keeps for the next call;
 // hits are integer counts, so their sum does not depend on which executor
 // scored which batch.

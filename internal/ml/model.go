@@ -40,7 +40,7 @@ type layer interface {
 	paramCount() int
 	// bind points the layer at its slices of the model's parameter and
 	// gradient buffers and fixes the worker count of its kernels (0: the
-	// par pool's size).
+	// par crew's size).
 	bind(params, grads []float32, workers int)
 	// initialize fills the layer's parameters.
 	initialize(rng *xrand.Rand)
@@ -142,11 +142,11 @@ func (d *dense) initialize(rng *xrand.Rand) {
 }
 
 // forward runs the matmul register-blocked over the input's live set, on
-// the par pool unless the layer is a replica's (see matmul.go); results are
+// the par crew unless the layer is a replica's (see matmul.go); results are
 // bit-identical at every worker count.
 func (d *dense) forward(x activations, train bool) activations {
 	// Validate before fanning out: a panic must fire on the caller's
-	// goroutine, not inside a pool worker.
+	// goroutine, not inside a crew member.
 	for _, row := range x.rows {
 		if len(row) != d.in {
 			panic(fmt.Sprintf("ml: dense expects %d inputs, got %d", d.in, len(row)))
@@ -235,7 +235,7 @@ func (m *Model) bind(workers int) {
 // an SGD.Step or SetParams between passes is seen by m and every replica —
 // and owns its gradient buffer, activation caches and batch matrices. Its
 // kernels run on the calling goroutine: a replica's pass is the unit that
-// is handed to the par pool, and a task on the pool never forks it.
+// is handed to the par crew, and a task on the crew never forks it.
 func (m *Model) Replica() *Model { return m.replica(make([]float32, len(m.params))) }
 
 // replica is Replica over the given gradient buffer.
@@ -262,7 +262,7 @@ func (m *Model) evalReplicas(n int) []*Model {
 // NewMLP builds a dense (relu dense)* stack — sizes[0] inputs, hidden
 // layers, and sizes[len-1] output logits — allocates the flat buffers, and
 // initializes parameters deterministically from seed. Its kernels fan out
-// over the par pool.
+// over the par crew.
 func NewMLP(seed uint64, sizes ...int) *Model {
 	if len(sizes) < 2 {
 		panic("ml: MLP needs at least input and output sizes")

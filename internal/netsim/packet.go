@@ -89,7 +89,7 @@ func (p *Packet) stamp() {
 
 // trimLen returns how many payload bytes a trim toward target total wire
 // bytes (payload + NetOverhead) keeps, from the stamped geometry alone:
-// wire.TrimLen of the payload, without reading it. len(Payload) means the
+// wire.TrimKeep of the payload, without reading it. len(Payload) means the
 // switch cannot usefully trim the packet: it is opaque, a metadata packet,
 // or already at its minimum size.
 func (p *Packet) trimLen(target int) int {

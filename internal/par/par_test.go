@@ -1,15 +1,17 @@
 package par
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestForEachCoversEveryIndexOnce: every index in [0, n) runs exactly
-// once for every worker count, including counts above the pool size.
+// once for every worker count, including counts above the crew size.
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	p := NewPool(3)
+	p := NewTeam(3)
+	defer p.Close()
 	for _, workers := range []int{0, 1, 2, 3, 8, 100} {
 		const n = 1000
 		counts := make([]int32, n)
@@ -27,7 +29,8 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 // TestForEachBitIdentical: a body that writes only to its index slot
 // produces byte-identical output at every worker count.
 func TestForEachBitIdentical(t *testing.T) {
-	p := NewPool(4)
+	p := NewTeam(4)
+	defer p.Close()
 	const n = 4096
 	ref := make([]uint64, n)
 	for i := range ref {
@@ -49,7 +52,8 @@ func TestForEachBitIdentical(t *testing.T) {
 // TestForEachWorkerIdentities: worker ids observed by the body stay in
 // [0, workers) so they can index per-worker caches.
 func TestForEachWorkerIdentities(t *testing.T) {
-	p := NewPool(4)
+	p := NewTeam(4)
+	defer p.Close()
 	const n, workers = 512, 3
 	var bad atomic.Int64
 	p.ForEachWorker(n, workers, func(w, i int) {
@@ -62,10 +66,11 @@ func TestForEachWorkerIdentities(t *testing.T) {
 	}
 }
 
-// TestForEachConcurrentCallers: many goroutines sharing one pool must
+// TestForEachConcurrentCallers: many goroutines sharing one crew must
 // not interfere (run under -race by scripts/check.sh).
 func TestForEachConcurrentCallers(t *testing.T) {
-	p := NewPool(4)
+	p := NewTeam(4)
+	defer p.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -84,9 +89,60 @@ func TestForEachConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
+// TestForEachNestedAndConcurrent: a body that calls ForEach on its own
+// crew, and a second goroutine calling it while the crew is held, both
+// find it busy and run serially with worker id 0, and both return the
+// serial result. Without the busy fallback a nested call republishes the
+// phase it runs in: indices go missing, or the crew deadlocks.
+func TestForEachNestedAndConcurrent(t *testing.T) {
+	p := NewTeam(3)
+	defer p.Close()
+	const n, m = 16, 32
+	serial := func(base int) []int {
+		out := make([]int, m)
+		for j := range out {
+			out[j] = base*m + j*j
+		}
+		return out
+	}
+	var nested [n][]int
+	var concurrent []int
+	var badWorker atomic.Int64
+	inner := func(base int) []int {
+		out := make([]int, m)
+		p.ForEachWorker(m, 0, func(w, j int) {
+			if w != 0 {
+				badWorker.Add(1)
+			}
+			out[j] = base*m + j*j
+		})
+		return out
+	}
+	p.ForEach(n, 0, func(i int) {
+		nested[i] = inner(i)
+		if i == 0 {
+			done := make(chan []int)
+			go func() { done <- inner(n) }()
+			concurrent = <-done
+		}
+	})
+	if badWorker.Load() != 0 {
+		t.Fatalf("%d calls on a busy crew saw a worker id other than 0", badWorker.Load())
+	}
+	for i := range nested {
+		if !slices.Equal(nested[i], serial(i)) {
+			t.Fatalf("nested call %d = %v, want %v", i, nested[i], serial(i))
+		}
+	}
+	if !slices.Equal(concurrent, serial(n)) {
+		t.Fatalf("concurrent call = %v, want %v", concurrent, serial(n))
+	}
+}
+
 // TestForEachZeroAndNegative: degenerate n values are no-ops.
 func TestForEachZeroAndNegative(t *testing.T) {
-	p := NewPool(2)
+	p := NewTeam(2)
+	defer p.Close()
 	ran := false
 	p.ForEach(0, 4, func(int) { ran = true })
 	p.ForEach(-5, 4, func(int) { ran = true })
@@ -160,7 +216,7 @@ func TestScratchMixedSizesSteadyState(t *testing.T) {
 	}
 }
 
-// TestDefaultPoolForEach covers the shared Default pool at its default
+// TestDefaultPoolForEach covers the shared Default crew at its default
 // worker count.
 func TestDefaultPoolForEach(t *testing.T) {
 	const n = 100
@@ -173,10 +229,11 @@ func TestDefaultPoolForEach(t *testing.T) {
 	}
 }
 
-// BenchmarkForEachOverhead measures the fixed cost of a pool dispatch
-// versus the work it fans out (the reason the pool is persistent).
+// BenchmarkForEachOverhead measures the fixed cost of a crew dispatch
+// versus the work it fans out (the reason the crew is persistent).
 func BenchmarkForEachOverhead(b *testing.B) {
-	p := NewPool(4)
+	p := NewTeam(4)
+	defer p.Close()
 	var sink atomic.Int64
 	for i := 0; i < b.N; i++ {
 		p.ForEach(64, 4, func(i int) { sink.Add(int64(i)) })

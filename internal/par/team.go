@@ -7,15 +7,11 @@ import (
 )
 
 // Team is a fixed crew of persistent workers for repeated fork-join
-// phases over the *same* index space — the shard-worker pattern of the
-// sharded netsim engine, where every synchronization window runs one
-// function per shard and must not pay a goroutine spawn (or a closure
-// allocation) per window.
-//
-// It differs from Pool deliberately: Pool hands out a dynamic index
-// stream to however many executors are free, which is right for
-// data-parallel loops but wrong for shards — shard i's timer wheel must
-// only ever be touched by executor i, so work is pinned, not stolen.
+// phases: Run pins one function call per member — the shard-worker
+// pattern of the sharded netsim engine, where shard i's timer wheel must
+// only ever be touched by executor i and every synchronization window
+// must not pay a goroutine spawn (or a closure allocation) — and ForEach
+// (par.go) is one Run phase in which members draw indices from a counter.
 //
 // Worker 0 is the calling goroutine: a Team of size 1 spawns nothing and
 // Run degenerates to a plain call. Workers 1..n-1 are persistent
@@ -34,8 +30,8 @@ import (
 // spins: a spinner would hold the CPU the member it waits for needs, so
 // both sides park at once.
 //
-// A Team is driven by one goroutine at a time; Run and Close must not be
-// called concurrently.
+// Run and Close are driven by one goroutine at a time and must not be
+// called concurrently with each other or with ForEach.
 type Team struct {
 	*hot
 	n       int
@@ -46,6 +42,14 @@ type Team struct {
 	parked  atomic.Int32 // workers parked (or about to) on wake
 	waiting atomic.Bool  // the caller is parked (or about to) on done
 	exited  sync.WaitGroup
+
+	// A ForEach phase: the call that holds busy sets the rest before Run.
+	busy    atomic.Bool
+	next    atomic.Int64 // the next index to draw
+	items   int
+	workers int
+	body    func(w, i int)
+	draw    func(int) // t.drawAll, bound once
 }
 
 // hot holds the words every phase touches: the caller writes f, left
@@ -59,17 +63,11 @@ type hot struct {
 	_     [32]byte
 }
 
-// spinBudget is how many times a waiting side polls before it parks, and
-// yieldEvery how often it calls runtime.Gosched meanwhile. 1<<16 polls
-// last about 200 µs on the 2-vCPU reference box: a permute_k8_s2 window
-// lasts about 350 µs; with a 5 µs budget (1<<12) 29 % of the workers'
-// waits there and 33 % of the caller's still parked, with this one 18 %
-// and 6 %. Yielding every 64 polls doubled BenchmarkTeamRun's empty
-// phase; every 256 is noise.
-const (
-	spinBudget = 1 << 16
-	yieldEvery = 1 << 8
-)
+// yieldEvery is how often a spinning side calls runtime.Gosched:
+// yielding every 64 polls doubled BenchmarkTeamRun's empty phase; every
+// 256 is noise. spinBudget (spin.go, spin_race.go) is how many polls it
+// makes before it parks.
+const yieldEvery = 1 << 8
 
 // NewTeam returns a team of n pinned executors (n < 1 is treated as 1).
 // It spawns n-1 worker goroutines; call Close when done with the team.
@@ -78,6 +76,7 @@ func NewTeam(n int) *Team {
 		n = 1
 	}
 	t := &Team{hot: new(hot), n: n, spin: n <= min(runtime.GOMAXPROCS(0), runtime.NumCPU())}
+	t.draw = t.drawAll
 	t.wake.L = &t.mu
 	t.done.L = &t.mu
 	t.exited.Add(n - 1)

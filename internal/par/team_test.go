@@ -137,7 +137,7 @@ func TestTeamParksAndWakes(t *testing.T) {
 // have exited. At GOMAXPROCS 1 a worker that signals its exit runs to
 // its end before the waiting Close can resume, so the count is back at
 // its baseline the moment Close returns; otherwise a worker may still be
-// unwinding, and the check yields a bounded number of times.
+// unwinding on a thread the OS has not run yet, and the check waits.
 func TestTeamCloseJoins(t *testing.T) {
 	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprint("procs=", procs), func(t *testing.T) {
@@ -146,8 +146,8 @@ func TestTeamCloseJoins(t *testing.T) {
 			team := NewTeam(4)
 			team.Run(func(int) {})
 			team.Close()
-			for i := 0; procs > 1 && i < 1000 && runtime.NumGoroutine() != base; i++ {
-				runtime.Gosched()
+			if procs > 1 {
+				waitFor(t, "the workers exit", func() bool { return runtime.NumGoroutine() == base })
 			}
 			if got := runtime.NumGoroutine(); got != base {
 				t.Fatalf("%d goroutines after Close, want the baseline %d", got, base)

@@ -23,9 +23,10 @@
 #                             pooled and borrowed-payload hops, and the k=4
 #                             fat-tree incast),
 #                             the BenchmarkShardFabric partitioned-
-#                             engine suite, the shard barrier alone
+#                             engine suite, the worker crew alone
 #                             (BenchmarkTeamRun: one empty par.Team phase
-#                             at 1, 2 and 4 members) and the compute kernels
+#                             at 1, 2 and 4 members; BenchmarkForEachOverhead:
+#                             one 64-index ForEach on 4) and the compute kernels
 #                             (BenchmarkFWHT at 2^15 and 2^11,
 #                             BenchmarkDenseLayer over a raw and a
 #                             rectified input) and the round's compute
@@ -231,9 +232,9 @@ if [[ $mode == bench ]]; then
   bench 'Hot' .
   step "go test -race -bench Fabric (wheel + pooled-event fast path)"
   bench '^BenchmarkFabric' .
-  step "go test -race -bench Shard, TeamRun (partitioned engine, cross-shard mailboxes; the barrier's empty phase)"
+  step "go test -race -bench Shard, TeamRun, ForEachOverhead (partitioned engine, cross-shard mailboxes; the crew's empty phase and its ForEach)"
   bench 'Shard' .
-  bench '^BenchmarkTeamRun$' ./internal/par
+  bench '^Benchmark(TeamRun|ForEachOverhead)$' ./internal/par
   step "go test -race -bench FWHT, DenseLayer, TrainCompute (compute kernels, serial and pooled, raw and rectified input; a round's passes on one model and on replicas)"
   bench '^BenchmarkFWHT' .
   bench '^BenchmarkDenseLayer' ./internal/ml
@@ -372,20 +373,21 @@ fi
 step "go test ./..."
 go test ./...
 
-step "go test -race (concurrency-heavy packages, and the ones whose code runs on pool goroutines)"
+step "go test -race (concurrency-heavy packages, and the ones whose code runs on crew goroutines)"
 go test -race ./internal/core ./internal/transport ./internal/collective ./internal/ddp \
   ./internal/ml ./internal/par ./internal/fwht ./internal/obs
 
-step "shard determinism (differential + plain-Sim identity + sharded matrices + the par.Team barrier, -race, GOMAXPROCS 1 and 4)"
+step "shard determinism (differential + plain-Sim identity + sharded matrices + the par.Team barrier and ForEach, -race, GOMAXPROCS 1 and 4)"
 # The bit-identity contract — plain Sim ≡ 1 shard ≡ S shards — must hold
 # however the goroutines are actually scheduled: truly parallel (4) and
 # fully serialized (1) both run under the race detector, and so does the
-# barrier under them, spinning and parking. The transport's run covers the
-# per-message control headers its shards share read-only.
+# crew under them, spinning and parking, pinned (Run) and drawing indices
+# (ForEach, concurrent and nested callers included). The transport's run
+# covers the per-message control headers its shards share read-only.
 pkgs=(./internal/netsim ./internal/collective ./internal/par ./internal/transport)
-selects Test 'Shard|Team' "${pkgs[@]}"
+selects Test 'Shard|Team|ForEach' "${pkgs[@]}"
 for procs in 1 4; do
-  GOMAXPROCS=$procs go test -race -run 'Shard|Team' -count=1 "${pkgs[@]}"
+  GOMAXPROCS=$procs go test -race -run 'Shard|Team|ForEach' -count=1 "${pkgs[@]}"
 done
 
 step "metrics export smoke (trimbench -metrics -> metricsval)"

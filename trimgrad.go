@@ -29,7 +29,7 @@
 //	// ship msg.Meta reliably, msg.Data through the trimming network ...
 //	dec, _ := trimgrad.NewDecoder(cfg, msgID)
 //	for _, pkt := range arrived { dec.Handle(pkt) } // admits and references pkt: leave it unmodified
-//	approx, stats, _ := dec.Reconstruct(len(grad))  // decodes the rows, on all cores
+//	approx, stats, _ := dec.Reconstruct(len(grad))  // decodes the rows in order; DecodeParallel(n, 0) on all cores
 //
 // See examples/ for runnable scenarios and cmd/trimbench for the paper's
 // figures.
@@ -76,8 +76,9 @@ type (
 	// Encoder turns gradients into trimmable packet streams.
 	Encoder = core.Encoder
 	// Decoder admits (possibly trimmed) packets as they arrive and decodes
-	// the gradient from them, row-parallel, at Reconstruct. It keeps a
-	// reference to each accepted packet until Release.
+	// the gradient from them at Reconstruct, row by row on the calling
+	// goroutine (DecodeParallel(n, 0): rows on all cores, the same bits).
+	// It keeps a reference to each accepted packet until Release.
 	Decoder = core.Decoder
 	// Message is one encoded collective-communication message.
 	Message = core.Message
