@@ -101,8 +101,8 @@ func (c *edenCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 		idx := edenIndex(x, centroids)
 		enc.Heads[i] = idx
 		v := edenValue(idx, centroids) * sigma
-		dotRC += float64(r) * v
-		normC2 += v * v
+		dotRC += float64(float64(r) * v)
+		normC2 += float64(v * v)
 		enc.Tails[i] = tailTopQ(r, q)
 	}
 	switch {

@@ -33,6 +33,9 @@
 // Shared randomness (the SQ coin flips, the SD dither, the RHT diagonal)
 // is derived from a seed both endpoints compute from (epoch, message, row)
 // via xrand.Seed, mirroring the paper's use of torch.cuda.manual_seed.
+// Both ends must also do the same arithmetic: every product that feeds an
+// add is rounded first (float64(a*b) + c), so no target fuses the pair into
+// an FMA and a row encodes and decodes to the same bits on every GOARCH.
 //
 // Per-row side information (σ, L, or f) is carried in EncodedRow.Scale and
 // must travel in a small reliable packet that is never trimmed; package

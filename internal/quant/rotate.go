@@ -93,7 +93,7 @@ func (c *rhtLinearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error)
 	defer par.PutFloat32s(rot)
 	copy(rot, row)
 	fwht.RandomRotate(rot, seed)
-	limit := c.p.ClipSigma * vecmath.Std(rot)
+	limit := float64(c.p.ClipSigma * vecmath.Std(rot))
 	_, q := c.p.Widths()
 	enc := newEncodedRow(RHTLinear, c.p.P, q, n, seed, limit)
 	// The quantization coin flips must not collide with the rotation's

@@ -56,7 +56,7 @@ func (c *sqCodec) Params() Params { return c.p }
 
 func (c *sqCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
-	limit := c.p.ClipSigma * vecmath.Std(row)
+	limit := float64(c.p.ClipSigma * vecmath.Std(row))
 	_, q := c.p.Widths()
 	enc := newEncodedRow(SQ, 1, q, n, seed, limit)
 	r := xrand.New(seed)
@@ -117,7 +117,7 @@ func (c *sdCodec) Params() Params { return c.p }
 
 func (c *sdCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
-	limit := c.p.ClipSigma * vecmath.Std(row)
+	limit := float64(c.p.ClipSigma * vecmath.Std(row))
 	_, q := c.p.Widths()
 	enc := newEncodedRow(SD, 1, q, n, seed, limit)
 	r := xrand.New(seed)
@@ -155,7 +155,7 @@ func (c *sdCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAvai
 		case avail(tailAvail, i):
 			out[i] = joinTopQ(enc.Tails[i], enc.Q)
 		default:
-			out[i] = float32(float64(signValue(enc.Heads[i]))*limit - eps)
+			out[i] = float32(float64(float64(signValue(enc.Heads[i]))*limit) - eps)
 		}
 	}
 	return nil
@@ -170,7 +170,7 @@ func (c *linearCodec) Params() Params { return c.p }
 
 func (c *linearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
-	limit := c.p.ClipSigma * vecmath.Std(row)
+	limit := float64(c.p.ClipSigma * vecmath.Std(row))
 	_, q := c.p.Widths()
 	enc := newEncodedRow(Linear, c.p.P, q, n, seed, limit)
 	r := xrand.New(seed)
@@ -214,7 +214,7 @@ func encodeLinearHeads(enc *EncodedRow, row []float32, limit float64, p int, r *
 		cv := float64(clipTo(v, limit))
 		// Map [−L, L] to [0, levels] and round stochastically so the
 		// head-only decode is unbiased.
-		x := (cv + limit) / (2 * limit) * levels
+		x := float64((cv + limit) / (2 * limit) * levels)
 		lo := uint32(x)
 		frac := x - float64(lo)
 		k := lo

@@ -3,6 +3,10 @@
 // magnitude selection. Gradients travel as []float32 throughout the system
 // (matching the 32-bit floating-point wire format in the paper), while
 // accumulations run in float64 to avoid drift over 2^15-entry rows.
+//
+// Every product that feeds an add is rounded first (float64(a*b) + c): Go
+// may otherwise fuse the pair into one FMA instruction on arm64, ppc64 or
+// s390x, and the same row would sum to different bits on different targets.
 package vecmath
 
 import (
@@ -29,15 +33,15 @@ func Mean(v []float32) float64 {
 
 // Std returns the population standard deviation of v (σ, as the paper uses
 // to scale sign-bit decoding), or 0 for a slice with fewer than one element.
-func Std(v []float32) float64 {
+// The named result keeps Std within the inliner's budget.
+func Std(v []float32) (ss float64) {
 	if len(v) == 0 {
 		return 0
 	}
 	mean := Mean(v)
-	var ss float64
 	for _, x := range v {
 		d := float64(x) - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(v)))
 }
@@ -56,7 +60,7 @@ func L2NormSquared(v []float32) float64 {
 	var s float64
 	for _, x := range v {
 		f := float64(x)
-		s += f * f
+		s += float64(f * f)
 	}
 	return s
 }
@@ -72,7 +76,7 @@ func Dot(a, b []float32) float64 {
 	}
 	var s float64
 	for i, x := range a {
-		s += float64(x) * float64(b[i])
+		s += float64(float64(x) * float64(b[i]))
 	}
 	return s
 }
@@ -105,7 +109,7 @@ func Axpy(dst []float32, a float32, x []float32) {
 		panic("vecmath: Axpy length mismatch")
 	}
 	for i, v := range x {
-		dst[i] += a * v
+		dst[i] += float32(a * v)
 	}
 }
 
@@ -122,9 +126,9 @@ func NMSE(ref, est []float32) float64 {
 	var num, den float64
 	for i := range ref {
 		d := float64(est[i]) - float64(ref[i])
-		num += d * d
+		num += float64(d * d)
 		r := float64(ref[i])
-		den += r * r
+		den += float64(r * r)
 	}
 	if den == 0 {
 		if num == 0 {

@@ -13,7 +13,10 @@
 // The generator is xoshiro256** seeded through SplitMix64, a pairing that
 // is the reference initialization recommended by the xoshiro authors. It is
 // not cryptographically secure and does not need to be; it only needs to be
-// fast, well distributed, and exactly reproducible across machines.
+// fast, well distributed, and exactly reproducible across machines: every
+// product that feeds an add is rounded first (float64(a*b) + c), so no
+// target fuses the pair into an FMA and a stream's floats are the same bits
+// on every GOARCH.
 package xrand
 
 import "math"
@@ -134,12 +137,12 @@ func mul64(a, b uint64) (hi, lo uint64) {
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // NormFloat64 returns a standard-normal sample using Box-Muller.
@@ -150,9 +153,9 @@ func (r *Rand) NormFloat64() float64 {
 		return r.spare
 	}
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}

@@ -36,7 +36,9 @@
 #                             31; BenchmarkDecoderIngest: full and
 #                             head-trimmed packets, rht and sd, handle and
 #                             reconstruct timed apart at 1 worker and all
-#                             cores) run clean
+#                             cores) and the codec kernels
+#                             (BenchmarkFig5Encode, BenchmarkFig5Decode,
+#                             BenchmarkE7MultiLevelEncode) run clean
 #                             under -race with live obs registries, and the
 #                             obs overhead guard still holds
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + go vet
@@ -54,7 +56,10 @@
 #                             internal/collective and benchmark/;
 #                             transport.New also in internal/scenario)
 #                             + the CHANGES.md bound (an entry for PR 41
-#                             or later is at most 1 500 bytes)
+#                             or later is at most 1 500 bytes) + the
+#                             no-FMA scan (GOARCH=arm64 code of quant,
+#                             xrand and vecmath holds no fused
+#                             multiply-add)
 #   scripts/check.sh -loc [DIR...]
 #                             print the size score ROADMAP and CHANGES.md
 #                             quote: non-test and test Go lines outside
@@ -242,6 +247,8 @@ if [[ $mode == bench ]]; then
   step "go test -race -bench Bits, DecoderIngest (receive path: bit kernels, Handle admission and row replay)"
   bench '^BenchmarkBits$' ./internal/vecmath
   bench '^BenchmarkDecoderIngest$' ./internal/core
+  step "go test -race -bench Fig5Encode, Fig5Decode, E7MultiLevelEncode (codec kernels: every scheme's heads, 1-bit and multi-level)"
+  bench '^Benchmark(Fig5Encode|Fig5Decode|E7MultiLevelEncode)$' .
   step "obs overhead guard (encode hot path, Nop vs live registry)"
   selects Test 'TestObsOverheadGuard' .
   go test -run 'TestObsOverheadGuard' -count=1 .
@@ -355,8 +362,21 @@ if [[ -n "$long" ]]; then
   exit 1
 fi
 
+step "no fused multiply-add in quant, xrand and vecmath (GOARCH=arm64 -gcflags=-S)"
+# Go may fuse a*b + c into one FMA instruction on arm64 (never at amd64's
+# default GOAMD64=v1), which rounds once instead of twice: a row would
+# encode and decode to other bits there. Each product that feeds an add is
+# rounded explicitly, float64(a*b) + c, so the arm64 code holds none.
+fma_asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/quant ./internal/xrand ./internal/vecmath 2>&1)
+fused=$(grep -E '\s(FMADD|FMSUB|FNMADD|FNMSUB)[SD]\s' <<<"$fma_asm" || true)
+if [[ -n "$fused" ]]; then
+  echo "fused multiply-adds in the GOARCH=arm64 code — round the product first, float64(a*b) + c:" >&2
+  echo "$fused" >&2
+  exit 1
+fi
+
 if [[ $mode == lint ]]; then
-  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + no-trimmed-flag + one-fabric-switch + NewFatTree only in benchmark/ + one-bind + CHANGES.md bound)"
+  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + no-trimmed-flag + one-fabric-switch + NewFatTree only in benchmark/ + one-bind + CHANGES.md bound + no arm64 FMA in quant/xrand/vecmath)"
   exit 0
 fi
 
