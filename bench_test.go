@@ -279,11 +279,15 @@ func BenchmarkE6LayoutAssign(b *testing.B) {
 	}
 }
 
-// BenchmarkE7MultiLevelEncode measures the multi-bit (P = 8) head encoder
-// of §5.1 against the 1-bit RHT.
+// BenchmarkE7MultiLevelEncode measures the multi-bit head encoders of
+// §5.1 (RHTLinear at P = 8, Linear at P = 4, Eden at P = 2) against the
+// 1-bit RHT.
 func BenchmarkE7MultiLevelEncode(b *testing.B) {
 	row := benchRow(1 << 13)
-	for _, p := range []quant.Params{{Scheme: quant.RHT}, {Scheme: quant.RHTLinear, P: 8}} {
+	for _, p := range []quant.Params{
+		{Scheme: quant.RHT}, {Scheme: quant.RHTLinear, P: 8},
+		{Scheme: quant.Linear, P: 4}, {Scheme: quant.Eden, P: 2},
+	} {
 		c := quant.MustNew(p)
 		b.Run(c.Name(), func(b *testing.B) {
 			b.SetBytes(int64(len(row) * 4))

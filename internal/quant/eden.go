@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"math"
 
 	"trimgrad/internal/fwht"
 	"trimgrad/internal/par"
@@ -33,44 +34,48 @@ var lloydMaxCentroids = map[int][]float64{
 func (c *edenCodec) Name() string   { return Eden.String() }
 func (c *edenCodec) Params() Params { return c.p }
 
-// edenIndex returns the quantizer bin for unit-normal value x: the low
-// P−1 bits select the magnitude centroid, the top bit carries the sign.
-func edenIndex(x float64, centroids []float64) uint32 {
-	sign := uint32(0)
-	if x < 0 {
-		sign = 1
-		x = -x
-	}
-	// Nearest-centroid by midpoint thresholds (centroids ascend).
-	k := 0
-	for k+1 < len(centroids) && x > (centroids[k]+centroids[k+1])/2 {
-		k++
-	}
-	return sign<<uint(len(bitsOf(centroids))) | uint32(k)
+// edenQuantizer is the P-bit Lloyd-Max quantizer: an index's low P−1
+// bits pick the magnitude centroid, its top bit the sign.
+type edenQuantizer struct {
+	mids    []float64 // midpoints of adjacent centroids, ascending
+	signBit uint      // P−1, the index bit that carries the sign
+	values  []float64 // the signed centroid each of the 2^P indices decodes to
 }
 
-// bitsOf returns a slice whose length is log2(len(centroids)) — a helper
-// to keep the bit-width arithmetic in one place.
-func bitsOf(centroids []float64) []struct{} {
-	n := 0
-	for 1<<uint(n) < len(centroids) {
-		n++
+// edenQuantizers holds one quantizer per head width, built once from
+// lloydMaxCentroids.
+var edenQuantizers = func() map[int]*edenQuantizer {
+	m := make(map[int]*edenQuantizer, len(lloydMaxCentroids))
+	for p := 1; p <= len(lloydMaxCentroids); p++ {
+		c := lloydMaxCentroids[p]
+		eq := &edenQuantizer{signBit: uint(p - 1), values: make([]float64, 2*len(c))}
+		for k := range c[1:] {
+			eq.mids = append(eq.mids, (c[k]+c[k+1])/2)
+		}
+		for k, v := range c {
+			eq.values[k], eq.values[len(c)+k] = v, -v
+		}
+		m[p] = eq
 	}
-	return make([]struct{}, n)
+	return m
+}()
+
+// index returns the bin of unit-normal value x. Its magnitude is the count
+// of midpoints below |x|, which is where a nearest-centroid scan up the
+// ascending centroids stops, and a NaN counts none; neither the sign nor
+// the count is a jump on x.
+func (eq *edenQuantizer) index(x float64) uint32 {
+	ax, k := math.Abs(x), uint32(0)
+	for _, m := range eq.mids {
+		k += b2u(ax > m)
+	}
+	return b2u(x < 0)<<eq.signBit | k
 }
 
-// edenValue maps a bin index back to its centroid.
-func edenValue(idx uint32, centroids []float64) float64 {
-	magBits := len(bitsOf(centroids))
-	k := int(idx & (1<<uint(magBits) - 1))
-	if k >= len(centroids) {
-		k = len(centroids) - 1
-	}
-	v := centroids[k]
-	if idx>>uint(magBits)&1 == 1 {
-		return -v
-	}
-	return v
+// value maps a bin index back to its signed centroid; bits above P are
+// ignored.
+func (eq *edenQuantizer) value(idx uint32) float64 {
+	return eq.values[idx&(1<<(eq.signBit+1)-1)]
 }
 
 func (c *edenCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
@@ -78,7 +83,7 @@ func (c *edenCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	if !vecmath.IsPow2(n) {
 		return nil, fmt.Errorf("quant: eden row length %d is not a power of two", n)
 	}
-	centroids, ok := lloydMaxCentroids[c.p.P]
+	eq, ok := edenQuantizers[c.p.P]
 	if !ok {
 		return nil, fmt.Errorf("quant: eden head width P=%d not in [1,4]", c.p.P)
 	}
@@ -93,17 +98,18 @@ func (c *edenCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	enc := newEncodedRow(Eden, c.p.P, q, n, seed, 0)
 	// Quantize and accumulate the inner products the scale needs.
 	var dotRC, normC2 float64
+	heads, tails := enc.Heads[:n], enc.Tails[:n]
 	for i, r := range rot {
 		var x float64
 		if sigma > 0 {
 			x = float64(r) / sigma
 		}
-		idx := edenIndex(x, centroids)
-		enc.Heads[i] = idx
-		v := edenValue(idx, centroids) * sigma
+		idx := eq.index(x)
+		heads[i] = idx
+		v := eq.values[idx] * sigma
 		dotRC += float64(float64(r) * v)
 		normC2 += float64(v * v)
-		enc.Tails[i] = tailTopQ(r, q)
+		tails[i] = tailTopQ(r, q)
 	}
 	switch {
 	case dotRC == 0 || normC2 == 0:
@@ -127,18 +133,19 @@ func (c *edenCodec) DecodeInto(rot []float32, enc *EncodedRow, headAvail, tailAv
 	if !vecmath.IsPow2(enc.N) {
 		return fmt.Errorf("quant: eden row length %d is not a power of two", enc.N)
 	}
-	centroids, ok := lloydMaxCentroids[enc.P]
+	eq, ok := edenQuantizers[enc.P]
 	if !ok {
 		return fmt.Errorf("quant: eden head width P=%d not in [1,4]", enc.P)
 	}
+	heads, tails, q, scale := enc.Heads[:len(rot)], enc.Tails[:len(rot)], enc.Q, enc.Scale
 	for i := range rot {
 		switch {
 		case !avail(headAvail, i):
 			rot[i] = 0
 		case avail(tailAvail, i):
-			rot[i] = joinTopQ(enc.Tails[i], enc.Q)
+			rot[i] = joinTopQ(tails[i], q)
 		default:
-			rot[i] = float32(edenValue(enc.Heads[i], centroids) * enc.Scale)
+			rot[i] = float32(eq.value(heads[i]) * scale)
 		}
 	}
 	fwht.InverseRandomRotate(rot, enc.Seed)

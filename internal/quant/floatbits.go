@@ -50,12 +50,21 @@ func joinTopQ(tail uint32, q int) float32 {
 	return math.Float32frombits(tail << uint(32-q))
 }
 
-// signValue maps a sign bit to ±1.
+// signValue maps a sign bit to ±1, by arithmetic rather than a branch on
+// the bit.
 func signValue(bit uint32) float32 {
-	if bit&1 == 1 {
-		return -1
+	return float32(1 - 2*int32(bit&1))
+}
+
+// b2u is 1 for true and 0 for false. The compiler turns it into a flag
+// set (SETcc), so a head decided by a coin or a comparison is a select and
+// never a jump the branch predictor can miss.
+func b2u(b bool) uint32 {
+	var u uint32
+	if b {
+		u = 1
 	}
-	return 1
+	return u
 }
 
 // tailWidth resolves the effective tail width: the scheme's full-precision

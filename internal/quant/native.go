@@ -68,12 +68,12 @@ func NewNativeDecoder(scheme Scheme, p, q int, scale float64, seed uint64) (*Nat
 		d.pm64[bit] = float64(signValue(uint32(bit))) * scale
 	}
 	if scheme == Eden {
-		c, ok := lloydMaxCentroids[p]
+		eq, ok := edenQuantizers[p]
 		if !ok {
 			return nil, fmt.Errorf("quant: eden head width P=%d not in [1,4]", p)
 		}
-		for idx := range d.eden[:1<<uint(p)] {
-			d.eden[idx] = float32(edenValue(uint32(idx), c) * scale)
+		for idx, v := range eq.values {
+			d.eden[idx] = float32(v * scale)
 		}
 	}
 	return d, nil

@@ -43,8 +43,9 @@ func (c *rhtCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	}
 	_, q := c.p.Widths()
 	enc := newEncodedRow(RHT, 1, q, n, seed, scale)
+	heads, tails := enc.Heads[:n], enc.Tails[:n]
 	for i, r := range rot {
-		enc.Heads[i], enc.Tails[i] = splitSignQ(r, q)
+		heads[i], tails[i] = splitSignQ(r, q)
 	}
 	return enc, nil
 }
@@ -61,14 +62,15 @@ func (c *rhtCodec) DecodeInto(rot []float32, enc *EncodedRow, headAvail, tailAva
 		return fmt.Errorf("quant: rht row length %d is not a power of two", enc.N)
 	}
 	f := float32(enc.Scale)
+	heads, tails, q := enc.Heads[:len(rot)], enc.Tails[:len(rot)], enc.Q
 	for i := range rot {
 		switch {
 		case !avail(headAvail, i):
 			rot[i] = 0 // rotated coordinates are zero-mean
 		case avail(tailAvail, i):
-			rot[i] = joinSignQ(enc.Heads[i], enc.Tails[i], enc.Q)
+			rot[i] = joinSignQ(heads[i], tails[i], q)
 		default:
-			rot[i] = signValue(enc.Heads[i]) * f
+			rot[i] = signValue(heads[i]) * f
 		}
 	}
 	fwht.InverseRandomRotate(rot, enc.Seed)
@@ -99,9 +101,10 @@ func (c *rhtLinearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error)
 	// The quantization coin flips must not collide with the rotation's
 	// diagonal stream, so derive a distinct sub-seed.
 	r := xrand.New(xrand.Seed(seed, quantStreamLabel))
-	encodeLinearHeads(enc, rot, limit, c.p.P, r)
+	encodeLinearHeads(enc.Heads, rot, limit, c.p.P, r)
+	tails := enc.Tails[:n]
 	for i, v := range rot {
-		enc.Tails[i] = tailTopQ(v, q)
+		tails[i] = tailTopQ(v, q)
 	}
 	return enc, nil
 }
@@ -121,14 +124,16 @@ func (c *rhtLinearCodec) DecodeInto(rot []float32, enc *EncodedRow, headAvail, t
 	if !vecmath.IsPow2(enc.N) {
 		return fmt.Errorf("quant: rht-linear row length %d is not a power of two", enc.N)
 	}
+	heads, tails, q := enc.Heads[:len(rot)], enc.Tails[:len(rot)], enc.Q
+	limit, levels := enc.Scale, linearLevels(enc.P)
 	for i := range rot {
 		switch {
 		case !avail(headAvail, i):
 			rot[i] = 0 // rotated coordinates are zero-mean
 		case avail(tailAvail, i):
-			rot[i] = joinTopQ(enc.Tails[i], enc.Q)
+			rot[i] = joinTopQ(tails[i], q)
 		default:
-			rot[i] = linearLevelValue(enc.Heads[i], enc.Scale, enc.P)
+			rot[i] = linearValue(heads[i], limit, levels)
 		}
 	}
 	fwht.InverseRandomRotate(rot, enc.Seed)

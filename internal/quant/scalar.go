@@ -17,8 +17,9 @@ func (c *signCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	n := len(row)
 	_, q := c.p.Widths()
 	enc := newEncodedRow(Sign, 1, q, n, seed, vecmath.Std(row))
+	heads, tails := enc.Heads[:n], enc.Tails[:n]
 	for i, v := range row {
-		enc.Heads[i], enc.Tails[i] = splitSignQ(v, q)
+		heads[i], tails[i] = splitSignQ(v, q)
 	}
 	return enc, nil
 }
@@ -32,14 +33,15 @@ func (c *signCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAv
 		return err
 	}
 	sigma := float32(enc.Scale)
+	heads, tails, q := enc.Heads[:len(out)], enc.Tails[:len(out)], enc.Q
 	for i := range out {
 		switch {
 		case !avail(headAvail, i):
 			out[i] = 0
 		case avail(tailAvail, i):
-			out[i] = joinSignQ(enc.Heads[i], enc.Tails[i], enc.Q)
+			out[i] = joinSignQ(heads[i], tails[i], q)
 		default:
-			out[i] = signValue(enc.Heads[i]) * sigma
+			out[i] = signValue(heads[i]) * sigma
 		}
 	}
 	return nil
@@ -60,6 +62,7 @@ func (c *sqCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	_, q := c.p.Widths()
 	enc := newEncodedRow(SQ, 1, q, n, seed, limit)
 	r := xrand.New(seed)
+	heads, tails := enc.Heads[:n], enc.Tails[:n]
 	for i, v := range row {
 		cv := clipTo(v, limit)
 		// p(+1) = (L+v)/2L; with L = 0 every coordinate is 0 and the bit
@@ -70,12 +73,10 @@ func (c *sqCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 		} else {
 			pPlus = 0.5
 		}
-		if r.Float64() < pPlus {
-			enc.Heads[i] = 0 // +1
-		} else {
-			enc.Heads[i] = 1 // −1
-		}
-		enc.Tails[i] = tailTopQ(v, q)
+		// The coin picks the head (0 is +1, 1 is −1) by a select, not by a
+		// jump the branch predictor would miss half the time.
+		heads[i] = 1 - b2u(r.Float64() < pPlus)
+		tails[i] = tailTopQ(v, q)
 	}
 	return enc, nil
 }
@@ -89,14 +90,15 @@ func (c *sqCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAvai
 		return err
 	}
 	limit := float32(enc.Scale)
+	heads, tails, q := enc.Heads[:len(out)], enc.Tails[:len(out)], enc.Q
 	for i := range out {
 		switch {
 		case !avail(headAvail, i):
 			out[i] = 0
 		case avail(tailAvail, i):
-			out[i] = joinTopQ(enc.Tails[i], enc.Q)
+			out[i] = joinTopQ(tails[i], q)
 		default:
-			out[i] = signValue(enc.Heads[i]) * limit
+			out[i] = signValue(heads[i]) * limit
 		}
 	}
 	return nil
@@ -121,15 +123,12 @@ func (c *sdCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	_, q := c.p.Widths()
 	enc := newEncodedRow(SD, 1, q, n, seed, limit)
 	r := xrand.New(seed)
+	heads, tails := enc.Heads[:n], enc.Tails[:n]
 	for i, v := range row {
 		cv := float64(clipTo(v, limit))
 		eps := r.Uniform(-limit, limit)
-		if cv+eps >= 0 {
-			enc.Heads[i] = 0 // +1
-		} else {
-			enc.Heads[i] = 1 // −1
-		}
-		enc.Tails[i] = tailTopQ(v, q)
+		heads[i] = 1 - b2u(cv+eps >= 0) // 0 is +1, 1 is −1
+		tails[i] = tailTopQ(v, q)
 	}
 	return enc, nil
 }
@@ -147,15 +146,16 @@ func (c *sdCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAvai
 	// consumed for every coordinate (trimmed, dropped or not) to stay
 	// aligned with the sender.
 	r := xrand.New(enc.Seed)
+	heads, tails, q := enc.Heads[:len(out)], enc.Tails[:len(out)], enc.Q
 	for i := range out {
 		eps := r.Uniform(-limit, limit)
 		switch {
 		case !avail(headAvail, i):
 			out[i] = 0
 		case avail(tailAvail, i):
-			out[i] = joinTopQ(enc.Tails[i], enc.Q)
+			out[i] = joinTopQ(tails[i], q)
 		default:
-			out[i] = float32(float64(float64(signValue(enc.Heads[i]))*limit) - eps)
+			out[i] = float32(float64(float64(signValue(heads[i]))*limit) - eps)
 		}
 	}
 	return nil
@@ -174,9 +174,10 @@ func (c *linearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	_, q := c.p.Widths()
 	enc := newEncodedRow(Linear, c.p.P, q, n, seed, limit)
 	r := xrand.New(seed)
-	encodeLinearHeads(enc, row, limit, c.p.P, r)
+	encodeLinearHeads(enc.Heads, row, limit, c.p.P, r)
+	tails := enc.Tails[:n]
 	for i, v := range row {
-		enc.Tails[i] = tailTopQ(v, q)
+		tails[i] = tailTopQ(v, q)
 	}
 	return enc, nil
 }
@@ -189,52 +190,51 @@ func (c *linearCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tail
 	if err := checkDecodeArgs(out, enc, headAvail, tailAvail); err != nil {
 		return err
 	}
+	heads, tails, q := enc.Heads[:len(out)], enc.Tails[:len(out)], enc.Q
+	limit, levels := enc.Scale, linearLevels(enc.P)
 	for i := range out {
 		switch {
 		case !avail(headAvail, i):
 			out[i] = 0
 		case avail(tailAvail, i):
-			out[i] = joinTopQ(enc.Tails[i], enc.Q)
+			out[i] = joinTopQ(tails[i], q)
 		default:
-			out[i] = linearLevelValue(enc.Heads[i], enc.Scale, enc.P)
+			out[i] = linearValue(heads[i], limit, levels)
 		}
 	}
 	return nil
 }
 
-// encodeLinearHeads fills enc.Heads with stochastically-rounded level
-// indices for row under clip limit. Shared by Linear and RHTLinear.
-func encodeLinearHeads(enc *EncodedRow, row []float32, limit float64, p int, r *xrand.Rand) {
-	levels := float64(int(1)<<uint(p)) - 1 // index range 0..levels
+// encodeLinearHeads fills heads with stochastically-rounded level indices
+// for row under clip limit. Shared by Linear and RHTLinear.
+func encodeLinearHeads(heads []uint32, row []float32, limit float64, p int, r *xrand.Rand) {
+	if limit <= 0 {
+		clear(heads)
+		return
+	}
+	heads = heads[:len(row)]
+	levels := linearLevels(p) // index range 0..levels
 	for i, v := range row {
-		if limit <= 0 {
-			enc.Heads[i] = 0
-			continue
-		}
 		cv := float64(clipTo(v, limit))
 		// Map [−L, L] to [0, levels] and round stochastically so the
 		// head-only decode is unbiased.
 		x := float64((cv + limit) / (2 * limit) * levels)
 		lo := uint32(x)
 		frac := x - float64(lo)
-		k := lo
-		if float64(lo) < levels && r.Float64() < frac {
-			k = lo + 1
+		// The top level draws no coin, so the stream advances only below
+		// it; the coin itself picks lo or lo+1 by a select.
+		if float64(lo) < levels {
+			lo += b2u(r.Float64() < frac)
 		}
-		enc.Heads[i] = k
+		heads[i] = lo
 	}
-}
-
-// linearLevelValue maps a P-bit level index back to its value in [−L, L].
-func linearLevelValue(k uint32, limit float64, p int) float32 {
-	return linearValue(k, limit, linearLevels(p))
 }
 
 // linearLevels is the top level index of a P-bit linear head.
 func linearLevels(p int) float64 { return float64(int(1)<<uint(p)) - 1 }
 
-// linearValue is linearLevelValue with the level count worked out by the
-// caller, once per run of coordinates.
+// linearValue maps a level index back to its value in [−L, L], given the
+// top level index of the head (linearLevels).
 func linearValue(k uint32, limit, levels float64) float32 {
 	if limit <= 0 || levels <= 0 {
 		return 0
