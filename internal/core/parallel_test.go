@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
+	"trimgrad/internal/fwht"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/wire"
 )
@@ -89,50 +93,97 @@ func BenchmarkEncodeParallel(b *testing.B) {
 	}
 }
 
-// TestEncodePaddedRowScratch pins EncodeParallel's padded-row scratch: the
-// row is borrowed from the par arena and must stay the encoder's until the
-// row's packets are built. Three encodes of a 200-coordinate gradient
-// (one zero-padded 256-coordinate row) must each equal the codec run
-// directly on the padded row and packed by wire.PackRow; a scratch handed
-// back early is reused by the codec's own scratch and the packets change.
+// TestEncodePaddedRowScratch pins what EncodeParallel hands back and what it
+// leaves alone, for every scheme at both tail widths, a whole and a ragged
+// gradient and one and two workers. Every Meta and Data packet must equal the
+// codec run directly on the zero-padded row and packed by wire.PackRow; three
+// encodes in a row catch a padded-row scratch handed back to the par arena
+// before its row's packets are built (the codec's own scratch reuses it and
+// the packets change; 200 coordinates make the one row a ragged one). The caller's gradient must come back bit for bit, every
+// data packet must be capped (len == cap), and an append to one packet must
+// leave every other packet of the message as it was.
 func TestEncodePaddedRowScratch(t *testing.T) {
-	grad := gaussianGrad(72, 200)
-	row := make([]float32, 256)
-	copy(row, grad)
-	for _, s := range []quant.Scheme{quant.RHT, quant.SQ} {
-		cfg := Config{Params: quant.Params{Scheme: s, P: 1}, RowSize: 256, Flow: 1}
-		codec, err := quant.New(cfg.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := codec.Encode(row, RowSeed(1, 9, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantMeta, wantData, err := wire.PackRow(cfg.Flow, 9, 0, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := NewEncoderWith(WithConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for it := 0; it < 3; it++ {
-			msg, err := enc.Encode(1, 9, grad)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(msg.Meta) != 1 || !bytes.Equal(msg.Meta[0], wantMeta) {
-				t.Fatalf("%v it %d: meta differs", s, it)
-			}
-			if len(msg.Data) != len(wantData) {
-				t.Fatalf("%v it %d: %d data packets, want %d", s, it, len(msg.Data), len(wantData))
-			}
-			for i := range wantData {
-				if !bytes.Equal(msg.Data[i], wantData[i]) {
-					t.Fatalf("%v it %d: data %d differs", s, it, i)
+	const rowSize = 256
+	schemes := []quant.Params{
+		{Scheme: quant.Sign}, {Scheme: quant.SQ}, {Scheme: quant.SD}, {Scheme: quant.RHT},
+		{Scheme: quant.Linear, P: 4}, {Scheme: quant.RHTLinear, P: 8}, {Scheme: quant.Eden, P: 2},
+	}
+	for _, base := range schemes {
+		for _, tailBits := range []int{0, 12} {
+			for _, n := range []int{200, 3 * rowSize, 712} {
+				params := base
+				params.TailBits = tailBits
+				cfg := Config{Params: params, RowSize: rowSize, Flow: 1}
+				grad := gaussianGrad(72, n)
+				wantMeta, wantData := packPaddedRows(t, cfg, 1, 9, grad)
+				enc, err := NewEncoderWith(WithConfig(cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 2} {
+					name := fmt.Sprintf("%v/P=%d/tail=%d/n=%d/w=%d", params.Scheme, params.P, tailBits, n, workers)
+					for it := 0; it < 3; it++ {
+						before := slices.Clone(grad)
+						msg, err := enc.EncodeParallel(1, 9, grad, workers)
+						if err != nil {
+							t.Fatalf("%s it %d: %v", name, it, err)
+						}
+						for i := range grad {
+							if math.Float32bits(grad[i]) != math.Float32bits(before[i]) {
+								t.Fatalf("%s it %d: gradient coordinate %d modified", name, it, i)
+							}
+						}
+						checkPackets(t, fmt.Sprintf("%s it %d", name, it), msg, wantMeta, wantData)
+						for i, pkt := range msg.Data {
+							if len(pkt) != cap(pkt) {
+								t.Fatalf("%s it %d: data %d has len %d, cap %d", name, it, i, len(pkt), cap(pkt))
+							}
+							_ = append(pkt, 0xa5, 0x5a, 0xa5, 0x5a)
+						}
+						checkPackets(t, fmt.Sprintf("%s it %d after appends", name, it), msg, wantMeta, wantData)
+					}
 				}
 			}
+		}
+	}
+}
+
+// packPaddedRows is EncodeParallel's reference: grad split into zero-padded
+// rows, each encoded by a fresh codec and packed by wire.PackRow.
+func packPaddedRows(t *testing.T, cfg Config, epoch uint64, msgID uint32, grad []float32) (metas, datas [][]byte) {
+	t.Helper()
+	codec, err := quant.New(cfg.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, row := range fwht.SplitRows(grad, cfg.RowSize) {
+		enc, err := codec.Encode(row, RowSeed(epoch, msgID, uint32(r)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, data, err := wire.PackRow(cfg.Flow, msgID, uint32(r), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas, datas = append(metas, meta), append(datas, data...)
+	}
+	return metas, datas
+}
+
+// checkPackets fails unless msg's packets are exactly wantMeta and wantData.
+func checkPackets(t *testing.T, name string, msg *Message, wantMeta, wantData [][]byte) {
+	t.Helper()
+	if len(msg.Meta) != len(wantMeta) || len(msg.Data) != len(wantData) {
+		t.Fatalf("%s: %d meta + %d data packets, want %d + %d", name, len(msg.Meta), len(msg.Data), len(wantMeta), len(wantData))
+	}
+	for i := range wantMeta {
+		if !bytes.Equal(msg.Meta[i], wantMeta[i]) {
+			t.Fatalf("%s: meta %d differs", name, i)
+		}
+	}
+	for i := range wantData {
+		if !bytes.Equal(msg.Data[i], wantData[i]) {
+			t.Fatalf("%s: data %d differs", name, i)
 		}
 	}
 }
