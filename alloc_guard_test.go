@@ -29,11 +29,18 @@ func skipAllocGuard(t *testing.T) {
 
 // TestAllocGuardEncodeParallel: a steady-state EncodeParallel of
 // train_k4_ps's gradient (45 214 floats in 2^11-coordinate RHT rows)
-// allocates per row its six packets, its metadata packet, the slice that
-// holds them and the row's descriptor — not the row's head and tail words.
+// allocates per row its metadata packet and its quantised row's descriptor,
+// and per message one slab for every data packet and the slices listing
+// them — not a packet, a row backing or the row's head and tail words. In
+// bytes that is the message's packets with no size-class slack on each
+// data packet (≤ 2 %), plus at most 256 B per row of metadata and slices.
 func TestAllocGuardEncodeParallel(t *testing.T) {
 	skipAllocGuard(t)
-	const rowSize, maxPerRow = 1 << 11, 10.5
+	const (
+		rowSize, maxPerRow = 1 << 11, 3.3
+		packetSlack        = 1.02
+		bytesPerRow        = 256
+	)
 	grad := benchRow(32*256 + 256 + 256*128 + 128 + 128*30 + 30)
 	rows := (len(grad) + rowSize - 1) / rowSize
 	enc, err := core.NewEncoderWith(core.WithConfig(core.Config{
@@ -43,15 +50,44 @@ func TestAllocGuardEncodeParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := uint32(0)
-	perRow := testing.AllocsPerRun(20, func() {
+	var packetBytes int
+	encode := func() {
 		msg++
-		if _, err := enc.EncodeParallel(1, msg, grad, 0); err != nil {
+		m, err := enc.EncodeParallel(1, msg, grad, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}) / float64(rows)
+		packetBytes = m.DataBytes()
+		for _, meta := range m.Meta {
+			packetBytes += len(meta)
+		}
+	}
+	perRow := testing.AllocsPerRun(20, encode) / float64(rows)
 	t.Logf("%.2f allocations per row over %d rows", perRow, rows)
 	if perRow > maxPerRow {
 		t.Errorf("EncodeParallel allocates %.2f times per row, bound %.1f", perRow, maxPerRow)
+	}
+
+	// Bytes are counted as AllocsPerRun counts allocations, on one P: a
+	// scratch buffer parked in another P's private pool slot would be made
+	// again. A collection mid-run would empty the pool and charge the
+	// encodes for refilling it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	encode()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		encode()
+	}
+	runtime.ReadMemStats(&after)
+	perMsg := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	bound := packetSlack*float64(packetBytes) + bytesPerRow*float64(rows)
+	t.Logf("%.0f bytes per message of %d packet bytes (%+.1f %%)", perMsg, packetBytes, 100*(perMsg/float64(packetBytes)-1))
+	if perMsg > bound {
+		t.Errorf("EncodeParallel allocates %.0f bytes per message, bound %.0f (%.2f × %d packet bytes + %d B × %d rows)",
+			perMsg, bound, packetSlack, packetBytes, bytesPerRow, rows)
 	}
 }
 

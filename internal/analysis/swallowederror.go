@@ -33,6 +33,7 @@ var watchedCalls = map[string]bool{
 	"AddData":        true,
 	"Assemble":       true,
 	"PackRow":        true,
+	"PackRowInto":    true,
 }
 
 func runSwallowedError(p *Pass) {

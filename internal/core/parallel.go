@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"trimgrad/internal/fwht"
 	"trimgrad/internal/par"
 	"trimgrad/internal/quant"
 	"trimgrad/internal/wire"
@@ -22,7 +21,10 @@ import (
 // Work is scheduled on the persistent par.Default crew, and every worker
 // encodes with the encoder's one codec (quant.Codec's Encode is safe for
 // concurrent use), so steady-state encoding pays neither goroutine spawns
-// nor codec construction.
+// nor codec construction. Rows are read where they lie in grad, which is
+// never written (a codec copies a row before it rotates it), and every row
+// packs into its share of one byte slab sized before the crew starts: a
+// message's data packets are one allocation.
 //
 // workers ≤ 0 means the crew's size (GOMAXPROCS).
 func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, workers int) (*Message, error) {
@@ -35,25 +37,19 @@ func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, wor
 		workers = par.Default.Size()
 	}
 	workers = min(workers, nRows)
-	// The padded row backing lives only for the duration of this call
-	// (packets copy the bits they need), so it comes from the scratch
-	// arena: steady-state encoding does not allocate it.
-	backing := par.Float32s(nRows * rowSize)
-	defer par.PutFloat32s(backing)
-	rows := fwht.SplitRowsBacking(grad, rowSize, backing)
-
-	outs := make([]encodedRow, nRows)
+	// Padded, every row has rowSize coordinates, so every row packs alike.
+	p, q := e.codec.Params().Widths()
+	perRow, rowBytes := wire.RowLayout(rowSize, p, q)
+	slab := make([]byte, nRows*rowBytes)
+	msg := &Message{ID: msgID, N: len(grad), Meta: make([][]byte, nRows), Data: make([][]byte, nRows*perRow)}
+	errs := make([]error, nRows)
 	par.Default.ForEachWorker(nRows, workers, func(_, r int) {
-		outs[r] = e.encodeRow(epoch, msgID, uint32(r), rows[r])
+		msg.Meta[r], errs[r] = e.encodeRow(epoch, msgID, r, grad, msg.Data[r*perRow:(r+1)*perRow], slab[r*rowBytes:(r+1)*rowBytes])
 	})
-
-	msg := &Message{ID: msgID, N: len(grad), Meta: make([][]byte, 0, nRows)}
-	for r := range outs {
-		if outs[r].err != nil {
-			return nil, fmt.Errorf("core: row %d: %w", r, outs[r].err)
+	for r, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: row %d: %w", r, err)
 		}
-		msg.Meta = append(msg.Meta, outs[r].meta)
-		msg.Data = append(msg.Data, outs[r].data...)
 	}
 	if e.rowsTotal != nil {
 		e.rowsTotal.Add(int64(nRows))
@@ -63,24 +59,26 @@ func (e *Encoder) EncodeParallel(epoch uint64, msgID uint32, grad []float32, wor
 	return msg, nil
 }
 
-// encodedRow is one row's packets, or why it has none.
-type encodedRow struct {
-	meta []byte
-	data [][]byte
-	err  error
-}
-
 // encodeRow is the encode direction's one row body: seed → quantise →
-// packetise. The packets copy the head and tail bits they carry, so the
-// quantised row's scratch goes straight back to the pool.
-func (e *Encoder) encodeRow(epoch uint64, msgID, r uint32, row []float32) encodedRow {
-	enc, err := e.codec.Encode(row, RowSeed(epoch, msgID, r))
+// packetise row r of grad into data, over slab, and a metadata packet. A ragged
+// last row is copied, zero-padded, into a row of par scratch, which goes
+// back to the pool once the row's packets are built; the quantised row's
+// scratch goes back too, the packets having copied its bits.
+func (e *Encoder) encodeRow(epoch uint64, msgID uint32, r int, grad []float32, data [][]byte, slab []byte) (meta []byte, err error) {
+	rowSize := e.cfg.RowSize
+	row := grad[r*rowSize : min((r+1)*rowSize, len(grad))]
+	if len(row) < rowSize {
+		padded := par.Float32s(rowSize)
+		defer par.PutFloat32s(padded)
+		clear(padded[copy(padded, row):])
+		row = padded
+	}
+	enc, err := e.codec.Encode(row, RowSeed(epoch, msgID, uint32(r)))
 	if err != nil {
-		return encodedRow{err: err}
+		return nil, err
 	}
 	defer enc.Release()
-	meta, data, err := wire.PackRow(e.cfg.Flow, msgID, r, enc)
-	return encodedRow{meta: meta, data: data, err: err}
+	return wire.PackRowInto(e.cfg.Flow, msgID, uint32(r), enc, data, slab)
 }
 
 // DecodeParallel decodes the gradient from whatever packets arrived, rows

@@ -77,15 +77,21 @@ func TestEncodeParallelDecodes(t *testing.T) {
 	}
 }
 
+// BenchmarkEncodeParallel encodes codec_exchange's gradient, 2^20 floats in
+// 2^13-coordinate rows, under each scheme that workload cycles, on every
+// core.
 func BenchmarkEncodeParallel(b *testing.B) {
-	cfg := Config{Params: quant.Params{Scheme: quant.RHT}, RowSize: 1 << 13}
-	enc, _ := NewEncoderWith(WithConfig(cfg))
-	grad := gaussianGrad(72, 1<<18)
-	for _, workers := range []int{1, 4} {
-		b.Run(map[int]string{1: "w1", 4: "w4"}[workers], func(b *testing.B) {
+	grad := gaussianGrad(72, 1<<20)
+	for _, s := range []quant.Scheme{quant.Sign, quant.SQ, quant.SD, quant.RHT} {
+		enc, err := NewEncoderWith(WithConfig(Config{Params: quant.Params{Scheme: s}, RowSize: 1 << 13}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(s.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			b.SetBytes(int64(len(grad) * 4))
 			for i := 0; i < b.N; i++ {
-				if _, err := enc.EncodeParallel(1, 1, grad, workers); err != nil {
+				if _, err := enc.EncodeParallel(1, uint32(i), grad, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -79,7 +79,7 @@ func (c CostModel) RoundTime(scheme *quant.Params, dropRate float64) float64 {
 	if scheme == nil {
 		mult := 1.0
 		if dropRate > dropKneeRate {
-			mult += dropSlowdownPerUnit * (dropRate - dropKneeRate)
+			mult += float64(dropSlowdownPerUnit * (dropRate - dropKneeRate))
 		}
 		return base * mult
 	}

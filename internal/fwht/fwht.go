@@ -147,23 +147,6 @@ func InverseRandomRotate(v []float32, seed uint64) {
 // row. rowSize must be a positive power of two. Rows are fresh allocations;
 // they do not alias v.
 func SplitRows(v []float32, rowSize int) [][]float32 {
-	if len(v) == 0 {
-		if !vecmath.IsPow2(rowSize) {
-			panic("fwht: rowSize is not a power of two")
-		}
-		return nil
-	}
-	nRows := (len(v) + rowSize - 1) / rowSize
-	return SplitRowsBacking(v, rowSize, make([]float32, nRows*rowSize))
-}
-
-// SplitRowsBacking is SplitRows with a caller-provided backing buffer
-// (e.g. a par scratch arena), letting steady-state encode calls avoid
-// the per-message allocation. backing must hold at least
-// ceil(len(v)/rowSize)·rowSize entries; it is fully overwritten — v is
-// copied in and the padding tail is explicitly zeroed, so a dirty
-// recycled buffer is safe. The returned rows alias backing.
-func SplitRowsBacking(v []float32, rowSize int, backing []float32) [][]float32 {
 	if !vecmath.IsPow2(rowSize) {
 		panic("fwht: rowSize is not a power of two")
 	}
@@ -171,15 +154,8 @@ func SplitRowsBacking(v []float32, rowSize int, backing []float32) [][]float32 {
 		return nil
 	}
 	nRows := (len(v) + rowSize - 1) / rowSize
-	need := nRows * rowSize
-	if len(backing) < need {
-		panic("fwht: SplitRowsBacking buffer too small")
-	}
-	backing = backing[:need]
+	backing := make([]float32, nRows*rowSize)
 	copy(backing, v)
-	for i := len(v); i < need; i++ {
-		backing[i] = 0
-	}
 	rows := make([][]float32, nRows)
 	for i := range rows {
 		rows[i] = backing[i*rowSize : (i+1)*rowSize]

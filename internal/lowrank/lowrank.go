@@ -42,7 +42,7 @@ func matMul(a, b Matrix) Matrix {
 				continue
 			}
 			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += aik * b.At(k, j)
+				out.Data[i*out.Cols+j] += float32(aik * b.At(k, j))
 			}
 		}
 	}
@@ -68,15 +68,15 @@ func orthonormalize(m Matrix) {
 		for k := 0; k < j; k++ {
 			var dot float64
 			for i := 0; i < m.Rows; i++ {
-				dot += float64(m.At(i, k)) * float64(m.At(i, j))
+				dot += float64(float64(m.At(i, k)) * float64(m.At(i, j)))
 			}
 			for i := 0; i < m.Rows; i++ {
-				m.Set(i, j, m.At(i, j)-float32(dot)*m.At(i, k))
+				m.Set(i, j, m.At(i, j)-float32(float32(dot)*m.At(i, k)))
 			}
 		}
 		var norm float64
 		for i := 0; i < m.Rows; i++ {
-			norm += float64(m.At(i, j)) * float64(m.At(i, j))
+			norm += float64(float64(m.At(i, j)) * float64(m.At(i, j)))
 		}
 		norm = math.Sqrt(norm)
 		if norm < 1e-12 {
@@ -171,7 +171,7 @@ func sortRanksByEnergy(f *Factors) {
 		var s float64
 		for i := 0; i < f.Q.Rows; i++ {
 			v := float64(f.Q.At(i, j))
-			s += v * v
+			s += float64(v * v)
 		}
 		energy[j] = s
 	}

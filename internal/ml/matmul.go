@@ -119,7 +119,7 @@ func (l *liveSet) transpose() {
 func axpy1(y []float32, a float32, v []float32) {
 	v = v[:len(y)]
 	for j := range y {
-		y[j] += a * v[j]
+		y[j] += float32(a * v[j])
 	}
 }
 
@@ -130,10 +130,10 @@ func axpy1(y []float32, a float32, v []float32) {
 func axpy4(y []float32, a0, a1, a2, a3 float32, v0, v1, v2, v3 []float32) {
 	v0, v1, v2, v3 = v0[:len(y)], v1[:len(y)], v2[:len(y)], v3[:len(y)]
 	for j := range y {
-		t := y[j] + a0*v0[j]
-		t += a1 * v1[j]
-		t += a2 * v2[j]
-		t += a3 * v3[j]
+		t := y[j] + float32(a0*v0[j])
+		t += float32(a1 * v1[j])
+		t += float32(a2 * v2[j])
+		t += float32(a3 * v3[j])
 		y[j] = t
 	}
 }
@@ -201,10 +201,10 @@ func backwardInputRow(gx, gy, w []float32, outDim int, live []int32) {
 		w3 := w[i3*outDim:][:len(gy)]
 		var a0, a1, a2, a3 float32
 		for j, g := range gy {
-			a0 += g * w0[j]
-			a1 += g * w1[j]
-			a2 += g * w2[j]
-			a3 += g * w3[j]
+			a0 += float32(g * w0[j])
+			a1 += float32(g * w1[j])
+			a2 += float32(g * w2[j])
+			a3 += float32(g * w3[j])
 		}
 		gx[i0], gx[i1], gx[i2], gx[i3] = a0, a1, a2, a3
 	}
@@ -212,7 +212,7 @@ func backwardInputRow(gx, gy, w []float32, outDim int, live []int32) {
 		wRow := w[int(i)*outDim:][:len(gy)]
 		var acc float32
 		for j, g := range gy {
-			acc += g * wRow[j]
+			acc += float32(g * wRow[j])
 		}
 		gx[i] = acc
 	}

@@ -23,8 +23,8 @@ func (o *SGD) Step(params, grads []float32) {
 	mu := float32(o.Momentum)
 	lr := float32(o.LR)
 	for i, g := range grads {
-		o.vel[i] = mu*o.vel[i] + g
-		params[i] -= lr * o.vel[i]
+		o.vel[i] = float32(mu*o.vel[i]) + g
+		params[i] -= float32(lr * o.vel[i])
 	}
 }
 

@@ -44,8 +44,8 @@ func (h HistogramPoint) Quantile(q float64) int64 {
 	}
 	// ceil(q·Count), forgiving the product's last-bit error: 0.07·100 is
 	// 7.000000000000001 in float64, and the rank it means is 7.
-	x := q * float64(h.Count)
-	rank := int64(math.Ceil(x - x*1e-12))
+	x := float64(q * float64(h.Count))
+	rank := int64(math.Ceil(x - float64(x*1e-12)))
 	if rank < 1 {
 		rank = 1
 	}

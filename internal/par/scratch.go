@@ -6,13 +6,13 @@ import (
 )
 
 // Scratch arenas for the per-row buffers the encode/decode hot paths
-// need transiently: RHT rotation copies, EDEN centroid values, packed
-// row backings, an encoded row's head and tail words. Each Get hands back
-// a possibly-dirty buffer of the requested length — callers must fully
-// overwrite it — and each Put recycles one for the next caller. Putting
-// back is optional (the GC reclaims unreturned buffers) and never required
-// for correctness, so external callers of quant codecs keep ordinary
-// ownership semantics.
+// need transiently: RHT rotation copies, EDEN centroid values, a
+// gradient's zero-padded last row, an encoded row's head and tail words.
+// Each Get hands back a possibly-dirty buffer of the requested length —
+// callers must fully overwrite it — and each Put recycles one for the next
+// caller. Putting back is optional (the GC reclaims unreturned buffers) and
+// never required for correctness, so external callers of quant codecs keep
+// ordinary ownership semantics.
 //
 // The arenas are process-global sync.Pools: concurrent Get/Put from
 // pool workers is safe, and a buffer obtained by one goroutine may be
@@ -20,7 +20,7 @@ import (
 
 // scratch is one element type's arena: one pool per power-of-two size
 // class, because one element type serves buffers of very different sizes at
-// once (a float32 buffer is a whole-message backing or a rotation row)
+// once (a rotation row is 2^11 coordinates in one encoder, 2^15 in another)
 // and a single pool hands the small ones to the large
 // requests, which can only drop them, and the large ones to the small. A
 // get allocates its class's full capacity, so whatever a class holds fits

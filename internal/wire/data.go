@@ -27,24 +27,33 @@ type DataPacket struct {
 // (low h.P / h.Q bits respectively) for i in [0, h.Count). FlagMeta is
 // cleared; both CRCs are computed. The result length is h.FullSize().
 func BuildDataPacket(h Header, heads, tails []uint32) ([]byte, error) {
+	buf := make([]byte, h.FullSize())
+	if err := putDataPacket(buf, h, heads, tails); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// putDataPacket is the one body that writes a data packet: BuildDataPacket
+// into a buffer of its own, PackRowInto into its share of a row's slab. buf
+// is h.FullSize() bytes, every one of which it writes.
+func putDataPacket(buf []byte, h Header, heads, tails []uint32) error {
 	if int(h.Count) != len(heads) || int(h.Count) != len(tails) {
-		return nil, fmt.Errorf("wire: count %d != heads %d / tails %d",
+		return fmt.Errorf("wire: count %d != heads %d / tails %d",
 			h.Count, len(heads), len(tails))
 	}
 	// P is held to the receiver's 1..16 (CheckDataPacket would refuse the
 	// packet otherwise); P+Q ≤ 33 is the quantizers' sign+float32 budget.
 	if h.P < 1 || h.P > 16 || int(h.P)+int(h.Q) > 33 {
-		return nil, fmt.Errorf("wire: invalid P=%d Q=%d", h.P, h.Q)
+		return fmt.Errorf("wire: invalid P=%d Q=%d", h.P, h.Q)
 	}
 	if h.FullSize() > MaxPayload {
-		return nil, fmt.Errorf("wire: packet size %d exceeds MaxPayload %d",
+		return fmt.Errorf("wire: packet size %d exceeds MaxPayload %d",
 			h.FullSize(), MaxPayload)
 	}
 	h.Flags &^= FlagMeta
 
-	// Both bit regions are packed straight into the packet buffer, so the
-	// packet costs one allocation.
-	buf := make([]byte, h.FullSize())
+	// Both bit regions are packed straight into the packet buffer.
 	h.marshal(buf)
 	headEnd := HeaderSize + h.HeadBytes()
 	vecmath.PackBits(buf[HeaderSize:headEnd], heads, int(h.P))
@@ -54,7 +63,7 @@ func BuildDataPacket(h Header, heads, tails []uint32) ([]byte, error) {
 
 	binary.BigEndian.PutUint32(buf[offHeadCRC:], headerChecksum(buf, buf[HeaderSize:headEnd]))
 	binary.BigEndian.PutUint32(buf[offTailCRC:], checksum(buf[headEnd:]))
-	return buf, nil
+	return nil
 }
 
 // ParseDataPacket decodes a (possibly trimmed) data packet. The head region

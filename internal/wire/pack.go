@@ -10,10 +10,46 @@ import (
 // PackRow splits an encoded row into MTU-sized trimmable data packets plus
 // the single reliable metadata packet carrying the decoding scale. Packets
 // carry consecutive coordinate ranges; the k-th data packet starts at
-// coordinate k·CoordsPerPacket(P, Q).
+// coordinate k·CoordsPerPacket(P, Q). It is PackRowInto over memory of its
+// own: the data packets share one allocation.
 func PackRow(flow, message, rowID uint32, enc *quant.EncodedRow) (meta []byte, data [][]byte, err error) {
 	if err := enc.Validate(); err != nil {
 		return nil, nil, err
+	}
+	packets, size := RowLayout(enc.N, enc.P, enc.Q)
+	data = make([][]byte, packets)
+	if meta, err = PackRowInto(flow, message, rowID, enc, data, make([]byte, size)); err != nil {
+		return nil, nil, err
+	}
+	return meta, data, nil
+}
+
+// RowLayout returns how many data packets a row of n coordinates at head
+// and tail widths p and q packs into, and their bytes together: what
+// PackRowInto needs of data and slab. p ≥ 1.
+func RowLayout(n, p, q int) (packets, bytes int) {
+	per := CoordsPerPacket(p, q)
+	h := Header{P: uint8(p), Q: uint8(q), Count: uint16(per)}
+	packets, bytes = n/per, n/per*h.FullSize()
+	if rest := n % per; rest > 0 {
+		h.Count = uint16(rest)
+		packets, bytes = packets+1, bytes+h.FullSize()
+	}
+	return packets, bytes
+}
+
+// PackRowInto is PackRow into memory the caller sized by
+// RowLayout(enc.N, enc.P, enc.Q): data[k] becomes the k-th data packet, a
+// capped slice (len == cap) of slab, which the packets fill in order, so an
+// append to one packet can never reach the next. It returns the metadata
+// packet.
+func PackRowInto(flow, message, rowID uint32, enc *quant.EncodedRow, data [][]byte, slab []byte) (meta []byte, err error) {
+	if err := enc.Validate(); err != nil {
+		return nil, err
+	}
+	if packets, size := RowLayout(enc.N, enc.P, enc.Q); len(data) != packets || len(slab) != size {
+		return nil, fmt.Errorf("wire: a row of %d coordinates at P=%d Q=%d packs into %d packets of %d bytes, not %d of %d",
+			enc.N, enc.P, enc.Q, packets, size, len(data), len(slab))
 	}
 	base := Header{
 		Flow:    flow,
@@ -23,25 +59,20 @@ func PackRow(flow, message, rowID uint32, enc *quant.EncodedRow) (meta []byte, d
 		Q:       uint8(enc.Q),
 		Seed:    enc.Seed,
 	}
-	meta = BuildMetaPacket(base, uint8(enc.Scheme), uint32(enc.N), enc.Scale)
-
 	per := CoordsPerPacket(enc.P, enc.Q)
-	data = make([][]byte, 0, (enc.N+per-1)/per)
-	for start := 0; start < enc.N; start += per {
-		end := start + per
-		if end > enc.N {
-			end = enc.N
-		}
+	for k := range data {
+		start := k * per
+		end := min(start+per, enc.N)
 		h := base
 		h.Start = uint32(start)
 		h.Count = uint16(end - start)
-		pkt, err := BuildDataPacket(h, enc.Heads[start:end], enc.Tails[start:end])
-		if err != nil {
-			return nil, nil, err
+		n := h.FullSize()
+		if err := putDataPacket(slab[:n:n], h, enc.Heads[start:end], enc.Tails[start:end]); err != nil {
+			return nil, err
 		}
-		data = append(data, pkt)
+		data[k], slab = slab[:n:n], slab[n:]
 	}
-	return meta, data, nil
+	return BuildMetaPacket(base, uint8(enc.Scheme), uint32(enc.N), enc.Scale), nil
 }
 
 // RowAssembler reassembles one row from its metadata packet and whatever

@@ -108,6 +108,51 @@ func TestPackRowPacketCount(t *testing.T) {
 	}
 }
 
+// TestRowLayout: RowLayout is what PackRow cuts a row into, packets and
+// bytes, at every width pair and at row lengths that end on a packet
+// boundary and between two; codec_exchange's 2^13-coordinate sign rows are
+// 24 packets of 33 752 bytes together. PackRowInto refuses memory of any
+// other shape.
+func TestRowLayout(t *testing.T) {
+	if packets, bytes := RowLayout(1<<13, 1, 31); packets != 24 || bytes != 33752 {
+		t.Errorf("RowLayout(2^13, 1, 31) = %d packets, %d bytes; want 24, 33 752", packets, bytes)
+	}
+	for _, p := range []quant.Params{
+		{Scheme: quant.Sign}, {Scheme: quant.SQ, TailBits: 12}, {Scheme: quant.RHT, TailBits: 1},
+		{Scheme: quant.Linear, P: 4}, {Scheme: quant.RHTLinear, P: 8}, {Scheme: quant.Eden, P: 2, TailBits: 5},
+	} {
+		c := quant.MustNew(p)
+		hp, hq := p.Widths()
+		for _, n := range []int{1, CoordsPerPacket(hp, hq), 3 * CoordsPerPacket(hp, hq), 1000, 1 << 11} {
+			if !vecmath.IsPow2(n) && (p.Scheme == quant.RHT || p.Scheme == quant.RHTLinear || p.Scheme == quant.Eden) {
+				continue
+			}
+			enc, err := c.Encode(gaussianRow(3, n), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, data, err := PackRow(1, 2, 3, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, pkt := range data {
+				total += len(pkt)
+			}
+			packets, bytes := RowLayout(n, hp, hq)
+			if packets != len(data) || bytes != total {
+				t.Errorf("%v n=%d: RowLayout = %d packets, %d bytes; PackRow made %d, %d", p.Scheme, n, packets, bytes, len(data), total)
+			}
+			if _, err := PackRowInto(1, 2, 3, enc, make([][]byte, packets), make([]byte, bytes+1)); err == nil {
+				t.Errorf("%v n=%d: PackRowInto took a slab one byte long", p.Scheme, n)
+			}
+			if _, err := PackRowInto(1, 2, 3, enc, make([][]byte, packets+1), make([]byte, bytes)); err == nil {
+				t.Errorf("%v n=%d: PackRowInto took one packet slot too many", p.Scheme, n)
+			}
+		}
+	}
+}
+
 func TestTrimmedDeliveryDecodesFromHeads(t *testing.T) {
 	row := gaussianRow(3, 1<<12)
 	c := quant.MustNew(quant.Params{Scheme: quant.RHT})

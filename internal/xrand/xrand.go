@@ -19,7 +19,10 @@
 // on every GOARCH.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // It is used to expand a small seed into the 256-bit xoshiro state so that
@@ -35,7 +38,9 @@ func splitMix64(state *uint64) uint64 {
 // Rand is a deterministic xoshiro256** generator. The zero value is not
 // useful; construct one with New or Derive.
 type Rand struct {
-	s [4]uint64
+	// The state is four named words, not an array: indexed, Uint64 costs
+	// the inliner more than its budget, and every codec coin pays a call.
+	s0, s1, s2, s3 uint64
 	// spare holds a cached second Gaussian from the Box-Muller pair.
 	spare    float64
 	hasSpare bool
@@ -53,13 +58,14 @@ func New(seed uint64) *Rand {
 // hot per-row encoding loops.
 func (r *Rand) Reseed(seed uint64) {
 	sm := seed
-	for i := range r.s {
-		r.s[i] = splitMix64(&sm)
-	}
+	r.s0 = splitMix64(&sm)
+	r.s1 = splitMix64(&sm)
+	r.s2 = splitMix64(&sm)
+	r.s3 = splitMix64(&sm)
 	// xoshiro256** requires a nonzero state; SplitMix64 cannot produce four
 	// consecutive zeros, but be defensive anyway.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if r.s0|r.s1|r.s2|r.s3 == 0 {
+		r.s0 = 0x9e3779b97f4a7c15
 	}
 	r.hasSpare = false
 	r.spare = 0
@@ -88,23 +94,23 @@ func SeedFrom(h uint64, parts ...uint64) uint64 {
 // deterministically derived from r's current state WITHOUT disturbing it.
 func (r *Rand) Derive(parts ...uint64) *Rand {
 	all := make([]uint64, 0, len(parts)+1)
-	all = append(all, r.s[0]^r.s[3])
+	all = append(all, r.s0^r.s3)
 	all = append(all, parts...)
 	return New(Seed(all...))
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly random bits.
+// Uint64 returns the next 64 uniformly random bits. It, Float64 and
+// Uniform stay within the inliner's budget (check.sh -lint holds them
+// there), so a codec's per-coordinate coin is not a call.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
+	t := r.s1 << 17
+	r.s2 ^= r.s0
+	r.s3 ^= r.s1
+	r.s1 ^= r.s2
+	r.s0 ^= r.s3
+	r.s2 ^= t
+	r.s3 = bits.RotateLeft64(r.s3, 45)
 	return result
 }
 

@@ -264,6 +264,15 @@ func BenchmarkUint64(b *testing.B) {
 	_ = sink
 }
 
+func BenchmarkFloat64(b *testing.B) {
+	r := New(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += r.Float64()
+	}
+	_ = sink
+}
+
 func BenchmarkNormFloat64(b *testing.B) {
 	r := New(1)
 	var sink float64

@@ -38,7 +38,11 @@
 #                             reconstruct timed apart at 1 worker and all
 #                             cores) and the codec kernels
 #                             (BenchmarkFig5Encode, BenchmarkFig5Decode,
-#                             BenchmarkE7MultiLevelEncode) run clean
+#                             BenchmarkE7MultiLevelEncode) and the encode
+#                             path (BenchmarkEncodeParallel: codec_exchange's
+#                             gradient under sign, sq, sd and rht;
+#                             BenchmarkUint64, BenchmarkFloat64: the coin)
+#                             run clean
 #                             under -race with live obs registries, and the
 #                             obs overhead guard still holds
 #   scripts/check.sh -lint    static pass only: gofmt + go vet + go vet
@@ -58,8 +62,11 @@
 #                             + the CHANGES.md bound (an entry for PR 41
 #                             or later is at most 1 500 bytes) + the
 #                             no-FMA scan (GOARCH=arm64 code of quant,
-#                             xrand and vecmath holds no fused
-#                             multiply-add)
+#                             xrand, vecmath, ml, lowrank, ddp and obs
+#                             holds no fused multiply-add) + the inlined
+#                             coin (go build -gcflags=-m still reports
+#                             xrand's Uint64, Float64 and Uniform as
+#                             inlinable)
 #   scripts/check.sh -loc [DIR...]
 #                             print the size score ROADMAP and CHANGES.md
 #                             quote: non-test and test Go lines outside
@@ -249,6 +256,9 @@ if [[ $mode == bench ]]; then
   bench '^BenchmarkDecoderIngest$' ./internal/core
   step "go test -race -bench Fig5Encode, Fig5Decode, E7MultiLevelEncode (codec kernels: every scheme's heads, 1-bit and multi-level)"
   bench '^Benchmark(Fig5Encode|Fig5Decode|E7MultiLevelEncode)$' .
+  step "go test -race -bench EncodeParallel, Uint64, Float64 (encode path: rows in place, one packet slab per message; the coin)"
+  bench '^BenchmarkEncodeParallel$' ./internal/core
+  bench '^Benchmark(Uint64|Float64)$' ./internal/xrand
   step "obs overhead guard (encode hot path, Nop vs live registry)"
   selects Test 'TestObsOverheadGuard' .
   go test -run 'TestObsOverheadGuard' -count=1 .
@@ -362,12 +372,13 @@ if [[ -n "$long" ]]; then
   exit 1
 fi
 
-step "no fused multiply-add in quant, xrand and vecmath (GOARCH=arm64 -gcflags=-S)"
+step "no fused multiply-add in quant, xrand, vecmath, ml, lowrank, ddp and obs (GOARCH=arm64 -gcflags=-S)"
 # Go may fuse a*b + c into one FMA instruction on arm64 (never at amd64's
 # default GOAMD64=v1), which rounds once instead of twice: a row would
 # encode and decode to other bits there. Each product that feeds an add is
 # rounded explicitly, float64(a*b) + c, so the arm64 code holds none.
-fma_asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/quant ./internal/xrand ./internal/vecmath 2>&1)
+fma_asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/quant ./internal/xrand ./internal/vecmath \
+  ./internal/ml ./internal/lowrank ./internal/ddp ./internal/obs 2>&1)
 fused=$(grep -E '\s(FMADD|FMSUB|FNMADD|FNMSUB)[SD]\s' <<<"$fma_asm" || true)
 if [[ -n "$fused" ]]; then
   echo "fused multiply-adds in the GOARCH=arm64 code — round the product first, float64(a*b) + c:" >&2
@@ -375,8 +386,19 @@ if [[ -n "$fused" ]]; then
   exit 1
 fi
 
+step "xrand's coin inlines (go build -gcflags=-m)"
+# Every SQ, SD and linear coordinate draws a coin; past the inliner's
+# budget each draw is a call.
+inl=$(go build -gcflags=-m ./internal/xrand 2>&1)
+for fn in Uint64 Float64 Uniform; do
+  if ! grep -qF "can inline (*Rand).$fn" <<<"$inl"; then
+    echo "xrand's (*Rand).$fn no longer inlines — keep it within the inliner's budget (go build -gcflags=-m=2 ./internal/xrand shows its cost):" >&2
+    exit 1
+  fi
+done
+
 if [[ $mode == lint ]]; then
-  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + no-trimmed-flag + one-fabric-switch + NewFatTree only in benchmark/ + one-bind + CHANGES.md bound + no arm64 FMA in quant/xrand/vecmath)"
+  echo "OK (lint mode: gofmt + vet + 386 vet + trimlint + no-Deprecated + no-trimmed-flag + one-fabric-switch + NewFatTree only in benchmark/ + one-bind + CHANGES.md bound + no arm64 FMA in quant/xrand/vecmath/ml/lowrank/ddp/obs + xrand coin inlines)"
   exit 0
 fi
 
