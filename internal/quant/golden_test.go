@@ -60,7 +60,9 @@ func goldenRows() []struct {
 }
 
 // goldenParams lists every scheme: the four 1-bit ones, Linear and
-// RHTLinear at P = 2, 4 and 8, and Eden at P = 1 to 4.
+// RHTLinear at P = 2, 4 and 8, and Eden at P = 1 to 4. Then the scale
+// rules off their defaults: RHT and Eden P = 2 under ScaleMMSE, and the
+// clipping codecs (SQ, SD, Linear and RHTLinear at P = 4) at ClipSigma 1.5.
 func goldenParams() []Params {
 	ps := []Params{{Scheme: Sign}, {Scheme: SQ}, {Scheme: SD}, {Scheme: RHT}}
 	for _, p := range []int{2, 4, 8} {
@@ -69,7 +71,28 @@ func goldenParams() []Params {
 	for p := 1; p <= 4; p++ {
 		ps = append(ps, Params{Scheme: Eden, P: p})
 	}
+	ps = append(ps, Params{Scheme: RHT, ScaleMode: ScaleMMSE}, Params{Scheme: Eden, P: 2, ScaleMode: ScaleMMSE})
+	for _, s := range []Scheme{SQ, SD, Linear, RHTLinear} {
+		p := Params{Scheme: s, ClipSigma: 1.5}
+		if s == Linear || s == RHTLinear {
+			p.P = 4
+		}
+		ps = append(ps, p)
+	}
 	return ps
+}
+
+// goldenName names a cell. A codec off the default scale rule gets a
+// suffix, so the default cells keep the names they were recorded under.
+func goldenName(p Params, tail int, row string) string {
+	variant := ""
+	if p.ScaleMode == ScaleMMSE {
+		variant += "-mmse"
+	}
+	if p.ClipSigma != 0 {
+		variant += fmt.Sprintf("-clip%g", p.ClipSigma)
+	}
+	return fmt.Sprintf("%s-p%d%s/q%d/%s", p.Scheme, p.withDefaults().P, variant, tail, row)
 }
 
 func hashFloats(h hash.Hash, tag string, v []float32) {
@@ -141,8 +164,7 @@ func TestCodecBitsGolden(t *testing.T) {
 				if r.scalar && Rotated(p.Scheme) {
 					continue
 				}
-				name := fmt.Sprintf("%s-p%d/q%d/%s", c.Name(), p.withDefaults().P, tail, r.name)
-				got[name] = codecBitsDigest(t, c, r.row)
+				got[goldenName(p, tail, r.name)] = codecBitsDigest(t, c, r.row)
 			}
 		}
 	}
