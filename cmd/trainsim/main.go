@@ -34,8 +34,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trainsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		scheme   = fs.String("scheme", "rht", "encoding: baseline|sign|sq|sd|rht|linear|rht-linear")
-		headBits = fs.Int("p", 1, "head bits per coordinate (linear/rht-linear)")
+		scheme   = fs.String("scheme", "rht", "encoding: baseline|sign|sq|sd|rht|linear|rht-linear|eden")
+		headBits = fs.Int("p", 1, "head bits per coordinate (linear/rht-linear: 1..16, eden: 1..4)")
 		trim     = fs.Float64("trim", 0, "per-packet trim probability")
 		drop     = fs.Float64("drop", 0, "per-packet drop probability (baseline)")
 		workers  = fs.Int("workers", 2, "data-parallel workers")

@@ -44,7 +44,8 @@ const (
 	// schemes (sign/SQ/SD), as a fraction of Compute+Comm. The paper
 	// reports 42–68% total hook overhead; 0.45 is our default.
 	encodeScalarFrac = 0.45
-	// rhtFactor is the RHT encode cost relative to scalar (paper: ~1.18).
+	// rhtFactor is the encode cost of a rotated scheme (RHT, RHTLinear,
+	// Eden) relative to scalar (paper: ~1.18 for RHT).
 	rhtFactor = 1.18
 	// dropKneeRate is the loss rate the reliable baseline absorbs without
 	// slowdown (paper: 0.15–0.25%).
@@ -93,8 +94,7 @@ func (c CostModel) EncodeTime(scheme *quant.Params) float64 {
 		return 0
 	}
 	enc := (c.Compute + c.Comm) * encodeScalarFrac
-	switch scheme.Scheme {
-	case quant.RHT, quant.RHTLinear:
+	if quant.Rotated(scheme.Scheme) {
 		enc *= rhtFactor
 	}
 	return enc
