@@ -1,25 +1,21 @@
 package quant
 
 import (
-	"fmt"
 	"math"
 
-	"trimgrad/internal/fwht"
-	"trimgrad/internal/par"
 	"trimgrad/internal/vecmath"
 )
 
-// edenCodec implements the EDEN extension the paper's footnote 2 points
-// to: DRIVE generalized to any head width. The row is RHT-rotated (after
-// which coordinates are approximately standard normal), and each rotated
-// coordinate is quantized with the P-bit Lloyd-Max quantizer optimal for
-// N(0,1) — strictly better than the uniform grid of rht-linear at the
-// same bit budget. One per-row scale, transmitted reliably, maps the
-// unit-normal centroids back to gradient magnitude; like the RHT codec it
-// supports both the unbiased scale (f = ‖r‖²/⟨r, c(r)⟩, the DRIVE choice
-// generalized: for P = 1 it reduces exactly to ‖r‖²/‖r‖₁) and the
-// one-shot-MMSE scale (f = ⟨r, c(r)⟩/‖c(r)‖²).
-type edenCodec struct{ p Params }
+// The Lloyd-Max head is the EDEN extension the paper's footnote 2 points
+// to: DRIVE generalized to any head width. After the RHT rotation the
+// coordinates are approximately normal, and each rotated coordinate is
+// quantized with the P-bit Lloyd-Max quantizer optimal for N(0,1) —
+// strictly better than the uniform grid of rht-linear at the same bit
+// budget. One per-row scale, transmitted reliably, maps the unit-normal
+// centroids back to gradient magnitude; like RHT it supports both the
+// unbiased scale (f = ‖r‖²/⟨r, c(r)⟩, the DRIVE choice generalized: for
+// P = 1 it reduces exactly to ‖r‖²/‖r‖₁) and the one-shot-MMSE scale
+// (f = ⟨r, c(r)⟩/‖c(r)‖²).
 
 // lloydMaxCentroids holds the positive half of the symmetric optimal
 // centroids for N(0,1) at 1..4 bits (2^P levels). Index by P.
@@ -30,9 +26,6 @@ var lloydMaxCentroids = map[int][]float64{
 	4: {0.1283768468, 0.3880782340, 0.6567589957, 0.9423402690,
 		1.2562309480, 1.6180646059, 2.0690172840, 2.7326357763},
 }
-
-func (c *edenCodec) Name() string   { return Eden.String() }
-func (c *edenCodec) Params() Params { return c.p }
 
 // edenQuantizer is the P-bit Lloyd-Max quantizer: an index's low P−1
 // bits pick the magnitude centroid, its top bit the sign.
@@ -78,27 +71,16 @@ func (eq *edenQuantizer) value(idx uint32) float64 {
 	return eq.values[idx&(1<<(eq.signBit+1)-1)]
 }
 
-func (c *edenCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
-	n := len(row)
-	if !vecmath.IsPow2(n) {
-		return nil, fmt.Errorf("quant: eden row length %d is not a power of two", n)
-	}
-	eq, ok := edenQuantizers[c.p.P]
-	if !ok {
-		return nil, fmt.Errorf("quant: eden head width P=%d not in [1,4]", c.p.P)
-	}
-	rot := par.Float32s(n)
-	defer par.PutFloat32s(rot)
-	copy(rot, row)
-	fwht.RandomRotate(rot, seed)
-
+// encodeEden is the Lloyd-Max head's encode loop over the rotated row:
+// it quantizes each coordinate at the row's σ and sets enc.Scale from the
+// inner products the loop accumulates, by the rule mode names.
+func encodeEden(enc *EncodedRow, rot []float32, mode ScaleMode) {
+	eq := edenQuantizers[enc.P]
 	// Normalize to unit variance for the N(0,1) quantizer.
 	sigma := vecmath.Std(rot)
-	_, q := c.p.Widths()
-	enc := newEncodedRow(Eden, c.p.P, q, n, seed, 0)
 	// Quantize and accumulate the inner products the scale needs.
 	var dotRC, normC2 float64
-	heads, tails := enc.Heads[:n], enc.Tails[:n]
+	heads, tails, q := enc.Heads[:len(rot)], enc.Tails[:len(rot)], enc.Q
 	for i, r := range rot {
 		var x float64
 		if sigma > 0 {
@@ -114,29 +96,18 @@ func (c *edenCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
 	switch {
 	case dotRC == 0 || normC2 == 0:
 		enc.Scale = 0
-	case c.p.ScaleMode == ScaleMMSE:
+	case mode == ScaleMMSE:
 		enc.Scale = dotRC / normC2 * sigma
 	default: // unbiased, generalizing DRIVE's ‖r‖²/‖r‖₁
 		enc.Scale = vecmath.L2NormSquared(rot) / dotRC * sigma
 	}
-	return enc, nil
 }
 
-func (c *edenCodec) Decode(enc *EncodedRow, headAvail, tailAvail []bool) ([]float32, error) {
-	return decodeNew(c, enc, headAvail, tailAvail)
-}
-
-func (c *edenCodec) DecodeInto(rot []float32, enc *EncodedRow, headAvail, tailAvail []bool) error {
-	if err := checkDecodeArgs(rot, enc, headAvail, tailAvail); err != nil {
-		return err
-	}
-	if !vecmath.IsPow2(enc.N) {
-		return fmt.Errorf("quant: eden row length %d is not a power of two", enc.N)
-	}
-	eq, ok := edenQuantizers[enc.P]
-	if !ok {
-		return fmt.Errorf("quant: eden head width P=%d not in [1,4]", enc.P)
-	}
+// decodeEden is the Lloyd-Max head's decode loop: a coordinate with its
+// tail decodes to its top Q bits, a head alone to its scaled centroid and
+// a missing head to zero. enc.P must be one Eden accepts.
+func decodeEden(rot []float32, enc *EncodedRow, headAvail, tailAvail []bool) {
+	eq := edenQuantizers[enc.P]
 	heads, tails, q, scale := enc.Heads[:len(rot)], enc.Tails[:len(rot)], enc.Q, enc.Scale
 	for i := range rot {
 		switch {
@@ -148,6 +119,4 @@ func (c *edenCodec) DecodeInto(rot []float32, enc *EncodedRow, headAvail, tailAv
 			rot[i] = float32(eq.value(heads[i]) * scale)
 		}
 	}
-	fwht.InverseRandomRotate(rot, enc.Seed)
-	return nil
 }

@@ -10,11 +10,11 @@ import "math"
 // overhead — the property §3.2 highlights ("for the non-trimming case we
 // achieved precise encoding of the original 32-bit number").
 //
-// Value-head schemes (SQ, SD, Linear) spend their P head bits on a
-// quantization index instead of on float bits, so their tails carry the
-// top Q ≤ 32−P bits of the whole float (sign, exponent, high mantissa):
-// untrimmed reconstruction is within 2^(Q−24)… relative error — at the
-// default Q = 31 that is half a ulp, far below gradient noise.
+// Value-head schemes (SQ, SD, Linear, RHTLinear, Eden) spend their P head
+// bits on a quantization index instead of on float bits, so their tails
+// carry the top Q ≤ 32−P bits of the whole float (sign, exponent, high
+// mantissa): untrimmed reconstruction is within 2^(Q−24)… relative error —
+// at the default Q = 31 that is half a ulp, far below gradient noise.
 //
 // Narrower tails (Params.TailBits, the §5.3 ahead-of-time compression
 // knob) simply keep fewer of the most-significant bits; the dropped low

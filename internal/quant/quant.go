@@ -7,28 +7,31 @@
 //   - heads + tails reconstruct the coordinate at (near-)original precision
 //     with no redundancy between the two parts.
 //
-// Implemented schemes:
+// The scalar schemes code the row as it is:
 //
-//	Sign      — sign-magnitude quantization: head = sign bit, head-only
-//	            decode to ±σ (§3.1). Exact with tails.
-//	SQ        — stochastic quantization: head = unbiased random bit with
-//	            p(+1) = (L+v)/2L after clipping to L = 2.5σ (TernGrad-style),
-//	            head-only decode to ±L (§3.1).
-//	SD        — subtractive dithering: shared dither ε ~ U(−L, L),
-//	            head = sign(v+ε), head-only decode to L·sign(v+ε) − ε,
-//	            which is exactly unbiased for |v| ≤ L and has input-
-//	            independent error (§3.1).
-//	RHT       — DRIVE-style: randomized Hadamard transform of each row,
-//	            head = sign of the rotated coordinate, head-only decode to
-//	            f·sign with the unbiased scale f = ‖V‖²₂/‖R(V)‖₁, then
-//	            inverse transform (§3.2). Exact with tails.
-//	Linear    — P-bit stochastically-rounded uniform quantization in
-//	            [−L, L]; the multi-level head of §5.1 (e.g. P = 8).
-//	RHTLinear — RHT followed by a P-bit linear head on the rotated
-//	            coordinates (§5.1 multi-level + §3.2 rotation).
-//	Eden      — the EDEN extension of DRIVE (footnote 2): RHT rotation
-//	            followed by the P-bit Lloyd-Max quantizer optimal for the
-//	            normal rotated coordinates (P = 1..4).
+//	Sign   — sign-magnitude quantization: head = sign bit, head-only
+//	         decode to ±σ (§3.1). Exact with tails.
+//	SQ     — stochastic quantization: head = unbiased random bit with
+//	         p(+1) = (L+v)/2L after clipping to L = 2.5σ (TernGrad-style),
+//	         head-only decode to ±L (§3.1).
+//	SD     — subtractive dithering: shared dither ε ~ U(−L, L),
+//	         head = sign(v+ε), head-only decode to L·sign(v+ε) − ε,
+//	         which is exactly unbiased for |v| ≤ L and has input-
+//	         independent error (§3.1).
+//	Linear — P-bit stochastically-rounded uniform quantization in
+//	         [−L, L]; the multi-level head of §5.1 (e.g. P = 8).
+//
+// The rotated schemes are one rotation around three scalar heads (§3.2):
+// the row is rotated by the randomized Hadamard transform under the shared
+// seed, the head codes the rotated row, whose coordinates are close to
+// normal, and the decode inverts the rotation after the head's.
+//
+//	RHT       — DRIVE: the sign head, decoding head-only to f·sign with
+//	            the unbiased scale f = ‖V‖²₂/‖R(V)‖₁. Exact with tails.
+//	RHTLinear — the linear head (§5.1 multi-level + §3.2 rotation).
+//	Eden      — the EDEN extension of DRIVE (footnote 2): the P-bit
+//	            Lloyd-Max head optimal for the normal rotated
+//	            coordinates (P = 1..4).
 //
 // Shared randomness (the SQ coin flips, the SD dither, the RHT diagonal)
 // is derived from a seed both endpoints compute from (epoch, message, row)
@@ -297,16 +300,16 @@ func New(p Params) (Codec, error) {
 		if p.P != 1 {
 			return nil, fmt.Errorf("quant: RHT uses P=1 (use rht-linear for multi-bit), got %d", p.P)
 		}
-		return &rhtCodec{p: p}, nil
+		return &rotatedCodec{p: p}, nil
 	case Linear:
 		return &linearCodec{p: p}, nil
 	case RHTLinear:
-		return &rhtLinearCodec{p: p}, nil
+		return &rotatedCodec{p: p}, nil
 	case Eden:
 		if p.P > 4 {
 			return nil, fmt.Errorf("quant: eden head width P=%d out of range [1,4]", p.P)
 		}
-		return &edenCodec{p: p}, nil
+		return &rotatedCodec{p: p}, nil
 	default:
 		return nil, fmt.Errorf("quant: unknown scheme %v", p.Scheme)
 	}

@@ -14,13 +14,9 @@ func (c *signCodec) Name() string   { return Sign.String() }
 func (c *signCodec) Params() Params { return c.p }
 
 func (c *signCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
-	n := len(row)
 	_, q := c.p.Widths()
-	enc := newEncodedRow(Sign, 1, q, n, seed, vecmath.Std(row))
-	heads, tails := enc.Heads[:n], enc.Tails[:n]
-	for i, v := range row {
-		heads[i], tails[i] = splitSignQ(v, q)
-	}
+	enc := newEncodedRow(Sign, 1, q, len(row), seed, vecmath.Std(row))
+	encodeSign(enc, row)
 	return enc, nil
 }
 
@@ -32,7 +28,25 @@ func (c *signCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAv
 	if err := checkDecodeArgs(out, enc, headAvail, tailAvail); err != nil {
 		return err
 	}
-	sigma := float32(enc.Scale)
+	decodeSign(out, enc, headAvail, tailAvail)
+	return nil
+}
+
+// encodeSign is the sign head's encode loop, Sign's over the row and RHT's
+// over the rotated row: each coordinate splits into its sign bit and the
+// top Q of the 31 bits below it.
+func encodeSign(enc *EncodedRow, row []float32) {
+	heads, tails, q := enc.Heads[:len(row)], enc.Tails[:len(row)], enc.Q
+	for i, v := range row {
+		heads[i], tails[i] = splitSignQ(v, q)
+	}
+}
+
+// decodeSign is the sign head's decode loop: a coordinate with its tail is
+// exact, a head alone decodes to ±Scale and a missing head to zero, the
+// mean of the coordinates Sign and RHT encode.
+func decodeSign(out []float32, enc *EncodedRow, headAvail, tailAvail []bool) {
+	scale := float32(enc.Scale)
 	heads, tails, q := enc.Heads[:len(out)], enc.Tails[:len(out)], enc.Q
 	for i := range out {
 		switch {
@@ -41,10 +55,9 @@ func (c *signCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tailAv
 		case avail(tailAvail, i):
 			out[i] = joinSignQ(heads[i], tails[i], q)
 		default:
-			out[i] = signValue(heads[i]) * sigma
+			out[i] = signValue(heads[i]) * scale
 		}
 	}
-	return nil
 }
 
 // sqCodec implements stochastic quantization (§3.1): after clipping to
@@ -169,16 +182,10 @@ func (c *linearCodec) Name() string   { return Linear.String() }
 func (c *linearCodec) Params() Params { return c.p }
 
 func (c *linearCodec) Encode(row []float32, seed uint64) (*EncodedRow, error) {
-	n := len(row)
 	limit := float64(c.p.ClipSigma * vecmath.Std(row))
 	_, q := c.p.Widths()
-	enc := newEncodedRow(Linear, c.p.P, q, n, seed, limit)
-	r := xrand.New(seed)
-	encodeLinearHeads(enc.Heads, row, limit, c.p.P, r)
-	tails := enc.Tails[:n]
-	for i, v := range row {
-		tails[i] = tailTopQ(v, q)
-	}
+	enc := newEncodedRow(Linear, c.p.P, q, len(row), seed, limit)
+	encodeLinear(enc, row, xrand.New(seed))
 	return enc, nil
 }
 
@@ -190,6 +197,44 @@ func (c *linearCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tail
 	if err := checkDecodeArgs(out, enc, headAvail, tailAvail); err != nil {
 		return err
 	}
+	decodeLinear(out, enc, headAvail, tailAvail)
+	return nil
+}
+
+// encodeLinear is the linear head's encode loop, Linear's over the row and
+// RHTLinear's over the rotated row: each head is the coordinate's level
+// index under the clip limit enc.Scale, rounded stochastically with coins
+// from r, and each tail the top Q bits of its float.
+func encodeLinear(enc *EncodedRow, row []float32, r *xrand.Rand) {
+	heads, tails, q := enc.Heads[:len(row)], enc.Tails[:len(row)], enc.Q
+	if limit := enc.Scale; limit > 0 {
+		levels := linearLevels(enc.P) // index range 0..levels
+		for i, v := range row {
+			cv := float64(clipTo(v, limit))
+			// Map [−L, L] to [0, levels] and round stochastically so the
+			// head-only decode is unbiased.
+			x := float64((cv + limit) / (2 * limit) * levels)
+			lo := uint32(x)
+			frac := x - float64(lo)
+			// The top level draws no coin, so the stream advances only
+			// below it; the coin itself picks lo or lo+1 by a select.
+			if float64(lo) < levels {
+				lo += b2u(r.Float64() < frac)
+			}
+			heads[i] = lo
+		}
+	} else {
+		clear(heads)
+	}
+	for i, v := range row {
+		tails[i] = tailTopQ(v, q)
+	}
+}
+
+// decodeLinear is the linear head's decode loop: a coordinate with its
+// tail decodes to its top Q bits, a head alone to its level's value and a
+// missing head to zero.
+func decodeLinear(out []float32, enc *EncodedRow, headAvail, tailAvail []bool) {
 	heads, tails, q := enc.Heads[:len(out)], enc.Tails[:len(out)], enc.Q
 	limit, levels := enc.Scale, linearLevels(enc.P)
 	for i := range out {
@@ -201,32 +246,6 @@ func (c *linearCodec) DecodeInto(out []float32, enc *EncodedRow, headAvail, tail
 		default:
 			out[i] = linearValue(heads[i], limit, levels)
 		}
-	}
-	return nil
-}
-
-// encodeLinearHeads fills heads with stochastically-rounded level indices
-// for row under clip limit. Shared by Linear and RHTLinear.
-func encodeLinearHeads(heads []uint32, row []float32, limit float64, p int, r *xrand.Rand) {
-	if limit <= 0 {
-		clear(heads)
-		return
-	}
-	heads = heads[:len(row)]
-	levels := linearLevels(p) // index range 0..levels
-	for i, v := range row {
-		cv := float64(clipTo(v, limit))
-		// Map [−L, L] to [0, levels] and round stochastically so the
-		// head-only decode is unbiased.
-		x := float64((cv + limit) / (2 * limit) * levels)
-		lo := uint32(x)
-		frac := x - float64(lo)
-		// The top level draws no coin, so the stream advances only below
-		// it; the coin itself picks lo or lo+1 by a select.
-		if float64(lo) < levels {
-			lo += b2u(r.Float64() < frac)
-		}
-		heads[i] = lo
 	}
 }
 
