@@ -53,11 +53,8 @@ type NativeDecoder struct {
 // EncodedRow.Scale carried by the metadata packet) and seed the shared
 // per-row randomness seed.
 func NewNativeDecoder(scheme Scheme, p, q int, scale float64, seed uint64) (*NativeDecoder, error) {
-	if scheme >= numSchemes {
-		return nil, fmt.Errorf("quant: unknown scheme %v", scheme)
-	}
-	if p < 1 || p > 16 {
-		return nil, fmt.Errorf("quant: head width P=%d out of range [1,16]", p)
+	if err := checkScheme(scheme, p); err != nil {
+		return nil, err
 	}
 	if q < 0 || q > 32 {
 		return nil, fmt.Errorf("quant: tail width Q=%d out of range [0,32]", q)
@@ -68,11 +65,7 @@ func NewNativeDecoder(scheme Scheme, p, q int, scale float64, seed uint64) (*Nat
 		d.pm64[bit] = float64(signValue(uint32(bit))) * scale
 	}
 	if scheme == Eden {
-		eq, ok := edenQuantizers[p]
-		if !ok {
-			return nil, fmt.Errorf("quant: eden head width P=%d not in [1,4]", p)
-		}
-		for idx, v := range eq.values {
+		for idx, v := range edenQuantizers[p].values {
 			d.eden[idx] = float32(v * scale)
 		}
 	}
@@ -157,9 +150,7 @@ func (d *NativeDecoder) ditherFrom(at int) *xrand.Rand {
 
 // Rotated reports whether the scheme's native domain is the RHT-rotated
 // domain, i.e. whether FinalizeNative applies an inverse transform.
-func Rotated(s Scheme) bool {
-	return s == RHT || s == RHTLinear || s == Eden
-}
+func Rotated(s Scheme) bool { return s.info().rotated }
 
 // FinalizeNative converts a fully-assembled native-domain row back to the
 // gradient domain: the inverse randomized Hadamard transform for the

@@ -76,26 +76,54 @@ const (
 	numSchemes
 )
 
+// schemeInfo is what the package knows of a scheme besides its codec.
+type schemeInfo struct {
+	name string // as in the paper's figures and the CLI flags
+	// valueHead: the head is a P-bit quantization index and the tail the
+	// float's top 32−P bits; a sign head's tail is the 31 bits below it.
+	valueHead bool
+	rotated   bool // coded in the RHT-rotated domain
+	maxP      int  // the widest head the scheme accepts
+}
+
+// schemes is every scheme's schemeInfo, indexed by Scheme.
+var schemes = [numSchemes]schemeInfo{
+	Sign:      {name: "sign", maxP: 1},
+	SQ:        {name: "sq", valueHead: true, maxP: 1},
+	SD:        {name: "sd", valueHead: true, maxP: 1},
+	RHT:       {name: "rht", rotated: true, maxP: 1},
+	Linear:    {name: "linear", valueHead: true, maxP: 16},
+	RHTLinear: {name: "rht-linear", valueHead: true, rotated: true, maxP: 16},
+	Eden:      {name: "eden", valueHead: true, rotated: true, maxP: len(lloydMaxCentroids)},
+}
+
+// info returns s's entry in schemes; an unknown scheme's is the zero
+// schemeInfo.
+func (s Scheme) info() schemeInfo {
+	if s < numSchemes {
+		return schemes[s]
+	}
+	return schemeInfo{}
+}
+
 // String returns the scheme name as used in the paper's figures.
 func (s Scheme) String() string {
-	switch s {
-	case Sign:
-		return "sign"
-	case SQ:
-		return "sq"
-	case SD:
-		return "sd"
-	case RHT:
-		return "rht"
-	case Linear:
-		return "linear"
-	case RHTLinear:
-		return "rht-linear"
-	case Eden:
-		return "eden"
-	default:
-		return fmt.Sprintf("scheme(%d)", uint8(s))
+	if s < numSchemes {
+		return schemes[s].name
 	}
+	return fmt.Sprintf("scheme(%d)", uint8(s))
+}
+
+// checkScheme refuses an unknown scheme, and a head width P that scheme s
+// does not accept.
+func checkScheme(s Scheme, p int) error {
+	switch maxP := s.info().maxP; {
+	case maxP == 0:
+		return fmt.Errorf("quant: unknown scheme %v", s)
+	case p < 1 || p > maxP:
+		return fmt.Errorf("quant: %v head width P=%d out of range [1,%d]", s, p, maxP)
+	}
+	return nil
 }
 
 // ParseScheme converts a name (as printed by Scheme.String) back to a
@@ -117,10 +145,11 @@ const DefaultClipSigma = 2.5
 type Params struct {
 	Scheme Scheme
 	// P is the head width in bits per coordinate. The classic schemes of
-	// §3 use P = 1; Linear and RHTLinear accept 1..16 (§5.1 uses 8).
+	// §3 use P = 1; Linear and RHTLinear accept 1..16 (§5.1 uses 8), Eden
+	// 1..4.
 	P int
-	// ClipSigma sets L = ClipSigma·σ for SQ, SD and Linear. Zero means
-	// DefaultClipSigma.
+	// ClipSigma sets L = ClipSigma·σ for SQ, SD, Linear and RHTLinear (σ
+	// of the rotated row). Zero means DefaultClipSigma.
 	ClipSigma float64
 	// TailBits narrows the tail width Q below its full-precision default
 	// (31 for sign-head schemes, 32−P for value-head schemes). This is
@@ -164,14 +193,11 @@ func (p Params) withDefaults() Params {
 // arrives and can refuse metadata that claims otherwise.
 func (p Params) Widths() (head, tail int) {
 	p = p.withDefaults()
-	switch p.Scheme {
-	case Linear, RHTLinear, Eden:
-		// Value heads spend their P bits on a quantization index, so the
-		// tail carries what is left of the float's 32.
-		return p.P, tailWidth(32-p.P, p.TailBits)
-	default:
-		return p.P, tailWidth(31, p.TailBits)
+	full := 31
+	if p.Scheme.info().valueHead {
+		full = 32 - p.P
 	}
+	return p.P, tailWidth(full, p.TailBits)
 }
 
 // EncodedRow is one gradient row after trimmable encoding.
@@ -274,8 +300,8 @@ func decodeNew(c Codec, enc *EncodedRow, headAvail, tailAvail []bool) ([]float32
 // New constructs the codec described by p.
 func New(p Params) (Codec, error) {
 	p = p.withDefaults()
-	if p.P < 1 || p.P > 16 {
-		return nil, fmt.Errorf("quant: head width P=%d out of range [1,16]", p.P)
+	if err := checkScheme(p.Scheme, p.P); err != nil {
+		return nil, err
 	}
 	if p.TailBits < 0 || p.TailBits > 32 {
 		return nil, fmt.Errorf("quant: TailBits=%d out of range [0,32]", p.TailBits)
@@ -284,34 +310,16 @@ func New(p Params) (Codec, error) {
 		return nil, fmt.Errorf("quant: unknown scale mode %d", p.ScaleMode)
 	}
 	switch p.Scheme {
-	case Sign, SQ, SD:
-		if p.P != 1 {
-			return nil, fmt.Errorf("quant: scheme %v requires P=1, got %d", p.Scheme, p.P)
-		}
-	}
-	switch p.Scheme {
 	case Sign:
 		return &signCodec{p: p}, nil
 	case SQ:
 		return &sqCodec{p: p}, nil
 	case SD:
 		return &sdCodec{p: p}, nil
-	case RHT:
-		if p.P != 1 {
-			return nil, fmt.Errorf("quant: RHT uses P=1 (use rht-linear for multi-bit), got %d", p.P)
-		}
-		return &rotatedCodec{p: p}, nil
 	case Linear:
 		return &linearCodec{p: p}, nil
-	case RHTLinear:
+	default: // RHT, RHTLinear and Eden: the rotation around their heads
 		return &rotatedCodec{p: p}, nil
-	case Eden:
-		if p.P > 4 {
-			return nil, fmt.Errorf("quant: eden head width P=%d out of range [1,4]", p.P)
-		}
-		return &rotatedCodec{p: p}, nil
-	default:
-		return nil, fmt.Errorf("quant: unknown scheme %v", p.Scheme)
 	}
 }
 

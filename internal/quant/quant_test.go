@@ -1,7 +1,9 @@
 package quant
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"trimgrad/internal/vecmath"
@@ -69,6 +71,60 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(p); err == nil {
 			t.Errorf("New(%+v) should fail", p)
 		}
+	}
+}
+
+// TestSchemeFacts pins, per scheme, the head widths New and
+// NewNativeDecoder accept (an error names the scheme and the range), the
+// full-precision tail width and whether the scheme rotates.
+func TestSchemeFacts(t *testing.T) {
+	for _, tc := range []struct {
+		s       Scheme
+		maxP    int
+		tail    int // at P = maxP
+		rotated bool
+	}{
+		{Sign, 1, 31, false},
+		{SQ, 1, 31, false},
+		{SD, 1, 31, false},
+		{RHT, 1, 31, true},
+		{Linear, 16, 16, false},
+		{RHTLinear, 16, 16, true},
+		{Eden, 4, 28, true},
+	} {
+		if _, err := New(Params{Scheme: tc.s, P: tc.maxP}); err != nil {
+			t.Errorf("New(%v, P=%d): %v", tc.s, tc.maxP, err)
+		}
+		if _, err := NewNativeDecoder(tc.s, tc.maxP, 0, 1, 1); err != nil {
+			t.Errorf("NewNativeDecoder(%v, P=%d): %v", tc.s, tc.maxP, err)
+		}
+		want := fmt.Sprintf("%v head width P=%d out of range [1,%d]", tc.s, tc.maxP+1, tc.maxP)
+		if _, err := New(Params{Scheme: tc.s, P: tc.maxP + 1}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("New(%v, P=%d) = %v, want %q", tc.s, tc.maxP+1, err, want)
+		}
+		if _, err := NewNativeDecoder(tc.s, tc.maxP+1, 0, 1, 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewNativeDecoder(%v, P=%d) = %v, want %q", tc.s, tc.maxP+1, err, want)
+		}
+		if _, tail := (Params{Scheme: tc.s, P: tc.maxP}).Widths(); tail != tc.tail {
+			t.Errorf("%v at P=%d: tail width %d, want %d", tc.s, tc.maxP, tail, tc.tail)
+		}
+		if Rotated(tc.s) != tc.rotated {
+			t.Errorf("Rotated(%v) = %v", tc.s, !tc.rotated)
+		}
+	}
+	if _, err := NewNativeDecoder(numSchemes, 1, 0, 1, 1); err == nil {
+		t.Error("NewNativeDecoder should reject an unknown scheme")
+	}
+	// A row claiming a head width Eden has no quantizer for is refused,
+	// not decoded.
+	c := MustNew(Params{Scheme: Eden, P: 4})
+	enc, err := c.Encode(gaussianRow(3, 64, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.P = 5
+	if _, err := c.Decode(enc, nil, nil); err == nil || !strings.Contains(err.Error(), "eden head width P=5") {
+		t.Errorf("Eden decode of a P=5 row = %v", err)
 	}
 }
 

@@ -80,8 +80,8 @@ func (c *rotatedCodec) DecodeInto(rot []float32, enc *EncodedRow, headAvail, tai
 	case RHTLinear:
 		decodeLinear(rot, enc, headAvail, tailAvail)
 	case Eden:
-		if _, ok := edenQuantizers[enc.P]; !ok {
-			return fmt.Errorf("quant: eden head width P=%d not in [1,4]", enc.P)
+		if err := checkScheme(Eden, enc.P); err != nil {
+			return err
 		}
 		decodeEden(rot, enc, headAvail, tailAvail)
 	}
