@@ -82,7 +82,9 @@ func run(algorithm string, grads [][]float32, exact []float32) {
 		if nm := vecmath.NMSE(exact, o.Avg); nm > worstNMSE {
 			worstNMSE = nm
 		}
-		trimFrac += workers[rank].AggStats.TrimFraction() / nWorkers
+		// Rounded before the add: arm64 would fuse the divide by a power
+		// of two, a multiply, with it.
+		trimFrac += float64(workers[rank].AggStats.TrimFraction() / nWorkers)
 	}
 	fmt.Printf("%-7s finished %-12v coord-trim %5.1f%%  worst NMSE vs exact mean %.4f\n",
 		algorithm, lastDone, 100*trimFrac, worstNMSE)
